@@ -3,15 +3,18 @@
 
 GO ?= go
 
-.PHONY: all build test soak bench bench-candidates bench-wire bench-scatter bench-allocs bench-live wire-parity load-smoke cluster-smoke lint vuln fmt
+.PHONY: all build test soak bench bench-smoke bench-candidates bench-wire bench-scatter bench-allocs bench-live wire-parity load-smoke cluster-smoke lint vuln fmt
 
 all: lint build test
 
 build:
 	$(GO) build ./...
 
+# The webapi suite runs five shuffled passes: it is where order-dependent
+# and interleaving-dependent tests have hidden before.
 test:
 	$(GO) test -race -shuffle=on ./...
+	$(GO) test -race -shuffle=on -count=5 ./internal/webapi/
 
 # 30 s churn loops under the race detector: scheduler submit/cancel/
 # resume, and the live engine's concurrent ingest+search+compact.
@@ -23,6 +26,14 @@ soak:
 #   go test -run='^$$' -bench='HotSingleQuery|ConcurrentManyQueries' -benchtime=2s ./internal/search/
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1x ./...
+
+# Real-process smoke of the harvest-and-serve benchmark (bench/): builds
+# l2qserve and runs every workload against it frozen, live and as 3 nodes
+# + coordinator, with the in-process oracles — the one check that
+# exercises every server backend through the HTTP boundary, and that
+# bench/sut.go still compiles against the program.
+bench-smoke:
+	L2Q_BENCH_SMOKE=1 $(GO) test -count=1 -run TestSmoke ./bench
 
 # Candidate-generation / domain-phase trajectory (the CI artifact's recipe).
 bench-candidates:

@@ -180,15 +180,15 @@ func BenchmarkRemoteSearch(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Shutdown(context.Background())
-	client, err := webapi.Dial(addr, env.G.Tokenizer)
+	client, err := webapi.DialContext(context.Background(), addr, env.G.Tokenizer, webapi.ClientOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	seed := env.G.Corpus.Entities[0].SeedTokens()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := client.SearchWithSeed(seed, nil); len(res) == 0 {
-			b.Fatal("no results")
+		if res, err := client.SearchWithSeedErr(context.Background(), seed, nil); err != nil || len(res) == 0 {
+			b.Fatalf("no results: %v", err)
 		}
 	}
 }

@@ -166,7 +166,10 @@ func main() {
 			Timeout:         *rtimeout,
 			Codec:           codec,
 		}
-		if re, err = sys.DialRemoteOpts(*remote, opts); err != nil {
+		dctx, dcancel := context.WithTimeout(context.Background(), time.Minute)
+		re, err = sys.DialRemoteContext(dctx, *remote, opts)
+		dcancel()
+		if err != nil {
 			fail(err)
 		}
 		negotiated := "json"

@@ -29,6 +29,7 @@ import (
 	"log"
 	"math/rand/v2"
 	"net/http"
+	"net/url"
 	"os"
 	"sort"
 	"strings"
@@ -303,7 +304,9 @@ func newIngester(d *driver, rate int, domain string, entities, pages int, seed u
 	// The ingest client keeps the default retry policy: a shed or lost
 	// batch is retried, and the server's duplicate-skip idempotency makes
 	// redelivery safe.
-	cli, err := webapi.DialOpts(d.base, &textproc.Tokenizer{}, webapi.ClientOptions{Codec: webapi.CodecAuto})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cli, err := webapi.DialContext(ctx, d.base, &textproc.Tokenizer{}, webapi.ClientOptions{Codec: webapi.CodecAuto})
 	if err != nil {
 		return nil, fmt.Errorf("dial (ingest): %w", err)
 	}
@@ -525,19 +528,19 @@ func newDriver(base, aspect string, nQueries int, weights map[string]int, codec 
 // workers draw from.
 func (d *driver) prepare() error {
 	noRetry := webapi.ClientOptions{Retry: webapi.RetryPolicy{MaxAttempts: 1}, PrefetchWorkers: 4}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 	var err error
 	optsJSON := noRetry
 	optsJSON.Codec = webapi.CodecJSON
-	if d.cliJSON, err = webapi.DialOpts(d.base, &textproc.Tokenizer{}, optsJSON); err != nil {
+	if d.cliJSON, err = webapi.DialContext(ctx, d.base, &textproc.Tokenizer{}, optsJSON); err != nil {
 		return fmt.Errorf("dial (json): %w", err)
 	}
 	optsWire := noRetry
 	optsWire.Codec = webapi.CodecAuto // binary when the server offers it
-	if d.cliWire, err = webapi.DialOpts(d.base, &textproc.Tokenizer{}, optsWire); err != nil {
+	if d.cliWire, err = webapi.DialContext(ctx, d.base, &textproc.Tokenizer{}, optsWire); err != nil {
 		return fmt.Errorf("dial (wire): %w", err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
 	ents, err := d.cliJSON.Entities(ctx)
 	if err != nil {
 		return fmt.Errorf("entities: %w", err)
@@ -558,7 +561,7 @@ func (d *driver) prepare() error {
 	}
 	// Page IDs come from real hit lists so the page op never 404s.
 	for i := 0; i < len(d.seeds) && len(d.pageIDs) < 64; i += 3 {
-		hits, err := d.searchRawJSON(d.seeds[i], "")
+		hits, err := d.searchRawJSON(d.seeds[i])
 		if err == nil {
 			d.pageIDs = append(d.pageIDs, hits...)
 		}
@@ -569,9 +572,10 @@ func (d *driver) prepare() error {
 	return nil
 }
 
-// searchRawJSON is the bootstrap search: plain JSON, hit IDs only.
-func (d *driver) searchRawJSON(seed, q string) ([]corpus.PageID, error) {
-	u := d.base + "/api/v1/search?seed=" + urlQueryEscape(seed) + "&q=" + urlQueryEscape(q)
+// searchRawJSON is the bootstrap search (the seed query alone, one seed=
+// parameter per token): plain JSON, hit IDs only.
+func (d *driver) searchRawJSON(seed string) ([]corpus.PageID, error) {
+	u := d.base + "/api/v1/search?" + url.Values{"seed": textproc.SplitQuery(seed)}.Encode()
 	resp, err := d.httpc.Get(u)
 	if err != nil {
 		return nil, err
@@ -590,10 +594,6 @@ func (d *driver) searchRawJSON(seed, q string) ([]corpus.PageID, error) {
 		ids = append(ids, h.PageID)
 	}
 	return ids, nil
-}
-
-func urlQueryEscape(s string) string {
-	return strings.ReplaceAll(s, " ", "+")
 }
 
 // calibrate measures server-side allocations per request for each cheap

@@ -1,18 +1,18 @@
 // Command l2qserve serves a corpus as a search API over HTTP: JSON search
 // plus rendered HTML pages — the stand-in for the commercial search engine
 // the paper harvests through. Remote harvesters connect with
-// webapi.Dial and run unchanged (see examples/httpharvest).
+// webapi.DialContext and run unchanged (see examples/httpharvest).
 //
-// With -harvest (the default), the server also exposes POST /api/harvest
+// With -harvest (the default), the server also exposes POST /api/v1/harvest
 // (synchronous batch harvesting streaming NDJSON progress) and the async
-// jobs API (POST /api/jobs → id, GET /api/jobs/{id} for status or
+// jobs API (POST /api/v1/jobs → id, GET /api/v1/jobs/{id} for status or
 // ?stream=1 event following, DELETE to cancel — with per-entity
 // checkpoints for resume). Every harvest runs on ONE shared scheduler
 // (-selectworkers/-fetchworkers/-maxactive) with FIFO admission and
 // per-request fair share; a killed job's checkpoints can be re-submitted
 // via the request's "resume" field. Classifiers are trained on the served
 // corpus and domain models are learned lazily per aspect (over the
-// canonical first-half entity sample). GET /api/metrics exposes the
+// canonical first-half entity sample). GET /api/v1/metrics exposes the
 // server-side counters (requests, scheduler queue depth, budget state).
 //
 // The corpus is either loaded from a store file written by l2qgen/l2qstore
@@ -22,7 +22,7 @@
 //
 //	l2qserve -addr 127.0.0.1:8080 -domain researchers -entities 100
 //	l2qserve -addr 127.0.0.1:8080 -store corpus.l2q
-//	curl -d '{"entities":[7],"aspect":"RESEARCH","nQueries":3}' http://127.0.0.1:8080/api/harvest
+//	curl -d '{"entities":[7],"aspect":"RESEARCH","nQueries":3}' http://127.0.0.1:8080/api/v1/harvest
 package main
 
 import (
@@ -60,7 +60,7 @@ func main() {
 		shards    = flag.Int("shards", 0, "index shards (0 = GOMAXPROCS)")
 		workers   = flag.Int("scoreworkers", 0, "per-query scoring workers (0 = GOMAXPROCS)")
 		cacheSize = flag.Int("cachesize", 0, "query cache capacity (0 = default, <0 = off)")
-		harvest   = flag.Bool("harvest", true, "enable POST /api/harvest and the /api/jobs async API (server-side batch harvesting)")
+		harvest   = flag.Bool("harvest", true, "enable POST /api/v1/harvest and the /api/v1/jobs async API (server-side batch harvesting)")
 		domains   = flag.String("domains", "", "domain-artifact file (l2qstore domains): boot the harvest backend warm instead of learning per aspect on first request")
 		learnW    = flag.Int("learnworkers", 0, "domain-phase counting workers for lazily learned models (0 = GOMAXPROCS)")
 		maxSess   = flag.Int("harvestsessions", 64, "max entities per harvest request")
@@ -214,7 +214,7 @@ func main() {
 	if *maxInFl > 0 {
 		fmt.Printf("admission control: shedding 429 past %d in-flight requests\n", *maxInFl)
 	}
-	endpoints := "endpoints: /api/v1/{stats,search?q=&seed=,collfreq?tokens=,entities,metrics} /page/{id}.html /healthz (legacy /api/* aliased)"
+	endpoints := "endpoints: /api/v1/{stats,search?q=&seed=,collfreq?tokens=,entities,metrics} /page/{id}.html /healthz (q and seed: one parameter per token)"
 	if srv.Node != nil {
 		fmt.Printf("cluster node %d of %d (replicas %d): /api/v1/cluster/{search,stats} serving partitions %v\n",
 			*nodeID, srv.Node.Spec().Nodes, srv.Node.Spec().Replicas, srv.Node.Partitions())

@@ -46,7 +46,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer srv.Shutdown(context.Background())
+	ctx := context.Background()
+	defer srv.Shutdown(ctx)
 
 	// ...and put a fault injector in front of it: a flaky mirror of the
 	// same API that errors or truncates 30% of responses.
@@ -71,7 +72,7 @@ func main() {
 	// debug wire. Both must harvest identically through the faults.
 	retry := l2q.RetryPolicy{MaxAttempts: 8, BaseDelay: 5 * time.Millisecond}
 	dialFlaky := func(codec l2q.Codec) *l2q.RemoteEngine {
-		re, err := sys.DialRemoteOpts(flakyAddr, l2q.RemoteOptions{Retry: retry, Codec: codec})
+		re, err := sys.DialRemoteContext(ctx, flakyAddr, l2q.RemoteOptions{Retry: retry, Codec: codec})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -84,7 +85,10 @@ func main() {
 
 	fmt.Printf("harvesting %q RESEARCH remotely through the faults (3 queries, binary wire)\n", target.Name)
 	rh := sys.NewRemoteHarvester(remote, target, "RESEARCH", dm)
-	remoteFired := rh.Run(l2q.NewL2QBAL(), 3)
+	remoteFired, err := rh.RunCtx(ctx, l2q.NewL2QBAL(), 3)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for i, q := range remoteFired {
 		fmt.Printf("  q(%d) = %s\n", i+1, q)
 	}
@@ -97,7 +101,10 @@ func main() {
 	// The same flaky harvest pinned to JSON — the wire codec must be
 	// invisible to the harvest's behavior.
 	jh := sys.NewRemoteHarvester(dialFlaky(l2q.CodecJSON), target, "RESEARCH", dm)
-	jsonFired := jh.Run(l2q.NewL2QBAL(), 3)
+	jsonFired, err := jh.RunCtx(ctx, l2q.NewL2QBAL(), 3)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// The ground truth: the same harvest with the in-process engine.
 	lh := sys.NewHarvesterSeeded(target, "RESEARCH", dm, 1)
@@ -122,13 +129,13 @@ func main() {
 	// otherwise). POSTs do real work and are not retried, so this client
 	// dials the clean address.
 	fmt.Println("server-side batch harvest of 3 entities (POST /api/v1/harvest):")
-	direct, err := sys.DialRemote(addr)
+	direct, err := sys.DialRemoteContext(ctx, addr, l2q.RemoteOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	batch := []l2q.EntityID{ids[len(ids)-3], ids[len(ids)-2], ids[len(ids)-1]}
 	events, entitiesDone := 0, 0
-	err = direct.HarvestBatch(context.Background(), l2q.HarvestRequest{
+	err = direct.HarvestBatch(ctx, l2q.HarvestRequest{
 		Entities: batch,
 		Aspect:   "RESEARCH",
 		Strategy: "L2QBAL",

@@ -1,20 +1,20 @@
 // Jobs API: long-running harvests as first-class server-side objects.
 //
-// POST /api/harvest holds its connection open for the whole batch; this
+// POST /api/v1/harvest holds its connection open for the whole batch; this
 // example drives the asynchronous alternative end to end against a real
 // HTTP boundary:
 //
-//  1. submit a batch harvest as a job (POST /api/jobs → id) with an
+//  1. submit a batch harvest as a job (POST /api/v1/jobs → id) with an
 //     ADAPTIVE query budget — the server's shared scheduler pools the
 //     queries and reallocates them each round toward the entities with
 //     the highest marginal ΔR_E(Φ) gain;
-//  2. follow its NDJSON event stream (GET /api/jobs/{id}?stream=1);
+//  2. follow its NDJSON event stream (GET /api/v1/jobs/{id}?stream=1);
 //  3. kill a second, identical job mid-harvest (DELETE), read the
 //     per-entity checkpoints from its status, and resume it as a new job
 //     via the request's "resume" field;
 //  4. verify the killed-and-resumed run fired exactly the queries of an
 //     uninterrupted run — the checkpoint/resume contract;
-//  5. read GET /api/metrics (scheduler queue depth, budget pool state).
+//  5. read GET /api/v1/metrics (scheduler queue depth, budget pool state).
 //
 // The example exits non-zero on any parity break, so CI can run it as a
 // smoke test.
@@ -52,12 +52,12 @@ func main() {
 		log.Fatal(err)
 	}
 	defer srv.Shutdown(context.Background())
-	client, err := sys.DialRemote(addr)
+	ctx := context.Background()
+	client, err := sys.DialRemoteContext(ctx, addr, l2q.RemoteOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("search API + jobs API on http://%s\n\n", addr)
-	ctx := context.Background()
 
 	// ── 1+2: an adaptive-budget job, followed live ─────────────────────
 	id, err := client.SubmitJob(ctx, l2q.HarvestRequest{

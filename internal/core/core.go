@@ -17,36 +17,11 @@
 package core
 
 import (
-	"context"
 	"runtime"
 
 	"l2q/internal/search"
 	"l2q/internal/textproc"
 )
-
-// ContextRetriever is the error-aware, cancellable retriever surface.
-// Remote retrievers (internal/webapi's Client) implement it so sessions
-// and the pipeline scheduler can cancel in-flight fetches and distinguish
-// a transport failure from a genuinely unproductive query; Session's
-// FetchQueryCtx uses it when available and adapts plain Retrievers (which
-// cannot fail in-process) otherwise.
-type ContextRetriever interface {
-	Retriever
-	// SearchWithSeedErr is SearchWithSeed with context cancellation and
-	// typed error propagation: it returns either the complete ranked
-	// result list or an error, never a silently shortened list.
-	SearchWithSeedErr(ctx context.Context, seed, query []textproc.Token) ([]search.Result, error)
-}
-
-// AppendRetriever is the optional allocation-free retrieval surface: a
-// Retriever that appends results into a caller-owned buffer instead of
-// allocating a fresh slice per query (search.Engine implements it).
-// Session.FetchQueryCtx uses it when available, fetching into
-// session-owned scratch so steady-state harvesting stops allocating a
-// result slice per step.
-type AppendRetriever interface {
-	SearchWithSeedAppend(dst []search.Result, seed, query []textproc.Token) []search.Result
-}
 
 // Query is a candidate query in canonical form: tokens joined by single
 // spaces (textproc.JoinQuery). Because tokens may themselves be multi-word

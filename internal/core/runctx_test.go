@@ -18,7 +18,7 @@ type blockingRetriever struct {
 	Retriever
 }
 
-func (r blockingRetriever) SearchWithSeedErr(ctx context.Context, _, _ []textproc.Token) ([]search.Result, error) {
+func (r blockingRetriever) Retrieve(ctx context.Context, _ []search.Result, _, _ []textproc.Token) ([]search.Result, error) {
 	<-ctx.Done()
 	return nil, ctx.Err()
 }
@@ -29,7 +29,7 @@ type erroringRetriever struct {
 	err error
 }
 
-func (r erroringRetriever) SearchWithSeedErr(context.Context, []textproc.Token, []textproc.Token) ([]search.Result, error) {
+func (r erroringRetriever) Retrieve(context.Context, []search.Result, []textproc.Token, []textproc.Token) ([]search.Result, error) {
 	return nil, r.err
 }
 
@@ -93,5 +93,10 @@ func TestStepCtxErrorKeepsQueryOutOfPhi(t *testing.T) {
 	}
 	if len(s.Fired()) != 0 {
 		t.Errorf("failed fetch recorded in Φ: %v", s.Fired())
+	}
+	// The errorless adapter under Run/Step turns the same failure into
+	// "no results" (an unproductive query).
+	if res := s.FetchQuery("anything"); res != nil {
+		t.Errorf("FetchQuery returned %d results from a failing retriever", len(res))
 	}
 }

@@ -12,13 +12,20 @@ import (
 	"l2q/internal/types"
 )
 
-// Retriever is the search-engine surface a session needs. *search.Engine
-// satisfies it in-process; internal/webapi's Client satisfies it across an
-// HTTP boundary (the paper's commercial-search-API setting), reproducing
-// the engine's scoring from collection statistics.
+// Retriever is the search-engine surface a session needs — the paper's
+// black box: fire seed ∥ q, get the top-k pages back. *search.Engine and
+// *search.LiveEngine satisfy it in-process; internal/webapi's Client and
+// Coordinator satisfy it across an HTTP boundary (the paper's
+// commercial-search-API setting), reproducing the engine's scoring from
+// collection statistics.
 type Retriever interface {
-	// SearchWithSeed runs seed ∥ query and returns the top-k results.
-	SearchWithSeed(seed, query []textproc.Token) []search.Result
+	// Retrieve runs seed ∥ query and appends the top-k results to dst,
+	// returning the grown slice. It returns either the complete ranked
+	// list or (nil, error) — never a silently shortened list — so a
+	// transport failure stays distinguishable from an unproductive query,
+	// and a canceled ctx aborts in-flight remote work. Pages may be
+	// retained; dst's backing array stays the caller's.
+	Retrieve(ctx context.Context, dst []search.Result, seed, query []textproc.Token) ([]search.Result, error)
 	// QueryLikelihood scores one page against a query (edge weighting).
 	QueryLikelihood(p *corpus.Page, query []textproc.Token) float64
 	// TopK is the result-list size of every search.
@@ -81,10 +88,9 @@ type Session struct {
 	candBuf []Query
 
 	// resBuf is the session-owned result scratch FetchQueryCtx fetches
-	// into when the retriever supports AppendRetriever. Valid until the
-	// next fetch on this session — fetch and ingest are sequential per
-	// session (the scheduler pipelines across sessions, not within one),
-	// and ingest copies the pages it keeps.
+	// into. Valid until the next fetch on this session — fetch and ingest
+	// are sequential per session (the scheduler pipelines across sessions,
+	// not within one), and ingest copies the pages it keeps.
 	resBuf []search.Result
 
 	// rPhi and rStarPhi are R_E(Φ) and R*_E(Φ), the collective recalls
@@ -173,47 +179,33 @@ func (s *Session) BootstrapCtx(ctx context.Context) (int, error) {
 	return s.IngestSeed(res), nil
 }
 
-// FetchQuery runs the retrieval (search plus simulated download) for q
-// without touching session state; the empty query fetches the seed alone.
-// It is the I/O half of Fire, safe to run on a fetch worker while another
-// entity's selection occupies the CPU (the pipeline scheduler's split).
-// It is the errorless adapter over FetchQueryCtx: a transport failure
-// yields no results (an unproductive query).
+// FetchQuery is the errorless form of FetchQueryCtx, the single adapter
+// under the in-process Bootstrap/Fire/Step/Run conveniences: a retrieval
+// failure yields no results (an unproductive query).
 func (s *Session) FetchQuery(q Query) []search.Result {
-	//l2qvet:ignore ctxbg errorless legacy adapter: FetchQuery's public signature has no ctx; error-aware callers use FetchQueryCtx
+	//l2qvet:ignore ctxbg errorless adapter: FetchQuery's public signature has no ctx; error-aware callers use FetchQueryCtx
 	res, _ := s.FetchQueryCtx(context.Background(), q)
 	return res
 }
 
-// FetchQueryCtx is FetchQuery with cancellation and typed error
-// propagation. When the engine implements ContextRetriever (remote
-// transports), cancellation aborts the in-flight HTTP work and transport
-// failures surface as errors instead of masquerading as unproductive
-// queries; plain Retrievers (in-process engines, which cannot fail) are
-// adapted with a cancellation pre-check. The simulated-latency Fetcher,
-// when set, is also cancellable.
+// FetchQueryCtx runs the retrieval (search plus simulated download) for q
+// without touching session state; the empty query fetches the seed alone.
+// It is the I/O half of Fire, safe to run on a fetch worker while another
+// entity's selection occupies the CPU (the pipeline scheduler's split).
+// Cancellation aborts in-flight remote work and the simulated-latency
+// Fetcher, and a retrieval failure surfaces as an error instead of
+// masquerading as an unproductive query. The results live in
+// session-owned scratch, valid until the next fetch.
 func (s *Session) FetchQueryCtx(ctx context.Context, q Query) ([]search.Result, error) {
 	var extra []textproc.Token
 	if q != "" {
 		extra = s.Cfg.QueryTokens(q)
 	}
-	var res []search.Result
-	if cr, ok := s.Engine.(ContextRetriever); ok {
-		var err error
-		if res, err = cr.SearchWithSeedErr(ctx, s.seed, extra); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if ar, ok := s.Engine.(AppendRetriever); ok {
-			s.resBuf = ar.SearchWithSeedAppend(s.resBuf[:0], s.seed, extra)
-			res = s.resBuf
-		} else {
-			res = s.Engine.SearchWithSeed(s.seed, extra)
-		}
+	res, err := s.Engine.Retrieve(ctx, s.resBuf[:0], s.seed, extra)
+	if err != nil {
+		return nil, err
 	}
+	s.resBuf = res
 	if s.Fetcher != nil {
 		if _, err := s.Fetcher.FetchContext(ctx, res); err != nil {
 			return nil, err

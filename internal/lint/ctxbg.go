@@ -10,15 +10,17 @@ import (
 // sneaks into library code detaches whatever runs under it from the
 // caller's deadline and from graceful shutdown (the exact bug class the
 // ~100ms-vs-30s pipeline cancellation fix removed). The sanctioned
-// exceptions — errorless-adapter implementations of legacy interfaces,
-// lifetime contexts owned by a server object, nil-ctx normalization of a
-// public API — carry an //l2qvet:ignore ctxbg <reason> annotation at the
-// call site, which is the whole point: a detached context is a recorded
-// decision, not a default.
+// exceptions — a lifetime context owned by a server object, nil-ctx
+// normalization of a public API, a bounded lookup under a signature that
+// has no ctx, and the one errorless adapter left (core.Session.FetchQuery,
+// under the in-process Run/Step conveniences) — carry an
+// //l2qvet:ignore ctxbg <reason> annotation at the call site, which is
+// the whole point: a detached context is a recorded decision, not a
+// default.
 var CtxBG = &Analyzer{
 	Name: "ctxbg",
 	Doc: "no context.Background() in internal/* library code: thread the caller's ctx, " +
-		"or annotate a sanctioned adapter site with //l2qvet:ignore ctxbg <reason>",
+		"or annotate a sanctioned site with //l2qvet:ignore ctxbg <reason>",
 	Run: runCtxBG,
 }
 

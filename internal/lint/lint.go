@@ -11,8 +11,7 @@
 //     site (assign, element-nil, or clear) so pooled scratch cannot
 //     silently pin index postings or page text (PR 7).
 //   - ctxbg: no context.Background() in internal/* library code except
-//     annotated errorless-adapter sites — new code threads the caller's
-//     context (PR 3).
+//     at annotated sites — code threads the caller's context (PR 3).
 //   - mapdeterminism: codec paths (internal/store, internal/webapi) may
 //     not serialize in map-iteration order — collected keys must be
 //     sorted, and nothing may feed a store.Enc from inside a map range

@@ -15,9 +15,9 @@ func Good(ctx context.Context) (context.Context, context.CancelFunc) {
 	return context.WithCancel(ctx)
 }
 
-// Adapter is a sanctioned errorless-adapter site: the suppression records
-// the decision next to the code.
-func Adapter() context.Context {
-	//l2qvet:ignore ctxbg errorless adapter fixture: the legacy signature has no ctx parameter
+// Sanctioned is an annotated site: the suppression records the decision
+// next to the code.
+func Sanctioned() context.Context {
+	//l2qvet:ignore ctxbg fixture: this signature has no ctx parameter
 	return context.Background()
 }

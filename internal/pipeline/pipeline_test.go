@@ -191,7 +191,7 @@ type slowRetriever struct {
 	delay time.Duration
 }
 
-func (r slowRetriever) SearchWithSeedErr(ctx context.Context, seed, query []string) ([]search.Result, error) {
+func (r slowRetriever) Retrieve(ctx context.Context, dst []search.Result, seed, query []string) ([]search.Result, error) {
 	t := time.NewTimer(r.delay)
 	defer t.Stop()
 	select {
@@ -199,7 +199,7 @@ func (r slowRetriever) SearchWithSeedErr(ctx context.Context, seed, query []stri
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	return r.Retriever.SearchWithSeed(seed, query), nil
+	return r.Retriever.Retrieve(ctx, dst, seed, query)
 }
 
 // failingRetriever fails every search with a persistent transport error
@@ -209,7 +209,7 @@ type failingRetriever struct {
 	err error
 }
 
-func (r failingRetriever) SearchWithSeedErr(context.Context, []string, []string) ([]search.Result, error) {
+func (r failingRetriever) Retrieve(context.Context, []search.Result, []string, []string) ([]search.Result, error) {
 	return nil, r.err
 }
 

@@ -2,16 +2,16 @@ package pipeline
 
 // The long-lived scheduler. pipeline.Run used to build fresh worker pools
 // per invocation, which was fine for a one-batch CLI run but wrong for a
-// server: every POST /api/harvest got its own GOMAXPROCS-sized select pool
-// with no admission control, and nothing could be shared, queued, fairly
-// interleaved, checkpointed, or drained. Scheduler inverts that: New(cfg)
-// owns the select/fetch pools for its lifetime; any number of concurrent
-// callers Submit job batches; jobs are admitted FIFO (Config.MaxActive is
-// the admission bound) and, once admitted, served round-robin across
-// batches so one large submission cannot starve a small one; Drain and
-// Close manage shutdown. Run survives as a thin submit-all-and-await
-// wrapper over a private scheduler — the retained reference the parity
-// tests hold the scheduler to.
+// server: every POST /api/v1/harvest got its own GOMAXPROCS-sized select
+// pool with no admission control, and nothing could be shared, queued,
+// fairly interleaved, checkpointed, or drained. Scheduler inverts that:
+// New(cfg) owns the select/fetch pools for its lifetime; any number of
+// concurrent callers Submit job batches; jobs are admitted FIFO
+// (Config.MaxActive is the admission bound) and, once admitted, served
+// round-robin across batches so one large submission cannot starve a
+// small one; Drain and Close manage shutdown. Run survives as a thin
+// submit-all-and-await wrapper over a private scheduler — the retained
+// reference the parity tests hold the scheduler to.
 
 import (
 	"context"
@@ -95,7 +95,7 @@ type Scheduler struct {
 }
 
 // Stats is a point-in-time snapshot of scheduler load, the server-side
-// /api/metrics payload.
+// /api/v1/metrics payload.
 type Stats struct {
 	SelectWorkers int   `json:"selectWorkers"`
 	FetchWorkers  int   `json:"fetchWorkers"`

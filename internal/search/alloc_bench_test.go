@@ -1,13 +1,17 @@
 package search
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // BenchmarkSearchAllocs is the query-path allocation trajectory the CI
 // gate (scripts/alloc_gate.sh) pins, measured on the benchCorpus engine:
 //
-//	cached/append    SearchAppend into a reused buffer on a warm cache —
-//	                 the domain-learning / selector steady state. Pinned
-//	                 at 0 allocs/op.
+//	cached/append    Retrieve (the session retriever contract, which
+//	                 every other search method shares its path with) into
+//	                 a reused buffer on a warm cache — the session-step /
+//	                 selector steady state. Pinned at 0 allocs/op.
 //	cached           Search on a warm cache: the one allocation is the
 //	                 fresh result slice handed to the caller.
 //	nocache/append   the full sharded scoring pass with pooled scratch.
@@ -20,14 +24,15 @@ func BenchmarkSearchAllocs(b *testing.B) {
 	b.Run("cached/append", func(b *testing.B) {
 		e := NewEngineOpts(idxs[0], Options{})
 		var dst []Result
-		dst = e.SearchAppend(dst, q) // warm the cache
+		ctx := context.Background()
+		dst, _ = e.Retrieve(ctx, dst, q[:1], q[1:]) // warm the cache
 		if len(dst) == 0 {
 			b.Fatal("no hits")
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			dst = e.SearchAppend(dst[:0], q)
+			dst, _ = e.Retrieve(ctx, dst[:0], q[:1], q[1:])
 		}
 	})
 	b.Run("cached", func(b *testing.B) {

@@ -63,9 +63,12 @@ func (c *queryCache) getAppend(key []byte, dst []Result) ([]Result, bool) {
 	return append(dst, el.Value.(*cacheEntry).res...), true
 }
 
-// put stores res (which the cache takes ownership of) under key. The key
-// string is materialized only when a new entry is inserted.
+// put stores a copy of res under key: the cache owns one canonical copy
+// and the caller keeps mutating its own slice freely (the pre-cache
+// contract). The key string is materialized only when a new entry is
+// inserted.
 func (c *queryCache) put(key []byte, res []Result) {
+	res = append([]Result(nil), res...)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.byKey == nil {
@@ -96,14 +99,14 @@ func (c *queryCache) stats() (hits, misses uint64) {
 // mode, result-list size, then the tokens joined with an unprintable
 // separator (tokens are human text and never contain 0x1f). μ/k1/b need
 // not appear — an engine copy with different smoothing gets a fresh cache
-// (see the With* methods).
-func (e *Engine) appendCacheKey(dst []byte, query []textproc.Token) []byte {
-	if e.bm25 {
+// (see the With* methods). The live engine prefixes its view epoch.
+func appendCacheKey(dst []byte, bm25 bool, k int, query []textproc.Token) []byte {
+	if bm25 {
 		dst = append(dst, 'b')
 	} else {
 		dst = append(dst, 'd')
 	}
-	dst = strconv.AppendInt(dst, int64(e.topK), 10)
+	dst = strconv.AppendInt(dst, int64(k), 10)
 	for _, t := range query {
 		dst = append(dst, 0x1f)
 		dst = append(dst, t...)

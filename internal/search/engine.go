@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math"
 	"sync"
 
@@ -202,9 +203,12 @@ type StatSource interface {
 // Collection-level statistic reads, routed through the stats override when
 // one is set and the engine's own index otherwise. Every scoring path
 // reads these — never idx fields directly — so the override covers
-// Dirichlet, BM25, and both reference paths at once.
+// Dirichlet, BM25, and both reference paths at once. CollectionFreq,
+// TotalTokens and NumTerms are exported under the names LiveEngine gives
+// the same reads: the serving layer reports them without knowing which
+// engine it holds.
 
-func (e *Engine) statCollFreq(t textproc.Token) int {
+func (e *Engine) CollectionFreq(t textproc.Token) int {
 	if e.stats != nil {
 		return e.stats.StatCollFreq(t)
 	}
@@ -225,14 +229,14 @@ func (e *Engine) statNumDocs() int {
 	return e.idx.NumDocs()
 }
 
-func (e *Engine) statTotalTokens() int {
+func (e *Engine) TotalTokens() int {
 	if e.stats != nil {
 		return e.stats.StatTotalTokens()
 	}
 	return e.idx.totalToks
 }
 
-func (e *Engine) statNumTerms() int {
+func (e *Engine) NumTerms() int {
 	if e.stats != nil {
 		return e.stats.StatNumTerms()
 	}
@@ -242,12 +246,12 @@ func (e *Engine) statNumTerms() int {
 // avgDocLen is the BM25 average document length over the (possibly
 // overridden) collection statistics.
 func (e *Engine) avgDocLen() float64 {
-	return float64(e.statTotalTokens()) / math.Max(1, float64(e.statNumDocs()))
+	return float64(e.TotalTokens()) / math.Max(1, float64(e.statNumDocs()))
 }
 
 // collProb applies CollectionProb to the engine's collection statistics.
 func (e *Engine) collProb(t textproc.Token) float64 {
-	return CollectionProb(e.statCollFreq(t), e.statTotalTokens(), e.statNumTerms())
+	return CollectionProb(e.CollectionFreq(t), e.TotalTokens(), e.NumTerms())
 }
 
 // Search returns the top-k pages for the query tokens. Ties are broken by
@@ -265,26 +269,29 @@ func (e *Engine) Search(query []textproc.Token) []Result {
 // only the cache's canonical copy (plus any dst growth). Safe for
 // concurrent use — scratch is per-call, never shared.
 func (e *Engine) SearchAppend(dst []Result, query []textproc.Token) []Result {
+	return e.SearchTopKAppend(dst, 0, query)
+}
+
+// SearchTopKAppend is SearchAppend with an explicit result-list size
+// (k ≤ 0 uses the configured TopK) — the per-request override the serving
+// layer passes through. The cache key carries k, so every k shares the
+// engine's one cache.
+func (e *Engine) SearchTopKAppend(dst []Result, k int, query []textproc.Token) []Result {
 	if len(query) == 0 {
 		return dst
 	}
+	if k <= 0 {
+		k = e.topK
+	}
 	if e.cache == nil {
-		return e.searchShardedAppend(dst, query)
+		return e.searchShardedAppend(dst, k, query)
 	}
 	kb := cacheKeyPool.Get().(*cacheKeyBuf)
-	key := e.appendCacheKey(kb.b[:0], query)
+	key := appendCacheKey(kb.b[:0], e.bm25, k, query)
 	out, hit := e.cache.getAppend(key, dst)
 	if !hit {
-		start := len(dst)
-		out = e.searchShardedAppend(dst, query)
-		// The cache owns one canonical copy; the caller keeps mutating
-		// its own slice freely (the pre-cache contract).
-		var canonical []Result
-		if n := len(out) - start; n > 0 {
-			canonical = make([]Result, n)
-			copy(canonical, out[start:])
-		}
-		e.cache.put(key, canonical)
+		out = e.searchShardedAppend(dst, k, query)
+		e.cache.put(key, out[len(dst):])
 	}
 	kb.b = key
 	cacheKeyPool.Put(kb)
@@ -298,26 +305,46 @@ func (e *Engine) SearchWithSeed(seed, query []textproc.Token) []Result {
 	return e.SearchWithSeedAppend(nil, seed, query)
 }
 
+// SearchWithSeedAppend is SearchWithSeed with a caller-provided result
+// buffer.
+func (e *Engine) SearchWithSeedAppend(dst []Result, seed, query []textproc.Token) []Result {
+	return e.SearchWithSeedTopKAppend(dst, 0, seed, query)
+}
+
 // seedQueryBuf is the pooled seed∥query concatenation buffer of one
-// SearchWithSeedAppend call (token slices hold only string headers).
+// seeded search (token slices hold only string headers).
 type seedQueryBuf struct{ toks []textproc.Token }
 
 var seedQueryPool = sync.Pool{New: func() any { return new(seedQueryBuf) }}
 
-// SearchWithSeedAppend is SearchWithSeed with a caller-provided result
-// buffer; the seed∥query concatenation lives in pooled scratch.
-func (e *Engine) SearchWithSeedAppend(dst []Result, seed, query []textproc.Token) []Result {
+// SearchWithSeedTopKAppend is SearchWithSeedAppend with an explicit
+// result-list size (k ≤ 0 uses the configured TopK); the seed∥query
+// concatenation lives in pooled scratch.
+func (e *Engine) SearchWithSeedTopKAppend(dst []Result, k int, seed, query []textproc.Token) []Result {
 	sb := seedQueryPool.Get().(*seedQueryBuf)
 	combined := append(append(sb.toks[:0], seed...), query...)
-	dst = e.SearchAppend(dst, combined)
+	dst = e.SearchTopKAppend(dst, k, combined)
 	sb.toks = combined
 	seedQueryPool.Put(sb)
 	return dst
 }
 
-// QueryLikelihood scores one page against a query with the engine's
-// smoothing; used by the reinforcement graph to weight page–query edges.
-func (e *Engine) QueryLikelihood(p *corpus.Page, query []textproc.Token) float64 {
+// Retrieve is the session retriever contract (core.Retriever): the top-k
+// of seed ∥ query appended to dst. An in-process engine cannot fail, so
+// the only error is a context already done when the search would start.
+func (e *Engine) Retrieve(ctx context.Context, dst []Result, seed, query []textproc.Token) ([]Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return e.SearchWithSeedTopKAppend(dst, 0, seed, query), nil
+}
+
+// QueryLikelihood is the Dirichlet-smoothed log query likelihood of one
+// page, Σ_{t∈q} log((tf(t,p) + μ·p(t|C)) / (|p| + μ)): the one formula
+// behind every retriever's QueryLikelihood, which differ only in where μ
+// and the collection model p(t|C) come from (an index, a live view, or
+// statistics fetched over the wire). An empty query scores -Inf.
+func QueryLikelihood(p *corpus.Page, query []textproc.Token, mu float64, collProb func(textproc.Token) float64) float64 {
 	if len(query) == 0 {
 		return math.Inf(-1)
 	}
@@ -328,7 +355,13 @@ func (e *Engine) QueryLikelihood(p *corpus.Page, query []textproc.Token) float64
 	}
 	s := 0.0
 	for _, t := range query {
-		s += DirichletTermScore(tf[t], len(toks), e.mu, e.collProb(t))
+		s += DirichletTermScore(tf[t], len(toks), mu, collProb(t))
 	}
 	return s
+}
+
+// QueryLikelihood scores one page against a query with the engine's
+// smoothing; used by the reinforcement graph to weight page–query edges.
+func (e *Engine) QueryLikelihood(p *corpus.Page, query []textproc.Token) float64 {
+	return QueryLikelihood(p, query, e.mu, e.collProb)
 }

@@ -39,19 +39,12 @@ func NewFetcher(perPage time.Duration) *Fetcher {
 	return &Fetcher{PerPageLatency: perPage}
 }
 
-// Fetch "downloads" the result pages, accounting simulated latency.
-func (f *Fetcher) Fetch(results []Result) []*corpus.Page {
-	//l2qvet:ignore ctxbg errorless legacy adapter: Fetch's public signature has no ctx; ctx-aware callers use FetchContext
-	pages, _ := f.FetchContext(context.Background(), results)
-	return pages
-}
-
-// FetchContext is Fetch with cancellation: a sleeping fetch (Sleep=true)
-// wakes up when ctx is canceled and returns the context error, so a
-// scheduler that parked a worker on a slow simulated download can reclaim
-// it promptly. The latency accounting still records the full simulated
-// cost — the download was started, which is what the paper's cost model
-// charges for.
+// FetchContext "downloads" the result pages, accounting simulated
+// latency. A sleeping fetch (Sleep=true) wakes up when ctx is canceled
+// and returns the context error, so a scheduler that parked a worker on a
+// slow simulated download can reclaim it promptly. The latency accounting
+// still records the full simulated cost — the download was started, which
+// is what the paper's cost model charges for.
 func (f *Fetcher) FetchContext(ctx context.Context, results []Result) ([]*corpus.Page, error) {
 	cost := time.Duration(len(results)) * f.PerPageLatency
 	f.mu.Lock()

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"slices"
@@ -155,6 +156,11 @@ func (st *liveStats) StatDocFreq(t textproc.Token) int {
 	return n
 }
 
+// collProb is the view's smoothed collection model p(t|C).
+func (st *liveStats) collProb(t textproc.Token) float64 {
+	return CollectionProb(st.StatCollFreq(t), st.totalToks, st.numTerms)
+}
+
 func (st *liveStats) StatNumDocs() int     { return st.numDocs }
 func (st *liveStats) StatTotalTokens() int { return st.totalToks }
 func (st *liveStats) StatNumTerms() int    { return st.numTerms }
@@ -186,9 +192,9 @@ func (v *liveView) pageAt(doc int64) *corpus.Page {
 
 // LiveEngine is the generational mutable counterpart of Engine: it absorbs
 // pages while serving, and satisfies the same retrieval surface (it is a
-// core.Retriever and AppendRetriever). The zero value is not usable;
-// create with NewLiveEngine. Safe for concurrent use: any number of
-// readers, any number of Add callers (writes serialize internally).
+// core.Retriever). The zero value is not usable; create with
+// NewLiveEngine. Safe for concurrent use: any number of readers, any
+// number of Add callers (writes serialize internally).
 type LiveEngine struct {
 	opts Options     // per-segment layout, scoring workers, cache size
 	lo   LiveOptions // generational lifecycle
@@ -618,42 +624,18 @@ func (le *LiveEngine) SearchTopKAppend(dst []Result, k int, query []textproc.Tok
 		return le.searchViewAppend(dst, v, k, query)
 	}
 	kb := cacheKeyPool.Get().(*cacheKeyBuf)
-	key := le.appendLiveCacheKey(kb.b[:0], v.epoch, k, query)
+	// The key leads with the view epoch: a publish bumps it, so every
+	// stale entry stops matching instantly — invalidation is one integer,
+	// not a flush — and ages out of the LRU.
+	key := appendCacheKey(strconv.AppendUint(kb.b[:0], v.epoch, 10), le.lo.BM25, k, query)
 	out, hit := le.cache.getAppend(key, dst)
 	if !hit {
-		start := len(dst)
 		out = le.searchViewAppend(dst, v, k, query)
-		// The cache owns one canonical copy; the caller keeps mutating
-		// its own slice freely (the pre-cache contract).
-		var canonical []Result
-		if n := len(out) - start; n > 0 {
-			canonical = make([]Result, n)
-			copy(canonical, out[start:])
-		}
-		le.cache.put(key, canonical)
+		le.cache.put(key, out[len(dst):])
 	}
 	kb.b = key
 	cacheKeyPool.Put(kb)
 	return out
-}
-
-// appendLiveCacheKey is the engine cache key prefixed with the view
-// epoch: a publish bumps the epoch, so every stale entry stops matching
-// instantly — invalidation is one integer, not a flush — and ages out of
-// the LRU.
-func (le *LiveEngine) appendLiveCacheKey(dst []byte, epoch uint64, k int, query []textproc.Token) []byte {
-	dst = strconv.AppendUint(dst, epoch, 10)
-	if le.lo.BM25 {
-		dst = append(dst, 'b')
-	} else {
-		dst = append(dst, 'd')
-	}
-	dst = strconv.AppendInt(dst, int64(k), 10)
-	for _, t := range query {
-		dst = append(dst, 0x1f)
-		dst = append(dst, t...)
-	}
-	return dst
 }
 
 // searchViewAppend scores the query over every segment of the view and
@@ -669,13 +651,7 @@ func (le *LiveEngine) searchViewAppend(dst []Result, v *liveView, k int, query [
 	case 1:
 		// Single segment: local ordinals are the global ordinals; skip
 		// the merge entirely (the frozen-boot steady state).
-		eng := v.engines[0]
-		if k != eng.topK {
-			cp := *eng
-			cp.topK = k
-			eng = &cp
-		}
-		return eng.searchShardedAppend(dst, query)
+		return v.engines[0].searchShardedAppend(dst, k, query)
 	}
 	sc := liveScratchPool.Get().(*liveScratch)
 
@@ -694,7 +670,7 @@ func (le *LiveEngine) searchViewAppend(dst []Result, v *liveView, k int, query [
 		idf = consts
 	} else {
 		for _, t := range query {
-			consts = append(consts, CollectionProb(v.stats.StatCollFreq(t), v.stats.totalToks, v.stats.numTerms))
+			consts = append(consts, v.stats.collProb(t))
 		}
 		pC = consts
 	}
@@ -742,14 +718,14 @@ func (le *LiveEngine) SearchWithSeed(seed, query []textproc.Token) []Result {
 	return le.SearchWithSeedAppend(nil, seed, query)
 }
 
-// SearchWithSeedAppend is SearchWithSeed with a caller-provided buffer;
-// the concatenation lives in pooled scratch.
+// SearchWithSeedAppend is SearchWithSeed with a caller-provided buffer.
 func (le *LiveEngine) SearchWithSeedAppend(dst []Result, seed, query []textproc.Token) []Result {
 	return le.SearchWithSeedTopKAppend(dst, 0, seed, query)
 }
 
 // SearchWithSeedTopKAppend is SearchWithSeedAppend with an explicit
-// result-list size (k ≤ 0 uses the configured TopK).
+// result-list size (k ≤ 0 uses the configured TopK); the concatenation
+// lives in pooled scratch.
 func (le *LiveEngine) SearchWithSeedTopKAppend(dst []Result, k int, seed, query []textproc.Token) []Result {
 	sb := seedQueryPool.Get().(*seedQueryBuf)
 	combined := append(append(sb.toks[:0], seed...), query...)
@@ -759,25 +735,22 @@ func (le *LiveEngine) SearchWithSeedTopKAppend(dst []Result, k int, seed, query 
 	return dst
 }
 
+// Retrieve is the session retriever contract (core.Retriever), exactly
+// as on the frozen Engine: the search runs over the view current when it
+// starts and cannot fail.
+func (le *LiveEngine) Retrieve(ctx context.Context, dst []Result, seed, query []textproc.Token) ([]Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return le.SearchWithSeedTopKAppend(dst, 0, seed, query), nil
+}
+
 // QueryLikelihood scores one page against a query with the current view's
 // smoothing — the same formula, μ derivation, and collection model as the
 // frozen engine's, so graph edge weights match a frozen rebuild too.
 func (le *LiveEngine) QueryLikelihood(p *corpus.Page, query []textproc.Token) float64 {
-	if len(query) == 0 {
-		return math.Inf(-1)
-	}
 	v := le.view.Load()
-	toks := p.Tokens()
-	tf := make(map[textproc.Token]int, len(query))
-	for _, t := range toks {
-		tf[t]++ // full histogram; queries are short so this is fine
-	}
-	s := 0.0
-	for _, t := range query {
-		pC := CollectionProb(v.stats.StatCollFreq(t), v.stats.StatTotalTokens(), v.stats.StatNumTerms())
-		s += DirichletTermScore(tf[t], len(toks), v.mu, pC)
-	}
-	return s
+	return QueryLikelihood(p, query, v.mu, v.stats.collProb)
 }
 
 // TopK returns the configured result-list size.

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -48,7 +49,7 @@ func liveBenchCorpus(b *testing.B) (base, donors []*corpus.Page, qs [][]textproc
 // path at the frozen engine's ceilings even with the generational layout
 // in front:
 //
-//	cached/append   SearchAppend into a reused buffer on a warm
+//	cached/append   Retrieve into a reused buffer on a warm
 //	                epoch-keyed cache. Pinned at 0 allocs/op.
 //	cached          Search on a warm cache: the fresh result slice.
 //
@@ -70,14 +71,15 @@ func BenchmarkLiveSearchAllocs(b *testing.B) {
 	b.Run("cached/append", func(b *testing.B) {
 		le := mk(b)
 		var dst []Result
-		dst = le.SearchAppend(dst, q) // warm the cache
+		ctx := context.Background()
+		dst, _ = le.Retrieve(ctx, dst, q[:1], q[1:]) // warm the cache
 		if len(dst) == 0 {
 			b.Fatal("no hits")
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			dst = le.SearchAppend(dst[:0], q)
+			dst, _ = le.Retrieve(ctx, dst[:0], q[:1], q[1:])
 		}
 	})
 	b.Run("cached", func(b *testing.B) {

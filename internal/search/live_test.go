@@ -288,7 +288,7 @@ func TestLiveEngineSoak(t *testing.T) {
 	pages, qs := liveTestCorpus(t, synth.DomainResearchers)
 	le := NewLiveEngine(nil, Options{}, LiveOptions{MemtableDocs: 8, CompactFanIn: 2})
 
-	var mu sync.Mutex // guards next (ingest order stays deterministic per worker claim)
+	var mu sync.Mutex // guards next
 	next := 0
 	claim := func(n int) []*corpus.Page {
 		mu.Lock()
@@ -360,5 +360,12 @@ func TestLiveEngineSoak(t *testing.T) {
 		le.Add(batch...)
 	}
 	le.Quiesce()
-	requireParity(t, "post-soak", le, pages, qs)
+	// The two ingesters claim batches in page order but race from claim
+	// to Add, so the ingest order — the order ties break on, and the one
+	// the parity contract rebuilds from — is the engine's, not pages'.
+	ingested := le.Pages()
+	if len(ingested) != len(pages) {
+		t.Fatalf("post-soak: engine holds %d pages, ingested %d", len(ingested), len(pages))
+	}
+	requireParity(t, "post-soak", le, ingested, qs)
 }

@@ -150,8 +150,7 @@ var searchScratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 // sort. Workers partition the document-ordinal space, so their candidate
 // sets are disjoint and the merged ranking equals the reference's. The
 // top-k results are appended to dst.
-func (e *Engine) searchShardedAppend(dst []Result, query []textproc.Token) []Result {
-	k := e.topK
+func (e *Engine) searchShardedAppend(dst []Result, k int, query []textproc.Token) []Result {
 	if k < 0 {
 		k = 0
 	}
@@ -160,38 +159,6 @@ func (e *Engine) searchShardedAppend(dst []Result, query []textproc.Token) []Res
 		return dst
 	}
 	dst = e.appendFinish(dst, cands, k)
-	releaseSearchScratch(sc)
-	return dst
-}
-
-// SearchRankedAppend scores the query and appends the engine's top-k as
-// (global ordinal, score) pairs, offsetting local document ordinals by
-// base — the exchange form MergeTopKAppend consumes, shared by cluster
-// scatter-gather and the live engine's segment merge. k ≤ 0 uses the
-// engine's TopK. The query cache is bypassed (callers that want one layer
-// their own, keyed to their own lifecycle); with a reused dst the call
-// allocates nothing. Safe for concurrent use.
-func (e *Engine) SearchRankedAppend(dst []RankedDoc, base int64, k int, query []textproc.Token) []RankedDoc {
-	if len(query) == 0 {
-		return dst
-	}
-	if k <= 0 {
-		k = e.topK
-	}
-	if k < 0 {
-		k = 0
-	}
-	sc, cands := e.searchCands(query, k)
-	if sc == nil {
-		return dst
-	}
-	slices.SortFunc(cands, compareCand)
-	if k > len(cands) {
-		k = len(cands)
-	}
-	for _, c := range cands[:k] {
-		dst = append(dst, RankedDoc{Doc: base + int64(c.doc), Score: c.score})
-	}
 	releaseSearchScratch(sc)
 	return dst
 }

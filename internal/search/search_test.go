@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -163,8 +164,8 @@ func TestFetcherAccounting(t *testing.T) {
 	f := NewFetcher(100 * time.Millisecond)
 	idx := smallIndex()
 	res := NewEngine(idx).Search([]textproc.Token{"research"})
-	pages := f.Fetch(res)
-	if len(pages) != len(res) {
+	pages, err := f.FetchContext(context.Background(), res)
+	if err != nil || len(pages) != len(res) {
 		t.Fatalf("fetched %d pages, want %d", len(pages), len(res))
 	}
 	want := time.Duration(len(res)) * 100 * time.Millisecond

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"l2q/internal/core"
 	"l2q/internal/search"
 	"l2q/internal/synth"
 	"l2q/internal/textproc"
@@ -65,13 +66,11 @@ func BenchmarkScatterGather(b *testing.B) {
 	// what a frontend asks of the retrieval tier, and it is what the
 	// cluster's independent uplinks buy: the single node's link serializes
 	// the batch no matter how many workers the client runs.
-	runBatch := func(b *testing.B, ret interface {
-		SearchWithSeedErr(ctx context.Context, seed, query []textproc.Token) ([]search.Result, error)
-	}) {
+	runBatch := func(b *testing.B, ret core.Retriever) {
 		errs := make(chan error, len(seeds))
 		for _, seed := range seeds {
 			go func(seed []textproc.Token) {
-				res, err := ret.SearchWithSeedErr(context.Background(), seed, nil)
+				res, err := ret.Retrieve(context.Background(), nil, seed, nil)
 				if err == nil && len(res) == 0 {
 					err = errNoHits
 				}
@@ -95,7 +94,7 @@ func BenchmarkScatterGather(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// A fresh client per iteration so the page cache cannot absorb
 			// the transfers (the bench_wire idiom).
-			c, err := Dial(srv.URL, g.Tokenizer)
+			c, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

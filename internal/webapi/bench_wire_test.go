@@ -1,6 +1,7 @@
 package webapi
 
 import (
+	"context"
 	"net/http/httptest"
 	"testing"
 
@@ -66,7 +67,7 @@ func BenchmarkRemoteHarvestWire(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c, err := DialOpts(srv.URL, g.Tokenizer, ClientOptions{Codec: bc.codec})
+				c, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{Codec: bc.codec})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -21,13 +21,12 @@ import (
 	"l2q/internal/textproc"
 )
 
-// Client is a remote search engine: it implements core.Retriever (and the
-// error-aware core.ContextRetriever) against a webapi.Server, so a
-// harvesting session runs unchanged across a real HTTP boundary. Result
-// pages are downloaded as HTML, segmented with internal/html, re-tokenized,
-// and cached; Dirichlet scoring is reproduced locally from /api/stats plus
-// batched /api/collfreq lookups, bit-for-bit equal to the server engine's
-// scores.
+// Client is a remote search engine: it implements core.Retriever against
+// a webapi.Server, so a harvesting session runs unchanged across a real
+// HTTP boundary. Result pages are downloaded as HTML, segmented with
+// internal/html, re-tokenized, and cached; Dirichlet scoring is reproduced
+// locally from /api/v1/stats plus batched /api/v1/collfreq lookups,
+// bit-for-bit equal to the server engine's scores.
 //
 // The transport is resilient by default: every API call is an idempotent
 // GET against an immutable corpus, so the client retries transient faults
@@ -48,9 +47,6 @@ type Client struct {
 	retry           RetryPolicy
 	prefetchWorkers int
 	codec           Codec
-	// apiPrefix is "/api/v1" against a current server, "/api" after the
-	// dial probe falls back to a pre-v1 server. Fixed at dial time.
-	apiPrefix string
 	// wire records whether the server answered the dial probe in the
 	// binary codec — the negotiated truth, fixed at dial time.
 	wire bool
@@ -68,14 +64,14 @@ type Codec int
 
 const (
 	// CodecAuto (the default) asks for the binary wire protocol and
-	// accepts whatever the server speaks: binary frames from a current
-	// server, JSON from an older one — the clean mixed-version posture.
+	// accepts whatever the server speaks: binary frames, or JSON from a
+	// server that has the wire codec switched off.
 	CodecAuto Codec = iota
 	// CodecJSON never asks for binary; every payload travels as JSON
 	// (the debug posture).
 	CodecJSON
-	// CodecBinary requires binary: Dial fails against a server that does
-	// not speak the wire protocol instead of silently degrading.
+	// CodecBinary requires binary: the dial fails against a server that
+	// does not speak the wire protocol instead of silently degrading.
 	CodecBinary
 )
 
@@ -104,8 +100,8 @@ func ParseCodec(s string) (Codec, error) {
 }
 
 // ClientOptions is the one construction surface for Client transports.
-// The zero value picks the defaults documented on each field; Dial and
-// DialContext apply them via withDefaults.
+// The zero value picks the defaults documented on each field; DialContext
+// applies them via withDefaults.
 type ClientOptions struct {
 	// Retry is the per-request retry policy (zero value: 4 attempts,
 	// 50 ms base backoff, 2 s cap).
@@ -113,8 +109,8 @@ type ClientOptions struct {
 	// PrefetchWorkers bounds the concurrent page downloads for one
 	// query's hit list (default 8; 1 fetches serially).
 	PrefetchWorkers int
-	// Timeout is the per-request HTTP timeout (default 30 s). Contexts
-	// passed to the *Ctx/*Err methods cancel earlier.
+	// Timeout is the per-request HTTP timeout (default 30 s). The
+	// caller's context cancels earlier.
 	Timeout time.Duration
 	// Codec is the wire-encoding preference (default CodecAuto).
 	Codec Codec
@@ -135,23 +131,14 @@ func (o ClientOptions) withDefaults() ClientOptions {
 // maxResponseBytes caps any single response body read (pages and JSON).
 const maxResponseBytes = 32 << 20
 
-// Dial connects to a server with default transport options, fetching its
-// collection statistics once. The tokenizer must match the one that
-// produced the corpus (the server serves raw HTML; tokenization is the
-// client's job, as on the real Web).
-func Dial(base string, tok *textproc.Tokenizer) (*Client, error) {
-	//l2qvet:ignore ctxbg legacy ctx-less constructor kept for the public surface; ctx-aware callers use DialContext
-	return DialContext(context.Background(), base, tok, ClientOptions{})
-}
+// apiRoot is the versioned surface every API call is made on.
+const apiRoot = "/api/v1"
 
-// DialOpts is Dial with explicit transport options.
-func DialOpts(base string, tok *textproc.Tokenizer, opts ClientOptions) (*Client, error) {
-	//l2qvet:ignore ctxbg legacy ctx-less constructor kept for the public surface; ctx-aware callers use DialContext
-	return DialContext(context.Background(), base, tok, opts)
-}
-
-// DialContext is Dial with explicit options and a caller context
-// bounding the dial probe (the stats fetch and codec negotiation).
+// DialContext connects to a server, fetching its collection statistics
+// once; ctx bounds that dial probe (the stats fetch and codec
+// negotiation). The tokenizer must match the one that produced the corpus
+// (the server serves raw HTML; tokenization is the client's job, as on
+// the real Web).
 func DialContext(ctx context.Context, base string, tok *textproc.Tokenizer, opts ClientOptions) (*Client, error) {
 	if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
 		base = "http://" + base
@@ -164,20 +151,12 @@ func DialContext(ctx context.Context, base string, tok *textproc.Tokenizer, opts
 		retry:           opts.Retry,
 		prefetchWorkers: opts.PrefetchWorkers,
 		codec:           opts.Codec,
-		apiPrefix:       "/api/v1",
 		pageCache:       make(map[corpus.PageID]*corpus.Page),
 		cfCache:         make(map[string]int),
 	}
 	// The dial probe doubles as codec negotiation: ask for binary (per
-	// the codec preference) and record what came back. A pre-v1 server
-	// has no /api/v1 at all — fall back to the legacy surface for every
-	// subsequent call.
-	err := c.fetchStats(ctx)
-	if isStatus(err, http.StatusNotFound) {
-		c.apiPrefix = "/api"
-		err = c.fetchStats(ctx)
-	}
-	if err != nil {
+	// the codec preference) and record what came back.
+	if err := c.fetchStats(ctx); err != nil {
 		return nil, fmt.Errorf("webapi: dial %s: %w", base, err)
 	}
 	if c.stats.TopK <= 0 || c.stats.Mu <= 0 {
@@ -189,10 +168,6 @@ func DialContext(ctx context.Context, base string, tok *textproc.Tokenizer, opts
 	return c, nil
 }
 
-// api builds a request path on the negotiated surface: /api/v1 against a
-// current server, the legacy /api against a pre-v1 one.
-func (c *Client) api(suffix string) string { return c.apiPrefix + suffix }
-
 // wantWire reports whether requests should ask for the binary codec.
 func (c *Client) wantWire() bool { return c.codec != CodecJSON }
 
@@ -203,7 +178,7 @@ func (c *Client) WireNegotiated() bool { return c.wire }
 // fetchStats performs the dial probe: fetch collection statistics in the
 // negotiated codec and record whether the server answered in binary.
 func (c *Client) fetchStats(ctx context.Context) error {
-	return c.doRetry(ctx, "stats", c.api("/stats"), func(b []byte) error {
+	return c.doRetry(ctx, "stats", apiRoot+"/stats", func(b []byte) error {
 		if isWireFrame(b) {
 			c.wire = true
 			return decodeFramePayload(b, wireStats, func(d *store.Dec) { c.stats = decodeStatsWire(d) })
@@ -211,13 +186,6 @@ func (c *Client) fetchStats(ctx context.Context) error {
 		c.wire = false
 		return json.Unmarshal(b, &c.stats)
 	})
-}
-
-// isStatus reports whether err is a transport failure with the given
-// terminal HTTP status.
-func isStatus(err error, status int) bool {
-	var te *TransportError
-	return errors.As(err, &te) && te.Status == status
 }
 
 // Stats returns the server's collection statistics.
@@ -327,85 +295,65 @@ func (c *Client) getNegotiated(ctx context.Context, op, path string, kind byte, 
 // TopK implements core.Retriever.
 func (c *Client) TopK() int { return c.stats.TopK }
 
-// SearchWithSeed implements core.Retriever. It is the legacy errorless
-// adapter over SearchWithSeedErr: a fault that survives the retry budget
-// yields no results (an unproductive query) rather than a silently
-// shortened hit list. Error-aware callers (core.Session.FetchQueryCtx, the
-// pipeline fetch stage) use SearchWithSeedErr and see the typed failure.
-func (c *Client) SearchWithSeed(seed, query []textproc.Token) []search.Result {
-	//l2qvet:ignore ctxbg errorless core.Retriever adapter: the interface has no ctx; error-aware callers use SearchWithSeedErr
-	res, err := c.SearchWithSeedErr(context.Background(), seed, query)
-	if err != nil {
-		return nil
-	}
-	return res
-}
-
-// tokenQuery encodes seed and query tokens in the token-exact wire form:
-// each token is its own repeated parameter value under tokq=1, so phrase
-// tokens ("data mining" is one vocabulary term) reach the server intact
-// instead of being shattered by the legacy space-joined encoding — the
-// server would score the fragments as out-of-vocabulary words and every
-// Dirichlet score would drift from the in-process engine's. Extends vals
-// in place when non-nil.
-func tokenQuery(vals url.Values, seed, query []textproc.Token) url.Values {
-	if vals == nil {
-		vals = url.Values{}
-	}
-	vals.Set("tokq", "1")
+// search issues one seeded search on path and decodes the hit list. seed
+// and query travel token-exact — each token its own repeated parameter
+// value — so phrase tokens ("data mining" is one vocabulary term) reach
+// the server intact; vals carries the route's other parameters.
+func (c *Client) search(ctx context.Context, op, path string, vals url.Values, seed, query []textproc.Token) (SearchResponse, error) {
 	if len(seed) > 0 {
 		vals["seed"] = seed
 	}
 	if len(query) > 0 {
 		vals["q"] = query
 	}
-	return vals
-}
-
-// SearchWithSeedErr implements core.ContextRetriever: remote search, then
-// concurrent singleflight-deduped download of every ranked hit. Either the
-// complete ranked result list is returned, or an error — never a partial
-// list with failed downloads silently dropped.
-func (c *Client) SearchWithSeedErr(ctx context.Context, seed, query []textproc.Token) ([]search.Result, error) {
-	path := c.api("/search?" + tokenQuery(nil, seed, query).Encode())
 	var resp SearchResponse
-	err := c.getNegotiated(ctx, "search", path, wireSearch,
+	err := c.getNegotiated(ctx, op, apiRoot+path+"?"+vals.Encode(), wireSearch,
 		func(d *store.Dec) { resp = decodeSearchWire(d) },
 		func(b []byte) error { resp = SearchResponse{}; return json.Unmarshal(b, &resp) })
-	if err != nil {
-		return nil, err
-	}
-	pages, err := c.prefetch(ctx, resp.Hits)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]search.Result, len(resp.Hits))
-	for i, h := range resp.Hits {
-		out[i] = search.Result{Page: pages[i], Score: h.Score}
-	}
-	return out, nil
+	return resp, err
 }
 
-// prefetch downloads the hit list's pages with bounded concurrency,
-// preserving rank order. The first failure cancels the remaining fetches.
-func (c *Client) prefetch(ctx context.Context, hits []SearchHit) ([]*corpus.Page, error) {
-	pages := make([]*corpus.Page, len(hits))
-	if len(hits) == 0 {
-		return pages, nil
+// Retrieve implements core.Retriever: remote search, then concurrent
+// singleflight-deduped download of every ranked hit. Either the complete
+// ranked result list is appended to dst, or an error is returned — never
+// a partial list with failed downloads silently dropped.
+func (c *Client) Retrieve(ctx context.Context, dst []search.Result, seed, query []textproc.Token) ([]search.Result, error) {
+	resp, err := c.search(ctx, "search", "/search", url.Values{}, seed, query)
+	if err != nil {
+		return nil, err
 	}
-	workers := c.prefetchWorkers
+	return fetchResults(ctx, dst, resp.Hits, c.prefetchWorkers, c.PageCtx)
+}
+
+// SearchWithSeedErr is Retrieve into a fresh result slice.
+func (c *Client) SearchWithSeedErr(ctx context.Context, seed, query []textproc.Token) ([]search.Result, error) {
+	return c.Retrieve(ctx, nil, seed, query)
+}
+
+// fetchResults downloads a hit list's pages through fetch with at most
+// workers downloads in flight and appends the (page, score) results to
+// dst in rank order. The first failure cancels the remaining fetches and
+// fails the whole list (the complete-or-error contract).
+func fetchResults(ctx context.Context, dst []search.Result, hits []SearchHit, workers int,
+	fetch func(context.Context, corpus.PageID) (*corpus.Page, error)) ([]search.Result, error) {
+
 	if workers > len(hits) {
 		workers = len(hits)
 	}
+	base := len(dst)
+	for _, h := range hits {
+		dst = append(dst, search.Result{Score: h.Score})
+	}
+	out := dst[base:]
 	if workers <= 1 {
 		for i, h := range hits {
-			p, err := c.PageCtx(ctx, h.PageID)
+			p, err := fetch(ctx, h.PageID)
 			if err != nil {
 				return nil, err
 			}
-			pages[i] = p
+			out[i].Page = p
 		}
-		return pages, nil
+		return dst, nil
 	}
 	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -423,7 +371,7 @@ func (c *Client) prefetch(ctx context.Context, hits []SearchHit) ([]*corpus.Page
 				if fctx.Err() != nil {
 					continue // another fetch failed; drain without fetching
 				}
-				p, err := c.PageCtx(fctx, hits[i].PageID)
+				p, err := fetch(fctx, hits[i].PageID)
 				if err != nil {
 					errMu.Lock()
 					if firstErr == nil {
@@ -433,7 +381,7 @@ func (c *Client) prefetch(ctx context.Context, hits []SearchHit) ([]*corpus.Page
 					cancel()
 					continue
 				}
-				pages[i] = p
+				out[i].Page = p
 			}
 		}()
 	}
@@ -454,16 +402,11 @@ func (c *Client) prefetch(ctx context.Context, hits []SearchHit) ([]*corpus.Page
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	return pages, nil
+	return dst, nil
 }
 
-// Page downloads (or returns the cached) page with the given ID.
-func (c *Client) Page(id corpus.PageID) (*corpus.Page, error) {
-	//l2qvet:ignore ctxbg legacy ctx-less form kept for the public surface; ctx-aware callers use PageCtx
-	return c.PageCtx(context.Background(), id)
-}
-
-// PageCtx is Page with cancellation. Concurrent fetches of the same page
+// PageCtx downloads (or returns the cached) page with the given ID.
+// Concurrent fetches of the same page
 // (many sessions prefetching overlapping hit lists) coalesce onto a single
 // download: followers wait for the leader's result instead of re-paying
 // the transfer. A follower whose own context is canceled while waiting
@@ -588,16 +531,16 @@ func (g *flightGroup) do(ctx context.Context, id corpus.PageID, fn func() (*corp
 	return call.p, false, false, call.err
 }
 
-// collProbs returns the server-identical smoothed collection probability of
-// each token, fetching unknown collection frequencies in one batched call.
-// A persistent transport failure degrades to zero-frequency smoothing (the
-// engine's behavior for unseen terms) rather than failing the caller:
-// QueryLikelihood has no error surface, and edge weights only modulate
-// rankings. Because QueryLikelihood can run on the selection path (the
-// WeightByLikelihood edge weighting) where no caller context exists, the
-// whole retried lookup is bounded by one request timeout — a dead server
-// costs at most that, not attempts × (timeout + backoff).
-func (c *Client) collProbs(tokens []textproc.Token) []float64 {
+// cacheCollFreqs fetches the collection frequencies of the tokens the
+// client has not seen yet in one batched call. A persistent transport
+// failure leaves them uncached, which scores as zero-frequency smoothing
+// (the engine's behavior for unseen terms) rather than failing the
+// caller: QueryLikelihood has no error surface, and edge weights only
+// modulate rankings. Because QueryLikelihood can run on the selection
+// path (the WeightByLikelihood edge weighting) where no caller context
+// exists, the whole retried lookup is bounded by one request timeout — a
+// dead server costs at most that, not attempts × (timeout + backoff).
+func (c *Client) cacheCollFreqs(tokens []textproc.Token) {
 	var missing []string
 	c.mu.RLock()
 	for _, t := range tokens {
@@ -606,56 +549,46 @@ func (c *Client) collProbs(tokens []textproc.Token) []float64 {
 		}
 	}
 	c.mu.RUnlock()
-	if len(missing) > 0 {
-		q := url.Values{}
-		q.Set("tokens", strings.Join(missing, ","))
-		var freqs map[string]int
-		//l2qvet:ignore ctxbg QueryLikelihood (errorless core.Retriever) can reach here from the selection path where no caller ctx exists; one request timeout bounds the lookup
-		ctx, cancel := context.WithTimeout(context.Background(), c.http.Timeout)
-		err := c.getNegotiated(ctx, "collfreq", c.api("/collfreq?"+q.Encode()), wireCollFreq,
-			func(d *store.Dec) { freqs = decodeCollFreqWire(d) },
-			func(b []byte) error {
-				var resp struct {
-					Freqs map[string]int `json:"freqs"`
-				}
-				if err := json.Unmarshal(b, &resp); err != nil {
-					return err
-				}
-				freqs = resp.Freqs
-				return nil
-			})
-		cancel()
-		if err == nil {
-			c.mu.Lock()
-			for t, cf := range freqs {
-				c.cfCache[t] = cf
+	if len(missing) == 0 {
+		return
+	}
+	q := url.Values{}
+	q.Set("tokens", strings.Join(missing, ","))
+	var freqs map[string]int
+	//l2qvet:ignore ctxbg QueryLikelihood (core.Retriever, no ctx) can reach here from the selection path where no caller ctx exists; one request timeout bounds the lookup
+	ctx, cancel := context.WithTimeout(context.Background(), c.http.Timeout)
+	defer cancel()
+	err := c.getNegotiated(ctx, "collfreq", apiRoot+"/collfreq?"+q.Encode(), wireCollFreq,
+		func(d *store.Dec) { freqs = decodeCollFreqWire(d) },
+		func(b []byte) error {
+			var resp struct {
+				Freqs map[string]int `json:"freqs"`
 			}
-			c.mu.Unlock()
-		}
+			if err := json.Unmarshal(b, &resp); err != nil {
+				return err
+			}
+			freqs = resp.Freqs
+			return nil
+		})
+	if err != nil {
+		return
 	}
-	out := make([]float64, len(tokens))
-	c.mu.RLock()
-	for i, t := range tokens {
-		out[i] = search.CollectionProb(c.cfCache[t], c.stats.TotalTokens, c.stats.NumTerms)
+	c.mu.Lock()
+	for t, cf := range freqs {
+		c.cfCache[t] = cf
 	}
-	c.mu.RUnlock()
-	return out
+	c.mu.Unlock()
 }
 
 // QueryLikelihood implements core.Retriever with the server's exact
 // scoring model, computed locally over the downloaded page.
 func (c *Client) QueryLikelihood(p *corpus.Page, query []textproc.Token) float64 {
-	toks := p.Tokens()
-	tf := make(map[textproc.Token]int, len(query))
-	for _, t := range toks {
-		tf[t]++
-	}
-	pcs := c.collProbs(query)
-	s := 0.0
-	for i, t := range query {
-		s += search.DirichletTermScore(tf[t], len(toks), c.stats.Mu, pcs[i])
-	}
-	return s
+	c.cacheCollFreqs(query)
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return search.QueryLikelihood(p, query, c.stats.Mu, func(t textproc.Token) float64 {
+		return search.CollectionProb(c.cfCache[t], c.stats.TotalTokens, c.stats.NumTerms)
+	})
 }
 
 // ClusterStats fetches a node's registration report: the collection
@@ -663,7 +596,7 @@ func (c *Client) QueryLikelihood(p *corpus.Page, query []textproc.Token) float64
 // geometry, which the coordinator cross-checks against its own.
 func (c *Client) ClusterStats(ctx context.Context) (NodeStatsPayload, error) {
 	var st NodeStatsPayload
-	err := c.getNegotiated(ctx, "cluster-stats", c.api("/cluster/stats"), wireNodeStats,
+	err := c.getNegotiated(ctx, "cluster-stats", apiRoot+"/cluster/stats", wireNodeStats,
 		func(d *store.Dec) { st = decodeNodeStatsWire(d) },
 		func(b []byte) error { st = NodeStatsPayload{}; return json.Unmarshal(b, &st) })
 	return st, err
@@ -677,7 +610,7 @@ func (c *Client) PushClusterStats(ctx context.Context, g GlobalStatsPayload) err
 	if err != nil {
 		return err
 	}
-	return c.postRetry(ctx, "cluster-stats-push", c.api("/cluster/stats"), body, func(b []byte) error {
+	return c.postRetry(ctx, "cluster-stats-push", apiRoot+"/cluster/stats", body, func(b []byte) error {
 		var resp struct {
 			OK bool `json:"ok"`
 		}
@@ -692,19 +625,15 @@ func (c *Client) PushClusterStats(ctx context.Context, g GlobalStatsPayload) err
 }
 
 // ClusterSearch runs a partition-local seeded search on a node — the
-// coordinator's scatter target. Unlike SearchWithSeedErr it returns hit
-// metadata only (no page downloads): the coordinator merges first and
-// fetches only the global top-k.
+// coordinator's scatter target. Unlike Retrieve it returns hit metadata
+// only (no page downloads): the coordinator merges first and fetches only
+// the global top-k.
 func (c *Client) ClusterSearch(ctx context.Context, part int, seed, query []textproc.Token, k int) (SearchResponse, error) {
-	q := tokenQuery(url.Values{"part": {strconv.Itoa(part)}}, seed, query)
+	vals := url.Values{"part": {strconv.Itoa(part)}}
 	if k > 0 {
-		q.Set("k", strconv.Itoa(k))
+		vals.Set("k", strconv.Itoa(k))
 	}
-	var resp SearchResponse
-	err := c.getNegotiated(ctx, "cluster-search", c.api("/cluster/search?"+q.Encode()), wireSearch,
-		func(d *store.Dec) { resp = decodeSearchWire(d) },
-		func(b []byte) error { resp = SearchResponse{}; return json.Unmarshal(b, &resp) })
-	return resp, err
+	return c.search(ctx, "cluster-search", "/cluster/search", vals, seed, query)
 }
 
 // postRetry issues POST path with a JSON body until decode succeeds or
@@ -806,7 +735,7 @@ func (c *Client) Ingest(ctx context.Context, req IngestRequest) (IngestResponse,
 		}
 	}
 	var out IngestResponse
-	err := c.postRetryCT(ctx, "ingest", c.api("/ingest"), body, contentType, wire, func(b []byte) error {
+	err := c.postRetryCT(ctx, "ingest", apiRoot+"/ingest", body, contentType, wire, func(b []byte) error {
 		if isWireFrame(b) {
 			return decodeFramePayload(b, wireIngest, func(d *store.Dec) { out = decodeIngestAckWire(d) })
 		}
@@ -820,7 +749,7 @@ func (c *Client) Ingest(ctx context.Context, req IngestRequest) (IngestResponse,
 // bounds the (retried) request.
 func (c *Client) Entities(ctx context.Context) ([]EntityInfo, error) {
 	var out []EntityInfo
-	err := c.getNegotiated(ctx, "entities", c.api("/entities"), wireEntities,
+	err := c.getNegotiated(ctx, "entities", apiRoot+"/entities", wireEntities,
 		func(d *store.Dec) { out = decodeEntitiesWire(d) },
 		func(b []byte) error { out = nil; return json.Unmarshal(b, &out) })
 	if err != nil {

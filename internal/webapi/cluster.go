@@ -158,8 +158,8 @@ func (n *ClusterNode) ApplyGlobalStats(g *GlobalStatsPayload) error {
 }
 
 // searchPartition runs a seeded search over one owned partition,
-// returning the partition-local top-k. The bool reports readiness; the
-// error reports an unowned partition.
+// returning the partition-local top-k (k ≤ 0: the cluster's top-k). The
+// bool reports readiness; the error reports an unowned partition.
 func (n *ClusterNode) searchPartition(part int, seed, query []textproc.Token, k int) ([]search.Result, bool, error) {
 	n.mu.RLock()
 	ready := n.ready
@@ -171,16 +171,11 @@ func (n *ClusterNode) searchPartition(part int, seed, query []textproc.Token, k 
 	if e == nil {
 		return nil, true, fmt.Errorf("partition %d is not owned by node %d", part, n.spec.NodeID)
 	}
-	if k != e.TopK() {
-		e = e.WithTopK(k)
-	}
-	return e.SearchWithSeed(seed, query), true, nil
+	return e.SearchWithSeedTopKAppend(nil, k, seed, query), true, nil
 }
 
 // handleClusterStats serves a node's local stats (GET) and accepts the
-// coordinator's global stats push (POST). On a coordinator server the GET
-// returns the aggregated global model instead (introspection); POST is a
-// node-only operation.
+// coordinator's global stats push (POST).
 func (s *Server) handleClusterStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodPost {
 		if s.Node == nil {
@@ -204,10 +199,6 @@ func (s *Server) handleClusterStats(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]bool{"ok": true})
 		return
 	}
-	if s.cluster != nil {
-		writeJSON(w, s.cluster.GlobalStats())
-		return
-	}
 	if s.Node == nil {
 		writeError(w, http.StatusNotImplemented, "cluster endpoints not enabled (start with a cluster spec)")
 		return
@@ -226,10 +217,8 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	qv := r.URL.Query()
-	qToks := queryParamTokens(qv, "q")
-	seedToks := queryParamTokens(qv, "seed")
-	if len(qToks) == 0 && len(seedToks) == 0 {
-		writeError(w, http.StatusBadRequest, "missing query: provide q and/or seed")
+	seed, query, k, ok := searchParams(w, qv)
+	if !ok {
 		return
 	}
 	part, err := strconv.Atoi(qv.Get("part"))
@@ -237,15 +226,7 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad part parameter")
 		return
 	}
-	k := s.Node.topK
-	if kStr := qv.Get("k"); kStr != "" {
-		k, err = strconv.Atoi(kStr)
-		if err != nil || k <= 0 || k > 100 {
-			writeError(w, http.StatusBadRequest, "bad k parameter")
-			return
-		}
-	}
-	res, ready, err := s.Node.searchPartition(part, seedToks, qToks, k)
+	res, ready, err := s.Node.searchPartition(part, seed, query, k)
 	if !ready {
 		writeError(w, http.StatusServiceUnavailable, "collection stats not yet distributed by the coordinator")
 		return
@@ -254,12 +235,7 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	resp := SearchResponse{Query: textproc.JoinQuery(qToks), Seed: textproc.JoinQuery(seedToks), Hits: make([]SearchHit, 0, len(res))}
-	for _, h := range res {
-		resp.Hits = append(resp.Hits, SearchHit{
-			PageID: h.Page.ID, URL: h.Page.URL, Title: h.Page.Title, Score: h.Score,
-		})
-	}
+	resp := newSearchResponse(seed, query, res)
 	s.respond(w, r, wireSearch, func(e *store.Enc) { encodeSearchWire(e, resp) }, resp)
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -18,7 +19,6 @@ import (
 	"l2q/internal/html"
 	"l2q/internal/search"
 	"l2q/internal/synth"
-	"l2q/internal/textproc"
 	"l2q/internal/types"
 )
 
@@ -147,7 +147,7 @@ func TestClusterSessionParity(t *testing.T) {
 
 	coSrv := httptest.NewServer(NewCoordinatorServer(co).Handler())
 	t.Cleanup(coSrv.Close)
-	remote, err := DialOpts(coSrv.URL, g.Tokenizer, ClientOptions{Retry: fastRetry})
+	remote, err := DialContext(context.Background(), coSrv.URL, g.Tokenizer, ClientOptions{Retry: fastRetry})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestClusterNodeKillFailover(t *testing.T) {
 	for _, e := range g.Corpus.Entities[:6] {
 		seed := e.SeedTokens()
 		want := engine.SearchWithSeed(seed, nil)
-		got, err := co.SearchWithSeedErr(ctx, seed, nil)
+		got, err := co.Retrieve(ctx, nil, seed, nil)
 		if err != nil {
 			t.Fatalf("entity %q: scatter with node 1 down failed: %v", e.Name, err)
 		}
@@ -360,14 +360,14 @@ func TestClusterSlowNodePartial(t *testing.T) {
 		t.Errorf("metrics %+v: partial scatter not counted", m)
 	}
 
-	if _, err := co.SearchWithSeedErr(ctx, seed, nil); !errors.Is(err, ErrPartial) {
+	if _, err := co.Retrieve(ctx, nil, seed, nil); !errors.Is(err, ErrPartial) {
 		t.Errorf("retriever surface returned %v for a partial scatter, want ErrPartial", err)
 	}
 
 	// The HTTP surface serves the flagged partial instead.
 	coSrv := httptest.NewServer(NewCoordinatorServer(co).Handler())
 	t.Cleanup(coSrv.Close)
-	hresp, err := http.Get(coSrv.URL + "/api/v1/search?seed=" + strings.ReplaceAll(textproc.JoinQuery(seed), " ", "+"))
+	hresp, err := http.Get(coSrv.URL + "/api/v1/search?" + url.Values{"seed": seed}.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestClusterScatterHonorsCallerCtx(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = co.SearchWithSeedErr(ctx, seed, nil)
+	_, err = co.Retrieve(ctx, nil, seed, nil)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("scatter under an expired caller ctx reported success")
@@ -418,11 +418,30 @@ func TestClusterScatterHonorsCallerCtx(t *testing.T) {
 	dead, cancelDead := context.WithCancel(context.Background())
 	cancelDead()
 	before := co.Metrics().Scatters
-	if _, err := co.SearchWithSeedErr(dead, seed, nil); err == nil {
+	if _, err := co.Retrieve(dead, nil, seed, nil); err == nil {
 		t.Fatal("scatter under a canceled ctx reported success")
 	}
 	if co.Metrics().Scatters != before+1 {
 		t.Log("canceled-ctx scatter still counted (acceptable)")
+	}
+}
+
+// TestClusterWideOwnerChain: the page fetch sorts the whole owner chain
+// by load whatever its length — replicas 9 on 9 nodes used to index past
+// a fixed 8-slot scratch and panic the coordinator on the first page.
+func TestClusterWideOwnerChain(t *testing.T) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := dialCluster(t, g, startClusterNodes(t, g, 9, 9, nil), 9, 0)
+	want := g.Corpus.Pages[0]
+	got, err := co.PageCtx(context.Background(), want.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ID != want.ID || html.RenderPage(got) != html.RenderPage(want) {
+		t.Errorf("page %d fetched through a 9-owner chain differs from the corpus copy", want.ID)
 	}
 }
 

@@ -1,6 +1,7 @@
 package webapi
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -31,14 +32,18 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			client, err := Dial(srv.URL, g.Tokenizer)
+			client, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{})
 			if err != nil {
 				errs <- err
 				return
 			}
 			for i := 0; i < opsPerClient; i++ {
 				e := g.Corpus.Entities[(c*opsPerClient+i)%g.Corpus.NumEntities()]
-				res := client.SearchWithSeed(e.SeedTokens(), []string{"safety"})
+				res, err := client.SearchWithSeedErr(context.Background(), e.SeedTokens(), []string{"safety"})
+				if err != nil {
+					errs <- err
+					return
+				}
 				for _, r := range res {
 					// QueryLikelihood exercises the collfreq cache.
 					client.QueryLikelihood(r.Page, []string{"safety", "airbags"})

@@ -7,9 +7,9 @@ package webapi
 // link, a failed or late owner fails over to its replica (a hedge), and
 // the per-partition top-K lists merge — partitions are disjoint, so no
 // dedup — into the global ranking. The coordinator implements
-// core.ContextRetriever, so harvesting sessions are distribution-
-// oblivious: the same session code runs against an in-process engine, a
-// single remote server, or a cluster.
+// core.Retriever, so harvesting sessions are distribution-oblivious: the
+// same session code runs against an in-process engine, a single remote
+// server, or a cluster.
 //
 // At dial time the coordinator aggregates every node's primary-partition
 // collection statistics into the global model, derives the global μ with
@@ -22,11 +22,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"l2q/internal/core"
 	"l2q/internal/corpus"
 	"l2q/internal/search"
 	"l2q/internal/textproc"
@@ -38,10 +38,10 @@ import (
 const DefaultNodeDeadline = 2 * time.Second
 
 // ErrPartial is returned by the coordinator's retriever surface when a
-// scatter lost partitions: core.ContextRetriever promises a complete
-// ranked list or an error, never a silently shortened one. The HTTP
-// serving surface instead serves the flagged partial (SearchResponse.
-// Partial), where the client can see the flag and decide.
+// scatter lost partitions: core.Retriever promises a complete ranked
+// list or an error, never a silently shortened one. The HTTP serving
+// surface instead serves the flagged partial (SearchResponse.Partial),
+// where the client can see the flag and decide.
 var ErrPartial = errors.New("cluster: partial result — one or more partitions had no live owner")
 
 // CoordinatorConfig configures DialCoordinator.
@@ -223,10 +223,6 @@ func DialCoordinator(ctx context.Context, cfg CoordinatorConfig, tok *textproc.T
 // a single-node server over the whole corpus reports.
 func (co *Coordinator) Stats() Stats { return co.stats }
 
-// GlobalStats returns the distributed collection model (shared maps:
-// treat as read-only).
-func (co *Coordinator) GlobalStats() GlobalStatsPayload { return co.global }
-
 // Nodes returns the cluster size.
 func (co *Coordinator) Nodes() int { return co.ring.Nodes() }
 
@@ -386,23 +382,12 @@ func (co *Coordinator) searchPartition(ctx context.Context, part int, seed, quer
 	return nil, false
 }
 
-// SearchWithSeed implements core.Retriever (errorless adapter; see
-// Client.SearchWithSeed for the contract).
-func (co *Coordinator) SearchWithSeed(seed, query []textproc.Token) []search.Result {
-	//l2qvet:ignore ctxbg errorless core.Retriever adapter: the interface has no ctx; error-aware callers use SearchWithSeedErr
-	res, err := co.SearchWithSeedErr(context.Background(), seed, query)
-	if err != nil {
-		return nil
-	}
-	return res
-}
-
-// SearchWithSeedErr implements core.ContextRetriever: scatter the search,
-// then download the global top-k pages from their owning nodes (replica
-// failover per page). Either the complete ranked list is returned or an
-// error — a flagged partial becomes ErrPartial here, because this surface
-// has no flag channel and must never silently shorten a result list.
-func (co *Coordinator) SearchWithSeedErr(ctx context.Context, seed, query []textproc.Token) ([]search.Result, error) {
+// Retrieve implements core.Retriever: scatter the search, then download
+// the global top-k pages from their owning nodes (replica failover per
+// page). Either the complete ranked list is returned or an error — a
+// flagged partial becomes ErrPartial here, because this surface has no
+// flag channel and must never silently shorten a result list.
+func (co *Coordinator) Retrieve(ctx context.Context, dst []search.Result, seed, query []textproc.Token) ([]search.Result, error) {
 	resp, err := co.Scatter(ctx, seed, query, co.topK)
 	if err != nil {
 		return nil, err
@@ -410,84 +395,7 @@ func (co *Coordinator) SearchWithSeedErr(ctx context.Context, seed, query []text
 	if resp.Partial {
 		return nil, ErrPartial
 	}
-	pages, err := co.prefetchPages(ctx, resp.Hits)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]search.Result, len(resp.Hits))
-	for i, h := range resp.Hits {
-		out[i] = search.Result{Page: pages[i], Score: h.Score}
-	}
-	return out, nil
-}
-
-// prefetchPages downloads the hit list with bounded concurrency,
-// preserving rank order; the first failure cancels the rest (the
-// complete-or-error contract).
-func (co *Coordinator) prefetchPages(ctx context.Context, hits []SearchHit) ([]*corpus.Page, error) {
-	pages := make([]*corpus.Page, len(hits))
-	if len(hits) == 0 {
-		return pages, nil
-	}
-	workers := co.prefetch
-	if workers > len(hits) {
-		workers = len(hits)
-	}
-	if workers <= 1 {
-		for i, h := range hits {
-			p, err := co.PageCtx(ctx, h.PageID)
-			if err != nil {
-				return nil, err
-			}
-			pages[i] = p
-		}
-		return pages, nil
-	}
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if fctx.Err() != nil {
-					continue
-				}
-				p, err := co.PageCtx(fctx, hits[i].PageID)
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					cancel()
-					continue
-				}
-				pages[i] = p
-			}
-		}()
-	}
-	for i := range hits {
-		if fctx.Err() != nil {
-			break
-		}
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return pages, nil
+	return fetchResults(ctx, dst, resp.Hits, co.prefetch, co.PageCtx)
 }
 
 // PageCtx downloads one page from its partition's owner chain, failing
@@ -502,9 +410,10 @@ func (co *Coordinator) prefetchPages(ctx context.Context, hits []SearchHit) ([]*
 func (co *Coordinator) PageCtx(ctx context.Context, id corpus.PageID) (*corpus.Page, error) {
 	var chainBuf [8]int
 	chain := co.ring.AppendOwners(chainBuf[:0], co.ring.Partition(id))
-	var loads [8]int64
-	for i, owner := range chain {
-		loads[i] = co.peers[owner].inFlight.Load()
+	var loadBuf [8]int64
+	loads := loadBuf[:0] // grows with the chain: Replicas is not bounded by 8
+	for _, owner := range chain {
+		loads = append(loads, co.peers[owner].inFlight.Load())
 	}
 	for i := 1; i < len(chain); i++ {
 		for j := i; j > 0 && loads[j] < loads[j-1]; j-- {
@@ -543,30 +452,9 @@ func (co *Coordinator) PageCtx(ctx context.Context, id corpus.PageID) (*corpus.P
 // exact scoring, computed locally from the aggregated global model — no
 // network, no degradation.
 func (co *Coordinator) QueryLikelihood(p *corpus.Page, query []textproc.Token) float64 {
-	toks := p.Tokens()
-	tf := make(map[textproc.Token]int, len(query))
-	for _, t := range toks {
-		tf[t]++
-	}
-	s := 0.0
-	for _, t := range query {
-		pC := search.CollectionProb(co.global.CollFreq[t], co.global.TotalTokens, co.global.NumTerms)
-		s += search.DirichletTermScore(tf[t], len(toks), co.global.Mu, pC)
-	}
-	return s
-}
-
-// Entities returns the cluster's harvest targets (fetched at dial).
-func (co *Coordinator) Entities() []EntityInfo { return co.entities }
-
-// collFreqBatch answers a coordinator-side /collfreq from the global
-// model — the values every node scores with.
-func (co *Coordinator) collFreqBatch(tokens []string) map[string]int {
-	out := make(map[string]int, len(tokens))
-	for _, t := range tokens {
-		out[t] = co.global.CollFreq[t]
-	}
-	return out
+	return search.QueryLikelihood(p, query, co.global.Mu, func(t textproc.Token) float64 {
+		return search.CollectionProb(co.global.CollFreq[t], co.global.TotalTokens, co.global.NumTerms)
+	})
 }
 
 // ClusterNodeMetrics is one node's row in the fan-out gauges.
@@ -624,23 +512,54 @@ func (co *Coordinator) Metrics() ClusterMetrics {
 // surface: /api/v1/{stats,search,collfreq,entities,metrics} and /page/{id}
 // answer from the cluster (searches scatter-gather, pages proxy to their
 // owning node), with the same admission control, codec negotiation and
-// error envelope as a single-node server. Harvest/jobs stay 501 unless a
-// HarvestBackend is attached.
+// error envelope as a single-node server. With a HarvestBackend attached,
+// server-side harvest sessions retrieve through the coordinator itself.
 func NewCoordinatorServer(co *Coordinator) *Server {
-	//l2qvet:ignore ctxbg server-lifetime root: this ctx outlives every request and is canceled by Shutdown's drain
-	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{cluster: co, MaxConcurrent: 64, ctx: ctx, cancel: cancel}
+	return newServer(clusterBackend{co})
 }
 
-// errorStatus maps a coordinator failure to its serving-surface status:
-// canceled requests and whole-cluster outages are retryable 503s; a page
-// whose owners all 404 it stays a 404.
-func errorStatus(err error) int {
-	var te *TransportError
-	if errors.As(err, &te) && te.Status == 404 {
-		return 404
+// clusterBackend is the Server backend of a coordinator: every answer
+// comes from the aggregated global model or a scatter over the nodes.
+type clusterBackend struct{ co *Coordinator }
+
+func (b clusterBackend) stats() Stats { return b.co.stats }
+
+func (b clusterBackend) search(ctx context.Context, seed, query []textproc.Token, k int) (SearchResponse, error) {
+	return b.co.Scatter(ctx, seed, query, k)
+}
+
+// collFreq answers from the aggregated global model — the statistics
+// every node scores with, so clients reproduce cluster scoring exactly.
+func (b clusterBackend) collFreq(tokens []string) map[string]int {
+	out := make(map[string]int, len(tokens))
+	for _, t := range tokens {
+		out[t] = b.co.global.CollFreq[t]
 	}
-	return 503
+	return out
 }
 
-var _ = strings.TrimSpace // keep strings imported for the handlers below
+func (b clusterBackend) entities() []EntityInfo { return b.co.entities }
+
+func (b clusterBackend) entity(id corpus.EntityID) *corpus.Entity {
+	for _, e := range b.co.entities {
+		if e.ID == id {
+			return &corpus.Entity{ID: e.ID, Domain: corpus.Domain(b.co.stats.Domain), Name: e.Name, SeedQuery: e.SeedQuery}
+		}
+	}
+	return nil
+}
+
+func (b clusterBackend) page(ctx context.Context, id corpus.PageID) (*corpus.Page, error) {
+	return b.co.PageCtx(ctx, id)
+}
+
+func (b clusterBackend) retriever() core.Retriever { return b.co }
+
+func (b clusterBackend) metrics(m *ServerMetrics) {
+	cm := b.co.Metrics()
+	m.Cluster = &cm
+}
+
+func (b clusterBackend) ingest(IngestRequest) (IngestResponse, error) {
+	return IngestResponse{}, errNoIngest
+}

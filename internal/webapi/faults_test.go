@@ -33,7 +33,6 @@ func derivedClient(f *fixture, base string, retry RetryPolicy) *Client {
 		stats:           f.client.stats,
 		retry:           retry.withDefaults(),
 		prefetchWorkers: 4,
-		apiPrefix:       "/api/v1",
 		pageCache:       make(map[corpus.PageID]*corpus.Page),
 		cfCache:         make(map[string]int),
 	}
@@ -51,7 +50,7 @@ func newFaultyFixture(t *testing.T, inj *FaultInjector) (*fixture, *FaultInjecto
 	inj.Next = NewServer(g.Corpus, engine).Handler()
 	srv := httptest.NewServer(inj)
 	t.Cleanup(srv.Close)
-	client, err := DialOpts(srv.URL, g.Tokenizer, ClientOptions{Retry: fastRetry})
+	client, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{Retry: fastRetry})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +76,7 @@ func TestRetryOn5xx(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	client, err := DialOpts(srv.URL, g.Tokenizer, ClientOptions{Retry: fastRetry})
+	client, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{Retry: fastRetry})
 	if err != nil {
 		t.Fatalf("dial through double-500s: %v", err)
 	}
@@ -115,11 +114,6 @@ func TestRetryExhaustion(t *testing.T) {
 	}
 	if te.Status != http.StatusInternalServerError || te.Attempts != 3 || te.Op != "search" {
 		t.Errorf("TransportError %+v, want status 500 after 3 search attempts", te)
-	}
-
-	// The legacy Retriever surface converts the failure to "no results".
-	if res := client.SearchWithSeed([]string{"x"}, nil); res != nil {
-		t.Errorf("legacy surface returned %d results from a dead server", len(res))
 	}
 }
 
@@ -165,7 +159,7 @@ func TestTruncatedBodyRetried(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	client, err := DialOpts(srv.URL, g.Tokenizer, ClientOptions{Retry: fastRetry})
+	client, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{Retry: fastRetry})
 	if err != nil {
 		t.Fatalf("dial through truncation: %v", err)
 	}
@@ -211,7 +205,7 @@ func TestPerRequestTimeoutRetried(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	client, err := DialOpts(srv.URL, g.Tokenizer, ClientOptions{
+	client, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{
 		Retry:   RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
 		Timeout: 100 * time.Millisecond,
 	})
@@ -277,7 +271,7 @@ func TestPrefetchSingleflight(t *testing.T) {
 		backend.ServeHTTP(w, r)
 	}))
 	defer srv.Close()
-	client, err := Dial(srv.URL, g.Tokenizer)
+	client, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +324,7 @@ func TestSingleflightLeaderCancelDoesNotPoisonFollowers(t *testing.T) {
 		backend.ServeHTTP(w, r)
 	}))
 	defer srv.Close()
-	client, err := Dial(srv.URL, g.Tokenizer)
+	client, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 package webapi
 
-// Server-side batch harvesting: POST /api/harvest runs pipelined L2Q
+// Server-side batch harvesting: POST /api/v1/harvest runs pipelined L2Q
 // sessions next to the index (internal/pipeline's interleaved
 // select/fetch scheduler) and streams per-iteration progress as NDJSON.
 // Shipping the harvest to the data inverts the remote-client topology: one
@@ -8,7 +8,7 @@ package webapi
 // run, which is the right trade when the operator of the search API also
 // runs the harvest (the ROADMAP's serving scenario).
 //
-// Every harvest — synchronous (/api/harvest) or asynchronous (/api/jobs,
+// Every harvest — synchronous (/api/v1/harvest) or asynchronous (/api/v1/jobs,
 // see jobs.go) — runs on the server's ONE shared pipeline.Scheduler
 // instead of per-request worker pools: concurrent requests queue FIFO
 // behind HarvestBackend.MaxActive admission control and share the pools
@@ -34,7 +34,7 @@ import (
 )
 
 // HarvestBackend supplies everything the batch-harvest endpoint needs
-// beyond the server's corpus and engine: the L2Q configuration, the
+// beyond the server's retrieval backend: the L2Q configuration, the
 // materialized relevance functions, the type system, and (typically lazily
 // learned and cached) domain models. Assign it to Server.Harvest to enable
 // the endpoint; a nil backend leaves it disabled (501).
@@ -172,7 +172,7 @@ func (bs *BudgetSpec) policy() (pipeline.BudgetPolicy, error) {
 	return p, nil
 }
 
-// HarvestRequest is the POST /api/harvest (and POST /api/jobs) body.
+// HarvestRequest is the POST /api/v1/harvest (and POST /api/v1/jobs) body.
 type HarvestRequest struct {
 	// Entities are the harvest targets; unknown IDs produce per-entity
 	// error events, not a failed request.
@@ -196,8 +196,8 @@ type HarvestRequest struct {
 	Resume []core.Checkpoint `json:"resume,omitempty"`
 }
 
-// HarvestEvent is one NDJSON line of the /api/harvest response stream
-// (and of the /api/jobs event log). Type discriminates: "progress" (one
+// HarvestEvent is one NDJSON line of the /api/v1/harvest response stream
+// (and of the /api/v1/jobs event log). Type discriminates: "progress" (one
 // harvest iteration of one entity), "entity" (one entity finished, with
 // its fired queries and gathered pages), "error" (one entity failed), and
 // "done" (the batch summary, always the last line).
@@ -257,33 +257,21 @@ type harvestPlan struct {
 	resume map[corpus.EntityID]core.Checkpoint
 }
 
-// planError is a user-facing validation failure with an HTTP status.
-type planError struct {
-	status int
-	msg    string
-}
-
-func (e *planError) Error() string { return e.msg }
-
-func planErrorf(status int, format string, args ...any) *planError {
-	return &planError{status: status, msg: fmt.Sprintf(format, args...)}
-}
-
 // plan validates a harvest request against the backend's limits and
 // resolves strategy, domain model, budget policy and resume checkpoints.
-func (hb *HarvestBackend) plan(req HarvestRequest) (*harvestPlan, *planError) {
+func (hb *HarvestBackend) plan(req HarvestRequest) (*harvestPlan, *httpError) {
 	if len(req.Entities) == 0 {
-		return nil, planErrorf(http.StatusBadRequest, "no entities requested")
+		return nil, httpErrorf(http.StatusBadRequest, "no entities requested")
 	}
 	if len(req.Entities) > hb.maxSessions() {
-		return nil, planErrorf(http.StatusBadRequest, "too many entities: %d > %d", len(req.Entities), hb.maxSessions())
+		return nil, httpErrorf(http.StatusBadRequest, "too many entities: %d > %d", len(req.Entities), hb.maxSessions())
 	}
 	if req.NQueries < 0 || req.NQueries > hb.maxQueries() {
-		return nil, planErrorf(http.StatusBadRequest, "nQueries out of range [0, %d]", hb.maxQueries())
+		return nil, httpErrorf(http.StatusBadRequest, "nQueries out of range [0, %d]", hb.maxQueries())
 	}
 	aspect := corpus.Aspect(req.Aspect)
 	if !hb.hasAspect(aspect) {
-		return nil, planErrorf(http.StatusBadRequest, "unknown aspect %q (serving %v)", req.Aspect, hb.Aspects)
+		return nil, httpErrorf(http.StatusBadRequest, "unknown aspect %q (serving %v)", req.Aspect, hb.Aspects)
 	}
 	strategy := req.Strategy
 	if strategy == "" {
@@ -291,14 +279,14 @@ func (hb *HarvestBackend) plan(req HarvestRequest) (*harvestPlan, *planError) {
 	}
 	sel, ok := SelectorByName(strategy)
 	if !ok {
-		return nil, planErrorf(http.StatusBadRequest, "unknown strategy %q", req.Strategy)
+		return nil, httpErrorf(http.StatusBadRequest, "unknown strategy %q", req.Strategy)
 	}
 	budget, err := req.Budget.policy()
 	if err != nil {
-		return nil, planErrorf(http.StatusBadRequest, "%s", err.Error())
+		return nil, httpErrorf(http.StatusBadRequest, "%s", err.Error())
 	}
 	if max := hb.maxQueries() * len(req.Entities); budget.TotalQueries > max {
-		return nil, planErrorf(http.StatusBadRequest, "budget.totalQueries out of range [0, %d]", max)
+		return nil, httpErrorf(http.StatusBadRequest, "budget.totalQueries out of range [0, %d]", max)
 	}
 	if budget.Mode == pipeline.BudgetAdaptive {
 		// MaxQueries is documented as the per-entity bound; donation must
@@ -312,7 +300,7 @@ func (hb *HarvestBackend) plan(req HarvestRequest) (*harvestPlan, *planError) {
 		p.resume = make(map[corpus.EntityID]core.Checkpoint, len(req.Resume))
 		for _, cp := range req.Resume {
 			if cp.Aspect != aspect {
-				return nil, planErrorf(http.StatusBadRequest, "resume checkpoint for entity %d is for aspect %q, not %q", cp.Entity, cp.Aspect, aspect)
+				return nil, httpErrorf(http.StatusBadRequest, "resume checkpoint for entity %d is for aspect %q, not %q", cp.Entity, cp.Aspect, aspect)
 			}
 			p.resume[cp.Entity] = cp
 		}
@@ -320,7 +308,7 @@ func (hb *HarvestBackend) plan(req HarvestRequest) (*harvestPlan, *planError) {
 	if !req.NoDomain {
 		dm, err := hb.domainModel(aspect)
 		if err != nil {
-			return nil, planErrorf(http.StatusInternalServerError, "domain model: %s", err.Error())
+			return nil, httpErrorf(http.StatusInternalServerError, "domain model: %s", err.Error())
 		}
 		p.dm = dm
 	}
@@ -336,15 +324,13 @@ func (hb *HarvestBackend) buildJobs(srv *Server, req HarvestRequest, p *harvestP
 	emit func(HarvestEvent)) (jobs []pipeline.Job, jobEntities []*corpus.Entity, failed int) {
 
 	for _, id := range req.Entities {
-		srv.corpusMu.RLock()
-		e := srv.corpus.Entity(id)
-		srv.corpusMu.RUnlock()
+		e := srv.backend.entity(id)
 		if e == nil {
 			failed++
 			emit(HarvestEvent{Type: "error", Entity: id, Error: fmt.Sprintf("unknown entity id %d", id)})
 			continue
 		}
-		sess := core.NewSession(hb.Cfg, srv.retriever(), e, p.aspect, p.y, p.dm, hb.Rec, uint64(e.ID)+1)
+		sess := core.NewSession(hb.Cfg, srv.backend.retriever(), e, p.aspect, p.y, p.dm, hb.Rec, uint64(e.ID)+1)
 		nq := req.NQueries
 		if cp, ok := p.resume[e.ID]; ok {
 			if err := sess.Resume(cp); err != nil {
@@ -500,7 +486,7 @@ func (c *Client) HarvestBatch(ctx context.Context, req HarvestRequest, onEvent f
 	if err != nil {
 		return fmt.Errorf("webapi: harvest: encode request: %w", err)
 	}
-	path := c.api("/harvest")
+	path := apiRoot + "/harvest"
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("webapi: harvest: %w", err)

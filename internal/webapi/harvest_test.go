@@ -77,7 +77,7 @@ func newHarvestFixture(t *testing.T) *harvestFixture {
 			sched.Close()
 		}
 	})
-	client, err := Dial(srv.URL, g.Tokenizer)
+	client, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,9 +88,25 @@ func newHarvestFixture(t *testing.T) *harvestFixture {
 // TestHarvestEndpointParity: the server-side batch harvest produces, for
 // every entity, exactly the fired queries and gathered pages of a local
 // session with the same seed — and streams per-iteration progress events
-// in order on the way.
+// in order on the way. A coordinator server with the same HarvestBackend
+// attached is held to the same bar: its sessions retrieve by
+// scatter-gather over a 3-node cluster.
 func TestHarvestEndpointParity(t *testing.T) {
 	f := newHarvestFixture(t)
+	coServer := NewCoordinatorServer(dialCluster(t, f.g, startClusterNodes(t, f.g, 3, 2, nil), 2, 0))
+	coServer.Harvest = f.server.Harvest
+	coSrv := httptest.NewServer(coServer.Handler())
+	t.Cleanup(coSrv.Close)
+	t.Cleanup(func() { coServer.Shutdown(context.Background()) })
+	coClient, err := DialContext(context.Background(), coSrv.URL, f.g.Tokenizer, ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("single-node", func(t *testing.T) { testHarvestEndpointParity(t, f, f.client) })
+	t.Run("coordinator", func(t *testing.T) { testHarvestEndpointParity(t, f, coClient) })
+}
+
+func testHarvestEndpointParity(t *testing.T, f *harvestFixture, client *Client) {
 	n := f.g.Corpus.NumEntities()
 	targets := []corpus.EntityID{
 		f.g.Corpus.Entities[n-3].ID,
@@ -103,7 +119,7 @@ func TestHarvestEndpointParity(t *testing.T) {
 	progress := make(map[corpus.EntityID][]HarvestEvent)
 	finished := make(map[corpus.EntityID]HarvestEvent)
 	var done *HarvestEvent
-	err := f.client.HarvestBatch(context.Background(), HarvestRequest{
+	err := client.HarvestBatch(context.Background(), HarvestRequest{
 		Entities: targets,
 		Aspect:   string(f.aspect),
 		Strategy: "L2QBAL",
@@ -238,7 +254,7 @@ func TestHarvestValidation(t *testing.T) {
 	// A server without a backend answers 501.
 	plain := httptest.NewServer(NewServer(f.g.Corpus, f.engine).Handler())
 	defer plain.Close()
-	bare, err := Dial(plain.URL, f.g.Tokenizer)
+	bare, err := DialContext(context.Background(), plain.URL, f.g.Tokenizer, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +276,7 @@ func TestHarvestShutdownGraceful(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := Dial(addr, f.g.Tokenizer)
+	client, err := DialContext(context.Background(), addr, f.g.Tokenizer, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

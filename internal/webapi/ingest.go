@@ -1,9 +1,9 @@
 package webapi
 
-// POST /api/v1/ingest: the live server's write path. A batch of pages is
+// POST /api/v1/ingest: the live backend's write path. A batch of pages is
 // validated as a whole, appended to the corpus, and absorbed by the
-// generational engine — all under one corpusMu critical section, so the
-// corpus page order IS the ingest order. That ordering is the parity
+// generational engine — all under one critical section of the backend's
+// lock, so the corpus page order IS the ingest order. That ordering is the parity
 // contract's backbone: a frozen engine rebuilt from the grown corpus
 // assigns the same ordinals and therefore the same rankings as the live
 // engine that grew.
@@ -18,7 +18,6 @@ package webapi
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 
@@ -71,10 +70,6 @@ type IngestResponse struct {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if s.Live == nil {
-		writeError(w, http.StatusNotImplemented, "ingest not supported: server is frozen (start with -live)")
-		return
-	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxResponseBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
@@ -94,20 +89,20 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty ingest batch")
 		return
 	}
-	resp, errMsg := s.ingest(req)
-	if errMsg != "" {
-		writeError(w, http.StatusBadRequest, errMsg)
+	resp, err := s.backend.ingest(req)
+	if err != nil {
+		writeError(w, errorStatus(err), err.Error())
 		return
 	}
 	s.respond(w, r, wireIngest, func(e *store.Enc) { encodeIngestAckWire(e, resp) }, resp)
 }
 
 // ingest validates and applies one batch under the corpus write lock.
-// A non-empty errMsg means the batch was rejected whole, nothing applied.
-func (s *Server) ingest(req IngestRequest) (resp IngestResponse, errMsg string) {
-	tok := s.tokenizer()
-	s.corpusMu.Lock()
-	defer s.corpusMu.Unlock()
+// An error means the batch was rejected whole, nothing applied.
+func (b *liveBackend) ingest(req IngestRequest) (IngestResponse, error) {
+	var resp IngestResponse
+	b.mu.Lock()
+	defer b.mu.Unlock()
 
 	// Validate the whole batch before touching anything. Duplicate IDs
 	// within the batch count against the FIRST occurrence: the first copy
@@ -118,16 +113,16 @@ func (s *Server) ingest(req IngestRequest) (resp IngestResponse, errMsg string) 
 	reg := make(map[corpus.EntityID]bool)
 	for i := range req.Pages {
 		p := &req.Pages[i]
-		if _, dup := s.pages[p.ID]; dup || seen[p.ID] {
+		if _, dup := b.pages[p.ID]; dup || seen[p.ID] {
 			continue // skipped later; nothing else to validate
 		}
 		seen[p.ID] = true
 		if len(p.Paras) == 0 {
-			return resp, fmt.Sprintf("page %d has no paragraphs", p.ID)
+			return resp, httpErrorf(http.StatusBadRequest, "page %d has no paragraphs", p.ID)
 		}
-		if s.corpus.Entity(p.Entity) == nil && !reg[p.Entity] {
+		if b.corpus.Entity(p.Entity) == nil && !reg[p.Entity] {
 			if p.EntityName == "" && p.SeedQuery == "" {
-				return resp, fmt.Sprintf(
+				return resp, httpErrorf(http.StatusBadRequest,
 					"page %d references unknown entity %d and carries no entityName/seedQuery to register it",
 					p.ID, p.Entity)
 			}
@@ -138,19 +133,19 @@ func (s *Server) ingest(req IngestRequest) (resp IngestResponse, errMsg string) 
 	added := make([]*corpus.Page, 0, len(req.Pages))
 	for i := range req.Pages {
 		ip := &req.Pages[i]
-		if _, dup := s.pages[ip.ID]; dup {
+		if _, dup := b.pages[ip.ID]; dup {
 			resp.Duplicates++
 			continue
 		}
-		if s.corpus.Entity(ip.Entity) == nil {
+		if b.corpus.Entity(ip.Entity) == nil {
 			ent := &corpus.Entity{
 				ID:        ip.Entity,
-				Domain:    s.corpus.Domain,
+				Domain:    b.corpus.Domain,
 				Name:      ip.EntityName,
 				SeedQuery: ip.SeedQuery,
 			}
-			if err := s.corpus.AddEntity(ent); err != nil {
-				return resp, err.Error() // unreachable after validation; belt and braces
+			if err := b.corpus.AddEntity(ent); err != nil {
+				return resp, httpErrorf(http.StatusBadRequest, "%v", err) // unreachable after validation; belt and braces
 			}
 		}
 		p := &corpus.Page{
@@ -164,25 +159,25 @@ func (s *Server) ingest(req IngestRequest) (resp IngestResponse, errMsg string) 
 		for _, para := range ip.Paras {
 			p.Paras = append(p.Paras, corpus.Paragraph{
 				Text:   para.Text,
-				Tokens: tok.Tokenize(para.Text),
+				Tokens: b.tok.Tokenize(para.Text),
 				Aspect: corpus.Aspect(para.Aspect),
 			})
 		}
-		if err := s.corpus.AddPage(p); err != nil {
-			return resp, err.Error()
+		if err := b.corpus.AddPage(p); err != nil {
+			return resp, httpErrorf(http.StatusBadRequest, "%v", err)
 		}
-		s.pages[p.ID] = p
+		b.pages[p.ID] = p
 		added = append(added, p)
 	}
 	// Absorb inside the lock: concurrent batches must reach the engine in
 	// corpus order. Searches never contend here — they read epoch views.
 	if len(added) > 0 {
-		s.Live.Add(added...)
+		b.live.Add(added...)
 	}
 	resp.Ingested = len(added)
-	m := s.Live.Metrics()
+	m := b.live.Metrics()
 	resp.NumDocs = m.NumDocs
 	resp.Epoch = m.Epoch
 	resp.Segments = m.Segments
-	return resp, ""
+	return resp, nil
 }

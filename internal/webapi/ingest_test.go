@@ -8,6 +8,7 @@ package webapi
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -85,7 +86,7 @@ func TestIngestGrownMatchesRebuilt(t *testing.T) {
 	for _, codec := range []Codec{CodecJSON, CodecAuto} {
 		t.Run(codecName(codec), func(t *testing.T) {
 			f := newLiveFixture(t, 0.4)
-			c, err := DialOpts(f.srv.URL, f.g.Tokenizer, ClientOptions{Codec: codec})
+			c, err := DialContext(context.Background(), f.srv.URL, f.g.Tokenizer, ClientOptions{Codec: codec})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +150,7 @@ func TestIngestGrownMatchesRebuilt(t *testing.T) {
 // collection statistic.
 func TestIngestDuplicateDelivery(t *testing.T) {
 	f := newLiveFixture(t, 0.5)
-	c, err := DialOpts(f.srv.URL, f.g.Tokenizer, ClientOptions{Codec: CodecJSON})
+	c, err := DialContext(context.Background(), f.srv.URL, f.g.Tokenizer, ClientOptions{Codec: CodecJSON})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestIngestDuplicateDelivery(t *testing.T) {
 // before any mutation, and a frozen server refuses the route outright.
 func TestIngestRejectsBadBatches(t *testing.T) {
 	f := newLiveFixture(t, 0.5)
-	c, err := DialOpts(f.srv.URL, f.g.Tokenizer, ClientOptions{Codec: CodecJSON})
+	c, err := DialContext(context.Background(), f.srv.URL, f.g.Tokenizer, ClientOptions{Codec: CodecJSON})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestIngestRejectsBadBatches(t *testing.T) {
 // it, and it appears on /api/v1/entities with the supplied identity.
 func TestIngestRegistersEntities(t *testing.T) {
 	f := newLiveFixture(t, 0.3)
-	c, err := DialOpts(f.srv.URL, f.g.Tokenizer, ClientOptions{Codec: CodecJSON})
+	c, err := DialContext(context.Background(), f.srv.URL, f.g.Tokenizer, ClientOptions{Codec: CodecJSON})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,4 +353,11 @@ func TestIngestWireRoundTrip(t *testing.T) {
 	if gotAck != ack {
 		t.Errorf("ack round trip: got %+v want %+v", gotAck, ack)
 	}
+}
+
+// isStatus reports whether err is a transport failure with the given
+// terminal HTTP status.
+func isStatus(err error, status int) bool {
+	var te *TransportError
+	return errors.As(err, &te) && te.Status == status
 }

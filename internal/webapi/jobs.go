@@ -1,15 +1,15 @@
 package webapi
 
-// The asynchronous jobs API. POST /api/harvest holds its HTTP connection
+// The asynchronous jobs API. POST /api/v1/harvest holds its HTTP connection
 // open for the whole batch — fine on a LAN, wrong for a long-running
 // harvest whose submitter wants to disconnect, poll, resume elsewhere, or
 // survive its own restart. The jobs API decouples submission from
 // consumption:
 //
-//	POST   /api/jobs          → {"id": "..."} (request body = HarvestRequest)
-//	GET    /api/jobs/{id}     → JobStatus (add ?checkpoints=1 for resume state)
-//	GET    /api/jobs/{id}?stream=1 → NDJSON replay-then-follow of all events
-//	DELETE /api/jobs/{id}     → cancel a running job / forget a finished one
+//	POST   /api/v1/jobs          → {"id": "..."} (request body = HarvestRequest)
+//	GET    /api/v1/jobs/{id}     → JobStatus (add ?checkpoints=1 for resume state)
+//	GET    /api/v1/jobs/{id}?stream=1 → NDJSON replay-then-follow of all events
+//	DELETE /api/v1/jobs/{id}     → cancel a running job / forget a finished one
 //
 // Jobs run on the server's shared scheduler under the server's lifecycle
 // (not the submitting request's): the POST returns immediately, events
@@ -41,7 +41,7 @@ const (
 	JobCanceled = "canceled"
 )
 
-// JobStatus is the GET /api/jobs/{id} payload.
+// JobStatus is the GET /api/v1/jobs/{id} payload.
 type JobStatus struct {
 	ID    string `json:"id"`
 	State string `json:"state"`
@@ -372,7 +372,7 @@ func (c *Client) SubmitJob(ctx context.Context, req HarvestRequest) (string, err
 	if err != nil {
 		return "", fmt.Errorf("webapi: jobs: encode request: %w", err)
 	}
-	path := c.api("/jobs")
+	path := apiRoot + "/jobs"
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return "", fmt.Errorf("webapi: jobs: %w", err)
@@ -405,7 +405,7 @@ func (c *Client) SubmitJob(ctx context.Context, req HarvestRequest) (string, err
 // JobStatus fetches a job's status; withCheckpoints includes the latest
 // per-entity checkpoints (the Resume payload).
 func (c *Client) JobStatus(ctx context.Context, id string, withCheckpoints bool) (JobStatus, error) {
-	path := c.api("/jobs/" + id)
+	path := apiRoot + "/jobs/" + id
 	if withCheckpoints {
 		path += "?checkpoints=1"
 	}
@@ -421,7 +421,7 @@ func (c *Client) JobStatus(ctx context.Context, id string, withCheckpoints bool)
 // onEvent in order until the job finishes, the stream fails, or onEvent
 // returns an error.
 func (c *Client) StreamJob(ctx context.Context, id string, onEvent func(HarvestEvent) error) error {
-	path := c.api("/jobs/" + id + "?stream=1")
+	path := apiRoot + "/jobs/" + id + "?stream=1"
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
 		return fmt.Errorf("webapi: jobs: %w", err)
@@ -450,7 +450,7 @@ func (c *Client) StreamJob(ctx context.Context, id string, onEvent func(HarvestE
 // CancelJob cancels a running job (DELETE /api/v1/jobs/{id}); calling it
 // on a finished job deletes the record instead.
 func (c *Client) CancelJob(ctx context.Context, id string) error {
-	path := c.api("/jobs/" + id)
+	path := apiRoot + "/jobs/" + id
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.base+path, nil)
 	if err != nil {
 		return fmt.Errorf("webapi: jobs: %w", err)
@@ -475,7 +475,7 @@ func (c *Client) CancelJob(ctx context.Context, id string) error {
 // Metrics fetches the server-side counters (GET /api/v1/metrics).
 func (c *Client) ServerMetrics(ctx context.Context) (ServerMetrics, error) {
 	var m ServerMetrics
-	if err := c.getJSON(ctx, "metrics", c.api("/metrics"), &m); err != nil {
+	if err := c.getJSON(ctx, "metrics", apiRoot+"/metrics", &m); err != nil {
 		return m, err
 	}
 	return m, nil

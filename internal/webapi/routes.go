@@ -1,10 +1,9 @@
 package webapi
 
 // The versioned serving surface. Every route the server exposes is
-// declared exactly once, in the registry below: method, canonical
-// /api/v1 path, the pre-v1 alias kept for one release, the binary frame
-// kind the route can negotiate, and whether the request is a long-lived
-// event stream. Handler() mounts the registry; instrument() applies each
+// declared exactly once, in the registry below: method, /api/v1 path,
+// the binary frame kind the route can negotiate, and whether the request
+// is a long-lived event stream. Handler() mounts the registry; instrument() applies each
 // route's declared behavior (write deadline, Vary header) so no handler
 // or middleware has to pattern-match paths to know how to treat a
 // request — the previous hand-rolled wiring spread across server.go,
@@ -33,9 +32,6 @@ type apiRoute struct {
 	// path is the canonical versioned pattern (/api/v1/...) or a bare
 	// non-API path (/healthz, /page/{id}).
 	path string
-	// legacy is the pre-v1 alias, served identically for one release
-	// ("" = the route was never under /api).
-	legacy string
 	// wire is the binary frame kind this route can negotiate
 	// (0 = the route is JSON-only).
 	wire byte
@@ -52,19 +48,19 @@ func (s *Server) routes() []apiRoute {
 	streamParam := func(r *http.Request) bool { return r.URL.Query().Get("stream") != "" }
 	return []apiRoute{
 		{method: "GET", path: "/healthz", h: s.handleHealthz},
-		{method: "GET", path: "/api/v1/stats", legacy: "/api/stats", wire: wireStats, h: s.handleStats},
-		{method: "GET", path: "/api/v1/search", legacy: "/api/search", wire: wireSearch, h: s.handleSearch},
-		{method: "GET", path: "/api/v1/collfreq", legacy: "/api/collfreq", wire: wireCollFreq, h: s.handleCollFreq},
-		{method: "GET", path: "/api/v1/entities", legacy: "/api/entities", wire: wireEntities, h: s.handleEntities},
-		{method: "GET", path: "/api/v1/metrics", legacy: "/api/metrics", h: s.handleMetrics},
+		{method: "GET", path: "/api/v1/stats", wire: wireStats, h: s.handleStats},
+		{method: "GET", path: "/api/v1/search", wire: wireSearch, h: s.handleSearch},
+		{method: "GET", path: "/api/v1/collfreq", wire: wireCollFreq, h: s.handleCollFreq},
+		{method: "GET", path: "/api/v1/entities", wire: wireEntities, h: s.handleEntities},
+		{method: "GET", path: "/api/v1/metrics", h: s.handleMetrics},
 		{method: "GET", path: "/api/v1/cluster/search", wire: wireSearch, h: s.handleClusterSearch},
 		{method: "GET", path: "/api/v1/cluster/stats", wire: wireNodeStats, h: s.handleClusterStats},
 		{method: "POST", path: "/api/v1/cluster/stats", h: s.handleClusterStats},
 		{method: "POST", path: "/api/v1/ingest", wire: wireIngest, h: s.handleIngest},
-		{method: "POST", path: "/api/v1/harvest", legacy: "/api/harvest", wire: wireEvent, stream: always, h: s.handleHarvest},
-		{method: "POST", path: "/api/v1/jobs", legacy: "/api/jobs", h: s.handleJobSubmit},
-		{method: "GET", path: "/api/v1/jobs/{id}", legacy: "/api/jobs/{id}", wire: wireEvent, stream: streamParam, h: s.handleJobGet},
-		{method: "DELETE", path: "/api/v1/jobs/{id}", legacy: "/api/jobs/{id}", h: s.handleJobDelete},
+		{method: "POST", path: "/api/v1/harvest", wire: wireEvent, stream: always, h: s.handleHarvest},
+		{method: "POST", path: "/api/v1/jobs", h: s.handleJobSubmit},
+		{method: "GET", path: "/api/v1/jobs/{id}", wire: wireEvent, stream: streamParam, h: s.handleJobGet},
+		{method: "DELETE", path: "/api/v1/jobs/{id}", h: s.handleJobDelete},
 		{method: "GET", path: "/page/{id}", wire: wirePage, h: s.handlePage},
 	}
 }
@@ -75,11 +71,7 @@ func (s *Server) Handler() http.Handler {
 	s.semaphore()
 	mux := http.NewServeMux()
 	for _, rt := range s.routes() {
-		h := s.instrument(rt)
-		mux.Handle(rt.method+" "+rt.path, h)
-		if rt.legacy != "" {
-			mux.Handle(rt.method+" "+rt.legacy, h)
-		}
+		mux.Handle(rt.method+" "+rt.path, s.instrument(rt))
 	}
 	return s.limit(mux)
 }

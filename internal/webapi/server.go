@@ -15,6 +15,7 @@ package webapi
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -26,7 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"l2q/internal/core"
 	"l2q/internal/corpus"
 	"l2q/internal/html"
 	"l2q/internal/pipeline"
@@ -35,8 +35,8 @@ import (
 	"l2q/internal/textproc"
 )
 
-// Stats is the /api/stats payload: everything a client needs to reproduce
-// the engine's scoring and paging behavior.
+// Stats is the /api/v1/stats payload: everything a client needs to
+// reproduce the engine's scoring and paging behavior.
 type Stats struct {
 	Domain      string  `json:"domain"`
 	NumEntities int     `json:"numEntities"`
@@ -47,7 +47,7 @@ type Stats struct {
 	TopK        int     `json:"topK"`
 }
 
-// SearchHit is one result in the /api/search payload.
+// SearchHit is one result in the /api/v1/search payload.
 type SearchHit struct {
 	PageID corpus.PageID `json:"pageId"`
 	URL    string        `json:"url"`
@@ -55,7 +55,7 @@ type SearchHit struct {
 	Score  float64       `json:"score"`
 }
 
-// SearchResponse is the /api/search payload.
+// SearchResponse is the /api/v1/search payload.
 type SearchResponse struct {
 	Query string      `json:"query"`
 	Seed  string      `json:"seed,omitempty"`
@@ -67,27 +67,21 @@ type SearchResponse struct {
 	Partial bool `json:"partial,omitempty"`
 }
 
-// EntityInfo is one row of the /api/entities payload.
+// EntityInfo is one row of the /api/v1/entities payload.
 type EntityInfo struct {
 	ID        corpus.EntityID `json:"id"`
 	Name      string          `json:"name"`
 	SeedQuery string          `json:"seedQuery"`
 }
 
-// Server serves a corpus and engine over HTTP. Construct with NewServer
-// (frozen corpus) or NewLiveServer (live generational index), then
+// Server serves one retrieval backend over HTTP. Construct with NewServer
+// (frozen corpus), NewLiveServer (live generational index) or
+// NewCoordinatorServer (scatter-gather over a cluster), then
 // Start/Shutdown (or mount Handler on your own server). Server is safe
-// for concurrent requests: a frozen corpus and engine are immutable, and
-// a live server serializes corpus growth behind corpusMu while searches
-// run lock-free against the live engine's epoch views.
+// for concurrent requests.
 type Server struct {
-	corpus *corpus.Corpus
-	engine *search.Engine
-	pages  map[corpus.PageID]*corpus.Page
-
-	// corpusMu guards corpus and pages once ingest can grow them; frozen
-	// servers never take the write side.
-	corpusMu sync.RWMutex
+	// backend is what every handler serves from (see backend.go).
+	backend backend
 
 	// Log receives one line per request when non-nil.
 	Log *log.Logger
@@ -119,20 +113,6 @@ type Server struct {
 	// (partition-local search, stat registration/push). The regular
 	// endpoints keep serving the node's full local corpus store.
 	Node *ClusterNode
-	// Live, when non-nil, serves retrieval from the generational live
-	// engine instead of the frozen engine and enables POST /api/v1/ingest
-	// (set by NewLiveServer; set it before the first request).
-	Live *search.LiveEngine
-	// Tokenizer tokenizes ingested paragraph text server-side, so
-	// ingested pages carry exactly the tokens the corpus tokenizer would
-	// have produced (the parity contract through the API). Nil falls back
-	// to the zero tokenizer (plain word splitting).
-	Tokenizer *textproc.Tokenizer
-
-	// cluster, when non-nil, makes this a coordinator server: the regular
-	// serving surface answers by scatter-gathering the cluster instead of
-	// from a local engine (see NewCoordinatorServer).
-	cluster *Coordinator
 
 	semOnce sync.Once
 	sem     chan struct{}
@@ -156,7 +136,7 @@ type Server struct {
 	jobsSeq int
 	jobs    map[string]*serverJob
 
-	// requests counts every request served (the /api/metrics counter).
+	// requests counts every request served (the /api/v1/metrics counter).
 	requests atomic.Int64
 
 	// ctx is canceled by Shutdown so long-lived streaming handlers (the
@@ -188,16 +168,16 @@ func (s *Server) scheduler() *pipeline.Scheduler {
 	return s.sched
 }
 
-// NewServer wires a server over a corpus and its engine.
-func NewServer(c *corpus.Corpus, engine *search.Engine) *Server {
-	pages := make(map[corpus.PageID]*corpus.Page, c.NumPages())
-	for _, p := range c.Pages {
-		pages[p.ID] = p
-	}
+// newServer wires a server over the backend a constructor chose.
+func newServer(b backend) *Server {
 	//l2qvet:ignore ctxbg server-lifetime root: this ctx outlives every request and is canceled by Shutdown's drain
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{corpus: c, engine: engine, pages: pages, MaxConcurrent: 64,
-		ctx: ctx, cancel: cancel}
+	return &Server{backend: b, MaxConcurrent: 64, ctx: ctx, cancel: cancel}
+}
+
+// NewServer wires a server over a frozen corpus and its engine.
+func NewServer(c *corpus.Corpus, engine *search.Engine) *Server {
+	return newServer(newLocalBackend(c, engine))
 }
 
 // NewLiveServer wires a server over a live generational engine: the
@@ -205,30 +185,13 @@ func NewServer(c *corpus.Corpus, engine *search.Engine) *Server {
 // both, and every retrieval endpoint serves from the engine's current
 // epoch view. tok must be the tokenizer that produced the corpus tokens —
 // ingested paragraph text is tokenized server-side with it, which is what
-// keeps a grown index byte-identical in rankings to a frozen rebuild.
+// keeps a grown index byte-identical in rankings to a frozen rebuild (nil
+// falls back to plain word splitting).
 func NewLiveServer(c *corpus.Corpus, live *search.LiveEngine, tok *textproc.Tokenizer) *Server {
-	s := NewServer(c, nil)
-	s.Live = live
-	s.Tokenizer = tok
-	return s
-}
-
-// retriever returns the serving retrieval surface: the live engine when
-// configured, the frozen engine otherwise. Both implement core.Retriever
-// and the allocation-free core.AppendRetriever.
-func (s *Server) retriever() core.Retriever {
-	if s.Live != nil {
-		return s.Live
+	if tok == nil {
+		tok = &textproc.Tokenizer{}
 	}
-	return s.engine
-}
-
-// tokenizer returns the ingest tokenizer (the zero tokenizer when unset).
-func (s *Server) tokenizer() *textproc.Tokenizer {
-	if s.Tokenizer != nil {
-		return s.Tokenizer
-	}
-	return &textproc.Tokenizer{}
+	return newServer(&liveBackend{localBackend: newLocalBackend(c, live), live: live, tok: tok})
 }
 
 // semaphore returns the in-flight request bound, sized once from
@@ -311,7 +274,7 @@ func (s *Server) Start(addr string) (string, error) {
 	s.http = &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
-		// No server-wide WriteTimeout: /api/harvest streams NDJSON for as
+		// No server-wide WriteTimeout: /api/v1/harvest streams NDJSON for as
 		// long as the batch runs. The limit middleware applies a per-
 		// request write deadline to every other route, and the harvest
 		// handler rolls its own deadline forward per emitted event.
@@ -345,7 +308,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// ServerMetrics is the GET /api/metrics payload: server-side counters
+// ServerMetrics is the GET /api/v1/metrics payload: server-side counters
 // mirroring what ClientMetrics reports client-side.
 type ServerMetrics struct {
 	// Requests counts every HTTP request served since start.
@@ -399,14 +362,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		st := sched.Stats()
 		m.Scheduler = &st
 	}
-	if s.cluster != nil {
-		cm := s.cluster.Metrics()
-		m.Cluster = &cm
-	}
-	if s.Live != nil {
-		lm := s.Live.Metrics()
-		m.Live = &lm
-	}
+	s.backend.metrics(&m)
 	writeJSON(w, m)
 }
 
@@ -419,48 +375,36 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if s.cluster != nil {
-		st := s.cluster.Stats()
-		s.respond(w, r, wireStats, func(e *store.Enc) { encodeStatsWire(e, st) }, st)
-		return
-	}
-	s.corpusMu.RLock()
-	st := Stats{
-		Domain:      string(s.corpus.Domain),
-		NumEntities: s.corpus.NumEntities(),
-		NumPages:    s.corpus.NumPages(),
-	}
-	s.corpusMu.RUnlock()
-	if s.Live != nil {
-		st.NumTerms = s.Live.NumTerms()
-		st.TotalTokens = s.Live.TotalTokens()
-		st.Mu = s.Live.Mu()
-		st.TopK = s.Live.TopK()
-	} else {
-		idx := s.engine.Index()
-		st.NumTerms = idx.NumTerms()
-		st.TotalTokens = idx.TotalTokens()
-		st.Mu = s.engine.Mu()
-		st.TopK = s.engine.TopK()
-	}
+	st := s.backend.stats()
 	s.respond(w, r, wireStats, func(e *store.Enc) { encodeStatsWire(e, st) }, st)
 }
 
-// queryParamTokens decodes one search-query parameter from a request. The
-// legacy form is a single space-joined string (curl-friendly, and what
-// pre-token-exact clients send); the token-exact form — signaled by
-// tokq=1 — carries each token as its own repeated parameter value. The
-// distinction matters because the tokenizer emits phrase tokens ("data
-// mining" is ONE vocabulary term): a space split shatters those into
-// out-of-vocabulary words and silently changes every Dirichlet score.
-func queryParamTokens(qv url.Values, key string) []textproc.Token {
-	if qv.Get("tokq") != "1" {
-		if s := qv.Get(key); s != "" {
-			return textproc.SplitQuery(s)
-		}
-		return nil
+// searchParams decodes the q, seed and k parameters of a search request,
+// answering 400 itself (ok false) when they are unusable. q and seed
+// carry one token per repeated parameter value, never a space-joined
+// string: the tokenizer emits phrase tokens ("data mining" is ONE
+// vocabulary term), and a space split would shatter those into
+// out-of-vocabulary words and silently change every Dirichlet score.
+// k is 0 when absent.
+func searchParams(w http.ResponseWriter, qv url.Values) (seed, query []textproc.Token, k int, ok bool) {
+	seed, query = nonEmpty(qv["seed"]), nonEmpty(qv["q"])
+	if len(query) == 0 && len(seed) == 0 {
+		// A seed-only (or q-only) search is valid; only both-empty is not.
+		writeError(w, http.StatusBadRequest, "missing query: provide q and/or seed")
+		return nil, nil, 0, false
 	}
-	vals := qv[key]
+	if kStr := qv.Get("k"); kStr != "" {
+		var err error
+		if k, err = strconv.Atoi(kStr); err != nil || k <= 0 || k > 100 {
+			writeError(w, http.StatusBadRequest, "bad k parameter")
+			return nil, nil, 0, false
+		}
+	}
+	return seed, query, k, true
+}
+
+// nonEmpty drops empty parameter values.
+func nonEmpty(vals []string) []textproc.Token {
 	toks := make([]textproc.Token, 0, len(vals))
 	for _, v := range vals {
 		if v != "" {
@@ -470,53 +414,30 @@ func queryParamTokens(qv url.Values, key string) []textproc.Token {
 	return toks
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	qv := r.URL.Query()
-	qToks := queryParamTokens(qv, "q")
-	seedToks := queryParamTokens(qv, "seed")
-	if len(qToks) == 0 && len(seedToks) == 0 {
-		// A seed-only (or q-only) search is valid; only both-empty is not.
-		writeError(w, http.StatusBadRequest, "missing query: provide q and/or seed")
-		return
-	}
-	k := 0
-	if kStr := qv.Get("k"); kStr != "" {
-		var err error
-		k, err = strconv.Atoi(kStr)
-		if err != nil || k <= 0 || k > 100 {
-			writeError(w, http.StatusBadRequest, "bad k parameter")
-			return
-		}
-	}
-	if s.cluster != nil {
-		// Scatter-gather the cluster. A partial result (some partitions had
-		// no live owner) is served flagged, not errored: the client sees
-		// Partial and decides; only a total outage or a dead caller errors.
-		resp, err := s.cluster.Scatter(r.Context(), seedToks, qToks, k)
-		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, err.Error())
-			return
-		}
-		s.respond(w, r, wireSearch, func(e *store.Enc) { encodeSearchWire(e, resp) }, resp)
-		return
-	}
-	var res []search.Result
-	if s.Live != nil {
-		// The per-request k rides through without deriving a new engine:
-		// the live cache is epoch- and k-keyed.
-		res = s.Live.SearchWithSeedTopKAppend(nil, k, seedToks, qToks)
-	} else {
-		engine := s.engine
-		if k > 0 {
-			engine = engine.WithTopK(k)
-		}
-		res = engine.SearchWithSeed(seedToks, qToks)
-	}
-	resp := SearchResponse{Query: textproc.JoinQuery(qToks), Seed: textproc.JoinQuery(seedToks), Hits: make([]SearchHit, 0, len(res))}
+// newSearchResponse is the wire form of a ranked result list.
+func newSearchResponse(seed, query []textproc.Token, res []search.Result) SearchResponse {
+	resp := SearchResponse{Query: textproc.JoinQuery(query), Seed: textproc.JoinQuery(seed), Hits: make([]SearchHit, 0, len(res))}
 	for _, h := range res {
 		resp.Hits = append(resp.Hits, SearchHit{
 			PageID: h.Page.ID, URL: h.Page.URL, Title: h.Page.Title, Score: h.Score,
 		})
+	}
+	return resp
+}
+
+// handleSearch answers one seeded search. A coordinator's partial result
+// (some partitions had no live owner) is served flagged, not errored: the
+// client sees Partial and decides; only a total outage or a dead caller
+// errors.
+func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+	seed, query, k, ok := searchParams(w, r.URL.Query())
+	if !ok {
+		return
+	}
+	resp, err := s.backend.search(r.Context(), seed, query, k)
+	if err != nil {
+		writeError(w, errorStatus(err), err.Error())
+		return
 	}
 	s.respond(w, r, wireSearch, func(e *store.Enc) { encodeSearchWire(e, resp) }, resp)
 }
@@ -532,41 +453,13 @@ func (s *Server) handleCollFreq(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "too many tokens")
 		return
 	}
-	if s.cluster != nil {
-		// Answer from the aggregated global model — the statistics every
-		// node scores with, so clients reproduce cluster scoring exactly.
-		freqs := s.cluster.collFreqBatch(toks)
-		s.respond(w, r, wireCollFreq, func(e *store.Enc) { encodeCollFreqWire(e, freqs) },
-			map[string]map[string]int{"freqs": freqs})
-		return
-	}
-	freqs := make(map[string]int, len(toks))
-	if s.Live != nil {
-		for _, t := range toks {
-			freqs[t] = s.Live.CollectionFreq(t)
-		}
-	} else {
-		idx := s.engine.Index()
-		for _, t := range toks {
-			freqs[t] = idx.CollectionFreq(t)
-		}
-	}
+	freqs := s.backend.collFreq(toks)
 	s.respond(w, r, wireCollFreq, func(e *store.Enc) { encodeCollFreqWire(e, freqs) },
 		map[string]map[string]int{"freqs": freqs})
 }
 
 func (s *Server) handleEntities(w http.ResponseWriter, r *http.Request) {
-	if s.cluster != nil {
-		out := s.cluster.Entities()
-		s.respond(w, r, wireEntities, func(e *store.Enc) { encodeEntitiesWire(e, out) }, out)
-		return
-	}
-	s.corpusMu.RLock()
-	out := make([]EntityInfo, 0, s.corpus.NumEntities())
-	for _, e := range s.corpus.Entities {
-		out = append(out, EntityInfo{ID: e.ID, Name: e.Name, SeedQuery: e.SeedQuery})
-	}
-	s.corpusMu.RUnlock()
+	out := s.backend.entities()
 	s.respond(w, r, wireEntities, func(e *store.Enc) { encodeEntitiesWire(e, out) }, out)
 }
 
@@ -585,26 +478,13 @@ func (s *Server) handlePage(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad page id")
 		return
 	}
-	var p *corpus.Page
-	if s.cluster != nil {
-		// Proxy the page from its partition's owning node (replica failover
-		// inside); rendering from the parsed page keeps the bytes identical
-		// to what the node itself would serve.
-		var err error
-		p, err = s.cluster.PageCtx(r.Context(), corpus.PageID(id))
-		if err != nil {
-			writeError(w, errorStatus(err), err.Error())
-			return
-		}
-	} else {
-		s.corpusMu.RLock()
-		var ok bool
-		p, ok = s.pages[corpus.PageID(id)]
-		s.corpusMu.RUnlock()
-		if !ok {
-			writeError(w, http.StatusNotFound, "no such page")
-			return
-		}
+	// A coordinator proxies the page from its partition's owning node;
+	// rendering from the parsed page keeps the bytes identical to what
+	// the node itself would serve.
+	p, err := s.backend.page(r.Context(), corpus.PageID(id))
+	if err != nil {
+		writeError(w, errorStatus(err), err.Error())
+		return
 	}
 	body := html.RenderPage(p)
 	if s.wantsWire(r) {
@@ -616,4 +496,20 @@ func (s *Server) handlePage(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	fmt.Fprint(w, body)
+}
+
+// errorStatus maps a backend failure to its serving-surface status: an
+// httpError carries its own, a page whose owning nodes all 404 it stays a
+// 404, and everything else — canceled requests, whole-cluster outages —
+// is a retryable 503.
+func errorStatus(err error) int {
+	var he *httpError
+	if errors.As(err, &he) {
+		return he.status
+	}
+	var te *TransportError
+	if errors.As(err, &te) && te.Status == http.StatusNotFound {
+		return http.StatusNotFound
+	}
+	return http.StatusServiceUnavailable
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"testing"
 	"time"
@@ -36,7 +38,7 @@ func newFixture(t *testing.T) *fixture {
 	engine := search.NewEngine(search.BuildIndex(g.Corpus.Pages))
 	srv := httptest.NewServer(NewServer(g.Corpus, engine).Handler())
 	t.Cleanup(srv.Close)
-	client, err := Dial(srv.URL, g.Tokenizer)
+	client, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +63,10 @@ func TestSearchEndpointMatchesEngine(t *testing.T) {
 	query := []string{"research"}
 
 	local := f.engine.SearchWithSeed(seed, query)
-	remote := f.client.SearchWithSeed(seed, query)
+	remote, err := f.client.SearchWithSeedErr(context.Background(), seed, query)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(local) != len(remote) {
 		t.Fatalf("local %d hits, remote %d", len(local), len(remote))
 	}
@@ -78,7 +83,7 @@ func TestSearchEndpointMatchesEngine(t *testing.T) {
 func TestRemotePageFidelity(t *testing.T) {
 	f := newFixture(t)
 	orig := f.g.Corpus.Pages[3]
-	got, err := f.client.Page(orig.ID)
+	got, err := f.client.PageCtx(context.Background(), orig.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,20 +103,43 @@ func TestRemotePageFidelity(t *testing.T) {
 	}
 }
 
+// TestClientQueryLikelihoodParity runs the same (page, query) cases —
+// empty and out-of-vocabulary queries included — through all four
+// retrievers and demands bit-equal floats: one formula, four sources of μ
+// and p(t|C).
 func TestClientQueryLikelihoodParity(t *testing.T) {
 	f := newFixture(t)
-	queries := [][]string{{"research"}, {"research", "award"}, {"zzz-unseen-token"}}
+	co := dialCluster(t, f.g, startClusterNodes(t, f.g, 2, 1, nil), 1, 0)
+	retrievers := []struct {
+		name   string
+		r      core.Retriever
+		remote bool // scores its own downloaded copy of the page
+	}{
+		{"engine", f.engine, false},
+		{"live", search.NewLiveEngine(f.g.Corpus.Pages, search.Options{}, search.LiveOptions{}), false},
+		{"client", f.client, true},
+		{"coordinator", co, true},
+	}
+	queries := [][]string{nil, {}, {"research"}, {"research", "award"}, {"zzz-unseen-token"}, {"research", "zzz-unseen-token"}}
 	for _, pi := range []int{0, 7, 42} {
 		orig := f.g.Corpus.Pages[pi]
-		remote, err := f.client.Page(orig.ID)
+		remote, err := f.client.PageCtx(context.Background(), orig.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, q := range queries {
 			want := f.engine.QueryLikelihood(orig, q)
-			got := f.client.QueryLikelihood(remote, q)
-			if d := want - got; d > 1e-12 || d < -1e-12 {
-				t.Errorf("page %d query %v: local %v, remote %v", pi, q, want, got)
+			if (len(q) == 0) != math.IsInf(want, -1) {
+				t.Errorf("page %d query %v: engine scores %v", pi, q, want)
+			}
+			for _, rt := range retrievers {
+				p := orig
+				if rt.remote {
+					p = remote
+				}
+				if got := rt.r.QueryLikelihood(p, q); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("page %d query %v: %s scores %v, engine %v", pi, q, rt.name, got, want)
+				}
 			}
 		}
 	}
@@ -120,12 +148,12 @@ func TestClientQueryLikelihoodParity(t *testing.T) {
 func TestClientPageCacheAndRequestCount(t *testing.T) {
 	f := newFixture(t)
 	id := f.g.Corpus.Pages[0].ID
-	if _, err := f.client.Page(id); err != nil {
+	if _, err := f.client.PageCtx(context.Background(), id); err != nil {
 		t.Fatal(err)
 	}
 	before := f.client.Requests()
 	for i := 0; i < 5; i++ {
-		if _, err := f.client.Page(id); err != nil {
+		if _, err := f.client.PageCtx(context.Background(), id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,10 +214,13 @@ func TestHTTPErrorPaths(t *testing.T) {
 		path string
 		want int
 	}{
-		{"/api/search", http.StatusBadRequest},
-		{"/api/search?q=x&k=-1", http.StatusBadRequest},
-		{"/api/search?q=x&k=zzz", http.StatusBadRequest},
-		{"/api/collfreq", http.StatusBadRequest},
+		{"/api/v1/search", http.StatusBadRequest},
+		{"/api/v1/search?q=x&k=-1", http.StatusBadRequest},
+		{"/api/v1/search?q=x&k=zzz", http.StatusBadRequest},
+		{"/api/v1/collfreq", http.StatusBadRequest},
+		// The pre-v1 aliases are gone.
+		{"/api/stats", http.StatusNotFound},
+		{"/api/search?q=x", http.StatusNotFound},
 		{"/page/notanumber.html", http.StatusBadRequest},
 		{"/page/999999.html", http.StatusNotFound},
 		{"/nosuchroute", http.StatusNotFound},
@@ -209,17 +240,43 @@ func TestHTTPErrorPaths(t *testing.T) {
 
 func TestSearchKParameter(t *testing.T) {
 	f := newFixture(t)
-	resp, err := http.Get(f.srv.URL + "/api/search?q=research&k=2")
-	if err != nil {
-		t.Fatal(err)
+	get := func(path string) SearchResponse {
+		t.Helper()
+		resp, err := http.Get(f.srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var sr SearchResponse
+		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+			t.Fatal(err)
+		}
+		return sr
 	}
-	defer resp.Body.Close()
-	var sr SearchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	if len(sr.Hits) > 2 {
+	if sr := get("/api/v1/search?q=research&k=2"); len(sr.Hits) > 2 {
 		t.Errorf("k=2 returned %d hits", len(sr.Hits))
+	}
+
+	// A per-request k searches through the engine's one cache (the key
+	// carries k), so repeating the request is a hit, not a rescore.
+	first := get("/api/v1/search?q=research&k=3")
+	hits0, misses0 := f.engine.CacheStats()
+	again := get("/api/v1/search?q=research&k=3")
+	hits1, misses1 := f.engine.CacheStats()
+	if hits1 != hits0+1 || misses1 != misses0 {
+		t.Errorf("repeated k=3 search: cache hits %d→%d, misses %d→%d; want one more hit", hits0, hits1, misses0, misses1)
+	}
+	if len(first.Hits) != 3 || !reflect.DeepEqual(first, again) {
+		t.Errorf("repeated k=3 search differs: %+v vs %+v", first, again)
+	}
+
+	// q and seed are token-exact repeated parameters; the retired tokq
+	// switch is ignored, not an error and not a mode.
+	params := url.Values{"seed": f.g.Corpus.Entities[0].SeedTokens(), "q": {"research"}}.Encode()
+	want := get("/api/v1/search?" + params)
+	got := get("/api/v1/search?tokq=1&" + params)
+	if len(want.Hits) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("stray tokq=1 changed the answer: %+v vs %+v", got, want)
 	}
 }
 
@@ -266,7 +323,7 @@ func TestStartShutdown(t *testing.T) {
 }
 
 func TestDialErrors(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1", nil); err == nil {
+	if _, err := DialContext(context.Background(), "127.0.0.1:1", nil, ClientOptions{}); err == nil {
 		t.Error("dial to closed port succeeded")
 	}
 	// A server that answers nonsense.
@@ -274,7 +331,7 @@ func TestDialErrors(t *testing.T) {
 		fmt.Fprint(w, `{"topK":0}`)
 	}))
 	defer bad.Close()
-	if _, err := Dial(bad.URL, nil); err == nil {
+	if _, err := DialContext(context.Background(), bad.URL, nil, ClientOptions{}); err == nil {
 		t.Error("dial accepted implausible stats")
 	}
 }

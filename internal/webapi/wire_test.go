@@ -252,31 +252,30 @@ func TestNegotiationMatrix(t *testing.T) {
 
 			pageID := g.Corpus.Pages[2].ID
 			rawPage := html.RenderPage(g.Corpus.Pages[2])
-			for _, path := range []string{"/api/v1/stats", "/api/stats"} {
-				// Binary negotiated: one stats frame.
-				body, ct := get(t, srv.URL, path, true)
-				if ct != wireContentType || !isWireFrame(body) {
-					t.Fatalf("%s with Accept: got content-type %q, frame=%v", path, ct, isWireFrame(body))
-				}
-				var st Stats
-				if err := decodeFramePayload(body, wireStats, func(d *store.Dec) { st = decodeStatsWire(d) }); err != nil {
-					t.Fatal(err)
-				}
-				if st.NumPages != g.Corpus.NumPages() {
-					t.Errorf("%s wire stats %+v", path, st)
-				}
-				// JSON default: same values, no frame.
-				body, ct = get(t, srv.URL, path, false)
-				if isWireFrame(body) || !strings.HasPrefix(ct, "application/json") {
-					t.Fatalf("%s without Accept negotiated binary (ct %q)", path, ct)
-				}
-				var jst Stats
-				if err := json.Unmarshal(body, &jst); err != nil {
-					t.Fatal(err)
-				}
-				if jst != st {
-					t.Errorf("%s: JSON stats %+v != wire stats %+v", path, jst, st)
-				}
+			const path = "/api/v1/stats"
+			// Binary negotiated: one stats frame.
+			body, ct := get(t, srv.URL, path, true)
+			if ct != wireContentType || !isWireFrame(body) {
+				t.Fatalf("%s with Accept: got content-type %q, frame=%v", path, ct, isWireFrame(body))
+			}
+			var st Stats
+			if err := decodeFramePayload(body, wireStats, func(d *store.Dec) { st = decodeStatsWire(d) }); err != nil {
+				t.Fatal(err)
+			}
+			if st.NumPages != g.Corpus.NumPages() {
+				t.Errorf("%s wire stats %+v", path, st)
+			}
+			// JSON default: same values, no frame.
+			body, ct = get(t, srv.URL, path, false)
+			if isWireFrame(body) || !strings.HasPrefix(ct, "application/json") {
+				t.Fatalf("%s without Accept negotiated binary (ct %q)", path, ct)
+			}
+			var jst Stats
+			if err := json.Unmarshal(body, &jst); err != nil {
+				t.Fatal(err)
+			}
+			if jst != st {
+				t.Errorf("%s: JSON stats %+v != wire stats %+v", path, jst, st)
 			}
 
 			// Page bytes are identical through both codecs — the byte-level
@@ -313,7 +312,7 @@ func TestNegotiationMatrix(t *testing.T) {
 			t.Error("WireDisabled server framed a response")
 		}
 		// A binary-preferring client degrades transparently...
-		c, err := DialOpts(srv.URL, g.Tokenizer, ClientOptions{})
+		c, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +320,7 @@ func TestNegotiationMatrix(t *testing.T) {
 			t.Error("client claims wire against a JSON-only server")
 		}
 		// ...but a CodecBinary client refuses to.
-		if _, err := DialOpts(srv.URL, g.Tokenizer, ClientOptions{Codec: CodecBinary}); err == nil {
+		if _, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{Codec: CodecBinary}); err == nil {
 			t.Error("CodecBinary dial accepted a JSON-only server")
 		}
 	})
@@ -331,22 +330,23 @@ func TestNegotiationMatrix(t *testing.T) {
 	t.Run("codec-json", func(t *testing.T) {
 		srv := httptest.NewServer(NewServer(g.Corpus, engine).Handler())
 		defer srv.Close()
-		c, err := DialOpts(srv.URL, g.Tokenizer, ClientOptions{Codec: CodecJSON})
+		c, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{Codec: CodecJSON})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if c.WireNegotiated() {
 			t.Error("CodecJSON client negotiated binary")
 		}
-		if _, err := c.Page(g.Corpus.Pages[0].ID); err != nil {
+		if _, err := c.PageCtx(context.Background(), g.Corpus.Pages[0].ID); err != nil {
 			t.Fatal(err)
 		}
 	})
 }
 
-// TestMixedVersionFallback dials a pre-v1, JSON-only server (no /api/v1
-// routes, no wire codec) with a current binary-preferring client: the
-// dial probe falls back to the legacy surface and every call works.
+// TestMixedVersionFallback: a JSON-only server (WireDisabled) and a
+// binary-preferring client negotiate JSON at the dial probe and harvest
+// exactly as the in-process engine does; a client that requires binary
+// fails the dial instead of degrading.
 func TestMixedVersionFallback(t *testing.T) {
 	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
 	if err != nil {
@@ -355,39 +355,29 @@ func TestMixedVersionFallback(t *testing.T) {
 	engine := search.NewEngine(search.BuildIndex(g.Corpus.Pages))
 	srvObj := NewServer(g.Corpus, engine)
 	srvObj.WireDisabled = true
-	inner := srvObj.Handler()
-	// Emulate the previous release: the versioned surface does not exist.
-	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/api/v1/") {
-			http.NotFound(w, r)
-			return
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	defer old.Close()
+	srv := httptest.NewServer(srvObj.Handler())
+	defer srv.Close()
 
-	c, err := DialContext(context.Background(), old.URL, g.Tokenizer, ClientOptions{Codec: CodecAuto})
+	c, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{Codec: CodecAuto})
 	if err != nil {
-		t.Fatalf("dial against pre-v1 server: %v", err)
+		t.Fatalf("dial against a JSON-only server: %v", err)
 	}
 	if c.WireNegotiated() {
-		t.Error("negotiated wire against a pre-v1 server")
+		t.Error("negotiated wire against a JSON-only server")
 	}
-	if c.apiPrefix != "/api" {
-		t.Errorf("apiPrefix %q, want legacy /api", c.apiPrefix)
-	}
-	e := g.Corpus.Entities[0]
-	local := engine.SearchWithSeed(e.SeedTokens(), []string{"research"})
-	remote, err := c.SearchWithSeedErr(context.Background(), e.SeedTokens(), []string{"research"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(local) != len(remote) {
-		t.Fatalf("local %d hits, remote %d", len(local), len(remote))
+	ss := newSessionSetup(t, g)
+	localQ, localP, _ := ss.run(core.NewL2QBAL(), engine)
+	remoteQ, remoteP, _ := ss.run(core.NewL2QBAL(), c)
+	if len(localQ) == 0 || !reflect.DeepEqual(remoteQ, localQ) || !reflect.DeepEqual(remoteP, localP) {
+		t.Errorf("harvest over negotiated JSON diverges:\n local  %v %v\n remote %v %v", localQ, localP, remoteQ, remoteP)
 	}
 	ents, err := c.Entities(context.Background())
 	if err != nil || len(ents) != g.Corpus.NumEntities() {
-		t.Fatalf("entities over legacy surface: %d, %v", len(ents), err)
+		t.Fatalf("entities over negotiated JSON: %d, %v", len(ents), err)
+	}
+
+	if _, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{Codec: CodecBinary}); err == nil {
+		t.Error("CodecBinary dial accepted a JSON-only server")
 	}
 }
 
@@ -502,7 +492,7 @@ func TestStreamWireCodec(t *testing.T) {
 		NoDomain: true,
 	}
 	collect := func(codec Codec) []HarvestEvent {
-		c, err := DialOpts(srv.URL, g.Tokenizer, ClientOptions{Codec: codec})
+		c, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{Codec: codec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -518,17 +508,17 @@ func TestStreamWireCodec(t *testing.T) {
 		}
 		return evs
 	}
-	viaWire := collect(CodecAuto)
-	viaJSON := collect(CodecJSON)
+	// The two entities harvest concurrently, so how their events
+	// interleave differs from run to run; each entity's own subsequence
+	// (and the done summary) does not.
+	viaWire := streamByEntity(t, collect(CodecAuto), len(req.Entities))
+	viaJSON := streamByEntity(t, collect(CodecJSON), len(req.Entities))
 	if !reflect.DeepEqual(viaWire, viaJSON) {
 		t.Errorf("stream codecs diverge:\n wire %+v\n json %+v", viaWire, viaJSON)
 	}
-	if len(viaWire) == 0 || viaWire[len(viaWire)-1].Type != "done" {
-		t.Fatalf("stream did not finish with done: %+v", viaWire)
-	}
 
 	// The async job stream through the wire codec.
-	c, err := Dial(srv.URL, g.Tokenizer)
+	c, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,9 +535,51 @@ func TestStreamWireCodec(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(jobEvs) == 0 || jobEvs[len(jobEvs)-1].Type != "done" {
-		t.Fatalf("job stream did not finish with done: %+v", jobEvs)
+	if viaJob := streamByEntity(t, jobEvs, len(req.Entities)); !reflect.DeepEqual(viaJob, viaWire) {
+		t.Errorf("job stream diverges from the batch stream:\n job   %+v\n batch %+v", viaJob, viaWire)
 	}
+}
+
+// streamByEntity splits a harvest event stream into per-entity
+// subsequences (the done summary under key -1) after checking the order
+// the server does guarantee: an entity's progress events all precede its
+// one closing entity/error event, and done comes last with matching
+// counts.
+func streamByEntity(t *testing.T, evs []HarvestEvent, entities int) map[corpus.EntityID][]HarvestEvent {
+	t.Helper()
+	if len(evs) == 0 || evs[len(evs)-1].Type != "done" {
+		t.Fatalf("stream did not finish with done: %+v", evs)
+	}
+	by := make(map[corpus.EntityID][]HarvestEvent)
+	closed := make(map[corpus.EntityID]bool)
+	failed := 0
+	for i, ev := range evs[:len(evs)-1] {
+		switch ev.Type {
+		case "progress":
+		case "entity", "error":
+			if ev.Type == "error" {
+				failed++
+			}
+		default:
+			t.Fatalf("event %d: unexpected type %q before the end of the stream", i, ev.Type)
+		}
+		if closed[ev.Entity] {
+			t.Fatalf("event %d: %s for entity %d after its closing event", i, ev.Type, ev.Entity)
+		}
+		closed[ev.Entity] = ev.Type != "progress"
+		by[ev.Entity] = append(by[ev.Entity], ev)
+	}
+	done := evs[len(evs)-1]
+	if len(closed) != entities || done.Entities != entities || done.Failed != failed {
+		t.Fatalf("done %+v after %d closed entities (%d failed), want %d entities", done, len(closed), failed, entities)
+	}
+	for id, c := range closed {
+		if !c {
+			t.Fatalf("entity %d never closed", id)
+		}
+	}
+	by[-1] = []HarvestEvent{done}
+	return by
 }
 
 // TestDifferentialWireParity is the tentpole acceptance bar: a full
@@ -582,7 +614,7 @@ func TestDifferentialWireParity(t *testing.T) {
 			Next: NewServer(g.Corpus, engine).Handler()}
 		srv := httptest.NewServer(inj)
 		t.Cleanup(srv.Close)
-		c, err := DialOpts(srv.URL, g.Tokenizer, ClientOptions{Retry: fastRetry, Codec: codec})
+		c, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{Retry: fastRetry, Codec: codec})
 		if err != nil {
 			t.Fatal(err)
 		}

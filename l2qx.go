@@ -38,9 +38,6 @@ type (
 	// Snapshot/Resume from the embedded session, so long-running harvests
 	// survive restarts by exact replay.
 	Checkpoint = core.Checkpoint
-	// ContextRetriever is the error-aware, cancellable retriever surface
-	// remote engines implement.
-	ContextRetriever = core.ContextRetriever
 	// RemoteOptions tunes a remote engine's transport (retry policy,
 	// prefetch concurrency, request timeout, wire codec).
 	RemoteOptions = webapi.ClientOptions
@@ -58,7 +55,7 @@ type (
 	// FaultInjector wraps a handler with configurable transport faults
 	// (500s, latency, truncated bodies) for resilience testing.
 	FaultInjector = webapi.FaultInjector
-	// HarvestBackend enables a SearchServer's POST /api/harvest endpoint.
+	// HarvestBackend enables a SearchServer's POST /api/v1/harvest endpoint.
 	HarvestBackend = webapi.HarvestBackend
 	// HarvestRequest is the batch-harvest request body.
 	HarvestRequest = webapi.HarvestRequest
@@ -69,7 +66,7 @@ type (
 	BudgetSpec = webapi.BudgetSpec
 	// JobStatus is the async jobs API's status payload.
 	JobStatus = webapi.JobStatus
-	// ServerMetrics is the GET /api/metrics payload.
+	// ServerMetrics is the GET /api/v1/metrics payload.
 	ServerMetrics = webapi.ServerMetrics
 
 	// HarvestScheduler is the long-lived pipeline scheduler: shared
@@ -181,7 +178,7 @@ func (s *System) ClassifierAccuracy(a Aspect, pages []*Page) float64 {
 // search API (JSON search + rendered HTML pages), with the server-side
 // batch-harvest endpoint enabled over the system's classifiers and
 // lazily-learned domain models. Start it with (*SearchServer).Start and
-// point remote harvesters at it with DialRemote.
+// point remote harvesters at it with DialRemoteContext.
 func (s *System) NewSearchServer() *SearchServer {
 	srv := webapi.NewServer(s.corpus, s.engine)
 	srv.Harvest = s.HarvestBackend()
@@ -206,21 +203,12 @@ func (s *System) HarvestBackend() *HarvestBackend {
 	}
 }
 
-// DialRemote connects to a search API served by NewSearchServer (possibly
-// in another process) using this system's tokenizer, returning an engine
-// that harvesting sessions can use in place of the in-process one. The
-// transport retries transient faults by default; DialRemoteOpts tunes it.
-func (s *System) DialRemote(base string) (*RemoteEngine, error) {
-	return webapi.Dial(base, s.cfg.Tokenizer)
-}
-
-// DialRemoteOpts is DialRemote with explicit transport options (retry
-// policy, prefetch concurrency, per-request timeout, wire codec).
-func (s *System) DialRemoteOpts(base string, opts RemoteOptions) (*RemoteEngine, error) {
-	return webapi.DialOpts(base, s.cfg.Tokenizer, opts)
-}
-
-// DialRemoteContext is DialRemoteOpts with a cancellable dial probe.
+// DialRemoteContext connects to a search API served by NewSearchServer
+// (possibly in another process) using this system's tokenizer, returning
+// an engine that harvesting sessions can use in place of the in-process
+// one. ctx bounds the dial probe; opts tunes the transport (retry policy,
+// prefetch concurrency, per-request timeout, wire codec), which retries
+// transient faults by default.
 func (s *System) DialRemoteContext(ctx context.Context, base string, opts RemoteOptions) (*RemoteEngine, error) {
 	return webapi.DialContext(ctx, base, s.cfg.Tokenizer, opts)
 }

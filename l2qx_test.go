@@ -184,7 +184,7 @@ func TestRemoteHarvestParity(t *testing.T) {
 	}
 	defer srv.Shutdown(context.Background())
 
-	re, err := sys.DialRemote(addr)
+	re, err := sys.DialRemoteContext(context.Background(), addr, RemoteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestRenderPageHTML(t *testing.T) {
 
 func TestDialRemoteErrors(t *testing.T) {
 	sys := testSystem(t, Cars)
-	if _, err := sys.DialRemote("127.0.0.1:1"); err == nil {
+	if _, err := sys.DialRemoteContext(context.Background(), "127.0.0.1:1", RemoteOptions{}); err == nil {
 		t.Error("dial to a closed port succeeded")
 	}
 }

@@ -63,7 +63,13 @@ echo "cluster_smoke: coordinator $CO over $N0 $N1 $N2"
 # 1. Seeded search for a real corpus entity returns hits.
 NAME=$(curl -s "$CO/api/v1/entities" | tr ',' '\n' | sed -n 's/.*"name":"\([^"]*\)".*/\1/p' | head -n 1)
 [ -n "$NAME" ] || { echo "cluster_smoke: no entities served" >&2; exit 1; }
-HITS=$(curl -s -G "$CO/api/v1/search" --data-urlencode "seed=$NAME")
+# q and seed are token-exact: one seed= parameter per word of the name.
+SEED=""
+for w in $NAME; do
+	SEED="$SEED --data-urlencode seed=$w"
+done
+# shellcheck disable=SC2086 # SEED is a parameter list, splitting intended
+HITS=$(curl -s -G "$CO/api/v1/search" $SEED)
 echo "$HITS" | grep -q '"pageId"' || {
 	echo "cluster_smoke: scatter search for \"$NAME\" returned no hits: $HITS" >&2
 	exit 1
@@ -84,7 +90,8 @@ echo "$METRICS" | grep -q '"scatters":[1-9]' || { echo "cluster_smoke: no scatte
 # 4. Kill one node: replicas keep every partition covered, so the same
 # search still answers fully (failover, not partial results).
 kill "$(cat "$WORK/node1.pid")"
-HITS2=$(curl -s -G "$CO/api/v1/search" --data-urlencode "seed=$NAME")
+# shellcheck disable=SC2086
+HITS2=$(curl -s -G "$CO/api/v1/search" $SEED)
 echo "$HITS2" | grep -q '"pageId"' || {
 	echo "cluster_smoke: search lost hits after killing node 1: $HITS2" >&2
 	exit 1
