@@ -49,3 +49,38 @@ func BenchmarkCandidateAllocs(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSelectAllocs is the selection allocation trajectory the CI gate
+// pins: one L2QBAL Select — what harvest_remote runs per step — on a
+// session warmed through the 5-query prefix, with the last fire's delta
+// already absorbed, so the pool and the session graph have nothing to
+// ingest and what remains is the collective pass and the one-pass arg-max.
+// Its allocations are the returned Inference and its three Coll* vectors
+// plus the empty per-step match tables — no score slice, no per-candidate
+// maps. Inference is pinned serial (InferWorkers 1) so the count does not
+// depend on GOMAXPROCS.
+func BenchmarkSelectAllocs(b *testing.B) {
+	env := benchEnvFor(b, benchDomains[0].domain, benchDomains[0].aspect)
+	cfg := DefaultConfig()
+	cfg.Tokenizer = env.g.Tokenizer
+	cfg.InferWorkers = 1
+	s := env.session(cfg)
+	sel := NewL2QBAL()
+	s.Bootstrap()
+	for _, q := range env.prefix {
+		if _, ok := sel.Select(s); !ok {
+			b.Fatal("pool ran dry during replay")
+		}
+		s.Fire(q)
+	}
+	if _, ok := sel.Select(s); !ok { // absorb the final fire's delta
+		b.Fatal("empty pool")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := sel.Select(s); !ok {
+			b.Fatal("empty pool")
+		}
+	}
+}

@@ -19,20 +19,21 @@ type graphBuilder struct {
 	rec types.Recognizer // nil disables templates
 	g   *graph.Graph
 
-	pages     []*corpus.Page
-	pageNode  map[corpus.PageID]graph.NodeID
-	queries   map[Query]graph.NodeID
-	queryList []Query
-	queryToks map[Query][]textproc.Token
+	pages    []*corpus.Page
+	pageNode map[corpus.PageID]graph.NodeID
+	// queries maps a registered query to its index in qs; qs holds the
+	// query vertices in registration order. Everything a step loop needs
+	// per candidate lives in the queryVertex, so one map lookup per
+	// candidate (none when walking qs) replaces a lookup per fact.
+	queries   map[Query]int32
+	qs        []queryVertex
 	templates map[string]graph.NodeID
-	// detached marks queries retired from the graph (fired queries in a
-	// persistent session graph); their vertices are isolated and must
-	// not receive new edges.
-	detached map[Query]bool
 
-	// queryTemplates maps a query to its template keys, for the counting
-	// statistics of the collective utilities.
-	queryTemplates map[Query][]string
+	// dm, when set, supplies the domain counting priors addQuery stores on
+	// each query vertex (entity phase with templates; nil otherwise), and
+	// shared its precomputed facts for the domain candidates.
+	dm     *DomainModel
+	shared map[Query]candidateFacts
 
 	// engine, when non-nil and cfg.WeightByLikelihood is set, supplies
 	// retrieval-model edge weights; otherwise edges weigh 1.
@@ -46,16 +47,28 @@ type graphBuilder struct {
 	opsVersion [2]uint64
 }
 
+// queryVertex is one registered query: its vertex plus the facts addQuery
+// computes once — tokens, template keys and the domain counting priors
+// of the collective utilities (§V). None of them depends on the session's
+// pages or context, so a step never recomputes them.
+type queryVertex struct {
+	q    Query
+	node graph.NodeID
+	candidateFacts
+	// detached marks a query retired from the graph (a fired query in a
+	// persistent session graph): its vertex is isolated and must not
+	// receive new edges.
+	detached bool
+}
+
 func newGraphBuilder(cfg Config, rec types.Recognizer) *graphBuilder {
 	return &graphBuilder{
-		cfg:            cfg,
-		rec:            rec,
-		g:              graph.New(),
-		pageNode:       make(map[corpus.PageID]graph.NodeID),
-		queries:        make(map[Query]graph.NodeID),
-		queryToks:      make(map[Query][]textproc.Token),
-		templates:      make(map[string]graph.NodeID),
-		queryTemplates: make(map[Query][]string),
+		cfg:       cfg,
+		rec:       rec,
+		g:         graph.New(),
+		pageNode:  make(map[corpus.PageID]graph.NodeID),
+		queries:   make(map[Query]int32),
+		templates: make(map[string]graph.NodeID),
 	}
 }
 
@@ -76,16 +89,10 @@ func (b *graphBuilder) addQuery(q Query) {
 		return
 	}
 	qid := b.g.AddNode(graph.KindQuery)
-	b.queries[q] = qid
-	b.queryList = append(b.queryList, q)
-	toks := b.cfg.QueryTokens(q)
-	b.queryToks[q] = toks
-	if b.rec == nil {
-		return
-	}
-	keys := templatesOf(toks, b.rec)
-	b.queryTemplates[q] = keys
-	for _, key := range keys {
+	facts := b.factsOf(q)
+	b.queries[q] = int32(len(b.qs))
+	b.qs = append(b.qs, queryVertex{q: q, node: qid, candidateFacts: facts})
+	for _, key := range facts.keys {
 		tid, ok := b.templates[key]
 		if !ok {
 			tid = b.g.AddNode(graph.KindTemplate)
@@ -95,22 +102,18 @@ func (b *graphBuilder) addQuery(q Query) {
 	}
 }
 
-// templateKeysOf returns the template keys abstracting a query.
-func (b *graphBuilder) templateKeysOf(q Query) []string {
-	return b.queryTemplates[q]
+// vertex returns the query vertex of a registered query.
+func (b *graphBuilder) vertex(q Query) *queryVertex {
+	return &b.qs[b.queries[q]]
 }
 
 // edgeWeight is the page–query edge weight: 1 under containment
 // semantics, or the retrieval model's per-token geometric-mean likelihood
 // when likelihood weighting is on. Safe for concurrent use (the engine is
 // concurrency-safe and page token caches are sync.Once-guarded).
-func (b *graphBuilder) edgeWeight(p *corpus.Page, q Query) float64 {
+func (b *graphBuilder) edgeWeight(p *corpus.Page, toks []textproc.Token) float64 {
 	w := 1.0
 	if b.cfg.WeightByLikelihood && b.engine != nil {
-		toks := b.queryToks[q]
-		if toks == nil {
-			toks = b.cfg.QueryTokens(q)
-		}
 		ll := b.engine.QueryLikelihood(p, toks)
 		w = math.Exp(ll / float64(len(toks)))
 		if w <= 0 || math.IsNaN(w) {
@@ -121,32 +124,30 @@ func (b *graphBuilder) edgeWeight(p *corpus.Page, q Query) float64 {
 }
 
 // addPQEdge connects a page and a query ("q can retrieve p").
-func (b *graphBuilder) addPQEdge(p *corpus.Page, q Query) {
-	b.g.AddEdgePQ(b.pageNode[p.ID], b.queries[q], b.edgeWeight(p, q))
+func (b *graphBuilder) addPQEdge(p *corpus.Page, qv *queryVertex) {
+	b.g.AddEdgePQ(b.pageNode[p.ID], qv.node, b.edgeWeight(p, qv.toks))
 }
 
 // detachQuery retires a query from the graph (it was fired and left the
 // candidate pool): every incident edge is removed, leaving the vertex
 // isolated — which the fixpoint treats exactly as if it never existed.
 func (b *graphBuilder) detachQuery(q Query) {
-	id, ok := b.queries[q]
-	if !ok || b.detached[q] {
+	i, ok := b.queries[q]
+	if !ok || b.qs[i].detached {
 		return
 	}
-	b.g.DetachQuery(id)
-	if b.detached == nil {
-		b.detached = make(map[Query]bool)
-	}
-	b.detached[q] = true
+	b.g.DetachQuery(b.qs[i].node)
+	b.qs[i].detached = true
 }
 
-// connect adds page–query edges for the domain phase: each page connects to
-// every registered query it contains (conjunctive containment).
+// connect adds page–query edges for the entity phase's rebuild path: each
+// page connects to every registered query it contains (conjunctive
+// containment).
 func (b *graphBuilder) connect() {
 	for _, p := range b.pages {
-		for _, q := range b.queryList {
-			if p.ContainsQuery(b.queryToks[q]) {
-				b.addPQEdge(p, q)
+		for i := range b.qs {
+			if qv := &b.qs[i]; p.ContainsQuery(qv.toks) {
+				b.addPQEdge(p, qv)
 			}
 		}
 	}

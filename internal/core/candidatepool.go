@@ -42,8 +42,8 @@ type candidatePool struct {
 	// domainLive tracks membership of domainSeg for O(1) migration checks.
 	domainLive map[Query]bool
 
-	// firedScratch is the reusable newly-fired set of one sync pass,
-	// cleared (but kept at capacity) between syncs so steady-state pool
+	// firedScratch is the reusable newly-fired set of one appendPool pass,
+	// cleared (but kept at capacity) between passes so steady-state pool
 	// refresh does not allocate it per step.
 	firedScratch map[Query]struct{}
 }
@@ -73,20 +73,13 @@ func (p *candidatePool) matches(useDomain bool, dm *DomainModel) bool {
 	return p != nil && p.useDomain == useDomain && p.dm == dm
 }
 
-// sync brings the pool up to date with the session — remove newly fired
-// queries, enumerate newly ingested pages — and emits the current Q_E.
-// The emitted slice is freshly allocated per call (callers may retain it
-// across later mutations); the per-step work is O(new fired + new pages'
-// n-grams + |Q_E| copy), never a re-enumeration of old pages.
-func (p *candidatePool) sync(s *Session) []Query {
-	return p.appendPool(make([]Query, 0, len(p.pageSeg)+len(p.domainSeg)), s)
-}
-
-// appendPool is sync with a caller-provided buffer: the current Q_E is
-// appended to dst. The delta work allocates nothing steady-state (the
-// newly-fired scratch set is pool-owned and reused; page enumeration goes
-// through the per-page memo), so with a reused dst a no-delta refresh is
-// allocation-free.
+// appendPool brings the pool up to date with the session — remove newly
+// fired queries, enumerate newly ingested pages — and appends the current
+// Q_E to dst. The per-step work is O(new fired + new pages' n-grams + |Q_E|
+// copy), never a re-enumeration of old pages, and it allocates nothing
+// steady-state (the newly-fired scratch set is pool-owned and reused; page
+// enumeration goes through the per-page memo), so with a reused dst a
+// no-delta refresh is allocation-free.
 func (p *candidatePool) appendPool(dst []Query, s *Session) []Query {
 	// Retire newly fired queries: remove them from whichever segment
 	// holds them. (A query fired before ever being observed stays out of

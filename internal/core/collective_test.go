@@ -59,7 +59,7 @@ func TestCollectiveRedundancyOrdering(t *testing.T) {
 			t.Fatal("step failed")
 		}
 	}
-	inf, err := s.Infer(InferOptions{UseTemplates: true, UseDomainCandidates: true, Collective: true})
+	inf, err := s.Infer(InferOptions{UseTemplates: true, UseDomainCandidates: true, Utilities: UtilCollective})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestCollectiveFloor(t *testing.T) {
 	f := newFixture(t)
 	s := f.session(f.dm)
 	s.Bootstrap()
-	inf, err := s.Infer(InferOptions{UseTemplates: true, UseDomainCandidates: true, Collective: true})
+	inf, err := s.Infer(InferOptions{UseTemplates: true, UseDomainCandidates: true, Utilities: UtilCollective})
 	if err != nil {
 		t.Fatal(err)
 	}

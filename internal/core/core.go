@@ -97,14 +97,19 @@ type Config struct {
 	// queries are detached — instead of rebuilding the graph from
 	// scratch on every Infer. Session.InferReference retains the
 	// rebuild path; TestIncrementalMatchesReference holds the two to
-	// identical rankings. Per-step selection cost drops from
-	// O(pages × candidates) to O(Δ).
+	// identical rankings. Per-step graph maintenance drops from
+	// O(pages × candidates) to O(Δ); what is then solved on the graph
+	// is whatever the selector requests (InferOptions.Utilities).
 	IncrementalGraph bool
-	// WarmStart seeds each step's fixpoint solves with the previous
-	// step's utilities (graph.Problem.X0 / graph.PushProblem.X0). The
-	// damped fixpoint is a contraction with a unique solution, so warm
-	// starting changes iteration counts, not results (within SolverTol).
-	// Only effective together with IncrementalGraph.
+	// WarmStart seeds each fixpoint solve a step runs with that utility
+	// family's last solution (graph.Problem.X0 / graph.PushProblem.X0). A
+	// step solves only the individual utilities its selector requests
+	// (InferOptions.Utilities) — none at all for the context-aware
+	// strategies — so that solution may be several steps old; nodes
+	// added since then cold-start at their regularization. The damped fixpoint is a contraction
+	// with a unique solution, so warm starting changes iteration counts,
+	// not results (within SolverTol). Only effective together with
+	// IncrementalGraph.
 	WarmStart bool
 	// IncrementalPool keeps one persistent candidate pool Q_E per
 	// session, updated with per-step deltas — only newly ingested pages

@@ -155,7 +155,7 @@ func TestInferBasicUtilities(t *testing.T) {
 	f := newFixture(t)
 	s := f.session(nil) // no domain model
 	s.Bootstrap()
-	inf, err := s.Infer(InferOptions{})
+	inf, err := s.Infer(InferOptions{Utilities: UtilPrecision | UtilRecall})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestInferCollectiveBounds(t *testing.T) {
 	f := newFixture(t)
 	s := f.session(f.dm)
 	s.Bootstrap()
-	inf, err := s.Infer(InferOptions{UseTemplates: true, UseDomainCandidates: true, Collective: true})
+	inf, err := s.Infer(InferOptions{UseTemplates: true, UseDomainCandidates: true, Utilities: UtilCollective})
 	if err != nil {
 		t.Fatal(err)
 	}

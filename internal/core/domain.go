@@ -3,11 +3,11 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"l2q/internal/corpus"
 	"l2q/internal/graph"
 	"l2q/internal/par"
-	"l2q/internal/template"
 	"l2q/internal/textproc"
 	"l2q/internal/types"
 )
@@ -68,6 +68,13 @@ type DomainModel struct {
 	// NumEntities and NumPages record the domain sample size.
 	NumEntities int
 	NumPages    int
+
+	// shared is the lazily built table of session-independent facts about
+	// Candidates (see candidateFactsFor). It is derived state: never
+	// serialised, nil until the first domain-aware session over this
+	// model asks for it.
+	sharedMu sync.Mutex
+	shared   *sharedCandidateFacts
 }
 
 // LearnDomain runs the domain phase: build the domain reinforcement graph
@@ -313,8 +320,8 @@ func buildDomainGraph(cfg Config, rec types.Recognizer, pages []*corpus.Page,
 	}
 	for i, p := range pages {
 		for _, qs := range enum(i, p) {
-			if _, ok := b.queries[Query(qs)]; ok {
-				b.addPQEdge(p, Query(qs))
+			if ord, ok := b.queries[Query(qs)]; ok {
+				b.addPQEdge(p, &b.qs[ord])
 			}
 		}
 	}
@@ -371,9 +378,10 @@ func packageDomainModel(cfg Config, aspect corpus.Aspect, b *graphBuilder,
 		dm.TemplateR[key] = rec1[id]
 		dm.TemplateRStar[key] = recStar[id]
 	}
-	for q, id := range b.queries {
-		dm.QueryP[q] = prec[id]
-		dm.QueryR[q] = rec1[id]
+	for i := range b.qs {
+		qv := &b.qs[i]
+		dm.QueryP[qv.q] = prec[qv.node]
+		dm.QueryR[qv.q] = rec1[qv.node]
 	}
 
 	// Probability-scale counting statistics per template: the *mean
@@ -387,8 +395,9 @@ func packageDomainModel(cfg Config, aspect corpus.Aspect, b *graphBuilder,
 		n              int
 	}
 	tacc := make(map[string]*tAcc, len(b.templates))
-	for _, q := range b.queryList {
-		for _, key := range b.templateKeysOf(q) {
+	for i := range b.qs {
+		q := b.qs[i].q
+		for _, key := range b.qs[i].keys {
 			a := tacc[key]
 			if a == nil {
 				a = &tAcc{}
@@ -407,7 +416,8 @@ func packageDomainModel(cfg Config, aspect corpus.Aspect, b *graphBuilder,
 	}
 
 	// Query-level counting priors for transferable queries.
-	for _, q := range b.queryList {
+	for i := range b.qs {
+		q := b.qs[i].q
 		if entityDF[string(q)] < 2 {
 			continue
 		}
@@ -429,7 +439,8 @@ func packageDomainModel(cfg Config, aspect corpus.Aspect, b *graphBuilder,
 		n int
 	}
 	var cands []qc
-	for _, q := range b.queryList {
+	for i := range b.qs {
+		q := b.qs[i].q
 		if n := entityDF[string(q)]; n >= minEnt {
 			cands = append(cands, qc{q: q, n: n})
 		}
@@ -477,10 +488,4 @@ func topQueries(m map[Query]float64, n int) []Query {
 		qs = qs[:n]
 	}
 	return qs
-}
-
-// templatesOf enumerates the canonical template keys of a query's token
-// sequence under rec.
-func templatesOf(toks []textproc.Token, rec types.Recognizer) []string {
-	return template.EnumerateKeys(toks, rec)
 }

@@ -1,0 +1,93 @@
+package core_test
+
+import (
+	"context"
+	"testing"
+
+	"l2q/internal/classify"
+	"l2q/internal/core"
+	"l2q/internal/corpus"
+	"l2q/internal/pipeline"
+	"l2q/internal/search"
+	"l2q/internal/synth"
+	"l2q/internal/types"
+)
+
+// TestSharedCandidateFactsMatchUncached: the session-independent candidate
+// facts — tokens, template keys, domain counting priors — are computed
+// once per query vertex, and for a domain model's own Candidates once per
+// model, shared by every session over it. Twelve sessions over ONE
+// DomainModel run concurrently through a pipeline.Scheduler (under -race
+// this is the test that sees the lazily built shared table from several
+// goroutines); afterwards every vertex of every session must hold exactly
+// what an uncached computation from the query string gives, and the
+// domain candidates must really be the shared copy.
+func TestSharedCandidateFactsMatchUncached(t *testing.T) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := search.NewEngine(search.BuildIndex(g.Corpus.Pages))
+	rec := types.Chain{g.KB, types.NewRegexRecognizer()}
+	aspect := synth.AspResearch
+	y := func(p *corpus.Page) bool { return classify.GroundTruth(p, aspect) }
+	cfg := core.DefaultConfig()
+	cfg.Tokenizer = g.Tokenizer
+	n := g.Corpus.NumEntities()
+	var domain []corpus.EntityID
+	for i := 0; i < n/2; i++ {
+		domain = append(domain, g.Corpus.Entities[i].ID)
+	}
+	dm, err := core.LearnDomain(cfg, aspect, g.Corpus, domain, y, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// One strategy per utility family, so the shared facts feed the
+	// template vertices of a solve as well as the collective priors.
+	selectors := []core.Selector{core.NewL2QBAL(), core.NewPT(), core.NewRT()}
+	const nSessions = 12
+	jobs := make([]pipeline.Job, nSessions)
+	for i := range jobs {
+		e := g.Corpus.Entities[n-1-i%(n/2)]
+		jobs[i] = pipeline.Job{
+			Session:  core.NewSession(cfg, engine, e, aspect, y, dm, rec, uint64(i)+1),
+			Selector: selectors[i%len(selectors)],
+			NQueries: 3,
+		}
+	}
+	sched := pipeline.New(pipeline.Config{SelectWorkers: 4, FetchWorkers: 8})
+	defer sched.Close()
+	batch, err := sched.Submit(context.Background(), jobs, pipeline.BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range batch.Await(context.Background()) {
+		if res.Err != nil {
+			t.Fatalf("job %d: %v", i, res.Err)
+		}
+		if len(res.Fired) == 0 {
+			t.Fatalf("job %d fired nothing", i)
+		}
+		vertices, shared, err := jobs[i].Session.VerifyCandidateFacts()
+		if err != nil {
+			t.Fatalf("job %d (%s): %v", i, jobs[i].Selector.Name(), err)
+		}
+		if vertices == 0 || shared == 0 {
+			t.Fatalf("job %d: %d vertices, %d from the shared table — sharing did not happen",
+				i, vertices, shared)
+		}
+	}
+
+	// A session with another recognizer must not be handed the table
+	// built for the first one: it computes its own facts, and they are
+	// still exactly the uncached ones.
+	other := core.NewSession(cfg, engine, g.Corpus.Entities[n-1], aspect, y, dm,
+		types.NewRegexRecognizer(), 1)
+	if fired := other.Run(core.NewL2QBAL(), 2); len(fired) == 0 {
+		t.Fatal("session with its own recognizer fired nothing")
+	}
+	if _, shared, err := other.VerifyCandidateFacts(); err != nil || shared != 0 {
+		t.Fatalf("other recognizer: shared=%d err=%v (want unshared, exact)", shared, err)
+	}
+}

@@ -42,15 +42,29 @@ func TestGradedYBinaryEquivalence(t *testing.T) {
 		}
 	}
 
-	runWith := func(score func(*corpus.Page) float64) []Query {
-		s := NewSession(cfg, f.engine, f.target, synth.AspResearch, f.y, dmBinary, f.rec, 42)
-		s.YScore = score
-		return s.Run(NewL2QBAL(), 3)
-	}
-	plain := runWith(nil)
-	scored := runWith(indicator)
-	if len(plain) == 0 || !reflect.DeepEqual(plain, scored) {
-		t.Fatalf("indicator YScore selected %v, binary %v", scored, plain)
+	// YScore feeds the page regularization of the two fixpoints only, so
+	// the strategies that read one (P+t, R+t) are the ones it can move;
+	// L2QBAL rides along for the collective family. Afterwards every
+	// family is requested explicitly and must agree bit for bit.
+	for _, sel := range []Selector{NewPT(), NewRT(), NewL2QBAL()} {
+		runWith := func(score func(*corpus.Page) float64) ([]Query, *Inference) {
+			s := NewSession(cfg, f.engine, f.target, synth.AspResearch, f.y, dmBinary, f.rec, 42)
+			s.YScore = score
+			fired := s.Run(sel, 3)
+			inf, err := s.Infer(allUtilities)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fired, inf
+		}
+		plain, plainInf := runWith(nil)
+		scored, scoredInf := runWith(indicator)
+		if len(plain) == 0 || !reflect.DeepEqual(plain, scored) {
+			t.Fatalf("%s: indicator YScore selected %v, binary %v", sel.Name(), scored, plain)
+		}
+		if !reflect.DeepEqual(plainInf, scoredInf) {
+			t.Fatalf("%s: indicator YScore inferred different utilities than binary Y", sel.Name())
+		}
 	}
 }
 

@@ -74,6 +74,11 @@ func diffDomains(t *testing.T) map[string]*diffFixture {
 	}
 }
 
+// allUtilities is the domain- and context-aware signature with every
+// utility family requested explicitly: inference is demand-driven, so a
+// parity test that wants P, R and Coll* compared has to ask for all three.
+var allUtilities = InferOptions{UseTemplates: true, UseDomainCandidates: true, Utilities: UtilAll}
+
 // inferCases are the InferOptions signatures the §VI-B strategy ablations
 // exercise: P/R (basic), P+t/R+t (templates), L2QP/L2QR/L2QBAL
 // (templates + collective), plus collective-without-templates for
@@ -82,10 +87,10 @@ var inferCases = []struct {
 	name string
 	opts InferOptions
 }{
-	{"basic", InferOptions{}},
-	{"templates", InferOptions{UseTemplates: true, UseDomainCandidates: true}},
-	{"collective", InferOptions{Collective: true}},
-	{"full", InferOptions{UseTemplates: true, UseDomainCandidates: true, Collective: true}},
+	{"basic", InferOptions{Utilities: UtilPrecision | UtilRecall}},
+	{"templates", InferOptions{UseTemplates: true, UseDomainCandidates: true, Utilities: UtilPrecision | UtilRecall}},
+	{"collective", InferOptions{Utilities: UtilAll}},
+	{"full", allUtilities},
 }
 
 // TestIncrementalMatchesReference drives an incremental session and a
@@ -210,7 +215,7 @@ func TestIncrementalMatchesReferenceAcrossSolvers(t *testing.T) {
 		"push":         func(c *Config) { c.UsePushSolver = true },
 		"likelihood":   func(c *Config) { c.WeightByLikelihood = true },
 	}
-	opts := InferOptions{UseTemplates: true, UseDomainCandidates: true, Collective: true}
+	opts := allUtilities
 	for name, mutate := range variants {
 		t.Run(name, func(t *testing.T) {
 			incCfg := f.diffConfig()
@@ -254,7 +259,7 @@ func TestIncrementalMatchesReferenceAcrossSolvers(t *testing.T) {
 // pure performance knob — every worker count computes identical utilities.
 func TestIncrementalWorkerCountInvariance(t *testing.T) {
 	f := newDiffFixture(t, synth.DomainResearchers, synth.AspResearch)
-	opts := InferOptions{UseTemplates: true, UseDomainCandidates: true, Collective: true}
+	opts := allUtilities
 	run := func(workers int) *Inference {
 		cfg := f.diffConfig()
 		cfg.InferWorkers = workers
@@ -284,7 +289,7 @@ func TestIncrementalGraphReuse(t *testing.T) {
 	cfg := f.diffConfig()
 	s := f.sessionWith(cfg, f.dm)
 	s.Bootstrap()
-	opts := InferOptions{UseTemplates: true, UseDomainCandidates: true, Collective: true}
+	opts := allUtilities
 	if _, err := s.Infer(opts); err != nil {
 		t.Fatal(err)
 	}
@@ -318,11 +323,23 @@ func TestIncrementalGraphReuse(t *testing.T) {
 	if sg.b.g.NumNodes() < nodes {
 		t.Fatal("node count shrank")
 	}
-	if !sg.b.detached[pick] {
+	qv := sg.b.vertex(pick)
+	if !qv.detached {
 		t.Fatalf("fired query %q not detached", pick)
 	}
-	if id, ok := sg.b.queries[pick]; ok && sg.b.g.Degree(id) != 0 {
-		t.Fatalf("fired query %q keeps %d edges", pick, sg.b.g.Degree(id))
+	if sg.b.g.Degree(qv.node) != 0 {
+		t.Fatalf("fired query %q keeps %d edges", pick, sg.b.g.Degree(qv.node))
+	}
+
+	// Asking for other utilities on the same signature keeps the graph:
+	// the request decides what is solved, not the graph's shape.
+	collectiveOnly := opts
+	collectiveOnly.Utilities = UtilCollective
+	if _, err := s.Infer(collectiveOnly); err != nil {
+		t.Fatal(err)
+	}
+	if s.sg != sg {
+		t.Fatal("a different Utilities request rebuilt the session graph")
 	}
 
 	// Switching the options signature rebuilds (different graph shape).

@@ -5,6 +5,7 @@ import (
 
 	"l2q/internal/graph"
 	"l2q/internal/par"
+	"l2q/internal/types"
 )
 
 // InferOptions selects which parts of the L2Q model an inference run uses,
@@ -17,20 +18,50 @@ type InferOptions struct {
 	// UseDomainCandidates extends the candidate pool with frequent
 	// domain queries (§IV-C).
 	UseDomainCandidates bool
-	// Collective enables context-aware utilities over Φ ∪ {q} (§V).
-	Collective bool
+	// Utilities is the set of utility families to compute. Inference is
+	// demand-driven: a family that is not requested is not solved, and
+	// its Inference fields stay nil. The zero value requests none (the
+	// run still syncs the candidate pool and the session graph).
+	Utilities Utilities
 }
 
+// Utilities is a set of utility families of the entity phase. Each family
+// has its own cost — the two individual utilities are one fixpoint solve
+// each, the collective ones a counting pass over the candidates — and a
+// selector names exactly the families its score function reads.
+type Utilities uint8
+
+const (
+	// UtilPrecision is the individual precision P_E(q) (Eq. 20): the
+	// precision fixpoint over the entity graph. Fills Inference.P.
+	UtilPrecision Utilities = 1 << iota
+	// UtilRecall is the individual recall R_E(q) (Eq. 20): the recall
+	// fixpoint over the entity graph. Fills Inference.R.
+	UtilRecall
+	// UtilCollective is the context-aware family over Φ ∪ {q} (§V,
+	// Eq. 24–27), computed from coverage counts, domain counting priors
+	// and the context state — it reads neither fixpoint. Fills
+	// Inference.CollR, CollRStar and CollP.
+	UtilCollective
+
+	// UtilAll requests every family (the differential tests' setting).
+	UtilAll = UtilPrecision | UtilRecall | UtilCollective
+)
+
 // Inference holds per-candidate utilities from one entity-phase run.
-// Slices are parallel to Queries.
+// Every non-nil slice is parallel to Queries; a utility family that
+// InferOptions.Utilities did not request is nil.
 type Inference struct {
 	Queries []Query
-	// P and R are the individual domain-aware utilities P_E(q), R_E(q)
-	// (Eq. 20).
-	P, R []float64
+	// P is the individual domain-aware precision P_E(q) (Eq. 20); nil
+	// unless UtilPrecision was requested.
+	P []float64
+	// R is the individual domain-aware recall R_E(q) (Eq. 20); nil
+	// unless UtilRecall was requested.
+	R []float64
 	// CollR, CollRStar and CollP are the collective utilities
 	// R_E(Φ∪{q}), R*_E(Φ∪{q}) and P_E(Φ∪{q}) (Eq. 24–27); nil unless
-	// Collective was requested.
+	// UtilCollective was requested.
 	CollR, CollRStar, CollP []float64
 }
 
@@ -41,14 +72,21 @@ type Inference struct {
 // so a NaN at index 0 would otherwise win outright, and an Inf would mask
 // every real candidate.
 func (inf *Inference) ArgMax(vals []float64) int {
-	best := -1
-	for i, v := range vals {
+	return inf.argMaxBy(len(vals), func(i int) float64 { return vals[i] })
+}
+
+// argMaxBy is ArgMax over val(0..n-1), each evaluated once — a selector
+// scores and arg-maxes its candidates in one pass, with no score slice.
+func (inf *Inference) argMaxBy(n int, val func(i int) float64) int {
+	best, bestV := -1, 0.0
+	for i := 0; i < n; i++ {
+		v := val(i)
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			continue
 		}
-		if best < 0 || v > vals[best] ||
-			(v == vals[best] && inf.Queries[i] < inf.Queries[best]) {
-			best = i
+		if best < 0 || v > bestV ||
+			(v == bestV && inf.Queries[i] < inf.Queries[best]) {
+			best, bestV = i, v
 		}
 	}
 	return best
@@ -57,7 +95,9 @@ func (inf *Inference) ArgMax(vals []float64) int {
 // Infer runs the entity phase (§IV-C): assemble the entity reinforcement
 // graph over the current result pages and candidate queries, regularize
 // with page relevance and (optionally) domain template utilities, and
-// solve for the requested utilities.
+// compute the utility families opts.Utilities asks for — one fixpoint
+// solve per requested individual utility, one counting pass for the
+// collective family, nothing for a family nobody reads.
 //
 // With Config.IncrementalGraph (the default) the graph persists across
 // steps and is updated with deltas; InferReference is the retained
@@ -72,8 +112,9 @@ func (s *Session) Infer(opts InferOptions) (*Inference, error) {
 
 // InferReference is the from-scratch entity-phase inference: it rebuilds
 // the reinforcement graph over the current pages and candidates and
-// cold-solves both fixpoints. It is the differential-testing ground truth
-// for the incremental path, mirroring search.Engine.SearchReference.
+// cold-solves the requested fixpoints. It is the differential-testing
+// ground truth for the incremental path, mirroring
+// search.Engine.SearchReference, and honours the same Utilities request.
 func (s *Session) InferReference(opts InferOptions) (*Inference, error) {
 	cands := s.candidateQueries(opts.UseDomainCandidates)
 	inf := &Inference{Queries: cands}
@@ -81,12 +122,7 @@ func (s *Session) InferReference(opts InferOptions) (*Inference, error) {
 		return inf, nil
 	}
 
-	rec := s.Rec
-	if !opts.UseTemplates {
-		rec = nil // no template vertices at all
-	}
-	b := newGraphBuilder(s.Cfg, rec)
-	b.engine = s.Engine
+	b := s.newEntityGraph(opts)
 	for _, p := range s.pages {
 		b.addPage(p)
 	}
@@ -98,49 +134,80 @@ func (s *Session) InferReference(opts InferOptions) (*Inference, error) {
 	// n-gram trick of the domain phase does not apply here).
 	b.connect()
 
-	var pageReg regPair
-	if s.YScore != nil {
-		pageReg = b.pageRegularizationScored(s.YScore)
-	} else {
-		pageReg = b.pageRegularization(s.Y)
-	}
-
-	lambda := s.Cfg.Lambda
-	var tmplP, tmplR map[string]float64
-	if opts.UseTemplates && s.DM != nil {
-		tmplP = s.DM.TemplateP
-		if s.Cfg.UseWalkRecallReg {
-			tmplR = s.DM.TemplateR
+	if opts.Utilities&(UtilPrecision|UtilRecall) != 0 {
+		var pageReg regPair
+		if s.YScore != nil {
+			pageReg = b.pageRegularizationScored(s.YScore)
 		} else {
-			tmplR = s.DM.TemplateRCount
+			pageReg = b.pageRegularization(s.Y)
+		}
+		if _, _, err := s.solveIndividual(inf, b, opts, pageReg, nil, nil); err != nil {
+			return nil, err
 		}
 	}
-
-	// P_E: precision with page + λ·P_D(t) regularization.
-	precReg := b.addTemplateReg(pageReg.precision, tmplP, lambda)
-	prec, err := b.solve(graph.Precision, precReg)
-	if err != nil {
-		return nil, err
+	if opts.Utilities&UtilCollective != 0 {
+		s.collective(inf, b)
 	}
-	// R_E: recall with page + λ·R_D(t) regularization.
-	recReg := b.addTemplateReg(pageReg.recall, tmplR, lambda)
-	rcl, err := b.solve(graph.Recall, recReg)
-	if err != nil {
-		return nil, err
-	}
-
-	inf.P = make([]float64, len(cands))
-	inf.R = make([]float64, len(cands))
-	for i, q := range cands {
-		id := b.queries[q]
-		inf.P[i] = prec[id]
-		inf.R[i] = rcl[id]
-	}
-	if !opts.Collective {
-		return inf, nil
-	}
-	s.collective(inf, b, opts)
 	return inf, nil
+}
+
+// newEntityGraph returns an empty builder for this session's entity graph
+// under opts: template vertices and the domain counting priors are present
+// only for a domain-aware (UseTemplates) inference.
+func (s *Session) newEntityGraph(opts InferOptions) *graphBuilder {
+	var rec types.Recognizer
+	var dm *DomainModel
+	if opts.UseTemplates {
+		rec, dm = s.Rec, s.DM
+	}
+	b := newGraphBuilder(s.Cfg, rec)
+	b.engine = s.Engine
+	if dm != nil {
+		b.dm, b.shared = dm, dm.candidateFactsFor(s.Cfg, rec)
+	}
+	return b
+}
+
+// solveIndividual runs one fixpoint per requested individual utility —
+// P_E with page + λ·P_D(t) regularization (Eq. 21), R_E with page +
+// λ·R_D(t) (Eq. 22) — and projects each node-indexed solution onto the
+// candidates. x0P and x0R are optional warm starts. The node-indexed
+// solutions are returned (nil when not requested) so the incremental path
+// can keep them as the next step's warm start.
+func (s *Session) solveIndividual(inf *Inference, b *graphBuilder, opts InferOptions,
+	pageReg regPair, x0P, x0R []float64) (prec, rcl []float64, err error) {
+
+	var tmplP, tmplR map[string]float64
+	if b.dm != nil {
+		tmplP = b.dm.TemplateP
+		if s.Cfg.UseWalkRecallReg {
+			tmplR = b.dm.TemplateR
+		} else {
+			tmplR = b.dm.TemplateRCount
+		}
+	}
+	project := func(u []float64) []float64 {
+		out := make([]float64, len(inf.Queries))
+		for i, q := range inf.Queries {
+			out[i] = u[b.vertex(q).node]
+		}
+		return out
+	}
+	if opts.Utilities&UtilPrecision != 0 {
+		reg := b.addTemplateReg(pageReg.precision, tmplP, s.Cfg.Lambda)
+		if prec, err = b.solveWarm(graph.Precision, reg, x0P); err != nil {
+			return nil, nil, err
+		}
+		inf.P = project(prec)
+	}
+	if opts.Utilities&UtilRecall != 0 {
+		reg := b.addTemplateReg(pageReg.recall, tmplR, s.Cfg.Lambda)
+		if rcl, err = b.solveWarm(graph.Recall, reg, x0R); err != nil {
+			return nil, nil, err
+		}
+		inf.R = project(rcl)
+	}
+	return prec, rcl, nil
 }
 
 // collective computes the context-aware utilities of §V on a consistent
@@ -164,83 +231,61 @@ func (s *Session) InferReference(opts InferOptions) (*Inference, error) {
 //
 // The Y* counterparts (for collective precision, Eq. 27) replace "relevant
 // pages" with "all pages" throughout.
-func (s *Session) collective(inf *Inference, b *graphBuilder, opts InferOptions) {
+func (s *Session) collective(inf *Inference, b *graphBuilder) {
 	nRel := 0
 	for _, p := range s.pages {
 		if s.Y(p) {
 			nRel++
 		}
 	}
-	s.collectiveCover(inf, b, opts, nRel, nil)
+	s.collectiveCover(inf, b, nRel, nil)
 }
 
-// collectiveCover is collective with the relevant-page count precomputed
-// and an optional injected coverage source: cover(i) returns the number
-// of gathered relevant pages / gathered pages containing candidate i. The
-// incremental path supplies counts cached during delta connection; nil
-// recounts by scanning the pages (the reference behavior). Candidates are
-// scored on a bounded worker pool (Config.InferWorkers) — each writes
-// only its own indexes, so every worker count computes identical values.
-func (s *Session) collectiveCover(inf *Inference, b *graphBuilder, opts InferOptions,
-	nRel int, cover func(i int) (relCover, allCover int)) {
+// coverage counts the gathered pages (all) and gathered relevant pages
+// (rel) that contain one candidate.
+type coverage struct{ all, rel int32 }
 
+// collectiveCover is collective with the relevant-page count precomputed
+// and an optional coverage source: cover, indexed like b.qs, holds the
+// counts the incremental path caches during delta connection; nil
+// recounts by scanning the pages (the reference behavior). The domain
+// priors come from the query vertex (addQuery computed them once).
+// Candidates are scored on a bounded worker pool (Config.InferWorkers) —
+// each writes only its own indexes, so every worker count computes
+// identical values.
+func (s *Session) collectiveCover(inf *Inference, b *graphBuilder, nRel int, cover []coverage) {
 	nPages := len(s.pages)
 	m := s.Cfg.PriorStrength
-	useDM := opts.UseTemplates && s.DM != nil
 
 	inf.CollR = make([]float64, len(inf.Queries))
 	inf.CollRStar = make([]float64, len(inf.Queries))
 	inf.CollP = make([]float64, len(inf.Queries))
 	par.For(len(inf.Queries), s.Cfg.inferWorkers(), func(i int) {
-		q := inf.Queries[i]
+		ord := b.queries[inf.Queries[i]]
+		qv := &b.qs[ord]
 
 		// Exact redundancy conditionals over the gathered pages.
-		var relCover, allCover int
+		var c coverage
 		if cover != nil {
-			relCover, allCover = cover(i)
+			c = cover[ord]
 		} else {
-			toks := b.queryToks[q]
 			for _, p := range s.pages {
-				if p.ContainsQuery(toks) {
-					allCover++
+				if p.ContainsQuery(qv.toks) {
+					c.all++
 					if s.Y(p) {
-						relCover++
+						c.rel++
 					}
 				}
 			}
 		}
 		rTilde, rTildeStar := 0.0, 0.0
 		if nRel > 0 {
-			rTilde = float64(relCover) / float64(nRel)
+			rTilde = float64(c.rel) / float64(nRel)
 		}
 		if nPages > 0 {
-			rTildeStar = float64(allCover) / float64(nPages)
+			rTildeStar = float64(c.all) / float64(nPages)
 		}
-
-		// Domain priors (probability-scale counting stats): the query's
-		// own domain coverage when it is a transferable domain query,
-		// otherwise the mean per-instantiation coverage of its
-		// templates.
-		priorR, priorRStar := 0.0, 0.0
-		if useDM {
-			if v, ok := s.DM.QueryRCount[q]; ok {
-				priorR = v
-				priorRStar = s.DM.QueryRStarCount[q]
-			} else if keys := b.templateKeysOf(q); len(keys) > 0 {
-				n := 0
-				for _, key := range keys {
-					if v, ok := s.DM.TemplateRCount[key]; ok {
-						priorR += v
-						priorRStar += s.DM.TemplateRStarCount[key]
-						n++
-					}
-				}
-				if n > 0 {
-					priorR /= float64(n)
-					priorRStar /= float64(n)
-				}
-			}
-		}
+		priorR, priorRStar := qv.priorR, qv.priorRStar
 
 		// Smoothed probability-scale coverage of the candidate alone.
 		// The observation count is capped: the gathered pages are a

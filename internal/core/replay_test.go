@@ -13,47 +13,67 @@ import (
 // TestCheckpointResume runs half a session, checkpoints it through the
 // JSON codec, resumes into a fresh session, finishes both, and demands
 // identical outcomes — the restart-safety property a long-running
-// harvester needs.
+// harvester needs. One strategy per utility family: a resumed session
+// has no session graph and no warm start, so the family its strategy
+// reads is re-derived from the replayed pages — and afterwards every
+// family, requested explicitly, must match a rebuild-per-step reference.
 func TestCheckpointResume(t *testing.T) {
 	f := newFixture(t)
+	for _, sel := range []Selector{NewL2QBAL(), NewPT(), NewRT()} {
+		t.Run(sel.Name(), func(t *testing.T) {
+			// Reference: one uninterrupted session, 4 queries.
+			ref := f.session(f.dm)
+			refFired := ref.Run(sel, 4)
+			if len(refFired) < 3 {
+				t.Fatalf("reference fired only %v", refFired)
+			}
 
-	// Reference: one uninterrupted session, 4 queries.
-	ref := f.session(f.dm)
-	refFired := ref.Run(NewL2QBAL(), 4)
-	if len(refFired) < 3 {
-		t.Fatalf("reference fired only %v", refFired)
-	}
+			// Interrupted: 2 queries, checkpoint, serialize, deserialize,
+			// resume, 2 more queries.
+			first := f.session(f.dm)
+			first.Run(sel, 2)
+			var buf bytes.Buffer
+			if err := first.Snapshot().Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+			cp, err := ReadCheckpoint(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Interrupted: 2 queries, checkpoint, serialize, deserialize, resume,
-	// 2 more queries.
-	first := f.session(f.dm)
-	first.Run(NewL2QBAL(), 2)
-	var buf bytes.Buffer
-	if err := first.Snapshot().Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := ReadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+			resumed := f.session(f.dm)
+			if err := resumed.Resume(cp); err != nil {
+				t.Fatal(err)
+			}
+			more := resumed.Run(sel, 2)
 
-	resumed := f.session(f.dm)
-	if err := resumed.Resume(cp); err != nil {
-		t.Fatal(err)
-	}
-	more := resumed.Run(NewL2QBAL(), 2)
+			got := append(append([]Query(nil), cp.Fired...), more...)
+			if !reflect.DeepEqual(got, refFired) {
+				t.Errorf("interrupted run fired %v, uninterrupted %v", got, refFired)
+			}
+			if len(resumed.Pages()) != len(ref.Pages()) {
+				t.Errorf("pages %d vs %d", len(resumed.Pages()), len(ref.Pages()))
+			}
+			for i := range ref.Pages() {
+				if resumed.Pages()[i].ID != ref.Pages()[i].ID {
+					t.Fatalf("page %d differs", i)
+				}
+			}
 
-	got := append(append([]Query(nil), cp.Fired...), more...)
-	if !reflect.DeepEqual(got, refFired) {
-		t.Errorf("interrupted run fired %v, uninterrupted %v", got, refFired)
-	}
-	if len(resumed.Pages()) != len(ref.Pages()) {
-		t.Errorf("pages %d vs %d", len(resumed.Pages()), len(ref.Pages()))
-	}
-	for i := range ref.Pages() {
-		if resumed.Pages()[i].ID != ref.Pages()[i].ID {
-			t.Fatalf("page %d differs", i)
-		}
+			// The resumed session's incremental inference against the
+			// rebuild path on the uninterrupted one (drift bounded by the
+			// default solver tolerance, not the differential suites'
+			// tightened one).
+			a, err := resumed.Infer(allUtilities)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := ref.InferReference(allUtilities)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareInference(t, 4, a, b, 1e-6)
+		})
 	}
 }
 

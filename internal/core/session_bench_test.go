@@ -116,17 +116,31 @@ var benchDomains = []struct {
 	{"cars", synth.DomainCars, synth.AspSafety},
 }
 
+// benchRequests keys the inference benchmarks by what a strategy actually
+// asks Infer for: L2QBAL (and L2QP/L2QR/L2QW) read the collective family
+// only — the headline row, the work harvest_remote does per step — P+t one
+// precision solve, R+t one recall solve, and "all" every family, which
+// only the differential oracle requests.
+var benchRequests = []struct {
+	name string
+	opts InferOptions
+}{
+	{"L2QBAL", InferOptions{UseTemplates: true, UseDomainCandidates: true, Utilities: UtilCollective}},
+	{"P+t", InferOptions{UseTemplates: true, UseDomainCandidates: true, Utilities: UtilPrecision}},
+	{"R+t", InferOptions{UseTemplates: true, UseDomainCandidates: true, Utilities: UtilRecall}},
+	{"all", allUtilities},
+}
+
 // BenchmarkSessionStep measures one entity-phase inference at step ≥5 of
 // a harvesting session — the per-step selection cost §VI-C identifies as
-// the CPU-bound half of harvesting. Each iteration replays a fresh
-// session through the 5-query prefix (untimed) and times exactly one
-// inference with the last fire's page delta still pending — the exact
-// state a live step sees. "reference" rebuilds the graph and cold-solves (the
-// pre-refactor behavior); "incremental" reuses the persistent session
-// graph; "incremental-warm" adds warm-started solvers. The acceptance
-// bar is ≥2x on researchers.
+// the CPU-bound half of harvesting — for each benchRequests row. Each
+// iteration replays a fresh session through the 5-query prefix (untimed)
+// and times exactly one inference with the last fire's page delta still
+// pending — the exact state a live step sees. "reference" rebuilds the
+// graph and cold-solves (the pre-refactor behavior); "incremental" reuses
+// the persistent session graph; "incremental-warm" adds warm-started
+// solvers. The acceptance bar is ≥2x on researchers.
 func BenchmarkSessionStep(b *testing.B) {
-	opts := InferOptions{UseTemplates: true, UseDomainCandidates: true, Collective: true}
 	variants := []struct {
 		name        string
 		incremental bool
@@ -138,60 +152,56 @@ func BenchmarkSessionStep(b *testing.B) {
 	}
 	for _, d := range benchDomains {
 		env := benchEnvFor(b, d.domain, d.aspect)
-		for _, v := range variants {
-			b.Run(d.name+"/"+v.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					cfg := referenceBenchConfig(env.g)
-					cfg.IncrementalGraph = v.incremental
-					cfg.IncrementalPool = v.incremental
-					cfg.WarmStart = v.warm
-					s := env.session(cfg)
-					env.replay(b, s, opts, v.incremental)
-					b.StartTimer()
-					if _, err := s.Infer(opts); err != nil {
-						b.Fatal(err)
+		for _, req := range benchRequests {
+			for _, v := range variants {
+				b.Run(d.name+"/"+req.name+"/"+v.name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						cfg := referenceBenchConfig(env.g)
+						cfg.IncrementalGraph = v.incremental
+						cfg.IncrementalPool = v.incremental
+						cfg.WarmStart = v.warm
+						s := env.session(cfg)
+						env.replay(b, s, req.opts, v.incremental)
+						b.StartTimer()
+						if _, err := s.Infer(req.opts); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }
 
-// BenchmarkInfer isolates one inference with and without the collective
-// (§V) utilities, reference vs incremental, on both domains. The steady
-// state (graph fully ingested, warm solver) is the selector-evaluation
-// hot path of a long session.
+// BenchmarkInfer isolates one steady-state inference (graph fully
+// ingested, warm solver — the selector-evaluation hot path of a long
+// session) per benchRequests row, reference vs incremental, on both
+// domains.
 func BenchmarkInfer(b *testing.B) {
 	for _, d := range benchDomains {
 		env := benchEnvFor(b, d.domain, d.aspect)
-		for _, coll := range []struct {
-			name string
-			opts InferOptions
-		}{
-			{"collective", InferOptions{UseTemplates: true, UseDomainCandidates: true, Collective: true}},
-			{"individual", InferOptions{UseTemplates: true, UseDomainCandidates: true}},
-		} {
-			b.Run(d.name+"/"+coll.name+"/reference", func(b *testing.B) {
+		for _, req := range benchRequests {
+			b.Run(d.name+"/"+req.name+"/reference", func(b *testing.B) {
 				s := env.session(referenceBenchConfig(env.g))
-				env.replay(b, s, coll.opts, false)
+				env.replay(b, s, req.opts, false)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := s.InferReference(coll.opts); err != nil {
+					if _, err := s.InferReference(req.opts); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
-			b.Run(d.name+"/"+coll.name+"/incremental", func(b *testing.B) {
+			b.Run(d.name+"/"+req.name+"/incremental", func(b *testing.B) {
 				cfg := referenceBenchConfig(env.g)
 				cfg.IncrementalGraph = true
 				cfg.IncrementalPool = true
 				cfg.WarmStart = true
 				s := env.session(cfg)
-				env.replay(b, s, coll.opts, true)
+				env.replay(b, s, req.opts, true)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := s.Infer(coll.opts); err != nil {
+					if _, err := s.Infer(req.opts); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -208,13 +218,12 @@ func BenchmarkInfer(b *testing.B) {
 // the last fire's pending delta, the exact state a live step sees. The
 // acceptance bar is ≥2x at step ≥5.
 func BenchmarkCandidateStep(b *testing.B) {
-	opts := InferOptions{UseTemplates: true, UseDomainCandidates: true, Collective: true}
 	for _, d := range benchDomains {
 		env := benchEnvFor(b, d.domain, d.aspect)
 		b.Run(d.name+"/reference", func(b *testing.B) {
 			cfg := referenceBenchConfig(env.g)
 			s := env.session(cfg)
-			env.replay(b, s, opts, false)
+			env.replay(b, s, InferOptions{}, false)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if len(s.CandidatesReference(true)) == 0 {

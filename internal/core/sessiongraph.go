@@ -2,7 +2,6 @@ package core
 
 import (
 	"l2q/internal/corpus"
-	"l2q/internal/graph"
 	"l2q/internal/par"
 )
 
@@ -18,9 +17,10 @@ import (
 //     exactly equivalent to a from-scratch build over the current pool);
 //   - the page regularization vectors (Eq. 11–12) are updated in place —
 //     new pages append their score, the recall vector renormalizes
-//     against the running total;
-//   - the previous step's solved utilities are kept as warm starts for
-//     the next step's fixpoints (Config.WarmStart);
+//     against the running total — and only when an individual utility
+//     is requested (the update catches up on every page it skipped);
+//   - the last solved utilities of each individual family are kept as
+//     warm starts for its next solve (Config.WarmStart);
 //   - conjunctive-containment coverage counts per candidate — the exact
 //     redundancy conditionals the collective utilities of §V recount on
 //     every step in the rebuild path — fall out of delta connection as a
@@ -29,7 +29,9 @@ import (
 // The graph's shape depends on the InferOptions signature (templates add
 // vertices, domain candidates extend the pool), so a session keeps one
 // sessionGraph per signature and rebuilds only if a selector switches
-// options mid-session (which none of the stock strategies do).
+// options mid-session (which none of the stock strategies do). The
+// requested Utilities are not part of the signature: they decide what is
+// solved on the graph, not what the graph is.
 type sessionGraph struct {
 	b           *graphBuilder
 	templates   bool // graph was built with template vertices
@@ -43,12 +45,11 @@ type sessionGraph struct {
 	// is the number of true entries.
 	pageRel  []bool
 	relCount int
-	// coverAll and coverRel count the pages (resp. relevant pages)
-	// containing each attached query — maintained incrementally, they
-	// replace the per-step O(pages × candidates) recount inside the
+	// cover counts, per query vertex (indexed like b.qs), the pages and
+	// relevant pages containing the query — maintained incrementally, it
+	// replaces the per-step O(pages × candidates) recount inside the
 	// collective utilities.
-	coverAll map[Query]int
-	coverRel map[Query]int
+	cover []coverage
 
 	// In-place page regularization state (Eq. 11–12). regTotal
 	// accumulates clamped scores in page order, reproducing the rebuild
@@ -57,9 +58,10 @@ type sessionGraph struct {
 	regTotal     float64
 	nPagesScored int
 
-	// prevPrec and prevRecall are the last solved utility vectors,
-	// node-indexed; they seed the next solves when warm starting (new
-	// nodes beyond their length cold-start at the regularization).
+	// prevPrec and prevRecall are the last solved utility vectors of each
+	// individual family, node-indexed; they seed that family's next solve
+	// when warm starting (new nodes beyond their length cold-start at the
+	// regularization).
 	prevPrec, prevRecall []float64
 }
 
@@ -68,13 +70,11 @@ func newSessionGraph(b *graphBuilder, opts InferOptions) *sessionGraph {
 		b:           b,
 		templates:   opts.UseTemplates,
 		domainCands: opts.UseDomainCandidates,
-		coverAll:    make(map[Query]int),
-		coverRel:    make(map[Query]int),
 	}
 }
 
-// matches returns the index of the sessionGraph options signature; a
-// mismatch means the cached graph was built for different InferOptions.
+// matches reports whether the graph was built for opts' signature; a
+// mismatch means the cached graph has the wrong shape and is rebuilt.
 func (sg *sessionGraph) matches(opts InferOptions) bool {
 	return sg != nil && sg.templates == opts.UseTemplates &&
 		sg.domainCands == opts.UseDomainCandidates
@@ -115,14 +115,14 @@ func (sg *sessionGraph) ingest(s *Session, cands []Query) {
 		}
 	}
 
-	// Append new candidate queries (with their template vertices).
-	var newQs []Query
+	// Append new candidate queries (with their template vertices);
+	// addQuery skips the ones already registered.
+	firstNew := len(b.qs)
 	for _, q := range cands {
-		if _, ok := b.queries[q]; !ok {
-			b.addQuery(q)
-			newQs = append(newQs, q)
-		}
+		b.addQuery(q)
 	}
+	newQs := b.qs[firstNew:]
+	sg.cover = append(sg.cover, make([]coverage, len(newQs))...)
 
 	workers := s.Cfg.inferWorkers()
 	oldSlice := b.pages[:oldPages]
@@ -131,55 +131,51 @@ func (sg *sessionGraph) ingest(s *Session, cands []Query) {
 	// Phase A: new queries × old pages.
 	matchesA := make([][]pqMatch, len(newQs))
 	par.For(len(newQs), workers, func(i int) {
-		matchesA[i] = b.findMatches(newQs[i], oldSlice, 0)
+		matchesA[i] = b.findMatches(&newQs[i], oldSlice, 0)
 	})
 
 	// Phase B: every attached query (old and new) × new pages.
-	var attached []Query
+	var matchesB [][]pqMatch
 	if len(newSlice) > 0 {
-		attached = make([]Query, 0, len(b.queryList))
-		for _, q := range b.queryList {
-			if !b.detached[q] {
-				attached = append(attached, q)
+		matchesB = make([][]pqMatch, len(b.qs))
+		par.For(len(b.qs), workers, func(i int) {
+			if !b.qs[i].detached {
+				matchesB[i] = b.findMatches(&b.qs[i], newSlice, int32(oldPages))
 			}
-		}
+		})
 	}
-	matchesB := make([][]pqMatch, len(attached))
-	par.For(len(attached), workers, func(i int) {
-		matchesB[i] = b.findMatches(attached[i], newSlice, int32(oldPages))
-	})
 
 	// Apply edges serially, counting coverage as a byproduct.
-	for i, q := range newQs {
-		sg.applyMatches(q, matchesA[i])
+	for i, ms := range matchesA {
+		sg.applyMatches(firstNew+i, ms)
 	}
-	for i, q := range attached {
-		sg.applyMatches(q, matchesB[i])
+	for i, ms := range matchesB {
+		sg.applyMatches(i, ms)
 	}
 	sg.nPagesConnected = len(b.pages)
 }
 
-// findMatches scans a page window for conjunctive containment of q,
+// findMatches scans a page window for conjunctive containment of a query,
 // returning page indexes offset into b.pages plus edge weights.
-func (b *graphBuilder) findMatches(q Query, window []*corpus.Page, offset int32) []pqMatch {
-	toks := b.queryToks[q]
+func (b *graphBuilder) findMatches(qv *queryVertex, window []*corpus.Page, offset int32) []pqMatch {
 	var ms []pqMatch
 	for pi, p := range window {
-		if p.ContainsQuery(toks) {
-			ms = append(ms, pqMatch{page: offset + int32(pi), w: b.edgeWeight(p, q)})
+		if p.ContainsQuery(qv.toks) {
+			ms = append(ms, pqMatch{page: offset + int32(pi), w: b.edgeWeight(p, qv.toks)})
 		}
 	}
 	return ms
 }
 
-func (sg *sessionGraph) applyMatches(q Query, ms []pqMatch) {
+// applyMatches adds the discovered edges of query vertex ord.
+func (sg *sessionGraph) applyMatches(ord int, ms []pqMatch) {
 	b := sg.b
-	qid := b.queries[q]
+	qid, c := b.qs[ord].node, &sg.cover[ord]
 	for _, m := range ms {
 		b.g.AddEdgePQ(b.pageNode[b.pages[m.page].ID], qid, m.w)
-		sg.coverAll[q]++
+		c.all++
 		if sg.pageRel[m.page] {
-			sg.coverRel[q]++
+			c.rel++
 		}
 	}
 }
@@ -219,9 +215,10 @@ func (sg *sessionGraph) pageReg(s *Session) regPair {
 }
 
 // inferIncremental is the fast path of Session.Infer: one persistent
-// graph per session, O(Δ) ingest per step, warm-started fixpoints, and
-// cached coverage counts for the collective utilities. It computes the
-// same utilities as InferReference (see TestIncrementalMatchesReference).
+// graph per session, O(Δ) ingest per step, warm-started fixpoints for the
+// individual utilities that are requested, and cached coverage counts for
+// the collective ones. It computes the same utilities as InferReference
+// (see TestIncrementalMatchesReference).
 func (s *Session) inferIncremental(opts InferOptions) (*Inference, error) {
 	cands := s.candidateQueries(opts.UseDomainCandidates)
 	inf := &Inference{Queries: cands}
@@ -231,59 +228,29 @@ func (s *Session) inferIncremental(opts InferOptions) (*Inference, error) {
 
 	sg := s.sg
 	if !sg.matches(opts) {
-		rec := s.Rec
-		if !opts.UseTemplates {
-			rec = nil // no template vertices at all
-		}
-		b := newGraphBuilder(s.Cfg, rec)
-		b.engine = s.Engine
-		sg = newSessionGraph(b, opts)
+		sg = newSessionGraph(s.newEntityGraph(opts), opts)
 		s.sg = sg
 	}
 	sg.ingest(s, cands)
-	b := sg.b
 
-	pageReg := sg.pageReg(s)
-
-	lambda := s.Cfg.Lambda
-	var tmplP, tmplR map[string]float64
-	if opts.UseTemplates && s.DM != nil {
-		tmplP = s.DM.TemplateP
-		if s.Cfg.UseWalkRecallReg {
-			tmplR = s.DM.TemplateR
-		} else {
-			tmplR = s.DM.TemplateRCount
+	if opts.Utilities&(UtilPrecision|UtilRecall) != 0 {
+		var x0P, x0R []float64
+		if s.Cfg.WarmStart {
+			x0P, x0R = sg.prevPrec, sg.prevRecall
+		}
+		prec, rcl, err := s.solveIndividual(inf, sg.b, opts, sg.pageReg(s), x0P, x0R)
+		if err != nil {
+			return nil, err
+		}
+		if prec != nil {
+			sg.prevPrec = prec
+		}
+		if rcl != nil {
+			sg.prevRecall = rcl
 		}
 	}
-
-	var x0P, x0R []float64
-	if s.Cfg.WarmStart {
-		x0P, x0R = sg.prevPrec, sg.prevRecall
+	if opts.Utilities&UtilCollective != 0 {
+		s.collectiveCover(inf, sg.b, sg.relCount, sg.cover)
 	}
-	precReg := b.addTemplateReg(pageReg.precision, tmplP, lambda)
-	prec, err := b.solveWarm(graph.Precision, precReg, x0P)
-	if err != nil {
-		return nil, err
-	}
-	recReg := b.addTemplateReg(pageReg.recall, tmplR, lambda)
-	rcl, err := b.solveWarm(graph.Recall, recReg, x0R)
-	if err != nil {
-		return nil, err
-	}
-	sg.prevPrec, sg.prevRecall = prec, rcl
-
-	inf.P = make([]float64, len(cands))
-	inf.R = make([]float64, len(cands))
-	for i, q := range cands {
-		id := b.queries[q]
-		inf.P[i] = prec[id]
-		inf.R[i] = rcl[id]
-	}
-	if !opts.Collective {
-		return inf, nil
-	}
-	s.collectiveCover(inf, b, opts, sg.relCount, func(i int) (relCover, allCover int) {
-		return sg.coverRel[inf.Queries[i]], sg.coverAll[inf.Queries[i]]
-	})
 	return inf, nil
 }

@@ -27,12 +27,16 @@ func (rndSelector) Select(s *Session) (Selection, bool) {
 	return Selection{Query: cands[s.rng.IntN(len(cands))]}, true
 }
 
-// utilitySelector covers P, R, P+t, R+t, L2QP, L2QR and L2QBAL via flags.
+// utilitySelector covers P, R, P+t, R+t, L2QP, L2QR, L2QBAL and L2QW: an
+// arg-max over one score function of the inferred utilities.
 type utilitySelector struct {
-	name       string
-	templates  bool // domain-aware
-	collective bool // context-aware
-	score      func(inf *Inference, i int) float64
+	name      string
+	templates bool // domain-aware
+	// reads names the utility families score dereferences; Select asks
+	// Infer for exactly these, so a strategy never pays for a fixpoint
+	// (or a collective pass) it does not look at.
+	reads Utilities
+	score func(inf *Inference, i int) float64
 }
 
 func (u utilitySelector) Name() string { return u.name }
@@ -41,54 +45,51 @@ func (u utilitySelector) Select(s *Session) (Selection, bool) {
 	inf, err := s.Infer(InferOptions{
 		UseTemplates:        u.templates,
 		UseDomainCandidates: u.templates,
-		Collective:          u.collective,
+		Utilities:           u.reads,
 	})
-	if err != nil || len(inf.Queries) == 0 {
+	if err != nil {
 		return Selection{}, false
 	}
-	scores := make([]float64, len(inf.Queries))
-	for i := range scores {
-		scores[i] = u.score(inf, i)
-	}
-	best := inf.ArgMax(scores)
+	best := inf.argMaxBy(len(inf.Queries), func(i int) float64 { return u.score(inf, i) })
 	if best < 0 {
 		return Selection{}, false
 	}
 	return Selection{Query: inf.Queries[best]}, true
 }
 
+func scoreP(inf *Inference, i int) float64 { return inf.P[i] }
+func scoreR(inf *Inference, i int) float64 { return inf.R[i] }
+
 // NewP returns the precision-optimizing basic strategy (no domain, no
 // context).
 func NewP() Selector {
-	return utilitySelector{name: "P", score: func(inf *Inference, i int) float64 { return inf.P[i] }}
+	return utilitySelector{name: "P", reads: UtilPrecision, score: scoreP}
 }
 
 // NewR returns the recall-optimizing basic strategy.
 func NewR() Selector {
-	return utilitySelector{name: "R", score: func(inf *Inference, i int) float64 { return inf.R[i] }}
+	return utilitySelector{name: "R", reads: UtilRecall, score: scoreR}
 }
 
 // NewPT returns P+t: domain-aware via templates, not context-aware.
 func NewPT() Selector {
-	return utilitySelector{name: "P+t", templates: true,
-		score: func(inf *Inference, i int) float64 { return inf.P[i] }}
+	return utilitySelector{name: "P+t", templates: true, reads: UtilPrecision, score: scoreP}
 }
 
 // NewRT returns R+t: domain-aware via templates, not context-aware.
 func NewRT() Selector {
-	return utilitySelector{name: "R+t", templates: true,
-		score: func(inf *Inference, i int) float64 { return inf.R[i] }}
+	return utilitySelector{name: "R+t", templates: true, reads: UtilRecall, score: scoreR}
 }
 
 // NewL2QP returns the full precision-optimizing approach (domain + context).
 func NewL2QP() Selector {
-	return utilitySelector{name: "L2QP", templates: true, collective: true,
+	return utilitySelector{name: "L2QP", templates: true, reads: UtilCollective,
 		score: func(inf *Inference, i int) float64 { return inf.CollP[i] }}
 }
 
 // NewL2QR returns the full recall-optimizing approach.
 func NewL2QR() Selector {
-	return utilitySelector{name: "L2QR", templates: true, collective: true,
+	return utilitySelector{name: "L2QR", templates: true, reads: UtilCollective,
 		score: func(inf *Inference, i int) float64 { return inf.CollR[i] }}
 }
 
@@ -96,7 +97,7 @@ func NewL2QR() Selector {
 // precision and recall (§VI-C; the harmonic mean is avoided because the
 // probabilistic utilities have incomparable scales).
 func NewL2QBAL() Selector {
-	return utilitySelector{name: "L2QBAL", templates: true, collective: true,
+	return utilitySelector{name: "L2QBAL", templates: true, reads: UtilCollective,
 		score: func(inf *Inference, i int) float64 {
 			p, r := inf.CollP[i], inf.CollR[i]
 			if p <= 0 || r <= 0 {
@@ -116,7 +117,7 @@ func NewL2QWeighted(beta float64) Selector {
 		beta = 0.5
 	}
 	return utilitySelector{
-		name: "L2QW", templates: true, collective: true,
+		name: "L2QW", templates: true, reads: UtilCollective,
 		score: func(inf *Inference, i int) float64 {
 			p, r := inf.CollP[i], inf.CollR[i]
 			if p <= 0 || r <= 0 {

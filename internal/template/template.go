@@ -98,10 +98,24 @@ func Enumerate(query []textproc.Token, rec types.Recognizer) []Template {
 	if len(query) == 0 {
 		return nil
 	}
+	// Recognize every position first: most queries have no typed word at
+	// all, and then there is nothing to enumerate (and nothing allocated —
+	// queries are ≤3 units, so the per-position types fit the stack).
+	var buf [4][]types.Type
+	wordTypes := buf[:0]
+	typed := false
+	for _, w := range query {
+		ts := rec.TypesOf(w)
+		wordTypes = append(wordTypes, ts)
+		typed = typed || len(ts) > 0
+	}
+	if !typed {
+		return nil
+	}
 	options := make([][]Unit, len(query))
 	for i, w := range query {
 		opts := []Unit{{Word: w}}
-		for _, wt := range rec.TypesOf(w) {
+		for _, wt := range wordTypes[i] {
 			opts = append(opts, Unit{Type: wt})
 		}
 		options[i] = opts

@@ -12,9 +12,12 @@ package types
 
 import (
 	"fmt"
+	"reflect"
 	"regexp"
+	"regexp/syntax"
 	"sort"
 	"strings"
+	"unicode"
 )
 
 // Type is the name of a word class, e.g. "topic", "journal", "institute".
@@ -126,6 +129,11 @@ type RegexRecognizer struct {
 type regexRule struct {
 	t  Type
 	re *regexp.Regexp
+	// plain reports whether the rule could match a plain word — one made
+	// of the bytes a–z and space only, which is what most tokens and
+	// phrases are. Every stock rule demands a digit or a punctuation mark
+	// somewhere, so TypesOf answers plain words without running a regex.
+	plain bool
 }
 
 // NewRegexRecognizer returns a recognizer with the paper's well-formed-text
@@ -143,19 +151,106 @@ func NewRegexRecognizer() *RegexRecognizer {
 
 // MustAdd registers a rule, panicking on a bad pattern (programmer error).
 func (r *RegexRecognizer) MustAdd(t Type, pattern string) {
-	re, err := regexp.Compile(`^(?:` + pattern + `)$`)
+	anchored := `^(?:` + pattern + `)$`
+	re, err := regexp.Compile(anchored)
 	if err != nil {
 		panic(fmt.Sprintf("types: bad pattern for %s: %v", t, err))
 	}
-	r.rules = append(r.rules, regexRule{t: t, re: re})
+	tree, err := syntax.Parse(anchored, syntax.Perl) // the flags regexp.Compile uses
+	if err != nil {
+		panic(fmt.Sprintf("types: bad pattern for %s: %v", t, err))
+	}
+	r.rules = append(r.rules, regexRule{t: t, re: re, plain: matchesPlain(tree)})
+}
+
+// isPlainRune reports whether r is one of the characters of a plain word.
+func isPlainRune(r rune) bool { return (r >= 'a' && r <= 'z') || r == ' ' }
+
+// isPlain reports whether word consists of plain bytes only (a byte of a
+// multi-byte character is ≥ 0x80, so never plain).
+func isPlain(word string) bool {
+	for i := 0; i < len(word); i++ {
+		if !isPlainRune(rune(word[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+// matchesPlain reports whether re may match some plain word. It is exact
+// in the direction TypesOf relies on: false means no string of plain
+// bytes matches (true may be a false alarm, which only costs the regex
+// run it would have cost anyway).
+func matchesPlain(re *syntax.Regexp) bool {
+	switch re.Op {
+	case syntax.OpNoMatch:
+		return false
+	case syntax.OpLiteral:
+		for _, r := range re.Rune {
+			if !literalMatchesPlain(r, re.Flags&syntax.FoldCase != 0) {
+				return false
+			}
+		}
+		return true
+	case syntax.OpCharClass: // re.Rune holds inclusive [lo, hi] pairs
+		for i := 0; i+1 < len(re.Rune); i += 2 {
+			lo, hi := re.Rune[i], re.Rune[i+1]
+			if (lo <= ' ' && ' ' <= hi) || (lo <= 'z' && 'a' <= hi) {
+				return true
+			}
+		}
+		return false
+	case syntax.OpCapture, syntax.OpPlus:
+		return matchesPlain(re.Sub[0])
+	case syntax.OpRepeat:
+		return re.Min == 0 || matchesPlain(re.Sub[0])
+	case syntax.OpConcat:
+		for _, sub := range re.Sub {
+			if !matchesPlain(sub) {
+				return false
+			}
+		}
+		return true
+	case syntax.OpAlternate:
+		for _, sub := range re.Sub {
+			if matchesPlain(sub) {
+				return true
+			}
+		}
+		return false
+	default:
+		// Zero-width assertions, . and the operators that accept the
+		// empty string (*, ?) never rule a plain word out.
+		return true
+	}
+}
+
+// literalMatchesPlain reports whether the literal rune r — or, under
+// case folding, any rune of its fold orbit — is a plain character.
+func literalMatchesPlain(r rune, fold bool) bool {
+	if isPlainRune(r) {
+		return true
+	}
+	if fold {
+		for f := unicode.SimpleFold(r); f != r; f = unicode.SimpleFold(f) {
+			if isPlainRune(f) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TypesOf implements Recognizer. A token can match several rules (a bare
 // year is both 〈year〉 and part of no other class); all matches are returned
 // in registration order.
 func (r *RegexRecognizer) TypesOf(word string) []Type {
+	plain := isPlain(word)
 	var out []Type
 	for _, rule := range r.rules {
+		if plain && !rule.plain {
+			continue
+		}
 		if rule.re.MatchString(word) {
 			out = append(out, rule.t)
 		}
@@ -176,4 +271,30 @@ func (c Chain) TypesOf(word string) []Type {
 		}
 	}
 	return nil
+}
+
+// Same reports whether a and b are the same recognizer instance, so that
+// results derived from one may be reused with the other. Chain is a slice
+// — comparing two of them through the interface would panic — so chains
+// compare element-wise; any other non-comparable implementation is
+// reported as different.
+func Same(a, b Recognizer) bool {
+	ca, aChain := a.(Chain)
+	cb, bChain := b.(Chain)
+	if aChain || bChain {
+		if !aChain || !bChain || len(ca) != len(cb) {
+			return false
+		}
+		for i := range ca {
+			if !Same(ca[i], cb[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	t := reflect.TypeOf(a)
+	return t == reflect.TypeOf(b) && t.Comparable() && a == b
 }

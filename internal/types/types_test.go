@@ -106,3 +106,73 @@ func TestTypeRender(t *testing.T) {
 		t.Errorf("Render = %q", got)
 	}
 }
+
+// TestRegexPrefilterIsExact: TypesOf skips, for plain words (a–z and
+// space only), every rule that cannot match one. The skip must never
+// change an answer — for the stock rules and for custom ones, including
+// rules that do match plain words, case-folded literals whose fold orbit
+// reaches ASCII (K, the Kelvin sign, folds to k), and repeats that may be
+// empty. The oracle runs every regex unconditionally.
+func TestRegexPrefilterIsExact(t *testing.T) {
+	r := NewRegexRecognizer()
+	r.MustAdd("word", `[a-z]+`)
+	r.MustAdd("phrase", `[a-z]+( [a-z]+)+`)
+	r.MustAdd("kelvin", `(?i)\x{212A}elvin`)
+	r.MustAdd("optdigit", `[0-9]*abc`)
+	r.MustAdd("upper", `[A-Z]+`)
+	r.MustAdd("alt", `x1|yz`)
+	r.MustAdd("dotted", `a.c`)
+
+	wantPlain := map[Type]bool{
+		"email": false, "url": false, "phonenum": false, "year": false, "money": false,
+		"word": true, "phrase": true, "kelvin": true, "optdigit": true,
+		"upper": false, "alt": true, "dotted": true,
+	}
+	for _, rule := range r.rules {
+		if rule.plain != wantPlain[rule.t] {
+			t.Errorf("rule %s: plain = %v, want %v", rule.t, rule.plain, wantPlain[rule.t])
+		}
+	}
+
+	words := []string{
+		"", "plain", "data mining", "kelvin", "abc", "12abc", "yz", "x1", "abc ", " ",
+		"a c", "abc", "axc", "ABC", "snir@illinois.edu", "www.edmunds.com", "217-333-1234",
+		"2009", "$28k", "café", "naïve bayes", "1995 model", "k", "Kelvin",
+	}
+	for _, w := range words {
+		var want []Type
+		for _, rule := range r.rules {
+			if rule.re.MatchString(w) {
+				want = append(want, rule.t)
+			}
+		}
+		if got := r.TypesOf(w); !reflect.DeepEqual(got, want) {
+			t.Errorf("TypesOf(%q) = %v, unfiltered %v", w, got, want)
+		}
+	}
+}
+
+func TestSameRecognizer(t *testing.T) {
+	d, re := NewDictionary(), NewRegexRecognizer()
+	cases := []struct {
+		name string
+		a, b Recognizer
+		want bool
+	}{
+		{"nil/nil", nil, nil, true},
+		{"nil/dict", nil, d, false},
+		{"dict/dict", d, d, true},
+		{"dict/other dict", d, NewDictionary(), false},
+		{"dict/regex", d, re, false},
+		{"chain/same parts", Chain{d, re}, Chain{d, re}, true},
+		{"chain/other part", Chain{d, re}, Chain{d, NewRegexRecognizer()}, false},
+		{"chain/shorter", Chain{d, re}, Chain{d}, false},
+		{"chain/non-chain", Chain{d}, d, false},
+		{"nested chain", Chain{Chain{d}, re}, Chain{Chain{d}, re}, true},
+	}
+	for _, tc := range cases {
+		if got := Same(tc.a, tc.b); got != tc.want {
+			t.Errorf("%s: Same = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

@@ -18,7 +18,7 @@ trap 'rm -f "$RAW"' EXIT
 # -benchtime in iterations so allocs/op is a stable integer ratio, not a
 # wall-clock-dependent sample.
 go test -run '^$' \
-	-bench 'BenchmarkTokenizeAllocs|BenchmarkNGramsAllocs|BenchmarkSearchAllocs|BenchmarkLiveSearchAllocs|BenchmarkSearchAppendConcurrent|BenchmarkCandidateAllocs|BenchmarkScatterMergeAllocs' \
+	-bench 'BenchmarkTokenizeAllocs|BenchmarkNGramsAllocs|BenchmarkSearchAllocs|BenchmarkLiveSearchAllocs|BenchmarkSearchAppendConcurrent|BenchmarkCandidateAllocs|BenchmarkSelectAllocs|BenchmarkScatterMergeAllocs' \
 	-benchmem -benchtime=500x \
 	./internal/textproc/ ./internal/search/ ./internal/core/ | tee "$RAW"
 
@@ -39,6 +39,7 @@ ceiling() {
 	BenchmarkSearchAppendConcurrent) echo 1 ;;        # contended pool refills round up
 	BenchmarkCandidateAllocs/steady/append) echo 0 ;; # pool re-emits cached segments
 	BenchmarkCandidateAllocs/steady) echo 3 ;;        # the fresh result slice (+ map growth slack)
+	BenchmarkSelectAllocs) echo 6 ;;                  # the Inference, its three Coll* vectors, two worker-pool closures
 	BenchmarkScatterMergeAllocs) echo 0 ;;            # coordinator K-way merge over pooled heap scratch
 	*) echo "" ;;
 	esac
