@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test soak bench bench-smoke bench-candidates bench-wire bench-scatter bench-allocs bench-live wire-parity load-smoke cluster-smoke lint vuln fmt
+.PHONY: all build test fuzz-smoke soak bench bench-smoke bench-candidates bench-wire bench-scatter bench-allocs bench-live wire-parity load-smoke cluster-smoke lint vuln fmt
 
 all: lint build test
 
@@ -16,13 +16,18 @@ test:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -shuffle=on -count=5 ./internal/webapi/
 
+# 20 s of native fuzzing on the scorer's exactness gate: the pruned top-k
+# pass must equal SearchReference bit for bit on random tiny corpora.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzPrunedTopKMatchesReference -fuzztime 20s ./internal/search/
+
 # 30 s churn loops under the race detector: scheduler submit/cancel/
 # resume, and the live engine's concurrent ingest+search+compact.
 soak:
 	L2Q_SOAK=30s $(GO) test -race -run 'TestSchedulerSoak' ./internal/pipeline/
 	L2Q_SOAK=30s $(GO) test -race -run 'TestLiveEngineSoak' ./internal/search/
 
-# Full benchmark pass. For the sharded-engine before/after numbers only:
+# Full benchmark pass. For the engine-vs-reference scoring numbers only:
 #   go test -run='^$$' -bench='HotSingleQuery|ConcurrentManyQueries' -benchtime=2s ./internal/search/
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1x ./...

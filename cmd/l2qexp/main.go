@@ -7,8 +7,8 @@
 //
 //	l2qexp [-domain researchers|cars|both] [-fig all|9|10|11|12|13|14|crawl|budget]
 //	       [-entities N] [-pages N] [-domainsample N] [-test N] [-val N]
-//	       [-seed N] [-cv] [-quick] [-json] [-shards N] [-scoreworkers N]
-//	       [-cachesize N] [-inferworkers N] [-warmstart] [-incremental]
+//	       [-seed N] [-cv] [-quick] [-json] [-shards N] [-cachesize N]
+//	       [-inferworkers N] [-warmstart] [-incremental]
 //
 // Beyond the paper's figures, -fig crawl runs the extension experiment
 // comparing query-driven harvesting against a link-following focused
@@ -74,7 +74,6 @@ func main() {
 		quick        = flag.Bool("quick", false, "small fast configuration (smoke test)")
 		splits       = flag.Int("splits", 1, "random entity splits to average (paper: 10)")
 		shards       = flag.Int("shards", 0, "index shards (0 = GOMAXPROCS)")
-		workers      = flag.Int("scoreworkers", 0, "per-query scoring workers (0 = GOMAXPROCS)")
 		cacheSize    = flag.Int("cachesize", 0, "query cache capacity (0 = default, <0 = off)")
 		inferWorkers = flag.Int("inferworkers", 0, "per-step inference workers (0 = GOMAXPROCS)")
 		learnWorkers = flag.Int("learnworkers", 0, "domain-phase counting workers (0 = GOMAXPROCS)")
@@ -128,7 +127,6 @@ func main() {
 			cfg.Core.R0Star = *r0star
 		}
 		cfg.Core.SearchShards = *shards
-		cfg.Core.SearchScoreWorkers = *workers
 		cfg.Core.SearchCacheSize = *cacheSize
 		cfg.Core.InferWorkers = *inferWorkers
 		cfg.Core.LearnWorkers = *learnWorkers

@@ -58,7 +58,6 @@ func main() {
 		topK      = flag.Int("k", 5, "results per query")
 		quiet     = flag.Bool("quiet", false, "disable request logging")
 		shards    = flag.Int("shards", 0, "index shards (0 = GOMAXPROCS)")
-		workers   = flag.Int("scoreworkers", 0, "per-query scoring workers (0 = GOMAXPROCS)")
 		cacheSize = flag.Int("cachesize", 0, "query cache capacity (0 = default, <0 = off)")
 		harvest   = flag.Bool("harvest", true, "enable POST /api/v1/harvest and the /api/v1/jobs async API (server-side batch harvesting)")
 		domains   = flag.String("domains", "", "domain-artifact file (l2qstore domains): boot the harvest backend warm instead of learning per aspect on first request")
@@ -82,7 +81,7 @@ func main() {
 		nodeDl    = flag.Duration("nodedeadline", 0, "coordinator: per-node scatter deadline before failing over to a replica (0 = default)")
 	)
 	flag.Parse()
-	sopts := search.Options{Shards: *shards, ScoreWorkers: *workers, CacheSize: *cacheSize}
+	sopts := search.Options{Shards: *shards, CacheSize: *cacheSize}
 
 	logger := log.New(os.Stderr, "l2qserve: ", log.LstdFlags)
 
@@ -207,9 +206,8 @@ func main() {
 			c.NumPages(), c.Domain, bound, liveEng.TopK(), liveEng.Mu(),
 			m.Segments, m.MemtableDocs)
 	} else {
-		fmt.Printf("serving %d pages of %q on http://%s (top-%d, μ = %.0f, %d shards, %d score workers)\n",
-			c.NumPages(), c.Domain, bound, engine.TopK(), engine.Mu(),
-			idx.NumShards(), engine.ScoreWorkers())
+		fmt.Printf("serving %d pages of %q on http://%s (top-%d, μ = %.0f, %d shards)\n",
+			c.NumPages(), c.Domain, bound, engine.TopK(), engine.Mu(), idx.NumShards())
 	}
 	if *maxInFl > 0 {
 		fmt.Printf("admission control: shedding 429 past %d in-flight requests\n", *maxInFl)

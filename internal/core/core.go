@@ -124,7 +124,7 @@ type Config struct {
 	// step: delta containment checks when connecting candidates, and
 	// the per-candidate collective utilities of §V. 0 picks GOMAXPROCS;
 	// 1 is serial (what the pipeline scheduler forces under parallel
-	// selection, mirroring the search engine's oversubscription rule).
+	// selection, so per-step pools do not nest under the select pool).
 	// Value-neutral: every worker count computes identical utilities.
 	InferWorkers int
 	// LearnWorkers bounds the worker pool inside the domain phase
@@ -134,15 +134,13 @@ type Config struct {
 	// identical DomainModel (LearnDomainReference is the retained
 	// serial rebuild path the differential tests compare against).
 	LearnWorkers int
-	// SearchShards, SearchScoreWorkers and SearchCacheSize tune the
-	// retrieval engine (see search.Options): index shard count, per-query
-	// scoring parallelism, and the LRU query-result cache capacity. All
-	// three are ranking-neutral; zero values pick the engine defaults
-	// (shards/workers = GOMAXPROCS, cache on), SearchCacheSize < 0
+	// SearchShards and SearchCacheSize tune the retrieval engine (see
+	// search.Options): index shard count and the LRU query-result cache
+	// capacity. Both are ranking-neutral; zero values pick the engine
+	// defaults (shards = GOMAXPROCS, cache on), SearchCacheSize < 0
 	// disables caching.
-	SearchShards       int
-	SearchScoreWorkers int
-	SearchCacheSize    int
+	SearchShards    int
+	SearchCacheSize int
 	// MemtableDocs, CompactFanIn and IngestWorkers tune the live
 	// generational engine (see search.LiveOptions): the memtable seal
 	// threshold in documents, the background-compaction fan-in (negative
@@ -208,11 +206,7 @@ func (c Config) learnWorkers() int {
 // SearchOptions collects the retrieval-engine knobs for search.BuildIndexOpts
 // and search.NewEngineOpts.
 func (c Config) SearchOptions() search.Options {
-	return search.Options{
-		Shards:       c.SearchShards,
-		ScoreWorkers: c.SearchScoreWorkers,
-		CacheSize:    c.SearchCacheSize,
-	}
+	return search.Options{Shards: c.SearchShards, CacheSize: c.SearchCacheSize}
 }
 
 // LiveOptions collects the generational-lifecycle knobs for

@@ -62,24 +62,21 @@ type Config struct {
 	// beyond the bound wait in strict FIFO submission order.
 	MaxActive int
 	// Search, when non-nil, re-tunes every job session's in-process
-	// *search.Engine with these options (score workers, cache) before
+	// *search.Engine with these options (the query cache's size) before
 	// the run; sessions sharing an engine share the tuned copy, so the
-	// query cache stays shared across entities. When nil and more than
-	// one select worker is configured, engines are re-tuned to serial
-	// per-query scoring only (ScoreWorkers=1, the engine's cache
-	// configuration untouched): the pipeline already saturates the CPU
-	// pool across entities, and nesting per-query parallelism under it
-	// would oversubscribe GOMAXPROCS² goroutines. Both re-tunes are
-	// ranking-neutral. Remote retrievers are left untouched.
+	// query cache stays shared across entities. Ranking-neutral. When
+	// nil, engines are left as they are (a query is scored on the
+	// goroutine that fires it, so there is nothing to serialize under
+	// parallel selection). Remote retrievers are left untouched.
 	Search *search.Options
 	// InferWorkers sets every job session's per-step inference
 	// parallelism (core.Config.InferWorkers: delta containment and
-	// collective scoring). 0 applies the same oversubscription rule as
-	// the search knob: with more than one select worker, sessions run
-	// serial inference (the scheduler already saturates the CPU pool
-	// across entities; nesting per-step parallelism under it would
-	// oversubscribe GOMAXPROCS² goroutines), and a single select worker
-	// leaves sessions untouched. Positive values are applied verbatim.
+	// collective scoring). 0 applies an oversubscription rule: with more
+	// than one select worker, sessions run serial inference (the
+	// scheduler already saturates the CPU pool across entities; nesting
+	// per-step parallelism under it would oversubscribe GOMAXPROCS²
+	// goroutines), and a single select worker leaves sessions untouched.
+	// Positive values are applied verbatim.
 	// Value-neutral either way: worker counts never change utilities.
 	InferWorkers int
 	// LearnWorkers sets every job session's domain-phase parallelism
@@ -113,16 +110,7 @@ func (c Config) withDefaults() Config {
 // cache stays shared — and warm — across requests instead of being
 // re-created cold per batch.
 func (c Config) tuneEngines(jobs []Job, tuned map[*search.Engine]*search.Engine) {
-	var tune func(*search.Engine) *search.Engine
-	switch {
-	case c.Search != nil:
-		tune = func(e *search.Engine) *search.Engine { return e.WithOptions(*c.Search) }
-	case c.SelectWorkers > 1:
-		// Implicit default: serialize per-query scoring but preserve
-		// the engine's cache setting (size and enabled/disabled state)
-		// — the caller configured that deliberately.
-		tune = func(e *search.Engine) *search.Engine { return e.WithScoreWorkers(1) }
-	default:
+	if c.Search == nil {
 		return
 	}
 	for i := range jobs {
@@ -133,7 +121,7 @@ func (c Config) tuneEngines(jobs []Job, tuned map[*search.Engine]*search.Engine)
 		if e, ok := s.Engine.(*search.Engine); ok {
 			t := tuned[e]
 			if t == nil {
-				t = tune(e)
+				t = e.WithOptions(*c.Search)
 				tuned[e] = t
 			}
 			s.Engine = t
@@ -142,8 +130,7 @@ func (c Config) tuneEngines(jobs []Job, tuned map[*search.Engine]*search.Engine)
 }
 
 // tuneSessions applies the Config.InferWorkers and Config.LearnWorkers
-// policies to every job session (see the field docs; the inference
-// analogue of tuneEngines).
+// policies to every job session (see the field docs).
 func (c Config) tuneSessions(jobs []Job) {
 	w := c.InferWorkers
 	if w == 0 && c.SelectWorkers > 1 {

@@ -397,7 +397,7 @@ func TestEngineTuning(t *testing.T) {
 	for _, e := range targets {
 		jobs = append(jobs, Job{Session: f.session(e, nil), Selector: core.NewP(), NQueries: 1})
 	}
-	cfg := Config{Search: &search.Options{ScoreWorkers: 3, CacheSize: 7}}
+	cfg := Config{Search: &search.Options{CacheSize: -1}}
 	cfg.tuneEngines(jobs, map[*search.Engine]*search.Engine{})
 	tuned, ok := jobs[0].Session.Engine.(*search.Engine)
 	if !ok {
@@ -406,8 +406,9 @@ func TestEngineTuning(t *testing.T) {
 	if tuned == f.engine {
 		t.Fatal("tuneEngines did not replace the engine")
 	}
-	if tuned.ScoreWorkers() != 3 {
-		t.Fatalf("ScoreWorkers = %d, want 3", tuned.ScoreWorkers())
+	tuned.Search(f.cfg.QueryTokens("research"))
+	if h, m := tuned.CacheStats(); h != 0 || m != 0 {
+		t.Fatalf("CacheSize -1 not applied: cache counted %d hits, %d misses", h, m)
 	}
 	for i := 1; i < len(jobs); i++ {
 		if jobs[i].Session.Engine != core.Retriever(tuned) {
@@ -415,26 +416,13 @@ func TestEngineTuning(t *testing.T) {
 		}
 	}
 
-	// Default config with parallel selection collapses per-query scoring
-	// to serial while preserving the engine's cache configuration —
-	// including a deliberately disabled cache.
-	noCache := f.engine.WithCache(-1)
-	jobs2 := []Job{{Session: f.session(targets[0], nil), Selector: core.NewP(), NQueries: 1}}
-	jobs2[0].Session.Engine = noCache
-	Config{SelectWorkers: 4}.withDefaults().tuneEngines(jobs2, map[*search.Engine]*search.Engine{})
-	t2 := jobs2[0].Session.Engine.(*search.Engine)
-	if t2 == noCache || t2.ScoreWorkers() != 1 {
-		t.Fatal("implicit default should serialize per-query scoring")
-	}
-	t2.Search(f.cfg.QueryTokens("research"))
-	if h, m := t2.CacheStats(); h != 0 || m != 0 {
-		t.Fatal("implicit default re-enabled a deliberately disabled cache")
-	}
-
-	// A single select worker leaves engines untouched.
-	jobs3 := []Job{{Session: f.session(targets[0], nil), Selector: core.NewP(), NQueries: 1}}
-	Config{SelectWorkers: 1}.withDefaults().tuneEngines(jobs3, map[*search.Engine]*search.Engine{})
-	if jobs3[0].Session.Engine != core.Retriever(f.engine) {
-		t.Fatal("single-select-worker config should leave engines untouched")
+	// Without Search options engines are left untouched, under serial and
+	// parallel selection alike.
+	for _, workers := range []int{1, 4} {
+		jobs2 := []Job{{Session: f.session(targets[0], nil), Selector: core.NewP(), NQueries: 1}}
+		Config{SelectWorkers: workers}.withDefaults().tuneEngines(jobs2, map[*search.Engine]*search.Engine{})
+		if jobs2[0].Session.Engine != core.Retriever(f.engine) {
+			t.Fatalf("SelectWorkers=%d without Search options replaced the engine", workers)
+		}
 	}
 }

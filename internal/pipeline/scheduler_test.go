@@ -402,7 +402,7 @@ func TestSchedulerSharesTunedEngine(t *testing.T) {
 	f := newFixture(t)
 	targets := f.targets(2)
 
-	s := New(Config{SelectWorkers: 2, FetchWorkers: 4}) // >1 selects → implicit re-tune
+	s := New(Config{SelectWorkers: 2, FetchWorkers: 4, Search: &search.Options{}})
 	defer s.Close()
 
 	submit := func() core.Retriever {
@@ -423,7 +423,7 @@ func TestSchedulerSharesTunedEngine(t *testing.T) {
 		t.Fatal("second batch got a different tuned engine copy: query cache restarts cold per batch")
 	}
 	if e1 == core.Retriever(f.engine) {
-		t.Fatal("engine was not re-tuned at all under parallel selection")
+		t.Fatal("engine was not re-tuned at all")
 	}
 }
 

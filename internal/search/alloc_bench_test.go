@@ -14,7 +14,7 @@ import (
 //	                 selector steady state. Pinned at 0 allocs/op.
 //	cached           Search on a warm cache: the one allocation is the
 //	                 fresh result slice handed to the caller.
-//	nocache/append   the full sharded scoring pass with pooled scratch.
+//	nocache/append   the full pruned scoring pass with pooled scratch.
 //
 // Renaming a benchmark breaks the gate — update the script in the same
 // change.
@@ -47,7 +47,7 @@ func BenchmarkSearchAllocs(b *testing.B) {
 		}
 	})
 	b.Run("nocache/append", func(b *testing.B) {
-		e := NewEngineOpts(idxs[0], Options{CacheSize: -1, ScoreWorkers: 1})
+		e := NewEngineOpts(idxs[0], Options{CacheSize: -1})
 		var dst []Result
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -66,7 +66,7 @@ func BenchmarkSearchAllocs(b *testing.B) {
 // contended allocation picture.
 func BenchmarkSearchAppendConcurrent(b *testing.B) {
 	idxs, qs := benchCorpus(b)
-	e := NewEngineOpts(idxs[0], Options{ScoreWorkers: 1})
+	e := NewEngineOpts(idxs[0], Options{})
 	for _, q := range qs { // warm the cache so the steady state is measured
 		e.Search(q)
 	}

@@ -87,7 +87,7 @@ func TestSearchWithSeedAppendMatches(t *testing.T) {
 // is the proof the pooled scratch never crosses goroutines; under any
 // run it verifies results stay correct while contended.
 func TestConcurrentSearchAppendRace(t *testing.T) {
-	e, qs := appendTestEngine(t, Options{ScoreWorkers: 1})
+	e, qs := appendTestEngine(t, Options{})
 	want := make([][]Result, len(qs))
 	for i, q := range qs {
 		want[i] = e.Search(q)

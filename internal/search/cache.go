@@ -2,7 +2,7 @@ package search
 
 import (
 	"container/list"
-	"strconv"
+	"encoding/binary"
 	"sync"
 
 	"l2q/internal/textproc"
@@ -96,19 +96,22 @@ func (c *queryCache) stats() (hits, misses uint64) {
 }
 
 // appendCacheKey canonicalizes a query for the cache into dst: scoring
-// mode, result-list size, then the tokens joined with an unprintable
-// separator (tokens are human text and never contain 0x1f). μ/k1/b need
-// not appear — an engine copy with different smoothing gets a fresh cache
-// (see the With* methods). The live engine prefixes its view epoch.
+// mode, result-list size, then every token behind its length. Tokens
+// arrive URL-decoded off the network and may hold any byte, so no
+// separator is safe; uvarint lengths make the encoding prefix-free, hence
+// injective — two different (mode, k, token list) triples never share a
+// key. μ/k1/b need not appear — an engine copy with different smoothing
+// gets a fresh cache (see the With* methods). The live engine prefixes its
+// view epoch in decimal, which the mode letter terminates.
 func appendCacheKey(dst []byte, bm25 bool, k int, query []textproc.Token) []byte {
 	if bm25 {
 		dst = append(dst, 'b')
 	} else {
 		dst = append(dst, 'd')
 	}
-	dst = strconv.AppendInt(dst, int64(k), 10)
+	dst = binary.AppendUvarint(dst, uint64(k))
 	for _, t := range query {
-		dst = append(dst, 0x1f)
+		dst = binary.AppendUvarint(dst, uint64(len(t)))
 		dst = append(dst, t...)
 	}
 	return dst

@@ -3,7 +3,6 @@ package search
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sort"
 	"sync"
@@ -92,11 +91,15 @@ func NewRing(n, replicas, vnodes int) *Ring {
 	return r
 }
 
-// fnvHash is the ring's placement hash (FNV-1a, 64-bit).
-func fnvHash(p []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(p)
-	return h.Sum64()
+// fnvHash is the placement hash (FNV-1a, 64-bit) of the ring's documents
+// and of the index's token shards: the same value in every process.
+func fnvHash[T string | []byte](p T) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(p); i++ {
+		h ^= uint64(p[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 // Nodes returns the cluster size (== the partition count).

@@ -87,5 +87,6 @@ func RestoreIndexOpts(pages []*corpus.Page, terms map[textproc.Token][]RawPostin
 		idx.totalToks += cf
 	}
 	idx.numTerms = len(terms)
+	idx.setScoreBounds()
 	return idx, nil
 }

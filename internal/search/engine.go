@@ -35,12 +35,13 @@ type Result struct {
 //
 //	score(q,d) = Σ_{t∈q} log( (tf(t,d) + μ·p(t|C)) / (|d| + μ) )
 //
-// Documents containing none of the query terms are not returned. Candidate
-// scoring fans out over a bounded worker pool and each worker keeps a
-// fixed-size top-K heap; an LRU cache short-circuits repeated queries
-// (selector candidate evaluation re-fires the same queries constantly).
-// Both are ranking-neutral — see SearchReference. The zero value is not
-// usable; create with NewEngine. An Engine is safe for concurrent use.
+// Documents containing none of the query terms are not returned. One
+// exact max-score pass scores only the documents that can still enter the
+// fixed-size top-K heap (scorer.go); an LRU cache short-circuits repeated
+// queries (selector candidate evaluation re-fires the same queries
+// constantly). Both are ranking-neutral — see SearchReference. The zero
+// value is not usable; create with NewEngine. An Engine is safe for
+// concurrent use.
 type Engine struct {
 	idx  *Index
 	mu   float64
@@ -56,8 +57,7 @@ type Engine struct {
 	// and a segment-local engine score like the whole live view.
 	stats StatSource
 
-	workers int
-	cache   *queryCache
+	cache *queryCache
 }
 
 // NewEngine creates an engine over idx with auto-scaled μ (see DefaultMu),
@@ -66,21 +66,14 @@ func NewEngine(idx *Index) *Engine {
 	return NewEngineOpts(idx, Options{})
 }
 
-// NewEngineOpts is NewEngine with explicit scoring-worker and cache
-// settings (opts.Shards is an index-build knob and is ignored here).
+// NewEngineOpts is NewEngine with an explicit cache setting (opts.Shards
+// is an index-build knob and is ignored here).
 func NewEngineOpts(idx *Index, opts Options) *Engine {
-	opts = opts.withDefaults()
-	mu := AutoMu(idx.NumDocs(), idx.TotalTokens())
-	cacheSize := opts.CacheSize
-	if cacheSize == 0 {
-		cacheSize = DefaultCacheSize
-	}
 	return &Engine{
-		idx:     idx,
-		mu:      mu,
-		topK:    DefaultTopK,
-		workers: opts.ScoreWorkers,
-		cache:   newQueryCache(cacheSize),
+		idx:   idx,
+		mu:    AutoMu(idx.NumDocs(), idx.TotalTokens()),
+		topK:  DefaultTopK,
+		cache: newQueryCache(opts.cacheSize()),
 	}
 }
 
@@ -122,18 +115,6 @@ func (e *Engine) WithTopK(k int) *Engine {
 	return &cp
 }
 
-// WithScoreWorkers returns a copy of the engine scoring candidates with n
-// workers (n ≤ 1 scores serially). Results are identical for every n.
-func (e *Engine) WithScoreWorkers(n int) *Engine {
-	cp := *e
-	if n < 1 {
-		n = 1
-	}
-	cp.workers = n
-	cp.cache = e.cache.fresh()
-	return &cp
-}
-
 // WithCache returns a copy of the engine with a fresh LRU query cache of
 // the given capacity; size ≤ 0 disables caching.
 func (e *Engine) WithCache(size int) *Engine {
@@ -142,16 +123,11 @@ func (e *Engine) WithCache(size int) *Engine {
 	return &cp
 }
 
-// WithOptions returns a copy of the engine re-tuned to opts' ScoreWorkers
-// and CacheSize (resolved like NewEngineOpts; opts.Shards is ignored —
-// the index's shard layout is fixed at build time).
+// WithOptions returns a copy of the engine re-tuned to opts' CacheSize
+// (resolved like NewEngineOpts; opts.Shards is ignored — the index's
+// shard layout is fixed at build time).
 func (e *Engine) WithOptions(opts Options) *Engine {
-	opts = opts.withDefaults()
-	size := opts.CacheSize
-	if size == 0 {
-		size = DefaultCacheSize
-	}
-	return e.WithScoreWorkers(opts.ScoreWorkers).WithCache(size)
+	return e.WithCache(opts.cacheSize())
 }
 
 // Index returns the underlying index.
@@ -159,9 +135,6 @@ func (e *Engine) Index() *Index { return e.idx }
 
 // TopK returns the configured result-list size.
 func (e *Engine) TopK() int { return e.topK }
-
-// ScoreWorkers returns the configured candidate-scoring worker bound.
-func (e *Engine) ScoreWorkers() int { return e.workers }
 
 // CacheStats reports the query cache's lifetime hit and miss counts
 // (zeroes when the cache is disabled).
@@ -256,8 +229,8 @@ func (e *Engine) collProb(t textproc.Token) float64 {
 
 // Search returns the top-k pages for the query tokens. Ties are broken by
 // document order for determinism. An empty query returns nil. Results are
-// identical to SearchReference; the cache, worker pool and top-K heap only
-// change how fast they are produced.
+// identical to SearchReference; the cache, the pruning and the top-K heap
+// only change how fast they are produced.
 func (e *Engine) Search(query []textproc.Token) []Result {
 	return e.SearchAppend(nil, query)
 }

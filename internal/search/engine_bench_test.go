@@ -98,11 +98,11 @@ func BenchmarkConcurrentManyQueries(b *testing.B) {
 		run(b, e.SearchReference)
 	})
 	b.Run("sharded-nocache", func(b *testing.B) {
-		e := NewEngineOpts(idxs[0], Options{CacheSize: -1, ScoreWorkers: 1})
+		e := NewEngineOpts(idxs[0], Options{CacheSize: -1})
 		run(b, e.Search)
 	})
 	b.Run("engine-cached", func(b *testing.B) {
-		e := NewEngineOpts(idxs[0], Options{ScoreWorkers: 1})
+		e := NewEngineOpts(idxs[0], Options{})
 		run(b, e.Search)
 	})
 }

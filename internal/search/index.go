@@ -5,19 +5,19 @@
 // engine. For each query, pages in the corpus are ranked and the top 5 are
 // returned").
 //
-// The index is split into token-hash shards so it can be built in parallel
-// and scored across a bounded worker pool; the engine adds a fixed-size
-// top-K heap (O(M log K) ranking) and an LRU query-result cache. All of
-// this is ranking-neutral: every shard count, worker count and cache state
-// returns the same results as the retained single-threaded reference path
-// (Engine.SearchReference), which differential tests enforce.
+// The index is split into token-hash shards so it can be built in parallel;
+// the engine scores a query with one exact max-score pass (scorer.go: only
+// documents that can still enter the fixed-size top-K heap are scored) and
+// fronts it with an LRU query-result cache. All of this is ranking-neutral:
+// every shard count and cache state returns the same results, bit for bit,
+// as the retained score-everything reference path (Engine.SearchReference),
+// which differential tests and a fuzz target enforce.
 //
 // It also provides a Fetcher that simulates remote page-download latency so
 // the Fig. 14 selection-vs-fetch comparison can be regenerated.
 package search
 
 import (
-	"hash/maphash"
 	"runtime"
 	"sync"
 
@@ -31,21 +31,28 @@ type posting struct {
 	tf  int32
 }
 
+// postingList is one token's postings, ascending by document ordinal,
+// with the largest term frequency among them — with Index.minDocLen, what
+// the scorer's pruning bound is built from (see setScoreBounds).
+type postingList struct {
+	posts []posting
+	maxTf int32
+}
+
 // indexShard holds the postings and collection frequencies for the tokens
 // that hash to it. Splitting the term space this way lets BuildIndexOpts
 // populate shards concurrently without locks and keeps per-map sizes small.
 type indexShard struct {
 	postings map[textproc.Token][]posting
 	collFreq map[textproc.Token]int
+	// maxTf is each posting list's largest term frequency (see
+	// setScoreBounds); a map beside postings, not a field of its values,
+	// so the builders keep their one-map-operation append.
+	maxTf map[textproc.Token]int32
 	// totalToks is the collection mass owned by this shard's tokens;
 	// the shard totals sum to Index.totalToks.
 	totalToks int
 }
-
-// shardSeed is the fixed maphash seed all indexes share, so a query's
-// token→shard mapping is stable across indexes with equal shard counts
-// (restored indexes included).
-var shardSeed = maphash.MakeSeed()
 
 // Index is an immutable inverted index over a fixed page collection, split
 // into token-hash shards. Build it once; concurrent reads are safe.
@@ -55,20 +62,58 @@ type Index struct {
 	shards    []indexShard
 	totalToks int
 	numTerms  int
+	// minDocLen is the length of the shortest non-empty document (0 for
+	// an index without one): no document on any posting list is shorter.
+	minDocLen int
 }
 
-// shardFor maps a token to its shard ordinal.
+// shardFor maps a token to its shard ordinal with the cluster ring's
+// FNV-1a, never maphash, whose seed is process-local: the token→shard
+// mapping is the same in every process, run and index with an equal shard
+// count (restored indexes included), so the memory layout a query walks
+// does not change from one server start to the next.
 func (idx *Index) shardFor(t textproc.Token) int {
 	if len(idx.shards) == 1 {
 		return 0
 	}
-	return int(maphash.String(shardSeed, string(t)) % uint64(len(idx.shards)))
+	return int(fnvHash(t) % uint64(len(idx.shards)))
 }
 
-// postingsFor returns the token's posting list (nil when absent), sorted by
+// postingsFor returns the token's postings (nil when absent), sorted by
 // ascending document ordinal.
 func (idx *Index) postingsFor(t textproc.Token) []posting {
 	return idx.shards[idx.shardFor(t)].postings[t]
+}
+
+// listFor returns the token's posting list with its maxTf (zero when
+// absent).
+func (idx *Index) listFor(t textproc.Token) postingList {
+	sh := &idx.shards[idx.shardFor(t)]
+	return postingList{posts: sh.postings[t], maxTf: sh.maxTf[t]}
+}
+
+// setScoreBounds derives what the scorer's pruning bound reads from the
+// assembled index: every posting list's maxTf and the index's minDocLen.
+// Every constructor ends with it, so the two can never disagree with the
+// postings and document lengths they summarize.
+func (idx *Index) setScoreBounds() {
+	idx.minDocLen = 0
+	for _, n := range idx.docLen {
+		if n > 0 && (idx.minDocLen == 0 || n < idx.minDocLen) {
+			idx.minDocLen = n
+		}
+	}
+	for s := range idx.shards {
+		sh := &idx.shards[s]
+		sh.maxTf = make(map[textproc.Token]int32, len(sh.postings))
+		for t, posts := range sh.postings {
+			var m int32
+			for _, p := range posts {
+				m = max(m, p.tf)
+			}
+			sh.maxTf[t] = m
+		}
+	}
 }
 
 // BuildIndex indexes the given pages with default options (shards =
@@ -177,6 +222,7 @@ func BuildIndexOpts(pages []*corpus.Page, opts Options) *Index {
 	for s := range idx.shards {
 		idx.numTerms += len(idx.shards[s].postings)
 	}
+	idx.setScoreBounds()
 	return idx
 }
 
@@ -210,6 +256,7 @@ func (idx *Index) Reshard(shards int) *Index {
 			dst.totalToks += cf
 		}
 	}
+	out.setScoreBounds()
 	return out
 }
 

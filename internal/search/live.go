@@ -2,7 +2,6 @@ package search
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"slices"
 	"strconv"
@@ -196,7 +195,7 @@ func (v *liveView) pageAt(doc int64) *corpus.Page {
 // NewLiveEngine. Safe for concurrent use: any number of readers, any
 // number of Add callers (writes serialize internally).
 type LiveEngine struct {
-	opts Options     // per-segment layout, scoring workers, cache size
+	opts Options     // per-segment layout, cache size
 	lo   LiveOptions // generational lifecycle
 
 	view  atomic.Pointer[liveView]
@@ -220,19 +219,15 @@ type LiveEngine struct {
 // bootstrapped with an initial page set (indexed as one big sealed
 // segment — the frozen-boot fast path, so a server restored from a store
 // starts with frozen-index performance). opts tunes the segment index
-// layout, scoring workers, and the epoch-keyed query cache exactly as it
+// layout and the epoch-keyed query cache exactly as it
 // does for NewEngineOpts; lo tunes the generational lifecycle.
 func NewLiveEngine(pages []*corpus.Page, opts Options, lo LiveOptions) *LiveEngine {
 	opts = opts.withDefaults()
 	lo = lo.withDefaults()
-	cacheSize := opts.CacheSize
-	if cacheSize == 0 {
-		cacheSize = DefaultCacheSize
-	}
 	le := &LiveEngine{
 		opts:     opts,
 		lo:       lo,
-		cache:    newQueryCache(cacheSize),
+		cache:    newQueryCache(opts.cacheSize()),
 		termSeen: make(map[textproc.Token]struct{}),
 	}
 	var segs []*liveSegment
@@ -287,11 +282,10 @@ func (le *LiveEngine) buildViewLocked() *liveView {
 	}
 	for i, s := range segs {
 		e := &Engine{
-			idx:     s.idx,
-			mu:      v.mu,
-			topK:    le.lo.TopK,
-			workers: le.opts.ScoreWorkers,
-			stats:   st,
+			idx:   s.idx,
+			mu:    v.mu,
+			topK:  le.lo.TopK,
+			stats: st,
 		}
 		if le.lo.BM25 {
 			e.bm25, e.k1, e.b = true, le.lo.K1, le.lo.B
@@ -339,6 +333,7 @@ func buildIndexSerial(pages []*corpus.Page) *Index {
 	}
 	sh.totalToks = idx.totalToks
 	idx.numTerms = len(sh.postings)
+	idx.setScoreBounds()
 	return idx
 }
 
@@ -658,37 +653,18 @@ func (le *LiveEngine) searchViewAppend(dst []Result, v *liveView, k int, query [
 	// The scoring constants depend only on the view-global statistics, so
 	// hoist them once per query instead of once per segment — liveStats
 	// probes are O(segments) each, and recomputing them per segment would
-	// make the per-query stat cost quadratic in the segment count.
-	consts := sc.consts[:0]
-	var pC, idf []float64
-	var avgdl float64
-	if le.lo.BM25 {
-		avgdl = float64(v.stats.totalToks) / math.Max(1, float64(v.stats.numDocs))
-		for _, t := range query {
-			consts = append(consts, bm25IDF(float64(v.stats.StatDocFreq(t)), float64(v.stats.numDocs)))
-		}
-		idf = consts
-	} else {
-		for _, t := range query {
-			consts = append(consts, v.stats.collProb(t))
-		}
-		pC = consts
-	}
+	// make the per-query stat cost quadratic in the segment count. Every
+	// segment engine is bound to the view's statistics, so the first one's
+	// constants are everyone's.
+	consts, avgdl := v.engines[0].scoreConsts(sc.consts[:0], query)
 	sc.consts = consts
 
 	rd := sc.rd[:0]
 	ends := sc.ends[:0]
 	for i, eng := range v.engines {
 		ssc := searchScratchPool.Get().(*searchScratch)
-		if cands, ok := eng.searchCandsIn(ssc, query, k, pC, idf, avgdl); ok {
-			slices.SortFunc(cands, compareCand)
-			kk := k
-			if kk > len(cands) {
-				kk = len(cands)
-			}
-			for _, c := range cands[:kk] {
-				rd = append(rd, RankedDoc{Doc: v.segs[i].base + int64(c.doc), Score: c.score})
-			}
+		for _, c := range eng.searchCandsIn(ssc, query, k, consts, avgdl) {
+			rd = append(rd, RankedDoc{Doc: v.segs[i].base + int64(c.doc), Score: c.score})
 		}
 		releaseSearchScratch(ssc)
 		ends = append(ends, len(rd))

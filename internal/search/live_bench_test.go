@@ -61,7 +61,7 @@ func BenchmarkLiveSearchAllocs(b *testing.B) {
 	// Background compaction off and a small memtable, so the engine is
 	// guaranteed to hold several segments while the gate measures.
 	mk := func(b *testing.B) *LiveEngine {
-		le := NewLiveEngine(nil, Options{ScoreWorkers: 1}, LiveOptions{MemtableDocs: 64, CompactFanIn: -1})
+		le := NewLiveEngine(nil, Options{}, LiveOptions{MemtableDocs: 64, CompactFanIn: -1})
 		le.Add(base[:400]...)
 		if m := le.Metrics(); m.Segments < 2 {
 			b.Fatalf("want a multi-segment view, got %d segment(s)", m.Segments)
@@ -125,11 +125,11 @@ func BenchmarkLiveIngestSearch(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "qps")
 	}
 	b.Run("frozen", func(b *testing.B) {
-		e := NewEngineOpts(BuildIndex(base), Options{CacheSize: -1, ScoreWorkers: 1})
+		e := NewEngineOpts(BuildIndex(base), Options{CacheSize: -1})
 		search(b, e.SearchAppend)
 	})
 	b.Run("live-ingest", func(b *testing.B) {
-		le := NewLiveEngine(nil, Options{CacheSize: -1, ScoreWorkers: 1}, LiveOptions{})
+		le := NewLiveEngine(nil, Options{CacheSize: -1}, LiveOptions{})
 		for lo := 0; lo < len(base); lo += 128 {
 			hi := lo + 128
 			if hi > len(base) {

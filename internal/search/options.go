@@ -20,10 +20,6 @@ type Options struct {
 	// Shard count changes memory layout only — rankings are identical for
 	// every shard count (see TestShardedMatchesReference).
 	Shards int
-	// ScoreWorkers bounds the goroutines that score one query's candidate
-	// documents. 0 picks GOMAXPROCS; 1 scores serially. Scores and
-	// rankings are identical for every worker count.
-	ScoreWorkers int
 	// CacheSize is the capacity of the engine's LRU query-result cache.
 	// 0 picks DefaultCacheSize; negative disables caching. The index is
 	// immutable, so cached results never need invalidation.
@@ -41,11 +37,14 @@ func (o Options) withDefaults() Options {
 	if o.Shards > maxShards {
 		o.Shards = maxShards
 	}
-	if o.ScoreWorkers == 0 {
-		o.ScoreWorkers = runtime.GOMAXPROCS(0)
-	}
-	if o.ScoreWorkers < 1 {
-		o.ScoreWorkers = 1
-	}
 	return o
+}
+
+// cacheSize resolves CacheSize's zero to DefaultCacheSize (negative stays
+// negative: caching off).
+func (o Options) cacheSize() int {
+	if o.CacheSize == 0 {
+		return DefaultCacheSize
+	}
+	return o.CacheSize
 }

@@ -1,0 +1,289 @@
+package search
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"testing"
+
+	"l2q/internal/corpus"
+	"l2q/internal/textproc"
+)
+
+// The pruned pass (scorer.go) must be indistinguishable from the
+// score-everything reference: same pages, same order (ties included), same
+// float64 scores bit for bit. These tests hold it to that on the shapes
+// pruning is most likely to get wrong.
+
+// tinyVocab is the fuzz corpora's vocabulary: stopwords (in every
+// document), mid-frequency and rare tokens.
+var tinyVocab = struct{ stop, mid, rare []textproc.Token }{
+	stop: []textproc.Token{"the", "of", "a b"},
+	mid:  []textproc.Token{"m0", "m1", "m2", "m3", "m4"},
+	rare: []textproc.Token{"r0", "r1", "r2", "r3", "r4", "r5"},
+}
+
+// tinyCorpus draws n small documents from tinyVocab. Roughly a third are
+// verbatim copies of an earlier document, so exact score ties — decided by
+// document order alone — are the rule, not the exception.
+func tinyCorpus(rng *rand.Rand, n int, firstID corpus.PageID) []*corpus.Page {
+	pages := make([]*corpus.Page, 0, n)
+	for len(pages) < n {
+		id := firstID + corpus.PageID(len(pages))
+		if len(pages) > 0 && rng.IntN(3) == 0 {
+			src := pages[rng.IntN(len(pages))]
+			pages = append(pages, page(id, 0, src.Paras[0].Tokens...))
+			continue
+		}
+		var words []string
+		for _, t := range tinyVocab.stop {
+			for i := 1 + rng.IntN(4); i > 0; i-- {
+				words = append(words, t)
+			}
+		}
+		for _, t := range tinyVocab.mid {
+			if rng.IntN(3) == 0 {
+				for i := 1 + rng.IntN(3); i > 0; i-- {
+					words = append(words, t)
+				}
+			}
+		}
+		for _, t := range tinyVocab.rare {
+			if rng.IntN(12) == 0 {
+				for i := 1 + rng.IntN(6); i > 0; i-- {
+					words = append(words, t)
+				}
+			}
+		}
+		rng.Shuffle(len(words), func(i, j int) { words[i], words[j] = words[j], words[i] })
+		pages = append(pages, page(id, 0, words...))
+	}
+	return pages
+}
+
+// tinyQueries is the query mix of one fuzz input: the fixed adversarial
+// shapes plus random draws (which repeat tokens and mix in unseen ones).
+func tinyQueries(rng *rand.Rand) [][]textproc.Token {
+	v := tinyVocab
+	all := append(append(append([]textproc.Token{"zz-unseen"}, v.stop...), v.mid...), v.rare...)
+	qs := [][]textproc.Token{
+		{v.stop[0], v.stop[1]},            // all stopwords: nothing to prune on
+		{v.stop[2], v.stop[2], v.stop[2]}, // one stopword, repeated
+		{"zz-unseen"},                     // matches nothing
+		{"zz-unseen", v.rare[0]},
+		{v.rare[0], v.mid[0], v.rare[0]}, // a repeat around another token
+		{v.rare[1], v.rare[2], v.stop[0]},
+		{v.mid[1], v.stop[1], v.rare[3]},
+	}
+	for i := 0; i < 12; i++ {
+		q := make([]textproc.Token, 1+rng.IntN(5))
+		for j := range q {
+			q[j] = all[rng.IntN(len(all))]
+		}
+		qs = append(qs, q)
+	}
+	return qs
+}
+
+// FuzzPrunedTopKMatchesReference is the exactness gate of the pruned pass:
+// on tiny random corpora full of duplicate documents it asserts pages and
+// scores equal SearchReference bit for bit, tie order included, for
+// k ∈ {1, 5, more than can match}, Dirichlet and BM25, with and without a
+// WithCollectionStats override (the cluster/live shape: statistics of a
+// larger collection than the index scored). CI runs it as a short
+// fuzz-smoke (`make fuzz-smoke`); `go test` replays the seeds below.
+func FuzzPrunedTopKMatchesReference(f *testing.F) {
+	for seed := uint64(0); seed < 6; seed++ {
+		for _, n := range []uint8{0, 7, 40} {
+			f.Add(seed, n, uint8(seed), seed%2 == 0, seed%3 == 0)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, nDocs, kSel uint8, bm25, override bool) {
+		rng := rand.New(rand.NewPCG(seed, 15))
+		pages := tinyCorpus(rng, 1+int(nDocs)%48, 0)
+		idx := BuildIndexOpts(pages, Options{Shards: 1 + int(seed%3)})
+		k := []int{1, 5, len(pages) + 3}[kSel%3]
+		e := NewEngineOpts(idx, Options{CacheSize: -1}).WithTopK(k)
+		if bm25 {
+			e = e.WithBM25(DefaultBM25K1, DefaultBM25B)
+		}
+		if override {
+			super := append(pages[:len(pages):len(pages)], tinyCorpus(rng, 1+rng.IntN(30), 1000)...)
+			st := StatsOf(BuildIndex(super))
+			e = e.WithCollectionStats(st).WithMu(AutoMu(st.NumDocs, st.TotalTokens))
+		}
+		for qi, q := range tinyQueries(rng) {
+			label := fmt.Sprintf("seed %d docs %d k %d bm25 %v override %v query %d %q",
+				seed, len(pages), k, bm25, override, qi, q)
+			assertSameResults(t, label, e.SearchReference(q), e.Search(q))
+		}
+	})
+}
+
+// searchBackend is one way of answering a query over the same pages.
+type searchBackend struct {
+	name   string
+	search func(q []textproc.Token) []Result
+}
+
+// prunedBackends builds, over pages, the three places the one scoring pass
+// runs: a frozen engine, a 3-segment live view (two sealed segments and
+// the memtable) and a 3-partition cluster merge with global statistics.
+// ref is the frozen engine whose SearchReference all three must equal.
+func prunedBackends(t *testing.T, pages []*corpus.Page, k int, bm25 bool) (ref *Engine, out []searchBackend) {
+	t.Helper()
+	fullIdx := BuildIndex(pages)
+	ref = NewEngineOpts(fullIdx, Options{CacheSize: -1}).WithTopK(k)
+	if bm25 {
+		ref = ref.WithBM25(DefaultBM25K1, DefaultBM25B)
+	}
+	out = append(out, searchBackend{"frozen", ref.Search})
+
+	le := NewLiveEngine(nil, Options{CacheSize: -1}, LiveOptions{
+		TopK: k, BM25: bm25, MemtableDocs: len(pages) + 1, CompactFanIn: -1})
+	a, b := len(pages)/3, 2*len(pages)/3
+	le.Add(pages[:a]...)
+	le.Seal()
+	le.Add(pages[a:b]...)
+	le.Seal()
+	le.Add(pages[b:]...)
+	if got := le.Metrics().Segments; got != 3 {
+		t.Fatalf("live view has %d segments, want 3", got)
+	}
+	out = append(out, searchBackend{"live3", le.Search})
+
+	global := StatsOf(fullIdx)
+	var parts []*Engine
+	for _, grp := range NewRing(3, 1, 0).PartitionPages(pages) {
+		e := NewEngineOpts(BuildIndex(grp), Options{CacheSize: -1}).
+			WithTopK(k).WithCollectionStats(global).WithMu(ref.Mu())
+		if bm25 {
+			e = e.WithBM25(DefaultBM25K1, DefaultBM25B)
+		}
+		parts = append(parts, e)
+	}
+	byID := make(map[corpus.PageID]*corpus.Page, len(pages))
+	for _, p := range pages {
+		byID[p.ID] = p
+	}
+	out = append(out, searchBackend{"cluster3", func(q []textproc.Token) []Result {
+		lists := make([][]RankedDoc, len(parts))
+		for p, e := range parts {
+			for _, r := range e.Search(q) {
+				lists[p] = append(lists[p], RankedDoc{Doc: int64(r.Page.ID), Score: r.Score})
+			}
+		}
+		var res []Result
+		for _, rd := range MergeTopK(k, lists) {
+			res = append(res, Result{Page: byID[corpus.PageID(rd.Doc)], Score: rd.Score})
+		}
+		return res
+	}})
+	return ref, out
+}
+
+// TestPrunedExactAcrossBackends holds the pruned pass to the reference
+// everywhere it runs — frozen, per live segment, per cluster partition —
+// on a synthetic query mix and on the case a careless bound gets wrong:
+// the best documents do not contain the query's rarest token.
+func TestPrunedExactAcrossBackends(t *testing.T) {
+	synthPages, synthQueries := diffCorpus(t, 29)
+
+	// "zeta" is the rarest token (one very long document); the pages that
+	// score best for the query are short and full of "alpha"/"beta", and
+	// hold no "zeta" at all. The pass visits zeta's list first, fills a
+	// k=1 heap from it, and must still go on.
+	long := []string{"zeta", "the"}
+	for len(long) < 400 {
+		long = append(long, "filler")
+	}
+	lacking := []*corpus.Page{page(0, 0, long...)}
+	for i := 1; i <= 6; i++ {
+		lacking = append(lacking, page(corpus.PageID(i), 0, "alpha", "alpha", "beta", "beta", "the"))
+	}
+	for i := 7; i <= 12; i++ {
+		lacking = append(lacking, page(corpus.PageID(i), 0, "the", "filler", "gamma", "gamma", "the"))
+	}
+	lackingQueries := [][]textproc.Token{
+		{"zeta", "alpha", "beta"},
+		{"alpha", "zeta"},
+		{"zeta", "the"},
+	}
+
+	for _, tc := range []struct {
+		name    string
+		pages   []*corpus.Page
+		queries [][]textproc.Token
+		// topLacks, when set, is a token the reference's best hit for
+		// queries[0] must not contain — the premise of the case.
+		topLacks textproc.Token
+	}{
+		{name: "synthetic", pages: synthPages, queries: synthQueries},
+		{name: "best-lack-rarest", pages: lacking, queries: lackingQueries, topLacks: "zeta"},
+	} {
+		for _, k := range []int{1, 5} {
+			for _, bm25 := range []bool{false, true} {
+				ref, backends := prunedBackends(t, tc.pages, k, bm25)
+				if tc.topLacks != "" {
+					top := ref.SearchReference(tc.queries[0])
+					if len(top) == 0 || top[0].Page.HasToken(tc.topLacks) {
+						t.Fatalf("%s: premise broken: best hit for %q holds %q", tc.name, tc.queries[0], tc.topLacks)
+					}
+				}
+				for _, b := range backends {
+					for qi, q := range tc.queries {
+						label := fmt.Sprintf("%s/%s k=%d bm25=%v query %d %q", tc.name, b.name, k, bm25, qi, q)
+						assertSameResults(t, label, ref.SearchReference(q), b.search(q))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestScoreBoundsFromEveryConstructor checks that all four index
+// constructors leave the pruning inputs — every list's maxTf, the index's
+// minDocLen — equal to what the postings and document lengths say.
+func TestScoreBoundsFromEveryConstructor(t *testing.T) {
+	pages, _ := diffCorpus(t, 3)
+	built := BuildIndexOpts(pages, Options{Shards: 3})
+	dump := map[textproc.Token][]RawPosting{}
+	built.DumpPostings(func(term textproc.Token, posts []RawPosting) {
+		dump[term] = append([]RawPosting(nil), posts...)
+	})
+	restored, err := RestoreIndexOpts(pages, dump, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, idx := range map[string]*Index{
+		"BuildIndexOpts":   built,
+		"buildIndexSerial": buildIndexSerial(pages),
+		"RestoreIndexOpts": restored,
+		"Reshard":          built.Reshard(5),
+	} {
+		minLen := 0
+		for _, n := range idx.docLen {
+			if n > 0 && (minLen == 0 || n < minLen) {
+				minLen = n
+			}
+		}
+		if idx.minDocLen != minLen || minLen == 0 {
+			t.Fatalf("%s: minDocLen = %d, document lengths say %d", name, idx.minDocLen, minLen)
+		}
+		lists := 0
+		for s := range idx.shards {
+			for tok, posts := range idx.shards[s].postings {
+				var maxTf int32
+				for _, p := range posts {
+					maxTf = max(maxTf, p.tf)
+				}
+				if got := idx.listFor(tok); got.maxTf != maxTf || maxTf == 0 || len(got.posts) != len(posts) {
+					t.Fatalf("%s: %q maxTf = %d, postings say %d", name, tok, got.maxTf, maxTf)
+				}
+				lists++
+			}
+		}
+		if lists != built.NumTerms() {
+			t.Fatalf("%s: %d posting lists, want %d", name, lists, built.NumTerms())
+		}
+	}
+}

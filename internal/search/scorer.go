@@ -1,16 +1,12 @@
 package search
 
 import (
+	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"l2q/internal/textproc"
 )
-
-// minPostingsPerWorker keeps the scorer from spawning goroutines for tiny
-// candidate sets, where handoff costs more than the scoring.
-const minPostingsPerWorker = 512
 
 // cand is one scored candidate document.
 type cand struct {
@@ -29,8 +25,8 @@ func betterCand(a, b cand) bool {
 }
 
 // compareCand adapts betterCand to the slices.SortFunc contract. Document
-// ordinals are unique within one search (workers partition the ordinal
-// space), so this is a total order and the sort is deterministic.
+// ordinals are unique within one search (a document is scored once), so
+// this is a total order and the sort is deterministic.
 func compareCand(a, b cand) int {
 	switch {
 	case betterCand(a, b):
@@ -119,143 +115,208 @@ func bm25Score(tfv []int32, dl int, idf []float64, avgdl, k1, b float64) float64
 	return s
 }
 
-// workerScratch is one scoring worker's reusable state: posting-list merge
-// cursors, the per-candidate term-frequency vector, and the top-K heap's
-// backing array. None of it holds pointers, so pooling retains nothing.
-type workerScratch struct {
-	cursors []int
-	tfv     []int32
-	heap    []cand
+// score is one document's score under the engine's ranking function, from
+// its tf vector and the hoisted per-position constants (p(t|C) for
+// Dirichlet; idf, with avgdl, for BM25).
+func (e *Engine) score(tfv []int32, dl int, consts []float64, avgdl float64) float64 {
+	if e.bm25 {
+		return bm25Score(tfv, dl, consts, avgdl, e.k1, e.b)
+	}
+	return dirichletScore(tfv, dl, e.mu, consts)
 }
 
-// searchScratch is the pooled per-call working state of one sharded
-// search: posting-list headers, the per-position scoring constants (p(t|C)
-// or idf), the per-worker scratch, and the merged-candidate buffer. One
-// scratch serves one searchShardedAppend call, so a steady-state search
-// allocates nothing beyond results the caller keeps (and on cached
-// engines, the canonical copy the cache takes).
+// scoreConsts appends the per-position scoring constants of query under
+// the engine's collection statistics and returns them with avgdl (BM25
+// only). The reference recomputes them per candidate; the values are
+// identical, so hoisting is ranking-neutral.
+func (e *Engine) scoreConsts(dst []float64, query []textproc.Token) (consts []float64, avgdl float64) {
+	if e.bm25 {
+		for _, t := range query {
+			dst = append(dst, e.idf(t))
+		}
+		return dst, e.avgDocLen()
+	}
+	for _, t := range query {
+		dst = append(dst, e.collProb(t))
+	}
+	return dst, 0
+}
+
+// searchScratch is the pooled working state of one scoring pass: the
+// query's posting lists and per-position scoring constants, the visiting
+// order with each position's gain, one galloping cursor per list, the tf
+// vector of the document being scored, the tf vector the bound is scored
+// from, and the top-K heap's backing array. One scratch serves one pass,
+// so a steady-state search allocates nothing beyond results the caller
+// keeps (and on cached engines, the canonical copy the cache takes).
 type searchScratch struct {
-	lists  [][]posting
-	consts []float64
-	work   []workerScratch
-	merged []cand
+	lists   []postingList
+	consts  []float64
+	order   []int
+	gain    []float64
+	cursors []int
+	tfv     []int32
+	boundTf []int32
+	heap    []cand
 }
 
 var searchScratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
 // searchShardedAppend is the engine's scoring path: posting lists come
-// from the token-hash shards, candidate documents stream out of a k-way
-// merge over the (doc-ordinal-sorted) lists, each candidate is scored in
-// query order, and per-worker top-K heaps replace the reference's full
-// sort. Workers partition the document-ordinal space, so their candidate
-// sets are disjoint and the merged ranking equals the reference's. The
-// top-k results are appended to dst.
+// from the token-hash shards, one exact max-score pass (searchCandsIn)
+// leaves the top-k candidates, and they are sorted by the reference order
+// and appended to dst.
 func (e *Engine) searchShardedAppend(dst []Result, k int, query []textproc.Token) []Result {
-	if k < 0 {
-		k = 0
-	}
-	sc, cands := e.searchCands(query, k)
-	if sc == nil {
-		return dst
-	}
-	dst = e.appendFinish(dst, cands, k)
+	sc := searchScratchPool.Get().(*searchScratch)
+	consts, avgdl := e.scoreConsts(sc.consts[:0], query)
+	sc.consts = consts
+	dst = e.appendFinish(dst, e.searchCandsIn(sc, query, k, consts, avgdl), k)
 	releaseSearchScratch(sc)
 	return dst
 }
 
-// searchCands runs the sharded scoring fan-out and returns the pooled
-// scratch together with the unsorted surviving candidates (the union of
-// the per-worker top-k heaps). A nil scratch means the query matched no
-// postings; otherwise the candidates alias the scratch and the caller
-// must releaseSearchScratch once done with them.
-func (e *Engine) searchCands(query []textproc.Token, k int) (*searchScratch, []cand) {
-	sc := searchScratchPool.Get().(*searchScratch)
+// boundSlackPerTerm widens the pruning bound by 4 ulps of the summed
+// per-position magnitudes per query position. The bound needs every
+// per-term score to be monotone in tf and in document length; the
+// arithmetic around math.Log is (IEEE rounding is monotone), but a
+// math.Log that errs by under an ulp may order two nearly equal arguments
+// the wrong way. The slack covers that, so exactness never rests on the
+// last bit of a log — and it is thirteen orders of magnitude below the
+// score gaps pruning feeds on.
+const boundSlackPerTerm = 0x1p-50
 
-	// Per-position scoring constants, hoisted out of the per-document
-	// loop (the reference recomputes them per candidate; the values are
-	// identical, so hoisting is ranking-neutral).
-	consts := sc.consts[:0]
-	var pC, idf []float64
-	var avgdl float64
-	if e.bm25 {
-		avgdl = e.avgDocLen()
-		for _, t := range query {
-			consts = append(consts, e.idf(t))
-		}
-		idf = consts
-	} else {
-		for _, t := range query {
-			consts = append(consts, e.collProb(t))
-		}
-		pC = consts
-	}
-	sc.consts = consts
-
-	cands, ok := e.searchCandsIn(sc, query, k, pC, idf, avgdl)
-	if !ok {
-		releaseSearchScratch(sc)
-		return nil, nil
-	}
-	return sc, cands
-}
-
-// searchCandsIn is searchCands with the scoring constants supplied by the
-// caller — the live engine hoists them once per query across all of a
-// view's segments (they depend only on the collection statistics, never
-// on the segment). Returns ok=false when the query matched no postings;
-// the caller still owns sc either way.
-func (e *Engine) searchCandsIn(sc *searchScratch, query []textproc.Token, k int, pC, idf []float64, avgdl float64) ([]cand, bool) {
+// searchCandsIn is the exact max-score pass over this engine's index, with
+// the scoring constants supplied by the caller (the live engine hoists
+// them once per query across all of a view's segments). It returns the k
+// best candidates, unsorted, aliasing sc — none when nothing matches.
+//
+// The most a position can give any document is its score at (the list's
+// maxTf, the index's minDocLen); the most it gives a document without the
+// token is its score at (0, minDocLen). Lists are visited in descending
+// order of the gap between the two — the seed entity's rare tokens first,
+// stopwords last. Walking a list scores each document on it that no
+// earlier list held, once, with the reference's own scoring function over
+// the full query-position-ordered tf vector (the other lists are read
+// through galloping cursors), so scores are bit-identical to the
+// reference's. Before each list, the same function scores the best case
+// of a still unseen document: tf 0 at visited positions, maxTf at the
+// rest, length minDocLen. Once the heap is full and that bound plus the
+// slack is below its k-th score, no unseen document can enter and the
+// pass stops — "seed ∥ he" never walks the stopword's list. Nothing
+// assumes the best documents hold the rarest token. DESIGN.md "Retrieval
+// engine" has the argument in full, and why the pass is not fanned out
+// (range-partitioned workers each prune against their own, lower,
+// threshold).
+func (e *Engine) searchCandsIn(sc *searchScratch, query []textproc.Token, k int, consts []float64, avgdl float64) []cand {
 	lists := sc.lists[:0]
 	total := 0
 	for _, t := range query {
-		pl := e.idx.postingsFor(t)
+		pl := e.idx.listFor(t)
 		lists = append(lists, pl)
-		total += len(pl)
+		total += len(pl.posts)
 	}
 	sc.lists = lists
-	if total == 0 {
-		return nil, false
+	if total == 0 || k <= 0 {
+		return nil
 	}
 
-	workers := e.workers
-	if maxW := total / minPostingsPerWorker; workers > maxW+1 {
-		workers = maxW + 1
+	n := len(lists)
+	if cap(sc.order) < n {
+		sc.order = make([]int, n)
+		sc.gain = make([]float64, n)
+		sc.cursors = make([]int, n)
+		sc.tfv = make([]int32, n)
+		sc.boundTf = make([]int32, n)
 	}
-	nDocs := e.idx.NumDocs()
-	if workers > nDocs {
-		workers = nDocs
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if cap(sc.work) < workers {
-		sc.work = make([]workerScratch, workers)
-	}
-	work := sc.work[:workers]
-	sc.work = work
+	order, gain := sc.order[:n], sc.gain[:n]
+	cursors, tfv, boundTf := sc.cursors[:n], sc.tfv[:n], sc.boundTf[:n]
+	minDL := e.idx.minDocLen
 
-	if workers == 1 {
-		e.scoreRange(lists, 0, int32(nDocs), pC, idf, avgdl, &work[0], k)
-		return work[0].heap, true
+	// Per-position gains and the visiting order (insertion sort: queries
+	// are a handful of tokens; ties keep query-position order). A gain
+	// that is not positive — an empty list, or an idf a foreign StatSource
+	// drove negative — means absence is the position's best case, so the
+	// bound counts it as absent.
+	slack := 0.0
+	for i, pl := range lists {
+		zero, top := [1]int32{}, [1]int32{pl.maxTf}
+		absent := e.score(zero[:], minDL, consts[i:i+1], avgdl)
+		best := e.score(top[:], minDL, consts[i:i+1], avgdl)
+		gain[i], boundTf[i] = best-absent, pl.maxTf
+		if !(gain[i] > 0) {
+			gain[i], boundTf[i] = 0, 0
+		}
+		slack += math.Max(math.Abs(best), math.Abs(absent))
+		j := i
+		for ; j > 0 && gain[order[j-1]] < gain[i]; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = i
 	}
+	slack *= float64(n) * boundSlackPerTerm
 
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := int32(nDocs * w / workers)
-		hi := int32(nDocs * (w + 1) / workers)
-		wg.Add(1)
-		go func(w int, lo, hi int32) {
-			defer wg.Done()
-			e.scoreRange(lists, lo, hi, pC, idf, avgdl, &work[w], k)
-		}(w, lo, hi)
+	h := topKHeap[cand]{k: k, better: betterCand, h: sc.heap[:0]}
+	for v, j := range order {
+		if len(h.h) == k && e.score(boundTf, minDL, consts, avgdl)+slack < h.h[0].score {
+			break
+		}
+		boundTf[j] = 0
+		visited, rest := order[:v], order[v+1:]
+		clear(cursors)
+		clear(tfv)
+	walk:
+		for _, p := range lists[j].posts {
+			for _, i := range visited {
+				o := lists[i].posts
+				c := gallop(o, cursors[i], p.doc)
+				cursors[i] = c
+				if c < len(o) && o[c].doc == p.doc {
+					continue walk // scored when list i was walked
+				}
+			}
+			tfv[j] = p.tf
+			for _, i := range rest {
+				o := lists[i].posts
+				c := gallop(o, cursors[i], p.doc)
+				cursors[i] = c
+				if c < len(o) && o[c].doc == p.doc {
+					tfv[i] = o[c].tf
+				} else {
+					tfv[i] = 0
+				}
+			}
+			h.push(cand{doc: p.doc, score: e.score(tfv, e.idx.docLen[p.doc], consts, avgdl)})
+		}
 	}
-	wg.Wait()
-	merged := sc.merged[:0]
-	for w := range work {
-		merged = append(merged, work[w].heap...)
+	sc.heap = h.h
+	return h.h
+}
+
+// gallop returns the smallest c' ≥ c with pl[c'].doc ≥ doc (len(pl) when
+// there is none): doubling probes from the cursor, then a binary search
+// inside the last stride, so a short list read against a long one costs
+// the logarithm of each gap and two lists of like length cost a step each.
+func gallop(pl []posting, c int, doc int32) int {
+	if c >= len(pl) || pl[c].doc >= doc {
+		return c
 	}
-	sc.merged = merged
-	return merged, true
+	lo, hi := c, c+1 // pl[lo].doc < doc throughout
+	for step := 1; hi < len(pl) && pl[hi].doc < doc; hi += step {
+		lo = hi
+		step <<= 1
+	}
+	if hi > len(pl) {
+		hi = len(pl)
+	}
+	for lo+1 < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if pl[mid].doc < doc {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
 }
 
 // releaseSearchScratch drops the posting-list references (they alias the
@@ -264,58 +325,12 @@ func (e *Engine) searchCandsIn(sc *searchScratch, query []textproc.Token, k int,
 // value-typed elements, so keeping the capacity is the point — and
 // returns sc to the pool.
 func releaseSearchScratch(sc *searchScratch) {
-	for i := range sc.lists {
-		sc.lists[i] = nil
-	}
+	clear(sc.lists)
 	sc.consts = sc.consts[:0]
-	sc.work = sc.work[:0]
-	sc.merged = sc.merged[:0]
+	sc.order, sc.gain, sc.cursors = sc.order[:0], sc.gain[:0], sc.cursors[:0]
+	sc.tfv, sc.boundTf = sc.tfv[:0], sc.boundTf[:0]
+	sc.heap = sc.heap[:0]
 	searchScratchPool.Put(sc)
-}
-
-// scoreRange merges the posting lists over document ordinals [lo, hi),
-// scoring every candidate in that range into the worker's heap (left in
-// w.heap). Lists are sorted by ordinal, so a cursor per list and a linear
-// min-scan suffice (queries are a handful of tokens).
-func (e *Engine) scoreRange(lists [][]posting, lo, hi int32, pC, idf []float64, avgdl float64, w *workerScratch, k int) {
-	if cap(w.cursors) < len(lists) {
-		w.cursors = make([]int, len(lists))
-		w.tfv = make([]int32, len(lists))
-	}
-	cursors := w.cursors[:len(lists)]
-	tfv := w.tfv[:len(lists)]
-	for i, pl := range lists {
-		cursors[i] = sort.Search(len(pl), func(j int) bool { return pl[j].doc >= lo })
-	}
-	h := topKHeap[cand]{k: k, better: betterCand, h: w.heap[:0]}
-	for {
-		minDoc := hi
-		for i, pl := range lists {
-			if c := cursors[i]; c < len(pl) && pl[c].doc < minDoc {
-				minDoc = pl[c].doc
-			}
-		}
-		if minDoc >= hi {
-			w.heap = h.h
-			return
-		}
-		for i, pl := range lists {
-			if c := cursors[i]; c < len(pl) && pl[c].doc == minDoc {
-				tfv[i] = pl[c].tf
-				cursors[i] = c + 1
-			} else {
-				tfv[i] = 0
-			}
-		}
-		dl := e.idx.docLen[minDoc]
-		var s float64
-		if e.bm25 {
-			s = bm25Score(tfv, dl, idf, avgdl, e.k1, e.b)
-		} else {
-			s = dirichletScore(tfv, dl, e.mu, pC)
-		}
-		h.push(cand{doc: minDoc, score: s})
-	}
 }
 
 // appendFinish sorts the surviving candidates by the reference order and

@@ -1,7 +1,6 @@
 package search
 
 import (
-	"math"
 	"math/rand/v2"
 	"runtime"
 	"sync"
@@ -61,7 +60,7 @@ func diffCorpus(t testing.TB, seed uint64) ([]*corpus.Page, [][]textproc.Token) 
 	return g.Corpus.Pages, queries
 }
 
-// assertSameResults checks rank equality and score agreement within 1e-12.
+// assertSameResults checks rank equality and bit-for-bit score equality.
 func assertSameResults(t *testing.T, label string, want, got []Result) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -72,36 +71,34 @@ func assertSameResults(t *testing.T, label string, want, got []Result) {
 			t.Fatalf("%s: rank %d page %d != reference page %d",
 				label, i, got[i].Page.ID, want[i].Page.ID)
 		}
-		if d := math.Abs(want[i].Score - got[i].Score); d > 1e-12 {
-			t.Fatalf("%s: rank %d score diff %g exceeds 1e-12", label, i, d)
+		if want[i].Score != got[i].Score {
+			t.Fatalf("%s: rank %d score %v != reference %v", label, i, got[i].Score, want[i].Score)
 		}
 	}
 }
 
-// TestShardedMatchesReference is the differential guarantee of the issue:
-// the sharded, parallel, heap-ranked, cached Search returns identical
-// rankings to the retained single-threaded reference for both scoring
-// modes, across shard counts, worker counts, topK values and seeds.
+// TestShardedMatchesReference is the engine's differential guarantee: the
+// sharded, pruned, heap-ranked, cached Search returns identical rankings
+// and scores to the retained score-everything reference for both scoring
+// modes, across shard counts, topK values and seeds.
 func TestShardedMatchesReference(t *testing.T) {
 	shardCounts := []int{1, 2, 3, runtime.GOMAXPROCS(0), 64}
 	for _, seed := range []uint64{7, 2016} {
 		pages, queries := diffCorpus(t, seed)
 		for _, shards := range shardCounts {
 			idx := BuildIndexOpts(pages, Options{Shards: shards})
-			for _, workers := range []int{1, 2, 7} {
-				for _, topK := range []int{1, 5, 50} {
-					base := NewEngineOpts(idx, Options{ScoreWorkers: workers}).WithTopK(topK)
-					engines := map[string]*Engine{
-						"dirichlet": base,
-						"bm25":      base.WithBM25(DefaultBM25K1, DefaultBM25B),
-					}
-					for mode, e := range engines {
-						for _, q := range queries {
-							want := e.SearchReference(q)
-							assertSameResults(t, mode, want, e.Search(q))
-							// Second call exercises the cache hit path.
-							assertSameResults(t, mode+"/cached", want, e.Search(q))
-						}
+			for _, topK := range []int{1, 5, 50} {
+				base := NewEngine(idx).WithTopK(topK)
+				engines := map[string]*Engine{
+					"dirichlet": base,
+					"bm25":      base.WithBM25(DefaultBM25K1, DefaultBM25B),
+				}
+				for mode, e := range engines {
+					for _, q := range queries {
+						want := e.SearchReference(q)
+						assertSameResults(t, mode, want, e.Search(q))
+						// Second call exercises the cache hit path.
+						assertSameResults(t, mode+"/cached", want, e.Search(q))
 					}
 				}
 			}
@@ -232,12 +229,12 @@ func TestCacheEviction(t *testing.T) {
 }
 
 // TestConcurrentSearchWithCache hammers one shared engine (cache enabled,
-// parallel scoring enabled) from many goroutines; run under -race in CI.
+// pooled scoring scratch) from many goroutines; run under -race in CI.
 // Every goroutine validates every result against the reference.
 func TestConcurrentSearchWithCache(t *testing.T) {
 	pages, queries := diffCorpus(t, 11)
 	idx := BuildIndexOpts(pages, Options{Shards: 4})
-	e := NewEngineOpts(idx, Options{ScoreWorkers: 4, CacheSize: 16})
+	e := NewEngineOpts(idx, Options{CacheSize: 16})
 	want := make([][]Result, len(queries))
 	for i, q := range queries {
 		want[i] = e.SearchReference(q)
@@ -305,5 +302,65 @@ func sortCands(cs []cand) {
 		for j := i; j > 0 && betterCand(cs[j], cs[j-1]); j-- {
 			cs[j], cs[j-1] = cs[j-1], cs[j]
 		}
+	}
+}
+
+// TestShardForIsProcessIndependent pins token→shard values: the mapping is
+// FNV-1a, a pure function of the token and the shard count, so it cannot
+// differ between two server starts (a per-process maphash seed did).
+func TestShardForIsProcessIndependent(t *testing.T) {
+	idx := BuildIndexOpts(nil, Options{Shards: 8})
+	for tok, want := range map[textproc.Token]int{
+		"":            5,
+		"research":    4,
+		"marc":        0,
+		"data mining": 7,
+		"a\x1fb":      1,
+	} {
+		if got := idx.shardFor(tok); got != want {
+			t.Errorf("shardFor(%q) over 8 shards = %d, want %d", tok, got, want)
+		}
+	}
+	if got := BuildIndexOpts(nil, Options{Shards: 1}).shardFor("research"); got != 0 {
+		t.Errorf("single-shard index maps to shard %d", got)
+	}
+}
+
+// TestCacheKeyIsInjective is the regression test for a separator-joined
+// cache key: a token holding the separator byte collided with the token
+// list it spells, and the second caller was served the first one's
+// ranking. Tokens arrive URL-decoded off the network, so any byte can
+// occur in one.
+func TestCacheKeyIsInjective(t *testing.T) {
+	for _, sep := range []string{"\x1f", "\x00", "\x01"} {
+		glued := []textproc.Token{"marc" + sep + "snir"}
+		split := []textproc.Token{"marc", "snir"}
+
+		e := NewEngine(smallIndex())
+		if got := e.Search(glued); len(got) != 0 {
+			t.Fatalf("sep %q: unseen token matched %d pages", sep, len(got))
+		}
+		assertSameResults(t, "frozen, after the glued token", e.SearchReference(split), e.Search(split))
+
+		le := NewLiveEngine(smallIndex().docs, Options{}, LiveOptions{})
+		if got := le.Search(glued); len(got) != 0 {
+			t.Fatalf("sep %q: live: unseen token matched %d pages", sep, len(got))
+		}
+		assertSameResults(t, "live, after the glued token", e.SearchReference(split), le.Search(split))
+	}
+	// Same bytes, different splits and different k: all distinct keys.
+	keys := map[string]string{}
+	for name, key := range map[string][]byte{
+		"[ab]":      appendCacheKey(nil, false, 5, []textproc.Token{"ab"}),
+		"[a b]":     appendCacheKey(nil, false, 5, []textproc.Token{"a", "b"}),
+		"[a b] k51": appendCacheKey(nil, false, 51, []textproc.Token{"a", "b"}),
+		"[ ab]":     appendCacheKey(nil, false, 5, []textproc.Token{"", "ab"}),
+		"[ab ]":     appendCacheKey(nil, false, 5, []textproc.Token{"ab", ""}),
+		"bm25 [ab]": appendCacheKey(nil, true, 5, []textproc.Token{"ab"}),
+	} {
+		if other, dup := keys[string(key)]; dup {
+			t.Errorf("cache keys of %s and %s collide", name, other)
+		}
+		keys[string(key)] = name
 	}
 }

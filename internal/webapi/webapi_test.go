@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -333,5 +334,51 @@ func TestDialErrors(t *testing.T) {
 	defer bad.Close()
 	if _, err := DialContext(context.Background(), bad.URL, nil, ClientOptions{}); err == nil {
 		t.Error("dial accepted implausible stats")
+	}
+}
+
+// TestSearchCacheKeyNotFooledBySeparatorBytes is the boundary half of the
+// injective-cache-key fix: q values arrive URL-decoded, so a client can
+// send one token holding any byte. With a separator-joined key, q=a%1Fb
+// (one unseen token, no hits) poisoned the cache entry of q=a&q=b and the
+// second caller was served the empty ranking.
+func TestSearchCacheKeyNotFooledBySeparatorBytes(t *testing.T) {
+	f := newFixture(t)
+	seed := f.g.Corpus.Entities[0].SeedTokens()
+	if len(seed) < 2 {
+		t.Skip("fixture seed query has one token")
+	}
+	search := func(q url.Values) SearchResponse {
+		t.Helper()
+		resp, err := http.Get(f.srv.URL + "/api/v1/search?" + q.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET search %v: status %d", q, resp.StatusCode)
+		}
+		var out SearchResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, sep := range []string{"\x1f", "\x00"} {
+		glued := search(url.Values{"q": {strings.Join(seed, sep)}})
+		if len(glued.Hits) != 0 {
+			t.Fatalf("sep %q: glued token matched %d pages", sep, len(glued.Hits))
+		}
+	}
+	want := f.engine.SearchReference(seed)
+	got := search(url.Values{"q": seed}).Hits
+	if len(want) == 0 || len(got) != len(want) {
+		t.Fatalf("q=%q: %d hits after the glued queries, reference %d", seed, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].PageID != want[i].Page.ID || got[i].Score != want[i].Score {
+			t.Fatalf("rank %d: served (page %d, %v), reference (page %d, %v)",
+				i, got[i].PageID, got[i].Score, want[i].Page.ID, want[i].Score)
+		}
 	}
 }

@@ -80,6 +80,9 @@ var encPool = sync.Pool{New: func() any { return new(store.Enc) }}
 // gzipWPool recycles gzip writers (Reset re-arms them).
 var gzipWPool = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
 
+// gzipBufPool recycles the buffers marshalFrame compresses into.
+var gzipBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // gzipRPool recycles gzip readers.
 var gzipRPool sync.Pool
 
@@ -92,10 +95,12 @@ func marshalFrame(kind byte, compressMin int, encode func(*store.Enc)) []byte {
 	encode(e)
 	payload := e.Data()
 	flags := byte(0)
-	var zbuf bytes.Buffer
+	var zbuf *bytes.Buffer
 	if compressMin > 0 && len(payload) >= compressMin {
+		zbuf = gzipBufPool.Get().(*bytes.Buffer)
+		zbuf.Reset()
 		zw := gzipWPool.Get().(*gzip.Writer)
-		zw.Reset(&zbuf)
+		zw.Reset(zbuf)
 		zw.Write(payload) //nolint:errcheck // bytes.Buffer cannot fail
 		_ = zw.Close()
 		gzipWPool.Put(zw)
@@ -110,6 +115,10 @@ func marshalFrame(kind byte, compressMin int, encode func(*store.Enc)) []byte {
 	out = binary.AppendUvarint(out, uint64(len(payload)))
 	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
 	out = append(out, payload...)
+	// The frame holds its own copy of the payload; both buffers go back.
+	if zbuf != nil {
+		gzipBufPool.Put(zbuf)
+	}
 	encPool.Put(e)
 	return out
 }

@@ -714,3 +714,30 @@ func TestThrottledWriterModelsTransfer(t *testing.T) {
 }
 
 var _ = fmt.Sprintf // keep fmt for debugging edits
+
+// BenchmarkMarshalFrameAllocs pins what framing a page-sized, compressed
+// response allocates: the frame itself and nothing else — encoder, gzip
+// writer and gzip output buffer are all pooled. Gated at 1 alloc/op by
+// scripts/alloc_gate.sh — renaming this benchmark breaks the gate; update
+// the script in the same change.
+func BenchmarkMarshalFrameAllocs(b *testing.B) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := []byte(html.RenderPage(g.Corpus.Pages[0]))
+	if len(body) < DefaultCompressMin {
+		b.Fatalf("page body is %d bytes, under the compress threshold", len(body))
+	}
+	encode := func(e *store.Enc) { e.Raw(body) }
+	frame := marshalFrame(wirePage, DefaultCompressMin, encode) // warm the pools
+	if frame[len(wireMagic)+1]&wireFlagGzip == 0 {
+		b.Fatal("page frame was not compressed")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frame = marshalFrame(wirePage, DefaultCompressMin, encode)
+	}
+	_ = frame
+}

@@ -174,13 +174,12 @@ type SystemOptions struct {
 	Seed uint64
 	// Config overrides the L2Q parameters; zero value = DefaultConfig.
 	Config *Config
-	// Shards, ScoreWorkers and CacheSize tune the retrieval engine (see
+	// Shards and CacheSize tune the retrieval engine (see
 	// search.Options); non-zero values override the corresponding
 	// Config.Search* fields. Rankings are identical for every setting —
 	// these are pure performance knobs.
-	Shards       int
-	ScoreWorkers int
-	CacheSize    int
+	Shards    int
+	CacheSize int
 	// MemtableDocs, CompactFanIn and IngestWorkers tune the live
 	// generational engine (see search.LiveOptions); non-zero values
 	// override the corresponding Config fields. Rankings are identical
@@ -252,9 +251,6 @@ func NewSyntheticSystem(d Domain, opts SystemOptions) (*System, error) {
 	}
 	if opts.Shards != 0 {
 		cfg.SearchShards = opts.Shards
-	}
-	if opts.ScoreWorkers != 0 {
-		cfg.SearchScoreWorkers = opts.ScoreWorkers
 	}
 	if opts.CacheSize != 0 {
 		cfg.SearchCacheSize = opts.CacheSize

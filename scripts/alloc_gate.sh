@@ -18,9 +18,9 @@ trap 'rm -f "$RAW"' EXIT
 # -benchtime in iterations so allocs/op is a stable integer ratio, not a
 # wall-clock-dependent sample.
 go test -run '^$' \
-	-bench 'BenchmarkTokenizeAllocs|BenchmarkNGramsAllocs|BenchmarkSearchAllocs|BenchmarkLiveSearchAllocs|BenchmarkSearchAppendConcurrent|BenchmarkCandidateAllocs|BenchmarkSelectAllocs|BenchmarkScatterMergeAllocs' \
+	-bench 'BenchmarkTokenizeAllocs|BenchmarkNGramsAllocs|BenchmarkSearchAllocs|BenchmarkLiveSearchAllocs|BenchmarkSearchAppendConcurrent|BenchmarkCandidateAllocs|BenchmarkSelectAllocs|BenchmarkScatterMergeAllocs|BenchmarkMarshalFrameAllocs' \
 	-benchmem -benchtime=500x \
-	./internal/textproc/ ./internal/search/ ./internal/core/ | tee "$RAW"
+	./internal/textproc/ ./internal/search/ ./internal/core/ ./internal/webapi/ | tee "$RAW"
 
 # bench-name (CPU suffix stripped) → max allocs/op.
 ceiling() {
@@ -33,7 +33,7 @@ ceiling() {
 	BenchmarkNGramsAllocs/convenience) echo 28 ;;     # + result slice growth and the dedup map
 	BenchmarkSearchAllocs/cached/append) echo 0 ;;    # cache hit into a reused buffer
 	BenchmarkSearchAllocs/cached) echo 1 ;;           # the fresh result slice
-	BenchmarkSearchAllocs/nocache/append) echo 8 ;;   # pooled scoring scratch steady state
+	BenchmarkSearchAllocs/nocache/append) echo 0 ;;   # one pruned pass on the caller's goroutine over pooled scratch; a fan-out costs a closure per worker
 	BenchmarkLiveSearchAllocs/cached/append) echo 0 ;; # multi-segment cache hit into a reused buffer
 	BenchmarkLiveSearchAllocs/cached) echo 1 ;;       # the fresh result slice
 	BenchmarkSearchAppendConcurrent) echo 1 ;;        # contended pool refills round up
@@ -41,6 +41,7 @@ ceiling() {
 	BenchmarkCandidateAllocs/steady) echo 3 ;;        # the fresh result slice (+ map growth slack)
 	BenchmarkSelectAllocs) echo 6 ;;                  # the Inference, its three Coll* vectors, two worker-pool closures
 	BenchmarkScatterMergeAllocs) echo 0 ;;            # coordinator K-way merge over pooled heap scratch
+	BenchmarkMarshalFrameAllocs) echo 1 ;;            # the frame itself; encoder, gzip writer and gzip buffer are pooled
 	*) echo "" ;;
 	esac
 }
