@@ -16,10 +16,13 @@ test:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -shuffle=on -count=5 ./internal/webapi/
 
-# 20 s of native fuzzing on the scorer's exactness gate: the pruned top-k
-# pass must equal SearchReference bit for bit on random tiny corpora.
+# 20 s of native fuzzing each on the scorer's exactness gate (the pruned
+# top-k pass must equal SearchReference bit for bit on random tiny corpora)
+# and on the search-with-pages decoder (frame, payload and page check
+# between a response body and the client's page cache).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPrunedTopKMatchesReference -fuzztime 20s ./internal/search/
+	$(GO) test -run '^$$' -fuzz FuzzSearchPagesFrame -fuzztime 20s ./internal/webapi/
 
 # 30 s churn loops under the race detector: scheduler submit/cancel/
 # resume, and the live engine's concurrent ingest+search+compact.

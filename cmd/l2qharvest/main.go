@@ -9,10 +9,11 @@
 //	l2qharvest -remote 127.0.0.1:8080 ...   # search via a l2qserve instance
 //	l2qharvest -checkpoint run.ckpt ...     # durable, resumable harvest
 //
-// With -remote, searches and page downloads go through the HTTP search API
-// (the corpus and domain model are still built locally — the flag changes
-// the transport, exactly the paper's commercial-search-API setting; the
-// served corpus must match the local -domain/-entities/-pages/-seed).
+// With -remote, searches go through the HTTP search API, each response
+// carrying the pages of its hits (the corpus and domain model are still
+// built locally — the flag changes the transport, exactly the paper's
+// commercial-search-API setting; the served corpus must match the local
+// -domain/-entities/-pages/-seed).
 //
 // With -checkpoint, the session's durable state is written after every
 // step (atomically), and a matching checkpoint file is resumed on start:
@@ -55,7 +56,7 @@ func main() {
 		remote   = flag.String("remote", "", "harvest via this HTTP search API instead of in-process")
 		retries  = flag.Int("retries", 4, "remote transport: attempts per request (1 = no retries)")
 		rtimeout = flag.Duration("timeout", 30*time.Second, "remote transport: per-request HTTP timeout")
-		prefetch = flag.Int("prefetch", 8, "remote transport: concurrent page downloads per query")
+		prefetch = flag.Int("prefetch", 8, "remote transport: concurrent /page downloads per query (only for hits whose page the search response did not carry)")
 		wireFlag = flag.String("wire", "auto", "remote transport: wire codec — auto (negotiate binary, fall back to JSON), json, or binary (require it)")
 		inferW   = flag.Int("inferworkers", 0, "per-step inference workers (0 = GOMAXPROCS)")
 		learnW   = flag.Int("learnworkers", 0, "domain-phase counting workers (0 = GOMAXPROCS)")
@@ -248,8 +249,8 @@ func main() {
 	fmt.Printf("\nselection time: %v total\n", h.SelectionTime().Round(1000))
 	if re != nil {
 		m := re.Metrics()
-		fmt.Printf("HTTP requests issued: %d (%d retried, %d failed after retries, %d page downloads shared in flight)\n",
-			m.Requests, m.Retries, m.Errors, m.PrefetchShared)
+		fmt.Printf("HTTP requests issued: %d (%d retried, %d failed after retries); pages: %d inside search responses, %d downloaded, %d downloads shared in flight\n",
+			m.Requests, m.Retries, m.Errors, m.PagesAttached, m.PageFetches, m.PrefetchShared)
 	}
 
 	if *replay {

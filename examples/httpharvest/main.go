@@ -9,8 +9,9 @@
 //
 // The example then flips the topology with the server-side batch-harvest
 // API: one POST /api/v1/harvest runs pipelined sessions next to the index and
-// streams framed progress events back, replacing the per-query per-page
-// traffic of the client-side run.
+// streams framed progress events back, replacing the per-query traffic of
+// the client-side run (one search per fired query, each response carrying
+// the pages of its hits).
 package main
 
 import (

@@ -34,6 +34,10 @@ type backend interface {
 	// entity resolves a harvest target; nil when the ID is unknown.
 	entity(id corpus.EntityID) *corpus.Entity
 	page(ctx context.Context, id corpus.PageID) (*corpus.Page, error)
+	// pageWorkers is how many page calls for one hit list are worth
+	// running at once: 1 when pages are in memory, the prefetch fan-out
+	// when a page may cost a round trip to its owning node.
+	pageWorkers() int
 	// retriever is what server-side harvest sessions search through.
 	retriever() core.Retriever
 	// metrics fills in the backend's section of the metrics payload.
@@ -125,6 +129,8 @@ func (b *localBackend) page(_ context.Context, id corpus.PageID) (*corpus.Page, 
 	}
 	return p, nil
 }
+
+func (b *localBackend) pageWorkers() int { return 1 }
 
 func (b *localBackend) retriever() core.Retriever { return b.engine }
 

@@ -14,7 +14,8 @@ import (
 )
 
 // BenchmarkRemoteHarvestWire compares a full remote harvesting session —
-// dial, search, collfreq probes, page downloads — over the JSON surface
+// dial, then one search per fired query carrying its hits' pages
+// (requests/op: 1 + the queries fired) — over the JSON surface
 // vs the negotiated binary wire, through a bandwidth-modeled link (the
 // paper's per-page transfer cost; loopback is otherwise free and would
 // hide the bytes the wire codec saves). A fresh client is dialed every
@@ -64,6 +65,7 @@ func BenchmarkRemoteHarvestWire(b *testing.B) {
 			srv := httptest.NewServer(inj)
 			defer srv.Close()
 
+			requests := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -78,9 +80,11 @@ func BenchmarkRemoteHarvestWire(b *testing.B) {
 				if fired := sess.Run(core.NewL2QBAL(), 3); len(fired) == 0 {
 					b.Fatal("session fired no queries")
 				}
+				requests += c.Requests()
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(inj.BytesOut())/float64(b.N), "linkbytes/op")
+			b.ReportMetric(float64(requests)/float64(b.N), "requests/op")
 		})
 	}
 }

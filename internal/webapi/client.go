@@ -23,20 +23,22 @@ import (
 
 // Client is a remote search engine: it implements core.Retriever against
 // a webapi.Server, so a harvesting session runs unchanged across a real
-// HTTP boundary. Result pages are downloaded as HTML, segmented with
-// internal/html, re-tokenized, and cached; Dirichlet scoring is reproduced
-// locally from /api/v1/stats plus batched /api/v1/collfreq lookups,
-// bit-for-bit equal to the server engine's scores.
+// HTTP boundary. A search asks for its hits' pages in the same response
+// (with=pages), so a harvest step is one round trip; the pages arrive as
+// HTML, are segmented with internal/html, re-tokenized, and cached.
+// Dirichlet scoring is reproduced locally from /api/v1/stats plus batched
+// /api/v1/collfreq lookups, bit-for-bit equal to the server engine's
+// scores.
 //
 // The transport is resilient by default: every API call is an idempotent
 // GET against an immutable corpus, so the client retries transient faults
 // (connection errors, timeouts, truncated bodies, 5xx) with exponential
-// backoff and jitter (RetryPolicy), downloads a query's result pages
-// concurrently with singleflight dedup, and accounts every request, retry
-// and terminal failure in ClientMetrics. Faults that survive the retry
-// budget surface as *TransportError — never as a silently shortened result
-// list, which would corrupt the session's R_E(Φ) bookkeeping without a
-// trace.
+// backoff and jitter (RetryPolicy), downloads on its own (/page/{id},
+// concurrently, with singleflight dedup) only the pages a response did
+// not carry, and accounts every request, retry and terminal failure in
+// ClientMetrics. Faults that survive the retry budget surface as
+// *TransportError — never as a silently shortened result list, which
+// would corrupt the session's R_E(Φ) bookkeeping without a trace.
 //
 // Client is safe for concurrent use.
 type Client struct {
@@ -53,7 +55,11 @@ type Client struct {
 
 	mu        sync.RWMutex
 	pageCache map[corpus.PageID]*corpus.Page
-	cfCache   map[string]int
+	// recent is a ring of the last maxHave page IDs cached (recentN counts
+	// every insertion): what a search tells the server it need not send.
+	recent  [maxHave]corpus.PageID
+	recentN int
+	cfCache map[string]int
 
 	flight flightGroup
 	met    metrics
@@ -106,8 +112,10 @@ type ClientOptions struct {
 	// Retry is the per-request retry policy (zero value: 4 attempts,
 	// 50 ms base backoff, 2 s cap).
 	Retry RetryPolicy
-	// PrefetchWorkers bounds the concurrent page downloads for one
-	// query's hit list (default 8; 1 fetches serially).
+	// PrefetchWorkers bounds the concurrent /page downloads for one
+	// query's hit list (default 8; 1 fetches serially). Only hits whose
+	// page the search response did not carry are downloaded — against a
+	// current server, none.
 	PrefetchWorkers int
 	// Timeout is the per-request HTTP timeout (default 30 s). The
 	// caller's context cancels earlier.
@@ -178,7 +186,7 @@ func (c *Client) WireNegotiated() bool { return c.wire }
 // fetchStats performs the dial probe: fetch collection statistics in the
 // negotiated codec and record whether the server answered in binary.
 func (c *Client) fetchStats(ctx context.Context) error {
-	return c.doRetry(ctx, "stats", apiRoot+"/stats", func(b []byte) error {
+	return c.get(ctx, "stats", apiRoot+"/stats", func(b []byte) error {
 		if isWireFrame(b) {
 			c.wire = true
 			return decodeFramePayload(b, wireStats, func(d *store.Dec) { c.stats = decodeStatsWire(d) })
@@ -198,11 +206,12 @@ func (c *Client) Requests() int { return int(c.met.requests.Load()) }
 // Metrics returns a snapshot of the client's request/retry/error counters.
 func (c *Client) Metrics() ClientMetrics { return c.met.snapshot() }
 
-// doRetry issues GET path until decode succeeds or the retry policy is
-// exhausted, classifying failures with retryable. decode runs inside the
-// loop so truncated or corrupted payloads (which read fine but do not
-// parse) are retried like wire-level faults.
-func (c *Client) doRetry(ctx context.Context, op, path string, decode func([]byte) error) error {
+// doRetry runs attempt until its body passes decode or the retry policy
+// is exhausted, classifying failures with retryable — the one retry loop
+// under every request the client makes. decode runs inside the loop so
+// truncated or corrupted payloads (which read fine but do not parse) are
+// retried like wire-level faults.
+func (c *Client) doRetry(ctx context.Context, op, path string, attempt func() ([]byte, error), decode func([]byte) error) error {
 	if err := ctx.Err(); err != nil {
 		// Already canceled: no attempt, no counters — this is the
 		// caller's decision, not a transport failure.
@@ -210,12 +219,12 @@ func (c *Client) doRetry(ctx context.Context, op, path string, decode func([]byt
 	}
 	var lastErr error
 	attempts := 0
-	for attempt := 1; attempt <= c.retry.MaxAttempts; attempt++ {
-		attempts = attempt
-		if attempt > 1 {
+	for attempts < c.retry.MaxAttempts {
+		attempts++
+		if attempts > 1 {
 			c.met.retries.Add(1)
 		}
-		body, err := c.once(ctx, path)
+		body, err := attempt()
 		if err == nil {
 			err = decode(body)
 		}
@@ -223,10 +232,10 @@ func (c *Client) doRetry(ctx context.Context, op, path string, decode func([]byt
 			return nil
 		}
 		lastErr = err
-		if !retryable(ctx, err) || attempt == c.retry.MaxAttempts {
+		if !retryable(ctx, err) || attempts == c.retry.MaxAttempts {
 			break
 		}
-		if err := c.retry.sleep(ctx, attempt); err != nil {
+		if err := c.retry.sleep(ctx, attempts); err != nil {
 			lastErr = err
 			break
 		}
@@ -236,25 +245,28 @@ func (c *Client) doRetry(ctx context.Context, op, path string, decode func([]byt
 		// by the caller's cancellation is not a fault of the wire.
 		c.met.errors.Add(1)
 	}
-	status := 0
-	code := ""
+	te := &TransportError{Op: op, Path: path, Attempts: attempts, Err: lastErr}
 	var se *statusError
 	if errors.As(lastErr, &se) {
-		status = se.status
-		code = se.code
+		te.Status, te.Code = se.status, se.code
 	}
-	return &TransportError{Op: op, Path: path, Attempts: attempts, Status: status, Code: code, Err: lastErr}
+	return te
 }
 
-// once issues a single GET (asking for the binary codec per the client's
-// preference) and reads the full body.
-func (c *Client) once(ctx context.Context, path string) ([]byte, error) {
+// once issues a single request — body through a fresh reader, since
+// retries must never replay a half-consumed one — and reads the full
+// response. acceptWire asks the server to answer in the binary codec;
+// callers sniff the response body for the frame magic.
+func (c *Client) once(ctx context.Context, method, path string, body []byte, contentType string, acceptWire bool) ([]byte, error) {
 	c.met.requests.Add(1)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	if c.wantWire() {
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	if acceptWire {
 		req.Header.Set("Accept", wireContentType)
 	}
 	resp, err := c.http.Do(req)
@@ -265,15 +277,33 @@ func (c *Client) once(ctx context.Context, path string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, readError(resp)
 	}
-	body, readErr := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+	b, readErr := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 	if readErr != nil {
 		return nil, readErr // truncated body: the server died mid-response
 	}
-	return body, nil
+	return b, nil
+}
+
+// get issues GET path (asking for the binary codec per the client's
+// preference) under the retry loop.
+func (c *Client) get(ctx context.Context, op, path string, decode func([]byte) error) error {
+	return c.doRetry(ctx, op, path, func() ([]byte, error) {
+		return c.once(ctx, http.MethodGet, path, nil, "", c.wantWire())
+	}, decode)
+}
+
+// post issues POST path with body under the retry loop. Only safe for
+// idempotent operations — every caller must be able to tolerate a
+// duplicate delivery, since a response lost on the wire retries a request
+// the server already applied.
+func (c *Client) post(ctx context.Context, op, path string, body []byte, contentType string, acceptWire bool, decode func([]byte) error) error {
+	return c.doRetry(ctx, op, path, func() ([]byte, error) {
+		return c.once(ctx, http.MethodPost, path, body, contentType, acceptWire)
+	}, decode)
 }
 
 func (c *Client) getJSON(ctx context.Context, op, path string, out any) error {
-	return c.doRetry(ctx, op, path, func(b []byte) error { return json.Unmarshal(b, out) })
+	return c.get(ctx, op, path, func(b []byte) error { return json.Unmarshal(b, out) })
 }
 
 // getNegotiated fetches path and decodes the response by sniffing its
@@ -284,7 +314,7 @@ func (c *Client) getJSON(ctx context.Context, op, path string, out any) error {
 // truncated frame fails its CRC/length checks inside the retry loop and
 // is retried like any other wire fault.
 func (c *Client) getNegotiated(ctx context.Context, op, path string, kind byte, fromWire func(*store.Dec), fromJSON func([]byte) error) error {
-	return c.doRetry(ctx, op, path, func(b []byte) error {
+	return c.get(ctx, op, path, func(b []byte) error {
 		if isWireFrame(b) {
 			return decodeFramePayload(b, kind, fromWire)
 		}
@@ -298,7 +328,10 @@ func (c *Client) TopK() int { return c.stats.TopK }
 // search issues one seeded search on path and decodes the hit list. seed
 // and query travel token-exact — each token its own repeated parameter
 // value — so phrase tokens ("data mining" is one vocabulary term) reach
-// the server intact; vals carries the route's other parameters.
+// the server intact; vals carries the route's other parameters. Page
+// bodies the response carries are checked and cached inside the retry
+// loop (acceptPages): one that fails the check fails the decode, and the
+// search is re-issued like any other corrupted response.
 func (c *Client) search(ctx context.Context, op, path string, vals url.Values, seed, query []textproc.Token) (SearchResponse, error) {
 	if len(seed) > 0 {
 		vals["seed"] = seed
@@ -307,18 +340,71 @@ func (c *Client) search(ctx context.Context, op, path string, vals url.Values, s
 		vals["q"] = query
 	}
 	var resp SearchResponse
-	err := c.getNegotiated(ctx, op, apiRoot+path+"?"+vals.Encode(), wireSearch,
-		func(d *store.Dec) { resp = decodeSearchWire(d) },
-		func(b []byte) error { resp = SearchResponse{}; return json.Unmarshal(b, &resp) })
+	err := c.get(ctx, op, apiRoot+path+"?"+vals.Encode(), func(b []byte) error {
+		var err error
+		if resp, err = decodeSearchResponse(b); err != nil {
+			return err
+		}
+		return c.acceptPages(resp.Hits)
+	})
 	return resp, err
 }
 
-// Retrieve implements core.Retriever: remote search, then concurrent
-// singleflight-deduped download of every ranked hit. Either the complete
-// ranked result list is appended to dst, or an error is returned — never
-// a partial list with failed downloads silently dropped.
+// decodeSearchResponse decodes a search response by sniffing its body (see
+// getNegotiated): a frame with the hits' pages attached, a plain search
+// frame — a server that ignored with=pages — or JSON, whose hits carry
+// their pages in the html field.
+func decodeSearchResponse(b []byte) (resp SearchResponse, err error) {
+	switch frameKind(b) {
+	case 0:
+		err = json.Unmarshal(b, &resp)
+	case wireSearchPages:
+		err = decodeFramePayload(b, wireSearchPages, func(d *store.Dec) { resp = decodeSearchPagesWire(d) })
+	default:
+		err = decodeFramePayload(b, wireSearch, func(d *store.Dec) { resp = decodeSearchWire(d) })
+	}
+	return resp, err
+}
+
+// acceptPages takes the page bodies off a decoded hit list: each one the
+// client does not hold yet goes through the check a /page download goes
+// through (parsePage) and into the page cache; one it already holds — it
+// fell off the capped have list — is dropped unparsed.
+func (c *Client) acceptPages(hits []SearchHit) error {
+	for i := range hits {
+		h := &hits[i]
+		if h.HTML == "" {
+			continue
+		}
+		body := h.HTML
+		h.HTML = ""
+		if c.cachedPage(h.PageID) != nil {
+			continue
+		}
+		p, err := c.parsePage(h.PageID, body)
+		if err != nil {
+			return err
+		}
+		c.cachePage(p)
+		c.met.pagesAttached.Add(1)
+	}
+	return nil
+}
+
+// Retrieve implements core.Retriever in one round trip: the search asks
+// for its hits' pages (with=pages), naming the pages already cached
+// (have), and the ranked list is then resolved from the page cache. A hit
+// whose page did not come along and is not cached — the server is an
+// older one that ignores with — is downloaded through PageCtx,
+// concurrently and singleflight-deduped. Either the complete ranked result
+// list is appended to dst, or an error is returned — never a partial list
+// with failed downloads silently dropped.
 func (c *Client) Retrieve(ctx context.Context, dst []search.Result, seed, query []textproc.Token) ([]search.Result, error) {
-	resp, err := c.search(ctx, "search", "/search", url.Values{}, seed, query)
+	vals := url.Values{"with": {"pages"}}
+	if have := c.haveList(); have != "" {
+		vals.Set("have", have)
+	}
+	resp, err := c.search(ctx, "search", "/search", vals, seed, query)
 	if err != nil {
 		return nil, err
 	}
@@ -330,10 +416,10 @@ func (c *Client) SearchWithSeedErr(ctx context.Context, seed, query []textproc.T
 	return c.Retrieve(ctx, nil, seed, query)
 }
 
-// fetchResults downloads a hit list's pages through fetch with at most
-// workers downloads in flight and appends the (page, score) results to
-// dst in rank order. The first failure cancels the remaining fetches and
-// fails the whole list (the complete-or-error contract).
+// fetchResults resolves a hit list's pages through fetch with at most
+// workers calls in flight and appends the (page, score) results to dst in
+// rank order. The first failure cancels the remaining fetches and fails
+// the whole list (the complete-or-error contract).
 func fetchResults(ctx context.Context, dst []search.Result, hits []SearchHit, workers int,
 	fetch func(context.Context, corpus.PageID) (*corpus.Page, error)) ([]search.Result, error) {
 
@@ -405,13 +491,15 @@ func fetchResults(ctx context.Context, dst []search.Result, hits []SearchHit, wo
 	return dst, nil
 }
 
-// PageCtx downloads (or returns the cached) page with the given ID.
-// Concurrent fetches of the same page
-// (many sessions prefetching overlapping hit lists) coalesce onto a single
-// download: followers wait for the leader's result instead of re-paying
-// the transfer. A follower whose own context is canceled while waiting
-// returns its context error; a leader failure is shared with the waiters
-// and the flight slot is released, so the next caller retries fresh.
+// PageCtx returns the cached page with the given ID, downloading it from
+// /page/{id} when the client does not hold it (Retrieve's hits normally
+// arrive with their search response and are cached by then). Concurrent
+// fetches of the same page (many sessions prefetching overlapping hit
+// lists) coalesce onto a single download: followers wait for the leader's
+// result instead of re-paying the transfer. A follower whose own context
+// is canceled while waiting returns its context error; a leader failure is
+// shared with the waiters and the flight slot is released, so the next
+// caller retries fresh.
 //
 // One failure is deliberately NOT shared: a leader that died of its own
 // context's cancellation. The flight runs under the leader's context, so
@@ -424,10 +512,7 @@ func fetchResults(ctx context.Context, dst []search.Result, hits []SearchHit, wo
 // make K waiters serially re-pay a dead server's full retry budget.
 func (c *Client) PageCtx(ctx context.Context, id corpus.PageID) (*corpus.Page, error) {
 	for {
-		c.mu.RLock()
-		p, ok := c.pageCache[id]
-		c.mu.RUnlock()
-		if ok {
+		if p := c.cachedPage(id); p != nil {
 			return p, nil
 		}
 		p, shared, leaderCanceled, err := c.flight.do(ctx, id, func() (*corpus.Page, error) {
@@ -436,10 +521,7 @@ func (c *Client) PageCtx(ctx context.Context, id corpus.PageID) (*corpus.Page, e
 			if err != nil {
 				return nil, err
 			}
-			c.mu.Lock()
-			c.pageCache[id] = pp
-			c.mu.Unlock()
-			return pp, nil
+			return c.cachePage(pp), nil
 		})
 		if shared {
 			c.met.prefetchShared.Add(1)
@@ -451,15 +533,62 @@ func (c *Client) PageCtx(ctx context.Context, id corpus.PageID) (*corpus.Page, e
 	}
 }
 
-// fetchPage downloads and parses one page, retrying transport faults. A
-// document whose l2q-page-id meta is missing or disagrees with the
-// requested ID is rejected (and retried — the usual cause is a truncated
-// transfer): accepting it would let distinct malformed pages alias page 0
-// in the session's dedup set.
-func (c *Client) fetchPage(ctx context.Context, id corpus.PageID) (*corpus.Page, error) {
-	path := html.PageHref(id)
-	var p *corpus.Page
-	err := c.doRetry(ctx, "page", path, func(b []byte) error {
+// cachedPage returns the cached page with the given ID, nil when the
+// client does not hold it.
+func (c *Client) cachedPage(id corpus.PageID) *corpus.Page {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.pageCache[id]
+}
+
+// cachePage caches p and returns the page cached under its ID: p, or the
+// copy that got there first (a download racing a search response that
+// carried the same page), so a client hands out one *corpus.Page per ID.
+func (c *Client) cachePage(p *corpus.Page) *corpus.Page {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if held, ok := c.pageCache[p.ID]; ok {
+		return held
+	}
+	c.pageCache[p.ID] = p
+	c.recent[c.recentN%maxHave] = p.ID
+	c.recentN++
+	return p
+}
+
+// haveList renders the have parameter: the IDs of the cached pages,
+// newest first, at most maxHave of them.
+func (c *Client) haveList() string {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	var buf []byte
+	for i := c.recentN - 1; i >= 0 && i >= c.recentN-maxHave; i-- {
+		if len(buf) > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendInt(buf, int64(c.recent[i%maxHave]), 10)
+	}
+	return string(buf)
+}
+
+// parsePage parses a document the server announced as page id — a /page
+// download or a body attached to a search response. A document whose
+// l2q-page-id meta is missing or disagrees with the announced ID is
+// rejected (the caller's retry loop re-issues the request — the usual
+// cause is a truncated transfer): accepting it would let distinct
+// malformed pages alias page 0 in the session's dedup set.
+func (c *Client) parsePage(id corpus.PageID, doc string) (*corpus.Page, error) {
+	p := html.ParsePage(doc, -1, c.tok)
+	if p.ID != id {
+		return nil, fmt.Errorf("document has l2q-page-id %d, want %d (missing or corrupted meta)", p.ID, id)
+	}
+	p.URL = c.base + html.PageHref(id)
+	return p, nil
+}
+
+// fetchPage downloads and parses one page, retrying transport faults.
+func (c *Client) fetchPage(ctx context.Context, id corpus.PageID) (p *corpus.Page, err error) {
+	err = c.get(ctx, "page", html.PageHref(id), func(b []byte) error {
 		if isWireFrame(b) {
 			// A page frame carries the identical HTML bytes the JSON
 			// (debug) path serves raw, so the parse below is codec-
@@ -470,18 +599,11 @@ func (c *Client) fetchPage(ctx context.Context, id corpus.PageID) (*corpus.Page,
 			}
 			b = payload
 		}
-		parsed := html.ParsePage(string(b), -1, c.tok)
-		if parsed.ID != id {
-			return fmt.Errorf("document has l2q-page-id %d, want %d (missing or corrupted meta)", parsed.ID, id)
-		}
-		p = parsed
-		return nil
+		var err error
+		p, err = c.parsePage(id, string(b))
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	p.URL = c.base + path
-	return p, nil
+	return p, err
 }
 
 // flightGroup is a minimal singleflight keyed by page ID: one in-flight
@@ -610,7 +732,7 @@ func (c *Client) PushClusterStats(ctx context.Context, g GlobalStatsPayload) err
 	if err != nil {
 		return err
 	}
-	return c.postRetry(ctx, "cluster-stats-push", apiRoot+"/cluster/stats", body, func(b []byte) error {
+	return c.post(ctx, "cluster-stats-push", apiRoot+"/cluster/stats", body, "application/json", false, func(b []byte) error {
 		var resp struct {
 			OK bool `json:"ok"`
 		}
@@ -636,85 +758,6 @@ func (c *Client) ClusterSearch(ctx context.Context, part int, seed, query []text
 	return c.search(ctx, "cluster-search", "/cluster/search", vals, seed, query)
 }
 
-// postRetry issues POST path with a JSON body until decode succeeds or
-// the retry policy is exhausted. Only safe for idempotent operations —
-// every caller must be able to tolerate a duplicate delivery, since a
-// response lost on the wire retries a request the server already applied.
-func (c *Client) postRetry(ctx context.Context, op, path string, body []byte, decode func([]byte) error) error {
-	return c.postRetryCT(ctx, op, path, body, "application/json", false, decode)
-}
-
-// postRetryCT is postRetry with an explicit request content type and
-// codec negotiation (Accept: wire) — the write-path twin of getNegotiated.
-func (c *Client) postRetryCT(ctx context.Context, op, path string, body []byte, contentType string, acceptWire bool, decode func([]byte) error) error {
-	if err := ctx.Err(); err != nil {
-		return &TransportError{Op: op, Path: path, Err: err}
-	}
-	var lastErr error
-	attempts := 0
-	for attempt := 1; attempt <= c.retry.MaxAttempts; attempt++ {
-		attempts = attempt
-		if attempt > 1 {
-			c.met.retries.Add(1)
-		}
-		b, err := c.postOnce(ctx, path, body, contentType, acceptWire)
-		if err == nil {
-			err = decode(b)
-		}
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if !retryable(ctx, err) || attempt == c.retry.MaxAttempts {
-			break
-		}
-		if err := c.retry.sleep(ctx, attempt); err != nil {
-			lastErr = err
-			break
-		}
-	}
-	if ctx.Err() == nil {
-		c.met.errors.Add(1)
-	}
-	status := 0
-	code := ""
-	var se *statusError
-	if errors.As(lastErr, &se) {
-		status = se.status
-		code = se.code
-	}
-	return &TransportError{Op: op, Path: path, Attempts: attempts, Status: status, Code: code, Err: lastErr}
-}
-
-// postOnce issues a single POST (a fresh body reader per attempt —
-// retries must never replay a half-consumed reader) and reads the full
-// response. acceptWire asks the server to answer in the binary codec;
-// the caller sniffs the response body for the frame magic.
-func (c *Client) postOnce(ctx context.Context, path string, body []byte, contentType string, acceptWire bool) ([]byte, error) {
-	c.met.requests.Add(1)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", contentType)
-	if acceptWire {
-		req.Header.Set("Accept", wireContentType)
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, readError(resp)
-	}
-	b, readErr := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
-	if readErr != nil {
-		return nil, readErr
-	}
-	return b, nil
-}
-
 // Ingest posts a batch of pages to a live server's write path. Safe to
 // retry: the server skips pages it already holds (reported back in
 // Duplicates), so a duplicate delivery after a lost ack never
@@ -735,7 +778,7 @@ func (c *Client) Ingest(ctx context.Context, req IngestRequest) (IngestResponse,
 		}
 	}
 	var out IngestResponse
-	err := c.postRetryCT(ctx, "ingest", apiRoot+"/ingest", body, contentType, wire, func(b []byte) error {
+	err := c.post(ctx, "ingest", apiRoot+"/ingest", body, contentType, wire, func(b []byte) error {
 		if isWireFrame(b) {
 			return decodeFramePayload(b, wireIngest, func(d *store.Dec) { out = decodeIngestAckWire(d) })
 		}

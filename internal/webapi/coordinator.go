@@ -223,9 +223,6 @@ func DialCoordinator(ctx context.Context, cfg CoordinatorConfig, tok *textproc.T
 // a single-node server over the whole corpus reports.
 func (co *Coordinator) Stats() Stats { return co.stats }
 
-// Nodes returns the cluster size.
-func (co *Coordinator) Nodes() int { return co.ring.Nodes() }
-
 // TopK implements core.Retriever.
 func (co *Coordinator) TopK() int { return co.topK }
 
@@ -552,6 +549,8 @@ func (b clusterBackend) entity(id corpus.EntityID) *corpus.Entity {
 func (b clusterBackend) page(ctx context.Context, id corpus.PageID) (*corpus.Page, error) {
 	return b.co.PageCtx(ctx, id)
 }
+
+func (b clusterBackend) pageWorkers() int { return b.co.prefetch }
 
 func (b clusterBackend) retriever() core.Retriever { return b.co }
 

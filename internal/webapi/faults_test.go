@@ -2,6 +2,7 @@ package webapi
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -15,7 +16,9 @@ import (
 	"l2q/internal/classify"
 	"l2q/internal/core"
 	"l2q/internal/corpus"
+	"l2q/internal/html"
 	"l2q/internal/search"
+	"l2q/internal/store"
 	"l2q/internal/synth"
 	"l2q/internal/types"
 )
@@ -377,15 +380,64 @@ func TestMalformedPageRejected(t *testing.T) {
 	if !strings.Contains(err.Error(), "l2q-page-id") {
 		t.Errorf("error %v does not name the missing meta", err)
 	}
+
+	// The same check guards a body attached to a search response: one
+	// whose l2q-page-id disagrees with the hit it is announced for fails
+	// the whole response, which is retried — and the body is never cached
+	// under the announced ID. Both encodings of the response.
+	pages := f.g.Corpus.Pages
+	mislabeled := SearchResponse{Query: "x", Hits: []SearchHit{
+		{PageID: pages[1].ID, Score: -1, HTML: html.RenderPage(pages[1])},
+		{PageID: pages[2].ID, Score: -2, HTML: html.RenderPage(pages[3])}, // page 3's bytes under page 2's ID
+	}}
+	for _, codec := range []Codec{CodecJSON, CodecAuto} {
+		for _, goodAfter := range []int64{1, 1 << 30} {
+			var searches atomic.Int64
+			real := NewServer(f.g.Corpus, f.engine).Handler()
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != apiRoot+"/search" || searches.Add(1) > goodAfter {
+					real.ServeHTTP(w, r)
+					return
+				}
+				if strings.Contains(r.Header.Get("Accept"), wireContentType) {
+					w.Write(marshalFrame(wireSearchPages, DefaultCompressMin, func(e *store.Enc) { encodeSearchPagesWire(e, mislabeled) }))
+					return
+				}
+				json.NewEncoder(w).Encode(mislabeled)
+			}))
+			c := derivedClient(f, srv.URL, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond})
+			c.codec = codec
+			res, err := c.Retrieve(context.Background(), nil, f.g.Corpus.Entities[0].SeedTokens(), []string{"research"})
+			srv.Close()
+			if goodAfter == 1 {
+				// One bad response, then the real server: absorbed by a retry.
+				if err != nil || len(res) == 0 {
+					t.Fatalf("%v: mislabeled body not absorbed by a retry: %d results, %v", codec, len(res), err)
+				}
+				if m := c.Metrics(); m.Retries != 1 || m.Errors != 0 {
+					t.Errorf("%v: metrics %+v, want exactly one retry", codec, m)
+				}
+			} else if err == nil || !strings.Contains(err.Error(), "l2q-page-id") {
+				t.Errorf("%v: mislabeled body accepted for good: %v", codec, err)
+			}
+			if p := c.cachedPage(pages[2].ID); p != nil && (goodAfter != 1 || p.Title != pages[2].Title) {
+				t.Errorf("%v: mislabeled body was cached under the announced ID %d (title %q)", codec, pages[2].ID, p.Title)
+			}
+			if p := c.cachedPage(pages[3].ID); goodAfter != 1 && p != nil {
+				t.Errorf("%v: rejected body was cached under its own ID", codec)
+			}
+		}
+	}
 }
 
 // TestDifferentialFaultParity is the acceptance bar: with the injector
-// erroring 20% of requests and truncating another 10%, a full domain- and
+// erroring 35% of requests and truncating another 15% (dense, because a
+// session is only one request per fired query), a full domain- and
 // context-aware harvesting session through the flaky HTTP boundary fires
 // the identical query sequence and gathers the identical page set as the
 // in-process engine. Retries make faults invisible — not approximated.
 func TestDifferentialFaultParity(t *testing.T) {
-	f, inj := newFaultyFixture(t, &FaultInjector{ErrorRate: 0.20, TruncateRate: 0.10, Seed: 42})
+	f, inj := newFaultyFixture(t, &FaultInjector{ErrorRate: 0.35, TruncateRate: 0.15, Seed: 43})
 	g := f.g
 	rec := types.Chain{g.KB, types.NewRegexRecognizer()}
 	aspect := synth.AspResearch
@@ -425,12 +477,12 @@ func TestDifferentialFaultParity(t *testing.T) {
 		t.Fatal("session gathered nothing")
 	}
 	_, errors500, truncated := inj.Counts()
-	if errors500 == 0 && truncated == 0 {
-		t.Fatal("injector fired no faults; the differential test proved nothing")
+	if errors500 == 0 || truncated == 0 {
+		t.Fatalf("injector fired %d 500s and %d truncations, want both kinds; the differential test proved too little", errors500, truncated)
 	}
 	m := f.client.Metrics()
 	if m.Retries == 0 {
-		t.Errorf("no retries recorded under a 30%% fault rate, metrics %+v", m)
+		t.Errorf("no retries recorded under a 50%% fault rate, metrics %+v", m)
 	}
 	if m.Errors != 0 {
 		t.Errorf("operations failed for good (%d): parity held by luck, raise MaxAttempts", m.Errors)

@@ -1,0 +1,491 @@
+package webapi
+
+// Tests of the one-round-trip search: a search asked with=pages carries
+// the pages of its hits, byte for byte what /page/{id} serves, on every
+// backend and in both codecs.
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+
+	"l2q/internal/corpus"
+	"l2q/internal/html"
+	"l2q/internal/search"
+	"l2q/internal/store"
+	"l2q/internal/synth"
+)
+
+// servedShape is one server preset over the standard fixture corpus.
+type servedShape struct {
+	name string
+	url  string
+}
+
+// startEveryShape serves g frozen, live and through a 3-node coordinator;
+// wrapNodes, when non-nil, interposes on the coordinator's nodes.
+func startEveryShape(t *testing.T, g *synth.Generated, wrapNodes func(int, http.Handler) http.Handler) []servedShape {
+	t.Helper()
+	serve := func(s *Server) string {
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	live := search.NewLiveEngine(g.Corpus.Pages, search.Options{}, search.LiveOptions{MemtableDocs: 16})
+	co := dialCluster(t, g, startClusterNodes(t, g, 3, 2, wrapNodes), 2, 0)
+	return []servedShape{
+		{"frozen", serve(NewServer(g.Corpus, search.NewEngine(search.BuildIndex(g.Corpus.Pages))))},
+		{"live", serve(NewLiveServer(g.Corpus, live, g.Tokenizer))},
+		{"coordinator", serve(NewCoordinatorServer(co))},
+	}
+}
+
+// rawGet issues one GET, asking for the binary codec when wire is set.
+func rawGet(t *testing.T, rawURL string, wire bool) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, rawURL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wire {
+		req.Header.Set("Accept", wireContentType)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, b
+}
+
+// TestSearchWithPagesMatchesPageRoute: for frozen, live and coordinator
+// servers × wire and JSON, every body a with=pages search attaches is the
+// bytes /page/{id} serves, have skips exactly the IDs it names, and what
+// Retrieve builds from the one response is what search + per-hit page
+// downloads build.
+func TestSearchWithPagesMatchesPageRoute(t *testing.T) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	seed := g.Corpus.Entities[3].SeedTokens()
+	query := []string{"research"}
+	for _, shape := range startEveryShape(t, g, nil) {
+		for _, codec := range []Codec{CodecAuto, CodecJSON} {
+			t.Run(shape.name+"/"+codec.String(), func(t *testing.T) {
+				wire := codec != CodecJSON
+				searchURL := func(extra url.Values) string {
+					extra["seed"], extra["q"] = seed, query
+					return shape.url + apiRoot + "/search?" + extra.Encode()
+				}
+				fetch := func(extra url.Values) SearchResponse {
+					t.Helper()
+					status, b := rawGet(t, searchURL(extra), wire)
+					if status != http.StatusOK {
+						t.Fatalf("search = %d: %s", status, b)
+					}
+					if wire != isWireFrame(b) {
+						t.Fatalf("asked wire=%v, response framed=%v", wire, isWireFrame(b))
+					}
+					resp, err := decodeSearchResponse(b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return resp
+				}
+				pageBytes := func(id corpus.PageID) string {
+					t.Helper()
+					status, b := rawGet(t, shape.url+html.PageHref(id), false)
+					if status != http.StatusOK {
+						t.Fatalf("page %d = %d", id, status)
+					}
+					return string(b)
+				}
+
+				plain := fetch(url.Values{})
+				if len(plain.Hits) < 3 {
+					t.Fatalf("only %d hits; the test needs a few", len(plain.Hits))
+				}
+				for _, h := range plain.Hits {
+					if h.HTML != "" {
+						t.Fatalf("search without with=pages attached page %d", h.PageID)
+					}
+				}
+
+				full := fetch(url.Values{"with": {"pages"}})
+				if len(full.Hits) != len(plain.Hits) {
+					t.Fatalf("with=pages changed the hit count: %d vs %d", len(full.Hits), len(plain.Hits))
+				}
+				for i, h := range full.Hits {
+					if h.HTML != pageBytes(h.PageID) {
+						t.Errorf("hit %d: attached body differs from /page/%d", i, h.PageID)
+					}
+					h.HTML = ""
+					if h != plain.Hits[i] {
+						t.Errorf("hit %d: with=pages changed the hit: %+v vs %+v", i, h, plain.Hits[i])
+					}
+				}
+
+				// have: the named hits come without a body, the others
+				// with; an ID the server does not hold is ignored.
+				skip := []corpus.PageID{plain.Hits[0].PageID, plain.Hits[2].PageID}
+				have := strconv.Itoa(int(skip[0])) + ",99999999," + strconv.Itoa(int(skip[1]))
+				part := fetch(url.Values{"with": {"pages"}, "have": {have}})
+				for i, h := range part.Hits {
+					skipped := h.PageID == skip[0] || h.PageID == skip[1]
+					if skipped != (h.HTML == "") {
+						t.Errorf("hit %d (page %d): named in have=%v, body attached=%v", i, h.PageID, skipped, h.HTML != "")
+					}
+					if !skipped && h.HTML != full.Hits[i].HTML {
+						t.Errorf("hit %d: body differs between have and no-have responses", i)
+					}
+				}
+
+				// The client: one request, no page GETs, and the same
+				// results as the two-phase resolution.
+				twoPhase, err := DialContext(ctx, shape.url, g.Tokenizer, ClientOptions{Codec: codec})
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := twoPhase.search(ctx, "search", "/search", url.Values{}, seed, query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fetchResults(ctx, nil, resp.Hits, 1, twoPhase.PageCtx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m := twoPhase.Metrics(); int(m.PageFetches) != len(want) || m.PagesAttached != 0 {
+					t.Fatalf("two-phase reference metrics %+v: want %d page GETs", m, len(want))
+				}
+				onePhase, err := DialContext(ctx, shape.url, g.Tokenizer, ClientOptions{Codec: codec})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := onePhase.Retrieve(ctx, nil, seed, query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("one-round-trip results differ from search + page downloads")
+				}
+				if m := onePhase.Metrics(); m.Requests != 2 || m.PageFetches != 0 || int(m.PagesAttached) != len(want) {
+					t.Errorf("one-round-trip metrics %+v: want 2 requests (dial + search), 0 page GETs, %d attached", m, len(want))
+				}
+				// Asked again, the client names every page it holds and
+				// the server attaches none.
+				again, err := onePhase.Retrieve(ctx, nil, seed, query)
+				if err != nil || !reflect.DeepEqual(again, got) {
+					t.Errorf("repeated retrieve differs (err %v)", err)
+				}
+				if m := onePhase.Metrics(); m.Requests != 3 || int(m.PagesAttached) != len(want) {
+					t.Errorf("repeated retrieve metrics %+v: want 3 requests and no further attached page", m)
+				}
+			})
+		}
+	}
+}
+
+// TestSearchPagesParamValidation: with and have are outside input — every
+// malformed form is a 400 through the one error envelope, on a frozen
+// server and on a coordinator server alike, and a page the backend cannot
+// produce fails the request with the backend's status instead of leaving
+// a hit silently without its body.
+func TestSearchPagesParamValidation(t *testing.T) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := func(n int) string {
+		parts := make([]string, n)
+		for i := range parts {
+			parts[i] = strconv.Itoa(1_000_000 + i) // no page of the corpus
+		}
+		return strings.Join(parts, ",")
+	}
+	cases := []struct {
+		name   string
+		params string
+		status int
+	}{
+		{"with pages", "with=pages", http.StatusOK},
+		{"empty have", "with=pages&have=", http.StatusOK},
+		{"have at the cap", "with=pages&have=" + ids(maxHave), http.StatusOK},
+		{"have names unknown pages", "with=pages&have=99999998,99999999", http.StatusOK},
+		{"unknown with", "with=tokens", http.StatusBadRequest},
+		{"empty with", "with=", http.StatusBadRequest},
+		{"with given twice", "with=pages&with=pages", http.StatusBadRequest},
+		{"have without with", "have=1,2", http.StatusBadRequest},
+		{"have given twice", "with=pages&have=1&have=2", http.StatusBadRequest},
+		{"have not numeric", "with=pages&have=abc", http.StatusBadRequest},
+		{"have with an empty field", "with=pages&have=1,,2", http.StatusBadRequest},
+		{"have with a trailing comma", "with=pages&have=1,", http.StatusBadRequest},
+		{"have only a comma", "with=pages&have=,", http.StatusBadRequest},
+		{"have negative", "with=pages&have=-1", http.StatusBadRequest},
+		{"have signed", "with=pages&have=%2B1", http.StatusBadRequest},
+		{"have fractional", "with=pages&have=1.5", http.StatusBadRequest},
+		{"have space separated", "with=pages&have=1+2", http.StatusBadRequest},
+		{"have overflowing", "with=pages&have=99999999999999999999", http.StatusBadRequest},
+		{"have past the cap", "with=pages&have=" + ids(maxHave+1), http.StatusBadRequest},
+		{"have far past the cap", "with=pages&have=" + ids(50*maxHave), http.StatusBadRequest},
+	}
+	q := "&" + url.Values{"seed": g.Corpus.Entities[0].SeedTokens(), "q": {"research"}}.Encode()
+	for _, shape := range startEveryShape(t, g, nil) {
+		if shape.name == "live" {
+			continue // shares localBackend with frozen
+		}
+		for _, tc := range cases {
+			for _, wire := range []bool{false, true} {
+				status, b := rawGet(t, shape.url+apiRoot+"/search?"+tc.params+q, wire)
+				if status != tc.status {
+					t.Errorf("%s: %s (wire=%v) = %d, want %d: %s", shape.name, tc.name, wire, status, tc.status, b)
+					continue
+				}
+				if status == http.StatusOK {
+					resp, err := decodeSearchResponse(b)
+					if err != nil || len(resp.Hits) == 0 {
+						t.Errorf("%s: %s: %d hits, err %v", shape.name, tc.name, len(resp.Hits), err)
+					}
+					for _, h := range resp.Hits {
+						if h.HTML == "" {
+							t.Errorf("%s: %s: hit %d lost its body to a have that never named it", shape.name, tc.name, h.PageID)
+						}
+					}
+					continue
+				}
+				var env errorEnvelope
+				if err := json.Unmarshal(b, &env); err != nil || env.Error.Code != "bad_request" || env.Error.Retryable {
+					t.Errorf("%s: %s: envelope %+v (decode %v), want bad_request, not retryable", shape.name, tc.name, env.Error, err)
+				}
+			}
+		}
+	}
+
+	// A hit whose page the backend cannot produce. Frozen: the index
+	// names a page the page table lost.
+	engine := search.NewEngine(search.BuildIndex(g.Corpus.Pages))
+	lb := newLocalBackend(g.Corpus, engine)
+	hits := engine.SearchWithSeed(g.Corpus.Entities[0].SeedTokens(), []string{"research"})
+	delete(lb.pages, hits[1].Page.ID)
+	frozen := httptest.NewServer(newServer(lb).Handler())
+	defer frozen.Close()
+	// Coordinator: every node refuses page requests.
+	noPages := startEveryShape(t, g, func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.Path, "/page/") {
+				writeError(w, http.StatusNotFound, "no such page")
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	})[2]
+	for _, tc := range []struct{ name, url string }{{"frozen", frozen.URL}, {noPages.name, noPages.url}} {
+		for _, wire := range []bool{false, true} {
+			status, b := rawGet(t, tc.url+apiRoot+"/search?with=pages"+q, wire)
+			var env errorEnvelope
+			if err := json.Unmarshal(b, &env); status != http.StatusNotFound || err != nil || env.Error.Code != "not_found" {
+				t.Errorf("%s (wire=%v): missing page answered %d %s, want the backend's 404 envelope", tc.name, wire, status, b)
+			}
+			// Without with=pages the same search still answers.
+			if status, _ := rawGet(t, tc.url+apiRoot+"/search?"+q[1:], wire); status != http.StatusOK {
+				t.Errorf("%s: plain search = %d", tc.name, status)
+			}
+		}
+	}
+}
+
+// TestServerMetricsCountAttachedPages: the search route's counters on
+// /api/v1/metrics add up to the hits of the with=pages searches served.
+func TestServerMetricsCountAttachedPages(t *testing.T) {
+	f := newFixture(t)
+	ctx := context.Background()
+	seed := f.g.Corpus.Entities[1].SeedTokens()
+	first, err := f.client.Retrieve(ctx, nil, seed, []string{"research"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.client.Retrieve(ctx, nil, seed, []string{"research"}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := f.client.ServerMetrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := SearchRouteMetrics{PagesAttached: int64(len(first)), PagesSkippedHave: int64(len(first))}
+	if len(first) == 0 || m.Search != want {
+		t.Errorf("search route metrics %+v, want %+v", m.Search, want)
+	}
+	if cm := f.client.Metrics(); cm.PagesAttached != want.PagesAttached || cm.PageFetches != 0 {
+		t.Errorf("client metrics %+v, want %d attached and no page GETs", cm, want.PagesAttached)
+	}
+}
+
+// searchPagesSeeds are the valid payloads the codec tests and the fuzz
+// target start from: 0, 1 and 5 attached bodies.
+func searchPagesSeeds(g *synth.Generated) []SearchResponse {
+	resp := SearchResponse{Query: "research", Seed: "marc snir"}
+	for _, p := range g.Corpus.Pages[:5] {
+		resp.Hits = append(resp.Hits, SearchHit{PageID: p.ID, URL: p.URL, Title: p.Title,
+			Score: -float64(p.ID) - 0.5, HTML: html.RenderPage(p)})
+	}
+	none := SearchResponse{Query: resp.Query, Hits: append([]SearchHit(nil), resp.Hits...)}
+	for i := range none.Hits {
+		none.Hits[i].HTML = ""
+	}
+	one := SearchResponse{Query: resp.Query, Partial: true, Hits: append([]SearchHit(nil), none.Hits...)}
+	one.Hits[3].HTML = resp.Hits[3].HTML
+	return []SearchResponse{none, one, resp, {Query: "no hits"}}
+}
+
+// TestSearchPagesWireRoundTrip: the combined frame round-trips, decodes to
+// what the JSON encoding of the same response decodes to, and rejects a
+// body announced for anything but a hit in rank order.
+func TestSearchPagesWireRoundTrip(t *testing.T) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := searchPagesSeeds(g)
+	for i, resp := range seeds {
+		for _, compressMin := range []int{0, 1} {
+			frame := marshalFrame(wireSearchPages, compressMin, func(e *store.Enc) { encodeSearchPagesWire(e, resp) })
+			got, err := decodeSearchResponse(frame)
+			if err != nil || !reflect.DeepEqual(got, resp) {
+				t.Errorf("seed %d (compressMin %d): round trip differs (err %v)", i, compressMin, err)
+			}
+		}
+		raw, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if viaJSON, err := decodeSearchResponse(raw); err != nil || !reflect.DeepEqual(viaJSON, resp) {
+			t.Errorf("seed %d: JSON round trip differs (err %v)", i, err)
+		}
+	}
+
+	bare, full := seeds[0], seeds[2]
+	for name, attach := range map[string]func(e *store.Enc){
+		"not a hit":    func(e *store.Enc) { e.Uvarint(1); e.Varint(424242); e.Str(full.Hits[0].HTML) },
+		"out of order": func(e *store.Enc) { e.Uvarint(2); e.Varint(1); e.Str("b"); e.Varint(0); e.Str("a") },
+		"twice":        func(e *store.Enc) { e.Uvarint(2); e.Varint(1); e.Str("b"); e.Varint(1); e.Str("b") },
+		"empty body":   func(e *store.Enc) { e.Uvarint(1); e.Varint(0); e.Str("") },
+		"count past the payload": func(e *store.Enc) {
+			e.Uvarint(1 << 40)
+		},
+	} {
+		frame := marshalFrame(wireSearchPages, 0, func(e *store.Enc) {
+			encodeSearchWire(e, bare)
+			attach(e)
+		})
+		if _, err := decodeSearchResponse(frame); err == nil {
+			t.Errorf("attached page %s: accepted", name)
+		}
+	}
+}
+
+// FuzzSearchPagesFrame throws bytes at everything between a search
+// response body and the page cache — frame (magic, kind, CRC, gzip),
+// payload, and the page check — both as a whole response body and, so the
+// CRC does not stop every mutation at the door, as a payload inside a
+// well-formed frame. Properties: no panic; a decode never holds more hits
+// or bodies than the input has bytes (Dec.Count's guard); a payload that
+// decodes re-encodes to a canonical form that decodes to the same thing
+// and re-encodes to itself (byte-for-byte identity with the input holds
+// only up to varint padding, which Dec tolerates); and a body reaches the
+// page cache only under the ID its own l2q-page-id names.
+func FuzzSearchPagesFrame(f *testing.F) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds := searchPagesSeeds(g)
+	for _, resp := range seeds {
+		encode := func(e *store.Enc) { encodeSearchPagesWire(e, resp) }
+		plain := marshalFrame(wireSearchPages, 0, encode)
+		f.Add(plain)
+		f.Add(marshalFrame(wireSearchPages, 1, encode)) // gzip-flagged
+		// What FaultInjector.truncate leaves of a response: its first half.
+		f.Add(plain[:len(plain)/2])
+		payload, err := openFrame(plain, wireSearchPages)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+		// A body announced under another hit's ID.
+		if n := len(resp.Hits); n > 1 && resp.Hits[n-1].HTML != "" {
+			swapped := resp
+			swapped.Hits = append([]SearchHit(nil), resp.Hits...)
+			swapped.Hits[0].HTML, swapped.Hits[n-1].HTML = resp.Hits[n-1].HTML, resp.Hits[0].HTML
+			f.Add(marshalFrame(wireSearchPages, 0, func(e *store.Enc) { encodeSearchPagesWire(e, swapped) }))
+		}
+	}
+	f.Add(marshalFrame(wireSearch, 0, func(e *store.Enc) { encodeSearchWire(e, seeds[0]) }))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check := func(body []byte) {
+			resp, err := decodeSearchResponse(body)
+			if err != nil {
+				return
+			}
+			size := len(body)
+			if payload, err := openFrame(body, frameKind(body)); err == nil {
+				size = len(payload) // what a gzip-flagged frame inflates to
+			}
+			if len(resp.Hits) > size {
+				t.Fatalf("%d hits decoded from %d bytes", len(resp.Hits), size)
+			}
+			enc := func(r SearchResponse) []byte {
+				var e store.Enc
+				encodeSearchPagesWire(&e, r)
+				return append([]byte(nil), e.Data()...)
+			}
+			canon := enc(resp)
+			d := store.NewDec(canon)
+			again := decodeSearchPagesWire(d)
+			if d.Err() != nil || !d.Done() {
+				t.Fatalf("canonical re-encoding does not decode: %v", d.Err())
+			}
+			if !bytes.Equal(enc(again), canon) {
+				t.Fatal("re-encoding is not a fixpoint")
+			}
+
+			c := &Client{tok: g.Tokenizer, pageCache: make(map[corpus.PageID]*corpus.Page)}
+			announced := make(map[corpus.PageID]string)
+			for _, h := range resp.Hits {
+				if announced[h.PageID] == "" {
+					announced[h.PageID] = h.HTML // the first body is the one accepted
+				}
+			}
+			err = c.acceptPages(resp.Hits)
+			for id, p := range c.pageCache {
+				if p.ID != id || html.ParsePage(announced[id], -1, g.Tokenizer).ID != id {
+					t.Fatalf("page cached under %d carries l2q-page-id %d", id, p.ID)
+				}
+			}
+			if err == nil {
+				for id, body := range announced {
+					if body != "" && c.pageCache[id] == nil {
+						t.Fatalf("body announced as page %d accepted but not cached", id)
+					}
+				}
+			}
+		}
+		check(data)
+		for _, compressMin := range []int{0, 1} {
+			check(marshalFrame(wireSearchPages, compressMin, func(e *store.Enc) { e.Raw(data) }))
+		}
+	})
+}

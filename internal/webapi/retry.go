@@ -174,9 +174,13 @@ type ClientMetrics struct {
 	Retries int64
 	// Errors counts operations that failed even after retrying.
 	Errors int64
-	// PageFetches counts pages downloaded over the wire (cache and
-	// singleflight hits excluded).
+	// PageFetches counts pages downloaded from /page/{id} (cache and
+	// singleflight hits excluded, and so are pages that arrived inside a
+	// search response — those are PagesAttached).
 	PageFetches int64
+	// PagesAttached counts page bodies accepted from search responses:
+	// each one a page request the harvest did not have to make.
+	PagesAttached int64
 	// PrefetchShared counts page fetches coalesced onto another in-flight
 	// download of the same page (singleflight hits).
 	PrefetchShared int64
@@ -188,6 +192,7 @@ type metrics struct {
 	retries        atomic.Int64
 	errors         atomic.Int64
 	pageFetches    atomic.Int64
+	pagesAttached  atomic.Int64
 	prefetchShared atomic.Int64
 }
 
@@ -197,6 +202,7 @@ func (m *metrics) snapshot() ClientMetrics {
 		Retries:        m.retries.Load(),
 		Errors:         m.errors.Load(),
 		PageFetches:    m.pageFetches.Load(),
+		PagesAttached:  m.pagesAttached.Load(),
 		PrefetchShared: m.prefetchShared.Load(),
 	}
 }

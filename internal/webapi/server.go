@@ -21,6 +21,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -53,6 +54,10 @@ type SearchHit struct {
 	URL    string        `json:"url"`
 	Title  string        `json:"title"`
 	Score  float64       `json:"score"`
+	// HTML is the page itself — byte for byte what /page/{id} serves — on
+	// a search asked with=pages, for every hit the request did not list in
+	// have; absent otherwise.
+	HTML string `json:"html,omitempty"`
 }
 
 // SearchResponse is the /api/v1/search payload.
@@ -138,6 +143,11 @@ type Server struct {
 
 	// requests counts every request served (the /api/v1/metrics counter).
 	requests atomic.Int64
+	// pagesAttached and pagesSkippedHave count, over searches asked
+	// with=pages, the hit pages sent inside the search response and the
+	// ones left out because the request's have list named them.
+	pagesAttached    atomic.Int64
+	pagesSkippedHave atomic.Int64
 
 	// ctx is canceled by Shutdown so long-lived streaming handlers (the
 	// batch-harvest endpoint, job event streams) terminate and let the
@@ -320,6 +330,10 @@ type ServerMetrics struct {
 	// MaxInFlight echoes the configured bound (0 = admission control off).
 	Shed        int64 `json:"shed"`
 	MaxInFlight int   `json:"maxInFlight,omitempty"`
+	// Search reports what the search route saved its clients: pages sent
+	// inside search responses (each one a /page request not made) and
+	// pages withheld because the client said it holds them.
+	Search SearchRouteMetrics `json:"search"`
 	// Runtime reports the process-health gauges (heap in use, GC pause
 	// tail, goroutines, cumulative allocations) so a load driver can
 	// correlate latency with GC and derive server-side allocs/request.
@@ -339,13 +353,23 @@ type ServerMetrics struct {
 	Live *search.LiveMetrics `json:"live,omitempty"`
 }
 
+// SearchRouteMetrics is the search route's section of ServerMetrics.
+type SearchRouteMetrics struct {
+	PagesAttached    int64 `json:"pages_attached"`
+	PagesSkippedHave int64 `json:"pages_skipped_have"`
+}
+
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	m := ServerMetrics{
 		Requests:    s.requests.Load(),
 		InFlight:    len(s.semaphore()),
 		Shed:        s.shed.Load(),
 		MaxInFlight: s.MaxInFlight,
-		Runtime:     readRuntimeMetrics(),
+		Search: SearchRouteMetrics{
+			PagesAttached:    s.pagesAttached.Load(),
+			PagesSkippedHave: s.pagesSkippedHave.Load(),
+		},
+		Runtime: readRuntimeMetrics(),
 	}
 	s.jobsMu.Lock()
 	if len(s.jobs) > 0 {
@@ -425,12 +449,63 @@ func newSearchResponse(seed, query []textproc.Token, res []search.Result) Search
 	return resp
 }
 
+// maxHave caps the have list of a with=pages search, on both ends: the
+// client names at most this many cached pages (the newest), the server
+// refuses a longer list. A constant, not an option — it bounds the request
+// line and the per-hit scan below, a page left off the list only travels
+// again, and a budget-5 harvest never holds more than 30 pages.
+const maxHave = 64
+
+// pagesParams decodes the with and have parameters of a search request,
+// answering 400 itself (ok false) when they are unusable. with=pages asks
+// for the hits' pages inside the response; have is one comma-separated
+// list of decimal page IDs the client already holds.
+func pagesParams(w http.ResponseWriter, qv url.Values) (withPages bool, have []corpus.PageID, ok bool) {
+	if with, present := qv["with"]; present {
+		if len(with) != 1 || with[0] != "pages" {
+			writeError(w, http.StatusBadRequest, "bad with parameter: only with=pages is supported")
+			return false, nil, false
+		}
+		withPages = true
+	}
+	lists, present := qv["have"]
+	if !present {
+		return withPages, nil, true
+	}
+	if !withPages || len(lists) != 1 {
+		writeError(w, http.StatusBadRequest, "bad have parameter: one list, and only on a with=pages search")
+		return false, nil, false
+	}
+	rest := lists[0]
+	for more := rest != ""; more; {
+		var field string
+		field, rest, more = strings.Cut(rest, ",")
+		id, err := strconv.ParseUint(field, 10, strconv.IntSize-1)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "bad have parameter: want comma-separated page IDs")
+			return false, nil, false
+		}
+		if len(have) == maxHave {
+			writeError(w, http.StatusBadRequest, "bad have parameter: more than "+strconv.Itoa(maxHave)+" page IDs")
+			return false, nil, false
+		}
+		have = append(have, corpus.PageID(id))
+	}
+	return true, have, true
+}
+
 // handleSearch answers one seeded search. A coordinator's partial result
 // (some partitions had no live owner) is served flagged, not errored: the
 // client sees Partial and decides; only a total outage or a dead caller
-// errors.
+// errors. Asked with=pages, the response also carries the pages of its
+// hits (attachPages), so a harvest step is one round trip.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	seed, query, k, ok := searchParams(w, r.URL.Query())
+	qv := r.URL.Query()
+	seed, query, k, ok := searchParams(w, qv)
+	if !ok {
+		return
+	}
+	withPages, have, ok := pagesParams(w, qv)
 	if !ok {
 		return
 	}
@@ -439,7 +514,42 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errorStatus(err), err.Error())
 		return
 	}
-	s.respond(w, r, wireSearch, func(e *store.Enc) { encodeSearchWire(e, resp) }, resp)
+	if !withPages {
+		s.respond(w, r, wireSearch, func(e *store.Enc) { encodeSearchWire(e, resp) }, resp)
+		return
+	}
+	if err := s.attachPages(r.Context(), resp.Hits, have); err != nil {
+		writeError(w, errorStatus(err), err.Error())
+		return
+	}
+	s.respond(w, r, wireSearchPages, func(e *store.Enc) { encodeSearchPagesWire(e, resp) }, resp)
+}
+
+// attachPages hangs on every hit not named in have the bytes /page/{id}
+// would serve for it — the one attach step behind both encodings and every
+// backend. A page the backend cannot produce fails the whole request with
+// that error: a hit silently left without its body would be
+// indistinguishable from one the client asked to skip.
+func (s *Server) attachPages(ctx context.Context, hits []SearchHit, have []corpus.PageID) error {
+	pages, err := fetchResults(ctx, nil, hits, s.backend.pageWorkers(), func(ctx context.Context, id corpus.PageID) (*corpus.Page, error) {
+		if slices.Contains(have, id) {
+			return nil, nil
+		}
+		return s.backend.page(ctx, id)
+	})
+	if err != nil {
+		return err
+	}
+	attached := 0
+	for i, r := range pages {
+		if r.Page != nil {
+			hits[i].HTML = html.RenderPage(r.Page)
+			attached++
+		}
+	}
+	s.pagesAttached.Add(int64(attached))
+	s.pagesSkippedHave.Add(int64(len(hits) - attached))
+	return nil
 }
 
 func (s *Server) handleCollFreq(w http.ResponseWriter, r *http.Request) {
@@ -466,9 +576,12 @@ func (s *Server) handleEntities(w http.ResponseWriter, r *http.Request) {
 // handlePage serves one corpus page at /page/{id} where {id} is
 // "<n>.html" (the canonical html.PageHref form) or a bare numeric ID —
 // as raw HTML by default, or as a wire frame carrying the identical
-// bytes (gzipped past the threshold) when negotiated. Page bodies are
-// the serving boundary's dominant transfer cost (one query fans out to
-// top-K page downloads), which is why this is the payload the compress
+// bytes (gzipped past the threshold) when negotiated. This is the route a
+// crawler, a browser or a client of an older release downloads pages
+// from; a harvesting Client gets the same bytes inside its search
+// responses (attachPages) and comes here only for a page one of those did
+// not carry. Page bodies are the serving boundary's dominant transfer
+// cost either way, which is why they are the payload the compress
 // threshold is aimed at.
 func (s *Server) handlePage(w http.ResponseWriter, r *http.Request) {
 	raw := r.PathValue("id")

@@ -18,6 +18,7 @@ import (
 	"l2q/internal/corpus"
 	"l2q/internal/search"
 	"l2q/internal/synth"
+	"l2q/internal/textproc"
 	"l2q/internal/types"
 )
 
@@ -197,7 +198,8 @@ func TestRemoteSessionParity(t *testing.T) {
 	}
 
 	localQ, localP := run(f.engine)
-	remoteQ, remoteP := run(f.client)
+	counted := &countingRetriever{Retriever: f.client}
+	remoteQ, remoteP := run(counted)
 	if !reflect.DeepEqual(localQ, remoteQ) {
 		t.Errorf("fired queries differ:\n local %v\nremote %v", localQ, remoteQ)
 	}
@@ -207,6 +209,26 @@ func TestRemoteSessionParity(t *testing.T) {
 	if len(localQ) == 0 || len(localP) == 0 {
 		t.Fatal("session gathered nothing")
 	}
+	// One round trip per search, and nothing else: the dial probe plus one
+	// request per search the session issued; every page came inside a
+	// search response.
+	if got, want := f.client.Requests(), 1+counted.searches; counted.searches < len(remoteQ) || got != want {
+		t.Errorf("session issued %d requests for %d searches, want %d (dial + one per search)", got, counted.searches, want)
+	}
+	if m := f.client.Metrics(); m.PageFetches != 0 || int(m.PagesAttached) != len(remoteP) {
+		t.Errorf("metrics %+v: want no page GETs and %d pages attached", m, len(remoteP))
+	}
+}
+
+// countingRetriever counts the searches a session issues.
+type countingRetriever struct {
+	core.Retriever
+	searches int
+}
+
+func (c *countingRetriever) Retrieve(ctx context.Context, dst []search.Result, seed, query []textproc.Token) ([]search.Result, error) {
+	c.searches++
+	return c.Retriever.Retrieve(ctx, dst, seed, query)
 }
 
 func TestHTTPErrorPaths(t *testing.T) {

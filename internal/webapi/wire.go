@@ -64,6 +64,10 @@ const (
 	wireEvent     byte = 6
 	wireNodeStats byte = 7
 	wireIngest    byte = 8
+	// wireSearchPages is a search answered with=pages: the wireSearch
+	// payload followed by the page bodies of its hits (see
+	// encodeSearchPagesWire).
+	wireSearchPages byte = 9
 )
 
 // Frame flags.
@@ -127,6 +131,16 @@ func marshalFrame(kind byte, compressMin int, encode func(*store.Enc)) []byte {
 // that asked for binary discovers whether the server actually spoke it.
 func isWireFrame(b []byte) bool {
 	return len(b) >= len(wireMagic) && string(b[:len(wireMagic)]) == wireMagic
+}
+
+// frameKind sniffs the payload kind a frame announces (0 for a body too
+// short to say) — how a client that asked a search for its pages discovers
+// whether the server attached them.
+func frameKind(b []byte) byte {
+	if !isWireFrame(b) || len(b) == len(wireMagic) {
+		return 0
+	}
+	return b[len(wireMagic)]
 }
 
 // openFrame verifies and unwraps a single-frame body: magic, kind, CRC,
@@ -299,6 +313,54 @@ func decodeSearchWire(d *store.Dec) SearchResponse {
 			Title:  d.Str(),
 			Score:  d.F64(),
 		})
+	}
+	return resp
+}
+
+// encodeSearchPagesWire is encodeSearchWire followed by count × (page id,
+// body): the HTML of every hit that carries one, in rank order. The hit
+// list itself is written without bodies, so a wireSearch decoder reads the
+// prefix unchanged.
+func encodeSearchPagesWire(e *store.Enc, resp SearchResponse) {
+	encodeSearchWire(e, resp)
+	n := 0
+	for i := range resp.Hits {
+		if resp.Hits[i].HTML != "" {
+			n++
+		}
+	}
+	e.Uvarint(uint64(n))
+	for i := range resp.Hits {
+		if h := &resp.Hits[i]; h.HTML != "" {
+			e.Varint(int64(h.PageID))
+			e.Str(h.HTML)
+		}
+	}
+}
+
+// decodeSearchPagesWire inverts encodeSearchPagesWire, hanging every body
+// on the hit it was announced for. A body announced for a page that is
+// not a hit, out of rank order, twice, or empty poisons the decoder: the
+// encoder writes none of these, and accepting them would let a body reach
+// the page cache under an ID the ranking never named.
+func decodeSearchPagesWire(d *store.Dec) SearchResponse {
+	resp := decodeSearchWire(d)
+	n := d.Count("attached pages")
+	next := 0
+	for i := 0; i < n && d.Err() == nil; i++ {
+		id, body := corpus.PageID(d.Varint()), d.Str()
+		for next < len(resp.Hits) && resp.Hits[next].PageID != id {
+			next++
+		}
+		if d.Err() != nil {
+			break
+		}
+		if next == len(resp.Hits) || body == "" {
+			d.Fail(fmt.Sprintf("attached page %d (not a hit in rank order, or empty)", id))
+			break
+		}
+		resp.Hits[next].HTML = body
+		next++
 	}
 	return resp
 }

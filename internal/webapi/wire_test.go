@@ -379,6 +379,32 @@ func TestMixedVersionFallback(t *testing.T) {
 	if _, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{Codec: CodecBinary}); err == nil {
 		t.Error("CodecBinary dial accepted a JSON-only server")
 	}
+
+	// A server from before with=pages ignores the parameter and answers
+	// the bare hit list: the client downloads every hit's page itself and
+	// harvests the same, in either codec.
+	for _, codec := range []Codec{CodecAuto, CodecJSON} {
+		current := NewServer(g.Corpus, engine).Handler()
+		old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			q := r.URL.Query()
+			q.Del("with")
+			q.Del("have")
+			r.URL.RawQuery = q.Encode()
+			current.ServeHTTP(w, r)
+		}))
+		defer old.Close()
+		c, err := DialContext(context.Background(), old.URL, g.Tokenizer, ClientOptions{Codec: codec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		oldQ, oldP, _ := ss.run(core.NewL2QBAL(), c)
+		if !reflect.DeepEqual(oldQ, localQ) || !reflect.DeepEqual(oldP, localP) {
+			t.Errorf("%v: harvest against a server that ignores with=pages diverges:\n local  %v %v\n remote %v %v", codec, localQ, localP, oldQ, oldP)
+		}
+		if m := c.Metrics(); m.PagesAttached != 0 || int(m.PageFetches) != len(oldP) || m.Errors != 0 {
+			t.Errorf("%v: metrics %+v, want every one of the %d pages downloaded from /page", codec, m, len(oldP))
+		}
+	}
 }
 
 // TestErrorEnvelope: every handler's failure decodes into the one
@@ -583,9 +609,11 @@ func streamByEntity(t *testing.T, evs []HarvestEvent, entities int) map[corpus.E
 }
 
 // TestDifferentialWireParity is the tentpole acceptance bar: a full
-// fault-injected remote harvest (20% 500s + 10% truncations) over the
-// binary wire fires the identical query sequence, gathers the identical
-// page set, and downloads byte-identical page content vs the JSON wire.
+// fault-injected remote harvest (35% 500s + 15% truncations — a session is
+// one request per fired query now, so the fault process has to be dense
+// for both kinds of fault to land on it) over the binary wire fires the
+// identical query sequence, gathers the identical page set, and downloads
+// byte-identical page content vs the JSON wire.
 func TestDifferentialWireParity(t *testing.T) {
 	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
 	if err != nil {
@@ -610,7 +638,7 @@ func TestDifferentialWireParity(t *testing.T) {
 	// One injector per codec, identically seeded: both clients face the
 	// same fault process.
 	dialFaulty := func(codec Codec) (*Client, *FaultInjector) {
-		inj := &FaultInjector{ErrorRate: 0.20, TruncateRate: 0.10, Seed: 202,
+		inj := &FaultInjector{ErrorRate: 0.35, TruncateRate: 0.15, Seed: 202,
 			Next: NewServer(g.Corpus, engine).Handler()}
 		srv := httptest.NewServer(inj)
 		t.Cleanup(srv.Close)
@@ -660,9 +688,10 @@ func TestDifferentialWireParity(t *testing.T) {
 	// Both runs must actually have been faulted, or parity proved nothing.
 	for name, inj := range map[string]*FaultInjector{"json": jsonInj, "wire": wireInj} {
 		_, e5, tr := inj.Counts()
-		if e5 == 0 && tr == 0 {
-			t.Fatalf("%s injector fired no faults", name)
+		if e5 == 0 || tr == 0 {
+			t.Fatalf("%s injector fired %d 500s and %d truncations; want both kinds", name, e5, tr)
 		}
+		t.Logf("%s injector: %d 500s, %d truncations", name, e5, tr)
 	}
 	if m := wireClient.Metrics(); m.Retries == 0 || m.Errors != 0 {
 		t.Errorf("wire client metrics %+v: want retries absorbed, zero terminal errors", m)
@@ -715,11 +744,13 @@ func TestThrottledWriterModelsTransfer(t *testing.T) {
 
 var _ = fmt.Sprintf // keep fmt for debugging edits
 
-// BenchmarkMarshalFrameAllocs pins what framing a page-sized, compressed
-// response allocates: the frame itself and nothing else — encoder, gzip
-// writer and gzip output buffer are all pooled. Gated at 1 alloc/op by
-// scripts/alloc_gate.sh — renaming this benchmark breaks the gate; update
-// the script in the same change.
+// BenchmarkMarshalFrameAllocs pins what framing a compressed response
+// allocates — one page, and a search carrying the pages of its five hits:
+// the frame itself and nothing else. Encoder, gzip writer and gzip output
+// buffer are all pooled, and the attached bodies are appended straight
+// into the pooled encoder. Gated at 1 alloc/op by scripts/alloc_gate.sh —
+// renaming this benchmark or a sub-benchmark breaks the gate; update the
+// script in the same change.
 func BenchmarkMarshalFrameAllocs(b *testing.B) {
 	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
 	if err != nil {
@@ -729,15 +760,26 @@ func BenchmarkMarshalFrameAllocs(b *testing.B) {
 	if len(body) < DefaultCompressMin {
 		b.Fatalf("page body is %d bytes, under the compress threshold", len(body))
 	}
-	encode := func(e *store.Enc) { e.Raw(body) }
-	frame := marshalFrame(wirePage, DefaultCompressMin, encode) // warm the pools
-	if frame[len(wireMagic)+1]&wireFlagGzip == 0 {
-		b.Fatal("page frame was not compressed")
+	resp := searchPagesSeeds(g)[2] // five hits, five bodies
+	for _, bc := range []struct {
+		name   string
+		kind   byte
+		encode func(*store.Enc)
+	}{
+		{"page", wirePage, func(e *store.Enc) { e.Raw(body) }},
+		{"search5pages", wireSearchPages, func(e *store.Enc) { encodeSearchPagesWire(e, resp) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			frame := marshalFrame(bc.kind, DefaultCompressMin, bc.encode) // warm the pools
+			if frame[len(wireMagic)+1]&wireFlagGzip == 0 {
+				b.Fatal("frame was not compressed")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				frame = marshalFrame(bc.kind, DefaultCompressMin, bc.encode)
+			}
+			_ = frame
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame = marshalFrame(wirePage, DefaultCompressMin, encode)
-	}
-	_ = frame
 }

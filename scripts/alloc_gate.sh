@@ -41,7 +41,8 @@ ceiling() {
 	BenchmarkCandidateAllocs/steady) echo 3 ;;        # the fresh result slice (+ map growth slack)
 	BenchmarkSelectAllocs) echo 6 ;;                  # the Inference, its three Coll* vectors, two worker-pool closures
 	BenchmarkScatterMergeAllocs) echo 0 ;;            # coordinator K-way merge over pooled heap scratch
-	BenchmarkMarshalFrameAllocs) echo 1 ;;            # the frame itself; encoder, gzip writer and gzip buffer are pooled
+	BenchmarkMarshalFrameAllocs/page) echo 1 ;;       # the frame itself; encoder, gzip writer and gzip buffer are pooled
+	BenchmarkMarshalFrameAllocs/search5pages) echo 1 ;; # same for a search carrying its five pages: bodies go straight into the pooled encoder
 	*) echo "" ;;
 	esac
 }
