@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test fuzz-smoke soak bench bench-smoke bench-candidates bench-wire bench-scatter bench-allocs bench-live wire-parity load-smoke cluster-smoke lint vuln fmt
+.PHONY: all build test test-procs fuzz-smoke soak bench bench-smoke bench-candidates bench-wire bench-scatter bench-allocs bench-live wire-parity load-smoke cluster-smoke lint vuln fmt
 
 all: lint build test
 
@@ -15,6 +15,14 @@ build:
 test:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -shuffle=on -count=5 ./internal/webapi/
+
+# The packages whose worker-pool defaults read GOMAXPROCS (ingest
+# pre-tokenization, inference, domain learning, the scheduler's select
+# and fetch pools), serial and oversubscribed: every worker count must
+# compute the same values, and no test may depend on the box's core count.
+test-procs:
+	GOMAXPROCS=1 $(GO) test -race -shuffle=on ./internal/search/ ./internal/core/ ./internal/pipeline/
+	GOMAXPROCS=8 $(GO) test -race -shuffle=on ./internal/search/ ./internal/core/ ./internal/pipeline/
 
 # 20 s of native fuzzing each on the scorer's exactness gate (the pruned
 # top-k pass must equal SearchReference bit for bit on random tiny corpora)

@@ -7,7 +7,7 @@
 //
 //	l2qexp [-domain researchers|cars|both] [-fig all|9|10|11|12|13|14|crawl|budget]
 //	       [-entities N] [-pages N] [-domainsample N] [-test N] [-val N]
-//	       [-seed N] [-cv] [-quick] [-json] [-shards N] [-cachesize N]
+//	       [-seed N] [-cv] [-quick] [-json] [-cachesize N]
 //	       [-inferworkers N] [-warmstart] [-incremental]
 //
 // Beyond the paper's figures, -fig crawl runs the extension experiment
@@ -73,7 +73,6 @@ func main() {
 		r0star       = flag.Float64("r0star", 0, "set the seed-recall anchor directly (skips -cv; 0 = config default)")
 		quick        = flag.Bool("quick", false, "small fast configuration (smoke test)")
 		splits       = flag.Int("splits", 1, "random entity splits to average (paper: 10)")
-		shards       = flag.Int("shards", 0, "index shards (0 = GOMAXPROCS)")
 		cacheSize    = flag.Int("cachesize", 0, "query cache capacity (0 = default, <0 = off)")
 		inferWorkers = flag.Int("inferworkers", 0, "per-step inference workers (0 = GOMAXPROCS)")
 		learnWorkers = flag.Int("learnworkers", 0, "domain-phase counting workers (0 = GOMAXPROCS)")
@@ -126,7 +125,6 @@ func main() {
 		if *r0star > 0 {
 			cfg.Core.R0Star = *r0star
 		}
-		cfg.Core.SearchShards = *shards
 		cfg.Core.SearchCacheSize = *cacheSize
 		cfg.Core.InferWorkers = *inferWorkers
 		cfg.Core.LearnWorkers = *learnWorkers

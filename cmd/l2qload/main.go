@@ -238,7 +238,7 @@ func selfServe(domain string, entities, pages int, seed uint64, maxInFlight int,
 		eng := search.NewLiveEngine(g.Corpus.Pages, search.Options{}, search.LiveOptions{MemtableDocs: memtable})
 		srv = webapi.NewLiveServer(g.Corpus, eng, g.Tokenizer)
 	} else {
-		idx := search.BuildIndexOpts(g.Corpus.Pages, search.Options{})
+		idx := search.BuildIndex(g.Corpus.Pages)
 		engine := search.NewEngineOpts(idx, search.Options{})
 		srv = webapi.NewServer(g.Corpus, engine)
 	}
@@ -401,7 +401,7 @@ func selfServeCluster(domain string, entities, pages int, seed uint64,
 	if err != nil {
 		return "", nil, err
 	}
-	engine := search.NewEngineOpts(search.BuildIndexOpts(g.Corpus.Pages, search.Options{}), search.Options{})
+	engine := search.NewEngineOpts(search.BuildIndex(g.Corpus.Pages), search.Options{})
 
 	var (
 		servers []*webapi.Server

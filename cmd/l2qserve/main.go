@@ -57,7 +57,6 @@ func main() {
 		seed      = flag.Uint64("seed", 2016, "corpus seed (synthetic mode)")
 		topK      = flag.Int("k", 5, "results per query")
 		quiet     = flag.Bool("quiet", false, "disable request logging")
-		shards    = flag.Int("shards", 0, "index shards (0 = GOMAXPROCS)")
 		cacheSize = flag.Int("cachesize", 0, "query cache capacity (0 = default, <0 = off)")
 		harvest   = flag.Bool("harvest", true, "enable POST /api/v1/harvest and the /api/v1/jobs async API (server-side batch harvesting)")
 		domains   = flag.String("domains", "", "domain-artifact file (l2qstore domains): boot the harvest backend warm instead of learning per aspect on first request")
@@ -81,7 +80,7 @@ func main() {
 		nodeDl    = flag.Duration("nodedeadline", 0, "coordinator: per-node scatter deadline before failing over to a replica (0 = default)")
 	)
 	flag.Parse()
-	sopts := search.Options{Shards: *shards, CacheSize: *cacheSize}
+	sopts := search.Options{CacheSize: *cacheSize}
 
 	logger := log.New(os.Stderr, "l2qserve: ", log.LstdFlags)
 
@@ -99,11 +98,7 @@ func main() {
 		c = b.Corpus
 		idx = b.Index
 		if idx == nil && !*coord && !*live {
-			idx = search.BuildIndexOpts(c.Pages, sopts)
-		} else if idx != nil && *shards != 0 {
-			// The store restores at the default shard count; honor an
-			// explicit -shards by redistributing (cheap, shares postings).
-			idx = idx.Reshard(*shards)
+			idx = search.BuildIndex(c.Pages)
 		}
 		// Store files carry no tokenizer; reconstruct the phrase lexicon
 		// from the corpus's own multi-word tokens so server-side query
@@ -120,7 +115,7 @@ func main() {
 		}
 		c = g.Corpus
 		if !*coord && !*live {
-			idx = search.BuildIndexOpts(c.Pages, sopts)
+			idx = search.BuildIndex(c.Pages)
 		}
 		tok = g.Tokenizer
 		rec = types.Chain{g.KB, types.NewRegexRecognizer()}
@@ -206,8 +201,8 @@ func main() {
 			c.NumPages(), c.Domain, bound, liveEng.TopK(), liveEng.Mu(),
 			m.Segments, m.MemtableDocs)
 	} else {
-		fmt.Printf("serving %d pages of %q on http://%s (top-%d, μ = %.0f, %d shards)\n",
-			c.NumPages(), c.Domain, bound, engine.TopK(), engine.Mu(), idx.NumShards())
+		fmt.Printf("serving %d pages of %q on http://%s (top-%d, μ = %.0f)\n",
+			c.NumPages(), c.Domain, bound, engine.TopK(), engine.Mu())
 	}
 	if *maxInFl > 0 {
 		fmt.Printf("admission control: shedding 429 past %d in-flight requests\n", *maxInFl)

@@ -134,12 +134,9 @@ type Config struct {
 	// identical DomainModel (LearnDomainReference is the retained
 	// serial rebuild path the differential tests compare against).
 	LearnWorkers int
-	// SearchShards and SearchCacheSize tune the retrieval engine (see
-	// search.Options): index shard count and the LRU query-result cache
-	// capacity. Both are ranking-neutral; zero values pick the engine
-	// defaults (shards = GOMAXPROCS, cache on), SearchCacheSize < 0
-	// disables caching.
-	SearchShards    int
+	// SearchCacheSize is the capacity of the retrieval engine's LRU
+	// query-result cache (see search.Options). Ranking-neutral; zero
+	// picks the engine default (cache on), < 0 disables caching.
 	SearchCacheSize int
 	// MemtableDocs, CompactFanIn and IngestWorkers tune the live
 	// generational engine (see search.LiveOptions): the memtable seal
@@ -203,10 +200,10 @@ func (c Config) learnWorkers() int {
 	return c.LearnWorkers
 }
 
-// SearchOptions collects the retrieval-engine knobs for search.BuildIndexOpts
-// and search.NewEngineOpts.
+// SearchOptions collects the retrieval-engine knobs for
+// search.NewEngineOpts.
 func (c Config) SearchOptions() search.Options {
-	return search.Options{Shards: c.SearchShards, CacheSize: c.SearchCacheSize}
+	return search.Options{CacheSize: c.SearchCacheSize}
 }
 
 // LiveOptions collects the generational-lifecycle knobs for

@@ -34,8 +34,7 @@ func NewEnvs(cfg Config, n int) ([]*Env, error) {
 		return nil, err
 	}
 	cfg.Core.Tokenizer = g.Tokenizer
-	sopts := cfg.Core.SearchOptions()
-	engine := search.NewEngineOpts(search.BuildIndexOpts(g.Corpus.Pages, sopts), sopts)
+	engine := search.NewEngineOpts(search.BuildIndex(g.Corpus.Pages), cfg.Core.SearchOptions())
 
 	// Splits are independent (each trains its own classifiers over its
 	// own domain half) and each split's state is fully determined by its

@@ -23,7 +23,6 @@ import (
 	"runtime"
 
 	"l2q/internal/core"
-	"l2q/internal/search"
 )
 
 // Job is one entity-aspect harvest: a session, a selector, and a query
@@ -61,14 +60,6 @@ type Config struct {
 	// control for a shared server-side scheduler); 0 is unlimited. Jobs
 	// beyond the bound wait in strict FIFO submission order.
 	MaxActive int
-	// Search, when non-nil, re-tunes every job session's in-process
-	// *search.Engine with these options (the query cache's size) before
-	// the run; sessions sharing an engine share the tuned copy, so the
-	// query cache stays shared across entities. Ranking-neutral. When
-	// nil, engines are left as they are (a query is scored on the
-	// goroutine that fires it, so there is nothing to serialize under
-	// parallel selection). Remote retrievers are left untouched.
-	Search *search.Options
 	// InferWorkers sets every job session's per-step inference
 	// parallelism (core.Config.InferWorkers: delta containment and
 	// collective scoring). 0 applies an oversubscription rule: with more
@@ -99,34 +90,6 @@ func (c Config) withDefaults() Config {
 		c.FetchWorkers = 4 * c.SelectWorkers
 	}
 	return c
-}
-
-// tuneEngines applies the Config.Search policy to every job whose session
-// retrieves through an in-process engine. One tuned copy is made per
-// distinct engine so jobs that shared an engine (the common case: one
-// System) keep sharing its result cache. The tuned map outlives one call
-// when the caller is a long-lived Scheduler: every batch submitted over
-// the scheduler's lifetime resolves to the SAME tuned copy, so the query
-// cache stays shared — and warm — across requests instead of being
-// re-created cold per batch.
-func (c Config) tuneEngines(jobs []Job, tuned map[*search.Engine]*search.Engine) {
-	if c.Search == nil {
-		return
-	}
-	for i := range jobs {
-		s := jobs[i].Session
-		if s == nil {
-			continue
-		}
-		if e, ok := s.Engine.(*search.Engine); ok {
-			t := tuned[e]
-			if t == nil {
-				t = e.WithOptions(*c.Search)
-				tuned[e] = t
-			}
-			s.Engine = t
-		}
-	}
 }
 
 // tuneSessions applies the Config.InferWorkers and Config.LearnWorkers

@@ -385,44 +385,3 @@ func TestSessionTuning(t *testing.T) {
 		t.Errorf("single select worker mutated InferWorkers: %d → %d", before, got)
 	}
 }
-
-// TestEngineTuning checks the search-knob threading: jobs whose sessions
-// share one in-process engine get exactly one re-tuned copy (so the query
-// cache stays shared), explicit options are applied, and non-engine
-// retrievers are left alone.
-func TestEngineTuning(t *testing.T) {
-	f := newFixture(t)
-	targets := f.targets(3)
-	jobs := make([]Job, 0, len(targets))
-	for _, e := range targets {
-		jobs = append(jobs, Job{Session: f.session(e, nil), Selector: core.NewP(), NQueries: 1})
-	}
-	cfg := Config{Search: &search.Options{CacheSize: -1}}
-	cfg.tuneEngines(jobs, map[*search.Engine]*search.Engine{})
-	tuned, ok := jobs[0].Session.Engine.(*search.Engine)
-	if !ok {
-		t.Fatal("session engine is no longer a *search.Engine")
-	}
-	if tuned == f.engine {
-		t.Fatal("tuneEngines did not replace the engine")
-	}
-	tuned.Search(f.cfg.QueryTokens("research"))
-	if h, m := tuned.CacheStats(); h != 0 || m != 0 {
-		t.Fatalf("CacheSize -1 not applied: cache counted %d hits, %d misses", h, m)
-	}
-	for i := 1; i < len(jobs); i++ {
-		if jobs[i].Session.Engine != core.Retriever(tuned) {
-			t.Fatalf("job %d got a different engine copy (cache no longer shared)", i)
-		}
-	}
-
-	// Without Search options engines are left untouched, under serial and
-	// parallel selection alike.
-	for _, workers := range []int{1, 4} {
-		jobs2 := []Job{{Session: f.session(targets[0], nil), Selector: core.NewP(), NQueries: 1}}
-		Config{SelectWorkers: workers}.withDefaults().tuneEngines(jobs2, map[*search.Engine]*search.Engine{})
-		if jobs2[0].Session.Engine != core.Retriever(f.engine) {
-			t.Fatalf("SelectWorkers=%d without Search options replaced the engine", workers)
-		}
-	}
-}

@@ -80,12 +80,6 @@ type Scheduler struct {
 	active int // admitted, unfinished jobs
 	queued int // jobs awaiting admission
 
-	// tunedEngines maps each distinct in-process engine to its one tuned
-	// copy for the scheduler's whole lifetime, so every batch shares the
-	// same (warm) query cache instead of re-tuning a cold copy per
-	// Submit.
-	tunedEngines map[*search.Engine]*search.Engine
-
 	finished int64 // jobs finished over the scheduler lifetime
 	fired    int64 // queries fired over the scheduler lifetime
 
@@ -114,7 +108,7 @@ type Stats struct {
 // until Close.
 func New(cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
-	s := &Scheduler{cfg: cfg, tunedEngines: make(map[*search.Engine]*search.Engine)}
+	s := &Scheduler{cfg: cfg}
 	s.selCond = sync.NewCond(&s.mu)
 	s.ftCond = sync.NewCond(&s.mu)
 	for w := 0; w < cfg.FetchWorkers; w++ {
@@ -199,12 +193,7 @@ func (s *Scheduler) Submit(ctx context.Context, jobs []Job, opts BatchOptions) (
 		close(b.done)
 		return b, nil
 	}
-	// Engine/session tuning happens before any job runs. The tuned map
-	// is scheduler-lifetime state (guarded by s.mu, which is held here):
-	// batches submitted over the scheduler's life resolve to the same
-	// tuned engine copy, so the query cache stays shared and warm across
-	// requests instead of starting cold per batch.
-	s.cfg.tuneEngines(jobs, s.tunedEngines)
+	// Session tuning happens before any job runs.
 	s.cfg.tuneSessions(jobs)
 	s.batches = append(s.batches, b)
 	// Tie the batch to the caller's context before any job can finish

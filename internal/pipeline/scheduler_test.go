@@ -394,39 +394,6 @@ func TestSchedulerCloseAborts(t *testing.T) {
 	}
 }
 
-// TestSchedulerSharesTunedEngine is the regression test for per-batch
-// cache cold-starts: two batches submitted to one scheduler whose
-// sessions share an in-process engine must resolve to the SAME tuned
-// copy, so the query cache stays shared — and warm — across requests.
-func TestSchedulerSharesTunedEngine(t *testing.T) {
-	f := newFixture(t)
-	targets := f.targets(2)
-
-	s := New(Config{SelectWorkers: 2, FetchWorkers: 4, Search: &search.Options{}})
-	defer s.Close()
-
-	submit := func() core.Retriever {
-		jobs := []Job{{Session: f.session(targets[0], nil), Selector: core.NewP(), NQueries: 1}}
-		b, err := s.Submit(context.Background(), jobs, BatchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range b.Await(context.Background()) {
-			if r.Err != nil {
-				t.Fatal(r.Err)
-			}
-		}
-		return jobs[0].Session.Engine
-	}
-	e1, e2 := submit(), submit()
-	if e1 != e2 {
-		t.Fatal("second batch got a different tuned engine copy: query cache restarts cold per batch")
-	}
-	if e1 == core.Retriever(f.engine) {
-		t.Fatal("engine was not re-tuned at all")
-	}
-}
-
 // TestSchedulerSharedEnumerationRace drives concurrent scheduler batches
 // over the same entities WHILE the domain phase re-learns over the same
 // corpus: every one of those consumers enumerates the same immutable

@@ -32,7 +32,7 @@ func appendTestEngine(t *testing.T, opts Options) (*Engine, [][]textproc.Token) 
 			qs = append(qs, []textproc.Token{a, b})
 		}
 	}
-	return NewEngineOpts(BuildIndexOpts(pages, opts), opts), qs
+	return NewEngineOpts(BuildIndex(pages), opts), qs
 }
 
 // TestSearchAppendMatchesSearch pins the append variant to Search result

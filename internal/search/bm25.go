@@ -12,7 +12,7 @@ import (
 // query-likelihood with Dirichlet smoothing; BM25 is provided as an
 // alternative so the harvesting stack can be exercised against a different
 // ranking function (and because downstream users will ask for it). The
-// scoring itself lives in scorer.go (sharded path) and reference.go
+// scoring itself lives in scorer.go (the engine's path) and reference.go
 // (retained ground-truth path).
 
 // Default BM25 parameters (standard Robertson values).

@@ -91,9 +91,9 @@ func NewRing(n, replicas, vnodes int) *Ring {
 	return r
 }
 
-// fnvHash is the placement hash (FNV-1a, 64-bit) of the ring's documents
-// and of the index's token shards: the same value in every process.
-func fnvHash[T string | []byte](p T) uint64 {
+// fnvHash is the placement hash (FNV-1a, 64-bit) of the ring's points and
+// documents: the same value in every process.
+func fnvHash(p []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(p); i++ {
 		h ^= uint64(p[i])

@@ -115,7 +115,7 @@ func TestMergeTopKMatchesSort(t *testing.T) {
 // scores included — for both the Dirichlet and BM25 models.
 func TestPartitionedEnginesMatchSingleNode(t *testing.T) {
 	pages, queries := diffCorpus(t, 11)
-	fullIdx := BuildIndexOpts(pages, Options{})
+	fullIdx := BuildIndex(pages)
 	global := StatsOf(fullIdx)
 	mu := AutoMu(fullIdx.NumDocs(), fullIdx.TotalTokens())
 
@@ -126,7 +126,7 @@ func TestPartitionedEnginesMatchSingleNode(t *testing.T) {
 	// reproduce the single-node stats exactly.
 	merged := &CollectionStats{}
 	for _, grp := range groups {
-		MergeStats(merged, StatsOf(BuildIndexOpts(grp, Options{})))
+		MergeStats(merged, StatsOf(BuildIndex(grp)))
 	}
 	if !reflect.DeepEqual(merged, global) {
 		t.Fatalf("merged per-partition stats diverge from single-node stats:\n got %+v\nwant %+v",
@@ -140,7 +140,7 @@ func TestPartitionedEnginesMatchSingleNode(t *testing.T) {
 		}
 		parts := make([]*Engine, len(groups))
 		for p, grp := range groups {
-			e := NewEngineOpts(BuildIndexOpts(grp, Options{}), Options{}).
+			e := NewEngineOpts(BuildIndex(grp), Options{}).
 				WithTopK(8).WithCollectionStats(global).WithMu(mu)
 			if model == "bm25" {
 				e = e.WithBM25(0, 0)
@@ -211,7 +211,7 @@ func BenchmarkScatterMergeAllocs(b *testing.B) {
 // override returns to index-local statistics.
 func TestWithCollectionStatsNilRestores(t *testing.T) {
 	pages, queries := diffCorpus(t, 5)
-	idx := BuildIndexOpts(pages, Options{})
+	idx := BuildIndex(pages)
 	e := NewEngineOpts(idx, Options{})
 	own := e.WithCollectionStats(StatsOf(idx))
 	cleared := own.WithCollectionStats(nil)

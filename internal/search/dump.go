@@ -1,8 +1,10 @@
 package search
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"l2q/internal/corpus"
 	"l2q/internal/textproc"
@@ -21,21 +23,12 @@ type RawPosting struct {
 
 // DumpPostings calls fn once per term in lexicographic order, with the
 // term's postings sorted by document ordinal. The posting slice is only
-// valid during the call. The dump is independent of the index's shard
-// count, so store files round-trip across any shard configuration.
+// valid during the call.
 func (idx *Index) DumpPostings(fn func(term textproc.Token, posts []RawPosting)) {
-	terms := make([]string, 0, idx.numTerms)
-	for s := range idx.shards {
-		for t := range idx.shards[s].postings {
-			terms = append(terms, t)
-		}
-	}
-	sort.Strings(terms)
 	var buf []RawPosting
-	for _, t := range terms {
-		src := idx.postingsFor(t)
+	for _, t := range slices.Sorted(maps.Keys(idx.terms)) {
 		buf = buf[:0]
-		for _, p := range src {
+		for _, p := range idx.listFor(t).posts {
 			buf = append(buf, RawPosting{Doc: p.doc, TF: p.tf})
 		}
 		fn(t, buf)
@@ -43,50 +36,37 @@ func (idx *Index) DumpPostings(fn func(term textproc.Token, posts []RawPosting))
 }
 
 // RestoreIndex rebuilds an index from dumped postings over the same page
-// list (same order) the original index was built from, using the default
-// shard count; use RestoreIndexOpts to choose one. Document lengths,
+// list (same order) the original index was built from. Document lengths,
 // collection frequencies and the total token count are recomputed from the
-// postings, so the pages' token caches are not touched. It returns an
-// error if a posting references a document ordinal out of range.
+// postings, so the pages' token caches are not touched. The dump is input
+// from outside the program (a store file): it returns an error if a
+// posting references a document ordinal out of range, carries a
+// non-positive term frequency, or repeats a document within one term.
 func RestoreIndex(pages []*corpus.Page, terms map[textproc.Token][]RawPosting) (*Index, error) {
-	return RestoreIndexOpts(pages, terms, Options{})
-}
-
-// RestoreIndexOpts is RestoreIndex with an explicit shard count
-// (opts.Shards, resolved like BuildIndexOpts).
-func RestoreIndexOpts(pages []*corpus.Page, terms map[textproc.Token][]RawPosting, opts Options) (*Index, error) {
-	opts = opts.withDefaults()
-	idx := &Index{
-		docs:   pages,
-		docLen: make([]int, len(pages)),
-		shards: make([]indexShard, opts.Shards),
-	}
-	for s := range idx.shards {
-		idx.shards[s].postings = make(map[textproc.Token][]posting)
-		idx.shards[s].collFreq = make(map[textproc.Token]int)
-	}
-	for t, posts := range terms {
-		dst := make([]posting, 0, len(posts))
-		cf := 0
-		for _, p := range posts {
+	idx := newIndex(pages, len(terms))
+	for t, raw := range terms {
+		pl := postingList{posts: make([]posting, 0, len(raw))}
+		for _, p := range raw {
 			if p.Doc < 0 || int(p.Doc) >= len(pages) {
 				return nil, fmt.Errorf("search: posting for %q references doc %d of %d", t, p.Doc, len(pages))
 			}
 			if p.TF <= 0 {
 				return nil, fmt.Errorf("search: posting for %q has non-positive tf %d", t, p.TF)
 			}
-			dst = append(dst, posting{doc: p.Doc, tf: p.TF})
+			pl.posts = append(pl.posts, posting{doc: p.Doc, tf: p.TF})
+			pl.maxTf = max(pl.maxTf, p.TF)
+			pl.collFreq += int(p.TF)
 			idx.docLen[p.Doc] += int(p.TF)
-			cf += int(p.TF)
 		}
-		sort.Slice(dst, func(i, j int) bool { return dst[i].doc < dst[j].doc })
-		sh := &idx.shards[idx.shardFor(t)]
-		sh.postings[t] = dst
-		sh.collFreq[t] = cf
-		sh.totalToks += cf
-		idx.totalToks += cf
+		slices.SortFunc(pl.posts, func(a, b posting) int { return cmp.Compare(a.doc, b.doc) })
+		for i := 1; i < len(pl.posts); i++ {
+			if pl.posts[i].doc == pl.posts[i-1].doc {
+				return nil, fmt.Errorf("search: postings for %q name doc %d twice", t, pl.posts[i].doc)
+			}
+		}
+		idx.terms[t] = int32(len(idx.lists))
+		idx.lists = append(idx.lists, pl)
 	}
-	idx.numTerms = len(terms)
-	idx.setScoreBounds()
+	idx.sumDocLens()
 	return idx, nil
 }

@@ -61,13 +61,12 @@ type Engine struct {
 }
 
 // NewEngine creates an engine over idx with auto-scaled μ (see DefaultMu),
-// DefaultTopK, and default parallelism/cache options.
+// DefaultTopK, and the default query cache.
 func NewEngine(idx *Index) *Engine {
 	return NewEngineOpts(idx, Options{})
 }
 
-// NewEngineOpts is NewEngine with an explicit cache setting (opts.Shards
-// is an index-build knob and is ignored here).
+// NewEngineOpts is NewEngine with an explicit cache setting.
 func NewEngineOpts(idx *Index, opts Options) *Engine {
 	return &Engine{
 		idx:   idx,
@@ -121,13 +120,6 @@ func (e *Engine) WithCache(size int) *Engine {
 	cp := *e
 	cp.cache = newQueryCache(size)
 	return &cp
-}
-
-// WithOptions returns a copy of the engine re-tuned to opts' CacheSize
-// (resolved like NewEngineOpts; opts.Shards is ignored — the index's
-// shard layout is fixed at build time).
-func (e *Engine) WithOptions(opts Options) *Engine {
-	return e.WithCache(opts.cacheSize())
 }
 
 // Index returns the underlying index.
@@ -257,13 +249,13 @@ func (e *Engine) SearchTopKAppend(dst []Result, k int, query []textproc.Token) [
 		k = e.topK
 	}
 	if e.cache == nil {
-		return e.searchShardedAppend(dst, k, query)
+		return e.searchPrunedAppend(dst, k, query)
 	}
 	kb := cacheKeyPool.Get().(*cacheKeyBuf)
 	key := appendCacheKey(kb.b[:0], e.bm25, k, query)
 	out, hit := e.cache.getAppend(key, dst)
 	if !hit {
-		out = e.searchShardedAppend(dst, k, query)
+		out = e.searchPrunedAppend(dst, k, query)
 		e.cache.put(key, out[len(dst):])
 	}
 	kb.b = key

@@ -27,13 +27,11 @@ func benchCorpus(b *testing.B) ([]*Index, [][]textproc.Token) {
 	return []*Index{idx}, qs
 }
 
-// BenchmarkIndexBuildCold measures a from-scratch build at the default
-// shard count vs. a single shard (the pre-sharding layout).
+// BenchmarkIndexBuildCold measures a from-scratch build of the
+// benchmark's collection (bench/: 996 researchers × 50 pages, seed 2016) —
+// what every l2qserve process pays before it can serve.
 func BenchmarkIndexBuildCold(b *testing.B) {
-	cfg := synth.TestConfig(synth.DomainResearchers)
-	cfg.NumEntities = 120
-	cfg.PagesPerEntity = 30
-	g, err := synth.Generate(cfg)
+	g, err := synth.Generate(synth.DefaultConfig(synth.DomainResearchers))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -41,20 +39,15 @@ func BenchmarkIndexBuildCold(b *testing.B) {
 	for _, p := range pages {
 		p.Tokens() // warm token caches so the build itself is measured
 	}
-	b.Run("sharded-default", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			BuildIndexOpts(pages, Options{})
-		}
-	})
-	b.Run("single-shard", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			BuildIndexOpts(pages, Options{Shards: 1})
-		}
-	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		BuildIndex(pages)
+	}
 }
 
 // BenchmarkHotSingleQuery compares one repeated query on the reference
-// path, the sharded path without cache, and the full engine (cache on —
+// path, the engine's pruned pass without cache, and the full engine (cache on —
 // the domain-learning/selector-evaluation steady state).
 func BenchmarkHotSingleQuery(b *testing.B) {
 	idxs, qs := benchCorpus(b)
@@ -65,13 +58,13 @@ func BenchmarkHotSingleQuery(b *testing.B) {
 			e.SearchReference(q)
 		}
 	})
-	b.Run("sharded-nocache", func(b *testing.B) {
+	b.Run("engine-nocache", func(b *testing.B) {
 		e := NewEngineOpts(idxs[0], Options{CacheSize: -1})
 		for i := 0; i < b.N; i++ {
 			e.Search(q)
 		}
 	})
-	b.Run("sharded-cached", func(b *testing.B) {
+	b.Run("engine-cached", func(b *testing.B) {
 		e := NewEngineOpts(idxs[0], Options{})
 		for i := 0; i < b.N; i++ {
 			e.Search(q)
@@ -97,7 +90,7 @@ func BenchmarkConcurrentManyQueries(b *testing.B) {
 		e := NewEngineOpts(idxs[0], Options{CacheSize: -1})
 		run(b, e.SearchReference)
 	})
-	b.Run("sharded-nocache", func(b *testing.B) {
+	b.Run("engine-nocache", func(b *testing.B) {
 		e := NewEngineOpts(idxs[0], Options{CacheSize: -1})
 		run(b, e.Search)
 	})

@@ -18,7 +18,7 @@ import (
 // feeds the very index it queries. LiveEngine keeps that machinery intact
 // by composing it — new pages land in a small memtable segment (rebuilt
 // serially per ingest batch), the memtable seals into an immutable segment
-// (an ordinary Index, scored by the PR 1 sharded scorer verbatim), and a
+// (an ordinary Index, scored by the frozen engine's scorer verbatim), and a
 // background compactor merges small adjacent segments into larger ones.
 // Every query runs over a merged view: per-segment engines produce
 // (global ordinal, score) pairs and MergeTopKAppend — the cluster
@@ -195,8 +195,7 @@ func (v *liveView) pageAt(doc int64) *corpus.Page {
 // NewLiveEngine. Safe for concurrent use: any number of readers, any
 // number of Add callers (writes serialize internally).
 type LiveEngine struct {
-	opts Options     // per-segment layout, cache size
-	lo   LiveOptions // generational lifecycle
+	lo LiveOptions // generational lifecycle
 
 	view  atomic.Pointer[liveView]
 	cache *queryCache
@@ -218,21 +217,19 @@ type LiveEngine struct {
 // NewLiveEngine creates a live generational engine, optionally
 // bootstrapped with an initial page set (indexed as one big sealed
 // segment — the frozen-boot fast path, so a server restored from a store
-// starts with frozen-index performance). opts tunes the segment index
-// layout and the epoch-keyed query cache exactly as it
-// does for NewEngineOpts; lo tunes the generational lifecycle.
+// starts with frozen-index performance). opts sizes the epoch-keyed query
+// cache exactly as it does for NewEngineOpts; lo tunes the generational
+// lifecycle.
 func NewLiveEngine(pages []*corpus.Page, opts Options, lo LiveOptions) *LiveEngine {
-	opts = opts.withDefaults()
 	lo = lo.withDefaults()
 	le := &LiveEngine{
-		opts:     opts,
 		lo:       lo,
 		cache:    newQueryCache(opts.cacheSize()),
 		termSeen: make(map[textproc.Token]struct{}),
 	}
 	var segs []*liveSegment
 	if len(pages) > 0 {
-		idx := BuildIndexOpts(pages, opts)
+		idx := BuildIndex(pages)
 		segs = append(segs, &liveSegment{idx: idx})
 		le.numDocs = idx.NumDocs()
 		le.totalToks = idx.TotalTokens()
@@ -262,7 +259,7 @@ func (le *LiveEngine) buildViewLocked() *liveView {
 		if n := len(le.sealed); n > 0 {
 			base = le.sealed[n-1].end()
 		}
-		memSeg := &liveSegment{idx: buildIndexSerial(slices.Clone(le.memPages)), base: base}
+		memSeg := &liveSegment{idx: BuildIndex(slices.Clone(le.memPages)), base: base}
 		segs = append(segs, memSeg)
 		memDocs = len(le.memPages)
 	}
@@ -301,40 +298,6 @@ func (le *LiveEngine) buildViewLocked() *liveView {
 func (le *LiveEngine) publishLocked() {
 	le.view.Store(le.buildViewLocked())
 	le.epochBumps.Add(1)
-}
-
-// buildIndexSerial is the memtable build: a single-shard index assembled
-// on the calling goroutine, producing exactly the observable state
-// BuildIndexOpts would for Shards=1 (postings doc-ordinal-ascending,
-// identical frequencies and totals) without a fan-out that would dwarf
-// the counting at memtable sizes.
-func buildIndexSerial(pages []*corpus.Page) *Index {
-	idx := &Index{
-		docs:   pages,
-		docLen: make([]int, len(pages)),
-		shards: make([]indexShard, 1),
-	}
-	sh := &idx.shards[0]
-	sh.postings = make(map[textproc.Token][]posting)
-	sh.collFreq = make(map[textproc.Token]int)
-	tf := make(map[textproc.Token]int32)
-	for di, p := range pages {
-		toks := p.Tokens()
-		idx.docLen[di] = len(toks)
-		idx.totalToks += len(toks)
-		clear(tf)
-		for _, t := range toks {
-			tf[t]++
-		}
-		for t, n := range tf {
-			sh.postings[t] = append(sh.postings[t], posting{doc: int32(di), tf: n})
-			sh.collFreq[t] += int(n)
-		}
-	}
-	sh.totalToks = idx.totalToks
-	idx.numTerms = len(sh.postings)
-	idx.setScoreBounds()
-	return idx
 }
 
 // Add ingests pages in order and publishes a new epoch. The memtable is
@@ -381,7 +344,7 @@ func (le *LiveEngine) sealLocked(n int) {
 		base = le.sealed[ns-1].end()
 	}
 	le.sealed = append(le.sealed, &liveSegment{
-		idx:  buildIndexSerial(slices.Clone(le.memPages[:n])),
+		idx:  BuildIndex(slices.Clone(le.memPages[:n])),
 		base: base,
 	})
 	le.memPages = append(le.memPages[:0], le.memPages[n:]...)
@@ -524,7 +487,7 @@ func (le *LiveEngine) compactOnce() bool {
 			pages = append(pages, s.idx.Doc(i))
 		}
 	}
-	merged := &liveSegment{idx: BuildIndexOpts(pages, le.opts), base: run[0].base}
+	merged := &liveSegment{idx: BuildIndex(pages), base: run[0].base}
 
 	le.wmu.Lock()
 	if lo >= len(le.sealed) || hi > len(le.sealed) ||
@@ -646,7 +609,7 @@ func (le *LiveEngine) searchViewAppend(dst []Result, v *liveView, k int, query [
 	case 1:
 		// Single segment: local ordinals are the global ordinals; skip
 		// the merge entirely (the frozen-boot steady state).
-		return v.engines[0].searchShardedAppend(dst, k, query)
+		return v.engines[0].searchPrunedAppend(dst, k, query)
 	}
 	sc := liveScratchPool.Get().(*liveScratch)
 

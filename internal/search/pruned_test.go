@@ -100,7 +100,7 @@ func FuzzPrunedTopKMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, nDocs, kSel uint8, bm25, override bool) {
 		rng := rand.New(rand.NewPCG(seed, 15))
 		pages := tinyCorpus(rng, 1+int(nDocs)%48, 0)
-		idx := BuildIndexOpts(pages, Options{Shards: 1 + int(seed%3)})
+		idx := BuildIndex(pages)
 		k := []int{1, 5, len(pages) + 3}[kSel%3]
 		e := NewEngineOpts(idx, Options{CacheSize: -1}).WithTopK(k)
 		if bm25 {
@@ -240,25 +240,37 @@ func TestPrunedExactAcrossBackends(t *testing.T) {
 	}
 }
 
-// TestScoreBoundsFromEveryConstructor checks that all four index
-// constructors leave the pruning inputs — every list's maxTf, the index's
-// minDocLen — equal to what the postings and document lengths say.
+// TestScoreBoundsFromEveryConstructor checks that both index constructors,
+// and the live engine's sealed and compacted segments, leave the pruning
+// inputs — every list's maxTf, the index's minDocLen — and each list's
+// collection frequency equal to what the postings and document lengths
+// say, with every list strictly ascending by document.
 func TestScoreBoundsFromEveryConstructor(t *testing.T) {
 	pages, _ := diffCorpus(t, 3)
-	built := BuildIndexOpts(pages, Options{Shards: 3})
+	built := BuildIndex(pages)
 	dump := map[textproc.Token][]RawPosting{}
 	built.DumpPostings(func(term textproc.Token, posts []RawPosting) {
 		dump[term] = append([]RawPosting(nil), posts...)
 	})
-	restored, err := RestoreIndexOpts(pages, dump, Options{Shards: 2})
+	restored, err := RestoreIndex(pages, dump)
 	if err != nil {
 		t.Fatal(err)
 	}
+	le := NewLiveEngine(nil, Options{}, LiveOptions{MemtableDocs: len(pages) + 1, CompactFanIn: -2})
+	le.Add(pages[:len(pages)/2]...)
+	le.Seal()
+	le.Add(pages[len(pages)/2:]...)
+	le.Seal()
+	sealed := le.view.Load().segs[0].idx
+	le.Compact()
+	if got := le.Metrics().Segments; got != 1 {
+		t.Fatalf("live view has %d segments after compaction, want 1", got)
+	}
 	for name, idx := range map[string]*Index{
-		"BuildIndexOpts":   built,
-		"buildIndexSerial": buildIndexSerial(pages),
-		"RestoreIndexOpts": restored,
-		"Reshard":          built.Reshard(5),
+		"BuildIndex":        built,
+		"RestoreIndex":      restored,
+		"sealed segment":    sealed,
+		"compacted segment": le.view.Load().segs[0].idx,
 	} {
 		minLen := 0
 		for _, n := range idx.docLen {
@@ -269,21 +281,24 @@ func TestScoreBoundsFromEveryConstructor(t *testing.T) {
 		if idx.minDocLen != minLen || minLen == 0 {
 			t.Fatalf("%s: minDocLen = %d, document lengths say %d", name, idx.minDocLen, minLen)
 		}
-		lists := 0
-		for s := range idx.shards {
-			for tok, posts := range idx.shards[s].postings {
-				var maxTf int32
-				for _, p := range posts {
-					maxTf = max(maxTf, p.tf)
-				}
-				if got := idx.listFor(tok); got.maxTf != maxTf || maxTf == 0 || len(got.posts) != len(posts) {
-					t.Fatalf("%s: %q maxTf = %d, postings say %d", name, tok, got.maxTf, maxTf)
-				}
-				lists++
-			}
+		if len(idx.terms) != len(idx.lists) || (name != "sealed segment" && idx.NumTerms() != built.NumTerms()) {
+			t.Fatalf("%s: %d terms over %d posting lists, want %d", name, len(idx.terms), len(idx.lists), built.NumTerms())
 		}
-		if lists != built.NumTerms() {
-			t.Fatalf("%s: %d posting lists, want %d", name, lists, built.NumTerms())
+		for tok, i := range idx.terms {
+			pl := idx.lists[i]
+			var maxTf int32
+			collFreq := 0
+			for j, p := range pl.posts {
+				if j > 0 && p.doc <= pl.posts[j-1].doc {
+					t.Fatalf("%s: %q postings not strictly ascending at %d", name, tok, j)
+				}
+				maxTf = max(maxTf, p.tf)
+				collFreq += int(p.tf)
+			}
+			if pl.maxTf != maxTf || maxTf == 0 || pl.collFreq != collFreq {
+				t.Fatalf("%s: %q maxTf = %d, collFreq = %d, postings say %d, %d",
+					name, tok, pl.maxTf, pl.collFreq, maxTf, collFreq)
+			}
 		}
 	}
 }

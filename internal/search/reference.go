@@ -6,11 +6,10 @@ import (
 	"l2q/internal/textproc"
 )
 
-// SearchReference is the retained pre-sharding scoring path: gather the
+// SearchReference is the retained score-everything path: gather the
 // candidate union into hash maps, score every candidate, and fully sort.
-// It is deliberately kept verbatim (modulo the posting lookup going through
-// the shard table) as the ground truth the sharded/parallel/cached Search
-// is differentially tested against, and as the baseline the engine
+// It is deliberately kept verbatim as the ground truth the pruned, cached
+// Search is differentially tested against, and as the baseline the engine
 // benchmarks compare throughput with. It never consults the query cache.
 func (e *Engine) SearchReference(query []textproc.Token) []Result {
 	if len(query) == 0 {
@@ -22,7 +21,7 @@ func (e *Engine) SearchReference(query []textproc.Token) []Result {
 	// Candidate set: union of postings.
 	tfs := make(map[int32]map[textproc.Token]int32)
 	for _, t := range query {
-		for _, p := range e.idx.postingsFor(t) {
+		for _, p := range e.idx.listFor(t).posts {
 			m := tfs[p.doc]
 			if m == nil {
 				m = make(map[textproc.Token]int32, len(query))
@@ -69,7 +68,7 @@ func (e *Engine) searchBM25Reference(query []textproc.Token) []Result {
 	scores := make(map[int32]float64)
 	for _, t := range query {
 		idf := e.idf(t)
-		for _, p := range e.idx.postingsFor(t) {
+		for _, p := range e.idx.listFor(t).posts {
 			dl := float64(e.idx.docLen[p.doc])
 			tf := float64(p.tf)
 			scores[p.doc] += idf * (tf * (e.k1 + 1)) / (tf + e.k1*(1-e.b+e.b*dl/avgdl))

@@ -162,11 +162,10 @@ type searchScratch struct {
 
 var searchScratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
-// searchShardedAppend is the engine's scoring path: posting lists come
-// from the token-hash shards, one exact max-score pass (searchCandsIn)
-// leaves the top-k candidates, and they are sorted by the reference order
-// and appended to dst.
-func (e *Engine) searchShardedAppend(dst []Result, k int, query []textproc.Token) []Result {
+// searchPrunedAppend is the engine's scoring path: one exact max-score
+// pass (searchCandsIn) leaves the top-k candidates, and they are sorted by
+// the reference order and appended to dst.
+func (e *Engine) searchPrunedAppend(dst []Result, k int, query []textproc.Token) []Result {
 	sc := searchScratchPool.Get().(*searchScratch)
 	consts, avgdl := e.scoreConsts(sc.consts[:0], query)
 	sc.consts = consts

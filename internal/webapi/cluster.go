@@ -96,7 +96,7 @@ func NewClusterNode(c *corpus.Corpus, spec search.ClusterSpec, opts search.Optio
 		engines: make(map[int]*search.Engine, spec.Replicas),
 	}
 	for _, part := range ring.OwnedBy(spec.NodeID) {
-		idx := search.BuildIndexOpts(groups[part], opts)
+		idx := search.BuildIndex(groups[part])
 		n.engines[part] = search.NewEngineOpts(idx, opts).WithTopK(topK)
 		if part == spec.NodeID {
 			n.primary = idx

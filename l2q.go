@@ -70,8 +70,8 @@ type (
 	DomainModel = core.DomainModel
 	// Engine is the Dirichlet-smoothed retrieval engine.
 	Engine = search.Engine
-	// EngineOptions tunes the retrieval engine (shards, scoring workers,
-	// cache capacity). All fields are ranking-neutral.
+	// EngineOptions tunes the retrieval engine (query-cache capacity).
+	// Ranking-neutral.
 	EngineOptions = search.Options
 	// LiveEngine is the generational mutable engine: it absorbs pages
 	// while serving, ranking byte-identically to an Engine rebuilt from
@@ -136,7 +136,7 @@ func ManualQueries(d Domain, a Aspect) []Query { return baselines.ManualQueries(
 // immutable counterpart of NewLiveEngine (and the rebuild arm of the
 // grown-vs-rebuilt parity contract).
 func NewEngine(pages []*Page, opts EngineOptions) *Engine {
-	return search.NewEngineOpts(search.BuildIndexOpts(pages, opts), opts)
+	return search.NewEngineOpts(search.BuildIndex(pages), opts)
 }
 
 // NewLiveEngine creates a live generational engine, optionally
@@ -174,11 +174,9 @@ type SystemOptions struct {
 	Seed uint64
 	// Config overrides the L2Q parameters; zero value = DefaultConfig.
 	Config *Config
-	// Shards and CacheSize tune the retrieval engine (see
-	// search.Options); non-zero values override the corresponding
-	// Config.Search* fields. Rankings are identical for every setting —
-	// these are pure performance knobs.
-	Shards    int
+	// CacheSize sizes the retrieval engine's query-result cache (see
+	// search.Options); a non-zero value overrides Config.SearchCacheSize.
+	// Rankings are identical for every setting — a pure performance knob.
 	CacheSize int
 	// MemtableDocs, CompactFanIn and IngestWorkers tune the live
 	// generational engine (see search.LiveOptions); non-zero values
@@ -249,9 +247,6 @@ func NewSyntheticSystem(d Domain, opts SystemOptions) (*System, error) {
 	if opts.Config != nil {
 		cfg = *opts.Config
 	}
-	if opts.Shards != 0 {
-		cfg.SearchShards = opts.Shards
-	}
 	if opts.CacheSize != 0 {
 		cfg.SearchCacheSize = opts.CacheSize
 	}
@@ -307,11 +302,10 @@ func NewSystem(c *Corpus, kb *Dictionary, aspects []Aspect,
 	if kb != nil {
 		rec = types.Chain{kb, types.NewRegexRecognizer()}
 	}
-	sopts := cfg.SearchOptions()
 	return &System{
 		cfg:     cfg,
 		corpus:  c,
-		engine:  search.NewEngineOpts(search.BuildIndexOpts(c.Pages, sopts), sopts),
+		engine:  search.NewEngineOpts(search.BuildIndex(c.Pages), cfg.SearchOptions()),
 		cls:     cls,
 		rec:     rec,
 		aspects: aspects,
