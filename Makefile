@@ -1,9 +1,10 @@
-# Targets mirror .github/workflows/ci.yml — `make lint build test bench`
-# locally is the same bar a PR has to clear.
+# One recipe per check: .github/workflows/ci.yml runs these targets, so
+# `make lint build test bench` locally is the same bar a PR has to clear.
+# What a check is for is written here, beside its recipe.
 
 GO ?= go
 
-.PHONY: all build test test-procs fuzz-smoke soak bench bench-smoke bench-candidates bench-wire bench-scatter bench-allocs bench-live wire-parity load-smoke cluster-smoke lint vuln fmt
+.PHONY: all build test test-procs fuzz-smoke soak bench bench-smoke bench-allocs wire-parity cluster-smoke examples lint vuln fmt
 
 all: lint build test
 
@@ -38,7 +39,9 @@ soak:
 	L2Q_SOAK=30s $(GO) test -race -run 'TestSchedulerSoak' ./internal/pipeline/
 	L2Q_SOAK=30s $(GO) test -race -run 'TestLiveEngineSoak' ./internal/search/
 
-# Full benchmark pass. For the engine-vs-reference scoring numbers only:
+# Compile and run every benchmark once, so perf code keeps building and
+# stays exercisable on every PR. For the engine-vs-reference scoring
+# numbers only:
 #   go test -run='^$$' -bench='HotSingleQuery|ConcurrentManyQueries' -benchtime=2s ./internal/search/
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1x ./...
@@ -51,43 +54,11 @@ bench:
 bench-smoke:
 	L2Q_BENCH_SMOKE=1 $(GO) test -count=1 -run TestSmoke ./bench
 
-# Candidate-generation / domain-phase trajectory (the CI artifact's recipe).
-bench-candidates:
-	$(GO) test -run='^$$' -bench='BenchmarkCandidateStep|BenchmarkLearnDomain' -benchmem -benchtime=20x ./internal/core/
-
-# Wire-codec trajectory: remote harvest over a bandwidth-modeled link,
-# JSON vs negotiated binary+gzip (the BENCH_wire.json recipe).
-bench-wire:
-	$(GO) test -run='^$$' -bench='BenchmarkRemoteHarvestWire' -benchmem -benchtime=5x ./internal/webapi/
-
-# Scatter-gather trajectory: a concurrent seeded-search batch against one
-# node vs a 3-node doc-partitioned cluster, every response squeezed
-# through a modeled 64 KB/s uplink per node (the BENCH_scatter.json
-# recipe — the distributed-retrieval bar is ≥2x batch throughput).
-bench-scatter:
-	$(GO) test -run='^$$' -bench='BenchmarkScatterGather' -benchtime=3x ./internal/webapi/
-
 # Allocation-regression gate: the hot-path alloc benchmarks against their
 # pinned ceilings (0 allocs/op on the append paths). Writes
 # BENCH_allocs.json, fails on any regression — same recipe as CI.
 bench-allocs:
 	./scripts/alloc_gate.sh BENCH_allocs.json
-
-# Live-index trajectory: search throughput on a generational engine
-# under a sustained ingest stream vs the same engine left frozen
-# (BenchmarkLiveIngestSearch — the ≥70%-of-frozen bar), then l2qload
-# mixed traffic against a live self-served server with ingest lag
-# percentiles. Writes BENCH_live.json (the CI artifact).
-bench-live:
-	$(GO) test -run='^$$' -bench='BenchmarkLiveIngestSearch' -benchtime=2s ./internal/search/
-	$(GO) run ./cmd/l2qload -duration 15s -workers 16 -ingest 200 -memtable 256 \
-		-mix 'search=70,page=20,metrics=10' -out BENCH_live.json
-
-# Sustained-traffic smoke: l2qload against an in-process server driven
-# past its admission bound — verifies shed correctness (429 retryable
-# envelope, no lost jobs, bounded tail) and writes BENCH_load.json.
-load-smoke:
-	$(GO) run ./cmd/l2qload -duration 30s -workers 32 -maxinflight 1 -assertshed -out BENCH_load.json
 
 # Distributed-retrieval smoke: a real 3-node l2qserve fleet plus a
 # coordinator as separate processes, driven over HTTP — search, page
@@ -99,6 +70,18 @@ cluster-smoke:
 # detector (the CI wire-parity step).
 wire-parity:
 	$(GO) test -race -count=1 -run 'TestDifferentialWireParity|TestNegotiationMatrix|TestMixedVersionFallback|TestStreamWireCodec' ./internal/webapi/
+
+# The examples compile against the public surface only; building all nine
+# keeps an API change from silently orphaning them. Three run end to end
+# and exit non-zero on any break: httpharvest (fault-injected remote
+# harvest ≡ in-process on both wire codecs, then a server-side batch),
+# jobsapi (async job killed mid-harvest + resumed == uninterrupted) and
+# livecrawl (live index grown by a crawl ≡ frozen rebuild, bit for bit).
+examples:
+	$(GO) build ./examples/...
+	$(GO) run ./examples/httpharvest
+	$(GO) run ./examples/jobsapi
+	$(GO) run ./examples/livecrawl
 
 lint:
 	@unformatted=$$(gofmt -l .); \

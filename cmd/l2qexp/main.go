@@ -8,7 +8,7 @@
 //	l2qexp [-domain researchers|cars|both] [-fig all|9|10|11|12|13|14|crawl|budget]
 //	       [-entities N] [-pages N] [-domainsample N] [-test N] [-val N]
 //	       [-seed N] [-cv] [-quick] [-json] [-cachesize N]
-//	       [-inferworkers N] [-warmstart] [-incremental]
+//	       [-inferworkers N] [-learnworkers N]
 //
 // Beyond the paper's figures, -fig crawl runs the extension experiment
 // comparing query-driven harvesting against a link-following focused
@@ -20,7 +20,7 @@
 //
 // With -json, every figure additionally emits one machine-readable JSON
 // line ({"figure":...,"domain":...,"data":...}) alongside the printed
-// table, so CI can record a BENCH_*.json perf/quality trajectory.
+// table, for scripts that consume the figures.
 package main
 
 import (
@@ -76,9 +76,6 @@ func main() {
 		cacheSize    = flag.Int("cachesize", 0, "query cache capacity (0 = default, <0 = off)")
 		inferWorkers = flag.Int("inferworkers", 0, "per-step inference workers (0 = GOMAXPROCS)")
 		learnWorkers = flag.Int("learnworkers", 0, "domain-phase counting workers (0 = GOMAXPROCS)")
-		warmStart    = flag.Bool("warmstart", true, "warm-start fixpoint solvers from the previous step")
-		incremental  = flag.Bool("incremental", true, "persistent incremental session graphs (false = rebuild per step)")
-		incrPool     = flag.Bool("incrementalpool", true, "persistent incremental candidate pools (false = re-enumerate per step)")
 	)
 	flag.Parse()
 	jsonOut = *jsonFlag
@@ -128,9 +125,6 @@ func main() {
 		cfg.Core.SearchCacheSize = *cacheSize
 		cfg.Core.InferWorkers = *inferWorkers
 		cfg.Core.LearnWorkers = *learnWorkers
-		cfg.Core.WarmStart = *warmStart
-		cfg.Core.IncrementalGraph = *incremental
-		cfg.Core.IncrementalPool = *incrPool
 		if err := runDomain(cfg, *fig, *cv, *splits); err != nil {
 			fmt.Fprintf(os.Stderr, "l2qexp: %v\n", err)
 			os.Exit(1)

@@ -60,9 +60,6 @@ func main() {
 		wireFlag = flag.String("wire", "auto", "remote transport: wire codec — auto (negotiate binary, fall back to JSON), json, or binary (require it)")
 		inferW   = flag.Int("inferworkers", 0, "per-step inference workers (0 = GOMAXPROCS)")
 		learnW   = flag.Int("learnworkers", 0, "domain-phase counting workers (0 = GOMAXPROCS)")
-		warm     = flag.Bool("warmstart", true, "warm-start fixpoint solvers from the previous step")
-		incr     = flag.Bool("incremental", true, "persistent incremental session graphs (false = rebuild per step)")
-		incrPool = flag.Bool("incrementalpool", true, "persistent incremental candidate pools (false = re-enumerate per step)")
 		ckpt     = flag.String("checkpoint", "", "checkpoint file: resume from it if present, write it after every step")
 		replay   = flag.Bool("replaycheck", false, "after finishing, verify the fired sequence against an uninterrupted run")
 	)
@@ -71,7 +68,6 @@ func main() {
 	sys, err := l2q.NewSyntheticSystem(corpus.Domain(*domain), l2q.SystemOptions{
 		NumEntities: *entities, PagesPerEntity: *pages, Seed: *seed,
 		InferWorkers: *inferW, LearnWorkers: *learnW,
-		NoWarmStart: !*warm, NoIncrementalGraph: !*incr, NoIncrementalPool: !*incrPool,
 	})
 	if err != nil {
 		fail(err)
@@ -199,7 +195,7 @@ func main() {
 			}
 			for _, cp := range cps {
 				if cp.Entity == target.ID && cp.Aspect == corpus.Aspect(a) {
-					if err := h.Resume(cp); err != nil {
+					if err := h.Resume(ctx, cp); err != nil {
 						fail(err)
 					}
 					resumed = len(cp.Fired)

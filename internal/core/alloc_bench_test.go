@@ -15,9 +15,7 @@ import "testing"
 // change.
 func BenchmarkCandidateAllocs(b *testing.B) {
 	env := benchEnvFor(b, benchDomains[0].domain, benchDomains[0].aspect)
-	cfg := referenceBenchConfig(env.g)
-	cfg.IncrementalPool = true
-	s := env.session(cfg)
+	s := env.session()
 	s.Bootstrap()
 	for _, q := range env.prefix {
 		if len(s.Candidates(true)) == 0 {
@@ -61,10 +59,8 @@ func BenchmarkCandidateAllocs(b *testing.B) {
 // depend on GOMAXPROCS.
 func BenchmarkSelectAllocs(b *testing.B) {
 	env := benchEnvFor(b, benchDomains[0].domain, benchDomains[0].aspect)
-	cfg := DefaultConfig()
-	cfg.Tokenizer = env.g.Tokenizer
-	cfg.InferWorkers = 1
-	s := env.session(cfg)
+	s := env.session()
+	s.Cfg.InferWorkers = 1
 	sel := NewL2QBAL()
 	s.Bootstrap()
 	for _, q := range env.prefix {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -103,7 +104,7 @@ func TestCandidatePoolResumeParity(t *testing.T) {
 			cp := live.Snapshot()
 
 			resumed := f.sessionWith(cfg, f.dm)
-			if err := resumed.Resume(cp); err != nil {
+			if err := resumed.Resume(context.Background(), cp); err != nil {
 				t.Fatal(err)
 			}
 			for _, useDomain := range []bool{true, false} {

@@ -91,35 +91,6 @@ type Config struct {
 	// SolverTol and SolverMaxIter control the fixpoint solver.
 	SolverTol     float64
 	SolverMaxIter int
-	// IncrementalGraph keeps one persistent entity reinforcement graph
-	// per session, updated with per-step deltas — new pages and new
-	// candidates are connected against the existing vertices and fired
-	// queries are detached — instead of rebuilding the graph from
-	// scratch on every Infer. Session.InferReference retains the
-	// rebuild path; TestIncrementalMatchesReference holds the two to
-	// identical rankings. Per-step graph maintenance drops from
-	// O(pages × candidates) to O(Δ); what is then solved on the graph
-	// is whatever the selector requests (InferOptions.Utilities).
-	IncrementalGraph bool
-	// WarmStart seeds each fixpoint solve a step runs with that utility
-	// family's last solution (graph.Problem.X0 / graph.PushProblem.X0). A
-	// step solves only the individual utilities its selector requests
-	// (InferOptions.Utilities) — none at all for the context-aware
-	// strategies — so that solution may be several steps old; nodes
-	// added since then cold-start at their regularization. The damped fixpoint is a contraction
-	// with a unique solution, so warm starting changes iteration counts,
-	// not results (within SolverTol). Only effective together with
-	// IncrementalGraph.
-	WarmStart bool
-	// IncrementalPool keeps one persistent candidate pool Q_E per
-	// session, updated with per-step deltas — only newly ingested pages
-	// are enumerated (first-appearance order preserved) and fired
-	// queries are removed incrementally — instead of re-enumerating the
-	// n-grams of every gathered page on every step.
-	// Session.CandidatesReference retains the rebuild path; differential
-	// tests hold the two to identical pools. Per-step candidate
-	// generation drops from O(all pages) to O(new pages).
-	IncrementalPool bool
 	// InferWorkers bounds the worker pool used inside one inference
 	// step: delta containment checks when connecting candidates, and
 	// the per-candidate collective utilities of §V. 0 picks GOMAXPROCS;
@@ -171,9 +142,6 @@ func DefaultConfig() Config {
 		PriorStrength:       3,
 		SolverTol:           1e-9,
 		SolverMaxIter:       200,
-		IncrementalGraph:    true,
-		IncrementalPool:     true,
-		WarmStart:           true,
 		Stopwords:           textproc.NewStopwords(),
 	}
 }

@@ -16,12 +16,18 @@ type harvestOutcome struct {
 	pages []corpus.PageID
 }
 
-func runOutcome(s *Session, sel Selector, n int) harvestOutcome {
-	o := harvestOutcome{fired: s.Run(sel, n)}
+// outcome pairs a finished run's fired queries with the pages its session
+// gathered.
+func outcome(s *Session, fired []Query) harvestOutcome {
+	o := harvestOutcome{fired: fired}
 	for _, p := range s.Pages() {
 		o.pages = append(o.pages, p.ID)
 	}
 	return o
+}
+
+func runOutcome(s *Session, sel Selector, n int) harvestOutcome {
+	return outcome(s, s.Run(sel, n))
 }
 
 // TestDemandDrivenSelectionEquivalence is the bar of demand-driven
@@ -30,8 +36,9 @@ func runOutcome(s *Session, sel Selector, n int) harvestOutcome {
 // strategy that infers (RND draws at random; P+q and R+q never call
 // Infer) runs 8 steps on both domains three ways — as shipped, asking
 // only for what its score reads; with every family requested on every
-// step; and on the rebuild-per-step InferReference path — and must fire
-// the same queries and gather the same pages each time.
+// step; and with every selection made by the from-scratch InferReference
+// (referenceRun) — and must fire the same queries and gather the same
+// pages each time.
 func TestDemandDrivenSelectionEquivalence(t *testing.T) {
 	const steps = 8
 	selectors := []Selector{
@@ -42,21 +49,18 @@ func TestDemandDrivenSelectionEquivalence(t *testing.T) {
 			t.Run(domain+"/"+sel.Name(), func(t *testing.T) {
 				everything := sel.(utilitySelector)
 				everything.reads = UtilAll
-				refCfg := f.diffConfig()
-				refCfg.IncrementalGraph = false
-				refCfg.WarmStart = false
-				refCfg.IncrementalPool = false
 
 				demand := runOutcome(f.sessionWith(f.diffConfig(), f.dm), sel, steps)
 				all := runOutcome(f.sessionWith(f.diffConfig(), f.dm), everything, steps)
-				ref := runOutcome(f.sessionWith(refCfg, f.dm), sel, steps)
+				refSession := f.sessionWith(f.diffConfig(), f.dm)
+				ref := outcome(refSession, referenceRun(t, refSession, sel, steps))
 				if len(demand.fired) != steps {
 					t.Fatalf("fired only %d of %d queries: %v", len(demand.fired), steps, demand.fired)
 				}
 				if !reflect.DeepEqual(demand, all) {
 					t.Errorf("demand-driven fired %v\nall utilities  fired %v", demand.fired, all.fired)
 				}
-				if !reflect.DeepEqual(demand, ref) && !divergesAtTie(t, f.sessionWith(refCfg, f.dm), sel.(utilitySelector), demand.fired, ref.fired) {
+				if !reflect.DeepEqual(demand, ref) && !divergesAtTie(t, f.sessionWith(f.diffConfig(), f.dm), sel.(utilitySelector), demand.fired, ref.fired) {
 					t.Errorf("demand-driven fired %q\nInferReference fired %q", demand.fired, ref.fired)
 				}
 			})
@@ -86,8 +90,7 @@ func divergesAtTie(t *testing.T, ref *Session, sel utilitySelector, a, b []Query
 		ref.Fire(q)
 		ref.updateContext()
 	}
-	inf, err := ref.InferReference(InferOptions{
-		UseTemplates: sel.templates, UseDomainCandidates: sel.templates, Utilities: sel.reads})
+	inf, err := ref.InferReference(sel.inferOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +153,8 @@ func TestInferComputesOnlyRequested(t *testing.T) {
 // change from step to step (so a family's warm start and the page
 // regularization lag several steps behind and must catch up), and the
 // options signature changes twice (so the session graph is rebuilt
-// mid-run) — in lockstep with a rebuild-per-step reference session.
+// mid-run) — in lockstep with an identically configured session that
+// infers through the from-scratch InferReference.
 func TestSwitchingRequestsMatchesReference(t *testing.T) {
 	full := func(u Utilities) InferOptions {
 		return InferOptions{UseTemplates: true, UseDomainCandidates: true, Utilities: u}
@@ -167,12 +171,8 @@ func TestSwitchingRequestsMatchesReference(t *testing.T) {
 	}
 	for domain, f := range diffDomains(t) {
 		t.Run(domain, func(t *testing.T) {
-			refCfg := f.diffConfig()
-			refCfg.IncrementalGraph = false
-			refCfg.WarmStart = false
-			refCfg.IncrementalPool = false
 			inc := f.sessionWith(f.diffConfig(), f.dm)
-			ref := f.sessionWith(refCfg, f.dm)
+			ref := f.sessionWith(f.diffConfig(), f.dm)
 			inc.Bootstrap()
 			ref.Bootstrap()
 			for step, opts := range schedule {

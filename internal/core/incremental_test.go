@@ -93,26 +93,20 @@ var inferCases = []struct {
 	{"full", allUtilities},
 }
 
-// TestIncrementalMatchesReference drives an incremental session and a
-// rebuild-per-step reference session in lockstep over several steps and
-// holds every utility vector to ≤1e-9 drift and every ranking decision to
-// exact equality — for each ablation signature, on both domains.
+// TestIncrementalMatchesReference drives two identically configured
+// sessions in lockstep over several steps — one inferring through Infer
+// (persistent pool and graph, warm starts), one through the from-scratch
+// InferReference — and holds every utility vector to ≤1e-9 drift and every
+// ranking decision to exact equality — for each ablation signature, on
+// both domains.
 func TestIncrementalMatchesReference(t *testing.T) {
 	const steps = 4
 	const maxDrift = 1e-9
 	for domain, f := range diffDomains(t) {
 		for _, tc := range inferCases {
 			t.Run(domain+"/"+tc.name, func(t *testing.T) {
-				incCfg := f.diffConfig()
-				incCfg.IncrementalGraph = true
-				incCfg.WarmStart = true
-				refCfg := f.diffConfig()
-				refCfg.IncrementalGraph = false
-				refCfg.WarmStart = false
-				refCfg.IncrementalPool = false
-
-				inc := f.sessionWith(incCfg, f.dm)
-				ref := f.sessionWith(refCfg, f.dm)
+				inc := f.sessionWith(f.diffConfig(), f.dm)
+				ref := f.sessionWith(f.diffConfig(), f.dm)
 				inc.Bootstrap()
 				ref.Bootstrap()
 
@@ -173,10 +167,44 @@ func compareVec(t *testing.T, step int, name string, a, b []float64, maxDrift fl
 	}
 }
 
+// referenceRun is Session.Run with every selection made by the
+// from-scratch oracle: InferReference under the selector's own
+// InferOptions, the arg-max of the selector's own score, fire. P+q and R+q
+// rank the domain model's queries without inferring, so they have no
+// oracle to differ from and select as shipped.
+func referenceRun(t *testing.T, s *Session, sel Selector, n int) []Query {
+	t.Helper()
+	s.Bootstrap()
+	var fired []Query
+	for len(fired) < n {
+		var pick Query
+		if u, infers := sel.(utilitySelector); infers {
+			inf, err := s.InferReference(u.inferOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			best := inf.argMaxBy(len(inf.Queries), func(i int) float64 { return u.score(inf, i) })
+			if best < 0 {
+				break
+			}
+			pick = inf.Queries[best]
+		} else {
+			choice, ok := sel.Select(s)
+			if !ok {
+				break
+			}
+			pick = choice.Query
+		}
+		s.Fire(pick)
+		s.updateContext()
+		fired = append(fired, pick)
+	}
+	return fired
+}
+
 // TestIncrementalSelectionsMatchReference runs every §VI strategy end to
-// end under both paths and requires identical fired-query sequences —
-// including the P+q/R+q selectors that bypass Infer (their sessions still
-// share the Fire/ingest machinery).
+// end as shipped and with every selection made by the from-scratch oracle
+// (referenceRun), and requires identical fired-query sequences.
 func TestIncrementalSelectionsMatchReference(t *testing.T) {
 	selectors := []func() Selector{
 		NewP, NewR, NewPQ, NewRQ, NewPT, NewRT, NewL2QP, NewL2QR, NewL2QBAL,
@@ -185,14 +213,8 @@ func TestIncrementalSelectionsMatchReference(t *testing.T) {
 		for _, mk := range selectors {
 			sel := mk()
 			t.Run(domain+"/"+sel.Name(), func(t *testing.T) {
-				incCfg := f.diffConfig()
-				refCfg := f.diffConfig()
-				refCfg.IncrementalGraph = false
-				refCfg.WarmStart = false
-				refCfg.IncrementalPool = false
-
-				fired := f.sessionWith(incCfg, f.dm).Run(sel, 3)
-				want := f.sessionWith(refCfg, f.dm).Run(sel, 3)
+				fired := f.sessionWith(f.diffConfig(), f.dm).Run(sel, 3)
+				want := referenceRun(t, f.sessionWith(f.diffConfig(), f.dm), sel, 3)
 				if !reflect.DeepEqual(fired, want) {
 					t.Fatalf("fired %v, reference fired %v", fired, want)
 				}
@@ -218,15 +240,10 @@ func TestIncrementalMatchesReferenceAcrossSolvers(t *testing.T) {
 	opts := allUtilities
 	for name, mutate := range variants {
 		t.Run(name, func(t *testing.T) {
-			incCfg := f.diffConfig()
-			mutate(&incCfg)
-			refCfg := incCfg
-			refCfg.IncrementalGraph = false
-			refCfg.WarmStart = false
-			refCfg.IncrementalPool = false
-
-			inc := f.sessionWith(incCfg, f.dm)
-			ref := f.sessionWith(refCfg, f.dm)
+			cfg := f.diffConfig()
+			mutate(&cfg)
+			inc := f.sessionWith(cfg, f.dm)
+			ref := f.sessionWith(cfg, f.dm)
 			inc.Bootstrap()
 			ref.Bootstrap()
 			for step := 0; step < 3; step++ {

@@ -92,31 +92,14 @@ func (inf *Inference) argMaxBy(n int, val func(i int) float64) int {
 	return best
 }
 
-// Infer runs the entity phase (§IV-C): assemble the entity reinforcement
-// graph over the current result pages and candidate queries, regularize
-// with page relevance and (optionally) domain template utilities, and
-// compute the utility families opts.Utilities asks for — one fixpoint
-// solve per requested individual utility, one counting pass for the
-// collective family, nothing for a family nobody reads.
-//
-// With Config.IncrementalGraph (the default) the graph persists across
-// steps and is updated with deltas; InferReference is the retained
-// rebuild-per-step path, and the two compute identical rankings
-// (TestIncrementalMatchesReference).
-func (s *Session) Infer(opts InferOptions) (*Inference, error) {
-	if s.Cfg.IncrementalGraph {
-		return s.inferIncremental(opts)
-	}
-	return s.InferReference(opts)
-}
-
-// InferReference is the from-scratch entity-phase inference: it rebuilds
-// the reinforcement graph over the current pages and candidates and
-// cold-solves the requested fixpoints. It is the differential-testing
-// ground truth for the incremental path, mirroring
+// InferReference is the from-scratch entity-phase inference: it
+// re-enumerates the candidates (CandidatesReference), rebuilds the
+// reinforcement graph over the current pages and cold-solves the requested
+// fixpoints, sharing no state with the path it checks. It is the
+// differential-testing ground truth for Infer, mirroring
 // search.Engine.SearchReference, and honours the same Utilities request.
 func (s *Session) InferReference(opts InferOptions) (*Inference, error) {
-	cands := s.candidateQueries(opts.UseDomainCandidates)
+	cands := s.CandidatesReference(opts.UseDomainCandidates)
 	inf := &Inference{Queries: cands}
 	if len(cands) == 0 {
 		return inf, nil
@@ -172,8 +155,8 @@ func (s *Session) newEntityGraph(opts InferOptions) *graphBuilder {
 // P_E with page + λ·P_D(t) regularization (Eq. 21), R_E with page +
 // λ·R_D(t) (Eq. 22) — and projects each node-indexed solution onto the
 // candidates. x0P and x0R are optional warm starts. The node-indexed
-// solutions are returned (nil when not requested) so the incremental path
-// can keep them as the next step's warm start.
+// solutions are returned (nil when not requested) so Infer can keep them
+// as the next step's warm start.
 func (s *Session) solveIndividual(inf *Inference, b *graphBuilder, opts InferOptions,
 	pageReg regPair, x0P, x0R []float64) (prec, rcl []float64, err error) {
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -94,7 +95,12 @@ const anchorTol = 1e-9
 // checkpoint (Booted false, nothing fired) resumes as a valid fresh
 // session without firing the seed — the next Step or the pipeline
 // scheduler bootstraps it.
-func (s *Session) Resume(cp Checkpoint) error {
+//
+// The replay retrieves through ctx: over a network retriever a canceled
+// ctx or a transport failure aborts it and comes back wrapped
+// (errors.Is-matchable), never as a replay mismatch blamed on the corpus.
+// A session whose Resume failed is partially replayed; discard it.
+func (s *Session) Resume(ctx context.Context, cp Checkpoint) error {
 	if s.bootOnce {
 		return s.Errorf("resume into a used session")
 	}
@@ -104,9 +110,15 @@ func (s *Session) Resume(cp Checkpoint) error {
 	if !cp.booted() {
 		return nil // mid-bootstrap snapshot: nothing to replay
 	}
-	s.Bootstrap()
-	for _, q := range cp.Fired {
-		s.Fire(q)
+	if _, err := s.BootstrapCtx(ctx); err != nil {
+		return s.Errorf("replay seed query: %w", err)
+	}
+	for i, q := range cp.Fired {
+		res, err := s.FetchQueryCtx(ctx, q)
+		if err != nil {
+			return s.Errorf("replay query %d %q: %w", i+1, q, err)
+		}
+		s.ingestNoContext(q, res)
 	}
 	s.updateContext()
 	if len(s.pages) != len(cp.PageIDs) {

@@ -2,12 +2,17 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"l2q/internal/corpus"
+	"l2q/internal/search"
 	"l2q/internal/synth"
+	"l2q/internal/textproc"
 )
 
 // TestCheckpointResume runs half a session, checkpoints it through the
@@ -42,7 +47,7 @@ func TestCheckpointResume(t *testing.T) {
 			}
 
 			resumed := f.session(f.dm)
-			if err := resumed.Resume(cp); err != nil {
+			if err := resumed.Resume(context.Background(), cp); err != nil {
 				t.Fatal(err)
 			}
 			more := resumed.Run(sel, 2)
@@ -87,13 +92,13 @@ func TestResumeValidation(t *testing.T) {
 	}
 
 	// Resume into a used session must fail.
-	if err := s.Resume(cp); err == nil {
+	if err := s.Resume(context.Background(), cp); err == nil {
 		t.Error("resume into a used session accepted")
 	}
 	// Wrong entity must fail.
 	wrong := cp
 	wrong.Entity++
-	if err := f.session(f.dm).Resume(wrong); err == nil {
+	if err := f.session(f.dm).Resume(context.Background(), wrong); err == nil {
 		t.Error("wrong-entity checkpoint accepted")
 	}
 	// A tampered page list (simulating a corpus that changed under the
@@ -101,9 +106,79 @@ func TestResumeValidation(t *testing.T) {
 	tampered := cp
 	tampered.PageIDs = append([]corpus.PageID(nil), cp.PageIDs...)
 	tampered.PageIDs[0] = 999999
-	err := f.session(f.dm).Resume(tampered)
+	err := f.session(f.dm).Resume(context.Background(), tampered)
 	if err == nil || !strings.Contains(err.Error(), "corpus changed") {
 		t.Errorf("tampered checkpoint: err = %v", err)
+	}
+}
+
+// failNthRetriever is a network-shaped engine whose nth search fails and
+// whose others answer from the wrapped engine.
+type failNthRetriever struct {
+	Retriever
+	n, calls int
+	err      error
+}
+
+func (r *failNthRetriever) Retrieve(ctx context.Context, dst []search.Result, seed, query []textproc.Token) ([]search.Result, error) {
+	r.calls++
+	if r.calls == r.n {
+		return nil, r.err
+	}
+	return r.Retriever.Retrieve(ctx, dst, seed, query)
+}
+
+// TestResumeSurfacesRetrieverError: a replay whose retriever fails — on
+// the seed or on a checkpointed query — returns that failure wrapped. The
+// errorless replay swallowed it, came up pages short and blamed the corpus.
+func TestResumeSurfacesRetrieverError(t *testing.T) {
+	f := newFixture(t)
+	live := f.session(f.dm)
+	live.Run(NewL2QBAL(), 2)
+	cp := live.Snapshot()
+	transportErr := errors.New("transport down")
+	for _, tc := range []struct {
+		name   string
+		failAt int
+	}{
+		{"seed", 1},
+		{"first query", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := f.session(f.dm)
+			s.Engine = &failNthRetriever{Retriever: f.engine, n: tc.failAt, err: transportErr}
+			err := s.Resume(context.Background(), cp)
+			if !errors.Is(err, transportErr) {
+				t.Fatalf("err = %v, want the retriever's error wrapped", err)
+			}
+			if strings.Contains(err.Error(), "changed?") {
+				t.Errorf("transport failure misdiagnosed as a replay mismatch: %v", err)
+			}
+		})
+	}
+}
+
+// TestResumeCancel: the replay stops with its caller. Every search of the
+// blocking retriever hangs until ctx is done, as a dead server would.
+func TestResumeCancel(t *testing.T) {
+	f := newFixture(t)
+	live := f.session(f.dm)
+	live.Run(NewL2QBAL(), 2)
+	cp := live.Snapshot()
+
+	s := f.session(f.dm)
+	s.Engine = blockingRetriever{Retriever: f.engine}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- s.Resume(ctx, cp) }()
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Resume still replaying 10s after cancellation")
 	}
 }
 
@@ -127,7 +202,7 @@ func TestMidBootstrapSnapshot(t *testing.T) {
 	}
 
 	resumed := f.session(f.dm)
-	if err := resumed.Resume(cp); err != nil {
+	if err := resumed.Resume(context.Background(), cp); err != nil {
 		t.Fatalf("mid-bootstrap resume: %v", err)
 	}
 	if resumed.Booted() {
@@ -156,13 +231,13 @@ func TestSnapshotAnchors(t *testing.T) {
 		t.Fatalf("snapshot RPhi %v, session %v", cp.RPhi, s.RPhi())
 	}
 
-	if err := f.session(f.dm).Resume(cp); err != nil {
+	if err := f.session(f.dm).Resume(context.Background(), cp); err != nil {
 		t.Fatalf("anchor-verified resume: %v", err)
 	}
 
 	bad := cp
 	bad.RPhi = cp.RPhi + 0.25
-	err := f.session(f.dm).Resume(bad)
+	err := f.session(f.dm).Resume(context.Background(), bad)
 	if err == nil || !strings.Contains(err.Error(), "model changed") {
 		t.Errorf("tampered anchor: err = %v", err)
 	}
@@ -179,7 +254,7 @@ func TestLegacyCheckpointImpliesBooted(t *testing.T) {
 	cp.RPhi, cp.RStarPhi = 0, 0
 
 	resumed := f.session(f.dm)
-	if err := resumed.Resume(cp); err != nil {
+	if err := resumed.Resume(context.Background(), cp); err != nil {
 		t.Fatalf("legacy checkpoint rejected: %v", err)
 	}
 	if !resumed.Booted() || len(resumed.Fired()) != 1 {

@@ -71,14 +71,14 @@ type Session struct {
 	// rebuilding the stopword/exclude maps per step was pure churn.
 	ngCfg textproc.NGramConfig
 
-	// sg is the persistent entity graph (Config.IncrementalGraph): built
-	// lazily on the first Infer and updated with deltas each step.
+	// sg is the persistent entity graph: built lazily on the first Infer
+	// and updated with deltas each step.
 	sg *sessionGraph
 
-	// pool is the persistent candidate pool Q_E (Config.IncrementalPool):
-	// built lazily on the first selection and synced with per-step deltas
-	// — only new pages are enumerated and fired queries are removed —
-	// mirroring sg's lifecycle.
+	// pool is the persistent candidate pool Q_E: built lazily on the first
+	// selection and synced with per-step deltas — only new pages are
+	// enumerated (first-appearance order preserved) and fired queries are
+	// removed — mirroring sg's lifecycle.
 	pool *candidatePool
 
 	// candBuf is the session-owned scratch the internal candidateQueries
@@ -468,13 +468,6 @@ func (s *Session) Candidates(useDomain bool) []Query {
 // reusing dst across steps refreshes the pool without allocating (the
 // per-step delta work is itself allocation-free steady-state).
 func (s *Session) CandidatesAppend(dst []Query, useDomain bool) []Query {
-	if !s.Cfg.IncrementalPool {
-		ref := s.CandidatesReference(useDomain)
-		if dst == nil {
-			return ref
-		}
-		return append(dst, ref...)
-	}
 	dm := s.DM
 	if !useDomain {
 		dm = nil
@@ -497,14 +490,11 @@ func (s *Session) CandidatesAppend(dst []Query, useDomain bool) []Query {
 // buffer removes the per-step copy. External callers go through
 // Candidates, which allocates.
 //
-// With Config.IncrementalPool (the default) the pool persists across steps
-// and is synced with deltas — only new pages are enumerated and fired
-// queries removed; CandidatesReference is the retained rebuild-per-step
-// path, and the two produce identical pools (TestCandidatePoolMatchesReference).
+// The pool persists across steps and is synced with deltas — only new
+// pages are enumerated and fired queries removed; CandidatesReference is
+// the retained rebuild-per-step oracle, and the two produce identical pools
+// (TestCandidatePoolMatchesReference).
 func (s *Session) candidateQueries(useDomain bool) []Query {
-	if !s.Cfg.IncrementalPool {
-		return s.CandidatesReference(useDomain)
-	}
 	s.candBuf = s.CandidatesAppend(s.candBuf[:0], useDomain)
 	return s.candBuf
 }

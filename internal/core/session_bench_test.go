@@ -63,10 +63,9 @@ func benchEnvFor(b *testing.B, domain corpus.Domain, aspect corpus.Aspect) *benc
 		g: g, engine: engine, rec: rec, aspect: aspect, y: y, dm: dm,
 		target: g.Corpus.Entities[g.Corpus.NumEntities()-1],
 	}
-	// The shared 5-query prefix, chosen by a reference run so every
-	// variant below replays the identical session state.
-	s := env.session(referenceBenchConfig(g))
-	env.prefix = s.Run(NewL2QBAL(), 5)
+	// The shared 5-query prefix, chosen once so every variant below
+	// replays the identical session state.
+	env.prefix = env.session().Run(NewL2QBAL(), 5)
 	if len(env.prefix) < 5 {
 		b.Fatalf("prefix run fired only %d queries", len(env.prefix))
 	}
@@ -77,25 +76,19 @@ func benchEnvFor(b *testing.B, domain corpus.Domain, aspect corpus.Aspect) *benc
 	return env
 }
 
-func referenceBenchConfig(g *synth.Generated) Config {
+func (e *benchEnv) session() *Session {
 	cfg := DefaultConfig()
-	cfg.Tokenizer = g.Tokenizer
-	cfg.IncrementalGraph = false
-	cfg.WarmStart = false
-	cfg.IncrementalPool = false
-	return cfg
-}
-
-func (e *benchEnv) session(cfg Config) *Session {
+	cfg.Tokenizer = e.g.Tokenizer
 	return NewSession(cfg, e.engine, e.target, e.aspect, e.y, e.dm, e.rec, 42)
 }
 
 // replay brings a fresh session to the post-prefix state. When warm is
 // true it also runs an Infer per step, populating the persistent session
-// graph exactly as live harvesting would (for reference configs the extra
-// Infers are a no-op for state).
-func (e *benchEnv) replay(b *testing.B, s *Session, opts InferOptions, warm bool) {
+// graph, the candidate pool and the warm starts exactly as live harvesting
+// would; the from-scratch oracles keep no state, so their arms skip it.
+func (e *benchEnv) replay(b *testing.B, opts InferOptions, warm bool) *Session {
 	b.Helper()
+	s := e.session()
 	s.Bootstrap()
 	for _, q := range e.prefix {
 		if warm {
@@ -105,6 +98,7 @@ func (e *benchEnv) replay(b *testing.B, s *Session, opts InferOptions, warm bool
 		}
 		s.Fire(q)
 	}
+	return s
 }
 
 var benchDomains = []struct {
@@ -136,35 +130,27 @@ var benchRequests = []struct {
 // the CPU-bound half of harvesting — for each benchRequests row. Each
 // iteration replays a fresh session through the 5-query prefix (untimed)
 // and times exactly one inference with the last fire's page delta still
-// pending — the exact state a live step sees. "reference" rebuilds the
-// graph and cold-solves (the pre-refactor behavior); "incremental" reuses
-// the persistent session graph; "incremental-warm" adds warm-started
-// solvers. The acceptance bar is ≥2x on researchers.
+// pending — the exact state a live step sees. "reference" is
+// InferReference: re-enumerate, rebuild the graph, cold-solve; "incremental"
+// is Infer on the persistent pool and session graph with warm-started solvers.
 func BenchmarkSessionStep(b *testing.B) {
-	variants := []struct {
-		name        string
-		incremental bool
-		warm        bool
-	}{
-		{"reference", false, false},
-		{"incremental", true, false},
-		{"incremental-warm", true, true},
-	}
 	for _, d := range benchDomains {
 		env := benchEnvFor(b, d.domain, d.aspect)
 		for _, req := range benchRequests {
-			for _, v := range variants {
+			for _, v := range []struct {
+				name  string
+				warm  bool
+				infer func(*Session, InferOptions) (*Inference, error)
+			}{
+				{"reference", false, (*Session).InferReference},
+				{"incremental", true, (*Session).Infer},
+			} {
 				b.Run(d.name+"/"+req.name+"/"+v.name, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						b.StopTimer()
-						cfg := referenceBenchConfig(env.g)
-						cfg.IncrementalGraph = v.incremental
-						cfg.IncrementalPool = v.incremental
-						cfg.WarmStart = v.warm
-						s := env.session(cfg)
-						env.replay(b, s, req.opts, v.incremental)
+						s := env.replay(b, req.opts, v.warm)
 						b.StartTimer()
-						if _, err := s.Infer(req.opts); err != nil {
+						if _, err := v.infer(s, req.opts); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -176,15 +162,14 @@ func BenchmarkSessionStep(b *testing.B) {
 
 // BenchmarkInfer isolates one steady-state inference (graph fully
 // ingested, warm solver — the selector-evaluation hot path of a long
-// session) per benchRequests row, reference vs incremental, on both
+// session) per benchRequests row, InferReference vs Infer, on both
 // domains.
 func BenchmarkInfer(b *testing.B) {
 	for _, d := range benchDomains {
 		env := benchEnvFor(b, d.domain, d.aspect)
 		for _, req := range benchRequests {
 			b.Run(d.name+"/"+req.name+"/reference", func(b *testing.B) {
-				s := env.session(referenceBenchConfig(env.g))
-				env.replay(b, s, req.opts, false)
+				s := env.replay(b, req.opts, false)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := s.InferReference(req.opts); err != nil {
@@ -193,12 +178,7 @@ func BenchmarkInfer(b *testing.B) {
 				}
 			})
 			b.Run(d.name+"/"+req.name+"/incremental", func(b *testing.B) {
-				cfg := referenceBenchConfig(env.g)
-				cfg.IncrementalGraph = true
-				cfg.IncrementalPool = true
-				cfg.WarmStart = true
-				s := env.session(cfg)
-				env.replay(b, s, req.opts, true)
+				s := env.replay(b, req.opts, true)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := s.Infer(req.opts); err != nil {
@@ -211,19 +191,14 @@ func BenchmarkInfer(b *testing.B) {
 }
 
 // BenchmarkCandidateStep measures one candidate-pool generation at step
-// ≥5 — the dominant remaining per-step cost the incremental pool
-// refactor targets. "reference" re-enumerates the n-grams of every
-// gathered page per call (the pre-refactor path, retained as
-// CandidatesReference); "incremental" syncs the persistent pool against
-// the last fire's pending delta, the exact state a live step sees. The
-// acceptance bar is ≥2x at step ≥5.
+// ≥5. "reference" is CandidatesReference, which re-enumerates the n-grams
+// of every gathered page per call; "incremental" syncs the persistent pool
+// against the last fire's pending delta, the exact state a live step sees.
 func BenchmarkCandidateStep(b *testing.B) {
 	for _, d := range benchDomains {
 		env := benchEnvFor(b, d.domain, d.aspect)
 		b.Run(d.name+"/reference", func(b *testing.B) {
-			cfg := referenceBenchConfig(env.g)
-			s := env.session(cfg)
-			env.replay(b, s, InferOptions{}, false)
+			s := env.replay(b, InferOptions{}, false)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if len(s.CandidatesReference(true)) == 0 {
@@ -234,9 +209,7 @@ func BenchmarkCandidateStep(b *testing.B) {
 		b.Run(d.name+"/incremental", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				cfg := referenceBenchConfig(env.g)
-				cfg.IncrementalPool = true
-				s := env.session(cfg)
+				s := env.session()
 				// Warm the pool through the prefix (Candidates per step),
 				// leaving the final fire's page delta pending — a live
 				// step's exact state.

@@ -20,7 +20,9 @@ import (
 //     against the running total — and only when an individual utility
 //     is requested (the update catches up on every page it skipped);
 //   - the last solved utilities of each individual family are kept as
-//     warm starts for its next solve (Config.WarmStart);
+//     warm starts for its next solve (the damped fixpoint is a contraction
+//     with a unique solution, so a warm start changes iteration counts,
+//     not results, within SolverTol);
 //   - conjunctive-containment coverage counts per candidate — the exact
 //     redundancy conditionals the collective utilities of §V recount on
 //     every step in the rebuild path — fall out of delta connection as a
@@ -214,12 +216,16 @@ func (sg *sessionGraph) pageReg(s *Session) regPair {
 	return sg.reg
 }
 
-// inferIncremental is the fast path of Session.Infer: one persistent
-// graph per session, O(Δ) ingest per step, warm-started fixpoints for the
-// individual utilities that are requested, and cached coverage counts for
-// the collective ones. It computes the same utilities as InferReference
-// (see TestIncrementalMatchesReference).
-func (s *Session) inferIncremental(opts InferOptions) (*Inference, error) {
+// Infer runs the entity phase (§IV-C): bring the session's persistent
+// entity reinforcement graph up to date with the current result pages and
+// candidate queries (O(Δ) per step, see sessionGraph), regularize with page
+// relevance and (optionally) domain template utilities, and compute the
+// utility families opts.Utilities asks for — one warm-started fixpoint
+// solve per requested individual utility, one pass over the cached coverage
+// counts for the collective family, nothing for a family nobody reads.
+// InferReference is the retained rebuild-per-step oracle; the two compute
+// identical rankings (TestIncrementalMatchesReference).
+func (s *Session) Infer(opts InferOptions) (*Inference, error) {
 	cands := s.candidateQueries(opts.UseDomainCandidates)
 	inf := &Inference{Queries: cands}
 	if len(cands) == 0 {
@@ -234,11 +240,7 @@ func (s *Session) inferIncremental(opts InferOptions) (*Inference, error) {
 	sg.ingest(s, cands)
 
 	if opts.Utilities&(UtilPrecision|UtilRecall) != 0 {
-		var x0P, x0R []float64
-		if s.Cfg.WarmStart {
-			x0P, x0R = sg.prevPrec, sg.prevRecall
-		}
-		prec, rcl, err := s.solveIndividual(inf, sg.b, opts, sg.pageReg(s), x0P, x0R)
+		prec, rcl, err := s.solveIndividual(inf, sg.b, opts, sg.pageReg(s), sg.prevPrec, sg.prevRecall)
 		if err != nil {
 			return nil, err
 		}

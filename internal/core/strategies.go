@@ -41,12 +41,17 @@ type utilitySelector struct {
 
 func (u utilitySelector) Name() string { return u.name }
 
-func (u utilitySelector) Select(s *Session) (Selection, bool) {
-	inf, err := s.Infer(InferOptions{
+// inferOptions is the inference this strategy asks for on every step.
+func (u utilitySelector) inferOptions() InferOptions {
+	return InferOptions{
 		UseTemplates:        u.templates,
 		UseDomainCandidates: u.templates,
 		Utilities:           u.reads,
-	})
+	}
+}
+
+func (u utilitySelector) Select(s *Session) (Selection, bool) {
+	inf, err := s.Infer(u.inferOptions())
 	if err != nil {
 		return Selection{}, false
 	}

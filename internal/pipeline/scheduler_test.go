@@ -331,7 +331,7 @@ func TestSchedulerResumedSession(t *testing.T) {
 		sessions2[i] = f.session(e, nil)
 		remaining := nQueries
 		if cp, ok := latest[i]; ok {
-			if err := sessions2[i].Resume(cp); err != nil {
+			if err := sessions2[i].Resume(context.Background(), cp); err != nil {
 				t.Fatalf("resume job %d: %v", i, err)
 			}
 			prior[i] = cp.Fired

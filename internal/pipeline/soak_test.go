@@ -67,7 +67,7 @@ func TestSchedulerSoak(t *testing.T) {
 					// checkpoint this submitter saw for the slot.
 					cpMu.Lock()
 					if cp, ok := cps[slot]; ok && rng.IntN(3) == 0 {
-						if err := sess.Resume(cp); err != nil {
+						if err := sess.Resume(context.Background(), cp); err != nil {
 							t.Error(err)
 						}
 					}

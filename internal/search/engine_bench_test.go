@@ -72,7 +72,7 @@ func BenchmarkHotSingleQuery(b *testing.B) {
 	})
 }
 
-// BenchmarkConcurrentManyQueries models HarvestMany / cmd/l2qserve load:
+// BenchmarkConcurrentManyQueries models HarvestPipelined / cmd/l2qserve load:
 // many goroutines cycling through a shared query pool against one engine.
 // The acceptance comparison is reference vs. engine (cache on).
 func BenchmarkConcurrentManyQueries(b *testing.B) {

@@ -95,11 +95,12 @@ func BenchmarkLiveSearchAllocs(b *testing.B) {
 	})
 }
 
-// BenchmarkLiveIngestSearch is the headline acceptance benchmark of the
-// generational engine: sustained search throughput while ingesting must
-// stay within 70% of a frozen engine over the same starting corpus (the
-// CI live-bench step asserts the ratio from these qps metrics and archives
-// them as BENCH_live.json).
+// BenchmarkLiveIngestSearch is the engine-level comparison of the
+// generational engine: sustained search throughput while ingesting against
+// a frozen engine over the same starting corpus, reported as qps per arm.
+// It is not a gate — the ratio depends on spare cores for the ingester
+// (0.83 on CI's runners when recorded, ≈ 0.5 on 2 cores); serving under
+// ingest is measured from real processes by bench's search_live_ingest.
 //
 // Both arms disable the query cache — the bar measures scoring capacity
 // over the segmented view, not cache-hit ratios — and score serially per

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -104,7 +105,7 @@ func TestCheckpointRoundTripResumes(t *testing.T) {
 			}
 
 			resumed := f.session()
-			if err := resumed.Resume(cps[0]); err != nil {
+			if err := resumed.Resume(context.Background(), cps[0]); err != nil {
 				t.Fatal(err)
 			}
 			more := resumed.Run(core.NewL2QBAL(), 2)
@@ -117,7 +118,7 @@ func TestCheckpointRoundTripResumes(t *testing.T) {
 			// session must still match a fresh run exactly.
 			unbooted := roundTrip(t, []core.Checkpoint{f.session().Snapshot()})
 			virgin := f.session()
-			if err := virgin.Resume(unbooted[0]); err != nil {
+			if err := virgin.Resume(context.Background(), unbooted[0]); err != nil {
 				t.Fatal(err)
 			}
 			if virgin.Booted() {

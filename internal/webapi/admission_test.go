@@ -1,12 +1,19 @@
 package webapi
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"l2q/internal/corpus"
 	"l2q/internal/search"
 	"l2q/internal/synth"
 )
@@ -81,6 +88,165 @@ func TestMaxInFlightShedEnvelope(t *testing.T) {
 	ok.Body.Close()
 	if ok.StatusCode != http.StatusOK {
 		t.Fatalf("after drain: status %d, want 200", ok.StatusCode)
+	}
+}
+
+// TestSaturationShedsWithoutLosingJobs is the sustained-overload contract
+// on a harvesting server admitting one request at a time: under mixed
+// traffic from more callers than slots, every response is either served
+// (2xx) or shed with the retryable 429 "throttled" envelope — nothing
+// else, nothing bare — the Shed counter equals the 429s the callers saw,
+// a submit that answered 202 is a job that reaches a terminal state, a
+// submit that was shed left no job behind, and the admission slot is free
+// at the end. Replayable: phase 1 holds the slot in-package so every
+// operation kind is shed for certain, phase 2 releases it and runs a fixed
+// count of operations per caller in a fixed order, retries off; the test
+// waits on job events and the semaphore, never on a clock.
+func TestSaturationShedsWithoutLosingJobs(t *testing.T) {
+	f := newHarvestFixture(t)
+	server := NewServer(f.g.Corpus, f.engine)
+	server.Harvest = f.server.Harvest
+	server.MaxInFlight = 1
+	srv := httptest.NewServer(server.Handler())
+	t.Cleanup(srv.Close)
+	t.Cleanup(func() { server.Shutdown(context.Background()) })
+
+	target := f.g.Corpus.Entities[f.g.Corpus.NumEntities()-1]
+	search := "/api/v1/search?" + url.Values{"seed": target.SeedTokens(), "q": {"research"}}.Encode()
+	job, err := json.Marshal(HarvestRequest{Entities: []corpus.EntityID{target.ID}, Aspect: string(f.aspect), NQueries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := []struct{ name, method, path, accept, body string }{
+		{"search/json", "GET", search, "", ""},
+		{"search/wire", "GET", search, wireContentType, ""},
+		{"page", "GET", fmt.Sprintf("/page/%d.html", f.g.Corpus.Pages[0].ID), "", ""},
+		{"metrics", "GET", "/api/v1/metrics", "", ""},
+		{"job", "POST", "/api/v1/jobs", "", string(job)},
+	}
+
+	// tally is one caller's view: responses served, responses shed, the
+	// jobs the server said it accepted.
+	type tally struct {
+		served, shed int
+		jobs         []string
+	}
+	issue := func(op int, into *tally) {
+		o := ops[op]
+		req, err := http.NewRequest(o.method, srv.URL+o.path, strings.NewReader(o.body))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if o.accept != "" {
+			req.Header.Set("Accept", o.accept)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Errorf("%s: %v", o.name, err)
+			return
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Errorf("%s: read body: %v", o.name, err)
+			return
+		}
+		switch {
+		case resp.StatusCode == http.StatusTooManyRequests:
+			var env errorEnvelope
+			if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != "throttled" ||
+				!env.Error.Retryable || env.Error.Message == "" {
+				t.Errorf("%s: shed with %q, want the retryable throttled envelope", o.name, body)
+			}
+			into.shed++
+		case resp.StatusCode/100 == 2:
+			into.served++
+			if o.name == "job" {
+				var accepted struct{ ID string }
+				if err := json.Unmarshal(body, &accepted); err != nil || accepted.ID == "" {
+					t.Errorf("job: status %d with body %q, want a job id", resp.StatusCode, body)
+				}
+				into.jobs = append(into.jobs, accepted.ID)
+			}
+		default:
+			t.Errorf("%s: status %d (%q), want 2xx or 429", o.name, resp.StatusCode, body)
+		}
+	}
+
+	// Phase 1: the slot is taken, so every kind of operation is shed.
+	sem := server.inflightSem()
+	sem <- struct{}{}
+	var total tally
+	for op := range ops {
+		issue(op, &total)
+	}
+	if total.shed != len(ops) || total.served != 0 {
+		t.Fatalf("with the slot held: %d shed, %d served; want all %d shed", total.shed, total.served, len(ops))
+	}
+	<-sem
+
+	// Phase 2: more callers than slots, a fixed number of operations each.
+	const callers, opsPerCaller = 8, 25
+	tallies := make([]tally, callers)
+	var wg sync.WaitGroup
+	for c := range tallies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < opsPerCaller; i++ {
+				issue((c+i)%len(ops), &tallies[c])
+			}
+		}()
+	}
+	wg.Wait()
+	for _, tl := range tallies {
+		total.served += tl.served
+		total.shed += tl.shed
+		total.jobs = append(total.jobs, tl.jobs...)
+	}
+	if want := len(ops) + callers*opsPerCaller; total.served+total.shed != want {
+		t.Errorf("%d served + %d shed, want %d responses accounted for", total.served, total.shed, want)
+	}
+	if total.served == 0 {
+		t.Error("nothing was served once the slot was released")
+	}
+	if got := server.Shed(); got != int64(total.shed) {
+		t.Errorf("Server.Shed() = %d, callers counted %d responses with status 429", got, total.shed)
+	}
+
+	// Every accepted job finishes; a shed submit created none.
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	for _, id := range total.jobs {
+		j := server.lookupJob(id)
+		if j == nil {
+			t.Fatalf("job %s was accepted with 202 and is not in the registry", id)
+		}
+		for from, final := 0, false; !final; {
+			evs, fin, err := j.waitEvents(ctx, from)
+			if err != nil {
+				t.Fatalf("job %s never reached a terminal state: %v (status %+v)", id, err, j.status(false))
+			}
+			from, final = from+len(evs), fin
+		}
+		if st := j.status(false); st.State != JobDone || st.Finished != 1 || st.Failed != 0 {
+			t.Errorf("job %s ended as %+v, want done with its one entity finished", id, st)
+		}
+	}
+	server.jobsMu.Lock()
+	registered := len(server.jobs)
+	server.jobsMu.Unlock()
+	if registered != len(total.jobs) {
+		t.Errorf("%d jobs registered, %d submits were answered 202", registered, len(total.jobs))
+	}
+
+	// Taking the only slot proves every request gave its own back.
+	select {
+	case sem <- struct{}{}:
+		<-sem
+	case <-ctx.Done():
+		t.Fatalf("admission slot still held after all traffic ended (%d in flight)", len(sem))
 	}
 }
 

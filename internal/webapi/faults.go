@@ -1,7 +1,6 @@
 package webapi
 
 import (
-	"context"
 	"math/rand/v2"
 	"net/http"
 	"strconv"
@@ -32,20 +31,6 @@ type FaultInjector struct {
 	TruncateRate float64
 	// Seed makes the fault sequence reproducible (0 seeds from 1).
 	Seed uint64
-	// Bandwidth models a constrained transfer link in bytes per second:
-	// each response write sleeps in proportion to the bytes delivered
-	// before delivering them (0 = unlimited). Loopback transfers are
-	// effectively free, so without this the paper's per-page transfer
-	// cost — the term the wire protocol's compression attacks — would be
-	// invisible to benchmarks.
-	Bandwidth int64
-	// SharedLink upgrades the bandwidth model from per-response to a
-	// single shared uplink: concurrent responses reserve consecutive
-	// slots on one link timeline instead of each enjoying the full
-	// Bandwidth. This is the model for cluster benchmarks, where the
-	// point of N nodes is N independent links — per-response throttling
-	// would hand a single node the same free parallelism.
-	SharedLink bool
 
 	// latency is the per-request added delay in nanoseconds (atomic so
 	// tests can dial it up after a fault-free warmup).
@@ -54,10 +39,6 @@ type FaultInjector struct {
 	passed    atomic.Int64
 	injected5 atomic.Int64
 	truncated atomic.Int64
-	bytesOut  atomic.Int64
-	// linkFree is the SharedLink timeline: the UnixNano instant the
-	// modeled uplink next falls idle.
-	linkFree atomic.Int64
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -72,11 +53,6 @@ func (f *FaultInjector) SetLatency(d time.Duration) { f.latency.Store(int64(d)) 
 func (f *FaultInjector) Counts() (passed, errors, truncated int64) {
 	return f.passed.Load(), f.injected5.Load(), f.truncated.Load()
 }
-
-// BytesOut reports the total response-body bytes delivered through the
-// modeled link. Only counted when Bandwidth > 0 (the throttling wrapper
-// is what meters the writes).
-func (f *FaultInjector) BytesOut() int64 { return f.bytesOut.Load() }
 
 // roll draws one uniform variate from the seeded stream.
 func (f *FaultInjector) roll() float64 {
@@ -101,13 +77,6 @@ func (f *FaultInjector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			t.Stop()
 			return
 		}
-	}
-	if f.Bandwidth > 0 {
-		tw := &throttledWriter{ResponseWriter: w, bytesPerSec: f.Bandwidth, ctx: r.Context(), meter: &f.bytesOut}
-		if f.SharedLink {
-			tw.linkFree = &f.linkFree
-		}
-		w = tw
 	}
 	p := f.roll()
 	switch {
@@ -148,53 +117,6 @@ func (f *FaultInjector) truncate(w http.ResponseWriter, r *http.Request) {
 	// to sever the connection: the truncation is a wire fault, invisible
 	// to naive clients until the read fails.
 }
-
-// throttledWriter charges each response write against the modeled link
-// speed: the transfer time of the bytes is slept before they are
-// delivered, so response size becomes response time — exactly the
-// trade the binary wire's compression is meant to win.
-type throttledWriter struct {
-	http.ResponseWriter
-	bytesPerSec int64
-	ctx         context.Context
-	meter       *atomic.Int64
-	// linkFree, when non-nil, points at the injector's shared uplink
-	// timeline (see FaultInjector.SharedLink); nil keeps the original
-	// per-response model.
-	linkFree *atomic.Int64
-}
-
-func (t *throttledWriter) Write(p []byte) (int, error) {
-	t.meter.Add(int64(len(p)))
-	d := time.Duration(float64(len(p)) / float64(t.bytesPerSec) * float64(time.Second))
-	if d > 0 && t.linkFree != nil {
-		// Reserve this transfer's slot on the shared link: it starts when
-		// the link frees (or now, if idle) and holds the link for d.
-		now := time.Now().UnixNano()
-		for {
-			free := t.linkFree.Load()
-			start := max(free, now)
-			if t.linkFree.CompareAndSwap(free, start+int64(d)) {
-				d = time.Duration(start + int64(d) - now)
-				break
-			}
-		}
-	}
-	if d > 0 {
-		timer := time.NewTimer(d)
-		select {
-		case <-timer.C:
-		case <-t.ctx.Done():
-			timer.Stop()
-			return 0, t.ctx.Err()
-		}
-	}
-	return t.ResponseWriter.Write(p)
-}
-
-// Unwrap lets http.NewResponseController reach the underlying writer
-// (write deadlines on the wrapped response).
-func (t *throttledWriter) Unwrap() http.ResponseWriter { return t.ResponseWriter }
 
 // captureWriter buffers a handler's response for the truncating replay.
 type captureWriter struct {

@@ -317,10 +317,12 @@ func (hb *HarvestBackend) plan(req HarvestRequest) (*harvestPlan, *httpError) {
 }
 
 // buildJobs constructs one pipeline job per known entity, resuming
-// checkpointed sessions. Unknown IDs and failed resumes fail individually
-// (an explicit per-entity error event), never the whole batch. The
-// returned entity slice is aligned with the jobs.
-func (hb *HarvestBackend) buildJobs(srv *Server, req HarvestRequest, p *harvestPlan,
+// checkpointed sessions under ctx (on a coordinator the replay retrieves
+// over the network, so it must end with the request or job that asked for
+// it). Unknown IDs and failed resumes fail individually (an explicit
+// per-entity error event), never the whole batch. The returned entity
+// slice is aligned with the jobs.
+func (hb *HarvestBackend) buildJobs(ctx context.Context, srv *Server, req HarvestRequest, p *harvestPlan,
 	emit func(HarvestEvent)) (jobs []pipeline.Job, jobEntities []*corpus.Entity, failed int) {
 
 	for _, id := range req.Entities {
@@ -333,7 +335,7 @@ func (hb *HarvestBackend) buildJobs(srv *Server, req HarvestRequest, p *harvestP
 		sess := core.NewSession(hb.Cfg, srv.backend.retriever(), e, p.aspect, p.y, p.dm, hb.Rec, uint64(e.ID)+1)
 		nq := req.NQueries
 		if cp, ok := p.resume[e.ID]; ok {
-			if err := sess.Resume(cp); err != nil {
+			if err := sess.Resume(ctx, cp); err != nil {
 				failed++
 				emit(HarvestEvent{Type: "error", Entity: e.ID, Error: "resume: " + err.Error()})
 				continue
@@ -433,11 +435,22 @@ func (s *Server) handleHarvest(w http.ResponseWriter, r *http.Request) {
 
 	emit := s.eventEmitter(w, r, cancel)
 
-	jobs, jobEntities, failed := hb.buildJobs(s, req, p, emit)
+	jobs, jobEntities, failed := hb.buildJobs(ctx, s, req, p, emit)
 
 	// ONE shared scheduler for every request: admission control and fair
 	// share instead of a fresh per-request worker pool.
 	results := s.submitHarvest(ctx, jobs, pipeline.BatchOptions{Budget: p.budget})
+
+	emitOutcomes(emit, results, jobEntities, len(req.Entities), failed)
+}
+
+// emitOutcomes closes a harvest event stream, sync or async: one "entity"
+// (fired queries, gathered pages) or "error" event per scheduler result,
+// then the "done" summary over the requested entities. failed comes in as
+// the entities buildJobs already reported and goes out as the summary's
+// total.
+func emitOutcomes(emit func(HarvestEvent), results []pipeline.Result, jobEntities []*corpus.Entity,
+	requested, failed int) int {
 
 	for i, res := range results {
 		e := jobEntities[i]
@@ -456,7 +469,8 @@ func (s *Server) handleHarvest(w http.ResponseWriter, r *http.Request) {
 		}
 		emit(HarvestEvent{Type: "entity", Entity: e.ID, Fired: fired, Pages: pages})
 	}
-	emit(HarvestEvent{Type: "done", Entities: len(req.Entities), Failed: failed})
+	emit(HarvestEvent{Type: "done", Entities: requested, Failed: failed})
+	return failed
 }
 
 // submitHarvest runs one batch on the server's shared scheduler and

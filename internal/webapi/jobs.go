@@ -232,7 +232,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) runJob(ctx context.Context, j *serverJob, req HarvestRequest, p *harvestPlan) {
 	defer j.cancel()
 	j.setState(JobRunning)
-	jobs, jobEntities, _ := s.Harvest.buildJobs(s, req, p, j.emit)
+	jobs, jobEntities, failed := s.Harvest.buildJobs(ctx, s, req, p, j.emit)
 
 	results := s.submitHarvest(ctx, jobs, pipeline.BatchOptions{
 		Budget: p.budget,
@@ -241,33 +241,13 @@ func (s *Server) runJob(ctx context.Context, j *serverJob, req HarvestRequest, p
 		},
 	})
 
-	canceled := false
-	for i, res := range results {
-		e := jobEntities[i]
-		if res.Err != nil {
-			if ctx.Err() != nil {
-				canceled = true
-			}
-			j.emit(HarvestEvent{Type: "error", Entity: e.ID, Error: res.Err.Error()})
-			continue
-		}
-		fired := make([]string, len(res.Fired))
-		for k, q := range res.Fired {
-			fired[k] = string(q)
-		}
-		var pages []corpus.PageID
-		for _, pg := range res.Job.Session.Pages() {
-			pages = append(pages, pg.ID)
-		}
-		j.emit(HarvestEvent{Type: "entity", Entity: e.ID, Fired: fired, Pages: pages})
+	// An entity that failed under a canceled ctx — in its replay or on the
+	// scheduler — was cut short, not broken.
+	state := JobDone
+	if cut := ctx.Err() != nil; emitOutcomes(j.emit, results, jobEntities, len(req.Entities), failed) > 0 && cut {
+		state = JobCanceled
 	}
-	st := j.status(false)
-	j.emit(HarvestEvent{Type: "done", Entities: st.Entities, Failed: st.Failed})
-	if canceled {
-		j.setState(JobCanceled)
-	} else {
-		j.setState(JobDone)
-	}
+	j.setState(state)
 }
 
 // maxRetainedJobs bounds the registry: beyond it, the oldest FINISHED

@@ -715,33 +715,6 @@ func TestWireFrameStreamHeaderBound(t *testing.T) {
 	}
 }
 
-// TestThrottledWriterModelsTransfer: the injector's bandwidth model makes
-// response time proportional to response size.
-func TestThrottledWriterModelsTransfer(t *testing.T) {
-	payload := bytes.Repeat([]byte("x"), 64<<10)
-	inj := &FaultInjector{
-		Bandwidth: 256 << 10, // 256 KB/s → 64 KB ≈ 250 ms
-		Next: http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-			w.Write(payload)
-		}),
-	}
-	srv := httptest.NewServer(inj)
-	defer srv.Close()
-	start := time.Now()
-	resp, err := http.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || len(b) != len(payload) {
-		t.Fatalf("read %d bytes, err %v", len(b), err)
-	}
-	if elapsed := time.Since(start); elapsed < 200*time.Millisecond {
-		t.Errorf("64 KB at 256 KB/s took %v, want ≥200ms", elapsed)
-	}
-}
-
 var _ = fmt.Sprintf // keep fmt for debugging edits
 
 // BenchmarkMarshalFrameAllocs pins what framing a compressed response

@@ -26,7 +26,6 @@ package l2q
 
 import (
 	"fmt"
-	"sync"
 
 	"l2q/internal/baselines"
 	"l2q/internal/classify"
@@ -164,7 +163,10 @@ func Crawl(pageByID map[PageID]*Page, seeds []*Page, y func(*Page) bool, cfg Cra
 // CrawlPageIndex builds the crawler's fetch table for a corpus.
 func CrawlPageIndex(c *Corpus) map[PageID]*Page { return crawler.PageIndex(c) }
 
-// SystemOptions sizes a synthetic system.
+// SystemOptions sizes a synthetic system: its corpus, and the cache and
+// worker pools around the model. Apart from the corpus fields and Config,
+// every field is value-neutral — rankings, utilities and models are
+// identical for every setting — and none selects an algorithm.
 type SystemOptions struct {
 	// NumEntities and PagesPerEntity size the corpus (0 = paper scale:
 	// 996 researchers / 143 cars × 50 pages).
@@ -194,18 +196,6 @@ type SystemOptions struct {
 	// (LearnDomain); non-zero overrides Config.LearnWorkers. Models are
 	// identical for every worker count.
 	LearnWorkers int
-	// NoIncrementalGraph and NoWarmStart switch the inference stack back
-	// to rebuild-per-step / cold solves (Session.InferReference
-	// behavior). DefaultConfig enables both optimizations; differential
-	// tests hold the two paths to identical query rankings, so these
-	// exist for benchmarking and paranoia, not correctness.
-	NoIncrementalGraph bool
-	NoWarmStart        bool
-	// NoIncrementalPool switches candidate generation back to
-	// re-enumerating every gathered page per step
-	// (Session.CandidatesReference behavior). Pools are identical either
-	// way; the knob exists for benchmarking and paranoia.
-	NoIncrementalPool bool
 }
 
 // DefaultSystemOptions returns paper-scale options.
@@ -264,15 +254,6 @@ func NewSyntheticSystem(d Domain, opts SystemOptions) (*System, error) {
 	}
 	if opts.LearnWorkers != 0 {
 		cfg.LearnWorkers = opts.LearnWorkers
-	}
-	if opts.NoIncrementalGraph {
-		cfg.IncrementalGraph = false
-	}
-	if opts.NoWarmStart {
-		cfg.WarmStart = false
-	}
-	if opts.NoIncrementalPool {
-		cfg.IncrementalPool = false
 	}
 	cfg.Tokenizer = g.Tokenizer
 	return NewSystem(g.Corpus, g.KB, g.Aspects, g.Tokenizer, cfg)
@@ -364,59 +345,4 @@ func (s *System) NewHarvester(e *Entity, a Aspect, dm *DomainModel) *Harvester {
 func (s *System) NewHarvesterSeeded(e *Entity, a Aspect, dm *DomainModel, rngSeed uint64) *Harvester {
 	sess := core.NewSession(s.cfg, s.engine, e, a, s.cls.YFunc(a), dm, s.rec, rngSeed)
 	return &Harvester{Session: sess}
-}
-
-// HarvestResult is one entity's outcome from HarvestMany.
-type HarvestResult struct {
-	Entity *Entity
-	Fired  []Query
-	Pages  []*Page
-	// Err is non-nil when the entity could not be harvested (e.g. an
-	// unknown entity ID); Entity is nil in that case.
-	Err error
-}
-
-// HarvestMany harvests the same aspect for many entities concurrently
-// (the paper's §VI-C efficiency note: "parallelizing over entities").
-// workers ≤ 0 defaults to 8. The selector must be stateless (every
-// constructor in this package returns stateless selectors).
-func (s *System) HarvestMany(entities []EntityID, a Aspect, dm *DomainModel,
-	sel Selector, nQueries, workers int) []HarvestResult {
-
-	if workers <= 0 {
-		workers = 8
-	}
-	out := make([]HarvestResult, len(entities))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, id := range entities {
-		wg.Add(1)
-		go func(i int, id EntityID) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			e := s.corpus.Entity(id)
-			if e == nil {
-				// An explicit per-entity error: a zero-valued result
-				// (Entity == nil, no Err) panics callers that
-				// dereference .Entity without a clue why.
-				out[i] = HarvestResult{Err: fmt.Errorf("l2q: unknown entity id %d", id)}
-				return
-			}
-			h := s.NewHarvesterSeeded(e, a, dm, uint64(id)+1)
-			if workers > 1 && s.cfg.InferWorkers == 0 {
-				// Same oversubscription rule as the pipeline
-				// scheduler: entity-level parallelism already
-				// saturates the CPU, so each session infers
-				// serially — unless the caller set an explicit
-				// worker count, which is honored verbatim.
-				// Value-neutral either way.
-				h.Cfg.InferWorkers = 1
-			}
-			fired := h.Run(sel, nQueries)
-			out[i] = HarvestResult{Entity: e, Fired: fired, Pages: h.Pages()}
-		}(i, id)
-	}
-	wg.Wait()
-	return out
 }

@@ -96,27 +96,6 @@ func TestNewSystemValidation(t *testing.T) {
 	}
 }
 
-func TestHarvestMany(t *testing.T) {
-	sys, err := l2q.NewSyntheticSystem(l2q.Researchers, smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := sys.EntityIDs()
-	dm, err := sys.LearnDomain("RESEARCH", ids[:10])
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := sys.HarvestMany(ids[10:16], "RESEARCH", dm, l2q.NewL2QBAL(), 2, 3)
-	if len(results) != 6 {
-		t.Fatalf("results = %d", len(results))
-	}
-	for _, r := range results {
-		if r.Entity == nil || len(r.Fired) == 0 || len(r.Pages) == 0 {
-			t.Fatalf("incomplete result: %+v", r)
-		}
-	}
-}
-
 func TestL2QWeightedStrategy(t *testing.T) {
 	sys, err := l2q.NewSyntheticSystem(l2q.Researchers, smallOpts())
 	if err != nil {

@@ -30,10 +30,6 @@ type (
 	RemoteEngine = webapi.Client
 	// Retriever is the engine surface sessions harvest through.
 	Retriever = core.Retriever
-	// CrawlerConfig tunes the focused-crawler baseline.
-	CrawlerConfig = crawler.Config
-	// CrawlerResult is a focused crawl's outcome.
-	CrawlerResult = crawler.Result
 	// Checkpoint is a session's durable state; Harvester promotes
 	// Snapshot/Resume from the embedded session, so long-running harvests
 	// survive restarts by exact replay.
@@ -332,7 +328,7 @@ func (s *System) HarvestPipelined(ctx context.Context, entities []EntityID, a As
 // by parent-page relevance, budget in page downloads. It exists to
 // reproduce the paper's §II contrast — compare its harvest against a
 // Harvester's at the same budget (see cmd/l2qexp -fig crawl).
-func (s *System) Crawl(e *Entity, a Aspect, budget int) CrawlerResult {
+func (s *System) Crawl(e *Entity, a Aspect, budget int) CrawlResult {
 	res := s.engine.SearchWithSeed(e.SeedTokens(), nil)
 	seeds := make([]*corpus.Page, 0, len(res))
 	for _, r := range res {

@@ -57,6 +57,10 @@ func TestSaveLoadStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHarvestPipelinedMatchesHarvestMany: harvesting many entities through
+// the interleaved scheduler fires, for every entity, exactly the queries
+// and gathers exactly the pages of one sequential Run of a harvester with
+// the same per-entity seed (id+1, HarvestPipelined's convention).
 func TestHarvestPipelinedMatchesHarvestMany(t *testing.T) {
 	sys := testSystem(t, Researchers)
 	aspect := sys.Aspects()[0]
@@ -67,20 +71,24 @@ func TestHarvestPipelinedMatchesHarvestMany(t *testing.T) {
 	}
 	targets := ids[15:]
 
-	seq := sys.HarvestMany(targets, aspect, dm, NewL2QBAL(), 2, 4)
 	pipe := sys.HarvestPipelined(context.Background(), targets, aspect, dm, NewL2QBAL(), 2, nil)
-	if len(seq) != len(pipe) {
-		t.Fatalf("result counts %d vs %d", len(seq), len(pipe))
+	if len(pipe) != len(targets) {
+		t.Fatalf("%d results for %d targets", len(pipe), len(targets))
 	}
-	for i := range seq {
+	for i, id := range targets {
 		if pipe[i].Err != nil {
 			t.Fatalf("pipeline job %d: %v", i, pipe[i].Err)
 		}
-		if !reflect.DeepEqual(seq[i].Fired, pipe[i].Fired) {
-			t.Errorf("entity %d fired %v vs %v", i, seq[i].Fired, pipe[i].Fired)
+		h := sys.NewHarvesterSeeded(sys.Corpus().Entity(id), aspect, dm, uint64(id)+1)
+		fired := h.Run(NewL2QBAL(), 2)
+		if len(fired) == 0 || len(h.Pages()) == 0 {
+			t.Fatalf("entity %d: sequential run fired %v and gathered %d pages", i, fired, len(h.Pages()))
+		}
+		if !reflect.DeepEqual(fired, pipe[i].Fired) {
+			t.Errorf("entity %d fired %v vs %v", i, fired, pipe[i].Fired)
 		}
 		var a, b []PageID
-		for _, p := range seq[i].Pages {
+		for _, p := range h.Pages() {
 			a = append(a, p.ID)
 		}
 		for _, p := range pipe[i].Pages {
@@ -88,39 +96,6 @@ func TestHarvestPipelinedMatchesHarvestMany(t *testing.T) {
 		}
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("entity %d pages %v vs %v", i, a, b)
-		}
-	}
-}
-
-// TestHarvestManyUnknownEntity: an unknown entity ID yields an explicit
-// per-entity error, not a zero-valued result whose nil .Entity panics the
-// first caller that dereferences it.
-func TestHarvestManyUnknownEntity(t *testing.T) {
-	sys := testSystem(t, Researchers)
-	aspect := sys.Aspects()[0]
-	ids := sys.EntityIDs()
-	const bogus = EntityID(99999)
-	targets := []EntityID{ids[len(ids)-1], bogus, ids[len(ids)-2]}
-
-	results := sys.HarvestMany(targets, aspect, nil, NewP(), 1, 2)
-	if len(results) != len(targets) {
-		t.Fatalf("%d results for %d targets", len(results), len(targets))
-	}
-	if results[1].Err == nil {
-		t.Fatal("unknown entity produced no error")
-	}
-	if results[1].Entity != nil {
-		t.Errorf("unknown entity has Entity %v", results[1].Entity)
-	}
-	for _, i := range []int{0, 2} {
-		if results[i].Err != nil {
-			t.Errorf("valid entity %d errored: %v", i, results[i].Err)
-		}
-		if results[i].Entity == nil || results[i].Entity.ID != targets[i] {
-			t.Errorf("result %d not aligned with its target", i)
-		}
-		if len(results[i].Pages) == 0 {
-			t.Errorf("valid entity %d gathered nothing", i)
 		}
 	}
 }
@@ -262,7 +237,7 @@ func TestCheckpointThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	h2 := sys.NewHarvesterSeeded(e, aspect, dm, 1)
-	if err := h2.Resume(cp); err != nil {
+	if err := h2.Resume(context.Background(), cp); err != nil {
 		t.Fatal(err)
 	}
 	if len(h2.Pages()) != len(h.Pages()) {
@@ -351,7 +326,7 @@ func TestCheckpointPublicRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	resumed := sys.NewHarvester(e, aspect, nil)
-	if err := resumed.Resume(cp); err != nil {
+	if err := resumed.Resume(context.Background(), cp); err != nil {
 		t.Fatal(err)
 	}
 	got := append(append([]Query(nil), cp.Fired...), resumed.Run(NewL2QBAL(), 2)...)
