@@ -18,20 +18,25 @@ test:
 	$(GO) test -race -shuffle=on -count=5 ./internal/webapi/
 
 # The packages whose worker-pool defaults read GOMAXPROCS (ingest
-# pre-tokenization, inference, domain learning, the scheduler's select
-# and fetch pools), serial and oversubscribed: every worker count must
-# compute the same values, and no test may depend on the box's core count.
+# pre-tokenization, domain learning, the scheduler's select and fetch
+# pools — under which sessions share a domain model's candidate-facts
+# memo), serial and oversubscribed: every worker count must compute the
+# same values, and no test may depend on the box's core count.
 test-procs:
 	GOMAXPROCS=1 $(GO) test -race -shuffle=on ./internal/search/ ./internal/core/ ./internal/pipeline/
 	GOMAXPROCS=8 $(GO) test -race -shuffle=on ./internal/search/ ./internal/core/ ./internal/pipeline/
 
 # 20 s of native fuzzing each on the scorer's exactness gate (the pruned
-# top-k pass must equal SearchReference bit for bit on random tiny corpora)
-# and on the search-with-pages decoder (frame, payload and page check
-# between a response body and the client's page cache).
+# top-k pass must equal SearchReference bit for bit on random tiny corpora),
+# on the search-with-pages decoder (frame, payload and page check between
+# a response body and the client's page cache) and on the session's page
+# bitsets (coverage must equal a Page.ContainsQuery recount; its inputs are
+# programs of a kilobyte, so minimizing each new one is capped at 1 s
+# instead of eating the budget).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPrunedTopKMatchesReference -fuzztime 20s ./internal/search/
 	$(GO) test -run '^$$' -fuzz FuzzSearchPagesFrame -fuzztime 20s ./internal/webapi/
+	$(GO) test -run '^$$' -fuzz FuzzBitCoverMatchesContainment -fuzztime 20s -fuzzminimizetime 1s ./internal/core/
 
 # 30 s churn loops under the race detector: scheduler submit/cancel/
 # resume, and the live engine's concurrent ingest+search+compact.

@@ -8,7 +8,7 @@
 //	l2qexp [-domain researchers|cars|both] [-fig all|9|10|11|12|13|14|crawl|budget]
 //	       [-entities N] [-pages N] [-domainsample N] [-test N] [-val N]
 //	       [-seed N] [-cv] [-quick] [-json] [-cachesize N]
-//	       [-inferworkers N] [-learnworkers N]
+//	       [-learnworkers N]
 //
 // Beyond the paper's figures, -fig crawl runs the extension experiment
 // comparing query-driven harvesting against a link-following focused
@@ -74,7 +74,6 @@ func main() {
 		quick        = flag.Bool("quick", false, "small fast configuration (smoke test)")
 		splits       = flag.Int("splits", 1, "random entity splits to average (paper: 10)")
 		cacheSize    = flag.Int("cachesize", 0, "query cache capacity (0 = default, <0 = off)")
-		inferWorkers = flag.Int("inferworkers", 0, "per-step inference workers (0 = GOMAXPROCS)")
 		learnWorkers = flag.Int("learnworkers", 0, "domain-phase counting workers (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
@@ -123,7 +122,6 @@ func main() {
 			cfg.Core.R0Star = *r0star
 		}
 		cfg.Core.SearchCacheSize = *cacheSize
-		cfg.Core.InferWorkers = *inferWorkers
 		cfg.Core.LearnWorkers = *learnWorkers
 		if err := runDomain(cfg, *fig, *cv, *splits); err != nil {
 			fmt.Fprintf(os.Stderr, "l2qexp: %v\n", err)

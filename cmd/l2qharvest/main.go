@@ -58,7 +58,6 @@ func main() {
 		rtimeout = flag.Duration("timeout", 30*time.Second, "remote transport: per-request HTTP timeout")
 		prefetch = flag.Int("prefetch", 8, "remote transport: concurrent /page downloads per query (only for hits whose page the search response did not carry)")
 		wireFlag = flag.String("wire", "auto", "remote transport: wire codec — auto (negotiate binary, fall back to JSON), json, or binary (require it)")
-		inferW   = flag.Int("inferworkers", 0, "per-step inference workers (0 = GOMAXPROCS)")
 		learnW   = flag.Int("learnworkers", 0, "domain-phase counting workers (0 = GOMAXPROCS)")
 		ckpt     = flag.String("checkpoint", "", "checkpoint file: resume from it if present, write it after every step")
 		replay   = flag.Bool("replaycheck", false, "after finishing, verify the fired sequence against an uninterrupted run")
@@ -67,7 +66,7 @@ func main() {
 
 	sys, err := l2q.NewSyntheticSystem(corpus.Domain(*domain), l2q.SystemOptions{
 		NumEntities: *entities, PagesPerEntity: *pages, Seed: *seed,
-		InferWorkers: *inferW, LearnWorkers: *learnW,
+		LearnWorkers: *learnW,
 	})
 	if err != nil {
 		fail(err)

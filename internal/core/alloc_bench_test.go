@@ -53,14 +53,11 @@ func BenchmarkCandidateAllocs(b *testing.B) {
 // session warmed through the 5-query prefix, with the last fire's delta
 // already absorbed, so the pool and the session graph have nothing to
 // ingest and what remains is the collective pass and the one-pass arg-max.
-// Its allocations are the returned Inference and its three Coll* vectors
-// plus the empty per-step match tables — no score slice, no per-candidate
-// maps. Inference is pinned serial (InferWorkers 1) so the count does not
-// depend on GOMAXPROCS.
+// Its allocations are the returned Inference and its three Coll* vectors —
+// no score slice, no per-candidate maps, no per-step tables.
 func BenchmarkSelectAllocs(b *testing.B) {
 	env := benchEnvFor(b, benchDomains[0].domain, benchDomains[0].aspect)
 	s := env.session()
-	s.Cfg.InferWorkers = 1
 	sel := NewL2QBAL()
 	s.Bootstrap()
 	for _, q := range env.prefix {
@@ -78,5 +75,32 @@ func BenchmarkSelectAllocs(b *testing.B) {
 		if _, ok := sel.Select(s); !ok {
 			b.Fatal("empty pool")
 		}
+	}
+}
+
+// BenchmarkHarvestJobAllocs is the whole-job allocation trajectory the CI
+// gate pins: what harvest_remote runs per operation minus the wire — a
+// fresh session over the shared learned model, L2QBAL at budget 5 on the
+// in-process engine — measured from the second job on, so the model's
+// candidate-facts memo and the engine's query cache are warm, as they are
+// once a job list has wrapped. What is left is the session's own state:
+// its page and candidate pools, the candidate table, the page bitsets, one
+// Inference per step — and the pages' n-gram enumerations, redone per job
+// here (every benchEnv session brings its own stopword list, which keys
+// the per-page memo) as they are in harvest_remote, where every job parses
+// its pages anew.
+func BenchmarkHarvestJobAllocs(b *testing.B) {
+	env := benchEnvFor(b, benchDomains[0].domain, benchDomains[0].aspect)
+	sel := NewL2QBAL()
+	job := func() {
+		if fired := env.session().Run(sel, 5); len(fired) != 5 {
+			b.Fatalf("fired %d of 5 queries", len(fired))
+		}
+	}
+	job()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		job()
 	}
 }

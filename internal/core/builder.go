@@ -14,10 +14,15 @@ import (
 // Pages and queries must be added before edges; template nodes and
 // query–template edges are created automatically when queries are added
 // (provided a recognizer is present).
+//
+// A builder made without a graph (g == nil) is the table-only form a
+// session keeps while nothing asks for an individual utility: it holds the
+// pages and the candidate table (queries, qs) and creates no vertex, edge
+// or template.
 type graphBuilder struct {
 	cfg Config
 	rec types.Recognizer // nil disables templates
-	g   *graph.Graph
+	g   *graph.Graph     // nil: table only
 
 	pages    []*corpus.Page
 	pageNode map[corpus.PageID]graph.NodeID
@@ -29,11 +34,11 @@ type graphBuilder struct {
 	qs        []queryVertex
 	templates map[string]graph.NodeID
 
-	// dm, when set, supplies the domain counting priors addQuery stores on
-	// each query vertex (entity phase with templates; nil otherwise), and
-	// shared its precomputed facts for the domain candidates.
+	// dm, when set, supplies the domain counting priors stored on each
+	// query vertex (entity phase with templates; nil otherwise), and shared
+	// the facts it has already computed for this tokenizer and recognizer.
 	dm     *DomainModel
-	shared map[Query]candidateFacts
+	shared *sharedCandidateFacts
 
 	// engine, when non-nil and cfg.WeightByLikelihood is set, supplies
 	// retrieval-model edge weights; otherwise edges weigh 1.
@@ -47,10 +52,11 @@ type graphBuilder struct {
 	opsVersion [2]uint64
 }
 
-// queryVertex is one registered query: its vertex plus the facts addQuery
-// computes once — tokens, template keys and the domain counting priors
-// of the collective utilities (§V). None of them depends on the session's
-// pages or context, so a step never recomputes them.
+// queryVertex is one registered query: its vertex (table-only builders
+// leave node zero) plus the facts computed once at registration — tokens,
+// template keys and the domain counting priors of the collective
+// utilities (§V). None of them depends on the session's pages or context,
+// so a step never recomputes them.
 type queryVertex struct {
 	q    Query
 	node graph.NodeID
@@ -61,44 +67,63 @@ type queryVertex struct {
 	detached bool
 }
 
-func newGraphBuilder(cfg Config, rec types.Recognizer) *graphBuilder {
-	return &graphBuilder{
-		cfg:       cfg,
-		rec:       rec,
-		g:         graph.New(),
-		pageNode:  make(map[corpus.PageID]graph.NodeID),
-		queries:   make(map[Query]int32),
-		templates: make(map[string]graph.NodeID),
+// newGraphBuilder returns an empty builder, with a graph to fill or (the
+// session's table-only form) without one.
+func newGraphBuilder(cfg Config, rec types.Recognizer, withGraph bool) *graphBuilder {
+	b := &graphBuilder{cfg: cfg, rec: rec, queries: make(map[Query]int32)}
+	if withGraph {
+		b.g = graph.New()
+		b.pageNode = make(map[corpus.PageID]graph.NodeID)
+		b.templates = make(map[string]graph.NodeID)
 	}
+	return b
 }
 
-// addPage registers a page vertex (idempotent).
+// addPage registers a page and its vertex. It is idempotent when the
+// builder has a graph; a table-only builder is fed distinct pages by its
+// session.
 func (b *graphBuilder) addPage(p *corpus.Page) {
-	if _, ok := b.pageNode[p.ID]; ok {
-		return
+	if b.g != nil {
+		if _, ok := b.pageNode[p.ID]; ok {
+			return
+		}
+		b.pageNode[p.ID] = b.g.AddNode(graph.KindPage)
 	}
-	id := b.g.AddNode(graph.KindPage)
-	b.pageNode[p.ID] = id
 	b.pages = append(b.pages, p)
 }
 
-// addQuery registers a query vertex (idempotent) along with its template
-// vertices and query–template edges.
+// addQuery registers a query (idempotent) with its facts, its vertex, its
+// template vertices and query–template edges.
 func (b *graphBuilder) addQuery(q Query) {
-	if _, ok := b.queries[q]; ok {
-		return
+	if qv := b.enroll(q); qv != nil {
+		qv.candidateFacts = b.factsOf(q)
+		b.addQueryVertex(qv)
 	}
-	qid := b.g.AddNode(graph.KindQuery)
-	facts := b.factsOf(q)
+}
+
+// enroll appends q to the candidate table and returns its entry, nil when
+// q is already there. The entry has neither facts nor vertex yet: addQuery
+// supplies both at once, a session's ingest a batch at a time.
+func (b *graphBuilder) enroll(q Query) *queryVertex {
+	if _, ok := b.queries[q]; ok {
+		return nil
+	}
 	b.queries[q] = int32(len(b.qs))
-	b.qs = append(b.qs, queryVertex{q: q, node: qid, candidateFacts: facts})
-	for _, key := range facts.keys {
+	b.qs = append(b.qs, queryVertex{q: q})
+	return &b.qs[len(b.qs)-1]
+}
+
+// addQueryVertex creates the vertex of an enrolled query whose facts are
+// set, along with its template vertices and query–template edges.
+func (b *graphBuilder) addQueryVertex(qv *queryVertex) {
+	qv.node = b.g.AddNode(graph.KindQuery)
+	for _, key := range qv.keys {
 		tid, ok := b.templates[key]
 		if !ok {
 			tid = b.g.AddNode(graph.KindTemplate)
 			b.templates[key] = tid
 		}
-		b.g.AddEdgeQT(qid, tid, 1)
+		b.g.AddEdgeQT(qv.node, tid, 1)
 	}
 }
 
@@ -109,8 +134,7 @@ func (b *graphBuilder) vertex(q Query) *queryVertex {
 
 // edgeWeight is the page–query edge weight: 1 under containment
 // semantics, or the retrieval model's per-token geometric-mean likelihood
-// when likelihood weighting is on. Safe for concurrent use (the engine is
-// concurrency-safe and page token caches are sync.Once-guarded).
+// when likelihood weighting is on.
 func (b *graphBuilder) edgeWeight(p *corpus.Page, toks []textproc.Token) float64 {
 	w := 1.0
 	if b.cfg.WeightByLikelihood && b.engine != nil {
@@ -136,7 +160,9 @@ func (b *graphBuilder) detachQuery(q Query) {
 	if !ok || b.qs[i].detached {
 		return
 	}
-	b.g.DetachQuery(b.qs[i].node)
+	if b.g != nil {
+		b.g.DetachQuery(b.qs[i].node)
+	}
 	b.qs[i].detached = true
 }
 

@@ -91,13 +91,6 @@ type Config struct {
 	// SolverTol and SolverMaxIter control the fixpoint solver.
 	SolverTol     float64
 	SolverMaxIter int
-	// InferWorkers bounds the worker pool used inside one inference
-	// step: delta containment checks when connecting candidates, and
-	// the per-candidate collective utilities of §V. 0 picks GOMAXPROCS;
-	// 1 is serial (what the pipeline scheduler forces under parallel
-	// selection, so per-step pools do not nest under the select pool).
-	// Value-neutral: every worker count computes identical utilities.
-	InferWorkers int
 	// LearnWorkers bounds the worker pool inside the domain phase
 	// (LearnDomainScored): the DF/entity-DF counting pass is sharded
 	// over entity groups with a deterministic merge. 0 picks GOMAXPROCS;
@@ -144,17 +137,6 @@ func DefaultConfig() Config {
 		SolverMaxIter:       200,
 		Stopwords:           textproc.NewStopwords(),
 	}
-}
-
-// inferWorkers resolves the InferWorkers knob to a concrete pool size.
-func (c Config) inferWorkers() int {
-	if c.InferWorkers == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if c.InferWorkers < 1 {
-		return 1
-	}
-	return c.InferWorkers
 }
 
 // learnWorkers resolves the LearnWorkers knob to a concrete pool size.

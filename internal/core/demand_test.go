@@ -150,23 +150,28 @@ func TestInferComputesOnlyRequested(t *testing.T) {
 
 // TestSwitchingRequestsMatchesReference drives one incremental session
 // through a schedule no stock strategy produces — the requested families
-// change from step to step (so a family's warm start and the page
-// regularization lag several steps behind and must catch up), and the
-// options signature changes twice (so the session graph is rebuilt
-// mid-run) — in lockstep with an identically configured session that
-// infers through the from-scratch InferReference.
+// change from step to step (collective → individual → collective: the
+// table-only state is rebuilt graph-backed by the first solve and then
+// serves collective requests as it is, so a family's warm start and the
+// page regularization lag several steps behind and must catch up), and the
+// options signature changes twice (so the session state is rebuilt
+// mid-run, table-only first and graph-backed one step later) — in lockstep
+// with an identically configured session that infers through the
+// from-scratch InferReference.
 func TestSwitchingRequestsMatchesReference(t *testing.T) {
 	full := func(u Utilities) InferOptions {
 		return InferOptions{UseTemplates: true, UseDomainCandidates: true, Utilities: u}
 	}
 	schedule := []InferOptions{
+		full(UtilCollective), // table-only
 		full(UtilCollective),
-		full(UtilCollective),
-		full(UtilRecall), // first solve, two steps of pages pending
+		full(UtilRecall),     // first solve: rebuilt graph-backed
+		full(UtilCollective), // served graph-backed, a step of pages unscored
 		full(UtilPrecision | UtilRecall),
-		{Utilities: UtilAll}, // signature switch: graph rebuilt
-		full(UtilAll),        // and back
-		full(0),              // ingest only
+		{Utilities: UtilCollective}, // signature switch: rebuilt, table-only
+		{Utilities: UtilAll},        // same signature, needs the graph
+		full(UtilAll),               // and back
+		full(0),                     // ingest only
 		full(UtilAll),
 	}
 	for domain, f := range diffDomains(t) {

@@ -311,7 +311,7 @@ func surviveQueries(cfg Config, pageDF map[string]int) []string {
 func buildDomainGraph(cfg Config, rec types.Recognizer, pages []*corpus.Page,
 	queries []string, enum func(i int, p *corpus.Page) []string) *graphBuilder {
 
-	b := newGraphBuilder(cfg, rec)
+	b := newGraphBuilder(cfg, rec, true)
 	for _, p := range pages {
 		b.addPage(p)
 	}

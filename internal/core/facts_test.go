@@ -15,13 +15,16 @@ import (
 
 // TestSharedCandidateFactsMatchUncached: the session-independent candidate
 // facts — tokens, template keys, domain counting priors — are computed
-// once per query vertex, and for a domain model's own Candidates once per
-// model, shared by every session over it. Twelve sessions over ONE
-// DomainModel run concurrently through a pipeline.Scheduler (under -race
-// this is the test that sees the lazily built shared table from several
-// goroutines); afterwards every vertex of every session must hold exactly
-// what an uncached computation from the query string gives, and the
-// domain candidates must really be the shared copy.
+// once per query vertex; for a domain model's own Candidates once per
+// model, and for page n-grams once per model while its memo holds them,
+// shared by every session over it. Twelve sessions over ONE DomainModel
+// run concurrently through a pipeline.Scheduler (under -race this is the
+// test that sees the lazily built shared table, and the memo the sessions
+// read and write, from several goroutines); afterwards every vertex of
+// every session — domain candidate or page n-gram — must hold exactly
+// what an uncached computation from the query string gives, the domain
+// candidates must really be the shared copy, and the page n-grams must
+// really come out of the memo, some entry serving more than one session.
 func TestSharedCandidateFactsMatchUncached(t *testing.T) {
 	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
 	if err != nil {
@@ -62,6 +65,7 @@ func TestSharedCandidateFactsMatchUncached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	memoized := 0
 	for i, res := range batch.Await(context.Background()) {
 		if res.Err != nil {
 			t.Fatalf("job %d: %v", i, res.Err)
@@ -69,14 +73,18 @@ func TestSharedCandidateFactsMatchUncached(t *testing.T) {
 		if len(res.Fired) == 0 {
 			t.Fatalf("job %d fired nothing", i)
 		}
-		vertices, shared, err := jobs[i].Session.VerifyCandidateFacts()
+		vertices, shared, memo, err := jobs[i].Session.VerifyCandidateFacts()
 		if err != nil {
 			t.Fatalf("job %d (%s): %v", i, jobs[i].Selector.Name(), err)
 		}
-		if vertices == 0 || shared == 0 {
-			t.Fatalf("job %d: %d vertices, %d from the shared table — sharing did not happen",
-				i, vertices, shared)
+		if vertices == 0 || shared == 0 || memo == 0 {
+			t.Fatalf("job %d: %d vertices, %d from the shared table, %d from the memo — sharing did not happen",
+				i, vertices, shared, memo)
 		}
+		memoized += memo
+	}
+	if entries := dm.MemoEntries(); entries == 0 || memoized <= entries {
+		t.Fatalf("%d vertices alias the memo's %d entries: no entry served two sessions", memoized, entries)
 	}
 
 	// A session with another recognizer must not be handed the table
@@ -87,7 +95,7 @@ func TestSharedCandidateFactsMatchUncached(t *testing.T) {
 	if fired := other.Run(core.NewL2QBAL(), 2); len(fired) == 0 {
 		t.Fatal("session with its own recognizer fired nothing")
 	}
-	if _, shared, err := other.VerifyCandidateFacts(); err != nil || shared != 0 {
-		t.Fatalf("other recognizer: shared=%d err=%v (want unshared, exact)", shared, err)
+	if _, shared, memo, err := other.VerifyCandidateFacts(); err != nil || shared != 0 || memo != 0 {
+		t.Fatalf("other recognizer: shared=%d memo=%d err=%v (want unshared, exact)", shared, memo, err)
 	}
 }

@@ -272,32 +272,6 @@ func TestIncrementalMatchesReferenceAcrossSolvers(t *testing.T) {
 	}
 }
 
-// TestIncrementalWorkerCountInvariance: the inference worker pool is a
-// pure performance knob — every worker count computes identical utilities.
-func TestIncrementalWorkerCountInvariance(t *testing.T) {
-	f := newDiffFixture(t, synth.DomainResearchers, synth.AspResearch)
-	opts := allUtilities
-	run := func(workers int) *Inference {
-		cfg := f.diffConfig()
-		cfg.InferWorkers = workers
-		s := f.sessionWith(cfg, f.dm)
-		s.Bootstrap()
-		s.Fire(Query("parallel computing"))
-		inf, err := s.Infer(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return inf
-	}
-	serial := run(1)
-	for _, w := range []int{2, 3, 8} {
-		par := run(w)
-		if !reflect.DeepEqual(serial, par) {
-			t.Fatalf("workers=%d computed different utilities than serial", w)
-		}
-	}
-}
-
 // TestIncrementalGraphReuse pins the point of the refactor: across steps
 // the session keeps one graph (same builder), only grows it, and detaches
 // fired queries rather than rebuilding.
@@ -366,6 +340,64 @@ func TestIncrementalGraphReuse(t *testing.T) {
 	if s.sg == sg {
 		t.Fatal("options switch did not rebuild the session graph")
 	}
+}
+
+// TestCollectiveBuildsNoGraph pins the table-only form: a session that
+// only ever reads the collective family (L2QBAL) builds no graph at all;
+// the first request for an individual utility (P+t's) rebuilds it
+// graph-backed, exactly once, and answers what the from-scratch oracle
+// answers; collective requests after that are served by the graph-backed
+// state without another rebuild.
+func TestCollectiveBuildsNoGraph(t *testing.T) {
+	f := newDiffFixture(t, synth.DomainResearchers, synth.AspResearch)
+	s := f.sessionWith(f.diffConfig(), f.dm)
+	if fired := s.Run(NewL2QBAL(), 5); len(fired) != 5 {
+		t.Fatalf("fired %d of 5 queries", len(fired))
+	}
+	table := s.sg
+	if table == nil || table.b.g != nil || table.b.pageNode != nil || table.b.templates != nil {
+		t.Fatal("five L2QBAL steps built a graph")
+	}
+	if table.reg.precision != nil || table.prevPrec != nil || table.prevRecall != nil {
+		t.Fatal("five L2QBAL steps kept solver state")
+	}
+	if len(table.b.qs) == 0 || len(table.cover) != len(table.b.qs) {
+		t.Fatalf("candidate table has %d entries, %d coverage counts", len(table.b.qs), len(table.cover))
+	}
+
+	pt := NewPT().(utilitySelector).inferOptions()
+	got, err := s.Infer(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backed := s.sg
+	if backed == table || backed.b.g == nil || backed.b.g.NumNodes() == 0 {
+		t.Fatal("a P+t request did not rebuild the session state graph-backed")
+	}
+	want, err := s.InferReference(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareInference(t, 5, got, want, 1e-9)
+	if _, err := s.Infer(pt); err != nil {
+		t.Fatal(err)
+	}
+	if s.sg != backed {
+		t.Fatal("a second P+t request rebuilt again")
+	}
+
+	bal := NewL2QBAL().(utilitySelector).inferOptions()
+	got, err = s.Infer(bal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.sg != backed {
+		t.Fatal("an L2QBAL request after P+t rebuilt (downgraded) the session state")
+	}
+	if want, err = s.InferReference(bal); err != nil {
+		t.Fatal(err)
+	}
+	compareInference(t, 6, got, want, 1e-9)
 }
 
 // TestArgMaxSkipsNonFinite is the regression test for the NaN bug: a NaN

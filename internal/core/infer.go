@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"l2q/internal/graph"
-	"l2q/internal/par"
 	"l2q/internal/types"
 )
 
@@ -23,6 +22,13 @@ type InferOptions struct {
 	// its Inference fields stay nil. The zero value requests none (the
 	// run still syncs the candidate pool and the session graph).
 	Utilities Utilities
+}
+
+// individual reports whether the request reads P_E or R_E: the families
+// that are solved on the entity graph, so the ones a session must keep a
+// graph for (see sessionGraph).
+func (opts InferOptions) individual() bool {
+	return opts.Utilities&(UtilPrecision|UtilRecall) != 0
 }
 
 // Utilities is a set of utility families of the entity phase. Each family
@@ -105,7 +111,7 @@ func (s *Session) InferReference(opts InferOptions) (*Inference, error) {
 		return inf, nil
 	}
 
-	b := s.newEntityGraph(opts)
+	b := s.newEntityGraph(opts, true)
 	for _, p := range s.pages {
 		b.addPage(p)
 	}
@@ -136,14 +142,15 @@ func (s *Session) InferReference(opts InferOptions) (*Inference, error) {
 
 // newEntityGraph returns an empty builder for this session's entity graph
 // under opts: template vertices and the domain counting priors are present
-// only for a domain-aware (UseTemplates) inference.
-func (s *Session) newEntityGraph(opts InferOptions) *graphBuilder {
+// only for a domain-aware (UseTemplates) inference. withGraph false makes
+// the table-only form (see graphBuilder).
+func (s *Session) newEntityGraph(opts InferOptions, withGraph bool) *graphBuilder {
 	var rec types.Recognizer
 	var dm *DomainModel
 	if opts.UseTemplates {
 		rec, dm = s.Rec, s.DM
 	}
-	b := newGraphBuilder(s.Cfg, rec)
+	b := newGraphBuilder(s.Cfg, rec, withGraph)
 	b.engine = s.Engine
 	if dm != nil {
 		b.dm, b.shared = dm, dm.candidateFactsFor(s.Cfg, rec)
@@ -232,10 +239,7 @@ type coverage struct{ all, rel int32 }
 // and an optional coverage source: cover, indexed like b.qs, holds the
 // counts the incremental path caches during delta connection; nil
 // recounts by scanning the pages (the reference behavior). The domain
-// priors come from the query vertex (addQuery computed them once).
-// Candidates are scored on a bounded worker pool (Config.InferWorkers) —
-// each writes only its own indexes, so every worker count computes
-// identical values.
+// priors come from the query vertex (computed once, at registration).
 func (s *Session) collectiveCover(inf *Inference, b *graphBuilder, nRel int, cover []coverage) {
 	nPages := len(s.pages)
 	m := s.Cfg.PriorStrength
@@ -243,8 +247,8 @@ func (s *Session) collectiveCover(inf *Inference, b *graphBuilder, nRel int, cov
 	inf.CollR = make([]float64, len(inf.Queries))
 	inf.CollRStar = make([]float64, len(inf.Queries))
 	inf.CollP = make([]float64, len(inf.Queries))
-	par.For(len(inf.Queries), s.Cfg.inferWorkers(), func(i int) {
-		ord := b.queries[inf.Queries[i]]
+	for i, q := range inf.Queries {
+		ord := b.queries[q]
 		qv := &b.qs[ord]
 
 		// Exact redundancy conditionals over the gathered pages.
@@ -328,7 +332,7 @@ func (s *Session) collectiveCover(inf *Inference, b *graphBuilder, nRel int, cov
 		if inf.CollRStar[i] > 0 {
 			inf.CollP[i] = inf.CollR[i] / inf.CollRStar[i]
 		}
-	})
+	}
 }
 
 // smoothed blends an observed coverage fraction (over n observations) with

@@ -41,7 +41,10 @@ type Session struct {
 	Engine Retriever
 	Entity *corpus.Entity
 	Aspect corpus.Aspect
-	// Y is the materialized relevance function (classifier output).
+	// Y is the materialized relevance function (classifier output). The
+	// session calls it once per gathered page, when the page is merged
+	// into P_E, and keeps the answer; a caller that wraps it does so
+	// before the first fetch.
 	Y func(*corpus.Page) bool
 	// YScore, when set, replaces the binary Y in the entity graph's
 	// utility regularization (Eq. 11–12) with a real-valued relevance —
@@ -65,6 +68,12 @@ type Session struct {
 	firedSet map[Query]struct{}
 	pages    []*corpus.Page
 	pageSet  map[corpus.PageID]struct{}
+	// pageRel is Y(p) per s.pages index and relPages the number of true
+	// entries: Y is evaluated once, when merge admits the page (classifier
+	// calls are memoized but not free), and everything on the incremental
+	// path that asks "is this gathered page relevant" reads the record.
+	pageRel  []bool
+	relPages int
 
 	// ngCfg is the candidate-enumeration config (seed-token exclusion),
 	// built once at session construction: the seed never changes, so
@@ -222,12 +231,7 @@ func (s *Session) IngestSeed(res []search.Result) int {
 	}
 	s.bootOnce = true
 	n := s.merge(res)
-	s.seedPages = len(s.pages)
-	for _, p := range s.pages {
-		if s.Y(p) {
-			s.seedRel++
-		}
-	}
+	s.seedPages, s.seedRel = len(s.pages), s.relPages
 	s.updateContext()
 	return n
 }
@@ -265,12 +269,6 @@ func (s *Session) IngestQuery(q Query, res []search.Result) int {
 // after which the redundancy discount −R^(Ỹ)(q)·R_E(Φ) drowns every
 // covered query and selection degenerates to chasing novelty.
 func (s *Session) updateContext() {
-	rel := 0
-	for _, p := range s.pages {
-		if s.Y(p) {
-			rel++
-		}
-	}
 	p0 := s.seedPages
 	if p0 < 1 {
 		p0 = 1
@@ -295,10 +293,11 @@ func (s *Session) updateContext() {
 	if nHat < 1 {
 		nHat = 1
 	}
-	s.rPhi = clamp01(float64(rel) / nHat)
+	s.rPhi = clamp01(float64(s.relPages) / nHat)
 }
 
-// merge folds results into P_E, returning the number of new pages.
+// merge folds results into P_E, recording Y of every page it admits, and
+// returns the number of new pages.
 func (s *Session) merge(res []search.Result) int {
 	added := 0
 	for _, r := range res {
@@ -306,7 +305,12 @@ func (s *Session) merge(res []search.Result) int {
 			continue
 		}
 		s.pageSet[r.Page.ID] = struct{}{}
+		rel := s.Y(r.Page)
 		s.pages = append(s.pages, r.Page)
+		s.pageRel = append(s.pageRel, rel)
+		if rel {
+			s.relPages++
+		}
 		added++
 	}
 	return added

@@ -1,61 +1,70 @@
 package core
 
 import (
-	"l2q/internal/corpus"
-	"l2q/internal/par"
+	"math/bits"
+
+	"l2q/internal/textproc"
 )
 
-// sessionGraph is the persistent entity reinforcement graph of one
-// harvesting session (§IV-C), maintained incrementally across Steps
-// instead of being rebuilt per inference:
+// sessionGraph is the persistent entity-phase state of one harvesting
+// session (§IV-C), maintained incrementally across Steps instead of being
+// rebuilt per inference. It has two forms, and a session pays only for the
+// one its requests read:
 //
-//   - new result pages and new candidate queries are appended and
-//     connected against the existing vertices (delta containment — only
-//     new×old and ×new pairs are checked, never old×old again);
-//   - fired queries are detached (they leave the candidate pool; an
-//     isolated vertex is invisible to both walks, so the graph stays
-//     exactly equivalent to a from-scratch build over the current pool);
-//   - the page regularization vectors (Eq. 11–12) are updated in place —
-//     new pages append their score, the recall vector renormalizes
-//     against the running total — and only when an individual utility
-//     is requested (the update catches up on every page it skipped);
-//   - the last solved utilities of each individual family are kept as
-//     warm starts for its next solve (the damped fixpoint is a contraction
-//     with a unique solution, so a warm start changes iteration counts,
-//     not results, within SolverTol);
-//   - conjunctive-containment coverage counts per candidate — the exact
-//     redundancy conditionals the collective utilities of §V recount on
-//     every step in the rebuild path — fall out of delta connection as a
-//     byproduct and are cached.
+//   - table-only, for a session whose requests read no individual utility
+//     (L2QP, L2QR, L2QBAL): the candidate table with each candidate's
+//     facts and its coverage of the gathered pages — all the collective
+//     utilities of §V read — and no graph.Graph, vertex, edge, template,
+//     regularization vector or operator;
+//   - graph-backed, from the first request that asks for P_E or R_E: the
+//     same table plus the entity reinforcement graph over it, the page
+//     regularization vectors (Eq. 11–12, updated in place and only when an
+//     individual utility is requested — the update catches up on every
+//     page it skipped) and the last solved utilities of each individual
+//     family as warm starts for its next solve (the damped fixpoint is a
+//     contraction with a unique solution, so a warm start changes
+//     iteration counts, not results, within SolverTol).
 //
-// The graph's shape depends on the InferOptions signature (templates add
-// vertices, domain candidates extend the pool), so a session keeps one
-// sessionGraph per signature and rebuilds only if a selector switches
-// options mid-session (which none of the stock strategies do). The
-// requested Utilities are not part of the signature: they decide what is
-// solved on the graph, not what the graph is.
+// Both forms take deltas the same way: new result pages and new candidate
+// queries are appended and connected against what is already there (only
+// new×old and ×new pairs, never old×old again), fired queries are detached
+// (they leave the candidate pool; an isolated vertex is invisible to both
+// walks, so the graph stays exactly equivalent to a from-scratch build
+// over the current pool). Containment has one mechanism, pageSets: a
+// candidate's pages are the intersection of its tokens' page sets, its
+// coverage the population count of that intersection, and — graph-backed —
+// its new page–query edges the set bits, in page order.
+//
+// What is kept depends on the InferOptions signature (templates add
+// vertices and priors, domain candidates extend the pool) and on the form,
+// so a session keeps one sessionGraph per signature and rebuilds if a
+// selector switches options mid-session (which none of the stock
+// strategies do) or asks a table-only one for an individual utility. A
+// graph-backed one serves collective requests as it is: beyond the form,
+// the requested Utilities decide what is solved, not what is kept.
 type sessionGraph struct {
 	b           *graphBuilder
-	templates   bool // graph was built with template vertices
+	templates   bool // built with template keys and domain priors
 	domainCands bool // candidate pool includes domain candidates
 
-	nPagesConnected int // prefix of b.pages already delta-connected
-	nFiredSeen      int // prefix of s.fired already detached
+	nFiredSeen int // prefix of s.fired already detached
 
-	// pageRel caches the binary Y(p) per b.pages index for the coverage
-	// counters (classifier calls are memoized but not free); relCount
-	// is the number of true entries.
-	pageRel  []bool
-	relCount int
-	// cover counts, per query vertex (indexed like b.qs), the pages and
-	// relevant pages containing the query — maintained incrementally, it
-	// replaces the per-step O(pages × candidates) recount inside the
-	// collective utilities.
+	// sets indexes the gathered pages by token, rel is the set of relevant
+	// ones (Session.pageRel as a bitset, sets.stride words), and query
+	// ord's interned tokens are qtok[qtokAt[ord]:qtokAt[ord+1]].
+	sets   pageSets
+	rel    []uint64
+	qtok   []int32
+	qtokAt []int32
+	// cover counts, per query (indexed like b.qs), the pages and relevant
+	// pages containing it — maintained incrementally, it replaces the
+	// per-step O(pages × candidates) recount inside the collective
+	// utilities. A detached query's entry is no longer updated.
 	cover []coverage
 
-	// In-place page regularization state (Eq. 11–12). regTotal
-	// accumulates clamped scores in page order, reproducing the rebuild
-	// path's left-to-right summation exactly.
+	// In-place page regularization state (Eq. 11–12), graph-backed only.
+	// regTotal accumulates clamped scores in page order, reproducing the
+	// rebuild path's left-to-right summation exactly.
 	reg          regPair
 	regTotal     float64
 	nPagesScored int
@@ -67,34 +76,72 @@ type sessionGraph struct {
 	prevPrec, prevRecall []float64
 }
 
-func newSessionGraph(b *graphBuilder, opts InferOptions) *sessionGraph {
+func newSessionGraph(s *Session, opts InferOptions) *sessionGraph {
 	return &sessionGraph{
-		b:           b,
+		b:           s.newEntityGraph(opts, opts.individual()),
 		templates:   opts.UseTemplates,
 		domainCands: opts.UseDomainCandidates,
+		sets:        pageSets{id: make(map[textproc.Token]int32)},
+		qtokAt:      []int32{0},
 	}
 }
 
-// matches reports whether the graph was built for opts' signature; a
-// mismatch means the cached graph has the wrong shape and is rebuilt.
+// matches reports whether the state was built for opts' signature and in a
+// form that can answer opts; a mismatch means it is rebuilt.
 func (sg *sessionGraph) matches(opts InferOptions) bool {
 	return sg != nil && sg.templates == opts.UseTemplates &&
-		sg.domainCands == opts.UseDomainCandidates
+		sg.domainCands == opts.UseDomainCandidates &&
+		(sg.b.g != nil || !opts.individual())
 }
 
-// pqMatch is one discovered containment edge: a page (by b.pages index)
-// and its edge weight, computed in parallel and applied serially.
-type pqMatch struct {
-	page int32
-	w    float64
+// pageSets is a session's containment index: for every token of a gathered
+// page or a registered candidate, the set of gathered pages holding it, as
+// a bitset over graphBuilder.pages indexes. Tokens are interned to dense
+// ids and the sets share one backing array at a fixed stride, so a token
+// costs one map entry and no allocation of its own.
+type pageSets struct {
+	id     map[textproc.Token]int32
+	stride int      // words per set: 64·stride ≥ pages
+	words  []uint64 // token t's set is words[t*stride : (t+1)*stride]
 }
 
-// ingest brings the persistent graph up to date with the session: detach
+// intern returns tok's id, giving a token not seen before an empty set.
+func (ps *pageSets) intern(tok textproc.Token) int32 {
+	t, ok := ps.id[tok]
+	if !ok {
+		t = int32(len(ps.id))
+		ps.id[tok] = t
+		ps.words = append(ps.words, make([]uint64, ps.stride)...)
+	}
+	return t
+}
+
+// reserve widens every set to hold nPages pages. The stride at least
+// doubles, so a session re-lays its sets out O(log pages) times.
+func (ps *pageSets) reserve(nPages int) {
+	need := (nPages + 63) / 64
+	if need <= ps.stride {
+		return
+	}
+	stride := max(need, 2*ps.stride)
+	words := make([]uint64, len(ps.id)*stride)
+	for t := range len(ps.id) {
+		copy(words[t*stride:], ps.words[t*ps.stride:(t+1)*ps.stride])
+	}
+	ps.stride, ps.words = stride, words
+}
+
+// add records that page (a graphBuilder.pages index within the reserved
+// range) holds token t.
+func (ps *pageSets) add(t int32, page int) {
+	ps.words[int(t)*ps.stride+page/64] |= 1 << (page % 64)
+}
+
+// ingest brings the persistent state up to date with the session: detach
 // newly fired queries, append new pages and new candidate queries, and
-// delta-connect — new queries against old pages, every attached query
-// against new pages. Containment checks and edge weights run on a bounded
-// worker pool (Config.InferWorkers); graph mutation stays serial, so the
-// result is deterministic for every worker count.
+// delta-connect — new queries against old pages, then every attached query
+// against new pages, the order the graph's edge lists and weight totals
+// have always been built in.
 func (sg *sessionGraph) ingest(s *Session, cands []Query) {
 	b := sg.b
 
@@ -104,80 +151,84 @@ func (sg *sessionGraph) ingest(s *Session, cands []Query) {
 	}
 	sg.nFiredSeen = len(s.fired)
 
-	// Append new pages (b.pages mirrors s.pages in order) and cache Y.
-	oldPages := sg.nPagesConnected
-	for _, p := range s.pages[len(b.pages):] {
-		b.addPage(p)
+	// Append new pages (b.pages mirrors s.pages in order) and index them.
+	oldPages := len(b.pages)
+	sg.sets.reserve(len(s.pages))
+	for len(sg.rel) < sg.sets.stride {
+		sg.rel = append(sg.rel, 0)
 	}
-	for _, p := range b.pages[len(sg.pageRel):] {
-		rel := s.Y(p)
-		sg.pageRel = append(sg.pageRel, rel)
-		if rel {
-			sg.relCount++
+	for i, p := range s.pages[oldPages:] {
+		pi := oldPages + i
+		b.addPage(p)
+		for _, tok := range p.Tokens() {
+			sg.sets.add(sg.sets.intern(tok), pi)
+		}
+		if s.pageRel[pi] {
+			sg.rel[pi/64] |= 1 << (pi % 64)
 		}
 	}
 
-	// Append new candidate queries (with their template vertices);
-	// addQuery skips the ones already registered.
+	// Append new candidate queries: enroll skips the ones already there,
+	// the facts of the new ones arrive as one batch, and — graph-backed —
+	// each then gets its vertex and template vertices, in pool order.
 	firstNew := len(b.qs)
 	for _, q := range cands {
-		b.addQuery(q)
+		b.enroll(q)
 	}
-	newQs := b.qs[firstNew:]
-	sg.cover = append(sg.cover, make([]coverage, len(newQs))...)
+	fresh := b.qs[firstNew:]
+	b.fillFacts(fresh)
+	for i := range fresh {
+		if b.g != nil {
+			b.addQueryVertex(&fresh[i])
+		}
+		for _, tok := range fresh[i].toks {
+			sg.qtok = append(sg.qtok, sg.sets.intern(tok))
+		}
+		sg.qtokAt = append(sg.qtokAt, int32(len(sg.qtok)))
+	}
+	sg.cover = append(sg.cover, make([]coverage, len(fresh))...)
 
-	workers := s.Cfg.inferWorkers()
-	oldSlice := b.pages[:oldPages]
-	newSlice := b.pages[oldPages:]
-
-	// Phase A: new queries × old pages.
-	matchesA := make([][]pqMatch, len(newQs))
-	par.For(len(newQs), workers, func(i int) {
-		matchesA[i] = b.findMatches(&newQs[i], oldSlice, 0)
-	})
-
-	// Phase B: every attached query (old and new) × new pages.
-	var matchesB [][]pqMatch
-	if len(newSlice) > 0 {
-		matchesB = make([][]pqMatch, len(b.qs))
-		par.For(len(b.qs), workers, func(i int) {
-			if !b.qs[i].detached {
-				matchesB[i] = b.findMatches(&b.qs[i], newSlice, int32(oldPages))
+	for ord := firstNew; ord < len(b.qs); ord++ {
+		sg.connect(ord, 0, oldPages)
+	}
+	if len(b.pages) > oldPages {
+		for ord := range b.qs {
+			if !b.qs[ord].detached {
+				sg.connect(ord, oldPages, len(b.pages))
 			}
-		})
-	}
-
-	// Apply edges serially, counting coverage as a byproduct.
-	for i, ms := range matchesA {
-		sg.applyMatches(firstNew+i, ms)
-	}
-	for i, ms := range matchesB {
-		sg.applyMatches(i, ms)
-	}
-	sg.nPagesConnected = len(b.pages)
-}
-
-// findMatches scans a page window for conjunctive containment of a query,
-// returning page indexes offset into b.pages plus edge weights.
-func (b *graphBuilder) findMatches(qv *queryVertex, window []*corpus.Page, offset int32) []pqMatch {
-	var ms []pqMatch
-	for pi, p := range window {
-		if p.ContainsQuery(qv.toks) {
-			ms = append(ms, pqMatch{page: offset + int32(pi), w: b.edgeWeight(p, qv.toks)})
 		}
 	}
-	return ms
 }
 
-// applyMatches adds the discovered edges of query vertex ord.
-func (sg *sessionGraph) applyMatches(ord int, ms []pqMatch) {
-	b := sg.b
-	qid, c := b.qs[ord].node, &sg.cover[ord]
-	for _, m := range ms {
-		b.g.AddEdgePQ(b.pageNode[b.pages[m.page].ID], qid, m.w)
-		c.all++
-		if sg.pageRel[m.page] {
-			c.rel++
+// connect finds the pages with index in [lo, hi) that contain query ord —
+// conjunctive containment (corpus.Page.ContainsQuery) as the intersection
+// of its tokens' page sets — adds them to its coverage and, graph-backed,
+// gives each a page–query edge, page index ascending.
+func (sg *sessionGraph) connect(ord, lo, hi int) {
+	toks := sg.qtok[sg.qtokAt[ord]:sg.qtokAt[ord+1]]
+	if len(toks) == 0 {
+		return // the empty query is contained in no page
+	}
+	b, c := sg.b, &sg.cover[ord]
+	for w := lo / 64; w*64 < hi; w++ {
+		// The bits of word w that fall inside [lo, hi).
+		set := ^uint64(0)
+		if lo > w*64 {
+			set <<= lo - w*64
+		}
+		if hi < (w+1)*64 {
+			set &= 1<<(hi-w*64) - 1
+		}
+		for _, t := range toks {
+			set &= sg.sets.words[int(t)*sg.sets.stride+w]
+		}
+		c.all += int32(bits.OnesCount64(set))
+		c.rel += int32(bits.OnesCount64(set & sg.rel[w]))
+		if b.g == nil {
+			continue
+		}
+		for ; set != 0; set &= set - 1 {
+			b.addPQEdge(b.pages[w*64+bits.TrailingZeros64(set)], &b.qs[ord])
 		}
 	}
 }
@@ -192,17 +243,13 @@ func (sg *sessionGraph) pageReg(s *Session) regPair {
 		sg.reg.precision = append(sg.reg.precision, 0)
 		sg.reg.recall = append(sg.reg.recall, 0)
 	}
-	score := s.YScore
-	if score == nil {
-		score = func(p *corpus.Page) float64 {
-			if s.Y(p) {
-				return 1
-			}
-			return 0
+	for i := sg.nPagesScored; i < len(b.pages); i++ {
+		p, sc := b.pages[i], 0.0
+		if s.YScore != nil {
+			sc = clamp01(s.YScore(p))
+		} else if s.pageRel[i] {
+			sc = 1
 		}
-	}
-	for _, p := range b.pages[sg.nPagesScored:] {
-		sc := clamp01(score(p))
 		sg.reg.precision[b.pageNode[p.ID]] = sc
 		sg.regTotal += sc
 	}
@@ -217,14 +264,16 @@ func (sg *sessionGraph) pageReg(s *Session) regPair {
 }
 
 // Infer runs the entity phase (§IV-C): bring the session's persistent
-// entity reinforcement graph up to date with the current result pages and
-// candidate queries (O(Δ) per step, see sessionGraph), regularize with page
-// relevance and (optionally) domain template utilities, and compute the
-// utility families opts.Utilities asks for — one warm-started fixpoint
-// solve per requested individual utility, one pass over the cached coverage
-// counts for the collective family, nothing for a family nobody reads.
-// InferReference is the retained rebuild-per-step oracle; the two compute
-// identical rankings (TestIncrementalMatchesReference).
+// state up to date with the current result pages and candidate queries
+// (O(Δ) per step, see sessionGraph) and compute the utility families
+// opts.Utilities asks for — for each requested individual utility one
+// warm-started fixpoint solve over the entity reinforcement graph,
+// regularized with page relevance and (optionally) domain template
+// utilities; for the collective family one pass over the cached coverage
+// counts, with no graph at all unless an individual utility was ever
+// requested; nothing for a family nobody reads. InferReference is the
+// retained rebuild-per-step oracle; the two compute identical rankings
+// (TestIncrementalMatchesReference).
 func (s *Session) Infer(opts InferOptions) (*Inference, error) {
 	cands := s.candidateQueries(opts.UseDomainCandidates)
 	inf := &Inference{Queries: cands}
@@ -234,12 +283,12 @@ func (s *Session) Infer(opts InferOptions) (*Inference, error) {
 
 	sg := s.sg
 	if !sg.matches(opts) {
-		sg = newSessionGraph(s.newEntityGraph(opts), opts)
+		sg = newSessionGraph(s, opts)
 		s.sg = sg
 	}
 	sg.ingest(s, cands)
 
-	if opts.Utilities&(UtilPrecision|UtilRecall) != 0 {
+	if opts.individual() {
 		prec, rcl, err := s.solveIndividual(inf, sg.b, opts, sg.pageReg(s), sg.prevPrec, sg.prevRecall)
 		if err != nil {
 			return nil, err
@@ -252,7 +301,7 @@ func (s *Session) Infer(opts InferOptions) (*Inference, error) {
 		}
 	}
 	if opts.Utilities&UtilCollective != 0 {
-		s.collectiveCover(inf, sg.b, sg.relCount, sg.cover)
+		s.collectiveCover(inf, sg.b, s.relPages, sg.cover)
 	}
 	return inf, nil
 }

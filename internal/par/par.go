@@ -1,9 +1,9 @@
 // Package par provides the one bounded parallel-for shared by the
-// CPU-bound fan-outs of the reproduction — per-candidate collective
-// scoring and delta containment (core), the domain phase's sharded
+// CPU-bound fan-outs of the reproduction — the domain phase's sharded
 // counting pass (core), per-aspect classifier training (classify), and
 // the eval environment's warm-ups — so the worker-pool idiom lives in
-// exactly one place.
+// exactly one place. One inference step is not among them: its passes
+// are tens of microseconds, less than starting the goroutines costs.
 package par
 
 import (
@@ -13,7 +13,7 @@ import (
 )
 
 // For runs fn(0..n-1) over a bounded worker pool, following the repo's
-// worker-knob convention (core.Config.InferWorkers/LearnWorkers): 0
+// worker-knob convention (core.Config.LearnWorkers): 0
 // picks GOMAXPROCS, negative means serial. The pool never exceeds n; a
 // single worker runs inline. Iterations must be independent; each index
 // is executed exactly once. A panicking fn crashes the process (as an

@@ -60,25 +60,14 @@ type Config struct {
 	// control for a shared server-side scheduler); 0 is unlimited. Jobs
 	// beyond the bound wait in strict FIFO submission order.
 	MaxActive int
-	// InferWorkers sets every job session's per-step inference
-	// parallelism (core.Config.InferWorkers: delta containment and
-	// collective scoring). 0 applies an oversubscription rule: with more
-	// than one select worker, sessions run serial inference (the
-	// scheduler already saturates the CPU pool across entities; nesting
-	// per-step parallelism under it would oversubscribe GOMAXPROCS²
-	// goroutines), and a single select worker leaves sessions untouched.
-	// Positive values are applied verbatim.
-	// Value-neutral either way: worker counts never change utilities.
-	InferWorkers int
 	// LearnWorkers sets every job session's domain-phase parallelism
 	// (core.Config.LearnWorkers). Sessions themselves never learn a
 	// domain model mid-run, but their Config is the one any caller-side
 	// learning (warm-up, re-learning on model invalidation) inherits, so
-	// the knob is threaded for the same reason InferWorkers is. Unlike
-	// inference there is no oversubscription rule: learning happens
-	// outside the select pool, so 0 leaves sessions untouched and
-	// positive values are applied verbatim. Value-neutral: every worker
-	// count learns identical models.
+	// the knob is threaded to them. Learning happens outside the select
+	// pool, so there is no oversubscription to guard against: 0 leaves
+	// sessions untouched and positive values are applied verbatim.
+	// Value-neutral: every worker count learns identical models.
 	LearnWorkers int
 }
 
@@ -92,25 +81,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// tuneSessions applies the Config.InferWorkers and Config.LearnWorkers
-// policies to every job session (see the field docs).
+// tuneSessions applies Config.LearnWorkers to every job session (see the
+// field doc).
 func (c Config) tuneSessions(jobs []Job) {
-	w := c.InferWorkers
-	if w == 0 && c.SelectWorkers > 1 {
-		w = 1 // serial inference under parallel selection
-	}
-	if w == 0 && c.LearnWorkers == 0 {
+	if c.LearnWorkers == 0 {
 		return
 	}
 	for i := range jobs {
-		s := jobs[i].Session
-		if s == nil {
-			continue
-		}
-		if w != 0 {
-			s.Cfg.InferWorkers = w
-		}
-		if c.LearnWorkers != 0 {
+		if s := jobs[i].Session; s != nil {
 			s.Cfg.LearnWorkers = c.LearnWorkers
 		}
 	}

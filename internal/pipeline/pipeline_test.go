@@ -354,34 +354,32 @@ func TestPipelineRaceTraceSharedEngine(t *testing.T) {
 	}
 }
 
-// TestSessionTuning checks the inference-knob threading: the implicit
-// rule serializes per-step inference under parallel selection, explicit
-// values are applied verbatim, and a single select worker leaves sessions
-// untouched.
+// TestSessionTuning checks what tuneSessions still threads: a positive
+// LearnWorkers is applied to every job session verbatim, whatever the
+// select pool's size, and 0 leaves sessions untouched.
 func TestSessionTuning(t *testing.T) {
 	f := newFixture(t)
 	e := f.targets(1)[0]
 
 	mkJobs := func() []Job {
-		return []Job{{Session: f.session(e, nil), Selector: core.NewP(), NQueries: 1}}
+		s := f.session(e, nil)
+		s.Cfg.LearnWorkers = 2
+		return []Job{{Session: s, Selector: core.NewP(), NQueries: 1}}
 	}
 
-	jobs := mkJobs()
-	Config{SelectWorkers: 4}.withDefaults().tuneSessions(jobs)
-	if got := jobs[0].Session.Cfg.InferWorkers; got != 1 {
-		t.Errorf("implicit rule under parallel selection: InferWorkers = %d, want 1", got)
-	}
+	for _, selectWorkers := range []int{1, 4} {
+		jobs := mkJobs()
+		Config{SelectWorkers: selectWorkers, LearnWorkers: 3}.withDefaults().tuneSessions(jobs)
+		if got := jobs[0].Session.Cfg.LearnWorkers; got != 3 {
+			t.Errorf("%d select workers, explicit LearnWorkers: got %d, want 3", selectWorkers, got)
+		}
 
-	jobs = mkJobs()
-	Config{SelectWorkers: 4, InferWorkers: 3}.withDefaults().tuneSessions(jobs)
-	if got := jobs[0].Session.Cfg.InferWorkers; got != 3 {
-		t.Errorf("explicit InferWorkers: got %d, want 3", got)
-	}
-
-	jobs = mkJobs()
-	before := jobs[0].Session.Cfg.InferWorkers
-	Config{SelectWorkers: 1}.withDefaults().tuneSessions(jobs)
-	if got := jobs[0].Session.Cfg.InferWorkers; got != before {
-		t.Errorf("single select worker mutated InferWorkers: %d → %d", before, got)
+		jobs = mkJobs()
+		before := jobs[0].Session.Cfg
+		Config{SelectWorkers: selectWorkers}.withDefaults().tuneSessions(jobs)
+		if got := jobs[0].Session.Cfg; !reflect.DeepEqual(got, before) {
+			t.Errorf("%d select workers, LearnWorkers 0 mutated the session config: %+v → %+v",
+				selectWorkers, before, got)
+		}
 	}
 }

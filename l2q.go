@@ -187,11 +187,6 @@ type SystemOptions struct {
 	MemtableDocs  int
 	CompactFanIn  int
 	IngestWorkers int
-	// InferWorkers bounds the worker pool inside one inference step
-	// (delta containment and collective candidate scoring); non-zero
-	// overrides Config.InferWorkers. Utilities are identical for every
-	// worker count.
-	InferWorkers int
 	// LearnWorkers bounds the domain phase's sharded counting pass
 	// (LearnDomain); non-zero overrides Config.LearnWorkers. Models are
 	// identical for every worker count.
@@ -248,9 +243,6 @@ func NewSyntheticSystem(d Domain, opts SystemOptions) (*System, error) {
 	}
 	if opts.IngestWorkers != 0 {
 		cfg.IngestWorkers = opts.IngestWorkers
-	}
-	if opts.InferWorkers != 0 {
-		cfg.InferWorkers = opts.InferWorkers
 	}
 	if opts.LearnWorkers != 0 {
 		cfg.LearnWorkers = opts.LearnWorkers
