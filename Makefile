@@ -20,11 +20,13 @@ test:
 # The packages whose worker-pool defaults read GOMAXPROCS (ingest
 # pre-tokenization, domain learning, the scheduler's select and fetch
 # pools — under which sessions share a domain model's candidate-facts
-# memo), serial and oversubscribed: every worker count must compute the
-# same values, and no test may depend on the box's core count.
+# memo — and, in webapi, the server's shared scheduler and the
+# coordinator's scatter and page fan-out), serial and oversubscribed:
+# every worker count must compute the same values, and no test may
+# depend on the box's core count.
 test-procs:
-	GOMAXPROCS=1 $(GO) test -race -shuffle=on ./internal/search/ ./internal/core/ ./internal/pipeline/
-	GOMAXPROCS=8 $(GO) test -race -shuffle=on ./internal/search/ ./internal/core/ ./internal/pipeline/
+	GOMAXPROCS=1 $(GO) test -race -shuffle=on ./internal/search/ ./internal/core/ ./internal/pipeline/ ./internal/webapi/
+	GOMAXPROCS=8 $(GO) test -race -shuffle=on ./internal/search/ ./internal/core/ ./internal/pipeline/ ./internal/webapi/
 
 # 20 s of native fuzzing each on the scorer's exactness gate (the pruned
 # top-k pass must equal SearchReference bit for bit on random tiny corpora),

@@ -168,9 +168,11 @@ func BenchmarkFig14SelectionTime(b *testing.B) {
 // Ablations of design choices (DESIGN.md §5–6).
 // ---------------------------------------------------------------------------
 
-// benchQuality runs L2QBAL on the benchmark env with a tweaked core config
-// and returns the mean normalized F at 3 queries.
-func benchQuality(b *testing.B, mutate func(*core.Config)) float64 {
+// benchQuality runs one method on the benchmark env with a tweaked core
+// config and returns the mean normalized F at 3 queries. The method must
+// read the utility the ablated setting feeds, or both arms print the same
+// number.
+func benchQuality(b *testing.B, method eval.Method, mutate func(*core.Config)) float64 {
 	cfg := eval.TestConfig(synth.DomainResearchers)
 	cfg.NumEntities = 60
 	cfg.PagesPerEntity = 20
@@ -183,33 +185,22 @@ func benchQuality(b *testing.B, mutate func(*core.Config)) float64 {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := env.RunMethodAllAspects(eval.MethodL2QBAL, env.TestIDs, 3, -1)
+	res, err := env.RunMethodAllAspects(method, env.TestIDs, 3, -1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return res.PerIteration[2].F
 }
 
-// BenchmarkAblationEdgeWeights compares binary containment edges against
-// retrieval-likelihood edge weights (§III "Wpq can also encode strength").
-func BenchmarkAblationEdgeWeights(b *testing.B) {
-	var plain, weighted float64
-	for i := 0; i < b.N; i++ {
-		plain = benchQuality(b, func(c *core.Config) {})
-		weighted = benchQuality(b, func(c *core.Config) { c.WeightByLikelihood = true })
-	}
-	b.ReportMetric(plain, "normF-containment")
-	b.ReportMetric(weighted, "normF-likelihood")
-}
-
 // BenchmarkAblationWalkRecallReg compares the counting-based template
 // recall regularization (default) against the paper-literal forward-walk
-// masses (DESIGN.md §5 item 6).
+// masses (DESIGN.md §5 item 6). It runs R+t: the regularization feeds the
+// recall fixpoint, which the L2Q* strategies never read.
 func BenchmarkAblationWalkRecallReg(b *testing.B) {
 	var counting, walk float64
 	for i := 0; i < b.N; i++ {
-		counting = benchQuality(b, func(c *core.Config) {})
-		walk = benchQuality(b, func(c *core.Config) { c.UseWalkRecallReg = true })
+		counting = benchQuality(b, eval.MethodRT, func(c *core.Config) {})
+		walk = benchQuality(b, eval.MethodRT, func(c *core.Config) { c.UseWalkRecallReg = true })
 	}
 	b.ReportMetric(counting, "normF-counting")
 	b.ReportMetric(walk, "normF-walk")
@@ -222,7 +213,7 @@ func BenchmarkAblationLambda(b *testing.B) {
 	out := make([]float64, len(lambdas))
 	for i := 0; i < b.N; i++ {
 		for li, l := range lambdas {
-			out[li] = benchQuality(b, func(c *core.Config) { c.Lambda = l })
+			out[li] = benchQuality(b, eval.MethodL2QBAL, func(c *core.Config) { c.Lambda = l })
 		}
 	}
 	b.ReportMetric(out[0], "normF-lambda1")
@@ -279,39 +270,6 @@ func BenchmarkGraphSolve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := graph.Solve(graph.Problem{G: g, Mode: graph.Recall, Reg: reg}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGraphSolveGaussSeidel measures the in-place scheme on the same
-// graph shape as BenchmarkGraphSolve (compare iterations via ns/op).
-func BenchmarkGraphSolveGaussSeidel(b *testing.B) {
-	g := graph.New()
-	var pages, queries, tmpls []graph.NodeID
-	for i := 0; i < 30; i++ {
-		pages = append(pages, g.AddNode(graph.KindPage))
-	}
-	for i := 0; i < 2000; i++ {
-		queries = append(queries, g.AddNode(graph.KindQuery))
-	}
-	for i := 0; i < 400; i++ {
-		tmpls = append(tmpls, g.AddNode(graph.KindTemplate))
-	}
-	for qi, q := range queries {
-		g.AddEdgePQ(pages[qi%len(pages)], q, 1)
-		if qi%3 == 0 {
-			g.AddEdgePQ(pages[(qi+7)%len(pages)], q, 1)
-		}
-		g.AddEdgeQT(q, tmpls[qi%len(tmpls)], 1)
-	}
-	reg := make([]float64, g.NumNodes())
-	for i := 0; i < 10; i++ {
-		reg[pages[i]] = 0.1
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := graph.Solve(graph.Problem{G: g, Mode: graph.Recall, Reg: reg, Scheme: graph.GaussSeidel}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -207,7 +207,7 @@ func main() {
 	if *maxInFl > 0 {
 		fmt.Printf("admission control: shedding 429 past %d in-flight requests\n", *maxInFl)
 	}
-	endpoints := "endpoints: /api/v1/{stats,search?q=&seed=[&with=pages&have=],collfreq?tokens=,entities,metrics} /page/{id}.html /healthz (q and seed: one parameter per token)"
+	endpoints := "endpoints: /api/v1/{stats,search?q=&seed=[&with=pages&have=],entities,metrics} /page/{id}.html /healthz (q and seed: one parameter per token)"
 	if srv.Node != nil {
 		fmt.Printf("cluster node %d of %d (replicas %d): /api/v1/cluster/{search,stats} serving partitions %v\n",
 			*nodeID, srv.Node.Spec().Nodes, srv.Node.Spec().Replicas, srv.Node.Partitions())
@@ -334,7 +334,7 @@ func runCoordinator(addr, nodes string, replicas int, nodeDeadline time.Duration
 	cm := co.Metrics()
 	fmt.Printf("coordinating %d nodes (replicas %d) over %d pages of %q on http://%s (top-%d, global μ = %.0f)\n",
 		cm.Nodes, cm.Replicas, st.NumPages, st.Domain, bound, st.TopK, st.Mu)
-	fmt.Println("endpoints: /api/v1/{stats,search?q=&seed=[&with=pages&have=],collfreq?tokens=,entities,metrics} /page/{id}.html /healthz (scatter-gathered)")
+	fmt.Println("endpoints: /api/v1/{stats,search?q=&seed=[&with=pages&have=],entities,metrics} /page/{id}.html /healthz (scatter-gathered)")
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)

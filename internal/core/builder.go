@@ -1,11 +1,8 @@
 package core
 
 import (
-	"math"
-
 	"l2q/internal/corpus"
 	"l2q/internal/graph"
-	"l2q/internal/textproc"
 	"l2q/internal/types"
 )
 
@@ -39,17 +36,6 @@ type graphBuilder struct {
 	// the facts it has already computed for this tokenizer and recognizer.
 	dm     *DomainModel
 	shared *sharedCandidateFacts
-
-	// engine, when non-nil and cfg.WeightByLikelihood is set, supplies
-	// retrieval-model edge weights; otherwise edges weigh 1.
-	engine Retriever
-
-	// ops caches the push solver's materialized operator per mode, keyed
-	// by Graph.Version: a persistent session graph that did not mutate
-	// since the last solve (an Infer with no new pages, candidates or
-	// fired queries) reuses the operator instead of rebuilding it.
-	ops        [2]*graph.Operator
-	opsVersion [2]uint64
 }
 
 // queryVertex is one registered query: its vertex (table-only builders
@@ -132,24 +118,10 @@ func (b *graphBuilder) vertex(q Query) *queryVertex {
 	return &b.qs[b.queries[q]]
 }
 
-// edgeWeight is the page–query edge weight: 1 under containment
-// semantics, or the retrieval model's per-token geometric-mean likelihood
-// when likelihood weighting is on.
-func (b *graphBuilder) edgeWeight(p *corpus.Page, toks []textproc.Token) float64 {
-	w := 1.0
-	if b.cfg.WeightByLikelihood && b.engine != nil {
-		ll := b.engine.QueryLikelihood(p, toks)
-		w = math.Exp(ll / float64(len(toks)))
-		if w <= 0 || math.IsNaN(w) {
-			w = 1e-12
-		}
-	}
-	return w
-}
-
-// addPQEdge connects a page and a query ("q can retrieve p").
+// addPQEdge connects a page and a query ("q can retrieve p"). Containment
+// is binary (§III), so every edge weighs 1.
 func (b *graphBuilder) addPQEdge(p *corpus.Page, qv *queryVertex) {
-	b.g.AddEdgePQ(b.pageNode[p.ID], qv.node, b.edgeWeight(p, qv.toks))
+	b.g.AddEdgePQ(b.pageNode[p.ID], qv.node, 1)
 }
 
 // detachQuery retires a query from the graph (it was fired and left the
@@ -244,27 +216,6 @@ func (b *graphBuilder) solve(mode graph.Mode, reg []float64) ([]float64, error) 
 // cold-start at their regularization). The fixpoint is unique, so x0
 // affects convergence speed only.
 func (b *graphBuilder) solveWarm(mode graph.Mode, reg, x0 []float64) ([]float64, error) {
-	if b.cfg.UsePushSolver {
-		if b.ops[mode] == nil || b.opsVersion[mode] != b.g.Version() {
-			b.ops[mode] = graph.BuildOperator(b.g, mode)
-			b.opsVersion[mode] = b.g.Version()
-		}
-		res, err := graph.PushSolve(graph.PushProblem{
-			Op:    b.ops[mode],
-			Alpha: b.cfg.Alpha,
-			Reg:   reg,
-			Eps:   b.cfg.SolverTol,
-			X0:    x0,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return res.U, nil
-	}
-	scheme := graph.Jacobi
-	if b.cfg.UseGaussSeidel {
-		scheme = graph.GaussSeidel
-	}
 	res, err := graph.Solve(graph.Problem{
 		G:       b.g,
 		Mode:    mode,
@@ -272,7 +223,6 @@ func (b *graphBuilder) solveWarm(mode graph.Mode, reg, x0 []float64) ([]float64,
 		Reg:     reg,
 		Tol:     b.cfg.SolverTol,
 		MaxIter: b.cfg.SolverMaxIter,
-		Scheme:  scheme,
 		X0:      x0,
 	})
 	if err != nil {

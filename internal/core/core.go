@@ -61,22 +61,6 @@ type Config struct {
 	// MaxDomainCandidates caps the domain-derived candidate pool,
 	// keeping the most entity-frequent queries.
 	MaxDomainCandidates int
-	// WeightByLikelihood switches page–query edge weights from binary
-	// containment to the retrieval model's per-token likelihood
-	// (the paper's "more generally, Wpq can also encode the connection
-	// strength", §III). Off by default; an ablation benchmark covers it.
-	WeightByLikelihood bool
-	// UseGaussSeidel switches the fixpoint solver to in-place
-	// Gauss–Seidel sweeps, which converge in fewer iterations than the
-	// paper's standard (Jacobi) updating; the solution is identical.
-	UseGaussSeidel bool
-	// UsePushSolver switches the fixpoint solver to residual forward
-	// push (the refs [25][26] efficiency alternative): work scales with
-	// the residual mass moved instead of |V|·iterations, which pays off
-	// on entity graphs whose regularization is concentrated. Takes
-	// precedence over UseGaussSeidel. The per-node error is bounded by
-	// SolverTol.
-	UsePushSolver bool
 	// PriorStrength is the pseudo-count weight m of the domain template
 	// prior inside the probability-scale collective-recall estimate
 	// R_E(q) ≈ (n·count + m·prior)/(n + m); see §V notes in DESIGN.md.

@@ -226,52 +226,6 @@ func TestIncrementalSelectionsMatchReference(t *testing.T) {
 	}
 }
 
-// TestIncrementalMatchesReferenceAcrossSolvers repeats the lockstep
-// comparison under the alternative solver configurations (Gauss–Seidel,
-// residual push, likelihood-weighted edges) so the warm-start plumbing of
-// every solver is covered.
-func TestIncrementalMatchesReferenceAcrossSolvers(t *testing.T) {
-	f := newDiffFixture(t, synth.DomainResearchers, synth.AspResearch)
-	variants := map[string]func(*Config){
-		"gauss-seidel": func(c *Config) { c.UseGaussSeidel = true },
-		"push":         func(c *Config) { c.UsePushSolver = true },
-		"likelihood":   func(c *Config) { c.WeightByLikelihood = true },
-	}
-	opts := allUtilities
-	for name, mutate := range variants {
-		t.Run(name, func(t *testing.T) {
-			cfg := f.diffConfig()
-			mutate(&cfg)
-			inc := f.sessionWith(cfg, f.dm)
-			ref := f.sessionWith(cfg, f.dm)
-			inc.Bootstrap()
-			ref.Bootstrap()
-			for step := 0; step < 3; step++ {
-				a, err := inc.Infer(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := ref.InferReference(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(a.Queries, b.Queries) {
-					t.Fatalf("step %d: candidate pools differ", step)
-				}
-				compareVec(t, step, "P", a.P, b.P, 1e-9)
-				compareVec(t, step, "R", a.R, b.R, 1e-9)
-				compareVec(t, step, "CollR", a.CollR, b.CollR, 1e-9)
-				if ba, bb := a.ArgMax(a.CollR), b.ArgMax(b.CollR); ba != bb {
-					t.Fatalf("step %d: rankings diverge", step)
-				}
-				pick := b.Queries[b.ArgMax(b.CollR)]
-				inc.Fire(pick)
-				ref.Fire(pick)
-			}
-		})
-	}
-}
-
 // TestIncrementalGraphReuse pins the point of the refactor: across steps
 // the session keeps one graph (same builder), only grows it, and detaches
 // fired queries rather than rebuilding.

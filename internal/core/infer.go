@@ -151,7 +151,6 @@ func (s *Session) newEntityGraph(opts InferOptions, withGraph bool) *graphBuilde
 		rec, dm = s.Rec, s.DM
 	}
 	b := newGraphBuilder(s.Cfg, rec, withGraph)
-	b.engine = s.Engine
 	if dm != nil {
 		b.dm, b.shared = dm, dm.candidateFactsFor(s.Cfg, rec)
 	}

@@ -16,8 +16,7 @@ import (
 // black box: fire seed ∥ q, get the top-k pages back. *search.Engine and
 // *search.LiveEngine satisfy it in-process; internal/webapi's Client and
 // Coordinator satisfy it across an HTTP boundary (the paper's
-// commercial-search-API setting), reproducing the engine's scoring from
-// collection statistics.
+// commercial-search-API setting).
 type Retriever interface {
 	// Retrieve runs seed ∥ query and appends the top-k results to dst,
 	// returning the grown slice. It returns either the complete ranked
@@ -26,8 +25,6 @@ type Retriever interface {
 	// and a canceled ctx aborts in-flight remote work. Pages may be
 	// retained; dst's backing array stays the caller's.
 	Retrieve(ctx context.Context, dst []search.Result, seed, query []textproc.Token) ([]search.Result, error)
-	// QueryLikelihood scores one page against a query (edge weighting).
-	QueryLikelihood(p *corpus.Page, query []textproc.Token) float64
 	// TopK is the result-list size of every search.
 	TopK() int
 }

@@ -68,7 +68,6 @@ type Graph struct {
 	totQTTempl []float64 // Σ w over a template's query edges
 
 	numEdges int
-	version  uint64
 }
 
 // New creates an empty graph.
@@ -86,17 +85,11 @@ func (g *Graph) AddNode(k Kind) NodeID {
 	g.totPQQuery = append(g.totPQQuery, 0)
 	g.totQTQuery = append(g.totQTQuery, 0)
 	g.totQTTempl = append(g.totQTTempl, 0)
-	g.version++
 	return id
 }
 
 // NumNodes returns the vertex count.
 func (g *Graph) NumNodes() int { return len(g.kinds) }
-
-// Version counts mutations (node adds, edge adds, detaches). Callers that
-// cache anything derived from the topology — solved utilities used as warm
-// starts, materialized operators — compare versions to detect staleness.
-func (g *Graph) Version() uint64 { return g.version }
 
 // NumEdges returns the edge count.
 func (g *Graph) NumEdges() int { return g.numEdges }
@@ -131,7 +124,6 @@ func (g *Graph) AddEdgePQ(p, q NodeID, w float64) {
 	g.totPQPage[p] += w
 	g.totPQQuery[q] += w
 	g.numEdges++
-	g.version++
 }
 
 // AddEdgeQT connects a query and a template with weight w > 0 (Wqt: t
@@ -148,7 +140,6 @@ func (g *Graph) AddEdgeQT(q, t NodeID, w float64) {
 	g.totQTQuery[q] += w
 	g.totQTTempl[t] += w
 	g.numEdges++
-	g.version++
 }
 
 // DetachQuery removes every edge incident to a query vertex, leaving it
@@ -179,7 +170,6 @@ func (g *Graph) DetachQuery(q NodeID) {
 	g.qtByQuery[q] = nil
 	g.totPQQuery[q] = 0
 	g.totQTQuery[q] = 0
-	g.version++
 }
 
 // dropEdgesTo filters out all half-edges pointing at v, in place.

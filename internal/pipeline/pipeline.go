@@ -60,15 +60,6 @@ type Config struct {
 	// control for a shared server-side scheduler); 0 is unlimited. Jobs
 	// beyond the bound wait in strict FIFO submission order.
 	MaxActive int
-	// LearnWorkers sets every job session's domain-phase parallelism
-	// (core.Config.LearnWorkers). Sessions themselves never learn a
-	// domain model mid-run, but their Config is the one any caller-side
-	// learning (warm-up, re-learning on model invalidation) inherits, so
-	// the knob is threaded to them. Learning happens outside the select
-	// pool, so there is no oversubscription to guard against: 0 leaves
-	// sessions untouched and positive values are applied verbatim.
-	// Value-neutral: every worker count learns identical models.
-	LearnWorkers int
 }
 
 func (c Config) withDefaults() Config {
@@ -79,17 +70,4 @@ func (c Config) withDefaults() Config {
 		c.FetchWorkers = 4 * c.SelectWorkers
 	}
 	return c
-}
-
-// tuneSessions applies Config.LearnWorkers to every job session (see the
-// field doc).
-func (c Config) tuneSessions(jobs []Job) {
-	if c.LearnWorkers == 0 {
-		return
-	}
-	for i := range jobs {
-		if s := jobs[i].Session; s != nil {
-			s.Cfg.LearnWorkers = c.LearnWorkers
-		}
-	}
 }

@@ -353,33 +353,3 @@ func TestPipelineRaceTraceSharedEngine(t *testing.T) {
 		}
 	}
 }
-
-// TestSessionTuning checks what tuneSessions still threads: a positive
-// LearnWorkers is applied to every job session verbatim, whatever the
-// select pool's size, and 0 leaves sessions untouched.
-func TestSessionTuning(t *testing.T) {
-	f := newFixture(t)
-	e := f.targets(1)[0]
-
-	mkJobs := func() []Job {
-		s := f.session(e, nil)
-		s.Cfg.LearnWorkers = 2
-		return []Job{{Session: s, Selector: core.NewP(), NQueries: 1}}
-	}
-
-	for _, selectWorkers := range []int{1, 4} {
-		jobs := mkJobs()
-		Config{SelectWorkers: selectWorkers, LearnWorkers: 3}.withDefaults().tuneSessions(jobs)
-		if got := jobs[0].Session.Cfg.LearnWorkers; got != 3 {
-			t.Errorf("%d select workers, explicit LearnWorkers: got %d, want 3", selectWorkers, got)
-		}
-
-		jobs = mkJobs()
-		before := jobs[0].Session.Cfg
-		Config{SelectWorkers: selectWorkers}.withDefaults().tuneSessions(jobs)
-		if got := jobs[0].Session.Cfg; !reflect.DeepEqual(got, before) {
-			t.Errorf("%d select workers, LearnWorkers 0 mutated the session config: %+v → %+v",
-				selectWorkers, before, got)
-		}
-	}
-}

@@ -193,8 +193,6 @@ func (s *Scheduler) Submit(ctx context.Context, jobs []Job, opts BatchOptions) (
 		close(b.done)
 		return b, nil
 	}
-	// Session tuning happens before any job runs.
-	s.cfg.tuneSessions(jobs)
 	s.batches = append(s.batches, b)
 	// Tie the batch to the caller's context before any job can finish
 	// (finishLocked reads stopWatch under this same lock). A pre-canceled

@@ -305,10 +305,8 @@ func (e *Engine) Retrieve(ctx context.Context, dst []Result, seed, query []textp
 }
 
 // QueryLikelihood is the Dirichlet-smoothed log query likelihood of one
-// page, Σ_{t∈q} log((tf(t,p) + μ·p(t|C)) / (|p| + μ)): the one formula
-// behind every retriever's QueryLikelihood, which differ only in where μ
-// and the collection model p(t|C) come from (an index, a live view, or
-// statistics fetched over the wire). An empty query scores -Inf.
+// page, Σ_{t∈q} log((tf(t,p) + μ·p(t|C)) / (|p| + μ)), computed from the
+// page's own token histogram. An empty query scores -Inf.
 func QueryLikelihood(p *corpus.Page, query []textproc.Token, mu float64, collProb func(textproc.Token) float64) float64 {
 	if len(query) == 0 {
 		return math.Inf(-1)
@@ -326,7 +324,8 @@ func QueryLikelihood(p *corpus.Page, query []textproc.Token, mu float64, collPro
 }
 
 // QueryLikelihood scores one page against a query with the engine's
-// smoothing; used by the reinforcement graph to weight page–query edges.
+// smoothing. Nothing ranks with it: it is the per-document oracle the
+// index scorer is tested against.
 func (e *Engine) QueryLikelihood(p *corpus.Page, query []textproc.Token) float64 {
 	return QueryLikelihood(p, query, e.mu, e.collProb)
 }

@@ -684,14 +684,6 @@ func (le *LiveEngine) Retrieve(ctx context.Context, dst []Result, seed, query []
 	return le.SearchWithSeedTopKAppend(dst, 0, seed, query), nil
 }
 
-// QueryLikelihood scores one page against a query with the current view's
-// smoothing — the same formula, μ derivation, and collection model as the
-// frozen engine's, so graph edge weights match a frozen rebuild too.
-func (le *LiveEngine) QueryLikelihood(p *corpus.Page, query []textproc.Token) float64 {
-	v := le.view.Load()
-	return QueryLikelihood(p, query, v.mu, v.stats.collProb)
-}
-
 // TopK returns the configured result-list size.
 func (le *LiveEngine) TopK() int { return le.lo.TopK }
 

@@ -29,7 +29,6 @@ type backend interface {
 	// search ranks seed ∥ query and returns the top k hits (k ≤ 0: the
 	// backend's configured top-k) without touching page bodies.
 	search(ctx context.Context, seed, query []textproc.Token, k int) (SearchResponse, error)
-	collFreq(tokens []string) map[string]int
 	entities() []EntityInfo
 	// entity resolves a harvest target; nil when the ID is unknown.
 	entity(id corpus.EntityID) *corpus.Entity
@@ -53,7 +52,6 @@ var errNoIngest = httpErrorf(http.StatusNotImplemented, "ingest not supported: s
 type localEngine interface {
 	core.Retriever
 	SearchWithSeedTopKAppend(dst []search.Result, k int, seed, query []textproc.Token) []search.Result
-	CollectionFreq(t textproc.Token) int
 	NumTerms() int
 	TotalTokens() int
 	Mu() float64
@@ -94,14 +92,6 @@ func (b *localBackend) stats() Stats {
 
 func (b *localBackend) search(_ context.Context, seed, query []textproc.Token, k int) (SearchResponse, error) {
 	return newSearchResponse(seed, query, b.engine.SearchWithSeedTopKAppend(nil, k, seed, query)), nil
-}
-
-func (b *localBackend) collFreq(tokens []string) map[string]int {
-	freqs := make(map[string]int, len(tokens))
-	for _, t := range tokens {
-		freqs[t] = b.engine.CollectionFreq(t)
-	}
-	return freqs
 }
 
 func (b *localBackend) entities() []EntityInfo {

@@ -25,10 +25,8 @@ import (
 // a webapi.Server, so a harvesting session runs unchanged across a real
 // HTTP boundary. A search asks for its hits' pages in the same response
 // (with=pages), so a harvest step is one round trip; the pages arrive as
-// HTML, are segmented with internal/html, re-tokenized, and cached.
-// Dirichlet scoring is reproduced locally from /api/v1/stats plus batched
-// /api/v1/collfreq lookups, bit-for-bit equal to the server engine's
-// scores.
+// HTML, are segmented with internal/html, re-tokenized, and cached. The
+// client scores nothing: ranks and scores are the server's.
 //
 // The transport is resilient by default: every API call is an idempotent
 // GET against an immutable corpus, so the client retries transient faults
@@ -59,7 +57,6 @@ type Client struct {
 	// every insertion): what a search tells the server it need not send.
 	recent  [maxHave]corpus.PageID
 	recentN int
-	cfCache map[string]int
 
 	flight flightGroup
 	met    metrics
@@ -160,7 +157,6 @@ func DialContext(ctx context.Context, base string, tok *textproc.Tokenizer, opts
 		prefetchWorkers: opts.PrefetchWorkers,
 		codec:           opts.Codec,
 		pageCache:       make(map[corpus.PageID]*corpus.Page),
-		cfCache:         make(map[string]int),
 	}
 	// The dial probe doubles as codec negotiation: ask for binary (per
 	// the codec preference) and record what came back.
@@ -651,66 +647,6 @@ func (g *flightGroup) do(ctx context.Context, id corpus.PageID, fn func() (*corp
 	g.mu.Unlock()
 	close(call.done)
 	return call.p, false, false, call.err
-}
-
-// cacheCollFreqs fetches the collection frequencies of the tokens the
-// client has not seen yet in one batched call. A persistent transport
-// failure leaves them uncached, which scores as zero-frequency smoothing
-// (the engine's behavior for unseen terms) rather than failing the
-// caller: QueryLikelihood has no error surface, and edge weights only
-// modulate rankings. Because QueryLikelihood can run on the selection
-// path (the WeightByLikelihood edge weighting) where no caller context
-// exists, the whole retried lookup is bounded by one request timeout — a
-// dead server costs at most that, not attempts × (timeout + backoff).
-func (c *Client) cacheCollFreqs(tokens []textproc.Token) {
-	var missing []string
-	c.mu.RLock()
-	for _, t := range tokens {
-		if _, ok := c.cfCache[t]; !ok {
-			missing = append(missing, t)
-		}
-	}
-	c.mu.RUnlock()
-	if len(missing) == 0 {
-		return
-	}
-	q := url.Values{}
-	q.Set("tokens", strings.Join(missing, ","))
-	var freqs map[string]int
-	//l2qvet:ignore ctxbg QueryLikelihood (core.Retriever, no ctx) can reach here from the selection path where no caller ctx exists; one request timeout bounds the lookup
-	ctx, cancel := context.WithTimeout(context.Background(), c.http.Timeout)
-	defer cancel()
-	err := c.getNegotiated(ctx, "collfreq", apiRoot+"/collfreq?"+q.Encode(), wireCollFreq,
-		func(d *store.Dec) { freqs = decodeCollFreqWire(d) },
-		func(b []byte) error {
-			var resp struct {
-				Freqs map[string]int `json:"freqs"`
-			}
-			if err := json.Unmarshal(b, &resp); err != nil {
-				return err
-			}
-			freqs = resp.Freqs
-			return nil
-		})
-	if err != nil {
-		return
-	}
-	c.mu.Lock()
-	for t, cf := range freqs {
-		c.cfCache[t] = cf
-	}
-	c.mu.Unlock()
-}
-
-// QueryLikelihood implements core.Retriever with the server's exact
-// scoring model, computed locally over the downloaded page.
-func (c *Client) QueryLikelihood(p *corpus.Page, query []textproc.Token) float64 {
-	c.cacheCollFreqs(query)
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return search.QueryLikelihood(p, query, c.stats.Mu, func(t textproc.Token) float64 {
-		return search.CollectionProb(c.cfCache[t], c.stats.TotalTokens, c.stats.NumTerms)
-	})
 }
 
 // ClusterStats fetches a node's registration report: the collection

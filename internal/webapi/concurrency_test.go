@@ -39,14 +39,9 @@ func TestConcurrentClients(t *testing.T) {
 			}
 			for i := 0; i < opsPerClient; i++ {
 				e := g.Corpus.Entities[(c*opsPerClient+i)%g.Corpus.NumEntities()]
-				res, err := client.SearchWithSeedErr(context.Background(), e.SeedTokens(), []string{"safety"})
-				if err != nil {
+				if _, err := client.SearchWithSeedErr(context.Background(), e.SeedTokens(), []string{"safety"}); err != nil {
 					errs <- err
 					return
-				}
-				for _, r := range res {
-					// QueryLikelihood exercises the collfreq cache.
-					client.QueryLikelihood(r.Page, []string{"safety", "airbags"})
 				}
 			}
 			errs <- nil

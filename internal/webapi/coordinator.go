@@ -61,7 +61,7 @@ type CoordinatorConfig struct {
 }
 
 // nodePeer is the coordinator's view of one node: its client (retrying
-// transport, page/collfreq caches, singleflight, metrics) plus the
+// transport, page cache, singleflight, metrics) plus the
 // fan-out gauges the load harness calibrates against.
 type nodePeer struct {
 	base     string
@@ -445,15 +445,6 @@ func (co *Coordinator) PageCtx(ctx context.Context, id corpus.PageID) (*corpus.P
 	return nil, lastErr
 }
 
-// QueryLikelihood implements core.Retriever with the single-node engine's
-// exact scoring, computed locally from the aggregated global model — no
-// network, no degradation.
-func (co *Coordinator) QueryLikelihood(p *corpus.Page, query []textproc.Token) float64 {
-	return search.QueryLikelihood(p, query, co.global.Mu, func(t textproc.Token) float64 {
-		return search.CollectionProb(co.global.CollFreq[t], co.global.TotalTokens, co.global.NumTerms)
-	})
-}
-
 // ClusterNodeMetrics is one node's row in the fan-out gauges.
 type ClusterNodeMetrics struct {
 	Node string `json:"node"`
@@ -506,7 +497,7 @@ func (co *Coordinator) Metrics() ClusterMetrics {
 }
 
 // NewCoordinatorServer mounts a coordinator behind the standard serving
-// surface: /api/v1/{stats,search,collfreq,entities,metrics} and /page/{id}
+// surface: /api/v1/{stats,search,entities,metrics} and /page/{id}
 // answer from the cluster (searches scatter-gather, pages proxy to their
 // owning node), with the same admission control, codec negotiation and
 // error envelope as a single-node server. With a HarvestBackend attached,
@@ -523,16 +514,6 @@ func (b clusterBackend) stats() Stats { return b.co.stats }
 
 func (b clusterBackend) search(ctx context.Context, seed, query []textproc.Token, k int) (SearchResponse, error) {
 	return b.co.Scatter(ctx, seed, query, k)
-}
-
-// collFreq answers from the aggregated global model — the statistics
-// every node scores with, so clients reproduce cluster scoring exactly.
-func (b clusterBackend) collFreq(tokens []string) map[string]int {
-	out := make(map[string]int, len(tokens))
-	for _, t := range tokens {
-		out[t] = b.co.global.CollFreq[t]
-	}
-	return out
 }
 
 func (b clusterBackend) entities() []EntityInfo { return b.co.entities }

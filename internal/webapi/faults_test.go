@@ -37,7 +37,6 @@ func derivedClient(f *fixture, base string, retry RetryPolicy) *Client {
 		retry:           retry.withDefaults(),
 		prefetchWorkers: 4,
 		pageCache:       make(map[corpus.PageID]*corpus.Page),
-		cfCache:         make(map[string]int),
 	}
 }
 

@@ -155,6 +155,11 @@ func (bs *BudgetSpec) policy() (pipeline.BudgetPolicy, error) {
 	if bs == nil {
 		return pipeline.BudgetPolicy{}, nil
 	}
+	// The pipeline reads ≤ 0 as "unset"; a negative value on the wire is a
+	// malformed request, not a request for the default.
+	if bs.TotalQueries < 0 || bs.MinGain < 0 || bs.Patience < 0 || bs.MaxPerEntity < 0 {
+		return pipeline.BudgetPolicy{}, fmt.Errorf("budget.totalQueries, minGain, patience and maxPerEntity must not be negative")
+	}
 	p := pipeline.BudgetPolicy{
 		TotalQueries: bs.TotalQueries,
 		MinGain:      bs.MinGain,

@@ -232,6 +232,9 @@ func TestHarvestUnknownEntity(t *testing.T) {
 // TestHarvestValidation covers the request-level rejections.
 func TestHarvestValidation(t *testing.T) {
 	f := newHarvestFixture(t)
+	withBudget := func(b BudgetSpec) HarvestRequest {
+		return HarvestRequest{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), NQueries: 1, Budget: &b}
+	}
 	cases := []struct {
 		name string
 		req  HarvestRequest
@@ -242,6 +245,10 @@ func TestHarvestValidation(t *testing.T) {
 		{"unknown strategy", HarvestRequest{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), Strategy: "HODL"}, http.StatusBadRequest},
 		{"negative budget", HarvestRequest{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), NQueries: -1}, http.StatusBadRequest},
 		{"budget over cap", HarvestRequest{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), NQueries: 10000}, http.StatusBadRequest},
+		{"negative pool", withBudget(BudgetSpec{Mode: "adaptive", TotalQueries: -5}), http.StatusBadRequest},
+		{"negative patience", withBudget(BudgetSpec{Mode: "adaptive", Patience: -1}), http.StatusBadRequest},
+		{"negative maxPerEntity", withBudget(BudgetSpec{Mode: "adaptive", MaxPerEntity: -1}), http.StatusBadRequest},
+		{"negative minGain", withBudget(BudgetSpec{Mode: "adaptive", MinGain: -0.5}), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		err := f.client.HarvestBatch(context.Background(), tc.req, nil)

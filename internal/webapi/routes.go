@@ -50,7 +50,6 @@ func (s *Server) routes() []apiRoute {
 		{method: "GET", path: "/healthz", h: s.handleHealthz},
 		{method: "GET", path: "/api/v1/stats", wire: wireStats, h: s.handleStats},
 		{method: "GET", path: "/api/v1/search", wire: wireSearch, h: s.handleSearch},
-		{method: "GET", path: "/api/v1/collfreq", wire: wireCollFreq, h: s.handleCollFreq},
 		{method: "GET", path: "/api/v1/entities", wire: wireEntities, h: s.handleEntities},
 		{method: "GET", path: "/api/v1/metrics", h: s.handleMetrics},
 		{method: "GET", path: "/api/v1/cluster/search", wire: wireSearch, h: s.handleClusterSearch},
@@ -73,6 +72,10 @@ func (s *Server) Handler() http.Handler {
 	for _, rt := range s.routes() {
 		mux.Handle(rt.method+" "+rt.path, s.instrument(rt))
 	}
+	// What no route matches fails like everything else, in the envelope.
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, http.StatusNotFound, "no route for "+r.Method+" "+r.URL.Path)
+	})
 	return s.limit(mux)
 }
 

@@ -7,9 +7,9 @@
 // APIs"). In the experiments that boundary is simulated in-process; this
 // package makes it literal: Server exposes the corpus + engine as a JSON
 // search API plus rendered HTML pages, and Client implements core.Retriever
-// over that API — searching remotely, downloading pages as HTML, segmenting
-// them with internal/html, and reproducing the engine's Dirichlet scoring
-// locally from fetched collection statistics.
+// over that API — searching remotely, receiving pages as HTML and
+// segmenting them with internal/html. Ranks and scores are the server's;
+// the client computes none.
 package webapi
 
 import (
@@ -36,8 +36,8 @@ import (
 	"l2q/internal/textproc"
 )
 
-// Stats is the /api/v1/stats payload: everything a client needs to
-// reproduce the engine's scoring and paging behavior.
+// Stats is the /api/v1/stats payload: the collection the server holds and
+// the result-list size (TopK) a client pages by.
 type Stats struct {
 	Domain      string  `json:"domain"`
 	NumEntities int     `json:"numEntities"`
@@ -550,22 +550,6 @@ func (s *Server) attachPages(ctx context.Context, hits []SearchHit, have []corpu
 	s.pagesAttached.Add(int64(attached))
 	s.pagesSkippedHave.Add(int64(len(hits) - attached))
 	return nil
-}
-
-func (s *Server) handleCollFreq(w http.ResponseWriter, r *http.Request) {
-	tokens := r.URL.Query().Get("tokens")
-	if tokens == "" {
-		writeError(w, http.StatusBadRequest, "missing tokens parameter")
-		return
-	}
-	toks := strings.Split(tokens, ",")
-	if len(toks) > 10000 {
-		writeError(w, http.StatusBadRequest, "too many tokens")
-		return
-	}
-	freqs := s.backend.collFreq(toks)
-	s.respond(w, r, wireCollFreq, func(e *store.Enc) { encodeCollFreqWire(e, freqs) },
-		map[string]map[string]int{"freqs": freqs})
 }
 
 func (s *Server) handleEntities(w http.ResponseWriter, r *http.Request) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -105,48 +104,6 @@ func TestRemotePageFidelity(t *testing.T) {
 	}
 }
 
-// TestClientQueryLikelihoodParity runs the same (page, query) cases —
-// empty and out-of-vocabulary queries included — through all four
-// retrievers and demands bit-equal floats: one formula, four sources of μ
-// and p(t|C).
-func TestClientQueryLikelihoodParity(t *testing.T) {
-	f := newFixture(t)
-	co := dialCluster(t, f.g, startClusterNodes(t, f.g, 2, 1, nil), 1, 0)
-	retrievers := []struct {
-		name   string
-		r      core.Retriever
-		remote bool // scores its own downloaded copy of the page
-	}{
-		{"engine", f.engine, false},
-		{"live", search.NewLiveEngine(f.g.Corpus.Pages, search.Options{}, search.LiveOptions{}), false},
-		{"client", f.client, true},
-		{"coordinator", co, true},
-	}
-	queries := [][]string{nil, {}, {"research"}, {"research", "award"}, {"zzz-unseen-token"}, {"research", "zzz-unseen-token"}}
-	for _, pi := range []int{0, 7, 42} {
-		orig := f.g.Corpus.Pages[pi]
-		remote, err := f.client.PageCtx(context.Background(), orig.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range queries {
-			want := f.engine.QueryLikelihood(orig, q)
-			if (len(q) == 0) != math.IsInf(want, -1) {
-				t.Errorf("page %d query %v: engine scores %v", pi, q, want)
-			}
-			for _, rt := range retrievers {
-				p := orig
-				if rt.remote {
-					p = remote
-				}
-				if got := rt.r.QueryLikelihood(p, q); math.Float64bits(got) != math.Float64bits(want) {
-					t.Errorf("page %d query %v: %s scores %v, engine %v", pi, q, rt.name, got, want)
-				}
-			}
-		}
-	}
-}
-
 func TestClientPageCacheAndRequestCount(t *testing.T) {
 	f := newFixture(t)
 	id := f.g.Corpus.Pages[0].ID
@@ -240,7 +197,6 @@ func TestHTTPErrorPaths(t *testing.T) {
 		{"/api/v1/search", http.StatusBadRequest},
 		{"/api/v1/search?q=x&k=-1", http.StatusBadRequest},
 		{"/api/v1/search?q=x&k=zzz", http.StatusBadRequest},
-		{"/api/v1/collfreq", http.StatusBadRequest},
 		// The pre-v1 aliases are gone.
 		{"/api/stats", http.StatusNotFound},
 		{"/api/search?q=x", http.StatusNotFound},

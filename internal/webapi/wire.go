@@ -54,12 +54,13 @@ const wireContentType = "application/x-l2q-wire"
 // Exported for flag help text and for non-Go clients of the API.
 const WireContentType = wireContentType
 
-// Frame payload kinds.
+// Frame payload kinds. 4 was the collfreq batch of the deleted
+// /api/v1/collfreq route; the number stays retired — no route negotiates
+// it, every decoder rejects it, and no new kind may reuse it.
 const (
 	wireStats     byte = 1
 	wireSearch    byte = 2
 	wirePage      byte = 3
-	wireCollFreq  byte = 4
 	wireEntities  byte = 5
 	wireEvent     byte = 6
 	wireNodeStats byte = 7
@@ -365,10 +366,10 @@ func decodeSearchPagesWire(d *store.Dec) SearchResponse {
 	return resp
 }
 
-// encodeCollFreqWire writes the token→frequency batch with sorted keys,
-// so identical batches produce identical bytes (the store codecs'
-// determinism rule).
-func encodeCollFreqWire(e *store.Enc, freqs map[string]int) {
+// encodeFreqMapWire writes a token→frequency map with sorted keys, so
+// identical maps produce identical bytes (the store codecs' determinism
+// rule).
+func encodeFreqMapWire(e *store.Enc, freqs map[string]int) {
 	keys := make([]string, 0, len(freqs))
 	for k := range freqs {
 		keys = append(keys, k)
@@ -381,8 +382,8 @@ func encodeCollFreqWire(e *store.Enc, freqs map[string]int) {
 	}
 }
 
-func decodeCollFreqWire(d *store.Dec) map[string]int {
-	n := d.Count("collfreq entries")
+func decodeFreqMapWire(d *store.Dec) map[string]int {
+	n := d.Count("frequency entries")
 	out := make(map[string]int, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		k := d.Str()
@@ -393,7 +394,7 @@ func decodeCollFreqWire(d *store.Dec) map[string]int {
 
 // encodeNodeStatsWire frames a cluster node's primary-partition stat
 // report. Both frequency maps ride as sorted (token, count) runs — the
-// store codecs' determinism rule — by reusing the collfreq pair codec.
+// store codecs' determinism rule.
 func encodeNodeStatsWire(e *store.Enc, st NodeStatsPayload) {
 	e.Varint(int64(st.Node))
 	e.Varint(int64(st.Nodes))
@@ -402,8 +403,8 @@ func encodeNodeStatsWire(e *store.Enc, st NodeStatsPayload) {
 	e.Varint(int64(st.NumDocs))
 	e.Varint(int64(st.TotalTokens))
 	e.Varint(int64(st.TopK))
-	encodeCollFreqWire(e, st.CollFreq)
-	encodeCollFreqWire(e, st.DocFreq)
+	encodeFreqMapWire(e, st.CollFreq)
+	encodeFreqMapWire(e, st.DocFreq)
 }
 
 func decodeNodeStatsWire(d *store.Dec) NodeStatsPayload {
@@ -415,8 +416,8 @@ func decodeNodeStatsWire(d *store.Dec) NodeStatsPayload {
 		NumDocs:     int(d.Varint()),
 		TotalTokens: int(d.Varint()),
 		TopK:        int(d.Varint()),
-		CollFreq:    decodeCollFreqWire(d),
-		DocFreq:     decodeCollFreqWire(d),
+		CollFreq:    decodeFreqMapWire(d),
+		DocFreq:     decodeFreqMapWire(d),
 	}
 }
 

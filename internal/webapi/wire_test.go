@@ -55,11 +55,12 @@ func TestWireFrameRoundTrips(t *testing.T) {
 		t.Errorf("search round trip: got %+v want %+v", got, sr)
 	}
 
-	freqs := map[string]int{"engine": 12, "safety": 3, "zzz": 0}
-	payload = roundTripFrame(t, wireCollFreq, 0, func(e *store.Enc) { encodeCollFreqWire(e, freqs) })
+	ns := NodeStatsPayload{Node: 1, Nodes: 3, Replicas: 2, Partition: 1, NumDocs: 40, TotalTokens: 12345, TopK: 10,
+		CollFreq: map[string]int{"engine": 12, "safety": 3, "zzz": 0}, DocFreq: map[string]int{"engine": 7, "safety": 3}}
+	payload = roundTripFrame(t, wireNodeStats, 0, func(e *store.Enc) { encodeNodeStatsWire(e, ns) })
 	d = store.NewDec(payload)
-	if got := decodeCollFreqWire(d); !reflect.DeepEqual(got, freqs) || !d.Done() {
-		t.Errorf("collfreq round trip: got %v want %v", got, freqs)
+	if got := decodeNodeStatsWire(d); !reflect.DeepEqual(got, ns) || !d.Done() {
+		t.Errorf("node stats round trip: got %+v want %+v", got, ns)
 	}
 
 	ents := []EntityInfo{{ID: 1, Name: "a", SeedQuery: "a q"}, {ID: 9, Name: "b", SeedQuery: "b q"}}
@@ -158,6 +159,13 @@ func TestWireFrameCorruption(t *testing.T) {
 	}
 	if _, err := openFrame(frame, wireStats); err == nil {
 		t.Error("wrong kind accepted")
+	}
+	// Kind 4 is retired: no decoder takes it.
+	retired := marshalFrame(4, 0, func(e *store.Enc) { encodeFreqMapWire(e, map[string]int{"engine": 12}) })
+	for _, kind := range []byte{wireStats, wireSearch, wirePage, wireEntities, wireEvent, wireNodeStats, wireIngest, wireSearchPages} {
+		if err := decodeFramePayload(retired, kind, func(d *store.Dec) { decodeFreqMapWire(d) }); err == nil {
+			t.Errorf("retired kind 4 decoded as kind %d", kind)
+		}
 	}
 	flipped := append([]byte{}, frame...)
 	flipped[len(flipped)-1] ^= 0x01
@@ -420,7 +428,6 @@ func TestErrorEnvelope(t *testing.T) {
 		whatness string
 	}{
 		{"/api/v1/search", http.StatusBadRequest, "bad_request", "missing query"},
-		{"/api/v1/collfreq", http.StatusBadRequest, "bad_request", "missing tokens"},
 		{"/page/999999.html", http.StatusNotFound, "not_found", "no such page"},
 		{"/api/v1/jobs/nope", http.StatusNotFound, "not_found", "no such job"},
 	} {
@@ -436,6 +443,18 @@ func TestErrorEnvelope(t *testing.T) {
 		}
 		if env.Error.Code != tc.code || env.Error.Message == "" || env.Error.Retryable {
 			t.Errorf("GET %s envelope %+v, want code %s, non-retryable", tc.path, env.Error, tc.code)
+		}
+	}
+
+	// A deleted route is no route: 404 in the envelope from every server
+	// shape, whichever codec the request asked for.
+	for _, shape := range startEveryShape(t, f.g, nil) {
+		for _, wire := range []bool{false, true} {
+			status, b := rawGet(t, shape.url+"/api/v1/collfreq?tokens=research", wire)
+			var env errorEnvelope
+			if err := json.Unmarshal(b, &env); status != http.StatusNotFound || err != nil || env.Error.Code != "not_found" {
+				t.Errorf("%s: GET /api/v1/collfreq (wire=%v) = %d %q (decode %v), want a 404 not_found envelope", shape.name, wire, status, b, err)
+			}
 		}
 	}
 

@@ -211,8 +211,8 @@ func (s *System) DialRemoteContext(ctx context.Context, base string, opts Remote
 
 // NewRemoteHarvester starts a harvesting session that searches and
 // downloads through the remote engine instead of the in-process index.
-// Selection behavior is identical (the remote client reproduces the
-// engine's scoring exactly); only the transport differs.
+// Selection behavior is identical (the remote client returns the
+// engine's ranked lists and pages exactly); only the transport differs.
 func (s *System) NewRemoteHarvester(re *RemoteEngine, e *Entity, a Aspect, dm *DomainModel) *Harvester {
 	sess := core.NewSession(s.cfg, re, e, a, s.cls.YFunc(a), dm, s.rec, 1)
 	return &Harvester{Session: sess}
