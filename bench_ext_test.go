@@ -67,7 +67,7 @@ func BenchmarkStoreLoad(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := store.Load(bytes.NewReader(data)); err != nil {
+		if _, err := store.Load(bytes.NewReader(data), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,6 +18,15 @@
 // The corpus is either loaded from a store file written by l2qgen/l2qstore
 // (-store) or generated synthetically (-domain/-entities/-pages).
 //
+// A process holds what it serves, once. A cluster node (-nodes N -nodeid i)
+// generates or loads only the pages of the partitions the ring assigns to
+// it, indexes those partitions and nothing else, and answers
+// /api/v1/cluster/{search,stats}, /page/{id} for the pages it holds (404
+// otherwise) and /api/v1/{stats,entities,metrics}; whole-corpus
+// /api/v1/search and harvesting are the coordinator's. A coordinator
+// (-coordinator -nodes url,url,…) holds no pages at all — only the
+// tokenizer its corpus flags select.
+//
 // Usage:
 //
 //	l2qserve -addr 127.0.0.1:8080 -domain researchers -entities 100
@@ -73,10 +82,10 @@ func main() {
 		wire      = flag.Bool("wire", true, "offer the binary wire codec to clients that ask for it (Accept: "+webapi.WireContentType+"); JSON stays the default either way")
 		compress  = flag.Int("compress", 0, "gzip wire payloads at or above this many bytes (0 = default threshold, <0 = never compress)")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
-		coord     = flag.Bool("coordinator", false, "coordinator mode: scatter-gather over the node URLs in -nodes instead of serving a local index (the corpus flags must still describe the cluster's corpus — the tokenizer lexicon comes from it)")
+		coord     = flag.Bool("coordinator", false, "coordinator mode: scatter-gather over the node URLs in -nodes; the process holds no pages, and of the corpus flags reads only -domain (or -store) — it selects the phrase lexicon queries are tokenized with, which must be the nodes'")
 		nodesFlag = flag.String("nodes", "", "cluster topology: in coordinator mode a comma-separated list of node base URLs; in node mode the cluster size (serve one partition set with -nodeid)")
 		nodeID    = flag.Int("nodeid", 0, "this node's ordinal in [0, nodes) (node mode)")
-		replicas  = flag.Int("replicas", 2, "partition replication factor (clamped to [1, nodes])")
+		replicas  = flag.Int("replicas", 2, "partition replication factor, clamped to [1, nodes] the same way by nodes and coordinator")
 		nodeDl    = flag.Duration("nodedeadline", 0, "coordinator: per-node scatter deadline before failing over to a replica (0 = default)")
 	)
 	flag.Parse()
@@ -84,67 +93,129 @@ func main() {
 
 	logger := log.New(os.Stderr, "l2qserve: ", log.LstdFlags)
 
+	// The cluster flags are checked, and a node's ring built, before any
+	// corpus work: a typo must not cost a corpus generation to find, and
+	// the ring is what decides which pages this process ever holds.
+	var (
+		nodeURLs []string
+		spec     search.ClusterSpec
+		keep     func(corpus.PageID) bool // nil: every page
+	)
+	nodeMode := !*coord && *nodesFlag != ""
+	switch {
+	case *coord:
+		for _, u := range strings.Split(*nodesFlag, ",") {
+			if u = strings.TrimSpace(u); u != "" {
+				nodeURLs = append(nodeURLs, u)
+			}
+		}
+		if len(nodeURLs) == 0 {
+			logger.Fatal("coordinator mode: -nodes must list the node base URLs (comma-separated)")
+		}
+		keep = func(corpus.PageID) bool { return false } // -store: read the dictionary, hold no page
+	case nodeMode:
+		n, err := strconv.Atoi(*nodesFlag)
+		if err != nil {
+			logger.Fatalf("node mode: -nodes must be the cluster size, got %q (coordinator mode needs -coordinator)", *nodesFlag)
+		}
+		if *live {
+			logger.Fatal("-live is incompatible with cluster node mode (-nodes)")
+		}
+		spec = search.ClusterSpec{Nodes: n, Replicas: *replicas, NodeID: *nodeID}
+		ring, err := spec.Ring()
+		if err != nil {
+			logger.Fatal(err)
+		}
+		keep = func(id corpus.PageID) bool { return ring.Holds(spec.NodeID, id) }
+	}
+
 	var (
 		c   *corpus.Corpus
 		idx *search.Index
 		tok *textproc.Tokenizer
 		rec types.Recognizer = types.NewRegexRecognizer()
 	)
-	if *storePath != "" {
-		b, err := store.LoadFile(*storePath)
+	switch {
+	case *storePath != "":
+		// Under a predicate the load validates every page but materializes
+		// only the kept ones (a coordinator: none — it is after the
+		// tokenizer, which the file's dictionary yields) and leaves the
+		// persisted whole-corpus index alone.
+		b, err := store.LoadFile(*storePath, keep)
 		if err != nil {
 			logger.Fatal(err)
 		}
-		c = b.Corpus
-		idx = b.Index
-		if idx == nil && !*coord && !*live {
-			idx = search.BuildIndex(c.Pages)
+		c, idx, tok = b.Corpus, b.Index, b.Tokenizer
+	case *coord:
+		g, err := synth.Resources(corpus.Domain(*domain))
+		if err != nil {
+			logger.Fatal(err)
 		}
-		// Store files carry no tokenizer; reconstruct the phrase lexicon
-		// from the corpus's own multi-word tokens so server-side query
-		// tokenization round-trips phrases the way the corpus builder did.
-		tok = store.ReconstructTokenizer(c)
-	} else {
+		tok = g.Tokenizer
+	default:
 		cfg := synth.DefaultConfig(corpus.Domain(*domain))
 		cfg.NumEntities = *entities
 		cfg.PagesPerEntity = *pages
 		cfg.Seed = *seed
+		cfg.Keep = keep
 		g, err := synth.Generate(cfg)
 		if err != nil {
 			logger.Fatal(err)
 		}
-		c = g.Corpus
-		if !*coord && !*live {
-			idx = search.BuildIndex(c.Pages)
-		}
-		tok = g.Tokenizer
+		c, tok = g.Corpus, g.Tokenizer
 		rec = types.Chain{g.KB, types.NewRegexRecognizer()}
 	}
 
-	if *coord {
-		runCoordinator(*addr, *nodesFlag, *replicas, *nodeDl, *maxInFl, *wire, *compress, *drain, *quiet, tok, logger)
-		return
-	}
-
 	var (
-		srv     *webapi.Server
-		liveEng *search.LiveEngine
-		engine  *search.Engine
+		srv *webapi.Server
+		// The readiness line: "<what> on http://<addr> (<detail>)".
+		what, detail string
+		err          error
 	)
-	if *live {
-		if *nodesFlag != "" {
-			logger.Fatal("-live is incompatible with cluster node mode (-nodes)")
+	switch {
+	case *coord:
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		co, err := webapi.DialCoordinator(ctx, webapi.CoordinatorConfig{
+			Nodes:        nodeURLs,
+			Replicas:     *replicas,
+			NodeDeadline: *nodeDl,
+		}, tok)
+		cancel()
+		if err != nil {
+			logger.Fatal(err)
 		}
-		liveEng = search.NewLiveEngine(c.Pages, sopts, search.LiveOptions{
+		srv = webapi.NewCoordinatorServer(co)
+		st, cm := co.Stats(), co.Metrics()
+		what = fmt.Sprintf("coordinating %d nodes (replicas %d) over %d pages of %q", cm.Nodes, cm.Replicas, st.NumPages, st.Domain)
+		detail = fmt.Sprintf("top-%d, global μ = %.0f", st.TopK, st.Mu)
+	case nodeMode:
+		if srv, err = webapi.NewNodeServer(c, spec, sopts, *topK); err != nil {
+			logger.Fatal(err)
+		}
+		st, ns := srv.Node.Stats(), srv.Node.Spec()
+		what = fmt.Sprintf("serving %d pages of %q", st.NumPages, st.Domain)
+		detail = fmt.Sprintf("top-%d, partition μ = %.0f; node %d of %d, replicas %d, partitions %v",
+			st.TopK, st.Mu, ns.NodeID, ns.Nodes, ns.Replicas, srv.Node.Partitions())
+	case *live:
+		liveEng := search.NewLiveEngine(c.Pages, sopts, search.LiveOptions{
 			MemtableDocs:  *memtable,
 			CompactFanIn:  *fanIn,
 			IngestWorkers: *ingestW,
 			TopK:          *topK,
 		})
 		srv = webapi.NewLiveServer(c, liveEng, tok)
-	} else {
-		engine = search.NewEngineOpts(idx, sopts).WithTopK(*topK)
+		m := liveEng.Metrics()
+		what = fmt.Sprintf("serving %d pages of %q", c.NumPages(), c.Domain)
+		detail = fmt.Sprintf("top-%d, μ = %.0f, LIVE: %d segments, memtable %d docs",
+			liveEng.TopK(), liveEng.Mu(), m.Segments, m.MemtableDocs)
+	default:
+		if idx == nil {
+			idx = search.BuildIndex(c.Pages)
+		}
+		engine := search.NewEngineOpts(idx, sopts).WithTopK(*topK)
 		srv = webapi.NewServer(c, engine)
+		what = fmt.Sprintf("serving %d pages of %q", c.NumPages(), c.Domain)
+		detail = fmt.Sprintf("top-%d, μ = %.0f", engine.TopK(), engine.Mu())
 	}
 	srv.WireDisabled = !*wire
 	srv.CompressMin = *compress
@@ -157,18 +228,12 @@ func main() {
 	if !*quiet {
 		srv.Log = logger
 	}
-	if *nodesFlag != "" {
-		n, err := strconv.Atoi(*nodesFlag)
-		if err != nil {
-			logger.Fatalf("node mode: -nodes must be the cluster size, got %q (coordinator mode needs -coordinator)", *nodesFlag)
-		}
-		node, err := webapi.NewClusterNode(c, search.ClusterSpec{Nodes: n, Replicas: *replicas, NodeID: *nodeID}, sopts, *topK)
-		if err != nil {
-			logger.Fatal(err)
-		}
-		srv.Node = node
-	}
-	if *harvest {
+	// Harvest sessions train classifiers on, and search, the corpus the
+	// process holds: a coordinator holds none, a node a fraction.
+	switch {
+	case *harvest && nodeMode:
+		logger.Print("harvest: a cluster node holds only its partitions of the corpus; harvest endpoints are not mounted (harvest against a single server, or remotely through the coordinator)")
+	case *harvest && !*coord:
 		var art *store.DomainArtifact
 		if *domains != "" {
 			var err error
@@ -195,30 +260,25 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
-	if *live {
-		m := liveEng.Metrics()
-		fmt.Printf("serving %d pages of %q on http://%s (top-%d, μ = %.0f, LIVE: %d segments, memtable %d docs)\n",
-			c.NumPages(), c.Domain, bound, liveEng.TopK(), liveEng.Mu(),
-			m.Segments, m.MemtableDocs)
-	} else {
-		fmt.Printf("serving %d pages of %q on http://%s (top-%d, μ = %.0f)\n",
-			c.NumPages(), c.Domain, bound, engine.TopK(), engine.Mu())
-	}
+	fmt.Printf("%s on http://%s (%s)\n", what, bound, detail)
 	if *maxInFl > 0 {
 		fmt.Printf("admission control: shedding 429 past %d in-flight requests\n", *maxInFl)
 	}
-	endpoints := "endpoints: /api/v1/{stats,search?q=&seed=[&with=pages&have=],entities,metrics} /page/{id}.html /healthz (q and seed: one parameter per token)"
-	if srv.Node != nil {
-		fmt.Printf("cluster node %d of %d (replicas %d): /api/v1/cluster/{search,stats} serving partitions %v\n",
-			*nodeID, srv.Node.Spec().Nodes, srv.Node.Spec().Replicas, srv.Node.Partitions())
+	switch {
+	case *coord:
+		fmt.Println("endpoints: /api/v1/{stats,search?q=&seed=[&with=pages&have=],entities,metrics} /page/{id}.html /healthz (scatter-gathered; this process holds no pages)")
+	case nodeMode:
+		fmt.Println("endpoints: /api/v1/cluster/{search?part=&q=&seed=,stats} /page/{id}.html (the pages of its partitions; 404 for the rest) /api/v1/{stats,entities,metrics} /healthz — /api/v1/search is refused: whole-corpus rankings are the coordinator's")
+	default:
+		endpoints := "endpoints: /api/v1/{stats,search?q=&seed=[&with=pages&have=],entities,metrics} /page/{id}.html /healthz (q and seed: one parameter per token)"
+		if *live {
+			endpoints += " POST /api/v1/ingest"
+		}
+		if srv.Harvest != nil {
+			endpoints += " POST /api/v1/harvest POST|GET|DELETE /api/v1/jobs"
+		}
+		fmt.Println(endpoints)
 	}
-	if *live {
-		endpoints += " POST /api/v1/ingest"
-	}
-	if srv.Harvest != nil {
-		endpoints += " POST /api/v1/harvest POST|GET|DELETE /api/v1/jobs"
-	}
-	fmt.Println(endpoints)
 	if !srv.WireDisabled {
 		fmt.Println("wire: binary codec offered via Accept: " + webapi.WireContentType)
 	}
@@ -286,63 +346,4 @@ func harvestBackend(c *corpus.Corpus, tok *textproc.Tokenizer, rec types.Recogni
 		}
 	}
 	return hb
-}
-
-// runCoordinator dials the node fleet, aggregates their collection
-// statistics into the global scoring model, pushes it back, and serves
-// the scatter-gather surface: the same /api/v1 endpoints a single node
-// offers, answered by fan-out over the cluster with replica failover.
-func runCoordinator(addr, nodes string, replicas int, nodeDeadline time.Duration,
-	maxInFlight int, wire bool, compress int, drain time.Duration,
-	quiet bool, tok *textproc.Tokenizer, logger *log.Logger) {
-
-	var urls []string
-	for _, u := range strings.Split(nodes, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, u)
-		}
-	}
-	if len(urls) == 0 {
-		logger.Fatal("coordinator mode: -nodes must list the node base URLs (comma-separated)")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	co, err := webapi.DialCoordinator(ctx, webapi.CoordinatorConfig{
-		Nodes:        urls,
-		Replicas:     replicas,
-		NodeDeadline: nodeDeadline,
-	}, tok)
-	cancel()
-	if err != nil {
-		logger.Fatal(err)
-	}
-
-	srv := webapi.NewCoordinatorServer(co)
-	srv.WireDisabled = !wire
-	srv.CompressMin = compress
-	srv.MaxInFlight = maxInFlight
-	if maxInFlight > 0 {
-		srv.MaxConcurrent = maxInFlight
-	}
-	if !quiet {
-		srv.Log = logger
-	}
-	bound, err := srv.Start(addr)
-	if err != nil {
-		logger.Fatal(err)
-	}
-	st := co.Stats()
-	cm := co.Metrics()
-	fmt.Printf("coordinating %d nodes (replicas %d) over %d pages of %q on http://%s (top-%d, global μ = %.0f)\n",
-		cm.Nodes, cm.Replicas, st.NumPages, st.Domain, bound, st.TopK, st.Mu)
-	fmt.Println("endpoints: /api/v1/{stats,search?q=&seed=[&with=pages&have=],entities,metrics} /page/{id}.html /healthz (scatter-gathered)")
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	<-stop
-	fmt.Println("shutting down (draining)")
-	sctx, scancel := context.WithTimeout(context.Background(), drain)
-	defer scancel()
-	if err := srv.Shutdown(sctx); err != nil {
-		logger.Fatal(err)
-	}
 }

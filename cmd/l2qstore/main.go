@@ -97,7 +97,7 @@ func runInfo(args []string) error {
 	in := fs.String("in", "corpus.l2q", "store file")
 	fs.Parse(args)
 
-	b, err := store.LoadFile(*in)
+	b, err := store.LoadFile(*in, nil)
 	if err != nil {
 		return err
 	}
@@ -134,7 +134,7 @@ func runDomains(args []string) error {
 	learnW := fs.Int("learnworkers", 0, "domain-phase counting workers (0 = GOMAXPROCS)")
 	fs.Parse(args)
 
-	b, err := store.LoadFile(*in)
+	b, err := store.LoadFile(*in, nil)
 	if err != nil {
 		return err
 	}
@@ -146,7 +146,7 @@ func runDomains(args []string) error {
 	// so the precomputed artifact is byte-identical to what a cold boot
 	// would learn.
 	start := time.Now()
-	ln := store.NewDomainLearner(c, store.ReconstructTokenizer(c),
+	ln := store.NewDomainLearner(c, b.Tokenizer,
 		types.NewRegexRecognizer(), *learnW, nil)
 	art, err := ln.Artifact()
 	if err != nil {
@@ -171,7 +171,7 @@ func runExport(args []string) error {
 	siteDir := fs.String("site", "public", "output directory for the HTML site")
 	fs.Parse(args)
 
-	b, err := store.LoadFile(*in)
+	b, err := store.LoadFile(*in, nil)
 	if err != nil {
 		return err
 	}

@@ -35,46 +35,7 @@ func main() {
 	tok := &textproc.Tokenizer{Lexicon: textproc.NewLexicon(kb.Phrases())}
 
 	// 3. A small hand-rolled corpus: 12 restaurants × 8 pages.
-	rng := rand.New(rand.NewPCG(5, 7))
-	c := corpus.New("restaurants")
-	pageID := corpus.PageID(0)
-	for id := corpus.EntityID(0); id < 12; id++ {
-		name := fmt.Sprintf("casa %s", cuisines[int(id)%len(cuisines)])
-		seed := fmt.Sprintf("%s %s", name, cities[int(id)%len(cities)])
-		if err := c.AddEntity(&corpus.Entity{
-			ID: id, Domain: "restaurants", Name: name, SeedQuery: seed,
-		}); err != nil {
-			log.Fatal(err)
-		}
-		dish := dishes[int(id)%len(dishes)]
-		street := streets[int(id)%len(streets)]
-		for pi := 0; pi < 8; pi++ {
-			aspect := corpus.Aspect("MENU")
-			if pi%2 == 1 {
-				aspect = "LOCATION"
-			}
-			page := &corpus.Page{ID: pageID, Entity: id,
-				URL:   fmt.Sprintf("http://food.example/%d", pageID),
-				Title: fmt.Sprintf("%s %s", name, aspect)}
-			pageID++
-			// Anchor paragraph so the seed query matches every page.
-			addPara(page, tok, "", seed+" review page")
-			for k := 0; k < 3; k++ {
-				if aspect == "MENU" {
-					addPara(page, tok, aspect, fmt.Sprintf(
-						"the menu features %s and seasonal %s specials priced around $%d",
-						dish, cuisines[rng.IntN(len(cuisines))], 12+rng.IntN(20)))
-				} else {
-					addPara(page, tok, aspect, fmt.Sprintf(
-						"find us on %s near downtown %s with street parking",
-						street, cities[rng.IntN(len(cities))]))
-				}
-			}
-			if err := c.AddPage(page); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
+	c := buildCorpus(tok)
 
 	// 4. Wire the system and harvest.
 	sys, err := l2q.NewSystem(c, kb, []l2q.Aspect{"MENU", "LOCATION"}, tok, l2q.DefaultConfig())
@@ -107,8 +68,51 @@ func main() {
 	}
 }
 
-func addPara(p *corpus.Page, tok *textproc.Tokenizer, a corpus.Aspect, text string) {
-	p.Paras = append(p.Paras, corpus.Paragraph{
-		Text: text, Tokens: tok.Tokenize(text), Aspect: a,
-	})
+// buildCorpus hand-rolls the restaurant corpus. A page gets its paragraphs
+// through SetParas, which tokenizes them into the page's one token array.
+func buildCorpus(tok *textproc.Tokenizer) *corpus.Corpus {
+	rng := rand.New(rand.NewPCG(5, 7))
+	c := corpus.New("restaurants")
+	pageID := corpus.PageID(0)
+	for id := corpus.EntityID(0); id < 12; id++ {
+		name := fmt.Sprintf("casa %s", cuisines[int(id)%len(cuisines)])
+		seed := fmt.Sprintf("%s %s", name, cities[int(id)%len(cities)])
+		if err := c.AddEntity(&corpus.Entity{
+			ID: id, Domain: "restaurants", Name: name, SeedQuery: seed,
+		}); err != nil {
+			log.Fatal(err)
+		}
+		dish := dishes[int(id)%len(dishes)]
+		street := streets[int(id)%len(streets)]
+		for pi := 0; pi < 8; pi++ {
+			aspect := corpus.Aspect("MENU")
+			if pi%2 == 1 {
+				aspect = "LOCATION"
+			}
+			page := &corpus.Page{ID: pageID, Entity: id,
+				URL:   fmt.Sprintf("http://food.example/%d", pageID),
+				Title: fmt.Sprintf("%s %s", name, aspect)}
+			pageID++
+			// Anchor paragraph so the seed query matches every page.
+			paras := []corpus.Paragraph{{Text: seed + " review page"}}
+			for k := 0; k < 3; k++ {
+				var text string
+				if aspect == "MENU" {
+					text = fmt.Sprintf(
+						"the menu features %s and seasonal %s specials priced around $%d",
+						dish, cuisines[rng.IntN(len(cuisines))], 12+rng.IntN(20))
+				} else {
+					text = fmt.Sprintf(
+						"find us on %s near downtown %s with street parking",
+						street, cities[rng.IntN(len(cities))])
+				}
+				paras = append(paras, corpus.Paragraph{Text: text, Aspect: aspect})
+			}
+			page.SetParas(paras, tok)
+			if err := c.AddPage(page); err != nil {
+				log.Fatal(err)
+			}
+		}
+	}
+	return c
 }

@@ -75,11 +75,11 @@ func fromWire(w wireCorpus) (*Corpus, error) {
 	for i := range w.Pages {
 		wp := w.Pages[i]
 		p := &Page{ID: wp.ID, Entity: wp.Entity, URL: wp.URL, Title: wp.Title, Links: wp.Links}
+		paras := make([]Paragraph, len(wp.Paras))
 		for j := range wp.Paras {
-			p.Paras = append(p.Paras, Paragraph{
-				Text: wp.Paras[j].Text, Tokens: wp.Paras[j].Tokens, Aspect: wp.Paras[j].Aspect,
-			})
+			paras[j] = Paragraph{Text: wp.Paras[j].Text, Tokens: wp.Paras[j].Tokens, Aspect: wp.Paras[j].Aspect}
 		}
+		p.SetParas(paras, nil)
 		if err := c.AddPage(p); err != nil {
 			return nil, err
 		}

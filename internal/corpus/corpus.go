@@ -42,8 +42,12 @@ type Paragraph struct {
 }
 
 // Page is one web page: an ordered list of paragraphs about one entity.
-// The token caches are built lazily under sync.Once, so pages are safe to
-// share across concurrent harvesting sessions (which never mutate Paras).
+// A page built through SetParas — every constructor in this repository —
+// holds its tokens once: the paragraphs' Tokens are consecutive ranges of
+// the array Tokens returns. A page assembled as a struct literal (tests)
+// gets its token stream lazily under sync.Once instead. Either way pages
+// are safe to share across concurrent harvesting sessions (which never
+// mutate Paras).
 type Page struct {
 	ID     PageID
 	Entity EntityID
@@ -56,8 +60,11 @@ type Page struct {
 	// graph to walk, and so the HTML rendering is a faithful page.
 	Links []PageID
 
+	// tokens is the page's token stream: the one array SetParas sliced the
+	// paragraphs out of, or — on a literal-built page — the concatenation
+	// Tokens caches under tokOnce, which exists for that fallback alone.
 	tokOnce  sync.Once
-	tokens   []textproc.Token // cached concatenation of paragraph tokens
+	tokens   []textproc.Token
 	setOnce  sync.Once
 	tokenSet map[textproc.Token]struct{}
 	// ngrams memoizes candidate-query enumerations per config: sessions,
@@ -66,8 +73,61 @@ type Page struct {
 	ngrams textproc.NGramMemo
 }
 
-// Tokens returns the page's full token stream (paragraphs concatenated),
-// computing and caching it on first use.
+// parasScratch is the pooled buffer SetParas gathers a page's tokens in
+// before their count is known.
+type parasScratch struct {
+	toks []textproc.Token
+}
+
+var parasScratchPool = sync.Pool{New: func() any { return new(parasScratch) }}
+
+// SetParas makes paras the page's paragraphs over one exactly-sized token
+// array: paragraph i's Tokens becomes a capacity-capped range of it (an
+// append to one paragraph cannot reach its neighbour), the ranges are
+// consecutive, and Tokens returns the array itself. With a tokenizer, a
+// paragraph's tokens are tok's tokens of its Text and whatever Tokens held
+// is ignored; with a nil tokenizer the given Tokens are copied. The page
+// takes ownership of paras.
+//
+// Call it while the page is still private to its constructor, never on a
+// page other goroutines can see: readers of Paras take no lock.
+func (p *Page) SetParas(paras []Paragraph, tok *textproc.Tokenizer) {
+	sc := parasScratchPool.Get().(*parasScratch)
+	toks := sc.toks[:0]
+	for i := range paras {
+		start := len(toks)
+		if tok != nil {
+			toks = tok.AppendTokens(toks, paras[i].Text)
+		} else {
+			toks = append(toks, paras[i].Tokens...)
+		}
+		paras[i].Tokens = toks[start:] // its length is all that is read below
+	}
+	all := make([]textproc.Token, len(toks))
+	copy(all, toks)
+	off := 0
+	for i := range paras {
+		end := off + len(paras[i].Tokens)
+		if end == off {
+			paras[i].Tokens = nil // as Tokenize answers for text without tokens
+		} else {
+			paras[i].Tokens = all[off:end:end]
+		}
+		off = end
+	}
+	clear(toks) // tokens are substrings of the page's text; the pool must not pin it
+	sc.toks = toks
+	parasScratchPool.Put(sc)
+
+	p.Paras = paras
+	p.tokens = all
+	p.tokOnce.Do(func() {}) // Tokens has nothing left to build
+}
+
+// Tokens returns the page's full token stream (paragraphs concatenated).
+// On a page built by SetParas that is the array the paragraphs alias, and
+// the call allocates nothing; on a literal-built page the concatenation is
+// computed and cached on first use.
 func (p *Page) Tokens() []textproc.Token {
 	p.tokOnce.Do(func() {
 		n := 0

@@ -93,6 +93,7 @@ func ParsePage(src string, defaultEntity corpus.EntityID, tok *textproc.Tokenize
 			p.Entity = corpus.EntityID(id)
 		}
 	}
+	var paras []corpus.Paragraph
 	for i, text := range d.Paragraphs {
 		if text == d.Title && i == 0 {
 			continue // the <h1> echo of the title
@@ -104,12 +105,12 @@ func ParsePage(src string, defaultEntity corpus.EntityID, tok *textproc.Tokenize
 		if attrs := d.ParaAttrs[i]; attrs != nil {
 			aspect = corpus.Aspect(attrs["aspect"])
 		}
-		p.Paras = append(p.Paras, corpus.Paragraph{
-			Text:   text,
-			Tokens: tok.Tokenize(text),
-			Aspect: aspect,
-		})
+		if paras == nil {
+			paras = make([]corpus.Paragraph, 0, len(d.Paragraphs)-i)
+		}
+		paras = append(paras, corpus.Paragraph{Text: text, Aspect: aspect})
 	}
+	p.SetParas(paras, tok)
 	for _, href := range d.Links {
 		if id, ok := ParseHref(href); ok {
 			p.Links = append(p.Links, id)

@@ -55,12 +55,7 @@ func NewRing(n, replicas, vnodes int) *Ring {
 	if n < 1 {
 		n = 1
 	}
-	if replicas < 1 {
-		replicas = 1
-	}
-	if replicas > n {
-		replicas = n
-	}
+	replicas = ClampReplicas(replicas, n)
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}
@@ -102,6 +97,16 @@ func fnvHash(p []byte) uint64 {
 	return h
 }
 
+// ClampReplicas is the one rule that turns a requested replication factor
+// into the effective one for a cluster of nodes: at least 1, at most every
+// node. The ring, a node and the coordinator all apply it to the same two
+// inputs, so processes started with the same -nodes/-replicas agree on the
+// geometry even where the request was out of range (-replicas 2 on a
+// 1-node cluster is replicas 1 everywhere).
+func ClampReplicas(replicas, nodes int) int {
+	return max(1, min(replicas, nodes))
+}
+
 // Nodes returns the cluster size (== the partition count).
 func (r *Ring) Nodes() int { return r.nodes }
 
@@ -122,6 +127,14 @@ func (r *Ring) Partition(id corpus.PageID) int {
 		i = 0
 	}
 	return int(r.points[i].node)
+}
+
+// Holds reports whether node serves the document: whether it is one of
+// the owners of the document's partition. It is the page predicate a node
+// generates or loads its corpus under.
+func (r *Ring) Holds(node int, id corpus.PageID) bool {
+	// Owners(part) is part, part+1, … part+replicas-1 (mod nodes).
+	return ((node-r.Partition(id))%r.nodes+r.nodes)%r.nodes < r.replicas
 }
 
 // AppendOwners appends the nodes serving partition part in failover order —
@@ -317,22 +330,21 @@ func MergeTopKAppend(dst []RankedDoc, k int, lists [][]RankedDoc) []RankedDoc {
 
 // ClusterSpec pins one node's view of the cluster geometry; every node and
 // the coordinator must agree on Nodes and Replicas or placements diverge.
+// Replicas is the requested factor: Ring clamps it.
 type ClusterSpec struct {
 	Nodes    int
 	Replicas int
 	NodeID   int
 }
 
-// Validate reports whether the spec describes a consistent geometry.
-func (s ClusterSpec) Validate() error {
+// Ring validates the spec and returns the node's partition map, with the
+// replication factor clamped by ClampReplicas (read it back from the ring).
+func (s ClusterSpec) Ring() (*Ring, error) {
 	if s.Nodes < 1 {
-		return fmt.Errorf("cluster: need at least 1 node, got %d", s.Nodes)
+		return nil, fmt.Errorf("cluster: need at least 1 node, got %d", s.Nodes)
 	}
 	if s.NodeID < 0 || s.NodeID >= s.Nodes {
-		return fmt.Errorf("cluster: node id %d out of range [0,%d)", s.NodeID, s.Nodes)
+		return nil, fmt.Errorf("cluster: node id %d out of range [0,%d)", s.NodeID, s.Nodes)
 	}
-	if s.Replicas < 1 || s.Replicas > s.Nodes {
-		return fmt.Errorf("cluster: replicas %d out of range [1,%d]", s.Replicas, s.Nodes)
-	}
-	return nil
+	return NewRing(s.Nodes, s.Replicas, 0), nil
 }

@@ -225,3 +225,54 @@ func TestWithCollectionStatsNilRestores(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterGeometryClamp: one rule (ClampReplicas) turns the two flags
+// every process of a cluster is started with into the effective geometry,
+// wherever it is applied — the ring a coordinator builds from the raw
+// values and the ring a node's spec builds must be the same ring, the
+// 1-node cluster under the default -replicas 2 included (a node used to
+// reject what the coordinator clamped). Holds is Owners, inverted.
+func TestClusterGeometryClamp(t *testing.T) {
+	for _, tc := range []struct{ nodes, replicas, want int }{
+		{1, 2, 1}, {1, 1, 1}, {1, 0, 1}, {1, -3, 1},
+		{2, 2, 2}, {2, 5, 2},
+		{3, 0, 1}, {3, 1, 1}, {3, 2, 2}, {3, 3, 3}, {3, 4, 3},
+		{9, 9, 9}, {9, 100, 9},
+	} {
+		if got := ClampReplicas(tc.replicas, tc.nodes); got != tc.want {
+			t.Errorf("ClampReplicas(%d, %d nodes) = %d, want %d", tc.replicas, tc.nodes, got, tc.want)
+		}
+		coord := NewRing(tc.nodes, tc.replicas, 0)
+		for id := 0; id < tc.nodes; id++ {
+			ring, err := ClusterSpec{Nodes: tc.nodes, Replicas: tc.replicas, NodeID: id}.Ring()
+			if err != nil {
+				t.Fatalf("nodes %d replicas %d id %d: %v", tc.nodes, tc.replicas, id, err)
+			}
+			if ring.Nodes() != tc.nodes || ring.Replicas() != tc.want || coord.Replicas() != tc.want {
+				t.Fatalf("nodes %d replicas %d: node ring %d×%d, coordinator ring %d×%d, want replicas %d",
+					tc.nodes, tc.replicas, ring.Nodes(), ring.Replicas(), coord.Nodes(), coord.Replicas(), tc.want)
+			}
+			held := 0
+			for doc := corpus.PageID(0); doc < 500; doc++ {
+				owner := false
+				for _, o := range coord.Owners(coord.Partition(doc)) {
+					owner = owner || o == id
+				}
+				if ring.Holds(id, doc) != owner {
+					t.Fatalf("nodes %d replicas %d: Holds(%d, doc %d) = %v, Owners says %v", tc.nodes, tc.replicas, id, doc, !owner, owner)
+				}
+				if owner {
+					held++
+				}
+			}
+			if tc.want == tc.nodes && held != 500 {
+				t.Fatalf("nodes %d replicas %d: fully replicated node %d holds %d of 500 docs", tc.nodes, tc.replicas, id, held)
+			}
+		}
+	}
+	for _, bad := range []ClusterSpec{{Nodes: 0}, {Nodes: -1}, {Nodes: 3, NodeID: 3}, {Nodes: 3, NodeID: -1}} {
+		if _, err := bad.Ring(); err == nil {
+			t.Errorf("%+v accepted", bad)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"sort"
+	"strings"
 
 	"l2q/internal/textproc"
 )
@@ -40,6 +41,21 @@ func (d *dictionary) term(id uint64) (string, bool) {
 		return "", false
 	}
 	return d.terms[id], true
+}
+
+// tokenizer returns the tokenizer that merges the dictionary's multi-word
+// terms (see Bundle.Tokenizer).
+func (d *dictionary) tokenizer() *textproc.Tokenizer {
+	var phrases []string
+	for _, t := range d.terms {
+		if strings.IndexByte(t, ' ') >= 0 {
+			phrases = append(phrases, t)
+		}
+	}
+	if len(phrases) == 0 {
+		return &textproc.Tokenizer{}
+	}
+	return &textproc.Tokenizer{Lexicon: textproc.NewLexicon(phrases)}
 }
 
 func (d *dictionary) encode(e *Enc) {

@@ -454,33 +454,3 @@ func decQueryMap(d *Dec) map[core.Query]float64 {
 	}
 	return m
 }
-
-// ReconstructTokenizer rebuilds a phrase-merging tokenizer from a
-// corpus's own tokens: any multi-word token (internal space) was produced
-// by a phrase lexicon, so collecting them recovers it. Store files carry
-// no tokenizer, so consumers serving or learning over a restored corpus
-// (cmd/l2qserve, cmd/l2qstore domains) need this to round-trip phrase
-// tokens in queries.
-func ReconstructTokenizer(c *corpus.Corpus) *textproc.Tokenizer {
-	seen := make(map[string]struct{})
-	var phrases []string
-	for _, p := range c.Pages {
-		for i := range p.Paras {
-			for _, t := range p.Paras[i].Tokens {
-				for j := 0; j < len(t); j++ {
-					if t[j] == ' ' {
-						if _, dup := seen[string(t)]; !dup {
-							seen[string(t)] = struct{}{}
-							phrases = append(phrases, string(t))
-						}
-						break
-					}
-				}
-			}
-		}
-	}
-	if len(phrases) == 0 {
-		return &textproc.Tokenizer{}
-	}
-	return &textproc.Tokenizer{Lexicon: textproc.NewLexicon(phrases)}
-}

@@ -24,7 +24,7 @@ func learnArtifact(t testing.TB) (*DomainArtifact, *corpus.Corpus, *classify.Set
 	aspects := c.Aspects()
 	cls := classify.TrainSet(aspects, c.Pages)
 	cfg := core.DefaultConfig()
-	cfg.Tokenizer = ReconstructTokenizer(c)
+	cfg.Tokenizer = g.Tokenizer
 	rec := types.NewRegexRecognizer()
 	var ids []corpus.EntityID
 	for _, e := range c.Entities[:c.NumEntities()/2] {

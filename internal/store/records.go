@@ -98,7 +98,11 @@ func encodePages(e *Enc, c *corpus.Corpus, dict *dictionary) {
 	}
 }
 
-func decodePages(d *Dec, dict *dictionary) []*corpus.Page {
+// decodePages reads the PAGE section. keep, when non-nil, selects the pages
+// to materialize: an unkept page is walked and validated field by field
+// like any other — damage anywhere in the section fails the load — but its
+// strings and tokens are never allocated.
+func decodePages(d *Dec, dict *dictionary, keep func(corpus.PageID) bool) []*corpus.Page {
 	nAspects := d.Count("aspects")
 	aspects := make([]corpus.Aspect, 0, nAspects)
 	for i := 0; i < nAspects && d.Err() == nil; i++ {
@@ -106,40 +110,68 @@ func decodePages(d *Dec, dict *dictionary) []*corpus.Page {
 	}
 
 	nPages := d.Count("pages")
-	out := make([]*corpus.Page, 0, nPages)
+	var out []*corpus.Page
+	if keep == nil {
+		out = make([]*corpus.Page, 0, nPages)
+	}
+	var toks []textproc.Token // one page's tokens; SetParas copies them out
 	for i := 0; i < nPages && d.Err() == nil; i++ {
-		p := &corpus.Page{
-			ID:     corpus.PageID(d.Varint()),
-			Entity: corpus.EntityID(d.Varint()),
-			URL:    d.Str(),
-			Title:  d.Str(),
+		id := corpus.PageID(d.Varint())
+		kept := keep == nil || keep(id)
+		entity := corpus.EntityID(d.Varint())
+		var p *corpus.Page
+		if kept {
+			p = &corpus.Page{ID: id, Entity: entity, URL: d.Str(), Title: d.Str()}
+		} else {
+			d.Bytes() // same framing as Str, nothing allocated
+			d.Bytes()
 		}
 		nParas := d.Count("paragraphs")
-		p.Paras = make([]corpus.Paragraph, 0, nParas)
+		var paras []corpus.Paragraph
+		if kept {
+			paras = make([]corpus.Paragraph, 0, nParas)
+		}
+		toks = toks[:0]
 		for j := 0; j < nParas && d.Err() == nil; j++ {
 			aid := d.Uvarint()
 			if aid >= uint64(len(aspects)) {
 				d.Fail("aspect id")
 				break
 			}
-			para := corpus.Paragraph{Aspect: aspects[aid], Text: d.Str()}
+			para := corpus.Paragraph{Aspect: aspects[aid]}
+			if kept {
+				para.Text = d.Str()
+			} else {
+				d.Bytes()
+			}
 			nToks := d.Count("tokens")
-			para.Tokens = make([]textproc.Token, 0, nToks)
+			start := len(toks)
 			for k := 0; k < nToks && d.Err() == nil; k++ {
 				t, ok := dict.term(d.Uvarint())
 				if !ok {
 					d.Fail("token id")
 					break
 				}
-				para.Tokens = append(para.Tokens, t)
+				if kept {
+					toks = append(toks, t)
+				}
 			}
-			p.Paras = append(p.Paras, para)
+			if kept {
+				para.Tokens = toks[start:]
+				paras = append(paras, para)
+			}
 		}
 		nLinks := d.Count("links")
 		for j := 0; j < nLinks && d.Err() == nil; j++ {
-			p.Links = append(p.Links, corpus.PageID(int64(p.ID)+d.Varint()))
+			l := corpus.PageID(int64(id) + d.Varint())
+			if kept {
+				p.Links = append(p.Links, l)
+			}
 		}
-		out = append(out, p)
+		if kept {
+			p.SetParas(paras, nil)
+			out = append(out, p)
+		}
 	}
 	return out
 }

@@ -30,12 +30,19 @@ const (
 // not cause a multi-gigabyte allocation).
 const maxSectionSize = 1 << 31
 
-// Bundle is what a store file contains: the corpus, and — if the file was
-// written with an index — the restored inverted index over c.Pages.
+// Bundle is what a store file contains: the corpus, the tokenizer that
+// round-trips its phrase tokens, and — if the file was written with an
+// index — the restored inverted index over c.Pages.
 type Bundle struct {
 	Corpus *corpus.Corpus
-	// Index is nil when the file carries no INDX section; callers can
-	// rebuild with search.BuildIndex(c.Pages) at tokenization cost.
+	// Tokenizer merges the phrases the corpus builder merged: a multi-word
+	// term in the file's dictionary (internal space) can only have come
+	// from a phrase lexicon, so the dictionary's multi-word terms are that
+	// lexicon. Queries tokenized with it match the stored page tokens.
+	Tokenizer *textproc.Tokenizer
+	// Index is nil when the file carries no INDX section or the load was
+	// given a page predicate (the section indexes the whole corpus);
+	// callers can rebuild with search.BuildIndex(c.Pages).
 	Index *search.Index
 }
 
@@ -93,8 +100,12 @@ func Save(w io.Writer, c *corpus.Corpus, idx *search.Index) error {
 }
 
 // Load reads a store file. Unknown sections are skipped; checksum or
-// structural damage yields an error naming the section.
-func Load(r io.Reader) (*Bundle, error) {
+// structural damage yields an error naming the section. keep, when
+// non-nil, selects the pages the corpus retains (a cluster node keeps the
+// partitions it serves): every page is still validated, only kept ones are
+// materialized, the entity table stays complete, and the persisted
+// whole-corpus index is not restored.
+func Load(r io.Reader, keep func(corpus.PageID) bool) (*Bundle, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	head := make([]byte, len(magic))
 	if _, err := io.ReadFull(br, head); err != nil {
@@ -131,8 +142,11 @@ func Load(r io.Reader) (*Bundle, error) {
 			if dict == nil {
 				return nil, fmt.Errorf("store: PAGE section before DICT")
 			}
-			pages = decodePages(d, dict)
+			pages = decodePages(d, dict, keep)
 		case secIndex:
+			if keep != nil {
+				continue // indexes pages this load does not hold
+			}
 			if dict == nil {
 				return nil, fmt.Errorf("store: INDX section before DICT")
 			}
@@ -162,7 +176,7 @@ func Load(r io.Reader) (*Bundle, error) {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 	}
-	b := &Bundle{Corpus: c}
+	b := &Bundle{Corpus: c, Tokenizer: dict.tokenizer()}
 	if postings != nil {
 		idx, err := search.RestoreIndex(c.Pages, postings)
 		if err != nil {
@@ -196,14 +210,14 @@ func SaveFile(path string, c *corpus.Corpus, idx *search.Index) error {
 	return nil
 }
 
-// LoadFile reads a bundle from path.
-func LoadFile(path string) (*Bundle, error) {
+// LoadFile reads a bundle from path (see Load for keep).
+func LoadFile(path string, keep func(corpus.PageID) bool) (*Bundle, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	return Load(f)
+	return Load(f, keep)
 }
 
 // writeSection emits one framed, checksummed section.

@@ -39,7 +39,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			if err := Save(&buf, c, idx); err != nil {
 				t.Fatal(err)
 			}
-			b, err := Load(&buf)
+			b, err := Load(&buf, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +58,7 @@ func TestSaveLoadWithoutIndex(t *testing.T) {
 	if err := Save(&buf, c, nil); err != nil {
 		t.Fatal(err)
 	}
-	b, err := Load(&buf)
+	b, err := Load(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestSaveFileLoadFile(t *testing.T) {
 	if err := SaveFile(path, c, idx); err != nil {
 		t.Fatal(err)
 	}
-	b, err := LoadFile(path)
+	b, err := LoadFile(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestRestoredIndexSearchIdentical(t *testing.T) {
 	if err := Save(&buf, c, idx); err != nil {
 		t.Fatal(err)
 	}
-	b, err := Load(&buf)
+	b, err := Load(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +121,10 @@ func TestRestoredIndexSearchIdentical(t *testing.T) {
 }
 
 func TestLoadRejectsBadMagic(t *testing.T) {
-	if _, err := Load(strings.NewReader("NOTASTORE-FILE")); err == nil {
+	if _, err := Load(strings.NewReader("NOTASTORE-FILE"), nil); err == nil {
 		t.Fatal("expected error for bad magic")
 	}
-	if _, err := Load(strings.NewReader("L2")); err == nil {
+	if _, err := Load(strings.NewReader("L2"), nil); err == nil {
 		t.Fatal("expected error for short file")
 	}
 }
@@ -142,7 +142,7 @@ func TestLoadDetectsCorruption(t *testing.T) {
 	for _, off := range []int{len(clean) / 4, len(clean) / 2, 3 * len(clean) / 4} {
 		bad := append([]byte(nil), clean...)
 		bad[off] ^= 0x5a
-		if _, err := Load(bytes.NewReader(bad)); err == nil {
+		if _, err := Load(bytes.NewReader(bad), nil); err == nil {
 			t.Errorf("corruption at offset %d not detected", off)
 		}
 	}
@@ -156,7 +156,7 @@ func TestLoadDetectsTruncation(t *testing.T) {
 	}
 	clean := buf.Bytes()
 	for _, n := range []int{len(clean) - 1, len(clean) / 2, len(magic) + 1} {
-		if _, err := Load(bytes.NewReader(clean[:n])); err == nil {
+		if _, err := Load(bytes.NewReader(clean[:n]), nil); err == nil {
 			t.Errorf("truncation to %d bytes not detected", n)
 		}
 	}
@@ -179,7 +179,7 @@ func TestLoadSkipsUnknownSections(t *testing.T) {
 	future := sectionFrame("FUTR", []byte("payload from the future"))
 	spliced := append(append(clean[:len(clean)-len(endFrame)], future...), endFrame...)
 
-	b, err := Load(bytes.NewReader(spliced))
+	b, err := Load(bytes.NewReader(spliced), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestSaveLoadThroughPipe(t *testing.T) {
 		defer pw.Close()
 		errCh <- Save(pw, c, idx)
 	}()
-	b, err := Load(pr)
+	b, err := Load(pr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,4 +288,104 @@ func TestSaveLoadThroughPipe(t *testing.T) {
 	}
 	assertCorpusEqual(t, c, b.Corpus)
 	assertIndexEqual(t, idx, b.Index)
+}
+
+// TestLoadKeepPredicate: a load under a page predicate (how a cluster node
+// reads the shared store) returns exactly the kept pages, equal to the same
+// pages of the unfiltered load, with the whole entity table, the same
+// tokenizer and no whole-corpus index — and it still reads every page: a
+// structurally corrupt page fails the load even when the predicate would
+// have dropped it.
+func TestLoadKeepPredicate(t *testing.T) {
+	c, idx := testBundle(t, synth.DomainResearchers)
+	var buf bytes.Buffer
+	if err := Save(&buf, c, idx); err != nil {
+		t.Fatal(err)
+	}
+	full, err := Load(bytes.NewReader(buf.Bytes()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := search.NewRing(3, 2, 0)
+	keep := func(id corpus.PageID) bool { return ring.Holds(2, id) }
+	b, err := Load(bytes.NewReader(buf.Bytes()), keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := corpus.New(c.Domain)
+	for _, e := range full.Corpus.Entities {
+		if err := want.AddEntity(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range full.Corpus.Pages {
+		if keep(p.ID) {
+			if err := want.AddPage(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if want.NumPages() == 0 || want.NumPages() == c.NumPages() {
+		t.Fatalf("predicate keeps %d of %d pages; the test proves nothing", want.NumPages(), c.NumPages())
+	}
+	assertCorpusEqual(t, want, b.Corpus)
+	if b.Index != nil {
+		t.Error("a filtered load restored the whole-corpus index")
+	}
+	if !reflect.DeepEqual(b.Tokenizer, full.Tokenizer) || b.Tokenizer.Lexicon.Len() == 0 {
+		t.Errorf("filtered load's tokenizer differs from the full load's (or has no phrases)")
+	}
+	// The dictionary's tokenizer re-tokenizes page text to the stored tokens.
+	for _, p := range b.Corpus.Pages[:10] {
+		for i := range p.Paras {
+			if got := b.Tokenizer.Tokenize(p.Paras[i].Text); !reflect.DeepEqual(got, p.Paras[i].Tokens) {
+				t.Fatalf("page %d para %d: store tokenizer gives %v, stored %v", p.ID, i, got, p.Paras[i].Tokens)
+			}
+		}
+	}
+
+	// A file whose dictionary lacks its last term: every page using that
+	// term carries an out-of-range token id behind valid checksums. Drop
+	// exactly those pages by predicate — the load must fail all the same.
+	dict := buildDictionary(func(emit func(textproc.Token)) {
+		for _, p := range c.Pages {
+			for _, t := range p.Tokens() {
+				emit(t)
+			}
+		}
+	})
+	last := dict.terms[len(dict.terms)-1]
+	short := &dictionary{terms: dict.terms[:len(dict.terms)-1]}
+	clean := func(id corpus.PageID) bool { return !c.Pages[id].HasToken(last) }
+	for _, tc := range []struct {
+		name string
+		dict *dictionary
+		ok   bool
+	}{{"intact", dict, true}, {"corrupt unkept pages", short, false}} {
+		var file bytes.Buffer
+		file.WriteString(magic)
+		var e Enc
+		for _, sec := range []struct {
+			name   string
+			encode func(*Enc)
+		}{
+			{secMeta, func(e *Enc) { encodeMeta(e, c) }},
+			{secDict, tc.dict.encode},
+			{secEntities, func(e *Enc) { encodeEntities(e, c) }},
+			{secPages, func(e *Enc) { encodePages(e, c, dict) }},
+			{secEnd, func(*Enc) {}},
+		} {
+			e.Reset()
+			sec.encode(&e)
+			file.Write(sectionFrame(sec.name, e.Data()))
+		}
+		got, err := Load(&file, clean)
+		if tc.ok {
+			if err != nil || got.Corpus.NumPages() == 0 || got.Corpus.NumPages() == c.NumPages() {
+				t.Fatalf("%s: load under the predicate: %v (the predicate must drop some pages, not all)", tc.name, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), secPages) {
+			t.Fatalf("%s: load error %v, want a PAGE section failure", tc.name, err)
+		}
+	}
 }

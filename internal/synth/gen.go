@@ -3,6 +3,7 @@ package synth
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"strings"
 
@@ -28,6 +29,12 @@ type Config struct {
 	PagesPerEntity int
 	// Seed makes generation deterministic.
 	Seed uint64
+	// Keep, when non-nil, selects the pages the corpus retains (a cluster
+	// node keeps the partitions it serves). An unkept page still draws its
+	// text and links from the one RNG stream, so every kept page, link list
+	// and entity is bit-identical to the unfiltered run's; it is neither
+	// tokenized nor held. The entity table is always complete.
+	Keep func(corpus.PageID) bool
 }
 
 // DefaultConfig returns the paper-scale configuration for a domain.
@@ -98,6 +105,29 @@ func specFor(domain corpus.Domain) (*spec, error) {
 	}
 }
 
+// Resources returns a domain's linguistic resources without a corpus: the
+// knowledge base, the phrase lexicon derived from it and the tokenizer
+// wired to that lexicon — all a process that tokenizes queries but holds
+// no pages (a cluster coordinator) needs. They depend on the domain alone.
+func Resources(domain corpus.Domain) (*Generated, error) {
+	sp, err := specFor(domain)
+	if err != nil {
+		return nil, err
+	}
+	return sp.resources(), nil
+}
+
+func (sp *spec) resources() *Generated {
+	kb := sp.kb()
+	lex := textproc.NewLexicon(kb.Phrases())
+	return &Generated{
+		KB:        kb,
+		Lexicon:   lex,
+		Tokenizer: &textproc.Tokenizer{Lexicon: lex},
+		Aspects:   sp.aspects,
+	}
+}
+
 // Generate builds a deterministic synthetic corpus per cfg.
 func Generate(cfg Config) (*Generated, error) {
 	sp, err := specFor(cfg.Domain)
@@ -109,9 +139,7 @@ func Generate(cfg Config) (*Generated, error) {
 			cfg.NumEntities, cfg.PagesPerEntity)
 	}
 
-	kb := sp.kb()
-	lex := textproc.NewLexicon(kb.Phrases())
-	tok := &textproc.Tokenizer{Lexicon: lex}
+	g := sp.resources()
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15))
 
 	c := corpus.New(cfg.Domain)
@@ -147,23 +175,27 @@ func Generate(cfg Config) (*Generated, error) {
 			} else {
 				primary = allAspects[weightedIndex(rng, weightsVec)]
 			}
-			page := genPage(nextPage, prof, primary, sp, fill, tok, rng)
-			if err := c.AddPage(page); err != nil {
-				return nil, err
+			paras := genParas(primary, sp, fill, rng)
+			if cfg.Keep == nil || cfg.Keep(nextPage) {
+				page := &corpus.Page{
+					ID:     nextPage,
+					Entity: prof.Entity.ID,
+					URL:    fmt.Sprintf("http://www.site%03d.example.com/p%d", int(nextPage)%257, nextPage),
+					Title:  prof.Entity.Name + " " + strings.ToLower(string(primary)),
+				}
+				page.SetParas(paras, g.Tokenizer)
+				if err := c.AddPage(page); err != nil {
+					return nil, err
+				}
 			}
 			nextPage++
 		}
 	}
 
-	linkPages(c, rng)
+	linkPages(c, cfg, rng)
 
-	return &Generated{
-		Corpus:    c,
-		KB:        kb,
-		Lexicon:   lex,
-		Tokenizer: tok,
-		Aspects:   sp.aspects,
-	}, nil
+	g.Corpus = c
+	return g, nil
 }
 
 // linkPages wires a hyperlink graph over the corpus, giving the link-based
@@ -172,58 +204,59 @@ func Generate(cfg Config) (*Generated, error) {
 // plus random internal references), sparse cross-entity links to peers in
 // the domain, and no link signal about *aspects* — which is precisely why
 // the paper harvests through queries instead of links.
-func linkPages(c *corpus.Corpus, rng *rand.Rand) {
-	for _, e := range c.Entities {
-		pages := c.PagesOf(e.ID)
-		for i, p := range pages {
-			seen := map[corpus.PageID]struct{}{p.ID: {}}
-			add := func(id corpus.PageID) {
-				if _, dup := seen[id]; dup {
-					return
-				}
-				seen[id] = struct{}{}
-				p.Links = append(p.Links, id)
+//
+// Page IDs are dense and entity-major (entity e's pages are e·P … e·P+P−1),
+// so every link target is computed, not looked up: the draws — and with
+// them the links of every page the corpus kept — are the same whatever
+// cfg.Keep left out.
+func linkPages(c *corpus.Corpus, cfg Config, rng *rand.Rand) {
+	perEntity := cfg.PagesPerEntity
+	total := cfg.NumEntities * perEntity
+	kept := c.Pages // ascending by ID
+	for id := 0; id < total; id++ {
+		first, i := id-id%perEntity, id%perEntity
+		var links [4]corpus.PageID
+		n := 0
+		add := func(l int) {
+			if l == id || slices.Contains(links[:n], corpus.PageID(l)) {
+				return
 			}
-			// Ring: every page reaches its entity successor, so the
-			// entity's pages are mutually discoverable.
-			add(pages[(i+1)%len(pages)].ID)
-			// Two random intra-entity references.
-			for k := 0; k < 2; k++ {
-				add(pages[rng.IntN(len(pages))].ID)
+			links[n] = corpus.PageID(l)
+			n++
+		}
+		// Ring: every page reaches its entity successor, so the
+		// entity's pages are mutually discoverable.
+		add(first + (i+1)%perEntity)
+		// Two random intra-entity references.
+		for k := 0; k < 2; k++ {
+			add(first + rng.IntN(perEntity))
+		}
+		// One cross-entity link with 30% probability.
+		if rng.Float64() < 0.3 && total > perEntity {
+			add(rng.IntN(total))
+		}
+		if len(kept) > 0 && int(kept[0].ID) == id {
+			if n > 0 {
+				kept[0].Links = slices.Clone(links[:n])
 			}
-			// One cross-entity link with 30% probability.
-			if rng.Float64() < 0.3 && c.NumPages() > len(pages) {
-				add(c.Pages[rng.IntN(c.NumPages())].ID)
-			}
+			kept = kept[1:]
 		}
 	}
 }
 
-// genPage builds one page: an anchor paragraph carrying the seed tokens, a
-// majority of primary-aspect paragraphs, one minor-aspect paragraph, and one
-// generic filler paragraph.
-func genPage(id corpus.PageID, prof *Profile, primary corpus.Aspect, sp *spec,
-	fill *slotFiller, tok *textproc.Tokenizer, rng *rand.Rand) *corpus.Page {
-
+// genParas draws one page's paragraphs (text and label, no tokens): an
+// anchor paragraph carrying the seed tokens, a majority of primary-aspect
+// paragraphs, one minor-aspect paragraph, and one generic filler paragraph.
+func genParas(primary corpus.Aspect, sp *spec, fill *slotFiller, rng *rand.Rand) []corpus.Paragraph {
 	nBody := 4 + rng.IntN(4)      // 4..7 body paragraphs
 	nPrimary := (nBody*3 + 4) / 5 // ~60%, at least 3 of 4
 	if nPrimary < 2 {
 		nPrimary = 2
 	}
 
-	page := &corpus.Page{
-		ID:     id,
-		Entity: prof.Entity.ID,
-		URL:    fmt.Sprintf("http://www.site%03d.example.com/p%d", int(id)%257, id),
-		Title:  prof.Entity.Name + " " + strings.ToLower(string(primary)),
-	}
-
+	paras := make([]corpus.Paragraph, 0, nBody+1)
 	addPara := func(aspect corpus.Aspect, text string) {
-		page.Paras = append(page.Paras, corpus.Paragraph{
-			Text:   text,
-			Tokens: tok.Tokenize(text),
-			Aspect: aspect,
-		})
+		paras = append(paras, corpus.Paragraph{Text: text, Aspect: aspect})
 	}
 
 	// Anchor paragraph: guarantees the seed query matches every page of
@@ -251,7 +284,7 @@ func genPage(id corpus.PageID, prof *Profile, primary corpus.Aspect, sp *spec,
 	fill.reset()
 	addPara("", expand(pick(rng, sp.filler), fill.fill))
 
-	return page
+	return paras
 }
 
 // genParagraph produces 2–3 sentences of one aspect, occasionally followed

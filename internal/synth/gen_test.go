@@ -2,10 +2,12 @@ package synth
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"strings"
 	"testing"
 
 	"l2q/internal/corpus"
+	"l2q/internal/search"
 )
 
 func TestGenerateResearchersSmall(t *testing.T) {
@@ -192,5 +194,76 @@ func TestSeedQueriesUnique(t *testing.T) {
 			t.Fatalf("duplicate seed query %q", e.SeedQuery)
 		}
 		seen[e.SeedQuery] = true
+	}
+}
+
+// TestGenerateKeepMatchesFull: a corpus generated under a Keep predicate is
+// the unfiltered corpus minus the unkept pages, and nothing else differs —
+// an unkept page consumes exactly the random draws it always did, so every
+// kept page (text, tokens, aspects, links), the entity table, the KB and
+// the lexicon come out identical. That is what lets each node of a cluster
+// generate only its own partitions from the shared corpus flags.
+func TestGenerateKeepMatchesFull(t *testing.T) {
+	ring := search.NewRing(3, 2, 0)
+	predicates := map[string]func(corpus.PageID) bool{
+		"ring node 1 of 3":  func(id corpus.PageID) bool { return ring.Holds(1, id) },
+		"every third page":  func(id corpus.PageID) bool { return id%3 == 0 },
+		"nothing (a coord)": func(corpus.PageID) bool { return false },
+	}
+	for _, domain := range []corpus.Domain{DomainResearchers, DomainCars} {
+		cfg := TestConfig(domain)
+		full, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byID := make(map[corpus.PageID]*corpus.Page, full.Corpus.NumPages())
+		for _, p := range full.Corpus.Pages {
+			byID[p.ID] = p
+		}
+		for name, keep := range predicates {
+			cfg.Keep = keep
+			got, err := Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 0
+			for id := range byID {
+				if keep(id) {
+					want++
+				}
+			}
+			if got.Corpus.NumPages() != want {
+				t.Fatalf("%s/%s: kept %d pages, predicate selects %d of %d", domain, name, got.Corpus.NumPages(), want, len(byID))
+			}
+			if want == len(byID) {
+				t.Fatalf("%s/%s: predicate keeps everything; the test proves nothing", domain, name)
+			}
+			for _, p := range got.Corpus.Pages {
+				ref := byID[p.ID]
+				if !keep(p.ID) {
+					t.Fatalf("%s/%s: page %d kept against the predicate", domain, name, p.ID)
+				}
+				if p.Entity != ref.Entity || p.URL != ref.URL || p.Title != ref.Title ||
+					!reflect.DeepEqual(p.Paras, ref.Paras) || !reflect.DeepEqual(p.Links, ref.Links) ||
+					!reflect.DeepEqual(p.Tokens(), ref.Tokens()) {
+					t.Fatalf("%s/%s: page %d differs from the unfiltered run:\n got %+v\nwant %+v", domain, name, p.ID, p, ref)
+				}
+			}
+			if !reflect.DeepEqual(got.Corpus.Entities, full.Corpus.Entities) {
+				t.Errorf("%s/%s: entity table differs", domain, name)
+			}
+			if !reflect.DeepEqual(got.KB, full.KB) || !reflect.DeepEqual(got.Lexicon, full.Lexicon) {
+				t.Errorf("%s/%s: KB or lexicon differs", domain, name)
+			}
+		}
+		// The corpus-free resources are the ones Generate wires in.
+		res, err := Resources(domain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Corpus != nil || !reflect.DeepEqual(res.Lexicon, full.Lexicon) || !reflect.DeepEqual(res.KB, full.KB) ||
+			!reflect.DeepEqual(res.Aspects, full.Aspects) {
+			t.Errorf("%s: Resources differ from what Generate derived", domain)
+		}
 	}
 }

@@ -4,10 +4,11 @@ package webapi
 // builder and the metrics endpoint call it blind: whether pages come from
 // a frozen index, a live generational engine or a cluster of nodes is the
 // backend's business, decided once by the constructor that installed it
-// (NewServer, NewLiveServer, NewCoordinatorServer). Frozen and live share
-// localBackend — *search.Engine and *search.LiveEngine offer the same
-// k-parameterised search and statistic reads — and differ only in ingest
-// and the live gauges; the coordinator's backend is clusterBackend
+// (NewServer, NewLiveServer, NewNodeServer, NewCoordinatorServer). Frozen
+// and live share localBackend — *search.Engine and *search.LiveEngine
+// offer the same k-parameterised search and statistic reads — and differ
+// only in ingest and the live gauges; a cluster node's backend is its
+// ClusterNode (cluster.go), the coordinator's is clusterBackend
 // (coordinator.go).
 
 import (
@@ -97,8 +98,13 @@ func (b *localBackend) search(_ context.Context, seed, query []textproc.Token, k
 func (b *localBackend) entities() []EntityInfo {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	out := make([]EntityInfo, 0, b.corpus.NumEntities())
-	for _, e := range b.corpus.Entities {
+	return entityInfos(b.corpus.Entities)
+}
+
+// entityInfos is the /api/v1/entities form of an entity table.
+func entityInfos(ents []*corpus.Entity) []EntityInfo {
+	out := make([]EntityInfo, 0, len(ents))
+	for _, e := range ents {
 		out = append(out, EntityInfo{ID: e.ID, Name: e.Name, SeedQuery: e.SeedQuery})
 	}
 	return out

@@ -199,8 +199,15 @@ func (c *Client) Stats() Stats { return c.stats }
 // included (the "cost" the paper motivates minimizing).
 func (c *Client) Requests() int { return int(c.met.requests.Load()) }
 
-// Metrics returns a snapshot of the client's request/retry/error counters.
-func (c *Client) Metrics() ClientMetrics { return c.met.snapshot() }
+// Metrics returns a snapshot of the client's request/retry/error counters
+// and the size of its page cache.
+func (c *Client) Metrics() ClientMetrics {
+	m := c.met.snapshot()
+	c.mu.RLock()
+	m.CachedPages = len(c.pageCache)
+	c.mu.RUnlock()
+	return m
+}
 
 // doRetry runs attempt until its body passes decode or the retry policy
 // is exhausted, classifying failures with retryable — the one retry loop

@@ -1,9 +1,10 @@
 package webapi
 
 // The node half of distributed retrieval (see coordinator.go for the
-// scatter-gather side). A ClusterNode owns the partitions the consistent-
+// scatter-gather side). A ClusterNode holds the partitions the consistent-
 // hash ring assigns to it — its primary partition plus the partitions it
-// replicates — each behind its own partition-local index and engine. Local
+// replicates — each behind its own partition-local index and engine, and
+// nothing else: no page of another partition, no whole-corpus index. Local
 // scoring only becomes globally comparable after the coordinator pushes
 // the aggregated CollectionStats (p(t|C), document frequencies, corpus
 // size and the global μ all read collection totals); until then the node
@@ -11,6 +12,7 @@ package webapi
 // retries instead of merging incomparable scores.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,6 +21,7 @@ import (
 	"strconv"
 	"sync"
 
+	"l2q/internal/core"
 	"l2q/internal/corpus"
 	"l2q/internal/search"
 	"l2q/internal/store"
@@ -58,13 +61,20 @@ type GlobalStatsPayload struct {
 }
 
 // ClusterNode serves one node's slice of a doc-partitioned cluster: the
-// partition engines for every partition the ring assigns to this node
-// (primary first, then replicas). Mount it on a Server via the Node field
-// to expose the /api/v1/cluster/* endpoints. Safe for concurrent use.
+// pages and partition engines of every partition the ring assigns to this
+// node (primary first, then replicas). It is the backend of the server
+// NewNodeServer returns. Safe for concurrent use.
 type ClusterNode struct {
-	spec search.ClusterSpec
-	ring *search.Ring
+	spec search.ClusterSpec // Replicas is the effective (clamped) factor
 	topK int
+
+	// domain and ents are the whole corpus's: harvest targets are not
+	// partitioned, and the coordinator reads the table from any node.
+	domain corpus.Domain
+	ents   []*corpus.Entity
+	// pages are the pages of the owned partitions — everything /page/{id}
+	// can answer here.
+	pages map[corpus.PageID]*corpus.Page
 
 	// primary is the primary partition's index — the node's contribution
 	// to the coordinator's stat aggregation.
@@ -75,34 +85,50 @@ type ClusterNode struct {
 	ready   bool
 }
 
-// NewClusterNode partitions c over the ring described by spec and builds
-// one index + engine per partition this node owns. topK ≤ 0 picks
-// search.DefaultTopK. The corpus must be the same (same pages, same IDs)
-// on every node — partitioning is deterministic, so each node extracts
-// its own slices from the shared store.
-func NewClusterNode(c *corpus.Corpus, spec search.ClusterSpec, opts search.Options, topK int) (*ClusterNode, error) {
-	if err := spec.Validate(); err != nil {
+// NewNodeServer wires the server of one cluster node: of c's pages it
+// keeps those whose partition the ring described by spec assigns to this
+// node (c may already be filtered to them — generate or load it under
+// the ring's Holds predicate and the rest never exists in this process),
+// builds one index + engine per owned partition, and answers
+// /api/v1/cluster/{search,stats}, /page/{id} for the pages it holds (404
+// otherwise), /api/v1/{stats,entities,metrics} and /healthz. Whole-corpus
+// /api/v1/search is refused: a node could only rank its own partitions,
+// and passing that off as the corpus ranking would be silently wrong.
+// spec.Replicas is clamped to [1, Nodes]; topK ≤ 0 picks
+// search.DefaultTopK. Every node must be built from the same corpus (same
+// pages, same IDs) — partitioning is deterministic, so each extracts its
+// own slices.
+func NewNodeServer(c *corpus.Corpus, spec search.ClusterSpec, opts search.Options, topK int) (*Server, error) {
+	ring, err := spec.Ring()
+	if err != nil {
 		return nil, err
 	}
+	spec.Replicas = ring.Replicas()
 	if topK <= 0 {
 		topK = search.DefaultTopK
 	}
-	ring := search.NewRing(spec.Nodes, spec.Replicas, 0)
-	groups := ring.PartitionPages(c.Pages)
 	n := &ClusterNode{
 		spec:    spec,
-		ring:    ring,
 		topK:    topK,
+		domain:  c.Domain,
+		ents:    c.Entities,
+		pages:   make(map[corpus.PageID]*corpus.Page, len(c.Pages)), // exact for a corpus already filtered
 		engines: make(map[int]*search.Engine, spec.Replicas),
 	}
+	groups := ring.PartitionPages(c.Pages)
 	for _, part := range ring.OwnedBy(spec.NodeID) {
+		for _, p := range groups[part] {
+			n.pages[p.ID] = p
+		}
 		idx := search.BuildIndex(groups[part])
 		n.engines[part] = search.NewEngineOpts(idx, opts).WithTopK(topK)
 		if part == spec.NodeID {
 			n.primary = idx
 		}
 	}
-	return n, nil
+	srv := newServer(n)
+	srv.Node = n
+	return srv, nil
 }
 
 // Spec returns the node's cluster geometry.
@@ -241,11 +267,7 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 
 // Partitions returns the partitions this node serves (primary plus
 // replicated), in ascending order.
-func (n *ClusterNode) Partitions() []int { return n.sortedParts() }
-
-// sortedParts returns a node's owned partitions in ascending order (for
-// log lines and tests).
-func (n *ClusterNode) sortedParts() []int {
+func (n *ClusterNode) Partitions() []int {
 	n.mu.RLock()
 	out := make([]int, 0, len(n.engines))
 	for p := range n.engines {
@@ -254,4 +276,79 @@ func (n *ClusterNode) sortedParts() []int {
 	n.mu.RUnlock()
 	sort.Ints(out)
 	return out
+}
+
+// errNodeSearch refuses a whole-corpus search on a node. 501: re-issuing
+// the request here can never succeed.
+var errNodeSearch = httpErrorf(http.StatusNotImplemented,
+	"a cluster node ranks only its own partitions: send whole-corpus searches to the coordinator (/api/v1/search there; a node answers /api/v1/cluster/search?part=)")
+
+// Stats describes what this node holds: the whole entity table, the pages
+// of its owned partitions, and its primary partition's engine — local
+// statistics until the coordinator's push, the global model after.
+func (n *ClusterNode) Stats() Stats {
+	n.mu.RLock()
+	e := n.engines[n.spec.NodeID]
+	n.mu.RUnlock()
+	return Stats{
+		Domain:      string(n.domain),
+		NumEntities: len(n.ents),
+		NumPages:    len(n.pages),
+		NumTerms:    e.NumTerms(),
+		TotalTokens: e.TotalTokens(),
+		Mu:          e.Mu(),
+		TopK:        e.TopK(),
+	}
+}
+
+// The backend a node server serves from (see backend.go).
+
+func (n *ClusterNode) stats() Stats { return n.Stats() }
+
+func (n *ClusterNode) search(context.Context, []textproc.Token, []textproc.Token, int) (SearchResponse, error) {
+	return SearchResponse{}, errNodeSearch
+}
+
+func (n *ClusterNode) entities() []EntityInfo { return entityInfos(n.ents) }
+
+func (n *ClusterNode) entity(id corpus.EntityID) *corpus.Entity {
+	for _, e := range n.ents {
+		if e.ID == id {
+			return e
+		}
+	}
+	return nil
+}
+
+func (n *ClusterNode) page(_ context.Context, id corpus.PageID) (*corpus.Page, error) {
+	p, ok := n.pages[id]
+	if !ok {
+		return nil, httpErrorf(http.StatusNotFound, "no such page on node %d", n.spec.NodeID)
+	}
+	return p, nil
+}
+
+func (n *ClusterNode) pageWorkers() int { return 1 }
+
+func (n *ClusterNode) retriever() core.Retriever { return nodeRetriever{n} }
+
+// nodeRetriever is what a harvest backend mounted on a node server would
+// search through: it fails every retrieval as the search route does,
+// because the sessions would be ranking a fraction of the corpus.
+type nodeRetriever struct{ n *ClusterNode }
+
+func (r nodeRetriever) Retrieve(context.Context, []search.Result, []textproc.Token, []textproc.Token) ([]search.Result, error) {
+	return nil, errNodeSearch
+}
+
+func (r nodeRetriever) TopK() int {
+	r.n.mu.RLock()
+	defer r.n.mu.RUnlock()
+	return r.n.topK
+}
+
+func (n *ClusterNode) metrics(*ServerMetrics) {}
+
+func (n *ClusterNode) ingest(IngestRequest) (IngestResponse, error) {
+	return IngestResponse{}, errNoIngest
 }

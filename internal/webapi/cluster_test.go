@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -22,22 +23,20 @@ import (
 	"l2q/internal/types"
 )
 
-// startClusterNodes boots n node servers over g's corpus (each a full
-// server with its ClusterNode attached) and returns their base URLs in
-// node-ID order. wrap, when non-nil, interposes a per-node handler — a
-// fault injector, a kill switch — between the wire and the server.
+// startClusterNodes boots n node servers over g's corpus — NewNodeServer,
+// the constructor l2qserve's node mode calls, each keeping only its own
+// partitions of it — and returns their base URLs in node-ID order. wrap,
+// when non-nil, interposes a per-node handler — a fault injector, a kill
+// switch — between the wire and the server.
 func startClusterNodes(t testing.TB, g *synth.Generated, nodes, replicas int, wrap func(i int, h http.Handler) http.Handler) []string {
 	t.Helper()
-	engine := search.NewEngine(search.BuildIndex(g.Corpus.Pages))
 	urls := make([]string, nodes)
 	for i := 0; i < nodes; i++ {
-		node, err := NewClusterNode(g.Corpus,
+		srv, err := NewNodeServer(g.Corpus,
 			search.ClusterSpec{Nodes: nodes, Replicas: replicas, NodeID: i}, search.Options{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := NewServer(g.Corpus, engine)
-		srv.Node = node
 		h := http.Handler(srv.Handler())
 		if wrap != nil {
 			h = wrap(i, h)
@@ -513,5 +512,118 @@ func TestClusterEndpointGating(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Errorf("search of unowned partition = %d, want 400", resp2.StatusCode)
+	}
+}
+
+// TestNodeServesOnlyOwnedPages: a node holds its partitions and nothing
+// else. Every page is served by exactly the owners the ring names for it
+// and is a not_found envelope on the rest, on both codecs; the whole-corpus
+// search route refuses (non-retryable, naming the coordinator) instead of
+// ranking a fraction of the corpus; and each node reports fewer pages than
+// the corpus while the primaries it registers with still sum to all of it.
+func TestNodeServesOnlyOwnedPages(t *testing.T) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nodes, replicas = 3, 2
+	urls := startClusterNodes(t, g, nodes, replicas, nil)
+	ring := search.NewRing(nodes, replicas, 0)
+
+	for _, p := range g.Corpus.Pages {
+		owners := ring.Owners(ring.Partition(p.ID))
+		served := 0
+		for i, base := range urls {
+			for _, wire := range []bool{false, true} {
+				status, body := rawGet(t, base+html.PageHref(p.ID), wire)
+				if slices.Contains(owners, i) {
+					if status != http.StatusOK {
+						t.Fatalf("page %d on owner %d (wire=%v) = %d %q", p.ID, i, wire, status, body)
+					}
+					served++
+					continue
+				}
+				var env errorEnvelope
+				if err := json.Unmarshal(body, &env); status != http.StatusNotFound || err != nil ||
+					env.Error.Code != "not_found" || env.Error.Retryable {
+					t.Fatalf("page %d on non-owner %d (wire=%v) = %d %q, want a 404 not_found envelope", p.ID, i, wire, status, body)
+				}
+			}
+		}
+		if served != 2*replicas {
+			t.Fatalf("page %d served by %d node×codec pairs, want %d", p.ID, served, 2*replicas)
+		}
+	}
+
+	primaries := 0
+	for i, base := range urls {
+		for _, wire := range []bool{false, true} {
+			status, body := rawGet(t, base+"/api/v1/search?q=research", wire)
+			var env errorEnvelope
+			if err := json.Unmarshal(body, &env); status != http.StatusNotImplemented || err != nil ||
+				env.Error.Retryable || !strings.Contains(env.Error.Message, "coordinator") {
+				t.Errorf("node %d: whole-corpus search (wire=%v) = %d %q, want a non-retryable refusal naming the coordinator", i, wire, status, body)
+			}
+		}
+		cli, err := DialContext(context.Background(), base, g.Tokenizer, ClientOptions{Retry: fastRetry})
+		if err != nil {
+			t.Fatalf("node %d is not dial-able: %v", i, err)
+		}
+		if st := cli.Stats(); st.NumPages <= 0 || st.NumPages >= g.Corpus.NumPages() || st.NumEntities != g.Corpus.NumEntities() {
+			t.Errorf("node %d stats %+v: want 0 < numPages < %d and the whole entity table (%d)", i, st, g.Corpus.NumPages(), g.Corpus.NumEntities())
+		}
+		ns, err := cli.ClusterStats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		primaries += ns.NumDocs
+	}
+	if primaries != g.Corpus.NumPages() {
+		t.Errorf("primary partitions hold %d pages, corpus has %d", primaries, g.Corpus.NumPages())
+	}
+}
+
+// TestClusterOneNode: the smallest cluster, under the replication factor
+// every process defaults to. The node used to reject replicas 2 of 1 node
+// (after building its corpus) while the coordinator clamped the same value
+// to 1; both now apply search.ClampReplicas and the cluster dials, ranks
+// like the single-node engine and proxies pages — whose per-node cache the
+// coordinator's metrics show growing.
+func TestClusterOneNode(t *testing.T) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := search.NewEngine(search.BuildIndex(g.Corpus.Pages))
+	co := dialCluster(t, g, startClusterNodes(t, g, 1, 2, nil), 2, 0)
+	if m := co.Metrics(); m.Nodes != 1 || m.Replicas != 1 || m.PerNode[0].Client.CachedPages != 0 {
+		t.Fatalf("1-node cluster metrics %+v: want 1 node, replicas clamped to 1, an empty page cache", m)
+	}
+	seed := g.Corpus.Entities[0].SeedTokens()
+	want := engine.SearchWithSeed(seed, nil)
+	got, err := co.Retrieve(context.Background(), nil, seed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || len(want) == 0 {
+		t.Fatalf("%d hits, single-node engine %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Page.ID != want[i].Page.ID || got[i].Score != want[i].Score {
+			t.Fatalf("rank %d: (doc %d, %v) vs single-node (doc %d, %v)", i, got[i].Page.ID, got[i].Score, want[i].Page.ID, want[i].Score)
+		}
+	}
+
+	// The one thing that grows in a coordinator, where an operator can
+	// see it: /api/v1/metrics → cluster.perNode[].client.CachedPages.
+	coSrv := httptest.NewServer(NewCoordinatorServer(co).Handler())
+	t.Cleanup(coSrv.Close)
+	_, body := rawGet(t, coSrv.URL+"/api/v1/metrics", false)
+	var sm ServerMetrics
+	if err := json.Unmarshal(body, &sm); err != nil {
+		t.Fatal(err)
+	}
+	if sm.Cluster == nil || sm.Cluster.PerNode[0].Client.CachedPages != len(want) {
+		t.Errorf("/api/v1/metrics cluster section %+v: want the node client holding the %d pages just fetched", sm.Cluster, len(want))
 	}
 }

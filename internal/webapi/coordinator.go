@@ -102,12 +102,7 @@ func DialCoordinator(ctx context.Context, cfg CoordinatorConfig, tok *textproc.T
 	if replicas == 0 {
 		replicas = 2
 	}
-	if replicas < 1 {
-		replicas = 1
-	}
-	if replicas > n {
-		replicas = n
-	}
+	replicas = search.ClampReplicas(replicas, n)
 	deadline := cfg.NodeDeadline
 	if deadline <= 0 {
 		deadline = DefaultNodeDeadline
@@ -195,8 +190,8 @@ func DialCoordinator(ctx context.Context, cfg CoordinatorConfig, tok *textproc.T
 		return nil, fmt.Errorf("cluster: stat push: %w", err)
 	}
 
-	// Harvest targets: any node has the full entity table (the corpus
-	// store is shared; only the index is partitioned).
+	// Harvest targets: every node has the full entity table (pages are
+	// partitioned, entities are not).
 	var entErr error
 	for _, peer := range co.peers {
 		co.entities, entErr = peer.cli.Entities(ctx)

@@ -153,16 +153,13 @@ func (b *liveBackend) ingest(req IngestRequest) (IngestResponse, error) {
 			Entity: ip.Entity,
 			URL:    ip.URL,
 			Title:  ip.Title,
-			Paras:  make([]corpus.Paragraph, 0, len(ip.Paras)),
 			Links:  ip.Links,
 		}
-		for _, para := range ip.Paras {
-			p.Paras = append(p.Paras, corpus.Paragraph{
-				Text:   para.Text,
-				Tokens: b.tok.Tokenize(para.Text),
-				Aspect: corpus.Aspect(para.Aspect),
-			})
+		paras := make([]corpus.Paragraph, len(ip.Paras))
+		for j, para := range ip.Paras {
+			paras[j] = corpus.Paragraph{Text: para.Text, Aspect: corpus.Aspect(para.Aspect)}
 		}
+		p.SetParas(paras, b.tok)
 		if err := b.corpus.AddPage(p); err != nil {
 			return resp, httpErrorf(http.StatusBadRequest, "%v", err)
 		}

@@ -183,6 +183,10 @@ type ClientMetrics struct {
 	// PrefetchShared counts page fetches coalesced onto another in-flight
 	// download of the same page (singleflight hits).
 	PrefetchShared int64
+	// CachedPages is how many parsed pages the client holds right now. The
+	// cache is unbounded: a long-lived client (a coordinator's per-node
+	// clients) converges on every page it was ever asked for.
+	CachedPages int
 }
 
 // metrics is the client's live counter set.

@@ -80,8 +80,9 @@ type EntityInfo struct {
 }
 
 // Server serves one retrieval backend over HTTP. Construct with NewServer
-// (frozen corpus), NewLiveServer (live generational index) or
-// NewCoordinatorServer (scatter-gather over a cluster), then
+// (frozen corpus), NewLiveServer (live generational index), NewNodeServer
+// (one node's partitions of a cluster) or NewCoordinatorServer
+// (scatter-gather over a cluster), then
 // Start/Shutdown (or mount Handler on your own server). Server is safe
 // for concurrent requests.
 type Server struct {
@@ -113,10 +114,10 @@ type Server struct {
 	// at least this large are compressed. 0 picks DefaultCompressMin;
 	// negative disables compression entirely.
 	CompressMin int
-	// Node, when non-nil, marks this server as one node of a doc-
-	// partitioned cluster and enables the /api/v1/cluster/* endpoints
-	// (partition-local search, stat registration/push). The regular
-	// endpoints keep serving the node's full local corpus store.
+	// Node is set by NewNodeServer and nil on every other server: it marks
+	// this server as one node of a doc-partitioned cluster, is the backend
+	// the regular endpoints serve from, and enables the /api/v1/cluster/*
+	// endpoints (partition-local search, stat registration/push).
 	Node *ClusterNode
 
 	semOnce sync.Once

@@ -228,7 +228,7 @@ func (s *System) SaveStore(path string) error {
 type StoreBundle = store.Bundle
 
 // LoadStore reads a store file written by SaveStore or cmd/l2qstore.
-func LoadStore(path string) (*StoreBundle, error) { return store.LoadFile(path) }
+func LoadStore(path string) (*StoreBundle, error) { return store.LoadFile(path, nil) }
 
 // DomainArtifact is a persisted bundle of trained domain models and
 // aspect classifiers — the domain phase's output as a durable file

@@ -18,9 +18,9 @@ trap 'rm -f "$RAW"' EXIT
 # -benchtime in iterations so allocs/op is a stable integer ratio, not a
 # wall-clock-dependent sample.
 go test -run '^$' \
-	-bench 'BenchmarkTokenizeAllocs|BenchmarkNGramsAllocs|BenchmarkSearchAllocs|BenchmarkLiveSearchAllocs|BenchmarkSearchAppendConcurrent|BenchmarkCandidateAllocs|BenchmarkSelectAllocs|BenchmarkHarvestJobAllocs|BenchmarkScatterMergeAllocs|BenchmarkMarshalFrameAllocs' \
+	-bench 'BenchmarkTokenizeAllocs|BenchmarkNGramsAllocs|BenchmarkSearchAllocs|BenchmarkLiveSearchAllocs|BenchmarkSearchAppendConcurrent|BenchmarkCandidateAllocs|BenchmarkSelectAllocs|BenchmarkHarvestJobAllocs|BenchmarkScatterMergeAllocs|BenchmarkMarshalFrameAllocs|BenchmarkParsePageAllocs' \
 	-benchmem -benchtime=500x \
-	./internal/textproc/ ./internal/search/ ./internal/core/ ./internal/webapi/ | tee "$RAW"
+	./internal/textproc/ ./internal/search/ ./internal/core/ ./internal/webapi/ ./internal/html/ | tee "$RAW"
 
 # bench-name (CPU suffix stripped) → max allocs/op.
 ceiling() {
@@ -44,6 +44,7 @@ ceiling() {
 	BenchmarkScatterMergeAllocs) echo 0 ;;            # coordinator K-way merge over pooled heap scratch
 	BenchmarkMarshalFrameAllocs/page) echo 1 ;;       # the frame itself; encoder, gzip writer and gzip buffer are pooled
 	BenchmarkMarshalFrameAllocs/search5pages) echo 1 ;; # same for a search carrying its five pages: bodies go straight into the pooled encoder
+	BenchmarkParsePageAllocs) echo 97 ;;              # a client's cost per downloaded page, Tokens() included: 137 when each paragraph had its own append-grown slice and Tokens() concatenated them, 97 with one exactly-sized array per page
 	*) echo "" ;;
 	esac
 }
