@@ -66,7 +66,7 @@ func main() {
 		seed      = flag.Uint64("seed", 2016, "corpus seed (synthetic mode)")
 		topK      = flag.Int("k", 5, "results per query")
 		quiet     = flag.Bool("quiet", false, "disable request logging")
-		cacheSize = flag.Int("cachesize", 0, "query cache capacity (0 = default, <0 = off)")
+		cacheSize = flag.Int("cachesize", 0, "query-result cache capacity in entries (0 = default 4096, <0 = off): the engine's cache on a single server (frozen or -live), the front cache of complete results ahead of the scatter on a coordinator; a cluster node runs uncached and ignores it")
 		harvest   = flag.Bool("harvest", true, "enable POST /api/v1/harvest and the /api/v1/jobs async API (server-side batch harvesting)")
 		domains   = flag.String("domains", "", "domain-artifact file (l2qstore domains): boot the harvest backend warm instead of learning per aspect on first request")
 		learnW    = flag.Int("learnworkers", 0, "domain-phase counting workers for lazily learned models (0 = GOMAXPROCS)")
@@ -179,6 +179,7 @@ func main() {
 			Nodes:        nodeURLs,
 			Replicas:     *replicas,
 			NodeDeadline: *nodeDl,
+			CacheSize:    *cacheSize,
 		}, tok)
 		cancel()
 		if err != nil {
@@ -187,10 +188,17 @@ func main() {
 		srv = webapi.NewCoordinatorServer(co)
 		st, cm := co.Stats(), co.Metrics()
 		what = fmt.Sprintf("coordinating %d nodes (replicas %d) over %d pages of %q", cm.Nodes, cm.Replicas, st.NumPages, st.Domain)
-		detail = fmt.Sprintf("top-%d, global μ = %.0f", st.TopK, st.Mu)
+		front := "off (-cachesize < 0: every search scatters)"
+		if *cacheSize >= 0 {
+			front = fmt.Sprintf("%d complete results (-cachesize)", sopts.Capacity())
+		}
+		detail = fmt.Sprintf("top-%d, global μ = %.0f, front cache %s", st.TopK, st.Mu, front)
 	case nodeMode:
-		if srv, err = webapi.NewNodeServer(c, spec, sopts, *topK); err != nil {
+		if srv, err = webapi.NewNodeServer(c, spec, *topK); err != nil {
 			logger.Fatal(err)
+		}
+		if *cacheSize != 0 {
+			logger.Print("cachesize: a cluster node's partition engines run uncached — behind the coordinator's front cache they would see only its misses; pass -cachesize to the coordinator, where it sizes that cache")
 		}
 		st, ns := srv.Node.Stats(), srv.Node.Spec()
 		what = fmt.Sprintf("serving %d pages of %q", st.NumPages, st.Domain)
@@ -266,9 +274,9 @@ func main() {
 	}
 	switch {
 	case *coord:
-		fmt.Println("endpoints: /api/v1/{stats,search?q=&seed=[&with=pages&have=],entities,metrics} /page/{id}.html /healthz (scatter-gathered; this process holds no pages)")
+		fmt.Println("endpoints: /api/v1/{stats,search?q=&seed=[&with=pages&have=],entities,metrics} /page/{id}.html /healthz (repeats answered from the front cache, the rest scatter-gathered; this process holds no pages, only a bounded cache of the bodies it has passed on)")
 	case nodeMode:
-		fmt.Println("endpoints: /api/v1/cluster/{search?part=&q=&seed=,stats} /page/{id}.html (the pages of its partitions; 404 for the rest) /api/v1/{stats,entities,metrics} /healthz — /api/v1/search is refused: whole-corpus rankings are the coordinator's")
+		fmt.Println("endpoints: /api/v1/cluster/{search?part=&q=&seed=,stats} /page/{id}.html (the pages of its partitions; 404 for the rest) /api/v1/{stats,entities,metrics} /healthz — /api/v1/search is refused: whole-corpus rankings are the coordinator's, and so is the query cache (-cachesize there; partition engines run uncached)")
 	default:
 		endpoints := "endpoints: /api/v1/{stats,search?q=&seed=[&with=pages&have=],entities,metrics} /page/{id}.html /healthz (q and seed: one parameter per token)"
 		if *live {

@@ -82,12 +82,7 @@ func ParseHref(href string) (corpus.PageID, bool) {
 // provided default). The <h1> heading duplicates the title and is dropped.
 func ParsePage(src string, defaultEntity corpus.EntityID, tok *textproc.Tokenizer) *corpus.Page {
 	d := Parse(src)
-	p := &corpus.Page{Entity: defaultEntity, Title: d.Title}
-	if v, ok := d.Meta["l2q-page-id"]; ok {
-		if id, ok := parseInt(v); ok {
-			p.ID = corpus.PageID(id)
-		}
-	}
+	p := &corpus.Page{ID: d.PageID(), Entity: defaultEntity, Title: d.Title}
 	if v, ok := d.Meta["l2q-entity-id"]; ok {
 		if id, ok := parseInt(v); ok {
 			p.Entity = corpus.EntityID(id)
@@ -117,6 +112,15 @@ func ParsePage(src string, defaultEntity corpus.EntityID, tok *textproc.Tokenize
 		}
 	}
 	return p
+}
+
+// PageID is the page ID a rendered document announces in its l2q-page-id
+// meta — the ID ParsePage gives the page — and 0 when the meta is missing
+// or malformed. A receiver that was told which page to expect compares the
+// two to reject a truncated or misrouted body without parsing further.
+func (d *Document) PageID() corpus.PageID {
+	id, _ := parseInt(d.Meta["l2q-page-id"])
+	return corpus.PageID(id)
 }
 
 // isLinkParagraph reports whether paragraph i is the rendered nav block

@@ -8,14 +8,19 @@ import (
 	"l2q/internal/textproc"
 )
 
-// queryCache is a thread-safe LRU cache of query results. Because the index
-// is immutable, entries never go stale; eviction is purely capacity-driven.
-// The cache owns its result slices: getAppend copies into the caller's
-// buffer so callers can keep mutating the slices Search hands them (the
-// pre-cache contract). Keys are probed as []byte — Go's map lookup on
-// string(bytes) does not allocate — and materialized to a string only when
-// an entry is actually inserted, so a cache hit costs zero allocations.
-type queryCache struct {
+// LRU is a thread-safe least-recently-used cache from byte-string keys to
+// values — the one eviction policy in the tree: the engines' query-result
+// caches here, and a cluster coordinator's front result cache and page-body
+// cache in internal/webapi. Eviction is purely capacity-driven; there is no
+// invalidation, so it fits only what cannot go stale (an immutable index, a
+// frozen cluster) or what carries its version in the key (the live engine's
+// view epoch). Values are shared, never copied: a caller must not mutate
+// what Get returns or what it has handed to Put — a cache of slices copies
+// on the way in and on the way out (see Engine.SearchTopKAppend). Keys are
+// probed as []byte — Go's map lookup on string(bytes) does not allocate —
+// and materialized to a string only when an entry is actually inserted, so
+// a hit costs zero allocations.
+type LRU[V any] struct {
 	capacity int
 
 	mu     sync.Mutex
@@ -25,50 +30,52 @@ type queryCache struct {
 	misses uint64
 }
 
-type cacheEntry struct {
+type lruEntry[V any] struct {
 	key string
-	res []Result
+	val V
 }
 
-func newQueryCache(capacity int) *queryCache {
+// NewLRU returns a cache holding at most capacity entries; capacity ≤ 0
+// returns nil, which callers treat as "caching off".
+func NewLRU[V any](capacity int) *LRU[V] {
 	if capacity <= 0 {
 		return nil
 	}
-	return &queryCache{capacity: capacity}
+	return &LRU[V]{capacity: capacity}
 }
 
 // fresh returns an empty cache with the receiver's capacity (nil-safe).
 // Engine copies that change scoring parameters use it so a stale cache is
 // never shared across differently-configured engines.
-func (c *queryCache) fresh() *queryCache {
+func (c *LRU[V]) fresh() *LRU[V] {
 	if c == nil {
 		return nil
 	}
-	return newQueryCache(c.capacity)
+	return NewLRU[V](c.capacity)
 }
 
-// getAppend looks key up and, on a hit, appends a copy of the cached
-// results to dst (a cached empty result appends nothing). The bool
-// reports whether the key was present.
-func (c *queryCache) getAppend(key []byte, dst []Result) ([]Result, bool) {
+// Get returns the value stored under key and marks it most recently used.
+// The bool reports whether the key was present.
+func (c *LRU[V]) Get(key []byte) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[string(key)] // no-alloc lookup
 	if !ok {
 		c.misses++
-		return dst, false
+		var zero V
+		return zero, false
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
-	return append(dst, el.Value.(*cacheEntry).res...), true
+	return el.Value.(*lruEntry[V]).val, true
 }
 
-// put stores a copy of res under key: the cache owns one canonical copy
-// and the caller keeps mutating its own slice freely (the pre-cache
-// contract). The key string is materialized only when a new entry is
-// inserted.
-func (c *queryCache) put(key []byte, res []Result) {
-	res = append([]Result(nil), res...)
+// Put stores v under key. It returns the value that left the cache to make
+// room — the key's previous value, or the least recently used entry when
+// the insert ran over capacity — so a caller that accounts for what its
+// values hold (the coordinator's body bytes) can subtract it. The key
+// string is materialized only when a new entry is inserted.
+func (c *LRU[V]) Put(key []byte, v V) (displaced V, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.byKey == nil {
@@ -77,22 +84,30 @@ func (c *queryCache) put(key []byte, res []Result) {
 	}
 	if el, ok := c.byKey[string(key)]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).res = res
-		return
+		e := el.Value.(*lruEntry[V])
+		displaced, e.val = e.val, v
+		return displaced, true
 	}
 	k := string(key)
-	c.byKey[k] = c.ll.PushFront(&cacheEntry{key: k, res: res})
-	for c.ll.Len() > c.capacity {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.byKey, back.Value.(*cacheEntry).key)
+	c.byKey[k] = c.ll.PushFront(&lruEntry[V]{key: k, val: v})
+	if c.ll.Len() <= c.capacity {
+		return displaced, false
 	}
+	back := c.ll.Remove(c.ll.Back()).(*lruEntry[V])
+	delete(c.byKey, back.key)
+	return back.val, true
 }
 
-func (c *queryCache) stats() (hits, misses uint64) {
+// Stats reports the lifetime hit and miss counts and the number of entries
+// held now, read together under the cache's lock (all zero for a nil cache:
+// caching off).
+func (c *LRU[V]) Stats() (hits, misses uint64, entries int) {
+	if c == nil {
+		return 0, 0, 0
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses
+	return c.hits, c.misses, len(c.byKey)
 }
 
 // appendCacheKey canonicalizes a query for the cache into dst: scoring
@@ -110,7 +125,24 @@ func appendCacheKey(dst []byte, bm25 bool, k int, query []textproc.Token) []byte
 		dst = append(dst, 'd')
 	}
 	dst = binary.AppendUvarint(dst, uint64(k))
-	for _, t := range query {
+	return appendKeyTokens(dst, query)
+}
+
+// AppendSeededCacheKey is the key of a whole seeded search — what a
+// cluster coordinator caches in front of its nodes. A response echoes seed
+// and query separately, so where one list ends and the other begins is part
+// of the key: the seed's token count leads its tokens. The rest is
+// appendCacheKey's encoding (result-list size, every token behind its
+// uvarint length), prefix-free for the same reason.
+func AppendSeededCacheKey(dst []byte, k int, seed, query []textproc.Token) []byte {
+	dst = binary.AppendUvarint(dst, uint64(k))
+	dst = binary.AppendUvarint(dst, uint64(len(seed)))
+	return appendKeyTokens(appendKeyTokens(dst, seed), query)
+}
+
+// appendKeyTokens is the token half of every cache key.
+func appendKeyTokens(dst []byte, toks []textproc.Token) []byte {
+	for _, t := range toks {
 		dst = binary.AppendUvarint(dst, uint64(len(t)))
 		dst = append(dst, t...)
 	}

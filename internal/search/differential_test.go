@@ -318,3 +318,46 @@ func TestCacheKeyIsInjective(t *testing.T) {
 		keys[string(key)] = name
 	}
 }
+
+// TestSeededCacheKeyIsInjective: a coordinator's front cache answers with
+// the response of whichever request stored the key, echoed Seed and Query
+// included, so two (k, seed, query) triples may share a key only when they
+// are the same triple. The table holds the ways a looser encoding would
+// let them: the same tokens with the seed/query boundary somewhere else, a
+// token that contains the bytes the other split's encoding puts there
+// (length byte included), an empty list on either side, and k.
+func TestSeededCacheKeyIsInjective(t *testing.T) {
+	type triple struct {
+		k           int
+		seed, query []textproc.Token
+	}
+	keys := map[string]triple{}
+	for _, tr := range []triple{
+		{5, []textproc.Token{"a", "b"}, []textproc.Token{"c"}},
+		{5, []textproc.Token{"a"}, []textproc.Token{"b", "c"}},
+		{5, nil, []textproc.Token{"a", "b", "c"}},
+		{5, []textproc.Token{"a", "b", "c"}, nil},
+		{5, []textproc.Token{"ab"}, []textproc.Token{"c"}},
+		{5, []textproc.Token{"a"}, []textproc.Token{"bc"}},
+		// Tokens holding the length bytes [a b c]'s encoding puts between them.
+		{5, []textproc.Token{"a\x01b"}, []textproc.Token{"c"}},
+		{5, []textproc.Token{"a\x01b\x01c"}, nil},
+		{5, nil, []textproc.Token{"\x01a\x01b\x01c"}},
+		{5, []textproc.Token{"a", "b"}, []textproc.Token{"\x01c"}},
+		// An empty token is a token.
+		{5, []textproc.Token{""}, []textproc.Token{"a", "b", "c"}},
+		{5, []textproc.Token{"a", "b", "c"}, []textproc.Token{""}},
+		// k alone; a two-byte uvarint k; a seed token opening with the byte
+		// that is another triple's seed count.
+		{1, []textproc.Token{"a", "b"}, []textproc.Token{"c"}},
+		{51, []textproc.Token{"a", "b"}, []textproc.Token{"c"}},
+		{300, []textproc.Token{"a", "b"}, []textproc.Token{"c"}},
+		{5, []textproc.Token{"\x02a\x01b"}, []textproc.Token{"c"}},
+	} {
+		key := string(AppendSeededCacheKey(nil, tr.k, tr.seed, tr.query))
+		if other, dup := keys[key]; dup {
+			t.Errorf("front-cache keys of %+v and %+v collide", tr, other)
+		}
+		keys[key] = tr
+	}
+}

@@ -57,7 +57,7 @@ type Engine struct {
 	// and a segment-local engine score like the whole live view.
 	stats StatSource
 
-	cache *queryCache
+	cache *LRU[[]Result]
 }
 
 // NewEngine creates an engine over idx with auto-scaled μ (see DefaultMu),
@@ -72,7 +72,7 @@ func NewEngineOpts(idx *Index, opts Options) *Engine {
 		idx:   idx,
 		mu:    AutoMu(idx.NumDocs(), idx.TotalTokens()),
 		topK:  DefaultTopK,
-		cache: newQueryCache(opts.cacheSize()),
+		cache: NewLRU[[]Result](opts.Capacity()),
 	}
 }
 
@@ -118,7 +118,7 @@ func (e *Engine) WithTopK(k int) *Engine {
 // the given capacity; size ≤ 0 disables caching.
 func (e *Engine) WithCache(size int) *Engine {
 	cp := *e
-	cp.cache = newQueryCache(size)
+	cp.cache = NewLRU[[]Result](size)
 	return &cp
 }
 
@@ -131,10 +131,8 @@ func (e *Engine) TopK() int { return e.topK }
 // CacheStats reports the query cache's lifetime hit and miss counts
 // (zeroes when the cache is disabled).
 func (e *Engine) CacheStats() (hits, misses uint64) {
-	if e.cache == nil {
-		return 0, 0
-	}
-	return e.cache.stats()
+	hits, misses, _ = e.cache.Stats()
+	return hits, misses
 }
 
 // CollectionProb is the smoothed collection model p(t|C) with add-one
@@ -253,10 +251,14 @@ func (e *Engine) SearchTopKAppend(dst []Result, k int, query []textproc.Token) [
 	}
 	kb := cacheKeyPool.Get().(*cacheKeyBuf)
 	key := appendCacheKey(kb.b[:0], e.bm25, k, query)
-	out, hit := e.cache.getAppend(key, dst)
+	// The cache owns its result slices: a hit is copied into the caller's
+	// buffer and a miss stores a copy, so callers keep mutating the slices
+	// Search hands them (the pre-cache contract).
+	res, hit := e.cache.Get(key)
+	out := append(dst, res...)
 	if !hit {
 		out = e.searchPrunedAppend(dst, k, query)
-		e.cache.put(key, out[len(dst):])
+		e.cache.Put(key, append([]Result(nil), out[len(dst):]...))
 	}
 	kb.b = key
 	cacheKeyPool.Put(kb)

@@ -198,7 +198,7 @@ type LiveEngine struct {
 	lo LiveOptions // generational lifecycle
 
 	view  atomic.Pointer[liveView]
-	cache *queryCache
+	cache *LRU[[]Result]
 
 	// Writer state, all guarded by wmu; readers never touch it.
 	wmu       sync.Mutex
@@ -224,7 +224,7 @@ func NewLiveEngine(pages []*corpus.Page, opts Options, lo LiveOptions) *LiveEngi
 	lo = lo.withDefaults()
 	le := &LiveEngine{
 		lo:       lo,
-		cache:    newQueryCache(opts.cacheSize()),
+		cache:    NewLRU[[]Result](opts.Capacity()),
 		termSeen: make(map[textproc.Token]struct{}),
 	}
 	var segs []*liveSegment
@@ -586,10 +586,14 @@ func (le *LiveEngine) SearchTopKAppend(dst []Result, k int, query []textproc.Tok
 	// stale entry stops matching instantly — invalidation is one integer,
 	// not a flush — and ages out of the LRU.
 	key := appendCacheKey(strconv.AppendUint(kb.b[:0], v.epoch, 10), le.lo.BM25, k, query)
-	out, hit := le.cache.getAppend(key, dst)
+	// The cache owns its result slices: a hit is copied into the caller's
+	// buffer and a miss stores a copy, so callers keep mutating the slices
+	// Search hands them (the pre-cache contract).
+	res, hit := le.cache.Get(key)
+	out := append(dst, res...)
 	if !hit {
 		out = le.searchViewAppend(dst, v, k, query)
-		le.cache.put(key, out[len(dst):])
+		le.cache.Put(key, append([]Result(nil), out[len(dst):]...))
 	}
 	kb.b = key
 	cacheKeyPool.Put(kb)
@@ -736,10 +740,8 @@ func (le *LiveEngine) Pages() []*corpus.Page {
 // CacheStats reports the epoch-keyed query cache's lifetime hit and miss
 // counts (zeroes when the cache is disabled).
 func (le *LiveEngine) CacheStats() (hits, misses uint64) {
-	if le.cache == nil {
-		return 0, 0
-	}
-	return le.cache.stats()
+	hits, misses, _ = le.cache.Stats()
+	return hits, misses
 }
 
 // LiveMetrics is the ingest-side gauge snapshot the serving layer exports

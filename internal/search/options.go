@@ -14,9 +14,10 @@ type Options struct {
 	CacheSize int
 }
 
-// cacheSize resolves CacheSize's zero to DefaultCacheSize (negative stays
-// negative: caching off).
-func (o Options) cacheSize() int {
+// Capacity resolves CacheSize's zero to DefaultCacheSize (negative stays
+// negative: caching off) — what NewLRU is given, here and by a cluster
+// coordinator sizing its front cache from the same option.
+func (o Options) Capacity() int {
 	if o.CacheSize == 0 {
 		return DefaultCacheSize
 	}

@@ -19,6 +19,7 @@ import (
 
 	"l2q/internal/core"
 	"l2q/internal/corpus"
+	"l2q/internal/html"
 	"l2q/internal/search"
 	"l2q/internal/textproc"
 )
@@ -33,7 +34,10 @@ type backend interface {
 	entities() []EntityInfo
 	// entity resolves a harvest target; nil when the ID is unknown.
 	entity(id corpus.EntityID) *corpus.Entity
-	page(ctx context.Context, id corpus.PageID) (*corpus.Page, error)
+	// page returns the bytes /page/{id} serves for id — what a search asked
+	// with=pages attaches to a hit, byte for byte. Backends that hold the
+	// page render it; a coordinator passes on what the owning node rendered.
+	page(ctx context.Context, id corpus.PageID) (string, error)
 	// pageWorkers is how many page calls for one hit list are worth
 	// running at once: 1 when pages are in memory, the prefetch fan-out
 	// when a page may cost a round trip to its owning node.
@@ -116,14 +120,14 @@ func (b *localBackend) entity(id corpus.EntityID) *corpus.Entity {
 	return b.corpus.Entity(id)
 }
 
-func (b *localBackend) page(_ context.Context, id corpus.PageID) (*corpus.Page, error) {
+func (b *localBackend) page(_ context.Context, id corpus.PageID) (string, error) {
 	b.mu.RLock()
 	p, ok := b.pages[id]
 	b.mu.RUnlock()
 	if !ok {
-		return nil, httpErrorf(http.StatusNotFound, "no such page")
+		return "", httpErrorf(http.StatusNotFound, "no such page")
 	}
-	return p, nil
+	return html.RenderPage(p), nil
 }
 
 func (b *localBackend) pageWorkers() int { return 1 }

@@ -58,7 +58,7 @@ type Client struct {
 	recent  [maxHave]corpus.PageID
 	recentN int
 
-	flight flightGroup
+	flight flightGroup[*corpus.Page]
 	met    metrics
 }
 
@@ -421,28 +421,42 @@ func (c *Client) SearchWithSeedErr(ctx context.Context, seed, query []textproc.T
 
 // fetchResults resolves a hit list's pages through fetch with at most
 // workers calls in flight and appends the (page, score) results to dst in
-// rank order. The first failure cancels the remaining fetches and fails
-// the whole list (the complete-or-error contract).
+// rank order. The first failure fails the whole list (the complete-or-error
+// contract).
 func fetchResults(ctx context.Context, dst []search.Result, hits []SearchHit, workers int,
 	fetch func(context.Context, corpus.PageID) (*corpus.Page, error)) ([]search.Result, error) {
 
-	if workers > len(hits) {
-		workers = len(hits)
-	}
 	base := len(dst)
 	for _, h := range hits {
 		dst = append(dst, search.Result{Score: h.Score})
 	}
 	out := dst[base:]
+	err := forEachHit(ctx, len(hits), workers, func(ctx context.Context, i int) (err error) {
+		out[i].Page, err = fetch(ctx, hits[i].PageID)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// forEachHit runs fn(i) for every i in [0, n) with at most workers calls in
+// flight — the page fan-out under a client's result list, a coordinator's,
+// and a server attaching bodies to a response. The first failure cancels
+// the remaining calls and is returned; so is the caller's own cancellation,
+// which would otherwise leave skipped slots looking like successes.
+func forEachHit(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
+	if workers > n {
+		workers = n
+	}
 	if workers <= 1 {
-		for i, h := range hits {
-			p, err := fetch(ctx, h.PageID)
-			if err != nil {
-				return nil, err
+		for i := 0; i < n; i++ {
+			if err := fn(ctx, i); err != nil {
+				return err
 			}
-			out[i].Page = p
 		}
-		return dst, nil
+		return nil
 	}
 	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -458,23 +472,20 @@ func fetchResults(ctx context.Context, dst []search.Result, hits []SearchHit, wo
 			defer wg.Done()
 			for i := range work {
 				if fctx.Err() != nil {
-					continue // another fetch failed; drain without fetching
+					continue // another call failed; drain without calling
 				}
-				p, err := fetch(fctx, hits[i].PageID)
-				if err != nil {
+				if err := fn(fctx, i); err != nil {
 					errMu.Lock()
 					if firstErr == nil {
 						firstErr = err
 					}
 					errMu.Unlock()
 					cancel()
-					continue
 				}
-				out[i].Page = p
 			}
 		}()
 	}
-	for i := range hits {
+	for i := 0; i < n; i++ {
 		if fctx.Err() != nil {
 			break // one failure fails the whole list; stop dispatching
 		}
@@ -483,57 +494,36 @@ func fetchResults(ctx context.Context, dst []search.Result, hits []SearchHit, wo
 	close(work)
 	wg.Wait()
 	if firstErr == nil {
-		// The caller's own cancellation leaves skipped (nil) slots with
-		// no recorded worker error; returning them as a success would
-		// hand nil pages to the session. Surface the cancellation.
 		firstErr = ctx.Err()
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return dst, nil
+	return firstErr
 }
 
 // PageCtx returns the cached page with the given ID, downloading it from
 // /page/{id} when the client does not hold it (Retrieve's hits normally
 // arrive with their search response and are cached by then). Concurrent
 // fetches of the same page (many sessions prefetching overlapping hit
-// lists) coalesce onto a single download: followers wait for the leader's
-// result instead of re-paying the transfer. A follower whose own context
-// is canceled while waiting returns its context error; a leader failure is
-// shared with the waiters and the flight slot is released, so the next
-// caller retries fresh.
-//
-// One failure is deliberately NOT shared: a leader that died of its own
-// context's cancellation. The flight runs under the leader's context, so
-// without this carve-out one query's mid-prefetch abort would poison
-// every concurrent query waiting on a shared page with a spurious
-// context.Canceled. A live-context waiter loops and fetches again
-// (typically becoming the next leader). The signal is the leader's
-// context state at completion — not the error's identity, which would
-// also match a terminal failure built from per-request HTTP timeouts and
-// make K waiters serially re-pay a dead server's full retry budget.
+// lists) coalesce onto a single download (see flightGroup.do for what a
+// waiter inherits from its leader and what it does not).
 func (c *Client) PageCtx(ctx context.Context, id corpus.PageID) (*corpus.Page, error) {
-	for {
-		if p := c.cachedPage(id); p != nil {
-			return p, nil
-		}
-		p, shared, leaderCanceled, err := c.flight.do(ctx, id, func() (*corpus.Page, error) {
-			c.met.pageFetches.Add(1)
-			pp, err := c.fetchPage(ctx, id)
-			if err != nil {
-				return nil, err
-			}
-			return c.cachePage(pp), nil
-		})
-		if shared {
-			c.met.prefetchShared.Add(1)
-			if err != nil && leaderCanceled && ctx.Err() == nil {
-				continue // the LEADER was canceled, not us — retry fresh
-			}
-		}
-		return p, err
+	if p := c.cachedPage(id); p != nil {
+		return p, nil
 	}
+	p, shared, err := c.flight.do(ctx, id, func() (*corpus.Page, error) {
+		if p := c.cachedPage(id); p != nil {
+			return p, nil // a flight that ended between the check above and this one
+		}
+		c.met.pageFetches.Add(1)
+		pp, err := c.fetchPage(ctx, id)
+		if err != nil {
+			return nil, err
+		}
+		return c.cachePage(pp), nil
+	})
+	if shared {
+		c.met.prefetchShared.Add(1)
+	}
+	return p, err
 }
 
 // cachedPage returns the cached page with the given ID, nil when the
@@ -582,43 +572,76 @@ func (c *Client) haveList() string {
 // malformed pages alias page 0 in the session's dedup set.
 func (c *Client) parsePage(id corpus.PageID, doc string) (*corpus.Page, error) {
 	p := html.ParsePage(doc, -1, c.tok)
-	if p.ID != id {
-		return nil, fmt.Errorf("document has l2q-page-id %d, want %d (missing or corrupted meta)", p.ID, id)
+	if err := checkPageID(p.ID, id); err != nil {
+		return nil, err
 	}
 	p.URL = c.base + html.PageHref(id)
 	return p, nil
 }
 
-// fetchPage downloads and parses one page, retrying transport faults.
-func (c *Client) fetchPage(ctx context.Context, id corpus.PageID) (p *corpus.Page, err error) {
-	err = c.get(ctx, "page", html.PageHref(id), func(b []byte) error {
+// checkPageID is the one check between a page body and whoever keeps it:
+// the ID the document announces must be the ID it was asked for as.
+func checkPageID(got, want corpus.PageID) error {
+	if got != want {
+		return fmt.Errorf("document has l2q-page-id %d, want %d (missing or corrupted meta)", got, want)
+	}
+	return nil
+}
+
+// getPage downloads /page/{id} and hands the HTML to accept inside the
+// retry loop, so a body accept rejects is downloaded again. A page frame
+// carries the identical HTML bytes the JSON (debug) path serves raw, so
+// what accept sees is codec-independent — the byte-level parity the wire
+// is held to.
+func (c *Client) getPage(ctx context.Context, id corpus.PageID, accept func(doc string) error) error {
+	return c.get(ctx, "page", html.PageHref(id), func(b []byte) error {
 		if isWireFrame(b) {
-			// A page frame carries the identical HTML bytes the JSON
-			// (debug) path serves raw, so the parse below is codec-
-			// independent — the byte-level parity the wire is held to.
 			payload, err := openFrame(b, wirePage)
 			if err != nil {
 				return err
 			}
 			b = payload
 		}
-		var err error
-		p, err = c.parsePage(id, string(b))
+		return accept(string(b))
+	})
+}
+
+// fetchPage downloads and parses one page, retrying transport faults.
+func (c *Client) fetchPage(ctx context.Context, id corpus.PageID) (p *corpus.Page, err error) {
+	err = c.getPage(ctx, id, func(doc string) (err error) {
+		p, err = c.parsePage(id, doc)
 		return err
 	})
 	return p, err
 }
 
-// flightGroup is a minimal singleflight keyed by page ID: one in-flight
-// download per page, concurrent requesters share the result.
-type flightGroup struct {
-	mu sync.Mutex
-	m  map[corpus.PageID]*flightCall
+// PageHTML downloads page id and returns the bytes /page/{id} served,
+// checked as parsePage checks them (a body announcing another ID is
+// retried, never returned) but neither tokenized nor cached: what a
+// coordinator, which passes bodies through and keeps them in its own
+// bounded cache, asks of a node.
+func (c *Client) PageHTML(ctx context.Context, id corpus.PageID) (body string, err error) {
+	c.met.pageFetches.Add(1)
+	err = c.getPage(ctx, id, func(doc string) error {
+		body = doc
+		return checkPageID(html.Parse(doc).PageID(), id)
+	})
+	if err != nil {
+		return "", err
+	}
+	return body, nil
 }
 
-type flightCall struct {
+// flightGroup is a minimal singleflight keyed by page ID: one in-flight
+// download per page, concurrent requesters share the result.
+type flightGroup[V any] struct {
+	mu sync.Mutex
+	m  map[corpus.PageID]*flightCall[V]
+}
+
+type flightCall[V any] struct {
 	done chan struct{}
-	p    *corpus.Page
+	v    V
 	err  error
 	// canceled records whether the leader's OWN context was done when the
 	// flight completed — the signal that lets a live-context waiter retry
@@ -626,34 +649,53 @@ type flightCall struct {
 	canceled bool
 }
 
-// do runs fn once per concurrently-requested id; shared is true when this
-// caller waited on another caller's flight instead of running fn, and
-// leaderCanceled reports whether that flight's leader ended with its own
-// context canceled.
-func (g *flightGroup) do(ctx context.Context, id corpus.PageID, fn func() (*corpus.Page, error)) (p *corpus.Page, shared, leaderCanceled bool, err error) {
-	g.mu.Lock()
-	if g.m == nil {
-		g.m = make(map[corpus.PageID]*flightCall)
-	}
-	if call, ok := g.m[id]; ok {
+// do runs fn once per concurrently-requested id: the first caller (the
+// leader) runs it under its own context, followers wait for its result
+// instead of re-paying the transfer; shared is true when this caller
+// waited. A follower whose own context is canceled while waiting returns
+// its context error; a leader failure is shared with the waiters and the
+// flight slot is released, so the next caller retries fresh.
+//
+// One failure is deliberately NOT shared: a leader that died of its own
+// context's cancellation. Without this carve-out one query's mid-prefetch
+// abort would poison every concurrent query waiting on a shared page with
+// a spurious context.Canceled. A live-context waiter goes round again
+// (typically becoming the next leader). The signal is the leader's
+// context state at completion — not the error's identity, which would
+// also match a terminal failure built from per-request HTTP timeouts and
+// make K waiters serially re-pay a dead server's full retry budget.
+func (g *flightGroup[V]) do(ctx context.Context, id corpus.PageID, fn func() (V, error)) (v V, shared bool, err error) {
+	for {
+		g.mu.Lock()
+		if g.m == nil {
+			g.m = make(map[corpus.PageID]*flightCall[V])
+		}
+		call, ok := g.m[id]
+		if !ok {
+			break // the leader: g.mu stays held until its call is registered below
+		}
 		g.mu.Unlock()
+		shared = true
 		select {
 		case <-call.done:
-			return call.p, true, call.canceled, call.err
+			if call.err != nil && call.canceled && ctx.Err() == nil {
+				continue // the LEADER was canceled, not us — retry fresh
+			}
+			return call.v, true, call.err
 		case <-ctx.Done():
-			return nil, true, false, ctx.Err()
+			return v, true, ctx.Err()
 		}
 	}
-	call := &flightCall{done: make(chan struct{})}
+	call := &flightCall[V]{done: make(chan struct{})}
 	g.m[id] = call
 	g.mu.Unlock()
-	call.p, call.err = fn()
+	call.v, call.err = fn()
 	call.canceled = ctx.Err() != nil
 	g.mu.Lock()
 	delete(g.m, id)
 	g.mu.Unlock()
 	close(call.done)
-	return call.p, false, false, call.err
+	return call.v, shared, call.err
 }
 
 // ClusterStats fetches a node's registration report: the collection

@@ -23,6 +23,7 @@ import (
 
 	"l2q/internal/core"
 	"l2q/internal/corpus"
+	"l2q/internal/html"
 	"l2q/internal/search"
 	"l2q/internal/store"
 	"l2q/internal/textproc"
@@ -97,8 +98,11 @@ type ClusterNode struct {
 // spec.Replicas is clamped to [1, Nodes]; topK ≤ 0 picks
 // search.DefaultTopK. Every node must be built from the same corpus (same
 // pages, same IDs) — partitioning is deterministic, so each extracts its
-// own slices.
-func NewNodeServer(c *corpus.Corpus, spec search.ClusterSpec, opts search.Options, topK int) (*Server, error) {
+// own slices. The partition engines run without a query cache: the
+// coordinator's front cache answers the repeats before they get here, and
+// behind it a same-sized node cache sees only its misses (measured hit
+// ratio 0.2 %, DESIGN.md "Distributed retrieval").
+func NewNodeServer(c *corpus.Corpus, spec search.ClusterSpec, topK int) (*Server, error) {
 	ring, err := spec.Ring()
 	if err != nil {
 		return nil, err
@@ -121,7 +125,7 @@ func NewNodeServer(c *corpus.Corpus, spec search.ClusterSpec, opts search.Option
 			n.pages[p.ID] = p
 		}
 		idx := search.BuildIndex(groups[part])
-		n.engines[part] = search.NewEngineOpts(idx, opts).WithTopK(topK)
+		n.engines[part] = search.NewEngineOpts(idx, search.Options{CacheSize: -1}).WithTopK(topK)
 		if part == spec.NodeID {
 			n.primary = idx
 		}
@@ -320,12 +324,12 @@ func (n *ClusterNode) entity(id corpus.EntityID) *corpus.Entity {
 	return nil
 }
 
-func (n *ClusterNode) page(_ context.Context, id corpus.PageID) (*corpus.Page, error) {
+func (n *ClusterNode) page(_ context.Context, id corpus.PageID) (string, error) {
 	p, ok := n.pages[id]
 	if !ok {
-		return nil, httpErrorf(http.StatusNotFound, "no such page on node %d", n.spec.NodeID)
+		return "", httpErrorf(http.StatusNotFound, "no such page on node %d", n.spec.NodeID)
 	}
-	return p, nil
+	return html.RenderPage(p), nil
 }
 
 func (n *ClusterNode) pageWorkers() int { return 1 }

@@ -33,7 +33,7 @@ func startClusterNodes(t testing.TB, g *synth.Generated, nodes, replicas int, wr
 	urls := make([]string, nodes)
 	for i := 0; i < nodes; i++ {
 		srv, err := NewNodeServer(g.Corpus,
-			search.ClusterSpec{Nodes: nodes, Replicas: replicas, NodeID: i}, search.Options{}, 0)
+			search.ClusterSpec{Nodes: nodes, Replicas: replicas, NodeID: i}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,8 +49,16 @@ func startClusterNodes(t testing.TB, g *synth.Generated, nodes, replicas int, wr
 }
 
 // dialCluster dials a coordinator over the node URLs with test-speed
-// retries and the given per-node deadline (0 = default).
+// retries, the given per-node deadline (0 = default) and the default front
+// cache.
 func dialCluster(t testing.TB, g *synth.Generated, urls []string, replicas int, deadline time.Duration) *Coordinator {
+	t.Helper()
+	return dialClusterCache(t, g, urls, replicas, deadline, 0)
+}
+
+// dialClusterCache is dialCluster with an explicit front-cache size
+// (CoordinatorConfig.CacheSize: 0 default, < 0 off — l2qserve -cachesize).
+func dialClusterCache(t testing.TB, g *synth.Generated, urls []string, replicas int, deadline time.Duration, cacheSize int) *Coordinator {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -59,12 +67,17 @@ func dialCluster(t testing.TB, g *synth.Generated, urls []string, replicas int, 
 		Replicas:     replicas,
 		NodeDeadline: deadline,
 		Client:       ClientOptions{Retry: fastRetry},
+		CacheSize:    cacheSize,
 	}, g.Tokenizer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return co
 }
+
+// frontCacheSizes are the two settings every cluster ≡ single node check
+// runs under: the default front cache, and -cachesize -1.
+var frontCacheSizes = []int{0, -1}
 
 // sessionSetup builds the shared session fixtures (domain model, target,
 // ground truth) once per corpus.
@@ -117,7 +130,8 @@ func (ss *sessionSetup) run(sel core.Selector, ret core.Retriever) ([]core.Query
 // byte-identical content vs the same session against the in-process
 // single-node engine — across selection strategies, both through the
 // in-process coordinator and through a client dialed at a coordinator
-// server (the whole serving surface, page proxying included).
+// server (the whole serving surface, page proxying included), with the
+// front cache and without it.
 func TestClusterSessionParity(t *testing.T) {
 	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
 	if err != nil {
@@ -128,6 +142,7 @@ func TestClusterSessionParity(t *testing.T) {
 
 	urls := startClusterNodes(t, g, 3, 2, nil)
 	co := dialCluster(t, g, urls, 2, 0)
+	coNoCache := dialClusterCache(t, g, urls, 2, 0, -1)
 
 	// The aggregated serving stats must be field-for-field the single
 	// node's.
@@ -164,7 +179,7 @@ func TestClusterSessionParity(t *testing.T) {
 		if len(lq) == 0 || len(lp) == 0 {
 			t.Fatalf("%s: reference session gathered nothing", name)
 		}
-		for retName, ret := range map[string]core.Retriever{"coordinator": co, "remote": remote} {
+		for retName, ret := range map[string]core.Retriever{"coordinator": co, "coordinator/cachesize -1": coNoCache, "remote": remote} {
 			cq, cp, cr := ss.run(sel(), ret)
 			if !reflect.DeepEqual(lq, cq) {
 				t.Errorf("%s/%s: fired queries differ:\n local %v\ncluster %v", name, retName, lq, cq)
@@ -179,8 +194,15 @@ func TestClusterSessionParity(t *testing.T) {
 			}
 		}
 	}
-	if m := co.Metrics(); m.Scatters == 0 || m.Partials != 0 || m.Hedges != 0 {
-		t.Errorf("healthy cluster metrics %+v: want scatters > 0 and no hedges/partials", m)
+	for _, c := range []*Coordinator{co, coNoCache} {
+		if m := c.Metrics(); m.Scatters == 0 || m.Partials != 0 || m.Hedges != 0 {
+			t.Errorf("healthy cluster metrics %+v: want scatters > 0 and no hedges/partials", m)
+		}
+	}
+	// Three strategies re-fire queries the in-process coordinator and the
+	// remote client's sessions both asked: with the cache those are hits.
+	if m, um := co.Metrics(), coNoCache.Metrics(); m.FrontCache.Hits == 0 || um.FrontCache != (CacheMetrics{}) {
+		t.Errorf("front cache: %+v with it, %+v under -cachesize -1; want hits and all zeroes", m.FrontCache, um.FrontCache)
 	}
 }
 
@@ -201,22 +223,23 @@ func TestClusterParityUnderFaults(t *testing.T) {
 		injs[i] = &FaultInjector{ErrorRate: 0.20, TruncateRate: 0.10, Seed: uint64(300 + i), Next: h}
 		return injs[i]
 	})
-	co := dialCluster(t, g, urls, 2, 0)
-
 	lq, lp, lr := ss.run(core.NewL2QBAL(), engine)
-	cq, cp, cr := ss.run(core.NewL2QBAL(), co)
-	if !reflect.DeepEqual(lq, cq) {
-		t.Errorf("fired queries differ under faults:\n local %v\ncluster %v", lq, cq)
-	}
-	if !reflect.DeepEqual(lp, cp) {
-		t.Errorf("gathered pages differ under faults:\n local %v\ncluster %v", lp, cp)
-	}
 	if len(lq) == 0 || len(lp) == 0 {
 		t.Fatal("session gathered nothing")
 	}
-	for id, body := range lr {
-		if cr[id] != body {
-			t.Errorf("page %d content differs under faults", id)
+	for _, cacheSize := range frontCacheSizes {
+		co := dialClusterCache(t, g, urls, 2, 0, cacheSize)
+		cq, cp, cr := ss.run(core.NewL2QBAL(), co)
+		if !reflect.DeepEqual(lq, cq) {
+			t.Errorf("cachesize %d: fired queries differ under faults:\n local %v\ncluster %v", cacheSize, lq, cq)
+		}
+		if !reflect.DeepEqual(lp, cp) {
+			t.Errorf("cachesize %d: gathered pages differ under faults:\n local %v\ncluster %v", cacheSize, lp, cp)
+		}
+		for id, body := range lr {
+			if cr[id] != body {
+				t.Errorf("cachesize %d: page %d content differs under faults", cacheSize, id)
+			}
 		}
 	}
 	faulted := false
@@ -263,43 +286,52 @@ func TestClusterNodeKillFailover(t *testing.T) {
 		kills[i] = &killSwitch{next: h}
 		return kills[i]
 	})
-	co := dialCluster(t, g, urls, 2, 0)
+	// Dialed while every node is up, searched (front cache on, then off)
+	// with node 1 down.
+	var cos []*Coordinator
+	for _, cacheSize := range frontCacheSizes {
+		cos = append(cos, dialClusterCache(t, g, urls, 2, 0, cacheSize))
+	}
 	kills[1].down.Store(true)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	checked := 0
-	for _, e := range g.Corpus.Entities[:6] {
-		seed := e.SeedTokens()
-		want := engine.SearchWithSeed(seed, nil)
-		got, err := co.Retrieve(ctx, nil, seed, nil)
-		if err != nil {
-			t.Fatalf("entity %q: scatter with node 1 down failed: %v", e.Name, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("entity %q: %d hits with node down, want %d — hits were lost", e.Name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Page.ID != want[i].Page.ID || got[i].Score != want[i].Score {
-				t.Fatalf("entity %q rank %d: (doc %d, %v) vs single-node (doc %d, %v)",
-					e.Name, i, got[i].Page.ID, got[i].Score, want[i].Page.ID, want[i].Score)
+	for ci, co := range cos {
+		cacheSize := frontCacheSizes[ci]
+		checked := 0
+		for _, e := range g.Corpus.Entities[:6] {
+			seed := e.SeedTokens()
+			want := engine.SearchWithSeed(seed, nil)
+			got, err := co.Retrieve(ctx, nil, seed, nil)
+			if err != nil {
+				t.Fatalf("cachesize %d, entity %q: scatter with node 1 down failed: %v", cacheSize, e.Name, err)
 			}
+			if len(got) != len(want) {
+				t.Fatalf("cachesize %d, entity %q: %d hits with node down, want %d — hits were lost", cacheSize, e.Name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Page.ID != want[i].Page.ID || got[i].Score != want[i].Score {
+					t.Fatalf("cachesize %d, entity %q rank %d: (doc %d, %v) vs single-node (doc %d, %v)",
+						cacheSize, e.Name, i, got[i].Page.ID, got[i].Score, want[i].Page.ID, want[i].Score)
+				}
+			}
+			checked += len(want)
 		}
-		checked += len(want)
+		if checked == 0 {
+			t.Fatal("no hits checked")
+		}
+		m := co.Metrics()
+		if m.Hedges == 0 {
+			t.Errorf("cachesize %d, metrics %+v: killed primary produced no hedges", cacheSize, m)
+		}
+		if m.Partials != 0 {
+			t.Errorf("cachesize %d, metrics %+v: replicated cluster served partial results", cacheSize, m)
+		}
+		if m.PerNode[1].Errors == 0 {
+			t.Errorf("cachesize %d, metrics %+v: no errors recorded against the killed node", cacheSize, m)
+		}
 	}
-	if checked == 0 {
-		t.Fatal("no hits checked")
-	}
-	m := co.Metrics()
-	if m.Hedges == 0 {
-		t.Errorf("metrics %+v: killed primary produced no hedges", m)
-	}
-	if m.Partials != 0 {
-		t.Errorf("metrics %+v: replicated cluster served partial results", m)
-	}
-	if m.PerNode[1].Errors == 0 {
-		t.Errorf("metrics %+v: no errors recorded against the killed node", m)
-	}
+	co := cos[0]
 
 	// The coordinator server surfaces the same gauges on /api/v1/metrics.
 	coSrv := httptest.NewServer(NewCoordinatorServer(co).Handler())
@@ -587,43 +619,53 @@ func TestNodeServesOnlyOwnedPages(t *testing.T) {
 // every process defaults to. The node used to reject replicas 2 of 1 node
 // (after building its corpus) while the coordinator clamped the same value
 // to 1; both now apply search.ClampReplicas and the cluster dials, ranks
-// like the single-node engine and proxies pages — whose per-node cache the
-// coordinator's metrics show growing.
+// like the single-node engine and proxies pages — held as bodies in the
+// coordinator's bounded cache, which its metrics show, not in its node
+// client. Front cache on and off.
 func TestClusterOneNode(t *testing.T) {
 	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
 	if err != nil {
 		t.Fatal(err)
 	}
 	engine := search.NewEngine(search.BuildIndex(g.Corpus.Pages))
-	co := dialCluster(t, g, startClusterNodes(t, g, 1, 2, nil), 2, 0)
-	if m := co.Metrics(); m.Nodes != 1 || m.Replicas != 1 || m.PerNode[0].Client.CachedPages != 0 {
-		t.Fatalf("1-node cluster metrics %+v: want 1 node, replicas clamped to 1, an empty page cache", m)
-	}
-	seed := g.Corpus.Entities[0].SeedTokens()
-	want := engine.SearchWithSeed(seed, nil)
-	got, err := co.Retrieve(context.Background(), nil, seed, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) || len(want) == 0 {
-		t.Fatalf("%d hits, single-node engine %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Page.ID != want[i].Page.ID || got[i].Score != want[i].Score {
-			t.Fatalf("rank %d: (doc %d, %v) vs single-node (doc %d, %v)", i, got[i].Page.ID, got[i].Score, want[i].Page.ID, want[i].Score)
+	urls := startClusterNodes(t, g, 1, 2, nil)
+	for _, cacheSize := range frontCacheSizes {
+		co := dialClusterCache(t, g, urls, 2, 0, cacheSize)
+		if m := co.Metrics(); m.Nodes != 1 || m.Replicas != 1 || m.BodyCache != (CacheMetrics{}) {
+			t.Fatalf("cachesize %d: 1-node cluster metrics %+v: want 1 node, replicas clamped to 1, an empty body cache", cacheSize, m)
 		}
-	}
+		seed := g.Corpus.Entities[0].SeedTokens()
+		want := engine.SearchWithSeed(seed, nil)
+		got, err := co.Retrieve(context.Background(), nil, seed, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || len(want) == 0 {
+			t.Fatalf("cachesize %d: %d hits, single-node engine %d", cacheSize, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Page.ID != want[i].Page.ID || got[i].Score != want[i].Score {
+				t.Fatalf("cachesize %d, rank %d: (doc %d, %v) vs single-node (doc %d, %v)", cacheSize, i, got[i].Page.ID, got[i].Score, want[i].Page.ID, want[i].Score)
+			}
+		}
 
-	// The one thing that grows in a coordinator, where an operator can
-	// see it: /api/v1/metrics → cluster.perNode[].client.CachedPages.
-	coSrv := httptest.NewServer(NewCoordinatorServer(co).Handler())
-	t.Cleanup(coSrv.Close)
-	_, body := rawGet(t, coSrv.URL+"/api/v1/metrics", false)
-	var sm ServerMetrics
-	if err := json.Unmarshal(body, &sm); err != nil {
-		t.Fatal(err)
-	}
-	if sm.Cluster == nil || sm.Cluster.PerNode[0].Client.CachedPages != len(want) {
-		t.Errorf("/api/v1/metrics cluster section %+v: want the node client holding the %d pages just fetched", sm.Cluster, len(want))
+		// What a coordinator holds, where an operator can see it:
+		// /api/v1/metrics → cluster.{frontCache,bodyCache}.
+		coSrv := httptest.NewServer(NewCoordinatorServer(co).Handler())
+		t.Cleanup(coSrv.Close)
+		_, body := rawGet(t, coSrv.URL+"/api/v1/metrics", false)
+		var sm ServerMetrics
+		if err := json.Unmarshal(body, &sm); err != nil {
+			t.Fatal(err)
+		}
+		wantFront := CacheMetrics{Misses: 1, Entries: 1}
+		if cacheSize < 0 {
+			wantFront = CacheMetrics{}
+		}
+		if sm.Cluster == nil || sm.Cluster.BodyCache.Entries != len(want) || sm.Cluster.BodyCache.Bytes == 0 ||
+			sm.Cluster.FrontCache != wantFront || sm.Cluster.PerNode[0].Client.CachedPages != 0 {
+			t.Errorf("cachesize %d: /api/v1/metrics cluster section %+v: want the %d bodies just fetched in the body cache, front cache %+v, no page in the node client",
+				cacheSize, sm.Cluster, len(want), wantFront)
+		}
 	}
 }

@@ -17,17 +17,25 @@ package webapi
 // node — after which per-node scores are bit-identical to a single-node
 // engine over the whole corpus, which the differential parity tests hold
 // byte-for-byte.
+//
+// The coordinator is also where the cluster caches: complete results in
+// front of the scatter, where a repeat saves the round trips, and page
+// bodies as the bytes they arrived as, bounded (see Coordinator.front and
+// Coordinator.bodies).
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"l2q/internal/core"
 	"l2q/internal/corpus"
+	"l2q/internal/html"
 	"l2q/internal/search"
 	"l2q/internal/textproc"
 )
@@ -58,11 +66,21 @@ type CoordinatorConfig struct {
 	// Client configures the per-node transports (retry policy, codec,
 	// timeout, prefetch workers).
 	Client ClientOptions
+	// CacheSize is the capacity of the front result cache, with
+	// search.Options.CacheSize's meaning: 0 picks search.DefaultCacheSize,
+	// negative turns the cache off (every search scatters).
+	CacheSize int
 }
 
+// maxBodies bounds the coordinator's page-body cache. A constant like
+// maxHave, not an option: at ≈ 1.4 kB a rendered page it is ≈ 11 MB, and a
+// body that fell out only travels from its owner again.
+const maxBodies = 8192
+
 // nodePeer is the coordinator's view of one node: its client (retrying
-// transport, page cache, singleflight, metrics) plus the
-// fan-out gauges the load harness calibrates against.
+// transport, metrics; the coordinator keeps bodies in its own cache, not in
+// the clients' page caches) plus the fan-out gauges the load harness
+// calibrates against.
 type nodePeer struct {
 	base     string
 	cli      *Client
@@ -83,6 +101,28 @@ type Coordinator struct {
 	stats    Stats
 	entities []EntityInfo
 	topK     int
+	// tok turns a cached body back into a page for the retriever surface.
+	tok *textproc.Tokenizer
+
+	// front caches complete responses by (k, seed, query) ahead of the
+	// fan-out — the one place in a cluster where a hit saves the round
+	// trips; nil when off. Only complete results are stored (no error, not
+	// Partial), and nothing invalidates them, for the reason nothing
+	// invalidates an engine's cache: nodes are frozen (l2qserve refuses
+	// -live with -nodes) and the global model is computed and pushed once,
+	// in DialCoordinator. Cluster-wide ingest, or a re-push of the global
+	// model, would have to drop this cache (and bodies) or key it by a
+	// cluster epoch. The cache owns its hit lists: Scatter stores and
+	// returns copies, because the serving layer writes page bodies into
+	// the list it is handed.
+	front *search.LRU[SearchResponse]
+	// bodies holds the last maxBodies page bodies fetched from the nodes,
+	// by page ID, as the bytes the owner served — checked once, at the
+	// fetch; bodyBytes is their total size. flight coalesces concurrent
+	// fetches of one page onto one download.
+	bodies    *search.LRU[string]
+	bodyBytes atomic.Int64
+	flight    flightGroup[string]
 
 	scatters atomic.Int64
 	hedges   atomic.Int64
@@ -112,6 +152,9 @@ func DialCoordinator(ctx context.Context, cfg CoordinatorConfig, tok *textproc.T
 		peers:        make([]*nodePeer, n),
 		nodeDeadline: deadline,
 		prefetch:     cfg.Client.withDefaults().PrefetchWorkers,
+		tok:          tok,
+		front:        search.NewLRU[SearchResponse](search.Options{CacheSize: cfg.CacheSize}.Capacity()),
+		bodies:       search.NewLRU[string](maxBodies),
 	}
 
 	// Dial and collect each node's registration report in parallel.
@@ -250,15 +293,38 @@ func releaseScatterScratch(sc *scatterScratch) {
 	scatterScratchPool.Put(sc)
 }
 
-// Scatter fans one seeded search out to every partition's owner chain and
-// merges the per-partition top-k into the global ranking. A partition
-// whose owners all fail (or time out past the per-node deadline) is
-// dropped and the response is flagged Partial; the error is non-nil only
-// when the caller's ctx ended or no partition answered at all.
+// Scatter answers one seeded search: from the front cache when it holds the
+// complete result, otherwise by fanning out to every partition's owner
+// chain and merging the per-partition top-k into the global ranking. A
+// partition whose owners all fail (or time out past the per-node deadline)
+// is dropped and the response is flagged Partial; the error is non-nil only
+// when the caller's ctx ended or no partition answered at all. Neither is
+// ever cached. The hit list is the caller's to write into.
 func (co *Coordinator) Scatter(ctx context.Context, seed, query []textproc.Token, k int) (SearchResponse, error) {
 	if k <= 0 {
 		k = co.topK
 	}
+	if co.front == nil {
+		return co.scatter(ctx, seed, query, k)
+	}
+	var kb [128]byte // a key longer than this costs one allocation, nothing else
+	key := search.AppendSeededCacheKey(kb[:0], k, seed, query)
+	if resp, ok := co.front.Get(key); ok {
+		resp.Hits = slices.Clone(resp.Hits)
+		return resp, nil
+	}
+	resp, err := co.scatter(ctx, seed, query, k)
+	if err == nil && !resp.Partial {
+		held := resp
+		held.Hits = slices.Clone(resp.Hits)
+		co.front.Put(key, held)
+	}
+	return resp, err
+}
+
+// scatter is the fan-out under Scatter; every call is one count in
+// ClusterMetrics.Scatters.
+func (co *Coordinator) scatter(ctx context.Context, seed, query []textproc.Token, k int) (SearchResponse, error) {
 	n := co.ring.Nodes()
 	nR := co.ring.Replicas()
 
@@ -390,16 +456,52 @@ func (co *Coordinator) Retrieve(ctx context.Context, dst []search.Result, seed, 
 	return fetchResults(ctx, dst, resp.Hits, co.prefetch, co.PageCtx)
 }
 
-// PageCtx downloads one page from its partition's owner chain, failing
-// over on error. Owners replicate whole partitions, so every owner serves
-// an identical copy and reads balance freely: the chain is attempted in
-// ascending in-flight order (least-loaded first, chain order breaking
-// ties), which spreads a bulk prefetch across the replica set instead of
-// hammering each partition's primary while its replicas idle. Runs under
-// the caller's ctx, not the scatter deadline — a slow bulk transfer is
-// not a node failure. Each node client's page cache and singleflight make
-// repeated fetches free.
+// PageCtx returns one page for the retriever surface, parsed on demand
+// from the body PageHTML holds or fetches; its URL names the partition's
+// primary owner.
 func (co *Coordinator) PageCtx(ctx context.Context, id corpus.PageID) (*corpus.Page, error) {
+	body, err := co.PageHTML(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	p := html.ParsePage(body, -1, co.tok)
+	p.URL = co.peers[co.ring.Partition(id)].base + html.PageHref(id)
+	return p, nil
+}
+
+// PageHTML returns the bytes the owning nodes serve at /page/{id}: from
+// the body cache, or downloaded from the partition's owner chain, failing
+// over on error, and cached. Owners replicate whole partitions, so every
+// owner serves an identical copy and reads balance freely: the chain is
+// attempted in ascending in-flight order (least-loaded first, chain order
+// breaking ties), which spreads a bulk prefetch across the replica set
+// instead of hammering each partition's primary while its replicas idle.
+// Runs under the caller's ctx, not the scatter deadline — a slow bulk
+// transfer is not a node failure. A body is checked against the ID it was
+// asked for once, when it arrives (Client.PageHTML); one that fails is
+// retried and never cached.
+func (co *Coordinator) PageHTML(ctx context.Context, id corpus.PageID) (string, error) {
+	var kb [binary.MaxVarintLen64]byte
+	key := binary.AppendUvarint(kb[:0], uint64(id))
+	if body, ok := co.bodies.Get(key); ok {
+		return body, nil
+	}
+	body, _, err := co.flight.do(ctx, id, func() (string, error) {
+		body, err := co.fetchBody(ctx, id)
+		if err != nil {
+			return "", err
+		}
+		if old, ok := co.bodies.Put(key, body); ok {
+			co.bodyBytes.Add(-int64(len(old)))
+		}
+		co.bodyBytes.Add(int64(len(body)))
+		return body, nil
+	})
+	return body, err
+}
+
+// fetchBody walks one page's owner chain, least-loaded owner first.
+func (co *Coordinator) fetchBody(ctx context.Context, id corpus.PageID) (string, error) {
 	var chainBuf [8]int
 	chain := co.ring.AppendOwners(chainBuf[:0], co.ring.Partition(id))
 	var loadBuf [8]int64
@@ -423,7 +525,7 @@ func (co *Coordinator) PageCtx(ctx context.Context, id corpus.PageID) (*corpus.P
 		}
 		peer := co.peers[owner]
 		peer.inFlight.Add(1)
-		p, err := peer.cli.PageCtx(ctx, id)
+		body, err := peer.cli.PageHTML(ctx, id)
 		peer.inFlight.Add(-1)
 		if err == nil {
 			// oi > 0 means a preceding owner actually failed — a balanced
@@ -432,12 +534,12 @@ func (co *Coordinator) PageCtx(ctx context.Context, id corpus.PageID) (*corpus.P
 				co.hedges.Add(1)
 				peer.hedges.Add(1)
 			}
-			return p, nil
+			return body, nil
 		}
 		peer.errors.Add(1)
 		lastErr = err
 	}
-	return nil, lastErr
+	return "", lastErr
 }
 
 // ClusterNodeMetrics is one node's row in the fan-out gauges.
@@ -455,18 +557,38 @@ type ClusterNodeMetrics struct {
 	Client ClientMetrics `json:"client"`
 }
 
+// CacheMetrics is one coordinator cache in ClusterMetrics: lifetime hits
+// and misses and the entries held now, read together under the cache's own
+// lock. Bytes, on the body cache only, is the total size of the bodies held
+// (a counter kept beside the cache, so it may trail Entries by a fetch).
+type CacheMetrics struct {
+	Hits    uint64 `json:"hits"`
+	Misses  uint64 `json:"misses"`
+	Entries int    `json:"entries"`
+	Bytes   int64  `json:"bytes,omitempty"`
+}
+
 // ClusterMetrics is the coordinator section of /api/v1/metrics: the
-// fan-out gauges the load harness calibrates cluster saturation with.
+// fan-out gauges the load harness calibrates cluster saturation with, and
+// the coordinator's two caches.
 type ClusterMetrics struct {
-	Nodes    int   `json:"nodes"`
-	Replicas int   `json:"replicas"`
+	Nodes    int `json:"nodes"`
+	Replicas int `json:"replicas"`
+	// Scatters counts real fan-outs: a search the front cache answered is
+	// a FrontCache hit and no scatter.
 	Scatters int64 `json:"scatters"`
 	// Hedges counts scatter/page attempts that succeeded on a replica
 	// after the primary failed or timed out.
 	Hedges int64 `json:"hedges"`
 	// Partials counts scatters served with one or more partitions missing.
-	Partials int64                `json:"partials"`
-	PerNode  []ClusterNodeMetrics `json:"perNode"`
+	Partials int64 `json:"partials"`
+	// FrontCache is the complete-result cache ahead of the fan-out (all
+	// zeroes when it is off); BodyCache the bounded page-body cache, at
+	// most maxBodies entries. PerNode[].Client.CachedPages stays 0: the
+	// coordinator keeps no page in its node clients.
+	FrontCache CacheMetrics         `json:"frontCache"`
+	BodyCache  CacheMetrics         `json:"bodyCache"`
+	PerNode    []ClusterNodeMetrics `json:"perNode"`
 }
 
 // Metrics snapshots the fan-out gauges.
@@ -479,6 +601,9 @@ func (co *Coordinator) Metrics() ClusterMetrics {
 		Partials: co.partials.Load(),
 		PerNode:  make([]ClusterNodeMetrics, len(co.peers)),
 	}
+	m.FrontCache.Hits, m.FrontCache.Misses, m.FrontCache.Entries = co.front.Stats()
+	m.BodyCache.Hits, m.BodyCache.Misses, m.BodyCache.Entries = co.bodies.Stats()
+	m.BodyCache.Bytes = co.bodyBytes.Load()
 	for i, peer := range co.peers {
 		m.PerNode[i] = ClusterNodeMetrics{
 			Node:     peer.base,
@@ -522,8 +647,8 @@ func (b clusterBackend) entity(id corpus.EntityID) *corpus.Entity {
 	return nil
 }
 
-func (b clusterBackend) page(ctx context.Context, id corpus.PageID) (*corpus.Page, error) {
-	return b.co.PageCtx(ctx, id)
+func (b clusterBackend) page(ctx context.Context, id corpus.PageID) (string, error) {
+	return b.co.PageHTML(ctx, id)
 }
 
 func (b clusterBackend) pageWorkers() int { return b.co.prefetch }

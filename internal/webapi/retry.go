@@ -184,8 +184,9 @@ type ClientMetrics struct {
 	// download of the same page (singleflight hits).
 	PrefetchShared int64
 	// CachedPages is how many parsed pages the client holds right now. The
-	// cache is unbounded: a long-lived client (a coordinator's per-node
-	// clients) converges on every page it was ever asked for.
+	// cache is unbounded — sized by one harvest, which is what a client
+	// lives for. A coordinator's per-node clients read 0 here: it fetches
+	// bodies with PageHTML and keeps them in its own bounded cache.
 	CachedPages int
 }
 

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"l2q/internal/corpus"
-	"l2q/internal/html"
 	"l2q/internal/pipeline"
 	"l2q/internal/search"
 	"l2q/internal/store"
@@ -532,19 +531,18 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // that error: a hit silently left without its body would be
 // indistinguishable from one the client asked to skip.
 func (s *Server) attachPages(ctx context.Context, hits []SearchHit, have []corpus.PageID) error {
-	pages, err := fetchResults(ctx, nil, hits, s.backend.pageWorkers(), func(ctx context.Context, id corpus.PageID) (*corpus.Page, error) {
-		if slices.Contains(have, id) {
-			return nil, nil
+	err := forEachHit(ctx, len(hits), s.backend.pageWorkers(), func(ctx context.Context, i int) (err error) {
+		if !slices.Contains(have, hits[i].PageID) {
+			hits[i].HTML, err = s.backend.page(ctx, hits[i].PageID)
 		}
-		return s.backend.page(ctx, id)
+		return err
 	})
 	if err != nil {
 		return err
 	}
 	attached := 0
-	for i, r := range pages {
-		if r.Page != nil {
-			hits[i].HTML = html.RenderPage(r.Page)
+	for i := range hits {
+		if hits[i].HTML != "" {
 			attached++
 		}
 	}
@@ -576,15 +574,11 @@ func (s *Server) handlePage(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad page id")
 		return
 	}
-	// A coordinator proxies the page from its partition's owning node;
-	// rendering from the parsed page keeps the bytes identical to what
-	// the node itself would serve.
-	p, err := s.backend.page(r.Context(), corpus.PageID(id))
+	body, err := s.backend.page(r.Context(), corpus.PageID(id))
 	if err != nil {
 		writeError(w, errorStatus(err), err.Error())
 		return
 	}
-	body := html.RenderPage(p)
 	if s.wantsWire(r) {
 		frame := marshalFrame(wirePage, s.compressMin(), func(e *store.Enc) { e.Raw([]byte(body)) })
 		w.Header().Set("Content-Type", wireContentType)

@@ -18,7 +18,7 @@ trap 'rm -f "$RAW"' EXIT
 # -benchtime in iterations so allocs/op is a stable integer ratio, not a
 # wall-clock-dependent sample.
 go test -run '^$' \
-	-bench 'BenchmarkTokenizeAllocs|BenchmarkNGramsAllocs|BenchmarkSearchAllocs|BenchmarkLiveSearchAllocs|BenchmarkSearchAppendConcurrent|BenchmarkCandidateAllocs|BenchmarkSelectAllocs|BenchmarkHarvestJobAllocs|BenchmarkScatterMergeAllocs|BenchmarkMarshalFrameAllocs|BenchmarkParsePageAllocs' \
+	-bench 'BenchmarkTokenizeAllocs|BenchmarkNGramsAllocs|BenchmarkSearchAllocs|BenchmarkLiveSearchAllocs|BenchmarkSearchAppendConcurrent|BenchmarkCandidateAllocs|BenchmarkSelectAllocs|BenchmarkHarvestJobAllocs|BenchmarkScatterMergeAllocs|BenchmarkCoordinatorFrontHitAllocs|BenchmarkMarshalFrameAllocs|BenchmarkParsePageAllocs' \
 	-benchmem -benchtime=500x \
 	./internal/textproc/ ./internal/search/ ./internal/core/ ./internal/webapi/ ./internal/html/ | tee "$RAW"
 
@@ -42,6 +42,7 @@ ceiling() {
 	BenchmarkSelectAllocs) echo 4 ;;                  # the Inference and its three Coll* vectors
 	BenchmarkHarvestJobAllocs) echo 1140 ;;           # a whole budget-5 L2QBAL job, memo warm: measured 1126–1127 (10431 before the table-only session state)
 	BenchmarkScatterMergeAllocs) echo 0 ;;            # coordinator K-way merge over pooled heap scratch
+	BenchmarkCoordinatorFrontHitAllocs) echo 1 ;;     # a coordinator's front-cache hit: the copied hit list; the key lives on the stack, Query/Seed come with the entry
 	BenchmarkMarshalFrameAllocs/page) echo 1 ;;       # the frame itself; encoder, gzip writer and gzip buffer are pooled
 	BenchmarkMarshalFrameAllocs/search5pages) echo 1 ;; # same for a search carrying its five pages: bodies go straight into the pooled encoder
 	BenchmarkParsePageAllocs) echo 97 ;;              # a client's cost per downloaded page, Tokens() included: 137 when each paragraph had its own append-grown slice and Tokens() concatenated them, 97 with one exactly-sized array per page

@@ -6,14 +6,17 @@
 #   1. a seeded search through the coordinator returns hits
 #   2. a page downloads through the coordinator's owner-chain proxy
 #   3. /api/v1/metrics exposes the cluster fan-out gauges
-#   4. killing one node loses nothing: with replicas=2 every partition
-#      still has a live owner, so the same search still returns hits,
-#      the failover shows up in the error counters, and no response is
-#      flagged partial
+#   4. killing one node loses nothing: the search made before the kill is
+#      answered again from the coordinator's front cache — complete, and
+#      without a scatter — and a fresh one fails over: with replicas=2
+#      every partition still has a live owner, so it returns hits, the
+#      failover shows up in the error counters, and no response is flagged
+#      partial
 #   5. a process holds what it serves: every node's banner reports fewer
 #      pages than the corpus, a hit page is 200 on its two owners and 404
 #      on the third node, and a page the killed node owned still downloads
-#      through the coordinator; each process's peak RSS is printed
+#      through the coordinator; each process's peak RSS is printed, the
+#      coordinator's beside what its two caches hold
 #
 # Usage: scripts/cluster_smoke.sh
 set -eu
@@ -124,11 +127,25 @@ METRICS=$(curl -s "$CO/api/v1/metrics")
 echo "$METRICS" | grep -q '"cluster"' || { echo "cluster_smoke: metrics missing cluster section: $METRICS" >&2; exit 1; }
 echo "$METRICS" | grep -q '"scatters":[1-9]' || { echo "cluster_smoke: no scatters recorded: $METRICS" >&2; exit 1; }
 
-# 4. Kill one node: replicas keep every partition covered, so the same
-# search still answers fully (failover, not partial results).
+# 4. Kill one node. The search above is a complete result the coordinator
+# holds: asked again it is the same bytes and no scatter. A search it has
+# not seen fans out, and replicas keep every partition covered, so it
+# answers fully (failover, not partial results).
+scatters_of() { echo "$1" | sed -n 's/.*"scatters":\([0-9]*\).*/\1/p'; }
 kill "$(cat "$WORK/node1.pid")"
 # shellcheck disable=SC2086
-HITS2=$(curl -s -G "$CO/api/v1/search" $SEED)
+AGAIN=$(curl -s -G "$CO/api/v1/search" $SEED)
+[ "$AGAIN" = "$HITS" ] || {
+	echo "cluster_smoke: the pre-kill search changed after killing node 1: $AGAIN (was $HITS)" >&2
+	exit 1
+}
+METRICS_AGAIN=$(curl -s "$CO/api/v1/metrics")
+[ "$(scatters_of "$METRICS_AGAIN")" = "$(scatters_of "$METRICS")" ] || {
+	echo "cluster_smoke: a repeated search scattered (scatters $(scatters_of "$METRICS") -> $(scatters_of "$METRICS_AGAIN")): $METRICS_AGAIN" >&2
+	exit 1
+}
+# shellcheck disable=SC2086
+HITS2=$(curl -s -G "$CO/api/v1/search" $SEED --data-urlencode q=research)
 echo "$HITS2" | grep -q '"pageId"' || {
 	echo "cluster_smoke: search lost hits after killing node 1: $HITS2" >&2
 	exit 1
@@ -144,6 +161,10 @@ for id in "$PID" "$FAILOVER"; do
 	}
 done
 METRICS2=$(curl -s "$CO/api/v1/metrics")
+[ "$(scatters_of "$METRICS2")" -gt "$(scatters_of "$METRICS_AGAIN")" ] || {
+	echo "cluster_smoke: a search the coordinator had not seen did not scatter: $METRICS2" >&2
+	exit 1
+}
 echo "$METRICS2" | grep -q '"errors":[1-9]' || {
 	echo "cluster_smoke: killed node produced no error counts: $METRICS2" >&2
 	exit 1
@@ -154,5 +175,6 @@ echo "$METRICS2" | grep -q '"errors":[1-9]' || {
 for name in node0 node2 co; do
 	echo "cluster_smoke: $name $(grep VmHWM "/proc/$(cat "$WORK/$name.pid")/status" | tr -s '\t ' ' ')"
 done
+echo "cluster_smoke: co $(echo "$METRICS2" | sed -n 's/.*\("frontCache":{[^}]*}\),\("bodyCache":{[^}]*}\).*/\1 \2/p')"
 
-echo "cluster_smoke: PASS (search + page proxy + metrics + node-kill failover + partition-scoped nodes)"
+echo "cluster_smoke: PASS (search + page proxy + metrics + front cache + node-kill failover + partition-scoped nodes)"
