@@ -29,7 +29,8 @@ test-procs:
 	GOMAXPROCS=8 $(GO) test -race -shuffle=on ./internal/search/ ./internal/core/ ./internal/pipeline/ ./internal/webapi/
 
 # 20 s of native fuzzing each on the scorer's exactness gate (the pruned
-# top-k pass must equal SearchReference bit for bit on random tiny corpora),
+# top-k pass must equal SearchReference — Dirichlet query likelihood, the
+# one ranking function — bit for bit on random tiny corpora),
 # on the search-with-pages decoder (frame, payload and page check between
 # a response body and the client's page cache) and on the session's page
 # bitsets (coverage must equal a Page.ContainsQuery recount; its inputs are

@@ -158,7 +158,7 @@ func BenchmarkAblationBeta(b *testing.B) {
 			relSum, totSum := 0, 0
 			for _, id := range env.TestIDs {
 				e := env.G.Corpus.Entity(id)
-				s := env.NewSession(e, synth.AspResearch, dm, nil, uint64(id)+1)
+				s := env.NewSession(e, synth.AspResearch, dm, uint64(id)+1)
 				s.Run(sel, 3)
 				for _, p := range s.Pages() {
 					totSum++
@@ -189,7 +189,7 @@ func BenchmarkPipelineHarvest(b *testing.B) {
 		jobs := make([]pipeline.Job, 0, len(env.TestIDs))
 		for _, id := range env.TestIDs {
 			e := env.G.Corpus.Entity(id)
-			s := env.NewSession(e, synth.AspResearch, dm, nil, uint64(id)+1)
+			s := env.NewSession(e, synth.AspResearch, dm, uint64(id)+1)
 			jobs = append(jobs, pipeline.Job{Session: s, Selector: core.NewL2QBAL(), NQueries: 2})
 		}
 		results := pipeline.Run(context.Background(), pipeline.Config{}, jobs)

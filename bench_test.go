@@ -275,18 +275,6 @@ func BenchmarkGraphSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchQueryBM25 measures BM25 ranking against the same corpus
-// as BenchmarkSearchQuery.
-func BenchmarkSearchQueryBM25(b *testing.B) {
-	env := researcherEnv(b)
-	engine := env.Engine.WithBM25(search.DefaultBM25K1, search.DefaultBM25B)
-	q := env.Cfg.Core.QueryTokens(core.Query(env.G.Corpus.Entities[0].SeedQuery))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		engine.Search(q)
-	}
-}
-
 func BenchmarkTemplateEnumerate(b *testing.B) {
 	d := types.NewDictionary()
 	d.AddAll("topic", "hpc", "data mining")
@@ -359,7 +347,7 @@ func BenchmarkEntityPhaseSelect(b *testing.B) {
 	sel := core.NewL2QBAL()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := env.NewSession(entity, synth.AspResearch, dm, nil, uint64(i))
+		s := env.NewSession(entity, synth.AspResearch, dm, uint64(i))
 		s.Bootstrap()
 		if _, ok := s.Step(sel); !ok {
 			b.Fatal("no candidate")

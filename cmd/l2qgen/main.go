@@ -1,9 +1,11 @@
-// Command l2qgen generates a synthetic web corpus and either prints summary
-// statistics or writes the corpus to disk (gob or JSON) for other tools.
+// Command l2qgen generates a synthetic web corpus and prints summary
+// statistics, sample pages, or a JSON dump of the whole corpus for
+// inspection. The dump is not an input of any tool: the file l2qserve,
+// l2qharvest and l2qsearch load a corpus from is `l2qstore build`'s.
 //
 // Usage:
 //
-//	l2qgen -domain researchers -entities 996 -pages 50 -o corpus.gob
+//	l2qgen -domain researchers -entities 996 -pages 50 -o corpus.json
 //	l2qgen -domain cars -stats
 package main
 
@@ -24,11 +26,15 @@ func main() {
 		entities = flag.Int("entities", 0, "number of entities (0 = paper scale)")
 		pages    = flag.Int("pages", 0, "pages per entity (0 = paper's 50)")
 		seed     = flag.Uint64("seed", 2016, "generation seed")
-		out      = flag.String("o", "", "output file (.gob or .json); empty = stats only")
+		out      = flag.String("o", "", "write the corpus as indented JSON to this .json file, for inspection (a servable store file is `l2qstore build`)")
 		stats    = flag.Bool("stats", true, "print corpus statistics")
 		sample   = flag.Int("sample", 0, "print N sample pages")
 	)
 	flag.Parse()
+	if *out != "" && !strings.HasSuffix(*out, ".json") {
+		fmt.Fprintf(os.Stderr, "l2qgen: -o %s: only a .json inspection dump can be written; build a servable store file with `l2qstore build`\n", *out)
+		os.Exit(2)
+	}
 
 	cfg := synth.DefaultConfig(corpus.Domain(*domain))
 	if *entities > 0 {
@@ -85,12 +91,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		if strings.HasSuffix(*out, ".json") {
-			err = g.Corpus.WriteJSON(f)
-		} else {
-			err = g.Corpus.WriteGob(f)
-		}
-		if err != nil {
+		if err := g.Corpus.WriteJSON(f); err != nil {
 			fmt.Fprintf(os.Stderr, "l2qgen: %v\n", err)
 			os.Exit(1)
 		}

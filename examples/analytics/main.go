@@ -45,7 +45,7 @@ func main() {
 	// Fleet harvest: 3 selected queries per model, pipelined.
 	start := time.Now()
 	results := sys.HarvestPipelined(context.Background(), fleet, aspect, dm,
-		l2q.NewL2QBAL(), 3, nil)
+		l2q.NewL2QBAL(), 3)
 	fmt.Printf("harvested %d models in %v\n\n", len(results), time.Since(start).Round(time.Millisecond))
 
 	type row struct {

@@ -54,8 +54,6 @@ type Session struct {
 	DM *DomainModel
 	// Rec is the type system for templates; nil disables templates.
 	Rec types.Recognizer
-	// Fetcher, when set, accounts simulated download latency (Fig. 14).
-	Fetcher *search.Fetcher
 	// Trace, when set, receives one record after every Step — handy for
 	// analyzing why a strategy chose what it chose.
 	Trace func(TraceRecord)
@@ -194,12 +192,12 @@ func (s *Session) FetchQuery(q Query) []search.Result {
 	return res
 }
 
-// FetchQueryCtx runs the retrieval (search plus simulated download) for q
-// without touching session state; the empty query fetches the seed alone.
-// It is the I/O half of Fire, safe to run on a fetch worker while another
-// entity's selection occupies the CPU (the pipeline scheduler's split).
-// Cancellation aborts in-flight remote work and the simulated-latency
-// Fetcher, and a retrieval failure surfaces as an error instead of
+// FetchQueryCtx runs the retrieval for q without touching session state;
+// the empty query fetches the seed alone. It is the I/O half of Fire, safe
+// to run on a fetch worker while another entity's selection occupies the
+// CPU (the pipeline scheduler's split). Whatever a fetch costs — a remote
+// search, page downloads — is the Retriever's: cancellation aborts its
+// in-flight work, and a retrieval failure surfaces as an error instead of
 // masquerading as an unproductive query. The results live in
 // session-owned scratch, valid until the next fetch.
 func (s *Session) FetchQueryCtx(ctx context.Context, q Query) ([]search.Result, error) {
@@ -212,11 +210,6 @@ func (s *Session) FetchQueryCtx(ctx context.Context, q Query) ([]search.Result, 
 		return nil, err
 	}
 	s.resBuf = res
-	if s.Fetcher != nil {
-		if _, err := s.Fetcher.FetchContext(ctx, res); err != nil {
-			return nil, err
-		}
-	}
 	return res, nil
 }
 

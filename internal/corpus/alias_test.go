@@ -63,14 +63,6 @@ func TestPageTokensAliasParagraphs(t *testing.T) {
 		requireOneTokenArray(t, "synth.Generate", p)
 	}
 
-	var gob bytes.Buffer
-	if err := c.WriteGob(&gob); err != nil {
-		t.Fatal(err)
-	}
-	fromGob, err := corpus.ReadGob(&gob)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var file bytes.Buffer
 	if err := store.Save(&file, c, nil); err != nil {
 		t.Fatal(err)
@@ -81,7 +73,6 @@ func TestPageTokensAliasParagraphs(t *testing.T) {
 	}
 	for i, want := range c.Pages {
 		for from, p := range map[string]*corpus.Page{
-			"corpus.ReadGob": fromGob.Pages[i],
 			"store.Load":     fromStore.Corpus.Pages[i],
 			"html.ParsePage": html.ParsePage(html.RenderPage(want), -1, g.Tokenizer),
 		} {

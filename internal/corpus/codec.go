@@ -1,7 +1,6 @@
 package corpus
 
 import (
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,8 +8,10 @@ import (
 	"l2q/internal/textproc"
 )
 
-// wireCorpus is the serialization schema; it keeps the wire format decoupled
-// from the in-memory struct (which carries caches).
+// wireCorpus is the schema of the JSON inspection dump (WriteJSON); it
+// keeps the dump decoupled from the in-memory struct (which carries
+// caches). The dump is write-only: the artefact a program loads a corpus
+// from is the L2QSTOR1 store file (internal/store, `l2qstore build`).
 type wireCorpus struct {
 	Domain   Domain
 	Entities []wireEntity
@@ -60,51 +61,8 @@ func (c *Corpus) toWire() wireCorpus {
 	return w
 }
 
-func fromWire(w wireCorpus) (*Corpus, error) {
-	c := New(w.Domain)
-	for i := range w.Entities {
-		we := w.Entities[i]
-		err := c.AddEntity(&Entity{
-			ID: we.ID, Domain: we.Domain, Name: we.Name,
-			SeedQuery: we.SeedQuery, Attrs: we.Attrs,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	for i := range w.Pages {
-		wp := w.Pages[i]
-		p := &Page{ID: wp.ID, Entity: wp.Entity, URL: wp.URL, Title: wp.Title, Links: wp.Links}
-		paras := make([]Paragraph, len(wp.Paras))
-		for j := range wp.Paras {
-			paras[j] = Paragraph{Text: wp.Paras[j].Text, Tokens: wp.Paras[j].Tokens, Aspect: wp.Paras[j].Aspect}
-		}
-		p.SetParas(paras, nil)
-		if err := c.AddPage(p); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-// WriteGob serializes the corpus in gob format (compact, for tool caching).
-func (c *Corpus) WriteGob(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(c.toWire()); err != nil {
-		return fmt.Errorf("corpus: gob encode: %w", err)
-	}
-	return nil
-}
-
-// ReadGob deserializes a corpus written by WriteGob.
-func ReadGob(r io.Reader) (*Corpus, error) {
-	var w wireCorpus
-	if err := gob.NewDecoder(r).Decode(&w); err != nil {
-		return nil, fmt.Errorf("corpus: gob decode: %w", err)
-	}
-	return fromWire(w)
-}
-
-// WriteJSON serializes the corpus as indented JSON (for inspection).
+// WriteJSON dumps the corpus as indented JSON — for inspection and for
+// `cmp`ing two generations; nothing reads it back.
 func (c *Corpus) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -112,13 +70,4 @@ func (c *Corpus) WriteJSON(w io.Writer) error {
 		return fmt.Errorf("corpus: json encode: %w", err)
 	}
 	return nil
-}
-
-// ReadJSON deserializes a corpus written by WriteJSON.
-func ReadJSON(r io.Reader) (*Corpus, error) {
-	var w wireCorpus
-	if err := json.NewDecoder(r).Decode(&w); err != nil {
-		return nil, fmt.Errorf("corpus: json decode: %w", err)
-	}
-	return fromWire(w)
 }

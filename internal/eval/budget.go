@@ -57,7 +57,7 @@ func (e *Env) budgetHarvest(ctx context.Context, aspect corpus.Aspect, dm *core.
 	sessions := make([]*core.Session, 0, len(e.TestIDs))
 	for _, id := range e.TestIDs {
 		entity := e.G.Corpus.Entity(id)
-		s := e.NewSession(entity, aspect, dm, nil, uint64(id)+1)
+		s := e.NewSession(entity, aspect, dm, uint64(id)+1)
 		jobs = append(jobs, pipeline.Job{Session: s, Selector: core.NewL2QBAL(), NQueries: nQueries})
 		sessions = append(sessions, s)
 	}

@@ -61,7 +61,7 @@ func (e *Env) CompareCrawler() (CrawlResult, error) {
 				ideal := e.idealRun(entity, aspect, nQueries)
 				y := e.Cls.YFunc(aspect)
 
-				s := e.NewSession(entity, aspect, dm, nil, uint64(id)+1)
+				s := e.NewSession(entity, aspect, dm, uint64(id)+1)
 				s.Run(core.NewL2QBAL(), nQueries)
 				l2q := normalize(measure(s.Pages(), relevant), ideal[nQueries-1])
 

@@ -209,12 +209,10 @@ func (e *Env) HRModel(aspect corpus.Aspect) (*baselines.HRModel, error) {
 // NewSession builds a harvesting session for one (entity, aspect) pair
 // with classifier-materialized Y, reusing the environment's engine.
 func (e *Env) NewSession(entity *corpus.Entity, aspect corpus.Aspect,
-	dm *core.DomainModel, fetcher *search.Fetcher, rngSeed uint64) *core.Session {
+	dm *core.DomainModel, rngSeed uint64) *core.Session {
 
-	s := core.NewSession(e.Cfg.Core, e.Engine, entity, aspect,
+	return core.NewSession(e.Cfg.Core, e.Engine, entity, aspect,
 		e.Cls.YFunc(aspect), dm, e.Rec, rngSeed)
-	s.Fetcher = fetcher
-	return s
 }
 
 // parallelism resolves the worker count.

@@ -157,7 +157,7 @@ func (e *Env) RunMethod(m Method, aspect corpus.Aspect, entityIDs []corpus.Entit
 			}
 			ideal := e.idealRun(entity, aspect, nQueries)
 			rngSeed := uint64(id)*1099511628211 ^ hashString(string(m))
-			s := e.NewSession(entity, aspect, dm, nil, rngSeed)
+			s := e.NewSession(entity, aspect, dm, rngSeed)
 			s.Bootstrap()
 
 			// Cumulative quality after each selected query; if the

@@ -48,7 +48,7 @@ func TestBudgetFixedParity(t *testing.T) {
 	jobs := make([]Job, len(targets))
 	sessions := make([]*core.Session, len(targets))
 	for i, e := range targets {
-		sessions[i] = f.session(e, nil)
+		sessions[i] = f.session(e, 0)
 		jobs[i] = Job{Session: sessions[i], Selector: core.NewL2QBAL(), NQueries: nQueries}
 	}
 	b, err := s.Submit(context.Background(), jobs, BatchOptions{Budget: BudgetPolicy{Mode: BudgetFixed}})
@@ -97,7 +97,7 @@ func TestBudgetAdaptiveConservation(t *testing.T) {
 	targets := f.targets(4)
 	jobs := make([]Job, len(targets))
 	for i, e := range targets {
-		jobs[i] = Job{Session: f.session(e, nil), Selector: core.NewL2QBAL(), NQueries: 2}
+		jobs[i] = Job{Session: f.session(e, 0), Selector: core.NewL2QBAL(), NQueries: 2}
 	}
 	const budget = 8 // = sum of NQueries
 	_, _, total := adaptiveRun(t, f, jobs, BudgetPolicy{Mode: BudgetAdaptive, TotalQueries: budget})
@@ -117,8 +117,8 @@ func TestBudgetAdaptiveDonatesExhausted(t *testing.T) {
 	targets := f.targets(2)
 	const budget = 6
 	jobs := []Job{
-		{Session: f.session(targets[0], nil), Selector: cappedSelector{inner: core.NewL2QBAL(), cap: 1}, NQueries: 3},
-		{Session: f.session(targets[1], nil), Selector: core.NewL2QBAL(), NQueries: 3},
+		{Session: f.session(targets[0], 0), Selector: cappedSelector{inner: core.NewL2QBAL(), cap: 1}, NQueries: 3},
+		{Session: f.session(targets[1], 0), Selector: core.NewL2QBAL(), NQueries: 3},
 	}
 	// Patience is effectively disabled so the uncapped entity keeps
 	// accepting grants even once its own gains fade — the test isolates
@@ -143,8 +143,8 @@ func TestBudgetAdaptiveStopsSaturated(t *testing.T) {
 	targets := f.targets(2)
 	const budget = 8
 	jobs := []Job{
-		{Session: f.session(targets[0], nil), Selector: uselessSelector{}, NQueries: 4},
-		{Session: f.session(targets[1], nil), Selector: core.NewL2QBAL(), NQueries: 4},
+		{Session: f.session(targets[0], 0), Selector: uselessSelector{}, NQueries: 4},
+		{Session: f.session(targets[1], 0), Selector: core.NewL2QBAL(), NQueries: 4},
 	}
 	_, counts, total := adaptiveRun(t, f, jobs,
 		BudgetPolicy{Mode: BudgetAdaptive, TotalQueries: budget, Patience: 2})
@@ -172,7 +172,7 @@ func TestBudgetAdaptiveDeterministic(t *testing.T) {
 	run := func() [][]core.Query {
 		jobs := make([]Job, len(targets))
 		for i, e := range targets {
-			jobs[i] = Job{Session: f.session(e, nil), Selector: core.NewL2QBAL(), NQueries: 3}
+			jobs[i] = Job{Session: f.session(e, 0), Selector: core.NewL2QBAL(), NQueries: 3}
 		}
 		results, _, _ := adaptiveRun(t, f, jobs, BudgetPolicy{Mode: BudgetAdaptive})
 		out := make([][]core.Query, len(results))
@@ -200,7 +200,7 @@ func TestBudgetAdaptiveAtLeastFixed(t *testing.T) {
 		jobs := make([]Job, len(targets))
 		sessions := make([]*core.Session, len(targets))
 		for i, e := range targets {
-			sessions[i] = f.session(e, nil)
+			sessions[i] = f.session(e, 0)
 			jobs[i] = Job{Session: sessions[i], Selector: core.NewL2QBAL(), NQueries: nQueries}
 		}
 		s := New(Config{SelectWorkers: 2, FetchWorkers: 4})

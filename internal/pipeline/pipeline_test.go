@@ -48,9 +48,14 @@ func newFixture(t *testing.T) *fixture {
 	return &fixture{g: g, engine: engine, rec: rec, y: y, dm: dm, cfg: cfg}
 }
 
-func (f *fixture) session(e *corpus.Entity, fetcher *search.Fetcher) *core.Session {
+// session builds e's harvest session over the fixture engine; a positive
+// fetchDelay puts every fetch behind a slowRetriever of that delay — the
+// one way these tests model a remote engine.
+func (f *fixture) session(e *corpus.Entity, fetchDelay time.Duration) *core.Session {
 	s := core.NewSession(f.cfg, f.engine, e, synth.AspResearch, f.y, f.dm, f.rec, uint64(e.ID)+1)
-	s.Fetcher = fetcher
+	if fetchDelay > 0 {
+		s.Engine = slowRetriever{Retriever: f.engine, delay: fetchDelay}
+	}
 	return s
 }
 
@@ -74,7 +79,7 @@ func TestPipelineMatchesSequential(t *testing.T) {
 	}
 	want := make([]outcome, len(targets))
 	for i, e := range targets {
-		s := f.session(e, nil)
+		s := f.session(e, 0)
 		fired := s.Run(core.NewL2QBAL(), nQueries)
 		var ids []corpus.PageID
 		for _, p := range s.Pages() {
@@ -87,7 +92,7 @@ func TestPipelineMatchesSequential(t *testing.T) {
 	jobs := make([]Job, len(targets))
 	sessions := make([]*core.Session, len(targets))
 	for i, e := range targets {
-		sessions[i] = f.session(e, nil)
+		sessions[i] = f.session(e, 0)
 		jobs[i] = Job{Session: sessions[i], Selector: core.NewL2QBAL(), NQueries: nQueries}
 	}
 	results := Run(context.Background(), Config{SelectWorkers: 3, FetchWorkers: 8}, jobs)
@@ -110,7 +115,7 @@ func TestPipelineMatchesSequential(t *testing.T) {
 }
 
 // TestPipelineOverlapsFetches verifies the point of the exercise: with
-// slow (sleeping) fetches, the pipeline completes many entities in less
+// slow fetches (a slowRetriever), the pipeline completes many entities in less
 // wall time than running them back to back. The sequential baseline is
 // measured in-process so the comparison stays valid under -race (where
 // CPU-bound selection inflates ~10×).
@@ -118,14 +123,12 @@ func TestPipelineOverlapsFetches(t *testing.T) {
 	f := newFixture(t)
 	targets := f.targets(8)
 	const nQueries = 2
-	const perPage = 6 * time.Millisecond
+	const perFetch = 30 * time.Millisecond
 
 	makeJobs := func() []Job {
 		jobs := make([]Job, len(targets))
 		for i, e := range targets {
-			fetcher := search.NewFetcher(perPage)
-			fetcher.Sleep = true
-			jobs[i] = Job{Session: f.session(e, fetcher), Selector: core.NewRT(), NQueries: nQueries}
+			jobs[i] = Job{Session: f.session(e, perFetch), Selector: core.NewRT(), NQueries: nQueries}
 		}
 		return jobs
 	}
@@ -160,9 +163,7 @@ func TestPipelineCancellation(t *testing.T) {
 
 	jobs := make([]Job, len(targets))
 	for i, e := range targets {
-		fetcher := search.NewFetcher(200 * time.Millisecond)
-		fetcher.Sleep = true
-		jobs[i] = Job{Session: f.session(e, fetcher), Selector: core.NewRT(), NQueries: 50}
+		jobs[i] = Job{Session: f.session(e, time.Second), Selector: core.NewRT(), NQueries: 50}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -224,9 +225,7 @@ func TestPipelineCancellationLatency(t *testing.T) {
 	targets := f.targets(4)
 	jobs := make([]Job, len(targets))
 	for i, e := range targets {
-		s := f.session(e, nil)
-		s.Engine = slowRetriever{Retriever: f.engine, delay: 20 * time.Second}
-		jobs[i] = Job{Session: s, Selector: core.NewRT(), NQueries: 5}
+		jobs[i] = Job{Session: f.session(e, 20*time.Second), Selector: core.NewRT(), NQueries: 5}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -257,7 +256,7 @@ func TestPipelineFetchErrorSurfaces(t *testing.T) {
 	sentinel := errors.New("transport down after retries")
 	jobs := make([]Job, len(targets))
 	for i, e := range targets {
-		s := f.session(e, nil)
+		s := f.session(e, 0)
 		s.Engine = failingRetriever{Retriever: f.engine, err: sentinel}
 		jobs[i] = Job{Session: s, Selector: core.NewRT(), NQueries: 3}
 	}
@@ -285,7 +284,7 @@ func TestPipelineValidation(t *testing.T) {
 func TestPipelineZeroQueryBudget(t *testing.T) {
 	f := newFixture(t)
 	e := f.targets(1)[0]
-	s := f.session(e, nil)
+	s := f.session(e, 0)
 	results := Run(context.Background(), Config{}, []Job{
 		{Session: s, Selector: core.NewP(), NQueries: 0},
 	})
@@ -319,7 +318,7 @@ func TestPipelineRaceTraceSharedEngine(t *testing.T) {
 
 	jobs := make([]Job, len(targets))
 	for i, e := range targets {
-		s := f.session(e, nil)
+		s := f.session(e, 0)
 		s.Engine = shared
 		id := e.ID
 		s.Trace = func(tr core.TraceRecord) {

@@ -9,7 +9,6 @@ import (
 
 	"l2q/internal/core"
 	"l2q/internal/corpus"
-	"l2q/internal/search"
 	"l2q/internal/synth"
 )
 
@@ -33,7 +32,7 @@ func sessionOutcome(fired []core.Query, s *core.Session) outcome {
 func sequentialReference(f *fixture, targets []*corpus.Entity, nQueries int) []outcome {
 	want := make([]outcome, len(targets))
 	for i, e := range targets {
-		s := f.session(e, nil)
+		s := f.session(e, 0)
 		fired := s.Run(core.NewL2QBAL(), nQueries)
 		want[i] = sessionOutcome(fired, s)
 	}
@@ -65,7 +64,7 @@ func TestSchedulerMatchesRun(t *testing.T) {
 			jobs := make([]Job, len(targets))
 			sessions := make([]*core.Session, len(targets))
 			for i, e := range targets {
-				sessions[i] = f.session(e, nil)
+				sessions[i] = f.session(e, 0)
 				jobs[i] = Job{Session: sessions[i], Selector: core.NewL2QBAL(), NQueries: nQueries}
 			}
 			b, err := s.Submit(context.Background(), jobs, BatchOptions{})
@@ -123,7 +122,7 @@ func TestSchedulerAdmissionFIFO(t *testing.T) {
 
 	batches := make([]*Batch, len(targets))
 	for i, e := range targets {
-		sess := f.session(e, nil)
+		sess := f.session(e, 0)
 		id := e.ID
 		sess.Trace = func(core.TraceRecord) {
 			mu.Lock()
@@ -169,9 +168,7 @@ func TestSchedulerFairShare(t *testing.T) {
 
 	slowJobs := make([]Job, 8)
 	for i, e := range targets[:8] {
-		fetcher := search.NewFetcher(30 * time.Millisecond)
-		fetcher.Sleep = true
-		slowJobs[i] = Job{Session: f.session(e, fetcher), Selector: core.NewRT(), NQueries: 3}
+		slowJobs[i] = Job{Session: f.session(e, 150*time.Millisecond), Selector: core.NewRT(), NQueries: 3}
 	}
 	slow, err := s.Submit(context.Background(), slowJobs, BatchOptions{})
 	if err != nil {
@@ -179,7 +176,7 @@ func TestSchedulerFairShare(t *testing.T) {
 	}
 
 	fast, err := s.Submit(context.Background(), []Job{
-		{Session: f.session(targets[8], nil), Selector: core.NewRT(), NQueries: 2},
+		{Session: f.session(targets[8], 0), Selector: core.NewRT(), NQueries: 2},
 	}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +214,7 @@ func TestSchedulerCancelLatency(t *testing.T) {
 
 	slowJobs := make([]Job, 4)
 	for i, e := range targets[:4] {
-		sess := f.session(e, nil)
+		sess := f.session(e, 0)
 		sess.Engine = slowRetriever{Retriever: f.engine, delay: 20 * time.Second}
 		slowJobs[i] = Job{Session: sess, Selector: core.NewRT(), NQueries: 5}
 	}
@@ -226,7 +223,7 @@ func TestSchedulerCancelLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	healthy, err := s.Submit(context.Background(), []Job{
-		{Session: f.session(targets[4], nil), Selector: core.NewRT(), NQueries: 2},
+		{Session: f.session(targets[4], 0), Selector: core.NewRT(), NQueries: 2},
 	}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +259,7 @@ func TestSchedulerDrain(t *testing.T) {
 
 	jobs := make([]Job, len(targets))
 	for i, e := range targets {
-		jobs[i] = Job{Session: f.session(e, nil), Selector: core.NewP(), NQueries: 2}
+		jobs[i] = Job{Session: f.session(e, 0), Selector: core.NewP(), NQueries: 2}
 	}
 	b, err := s.Submit(context.Background(), jobs, BatchOptions{})
 	if err != nil {
@@ -304,9 +301,7 @@ func TestSchedulerResumedSession(t *testing.T) {
 	latest := make(map[int]core.Checkpoint)
 	jobs := make([]Job, len(targets))
 	for i, e := range targets {
-		fetcher := search.NewFetcher(10 * time.Millisecond)
-		fetcher.Sleep = true
-		jobs[i] = Job{Session: f.session(e, fetcher), Selector: core.NewL2QBAL(), NQueries: nQueries}
+		jobs[i] = Job{Session: f.session(e, 50*time.Millisecond), Selector: core.NewL2QBAL(), NQueries: nQueries}
 	}
 	b, err := s.Submit(context.Background(), jobs, BatchOptions{
 		Checkpoint: func(job int, cp core.Checkpoint) {
@@ -328,7 +323,7 @@ func TestSchedulerResumedSession(t *testing.T) {
 	sessions2 := make([]*core.Session, len(targets))
 	prior := make([][]core.Query, len(targets))
 	for i, e := range targets {
-		sessions2[i] = f.session(e, nil)
+		sessions2[i] = f.session(e, 0)
 		remaining := nQueries
 		if cp, ok := latest[i]; ok {
 			if err := sessions2[i].Resume(context.Background(), cp); err != nil {
@@ -369,7 +364,7 @@ func TestSchedulerCloseAborts(t *testing.T) {
 	s := New(Config{SelectWorkers: 2, FetchWorkers: 4})
 	jobs := make([]Job, len(targets))
 	for i, e := range targets {
-		sess := f.session(e, nil)
+		sess := f.session(e, 0)
 		sess.Engine = slowRetriever{Retriever: f.engine, delay: 20 * time.Second}
 		jobs[i] = Job{Session: sess, Selector: core.NewRT(), NQueries: 5}
 	}
@@ -445,7 +440,7 @@ func TestSchedulerSharedEnumerationRace(t *testing.T) {
 			jobs := make([]Job, len(targets))
 			sessions := make([]*core.Session, len(targets))
 			for i, e := range targets {
-				sessions[i] = f.session(e, nil)
+				sessions[i] = f.session(e, 0)
 				jobs[i] = Job{Session: sessions[i], Selector: core.NewL2QBAL(), NQueries: nQueries}
 			}
 			b, err := s.Submit(context.Background(), jobs, BatchOptions{})

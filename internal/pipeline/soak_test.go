@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"l2q/internal/core"
-	"l2q/internal/search"
 )
 
 func soakDuration() time.Duration {
@@ -56,12 +55,11 @@ func TestSchedulerSoak(t *testing.T) {
 				for k := 0; k < n; k++ {
 					slot := rng.IntN(len(targets))
 					e := targets[slot]
-					var fetcher *search.Fetcher
+					var fetchDelay time.Duration
 					if rng.IntN(2) == 0 {
-						fetcher = search.NewFetcher(time.Duration(rng.IntN(8)) * time.Millisecond)
-						fetcher.Sleep = true
+						fetchDelay = time.Duration(rng.IntN(40)) * time.Millisecond
 					}
-					sess := f.session(e, fetcher)
+					sess := f.session(e, fetchDelay)
 					budget := 1 + rng.IntN(3)
 					// Resume churn: occasionally restart from the last
 					// checkpoint this submitter saw for the slot.
@@ -120,7 +118,7 @@ func TestSchedulerSoak(t *testing.T) {
 		t.Fatalf("scheduler not quiescent after soak: %+v", st)
 	}
 	b, err := s.Submit(context.Background(), []Job{
-		{Session: f.session(targets[0], nil), Selector: core.NewP(), NQueries: 1},
+		{Session: f.session(targets[0], 0), Selector: core.NewP(), NQueries: 1},
 	}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)

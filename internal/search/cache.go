@@ -110,20 +110,15 @@ func (c *LRU[V]) Stats() (hits, misses uint64, entries int) {
 	return c.hits, c.misses, len(c.byKey)
 }
 
-// appendCacheKey canonicalizes a query for the cache into dst: scoring
-// mode, result-list size, then every token behind its length. Tokens
-// arrive URL-decoded off the network and may hold any byte, so no
-// separator is safe; uvarint lengths make the encoding prefix-free, hence
-// injective — two different (mode, k, token list) triples never share a
-// key. μ/k1/b need not appear — an engine copy with different smoothing
-// gets a fresh cache (see the With* methods). The live engine prefixes its
-// view epoch in decimal, which the mode letter terminates.
-func appendCacheKey(dst []byte, bm25 bool, k int, query []textproc.Token) []byte {
-	if bm25 {
-		dst = append(dst, 'b')
-	} else {
-		dst = append(dst, 'd')
-	}
+// appendCacheKey canonicalizes a query for the cache into dst: the
+// result-list size, then every token behind its length. Tokens arrive
+// URL-decoded off the network and may hold any byte, so no separator is
+// safe; uvarint lengths make the encoding prefix-free, hence injective —
+// two different (k, token list) pairs never share a key. μ need not
+// appear — an engine copy with different smoothing gets a fresh cache (see
+// the With* methods). The live engine leads with its view epoch
+// (appendLiveCacheKey).
+func appendCacheKey(dst []byte, k int, query []textproc.Token) []byte {
 	dst = binary.AppendUvarint(dst, uint64(k))
 	return appendKeyTokens(dst, query)
 }

@@ -14,14 +14,15 @@ import (
 // Distributed retrieval: the corpus is doc-partitioned over N nodes via a
 // consistent-hash ring, each node scores its partitions locally, and a
 // coordinator merges the per-node top-K lists into the global ranking.
-// Scoring is corpus-stat-dependent (p(t|C), idf, avgdl all read collection
-// totals), so per-partition engines are only comparable after the
-// coordinator distributes the global CollectionStats — with that override
-// in place, every per-term score a partition computes is bit-identical to
-// what the single-node engine computes for the same document, and the
-// merged ranking equals the single-node ranking exactly (partitions are
-// disjoint, ties break on the global document ordinal, and each partition
-// returns its local top-K so the global top-K is contained in the union).
+// Scoring is corpus-stat-dependent (p(t|C) reads collection totals, μ the
+// mean document length), so per-partition engines are only comparable
+// after the coordinator distributes the global CollectionStats — with that
+// override in place, every per-term score a partition computes is
+// bit-identical to what the single-node engine computes for the same
+// document, and the merged ranking equals the single-node ranking exactly
+// (partitions are disjoint, ties break on the global document ordinal, and
+// each partition returns its local top-K so the global top-K is contained
+// in the union).
 
 // DefaultVNodes is the ring's virtual-node multiplier: each node owns this
 // many points on the hash circle so partition sizes even out.
@@ -185,13 +186,14 @@ func (r *Ring) PartitionPages(pages []*corpus.Page) [][]*corpus.Page {
 }
 
 // CollectionStats is the global collection model a coordinator distributes
-// to its nodes: everything the scoring functions read beyond per-document
+// to its nodes: everything the scoring function reads beyond per-document
 // state. With an engine's stats overridden to the whole-corpus values, a
 // partition-local engine scores each of its documents exactly as the
-// single-node engine would.
+// single-node engine would. NumDocs is not a scoring input (it is no part
+// of StatSource): the coordinator derives μ (AutoMu) and reports the
+// collection size from it.
 type CollectionStats struct {
 	CollFreq    map[textproc.Token]int
-	DocFreq     map[textproc.Token]int
 	TotalTokens int
 	NumTerms    int
 	NumDocs     int
@@ -201,8 +203,6 @@ type CollectionStats struct {
 // installed as an engine's scoring override (WithCollectionStats).
 
 func (st *CollectionStats) StatCollFreq(t textproc.Token) int { return st.CollFreq[t] }
-func (st *CollectionStats) StatDocFreq(t textproc.Token) int  { return st.DocFreq[t] }
-func (st *CollectionStats) StatNumDocs() int                  { return st.NumDocs }
 func (st *CollectionStats) StatTotalTokens() int              { return st.TotalTokens }
 func (st *CollectionStats) StatNumTerms() int                 { return st.NumTerms }
 
@@ -214,15 +214,11 @@ func (st *CollectionStats) StatNumTerms() int                 { return st.NumTer
 func StatsOf(idx *Index) *CollectionStats {
 	st := &CollectionStats{
 		CollFreq:    make(map[textproc.Token]int, idx.NumTerms()),
-		DocFreq:     make(map[textproc.Token]int, idx.NumTerms()),
 		TotalTokens: idx.TotalTokens(),
 		NumTerms:    idx.NumTerms(),
 		NumDocs:     idx.NumDocs(),
 	}
-	idx.Terms(func(t textproc.Token, df, cf int) {
-		st.DocFreq[t] = df
-		st.CollFreq[t] = cf
-	})
+	idx.Terms(func(t textproc.Token, cf int) { st.CollFreq[t] = cf })
 	return st
 }
 
@@ -233,14 +229,8 @@ func MergeStats(dst, src *CollectionStats) {
 	if dst.CollFreq == nil {
 		dst.CollFreq = make(map[textproc.Token]int, len(src.CollFreq))
 	}
-	if dst.DocFreq == nil {
-		dst.DocFreq = make(map[textproc.Token]int, len(src.DocFreq))
-	}
 	for t, n := range src.CollFreq {
 		dst.CollFreq[t] += n
-	}
-	for t, n := range src.DocFreq {
-		dst.DocFreq[t] += n
 	}
 	dst.TotalTokens += src.TotalTokens
 	dst.NumDocs += src.NumDocs
@@ -248,8 +238,8 @@ func MergeStats(dst, src *CollectionStats) {
 }
 
 // WithCollectionStats returns a copy of the engine whose collection-level
-// statistics (p(t|C) inputs, document frequencies, corpus size, average
-// document length) come from st instead of the engine's own index.
+// statistics (the p(t|C) inputs) come from st instead of the engine's own
+// index.
 // Per-document state (term frequencies, document lengths) still comes from
 // the index. Passing nil restores index-local statistics.
 func (e *Engine) WithCollectionStats(st *CollectionStats) *Engine {

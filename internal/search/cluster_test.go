@@ -112,7 +112,7 @@ func TestMergeTopKMatchesSort(t *testing.T) {
 // tentpole's differential guarantee: a 3-node doc-partitioned split, with
 // global CollectionStats and the global μ distributed to every partition
 // engine, merges to rankings bit-identical to the single-node engine —
-// scores included — for both the Dirichlet and BM25 models.
+// scores included.
 func TestPartitionedEnginesMatchSingleNode(t *testing.T) {
 	pages, queries := diffCorpus(t, 11)
 	fullIdx := BuildIndex(pages)
@@ -133,43 +133,34 @@ func TestPartitionedEnginesMatchSingleNode(t *testing.T) {
 			statsSummary(merged), statsSummary(global))
 	}
 
-	for _, model := range []string{"dirichlet", "bm25"} {
-		full := NewEngineOpts(fullIdx, Options{}).WithTopK(8)
-		if model == "bm25" {
-			full = full.WithBM25(0, 0)
+	full := NewEngineOpts(fullIdx, Options{}).WithTopK(8)
+	parts := make([]*Engine, len(groups))
+	for p, grp := range groups {
+		parts[p] = NewEngineOpts(BuildIndex(grp), Options{}).
+			WithTopK(8).WithCollectionStats(global).WithMu(mu)
+	}
+	for qi, q := range queries {
+		want := full.Search(q)
+		lists := make([][]RankedDoc, len(parts))
+		byDoc := make(map[int64]Result)
+		for p, e := range parts {
+			for _, res := range e.Search(q) {
+				rd := RankedDoc{Doc: int64(res.Page.ID), Score: res.Score}
+				lists[p] = append(lists[p], rd)
+				byDoc[rd.Doc] = res
+			}
 		}
-		parts := make([]*Engine, len(groups))
-		for p, grp := range groups {
-			e := NewEngineOpts(BuildIndex(grp), Options{}).
-				WithTopK(8).WithCollectionStats(global).WithMu(mu)
-			if model == "bm25" {
-				e = e.WithBM25(0, 0)
-			}
-			parts[p] = e
+		mergedTop := MergeTopK(8, lists)
+		if len(mergedTop) != len(want) {
+			t.Fatalf("query %d: merged %d hits, single-node %d", qi, len(mergedTop), len(want))
 		}
-		for qi, q := range queries {
-			want := full.Search(q)
-			lists := make([][]RankedDoc, len(parts))
-			byDoc := make(map[int64]Result)
-			for p, e := range parts {
-				for _, res := range e.Search(q) {
-					rd := RankedDoc{Doc: int64(res.Page.ID), Score: res.Score}
-					lists[p] = append(lists[p], rd)
-					byDoc[rd.Doc] = res
-				}
+		for i, rd := range mergedTop {
+			if int64(want[i].Page.ID) != rd.Doc || want[i].Score != rd.Score {
+				t.Fatalf("query %d rank %d: merged (doc %d, %v) vs single-node (doc %d, %v)",
+					qi, i, rd.Doc, rd.Score, want[i].Page.ID, want[i].Score)
 			}
-			mergedTop := MergeTopK(8, lists)
-			if len(mergedTop) != len(want) {
-				t.Fatalf("%s query %d: merged %d hits, single-node %d", model, qi, len(mergedTop), len(want))
-			}
-			for i, rd := range mergedTop {
-				if int64(want[i].Page.ID) != rd.Doc || want[i].Score != rd.Score {
-					t.Fatalf("%s query %d rank %d: merged (doc %d, %v) vs single-node (doc %d, %v)",
-						model, qi, i, rd.Doc, rd.Score, want[i].Page.ID, want[i].Score)
-				}
-				if got := byDoc[rd.Doc].Page; got == nil || int64(got.ID) != rd.Doc {
-					t.Fatalf("%s query %d rank %d: merged doc %d not materializable from its partition", model, qi, i, rd.Doc)
-				}
+			if got := byDoc[rd.Doc].Page; got == nil || int64(got.ID) != rd.Doc {
+				t.Fatalf("query %d rank %d: merged doc %d not materializable from its partition", qi, i, rd.Doc)
 			}
 		}
 	}

@@ -47,10 +47,6 @@ type Engine struct {
 	mu   float64
 	topK int
 
-	// BM25 mode (see bm25.go).
-	bm25  bool
-	k1, b float64
-
 	// stats, when non-nil, overrides the collection-level statistics the
 	// scoring reads (see WithCollectionStats) — the hook that makes a
 	// partition-local engine score like the whole corpus in cluster mode,
@@ -149,24 +145,23 @@ func DirichletTermScore(tf, dl int, mu, pC float64) float64 {
 	return math.Log((float64(tf) + mu*pC) / (float64(dl) + mu))
 }
 
-// StatSource supplies the collection-level statistics the scoring reads:
-// everything beyond per-document state (term frequencies, document
-// lengths, which always come from the engine's own index). Implemented by
+// StatSource supplies the collection-level statistics the scoring reads —
+// the three inputs of p(t|C) (CollectionProb) — everything beyond
+// per-document state (term frequencies, document lengths, which always
+// come from the engine's own index). Implemented by
 // *CollectionStats (a materialized snapshot, the cluster exchange form)
 // and by the live engine's view statistics (computed over its segments, so
 // no O(vocabulary) snapshot is rebuilt per ingest).
 type StatSource interface {
 	StatCollFreq(t textproc.Token) int
-	StatDocFreq(t textproc.Token) int
-	StatNumDocs() int
 	StatTotalTokens() int
 	StatNumTerms() int
 }
 
 // Collection-level statistic reads, routed through the stats override when
 // one is set and the engine's own index otherwise. Every scoring path
-// reads these — never idx fields directly — so the override covers
-// Dirichlet, BM25, and both reference paths at once. CollectionFreq,
+// reads these — never idx fields directly — so the override covers the
+// pruned pass and the reference path at once. CollectionFreq,
 // TotalTokens and NumTerms are exported under the names LiveEngine gives
 // the same reads: the serving layer reports them without knowing which
 // engine it holds.
@@ -176,20 +171,6 @@ func (e *Engine) CollectionFreq(t textproc.Token) int {
 		return e.stats.StatCollFreq(t)
 	}
 	return e.idx.CollectionFreq(t)
-}
-
-func (e *Engine) statDocFreq(t textproc.Token) int {
-	if e.stats != nil {
-		return e.stats.StatDocFreq(t)
-	}
-	return e.idx.DocFreq(t)
-}
-
-func (e *Engine) statNumDocs() int {
-	if e.stats != nil {
-		return e.stats.StatNumDocs()
-	}
-	return e.idx.NumDocs()
 }
 
 func (e *Engine) TotalTokens() int {
@@ -204,12 +185,6 @@ func (e *Engine) NumTerms() int {
 		return e.stats.StatNumTerms()
 	}
 	return e.idx.NumTerms()
-}
-
-// avgDocLen is the BM25 average document length over the (possibly
-// overridden) collection statistics.
-func (e *Engine) avgDocLen() float64 {
-	return float64(e.TotalTokens()) / math.Max(1, float64(e.statNumDocs()))
 }
 
 // collProb applies CollectionProb to the engine's collection statistics.
@@ -250,7 +225,7 @@ func (e *Engine) SearchTopKAppend(dst []Result, k int, query []textproc.Token) [
 		return e.searchPrunedAppend(dst, k, query)
 	}
 	kb := cacheKeyPool.Get().(*cacheKeyBuf)
-	key := appendCacheKey(kb.b[:0], e.bm25, k, query)
+	key := appendCacheKey(kb.b[:0], k, query)
 	// The cache owns its result slices: a hit is copied into the caller's
 	// buffer and a miss stores a copy, so callers keep mutating the slices
 	// Search hands them (the pre-cache contract).

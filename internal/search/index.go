@@ -10,10 +10,10 @@
 // fronts it with an LRU query-result cache. All of this is ranking-neutral:
 // every cache state returns the same results, bit for bit, as the retained
 // score-everything reference path (Engine.SearchReference), which
-// differential tests and a fuzz target enforce.
-//
-// It also provides a Fetcher that simulates remote page-download latency so
-// the Fig. 14 selection-vs-fetch comparison can be regenerated.
+// differential tests and a fuzz target enforce. Query likelihood is the
+// only ranking function: every committed number was produced with it, and
+// DESIGN.md "Not building: a second ranking function" says what the BM25
+// this package once carried beside it cost.
 package search
 
 import (
@@ -133,22 +133,17 @@ func (idx *Index) NumTerms() int { return len(idx.lists) }
 // TotalTokens returns the collection length in tokens.
 func (idx *Index) TotalTokens() int { return idx.totalToks }
 
-// DocFreq returns the number of documents containing the token.
-func (idx *Index) DocFreq(t textproc.Token) int { return len(idx.listFor(t).posts) }
-
 // CollectionFreq returns the token's total frequency in the collection.
 func (idx *Index) CollectionFreq(t textproc.Token) int { return idx.listFor(t).collFreq }
 
 // Doc returns the i-th indexed page.
 func (idx *Index) Doc(i int) *corpus.Page { return idx.docs[i] }
 
-// Terms calls f for every distinct indexed token with its document and
-// collection frequencies. Iteration order is unspecified (the dictionary
-// is a hash map); callers needing a deterministic order must collect and
-// sort.
-func (idx *Index) Terms(f func(t textproc.Token, docFreq, collFreq int)) {
+// Terms calls f for every distinct indexed token with its collection
+// frequency. Iteration order is unspecified (the dictionary is a hash
+// map); callers needing a deterministic order must collect and sort.
+func (idx *Index) Terms(f func(t textproc.Token, collFreq int)) {
 	for t, i := range idx.terms {
-		pl := &idx.lists[i]
-		f(t, len(pl.posts), pl.collFreq)
+		f(t, idx.lists[i].collFreq)
 	}
 }

@@ -2,9 +2,9 @@ package search
 
 import (
 	"context"
+	"encoding/binary"
 	"runtime"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,11 +72,6 @@ type LiveOptions struct {
 	IngestWorkers int
 	// TopK is the result-list size per query. 0 picks DefaultTopK.
 	TopK int
-	// BM25 switches scoring to Okapi BM25 (k1/b resolved like
-	// Engine.WithBM25); the default is the paper's Dirichlet
-	// query-likelihood model.
-	BM25  bool
-	K1, B float64
 }
 
 // withDefaults resolves zero fields to their defaults and clamps ranges.
@@ -101,16 +96,6 @@ func (o LiveOptions) withDefaults() LiveOptions {
 	}
 	if o.TopK == 0 {
 		o.TopK = DefaultTopK
-	}
-	if o.BM25 {
-		if o.K1 <= 0 {
-			o.K1 = DefaultBM25K1
-		}
-		// Unlike Engine.WithBM25, the zero value here means "default",
-		// consistent with every other LiveOptions field.
-		if o.B <= 0 || o.B > 1 {
-			o.B = DefaultBM25B
-		}
 	}
 	return o
 }
@@ -147,20 +132,11 @@ func (st *liveStats) StatCollFreq(t textproc.Token) int {
 	return n
 }
 
-func (st *liveStats) StatDocFreq(t textproc.Token) int {
-	n := 0
-	for _, s := range st.segs {
-		n += s.idx.DocFreq(t)
-	}
-	return n
-}
-
 // collProb is the view's smoothed collection model p(t|C).
 func (st *liveStats) collProb(t textproc.Token) float64 {
 	return CollectionProb(st.StatCollFreq(t), st.totalToks, st.numTerms)
 }
 
-func (st *liveStats) StatNumDocs() int     { return st.numDocs }
 func (st *liveStats) StatTotalTokens() int { return st.totalToks }
 func (st *liveStats) StatNumTerms() int    { return st.numTerms }
 
@@ -233,7 +209,7 @@ func NewLiveEngine(pages []*corpus.Page, opts Options, lo LiveOptions) *LiveEngi
 		segs = append(segs, &liveSegment{idx: idx})
 		le.numDocs = idx.NumDocs()
 		le.totalToks = idx.TotalTokens()
-		idx.Terms(func(t textproc.Token, _, _ int) { le.termSeen[t] = struct{}{} })
+		idx.Terms(func(t textproc.Token, _ int) { le.termSeen[t] = struct{}{} })
 	}
 	le.sealed = segs
 	le.view.Store(le.buildViewLocked())
@@ -278,16 +254,12 @@ func (le *LiveEngine) buildViewLocked() *liveView {
 		memDocs: memDocs,
 	}
 	for i, s := range segs {
-		e := &Engine{
+		v.engines[i] = &Engine{
 			idx:   s.idx,
 			mu:    v.mu,
 			topK:  le.lo.TopK,
 			stats: st,
 		}
-		if le.lo.BM25 {
-			e.bm25, e.k1, e.b = true, le.lo.K1, le.lo.B
-		}
-		v.engines[i] = e
 	}
 	return v
 }
@@ -582,10 +554,7 @@ func (le *LiveEngine) SearchTopKAppend(dst []Result, k int, query []textproc.Tok
 		return le.searchViewAppend(dst, v, k, query)
 	}
 	kb := cacheKeyPool.Get().(*cacheKeyBuf)
-	// The key leads with the view epoch: a publish bumps it, so every
-	// stale entry stops matching instantly — invalidation is one integer,
-	// not a flush — and ages out of the LRU.
-	key := appendCacheKey(strconv.AppendUint(kb.b[:0], v.epoch, 10), le.lo.BM25, k, query)
+	key := appendLiveCacheKey(kb.b[:0], v.epoch, k, query)
 	// The cache owns its result slices: a hit is copied into the caller's
 	// buffer and a miss stores a copy, so callers keep mutating the slices
 	// Search hands them (the pre-cache contract).
@@ -598,6 +567,17 @@ func (le *LiveEngine) SearchTopKAppend(dst []Result, k int, query []textproc.Tok
 	kb.b = key
 	cacheKeyPool.Put(kb)
 	return out
+}
+
+// appendLiveCacheKey leads appendCacheKey's encoding with the view epoch:
+// a publish bumps it, so every stale entry stops matching instantly —
+// invalidation is one integer, not a flush — and ages out of the LRU. The
+// epoch must say where it ends, hence a uvarint like every other number in
+// the key: k's byte can be an ASCII digit ('2' is k = 50), so a decimal
+// epoch with nothing after it runs into k — epoch 1, k 50 and epoch 12
+// both open "12" (DESIGN.md "Retrieval engine").
+func appendLiveCacheKey(dst []byte, epoch uint64, k int, query []textproc.Token) []byte {
+	return appendCacheKey(binary.AppendUvarint(dst, epoch), k, query)
 }
 
 // searchViewAppend scores the query over every segment of the view and
@@ -623,14 +603,14 @@ func (le *LiveEngine) searchViewAppend(dst []Result, v *liveView, k int, query [
 	// make the per-query stat cost quadratic in the segment count. Every
 	// segment engine is bound to the view's statistics, so the first one's
 	// constants are everyone's.
-	consts, avgdl := v.engines[0].scoreConsts(sc.consts[:0], query)
+	consts := v.engines[0].scoreConsts(sc.consts[:0], query)
 	sc.consts = consts
 
 	rd := sc.rd[:0]
 	ends := sc.ends[:0]
 	for i, eng := range v.engines {
 		ssc := searchScratchPool.Get().(*searchScratch)
-		for _, c := range eng.searchCandsIn(ssc, query, k, consts, avgdl) {
+		for _, c := range eng.searchCandsIn(ssc, query, k, consts) {
 			rd = append(rd, RankedDoc{Doc: v.segs[i].base + int64(c.doc), Score: c.score})
 		}
 		releaseSearchScratch(ssc)
@@ -695,9 +675,6 @@ func (le *LiveEngine) TopK() int { return le.lo.TopK }
 // the growing collection exactly as NewEngine's AutoMu would).
 func (le *LiveEngine) Mu() float64 { return le.view.Load().mu }
 
-// IsBM25 reports whether the engine ranks with BM25.
-func (le *LiveEngine) IsBM25() bool { return le.lo.BM25 }
-
 // Epoch returns the current view epoch; every ingest, seal, and
 // compaction publish bumps it.
 func (le *LiveEngine) Epoch() uint64 { return le.view.Load().epoch }
@@ -715,12 +692,6 @@ func (le *LiveEngine) TotalTokens() int { return le.view.Load().stats.totalToks 
 // view's segments.
 func (le *LiveEngine) CollectionFreq(t textproc.Token) int {
 	return le.view.Load().stats.StatCollFreq(t)
-}
-
-// DocFreq sums the token's document frequency across the current view's
-// segments.
-func (le *LiveEngine) DocFreq(t textproc.Token) int {
-	return le.view.Load().stats.StatDocFreq(t)
 }
 
 // Pages returns the ingested pages in global-ordinal (ingest) order —

@@ -87,33 +87,30 @@ func tinyQueries(rng *rand.Rand) [][]textproc.Token {
 // FuzzPrunedTopKMatchesReference is the exactness gate of the pruned pass:
 // on tiny random corpora full of duplicate documents it asserts pages and
 // scores equal SearchReference bit for bit, tie order included, for
-// k ∈ {1, 5, more than can match}, Dirichlet and BM25, with and without a
+// k ∈ {1, 5, more than can match}, with and without a
 // WithCollectionStats override (the cluster/live shape: statistics of a
 // larger collection than the index scored). CI runs it as a short
 // fuzz-smoke (`make fuzz-smoke`); `go test` replays the seeds below.
 func FuzzPrunedTopKMatchesReference(f *testing.F) {
 	for seed := uint64(0); seed < 6; seed++ {
 		for _, n := range []uint8{0, 7, 40} {
-			f.Add(seed, n, uint8(seed), seed%2 == 0, seed%3 == 0)
+			f.Add(seed, n, uint8(seed), seed%3 == 0)
 		}
 	}
-	f.Fuzz(func(t *testing.T, seed uint64, nDocs, kSel uint8, bm25, override bool) {
+	f.Fuzz(func(t *testing.T, seed uint64, nDocs, kSel uint8, override bool) {
 		rng := rand.New(rand.NewPCG(seed, 15))
 		pages := tinyCorpus(rng, 1+int(nDocs)%48, 0)
 		idx := BuildIndex(pages)
 		k := []int{1, 5, len(pages) + 3}[kSel%3]
 		e := NewEngineOpts(idx, Options{CacheSize: -1}).WithTopK(k)
-		if bm25 {
-			e = e.WithBM25(DefaultBM25K1, DefaultBM25B)
-		}
 		if override {
 			super := append(pages[:len(pages):len(pages)], tinyCorpus(rng, 1+rng.IntN(30), 1000)...)
 			st := StatsOf(BuildIndex(super))
 			e = e.WithCollectionStats(st).WithMu(AutoMu(st.NumDocs, st.TotalTokens))
 		}
 		for qi, q := range tinyQueries(rng) {
-			label := fmt.Sprintf("seed %d docs %d k %d bm25 %v override %v query %d %q",
-				seed, len(pages), k, bm25, override, qi, q)
+			label := fmt.Sprintf("seed %d docs %d k %d override %v query %d %q",
+				seed, len(pages), k, override, qi, q)
 			assertSameResults(t, label, e.SearchReference(q), e.Search(q))
 		}
 	})
@@ -129,17 +126,14 @@ type searchBackend struct {
 // runs: a frozen engine, a 3-segment live view (two sealed segments and
 // the memtable) and a 3-partition cluster merge with global statistics.
 // ref is the frozen engine whose SearchReference all three must equal.
-func prunedBackends(t *testing.T, pages []*corpus.Page, k int, bm25 bool) (ref *Engine, out []searchBackend) {
+func prunedBackends(t *testing.T, pages []*corpus.Page, k int) (ref *Engine, out []searchBackend) {
 	t.Helper()
 	fullIdx := BuildIndex(pages)
 	ref = NewEngineOpts(fullIdx, Options{CacheSize: -1}).WithTopK(k)
-	if bm25 {
-		ref = ref.WithBM25(DefaultBM25K1, DefaultBM25B)
-	}
 	out = append(out, searchBackend{"frozen", ref.Search})
 
 	le := NewLiveEngine(nil, Options{CacheSize: -1}, LiveOptions{
-		TopK: k, BM25: bm25, MemtableDocs: len(pages) + 1, CompactFanIn: -1})
+		TopK: k, MemtableDocs: len(pages) + 1, CompactFanIn: -1})
 	a, b := len(pages)/3, 2*len(pages)/3
 	le.Add(pages[:a]...)
 	le.Seal()
@@ -154,12 +148,8 @@ func prunedBackends(t *testing.T, pages []*corpus.Page, k int, bm25 bool) (ref *
 	global := StatsOf(fullIdx)
 	var parts []*Engine
 	for _, grp := range NewRing(3, 1, 0).PartitionPages(pages) {
-		e := NewEngineOpts(BuildIndex(grp), Options{CacheSize: -1}).
-			WithTopK(k).WithCollectionStats(global).WithMu(ref.Mu())
-		if bm25 {
-			e = e.WithBM25(DefaultBM25K1, DefaultBM25B)
-		}
-		parts = append(parts, e)
+		parts = append(parts, NewEngineOpts(BuildIndex(grp), Options{CacheSize: -1}).
+			WithTopK(k).WithCollectionStats(global).WithMu(ref.Mu()))
 	}
 	byID := make(map[corpus.PageID]*corpus.Page, len(pages))
 	for _, p := range pages {
@@ -221,19 +211,17 @@ func TestPrunedExactAcrossBackends(t *testing.T) {
 		{name: "best-lack-rarest", pages: lacking, queries: lackingQueries, topLacks: "zeta"},
 	} {
 		for _, k := range []int{1, 5} {
-			for _, bm25 := range []bool{false, true} {
-				ref, backends := prunedBackends(t, tc.pages, k, bm25)
-				if tc.topLacks != "" {
-					top := ref.SearchReference(tc.queries[0])
-					if len(top) == 0 || top[0].Page.HasToken(tc.topLacks) {
-						t.Fatalf("%s: premise broken: best hit for %q holds %q", tc.name, tc.queries[0], tc.topLacks)
-					}
+			ref, backends := prunedBackends(t, tc.pages, k)
+			if tc.topLacks != "" {
+				top := ref.SearchReference(tc.queries[0])
+				if len(top) == 0 || top[0].Page.HasToken(tc.topLacks) {
+					t.Fatalf("%s: premise broken: best hit for %q holds %q", tc.name, tc.queries[0], tc.topLacks)
 				}
-				for _, b := range backends {
-					for qi, q := range tc.queries {
-						label := fmt.Sprintf("%s/%s k=%d bm25=%v query %d %q", tc.name, b.name, k, bm25, qi, q)
-						assertSameResults(t, label, ref.SearchReference(q), b.search(q))
-					}
+			}
+			for _, b := range backends {
+				for qi, q := range tc.queries {
+					label := fmt.Sprintf("%s/%s k=%d query %d %q", tc.name, b.name, k, qi, q)
+					assertSameResults(t, label, ref.SearchReference(q), b.search(q))
 				}
 			}
 		}

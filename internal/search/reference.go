@@ -15,9 +15,6 @@ func (e *Engine) SearchReference(query []textproc.Token) []Result {
 	if len(query) == 0 {
 		return nil
 	}
-	if e.bm25 {
-		return e.searchBM25Reference(query)
-	}
 	// Candidate set: union of postings.
 	tfs := make(map[int32]map[textproc.Token]int32)
 	for _, t := range query {
@@ -40,45 +37,6 @@ func (e *Engine) SearchReference(query []textproc.Token) []Result {
 		for _, t := range query {
 			s += DirichletTermScore(int(m[t]), dl, e.mu, e.collProb(t))
 		}
-		cands = append(cands, cand{doc: doc, score: s})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
-		}
-		return cands[i].doc < cands[j].doc
-	})
-	k := e.topK
-	if k > len(cands) {
-		k = len(cands)
-	}
-	out := make([]Result, 0, k)
-	for _, c := range cands[:k] {
-		out = append(out, Result{Page: e.idx.docs[c.doc], Score: c.score})
-	}
-	return out
-}
-
-// searchBM25Reference mirrors SearchReference with BM25 scoring.
-func (e *Engine) searchBM25Reference(query []textproc.Token) []Result {
-	if len(query) == 0 {
-		return nil
-	}
-	avgdl := e.avgDocLen()
-	scores := make(map[int32]float64)
-	for _, t := range query {
-		idf := e.idf(t)
-		for _, p := range e.idx.listFor(t).posts {
-			dl := float64(e.idx.docLen[p.doc])
-			tf := float64(p.tf)
-			scores[p.doc] += idf * (tf * (e.k1 + 1)) / (tf + e.k1*(1-e.b+e.b*dl/avgdl))
-		}
-	}
-	if len(scores) == 0 {
-		return nil
-	}
-	cands := make([]cand, 0, len(scores))
-	for doc, s := range scores {
 		cands = append(cands, cand{doc: doc, score: s})
 	}
 	sort.Slice(cands, func(i, j int) bool {

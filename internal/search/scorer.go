@@ -99,47 +99,15 @@ func dirichletScore(tfv []int32, dl int, mu float64, pC []float64) float64 {
 	return s
 }
 
-// bm25Score mirrors the reference BM25 accumulation: terms contribute in
-// query-position order, absent terms are skipped (they contributed nothing
-// in the reference's postings-driven accumulation either).
-func bm25Score(tfv []int32, dl int, idf []float64, avgdl, k1, b float64) float64 {
-	s := 0.0
-	fdl := float64(dl)
-	for i, f := range idf {
-		if tfv[i] == 0 {
-			continue
-		}
-		tf := float64(tfv[i])
-		s += f * (tf * (k1 + 1)) / (tf + k1*(1-b+b*fdl/avgdl))
-	}
-	return s
-}
-
-// score is one document's score under the engine's ranking function, from
-// its tf vector and the hoisted per-position constants (p(t|C) for
-// Dirichlet; idf, with avgdl, for BM25).
-func (e *Engine) score(tfv []int32, dl int, consts []float64, avgdl float64) float64 {
-	if e.bm25 {
-		return bm25Score(tfv, dl, consts, avgdl, e.k1, e.b)
-	}
-	return dirichletScore(tfv, dl, e.mu, consts)
-}
-
-// scoreConsts appends the per-position scoring constants of query under
-// the engine's collection statistics and returns them with avgdl (BM25
-// only). The reference recomputes them per candidate; the values are
-// identical, so hoisting is ranking-neutral.
-func (e *Engine) scoreConsts(dst []float64, query []textproc.Token) (consts []float64, avgdl float64) {
-	if e.bm25 {
-		for _, t := range query {
-			dst = append(dst, e.idf(t))
-		}
-		return dst, e.avgDocLen()
-	}
+// scoreConsts appends the per-position smoothed collection model p(t|C) of
+// query under the engine's collection statistics. The reference recomputes
+// it per candidate; the values are identical, so hoisting is
+// ranking-neutral.
+func (e *Engine) scoreConsts(dst []float64, query []textproc.Token) []float64 {
 	for _, t := range query {
 		dst = append(dst, e.collProb(t))
 	}
-	return dst, 0
+	return dst
 }
 
 // searchScratch is the pooled working state of one scoring pass: the
@@ -167,9 +135,8 @@ var searchScratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 // the reference order and appended to dst.
 func (e *Engine) searchPrunedAppend(dst []Result, k int, query []textproc.Token) []Result {
 	sc := searchScratchPool.Get().(*searchScratch)
-	consts, avgdl := e.scoreConsts(sc.consts[:0], query)
-	sc.consts = consts
-	dst = e.appendFinish(dst, e.searchCandsIn(sc, query, k, consts, avgdl), k)
+	sc.consts = e.scoreConsts(sc.consts[:0], query)
+	dst = e.appendFinish(dst, e.searchCandsIn(sc, query, k, sc.consts), k)
 	releaseSearchScratch(sc)
 	return dst
 }
@@ -206,7 +173,7 @@ const boundSlackPerTerm = 0x1p-50
 // engine" has the argument in full, and why the pass is not fanned out
 // (range-partitioned workers each prune against their own, lower,
 // threshold).
-func (e *Engine) searchCandsIn(sc *searchScratch, query []textproc.Token, k int, consts []float64, avgdl float64) []cand {
+func (e *Engine) searchCandsIn(sc *searchScratch, query []textproc.Token, k int, consts []float64) []cand {
 	lists := sc.lists[:0]
 	total := 0
 	for _, t := range query {
@@ -232,15 +199,18 @@ func (e *Engine) searchCandsIn(sc *searchScratch, query []textproc.Token, k int,
 	minDL := e.idx.minDocLen
 
 	// Per-position gains and the visiting order (insertion sort: queries
-	// are a handful of tokens; ties keep query-position order). A gain
-	// that is not positive — an empty list, or an idf a foreign StatSource
-	// drove negative — means absence is the position's best case, so the
-	// bound counts it as absent.
+	// are a handful of tokens; ties keep query-position order). The
+	// Dirichlet term grows with tf, so a non-empty list's gain is positive;
+	// an empty list has maxTf 0, its two scores are the same number and its
+	// gain exactly 0 — it sorts last and the bound counts it absent. The
+	// guard is written !(gain > 0) so that a NaN (a foreign StatSource
+	// reporting a negative count puts a negative under the log) lands in
+	// that case too instead of in the sort's comparisons.
 	slack := 0.0
 	for i, pl := range lists {
 		zero, top := [1]int32{}, [1]int32{pl.maxTf}
-		absent := e.score(zero[:], minDL, consts[i:i+1], avgdl)
-		best := e.score(top[:], minDL, consts[i:i+1], avgdl)
+		absent := dirichletScore(zero[:], minDL, e.mu, consts[i:i+1])
+		best := dirichletScore(top[:], minDL, e.mu, consts[i:i+1])
 		gain[i], boundTf[i] = best-absent, pl.maxTf
 		if !(gain[i] > 0) {
 			gain[i], boundTf[i] = 0, 0
@@ -256,7 +226,7 @@ func (e *Engine) searchCandsIn(sc *searchScratch, query []textproc.Token, k int,
 
 	h := topKHeap[cand]{k: k, better: betterCand, h: sc.heap[:0]}
 	for v, j := range order {
-		if len(h.h) == k && e.score(boundTf, minDL, consts, avgdl)+slack < h.h[0].score {
+		if len(h.h) == k && dirichletScore(boundTf, minDL, e.mu, consts)+slack < h.h[0].score {
 			break
 		}
 		boundTf[j] = 0
@@ -284,7 +254,7 @@ func (e *Engine) searchCandsIn(sc *searchScratch, query []textproc.Token, k int,
 					tfv[i] = 0
 				}
 			}
-			h.push(cand{doc: p.doc, score: e.score(tfv, e.idx.docLen[p.doc], consts, avgdl)})
+			h.push(cand{doc: p.doc, score: dirichletScore(tfv, e.idx.docLen[p.doc], e.mu, consts)})
 		}
 	}
 	sc.heap = h.h

@@ -43,14 +43,14 @@ type NodeStatsPayload struct {
 	TotalTokens int            `json:"totalTokens"`
 	TopK        int            `json:"topK"`
 	CollFreq    map[string]int `json:"collFreq"`
-	DocFreq     map[string]int `json:"docFreq"`
 }
 
 // GlobalStatsPayload is the POST /api/v1/cluster/stats body: the
 // coordinator's aggregated collection model, pushed to every node at
 // registration. Applying it re-bases each partition engine onto the
 // global statistics and μ, after which per-node scores are bit-identical
-// to the single-node engine's.
+// to the single-node engine's. A body from an older coordinator may still
+// carry a "docFreq" key; encoding/json drops it.
 type GlobalStatsPayload struct {
 	NumDocs     int            `json:"numDocs"`
 	TotalTokens int            `json:"totalTokens"`
@@ -58,7 +58,6 @@ type GlobalStatsPayload struct {
 	Mu          float64        `json:"mu"`
 	TopK        int            `json:"topK"`
 	CollFreq    map[string]int `json:"collFreq"`
-	DocFreq     map[string]int `json:"docFreq"`
 }
 
 // ClusterNode serves one node's slice of a doc-partitioned cluster: the
@@ -158,21 +157,31 @@ func (n *ClusterNode) LocalStats() NodeStatsPayload {
 		TotalTokens: st.TotalTokens,
 		TopK:        n.topK,
 		CollFreq:    st.CollFreq,
-		DocFreq:     st.DocFreq,
 	}
 }
 
 // ApplyGlobalStats rebases every partition engine onto the coordinator's
 // aggregated collection model and marks the node ready. Idempotent — a
-// coordinator retrying its push is harmless.
+// coordinator retrying its push is harmless. The body comes off the
+// network, so the map is checked like the scalars: with collFreq missing
+// or short the node would turn ready and score the tokens it lacks at
+// p(t|C)'s add-one floor, silently disagreeing with its replicas. A
+// rejected push leaves the node as it was.
 func (n *ClusterNode) ApplyGlobalStats(g *GlobalStatsPayload) error {
 	if g.NumDocs <= 0 || g.TotalTokens <= 0 || g.NumTerms <= 0 || g.Mu <= 0 || g.TopK <= 0 {
 		return fmt.Errorf("cluster: implausible global stats (docs=%d toks=%d terms=%d mu=%v k=%d)",
 			g.NumDocs, g.TotalTokens, g.NumTerms, g.Mu, g.TopK)
 	}
+	if len(g.CollFreq) != g.NumTerms {
+		return fmt.Errorf("cluster: global stats carry %d collection frequencies for %d terms", len(g.CollFreq), g.NumTerms)
+	}
+	for t, cf := range g.CollFreq {
+		if cf <= 0 {
+			return fmt.Errorf("cluster: global stats give %q the collection frequency %d", t, cf)
+		}
+	}
 	st := &search.CollectionStats{
 		CollFreq:    g.CollFreq,
-		DocFreq:     g.DocFreq,
 		TotalTokens: g.TotalTokens,
 		NumTerms:    g.NumTerms,
 		NumDocs:     g.NumDocs,

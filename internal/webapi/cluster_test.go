@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -20,6 +21,7 @@ import (
 	"l2q/internal/html"
 	"l2q/internal/search"
 	"l2q/internal/synth"
+	"l2q/internal/textproc"
 	"l2q/internal/types"
 )
 
@@ -668,4 +670,130 @@ func TestClusterOneNode(t *testing.T) {
 				cacheSize, sm.Cluster, len(want), wantFront)
 		}
 	}
+}
+
+// TestClusterStatsPushValidation: POST /api/v1/cluster/stats is input from
+// outside the program, and the frequency map is as much a part of it as
+// the five numbers beside it. A push without the map, with a map shorter
+// than numTerms, or with a count that is not positive is a 400 bad_request
+// that leaves the node as it was — not yet ready (cluster search stays a
+// 503), or ready and ranking exactly like the single-node engine. The
+// first body is the one that used to be answered {"ok":true}: the node
+// turned ready and scored every token at p(t|C)'s add-one floor. A body
+// from a coordinator that still sends "docFreq" is accepted; the key is
+// ignored.
+func TestClusterStatsPushValidation(t *testing.T) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullIdx := search.BuildIndex(g.Corpus.Pages)
+	engine := search.NewEngine(fullIdx)
+	st := search.StatsOf(fullIdx)
+	honest := GlobalStatsPayload{NumDocs: st.NumDocs, TotalTokens: st.TotalTokens, NumTerms: st.NumTerms,
+		Mu: engine.Mu(), TopK: search.DefaultTopK, CollFreq: st.CollFreq}
+
+	var someTerm string
+	for someTerm = range honest.CollFreq {
+		break
+	}
+	with := func(edit func(cf map[string]int)) GlobalStatsPayload {
+		p := honest
+		p.CollFreq = maps.Clone(honest.CollFreq)
+		edit(p.CollFreq)
+		return p
+	}
+	marshal := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	noMap := honest
+	noMap.CollFreq = nil
+	bad := []struct{ name, body string }{
+		{"five numbers and nothing else", `{"numDocs":1,"totalTokens":1,"numTerms":1,"mu":1,"topK":5}`},
+		{"honest numbers, no collFreq", marshal(noMap)},
+		{"collFreq one term short", marshal(with(func(cf map[string]int) { delete(cf, someTerm) }))},
+		{"a zero count", marshal(with(func(cf map[string]int) { cf[someTerm] = 0 }))},
+		{"a negative count", marshal(with(func(cf map[string]int) { cf[someTerm] = -3 }))},
+	}
+	push := func(url, body string) (int, errorEnvelope) {
+		t.Helper()
+		resp, err := http.Post(url+"/api/v1/cluster/stats", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var env errorEnvelope
+		if resp.StatusCode != http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, env
+	}
+	rejectAll := func(url, state string) {
+		t.Helper()
+		for _, tc := range bad {
+			if status, env := push(url, tc.body); status != http.StatusBadRequest || env.Error.Code != "bad_request" {
+				t.Errorf("%s node, %s: push answered %d %+v, want 400 bad_request", state, tc.name, status, env.Error)
+			}
+		}
+	}
+
+	urls := startClusterNodes(t, g, 2, 2, nil)
+	rejectAll(urls[0], "unready")
+	if status, _ := rawGet(t, urls[0]+"/api/v1/cluster/search?part=0&q=research", false); status != http.StatusServiceUnavailable {
+		t.Fatalf("cluster search after the rejected pushes = %d, want 503: a rejected push must not turn the node ready", status)
+	}
+
+	// The legacy body: the honest payload plus the map this build no
+	// longer has a field for. It makes node 0 ready on its own.
+	var legacy map[string]any
+	if err := json.Unmarshal([]byte(marshal(honest)), &legacy); err != nil {
+		t.Fatal(err)
+	}
+	legacy["docFreq"] = map[string]int{someTerm: 1}
+	if status, env := push(urls[0], marshal(legacy)); status != http.StatusOK {
+		t.Fatalf("legacy body with docFreq answered %d %+v, want 200", status, env.Error)
+	}
+	if status, _ := rawGet(t, urls[0]+"/api/v1/cluster/search?part=0&q=research", false); status != http.StatusOK {
+		t.Fatalf("cluster search after the accepted push = %d, want 200", status)
+	}
+
+	// Ready nodes (the dial pushes what the coordinator aggregated — the
+	// same numbers) keep ranking like the single node across rejected
+	// pushes. No front cache: every Retrieve is scored by the nodes.
+	co := dialClusterCache(t, g, urls, 2, 0, -1)
+	if !reflect.DeepEqual(co.global, honest) {
+		t.Fatalf("coordinator aggregated %d terms / %d tokens / μ %v, single-node index %d / %d / %v",
+			co.global.NumTerms, co.global.TotalTokens, co.global.Mu, honest.NumTerms, honest.TotalTokens, honest.Mu)
+	}
+	requireSingleNodeRanking := func(when string) {
+		t.Helper()
+		for _, e := range g.Corpus.Entities[:6] {
+			seed := e.SeedTokens()
+			want := engine.SearchWithSeed(seed, []textproc.Token{"research"})
+			got, err := co.Retrieve(context.Background(), nil, seed, []textproc.Token{"research"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) || len(want) == 0 {
+				t.Fatalf("%s: entity %d: %d hits, single-node engine %d", when, e.ID, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Page.ID != want[i].Page.ID || got[i].Score != want[i].Score {
+					t.Fatalf("%s: entity %d rank %d: (doc %d, %v) vs single-node (doc %d, %v)",
+						when, e.ID, i, got[i].Page.ID, got[i].Score, want[i].Page.ID, want[i].Score)
+				}
+			}
+		}
+	}
+	requireSingleNodeRanking("after the dial")
+	for _, u := range urls {
+		rejectAll(u, "ready")
+	}
+	requireSingleNodeRanking("after rejected pushes to ready nodes")
 }

@@ -200,7 +200,6 @@ func DialCoordinator(ctx context.Context, cfg CoordinatorConfig, tok *textproc.T
 		}
 		search.MergeStats(global, &search.CollectionStats{
 			CollFreq:    st.CollFreq,
-			DocFreq:     st.DocFreq,
 			TotalTokens: st.TotalTokens,
 			NumDocs:     st.NumDocs,
 		})
@@ -214,7 +213,6 @@ func DialCoordinator(ctx context.Context, cfg CoordinatorConfig, tok *textproc.T
 		Mu:          mu,
 		TopK:        topK,
 		CollFreq:    global.CollFreq,
-		DocFreq:     global.DocFreq,
 	}
 
 	// Push the global model to every node (idempotent; nodes answer

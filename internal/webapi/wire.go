@@ -56,7 +56,11 @@ const WireContentType = wireContentType
 
 // Frame payload kinds. 4 was the collfreq batch of the deleted
 // /api/v1/collfreq route; the number stays retired — no route negotiates
-// it, every decoder rejects it, and no new kind may reuse it.
+// it, every decoder rejects it, and no new kind may reuse it. 7 kept its
+// number when its payload lost the document-frequency map after the
+// collection frequencies: a coordinator and a node from different sides of
+// that change fail at dial, before any ranking (trailing bytes for the
+// newer decoder, a short payload for the older).
 const (
 	wireStats     byte = 1
 	wireSearch    byte = 2
@@ -393,7 +397,7 @@ func decodeFreqMapWire(d *store.Dec) map[string]int {
 }
 
 // encodeNodeStatsWire frames a cluster node's primary-partition stat
-// report. Both frequency maps ride as sorted (token, count) runs — the
+// report. The frequency map rides as a sorted (token, count) run — the
 // store codecs' determinism rule.
 func encodeNodeStatsWire(e *store.Enc, st NodeStatsPayload) {
 	e.Varint(int64(st.Node))
@@ -404,7 +408,6 @@ func encodeNodeStatsWire(e *store.Enc, st NodeStatsPayload) {
 	e.Varint(int64(st.TotalTokens))
 	e.Varint(int64(st.TopK))
 	encodeFreqMapWire(e, st.CollFreq)
-	encodeFreqMapWire(e, st.DocFreq)
 }
 
 func decodeNodeStatsWire(d *store.Dec) NodeStatsPayload {
@@ -417,7 +420,6 @@ func decodeNodeStatsWire(d *store.Dec) NodeStatsPayload {
 		TotalTokens: int(d.Varint()),
 		TopK:        int(d.Varint()),
 		CollFreq:    decodeFreqMapWire(d),
-		DocFreq:     decodeFreqMapWire(d),
 	}
 }
 

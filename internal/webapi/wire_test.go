@@ -56,7 +56,7 @@ func TestWireFrameRoundTrips(t *testing.T) {
 	}
 
 	ns := NodeStatsPayload{Node: 1, Nodes: 3, Replicas: 2, Partition: 1, NumDocs: 40, TotalTokens: 12345, TopK: 10,
-		CollFreq: map[string]int{"engine": 12, "safety": 3, "zzz": 0}, DocFreq: map[string]int{"engine": 7, "safety": 3}}
+		CollFreq: map[string]int{"engine": 12, "safety": 3, "zzz": 0}}
 	payload = roundTripFrame(t, wireNodeStats, 0, func(e *store.Enc) { encodeNodeStatsWire(e, ns) })
 	d = store.NewDec(payload)
 	if got := decodeNodeStatsWire(d); !reflect.DeepEqual(got, ns) || !d.Done() {
@@ -166,6 +166,24 @@ func TestWireFrameCorruption(t *testing.T) {
 		if err := decodeFramePayload(retired, kind, func(d *store.Dec) { decodeFreqMapWire(d) }); err == nil {
 			t.Errorf("retired kind 4 decoded as kind %d", kind)
 		}
+	}
+	// Kind 7 as it was framed while a document-frequency map followed the
+	// collection frequencies — what a node of that build answers a newer
+	// coordinator's dial with. The second map is trailing bytes: the dial
+	// fails, before anything is ranked on half the statistics.
+	ns := NodeStatsPayload{Node: 1, Nodes: 3, Replicas: 2, Partition: 1, NumDocs: 40, TotalTokens: 12345, TopK: 10,
+		CollFreq: map[string]int{"engine": 12, "safety": 3}}
+	current := marshalFrame(wireNodeStats, 0, func(e *store.Enc) { encodeNodeStatsWire(e, ns) })
+	var got NodeStatsPayload
+	if err := decodeFramePayload(current, wireNodeStats, func(d *store.Dec) { got = decodeNodeStatsWire(d) }); err != nil || !reflect.DeepEqual(got, ns) {
+		t.Errorf("kind 7 frame: got %+v, %v", got, err)
+	}
+	twoMaps := marshalFrame(wireNodeStats, 0, func(e *store.Enc) {
+		encodeNodeStatsWire(e, ns)
+		encodeFreqMapWire(e, map[string]int{"engine": 7, "safety": 3})
+	})
+	if err := decodeFramePayload(twoMaps, wireNodeStats, func(d *store.Dec) { decodeNodeStatsWire(d) }); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Errorf("kind 7 frame in the two-map layout: %v, want a trailing-bytes error", err)
 	}
 	flipped := append([]byte{}, frame...)
 	flipped[len(flipped)-1] ^= 0x01

@@ -80,8 +80,6 @@ type (
 	LiveOptions = search.LiveOptions
 	// LiveMetrics is a LiveEngine's ingest-side gauge snapshot.
 	LiveMetrics = search.LiveMetrics
-	// Fetcher simulates remote page-download latency.
-	Fetcher = search.Fetcher
 	// HRModel is the harvest-rate baseline's domain statistics.
 	HRModel = baselines.HRModel
 	// Recognizer maps words to types for template enumeration.

@@ -123,10 +123,10 @@ func (s *System) NewScheduler(cfg SchedulerConfig) *HarvestScheduler {
 
 // NewHarvestJobs builds one scheduler job per entity for an aspect,
 // mirroring HarvestPipelined's session conventions (deterministic
-// per-entity seeding, optional simulated-latency fetcher). Unknown IDs
-// are skipped; the returned slice holds only buildable jobs.
+// per-entity seeding). Unknown IDs are skipped; the returned slice holds
+// only buildable jobs.
 func (s *System) NewHarvestJobs(entities []EntityID, a Aspect, dm *DomainModel,
-	sel Selector, nQueries int, fetcher *Fetcher) []HarvestJob {
+	sel Selector, nQueries int) []HarvestJob {
 
 	jobs := make([]HarvestJob, 0, len(entities))
 	for _, id := range entities {
@@ -135,7 +135,6 @@ func (s *System) NewHarvestJobs(entities []EntityID, a Aspect, dm *DomainModel,
 			continue
 		}
 		sess := core.NewSession(s.cfg, s.engine, e, a, s.cls.YFunc(a), dm, s.rec, uint64(id)+1)
-		sess.Fetcher = fetcher
 		jobs = append(jobs, HarvestJob{Session: sess, Selector: sel, NQueries: nQueries})
 	}
 	return jobs
@@ -287,14 +286,15 @@ type PipelineResult struct {
 
 // HarvestPipelined harvests one aspect for many entities with the
 // interleaved scheduler of §VI-C's efficiency note: selections run on a
-// bounded CPU pool while page fetches overlap on a wider I/O pool. With
-// fetcher == nil the fetch stage is instant (in-memory corpus); pass a
-// Fetcher with Sleep set to model remote-download latency. The result
-// slice is aligned with entities: one PipelineResult per requested ID,
-// unknown IDs reported with a per-entity Err instead of being silently
-// dropped (which used to shift every later result off its entity).
+// bounded CPU pool while page fetches overlap on a wider I/O pool. The
+// fetch stage costs what the system's engine costs — nothing over the
+// in-memory corpus; a remote harvest (NewRemoteHarvester) is where it is
+// a network round trip. The result slice is aligned with entities: one
+// PipelineResult per requested ID, unknown IDs reported with a per-entity
+// Err instead of being silently dropped (which used to shift every later
+// result off its entity).
 func (s *System) HarvestPipelined(ctx context.Context, entities []EntityID, a Aspect,
-	dm *DomainModel, sel Selector, nQueries int, fetcher *Fetcher) []PipelineResult {
+	dm *DomainModel, sel Selector, nQueries int) []PipelineResult {
 
 	out := make([]PipelineResult, len(entities))
 	jobs := make([]pipeline.Job, 0, len(entities))
@@ -307,7 +307,6 @@ func (s *System) HarvestPipelined(ctx context.Context, entities []EntityID, a As
 			continue
 		}
 		sess := core.NewSession(s.cfg, s.engine, e, a, s.cls.YFunc(a), dm, s.rec, uint64(id)+1)
-		sess.Fetcher = fetcher
 		jobs = append(jobs, pipeline.Job{Session: sess, Selector: sel, NQueries: nQueries})
 		sessions = append(sessions, sess)
 		jobIdx = append(jobIdx, i)

@@ -71,7 +71,7 @@ func TestHarvestPipelinedMatchesHarvestMany(t *testing.T) {
 	}
 	targets := ids[15:]
 
-	pipe := sys.HarvestPipelined(context.Background(), targets, aspect, dm, NewL2QBAL(), 2, nil)
+	pipe := sys.HarvestPipelined(context.Background(), targets, aspect, dm, NewL2QBAL(), 2)
 	if len(pipe) != len(targets) {
 		t.Fatalf("%d results for %d targets", len(pipe), len(targets))
 	}
@@ -110,7 +110,7 @@ func TestHarvestPipelinedUnknownEntity(t *testing.T) {
 	const bogus = EntityID(99999)
 	targets := []EntityID{ids[len(ids)-1], bogus, ids[len(ids)-2]}
 
-	results := sys.HarvestPipelined(context.Background(), targets, aspect, nil, NewP(), 1, nil)
+	results := sys.HarvestPipelined(context.Background(), targets, aspect, nil, NewP(), 1)
 	if len(results) != len(targets) {
 		t.Fatalf("%d results for %d targets (alignment lost)", len(results), len(targets))
 	}
@@ -202,7 +202,7 @@ func TestHarvestPipelinedReportsUnknownEntities(t *testing.T) {
 	sys := testSystem(t, Cars)
 	aspect := sys.Aspects()[0]
 	out := sys.HarvestPipelined(context.Background(), []EntityID{99999}, aspect,
-		nil, NewP(), 1, nil)
+		nil, NewP(), 1)
 	// One aligned result per requested ID, carrying an explicit error —
 	// dropping the slot (the old behavior) shifted every later result off
 	// its entity.
@@ -260,11 +260,11 @@ func TestSchedulerPublicSurface(t *testing.T) {
 	}
 	const nQueries = 2
 
-	want := sys.HarvestPipelined(context.Background(), targets, aspect, dm, NewL2QBAL(), nQueries, nil)
+	want := sys.HarvestPipelined(context.Background(), targets, aspect, dm, NewL2QBAL(), nQueries)
 
 	sched := sys.NewScheduler(SchedulerConfig{})
 	defer sched.Close()
-	jobs := sys.NewHarvestJobs(targets, aspect, dm, NewL2QBAL(), nQueries, nil)
+	jobs := sys.NewHarvestJobs(targets, aspect, dm, NewL2QBAL(), nQueries)
 	if len(jobs) != len(targets) {
 		t.Fatalf("built %d jobs for %d targets", len(jobs), len(targets))
 	}
@@ -282,7 +282,7 @@ func TestSchedulerPublicSurface(t *testing.T) {
 	}
 
 	// Adaptive batch on the same scheduler: bounded by the pooled budget.
-	jobs2 := sys.NewHarvestJobs(targets, aspect, dm, NewL2QBAL(), nQueries, nil)
+	jobs2 := sys.NewHarvestJobs(targets, aspect, dm, NewL2QBAL(), nQueries)
 	b2, err := sched.Submit(context.Background(), jobs2, BatchOptions{
 		Budget: BudgetPolicy{Mode: BudgetAdaptive},
 	})

@@ -17,6 +17,11 @@
 #      on the third node, and a page the killed node owned still downloads
 #      through the coordinator; each process's peak RSS is printed, the
 #      coordinator's beside what its two caches hold
+#   6. a registration carries one frequency map: a node's JSON stat report
+#      has collFreq and no docFreq (its size is printed beside the RSS
+#      lines), and a stat push without collFreq to a serving node is a 400
+#      that changes nothing — the node's partition search and the
+#      coordinator's pre-kill search answer the same bytes after it
 #
 # Usage: scripts/cluster_smoke.sh
 set -eu
@@ -73,6 +78,18 @@ for i in 0 1 2; do
 	fi
 done
 
+# What a node registers with: its primary partition's collection
+# frequencies, and no second map.
+NODE_STATS=$(curl -s "$N0/api/v1/cluster/stats")
+echo "$NODE_STATS" | grep -q '"collFreq":{"' || {
+	echo "cluster_smoke: node 0's stat report carries no collFreq: $(echo "$NODE_STATS" | head -c 300)" >&2
+	exit 1
+}
+echo "$NODE_STATS" | grep -q '"docFreq"' && {
+	echo "cluster_smoke: node 0's stat report still carries docFreq" >&2
+	exit 1
+}
+
 # shellcheck disable=SC2086
 start co -addr 127.0.0.1:0 -coordinator -nodes "$N0,$N1,$N2" -replicas 2 $CORPUS
 CO=$(url_of co)
@@ -127,6 +144,27 @@ METRICS=$(curl -s "$CO/api/v1/metrics")
 echo "$METRICS" | grep -q '"cluster"' || { echo "cluster_smoke: metrics missing cluster section: $METRICS" >&2; exit 1; }
 echo "$METRICS" | grep -q '"scatters":[1-9]' || { echo "cluster_smoke: no scatters recorded: $METRICS" >&2; exit 1; }
 
+# A stat push without the frequency map, to a node that is serving: 400,
+# and its partition search answers the same bytes as before.
+# shellcheck disable=SC2086
+PART_BEFORE=$(curl -s -G "$N0/api/v1/cluster/search?part=0" $SEED)
+echo "$PART_BEFORE" | grep -q '"hits"' || {
+	echo "cluster_smoke: node 0 did not answer a partition search: $PART_BEFORE" >&2
+	exit 1
+}
+PUSH=$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
+	-d '{"numDocs":1,"totalTokens":1,"numTerms":1,"mu":1,"topK":5}' "$N0/api/v1/cluster/stats")
+[ "$PUSH" = 400 ] || {
+	echo "cluster_smoke: a stat push without collFreq was answered $PUSH, want 400" >&2
+	exit 1
+}
+# shellcheck disable=SC2086
+PART_AFTER=$(curl -s -G "$N0/api/v1/cluster/search?part=0" $SEED)
+[ "$PART_AFTER" = "$PART_BEFORE" ] || {
+	echo "cluster_smoke: node 0's partition search changed after a rejected stat push: $PART_AFTER (was $PART_BEFORE)" >&2
+	exit 1
+}
+
 # 4. Kill one node. The search above is a complete result the coordinator
 # holds: asked again it is the same bytes and no scatter. A search it has
 # not seen fans out, and replicas keep every partition covered, so it
@@ -175,6 +213,7 @@ echo "$METRICS2" | grep -q '"errors":[1-9]' || {
 for name in node0 node2 co; do
 	echo "cluster_smoke: $name $(grep VmHWM "/proc/$(cat "$WORK/$name.pid")/status" | tr -s '\t ' ' ')"
 done
+echo "cluster_smoke: node0 registration report (JSON): $(printf %s "$NODE_STATS" | wc -c | tr -d ' ') B"
 echo "cluster_smoke: co $(echo "$METRICS2" | sed -n 's/.*\("frontCache":{[^}]*}\),\("bodyCache":{[^}]*}\).*/\1 \2/p')"
 
-echo "cluster_smoke: PASS (search + page proxy + metrics + front cache + node-kill failover + partition-scoped nodes)"
+echo "cluster_smoke: PASS (search + page proxy + metrics + front cache + node-kill failover + partition-scoped nodes + stat-push validation)"
