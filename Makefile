@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-procs fuzz-smoke soak bench bench-smoke bench-allocs wire-parity cluster-smoke examples lint vuln fmt
+.PHONY: all build test test-procs fuzz-smoke soak bench bench-smoke bench-allocs wire-parity cluster-smoke examples lint vuln fmt loc
 
 all: lint build test
 
@@ -75,14 +75,16 @@ cluster-smoke:
 	./scripts/cluster_smoke.sh
 
 # Binary-wire differential parity + negotiation matrix under the race
-# detector (the CI wire-parity step).
+# detector (the CI wire-parity step). Event streams are not in it: they
+# are NDJSON only.
 wire-parity:
-	$(GO) test -race -count=1 -run 'TestDifferentialWireParity|TestNegotiationMatrix|TestMixedVersionFallback|TestStreamWireCodec' ./internal/webapi/
+	$(GO) test -race -count=1 -run 'TestDifferentialWireParity|TestNegotiationMatrix|TestMixedVersionFallback' ./internal/webapi/
 
 # The examples compile against the public surface only; building all nine
 # keeps an API change from silently orphaning them. Three run end to end
 # and exit non-zero on any break: httpharvest (fault-injected remote
-# harvest ≡ in-process on both wire codecs, then a server-side batch),
+# harvest ≡ in-process on both wire codecs, then a server-side batch —
+# a job submitted, followed to its done line and deleted),
 # jobsapi (async job killed mid-harvest + resumed == uninterrupted) and
 # livecrawl (live index grown by a crawl ≡ frozen rebuild, bit for bit).
 examples:
@@ -119,3 +121,8 @@ GOVULNCHECK_VERSION = v1.1.4
 
 fmt:
 	gofmt -w .
+
+# Non-test Go lines per package by `wc -l` (comments and blanks included,
+# bench/ excluded): the size figures ROADMAP and CHANGES quote.
+loc:
+	@./scripts/loc.sh

@@ -3,13 +3,14 @@
 // the paper harvests through. Remote harvesters connect with
 // webapi.DialContext and run unchanged (see examples/httpharvest).
 //
-// With -harvest (the default), the server also exposes POST /api/v1/harvest
-// (synchronous batch harvesting streaming NDJSON progress) and the async
-// jobs API (POST /api/v1/jobs → id, GET /api/v1/jobs/{id} for status or
-// ?stream=1 event following, DELETE to cancel — with per-entity
-// checkpoints for resume). Every harvest runs on ONE shared scheduler
-// (-selectworkers/-fetchworkers/-maxactive) with FIFO admission and
-// per-request fair share; a killed job's checkpoints can be re-submitted
+// With -harvest (the default), the server also runs harvests itself, as
+// jobs: POST /api/v1/jobs → id, GET /api/v1/jobs/{id} for status or
+// ?stream=1 to follow the job's events as NDJSON (the last line is "done"),
+// DELETE to cancel — with per-entity checkpoints for resume. A caller that
+// wants the events of one harvest and nothing kept submits, follows and
+// DELETEs (webapi.Client.HarvestBatch does). Every job runs on ONE shared
+// scheduler (-selectworkers/-fetchworkers/-maxactive) with FIFO admission
+// and per-job fair share; a killed job's checkpoints can be re-submitted
 // via the request's "resume" field. Classifiers are trained on the served
 // corpus and domain models are learned lazily per aspect (over the
 // canonical first-half entity sample). GET /api/v1/metrics exposes the
@@ -31,7 +32,8 @@
 //
 //	l2qserve -addr 127.0.0.1:8080 -domain researchers -entities 100
 //	l2qserve -addr 127.0.0.1:8080 -store corpus.l2q
-//	curl -d '{"entities":[7],"aspect":"RESEARCH","nQueries":3}' http://127.0.0.1:8080/api/v1/harvest
+//	curl -d '{"entities":[7],"aspect":"RESEARCH","nQueries":3}' http://127.0.0.1:8080/api/v1/jobs
+//	curl 'http://127.0.0.1:8080/api/v1/jobs/j1?stream=1'
 package main
 
 import (
@@ -67,7 +69,7 @@ func main() {
 		topK      = flag.Int("k", 5, "results per query")
 		quiet     = flag.Bool("quiet", false, "disable request logging")
 		cacheSize = flag.Int("cachesize", 0, "query-result cache capacity in entries (0 = default 4096, <0 = off): the engine's cache on a single server (frozen or -live), the front cache of complete results ahead of the scatter on a coordinator; a cluster node runs uncached and ignores it")
-		harvest   = flag.Bool("harvest", true, "enable POST /api/v1/harvest and the /api/v1/jobs async API (server-side batch harvesting)")
+		harvest   = flag.Bool("harvest", true, "enable the /api/v1/jobs API (server-side harvesting: submit, poll or stream, cancel)")
 		domains   = flag.String("domains", "", "domain-artifact file (l2qstore domains): boot the harvest backend warm instead of learning per aspect on first request")
 		learnW    = flag.Int("learnworkers", 0, "domain-phase counting workers for lazily learned models (0 = GOMAXPROCS)")
 		maxSess   = flag.Int("harvestsessions", 64, "max entities per harvest request")
@@ -283,7 +285,7 @@ func main() {
 			endpoints += " POST /api/v1/ingest"
 		}
 		if srv.Harvest != nil {
-			endpoints += " POST /api/v1/harvest POST|GET|DELETE /api/v1/jobs"
+			endpoints += " POST /api/v1/jobs GET|DELETE /api/v1/jobs/{id}[?stream=1]"
 		}
 		fmt.Println(endpoints)
 	}

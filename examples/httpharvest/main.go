@@ -7,11 +7,12 @@
 // does, because the transport retries transient faults with exponential
 // backoff instead of silently losing work.
 //
-// The example then flips the topology with the server-side batch-harvest
-// API: one POST /api/v1/harvest runs pipelined sessions next to the index and
-// streams framed progress events back, replacing the per-query traffic of
-// the client-side run (one search per fired query, each response carrying
-// the pages of its hits).
+// The example then flips the topology with a server-side harvest:
+// HarvestBatch submits a job (POST /api/v1/jobs) that runs pipelined
+// sessions next to the index, follows the job's NDJSON event stream, and
+// deletes the job on its way out — three requests replacing the per-query
+// traffic of the client-side run (one search per fired query, each
+// response carrying the pages of its hits).
 package main
 
 import (
@@ -125,11 +126,10 @@ func main() {
 			remoteFired, jsonFired, localFired, len(rh.Pages()), len(jh.Pages()), len(lh.Pages()))
 	}
 
-	// Server-side batch harvest: one POST, sessions run next to the index,
-	// progress streams back as events (wire frames when negotiated, NDJSON
-	// otherwise). POSTs do real work and are not retried, so this client
-	// dials the clean address.
-	fmt.Println("server-side batch harvest of 3 entities (POST /api/v1/harvest):")
+	// Server-side batch harvest: the sessions run next to the index as one
+	// job and progress streams back as NDJSON events. A submit starts real
+	// work and is not retried, so this client dials the clean address.
+	fmt.Println("server-side batch harvest of 3 entities (POST /api/v1/jobs, followed to done):")
 	direct, err := sys.DialRemoteContext(ctx, addr, l2q.RemoteOptions{})
 	if err != nil {
 		log.Fatal(err)

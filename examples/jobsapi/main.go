@@ -1,8 +1,9 @@
 // Jobs API: long-running harvests as first-class server-side objects.
 //
-// POST /api/v1/harvest holds its connection open for the whole batch; this
-// example drives the asynchronous alternative end to end against a real
-// HTTP boundary:
+// A server-side harvest is a job: submitted, then polled or followed, and
+// canceled, by whoever holds its id, for as long as the server keeps it
+// (examples/httpharvest shows the one-call composition, HarvestBatch). This
+// example drives the jobs API end to end against a real HTTP boundary:
 //
 //  1. submit a batch harvest as a job (POST /api/v1/jobs → id) with an
 //     ADAPTIVE query budget — the server's shared scheduler pools the

@@ -2,7 +2,7 @@ package pipeline
 
 // The long-lived scheduler. pipeline.Run used to build fresh worker pools
 // per invocation, which was fine for a one-batch CLI run but wrong for a
-// server: every POST /api/v1/harvest got its own GOMAXPROCS-sized select
+// server: every harvest request got its own GOMAXPROCS-sized select
 // pool with no admission control, and nothing could be shared, queued,
 // fairly interleaved, checkpointed, or drained. Scheduler inverts that:
 // New(cfg) owns the select/fetch pools for its lifetime; any number of

@@ -223,14 +223,7 @@ func TestSaturationShedsWithoutLosingJobs(t *testing.T) {
 		if j == nil {
 			t.Fatalf("job %s was accepted with 202 and is not in the registry", id)
 		}
-		for from, final := 0, false; !final; {
-			evs, fin, err := j.waitEvents(ctx, from)
-			if err != nil {
-				t.Fatalf("job %s never reached a terminal state: %v (status %+v)", id, err, j.status(false))
-			}
-			from, final = from+len(evs), fin
-		}
-		if st := j.status(false); st.State != JobDone || st.Finished != 1 || st.Failed != 0 {
+		if st := waitFinal(ctx, t, j); st.State != JobDone || st.Finished != 1 || st.Failed != 0 {
 			t.Errorf("job %s ended as %+v, want done with its one entity finished", id, st)
 		}
 	}
@@ -247,6 +240,57 @@ func TestSaturationShedsWithoutLosingJobs(t *testing.T) {
 		<-sem
 	case <-ctx.Done():
 		t.Fatalf("admission slot still held after all traffic ended (%d in flight)", len(sem))
+	}
+}
+
+// TestStreamOpenRetriesPastShed: opening a job's stream replays from event
+// 0, so it runs under the client's retry policy up to the response header.
+// On a server admitting one request at a time the submit is accepted, the
+// slot is then held in-package until the stream's first open has certainly
+// been shed, and released: the retry gets through and the stream arrives
+// complete — where a single-attempt open would have left an accepted job
+// running with nobody following it.
+func TestStreamOpenRetriesPastShed(t *testing.T) {
+	f := newHarvestFixture(t)
+	server := NewServer(f.g.Corpus, f.engine)
+	server.Harvest = f.server.Harvest
+	server.MaxInFlight = 1
+	handler := server.Handler()
+	answered := make(chan struct{}, fastRetry.MaxAttempts)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handler.ServeHTTP(w, r)
+		if r.URL.Query().Get("stream") != "" {
+			answered <- struct{}{}
+		}
+	}))
+	t.Cleanup(srv.Close)
+	t.Cleanup(func() { server.Shutdown(context.Background()) })
+	client, err := DialContext(context.Background(), srv.URL, f.g.Tokenizer, ClientOptions{Retry: fastRetry})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	targets := jobTargets(f, 2)
+	id, err := client.SubmitJob(context.Background(), HarvestRequest{Entities: targets, Aspect: string(f.aspect), NQueries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sem := server.inflightSem()
+	sem <- struct{}{}
+	go func() {
+		<-answered // the first open came back, and the slot was held: shed
+		<-sem
+	}()
+	var evs []HarvestEvent
+	if err := client.StreamJob(context.Background(), id, func(ev HarvestEvent) error {
+		evs = append(evs, ev)
+		return nil
+	}); err != nil {
+		t.Fatalf("stream open was shed and not retried: %v", err)
+	}
+	streamByEntity(t, evs, len(targets)) // complete: every entity closed, done last
+	if m := client.Metrics(); m.Retries == 0 || m.Errors != 0 || server.Shed() == 0 {
+		t.Errorf("client %+v, server shed %d; want the shed open absorbed by a retry", m, server.Shed())
 	}
 }
 

@@ -209,12 +209,14 @@ func (c *Client) Metrics() ClientMetrics {
 	return m
 }
 
-// doRetry runs attempt until its body passes decode or the retry policy
-// is exhausted, classifying failures with retryable — the one retry loop
-// under every request the client makes. decode runs inside the loop so
-// truncated or corrupted payloads (which read fine but do not parse) are
-// retried like wire-level faults.
-func (c *Client) doRetry(ctx context.Context, op, path string, attempt func() ([]byte, error), decode func([]byte) error) error {
+// doRetry runs attempt until its body passes decode or maxAttempts tries
+// are spent (the retry policy's; 1 for a request that must not be re-sent),
+// classifying failures with retryable — the one loop under every request
+// the client makes, and where a failed one becomes a *TransportError.
+// decode (nil: the body is not looked at) runs inside the loop so truncated
+// or corrupted payloads (which read fine but do not parse) are retried like
+// wire-level faults.
+func (c *Client) doRetry(ctx context.Context, op, path string, maxAttempts int, attempt func() ([]byte, error), decode func([]byte) error) error {
 	if err := ctx.Err(); err != nil {
 		// Already canceled: no attempt, no counters — this is the
 		// caller's decision, not a transport failure.
@@ -222,20 +224,20 @@ func (c *Client) doRetry(ctx context.Context, op, path string, attempt func() ([
 	}
 	var lastErr error
 	attempts := 0
-	for attempts < c.retry.MaxAttempts {
+	for attempts < maxAttempts {
 		attempts++
 		if attempts > 1 {
 			c.met.retries.Add(1)
 		}
 		body, err := attempt()
-		if err == nil {
+		if err == nil && decode != nil {
 			err = decode(body)
 		}
 		if err == nil {
 			return nil
 		}
 		lastErr = err
-		if !retryable(ctx, err) || attempts == c.retry.MaxAttempts {
+		if !retryable(ctx, err) || attempts == maxAttempts {
 			break
 		}
 		if err := c.retry.sleep(ctx, attempts); err != nil {
@@ -290,7 +292,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, con
 // get issues GET path (asking for the binary codec per the client's
 // preference) under the retry loop.
 func (c *Client) get(ctx context.Context, op, path string, decode func([]byte) error) error {
-	return c.doRetry(ctx, op, path, func() ([]byte, error) {
+	return c.doRetry(ctx, op, path, c.retry.MaxAttempts, func() ([]byte, error) {
 		return c.once(ctx, http.MethodGet, path, nil, "", c.wantWire())
 	}, decode)
 }
@@ -300,7 +302,7 @@ func (c *Client) get(ctx context.Context, op, path string, decode func([]byte) e
 // duplicate delivery, since a response lost on the wire retries a request
 // the server already applied.
 func (c *Client) post(ctx context.Context, op, path string, body []byte, contentType string, acceptWire bool, decode func([]byte) error) error {
-	return c.doRetry(ctx, op, path, func() ([]byte, error) {
+	return c.doRetry(ctx, op, path, c.retry.MaxAttempts, func() ([]byte, error) {
 		return c.once(ctx, http.MethodPost, path, body, contentType, acceptWire)
 	}, decode)
 }

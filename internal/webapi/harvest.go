@@ -1,43 +1,38 @@
 package webapi
 
-// Server-side batch harvesting: POST /api/v1/harvest runs pipelined L2Q
-// sessions next to the index (internal/pipeline's interleaved
-// select/fetch scheduler) and streams per-iteration progress as NDJSON.
-// Shipping the harvest to the data inverts the remote-client topology: one
-// POST replaces the per-query per-page request traffic of a client-side
-// run, which is the right trade when the operator of the search API also
-// runs the harvest (the ROADMAP's serving scenario).
+// Server-side harvesting: what a harvest request is (HarvestRequest, its
+// validation into a plan, the pipeline jobs built from it) and what it
+// reports (HarvestEvent). The sessions run next to the index on
+// internal/pipeline's interleaved select/fetch scheduler; shipping the
+// harvest to the data inverts the remote-client topology — one submission
+// replaces the per-query request traffic of a client-side run, which is the
+// right trade when the operator of the search API also runs the harvest
+// (the ROADMAP's serving scenario). The one surface a harvest is submitted,
+// followed and stopped through is the jobs API (jobs.go).
 //
-// Every harvest — synchronous (/api/v1/harvest) or asynchronous (/api/v1/jobs,
-// see jobs.go) — runs on the server's ONE shared pipeline.Scheduler
-// instead of per-request worker pools: concurrent requests queue FIFO
-// behind HarvestBackend.MaxActive admission control and share the pools
-// fairly instead of oversubscribing GOMAXPROCS² goroutines.
+// Every harvest runs on the server's ONE shared pipeline.Scheduler instead
+// of per-request worker pools: concurrent jobs queue FIFO behind
+// HarvestBackend.MaxActive admission control and share the pools fairly
+// instead of oversubscribing GOMAXPROCS² goroutines.
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
-	"time"
 
 	"l2q/internal/core"
 	"l2q/internal/corpus"
 	"l2q/internal/pipeline"
-	"l2q/internal/store"
 	"l2q/internal/types"
 )
 
-// HarvestBackend supplies everything the batch-harvest endpoint needs
-// beyond the server's retrieval backend: the L2Q configuration, the
-// materialized relevance functions, the type system, and (typically lazily
-// learned and cached) domain models. Assign it to Server.Harvest to enable
-// the endpoint; a nil backend leaves it disabled (501).
+// HarvestBackend supplies everything a server-side harvest needs beyond
+// the server's retrieval backend: the L2Q configuration, the materialized
+// relevance functions, the type system, and (typically lazily learned and
+// cached) domain models. Assign it to Server.Harvest to enable the jobs
+// API; a nil backend leaves it disabled (501).
 type HarvestBackend struct {
 	// Cfg is the L2Q model configuration; its Tokenizer must match the
 	// served corpus.
@@ -59,8 +54,6 @@ type HarvestBackend struct {
 	dmCache map[corpus.Aspect]*core.DomainModel
 	// MaxSessions bounds the entities of one request (default 64).
 	MaxSessions int
-	// MaxQueries bounds a request's per-entity query budget (default 50).
-	MaxQueries int
 	// SelectWorkers and FetchWorkers size the server's shared scheduler;
 	// zero values pick pipeline.Config's defaults. MaxActive bounds the
 	// jobs admitted concurrently across all requests (admission control;
@@ -77,12 +70,11 @@ func (hb *HarvestBackend) maxSessions() int {
 	return 64
 }
 
-func (hb *HarvestBackend) maxQueries() int {
-	if hb.MaxQueries > 0 {
-		return hb.MaxQueries
-	}
-	return 50
-}
+// maxHarvestQueries bounds a request's per-entity query budget. A
+// constant, not an option, for maxHave's reason: it bounds the work one
+// request can ask for (MaxSessions × 50 searches), and no server, example
+// or test ever ran with another value.
+const maxHarvestQueries = 50
 
 // Preload seeds the per-aspect domain-model cache with already-trained
 // models (typically restored from a store.DomainArtifact), so the server
@@ -177,7 +169,7 @@ func (bs *BudgetSpec) policy() (pipeline.BudgetPolicy, error) {
 	return p, nil
 }
 
-// HarvestRequest is the POST /api/v1/harvest (and POST /api/v1/jobs) body.
+// HarvestRequest is the POST /api/v1/jobs body.
 type HarvestRequest struct {
 	// Entities are the harvest targets; unknown IDs produce per-entity
 	// error events, not a failed request.
@@ -201,11 +193,11 @@ type HarvestRequest struct {
 	Resume []core.Checkpoint `json:"resume,omitempty"`
 }
 
-// HarvestEvent is one NDJSON line of the /api/v1/harvest response stream
-// (and of the /api/v1/jobs event log). Type discriminates: "progress" (one
-// harvest iteration of one entity), "entity" (one entity finished, with
-// its fired queries and gathered pages), "error" (one entity failed), and
-// "done" (the batch summary, always the last line).
+// HarvestEvent is one entry of a job's event log and one NDJSON line of
+// its stream. Type discriminates: "progress" (one harvest iteration of one
+// entity), "entity" (one entity finished, with its fired queries and
+// gathered pages), "error" (one entity failed), and "done" (the batch
+// summary, always the last line — a stream that ends without it was cut).
 type HarvestEvent struct {
 	Type string `json:"type"`
 	// Entity is set on progress/entity/error events.
@@ -225,7 +217,7 @@ type HarvestEvent struct {
 	Error string `json:"error,omitempty"`
 }
 
-// selectorCtors are the stateless core strategies the harvest endpoint can
+// selectorCtors are the stateless core strategies a server-side harvest can
 // run (baselines needing trained side models are client-side concerns).
 var selectorCtors = map[string]func() core.Selector{
 	"RND":    core.NewRND,
@@ -271,8 +263,8 @@ func (hb *HarvestBackend) plan(req HarvestRequest) (*harvestPlan, *httpError) {
 	if len(req.Entities) > hb.maxSessions() {
 		return nil, httpErrorf(http.StatusBadRequest, "too many entities: %d > %d", len(req.Entities), hb.maxSessions())
 	}
-	if req.NQueries < 0 || req.NQueries > hb.maxQueries() {
-		return nil, httpErrorf(http.StatusBadRequest, "nQueries out of range [0, %d]", hb.maxQueries())
+	if req.NQueries < 0 || req.NQueries > maxHarvestQueries {
+		return nil, httpErrorf(http.StatusBadRequest, "nQueries out of range [0, %d]", maxHarvestQueries)
 	}
 	aspect := corpus.Aspect(req.Aspect)
 	if !hb.hasAspect(aspect) {
@@ -290,14 +282,14 @@ func (hb *HarvestBackend) plan(req HarvestRequest) (*harvestPlan, *httpError) {
 	if err != nil {
 		return nil, httpErrorf(http.StatusBadRequest, "%s", err.Error())
 	}
-	if max := hb.maxQueries() * len(req.Entities); budget.TotalQueries > max {
+	if max := maxHarvestQueries * len(req.Entities); budget.TotalQueries > max {
 		return nil, httpErrorf(http.StatusBadRequest, "budget.totalQueries out of range [0, %d]", max)
 	}
 	if budget.Mode == pipeline.BudgetAdaptive {
-		// MaxQueries is documented as the per-entity bound; donation must
-		// not let one entity absorb the whole pool past it.
-		if budget.MaxPerEntity <= 0 || budget.MaxPerEntity > hb.maxQueries() {
-			budget.MaxPerEntity = hb.maxQueries()
+		// maxHarvestQueries is the per-entity bound; donation must not let
+		// one entity absorb the whole pool past it.
+		if budget.MaxPerEntity <= 0 || budget.MaxPerEntity > maxHarvestQueries {
+			budget.MaxPerEntity = maxHarvestQueries
 		}
 	}
 	p := &harvestPlan{aspect: aspect, sel: sel, budget: budget}
@@ -323,10 +315,10 @@ func (hb *HarvestBackend) plan(req HarvestRequest) (*harvestPlan, *httpError) {
 
 // buildJobs constructs one pipeline job per known entity, resuming
 // checkpointed sessions under ctx (on a coordinator the replay retrieves
-// over the network, so it must end with the request or job that asked for
-// it). Unknown IDs and failed resumes fail individually (an explicit
-// per-entity error event), never the whole batch. The returned entity
-// slice is aligned with the jobs.
+// over the network, so it must end with the job that asked for it).
+// Unknown IDs and failed resumes fail individually (an explicit per-entity
+// error event), never the whole batch. The returned entity slice is
+// aligned with the jobs.
 func (hb *HarvestBackend) buildJobs(ctx context.Context, srv *Server, req HarvestRequest, p *harvestPlan,
 	emit func(HarvestEvent)) (jobs []pipeline.Job, jobEntities []*corpus.Entity, failed int) {
 
@@ -367,93 +359,10 @@ func (hb *HarvestBackend) buildJobs(ctx context.Context, srv *Server, req Harves
 	return jobs, jobEntities, failed
 }
 
-// eventEmitter builds the streaming emit function for a harvest/job
-// event stream in the request's negotiated codec: one NDJSON line per
-// event (the default), or one wire frame per event. It sets the
-// Content-Type and status, and returns the emit closure shared by the
-// sync and async stream handlers. onDead runs when a write fails — the
-// reader is gone (deadline expired or connection reset), so the caller
-// aborts instead of burning the remaining work into a dead stream.
-func (s *Server) eventEmitter(w http.ResponseWriter, r *http.Request, onDead func()) func(HarvestEvent) {
-	wire := s.wantsWire(r)
-	if wire {
-		w.Header().Set("Content-Type", wireContentType)
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	rc := http.NewResponseController(w)
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	var wmu sync.Mutex
-	enc := json.NewEncoder(w)
-	return func(ev HarvestEvent) {
-		wmu.Lock()
-		defer wmu.Unlock()
-		// Roll the write deadline forward per event: the stream may run
-		// arbitrarily long, but a reader that stops consuming is cut off
-		// within writeTimeout (deadline errors are best-effort — not
-		// every ResponseWriter supports them).
-		_ = rc.SetWriteDeadline(time.Now().Add(writeTimeout))
-		var werr error
-		if wire {
-			_, werr = w.Write(marshalFrame(wireEvent, s.compressMin(), func(e *store.Enc) { encodeEventWire(e, ev) }))
-		} else {
-			werr = enc.Encode(ev)
-		}
-		if werr != nil {
-			// A stalled connection does not cancel r.Context() by
-			// itself, so this write failure is the signal.
-			onDead()
-			return
-		}
-		if fl != nil {
-			fl.Flush()
-		}
-	}
-}
-
-func (s *Server) handleHarvest(w http.ResponseWriter, r *http.Request) {
-	hb := s.Harvest
-	if hb == nil {
-		writeError(w, http.StatusNotImplemented, "harvesting not enabled on this server")
-		return
-	}
-	var req HarvestRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	p, perr := hb.plan(req)
-	if perr != nil {
-		writeError(w, perr.status, perr.msg)
-		return
-	}
-
-	// The harvest obeys both the caller (request context) and the server's
-	// lifecycle: Shutdown cancels s.ctx, which aborts the scheduler batch
-	// and lets the graceful drain complete instead of deadlocking on a
-	// stream that would otherwise outlive the shutdown deadline.
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	stop := context.AfterFunc(s.ctx, cancel)
-	defer stop()
-
-	emit := s.eventEmitter(w, r, cancel)
-
-	jobs, jobEntities, failed := hb.buildJobs(ctx, s, req, p, emit)
-
-	// ONE shared scheduler for every request: admission control and fair
-	// share instead of a fresh per-request worker pool.
-	results := s.submitHarvest(ctx, jobs, pipeline.BatchOptions{Budget: p.budget})
-
-	emitOutcomes(emit, results, jobEntities, len(req.Entities), failed)
-}
-
-// emitOutcomes closes a harvest event stream, sync or async: one "entity"
-// (fired queries, gathered pages) or "error" event per scheduler result,
-// then the "done" summary over the requested entities. failed comes in as
-// the entities buildJobs already reported and goes out as the summary's
-// total.
+// emitOutcomes closes a job's event log: one "entity" (fired queries,
+// gathered pages) or "error" event per scheduler result, then the "done"
+// summary over the requested entities. failed comes in as the entities
+// buildJobs already reported and goes out as the summary's total.
 func emitOutcomes(emit func(HarvestEvent), results []pipeline.Result, jobEntities []*corpus.Entity,
 	requested, failed int) int {
 
@@ -490,103 +399,4 @@ func (s *Server) submitHarvest(ctx context.Context, jobs []pipeline.Job, opts pi
 		return results
 	}
 	return b.Await(ctx)
-}
-
-// HarvestBatch runs a server-side batch harvest, delivering each streamed
-// NDJSON event to onEvent in arrival order. A non-nil onEvent error aborts
-// the stream and is returned. Unlike the GET surface, the POST does real
-// per-request work and is therefore not retried; transient-fault
-// resilience lives inside the server-side sessions, which fetch from the
-// in-process engine. The stream is unbounded in time, so cancellation (and
-// the caller's patience) comes from ctx, not the client's per-request
-// timeout.
-func (c *Client) HarvestBatch(ctx context.Context, req HarvestRequest, onEvent func(HarvestEvent) error) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return fmt.Errorf("webapi: harvest: encode request: %w", err)
-	}
-	path := apiRoot + "/harvest"
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("webapi: harvest: %w", err)
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	if c.wantWire() {
-		hreq.Header.Set("Accept", wireContentType)
-	}
-	c.met.requests.Add(1)
-	// A dedicated transport-less client: c.http's per-request Timeout
-	// would sever long-running streams mid-harvest.
-	resp, err := (&http.Client{}).Do(hreq)
-	if err != nil {
-		c.met.errors.Add(1)
-		return &TransportError{Op: "harvest", Path: path, Attempts: 1, Err: err}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		se := readError(resp)
-		c.met.errors.Add(1)
-		return &TransportError{Op: "harvest", Path: path, Attempts: 1, Status: resp.StatusCode,
-			Code: se.code, Err: se}
-	}
-	return c.consumeEventStream(resp, "harvest", path, onEvent)
-}
-
-// consumeEventStream decodes a harvest/job event stream in whichever
-// codec the server chose — wire frames or NDJSON, dispatched on the
-// response Content-Type — delivering every event to onEvent in order. A
-// non-nil onEvent error aborts the stream and is returned verbatim.
-func (c *Client) consumeEventStream(resp *http.Response, op, path string, onEvent func(HarvestEvent) error) error {
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), wireContentType) {
-		fr := newFrameReader(resp.Body)
-		for {
-			payload, err := fr.next(wireEvent)
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				c.met.errors.Add(1)
-				return &TransportError{Op: op, Path: path, Attempts: 1, Err: err}
-			}
-			d := store.NewDec(payload)
-			ev := decodeEventWire(d)
-			if derr := d.Err(); derr != nil || !d.Done() {
-				if derr == nil {
-					derr = fmt.Errorf("%d trailing bytes", d.Remaining())
-				}
-				c.met.errors.Add(1)
-				return &TransportError{Op: op, Path: path, Attempts: 1,
-					Err: fmt.Errorf("malformed event frame: %w", derr)}
-			}
-			if onEvent != nil {
-				if err := onEvent(ev); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), maxResponseBytes)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var ev HarvestEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			c.met.errors.Add(1)
-			return &TransportError{Op: op, Path: path, Attempts: 1,
-				Err: fmt.Errorf("malformed event %q: %w", line, err)}
-		}
-		if onEvent != nil {
-			if err := onEvent(ev); err != nil {
-				return err
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		c.met.errors.Add(1)
-		return &TransportError{Op: op, Path: path, Attempts: 1, Err: err}
-	}
-	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -275,7 +276,8 @@ func TestHarvestValidation(t *testing.T) {
 
 // TestHarvestShutdownGraceful: Shutdown cancels an in-flight batch harvest
 // (the stream terminates promptly) instead of deadlocking the drain behind
-// an arbitrarily long run.
+// an arbitrarily long run — and the caller is told: a stream the shutdown
+// cut short of its done line is an error, not a finished harvest.
 func TestHarvestShutdownGraceful(t *testing.T) {
 	f := newHarvestFixture(t)
 	// Serve over a real listener so Shutdown exercises the full path.
@@ -296,8 +298,13 @@ func TestHarvestShutdownGraceful(t *testing.T) {
 		targets = targets[len(targets)-8:]
 	}
 
+	// The shutdown is fired by the harvest itself, at its first progress
+	// event: the batch is certainly in flight, on any machine.
+	inFlight := make(chan struct{})
+	shutdownDone := make(chan struct{})
 	go func() {
-		time.Sleep(100 * time.Millisecond)
+		defer close(shutdownDone)
+		<-inFlight
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := f.server.Shutdown(ctx); err != nil {
@@ -306,14 +313,129 @@ func TestHarvestShutdownGraceful(t *testing.T) {
 	}()
 
 	start := time.Now()
+	var once sync.Once
+	sawDone := false
 	// A big budget: without cancellation this would run much longer than
 	// the shutdown window.
-	_ = client.HarvestBatch(context.Background(), HarvestRequest{
+	err = client.HarvestBatch(context.Background(), HarvestRequest{
 		Entities: targets,
 		Aspect:   string(f.aspect),
 		NQueries: 40,
-	}, func(HarvestEvent) error { return nil })
+	}, func(ev HarvestEvent) error {
+		if ev.Type == "progress" {
+			once.Do(func() { close(inFlight) })
+		}
+		sawDone = sawDone || ev.Type == "done"
+		return nil
+	})
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("harvest stream survived shutdown for %v", elapsed)
+	}
+	if (err == nil) != sawDone {
+		t.Errorf("HarvestBatch returned %v with done seen = %v; a stream without done must be an error", err, sawDone)
+	}
+	var te *TransportError
+	if err != nil && !errors.As(err, &te) {
+		t.Errorf("cut stream reported as %v, want a *TransportError", err)
+	}
+	<-shutdownDone
+}
+
+// TestHarvestBatchIsAJob: HarvestBatch is submit + follow + DELETE on the
+// way out. While it streams the server's registry holds its one job,
+// running; once it returns the registry is empty; and a caller that leaves
+// early — onEvent fails — gets its own error back verbatim and leaves the
+// job canceled, not running on. One entity's relevance function is held
+// in-package, so "still running" is a fact in both halves, not a race.
+func TestHarvestBatchIsAJob(t *testing.T) {
+	f := newHarvestFixture(t)
+	targets := jobTargets(f, 3)
+	held := targets[0]
+	var hold atomic.Pointer[chan struct{}] // non-nil: pages of held wait for it to close
+	entered := make(chan struct{}, 1)
+
+	hb := f.server.Harvest
+	backend := &HarvestBackend{Cfg: hb.Cfg, Aspects: hb.Aspects, Rec: hb.Rec, DomainModel: hb.DomainModel,
+		// Two workers per pool whatever GOMAXPROCS says: the held entity
+		// occupies one, the others must keep harvesting.
+		SelectWorkers: 2, FetchWorkers: 2,
+		Y: func(corpus.Aspect) func(*corpus.Page) bool {
+			return func(p *corpus.Page) bool {
+				if ch := hold.Load(); ch != nil && p.Entity == held {
+					select {
+					case entered <- struct{}{}:
+					default:
+					}
+					<-*ch
+				}
+				return f.y(p)
+			}
+		}}
+	server := NewServer(f.g.Corpus, f.engine)
+	server.Harvest = backend
+	srv := httptest.NewServer(server.Handler())
+	t.Cleanup(srv.Close)
+	t.Cleanup(func() { server.Shutdown(context.Background()) })
+	client, err := DialContext(context.Background(), srv.URL, f.g.Tokenizer, ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered := func() int {
+		server.jobsMu.Lock()
+		defer server.jobsMu.Unlock()
+		return len(server.jobs)
+	}
+	req := HarvestRequest{Entities: targets, Aspect: string(f.aspect), NQueries: 2}
+
+	// A batch that stays to the end.
+	release := make(chan struct{})
+	hold.Store(&release)
+	result := make(chan error, 1)
+	sawDone := false
+	go func() {
+		result <- client.HarvestBatch(context.Background(), req, func(ev HarvestEvent) error {
+			sawDone = sawDone || ev.Type == "done"
+			return nil
+		})
+	}()
+	<-entered // the job is on the scheduler and cannot finish
+	m, err := client.ServerMetrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Jobs[JobQueued]+m.Jobs[JobRunning] != 1 || registered() != 1 {
+		t.Errorf("while HarvestBatch streams: jobs %v, %d registered; want its one job, queued or running", m.Jobs, registered())
+	}
+	close(release)
+	if err := <-result; err != nil || !sawDone {
+		t.Fatalf("HarvestBatch: %v (done seen = %v)", err, sawDone)
+	}
+	if n := registered(); n != 0 {
+		t.Errorf("%d jobs registered after HarvestBatch returned, want none retained", n)
+	}
+
+	// A caller that leaves at the first progress event. The held entity
+	// keeps the job from finishing first, so the DELETE finds it running.
+	release = make(chan struct{})
+	hold.Store(&release)
+	errLeft := errors.New("caller left")
+	err = client.HarvestBatch(context.Background(), req, func(ev HarvestEvent) error {
+		if ev.Type == "progress" {
+			return errLeft
+		}
+		return nil
+	})
+	close(release)
+	if err != errLeft {
+		t.Fatalf("HarvestBatch returned %v, want onEvent's error verbatim", err)
+	}
+	j := server.lookupJob("j2") // the second job this server accepted
+	if j == nil {
+		t.Fatal("the job of a caller that left early is gone; it should be canceled and kept for its checkpoints")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if st := waitFinal(ctx, t, j); st.State != JobCanceled {
+		t.Errorf("job ended as %+v, want canceled", st)
 	}
 }

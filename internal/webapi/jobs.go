@@ -1,10 +1,7 @@
 package webapi
 
-// The asynchronous jobs API. POST /api/v1/harvest holds its HTTP connection
-// open for the whole batch — fine on a LAN, wrong for a long-running
-// harvest whose submitter wants to disconnect, poll, resume elsewhere, or
-// survive its own restart. The jobs API decouples submission from
-// consumption:
+// The jobs API: the one surface a server-side harvest is submitted,
+// followed and stopped through.
 //
 //	POST   /api/v1/jobs          → {"id": "..."} (request body = HarvestRequest)
 //	GET    /api/v1/jobs/{id}     → JobStatus (add ?checkpoints=1 for resume state)
@@ -16,9 +13,20 @@ package webapi
 // accumulate in a per-job log that any number of readers can stream from
 // the beginning, and the latest per-entity checkpoints are kept so a
 // canceled (or crashed-client) harvest can be resumed by re-submitting
-// with HarvestRequest.Resume.
+// with HarvestRequest.Resume. A submitter that wants a harvest scoped to
+// its own call — stay for the events, stop the work by leaving — composes
+// that from the same three requests: Client.HarvestBatch.
+//
+// Event streams are NDJSON and nothing else. A budget-5 entity's whole
+// stream is under a kilobyte beside the tens of kilobytes of pages the same
+// harvest moves, and no benchmarked workload streams at all, so a binary
+// framing of events (wire kind 6, retired — see wire.go) paid for a second
+// frame parser with nothing measurable. What a stream guarantees is its
+// last line: "done" is written once, after every entity's outcome, so a
+// reader that has not seen it knows the stream was cut.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -27,6 +35,7 @@ import (
 	"net/http"
 	"slices"
 	"sync"
+	"time"
 
 	"l2q/internal/core"
 	"l2q/internal/corpus"
@@ -295,19 +304,22 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Replay-then-follow event stream (negotiated codec: wire frames or
-	// NDJSON): everything logged so far, then live events until the job
-	// reaches a final state. The stream also ends when the server shuts
-	// down (the job itself is aborted by the same signal, so followers
-	// see its final events first).
+	// Replay-then-follow event stream: everything logged so far, then live
+	// events until the job reaches a final state — its "done" line is then
+	// the last one written. A server shutting down stops following at
+	// whatever event it is at (the same signal aborts the job), so the
+	// stream may end early, without "done"; the client reports that as an
+	// error (StreamJob), never as a finished harvest.
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 	stop := context.AfterFunc(s.ctx, cancel)
 	defer stop()
 
-	// A failed write cancels ctx, which ends the follow loop at the next
-	// waitEvents — the reader is gone.
-	emit := s.eventEmitter(w, r, cancel)
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	rc := http.NewResponseController(w)
+	fl, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w)
 	from := 0
 	for {
 		evs, final, err := j.waitEvents(ctx, from)
@@ -315,7 +327,20 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 			return // reader is gone or server is draining
 		}
 		for _, ev := range evs {
-			emit(ev)
+			// Roll the write deadline forward per event: the stream may run
+			// arbitrarily long, but a reader that stops consuming is cut off
+			// within writeTimeout (deadline errors are best-effort — not
+			// every ResponseWriter supports them).
+			_ = rc.SetWriteDeadline(time.Now().Add(writeTimeout))
+			if err := enc.Encode(ev); err != nil {
+				// A stalled connection does not cancel r.Context() by
+				// itself, so this write failure is the signal: the reader is
+				// gone, stop following.
+				return
+			}
+		}
+		if fl != nil {
+			fl.Flush()
 		}
 		from += len(evs)
 		if final {
@@ -344,42 +369,71 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]string{"id": id, "state": "deleted"})
 }
 
-// SubmitJob submits an asynchronous server-side harvest and returns its
-// job ID. Unlike HarvestBatch, the call returns as soon as the server
-// accepts the job; progress is consumed via JobStatus/StreamJob.
+// call makes one request of the jobs API — the three that get and post
+// cannot make, because a submit and a cancel must never be re-sent and a
+// stream is read as it arrives, not after it ended — and is the one place
+// such a request is built, counted, status-checked and its failure shaped
+// into a *TransportError (by doRetry, like every other request's).
+//
+// Without follow the request is issued exactly once, through c.http, and
+// decode (nil: nothing to learn from it) is handed the small response body.
+// With follow the request opens a stream: it is retried under the client's
+// RetryPolicy up to the response header — GET …?stream=1 replays from event
+// 0, so until its first body byte it is idempotent, and a 429 shed, a
+// refused connection or a 5xx there must not orphan the job it was about to
+// follow — and goes through a client without c.http's per-request Timeout,
+// which would sever the stream mid-job. The caller reads and closes the
+// body returned; nothing it reads is retried.
+func (c *Client) call(ctx context.Context, op, method, path string, jsonBody []byte, follow bool, decode func([]byte) error) (stream io.ReadCloser, err error) {
+	hc, attempts := c.http, 1
+	if follow {
+		hc, attempts = &http.Client{}, c.retry.MaxAttempts
+	}
+	err = c.doRetry(ctx, op, path, attempts, func() ([]byte, error) {
+		c.met.requests.Add(1)
+		req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(jsonBody))
+		if err != nil {
+			return nil, err
+		}
+		if jsonBody != nil {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		resp, err := hc.Do(req)
+		if err != nil {
+			return nil, err
+		}
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+			defer resp.Body.Close()
+			return nil, readError(resp)
+		}
+		if follow {
+			stream = resp.Body
+			return nil, nil
+		}
+		defer resp.Body.Close()
+		return io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	}, decode)
+	return stream, err
+}
+
+// SubmitJob submits a server-side harvest and returns its job ID as soon as
+// the server accepts it; progress is consumed via JobStatus/StreamJob. Sent
+// once: every accepted submit is a new job.
 func (c *Client) SubmitJob(ctx context.Context, req HarvestRequest) (string, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return "", fmt.Errorf("webapi: jobs: encode request: %w", err)
 	}
-	path := apiRoot + "/jobs"
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
-	if err != nil {
-		return "", fmt.Errorf("webapi: jobs: %w", err)
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	c.met.requests.Add(1)
-	resp, err := c.http.Do(hreq)
-	if err != nil {
-		c.met.errors.Add(1)
-		return "", &TransportError{Op: "jobs", Path: path, Attempts: 1, Err: err}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		se := readError(resp)
-		c.met.errors.Add(1)
-		return "", &TransportError{Op: "jobs", Path: path, Attempts: 1, Status: resp.StatusCode,
-			Code: se.code, Err: se}
-	}
 	var out struct {
 		ID string `json:"id"`
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&out); err != nil || out.ID == "" {
-		c.met.errors.Add(1)
-		return "", &TransportError{Op: "jobs", Path: path, Attempts: 1,
-			Err: fmt.Errorf("malformed job response: %v", err)}
-	}
-	return out.ID, nil
+	_, err = c.call(ctx, "jobs", http.MethodPost, apiRoot+"/jobs", body, false, func(b []byte) error {
+		if err := json.Unmarshal(b, &out); err != nil || out.ID == "" {
+			return fmt.Errorf("malformed job response: %v", err)
+		}
+		return nil
+	})
+	return out.ID, err
 }
 
 // JobStatus fetches a job's status; withCheckpoints includes the latest
@@ -396,63 +450,91 @@ func (c *Client) JobStatus(ctx context.Context, id string, withCheckpoints bool)
 	return st, nil
 }
 
-// StreamJob follows a job's event stream from the beginning (wire frames
-// or NDJSON, whichever the server negotiates), delivering every event to
-// onEvent in order until the job finishes, the stream fails, or onEvent
-// returns an error.
+// StreamJob follows a job's NDJSON event stream from the beginning,
+// delivering every event to onEvent in order. A non-nil onEvent error
+// aborts the stream and is returned verbatim. The stream is unbounded in
+// time, so patience comes from ctx, not the client's per-request timeout;
+// opening it is retried (see call), reading it is not. It is complete when
+// its last line is the "done" summary: a body that ends any earlier — a
+// draining server stops following at whatever event it is at, and a severed
+// connection looks no different — is a *TransportError wrapping
+// io.ErrUnexpectedEOF, never a finished harvest.
 func (c *Client) StreamJob(ctx context.Context, id string, onEvent func(HarvestEvent) error) error {
 	path := apiRoot + "/jobs/" + id + "?stream=1"
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	body, err := c.call(ctx, "jobstream", http.MethodGet, path, nil, true, nil)
 	if err != nil {
-		return fmt.Errorf("webapi: jobs: %w", err)
+		return err
 	}
-	if c.wantWire() {
-		hreq.Header.Set("Accept", wireContentType)
-	}
-	c.met.requests.Add(1)
-	// Transport-less client: the per-request timeout would sever the
-	// follow stream mid-job (same as HarvestBatch).
-	resp, err := (&http.Client{}).Do(hreq)
-	if err != nil {
+	defer body.Close()
+	fail := func(err error) error {
 		c.met.errors.Add(1)
 		return &TransportError{Op: "jobstream", Path: path, Attempts: 1, Err: err}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		se := readError(resp)
-		c.met.errors.Add(1)
-		return &TransportError{Op: "jobstream", Path: path, Attempts: 1, Status: resp.StatusCode,
-			Code: se.code, Err: se}
+	sc := bufio.NewScanner(body)
+	sc.Buffer(make([]byte, 0, 64<<10), maxResponseBytes)
+	done := false
+	for sc.Scan() {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
+			continue
+		}
+		var ev HarvestEvent
+		if err := json.Unmarshal(line, &ev); err != nil {
+			return fail(fmt.Errorf("malformed event %q: %w", line, err))
+		}
+		done = ev.Type == "done"
+		if onEvent != nil {
+			if err := onEvent(ev); err != nil {
+				return err
+			}
+		}
 	}
-	return c.consumeEventStream(resp, "jobstream", path, onEvent)
-}
-
-// CancelJob cancels a running job (DELETE /api/v1/jobs/{id}); calling it
-// on a finished job deletes the record instead.
-func (c *Client) CancelJob(ctx context.Context, id string) error {
-	path := apiRoot + "/jobs/" + id
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.base+path, nil)
-	if err != nil {
-		return fmt.Errorf("webapi: jobs: %w", err)
+	if err := sc.Err(); err != nil {
+		return fail(err)
 	}
-	c.met.requests.Add(1)
-	resp, err := c.http.Do(hreq)
-	if err != nil {
-		c.met.errors.Add(1)
-		return &TransportError{Op: "jobcancel", Path: path, Attempts: 1, Err: err}
+	if !done {
+		return fail(fmt.Errorf("event stream ended before its done line: %w", io.ErrUnexpectedEOF))
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		se := readError(resp)
-		c.met.errors.Add(1)
-		return &TransportError{Op: "jobcancel", Path: path, Attempts: 1, Status: resp.StatusCode,
-			Code: se.code, Err: se}
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 	return nil
 }
 
-// Metrics fetches the server-side counters (GET /api/v1/metrics).
+// CancelJob cancels a running job (DELETE /api/v1/jobs/{id}); calling it
+// on a finished job deletes the record instead. Sent once, whatever the
+// retry policy: re-sent after a lost acknowledgement, the DELETE would find
+// the job it had just canceled finished, and forget it — checkpoints and
+// all.
+func (c *Client) CancelJob(ctx context.Context, id string) error {
+	_, err := c.call(ctx, "jobcancel", http.MethodDelete, apiRoot+"/jobs/"+id, nil, false, nil)
+	return err
+}
+
+// leaveTimeout bounds the DELETE HarvestBatch sends on its way out.
+const leaveTimeout = 5 * time.Second
+
+// HarvestBatch is a harvest scoped to one call: it submits req as a job,
+// follows the job's stream into onEvent (StreamJob's contract: events in
+// arrival order, an onEvent error returned verbatim, a stream without
+// "done" an error) and on the way out sends the job one DELETE, under a
+// context that outlives the caller's. That cancels a job the caller left
+// early — ctx done, onEvent failed, stream cut — and forgets one that
+// finished, so the work stops when the caller leaves and the server
+// retains nothing. The DELETE is best-effort: a client that dies before
+// sending it leaves a job that runs to its bounded end (maxHarvestQueries)
+// and is evicted past maxRetainedJobs.
+func (c *Client) HarvestBatch(ctx context.Context, req HarvestRequest, onEvent func(HarvestEvent) error) error {
+	id, err := c.SubmitJob(ctx, req)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		leave, cancel := context.WithTimeout(context.WithoutCancel(ctx), leaveTimeout)
+		defer cancel()
+		_ = c.CancelJob(leave, id) // best-effort, see above
+	}()
+	return c.StreamJob(ctx, id, onEvent)
+}
+
+// ServerMetrics fetches the server-side counters (GET /api/v1/metrics).
 func (c *Client) ServerMetrics(ctx context.Context) (ServerMetrics, error) {
 	var m ServerMetrics
 	if err := c.getJSON(ctx, "metrics", apiRoot+"/metrics", &m); err != nil {

@@ -3,10 +3,11 @@ package webapi
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
-	"time"
 
 	"l2q/internal/core"
 	"l2q/internal/corpus"
@@ -20,6 +21,20 @@ func jobTargets(f *harvestFixture, n int) []corpus.EntityID {
 		out = append(out, e.ID)
 	}
 	return out
+}
+
+// waitFinal follows j's event log in-package until the job has reached a
+// final state — no polling, no clock but ctx's — and returns its status.
+func waitFinal(ctx context.Context, t *testing.T, j *serverJob) JobStatus {
+	t.Helper()
+	for from, final := 0, false; !final; {
+		evs, fin, err := j.waitEvents(ctx, from)
+		if err != nil {
+			t.Fatalf("job %s never reached a final state: %v (status %+v)", j.id, err, j.status(false))
+		}
+		from, final = from+len(evs), fin
+	}
+	return j.status(false)
 }
 
 // localReference harvests one entity in-process with the server's seeding
@@ -162,49 +177,32 @@ func TestJobsCancelResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Let some queries land, then cancel.
-	deadline := time.Now().Add(10 * time.Second)
-	var st JobStatus
-	for {
-		if st, err = f.client.JobStatus(context.Background(), id, false); err != nil {
-			t.Fatal(err)
+	// Let some queries land, then cancel — from inside the job's own stream,
+	// at its third event — and keep reading: the stream ends when the job
+	// has reached its final state, so the status read after it is final too.
+	events := 0
+	if err := f.client.StreamJob(context.Background(), id, func(HarvestEvent) error {
+		if events++; events == 3 {
+			return f.client.CancelJob(context.Background(), id)
 		}
-		if st.Events >= 3 || st.State == JobDone || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if st.State != JobDone {
-		// DELETE on a finished job forgets the record instead of
-		// canceling; only cancel a job that is still running. The check
-		// itself races the job (it can finish between the poll and the
-		// DELETE), so a post-cancel 404 below is handled as
-		// done-before-cancel, not failed.
-		if err := f.client.CancelJob(context.Background(), id); err != nil {
+	st, err := f.client.JobStatus(context.Background(), id, true)
+	if err != nil {
+		var te *TransportError
+		if !errors.As(err, &te) || te.Status != http.StatusNotFound {
 			t.Fatal(err)
 		}
+		// DELETE on a finished job forgets the record instead of canceling:
+		// the job completed before the DELETE landed. No checkpoints
+		// survive; resume degenerates to a from-scratch run, which the
+		// parity assertion below still covers.
+		st = JobStatus{State: JobDone}
 	}
-	// Wait for the final state.
-	for {
-		if st, err = f.client.JobStatus(context.Background(), id, true); err != nil {
-			var te *TransportError
-			if errors.As(err, &te) && te.Status == http.StatusNotFound {
-				// The job completed in the poll→DELETE window, so the
-				// DELETE forgot the record. No checkpoints survive;
-				// resume degenerates to a from-scratch run, which the
-				// parity assertion below still covers.
-				st = JobStatus{State: JobDone}
-				break
-			}
-			t.Fatal(err)
-		}
-		if st.State == JobCanceled || st.State == JobDone {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in state %q", st.State)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if st.State != JobCanceled && st.State != JobDone {
+		t.Fatalf("job in state %q after its stream ended, want a final state", st.State)
 	}
 	if st.State == JobDone {
 		t.Log("job finished before cancellation; resume degenerates to a replay")
@@ -245,6 +243,42 @@ func TestJobsCancelResume(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, wantFired[tid]) {
 			t.Errorf("entity %d: canceled+resumed fired %v, uninterrupted %v", tid, got, wantFired[tid])
+		}
+	}
+}
+
+// TestEventStreamNeedsDone: "done" is the checked end of an event stream. A
+// body that ends at an event boundary without it — what a draining server
+// writes — is a *TransportError wrapping io.ErrUnexpectedEOF after its
+// events were delivered; the same body plus the done line is a finished
+// harvest.
+func TestEventStreamNeedsDone(t *testing.T) {
+	f := newFixture(t)
+	const cut = `{"type":"progress","entity":1,"iteration":1,"query":"a"}` + "\n" +
+		`{"type":"entity","entity":1,"fired":["a"],"pages":[2]}` + "\n"
+	for _, tc := range []struct {
+		name, body string
+		complete   bool
+	}{
+		{"cut at an event boundary", cut, false},
+		{"ends with done", cut + `{"type":"done","entities":1}` + "\n", true},
+	} {
+		stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			io.WriteString(w, tc.body)
+		}))
+		c := derivedClient(f, stub.URL, fastRetry)
+		delivered := 0
+		err := c.StreamJob(context.Background(), "j1", func(HarvestEvent) error { delivered++; return nil })
+		stub.Close()
+		var te *TransportError
+		switch {
+		case tc.complete && (err != nil || delivered != 3):
+			t.Errorf("%s: %v after %d events, want nil after 3", tc.name, err, delivered)
+		case !tc.complete && (!errors.As(err, &te) || !errors.Is(err, io.ErrUnexpectedEOF) || delivered != 2):
+			t.Errorf("%s: %v after %d events, want a *TransportError wrapping io.ErrUnexpectedEOF after 2", tc.name, err, delivered)
+		case !tc.complete && (te.Attempts != 1 || c.Metrics().Retries != 0):
+			t.Errorf("%s: %d attempts, %d retries; a stream that has started is never re-read", tc.name, te.Attempts, c.Metrics().Retries)
 		}
 	}
 }

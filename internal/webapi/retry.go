@@ -71,7 +71,7 @@ func (p RetryPolicy) sleep(ctx context.Context, retry int) error {
 // enough structure (operation, path, HTTP status, attempt count) for
 // callers to account failures instead of silently losing work.
 type TransportError struct {
-	// Op names the API operation: "stats", "search", "page", "harvest".
+	// Op names the API operation: "stats", "search", "page", "jobstream".
 	Op string
 	// Path is the request path (query string included).
 	Path string

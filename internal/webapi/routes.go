@@ -3,18 +3,17 @@ package webapi
 // The versioned serving surface. Every route the server exposes is
 // declared exactly once, in the registry below: method, /api/v1 path,
 // the binary frame kind the route can negotiate, and whether the request
-// is a long-lived event stream. Handler() mounts the registry; instrument() applies each
-// route's declared behavior (write deadline, Vary header) so no handler
-// or middleware has to pattern-match paths to know how to treat a
-// request — the previous hand-rolled wiring spread across server.go,
-// harvest.go and jobs.go.
+// is a long-lived event stream. Handler() mounts the registry;
+// instrument() applies each route's declared behavior (write deadline,
+// Vary header) so no handler or middleware has to pattern-match paths to
+// know how to treat a request.
 //
 // Codec negotiation is per request: a client that sends
 // Accept: application/x-l2q-wire on a wire-capable route receives one
-// L2QWIR1 frame (or a frame sequence, on streams); everyone else gets
-// JSON, which stays the default and the debug path. Errors are ALWAYS
-// the JSON envelope below, on every route and both codecs, so one error
-// decoder serves the whole API.
+// L2QWIR1 frame; everyone else gets JSON, which stays the default and the
+// debug path. A job's event stream is NDJSON whatever the request accepts
+// (jobs.go says why). Errors are ALWAYS the JSON envelope below, on every
+// route and both codecs, so one error decoder serves the whole API.
 
 import (
 	"encoding/json"
@@ -44,7 +43,6 @@ type apiRoute struct {
 
 // routes is the one registry of the serving surface.
 func (s *Server) routes() []apiRoute {
-	always := func(*http.Request) bool { return true }
 	streamParam := func(r *http.Request) bool { return r.URL.Query().Get("stream") != "" }
 	return []apiRoute{
 		{method: "GET", path: "/healthz", h: s.handleHealthz},
@@ -56,9 +54,8 @@ func (s *Server) routes() []apiRoute {
 		{method: "GET", path: "/api/v1/cluster/stats", wire: wireNodeStats, h: s.handleClusterStats},
 		{method: "POST", path: "/api/v1/cluster/stats", h: s.handleClusterStats},
 		{method: "POST", path: "/api/v1/ingest", wire: wireIngest, h: s.handleIngest},
-		{method: "POST", path: "/api/v1/harvest", wire: wireEvent, stream: always, h: s.handleHarvest},
 		{method: "POST", path: "/api/v1/jobs", h: s.handleJobSubmit},
-		{method: "GET", path: "/api/v1/jobs/{id}", wire: wireEvent, stream: streamParam, h: s.handleJobGet},
+		{method: "GET", path: "/api/v1/jobs/{id}", stream: streamParam, h: s.handleJobGet},
 		{method: "DELETE", path: "/api/v1/jobs/{id}", h: s.handleJobDelete},
 		{method: "GET", path: "/page/{id}", wire: wirePage, h: s.handlePage},
 	}

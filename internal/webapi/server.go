@@ -101,9 +101,8 @@ type Server struct {
 	// scheduler, so admission and job concurrency degrade together. Set
 	// it before the first request; later changes are ignored.
 	MaxInFlight int
-	// Harvest, when non-nil, enables the POST /api/v1/harvest batch
-	// endpoint (server-side pipelined sessions with streamed progress)
-	// and the asynchronous jobs API (POST/GET/DELETE /api/v1/jobs).
+	// Harvest, when non-nil, enables the jobs API (POST/GET/DELETE
+	// /api/v1/jobs): server-side pipelined sessions with streamed progress.
 	Harvest *HarvestBackend
 	// WireDisabled turns off binary-frame negotiation: the server
 	// answers every request in JSON regardless of Accept (the mixed-
@@ -130,8 +129,7 @@ type Server struct {
 
 	http *http.Server
 
-	// sched is the ONE shared pipeline scheduler every harvest (sync and
-	// async) runs on, created lazily from the backend's worker knobs and
+	// sched is the ONE shared pipeline scheduler every job runs on, created lazily from the backend's worker knobs and
 	// closed by Shutdown.
 	schedMu sync.Mutex
 	sched   *pipeline.Scheduler
@@ -149,9 +147,8 @@ type Server struct {
 	pagesAttached    atomic.Int64
 	pagesSkippedHave atomic.Int64
 
-	// ctx is canceled by Shutdown so long-lived streaming handlers (the
-	// batch-harvest endpoint, job event streams) terminate and let the
-	// graceful drain finish.
+	// ctx is canceled by Shutdown so jobs and the long-lived handlers
+	// streaming their events terminate and let the graceful drain finish.
 	ctx    context.Context
 	cancel context.CancelFunc
 }
@@ -284,10 +281,10 @@ func (s *Server) Start(addr string) (string, error) {
 	s.http = &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
-		// No server-wide WriteTimeout: /api/v1/harvest streams NDJSON for as
-		// long as the batch runs. The limit middleware applies a per-
-		// request write deadline to every other route, and the harvest
-		// handler rolls its own deadline forward per emitted event.
+		// No server-wide WriteTimeout: a job's event stream runs for as
+		// long as the job does. instrument applies a per-request write
+		// deadline to every other request, and the stream handler rolls
+		// its own deadline forward per event.
 		IdleTimeout: 60 * time.Second,
 	}
 	go func() {
@@ -298,9 +295,9 @@ func (s *Server) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Shutdown cancels long-lived streaming handlers (in-flight batch
-// harvests and job streams), drains the rest, stops the shared harvest
-// scheduler, and stops the server.
+// Shutdown cancels the running jobs and the handlers streaming their
+// events, drains the rest, stops the shared harvest scheduler, and stops
+// the server.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.cancel()
 	var err error

@@ -1,13 +1,13 @@
 package webapi
 
 // The binary wire protocol: a length-prefixed, CRC-framed encoding for
-// the serving boundary's hot payloads — search hits, page bodies,
-// collection-frequency batches, and harvest/job event streams. It extends
-// the framed-CRC idiom of the durable store artifacts (L2QSTOR1,
-// L2QCKPT1, L2QDOM1) to the live wire, reusing the store package's
-// exported payload primitives (store.Enc/store.Dec).
+// the serving boundary's hot payloads — search hits, page bodies, ingest
+// batches and the cluster's registration reports. It extends the
+// framed-CRC idiom of the durable store artifacts (L2QSTOR1, L2QCKPT1,
+// L2QDOM1) to the live wire, reusing the store package's exported payload
+// primitives (store.Enc/store.Dec).
 //
-// Frame layout (one frame per response; streams are frame sequences):
+// Frame layout (one frame per body, request or response):
 //
 //	magic "L2QWIR1" (7 bytes)
 //	kind  byte   — payload type (wireStats, wireSearch, ...)
@@ -29,7 +29,6 @@ package webapi
 // hot response without per-request allocations beyond the frame itself.
 
 import (
-	"bufio"
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
@@ -54,9 +53,12 @@ const wireContentType = "application/x-l2q-wire"
 // Exported for flag help text and for non-Go clients of the API.
 const WireContentType = wireContentType
 
-// Frame payload kinds. 4 was the collfreq batch of the deleted
-// /api/v1/collfreq route; the number stays retired — no route negotiates
-// it, every decoder rejects it, and no new kind may reuse it. 7 kept its
+// Frame payload kinds. Two numbers are retired — no route negotiates them,
+// every decoder rejects them, and no new kind may reuse them: 4 was the
+// collfreq batch of the deleted /api/v1/collfreq route, 6 (wireEvent) one
+// harvest event of a framed event stream, which is NDJSON only now (an
+// older client that still asks a job stream for frames is answered NDJSON
+// under its own Content-Type, which that client dispatches on). 7 kept its
 // number when its payload lost the document-frequency map after the
 // collection frequencies: a coordinator and a node from different sides of
 // that change fail at dial, before any ranking (trailing bytes for the
@@ -66,7 +68,6 @@ const (
 	wireSearch    byte = 2
 	wirePage      byte = 3
 	wireEntities  byte = 5
-	wireEvent     byte = 6
 	wireNodeStats byte = 7
 	wireIngest    byte = 8
 	// wireSearchPages is a search answered with=pages: the wireSearch
@@ -210,53 +211,6 @@ func checkAndInflate(payload []byte, flags byte, wantCRC uint32) ([]byte, error)
 		return nil, fmt.Errorf("wire: gunzip: %w", err)
 	}
 	return out, nil
-}
-
-// frameReader consumes a stream of frames (the binary harvest/job event
-// streams). Unlike NDJSON — where a severed connection just looks like
-// the last line — a truncated frame is a detected error, not a silent
-// early end of stream.
-type frameReader struct {
-	br *bufio.Reader
-}
-
-func newFrameReader(r io.Reader) *frameReader {
-	return &frameReader{br: bufio.NewReaderSize(r, 64<<10)}
-}
-
-// next reads one frame of the given kind. A clean end of stream returns
-// io.EOF; a stream severed mid-frame returns an unexpected-EOF error.
-func (fr *frameReader) next(wantKind byte) ([]byte, error) {
-	head := make([]byte, len(wireMagic)+2)
-	if _, err := io.ReadFull(fr.br, head); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF // clean boundary: no partial frame
-		}
-		return nil, fmt.Errorf("wire: stream truncated mid-header: %w", err)
-	}
-	if string(head[:len(wireMagic)]) != wireMagic {
-		return nil, fmt.Errorf("wire: bad stream frame magic %q", head[:len(wireMagic)])
-	}
-	kind, flags := head[len(wireMagic)], head[len(wireMagic)+1]
-	size, err := binary.ReadUvarint(fr.br)
-	if err != nil {
-		return nil, fmt.Errorf("wire: stream truncated reading length: %w", err)
-	}
-	if size > maxResponseBytes {
-		return nil, fmt.Errorf("wire: implausible stream frame size %d", size)
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(fr.br, crcBuf[:]); err != nil {
-		return nil, fmt.Errorf("wire: stream truncated reading crc: %w", err)
-	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(fr.br, payload); err != nil {
-		return nil, fmt.Errorf("wire: stream truncated mid-payload: %w", err)
-	}
-	if kind != wantKind {
-		return nil, fmt.Errorf("wire: stream frame kind %d, want %d", kind, wantKind)
-	}
-	return checkAndInflate(payload, flags, binary.LittleEndian.Uint32(crcBuf[:]))
 }
 
 // ---- payload codecs ----
@@ -446,53 +400,6 @@ func decodeEntitiesWire(d *store.Dec) []EntityInfo {
 		})
 	}
 	return out
-}
-
-func encodeEventWire(e *store.Enc, ev HarvestEvent) {
-	e.Str(ev.Type)
-	e.Varint(int64(ev.Entity))
-	e.Varint(int64(ev.Iteration))
-	e.Str(ev.Query)
-	e.Varint(int64(ev.NewPages))
-	e.Varint(int64(ev.TotalPages))
-	e.Uvarint(uint64(len(ev.Fired)))
-	for _, q := range ev.Fired {
-		e.Str(q)
-	}
-	e.Uvarint(uint64(len(ev.Pages)))
-	prev := int64(0)
-	for _, id := range ev.Pages {
-		e.Varint(int64(id) - prev)
-		prev = int64(id)
-	}
-	e.Varint(int64(ev.Entities))
-	e.Varint(int64(ev.Failed))
-	e.Str(ev.Error)
-}
-
-func decodeEventWire(d *store.Dec) HarvestEvent {
-	ev := HarvestEvent{
-		Type:       d.Str(),
-		Entity:     corpus.EntityID(d.Varint()),
-		Iteration:  int(d.Varint()),
-		Query:      d.Str(),
-		NewPages:   int(d.Varint()),
-		TotalPages: int(d.Varint()),
-	}
-	nFired := d.Count("fired queries")
-	for i := 0; i < nFired && d.Err() == nil; i++ {
-		ev.Fired = append(ev.Fired, d.Str())
-	}
-	nPages := d.Count("event pages")
-	prev := int64(0)
-	for i := 0; i < nPages && d.Err() == nil; i++ {
-		prev += d.Varint()
-		ev.Pages = append(ev.Pages, corpus.PageID(prev))
-	}
-	ev.Entities = int(d.Varint())
-	ev.Failed = int(d.Varint())
-	ev.Error = d.Str()
-	return ev
 }
 
 // encodeIngestWire frames an ingest batch. Paragraph text rides as-is;

@@ -3,7 +3,6 @@ package webapi
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -69,48 +68,6 @@ func TestWireFrameRoundTrips(t *testing.T) {
 	if got := decodeEntitiesWire(d); !reflect.DeepEqual(got, ents) || !d.Done() {
 		t.Errorf("entities round trip: got %v want %v", got, ents)
 	}
-
-	evs := []HarvestEvent{
-		{Type: "progress", Entity: 4, Iteration: 2, Query: "q x", NewPages: 3, TotalPages: 11},
-		{Type: "entity", Entity: 4, Fired: []string{"a", "b"}, Pages: []corpus.PageID{3, 9, 40}},
-		{Type: "error", Entity: 5, Error: "unknown entity id 5"},
-		{Type: "done", Entities: 2, Failed: 1},
-	}
-	for _, ev := range evs {
-		payload = roundTripFrame(t, wireEvent, 0, func(e *store.Enc) { encodeEventWire(e, ev) })
-		d = store.NewDec(payload)
-		if got := decodeEventWire(d); !reflect.DeepEqual(got, ev) || !d.Done() {
-			t.Errorf("event round trip: got %+v want %+v", got, ev)
-		}
-	}
-}
-
-// TestWireEventJSONParity: a harvest event survives the binary codec
-// exactly as it survives encoding/json with its omitempty tags — the
-// decoded-value parity that lets the two stream codecs interchange.
-func TestWireEventJSONParity(t *testing.T) {
-	evs := []HarvestEvent{
-		{Type: "progress", Entity: 1, Iteration: 3, Query: "a b", NewPages: 1, TotalPages: 2},
-		{Type: "entity", Entity: 2, Fired: []string{"x"}, Pages: []corpus.PageID{1}},
-		{Type: "entity", Entity: 3}, // empty slices must round trip as nil
-		{Type: "done", Entities: 5, Failed: 0},
-	}
-	for _, ev := range evs {
-		raw, err := json.Marshal(ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var viaJSON HarvestEvent
-		if err := json.Unmarshal(raw, &viaJSON); err != nil {
-			t.Fatal(err)
-		}
-		payload := roundTripFrame(t, wireEvent, 0, func(e *store.Enc) { encodeEventWire(e, ev) })
-		d := store.NewDec(payload)
-		viaWire := decodeEventWire(d)
-		if !reflect.DeepEqual(viaJSON, viaWire) {
-			t.Errorf("codec divergence:\n json %+v\n wire %+v", viaJSON, viaWire)
-		}
-	}
 }
 
 func TestWireFrameCompression(t *testing.T) {
@@ -160,11 +117,14 @@ func TestWireFrameCorruption(t *testing.T) {
 	if _, err := openFrame(frame, wireStats); err == nil {
 		t.Error("wrong kind accepted")
 	}
-	// Kind 4 is retired: no decoder takes it.
-	retired := marshalFrame(4, 0, func(e *store.Enc) { encodeFreqMapWire(e, map[string]int{"engine": 12}) })
-	for _, kind := range []byte{wireStats, wireSearch, wirePage, wireEntities, wireEvent, wireNodeStats, wireIngest, wireSearchPages} {
-		if err := decodeFramePayload(retired, kind, func(d *store.Dec) { decodeFreqMapWire(d) }); err == nil {
-			t.Errorf("retired kind 4 decoded as kind %d", kind)
+	// Kinds 4 (collfreq batch) and 6 (harvest event) are retired: no decoder
+	// takes a frame that announces either.
+	for _, old := range []byte{4, 6} {
+		retired := marshalFrame(old, 0, func(e *store.Enc) { encodeFreqMapWire(e, map[string]int{"engine": 12}) })
+		for _, kind := range []byte{wireStats, wireSearch, wirePage, wireEntities, wireNodeStats, wireIngest, wireSearchPages} {
+			if err := decodeFramePayload(retired, kind, func(d *store.Dec) { decodeFreqMapWire(d) }); err == nil {
+				t.Errorf("retired kind %d decoded as kind %d", old, kind)
+			}
 		}
 	}
 	// Kind 7 as it was framed while a document-frequency map followed the
@@ -189,43 +149,6 @@ func TestWireFrameCorruption(t *testing.T) {
 	flipped[len(flipped)-1] ^= 0x01
 	if _, err := openFrame(flipped, wireSearch); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Errorf("payload corruption not caught by CRC: %v", err)
-	}
-}
-
-func TestFrameReaderStream(t *testing.T) {
-	evs := []HarvestEvent{
-		{Type: "progress", Entity: 1, Iteration: 1, Query: "a"},
-		{Type: "entity", Entity: 1, Fired: []string{"a"}, Pages: []corpus.PageID{2}},
-		{Type: "done", Entities: 1},
-	}
-	var buf bytes.Buffer
-	for _, ev := range evs {
-		buf.Write(marshalFrame(wireEvent, 0, func(e *store.Enc) { encodeEventWire(e, ev) }))
-	}
-
-	fr := newFrameReader(bytes.NewReader(buf.Bytes()))
-	for i, want := range evs {
-		payload, err := fr.next(wireEvent)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		d := store.NewDec(payload)
-		if got := decodeEventWire(d); !reflect.DeepEqual(got, want) {
-			t.Errorf("frame %d: got %+v want %+v", i, got, want)
-		}
-	}
-	if _, err := fr.next(wireEvent); err != io.EOF {
-		t.Errorf("clean stream end: %v, want io.EOF", err)
-	}
-
-	// A stream severed mid-frame is a detected error, not a silent EOF.
-	fr = newFrameReader(bytes.NewReader(buf.Bytes()[:buf.Len()-4]))
-	var err error
-	for err == nil {
-		_, err = fr.next(wireEvent)
-	}
-	if err == io.EOF {
-		t.Error("mid-frame truncation reported as clean EOF")
 	}
 }
 
@@ -440,16 +363,23 @@ func TestMixedVersionFallback(t *testing.T) {
 func TestErrorEnvelope(t *testing.T) {
 	f := newFixture(t)
 	for _, tc := range []struct {
+		method   string
 		path     string
 		status   int
 		code     string
 		whatness string
 	}{
-		{"/api/v1/search", http.StatusBadRequest, "bad_request", "missing query"},
-		{"/page/999999.html", http.StatusNotFound, "not_found", "no such page"},
-		{"/api/v1/jobs/nope", http.StatusNotFound, "not_found", "no such job"},
+		{"GET", "/api/v1/search", http.StatusBadRequest, "bad_request", "missing query"},
+		{"GET", "/page/999999.html", http.StatusNotFound, "not_found", "no such page"},
+		{"GET", "/api/v1/jobs/nope", http.StatusNotFound, "not_found", "no such job"},
+		// The request-scoped harvest route is gone: a harvest is a job.
+		{"POST", "/api/v1/harvest", http.StatusNotFound, "not_found", "no route"},
 	} {
-		resp, err := http.Get(f.srv.URL + tc.path)
+		req, err := http.NewRequest(tc.method, f.srv.URL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -457,10 +387,10 @@ func TestErrorEnvelope(t *testing.T) {
 		derr := json.NewDecoder(resp.Body).Decode(&env)
 		resp.Body.Close()
 		if resp.StatusCode != tc.status || derr != nil {
-			t.Fatalf("GET %s = %d (decode %v), want %d envelope", tc.path, resp.StatusCode, derr, tc.status)
+			t.Fatalf("%s %s = %d (decode %v), want %d envelope", tc.method, tc.path, resp.StatusCode, derr, tc.status)
 		}
 		if env.Error.Code != tc.code || env.Error.Message == "" || env.Error.Retryable {
-			t.Errorf("GET %s envelope %+v, want code %s, non-retryable", tc.path, env.Error, tc.code)
+			t.Errorf("%s %s envelope %+v, want code %s, non-retryable", tc.method, tc.path, env.Error, tc.code)
 		}
 	}
 
@@ -524,82 +454,66 @@ func errorsAs(err error, target any) bool {
 	return false
 }
 
-// TestStreamWireCodec: the harvest batch and job streams carry wire
-// event frames when negotiated, and the decoded event sequence matches
-// the NDJSON stream exactly.
-func TestStreamWireCodec(t *testing.T) {
-	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
-	if err != nil {
-		t.Fatal(err)
+// TestJobStreamMatchesBatchStream: HarvestBatch is submit + follow, so the
+// events it delivers are, entity by entity, the events a job submitted and
+// streamed by hand delivers — and both are NDJSON whatever the request
+// accepts: an older client that still asks a job stream for wire frames is
+// answered NDJSON under its own Content-Type.
+func TestJobStreamMatchesBatchStream(t *testing.T) {
+	f := newHarvestFixture(t)
+	c, srv := f.client, f.srv
+	if !c.WireNegotiated() {
+		t.Fatal("wire not negotiated")
 	}
-	engine := search.NewEngine(search.BuildIndex(g.Corpus.Pages))
-	rec := types.Chain{g.KB, types.NewRegexRecognizer()}
-	cfg := core.DefaultConfig()
-	cfg.Tokenizer = g.Tokenizer
-	srvObj := NewServer(g.Corpus, engine)
-	srvObj.Harvest = &HarvestBackend{
-		Cfg:     cfg,
-		Aspects: []corpus.Aspect{synth.AspResearch},
-		Y: func(a corpus.Aspect) func(*corpus.Page) bool {
-			return func(p *corpus.Page) bool { return classify.GroundTruth(p, a) }
-		},
-		Rec: rec,
-	}
-	srv := httptest.NewServer(srvObj.Handler())
-	defer srv.Close()
-
-	req := HarvestRequest{
-		Entities: []corpus.EntityID{g.Corpus.Entities[0].ID, g.Corpus.Entities[1].ID},
-		Aspect:   string(synth.AspResearch),
-		NQueries: 2,
-		NoDomain: true,
-	}
-	collect := func(codec Codec) []HarvestEvent {
-		c, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{Codec: codec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if codec != CodecJSON && !c.WireNegotiated() {
-			t.Fatal("wire not negotiated")
-		}
-		var evs []HarvestEvent
-		if err := c.HarvestBatch(context.Background(), req, func(ev HarvestEvent) error {
-			evs = append(evs, ev)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return evs
-	}
-	// The two entities harvest concurrently, so how their events
-	// interleave differs from run to run; each entity's own subsequence
-	// (and the done summary) does not.
-	viaWire := streamByEntity(t, collect(CodecAuto), len(req.Entities))
-	viaJSON := streamByEntity(t, collect(CodecJSON), len(req.Entities))
-	if !reflect.DeepEqual(viaWire, viaJSON) {
-		t.Errorf("stream codecs diverge:\n wire %+v\n json %+v", viaWire, viaJSON)
-	}
-
-	// The async job stream through the wire codec.
-	c, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	req := HarvestRequest{Entities: jobTargets(f, 2), Aspect: string(f.aspect), NQueries: 2}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
+	var batchEvs, jobEvs []HarvestEvent
+	if err := c.HarvestBatch(ctx, req, func(ev HarvestEvent) error {
+		batchEvs = append(batchEvs, ev)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	id, err := c.SubmitJob(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var jobEvs []HarvestEvent
 	if err := c.StreamJob(ctx, id, func(ev HarvestEvent) error {
 		jobEvs = append(jobEvs, ev)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if viaJob := streamByEntity(t, jobEvs, len(req.Entities)); !reflect.DeepEqual(viaJob, viaWire) {
-		t.Errorf("job stream diverges from the batch stream:\n job   %+v\n batch %+v", viaJob, viaWire)
+	// The two entities harvest concurrently, so how their events
+	// interleave differs from run to run; each entity's own subsequence
+	// (and the done summary) does not.
+	viaBatch := streamByEntity(t, batchEvs, len(req.Entities))
+	if viaJob := streamByEntity(t, jobEvs, len(req.Entities)); !reflect.DeepEqual(viaJob, viaBatch) {
+		t.Errorf("job stream diverges from the batch stream:\n job   %+v\n batch %+v", viaJob, viaBatch)
+	}
+
+	// Asked for frames, the finished job's stream is still NDJSON, and says so.
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/api/v1/jobs/"+id+"?stream=1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq.Header.Set("Accept", wireContentType)
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
+	var last HarvestEvent
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" || isWireFrame(body) ||
+		len(lines) != len(jobEvs) || json.Unmarshal(lines[len(lines)-1], &last) != nil || last.Type != "done" {
+		t.Errorf("stream asked with Accept: %s: content-type %q, %d lines (want %d NDJSON events ending in done): %.80q",
+			wireContentType, ct, len(lines), len(jobEvs), body)
 	}
 }
 
@@ -732,23 +646,6 @@ func TestDifferentialWireParity(t *testing.T) {
 	}
 	if m := wireClient.Metrics(); m.Retries == 0 || m.Errors != 0 {
 		t.Errorf("wire client metrics %+v: want retries absorbed, zero terminal errors", m)
-	}
-}
-
-// TestWireFrameStreamHeaderBound: frameReader refuses implausible frame
-// sizes instead of allocating them.
-func TestWireFrameStreamHeaderBound(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString(wireMagic)
-	buf.WriteByte(wireEvent)
-	buf.WriteByte(0)
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(maxResponseBytes)+1)
-	buf.Write(tmp[:n])
-	buf.Write([]byte{0, 0, 0, 0})
-	fr := newFrameReader(&buf)
-	if _, err := fr.next(wireEvent); err == nil || !strings.Contains(err.Error(), "implausible") {
-		t.Errorf("oversized stream frame: %v", err)
 	}
 }
 

@@ -51,16 +51,17 @@ type (
 	// FaultInjector wraps a handler with configurable transport faults
 	// (500s, latency, truncated bodies) for resilience testing.
 	FaultInjector = webapi.FaultInjector
-	// HarvestBackend enables a SearchServer's POST /api/v1/harvest endpoint.
+	// HarvestBackend enables a SearchServer's jobs API (/api/v1/jobs), the
+	// surface of server-side harvesting.
 	HarvestBackend = webapi.HarvestBackend
-	// HarvestRequest is the batch-harvest request body.
+	// HarvestRequest is the body a job is submitted with.
 	HarvestRequest = webapi.HarvestRequest
-	// HarvestEvent is one NDJSON line of the batch-harvest stream.
+	// HarvestEvent is one entry of a job's event log, one NDJSON line of
+	// its stream.
 	HarvestEvent = webapi.HarvestEvent
-	// BudgetSpec is the wire form of the budget policy (harvest and jobs
-	// requests).
+	// BudgetSpec is the wire form of the budget policy in a HarvestRequest.
 	BudgetSpec = webapi.BudgetSpec
-	// JobStatus is the async jobs API's status payload.
+	// JobStatus is the jobs API's status payload.
 	JobStatus = webapi.JobStatus
 	// ServerMetrics is the GET /api/v1/metrics payload.
 	ServerMetrics = webapi.ServerMetrics
