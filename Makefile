@@ -29,8 +29,9 @@ test-procs:
 	GOMAXPROCS=8 $(GO) test -race -shuffle=on ./internal/search/ ./internal/core/ ./internal/pipeline/ ./internal/webapi/
 
 # 20 s of native fuzzing each on the scorer's exactness gate (the pruned
-# top-k pass must equal SearchReference — Dirichlet query likelihood, the
-# one ranking function — bit for bit on random tiny corpora),
+# top-k pass, its contender test included, must equal SearchReference —
+# Dirichlet query likelihood, the one ranking function — bit for bit on
+# random tiny corpora, queries stretched up to 64-fold, μ from 10⁻³ to 10⁹),
 # on the search-with-pages decoder (frame, payload and page check between
 # a response body and the client's page cache) and on the session's page
 # bitsets (coverage must equal a Page.ContainsQuery recount; its inputs are

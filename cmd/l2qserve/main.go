@@ -82,7 +82,7 @@ func main() {
 		fanIn     = flag.Int("compactfanin", 0, "live mode: background-compaction fan-in (0 = default, <0 = background compaction off)")
 		ingestW   = flag.Int("ingestworkers", 0, "live mode: ingest pre-tokenization workers (0 = GOMAXPROCS)")
 		wire      = flag.Bool("wire", true, "offer the binary wire codec to clients that ask for it (Accept: "+webapi.WireContentType+"); JSON stays the default either way")
-		compress  = flag.Int("compress", 0, "gzip wire payloads at or above this many bytes (0 = default threshold, <0 = never compress)")
+		compress  = flag.Int("compress", 0, "gzip wire payloads at or above this many bytes (0 = default threshold, <0 = never compress); the deflate level is fixed at 1")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 		coord     = flag.Bool("coordinator", false, "coordinator mode: scatter-gather over the node URLs in -nodes; the process holds no pages, and of the corpus flags reads only -domain (or -store) — it selects the phrase lexicon queries are tokenized with, which must be the nodes'")
 		nodesFlag = flag.String("nodes", "", "cluster topology: in coordinator mode a comma-separated list of node base URLs; in node mode the cluster size (serve one partition set with -nodeid)")

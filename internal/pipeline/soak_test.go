@@ -97,9 +97,12 @@ func TestSchedulerSoak(t *testing.T) {
 					b.Cancel()
 					b.Await(context.Background())
 				case 1:
-					// Abandon via ctx.
+					// Abandon via ctx. The delay is drawn here: rng belongs
+					// to this goroutine, and the next round may already be
+					// drawing from it when the one below wakes.
+					delay := time.Duration(rng.IntN(5)) * time.Millisecond
 					go func() {
-						time.Sleep(time.Duration(rng.IntN(5)) * time.Millisecond)
+						time.Sleep(delay)
 						cancel()
 					}()
 					b.Await(context.Background())

@@ -54,6 +54,9 @@ type Engine struct {
 	stats StatSource
 
 	cache *LRU[[]Result]
+
+	// pass counts the scoring passes' work (PassStats). Copies share it.
+	pass *passCounters
 }
 
 // NewEngine creates an engine over idx with auto-scaled μ (see DefaultMu),
@@ -69,6 +72,7 @@ func NewEngineOpts(idx *Index, opts Options) *Engine {
 		mu:    AutoMu(idx.NumDocs(), idx.TotalTokens()),
 		topK:  DefaultTopK,
 		cache: NewLRU[[]Result](opts.Capacity()),
+		pass:  new(passCounters),
 	}
 }
 
@@ -129,6 +133,14 @@ func (e *Engine) TopK() int { return e.topK }
 func (e *Engine) CacheStats() (hits, misses uint64) {
 	hits, misses, _ = e.cache.Stats()
 	return hits, misses
+}
+
+// PassStats reports the work of the engine's scoring passes (cache misses)
+// since it was built, the engines derived from it included: the documents
+// that reached the contender test and those of them scored exactly
+// (scored ≤ visited; equal when the test cannot run — see contenderSlack).
+func (e *Engine) PassStats() (visited, scored uint64) {
+	return e.pass.visited.Load(), e.pass.scored.Load()
 }
 
 // CollectionProb is the smoothed collection model p(t|C) with add-one

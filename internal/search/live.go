@@ -175,6 +175,7 @@ type LiveEngine struct {
 
 	view  atomic.Pointer[liveView]
 	cache *LRU[[]Result]
+	pass  passCounters // every view's segment engines count into it
 
 	// Writer state, all guarded by wmu; readers never touch it.
 	wmu       sync.Mutex
@@ -259,6 +260,7 @@ func (le *LiveEngine) buildViewLocked() *liveView {
 			mu:    v.mu,
 			topK:  le.lo.TopK,
 			stats: st,
+			pass:  &le.pass,
 		}
 	}
 	return v
@@ -713,6 +715,12 @@ func (le *LiveEngine) Pages() []*corpus.Page {
 func (le *LiveEngine) CacheStats() (hits, misses uint64) {
 	hits, misses, _ = le.cache.Stats()
 	return hits, misses
+}
+
+// PassStats reports the scoring passes' work over every view and segment
+// since the engine was built, as Engine.PassStats does.
+func (le *LiveEngine) PassStats() (visited, scored uint64) {
+	return le.pass.visited.Load(), le.pass.scored.Load()
 }
 
 // LiveMetrics is the ingest-side gauge snapshot the serving layer exports

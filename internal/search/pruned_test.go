@@ -3,6 +3,7 @@ package search
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"l2q/internal/corpus"
@@ -84,20 +85,30 @@ func tinyQueries(rng *rand.Rand) [][]textproc.Token {
 	return qs
 }
 
-// FuzzPrunedTopKMatchesReference is the exactness gate of the pruned pass:
-// on tiny random corpora full of duplicate documents it asserts pages and
-// scores equal SearchReference bit for bit, tie order included, for
-// k ∈ {1, 5, more than can match}, with and without a
-// WithCollectionStats override (the cluster/live shape: statistics of a
-// larger collection than the index scored). CI runs it as a short
-// fuzz-smoke (`make fuzz-smoke`); `go test` replays the seeds below.
+// FuzzPrunedTopKMatchesReference is the exactness gate of the pruned pass,
+// the contender test included: on tiny random corpora full of duplicate
+// documents it asserts pages and scores equal SearchReference bit for bit,
+// tie order included, for k ∈ {1, 5, more than can match}, with and without
+// a WithCollectionStats override (the cluster/live shape: statistics of a
+// larger collection than the index scored), with every query repeated
+// 1–64 times over (long queries drive the contender test's cut towards and
+// past its underflow floor) and under the auto-scaled μ or an extreme one.
+// CI runs it as a short fuzz-smoke (`make fuzz-smoke`); `go test` replays
+// the seeds below.
 func FuzzPrunedTopKMatchesReference(f *testing.F) {
 	for seed := uint64(0); seed < 6; seed++ {
 		for _, n := range []uint8{0, 7, 40} {
-			f.Add(seed, n, uint8(seed), seed%3 == 0)
+			f.Add(seed, n, uint8(seed), seed%3 == 0, uint8(0), uint8(0))
 		}
 	}
-	f.Fuzz(func(t *testing.T, seed uint64, nDocs, kSel uint8, override bool) {
+	for _, stretch := range []uint8{7, 23, 63} {
+		f.Add(uint64(stretch), uint8(40), stretch, stretch == 23, stretch, uint8(0))
+	}
+	for muSel := uint8(1); muSel < uint8(len(fuzzMus)); muSel++ {
+		f.Add(uint64(muSel), uint8(40), muSel, muSel == 2, uint8(0), muSel)
+		f.Add(uint64(muSel), uint8(31), muSel+1, false, uint8(9), muSel)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, nDocs, kSel uint8, override bool, stretch, muSel uint8) {
 		rng := rand.New(rand.NewPCG(seed, 15))
 		pages := tinyCorpus(rng, 1+int(nDocs)%48, 0)
 		idx := BuildIndex(pages)
@@ -108,13 +119,23 @@ func FuzzPrunedTopKMatchesReference(f *testing.F) {
 			st := StatsOf(BuildIndex(super))
 			e = e.WithCollectionStats(st).WithMu(AutoMu(st.NumDocs, st.TotalTokens))
 		}
+		if mu := fuzzMus[int(muSel)%len(fuzzMus)]; mu != 0 {
+			e = e.WithMu(mu)
+		}
 		for qi, q := range tinyQueries(rng) {
-			label := fmt.Sprintf("seed %d docs %d k %d override %v query %d %q",
-				seed, len(pages), k, override, qi, q)
+			q = slices.Repeat(q, 1+int(stretch)%64)
+			label := fmt.Sprintf("seed %d docs %d k %d override %v mu %v query %d %q",
+				seed, len(pages), k, override, e.Mu(), qi, q)
 			assertSameResults(t, label, e.SearchReference(q), e.Search(q))
+		}
+		if visited, scored := e.PassStats(); scored > visited {
+			t.Fatalf("pass scored %d documents of %d visited", scored, visited)
 		}
 	})
 }
+
+// fuzzMus is the fuzz target's μ selector: 0 keeps the engine's own.
+var fuzzMus = []float64{0, 1e-3, 1, 1e9}
 
 // searchBackend is one way of answering a query over the same pages.
 type searchBackend struct {

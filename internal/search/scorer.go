@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"l2q/internal/textproc"
 )
@@ -99,6 +100,71 @@ func dirichletScore(tfv []int32, dl int, mu float64, pC []float64) float64 {
 	return s
 }
 
+// ratioProduct is the exponential of dirichletScore without a logarithm
+// taken: Πᵢ (tfᵢ + μ·p(tᵢ|C)) / (|d| + μ), the operands DirichletTermScore
+// puts under its logarithm, multiplied in the same order. It ranks nothing —
+// the contender test (searchCandsIn) only uses it to tell which documents
+// are not worth their logarithms.
+func ratioProduct(tfv []int32, dl int, mu float64, pC []float64) float64 {
+	den := float64(dl) + mu
+	p := 1.0
+	for i, pc := range pC {
+		p *= (float64(tfv[i]) + mu*pc) / den
+	}
+	return p
+}
+
+// The contender test's two constants. A document is skipped when its
+// ratioProduct is below contenderCut of the heap's k-th score s_k, and the
+// claim is that its exact score is then strictly below s_k, so h.push would
+// have refused it (ties at s_k are never skipped; the lower-ordinal rule
+// is untouched). The test runs only when μ > 0 and every p(t|C) is in
+// (0, 1] — what CollectionProb yields for any collection; a foreign
+// StatSource may not — and tf ≤ |d| by construction of both index
+// constructors, so every ratio is in (0, 1], every logarithm ≤ 0 and
+// Σ|log rᵢ| = |S| for the real number S = Σ log rᵢ. Then, with n = |q|:
+//
+//   - the summed logarithms differ from S by at most (n+1)·2⁻⁵²·|S| (a
+//     math.Log within an ulp, n−1 rounded additions);
+//   - the product differs from exp(S) by at most n·2⁻⁵³ relative, while
+//     it stays normal; partial products only shrink, so a product that
+//     left the normal range is below 2⁻¹⁰²² and the floor below puts any
+//     non-zero cut 2¹²² above that;
+//   - math.Exp within an ulp of an argument rounded at |s_k| ≤ 624 is off
+//     by under 2⁻⁴³ relative, which the factor (1 − 2⁻⁴⁰) absorbs: the cut
+//     is at most the real exp(s_k − τ).
+//
+// So product < cut gives S < s_k − τ + n·2⁻⁵³, and the computed score is
+// below s_k as long as τ·(1 − ε) > n·2⁻⁵³ + ε·|s_k| with ε = (n+1)·2⁻⁵²:
+// at τ = 10⁻⁹·(1 + |s_k|) that holds for every query under four million
+// tokens, and τ is still far below any score gap the test feeds on (1.4 %
+// of the documents reaching it are scored at paper scale). Exactness never
+// rests on the last bit of a logarithm, an exponential or a product.
+const (
+	contenderSlack = 1e-9
+	// contenderFloor is the smallest exp(s_k − τ) the test trusts: below
+	// it (queries past ≈ 60 tokens, which the network may send) the cut is
+	// 0, nothing is below it and every document is scored exactly — the
+	// stop test's degrade-to-scoring-everything rule.
+	contenderFloor = 0x1p-900
+)
+
+// contenderCut is the product-domain image of the heap's k-th score sk,
+// lowered by the slack argued above.
+func contenderCut(sk float64) float64 {
+	cut := math.Exp(sk - contenderSlack*(1+math.Abs(sk)))
+	if cut < contenderFloor {
+		return 0
+	}
+	return cut * (1 - 0x1p-40)
+}
+
+// passCounters is the work of an engine's scoring passes since it was
+// built, shared by the copies derived from it (WithMu, WithTopK, ...): the
+// documents that reached the contender test — every document the pass
+// assembled a tf vector for — and those of them it scored exactly.
+type passCounters struct{ visited, scored atomic.Uint64 }
+
 // scoreConsts appends the per-position smoothed collection model p(t|C) of
 // query under the engine's collection statistics. The reference recomputes
 // it per candidate; the values are identical, so hoisting is
@@ -169,7 +235,11 @@ const boundSlackPerTerm = 0x1p-50
 // rest, length minDocLen. Once the heap is full and that bound plus the
 // slack is below its k-th score, no unseen document can enter and the
 // pass stops — "seed ∥ he" never walks the stopword's list. Nothing
-// assumes the best documents hold the rarest token. DESIGN.md "Retrieval
+// assumes the best documents hold the rarest token. Within a walk, once
+// the heap is full, the contender test (contenderSlack) spares a document
+// its logarithms when its score's exponential — a plain product — is
+// below the image of the k-th score: such a document would have been
+// refused by the heap. DESIGN.md "Retrieval
 // engine" has the argument in full, and why the pass is not fanned out
 // (range-partitioned workers each prune against their own, lower,
 // threshold).
@@ -207,7 +277,9 @@ func (e *Engine) searchCandsIn(sc *searchScratch, query []textproc.Token, k int,
 	// reporting a negative count puts a negative under the log) lands in
 	// that case too instead of in the sort's comparisons.
 	slack := 0.0
+	cuttable := e.mu > 0 // with every p(t|C) in (0, 1]: see contenderSlack
 	for i, pl := range lists {
+		cuttable = cuttable && consts[i] > 0 && consts[i] <= 1
 		zero, top := [1]int32{}, [1]int32{pl.maxTf}
 		absent := dirichletScore(zero[:], minDL, e.mu, consts[i:i+1])
 		best := dirichletScore(top[:], minDL, e.mu, consts[i:i+1])
@@ -225,6 +297,10 @@ func (e *Engine) searchCandsIn(sc *searchScratch, query []textproc.Token, k int,
 	slack *= float64(n) * boundSlackPerTerm
 
 	h := topKHeap[cand]{k: k, better: betterCand, h: sc.heap[:0]}
+	// cut is contenderCut(cutFor), recomputed when the heap's root moves — a
+	// few dozen times a pass; no score is +Inf, so the first full heap does.
+	cutFor, cut := math.Inf(1), 0.0
+	var nVisited, nScored uint64
 	for v, j := range order {
 		if len(h.h) == k && dirichletScore(boundTf, minDL, e.mu, consts)+slack < h.h[0].score {
 			break
@@ -254,9 +330,22 @@ func (e *Engine) searchCandsIn(sc *searchScratch, query []textproc.Token, k int,
 					tfv[i] = 0
 				}
 			}
-			h.push(cand{doc: p.doc, score: dirichletScore(tfv, e.idx.docLen[p.doc], e.mu, consts)})
+			dl := e.idx.docLen[p.doc]
+			nVisited++
+			if cuttable && len(h.h) == k {
+				if sk := h.h[0].score; sk != cutFor {
+					cutFor, cut = sk, contenderCut(sk)
+				}
+				if ratioProduct(tfv, dl, e.mu, consts) < cut {
+					continue // exact score strictly below the k-th: push would refuse it
+				}
+			}
+			nScored++
+			h.push(cand{doc: p.doc, score: dirichletScore(tfv, dl, e.mu, consts)})
 		}
 	}
+	e.pass.visited.Add(nVisited)
+	e.pass.scored.Add(nScored)
 	sc.heap = h.h
 	return h.h
 }

@@ -60,6 +60,8 @@ type localEngine interface {
 	NumTerms() int
 	TotalTokens() int
 	Mu() float64
+	CacheStats() (hits, misses uint64)
+	PassStats() (visited, scored uint64)
 }
 
 // localBackend serves one in-process corpus and engine. A frozen corpus
@@ -134,7 +136,10 @@ func (b *localBackend) pageWorkers() int { return 1 }
 
 func (b *localBackend) retriever() core.Retriever { return b.engine }
 
-func (b *localBackend) metrics(*ServerMetrics) {}
+func (b *localBackend) metrics(m *ServerMetrics) {
+	m.Search.CacheHits, m.Search.CacheMisses = b.engine.CacheStats()
+	m.Search.DocsVisited, m.Search.DocsScored = b.engine.PassStats()
+}
 
 func (b *localBackend) ingest(IngestRequest) (IngestResponse, error) {
 	return IngestResponse{}, errNoIngest
@@ -152,6 +157,7 @@ type liveBackend struct {
 }
 
 func (b *liveBackend) metrics(m *ServerMetrics) {
+	b.localBackend.metrics(m)
 	lm := b.live.Metrics()
 	m.Live = &lm
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -282,11 +281,9 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, con
 	if resp.StatusCode != http.StatusOK {
 		return nil, readError(resp)
 	}
-	b, readErr := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
-	if readErr != nil {
-		return nil, readErr // truncated body: the server died mid-response
-	}
-	return b, nil
+	// A read error is a truncated body (the server died mid-response); a
+	// body past the cap is rejected here, not cut for a decoder to trip on.
+	return readBounded(resp.Body, resp.ContentLength, maxResponseBytes)
 }
 
 // get issues GET path (asking for the binary codec per the client's

@@ -360,7 +360,15 @@ func (r nodeRetriever) TopK() int {
 	return r.n.topK
 }
 
-func (n *ClusterNode) metrics(*ServerMetrics) {}
+func (n *ClusterNode) metrics(m *ServerMetrics) {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	for _, e := range n.engines {
+		visited, scored := e.PassStats()
+		m.Search.DocsVisited += visited
+		m.Search.DocsScored += scored
+	}
+}
 
 func (n *ClusterNode) ingest(IngestRequest) (IngestResponse, error) {
 	return IngestResponse{}, errNoIngest

@@ -656,6 +656,7 @@ func (b clusterBackend) retriever() core.Retriever { return b.co }
 func (b clusterBackend) metrics(m *ServerMetrics) {
 	cm := b.co.Metrics()
 	m.Cluster = &cm
+	m.Search.CacheHits, m.Search.CacheMisses = cm.FrontCache.Hits, cm.FrontCache.Misses
 }
 
 func (b clusterBackend) ingest(IngestRequest) (IngestResponse, error) {

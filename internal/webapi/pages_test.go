@@ -7,6 +7,7 @@ package webapi
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -325,11 +326,73 @@ func TestServerMetricsCountAttachedPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := SearchRouteMetrics{PagesAttached: int64(len(first)), PagesSkippedHave: int64(len(first))}
-	if len(first) == 0 || m.Search != want {
+	if len(first) == 0 || m.Search.PagesAttached != want.PagesAttached || m.Search.PagesSkippedHave != want.PagesSkippedHave {
 		t.Errorf("search route metrics %+v, want %+v", m.Search, want)
 	}
 	if cm := f.client.Metrics(); cm.PagesAttached != want.PagesAttached || cm.PageFetches != 0 {
 		t.Errorf("client metrics %+v, want %d attached and no page GETs", cm, want.PagesAttached)
+	}
+}
+
+// TestServerMetricsReportEngineWork: the search block of /api/v1/metrics
+// carries the cache traffic and the scoring passes' work of whatever
+// answers searches in that process — the engine on a frozen or live
+// server, the front cache and no pass at all on a coordinator, uncached
+// partition engines on its nodes.
+func TestServerMetricsReportEngineWork(t *testing.T) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := startEveryShape(t, g, nil)
+	var nodeURLs []string // read off the coordinator's own metrics
+	metricsOf := func(url string) (ServerMetrics, string) {
+		status, raw := rawGet(t, url+apiRoot+"/metrics", false)
+		var m ServerMetrics
+		if err := json.Unmarshal(raw, &m); status != http.StatusOK || err != nil {
+			t.Fatalf("%s metrics: status %d, %v", url, status, err)
+		}
+		return m, string(raw)
+	}
+	q := "/search?seed=marc&seed=snir&q=research"
+	for _, sh := range shapes {
+		for i := 0; i < 2; i++ { // a miss, then a hit
+			if status, b := rawGet(t, sh.url+apiRoot+q, false); status != http.StatusOK {
+				t.Fatalf("%s: search = %d %s", sh.name, status, b)
+			}
+		}
+		m, raw := metricsOf(sh.url)
+		sm := m.Search
+		if sm.CacheHits != 1 || sm.CacheMisses != 1 {
+			t.Errorf("%s: cache %d hits / %d misses after a repeated search, want 1 / 1", sh.name, sm.CacheHits, sm.CacheMisses)
+		}
+		if sh.name == "coordinator" {
+			if strings.Contains(raw, "docs_visited") || strings.Contains(raw, "docs_scored") {
+				t.Errorf("coordinator reports pass counters: %s", raw)
+			}
+			if fc := m.Cluster.FrontCache; fc.Hits != sm.CacheHits || fc.Misses != sm.CacheMisses {
+				t.Errorf("coordinator: search block says %d/%d, cluster.frontCache %d/%d", sm.CacheHits, sm.CacheMisses, fc.Hits, fc.Misses)
+			}
+			for _, pn := range m.Cluster.PerNode {
+				nodeURLs = append(nodeURLs, pn.Node)
+			}
+		} else if sm.DocsVisited == 0 || sm.DocsScored == 0 || sm.DocsScored > sm.DocsVisited {
+			t.Errorf("%s: %d documents scored of %d visited after one miss", sh.name, sm.DocsScored, sm.DocsVisited)
+		}
+	}
+	if len(nodeURLs) != 3 {
+		t.Fatalf("coordinator names %d nodes, want 3", len(nodeURLs))
+	}
+	var visited, scored uint64
+	for _, u := range nodeURLs {
+		m, _ := metricsOf(u)
+		if m.Search.CacheHits != 0 || m.Search.CacheMisses != 0 {
+			t.Errorf("node %s reports cache traffic %+v; partition engines run uncached", u, m.Search)
+		}
+		visited, scored = visited+m.Search.DocsVisited, scored+m.Search.DocsScored
+	}
+	if visited == 0 || scored == 0 || scored > visited {
+		t.Errorf("nodes: %d documents scored of %d visited after one scatter", scored, visited)
 	}
 }
 
@@ -433,6 +496,20 @@ func FuzzSearchPagesFrame(f *testing.F) {
 		}
 	}
 	f.Add(marshalFrame(wireSearch, 0, func(e *store.Enc) { encodeSearchWire(e, seeds[0]) }))
+	// Gzip members whose length trailer — the inflate buffer's size hint —
+	// is wrong: lying (4 GiB, 0), and honestly 0 because an empty second
+	// member follows the first.
+	full, err := openFrame(marshalFrame(wireSearchPages, 0, func(e *store.Enc) { encodeSearchPagesWire(e, seeds[2]) }), wireSearchPages)
+	if err != nil {
+		f.Fatal(err)
+	}
+	member := gzipMember(f, full)
+	for _, isize := range []uint32{0xffffffff, 0} {
+		lying := append([]byte(nil), member...)
+		binary.LittleEndian.PutUint32(lying[len(lying)-4:], isize)
+		f.Add(gzipFrame(wireSearchPages, lying))
+	}
+	f.Add(gzipFrame(wireSearchPages, append(append([]byte(nil), member...), gzipMember(f, nil)...)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(body []byte) {

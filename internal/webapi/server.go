@@ -327,9 +327,11 @@ type ServerMetrics struct {
 	// MaxInFlight echoes the configured bound (0 = admission control off).
 	Shed        int64 `json:"shed"`
 	MaxInFlight int   `json:"maxInFlight,omitempty"`
-	// Search reports what the search route saved its clients: pages sent
-	// inside search responses (each one a /page request not made) and
-	// pages withheld because the client said it holds them.
+	// Search reports what the search route saved its clients — pages sent
+	// inside search responses (each one a /page request not made), pages
+	// withheld because the client said it holds them — and what answering
+	// cost the engine behind it: query-cache traffic and the scoring
+	// passes' work.
 	Search SearchRouteMetrics `json:"search"`
 	// Runtime reports the process-health gauges (heap in use, GC pause
 	// tail, goroutines, cumulative allocations) so a load driver can
@@ -350,10 +352,26 @@ type ServerMetrics struct {
 	Live *search.LiveMetrics `json:"live,omitempty"`
 }
 
-// SearchRouteMetrics is the search route's section of ServerMetrics.
+// SearchRouteMetrics is the search route's section of ServerMetrics. All
+// four engine counters are lifetime totals of this process.
 type SearchRouteMetrics struct {
 	PagesAttached    int64 `json:"pages_attached"`
 	PagesSkippedHave int64 `json:"pages_skipped_have"`
+	// CacheHits and CacheMisses count lookups in the cache that answers
+	// repeated searches: the engine's query cache on a frozen or live
+	// server, the front result cache on a coordinator (the same numbers as
+	// cluster.frontCache), zeroes on a node, whose engines run uncached.
+	CacheHits   uint64 `json:"cache_hits"`
+	CacheMisses uint64 `json:"cache_misses"`
+	// DocsVisited counts the documents the scoring passes assembled a
+	// term-frequency vector for — all of which reach the contender test —
+	// and DocsScored those that went on to be scored exactly, logarithms
+	// and all (DocsScored ≤ DocsVisited). Their ratio is what the
+	// contender test saves; visited per miss is what the pass's early stop
+	// leaves. A node sums its partition engines; a coordinator scores
+	// nothing and omits both (its nodes report them).
+	DocsVisited uint64 `json:"docs_visited,omitempty"`
+	DocsScored  uint64 `json:"docs_scored,omitempty"`
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -87,8 +87,19 @@ const DefaultCompressMin = 1 << 10
 // encPool recycles payload encoders across requests.
 var encPool = sync.Pool{New: func() any { return new(store.Enc) }}
 
+// frameGzipLevel is the one level frames are deflated at. A constant, not
+// an option, chosen by arithmetic (DESIGN.md "Binary wire frames" has the
+// table): against the library default, level 1 frames a five-page search
+// response in well under half the CPU for a tenth more bytes, which is
+// faster end to end on any link above a few tens of Mbit/s — and the flag
+// byte says "gzip", not which level, so no decoder can tell.
+const frameGzipLevel = gzip.BestSpeed
+
 // gzipWPool recycles gzip writers (Reset re-arms them).
-var gzipWPool = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
+var gzipWPool = sync.Pool{New: func() any {
+	zw, _ := gzip.NewWriterLevel(io.Discard, frameGzipLevel) // errs on an invalid level only
+	return zw
+}}
 
 // gzipBufPool recycles the buffers marshalFrame compresses into.
 var gzipBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -201,7 +212,15 @@ func checkAndInflate(payload []byte, flags byte, wantCRC uint32) ([]byte, error)
 			return nil, fmt.Errorf("wire: gzip: %w", err)
 		}
 	}
-	out, err := io.ReadAll(io.LimitReader(zr, maxResponseBytes))
+	// A gzip member ends with ISIZE, its inflated length mod 2³² — here a
+	// hint for the first allocation, bounded by what deflate can expand
+	// the payload to. Whether the member is intact stays the reader's call
+	// (its CRC and length check at EOF).
+	hint := int64(0)
+	if n := len(payload); n >= 4 {
+		hint = min(int64(binary.LittleEndian.Uint32(payload[n-4:])), int64(n)*maxDeflateRatio)
+	}
+	out, err := readBounded(zr, hint, maxResponseBytes)
 	closeErr := zr.Close()
 	gzipRPool.Put(zr)
 	if err == nil {
@@ -211,6 +230,38 @@ func checkAndInflate(payload []byte, flags byte, wantCRC uint32) ([]byte, error)
 		return nil, fmt.Errorf("wire: gunzip: %w", err)
 	}
 	return out, nil
+}
+
+// maxDeflateRatio bounds how far deflate can expand its input: a stored
+// length-258 match costs no less than two bits, 1032 to 1.
+const maxDeflateRatio = 1032
+
+// readBounded reads r to EOF and fails — never truncates — when r holds
+// more than limit bytes. hint sizes the first allocation so a correct one
+// makes it the only one; it is a number from outside the program (a gzip
+// trailer, a Content-Length header), so it is clamped to [0, limit] and
+// nothing else depends on it: a wrong hint costs regrowth, as io.ReadAll
+// would.
+func readBounded(r io.Reader, hint int64, limit int) ([]byte, error) {
+	hint = max(0, min(hint, int64(limit)))
+	// bytes.MinRead spare bytes: the read that reports EOF needs room.
+	buf := make([]byte, 0, hint+bytes.MinRead)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):min(cap(buf), limit+1)])
+		buf = buf[:len(buf)+n]
+		if len(buf) > limit {
+			return nil, fmt.Errorf("body exceeds %d bytes", limit)
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // ---- payload codecs ----

@@ -2,6 +2,7 @@ package webapi
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -686,7 +687,54 @@ func BenchmarkMarshalFrameAllocs(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				frame = marshalFrame(bc.kind, DefaultCompressMin, bc.encode)
 			}
-			_ = frame
+			b.ReportMetric(float64(len(frame)), "frame_bytes")
+		})
+	}
+}
+
+// BenchmarkFrameDeflateLevel reproduces the table frameGzipLevel was chosen
+// from (DESIGN.md "Binary wire frames"): for each deflate level, what
+// compressing a five-page search payload costs with a reused writer, how
+// many bytes leave, and what inflating them costs the client. It adds
+// nothing to the program; the program has one level.
+func BenchmarkFrameDeflateLevel(b *testing.B) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var enc store.Enc
+	encodeSearchPagesWire(&enc, searchPagesSeeds(g)[2])
+	payload := enc.Data()
+	for _, lv := range []struct {
+		name  string
+		level int
+	}{{"6", 6}, {"4", 4}, {"3", 3}, {"2", 2}, {"1", gzip.BestSpeed}, {"huffman", gzip.HuffmanOnly}} {
+		zw, err := gzip.NewWriterLevel(io.Discard, lv.level)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var z bytes.Buffer
+		deflate := func() {
+			z.Reset()
+			zw.Reset(&z)
+			zw.Write(payload) //nolint:errcheck // bytes.Buffer cannot fail
+			zw.Close()        //nolint:errcheck
+		}
+		b.Run("level"+lv.name+"/deflate", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				deflate()
+			}
+			b.ReportMetric(float64(len(payload)), "raw_bytes")
+			b.ReportMetric(float64(z.Len()), "gzip_bytes")
+		})
+		b.Run("level"+lv.name+"/inflate", func(b *testing.B) {
+			deflate()
+			frame := gzipFrame(wireSearchPages, z.Bytes())
+			for i := 0; i < b.N; i++ {
+				if _, err := openFrame(frame, wireSearchPages); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

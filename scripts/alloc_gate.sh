@@ -18,7 +18,7 @@ trap 'rm -f "$RAW"' EXIT
 # -benchtime in iterations so allocs/op is a stable integer ratio, not a
 # wall-clock-dependent sample.
 go test -run '^$' \
-	-bench 'BenchmarkTokenizeAllocs|BenchmarkNGramsAllocs|BenchmarkSearchAllocs|BenchmarkLiveSearchAllocs|BenchmarkSearchAppendConcurrent|BenchmarkCandidateAllocs|BenchmarkSelectAllocs|BenchmarkHarvestJobAllocs|BenchmarkScatterMergeAllocs|BenchmarkCoordinatorFrontHitAllocs|BenchmarkMarshalFrameAllocs|BenchmarkParsePageAllocs' \
+	-bench 'BenchmarkTokenizeAllocs|BenchmarkNGramsAllocs|BenchmarkSearchAllocs|BenchmarkLiveSearchAllocs|BenchmarkSearchAppendConcurrent|BenchmarkCandidateAllocs|BenchmarkSelectAllocs|BenchmarkHarvestJobAllocs|BenchmarkScatterMergeAllocs|BenchmarkCoordinatorFrontHitAllocs|BenchmarkMarshalFrameAllocs|BenchmarkOpenFrameAllocs|BenchmarkParsePageAllocs' \
 	-benchmem -benchtime=500x \
 	./internal/textproc/ ./internal/search/ ./internal/core/ ./internal/webapi/ ./internal/html/ | tee "$RAW"
 
@@ -45,6 +45,7 @@ ceiling() {
 	BenchmarkCoordinatorFrontHitAllocs) echo 1 ;;     # a coordinator's front-cache hit: the copied hit list; the key lives on the stack, Query/Seed come with the entry
 	BenchmarkMarshalFrameAllocs/page) echo 1 ;;       # the frame itself; encoder, gzip writer and gzip buffer are pooled
 	BenchmarkMarshalFrameAllocs/search5pages) echo 1 ;; # same for a search carrying its five pages: bodies go straight into the pooled encoder
+	BenchmarkOpenFrameAllocs/search5pages) echo 18 ;; # opening a gzipped five-page frame: the reader over the payload, the inflated payload sized once from the member's length trailer, and 16 Huffman link tables inside compress/flate; 23 when io.ReadAll grew the payload from 512 bytes
 	BenchmarkParsePageAllocs) echo 97 ;;              # a client's cost per downloaded page, Tokens() included: 137 when each paragraph had its own append-grown slice and Tokens() concatenated them, 97 with one exactly-sized array per page
 	*) echo "" ;;
 	esac
@@ -52,8 +53,17 @@ ceiling() {
 
 : >"$OUT"
 fail=0
-# go test -benchmem line: name iters ns/op "ns/op" B/op "B/op" N "allocs/op"
-while read -r name _ ns _ bytes _ allocs _; do
+# go test -benchmem line: name iters ns "ns/op" [custom metrics] B "B/op"
+# N "allocs/op" — each value is the field before its unit.
+while read -r name _ ns rest; do
+	prev= bytes= allocs=
+	for f in $rest; do
+		case "$f" in
+		B/op) bytes=$prev ;;
+		allocs/op) allocs=$prev ;;
+		esac
+		prev=$f
+	done
 	base=$(printf '%s' "$name" | sed 's/-[0-9][0-9]*$//')
 	max=$(ceiling "$base")
 	if [ -z "$max" ]; then
