@@ -168,6 +168,12 @@ func main() {
 		rec = types.Chain{g.KB, types.NewRegexRecognizer()}
 	}
 
+	// A single server, frozen or live, serves one index over the whole
+	// corpus: the one the store file carried, or one built here, once.
+	if idx == nil && !*coord && !nodeMode {
+		idx = search.BuildIndex(c.Pages)
+	}
+
 	var (
 		srv *webapi.Server
 		// The readiness line: "<what> on http://<addr> (<detail>)".
@@ -207,7 +213,7 @@ func main() {
 		detail = fmt.Sprintf("top-%d, partition μ = %.0f; node %d of %d, replicas %d, partitions %v",
 			st.TopK, st.Mu, ns.NodeID, ns.Nodes, ns.Replicas, srv.Node.Partitions())
 	case *live:
-		liveEng := search.NewLiveEngine(c.Pages, sopts, search.LiveOptions{
+		liveEng := search.NewLiveEngine(idx, sopts, search.LiveOptions{
 			MemtableDocs:  *memtable,
 			CompactFanIn:  *fanIn,
 			IngestWorkers: *ingestW,
@@ -217,11 +223,8 @@ func main() {
 		m := liveEng.Metrics()
 		what = fmt.Sprintf("serving %d pages of %q", c.NumPages(), c.Domain)
 		detail = fmt.Sprintf("top-%d, μ = %.0f, LIVE: %d segments, memtable %d docs",
-			liveEng.TopK(), liveEng.Mu(), m.Segments, m.MemtableDocs)
+			liveEng.TopK(), liveEng.View().Mu(), m.Segments, m.MemtableDocs)
 	default:
-		if idx == nil {
-			idx = search.BuildIndex(c.Pages)
-		}
 		engine := search.NewEngineOpts(idx, sopts).WithTopK(*topK)
 		srv = webapi.NewServer(c, engine)
 		what = fmt.Sprintf("serving %d pages of %q", c.NumPages(), c.Domain)

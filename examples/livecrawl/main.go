@@ -60,7 +60,7 @@ func main() {
 				live.Add(p)
 				ingested = append(ingested, p)
 				if len(ingested)%30 == 0 {
-					hits := live.SearchWithSeed(target.SeedTokens(), query)
+					hits := live.View().SearchWithSeed(target.SeedTokens(), query)
 					m := live.Metrics()
 					fmt.Printf("  %3d pages in (epoch %d, %d segments): top hit for %v → ",
 						len(ingested), m.Epoch, m.Segments, query)
@@ -81,10 +81,11 @@ func main() {
 	// and hold every ranking to bit-identity.
 	frozen := l2q.NewEngine(ingested, l2q.EngineOptions{})
 	queries := [][]string{{"research"}, {"research", "award"}, {"university"}, nil}
+	grown := live.View() // nothing is added any more: one view for the whole audit
 	mismatches := 0
 	for _, e := range c.Entities {
 		for _, q := range queries {
-			got := live.SearchWithSeed(e.SeedTokens(), q)
+			got := grown.SearchWithSeed(e.SeedTokens(), q)
 			want := frozen.SearchWithSeed(e.SeedTokens(), q)
 			if len(got) != len(want) {
 				fmt.Printf("PARITY BREAK: entity %d query %v: grown %d hits, rebuilt %d\n",

@@ -86,16 +86,6 @@ type Config struct {
 	// query-result cache (see search.Options). Ranking-neutral; zero
 	// picks the engine default (cache on), < 0 disables caching.
 	SearchCacheSize int
-	// MemtableDocs, CompactFanIn and IngestWorkers tune the live
-	// generational engine (see search.LiveOptions): the memtable seal
-	// threshold in documents, the background-compaction fan-in (negative
-	// disables background compaction), and the ingest pre-tokenization
-	// worker bound. All three are ranking-neutral — the live engine's
-	// differential-parity contract holds for every setting; zero values
-	// pick the engine defaults.
-	MemtableDocs  int
-	CompactFanIn  int
-	IngestWorkers int
 	// Stopwords filters candidate n-grams; nil disables filtering.
 	Stopwords *textproc.Stopwords
 	// Tokenizer re-tokenizes query strings (and the seed query) with the
@@ -138,16 +128,6 @@ func (c Config) learnWorkers() int {
 // search.NewEngineOpts.
 func (c Config) SearchOptions() search.Options {
 	return search.Options{CacheSize: c.SearchCacheSize}
-}
-
-// LiveOptions collects the generational-lifecycle knobs for
-// search.NewLiveEngine.
-func (c Config) LiveOptions() search.LiveOptions {
-	return search.LiveOptions{
-		MemtableDocs:  c.MemtableDocs,
-		CompactFanIn:  c.CompactFanIn,
-		IngestWorkers: c.IngestWorkers,
-	}
 }
 
 // QueryTokens converts a canonical query string to its token sequence,

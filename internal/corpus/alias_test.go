@@ -104,7 +104,7 @@ func TestPageTokensAliasParagraphs(t *testing.T) {
 	if boot.NumPages() != 1 {
 		t.Fatalf("ingest left %d pages in the live corpus, want 1", boot.NumPages())
 	}
-	requireOneTokenArray(t, "liveBackend.ingest", boot.Pages[0])
+	requireOneTokenArray(t, "localBackend.ingest", boot.Pages[0])
 
 	// A literal-built page: no shared array (its paragraphs keep the slices
 	// they were given), Tokens is their concatenation, built once.

@@ -110,15 +110,19 @@ func (c *LRU[V]) Stats() (hits, misses uint64, entries int) {
 	return c.hits, c.misses, len(c.byKey)
 }
 
-// appendCacheKey canonicalizes a query for the cache into dst: the
-// result-list size, then every token behind its length. Tokens arrive
-// URL-decoded off the network and may hold any byte, so no separator is
-// safe; uvarint lengths make the encoding prefix-free, hence injective —
-// two different (k, token list) pairs never share a key. μ need not
-// appear — an engine copy with different smoothing gets a fresh cache (see
-// the With* methods). The live engine leads with its view epoch
-// (appendLiveCacheKey).
-func appendCacheKey(dst []byte, k int, query []textproc.Token) []byte {
+// appendCacheKey canonicalizes a search for the engine's cache into dst:
+// the view epoch, the result-list size, then every token behind its length.
+// Tokens arrive URL-decoded off the network and may hold any byte, so no
+// separator is safe; uvarint lengths make the encoding prefix-free, hence
+// injective — two different (epoch, k, token list) triples never share a
+// key. The epoch is a uvarint like every other number in the key because
+// it must say where it ends: k's byte can be an ASCII digit ('2' is k = 50),
+// so a decimal epoch with nothing after it runs into k — epoch 1, k 50 and
+// epoch 12 both open "12" (DESIGN.md "Retrieval engine"). A frozen engine's
+// epoch is one constant zero byte. μ need not appear — an engine copy with
+// different smoothing gets a fresh cache (see the With* methods).
+func appendCacheKey(dst []byte, epoch uint64, k int, query []textproc.Token) []byte {
+	dst = binary.AppendUvarint(dst, epoch)
 	dst = binary.AppendUvarint(dst, uint64(k))
 	return appendKeyTokens(dst, query)
 }

@@ -241,7 +241,8 @@ func MergeStats(dst, src *CollectionStats) {
 // statistics (the p(t|C) inputs) come from st instead of the engine's own
 // index.
 // Per-document state (term frequencies, document lengths) still comes from
-// the index. Passing nil restores index-local statistics.
+// the index. Passing nil restores a one-segment engine's index-local
+// statistics.
 func (e *Engine) WithCollectionStats(st *CollectionStats) *Engine {
 	cp := *e
 	if st == nil {

@@ -145,7 +145,7 @@ func TestContenderTestDegrades(t *testing.T) {
 	// Every document holds the stopword, so with its count negative no
 	// candidate of a stopword-led query scores NaN — only the pass's own
 	// bound arithmetic does, and the reference stays well defined.
-	neg := &Engine{idx: idx, mu: base.mu, topK: base.topK, pass: new(passCounters),
+	neg := &Engine{segs: []segment{{idx: idx}}, mu: base.mu, topK: base.topK, pass: new(passCounters),
 		stats: negativeStat{StatsOf(idx), v.stop[0]}}
 
 	for _, tc := range []struct {

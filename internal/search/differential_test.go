@@ -1,6 +1,8 @@
 package search
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand/v2"
 	"strings"
 	"sync"
@@ -272,11 +274,17 @@ func sortCands(cs []cand) {
 	}
 }
 
-// TestCacheKeyIsInjective is the regression test for a separator-joined
-// cache key: a token holding the separator byte collided with the token
-// list it spells, and the second caller was served the first one's
-// ranking. Tokens arrive URL-decoded off the network, so any byte can
-// occur in one.
+// TestCacheKeyIsInjective is the regression test for the engine's one
+// cache key, (epoch, k, tokens). A separator-joined key let a token holding
+// the separator byte collide with the token list it spells, and the second
+// caller was served the first one's ranking; tokens arrive URL-decoded off
+// the network, so any byte can occur in one. And each number must end where
+// its own encoding says, not where the next byte stops looking like a
+// digit: with the epoch in decimal and nothing after it, epoch 1 at k = 50
+// spelled "12…" — byte 50 is '2' — and so did epoch 12; epoch 1 at k = 48
+// ('0') ran into epoch 10 the same way (k up to 100 is accepted off the
+// network, so both pairs were reachable; TestLiveCacheKeyEpochBoundary
+// reaches them through an engine).
 func TestCacheKeyIsInjective(t *testing.T) {
 	for _, sep := range []string{"\x1f", "\x00", "\x01"} {
 		glued := []textproc.Token{"marc" + sep + "snir"}
@@ -288,26 +296,63 @@ func TestCacheKeyIsInjective(t *testing.T) {
 		}
 		assertSameResults(t, "frozen, after the glued token", e.SearchReference(split), e.Search(split))
 
-		le := NewLiveEngine(smallIndex().docs, Options{}, LiveOptions{})
+		le := NewLiveEngine(smallIndex(), Options{}, LiveOptions{}).View()
 		if got := le.Search(glued); len(got) != 0 {
 			t.Fatalf("sep %q: live: unseen token matched %d pages", sep, len(got))
 		}
 		assertSameResults(t, "live, after the glued token", e.SearchReference(split), le.Search(split))
 	}
-	// Same bytes, different splits and different k: all distinct keys.
+	wide, glued := epochBoundaryQueries()
+	// Same bytes, different splits, different k and different epochs — the
+	// frozen engine's epoch 0 included: all distinct keys.
 	keys := map[string]string{}
 	for name, key := range map[string][]byte{
-		"[ab]":      appendCacheKey(nil, 5, []textproc.Token{"ab"}),
-		"[a b]":     appendCacheKey(nil, 5, []textproc.Token{"a", "b"}),
-		"[a b] k51": appendCacheKey(nil, 51, []textproc.Token{"a", "b"}),
-		"[ ab]":     appendCacheKey(nil, 5, []textproc.Token{"", "ab"}),
-		"[ab ]":     appendCacheKey(nil, 5, []textproc.Token{"ab", ""}),
+		"[ab]":                  appendCacheKey(nil, 0, 5, []textproc.Token{"ab"}),
+		"[a b]":                 appendCacheKey(nil, 0, 5, []textproc.Token{"a", "b"}),
+		"[a b] k51":             appendCacheKey(nil, 0, 51, []textproc.Token{"a", "b"}),
+		"[ ab]":                 appendCacheKey(nil, 0, 5, []textproc.Token{"", "ab"}),
+		"[ab ]":                 appendCacheKey(nil, 0, 5, []textproc.Token{"ab", ""}),
+		"epoch 1 [ab]":          appendCacheKey(nil, 1, 5, []textproc.Token{"ab"}),
+		"epoch 5 k1 [ab]":       appendCacheKey(nil, 5, 1, []textproc.Token{"ab"}),
+		"epoch 0 k0 [ab]":       appendCacheKey(nil, 0, 0, []textproc.Token{"ab"}),
+		"epoch 0 k5 []":         appendCacheKey(nil, 0, 5, nil),
+		"epoch 5 k0 []":         appendCacheKey(nil, 5, 0, nil),
+		"epoch 0 k1 [\x02ab]":   appendCacheKey(nil, 0, 1, []textproc.Token{"\x02ab"}),
+		"epoch 1 k2 [ab]":       appendCacheKey(nil, 1, 2, []textproc.Token{"ab"}),
+		"epoch 1 k50 wide":      appendCacheKey(nil, 1, 50, wide),
+		"epoch 12 k5 glued":     appendCacheKey(nil, 12, 5, glued),
+		"epoch 1 k48 wide":      appendCacheKey(nil, 1, 48, wide),
+		"epoch 10 k5 glued":     appendCacheKey(nil, 10, 5, glued),
+		"epoch 0 k5 glued":      appendCacheKey(nil, 0, 5, glued),
+		"epoch 300 k5 [a b]":    appendCacheKey(nil, 300, 5, []textproc.Token{"a", "b"}),
+		"epoch 44 k2 [\x05a b]": appendCacheKey(nil, 44, 2, []textproc.Token{"\x05a", "b"}),
 	} {
 		if other, dup := keys[string(key)]; dup {
 			t.Errorf("cache keys of %s and %s collide", name, other)
 		}
 		keys[string(key)] = name
 	}
+	// On a frozen engine the epoch is one constant zero byte ahead of the
+	// key it built before it had an epoch, and no such key opens with that
+	// byte (k ≥ 1 by the time a key is built): the two spell different
+	// strings for every (k, tokens).
+	for k := 1; k <= 100; k++ {
+		bare := appendKeyTokens(binary.AppendUvarint(nil, uint64(k)), wide)
+		if key := appendCacheKey(nil, 0, k, wide); !bytes.Equal(key, append([]byte{0}, bare...)) || bare[0] == 0 {
+			t.Errorf("k %d: epoch-0 key %q is not a zero byte ahead of %q", k, key, bare)
+		}
+	}
+}
+
+// epochBoundaryQueries is the pair of token lists whose keys ran together
+// under a decimal epoch: wide's first token has the length that is glued's
+// k, and glued's one token is the rest of wide's encoding —
+// uvarint(5)·"aaaaa"·uvarint(92)·tail read as k = 5 and then one 97-byte
+// token ('a' is 97) — so the tails lined up too and epoch 1, k 50, wide was
+// epoch 12, k 5, glued byte for byte.
+func epochBoundaryQueries() (wide, glued []textproc.Token) {
+	tail := textproc.Token(strings.Repeat("x", 92))
+	return []textproc.Token{"aaaaa", tail}, []textproc.Token{"aaaa" + "\x5c" + tail}
 }
 
 // TestSeededCacheKeyIsInjective: a coordinator's front cache answers with

@@ -31,6 +31,17 @@ type Result struct {
 	Score float64 // log query-likelihood; higher is better
 }
 
+// segment is one immutable run of a view's collection: an ordinary Index
+// over a contiguous run of pages plus the global ordinal of its first
+// document. A frozen engine has one, at base 0; a live view has the sealed
+// generations and, at the tail, the memtable (live.go).
+type segment struct {
+	idx  *Index
+	base int64 // global ordinal of idx.Doc(0)
+}
+
+func (s segment) end() int64 { return s.base + int64(s.idx.NumDocs()) }
+
 // Engine ranks indexed pages by Dirichlet-smoothed query likelihood:
 //
 //	score(q,d) = Σ_{t∈q} log( (tf(t,d) + μ·p(t|C)) / (|d| + μ) )
@@ -39,23 +50,35 @@ type Result struct {
 // exact max-score pass scores only the documents that can still enter the
 // fixed-size top-K heap (scorer.go); an LRU cache short-circuits repeated
 // queries (selector candidate evaluation re-fires the same queries
-// constantly). Both are ranking-neutral — see SearchReference. The zero
-// value is not usable; create with NewEngine. An Engine is safe for
-// concurrent use.
+// constantly). Both are ranking-neutral — see SearchReference.
+//
+// An Engine is one immutable, searchable view of a collection: segments,
+// the statistics they are scored under, μ, top-k and an epoch. NewEngine
+// makes the view that never publishes again — one segment, epoch 0; a
+// LiveEngine publishes a new one per mutation (LiveEngine.View); a cluster
+// partition is a one-segment view rebased by WithCollectionStats. It holds
+// no lock, so the With* methods copy it by value. The zero value is not
+// usable; an Engine is safe for concurrent use.
 type Engine struct {
-	idx  *Index
+	segs []segment
 	mu   float64
 	topK int
 
-	// stats, when non-nil, overrides the collection-level statistics the
-	// scoring reads (see WithCollectionStats) — the hook that makes a
-	// partition-local engine score like the whole corpus in cluster mode,
-	// and a segment-local engine score like the whole live view.
+	// stats, when non-nil, is what the scoring reads collection-level
+	// statistics from instead of the single segment's own index: the whole
+	// corpus for a cluster partition (WithCollectionStats), every segment
+	// for a live view.
 	stats StatSource
 
+	// epoch leads every cache key. The views a LiveEngine publishes share
+	// one cache, so a publish invalidates by bumping an integer: stale
+	// entries stop matching and age out of the LRU. A frozen engine stays
+	// at 0 and its entries never go stale.
+	epoch uint64
 	cache *LRU[[]Result]
 
-	// pass counts the scoring passes' work (PassStats). Copies share it.
+	// pass counts the scoring passes' work (PassStats). Copies share it,
+	// and so do the views of one LiveEngine.
 	pass *passCounters
 }
 
@@ -68,7 +91,7 @@ func NewEngine(idx *Index) *Engine {
 // NewEngineOpts is NewEngine with an explicit cache setting.
 func NewEngineOpts(idx *Index, opts Options) *Engine {
 	return &Engine{
-		idx:   idx,
+		segs:  []segment{{idx: idx}},
 		mu:    AutoMu(idx.NumDocs(), idx.TotalTokens()),
 		topK:  DefaultTopK,
 		cache: NewLRU[[]Result](opts.Capacity()),
@@ -122,8 +145,28 @@ func (e *Engine) WithCache(size int) *Engine {
 	return &cp
 }
 
-// Index returns the underlying index.
-func (e *Engine) Index() *Index { return e.idx }
+// Index returns the view's first segment: the whole collection for a
+// frozen engine, a partition or a live engine that has only its bootstrap
+// segment; nil for a live view with nothing ingested yet.
+func (e *Engine) Index() *Index {
+	if len(e.segs) == 0 {
+		return nil
+	}
+	return e.segs[0].idx
+}
+
+// Epoch is the view's publish count: 0 for a frozen engine; a live engine
+// bumps it with every ingest, seal and compaction.
+func (e *Engine) Epoch() uint64 { return e.epoch }
+
+// NumDocs returns the number of documents the view holds.
+func (e *Engine) NumDocs() int {
+	n := 0
+	for _, s := range e.segs {
+		n += s.idx.NumDocs()
+	}
+	return n
+}
 
 // TopK returns the configured result-list size.
 func (e *Engine) TopK() int { return e.topK }
@@ -170,33 +213,30 @@ type StatSource interface {
 	StatNumTerms() int
 }
 
-// Collection-level statistic reads, routed through the stats override when
-// one is set and the engine's own index otherwise. Every scoring path
-// reads these — never idx fields directly — so the override covers the
-// pruned pass and the reference path at once. CollectionFreq,
-// TotalTokens and NumTerms are exported under the names LiveEngine gives
-// the same reads: the serving layer reports them without knowing which
-// engine it holds.
+// Collection-level statistic reads, routed through stats when set and the
+// single segment's own index otherwise. Every scoring path reads these —
+// never index fields directly — so one source covers the pruned pass, the
+// merge and the reference path at once.
 
 func (e *Engine) CollectionFreq(t textproc.Token) int {
 	if e.stats != nil {
 		return e.stats.StatCollFreq(t)
 	}
-	return e.idx.CollectionFreq(t)
+	return e.segs[0].idx.CollectionFreq(t)
 }
 
 func (e *Engine) TotalTokens() int {
 	if e.stats != nil {
 		return e.stats.StatTotalTokens()
 	}
-	return e.idx.totalToks
+	return e.segs[0].idx.totalToks
 }
 
 func (e *Engine) NumTerms() int {
 	if e.stats != nil {
 		return e.stats.StatNumTerms()
 	}
-	return e.idx.NumTerms()
+	return e.segs[0].idx.NumTerms()
 }
 
 // collProb applies CollectionProb to the engine's collection statistics.
@@ -224,8 +264,9 @@ func (e *Engine) SearchAppend(dst []Result, query []textproc.Token) []Result {
 
 // SearchTopKAppend is SearchAppend with an explicit result-list size
 // (k ≤ 0 uses the configured TopK) — the per-request override the serving
-// layer passes through. The cache key carries k, so every k shares the
-// engine's one cache.
+// layer passes through. It is the one cache probe in the package: the key
+// carries the view's epoch and k, so every k, and every view of a live
+// engine, share one cache.
 func (e *Engine) SearchTopKAppend(dst []Result, k int, query []textproc.Token) []Result {
 	if len(query) == 0 {
 		return dst
@@ -234,17 +275,17 @@ func (e *Engine) SearchTopKAppend(dst []Result, k int, query []textproc.Token) [
 		k = e.topK
 	}
 	if e.cache == nil {
-		return e.searchPrunedAppend(dst, k, query)
+		return e.searchMissAppend(dst, k, query)
 	}
 	kb := cacheKeyPool.Get().(*cacheKeyBuf)
-	key := appendCacheKey(kb.b[:0], k, query)
+	key := appendCacheKey(kb.b[:0], e.epoch, k, query)
 	// The cache owns its result slices: a hit is copied into the caller's
 	// buffer and a miss stores a copy, so callers keep mutating the slices
 	// Search hands them (the pre-cache contract).
 	res, hit := e.cache.Get(key)
 	out := append(dst, res...)
 	if !hit {
-		out = e.searchPrunedAppend(dst, k, query)
+		out = e.searchMissAppend(dst, k, query)
 		e.cache.Put(key, append([]Result(nil), out[len(dst):]...))
 	}
 	kb.b = key

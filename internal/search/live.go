@@ -2,7 +2,6 @@ package search
 
 import (
 	"context"
-	"encoding/binary"
 	"runtime"
 	"slices"
 	"sync"
@@ -20,18 +19,19 @@ import (
 // serially per ingest batch), the memtable seals into an immutable segment
 // (an ordinary Index, scored by the frozen engine's scorer verbatim), and a
 // background compactor merges small adjacent segments into larger ones.
-// Every query runs over a merged view: per-segment engines produce
-// (global ordinal, score) pairs and MergeTopKAppend — the cluster
-// scatter-gather merge — folds them into the global ranking, because a
-// live engine is morally a local scatter-gather.
+// Every query runs over a published view, and a view is an Engine
+// (engine.go): the segment list, the collection statistics snapshotted over
+// it and the next epoch. Its miss path scores each segment into (global
+// ordinal, score) pairs and MergeTopKAppend — the cluster scatter-gather
+// merge — folds them into the global ranking, because a live engine is
+// morally a local scatter-gather. LiveEngine itself is only the writer.
 //
-// Readers never lock. Each mutation publishes a fresh immutable view
-// (segment list + snapshotted collection statistics + per-segment scoring
-// engines) behind an atomic pointer; a query pins the view it loaded for
-// its whole lifetime, so compaction can retire segments while searches
-// still read them. Cache entries are keyed by the view epoch, making
-// invalidation a free integer bump: stale entries simply stop matching
-// and age out of the LRU.
+// Readers never lock. Each mutation publishes a fresh immutable view behind
+// an atomic pointer; a query pins the view it loaded for its whole
+// lifetime, so compaction can retire segments while searches still read
+// them. Cache entries are keyed by the view epoch, making invalidation a
+// free integer bump: stale entries simply stop matching and age out of the
+// LRU.
 //
 // Differential parity is the contract: a live engine grown doc-by-doc —
 // across any seal/compact schedule — ranks byte-identically to a frozen
@@ -100,26 +100,14 @@ func (o LiveOptions) withDefaults() LiveOptions {
 	return o
 }
 
-// liveSegment is one immutable generation: an ordinary Index over a
-// contiguous run of ingested pages plus the global ingest ordinal of its
-// first document. Segments are never mutated once they enter a view;
-// compaction replaces adjacent runs with a merged rebuild.
-type liveSegment struct {
-	idx  *Index
-	base int64 // global ordinal of idx.Doc(0)
-}
-
-func (s *liveSegment) end() int64 { return s.base + int64(s.idx.NumDocs()) }
-
-// liveStats is the per-view StatSource: collection totals are ints
+// liveStats is a live view's StatSource: collection totals are ints
 // snapshotted at publish (the writer maintains them incrementally), while
 // per-term frequencies are summed across the view's immutable segment
 // indexes on demand — O(segments) map probes per query token, hoisted
 // once per query by the scoring constants, instead of an O(vocabulary)
 // stats rebuild per ingest.
 type liveStats struct {
-	segs      []*liveSegment
-	numDocs   int
+	segs      []segment
 	totalToks int
 	numTerms  int
 }
@@ -132,138 +120,97 @@ func (st *liveStats) StatCollFreq(t textproc.Token) int {
 	return n
 }
 
-// collProb is the view's smoothed collection model p(t|C).
-func (st *liveStats) collProb(t textproc.Token) float64 {
-	return CollectionProb(st.StatCollFreq(t), st.totalToks, st.numTerms)
-}
-
 func (st *liveStats) StatTotalTokens() int { return st.totalToks }
 func (st *liveStats) StatNumTerms() int    { return st.numTerms }
 
-// liveView is one published epoch: the sealed segments plus (when
-// non-empty) the memtable segment at the tail, each paired with an Engine
-// that scores it against the view-global statistics and μ. A view is
-// immutable after publish; readers load it atomically and use it lock-free
-// for the whole query.
-type liveView struct {
-	epoch   uint64
-	segs    []*liveSegment
-	engines []*Engine // engines[i] scores segs[i] with the view's stats
-	stats   *liveStats
-	mu      float64
-	memDocs int // docs still in the unsealed memtable segment
-}
-
-// pageAt maps a global ordinal back to its page via the segment bases
-// (segments are few; scan from the tail, where the hot memtable lives).
-func (v *liveView) pageAt(doc int64) *corpus.Page {
-	for i := len(v.segs) - 1; i >= 0; i-- {
-		if s := v.segs[i]; doc >= s.base {
-			return s.idx.Doc(int(doc - s.base))
-		}
-	}
-	return nil
-}
-
-// LiveEngine is the generational mutable counterpart of Engine: it absorbs
-// pages while serving, and satisfies the same retrieval surface (it is a
-// core.Retriever). The zero value is not usable; create with
-// NewLiveEngine. Safe for concurrent use: any number of readers, any
-// number of Add callers (writes serialize internally).
+// LiveEngine is the writer of a growing collection: it absorbs pages while
+// serving and publishes, per mutation, the next immutable Engine over what
+// it holds. Searches, statistics and counters are read from View(); it is
+// itself a core.Retriever that follows the epochs. The zero value is not
+// usable; create with NewLiveEngine. Safe for concurrent use: any number
+// of readers, any number of Add callers (writes serialize internally).
 type LiveEngine struct {
 	lo LiveOptions // generational lifecycle
 
-	view  atomic.Pointer[liveView]
-	cache *LRU[[]Result]
-	pass  passCounters // every view's segment engines count into it
+	view  atomic.Pointer[Engine]
+	cache *LRU[[]Result] // shared by every view, keyed by epoch
+	pass  passCounters   // every view counts into it
 
 	// Writer state, all guarded by wmu; readers never touch it.
 	wmu       sync.Mutex
-	sealed    []*liveSegment // authoritative sealed list; views copy it
+	sealed    []segment // authoritative sealed list; views copy it
 	memPages  []*corpus.Page
 	termSeen  map[textproc.Token]struct{} // global vocabulary (terms never leave)
 	numDocs   int
 	totalToks int
 
-	compactBusy   atomic.Bool // single-flights the background compactor
+	memDocs       atomic.Int64 // docs in the published view's memtable segment
+	compactBusy   atomic.Bool  // single-flights the background compactor
 	compactions   atomic.Int64
 	docsCompacted atomic.Int64
 	epochBumps    atomic.Int64 // publishes == cache epoch-invalidations
 }
 
-// NewLiveEngine creates a live generational engine, optionally
-// bootstrapped with an initial page set (indexed as one big sealed
-// segment — the frozen-boot fast path, so a server restored from a store
-// starts with frozen-index performance). opts sizes the epoch-keyed query
-// cache exactly as it does for NewEngineOpts; lo tunes the generational
-// lifecycle.
-func NewLiveEngine(pages []*corpus.Page, opts Options, lo LiveOptions) *LiveEngine {
-	lo = lo.withDefaults()
+// NewLiveEngine creates a live generational engine over boot, its first
+// sealed segment (nil: start empty) — the frozen-boot fast path, so a
+// server restored from a store serves the index it loaded, at frozen-index
+// performance. opts sizes the epoch-keyed query cache exactly as it does
+// for NewEngineOpts; lo tunes the generational lifecycle.
+func NewLiveEngine(boot *Index, opts Options, lo LiveOptions) *LiveEngine {
 	le := &LiveEngine{
-		lo:       lo,
+		lo:       lo.withDefaults(),
 		cache:    NewLRU[[]Result](opts.Capacity()),
 		termSeen: make(map[textproc.Token]struct{}),
 	}
-	var segs []*liveSegment
-	if len(pages) > 0 {
-		idx := BuildIndex(pages)
-		segs = append(segs, &liveSegment{idx: idx})
-		le.numDocs = idx.NumDocs()
-		le.totalToks = idx.TotalTokens()
-		idx.Terms(func(t textproc.Token, _ int) { le.termSeen[t] = struct{}{} })
+	if boot != nil && boot.NumDocs() > 0 {
+		le.sealed = []segment{{idx: boot}}
+		le.numDocs = boot.NumDocs()
+		le.totalToks = boot.TotalTokens()
+		boot.Terms(func(t textproc.Token, _ int) { le.termSeen[t] = struct{}{} })
 	}
-	le.sealed = segs
 	le.view.Store(le.buildViewLocked())
 	return le
 }
 
-// buildViewLocked assembles the next view from the writer state: snapshot
-// the global statistics, derive μ exactly as NewEngine would for a frozen
-// index with the same totals (AutoMu), and bind one scoring Engine per
-// segment to the shared stats. The per-segment engines carry no cache —
-// the LiveEngine's epoch-keyed cache fronts the whole merged view.
-// Caller holds wmu (or is the constructor).
-func (le *LiveEngine) buildViewLocked() *liveView {
+// View returns the current published view: an immutable Engine over
+// everything ingested so far. Reads made through one View come from one
+// epoch; the next mutation publishes a new one and leaves this one as it
+// was.
+func (le *LiveEngine) View() *Engine { return le.view.Load() }
+
+// buildViewLocked assembles the next view from the writer state: the
+// sealed segments plus (when non-empty) the memtable at the tail, the
+// global statistics snapshotted over them, μ derived exactly as NewEngine
+// would for a frozen index with the same totals (AutoMu), and the engine's
+// one cache and pass counters. Caller holds wmu (or is the constructor).
+func (le *LiveEngine) buildViewLocked() *Engine {
 	var epoch uint64
 	if cur := le.view.Load(); cur != nil {
 		epoch = cur.epoch + 1
 	}
-	memDocs := 0
-	segs := make([]*liveSegment, 0, len(le.sealed)+1)
+	segs := make([]segment, 0, len(le.sealed)+1)
 	segs = append(segs, le.sealed...)
 	if len(le.memPages) > 0 {
-		base := int64(0)
-		if n := len(le.sealed); n > 0 {
-			base = le.sealed[n-1].end()
-		}
-		memSeg := &liveSegment{idx: BuildIndex(slices.Clone(le.memPages)), base: base}
-		segs = append(segs, memSeg)
-		memDocs = len(le.memPages)
+		segs = append(segs, segment{idx: BuildIndex(slices.Clone(le.memPages)), base: le.sealedEnd()})
 	}
-	st := &liveStats{
-		segs:      segs,
-		numDocs:   le.numDocs,
-		totalToks: le.totalToks,
-		numTerms:  len(le.termSeen),
+	return &Engine{
+		segs:  segs,
+		stats: &liveStats{segs: segs, totalToks: le.totalToks, numTerms: len(le.termSeen)},
+		mu:    AutoMu(le.numDocs, le.totalToks),
+		topK:  le.lo.TopK,
+		epoch: epoch,
+		cache: le.cache,
+		pass:  &le.pass,
 	}
-	v := &liveView{
-		epoch:   epoch,
-		segs:    segs,
-		engines: make([]*Engine, len(segs)),
-		stats:   st,
-		mu:      AutoMu(st.numDocs, st.totalToks),
-		memDocs: memDocs,
+}
+
+// sealedEnd is the global ordinal the next segment starts at. Caller holds
+// wmu.
+func (le *LiveEngine) sealedEnd() int64 {
+	if n := len(le.sealed); n > 0 {
+		return le.sealed[n-1].end()
 	}
-	for i, s := range segs {
-		v.engines[i] = &Engine{
-			idx:   s.idx,
-			mu:    v.mu,
-			topK:  le.lo.TopK,
-			stats: st,
-			pass:  &le.pass,
-		}
-	}
-	return v
+	return 0
 }
 
 // publishLocked stores the next view and counts the epoch bump (each bump
@@ -271,6 +218,7 @@ func (le *LiveEngine) buildViewLocked() *liveView {
 // Caller holds wmu.
 func (le *LiveEngine) publishLocked() {
 	le.view.Store(le.buildViewLocked())
+	le.memDocs.Store(int64(len(le.memPages)))
 	le.epochBumps.Add(1)
 }
 
@@ -313,13 +261,9 @@ func (le *LiveEngine) sealLocked(n int) {
 	if n <= 0 {
 		return
 	}
-	base := int64(0)
-	if ns := len(le.sealed); ns > 0 {
-		base = le.sealed[ns-1].end()
-	}
-	le.sealed = append(le.sealed, &liveSegment{
+	le.sealed = append(le.sealed, segment{
 		idx:  BuildIndex(slices.Clone(le.memPages[:n])),
-		base: base,
+		base: le.sealedEnd(),
 	})
 	le.memPages = append(le.memPages[:0], le.memPages[n:]...)
 }
@@ -447,7 +391,7 @@ func (le *LiveEngine) compactOnce() bool {
 		le.wmu.Unlock()
 		return false
 	}
-	run := make([]*liveSegment, hi-lo)
+	run := make([]segment, hi-lo)
 	copy(run, le.sealed[lo:hi])
 	le.wmu.Unlock()
 
@@ -461,17 +405,17 @@ func (le *LiveEngine) compactOnce() bool {
 			pages = append(pages, s.idx.Doc(i))
 		}
 	}
-	merged := &liveSegment{idx: BuildIndex(pages), base: run[0].base}
+	merged := segment{idx: BuildIndex(pages), base: run[0].base}
 
 	le.wmu.Lock()
 	if lo >= len(le.sealed) || hi > len(le.sealed) ||
-		le.sealed[lo] != run[0] || le.sealed[hi-1] != run[len(run)-1] {
+		le.sealed[lo].idx != run[0].idx || le.sealed[hi-1].idx != run[len(run)-1].idx {
 		// Another compactor (explicit Compact racing the background one)
 		// already retired part of the run; drop this merge.
 		le.wmu.Unlock()
 		return false
 	}
-	spliced := make([]*liveSegment, 0, len(le.sealed)-len(run)+1)
+	spliced := make([]segment, 0, len(le.sealed)-len(run)+1)
 	spliced = append(spliced, le.sealed[:lo]...)
 	spliced = append(spliced, merged)
 	spliced = append(spliced, le.sealed[hi:]...)
@@ -515,212 +459,28 @@ func (le *LiveEngine) Quiesce() {
 	}
 }
 
-// liveScratch is the pooled per-query merge state of one multi-segment
-// search: the hoisted per-view scoring constants, the flat ranked buffer
-// every segment appends into, per-segment end offsets, the list headers
-// handed to MergeTopKAppend, and the merged top-k.
-type liveScratch struct {
-	consts []float64
-	rd     []RankedDoc
-	ends   []int
-	lists  [][]RankedDoc
-	merged []RankedDoc
-}
-
-var liveScratchPool = sync.Pool{New: func() any { return new(liveScratch) }}
-
-// Search returns the top-k pages for the query over the current view.
-func (le *LiveEngine) Search(query []textproc.Token) []Result {
-	return le.SearchAppend(nil, query)
-}
-
-// SearchAppend is Search with a caller-provided result buffer. With a
-// reused dst a cache hit costs zero allocations regardless of the segment
-// count — the multi-segment merge only runs on misses.
-func (le *LiveEngine) SearchAppend(dst []Result, query []textproc.Token) []Result {
-	return le.SearchTopKAppend(dst, 0, query)
-}
-
-// SearchTopKAppend is SearchAppend with an explicit result-list size
-// (k ≤ 0 uses the configured TopK) — the per-request override the serving
-// layer passes through without re-deriving engines.
-func (le *LiveEngine) SearchTopKAppend(dst []Result, k int, query []textproc.Token) []Result {
-	if len(query) == 0 {
-		return dst
-	}
-	if k <= 0 {
-		k = le.lo.TopK
-	}
-	v := le.view.Load()
-	if le.cache == nil {
-		return le.searchViewAppend(dst, v, k, query)
-	}
-	kb := cacheKeyPool.Get().(*cacheKeyBuf)
-	key := appendLiveCacheKey(kb.b[:0], v.epoch, k, query)
-	// The cache owns its result slices: a hit is copied into the caller's
-	// buffer and a miss stores a copy, so callers keep mutating the slices
-	// Search hands them (the pre-cache contract).
-	res, hit := le.cache.Get(key)
-	out := append(dst, res...)
-	if !hit {
-		out = le.searchViewAppend(dst, v, k, query)
-		le.cache.Put(key, append([]Result(nil), out[len(dst):]...))
-	}
-	kb.b = key
-	cacheKeyPool.Put(kb)
-	return out
-}
-
-// appendLiveCacheKey leads appendCacheKey's encoding with the view epoch:
-// a publish bumps it, so every stale entry stops matching instantly —
-// invalidation is one integer, not a flush — and ages out of the LRU. The
-// epoch must say where it ends, hence a uvarint like every other number in
-// the key: k's byte can be an ASCII digit ('2' is k = 50), so a decimal
-// epoch with nothing after it runs into k — epoch 1, k 50 and epoch 12
-// both open "12" (DESIGN.md "Retrieval engine").
-func appendLiveCacheKey(dst []byte, epoch uint64, k int, query []textproc.Token) []byte {
-	return appendCacheKey(binary.AppendUvarint(dst, epoch), k, query)
-}
-
-// searchViewAppend scores the query over every segment of the view and
-// merges the per-segment top-k into the global ranking — a local
-// scatter-gather. MergeTopKAppend breaks ties on the lower global ordinal
-// (ingest order), which is exactly the frozen engine's document-order
-// tie-break, and each segment returns its full local top-k, so the global
-// top-k is contained in the union and the merge is exact.
-func (le *LiveEngine) searchViewAppend(dst []Result, v *liveView, k int, query []textproc.Token) []Result {
-	switch len(v.segs) {
-	case 0:
-		return dst
-	case 1:
-		// Single segment: local ordinals are the global ordinals; skip
-		// the merge entirely (the frozen-boot steady state).
-		return v.engines[0].searchPrunedAppend(dst, k, query)
-	}
-	sc := liveScratchPool.Get().(*liveScratch)
-
-	// The scoring constants depend only on the view-global statistics, so
-	// hoist them once per query instead of once per segment — liveStats
-	// probes are O(segments) each, and recomputing them per segment would
-	// make the per-query stat cost quadratic in the segment count. Every
-	// segment engine is bound to the view's statistics, so the first one's
-	// constants are everyone's.
-	consts := v.engines[0].scoreConsts(sc.consts[:0], query)
-	sc.consts = consts
-
-	rd := sc.rd[:0]
-	ends := sc.ends[:0]
-	for i, eng := range v.engines {
-		ssc := searchScratchPool.Get().(*searchScratch)
-		for _, c := range eng.searchCandsIn(ssc, query, k, consts) {
-			rd = append(rd, RankedDoc{Doc: v.segs[i].base + int64(c.doc), Score: c.score})
-		}
-		releaseSearchScratch(ssc)
-		ends = append(ends, len(rd))
-	}
-	lists := sc.lists[:0]
-	lo := 0
-	for _, e := range ends {
-		lists = append(lists, rd[lo:e])
-		lo = e
-	}
-	merged := MergeTopKAppend(sc.merged[:0], k, lists)
-	for _, m := range merged {
-		dst = append(dst, Result{Page: v.pageAt(m.Doc), Score: m.Score})
-	}
-	sc.rd, sc.ends, sc.merged = rd, ends, merged
-	for i := range lists {
-		lists[i] = nil
-	}
-	sc.lists = lists
-	liveScratchPool.Put(sc)
-	return dst
-}
-
-// SearchWithSeed runs Search on seed ∥ query (the paper appends the seed
-// query to every subsequent query to stay focused on the target entity).
-func (le *LiveEngine) SearchWithSeed(seed, query []textproc.Token) []Result {
-	return le.SearchWithSeedAppend(nil, seed, query)
-}
-
-// SearchWithSeedAppend is SearchWithSeed with a caller-provided buffer.
-func (le *LiveEngine) SearchWithSeedAppend(dst []Result, seed, query []textproc.Token) []Result {
-	return le.SearchWithSeedTopKAppend(dst, 0, seed, query)
-}
-
-// SearchWithSeedTopKAppend is SearchWithSeedAppend with an explicit
-// result-list size (k ≤ 0 uses the configured TopK); the concatenation
-// lives in pooled scratch.
-func (le *LiveEngine) SearchWithSeedTopKAppend(dst []Result, k int, seed, query []textproc.Token) []Result {
-	sb := seedQueryPool.Get().(*seedQueryBuf)
-	combined := append(append(sb.toks[:0], seed...), query...)
-	dst = le.SearchTopKAppend(dst, k, combined)
-	sb.toks = combined
-	seedQueryPool.Put(sb)
-	return dst
-}
-
 // Retrieve is the session retriever contract (core.Retriever), exactly
-// as on the frozen Engine: the search runs over the view current when it
-// starts and cannot fail.
+// as on Engine: the search runs over the view current when it starts and
+// cannot fail, so a session held across ingests follows the epochs.
 func (le *LiveEngine) Retrieve(ctx context.Context, dst []Result, seed, query []textproc.Token) ([]Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return le.SearchWithSeedTopKAppend(dst, 0, seed, query), nil
+	return le.View().Retrieve(ctx, dst, seed, query)
 }
 
 // TopK returns the configured result-list size.
 func (le *LiveEngine) TopK() int { return le.lo.TopK }
 
-// Mu returns the current view's Dirichlet smoothing parameter (it tracks
-// the growing collection exactly as NewEngine's AutoMu would).
-func (le *LiveEngine) Mu() float64 { return le.view.Load().mu }
-
-// Epoch returns the current view epoch; every ingest, seal, and
-// compaction publish bumps it.
-func (le *LiveEngine) Epoch() uint64 { return le.view.Load().epoch }
-
-// NumDocs returns the number of ingested documents in the current view.
-func (le *LiveEngine) NumDocs() int { return le.view.Load().stats.numDocs }
-
-// NumTerms returns the global vocabulary size of the current view.
-func (le *LiveEngine) NumTerms() int { return le.view.Load().stats.numTerms }
-
-// TotalTokens returns the collection length in tokens.
-func (le *LiveEngine) TotalTokens() int { return le.view.Load().stats.totalToks }
-
-// CollectionFreq sums the token's collection frequency across the current
-// view's segments.
-func (le *LiveEngine) CollectionFreq(t textproc.Token) int {
-	return le.view.Load().stats.StatCollFreq(t)
-}
-
 // Pages returns the ingested pages in global-ordinal (ingest) order —
 // exactly the page set a frozen BuildIndex rebuild would index, i.e. the
 // right-hand side of the parity contract.
 func (le *LiveEngine) Pages() []*corpus.Page {
-	v := le.view.Load()
-	out := make([]*corpus.Page, 0, v.stats.numDocs)
+	v := le.View()
+	out := make([]*corpus.Page, 0, v.NumDocs())
 	for _, s := range v.segs {
 		for i := 0; i < s.idx.NumDocs(); i++ {
 			out = append(out, s.idx.Doc(i))
 		}
 	}
 	return out
-}
-
-// CacheStats reports the epoch-keyed query cache's lifetime hit and miss
-// counts (zeroes when the cache is disabled).
-func (le *LiveEngine) CacheStats() (hits, misses uint64) {
-	hits, misses, _ = le.cache.Stats()
-	return hits, misses
-}
-
-// PassStats reports the scoring passes' work over every view and segment
-// since the engine was built, as Engine.PassStats does.
-func (le *LiveEngine) PassStats() (visited, scored uint64) {
-	return le.pass.visited.Load(), le.pass.scored.Load()
 }
 
 // LiveMetrics is the ingest-side gauge snapshot the serving layer exports
@@ -737,12 +497,12 @@ type LiveMetrics struct {
 
 // Metrics snapshots the engine's generational gauges.
 func (le *LiveEngine) Metrics() LiveMetrics {
-	v := le.view.Load()
+	v := le.View()
 	return LiveMetrics{
 		Epoch:              v.epoch,
 		Segments:           len(v.segs),
-		MemtableDocs:       v.memDocs,
-		NumDocs:            v.stats.numDocs,
+		MemtableDocs:       int(le.memDocs.Load()),
+		NumDocs:            v.NumDocs(),
 		Compactions:        le.compactions.Load(),
 		DocsCompacted:      le.docsCompacted.Load(),
 		EpochInvalidations: le.epochBumps.Load(),

@@ -49,9 +49,12 @@ func liveBenchCorpus(b *testing.B) (base, donors []*corpus.Page, qs [][]textproc
 // path at the frozen engine's ceilings even with the generational layout
 // in front:
 //
-//	cached/append   Retrieve into a reused buffer on a warm
-//	                epoch-keyed cache. Pinned at 0 allocs/op.
-//	cached          Search on a warm cache: the fresh result slice.
+//	cached/append    Retrieve into a reused buffer on a warm
+//	                 epoch-keyed cache. Pinned at 0 allocs/op.
+//	cached           Search on a warm cache: the fresh result slice.
+//	nocache/append   a multi-segment miss into a reused buffer: one pruned
+//	                 pass per segment and the merge, all over pooled
+//	                 scratch. Pinned at 0 allocs/op.
 //
 // Renaming a benchmark breaks the gate — update the script in the same
 // change.
@@ -84,13 +87,26 @@ func BenchmarkLiveSearchAllocs(b *testing.B) {
 	})
 	b.Run("cached", func(b *testing.B) {
 		le := mk(b)
-		if len(le.Search(q)) == 0 {
+		v := le.View()
+		if len(v.Search(q)) == 0 {
 			b.Fatal("no hits")
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			le.Search(q)
+			v.Search(q)
+		}
+	})
+	b.Run("nocache/append", func(b *testing.B) {
+		v := mk(b).View().WithCache(-1)
+		var dst []Result
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dst = v.SearchAppend(dst[:0], q)
+		}
+		if len(dst) == 0 {
+			b.Fatal("no hits")
 		}
 	})
 }
@@ -157,7 +173,7 @@ func BenchmarkLiveIngestSearch(b *testing.B) {
 				}
 			}
 		}()
-		search(b, le.SearchAppend)
+		search(b, func(dst []Result, q []textproc.Token) []Result { return le.View().SearchAppend(dst, q) })
 		close(stop)
 		wg.Wait()
 	})

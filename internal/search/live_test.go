@@ -1,11 +1,10 @@
 package search
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
-	"strings"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -39,11 +38,13 @@ func liveTestCorpus(t testing.TB, domain corpus.Domain) ([]*corpus.Page, [][]tex
 	return g.Corpus.Pages, qs
 }
 
-// requireParity asserts the live engine ranks byte-identically to a
-// frozen engine rebuilt from the same final page set: same pages in the
-// same order with bit-equal scores, plus equal collection statistics and μ.
-func requireParity(t *testing.T, ctx string, le *LiveEngine, pages []*corpus.Page, qs [][]textproc.Token) {
+// requireParity asserts the live engine's current view ranks
+// byte-identically to a frozen engine rebuilt from the same final page set:
+// same pages in the same order with bit-equal scores, plus equal collection
+// statistics and μ.
+func requireParity(t *testing.T, ctx string, live *LiveEngine, pages []*corpus.Page, qs [][]textproc.Token) {
 	t.Helper()
+	le := live.View()
 	frozen := NewEngineOpts(BuildIndex(pages), Options{CacheSize: -1})
 	if got, want := le.NumDocs(), frozen.Index().NumDocs(); got != want {
 		t.Fatalf("%s: NumDocs = %d, frozen %d", ctx, got, want)
@@ -114,34 +115,49 @@ func TestLiveParityGrownVsRebuilt(t *testing.T) {
 	}
 }
 
+// requireOwnReference asserts a view's fast path equals the view's own
+// SearchReference — every segment walked under its global ordinal, no
+// rebuilt twin involved.
+func requireOwnReference(t *testing.T, ctx string, v *Engine, qs [][]textproc.Token) {
+	t.Helper()
+	for qi, q := range qs {
+		assertSameResults(t, fmt.Sprintf("%s: query %d %q vs own reference", ctx, qi, q), v.SearchReference(q), v.Search(q))
+	}
+}
+
 // TestLiveParityRandomSchedule drives a seeded random mix of single adds,
-// batch adds, explicit seals, and explicit compactions — with parity
-// checked at intermediate checkpoints against a frozen rebuild of the
-// prefix, not just at the end.
+// batch adds, explicit seals, and explicit compactions, and after every
+// step holds the grown view to a frozen rebuild of the prefix and to its
+// own reference. A failure names the PRNG seed that reproduces it.
 func TestLiveParityRandomSchedule(t *testing.T) {
 	pages, qs := liveTestCorpus(t, synth.DomainResearchers)
+	// Every step is checked, each against a rebuild of its prefix: a third
+	// of the corpus keeps that affordable under the race detector and
+	// still crosses a dozen seals and several compaction tiers per seed.
+	pages, qs = pages[:len(pages)/3], qs[:len(qs)/2]
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		le := NewLiveEngine(nil, Options{}, LiveOptions{
 			MemtableDocs: 5, CompactFanIn: -2, IngestWorkers: 1,
 		})
-		next := 0
-		checkpoints := map[int]bool{len(pages) / 3: true, 2 * len(pages) / 3: true, len(pages): true}
-		for next < len(pages) {
-			n := 1 + rng.Intn(4)
-			if next+n > len(pages) {
-				n = len(pages) - next
-			}
+		check := func(step string, next int) {
+			t.Helper()
+			ctx := fmt.Sprintf("PRNG seed %d, after %s at prefix %d", seed, step, next)
+			requireParity(t, ctx, le, pages[:next], qs)
+			requireOwnReference(t, ctx, le.View(), qs)
+		}
+		for next := 0; next < len(pages); {
+			n := min(1+rng.Intn(4), len(pages)-next)
 			le.Add(pages[next : next+n]...)
 			next += n
+			check("add", next)
 			switch rng.Intn(5) {
 			case 0:
 				le.Seal()
+				check("seal", next)
 			case 1:
 				le.Compact()
-			}
-			if checkpoints[next] {
-				requireParity(t, fmt.Sprintf("seed=%d prefix=%d", seed, next), le, pages[:next], qs)
+				check("compact", next)
 			}
 		}
 	}
@@ -153,7 +169,11 @@ func TestLiveParityBootstrap(t *testing.T) {
 	pages, qs := liveTestCorpus(t, synth.DomainCars)
 	half := len(pages) / 2
 
-	le := NewLiveEngine(pages[:half], Options{}, LiveOptions{MemtableDocs: 9, CompactFanIn: 2})
+	boot := BuildIndex(pages[:half])
+	le := NewLiveEngine(boot, Options{}, LiveOptions{MemtableDocs: 9, CompactFanIn: 2})
+	if le.View().Index() != boot {
+		t.Fatal("the bootstrap segment is not the index the engine was handed")
+	}
 	requireParity(t, "bootstrap-only", le, pages[:half], qs)
 	le.Add(pages[half:]...)
 	le.Quiesce()
@@ -172,7 +192,7 @@ func TestLiveTopKOverride(t *testing.T) {
 		fk := frozen.WithTopK(k)
 		var lres, fres []Result
 		for _, q := range qs[:10] {
-			lres = le.SearchTopKAppend(lres[:0], k, q)
+			lres = le.View().SearchTopKAppend(lres[:0], k, q)
 			fres = fk.SearchAppend(fres[:0], q)
 			if len(lres) != len(fres) {
 				t.Fatalf("k=%d: live %d hits, frozen %d", k, len(lres), len(fres))
@@ -195,21 +215,21 @@ func TestLiveCacheEpochInvalidation(t *testing.T) {
 	le.Add(pages[:20]...)
 	q := qs[0]
 
-	le.Search(q)
-	_, m0 := le.CacheStats()
-	le.Search(q)
-	h1, m1 := le.CacheStats()
+	le.View().Search(q)
+	_, m0 := le.View().CacheStats()
+	le.View().Search(q)
+	h1, m1 := le.View().CacheStats()
 	if m1 != m0 || h1 == 0 {
 		t.Fatalf("same-epoch repeat did not hit cache: hits=%d misses %d→%d", h1, m0, m1)
 	}
-	epoch := le.Epoch()
+	epoch := le.View().Epoch()
 
 	le.Add(pages[20:40]...)
-	if le.Epoch() == epoch {
+	if le.View().Epoch() == epoch {
 		t.Fatal("Add did not bump epoch")
 	}
-	res := le.Search(q)
-	_, m2 := le.CacheStats()
+	res := le.View().Search(q)
+	_, m2 := le.View().CacheStats()
 	if m2 != m1+1 {
 		t.Fatalf("post-ingest query should miss the stale epoch: misses %d→%d", m1, m2)
 	}
@@ -311,7 +331,7 @@ func TestLiveEngineSoak(t *testing.T) {
 			var dst []Result
 			for i := 0; time.Now().Before(deadline); i++ {
 				q := qs[(i*7+w)%len(qs)]
-				dst = le.SearchAppend(dst[:0], q)
+				dst = le.View().SearchAppend(dst[:0], q)
 				for _, r := range dst {
 					if r.Page == nil {
 						t.Error("nil page in live result")
@@ -355,55 +375,106 @@ func TestLiveEngineSoak(t *testing.T) {
 	requireParity(t, "post-soak", le, ingested, qs)
 }
 
-// TestLiveCacheKeyEpochBoundary: the live cache key is (epoch, k, tokens)
-// and each number must end where its own encoding says, not where the next
-// byte stops looking like a digit. With the epoch in decimal and nothing
-// after it, epoch 1 at k = 50 spelled "12…" — byte 50 is '2' — and so did
-// epoch 12; epoch 1 at k = 48 ('0') ran into epoch 10 the same way. The
-// token lists below make the tails line up too (wide's first token has
-// the length that is glued's k, and glued's one token is the rest of
-// wide's encoding), so under that encoding the keys were equal byte for
-// byte and epoch 12 answered glued with the list cached for wide. k up to
-// 100 is accepted off the network, so both pairs were reachable.
+// TestLiveCacheKeyEpochBoundary reaches, through a live engine, the key
+// pairs TestCacheKeyIsInjective holds apart: one Add is one epoch, and
+// epoch 12 (10) must not answer glued at k 5 with the list cached for wide
+// at epoch 1, k 50 (48).
 func TestLiveCacheKeyEpochBoundary(t *testing.T) {
-	tail := textproc.Token(strings.Repeat("x", 92))
-	wide := []textproc.Token{"aaaaa", tail}
-	// uvarint(5)·"aaaaa"·uvarint(92)·tail, read as k = 5 and then one
-	// 97-byte token ('a' is 97): "aaaa"·uvarint(92)·tail.
-	glued := []textproc.Token{"aaaa" + "\x5c" + tail}
-	for _, tc := range []struct {
-		epoch     uint64
-		k         int
-		laterThan uint64
-	}{{1, 50, 12}, {1, 48, 10}} {
-		a := appendLiveCacheKey(nil, tc.epoch, tc.k, wide)
-		b := appendLiveCacheKey(nil, tc.laterThan, 5, glued)
-		if bytes.Equal(a, b) {
-			t.Errorf("epoch %d k %d %q and epoch %d k 5 %q share the key %q", tc.epoch, tc.k, wide, tc.laterThan, glued, a)
-		}
-	}
-
-	// The same through a live engine: one Add is one epoch.
+	wide, glued := epochBoundaryQueries()
 	le := NewLiveEngine(nil, Options{}, LiveOptions{MemtableDocs: 1000, CompactFanIn: -1})
 	add := func(id int) { le.Add(page(corpus.PageID(id), 0, "aaaaa", "filler", "aaaaa")) }
 	add(0)
-	if le.Epoch() != 1 {
-		t.Fatalf("epoch %d after one Add, want 1", le.Epoch())
+	if e := le.View().Epoch(); e != 1 {
+		t.Fatalf("epoch %d after one Add, want 1", e)
 	}
 	for _, k := range []int{50, 48} {
-		if got := le.SearchTopKAppend(nil, k, wide); len(got) != 1 {
+		if got := le.View().SearchTopKAppend(nil, k, wide); len(got) != 1 {
 			t.Fatalf("epoch 1, k %d: %q matched %d pages, want the one holding aaaaa", k, wide, len(got))
 		}
 	}
-	for id := 1; le.Epoch() < 12; id++ {
+	for id := 1; le.View().Epoch() < 12; id++ {
 		add(id)
-		if e := le.Epoch(); e == 10 || e == 12 {
-			if got := le.SearchTopKAppend(nil, 5, glued); len(got) != 0 {
-				t.Fatalf("epoch %d: the unseen token %q was answered with %d pages cached at epoch 1", e, glued, len(got))
+		if v := le.View(); v.Epoch() == 10 || v.Epoch() == 12 {
+			if got := v.SearchTopKAppend(nil, 5, glued); len(got) != 0 {
+				t.Fatalf("epoch %d: the unseen token %q was answered with %d pages cached at epoch 1", v.Epoch(), glued, len(got))
 			}
 		}
 	}
-	if _, misses := le.CacheStats(); misses != 4 {
+	if _, misses := le.View().CacheStats(); misses != 4 {
 		t.Fatalf("%d cache misses, want 4: every search here has a key of its own", misses)
 	}
+}
+
+// TestViewParityAcrossShapes: the same pages as a frozen engine, as a live
+// engine's bootstrap view and as a view grown over several segments are
+// one ranking — page identities, order and scores — at every k, and each of
+// the three equals its own SearchReference.
+func TestViewParityAcrossShapes(t *testing.T) {
+	pages, qs := liveTestCorpus(t, synth.DomainResearchers)
+	idx := BuildIndex(pages)
+	grower := NewLiveEngine(nil, Options{}, LiveOptions{MemtableDocs: 60, CompactFanIn: -1})
+	grower.Add(pages...)
+	grown := grower.View()
+	if n := len(grown.segs); n < 3 {
+		t.Fatalf("grown view has %d segments, want at least 3", n)
+	}
+	shapes := []struct {
+		name string
+		v    *Engine
+	}{
+		{"frozen", NewEngineOpts(idx, Options{})},
+		{"booted", NewLiveEngine(idx, Options{}, LiveOptions{}).View()},
+		{"grown", grown},
+	}
+	for _, k := range []int{1, 5, 50} {
+		for _, sh := range shapes {
+			requireOwnReference(t, fmt.Sprintf("%s k=%d", sh.name, k), sh.v.WithTopK(k), qs)
+		}
+		for qi, q := range qs {
+			want := shapes[0].v.SearchTopKAppend(nil, k, q)
+			for _, sh := range shapes[1:] {
+				got := sh.v.SearchTopKAppend(nil, k, q)
+				if !slices.Equal(got, want) {
+					t.Fatalf("k=%d query %d %q: %s answers %v, frozen %v", k, qi, q, sh.name, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestViewReadsAreOneEpoch: statistics read through one View() belong to
+// one epoch, so they satisfy the relation a view is built with — μ is
+// AutoMu of its own totals — while a writer publishes. Read through the
+// engine they were three loads and could straddle a publish. Run it under
+// -race.
+func TestViewReadsAreOneEpoch(t *testing.T) {
+	pages, _ := liveTestCorpus(t, synth.DomainCars)
+	le := NewLiveEngine(nil, Options{}, LiveOptions{MemtableDocs: 16, CompactFanIn: 2})
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				v := le.View()
+				if got, want := v.Mu(), AutoMu(v.NumDocs(), v.TotalTokens()); got != want {
+					t.Errorf("epoch %d: μ = %v, but AutoMu(%d docs, %d tokens) = %v",
+						v.Epoch(), got, v.NumDocs(), v.TotalTokens(), want)
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for _, p := range pages {
+		le.Add(p)
+	}
+	close(done)
+	wg.Wait()
+	le.Quiesce()
 }

@@ -164,7 +164,7 @@ func prunedBackends(t *testing.T, pages []*corpus.Page, k int) (ref *Engine, out
 	if got := le.Metrics().Segments; got != 3 {
 		t.Fatalf("live view has %d segments, want 3", got)
 	}
-	out = append(out, searchBackend{"live3", le.Search})
+	out = append(out, searchBackend{"live3", le.View().Search})
 
 	global := StatsOf(fullIdx)
 	var parts []*Engine
@@ -270,7 +270,7 @@ func TestScoreBoundsFromEveryConstructor(t *testing.T) {
 	le.Seal()
 	le.Add(pages[len(pages)/2:]...)
 	le.Seal()
-	sealed := le.view.Load().segs[0].idx
+	sealed := le.View().Index()
 	le.Compact()
 	if got := le.Metrics().Segments; got != 1 {
 		t.Fatalf("live view has %d segments after compaction, want 1", got)
@@ -279,7 +279,7 @@ func TestScoreBoundsFromEveryConstructor(t *testing.T) {
 		"BuildIndex":        built,
 		"RestoreIndex":      restored,
 		"sealed segment":    sealed,
-		"compacted segment": le.view.Load().segs[0].idx,
+		"compacted segment": le.View().Index(),
 	} {
 		minLen := 0
 		for _, n := range idx.docLen {

@@ -11,47 +11,53 @@ import (
 // It is deliberately kept verbatim as the ground truth the pruned, cached
 // Search is differentially tested against, and as the baseline the engine
 // benchmarks compare throughput with. It never consults the query cache.
+// A view of several segments is walked segment by segment, each document
+// under its global ordinal, so it is its own reference — no merge, no
+// rebuilt twin.
 func (e *Engine) SearchReference(query []textproc.Token) []Result {
 	if len(query) == 0 {
 		return nil
 	}
-	// Candidate set: union of postings.
-	tfs := make(map[int32]map[textproc.Token]int32)
-	for _, t := range query {
-		for _, p := range e.idx.listFor(t).posts {
-			m := tfs[p.doc]
-			if m == nil {
-				m = make(map[textproc.Token]int32, len(query))
-				tfs[p.doc] = m
+	type hit struct {
+		doc int64 // global ordinal
+		res Result
+	}
+	var hits []hit
+	for _, s := range e.segs {
+		// Candidate set: union of postings.
+		tfs := make(map[int32]map[textproc.Token]int32)
+		for _, t := range query {
+			for _, p := range s.idx.listFor(t).posts {
+				m := tfs[p.doc]
+				if m == nil {
+					m = make(map[textproc.Token]int32, len(query))
+					tfs[p.doc] = m
+				}
+				m[t] = p.tf
 			}
-			m[t] = p.tf
+		}
+		for doc, m := range tfs {
+			dl := s.idx.docLen[doc]
+			score := 0.0
+			for _, t := range query {
+				score += DirichletTermScore(int(m[t]), dl, e.mu, e.collProb(t))
+			}
+			hits = append(hits, hit{s.base + int64(doc), Result{Page: s.idx.docs[doc], Score: score}})
 		}
 	}
-	if len(tfs) == 0 {
+	if len(hits) == 0 {
 		return nil
 	}
-	cands := make([]cand, 0, len(tfs))
-	for doc, m := range tfs {
-		dl := e.idx.docLen[doc]
-		s := 0.0
-		for _, t := range query {
-			s += DirichletTermScore(int(m[t]), dl, e.mu, e.collProb(t))
+	sort.Slice(hits, func(i, j int) bool {
+		if hits[i].res.Score != hits[j].res.Score {
+			return hits[i].res.Score > hits[j].res.Score
 		}
-		cands = append(cands, cand{doc: doc, score: s})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
-		}
-		return cands[i].doc < cands[j].doc
+		return hits[i].doc < hits[j].doc
 	})
-	k := e.topK
-	if k > len(cands) {
-		k = len(cands)
-	}
+	k := min(e.topK, len(hits))
 	out := make([]Result, 0, k)
-	for _, c := range cands[:k] {
-		out = append(out, Result{Page: e.idx.docs[c.doc], Score: c.score})
+	for _, h := range hits[:k] {
+		out = append(out, h.res)
 	}
 	return out
 }

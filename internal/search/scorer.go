@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"l2q/internal/corpus"
 	"l2q/internal/textproc"
 )
 
@@ -196,15 +197,101 @@ type searchScratch struct {
 
 var searchScratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
-// searchPrunedAppend is the engine's scoring path: one exact max-score
-// pass (searchCandsIn) leaves the top-k candidates, and they are sorted by
-// the reference order and appended to dst.
+// searchMissAppend is the one miss path: a view of one segment — a frozen
+// engine, a cluster partition, a live engine booted from a store or
+// compacted down — runs the pruned pass and is done; any other scores every
+// segment and merges.
+func (e *Engine) searchMissAppend(dst []Result, k int, query []textproc.Token) []Result {
+	if len(e.segs) == 1 {
+		return e.searchPrunedAppend(dst, k, query)
+	}
+	return e.searchMergedAppend(dst, k, query)
+}
+
+// searchPrunedAppend scores a one-segment view: one exact max-score pass
+// (searchCandsIn) leaves the top-k candidates, and they are sorted by the
+// reference order and appended to dst. Local ordinals are the global
+// ordinals, so there is nothing to merge.
 func (e *Engine) searchPrunedAppend(dst []Result, k int, query []textproc.Token) []Result {
+	idx := e.segs[0].idx
 	sc := searchScratchPool.Get().(*searchScratch)
 	sc.consts = e.scoreConsts(sc.consts[:0], query)
-	dst = e.appendFinish(dst, e.searchCandsIn(sc, query, k, sc.consts), k)
+	cands := e.searchCandsIn(idx, sc, query, k, sc.consts)
+	slices.SortFunc(cands, compareCand) // unlike sort.Slice, does not allocate
+	for _, c := range cands[:min(k, len(cands))] {
+		dst = append(dst, Result{Page: idx.docs[c.doc], Score: c.score})
+	}
 	releaseSearchScratch(sc)
 	return dst
+}
+
+// viewScratch is the pooled per-query merge state of one multi-segment
+// search: the hoisted scoring constants, the flat ranked buffer every
+// segment appends into, per-segment end offsets, the list headers handed to
+// MergeTopKAppend, and the merged top-k.
+type viewScratch struct {
+	consts []float64
+	rd     []RankedDoc
+	ends   []int
+	lists  [][]RankedDoc
+	merged []RankedDoc
+}
+
+var viewScratchPool = sync.Pool{New: func() any { return new(viewScratch) }}
+
+// searchMergedAppend scores the query over every segment of the view and
+// merges the per-segment top-k into the global ranking — a local
+// scatter-gather. MergeTopKAppend breaks ties on the lower global ordinal
+// (ingest order), which is exactly the one-segment pass's document-order
+// tie-break, and each segment returns its full local top-k, so the global
+// top-k is contained in the union and the merge is exact. A view without
+// segments (a live engine nothing was added to) merges nothing.
+func (e *Engine) searchMergedAppend(dst []Result, k int, query []textproc.Token) []Result {
+	sc := viewScratchPool.Get().(*viewScratch)
+
+	// The scoring constants depend only on the view's statistics, so they
+	// are hoisted once per query, not once per segment — liveStats probes
+	// are O(segments) each, and recomputing them per segment would make the
+	// per-query stat cost quadratic in the segment count.
+	consts := e.scoreConsts(sc.consts[:0], query)
+	sc.consts = consts
+
+	rd := sc.rd[:0]
+	ends := sc.ends[:0]
+	for _, s := range e.segs {
+		ssc := searchScratchPool.Get().(*searchScratch)
+		for _, c := range e.searchCandsIn(s.idx, ssc, query, k, consts) {
+			rd = append(rd, RankedDoc{Doc: s.base + int64(c.doc), Score: c.score})
+		}
+		releaseSearchScratch(ssc)
+		ends = append(ends, len(rd))
+	}
+	lists := sc.lists[:0]
+	lo := 0
+	for _, end := range ends {
+		lists = append(lists, rd[lo:end])
+		lo = end
+	}
+	merged := MergeTopKAppend(sc.merged[:0], k, lists)
+	for _, m := range merged {
+		dst = append(dst, Result{Page: e.pageAt(m.Doc), Score: m.Score})
+	}
+	sc.rd, sc.ends, sc.merged = rd, ends, merged
+	clear(lists)
+	sc.lists = lists
+	viewScratchPool.Put(sc)
+	return dst
+}
+
+// pageAt maps a global ordinal back to its page via the segment bases
+// (segments are few; scan from the tail, where the hot memtable lives).
+func (e *Engine) pageAt(doc int64) *corpus.Page {
+	for i := len(e.segs) - 1; i >= 0; i-- {
+		if s := e.segs[i]; doc >= s.base {
+			return s.idx.Doc(int(doc - s.base))
+		}
+	}
+	return nil
 }
 
 // boundSlackPerTerm widens the pruning bound by 4 ulps of the summed
@@ -217,10 +304,10 @@ func (e *Engine) searchPrunedAppend(dst []Result, k int, query []textproc.Token)
 // score gaps pruning feeds on.
 const boundSlackPerTerm = 0x1p-50
 
-// searchCandsIn is the exact max-score pass over this engine's index, with
-// the scoring constants supplied by the caller (the live engine hoists
-// them once per query across all of a view's segments). It returns the k
-// best candidates, unsorted, aliasing sc — none when nothing matches.
+// searchCandsIn is the exact max-score pass over one segment's index, with
+// the scoring constants supplied by the caller (hoisted once per query
+// across all of a view's segments). It returns the k best candidates,
+// unsorted, aliasing sc — none when nothing matches.
 //
 // The most a position can give any document is its score at (the list's
 // maxTf, the index's minDocLen); the most it gives a document without the
@@ -243,11 +330,11 @@ const boundSlackPerTerm = 0x1p-50
 // engine" has the argument in full, and why the pass is not fanned out
 // (range-partitioned workers each prune against their own, lower,
 // threshold).
-func (e *Engine) searchCandsIn(sc *searchScratch, query []textproc.Token, k int, consts []float64) []cand {
+func (e *Engine) searchCandsIn(idx *Index, sc *searchScratch, query []textproc.Token, k int, consts []float64) []cand {
 	lists := sc.lists[:0]
 	total := 0
 	for _, t := range query {
-		pl := e.idx.listFor(t)
+		pl := idx.listFor(t)
 		lists = append(lists, pl)
 		total += len(pl.posts)
 	}
@@ -266,7 +353,7 @@ func (e *Engine) searchCandsIn(sc *searchScratch, query []textproc.Token, k int,
 	}
 	order, gain := sc.order[:n], sc.gain[:n]
 	cursors, tfv, boundTf := sc.cursors[:n], sc.tfv[:n], sc.boundTf[:n]
-	minDL := e.idx.minDocLen
+	minDL := idx.minDocLen
 
 	// Per-position gains and the visiting order (insertion sort: queries
 	// are a handful of tokens; ties keep query-position order). The
@@ -330,7 +417,7 @@ func (e *Engine) searchCandsIn(sc *searchScratch, query []textproc.Token, k int,
 					tfv[i] = 0
 				}
 			}
-			dl := e.idx.docLen[p.doc]
+			dl := idx.docLen[p.doc]
 			nVisited++
 			if cuttable && len(h.h) == k {
 				if sk := h.h[0].score; sk != cutFor {
@@ -389,18 +476,4 @@ func releaseSearchScratch(sc *searchScratch) {
 	sc.tfv, sc.boundTf = sc.tfv[:0], sc.boundTf[:0]
 	sc.heap = sc.heap[:0]
 	searchScratchPool.Put(sc)
-}
-
-// appendFinish sorts the surviving candidates by the reference order and
-// appends the top-k materialized Results to dst. slices.SortFunc (unlike
-// sort.Slice) does not allocate.
-func (e *Engine) appendFinish(dst []Result, cands []cand, k int) []Result {
-	slices.SortFunc(cands, compareCand)
-	if k > len(cands) {
-		k = len(cands)
-	}
-	for _, c := range cands[:k] {
-		dst = append(dst, Result{Page: e.idx.docs[c.doc], Score: c.score})
-	}
-	return dst
 }

@@ -5,11 +5,10 @@ package webapi
 // a frozen index, a live generational engine or a cluster of nodes is the
 // backend's business, decided once by the constructor that installed it
 // (NewServer, NewLiveServer, NewNodeServer, NewCoordinatorServer). Frozen
-// and live share localBackend — *search.Engine and *search.LiveEngine
-// offer the same k-parameterised search and statistic reads — and differ
-// only in ingest and the live gauges; a cluster node's backend is its
-// ClusterNode (cluster.go), the coordinator's is clusterBackend
-// (coordinator.go).
+// and live are one localBackend: both search a *search.Engine — the frozen
+// one, or the view the live engine has published last — and a live one can
+// also be written to; a cluster node's backend is its ClusterNode
+// (cluster.go), the coordinator's is clusterBackend (coordinator.go).
 
 import (
 	"context"
@@ -53,52 +52,56 @@ type backend interface {
 // errNoIngest is the ingest answer of every backend but the live one.
 var errNoIngest = httpErrorf(http.StatusNotImplemented, "ingest not supported: server is not live (start with -live)")
 
-// localEngine is what localBackend needs of the engine it serves from.
-type localEngine interface {
-	core.Retriever
-	SearchWithSeedTopKAppend(dst []search.Result, k int, seed, query []textproc.Token) []search.Result
-	NumTerms() int
-	TotalTokens() int
-	Mu() float64
-	CacheStats() (hits, misses uint64)
-	PassStats() (visited, scored uint64)
-}
-
-// localBackend serves one in-process corpus and engine. A frozen corpus
-// and engine are immutable; under liveBackend, ingest grows corpus and
-// pages behind mu while searches run lock-free against the live engine's
-// epoch views.
+// localBackend serves one in-process corpus. Frozen: corpus and engine are
+// immutable and live is nil. Live: ingest (ingest.go) grows corpus and
+// pages behind mu while searches run lock-free against the views the live
+// engine publishes.
 type localBackend struct {
 	mu     sync.RWMutex
 	corpus *corpus.Corpus
 	pages  map[corpus.PageID]*corpus.Page
-	engine localEngine
+	frozen *search.Engine
+	live   *search.LiveEngine
+	// tok tokenizes ingested paragraph text server-side, so ingested
+	// pages carry exactly the tokens the corpus tokenizer would have
+	// produced (the parity contract through the API).
+	tok *textproc.Tokenizer
 }
 
-func newLocalBackend(c *corpus.Corpus, engine localEngine) *localBackend {
+func newLocalBackend(c *corpus.Corpus) *localBackend {
 	pages := make(map[corpus.PageID]*corpus.Page, c.NumPages())
 	for _, p := range c.Pages {
 		pages[p.ID] = p
 	}
-	return &localBackend{corpus: c, pages: pages, engine: engine}
+	return &localBackend{corpus: c, pages: pages}
+}
+
+// view is the engine a request reads: asked for once per request, so what
+// one response reports comes from one epoch.
+func (b *localBackend) view() *search.Engine {
+	if b.live != nil {
+		return b.live.View()
+	}
+	return b.frozen
 }
 
 func (b *localBackend) stats() Stats {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
+	v := b.view()
 	return Stats{
 		Domain:      string(b.corpus.Domain),
 		NumEntities: b.corpus.NumEntities(),
 		NumPages:    b.corpus.NumPages(),
-		NumTerms:    b.engine.NumTerms(),
-		TotalTokens: b.engine.TotalTokens(),
-		Mu:          b.engine.Mu(),
-		TopK:        b.engine.TopK(),
+		NumTerms:    v.NumTerms(),
+		TotalTokens: v.TotalTokens(),
+		Mu:          v.Mu(),
+		TopK:        v.TopK(),
 	}
 }
 
 func (b *localBackend) search(_ context.Context, seed, query []textproc.Token, k int) (SearchResponse, error) {
-	return newSearchResponse(seed, query, b.engine.SearchWithSeedTopKAppend(nil, k, seed, query)), nil
+	return newSearchResponse(seed, query, b.view().SearchWithSeedTopKAppend(nil, k, seed, query)), nil
 }
 
 func (b *localBackend) entities() []EntityInfo {
@@ -134,32 +137,21 @@ func (b *localBackend) page(_ context.Context, id corpus.PageID) (string, error)
 
 func (b *localBackend) pageWorkers() int { return 1 }
 
-func (b *localBackend) retriever() core.Retriever { return b.engine }
+func (b *localBackend) retriever() core.Retriever {
+	if b.live != nil {
+		return b.live // follows the epochs
+	}
+	return b.frozen
+}
 
 func (b *localBackend) metrics(m *ServerMetrics) {
-	m.Search.CacheHits, m.Search.CacheMisses = b.engine.CacheStats()
-	m.Search.DocsVisited, m.Search.DocsScored = b.engine.PassStats()
-}
-
-func (b *localBackend) ingest(IngestRequest) (IngestResponse, error) {
-	return IngestResponse{}, errNoIngest
-}
-
-// liveBackend is localBackend over a generational engine, plus the write
-// path (ingest.go) and the live gauges.
-type liveBackend struct {
-	*localBackend
-	live *search.LiveEngine
-	// tok tokenizes ingested paragraph text server-side, so ingested
-	// pages carry exactly the tokens the corpus tokenizer would have
-	// produced (the parity contract through the API).
-	tok *textproc.Tokenizer
-}
-
-func (b *liveBackend) metrics(m *ServerMetrics) {
-	b.localBackend.metrics(m)
-	lm := b.live.Metrics()
-	m.Live = &lm
+	v := b.view()
+	m.Search.CacheHits, m.Search.CacheMisses = v.CacheStats()
+	m.Search.DocsVisited, m.Search.DocsScored = v.PassStats()
+	if b.live != nil {
+		lm := b.live.Metrics()
+		m.Live = &lm
+	}
 }
 
 // httpError is a user-facing failure with the HTTP status it maps to.

@@ -98,9 +98,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // ingest validates and applies one batch under the corpus write lock.
-// An error means the batch was rejected whole, nothing applied.
-func (b *liveBackend) ingest(req IngestRequest) (IngestResponse, error) {
+// An error means the batch was rejected whole, nothing applied; a backend
+// without a live engine rejects every batch.
+func (b *localBackend) ingest(req IngestRequest) (IngestResponse, error) {
 	var resp IngestResponse
+	if b.live == nil {
+		return resp, errNoIngest
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 

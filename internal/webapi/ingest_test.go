@@ -52,7 +52,7 @@ func newLiveFixture(t *testing.T, bootFrac float64) *liveFixture {
 	}
 	// A small memtable forces several segment seals over the ingest feed,
 	// so parity is checked across real segment boundaries.
-	live := search.NewLiveEngine(boot.Pages, search.Options{}, search.LiveOptions{MemtableDocs: 16})
+	live := search.NewLiveEngine(search.BuildIndex(boot.Pages), search.Options{}, search.LiveOptions{MemtableDocs: 16})
 	srv := httptest.NewServer(NewLiveServer(boot, live, g.Tokenizer).Handler())
 	t.Cleanup(srv.Close)
 	return &liveFixture{g: g, boot: boot, live: live, srv: srv, rest: all[n:]}
@@ -116,7 +116,7 @@ func TestIngestGrownMatchesRebuilt(t *testing.T) {
 			f.live.Quiesce()
 
 			frozen := search.NewEngine(search.BuildIndex(f.g.Corpus.Pages))
-			if got, want := f.live.NumDocs(), frozen.Index().NumDocs(); got != want {
+			if got, want := f.live.View().NumDocs(), frozen.Index().NumDocs(); got != want {
 				t.Fatalf("live has %d docs, rebuild has %d", got, want)
 			}
 			for _, e := range f.g.Corpus.Entities {
@@ -196,7 +196,7 @@ func TestIngestRejectsBadBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	docsBefore := f.live.NumDocs()
+	docsBefore := f.live.View().NumDocs()
 
 	bad := IngestRequest{Pages: []IngestPage{
 		ingestPage(f.g, f.rest[0]),
@@ -206,7 +206,7 @@ func TestIngestRejectsBadBatches(t *testing.T) {
 	if !isStatus(err, http.StatusBadRequest) {
 		t.Fatalf("unknown-entity batch: got %v, want 400", err)
 	}
-	if f.live.NumDocs() != docsBefore {
+	if f.live.View().NumDocs() != docsBefore {
 		t.Fatal("rejected batch mutated the engine")
 	}
 
@@ -223,6 +223,28 @@ func TestIngestRejectsBadBatches(t *testing.T) {
 	_, err = frozen.client.Ingest(ctx, IngestRequest{Pages: []IngestPage{ingestPage(f.g, f.rest[0])}})
 	if !isStatus(err, http.StatusNotImplemented) {
 		t.Fatalf("frozen server: got %v, want 501", err)
+	}
+	// The envelope says not to retry and the client obeys: one attempt.
+	var te *TransportError
+	if errors.As(err, &te); te.Attempts != 1 || te.Code != "not_implemented" {
+		t.Fatalf("frozen server: %d attempt(s), code %q; want 1, not_implemented", te.Attempts, te.Code)
+	}
+	// The one backend type reports live gauges only where it holds a live
+	// engine.
+	for _, tc := range []struct {
+		name, url string
+		wantLive  bool
+	}{{"frozen", frozen.srv.URL, false}, {"live", f.srv.URL, true}} {
+		resp, err := http.Get(tc.url + apiRoot + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]json.RawMessage
+		err = json.NewDecoder(resp.Body).Decode(&m)
+		resp.Body.Close()
+		if _, has := m["live"]; err != nil || has != tc.wantLive {
+			t.Fatalf("%s server's metrics: live section present = %v (decode %v), want %v", tc.name, has, err, tc.wantLive)
+		}
 	}
 }
 

@@ -40,7 +40,7 @@ func startEveryShape(t *testing.T, g *synth.Generated, wrapNodes func(int, http.
 		t.Cleanup(ts.Close)
 		return ts.URL
 	}
-	live := search.NewLiveEngine(g.Corpus.Pages, search.Options{}, search.LiveOptions{MemtableDocs: 16})
+	live := search.NewLiveEngine(search.BuildIndex(g.Corpus.Pages), search.Options{}, search.LiveOptions{MemtableDocs: 16})
 	co := dialCluster(t, g, startClusterNodes(t, g, 3, 2, wrapNodes), 2, 0)
 	return []servedShape{
 		{"frozen", serve(NewServer(g.Corpus, search.NewEngine(search.BuildIndex(g.Corpus.Pages))))},
@@ -278,7 +278,8 @@ func TestSearchPagesParamValidation(t *testing.T) {
 	// A hit whose page the backend cannot produce. Frozen: the index
 	// names a page the page table lost.
 	engine := search.NewEngine(search.BuildIndex(g.Corpus.Pages))
-	lb := newLocalBackend(g.Corpus, engine)
+	lb := newLocalBackend(g.Corpus)
+	lb.frozen = engine
 	hits := engine.SearchWithSeed(g.Corpus.Entities[0].SeedTokens(), []string{"research"})
 	delete(lb.pages, hits[1].Page.ID)
 	frozen := httptest.NewServer(newServer(lb).Handler())

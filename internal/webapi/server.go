@@ -184,7 +184,9 @@ func newServer(b backend) *Server {
 
 // NewServer wires a server over a frozen corpus and its engine.
 func NewServer(c *corpus.Corpus, engine *search.Engine) *Server {
-	return newServer(newLocalBackend(c, engine))
+	b := newLocalBackend(c)
+	b.frozen = engine
+	return newServer(b)
 }
 
 // NewLiveServer wires a server over a live generational engine: the
@@ -198,7 +200,9 @@ func NewLiveServer(c *corpus.Corpus, live *search.LiveEngine, tok *textproc.Toke
 	if tok == nil {
 		tok = &textproc.Tokenizer{}
 	}
-	return newServer(&liveBackend{localBackend: newLocalBackend(c, live), live: live, tok: tok})
+	b := newLocalBackend(c)
+	b.live, b.tok = live, tok
+	return newServer(b)
 }
 
 // semaphore returns the in-flight request bound, sized once from

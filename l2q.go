@@ -72,9 +72,9 @@ type (
 	// EngineOptions tunes the retrieval engine (query-cache capacity).
 	// Ranking-neutral.
 	EngineOptions = search.Options
-	// LiveEngine is the generational mutable engine: it absorbs pages
-	// while serving, ranking byte-identically to an Engine rebuilt from
-	// the same page set.
+	// LiveEngine is the generational writer: it absorbs pages while
+	// serving and publishes, per mutation, an Engine (View) that ranks
+	// byte-identically to one rebuilt from the same page set.
 	LiveEngine = search.LiveEngine
 	// LiveOptions tunes a LiveEngine's generational lifecycle.
 	LiveOptions = search.LiveOptions
@@ -137,9 +137,14 @@ func NewEngine(pages []*Page, opts EngineOptions) *Engine {
 }
 
 // NewLiveEngine creates a live generational engine, optionally
-// bootstrapped with an initial page set. See search.NewLiveEngine.
+// bootstrapped with an initial page set (indexed once, as its first sealed
+// segment). Search it through View(). See search.NewLiveEngine.
 func NewLiveEngine(pages []*Page, opts EngineOptions, lo LiveOptions) *LiveEngine {
-	return search.NewLiveEngine(pages, opts, lo)
+	var boot *search.Index
+	if len(pages) > 0 {
+		boot = search.BuildIndex(pages)
+	}
+	return search.NewLiveEngine(boot, opts, lo)
 }
 
 // Crawler types: the best-first focused crawler, the link-following
@@ -178,13 +183,6 @@ type SystemOptions struct {
 	// search.Options); a non-zero value overrides Config.SearchCacheSize.
 	// Rankings are identical for every setting — a pure performance knob.
 	CacheSize int
-	// MemtableDocs, CompactFanIn and IngestWorkers tune the live
-	// generational engine (see search.LiveOptions); non-zero values
-	// override the corresponding Config fields. Rankings are identical
-	// for every setting — the live engine's parity contract.
-	MemtableDocs  int
-	CompactFanIn  int
-	IngestWorkers int
 	// LearnWorkers bounds the domain phase's sharded counting pass
 	// (LearnDomain); non-zero overrides Config.LearnWorkers. Models are
 	// identical for every worker count.
@@ -232,15 +230,6 @@ func NewSyntheticSystem(d Domain, opts SystemOptions) (*System, error) {
 	}
 	if opts.CacheSize != 0 {
 		cfg.SearchCacheSize = opts.CacheSize
-	}
-	if opts.MemtableDocs != 0 {
-		cfg.MemtableDocs = opts.MemtableDocs
-	}
-	if opts.CompactFanIn != 0 {
-		cfg.CompactFanIn = opts.CompactFanIn
-	}
-	if opts.IngestWorkers != 0 {
-		cfg.IngestWorkers = opts.IngestWorkers
 	}
 	if opts.LearnWorkers != 0 {
 		cfg.LearnWorkers = opts.LearnWorkers

@@ -36,6 +36,7 @@ ceiling() {
 	BenchmarkSearchAllocs/nocache/append) echo 0 ;;   # one pruned pass on the caller's goroutine over pooled scratch; a fan-out costs a closure per worker
 	BenchmarkLiveSearchAllocs/cached/append) echo 0 ;; # multi-segment cache hit into a reused buffer
 	BenchmarkLiveSearchAllocs/cached) echo 1 ;;       # the fresh result slice
+	BenchmarkLiveSearchAllocs/nocache/append) echo 0 ;; # multi-segment miss: a pruned pass per segment and the merge, all over pooled scratch
 	BenchmarkSearchAppendConcurrent) echo 1 ;;        # contended pool refills round up
 	BenchmarkCandidateAllocs/steady/append) echo 0 ;; # pool re-emits cached segments
 	BenchmarkCandidateAllocs/steady) echo 3 ;;        # the fresh result slice (+ map growth slack)
