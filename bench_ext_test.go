@@ -28,7 +28,7 @@ func BenchmarkExtCrawlerVsQueries(b *testing.B) {
 	b.ResetTimer()
 	var last eval.CrawlResult
 	for i := 0; i < b.N; i++ {
-		res, err := env.CompareCrawler()
+		res, err := env.CompareCrawler(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -159,7 +159,9 @@ func BenchmarkAblationBeta(b *testing.B) {
 			for _, id := range env.TestIDs {
 				e := env.G.Corpus.Entity(id)
 				s := env.NewSession(e, synth.AspResearch, dm, uint64(id)+1)
-				s.Run(sel, 3)
+				if _, err := s.RunCtx(context.Background(), sel, 3); err != nil {
+					b.Fatal(err)
+				}
 				for _, p := range s.Pages() {
 					totSum++
 					if env.Cls.Relevant(synth.AspResearch, p) && p.Entity == e.ID {

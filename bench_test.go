@@ -10,6 +10,7 @@
 package l2q_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -78,7 +79,7 @@ func BenchmarkFig10Ablation(b *testing.B) {
 	b.ResetTimer()
 	var last eval.Fig10Result
 	for i := 0; i < b.N; i++ {
-		res, err := env.Fig10()
+		res, err := env.Fig10(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,7 +96,7 @@ func BenchmarkFig11DomainSize(b *testing.B) {
 	b.ResetTimer()
 	var last eval.Fig11Result
 	for i := 0; i < b.N; i++ {
-		res, err := env.Fig11()
+		res, err := env.Fig11(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -112,7 +113,7 @@ func BenchmarkFig12Baselines(b *testing.B) {
 	b.ResetTimer()
 	var last eval.CompareResult
 	for i := 0; i < b.N; i++ {
-		res, err := env.Fig12()
+		res, err := env.Fig12(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,7 +135,7 @@ func BenchmarkFig13FScore(b *testing.B) {
 	b.ResetTimer()
 	var last eval.CompareResult
 	for i := 0; i < b.N; i++ {
-		res, err := env.Fig13()
+		res, err := env.Fig13(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -154,7 +155,7 @@ func BenchmarkFig14SelectionTime(b *testing.B) {
 	b.ResetTimer()
 	var last eval.Fig14Result
 	for i := 0; i < b.N; i++ {
-		res, err := env.Fig14()
+		res, err := env.Fig14(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -185,7 +186,7 @@ func benchQuality(b *testing.B, method eval.Method, mutate func(*core.Config)) f
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := env.RunMethodAllAspects(method, env.TestIDs, 3, -1)
+	res, err := env.RunMethodAllAspects(context.Background(), method, env.TestIDs, 3, -1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -348,9 +349,8 @@ func BenchmarkEntityPhaseSelect(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := env.NewSession(entity, synth.AspResearch, dm, uint64(i))
-		s.Bootstrap()
-		if _, ok := s.Step(sel); !ok {
-			b.Fatal("no candidate")
+		if _, ok, err := s.StepCtx(context.Background(), sel); err != nil || !ok {
+			b.Fatal("no candidate", err)
 		}
 	}
 }

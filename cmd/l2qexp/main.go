@@ -79,6 +79,11 @@ func main() {
 	flag.Parse()
 	jsonOut = *jsonFlag
 
+	// The command owns the context root: Ctrl-C cancels the running
+	// figure's harvests instead of abandoning them mid-batch.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+
 	domains := []corpus.Domain{synth.DomainResearchers, synth.DomainCars}
 	switch *domain {
 	case "researchers":
@@ -123,23 +128,23 @@ func main() {
 		}
 		cfg.Core.SearchCacheSize = *cacheSize
 		cfg.Core.LearnWorkers = *learnWorkers
-		if err := runDomain(cfg, *fig, *cv, *splits); err != nil {
+		if err := runDomain(ctx, cfg, *fig, *cv, *splits); err != nil {
 			fmt.Fprintf(os.Stderr, "l2qexp: %v\n", err)
 			os.Exit(1)
 		}
 	}
 }
 
-func runDomain(cfg eval.Config, fig string, cv bool, splits int) error {
+func runDomain(ctx context.Context, cfg eval.Config, fig string, cv bool, splits int) error {
 	if splits > 1 {
-		return runSplits(cfg, splits)
+		return runSplits(ctx, cfg, splits)
 	}
-	return runFigures(cfg, fig, cv)
+	return runFigures(ctx, cfg, fig, cv)
 }
 
 // runSplits reports mean ± std of the headline methods across repeated
 // random entity splits (the paper's 10-split protocol, §VI-A).
-func runSplits(cfg eval.Config, n int) error {
+func runSplits(ctx context.Context, cfg eval.Config, n int) error {
 	fmt.Printf("== %s: %d random splits, headline methods (mean ± std of normalized F@3) ==\n",
 		cfg.Domain, n)
 	start := time.Now()
@@ -149,7 +154,7 @@ func runSplits(cfg eval.Config, n int) error {
 	}
 	for _, m := range []eval.Method{eval.MethodL2QBAL, eval.MethodL2QP, eval.MethodL2QR,
 		eval.MethodHR, eval.MethodMQ, eval.MethodLM} {
-		st, err := eval.RunMethodOverSplits(envs, m, 3, -1)
+		st, err := eval.RunMethodOverSplits(ctx, envs, m, 3, -1)
 		if err != nil {
 			return err
 		}
@@ -160,7 +165,7 @@ func runSplits(cfg eval.Config, n int) error {
 	return nil
 }
 
-func runFigures(cfg eval.Config, fig string, cv bool) error {
+func runFigures(ctx context.Context, cfg eval.Config, fig string, cv bool) error {
 	fmt.Printf("==================================================================\n")
 	fmt.Printf("Domain: %s  (%d entities × %d pages, domain graph sample %d, %d test)\n",
 		cfg.Domain, cfg.NumEntities, cfg.PagesPerEntity, cfg.DomainSample, cfg.NumTest)
@@ -174,7 +179,7 @@ func runFigures(cfg eval.Config, fig string, cv bool) error {
 		time.Since(start).Round(time.Millisecond), env.G.Corpus.NumPages())
 
 	if cv {
-		r0, scores, err := env.CrossValidateR0()
+		r0, scores, err := env.CrossValidateR0(ctx)
 		if err != nil {
 			return err
 		}
@@ -192,37 +197,37 @@ func runFigures(cfg eval.Config, fig string, cv bool) error {
 		printFig9(env)
 	}
 	if want("10") {
-		if err := printFig10(env); err != nil {
+		if err := printFig10(ctx, env); err != nil {
 			return err
 		}
 	}
 	if want("11") {
-		if err := printFig11(env); err != nil {
+		if err := printFig11(ctx, env); err != nil {
 			return err
 		}
 	}
 	if want("12") {
-		if err := printFig12(env); err != nil {
+		if err := printFig12(ctx, env); err != nil {
 			return err
 		}
 	}
 	if want("13") {
-		if err := printFig13(env); err != nil {
+		if err := printFig13(ctx, env); err != nil {
 			return err
 		}
 	}
 	if want("14") {
-		if err := printFig14(env); err != nil {
+		if err := printFig14(ctx, env); err != nil {
 			return err
 		}
 	}
 	if want("crawl") {
-		if err := printCrawl(env); err != nil {
+		if err := printCrawl(ctx, env); err != nil {
 			return err
 		}
 	}
 	if want("budget") {
-		if err := printBudget(env); err != nil {
+		if err := printBudget(ctx, env); err != nil {
 			return err
 		}
 	}
@@ -255,9 +260,9 @@ func printFig9CRF(env *eval.Env) {
 	fmt.Println()
 }
 
-func printFig10(env *eval.Env) error {
+func printFig10(ctx context.Context, env *eval.Env) error {
 	t0 := time.Now()
-	res, err := env.Fig10()
+	res, err := env.Fig10(ctx)
 	if err != nil {
 		return err
 	}
@@ -275,9 +280,9 @@ func printFig10(env *eval.Env) error {
 	return nil
 }
 
-func printFig11(env *eval.Env) error {
+func printFig11(ctx context.Context, env *eval.Env) error {
 	t0 := time.Now()
-	res, err := env.Fig11()
+	res, err := env.Fig11(ctx)
 	if err != nil {
 		return err
 	}
@@ -317,9 +322,9 @@ func printSeries(res eval.CompareResult, metric func(eval.PRF) float64, name str
 	}
 }
 
-func printFig12(env *eval.Env) error {
+func printFig12(ctx context.Context, env *eval.Env) error {
 	t0 := time.Now()
-	res, err := env.Fig12()
+	res, err := env.Fig12(ctx)
 	if err != nil {
 		return err
 	}
@@ -332,9 +337,9 @@ func printFig12(env *eval.Env) error {
 	return nil
 }
 
-func printFig13(env *eval.Env) error {
+func printFig13(ctx context.Context, env *eval.Env) error {
 	t0 := time.Now()
-	res, err := env.Fig13()
+	res, err := env.Fig13(ctx)
 	if err != nil {
 		return err
 	}
@@ -353,9 +358,9 @@ func printFig13(env *eval.Env) error {
 	return nil
 }
 
-func printCrawl(env *eval.Env) error {
+func printCrawl(ctx context.Context, env *eval.Env) error {
 	t0 := time.Now()
-	res, err := env.CompareCrawler()
+	res, err := env.CompareCrawler(ctx)
 	if err != nil {
 		return err
 	}
@@ -369,8 +374,8 @@ func printCrawl(env *eval.Env) error {
 	return nil
 }
 
-func printFig14(env *eval.Env) error {
-	res, err := env.Fig14()
+func printFig14(ctx context.Context, env *eval.Env) error {
+	res, err := env.Fig14(ctx)
 	if err != nil {
 		return err
 	}
@@ -386,12 +391,8 @@ func printFig14(env *eval.Env) error {
 
 // printBudget runs the fixed-vs-adaptive budget-allocation comparison
 // (the scheduler's BudgetPolicy) at the same global query spend.
-func printBudget(env *eval.Env) error {
+func printBudget(ctx context.Context, env *eval.Env) error {
 	t0 := time.Now()
-	// The command owns the context root; Ctrl-C cancels the scheduled
-	// harvests instead of abandoning them mid-batch.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	res, err := env.BudgetComparison(ctx, env.Cfg.NumQueries)
 	if err != nil {
 		return err

@@ -253,7 +253,10 @@ func main() {
 		// full budget in one go. Equal fired sequences prove the
 		// checkpoint/resume path reproduced the session exactly.
 		ref := sys.NewHarvester(target, a, dm)
-		refFired := ref.Run(sel, *queries)
+		refFired, err := ref.RunCtx(ctx, sel, *queries)
+		if err != nil {
+			fail(err)
+		}
 		if reflect.DeepEqual(refFired, h.Fired()) {
 			fmt.Printf("replaycheck: OK (%d queries match an uninterrupted run)\n", len(refFired))
 		} else {
@@ -282,11 +285,4 @@ func report(h *l2q.Harvester, sys *l2q.System, e *l2q.Entity, a l2q.Aspect, relU
 func fail(err error) {
 	fmt.Fprintf(os.Stderr, "l2qharvest: %v\n", err)
 	os.Exit(1)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,6 +21,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 	ids := sys.EntityIDs()
 	const aspect = l2q.Aspect("SAFETY")
 
@@ -37,14 +39,12 @@ func main() {
 
 	// Relevant universe for reporting (classifier-materialized Y,
 	// exactly what the paper treats as ground truth).
-	relevant := map[l2q.EntityID]bool{}
 	relUniverse := 0
 	for _, p := range sys.Corpus().PagesOf(target.ID) {
 		if sys.Relevant(aspect, p) {
 			relUniverse++
 		}
 	}
-	_ = relevant
 	fmt.Printf("the corpus holds %d %s-relevant pages for this model\n\n", relUniverse, aspect)
 
 	for _, tc := range []struct {
@@ -58,10 +58,12 @@ func main() {
 		{"MQ", l2q.NewMQFor(l2q.Cars, aspect), nil},
 	} {
 		h := sys.NewHarvester(target, aspect, tc.dm)
-		h.Bootstrap()
 		fmt.Printf("%s:\n", tc.name)
 		for i := 0; i < 3; i++ {
-			q, ok := h.Step(tc.sel)
+			q, ok, err := h.StepCtx(ctx, tc.sel)
+			if err != nil {
+				log.Fatal(err)
+			}
 			if !ok {
 				break
 			}

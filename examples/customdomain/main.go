@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand/v2"
@@ -57,7 +58,10 @@ func main() {
 
 	target := sys.Corpus().Entity(11)
 	h := sys.NewHarvester(target, "MENU", dm)
-	fired := h.Run(l2q.NewL2QBAL(), 2)
+	fired, err := h.RunCtx(context.Background(), l2q.NewL2QBAL(), 2)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nharvested %q MENU pages with queries %v:\n", target.Name, fired)
 	for _, p := range h.Pages() {
 		mark := " "

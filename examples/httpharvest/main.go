@@ -110,7 +110,10 @@ func main() {
 
 	// The ground truth: the same harvest with the in-process engine.
 	lh := sys.NewHarvesterSeeded(target, "RESEARCH", dm, 1)
-	localFired := lh.Run(l2q.NewL2QBAL(), 3)
+	localFired, err := lh.RunCtx(ctx, l2q.NewL2QBAL(), 3)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	same := len(localFired) == len(remoteFired) && len(jsonFired) == len(remoteFired)
 	for i := 0; same && i < len(localFired); i++ {

@@ -182,7 +182,10 @@ func main() {
 	}
 	for _, eid := range targets {
 		h := sys.NewHarvesterSeeded(sys.Corpus().Entity(eid), aspect, dm, uint64(eid)+1)
-		want := h.Run(l2q.NewL2QBAL(), nQueries)
+		want, err := h.RunCtx(ctx, l2q.NewL2QBAL(), nQueries)
+		if err != nil {
+			log.Fatal(err)
+		}
 		got := append([]string(nil), prior[eid]...)
 		got = append(got, resumedFired[eid]...)
 		wantS := make([]string, len(want))

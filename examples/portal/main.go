@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -55,7 +56,9 @@ func main() {
 		p := profile{entity: e, snippets: make(map[l2q.Aspect][]string)}
 		for _, a := range aspects {
 			h := sys.NewHarvester(e, a, models[a])
-			h.Run(l2q.NewL2QBAL(), 2)
+			if _, err := h.RunCtx(context.Background(), l2q.NewL2QBAL(), 2); err != nil {
+				log.Fatal(err)
+			}
 			p.snippets[a] = bestSnippets(sys, a, h.Pages(), 2)
 		}
 		profiles = append(profiles, p)

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,12 +39,18 @@ func main() {
 	target := sys.Corpus().Entity(ids[len(ids)-1])
 	fmt.Printf("\nharvesting %q (seed query %q)\n", target.Name, target.SeedQuery)
 
+	ctx := context.Background()
 	h := sys.NewHarvester(target, "RESEARCH", dm)
-	h.Bootstrap()
+	if _, err := h.BootstrapCtx(ctx); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("seed retrieved %d pages\n", len(h.Pages()))
 
 	for i := 0; i < 3; i++ {
-		q, ok := h.Step(l2q.NewL2QBAL())
+		q, ok, err := h.StepCtx(ctx, l2q.NewL2QBAL())
+		if err != nil {
+			log.Fatal(err)
+		}
 		if !ok {
 			break
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -66,7 +67,10 @@ func main() {
 		{"L2QP (full approach)", l2q.NewL2QP(), dm},
 	} {
 		h := sys.NewHarvester(target, aspect, tc.dm)
-		fired := h.Run(tc.sel, 3)
+		fired, err := h.RunCtx(context.Background(), tc.sel, 3)
+		if err != nil {
+			log.Fatal(err)
+		}
 		rel, own := 0, 0
 		for _, p := range h.Pages() {
 			if p.Entity == target.ID {
@@ -79,11 +83,4 @@ func main() {
 		fmt.Printf("\n%s\n  queries: %v\n  gathered %d pages (%d of the entity, %d relevant)\n",
 			tc.name, fired, len(h.Pages()), own, rel)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

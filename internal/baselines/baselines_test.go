@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"testing"
 
 	"l2q/internal/classify"
@@ -53,7 +54,7 @@ func (f *fixture) session() *core.Session {
 func TestLMSelectsFromRelevantPage(t *testing.T) {
 	f := newFixture(t)
 	s := f.session()
-	fired := s.Run(NewLM(), 3)
+	fired := mustRun(t, s, NewLM(), 3)
 	if len(fired) != 3 {
 		t.Fatalf("LM fired %d queries", len(fired))
 	}
@@ -69,7 +70,9 @@ func TestLMSelectsFromRelevantPage(t *testing.T) {
 func TestAQPrefersRelevantDF(t *testing.T) {
 	f := newFixture(t)
 	s := f.session()
-	s.Bootstrap()
+	if _, err := s.BootstrapCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	sel, ok := NewAQ().Select(s)
 	if !ok {
 		t.Fatal("AQ found nothing")
@@ -91,7 +94,7 @@ func TestAQPrefersRelevantDF(t *testing.T) {
 func TestAQRunsFullHarvest(t *testing.T) {
 	f := newFixture(t)
 	s := f.session()
-	if fired := s.Run(NewAQ(), 3); len(fired) != 3 {
+	if fired := mustRun(t, s, NewAQ(), 3); len(fired) != 3 {
 		t.Fatalf("AQ fired %d queries", len(fired))
 	}
 }
@@ -114,7 +117,7 @@ func TestHRTrainAndSelect(t *testing.T) {
 		t.Fatal("HR has no domain candidates")
 	}
 	s := f.session()
-	if fired := s.Run(NewHR(model), 3); len(fired) != 3 {
+	if fired := mustRun(t, s, NewHR(model), 3); len(fired) != 3 {
 		t.Fatalf("HR fired %d queries", len(fired))
 	}
 }
@@ -130,7 +133,7 @@ func TestMQFiresCuratedInOrder(t *testing.T) {
 	f := newFixture(t)
 	s := f.session()
 	want := ManualQueries(synth.DomainResearchers, synth.AspResearch)
-	fired := s.Run(NewMQFor(synth.DomainResearchers, synth.AspResearch), 3)
+	fired := mustRun(t, s, NewMQFor(synth.DomainResearchers, synth.AspResearch), 3)
 	if len(fired) != 3 {
 		t.Fatalf("MQ fired %d queries", len(fired))
 	}
@@ -144,7 +147,7 @@ func TestMQFiresCuratedInOrder(t *testing.T) {
 func TestMQExhausts(t *testing.T) {
 	f := newFixture(t)
 	s := f.session()
-	fired := s.Run(NewMQFor(synth.DomainResearchers, synth.AspResearch), 10)
+	fired := mustRun(t, s, NewMQFor(synth.DomainResearchers, synth.AspResearch), 10)
 	if len(fired) != 5 {
 		t.Fatalf("MQ fired %d queries, want exactly its 5 curated ones", len(fired))
 	}
@@ -191,4 +194,15 @@ func TestSortQueriesHelper(t *testing.T) {
 	if qs[0] != "a" || qs[2] != "c" {
 		t.Fatalf("sortQueries = %v", qs)
 	}
+}
+
+// mustRun is RunCtx over an engine that cannot fail: any error fails the
+// test.
+func mustRun(t testing.TB, s *core.Session, sel core.Selector, n int) []core.Query {
+	t.Helper()
+	fired, err := s.RunCtx(context.Background(), sel, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fired
 }

@@ -16,12 +16,12 @@ import "testing"
 func BenchmarkCandidateAllocs(b *testing.B) {
 	env := benchEnvFor(b, benchDomains[0].domain, benchDomains[0].aspect)
 	s := env.session()
-	s.Bootstrap()
+	mustBoot(b, s)
 	for _, q := range env.prefix {
 		if len(s.Candidates(true)) == 0 {
 			b.Fatal("pool ran dry during replay")
 		}
-		s.Fire(q)
+		mustFire(b, s, q)
 	}
 	if len(s.Candidates(true)) == 0 { // absorb the final fire's delta
 		b.Fatal("empty pool")
@@ -59,12 +59,12 @@ func BenchmarkSelectAllocs(b *testing.B) {
 	env := benchEnvFor(b, benchDomains[0].domain, benchDomains[0].aspect)
 	s := env.session()
 	sel := NewL2QBAL()
-	s.Bootstrap()
+	mustBoot(b, s)
 	for _, q := range env.prefix {
 		if _, ok := sel.Select(s); !ok {
 			b.Fatal("pool ran dry during replay")
 		}
-		s.Fire(q)
+		mustFire(b, s, q)
 	}
 	if _, ok := sel.Select(s); !ok { // absorb the final fire's delta
 		b.Fatal("empty pool")
@@ -93,7 +93,7 @@ func BenchmarkHarvestJobAllocs(b *testing.B) {
 	env := benchEnvFor(b, benchDomains[0].domain, benchDomains[0].aspect)
 	sel := NewL2QBAL()
 	job := func() {
-		if fired := env.session().Run(sel, 5); len(fired) != 5 {
+		if fired := mustRun(b, env.session(), sel, 5); len(fired) != 5 {
 			b.Fatalf("fired %d of 5 queries", len(fired))
 		}
 	}

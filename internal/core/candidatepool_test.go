@@ -18,7 +18,7 @@ func TestCandidatePoolMatchesReference(t *testing.T) {
 	for domain, f := range diffDomains(t) {
 		t.Run(domain, func(t *testing.T) {
 			s := f.sessionWith(f.diffConfig(), f.dm)
-			s.Bootstrap()
+			mustBoot(t, s)
 			for step := 0; step <= steps; step++ {
 				for _, useDomain := range []bool{true, false} {
 					got := s.Candidates(useDomain)
@@ -37,7 +37,7 @@ func TestCandidatePoolMatchesReference(t *testing.T) {
 				if len(cands) == 0 {
 					break
 				}
-				s.Fire(cands[0])
+				mustFire(t, s, cands[0])
 			}
 		})
 	}
@@ -49,7 +49,7 @@ func TestCandidatePoolMatchesReference(t *testing.T) {
 func TestCandidatePoolSignatureSwitch(t *testing.T) {
 	f := newDiffFixture(t, synth.DomainResearchers, synth.AspResearch)
 	s := f.sessionWith(f.diffConfig(), f.dm)
-	s.Bootstrap()
+	mustBoot(t, s)
 	for i := 0; i < 3; i++ {
 		withDM := s.Candidates(true)
 		if want := s.CandidatesReference(true); !reflect.DeepEqual(withDM, want) {
@@ -62,7 +62,7 @@ func TestCandidatePoolSignatureSwitch(t *testing.T) {
 		if len(withDM) < len(withoutDM) {
 			t.Fatalf("iteration %d: domain pool smaller than page pool", i)
 		}
-		s.Fire(withDM[0])
+		mustFire(t, s, withDM[0])
 	}
 }
 
@@ -72,10 +72,10 @@ func TestCandidatePoolSignatureSwitch(t *testing.T) {
 func TestCandidatePoolEmitIsolated(t *testing.T) {
 	f := newDiffFixture(t, synth.DomainResearchers, synth.AspResearch)
 	s := f.sessionWith(f.diffConfig(), f.dm)
-	s.Bootstrap()
+	mustBoot(t, s)
 	before := s.Candidates(true)
 	snapshot := append([]Query(nil), before...)
-	s.Fire(before[0])
+	mustFire(t, s, before[0])
 	s.Candidates(true) // sync the pool past the fire
 	if !reflect.DeepEqual(before, snapshot) {
 		t.Fatal("pool sync mutated a previously emitted candidate slice")
@@ -90,17 +90,14 @@ func TestCandidatePoolResumeParity(t *testing.T) {
 		t.Run(domain, func(t *testing.T) {
 			cfg := f.diffConfig()
 			live := f.sessionWith(cfg, f.dm)
-			live.Bootstrap()
+			mustBoot(t, live)
 			for i := 0; i < 3; i++ {
 				cands := live.Candidates(true)
 				if len(cands) == 0 {
 					t.Fatal("pool ran dry")
 				}
-				live.Fire(cands[i%len(cands)])
+				mustFire(t, live, cands[i%len(cands)])
 			}
-			// Raw Fire skips the context refresh Step performs; refresh
-			// before snapshotting so the checkpoint anchors are current.
-			live.updateContext()
 			cp := live.Snapshot()
 
 			resumed := f.sessionWith(cfg, f.dm)
@@ -126,7 +123,7 @@ func TestCandidatePoolResumeParity(t *testing.T) {
 func TestCandidatePoolFiredNeverReappears(t *testing.T) {
 	f := newDiffFixture(t, synth.DomainResearchers, synth.AspResearch)
 	s := f.sessionWith(f.diffConfig(), f.dm)
-	s.Bootstrap()
+	mustBoot(t, s)
 
 	cands := s.Candidates(true)
 	pageQ := cands[0]
@@ -143,9 +140,9 @@ func TestCandidatePoolFiredNeverReappears(t *testing.T) {
 			break
 		}
 	}
-	s.Fire(pageQ)
+	mustFire(t, s, pageQ)
 	if domainQ != "" {
-		s.Fire(domainQ)
+		mustFire(t, s, domainQ)
 	}
 	for step := 0; step < 3; step++ {
 		cands := s.Candidates(true)
@@ -160,6 +157,6 @@ func TestCandidatePoolFiredNeverReappears(t *testing.T) {
 		if len(cands) == 0 {
 			break
 		}
-		s.Fire(cands[len(cands)/2])
+		mustFire(t, s, cands[len(cands)/2])
 	}
 }

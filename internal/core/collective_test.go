@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -53,10 +55,10 @@ func TestClamp01(t *testing.T) {
 func TestCollectiveRedundancyOrdering(t *testing.T) {
 	f := newFixture(t)
 	s := f.session(f.dm)
-	s.Bootstrap()
+	mustBoot(t, s)
 	// Advance the context so R(Φ) is non-trivial.
 	for i := 0; i < 2; i++ {
-		if _, ok := s.Step(NewL2QR()); !ok {
+		if _, ok := mustStep(t, s, NewL2QR()); !ok {
 			t.Fatal("step failed")
 		}
 	}
@@ -94,7 +96,7 @@ func TestCollectiveRedundancyOrdering(t *testing.T) {
 func TestCollectiveFloor(t *testing.T) {
 	f := newFixture(t)
 	s := f.session(f.dm)
-	s.Bootstrap()
+	mustBoot(t, s)
 	inf, err := s.Infer(InferOptions{UseTemplates: true, UseDomainCandidates: true, Utilities: UtilCollective})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +121,7 @@ func TestUseWalkRecallRegRuns(t *testing.T) {
 		cfg.Tokenizer = f.g.Tokenizer
 		cfg.UseWalkRecallReg = walk
 		s := NewSession(cfg, f.engine, f.target, "RESEARCH", f.y, f.dm, f.rec, 3)
-		s.Bootstrap()
+		mustBoot(t, s)
 		inf, err := s.Infer(InferOptions{UseTemplates: true, Utilities: UtilRecall})
 		if err != nil {
 			t.Fatal(err)
@@ -139,10 +141,10 @@ func TestContextStateMonotone(t *testing.T) {
 	// R(Φ) and R*(Φ) are derived from gathered pages, which only grow.
 	f := newFixture(t)
 	s := f.session(f.dm)
-	s.Bootstrap()
+	mustBoot(t, s)
 	prevR := s.RPhi()
 	for i := 0; i < 4; i++ {
-		if _, ok := s.Step(NewL2QBAL()); !ok {
+		if _, ok := mustStep(t, s, NewL2QBAL()); !ok {
 			break
 		}
 		if s.RPhi() < prevR-1e-12 {
@@ -152,12 +154,24 @@ func TestContextStateMonotone(t *testing.T) {
 	}
 }
 
+// TestSessionErrorf: an entity name comes from outside the program (POST
+// /api/v1/ingest registers it verbatim), so format verbs in it stay
+// literal in a session error and the wrapped transport error stays
+// reachable.
 func TestSessionErrorf(t *testing.T) {
 	f := newFixture(t)
 	s := f.session(nil)
-	err := s.Errorf("boom %d", 7)
-	if err == nil || err.Error() == "" {
-		t.Fatal("Errorf returned nothing")
+	e := *f.target
+	e.Name = "100%d %w"
+	s.Entity = &e
+	sentinel := errors.New("transport down")
+	s.Engine = erroringRetriever{Retriever: f.engine, err: sentinel}
+	err := s.Resume(context.Background(), Checkpoint{Entity: e.ID, Aspect: s.Aspect, Booted: true})
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("err = %v, want the transport error", err)
+	}
+	if want := "l2q[100%d %w/" + string(s.Aspect) + "]: replay seed query: transport down"; err.Error() != want {
+		t.Errorf("err = %q, want %q", err.Error(), want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -64,6 +65,46 @@ func (f *fixture) session(dm *DomainModel) *Session {
 	cfg := DefaultConfig()
 	cfg.Tokenizer = f.g.Tokenizer
 	return NewSession(cfg, f.engine, f.target, synth.AspResearch, f.y, dm, f.rec, 42)
+}
+
+// The must* helpers drive a session through its ctx forms over an engine
+// that cannot fail: any error fails the test.
+
+func mustBoot(t testing.TB, s *Session) int {
+	t.Helper()
+	n, err := s.BootstrapCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+func mustStep(t testing.TB, s *Session, sel Selector) (Query, bool) {
+	t.Helper()
+	q, ok, err := s.StepCtx(context.Background(), sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q, ok
+}
+
+func mustRun(t testing.TB, s *Session, sel Selector, n int) []Query {
+	t.Helper()
+	fired, err := s.RunCtx(context.Background(), sel, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fired
+}
+
+// mustFire fires q as if a selector had chosen it: fetch, then ingest.
+func mustFire(t testing.TB, s *Session, q Query) int {
+	t.Helper()
+	res, err := s.FetchQueryCtx(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.IngestQuery(q, res)
 }
 
 func TestQueryTokensRoundTripsPhrases(t *testing.T) {
@@ -137,7 +178,7 @@ func TestLearnDomainValidation(t *testing.T) {
 func TestBootstrapRetrievesOwnPages(t *testing.T) {
 	f := newFixture(t)
 	s := f.session(f.dm)
-	n := s.Bootstrap()
+	n := mustBoot(t, s)
 	if n == 0 {
 		t.Fatal("seed query retrieved nothing")
 	}
@@ -146,15 +187,15 @@ func TestBootstrapRetrievesOwnPages(t *testing.T) {
 			t.Fatalf("seed retrieved foreign page (entity %d)", p.Entity)
 		}
 	}
-	if again := s.Bootstrap(); again != 0 {
-		t.Fatal("Bootstrap not idempotent")
+	if again := mustBoot(t, s); again != 0 {
+		t.Fatal("BootstrapCtx not idempotent")
 	}
 }
 
 func TestInferBasicUtilities(t *testing.T) {
 	f := newFixture(t)
 	s := f.session(nil) // no domain model
-	s.Bootstrap()
+	mustBoot(t, s)
 	inf, err := s.Infer(InferOptions{Utilities: UtilPrecision | UtilRecall})
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +222,7 @@ func TestInferBasicUtilities(t *testing.T) {
 func TestInferCollectiveBounds(t *testing.T) {
 	f := newFixture(t)
 	s := f.session(f.dm)
-	s.Bootstrap()
+	mustBoot(t, s)
 	inf, err := s.Infer(InferOptions{UseTemplates: true, UseDomainCandidates: true, Utilities: UtilCollective})
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +254,7 @@ func TestInferCollectiveBounds(t *testing.T) {
 func TestDomainCandidatesExtendPool(t *testing.T) {
 	f := newFixture(t)
 	s := f.session(f.dm)
-	s.Bootstrap()
+	mustBoot(t, s)
 	without := s.candidateQueries(false)
 	with := s.candidateQueries(true)
 	if len(with) <= len(without) {
@@ -229,7 +270,7 @@ func TestAllStrategiesRun(t *testing.T) {
 	}
 	for _, sel := range sels {
 		s := f.session(f.dm)
-		fired := s.Run(sel, 3)
+		fired := mustRun(t, s, sel, 3)
 		if len(fired) != 3 {
 			t.Errorf("%s fired %d queries, want 3", sel.Name(), len(fired))
 			continue
@@ -263,7 +304,7 @@ func TestStrategyNames(t *testing.T) {
 func TestDomainQueryStrategyNeedsDomain(t *testing.T) {
 	f := newFixture(t)
 	s := f.session(nil)
-	s.Bootstrap()
+	mustBoot(t, s)
 	if _, ok := NewPQ().Select(s); ok {
 		t.Fatal("P+q selected without a domain model")
 	}
@@ -271,8 +312,8 @@ func TestDomainQueryStrategyNeedsDomain(t *testing.T) {
 
 func TestL2QPDeterministic(t *testing.T) {
 	f := newFixture(t)
-	a := f.session(f.dm).Run(NewL2QP(), 3)
-	b := f.session(f.dm).Run(NewL2QP(), 3)
+	a := mustRun(t, f.session(f.dm), NewL2QP(), 3)
+	b := mustRun(t, f.session(f.dm), NewL2QP(), 3)
 	if len(a) != len(b) {
 		t.Fatal("run lengths differ")
 	}
@@ -286,9 +327,9 @@ func TestL2QPDeterministic(t *testing.T) {
 func TestCollectiveStateAdvances(t *testing.T) {
 	f := newFixture(t)
 	s := f.session(f.dm)
-	s.Bootstrap()
+	mustBoot(t, s)
 	before := s.RPhi()
-	if _, ok := s.Step(NewL2QR()); !ok {
+	if _, ok := mustStep(t, s, NewL2QR()); !ok {
 		t.Fatal("step failed")
 	}
 	after := s.RPhi()
@@ -300,12 +341,12 @@ func TestCollectiveStateAdvances(t *testing.T) {
 func TestStepSkipsExhaustedSelector(t *testing.T) {
 	f := newFixture(t)
 	s := f.session(f.dm)
-	s.Bootstrap()
+	mustBoot(t, s)
 	// Exhaust P+q by marking every ranked domain query as fired.
 	for _, q := range f.dm.TopQueriesByP(len(f.dm.QueryP)) {
 		s.firedSet[q] = struct{}{}
 	}
-	if _, ok := s.Step(NewPQ()); ok {
+	if _, ok := mustStep(t, s, NewPQ()); ok {
 		t.Fatal("exhausted selector still selected")
 	}
 }
@@ -313,9 +354,9 @@ func TestStepSkipsExhaustedSelector(t *testing.T) {
 func TestFireTracksContext(t *testing.T) {
 	f := newFixture(t)
 	s := f.session(f.dm)
-	s.Bootstrap()
+	mustBoot(t, s)
 	nPages := len(s.Pages())
-	s.Fire(Query("parallel computing"))
+	mustFire(t, s, Query("parallel computing"))
 	if len(s.Fired()) != 1 || s.Fired()[0] != "parallel computing" {
 		t.Fatalf("Fired = %v", s.Fired())
 	}
@@ -323,7 +364,7 @@ func TestFireTracksContext(t *testing.T) {
 		t.Fatal("pages shrank")
 	}
 	if s.SelectionTime() != 0 {
-		t.Fatal("Fire must not account selection time")
+		t.Fatal("firing a chosen query must not account selection time")
 	}
 }
 

@@ -26,8 +26,8 @@ func outcome(s *Session, fired []Query) harvestOutcome {
 	return o
 }
 
-func runOutcome(s *Session, sel Selector, n int) harvestOutcome {
-	return outcome(s, s.Run(sel, n))
+func runOutcome(t testing.TB, s *Session, sel Selector, n int) harvestOutcome {
+	return outcome(s, mustRun(t, s, sel, n))
 }
 
 // TestDemandDrivenSelectionEquivalence is the bar of demand-driven
@@ -50,8 +50,8 @@ func TestDemandDrivenSelectionEquivalence(t *testing.T) {
 				everything := sel.(utilitySelector)
 				everything.reads = UtilAll
 
-				demand := runOutcome(f.sessionWith(f.diffConfig(), f.dm), sel, steps)
-				all := runOutcome(f.sessionWith(f.diffConfig(), f.dm), everything, steps)
+				demand := runOutcome(t, f.sessionWith(f.diffConfig(), f.dm), sel, steps)
+				all := runOutcome(t, f.sessionWith(f.diffConfig(), f.dm), everything, steps)
 				refSession := f.sessionWith(f.diffConfig(), f.dm)
 				ref := outcome(refSession, referenceRun(t, refSession, sel, steps))
 				if len(demand.fired) != steps {
@@ -85,10 +85,9 @@ func divergesAtTie(t *testing.T, ref *Session, sel utilitySelector, a, b []Query
 	if k == len(a) || k == len(b) {
 		return false
 	}
-	ref.Bootstrap()
+	mustBoot(t, ref)
 	for _, q := range a[:k] {
-		ref.Fire(q)
-		ref.updateContext()
+		mustFire(t, ref, q)
 	}
 	inf, err := ref.InferReference(sel.inferOptions())
 	if err != nil {
@@ -117,8 +116,8 @@ func TestInferComputesOnlyRequested(t *testing.T) {
 		for _, path := range []string{"incremental", "reference"} {
 			t.Run(fmt.Sprintf("%03b/%s", u, path), func(t *testing.T) {
 				s := f.session(f.dm)
-				s.Bootstrap()
-				s.Fire("parallel computing")
+				mustBoot(t, s)
+				mustFire(t, s, "parallel computing")
 				infer := s.Infer
 				if path == "reference" {
 					infer = s.InferReference
@@ -178,8 +177,8 @@ func TestSwitchingRequestsMatchesReference(t *testing.T) {
 		t.Run(domain, func(t *testing.T) {
 			inc := f.sessionWith(f.diffConfig(), f.dm)
 			ref := f.sessionWith(f.diffConfig(), f.dm)
-			inc.Bootstrap()
-			ref.Bootstrap()
+			mustBoot(t, inc)
+			mustBoot(t, ref)
 			for step, opts := range schedule {
 				a, err := inc.Infer(opts)
 				if err != nil {
@@ -193,8 +192,8 @@ func TestSwitchingRequestsMatchesReference(t *testing.T) {
 				// Fire the candidate a fixed stride into the pool: the
 				// schedule, not a utility, drives this session.
 				pick := b.Queries[(7*step+3)%len(b.Queries)]
-				inc.Fire(pick)
-				ref.Fire(pick)
+				mustFire(t, inc, pick)
+				mustFire(t, ref, pick)
 			}
 		})
 	}

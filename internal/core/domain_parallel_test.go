@@ -145,8 +145,8 @@ func TestLearnDomainHarvestParity(t *testing.T) {
 			}
 			diff := diffDomains(t)[domain]
 			sel := NewL2QBAL()
-			fired := diff.sessionWith(diff.diffConfig(), par).Run(sel, 3)
-			want := diff.sessionWith(diff.diffConfig(), ref).Run(sel, 3)
+			fired := mustRun(t, diff.sessionWith(diff.diffConfig(), par), sel, 3)
+			want := mustRun(t, diff.sessionWith(diff.diffConfig(), ref), sel, 3)
 			if !reflect.DeepEqual(fired, want) {
 				t.Fatalf("parallel model fired %v, reference model fired %v", fired, want)
 			}

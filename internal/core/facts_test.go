@@ -92,8 +92,8 @@ func TestSharedCandidateFactsMatchUncached(t *testing.T) {
 	// still exactly the uncached ones.
 	other := core.NewSession(cfg, engine, g.Corpus.Entities[n-1], aspect, y, dm,
 		types.NewRegexRecognizer(), 1)
-	if fired := other.Run(core.NewL2QBAL(), 2); len(fired) == 0 {
-		t.Fatal("session with its own recognizer fired nothing")
+	if fired, err := other.RunCtx(context.Background(), core.NewL2QBAL(), 2); err != nil || len(fired) == 0 {
+		t.Fatalf("session with its own recognizer fired %v (err %v)", fired, err)
 	}
 	if _, shared, memo, err := other.VerifyCandidateFacts(); err != nil || shared != 0 || memo != 0 {
 		t.Fatalf("other recognizer: shared=%d memo=%d err=%v (want unshared, exact)", shared, memo, err)

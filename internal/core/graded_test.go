@@ -50,7 +50,7 @@ func TestGradedYBinaryEquivalence(t *testing.T) {
 		runWith := func(score func(*corpus.Page) float64) ([]Query, *Inference) {
 			s := NewSession(cfg, f.engine, f.target, synth.AspResearch, f.y, dmBinary, f.rec, 42)
 			s.YScore = score
-			fired := s.Run(sel, 3)
+			fired := mustRun(t, s, sel, 3)
 			inf, err := s.Infer(allUtilities)
 			if err != nil {
 				t.Fatal(err)
@@ -88,7 +88,7 @@ func TestGradedYFromClassifierScores(t *testing.T) {
 	}
 	s := NewSession(cfg, f.engine, f.target, synth.AspResearch, f.y, dm, f.rec, 42)
 	s.YScore = cls.PageScore
-	fired := s.Run(NewL2QBAL(), 3)
+	fired := mustRun(t, s, NewL2QBAL(), 3)
 	if len(fired) == 0 {
 		t.Fatal("graded harvest selected nothing")
 	}
@@ -106,7 +106,7 @@ func TestGradedYFromClassifierScores(t *testing.T) {
 	// Reference: the binary model on the same target. Graded scores must
 	// not collapse the harvest — within one relevant page of binary.
 	ref := NewSession(cfg, f.engine, f.target, synth.AspResearch, f.y, f.dm, f.rec, 42)
-	ref.Run(NewL2QBAL(), 3)
+	mustRun(t, ref, NewL2QBAL(), 3)
 	binary := relOf(ref.Pages())
 	if graded < binary-1 {
 		t.Errorf("graded harvest collapsed: %d relevant vs binary's %d", graded, binary)

@@ -107,8 +107,8 @@ func TestIncrementalMatchesReference(t *testing.T) {
 			t.Run(domain+"/"+tc.name, func(t *testing.T) {
 				inc := f.sessionWith(f.diffConfig(), f.dm)
 				ref := f.sessionWith(f.diffConfig(), f.dm)
-				inc.Bootstrap()
-				ref.Bootstrap()
+				mustBoot(t, inc)
+				mustBoot(t, ref)
 
 				for step := 0; step < steps; step++ {
 					a, err := inc.Infer(tc.opts)
@@ -143,8 +143,8 @@ func TestIncrementalMatchesReference(t *testing.T) {
 
 					// Fire the reference's top-R choice on both sessions.
 					pick := b.Queries[b.ArgMax(b.R)]
-					inc.Fire(pick)
-					ref.Fire(pick)
+					mustFire(t, inc, pick)
+					mustFire(t, ref, pick)
 				}
 			})
 		}
@@ -167,14 +167,14 @@ func compareVec(t *testing.T, step int, name string, a, b []float64, maxDrift fl
 	}
 }
 
-// referenceRun is Session.Run with every selection made by the
+// referenceRun is Session.RunCtx with every selection made by the
 // from-scratch oracle: InferReference under the selector's own
 // InferOptions, the arg-max of the selector's own score, fire. P+q and R+q
 // rank the domain model's queries without inferring, so they have no
 // oracle to differ from and select as shipped.
 func referenceRun(t *testing.T, s *Session, sel Selector, n int) []Query {
 	t.Helper()
-	s.Bootstrap()
+	mustBoot(t, s)
 	var fired []Query
 	for len(fired) < n {
 		var pick Query
@@ -195,8 +195,7 @@ func referenceRun(t *testing.T, s *Session, sel Selector, n int) []Query {
 			}
 			pick = choice.Query
 		}
-		s.Fire(pick)
-		s.updateContext()
+		mustFire(t, s, pick)
 		fired = append(fired, pick)
 	}
 	return fired
@@ -213,7 +212,7 @@ func TestIncrementalSelectionsMatchReference(t *testing.T) {
 		for _, mk := range selectors {
 			sel := mk()
 			t.Run(domain+"/"+sel.Name(), func(t *testing.T) {
-				fired := f.sessionWith(f.diffConfig(), f.dm).Run(sel, 3)
+				fired := mustRun(t, f.sessionWith(f.diffConfig(), f.dm), sel, 3)
 				want := referenceRun(t, f.sessionWith(f.diffConfig(), f.dm), sel, 3)
 				if !reflect.DeepEqual(fired, want) {
 					t.Fatalf("fired %v, reference fired %v", fired, want)
@@ -233,7 +232,7 @@ func TestIncrementalGraphReuse(t *testing.T) {
 	f := newDiffFixture(t, synth.DomainResearchers, synth.AspResearch)
 	cfg := f.diffConfig()
 	s := f.sessionWith(cfg, f.dm)
-	s.Bootstrap()
+	mustBoot(t, s)
 	opts := allUtilities
 	if _, err := s.Infer(opts); err != nil {
 		t.Fatal(err)
@@ -258,7 +257,7 @@ func TestIncrementalGraphReuse(t *testing.T) {
 	// Fire the top candidate: its vertex must be detached, not the graph
 	// rebuilt, and the node count may only grow (new pages/candidates).
 	pick := inf.Queries[inf.ArgMax(inf.R)]
-	s.Fire(pick)
+	mustFire(t, s, pick)
 	if _, err := s.Infer(opts); err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +304,7 @@ func TestIncrementalGraphReuse(t *testing.T) {
 func TestCollectiveBuildsNoGraph(t *testing.T) {
 	f := newDiffFixture(t, synth.DomainResearchers, synth.AspResearch)
 	s := f.sessionWith(f.diffConfig(), f.dm)
-	if fired := s.Run(NewL2QBAL(), 5); len(fired) != 5 {
+	if fired := mustRun(t, s, NewL2QBAL(), 5); len(fired) != 5 {
 		t.Fatalf("fired %d of 5 queries", len(fired))
 	}
 	table := s.sg

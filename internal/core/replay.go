@@ -93,7 +93,7 @@ const anchorTol = 1e-9
 // session must be newly created with the same configuration, engine,
 // entity, aspect, Y, domain model and recognizer. A mid-bootstrap
 // checkpoint (Booted false, nothing fired) resumes as a valid fresh
-// session without firing the seed — the next Step or the pipeline
+// session without firing the seed — the next StepCtx or the pipeline
 // scheduler bootstraps it.
 //
 // The replay retrieves through ctx: over a network retriever a canceled
@@ -102,32 +102,31 @@ const anchorTol = 1e-9
 // A session whose Resume failed is partially replayed; discard it.
 func (s *Session) Resume(ctx context.Context, cp Checkpoint) error {
 	if s.bootOnce {
-		return s.Errorf("resume into a used session")
+		return s.errorf("resume into a used session")
 	}
 	if cp.Entity != s.Entity.ID || cp.Aspect != s.Aspect {
-		return s.Errorf("checkpoint is for entity %d aspect %s", cp.Entity, cp.Aspect)
+		return s.errorf("checkpoint is for entity %d aspect %s", cp.Entity, cp.Aspect)
 	}
 	if !cp.booted() {
 		return nil // mid-bootstrap snapshot: nothing to replay
 	}
 	if _, err := s.BootstrapCtx(ctx); err != nil {
-		return s.Errorf("replay seed query: %w", err)
+		return s.errorf("replay seed query: %w", err)
 	}
 	for i, q := range cp.Fired {
 		res, err := s.FetchQueryCtx(ctx, q)
 		if err != nil {
-			return s.Errorf("replay query %d %q: %w", i+1, q, err)
+			return s.errorf("replay query %d %q: %w", i+1, q, err)
 		}
-		s.ingestNoContext(q, res)
+		s.ingest(q, res)
 	}
-	s.updateContext()
 	if len(s.pages) != len(cp.PageIDs) {
-		return s.Errorf("replay gathered %d pages, checkpoint has %d (corpus changed?)",
+		return s.errorf("replay gathered %d pages, checkpoint has %d (corpus changed?)",
 			len(s.pages), len(cp.PageIDs))
 	}
 	for i, p := range s.pages {
 		if p.ID != cp.PageIDs[i] {
-			return s.Errorf("replay page %d is %d, checkpoint has %d (corpus changed?)",
+			return s.errorf("replay page %d is %d, checkpoint has %d (corpus changed?)",
 				i, p.ID, cp.PageIDs[i])
 		}
 	}
@@ -135,10 +134,10 @@ func (s *Session) Resume(ctx context.Context, cp Checkpoint) error {
 	// before the fields existed carry none, and a genuinely-zero recall
 	// is implied by the (already verified) page replay.
 	if cp.RPhi != 0 && math.Abs(s.rPhi-cp.RPhi) > anchorTol {
-		return s.Errorf("replay R_E(Φ) %.12f, checkpoint has %.12f (model changed?)", s.rPhi, cp.RPhi)
+		return s.errorf("replay R_E(Φ) %.12f, checkpoint has %.12f (model changed?)", s.rPhi, cp.RPhi)
 	}
 	if cp.RStarPhi != 0 && math.Abs(s.rStarPhi-cp.RStarPhi) > anchorTol {
-		return s.Errorf("replay R*_E(Φ) %.12f, checkpoint has %.12f (model changed?)", s.rStarPhi, cp.RStarPhi)
+		return s.errorf("replay R*_E(Φ) %.12f, checkpoint has %.12f (model changed?)", s.rStarPhi, cp.RStarPhi)
 	}
 	return nil
 }

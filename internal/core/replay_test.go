@@ -28,7 +28,7 @@ func TestCheckpointResume(t *testing.T) {
 		t.Run(sel.Name(), func(t *testing.T) {
 			// Reference: one uninterrupted session, 4 queries.
 			ref := f.session(f.dm)
-			refFired := ref.Run(sel, 4)
+			refFired := mustRun(t, ref, sel, 4)
 			if len(refFired) < 3 {
 				t.Fatalf("reference fired only %v", refFired)
 			}
@@ -36,7 +36,7 @@ func TestCheckpointResume(t *testing.T) {
 			// Interrupted: 2 queries, checkpoint, serialize, deserialize,
 			// resume, 2 more queries.
 			first := f.session(f.dm)
-			first.Run(sel, 2)
+			mustRun(t, first, sel, 2)
 			var buf bytes.Buffer
 			if err := first.Snapshot().Encode(&buf); err != nil {
 				t.Fatal(err)
@@ -50,7 +50,7 @@ func TestCheckpointResume(t *testing.T) {
 			if err := resumed.Resume(context.Background(), cp); err != nil {
 				t.Fatal(err)
 			}
-			more := resumed.Run(sel, 2)
+			more := mustRun(t, resumed, sel, 2)
 
 			got := append(append([]Query(nil), cp.Fired...), more...)
 			if !reflect.DeepEqual(got, refFired) {
@@ -85,7 +85,7 @@ func TestCheckpointResume(t *testing.T) {
 func TestResumeValidation(t *testing.T) {
 	f := newFixture(t)
 	s := f.session(f.dm)
-	s.Run(NewP(), 1)
+	mustRun(t, s, NewP(), 1)
 	cp := s.Snapshot()
 	if cp.Aspect != synth.AspResearch || len(cp.Fired) != 1 {
 		t.Fatalf("implausible checkpoint %+v", cp)
@@ -134,7 +134,7 @@ func (r *failNthRetriever) Retrieve(ctx context.Context, dst []search.Result, se
 func TestResumeSurfacesRetrieverError(t *testing.T) {
 	f := newFixture(t)
 	live := f.session(f.dm)
-	live.Run(NewL2QBAL(), 2)
+	mustRun(t, live, NewL2QBAL(), 2)
 	cp := live.Snapshot()
 	transportErr := errors.New("transport down")
 	for _, tc := range []struct {
@@ -163,7 +163,7 @@ func TestResumeSurfacesRetrieverError(t *testing.T) {
 func TestResumeCancel(t *testing.T) {
 	f := newFixture(t)
 	live := f.session(f.dm)
-	live.Run(NewL2QBAL(), 2)
+	mustRun(t, live, NewL2QBAL(), 2)
 	cp := live.Snapshot()
 
 	s := f.session(f.dm)
@@ -210,8 +210,8 @@ func TestMidBootstrapSnapshot(t *testing.T) {
 	}
 
 	ref := f.session(f.dm)
-	want := ref.Run(NewL2QBAL(), 2)
-	got := resumed.Run(NewL2QBAL(), 2)
+	want := mustRun(t, ref, NewL2QBAL(), 2)
+	got := mustRun(t, resumed, NewL2QBAL(), 2)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("resumed-from-unbooted fired %v, fresh fired %v", got, want)
 	}
@@ -222,7 +222,7 @@ func TestMidBootstrapSnapshot(t *testing.T) {
 func TestSnapshotAnchors(t *testing.T) {
 	f := newFixture(t)
 	s := f.session(f.dm)
-	s.Run(NewL2QBAL(), 2)
+	mustRun(t, s, NewL2QBAL(), 2)
 	cp := s.Snapshot()
 	if !cp.Booted {
 		t.Fatal("snapshot of a run session not marked booted")
@@ -231,8 +231,15 @@ func TestSnapshotAnchors(t *testing.T) {
 		t.Fatalf("snapshot RPhi %v, session %v", cp.RPhi, s.RPhi())
 	}
 
-	if err := f.session(f.dm).Resume(context.Background(), cp); err != nil {
+	resumed := f.session(f.dm)
+	if err := resumed.Resume(context.Background(), cp); err != nil {
 		t.Fatalf("anchor-verified resume: %v", err)
+	}
+	// The replay ingests query by query exactly as the run did, so it
+	// lands on the same anchors bit for bit, not just within anchorTol.
+	if resumed.rPhi != s.rPhi || resumed.rStarPhi != s.rStarPhi {
+		t.Errorf("resumed anchors (%v, %v), uninterrupted (%v, %v)",
+			resumed.rPhi, resumed.rStarPhi, s.rPhi, s.rStarPhi)
 	}
 
 	bad := cp
@@ -248,7 +255,7 @@ func TestSnapshotAnchors(t *testing.T) {
 func TestLegacyCheckpointImpliesBooted(t *testing.T) {
 	f := newFixture(t)
 	s := f.session(f.dm)
-	s.Run(NewP(), 1)
+	mustRun(t, s, NewP(), 1)
 	cp := s.Snapshot()
 	cp.Booted = false // simulate the old wire format
 	cp.RPhi, cp.RStarPhi = 0, 0

@@ -13,12 +13,20 @@ import (
 
 // blockingRetriever is a remote-shaped engine: every search blocks until
 // the context is canceled (as a hung HTTP fetch would), like a
-// webapi.Client with a dead server.
+// webapi.Client with a dead server. A non-nil entered hears of every
+// search as it starts to block.
 type blockingRetriever struct {
 	Retriever
+	entered chan<- struct{}
 }
 
 func (r blockingRetriever) Retrieve(ctx context.Context, _ []search.Result, _, _ []textproc.Token) ([]search.Result, error) {
+	if r.entered != nil {
+		select {
+		case r.entered <- struct{}{}:
+		default:
+		}
+	}
 	<-ctx.Done()
 	return nil, ctx.Err()
 }
@@ -33,12 +41,20 @@ func (r erroringRetriever) Retrieve(context.Context, []search.Result, []textproc
 	return nil, r.err
 }
 
-// TestRunCtxMatchesRun: with an in-process engine (which cannot fail),
-// RunCtx fires exactly what Run fires.
+// TestRunCtxMatchesRun: RunCtx fires exactly what a hand-driven
+// BootstrapCtx + StepCtx loop fires, and gathers the same pages.
 func TestRunCtxMatchesRun(t *testing.T) {
 	f := newFixture(t)
 	ref := f.session(f.dm)
-	want := ref.Run(NewL2QBAL(), 3)
+	mustBoot(t, ref)
+	var want []Query
+	for i := 0; i < 3; i++ {
+		q, ok := mustStep(t, ref, NewL2QBAL())
+		if !ok {
+			break
+		}
+		want = append(want, q)
+	}
 
 	s := f.session(f.dm)
 	got, err := s.RunCtx(context.Background(), NewL2QBAL(), 3)
@@ -46,23 +62,31 @@ func TestRunCtxMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("RunCtx fired %v, Run fired %v", got, want)
+		t.Errorf("RunCtx fired %v, the StepCtx loop fired %v", got, want)
+	}
+	if !reflect.DeepEqual(s.Pages(), ref.Pages()) {
+		t.Errorf("RunCtx gathered %d pages, the StepCtx loop %d", len(s.Pages()), len(ref.Pages()))
 	}
 }
 
-// TestRunCtxCancel is the satellite's point: Session.Run fetched through
-// the errorless FetchQuery, so a single-session harvest ignored
-// cancellation entirely. RunCtx must return promptly when the context is
-// canceled mid-fetch, without recording the aborted query in Φ.
+// TestRunCtxCancel: RunCtx returns promptly when the context is canceled
+// mid-fetch, without recording the aborted query in Φ. The cancel fires
+// once the retriever is blocked inside the fetch — a schedule, not a
+// sleep.
 func TestRunCtxCancel(t *testing.T) {
 	f := newFixture(t)
 	s := f.session(f.dm)
-	s.Engine = blockingRetriever{Retriever: f.engine}
+	entered := make(chan struct{}, 1)
+	s.Engine = blockingRetriever{Retriever: f.engine, entered: entered}
 
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
+		select {
+		case <-entered:
+			cancel()
+		case <-ctx.Done():
+		}
 	}()
 	start := time.Now()
 	fired, err := s.RunCtx(ctx, NewL2QBAL(), 5)
@@ -83,7 +107,7 @@ func TestRunCtxCancel(t *testing.T) {
 func TestStepCtxErrorKeepsQueryOutOfPhi(t *testing.T) {
 	f := newFixture(t)
 	s := f.session(f.dm)
-	s.Bootstrap() // boot through the healthy engine first
+	mustBoot(t, s) // boot through the healthy engine first
 	sentinel := errors.New("transport down")
 	s.Engine = erroringRetriever{Retriever: f.engine, err: sentinel}
 
@@ -93,10 +117,5 @@ func TestStepCtxErrorKeepsQueryOutOfPhi(t *testing.T) {
 	}
 	if len(s.Fired()) != 0 {
 		t.Errorf("failed fetch recorded in Φ: %v", s.Fired())
-	}
-	// The errorless adapter under Run/Step turns the same failure into
-	// "no results" (an unproductive query).
-	if res := s.FetchQuery("anything"); res != nil {
-		t.Errorf("FetchQuery returned %d results from a failing retriever", len(res))
 	}
 }

@@ -54,7 +54,7 @@ type Session struct {
 	DM *DomainModel
 	// Rec is the type system for templates; nil disables templates.
 	Rec types.Recognizer
-	// Trace, when set, receives one record after every Step — handy for
+	// Trace, when set, receives one record after every step — handy for
 	// analyzing why a strategy chose what it chose.
 	Trace func(TraceRecord)
 
@@ -159,19 +159,11 @@ func (s *Session) RPhi() float64 { return s.rPhi }
 // select stage instead of re-firing the seed.
 func (s *Session) Booted() bool { return s.bootOnce }
 
-// Bootstrap fires the seed query q(0) and initializes the context state
-// with the seed-recall parameter r0 (§V-A). It is idempotent.
-func (s *Session) Bootstrap() int {
-	if s.bootOnce {
-		return 0
-	}
-	return s.IngestSeed(s.FetchQuery(""))
-}
-
-// BootstrapCtx is Bootstrap with cancellation and typed error
-// propagation: a canceled context (or a transport failure the retriever
-// could not retry away) surfaces as an error instead of silently
-// bootstrapping from an empty seed result.
+// BootstrapCtx fires the seed query q(0) and initializes the context
+// state with the seed-recall parameter r0 (§V-A). It is idempotent. A
+// canceled context (or a transport failure the retriever could not retry
+// away) surfaces as an error instead of silently bootstrapping from an
+// empty seed result.
 func (s *Session) BootstrapCtx(ctx context.Context) (int, error) {
 	if s.bootOnce {
 		return 0, nil
@@ -183,23 +175,15 @@ func (s *Session) BootstrapCtx(ctx context.Context) (int, error) {
 	return s.IngestSeed(res), nil
 }
 
-// FetchQuery is the errorless form of FetchQueryCtx, the single adapter
-// under the in-process Bootstrap/Fire/Step/Run conveniences: a retrieval
-// failure yields no results (an unproductive query).
-func (s *Session) FetchQuery(q Query) []search.Result {
-	//l2qvet:ignore ctxbg errorless adapter: FetchQuery's public signature has no ctx; error-aware callers use FetchQueryCtx
-	res, _ := s.FetchQueryCtx(context.Background(), q)
-	return res
-}
-
 // FetchQueryCtx runs the retrieval for q without touching session state;
-// the empty query fetches the seed alone. It is the I/O half of Fire, safe
-// to run on a fetch worker while another entity's selection occupies the
-// CPU (the pipeline scheduler's split). Whatever a fetch costs — a remote
-// search, page downloads — is the Retriever's: cancellation aborts its
-// in-flight work, and a retrieval failure surfaces as an error instead of
-// masquerading as an unproductive query. The results live in
-// session-owned scratch, valid until the next fetch.
+// the empty query fetches the seed alone. It is the I/O half of a step,
+// safe to run on a fetch worker while another entity's selection occupies
+// the CPU (the pipeline scheduler's split), and the only way a session
+// fetches. Whatever a fetch costs — a remote search, page downloads — is
+// the Retriever's: cancellation aborts its in-flight work, and a
+// retrieval failure surfaces as an error instead of masquerading as an
+// unproductive query. The results live in session-owned scratch, valid
+// until the next fetch.
 func (s *Session) FetchQueryCtx(ctx context.Context, q Query) ([]search.Result, error) {
 	var extra []textproc.Token
 	if q != "" {
@@ -214,7 +198,7 @@ func (s *Session) FetchQueryCtx(ctx context.Context, q Query) ([]search.Result, 
 }
 
 // IngestSeed initializes the session from pre-fetched seed results — the
-// state half of Bootstrap. Idempotent; returns the number of new pages.
+// state half of BootstrapCtx. Idempotent; returns the number of new pages.
 func (s *Session) IngestSeed(res []search.Result) int {
 	if s.bootOnce {
 		return 0
@@ -227,25 +211,24 @@ func (s *Session) IngestSeed(res []search.Result) int {
 }
 
 // IngestQuery records q in the context Φ and merges its pre-fetched
-// results — the state half of Fire. Returns the number of new pages.
-// Like Step, it delivers a TraceRecord when a Trace callback is installed
-// (SelectionTime is zero here: in the split select/fetch scheduler the
-// selection happened on another worker's clock).
+// results — the state half of StepCtx. Returns the number of new pages.
+// Like StepCtx, it delivers a TraceRecord when a Trace callback is
+// installed (SelectionTime is zero here: in the split select/fetch
+// scheduler the selection happened on another worker's clock).
 func (s *Session) IngestQuery(q Query, res []search.Result) int {
+	n := s.ingest(q, res)
+	s.trace(q, n, 0)
+	return n
+}
+
+// ingest is the one way a fired query's results enter the session:
+// record q in Φ, merge its pages into P_E and refresh R_E(Φ). IngestQuery,
+// StepCtx and Resume all go through it.
+func (s *Session) ingest(q Query, res []search.Result) int {
 	s.fired = append(s.fired, q)
 	s.firedSet[q] = struct{}{}
 	n := s.merge(res)
 	s.updateContext()
-	if s.Trace != nil {
-		s.Trace(TraceRecord{
-			Iteration:  len(s.fired),
-			Query:      q,
-			NewPages:   n,
-			TotalPages: len(s.pages),
-			RPhi:       s.rPhi,
-			RStarPhi:   s.rStarPhi,
-		})
-	}
 	return n
 }
 
@@ -306,21 +289,6 @@ func (s *Session) merge(res []search.Result) int {
 	return added
 }
 
-// Fire submits a chosen query (appended to the seed) and records it in the
-// context Φ. Returns the number of new pages retrieved.
-func (s *Session) Fire(q Query) int {
-	return s.ingestNoContext(q, s.FetchQuery(q))
-}
-
-// ingestNoContext is IngestQuery without the context refresh (Step calls
-// updateContext itself after Fire, preserving the original single-threaded
-// code path and its trace semantics).
-func (s *Session) ingestNoContext(q Query, res []search.Result) int {
-	s.fired = append(s.fired, q)
-	s.firedSet[q] = struct{}{}
-	return s.merge(res)
-}
-
 // Selection is a selector's decision.
 type Selection struct {
 	Query Query
@@ -339,38 +307,19 @@ type TraceRecord struct {
 }
 
 // Selector chooses the next query for a session. Implementations must not
-// fire queries themselves; Session.Step does that.
+// fire queries themselves; Session.StepCtx does that.
 type Selector interface {
 	Name() string
 	Select(s *Session) (Selection, bool)
 }
 
-// Step runs one iteration of Fig. 1: select the best query, fire it, and
-// update the collective context. It reports the query fired and false when
-// the selector found no candidate. It is the errorless wrapper over
-// StepCtx: a transport failure is recorded as an unproductive query
-// (matching the errorless FetchQuery it historically fired through).
-func (s *Session) Step(sel Selector) (Query, bool) {
-	s.Bootstrap()
-	start := time.Now()
-	choice, ok := sel.Select(s)
-	selDur := time.Since(start)
-	s.selectTime += selDur
-	if !ok {
-		return "", false
-	}
-	added := s.Fire(choice.Query)
-	s.updateContext()
-	s.trace(choice.Query, added, selDur)
-	return choice.Query, true
-}
-
-// StepCtx is Step with cancellation and typed error propagation: the
-// fetch half runs through FetchQueryCtx, so a canceled context aborts an
-// in-flight remote download and a transport failure that survived the
-// retriever's retry budget surfaces as an error — the query is NOT
-// recorded in Φ (no search result was paid for), so a resumed session can
-// retry it.
+// StepCtx runs one iteration of Fig. 1: select the best query, fire it,
+// and update the collective context. It reports the query fired and false
+// when the selector found no candidate. The fetch half runs through
+// FetchQueryCtx, so a canceled context aborts an in-flight remote
+// download and a transport failure that survived the retriever's retry
+// budget surfaces as an error — the query is NOT recorded in Φ (no search
+// result was paid for), so a resumed session can retry it.
 func (s *Session) StepCtx(ctx context.Context, sel Selector) (Query, bool, error) {
 	if _, err := s.BootstrapCtx(ctx); err != nil {
 		return "", false, err
@@ -386,8 +335,7 @@ func (s *Session) StepCtx(ctx context.Context, sel Selector) (Query, bool, error
 	if err != nil {
 		return "", false, err
 	}
-	added := s.ingestNoContext(choice.Query, res)
-	s.updateContext()
+	added := s.ingest(choice.Query, res)
 	s.trace(choice.Query, added, selDur)
 	return choice.Query, true, nil
 }
@@ -408,30 +356,10 @@ func (s *Session) trace(q Query, added int, selDur time.Duration) {
 	})
 }
 
-// Run bootstraps and performs n selection iterations, returning the fired
-// queries. It stops early if the selector runs out of candidates. It is
-// the errorless legacy wrapper over Step: a remote transport failure
-// degrades to an unproductive query and the loop keeps spending its
-// budget — exactly the pre-RunCtx behavior, so existing callers see no
-// semantic change. Use RunCtx when a short result must be
-// distinguishable from a completed one (and for cancellation).
-func (s *Session) Run(sel Selector, n int) []Query {
-	s.Bootstrap()
-	out := make([]Query, 0, n)
-	for i := 0; i < n; i++ {
-		q, ok := s.Step(sel)
-		if !ok {
-			break
-		}
-		out = append(out, q)
-	}
-	return out
-}
-
-// RunCtx is Run with cancellation: the harvest stops at the first failed
-// or canceled fetch, returning the queries fired so far alongside the
-// error. A single-session harvest driven by a CLI becomes interruptible
-// this way — Run's errorless FetchQuery path ignored ctx entirely.
+// RunCtx bootstraps and performs n selection iterations, returning the
+// fired queries. It stops early if the selector runs out of candidates,
+// and at the first failed or canceled fetch, returning the queries fired
+// so far alongside the error.
 func (s *Session) RunCtx(ctx context.Context, sel Selector, n int) ([]Query, error) {
 	if _, err := s.BootstrapCtx(ctx); err != nil {
 		return nil, err
@@ -523,8 +451,9 @@ func (s *Session) CandidatesReference(useDomain bool) []Query {
 	return out
 }
 
-// Errorf wraps session context into an error (used by callers).
-func (s *Session) Errorf(format string, args ...any) error {
-	prefix := fmt.Sprintf("l2q[%s/%s]: ", s.Entity.Name, s.Aspect)
-	return fmt.Errorf(prefix+format, args...)
+// errorf wraps session context into an error. The entity name comes from
+// outside the program (an ingested page's EntityName), so it is an
+// argument, never part of the format.
+func (s *Session) errorf(format string, args ...any) error {
+	return fmt.Errorf("l2q[%s/%s]: "+format, append([]any{s.Entity.Name, s.Aspect}, args...)...)
 }

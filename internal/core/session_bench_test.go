@@ -65,7 +65,7 @@ func benchEnvFor(b *testing.B, domain corpus.Domain, aspect corpus.Aspect) *benc
 	}
 	// The shared 5-query prefix, chosen once so every variant below
 	// replays the identical session state.
-	env.prefix = env.session().Run(NewL2QBAL(), 5)
+	env.prefix = mustRun(b, env.session(), NewL2QBAL(), 5)
 	if len(env.prefix) < 5 {
 		b.Fatalf("prefix run fired only %d queries", len(env.prefix))
 	}
@@ -89,14 +89,14 @@ func (e *benchEnv) session() *Session {
 func (e *benchEnv) replay(b *testing.B, opts InferOptions, warm bool) *Session {
 	b.Helper()
 	s := e.session()
-	s.Bootstrap()
+	mustBoot(b, s)
 	for _, q := range e.prefix {
 		if warm {
 			if _, err := s.Infer(opts); err != nil {
 				b.Fatal(err)
 			}
 		}
-		s.Fire(q)
+		mustFire(b, s, q)
 	}
 	return s
 }
@@ -213,12 +213,12 @@ func BenchmarkCandidateStep(b *testing.B) {
 				// Warm the pool through the prefix (Candidates per step),
 				// leaving the final fire's page delta pending — a live
 				// step's exact state.
-				s.Bootstrap()
+				mustBoot(b, s)
 				for _, q := range env.prefix {
 					if len(s.Candidates(true)) == 0 {
 						b.Fatal("pool ran dry during replay")
 					}
-					s.Fire(q)
+					mustFire(b, s, q)
 				}
 				b.StartTimer()
 				if len(s.Candidates(true)) == 0 {

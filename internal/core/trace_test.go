@@ -7,7 +7,7 @@ func TestSessionTrace(t *testing.T) {
 	s := f.session(f.dm)
 	var records []TraceRecord
 	s.Trace = func(r TraceRecord) { records = append(records, r) }
-	s.Run(NewL2QBAL(), 3)
+	mustRun(t, s, NewL2QBAL(), 3)
 	if len(records) != 3 {
 		t.Fatalf("trace records = %d", len(records))
 	}

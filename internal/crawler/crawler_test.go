@@ -1,6 +1,7 @@
 package crawler
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -203,7 +204,9 @@ func TestQueryHarvestBeatsCrawler(t *testing.T) {
 	targets := g.Corpus.Entities[g.Corpus.NumEntities()-4:]
 	for _, e := range targets {
 		sess := core.NewSession(cfg, engine, e, aspect, y, dm, rec, 1)
-		sess.Run(core.NewL2QBAL(), 3)
+		if _, err := sess.RunCtx(context.Background(), core.NewL2QBAL(), 3); err != nil {
+			t.Fatal(err)
+		}
 		budget := len(sess.Pages())
 
 		seeds := engine.SearchWithSeed(e.SeedTokens(), nil)

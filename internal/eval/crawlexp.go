@@ -1,11 +1,12 @@
 package eval
 
 import (
-	"sync"
+	"context"
 
 	"l2q/internal/core"
 	"l2q/internal/corpus"
 	"l2q/internal/crawler"
+	"l2q/internal/par"
 )
 
 // CrawlResult compares query-driven harvesting (L2QBAL) with the classic
@@ -27,7 +28,8 @@ type CrawlResult struct {
 }
 
 // CompareCrawler runs the budget-matched comparison on the test split.
-func (e *Env) CompareCrawler() (CrawlResult, error) {
+// ctx bounds the L2QBAL harvests; a canceled run returns its error.
+func (e *Env) CompareCrawler(ctx context.Context) (CrawlResult, error) {
 	const nQueries = 3
 	budget := (nQueries + 1) * e.Engine.TopK()
 	byID := crawler.PageIndex(e.G.Corpus)
@@ -35,6 +37,7 @@ func (e *Env) CompareCrawler() (CrawlResult, error) {
 	type pair struct {
 		l2q, crawl float64
 		ok         bool
+		err        error
 	}
 	out := CrawlResult{Domain: e.Cfg.Domain}
 	var allPairs []pair
@@ -44,44 +47,41 @@ func (e *Env) CompareCrawler() (CrawlResult, error) {
 			return out, err
 		}
 		pairs := make([]pair, len(e.TestIDs))
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, e.parallelism())
-		for i, id := range e.TestIDs {
-			wg.Add(1)
-			go func(i int, id corpus.EntityID) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
+		par.For(len(e.TestIDs), e.parallelism(), func(i int) {
+			id := e.TestIDs[i]
+			entity := e.G.Corpus.Entity(id)
+			relevant := e.relevantUniverse(entity, aspect)
+			if len(relevant) == 0 {
+				return
+			}
+			ideal := e.idealRun(entity, aspect, nQueries)
+			y := e.Cls.YFunc(aspect)
 
-				entity := e.G.Corpus.Entity(id)
-				relevant := e.relevantUniverse(entity, aspect)
-				if len(relevant) == 0 {
-					return
-				}
-				ideal := e.idealRun(entity, aspect, nQueries)
-				y := e.Cls.YFunc(aspect)
+			s := e.NewSession(entity, aspect, dm, uint64(id)+1)
+			if _, err := s.RunCtx(ctx, core.NewL2QBAL(), nQueries); err != nil {
+				pairs[i].err = err
+				return
+			}
+			l2q := normalize(measure(s.Pages(), relevant), ideal[nQueries-1])
 
-				s := e.NewSession(entity, aspect, dm, uint64(id)+1)
-				s.Run(core.NewL2QBAL(), nQueries)
-				l2q := normalize(measure(s.Pages(), relevant), ideal[nQueries-1])
+			seeds := e.Engine.SearchWithSeed(entity.SeedTokens(), nil)
+			seedPages := make([]*corpus.Page, 0, len(seeds))
+			for _, r := range seeds {
+				seedPages = append(seedPages, r.Page)
+			}
+			cr := crawler.Crawl(byID, seedPages, y, crawler.Config{Budget: budget})
+			crawl := normalize(measure(cr.Pages, relevant), ideal[nQueries-1])
 
-				seeds := e.Engine.SearchWithSeed(entity.SeedTokens(), nil)
-				seedPages := make([]*corpus.Page, 0, len(seeds))
-				for _, r := range seeds {
-					seedPages = append(seedPages, r.Page)
-				}
-				cr := crawler.Crawl(byID, seedPages, y, crawler.Config{Budget: budget})
-				crawl := normalize(measure(cr.Pages, relevant), ideal[nQueries-1])
-
-				pairs[i] = pair{l2q: l2q.F, crawl: crawl.F, ok: true}
-			}(i, id)
-		}
-		wg.Wait()
+			pairs[i] = pair{l2q: l2q.F, crawl: crawl.F, ok: true}
+		})
 		allPairs = append(allPairs, pairs...)
 	}
 
 	var fa, fb []float64
 	for _, p := range allPairs {
+		if p.err != nil {
+			return out, p.err
+		}
 		if !p.ok {
 			continue
 		}

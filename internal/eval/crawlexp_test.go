@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"testing"
 
 	"l2q/internal/synth"
@@ -14,7 +15,7 @@ func TestCompareCrawler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := env.CompareCrawler()
+	res, err := env.CompareCrawler(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -119,7 +120,7 @@ func TestIdealDominatesMethods(t *testing.T) {
 }
 
 func e2aspects(env *Env, m Method) (RunResult, error) {
-	return env.RunMethod(m, env.G.Aspects[0], env.TestIDs, 3, -1)
+	return env.RunMethod(context.Background(), m, env.G.Aspects[0], env.TestIDs, 3, -1)
 }
 
 func TestRunMethodAllMethods(t *testing.T) {
@@ -130,7 +131,7 @@ func TestRunMethodAllMethods(t *testing.T) {
 	}
 	aspect := env.G.Aspects[3] // RESEARCH-like: most frequent
 	for _, m := range methods {
-		r, err := env.RunMethod(m, aspect, env.TestIDs, 2, -1)
+		r, err := env.RunMethod(context.Background(), m, aspect, env.TestIDs, 2, -1)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -150,7 +151,7 @@ func TestRunMethodAllMethods(t *testing.T) {
 
 func TestRunMethodUnknown(t *testing.T) {
 	env := testEnv(t)
-	if _, err := env.RunMethod("NOPE", env.G.Aspects[0], env.TestIDs, 2, -1); err == nil {
+	if _, err := env.RunMethod(context.Background(), "NOPE", env.G.Aspects[0], env.TestIDs, 2, -1); err == nil {
 		t.Fatal("unknown method accepted")
 	}
 }
@@ -173,7 +174,7 @@ func TestFig9Rows(t *testing.T) {
 
 func TestFig14Shape(t *testing.T) {
 	env := testEnv(t)
-	res, err := env.Fig14()
+	res, err := env.Fig14(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestDomainModelCaching(t *testing.T) {
 
 func TestCrossValidateR0(t *testing.T) {
 	env := testEnv(t)
-	r0, scores, err := env.CrossValidateR0()
+	r0, scores, err := env.CrossValidateR0(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"time"
 
 	"l2q/internal/classify"
@@ -87,7 +88,7 @@ type Fig10Result struct {
 }
 
 // Fig10 runs the domain/context ablation.
-func (e *Env) Fig10() (Fig10Result, error) {
+func (e *Env) Fig10(ctx context.Context) (Fig10Result, error) {
 	out := Fig10Result{
 		Domain:    e.Cfg.Domain,
 		Precision: make(map[Method]float64),
@@ -95,14 +96,14 @@ func (e *Env) Fig10() (Fig10Result, error) {
 	}
 	const n = 3 // paper's default query count
 	for _, m := range []Method{MethodRND, MethodP, MethodPQ, MethodPT, MethodL2QP} {
-		r, err := e.RunMethodAllAspects(m, e.TestIDs, n, -1)
+		r, err := e.RunMethodAllAspects(ctx, m, e.TestIDs, n, -1)
 		if err != nil {
 			return out, err
 		}
 		out.Precision[m] = r.PerIteration[n-1].P
 	}
 	for _, m := range []Method{MethodRND, MethodR, MethodRQ, MethodRT, MethodL2QR} {
-		r, err := e.RunMethodAllAspects(m, e.TestIDs, n, -1)
+		r, err := e.RunMethodAllAspects(ctx, m, e.TestIDs, n, -1)
 		if err != nil {
 			return out, err
 		}
@@ -128,7 +129,7 @@ type Fig11Result struct {
 var Fig11Fractions = []float64{0, 0.05, 0.10, 0.25, 1.0}
 
 // Fig11 sweeps the number of domain entities used by the domain phase.
-func (e *Env) Fig11() (Fig11Result, error) {
+func (e *Env) Fig11(ctx context.Context) (Fig11Result, error) {
 	out := Fig11Result{Domain: e.Cfg.Domain, Fractions: Fig11Fractions}
 	const n = 3
 	for _, frac := range Fig11Fractions {
@@ -136,11 +137,11 @@ func (e *Env) Fig11() (Fig11Result, error) {
 		if frac > 0 && sample < 1 {
 			sample = 1
 		}
-		rp, err := e.RunMethodAllAspects(MethodL2QP, e.TestIDs, n, sample)
+		rp, err := e.RunMethodAllAspects(ctx, MethodL2QP, e.TestIDs, n, sample)
 		if err != nil {
 			return out, err
 		}
-		rr, err := e.RunMethodAllAspects(MethodL2QR, e.TestIDs, n, sample)
+		rr, err := e.RunMethodAllAspects(ctx, MethodL2QR, e.TestIDs, n, sample)
 		if err != nil {
 			return out, err
 		}
@@ -180,10 +181,10 @@ var Fig12Methods = []Method{MethodL2QP, MethodL2QR, MethodLM, MethodAQ, MethodHR
 var Fig13Methods = []Method{MethodL2QBAL, MethodLM, MethodAQ, MethodHR, MethodMQ}
 
 // Compare runs a set of methods for up to maxQueries iterations.
-func (e *Env) Compare(methods []Method, maxQueries int) (CompareResult, error) {
+func (e *Env) Compare(ctx context.Context, methods []Method, maxQueries int) (CompareResult, error) {
 	out := CompareResult{Domain: e.Cfg.Domain}
 	for _, m := range methods {
-		r, err := e.RunMethodAllAspects(m, e.TestIDs, maxQueries, -1)
+		r, err := e.RunMethodAllAspects(ctx, m, e.TestIDs, maxQueries, -1)
 		if err != nil {
 			return out, err
 		}
@@ -218,10 +219,14 @@ func (r CompareResult) SignificanceVsFirst() ([]Significance, error) {
 
 // Fig12 regenerates the precision/recall-vs-baselines comparison (2–5
 // queries).
-func (e *Env) Fig12() (CompareResult, error) { return e.Compare(Fig12Methods, 5) }
+func (e *Env) Fig12(ctx context.Context) (CompareResult, error) {
+	return e.Compare(ctx, Fig12Methods, 5)
+}
 
 // Fig13 regenerates the F-score comparison with the balanced strategy.
-func (e *Env) Fig13() (CompareResult, error) { return e.Compare(Fig13Methods, 5) }
+func (e *Env) Fig13(ctx context.Context) (CompareResult, error) {
+	return e.Compare(ctx, Fig13Methods, 5)
+}
 
 // ---------------------------------------------------------------------------
 // Fig. 14 — time cost per query.
@@ -251,11 +256,11 @@ type Fig14Result struct {
 // Fig14 measures selection time on the test entities for one aspect (the
 // first target aspect; selection cost is aspect-independent) and accounts
 // the simulated fetch budget.
-func (e *Env) Fig14() (Fig14Result, error) {
+func (e *Env) Fig14(ctx context.Context) (Fig14Result, error) {
 	out := Fig14Result{Domain: e.Cfg.Domain, SelectionSec: make(map[Method]float64)}
 	aspect := e.G.Aspects[0]
 	for _, m := range []Method{MethodL2QP, MethodL2QR, MethodL2QBAL} {
-		r, err := e.RunMethod(m, aspect, e.TestIDs, 3, -1)
+		r, err := e.RunMethod(ctx, m, aspect, e.TestIDs, 3, -1)
 		if err != nil {
 			return out, err
 		}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -25,7 +26,7 @@ func tinyEnv(t *testing.T) *Env {
 
 func TestFig10WellFormed(t *testing.T) {
 	env := tinyEnv(t)
-	res, err := env.Fig10()
+	res, err := env.Fig10(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestFig10WellFormed(t *testing.T) {
 
 func TestFig11WellFormed(t *testing.T) {
 	env := tinyEnv(t)
-	res, err := env.Fig11()
+	res, err := env.Fig11(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestFig11WellFormed(t *testing.T) {
 
 func TestFig12And13WellFormed(t *testing.T) {
 	env := tinyEnv(t)
-	res, err := env.Compare([]Method{MethodL2QBAL, MethodMQ}, 3)
+	res, err := env.Compare(context.Background(), []Method{MethodL2QBAL, MethodMQ}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +86,11 @@ func TestFig12And13WellFormed(t *testing.T) {
 // reference point on its own metric.
 func TestShapeDomainAwarenessHelps(t *testing.T) {
 	env := tinyEnv(t)
-	l2qp, err := env.RunMethodAllAspects(MethodL2QP, env.TestIDs, 3, -1)
+	l2qp, err := env.RunMethodAllAspects(context.Background(), MethodL2QP, env.TestIDs, 3, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnd, err := env.RunMethodAllAspects(MethodRND, env.TestIDs, 3, -1)
+	rnd, err := env.RunMethodAllAspects(context.Background(), MethodRND, env.TestIDs, 3, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestRunMethodNoDomainSample(t *testing.T) {
 	// domainSample = 0 is the Fig. 11 zero point: the domain-aware
 	// method must still run (without a model).
 	env := tinyEnv(t)
-	res, err := env.RunMethod(MethodL2QR, env.G.Aspects[0], env.TestIDs, 2, 0)
+	res, err := env.RunMethod(context.Background(), MethodL2QR, env.G.Aspects[0], env.TestIDs, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func (e *Env) idealRun(entity *corpus.Entity, aspect corpus.Aspect, nQueries int
 	relevant := e.relevantUniverse(entity, aspect)
 	topK := e.Engine.TopK()
 
-	// Seed retrieval, identical to what every session's Bootstrap does.
+	// Seed retrieval, identical to what every session's BootstrapCtx does.
 	seed := e.Cfg.Core.QueryTokens(toQuery(entity.SeedQuery))
 	res := e.Engine.Search(seed)
 	seen := make(map[corpus.PageID]struct{}, len(res))

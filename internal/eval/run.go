@@ -1,13 +1,14 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"l2q/internal/baselines"
 	"l2q/internal/core"
 	"l2q/internal/corpus"
+	"l2q/internal/par"
 )
 
 // Method identifies a query-selection method under evaluation.
@@ -104,8 +105,9 @@ func (e *Env) selectorFor(m Method, aspect corpus.Aspect,
 // RunMethod evaluates one method on one aspect over the given entities.
 // domainSample controls the domain model size (≤0 default, and for
 // methods that need a domain model a sample of 0 entities means "no domain
-// model at all" — the Fig. 11 zero point).
-func (e *Env) RunMethod(m Method, aspect corpus.Aspect, entityIDs []corpus.EntityID,
+// model at all" — the Fig. 11 zero point). ctx bounds every session's
+// retrievals; a canceled run returns its error.
+func (e *Env) RunMethod(ctx context.Context, m Method, aspect corpus.Aspect, entityIDs []corpus.EntityID,
 	nQueries, domainSample int) (RunResult, error) {
 
 	if nQueries <= 0 {
@@ -134,53 +136,48 @@ func (e *Env) RunMethod(m Method, aspect corpus.Aspect, entityIDs []corpus.Entit
 	}
 
 	type perEntity struct {
-		prf     []PRF
-		selSec  float64
-		queries int
-		ok      bool
+		prf    []PRF
+		selSec float64
+		ok     bool
+		err    error
 	}
 	results := make([]perEntity, len(entityIDs))
 
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, e.parallelism())
-	for i, id := range entityIDs {
-		wg.Add(1)
-		go func(i int, id corpus.EntityID) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
+	par.For(len(entityIDs), e.parallelism(), func(i int) {
+		id := entityIDs[i]
+		entity := e.G.Corpus.Entity(id)
+		relevant := e.relevantUniverse(entity, aspect)
+		if len(relevant) == 0 {
+			return // classifier found nothing for this pair; skip
+		}
+		ideal := e.idealRun(entity, aspect, nQueries)
+		rngSeed := uint64(id)*1099511628211 ^ hashString(string(m))
+		s := e.NewSession(entity, aspect, dm, rngSeed)
 
-			entity := e.G.Corpus.Entity(id)
-			relevant := e.relevantUniverse(entity, aspect)
-			if len(relevant) == 0 {
-				return // classifier found nothing for this pair; skip
+		// Cumulative quality after each selected query; if the
+		// selector exhausts its candidates early (MQ after its
+		// five), the page set simply stops growing while the
+		// ideal keeps improving — exactly the penalty the paper's
+		// protocol implies.
+		prf := make([]PRF, nQueries)
+		fired := 0
+		for it := 0; it < nQueries; it++ {
+			_, ok, err := s.StepCtx(ctx, sel)
+			if err != nil {
+				results[i].err = err
+				return
 			}
-			ideal := e.idealRun(entity, aspect, nQueries)
-			rngSeed := uint64(id)*1099511628211 ^ hashString(string(m))
-			s := e.NewSession(entity, aspect, dm, rngSeed)
-			s.Bootstrap()
-
-			// Cumulative quality after each selected query; if the
-			// selector exhausts its candidates early (MQ after its
-			// five), the page set simply stops growing while the
-			// ideal keeps improving — exactly the penalty the paper's
-			// protocol implies.
-			prf := make([]PRF, nQueries)
-			fired := 0
-			for it := 0; it < nQueries; it++ {
-				if _, ok := s.Step(sel); ok {
-					fired++
-				}
-				prf[it] = normalize(measure(s.Pages(), relevant), ideal[it])
+			if ok {
+				fired++
 			}
-			res := perEntity{prf: prf, ok: true, queries: fired}
-			if fired > 0 {
-				res.selSec = s.SelectionTime().Seconds() / float64(fired)
-			}
-			results[i] = res
-		}(i, id)
-	}
-	wg.Wait()
+			prf[it] = normalize(measure(s.Pages(), relevant), ideal[it])
+		}
+		res := perEntity{prf: prf, ok: true}
+		if fired > 0 {
+			res.selSec = s.SelectionTime().Seconds() / float64(fired)
+		}
+		results[i] = res
+	})
 
 	out := RunResult{
 		Method:       m,
@@ -189,6 +186,9 @@ func (e *Env) RunMethod(m Method, aspect corpus.Aspect, entityIDs []corpus.Entit
 	}
 	var selSec float64
 	for i, r := range results {
+		if r.err != nil {
+			return RunResult{}, r.err
+		}
 		if !r.ok {
 			out.PerEntityF[i] = math.NaN()
 			continue
@@ -212,7 +212,7 @@ func (e *Env) RunMethod(m Method, aspect corpus.Aspect, entityIDs []corpus.Entit
 }
 
 // RunMethodAllAspects averages RunMethod across every target aspect.
-func (e *Env) RunMethodAllAspects(m Method, entityIDs []corpus.EntityID,
+func (e *Env) RunMethodAllAspects(ctx context.Context, m Method, entityIDs []corpus.EntityID,
 	nQueries, domainSample int) (RunResult, error) {
 
 	if nQueries <= 0 {
@@ -228,7 +228,7 @@ func (e *Env) RunMethodAllAspects(m Method, entityIDs []corpus.EntityID,
 	agg := RunResult{Method: m, PerIteration: make([]PRF, nQueries)}
 	var selSec float64
 	for _, aspect := range e.G.Aspects {
-		r, err := e.RunMethod(m, aspect, entityIDs, nQueries, domainSample)
+		r, err := e.RunMethod(ctx, m, aspect, entityIDs, nQueries, domainSample)
 		if err != nil {
 			return agg, err
 		}

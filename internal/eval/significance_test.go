@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -61,11 +62,11 @@ func TestSignificanceEndToEnd(t *testing.T) {
 	}
 	aspect := synth.AspResearch
 	ids := env.TestIDs
-	bal, err := env.RunMethod(MethodL2QBAL, aspect, ids, 3, -1)
+	bal, err := env.RunMethod(context.Background(), MethodL2QBAL, aspect, ids, 3, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnd, err := env.RunMethod(MethodRND, aspect, ids, 3, -1)
+	rnd, err := env.RunMethod(context.Background(), MethodRND, aspect, ids, 3, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

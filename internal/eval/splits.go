@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -123,13 +124,13 @@ type SplitStats struct {
 // RunMethodOverSplits evaluates a method on every split's test entities
 // and returns the across-split mean and standard deviation of the final-
 // iteration normalized metrics.
-func RunMethodOverSplits(envs []*Env, m Method, nQueries, domainSample int) (SplitStats, error) {
+func RunMethodOverSplits(ctx context.Context, envs []*Env, m Method, nQueries, domainSample int) (SplitStats, error) {
 	if len(envs) == 0 {
 		return SplitStats{}, fmt.Errorf("eval: no splits")
 	}
 	finals := make([]PRF, 0, len(envs))
 	for _, env := range envs {
-		r, err := env.RunMethodAllAspects(m, env.TestIDs, nQueries, domainSample)
+		r, err := env.RunMethodAllAspects(ctx, m, env.TestIDs, nQueries, domainSample)
 		if err != nil {
 			return SplitStats{}, err
 		}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"testing"
 
 	"l2q/internal/synth"
@@ -53,7 +54,7 @@ func TestRunMethodOverSplits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := RunMethodOverSplits(envs, MethodMQ, 2, -1)
+	stats, err := RunMethodOverSplits(context.Background(), envs, MethodMQ, 2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestRunMethodOverSplits(t *testing.T) {
 	if stats.Mean.F < 0 || stats.Std.F < 0 {
 		t.Fatalf("bad stats: %+v", stats)
 	}
-	if _, err := RunMethodOverSplits(nil, MethodMQ, 2, -1); err == nil {
+	if _, err := RunMethodOverSplits(context.Background(), nil, MethodMQ, 2, -1); err == nil {
 		t.Fatal("empty splits accepted")
 	}
 }

@@ -1,6 +1,9 @@
 package eval
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 // R0Grid is the cross-validation grid for the seed-recall anchor (§V-A:
 // "we treat it as a parameter r0 ∈ (0,1) ... to be chosen by cross
@@ -12,7 +15,7 @@ var R0Grid = []float64{0.05, 0.08, 0.1, 0.15, 0.25}
 // CrossValidateR0 picks the seed anchor maximizing the balanced strategy's
 // mean normalized F-score on the validation entities, returning the chosen
 // value and the per-candidate scores.
-func (e *Env) CrossValidateR0() (float64, map[float64]float64, error) {
+func (e *Env) CrossValidateR0(ctx context.Context) (float64, map[float64]float64, error) {
 	if len(e.ValIDs) == 0 {
 		return e.Cfg.Core.R0Star, nil, fmt.Errorf("eval: no validation entities")
 	}
@@ -23,7 +26,7 @@ func (e *Env) CrossValidateR0() (float64, map[float64]float64, error) {
 	defer func() { e.Cfg.Core.R0Star = saved }()
 	for _, r0 := range R0Grid {
 		e.Cfg.Core.R0Star = r0
-		res, err := e.RunMethodAllAspects(MethodL2QBAL, e.ValIDs, n, -1)
+		res, err := e.RunMethodAllAspects(ctx, MethodL2QBAL, e.ValIDs, n, -1)
 		if err != nil {
 			return saved, scores, err
 		}

@@ -9,11 +9,8 @@ import (
 // the harvest stack threads cancellation end to end — a Background() that
 // sneaks into library code detaches whatever runs under it from the
 // caller's deadline and from graceful shutdown (the exact bug class the
-// ~100ms-vs-30s pipeline cancellation fix removed). The sanctioned
-// exceptions — a lifetime context owned by a server object, nil-ctx
-// normalization of a public API, a bounded lookup under a signature that
-// has no ctx, and the one errorless adapter left (core.Session.FetchQuery,
-// under the in-process Run/Step conveniences) — carry an
+// ~100ms-vs-30s pipeline cancellation fix removed). The one sanctioned
+// exception — a lifetime context owned by a server object — carries an
 // //l2qvet:ignore ctxbg <reason> annotation at the call site, which is
 // the whole point: a detached context is a recorded decision, not a
 // default.

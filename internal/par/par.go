@@ -1,9 +1,10 @@
 // Package par provides the one bounded parallel-for shared by the
 // CPU-bound fan-outs of the reproduction — the domain phase's sharded
-// counting pass (core), per-aspect classifier training (classify), and
-// the eval environment's warm-ups — so the worker-pool idiom lives in
-// exactly one place. One inference step is not among them: its passes
-// are tens of microseconds, less than starting the goroutines costs.
+// counting pass (core), per-aspect classifier training (classify), the
+// eval environment's warm-ups and its per-entity harvests — so the
+// worker-pool idiom lives in exactly one place. One inference step is not
+// among them: its passes are tens of microseconds, less than starting the
+// goroutines costs.
 package par
 
 import (

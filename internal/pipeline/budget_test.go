@@ -41,7 +41,7 @@ func TestBudgetFixedParity(t *testing.T) {
 	f := newFixture(t)
 	targets := f.targets(4)
 	const nQueries = 3
-	want := sequentialReference(f, targets, nQueries)
+	want := sequentialReference(t, f, targets, nQueries)
 
 	s := New(Config{SelectWorkers: 2, FetchWorkers: 4})
 	defer s.Close()

@@ -80,7 +80,7 @@ func TestPipelineMatchesSequential(t *testing.T) {
 	want := make([]outcome, len(targets))
 	for i, e := range targets {
 		s := f.session(e, 0)
-		fired := s.Run(core.NewL2QBAL(), nQueries)
+		fired := mustRun(t, s, core.NewL2QBAL(), nQueries)
 		var ids []corpus.PageID
 		for _, p := range s.Pages() {
 			ids = append(ids, p.ID)
@@ -114,6 +114,74 @@ func TestPipelineMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestStepCtxMatchesScheduler: the scheduler's split (FetchQueryCtx on a
+// fetch worker, IngestSeed/IngestQuery on a select worker) and the
+// synchronous BootstrapCtx + StepCtx share every line that mutates a
+// session, so the same jobs driven both ways agree after every step on
+// the fired queries, the gathered pages, R_E(Φ), R*_E(Φ) and the trace
+// record — all but SelectionTime, which only StepCtx measures.
+func TestStepCtxMatchesScheduler(t *testing.T) {
+	f := newFixture(t)
+	ctx := context.Background()
+	const nQueries = 3
+	type stepState struct {
+		rec   core.TraceRecord // carries RPhi and RStarPhi
+		fired []core.Query
+		pages []corpus.PageID
+	}
+	record := func(s *core.Session) *[]stepState {
+		states := new([]stepState)
+		s.Trace = func(tr core.TraceRecord) {
+			tr.SelectionTime = 0
+			st := stepState{rec: tr, fired: append([]core.Query(nil), s.Fired()...)}
+			for _, p := range s.Pages() {
+				st.pages = append(st.pages, p.ID)
+			}
+			*states = append(*states, st)
+		}
+		return states
+	}
+
+	var jobs []Job
+	var stepped, scheduled []*[]stepState
+	for _, newSel := range []func() core.Selector{core.NewL2QBAL, core.NewRT, core.NewP, core.NewRND} {
+		for _, e := range f.targets(3) {
+			s := f.session(e, 0)
+			stepped = append(stepped, record(s))
+			if _, err := s.BootstrapCtx(ctx); err != nil {
+				t.Fatal(err)
+			}
+			sel := newSel()
+			for i := 0; i < nQueries; i++ {
+				_, ok, err := s.StepCtx(ctx, sel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+			}
+			js := f.session(e, 0)
+			scheduled = append(scheduled, record(js))
+			jobs = append(jobs, Job{Session: js, Selector: newSel(), NQueries: nQueries})
+		}
+	}
+	for i, r := range Run(ctx, Config{SelectWorkers: 2, FetchWorkers: 4}, jobs) {
+		if r.Err != nil {
+			t.Fatalf("job %d: %v", i, r.Err)
+		}
+		want, got := *stepped[i], *scheduled[i]
+		if len(want) == 0 || len(got) != len(want) {
+			t.Fatalf("job %d (%s): %d scheduled steps, %d StepCtx steps", i, jobs[i].Selector.Name(), len(got), len(want))
+		}
+		for k := range want {
+			if !reflect.DeepEqual(got[k], want[k]) {
+				t.Errorf("job %d (%s) step %d:\n scheduled %+v\n StepCtx   %+v", i, jobs[i].Selector.Name(), k+1, got[k], want[k])
+			}
+		}
+	}
+}
+
 // TestPipelineOverlapsFetches verifies the point of the exercise: with
 // slow fetches (a slowRetriever), the pipeline completes many entities in less
 // wall time than running them back to back. The sequential baseline is
@@ -138,7 +206,7 @@ func TestPipelineOverlapsFetches(t *testing.T) {
 	seqStart := time.Now()
 	for i := range seqJobs {
 		s := seqJobs[i].Session
-		s.Run(seqJobs[i].Selector, seqJobs[i].NQueries)
+		mustRun(t, s, seqJobs[i].Selector, seqJobs[i].NQueries)
 	}
 	sequential := time.Since(seqStart)
 
@@ -351,4 +419,15 @@ func TestPipelineRaceTraceSharedEngine(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mustRun is RunCtx over an engine that cannot fail: any error fails the
+// test.
+func mustRun(t testing.TB, s *core.Session, sel core.Selector, n int) []core.Query {
+	t.Helper()
+	fired, err := s.RunCtx(context.Background(), sel, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fired
 }

@@ -155,10 +155,6 @@ type Batch struct {
 // Job.NQueries counting only the queries fired under this scheduler.
 // Submit fails once the scheduler is draining or closed.
 func (s *Scheduler) Submit(ctx context.Context, jobs []Job, opts BatchOptions) (*Batch, error) {
-	if ctx == nil {
-		//l2qvet:ignore ctxbg nil-ctx normalization of the public Submit API; callers that have a ctx pass it
-		ctx = context.Background()
-	}
 	bctx, cancel := context.WithCancel(ctx)
 	b := &Batch{
 		s:       s,

@@ -29,11 +29,11 @@ func sessionOutcome(fired []core.Query, s *core.Session) outcome {
 
 // sequentialReference runs each target session to completion one at a
 // time — the ground truth every scheduler configuration must reproduce.
-func sequentialReference(f *fixture, targets []*corpus.Entity, nQueries int) []outcome {
+func sequentialReference(t testing.TB, f *fixture, targets []*corpus.Entity, nQueries int) []outcome {
 	want := make([]outcome, len(targets))
 	for i, e := range targets {
 		s := f.session(e, 0)
-		fired := s.Run(core.NewL2QBAL(), nQueries)
+		fired := mustRun(t, s, core.NewL2QBAL(), nQueries)
 		want[i] = sessionOutcome(fired, s)
 	}
 	return want
@@ -49,7 +49,7 @@ func TestSchedulerMatchesRun(t *testing.T) {
 	f := newFixture(t)
 	targets := f.targets(6)
 	const nQueries = 3
-	want := sequentialReference(f, targets, nQueries)
+	want := sequentialReference(t, f, targets, nQueries)
 
 	s := New(Config{SelectWorkers: 3, FetchWorkers: 8})
 	defer s.Close()
@@ -291,7 +291,7 @@ func TestSchedulerResumedSession(t *testing.T) {
 	f := newFixture(t)
 	targets := f.targets(4)
 	const nQueries = 4
-	want := sequentialReference(f, targets, nQueries)
+	want := sequentialReference(t, f, targets, nQueries)
 
 	s := New(Config{SelectWorkers: 2, FetchWorkers: 4})
 	defer s.Close()
@@ -399,7 +399,7 @@ func TestSchedulerSharedEnumerationRace(t *testing.T) {
 	f := newFixture(t)
 	targets := f.targets(4)
 	const nQueries = 2
-	want := sequentialReference(f, targets, nQueries)
+	want := sequentialReference(t, f, targets, nQueries)
 
 	s := New(Config{SelectWorkers: 3, FetchWorkers: 6})
 	defer s.Close()

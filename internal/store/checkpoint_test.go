@@ -88,14 +88,14 @@ func TestCheckpointRoundTripResumes(t *testing.T) {
 
 			// Reference: uninterrupted run.
 			ref := f.session()
-			want := ref.Run(core.NewL2QBAL(), 4)
+			want := mustRun(t, ref, core.NewL2QBAL(), 4)
 			if len(want) < 3 {
 				t.Fatalf("reference fired only %v", want)
 			}
 
 			// Interrupted at 2 queries, through the binary codec.
 			first := f.session()
-			first.Run(core.NewL2QBAL(), 2)
+			mustRun(t, first, core.NewL2QBAL(), 2)
 			cps := roundTrip(t, []core.Checkpoint{first.Snapshot()})
 			if len(cps) != 1 {
 				t.Fatalf("round trip returned %d checkpoints", len(cps))
@@ -108,7 +108,7 @@ func TestCheckpointRoundTripResumes(t *testing.T) {
 			if err := resumed.Resume(context.Background(), cps[0]); err != nil {
 				t.Fatal(err)
 			}
-			more := resumed.Run(core.NewL2QBAL(), 2)
+			more := mustRun(t, resumed, core.NewL2QBAL(), 2)
 			got := append(append([]core.Query(nil), cps[0].Fired...), more...)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("resumed run fired %v, uninterrupted %v", got, want)
@@ -125,7 +125,7 @@ func TestCheckpointRoundTripResumes(t *testing.T) {
 				t.Fatal("mid-bootstrap checkpoint booted the session")
 			}
 			fresh := f.session()
-			if a, b := virgin.Run(core.NewL2QBAL(), 2), fresh.Run(core.NewL2QBAL(), 2); !reflect.DeepEqual(a, b) {
+			if a, b := mustRun(t, virgin, core.NewL2QBAL(), 2), mustRun(t, fresh, core.NewL2QBAL(), 2); !reflect.DeepEqual(a, b) {
 				t.Errorf("mid-bootstrap resume fired %v, fresh %v", a, b)
 			}
 		})
@@ -137,8 +137,8 @@ func TestCheckpointRoundTripResumes(t *testing.T) {
 func TestCheckpointFileRoundTrip(t *testing.T) {
 	f := newCkptFixture(t, synth.DomainResearchers, synth.AspResearch)
 	s1, s2 := f.session(), f.session()
-	s1.Run(core.NewL2QBAL(), 1)
-	s2.Run(core.NewL2QBAL(), 3)
+	mustRun(t, s1, core.NewL2QBAL(), 1)
+	mustRun(t, s2, core.NewL2QBAL(), 3)
 	want := []core.Checkpoint{s1.Snapshot(), s2.Snapshot(), f.session().Snapshot()}
 
 	path := filepath.Join(t.TempDir(), "harvest.ckpt")
@@ -159,7 +159,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 func TestCheckpointCorruption(t *testing.T) {
 	f := newCkptFixture(t, synth.DomainResearchers, synth.AspResearch)
 	s := f.session()
-	s.Run(core.NewP(), 1)
+	mustRun(t, s, core.NewP(), 1)
 	var buf bytes.Buffer
 	if err := SaveCheckpoints(&buf, []core.Checkpoint{s.Snapshot()}); err != nil {
 		t.Fatal(err)
@@ -177,4 +177,15 @@ func TestCheckpointCorruption(t *testing.T) {
 	if _, err := LoadCheckpoints(bytes.NewReader([]byte("L2QSTOR1"))); err == nil {
 		t.Error("store-file magic accepted as a checkpoint file")
 	}
+}
+
+// mustRun is RunCtx over an engine that cannot fail: any error fails the
+// test.
+func mustRun(t testing.TB, s *core.Session, sel core.Selector, n int) []core.Query {
+	t.Helper()
+	fired, err := s.RunCtx(context.Background(), sel, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fired
 }

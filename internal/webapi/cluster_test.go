@@ -114,9 +114,9 @@ func newSessionSetup(t testing.TB, g *synth.Generated) *sessionSetup {
 // run drives one session and returns its fired queries, gathered page IDs
 // and rendered page bytes (byte equality of the rendered form is the
 // download-fidelity check).
-func (ss *sessionSetup) run(sel core.Selector, ret core.Retriever) ([]core.Query, []corpus.PageID, map[corpus.PageID]string) {
+func (ss *sessionSetup) run(t testing.TB, sel core.Selector, ret core.Retriever) ([]core.Query, []corpus.PageID, map[corpus.PageID]string) {
 	sess := core.NewSession(ss.cfg, ret, ss.target, ss.aspect, ss.y, ss.dm, ss.rec, 42)
-	fired := sess.Run(sel, 3)
+	fired := mustRun(t, sess, sel, 3)
 	ids := make([]corpus.PageID, 0, len(sess.Pages()))
 	rendered := make(map[corpus.PageID]string, len(sess.Pages()))
 	for _, p := range sess.Pages() {
@@ -177,12 +177,12 @@ func TestClusterSessionParity(t *testing.T) {
 		"R+t":     core.NewRT,
 	}
 	for name, sel := range strategies {
-		lq, lp, lr := ss.run(sel(), engine)
+		lq, lp, lr := ss.run(t, sel(), engine)
 		if len(lq) == 0 || len(lp) == 0 {
 			t.Fatalf("%s: reference session gathered nothing", name)
 		}
 		for retName, ret := range map[string]core.Retriever{"coordinator": co, "coordinator/cachesize -1": coNoCache, "remote": remote} {
-			cq, cp, cr := ss.run(sel(), ret)
+			cq, cp, cr := ss.run(t, sel(), ret)
 			if !reflect.DeepEqual(lq, cq) {
 				t.Errorf("%s/%s: fired queries differ:\n local %v\ncluster %v", name, retName, lq, cq)
 			}
@@ -225,13 +225,13 @@ func TestClusterParityUnderFaults(t *testing.T) {
 		injs[i] = &FaultInjector{ErrorRate: 0.20, TruncateRate: 0.10, Seed: uint64(300 + i), Next: h}
 		return injs[i]
 	})
-	lq, lp, lr := ss.run(core.NewL2QBAL(), engine)
+	lq, lp, lr := ss.run(t, core.NewL2QBAL(), engine)
 	if len(lq) == 0 || len(lp) == 0 {
 		t.Fatal("session gathered nothing")
 	}
 	for _, cacheSize := range frontCacheSizes {
 		co := dialClusterCache(t, g, urls, 2, 0, cacheSize)
-		cq, cp, cr := ss.run(core.NewL2QBAL(), co)
+		cq, cp, cr := ss.run(t, core.NewL2QBAL(), co)
 		if !reflect.DeepEqual(lq, cq) {
 			t.Errorf("cachesize %d: fired queries differ under faults:\n local %v\ncluster %v", cacheSize, lq, cq)
 		}
@@ -796,4 +796,15 @@ func TestClusterStatsPushValidation(t *testing.T) {
 		rejectAll(u, "ready")
 	}
 	requireSingleNodeRanking("after rejected pushes to ready nodes")
+}
+
+// mustRun is RunCtx over an engine that cannot fail: any error fails the
+// test.
+func mustRun(t testing.TB, s *core.Session, sel core.Selector, n int) []core.Query {
+	t.Helper()
+	fired, err := s.RunCtx(context.Background(), sel, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fired
 }

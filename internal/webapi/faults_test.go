@@ -456,7 +456,7 @@ func TestDifferentialFaultParity(t *testing.T) {
 
 	run := func(engine core.Retriever) ([]core.Query, []corpus.PageID) {
 		sess := core.NewSession(cfg, engine, target, aspect, y, dm, rec, 42)
-		fired := sess.Run(core.NewL2QBAL(), 3)
+		fired := mustRun(t, sess, core.NewL2QBAL(), 3)
 		var ids []corpus.PageID
 		for _, p := range sess.Pages() {
 			ids = append(ids, p.ID)

@@ -151,7 +151,7 @@ func testHarvestEndpointParity(t *testing.T, f *harvestFixture, client *Client) 
 		e := f.g.Corpus.Entity(id)
 		// Local reference with the server's seeding convention.
 		sess := core.NewSession(f.cfg, f.engine, e, f.aspect, f.y, f.dm, f.rec, uint64(id)+1)
-		wantFired := sess.Run(core.NewL2QBAL(), nQueries)
+		wantFired := mustRun(t, sess, core.NewL2QBAL(), nQueries)
 		var wantPages []corpus.PageID
 		for _, p := range sess.Pages() {
 			wantPages = append(wantPages, p.ID)

@@ -39,10 +39,10 @@ func waitFinal(ctx context.Context, t *testing.T, j *serverJob) JobStatus {
 
 // localReference harvests one entity in-process with the server's seeding
 // convention.
-func (f *harvestFixture) localReference(id corpus.EntityID, nQueries int) ([]core.Query, []corpus.PageID) {
+func (f *harvestFixture) localReference(t testing.TB, id corpus.EntityID, nQueries int) ([]core.Query, []corpus.PageID) {
 	e := f.g.Corpus.Entity(id)
 	sess := core.NewSession(f.cfg, f.engine, e, f.aspect, f.y, f.dm, f.rec, uint64(id)+1)
-	fired := sess.Run(core.NewL2QBAL(), nQueries)
+	fired := mustRun(t, sess, core.NewL2QBAL(), nQueries)
 	var pages []corpus.PageID
 	for _, p := range sess.Pages() {
 		pages = append(pages, p.ID)
@@ -94,7 +94,7 @@ func TestJobsLifecycle(t *testing.T) {
 		t.Errorf("%d progress events, want %d", progress, len(targets)*nQueries)
 	}
 	for _, tid := range targets {
-		wantFired, wantPages := f.localReference(tid, nQueries)
+		wantFired, wantPages := f.localReference(t, tid, nQueries)
 		got, ok := finished[tid]
 		if !ok {
 			t.Fatalf("entity %d: no completion event", tid)
@@ -165,7 +165,7 @@ func TestJobsCancelResume(t *testing.T) {
 	// Uninterrupted references.
 	wantFired := make(map[corpus.EntityID][]core.Query)
 	for _, id := range targets {
-		fired, _ := f.localReference(id, nQueries)
+		fired, _ := f.localReference(t, id, nQueries)
 		wantFired[id] = fired
 	}
 

@@ -316,8 +316,8 @@ func TestMixedVersionFallback(t *testing.T) {
 		t.Error("negotiated wire against a JSON-only server")
 	}
 	ss := newSessionSetup(t, g)
-	localQ, localP, _ := ss.run(core.NewL2QBAL(), engine)
-	remoteQ, remoteP, _ := ss.run(core.NewL2QBAL(), c)
+	localQ, localP, _ := ss.run(t, core.NewL2QBAL(), engine)
+	remoteQ, remoteP, _ := ss.run(t, core.NewL2QBAL(), c)
 	if len(localQ) == 0 || !reflect.DeepEqual(remoteQ, localQ) || !reflect.DeepEqual(remoteP, localP) {
 		t.Errorf("harvest over negotiated JSON diverges:\n local  %v %v\n remote %v %v", localQ, localP, remoteQ, remoteP)
 	}
@@ -347,7 +347,7 @@ func TestMixedVersionFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oldQ, oldP, _ := ss.run(core.NewL2QBAL(), c)
+		oldQ, oldP, _ := ss.run(t, core.NewL2QBAL(), c)
 		if !reflect.DeepEqual(oldQ, localQ) || !reflect.DeepEqual(oldP, localP) {
 			t.Errorf("%v: harvest against a server that ignores with=pages diverges:\n local  %v %v\n remote %v %v", codec, localQ, localP, oldQ, oldP)
 		}
@@ -603,7 +603,7 @@ func TestDifferentialWireParity(t *testing.T) {
 
 	run := func(c *Client) ([]core.Query, []corpus.PageID, map[corpus.PageID]string) {
 		sess := core.NewSession(cfg, c, target, aspect, y, dm, rec, 42)
-		fired := sess.Run(core.NewL2QBAL(), 3)
+		fired := mustRun(t, sess, core.NewL2QBAL(), 3)
 		ids := make([]corpus.PageID, 0, len(sess.Pages()))
 		rendered := make(map[corpus.PageID]string, len(sess.Pages()))
 		for _, p := range sess.Pages() {

@@ -17,8 +17,8 @@
 //	entity := sys.Corpus().Entities[0]
 //	dm, err := sys.LearnDomain("RESEARCH", sys.EntityIDs()[10:60])
 //	h := sys.NewHarvester(entity, "RESEARCH", dm)
-//	fired := h.Run(l2q.NewL2QBAL(), 3)   // three selected queries
-//	pages := h.Pages()                    // harvested result pages
+//	fired, err := h.RunCtx(ctx, l2q.NewL2QBAL(), 3) // three selected queries
+//	pages := h.Pages()                              // harvested result pages
 //
 // See examples/ for complete programs and DESIGN.md for the mapping from
 // the paper's sections to packages.
@@ -307,11 +307,10 @@ func (s *System) TrainHR(a Aspect, domainEntities []EntityID) (*HRModel, error) 
 	return baselines.TrainHR(s.cfg, s.corpus, domainEntities, s.cls.YFunc(a), s.rec)
 }
 
-// Harvester is a thin wrapper over a core session: the iterative loop of
-// Fig. 1 for one (entity, aspect) pair.
-type Harvester struct {
-	*Session
-}
+// Harvester is the session that runs the iterative loop of Fig. 1 for one
+// (entity, aspect) pair: BootstrapCtx, then StepCtx per query, or RunCtx
+// for the whole budget.
+type Harvester = Session
 
 // NewHarvester starts a harvesting session. dm may be nil to run without
 // domain awareness.
@@ -322,6 +321,5 @@ func (s *System) NewHarvester(e *Entity, a Aspect, dm *DomainModel) *Harvester {
 // NewHarvesterSeeded is NewHarvester with an explicit RNG seed (only the
 // RND strategy consumes randomness).
 func (s *System) NewHarvesterSeeded(e *Entity, a Aspect, dm *DomainModel, rngSeed uint64) *Harvester {
-	sess := core.NewSession(s.cfg, s.engine, e, a, s.cls.YFunc(a), dm, s.rec, rngSeed)
-	return &Harvester{Session: sess}
+	return core.NewSession(s.cfg, s.engine, e, a, s.cls.YFunc(a), dm, s.rec, rngSeed)
 }

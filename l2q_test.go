@@ -1,6 +1,7 @@
 package l2q_test
 
 import (
+	"context"
 	"testing"
 
 	"l2q"
@@ -38,7 +39,7 @@ func TestEndToEndHarvest(t *testing.T) {
 	}
 	target := sys.Corpus().Entity(ids[len(ids)-1])
 	h := sys.NewHarvester(target, "RESEARCH", dm)
-	fired := h.Run(l2q.NewL2QBAL(), 3)
+	fired := mustRun(t, h, l2q.NewL2QBAL(), 3)
 	if len(fired) != 3 {
 		t.Fatalf("fired %d queries", len(fired))
 	}
@@ -71,7 +72,7 @@ func TestBaselinesThroughFacade(t *testing.T) {
 		l2q.NewLM(), l2q.NewAQ(), l2q.NewHR(hr), l2q.NewMQFor(l2q.Cars, "SAFETY"),
 	} {
 		h := sys.NewHarvester(target, "SAFETY", nil)
-		if fired := h.Run(sel, 2); len(fired) == 0 {
+		if fired := mustRun(t, h, sel, 2); len(fired) == 0 {
 			t.Errorf("%s fired nothing", sel.Name())
 		}
 	}
@@ -109,7 +110,7 @@ func TestL2QWeightedStrategy(t *testing.T) {
 	target := sys.Corpus().Entity(ids[len(ids)-1])
 	for _, beta := range []float64{0.2, 0.5, 0.8, -1 /* falls back to 0.5 */} {
 		h := sys.NewHarvester(target, "RESEARCH", dm)
-		if fired := h.Run(l2q.NewL2QWeighted(beta), 2); len(fired) != 2 {
+		if fired := mustRun(t, h, l2q.NewL2QWeighted(beta), 2); len(fired) != 2 {
 			t.Fatalf("β=%v fired %d queries", beta, len(fired))
 		}
 	}
@@ -127,7 +128,7 @@ func TestDeterministicAcrossSystems(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := sys.NewHarvester(sys.Corpus().Entity(ids[15]), "AWARD", dm)
-		return h.Run(l2q.NewL2QP(), 3)
+		return mustRun(t, h, l2q.NewL2QP(), 3)
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -138,4 +139,15 @@ func TestDeterministicAcrossSystems(t *testing.T) {
 			t.Fatalf("nondeterministic: %v vs %v", a, b)
 		}
 	}
+}
+
+// mustRun is RunCtx over the in-process engine, which cannot fail: any
+// error fails the test.
+func mustRun(t testing.TB, h *l2q.Harvester, sel l2q.Selector, n int) []l2q.Query {
+	t.Helper()
+	fired, err := h.RunCtx(context.Background(), sel, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fired
 }

@@ -30,9 +30,8 @@ type (
 	RemoteEngine = webapi.Client
 	// Retriever is the engine surface sessions harvest through.
 	Retriever = core.Retriever
-	// Checkpoint is a session's durable state; Harvester promotes
-	// Snapshot/Resume from the embedded session, so long-running harvests
-	// survive restarts by exact replay.
+	// Checkpoint is a session's durable state (Harvester's Snapshot and
+	// Resume), so long-running harvests survive restarts by exact replay.
 	Checkpoint = core.Checkpoint
 	// RemoteOptions tunes a remote engine's transport (retry policy,
 	// prefetch concurrency, request timeout, wire codec).
@@ -214,8 +213,7 @@ func (s *System) DialRemoteContext(ctx context.Context, base string, opts Remote
 // Selection behavior is identical (the remote client returns the
 // engine's ranked lists and pages exactly); only the transport differs.
 func (s *System) NewRemoteHarvester(re *RemoteEngine, e *Entity, a Aspect, dm *DomainModel) *Harvester {
-	sess := core.NewSession(s.cfg, re, e, a, s.cls.YFunc(a), dm, s.rec, 1)
-	return &Harvester{Session: sess}
+	return core.NewSession(s.cfg, re, e, a, s.cls.YFunc(a), dm, s.rec, 1)
 }
 
 // SaveStore persists the corpus and its inverted index to a checksummed

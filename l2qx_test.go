@@ -34,7 +34,7 @@ func TestUseCRFClassifiers(t *testing.T) {
 	// Harvesting still works with the swapped family.
 	e := sys.Corpus().Entities[0]
 	h := sys.NewHarvester(e, aspect, nil)
-	if fired := h.Run(NewP(), 2); len(fired) == 0 {
+	if fired := mustRun(t, h, NewP(), 2); len(fired) == 0 {
 		t.Error("no queries fired under CRF classifiers")
 	}
 }
@@ -80,7 +80,7 @@ func TestHarvestPipelinedMatchesHarvestMany(t *testing.T) {
 			t.Fatalf("pipeline job %d: %v", i, pipe[i].Err)
 		}
 		h := sys.NewHarvesterSeeded(sys.Corpus().Entity(id), aspect, dm, uint64(id)+1)
-		fired := h.Run(NewL2QBAL(), 2)
+		fired := mustRun(t, h, NewL2QBAL(), 2)
 		if len(fired) == 0 || len(h.Pages()) == 0 {
 			t.Fatalf("entity %d: sequential run fired %v and gathered %d pages", i, fired, len(h.Pages()))
 		}
@@ -165,9 +165,9 @@ func TestRemoteHarvestParity(t *testing.T) {
 	}
 
 	local := sys.NewHarvesterSeeded(e, aspect, dm, 1)
-	localFired := local.Run(NewL2QBAL(), 2)
+	localFired := mustRun(t, local, NewL2QBAL(), 2)
 	remote := sys.NewRemoteHarvester(re, e, aspect, dm)
-	remoteFired := remote.Run(NewL2QBAL(), 2)
+	remoteFired := mustRun(t, remote, NewL2QBAL(), 2)
 
 	if !reflect.DeepEqual(localFired, remoteFired) {
 		t.Errorf("fired %v locally, %v remotely", localFired, remoteFired)
@@ -227,7 +227,7 @@ func TestCheckpointThroughFacade(t *testing.T) {
 	e := sys.Corpus().Entities[len(ids)-1]
 
 	h := sys.NewHarvesterSeeded(e, aspect, dm, 1)
-	h.Run(NewL2QBAL(), 2)
+	mustRun(t, h, NewL2QBAL(), 2)
 	var buf bytes.Buffer
 	if err := h.Snapshot().Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -313,10 +313,10 @@ func TestCheckpointPublicRoundTrip(t *testing.T) {
 	e := sys.Corpus().Entities[sys.Corpus().NumEntities()-1]
 
 	ref := sys.NewHarvester(e, aspect, nil)
-	want := ref.Run(NewL2QBAL(), 3)
+	want := mustRun(t, ref, NewL2QBAL(), 3)
 
 	h := sys.NewHarvester(e, aspect, nil)
-	h.Run(NewL2QBAL(), 1)
+	mustRun(t, h, NewL2QBAL(), 1)
 	var buf bytes.Buffer
 	if err := h.Snapshot().Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -329,8 +329,19 @@ func TestCheckpointPublicRoundTrip(t *testing.T) {
 	if err := resumed.Resume(context.Background(), cp); err != nil {
 		t.Fatal(err)
 	}
-	got := append(append([]Query(nil), cp.Fired...), resumed.Run(NewL2QBAL(), 2)...)
+	got := append(append([]Query(nil), cp.Fired...), mustRun(t, resumed, NewL2QBAL(), 2)...)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("resumed fired %v, uninterrupted %v", got, want)
 	}
+}
+
+// mustRun is RunCtx over an engine that cannot fail: any error fails the
+// test.
+func mustRun(t testing.TB, s *Harvester, sel Selector, n int) []Query {
+	t.Helper()
+	fired, err := s.RunCtx(context.Background(), sel, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fired
 }

@@ -8,8 +8,13 @@
 # Counts the tree it is run in (`make loc` runs it at the root; run it in
 # a checkout of the parent commit for the "before" figures):
 #
-#   scripts/loc.sh            # every package, then the total
+#   scripts/loc.sh            # every package, the total, then the counters
 #   scripts/loc.sh internal/webapi
+#
+# The whole-tree run also prints the three counters ROADMAP tracks:
+# //l2qvet:ignore directives outside internal/lint and testdata,
+# time.Sleep( calls in internal/**/*_test.go, and the fuzz targets beside
+# how many of them `make fuzz-smoke` runs.
 set -euo pipefail
 
 count() { # count <dir> <find predicate...>: summed lines of the matching files directly in dir
@@ -31,3 +36,16 @@ for d in "${dirs[@]}"; do
 	total=$((total + n)) total_test=$((total_test + t))
 done
 printf '%-28s %9d %9d\n' total "$total" "$total_test"
+
+[ $# -eq 0 ] || exit 0
+gofiles() { # gofiles <find predicate...>: the tree's Go files, bench/ excluded
+	find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*' "$@"
+}
+ignores=$(gofiles -not -path './internal/lint/*' -not -path '*/testdata/*' -exec cat {} + | grep -cE '^[[:space:]]*//l2qvet:ignore ' || true)
+sleeps=$(find internal -name '*_test.go' -exec cat {} + | grep -o 'time\.Sleep(' | wc -l)
+fuzz=$(gofiles -name '*_test.go' -exec cat {} + | grep -cE '^func Fuzz[A-Za-z0-9_]*\(' || true)
+smoke=$(sed -n '/^fuzz-smoke:/,/^$/p' Makefile | grep -c -- '-fuzz ' || true)
+echo
+printf '%-44s %5d\n' 'l2qvet:ignore lines (outside internal/lint)' "$ignores"
+printf '%-44s %5d\n' 'time.Sleep( calls in internal/*_test.go' "$sleeps"
+printf '%-44s %5d (%d in make fuzz-smoke)\n' 'fuzz targets' "$fuzz" "$smoke"
