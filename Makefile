@@ -28,19 +28,27 @@ test-procs:
 	GOMAXPROCS=1 $(GO) test -race -shuffle=on ./internal/search/ ./internal/core/ ./internal/pipeline/ ./internal/webapi/
 	GOMAXPROCS=8 $(GO) test -race -shuffle=on ./internal/search/ ./internal/core/ ./internal/pipeline/ ./internal/webapi/
 
-# 20 s of native fuzzing each on the scorer's exactness gate (the pruned
-# top-k pass, its contender test included, must equal SearchReference —
-# Dirichlet query likelihood, the one ranking function — bit for bit on
-# random tiny corpora, queries stretched up to 64-fold, μ from 10⁻³ to 10⁹),
-# on the search-with-pages decoder (frame, payload and page check between
-# a response body and the client's page cache) and on the session's page
-# bitsets (coverage must equal a Page.ContainsQuery recount; its inputs are
-# programs of a kilobyte, so minimizing each new one is capped at 1 s
-# instead of eating the budget).
+# Every fuzz target in the tree. 20 s of native fuzzing each on the
+# scorer's exactness gate (the pruned top-k pass, its contender test
+# included, must equal SearchReference — Dirichlet query likelihood, the
+# one ranking function — bit for bit on random tiny corpora, queries
+# stretched up to 64-fold, μ from 10⁻³ to 10⁹), on the search-with-pages
+# decoder (frame, payload and page check between a response body and the
+# client's page cache) and on the session's page bitsets (coverage must
+# equal a Page.ContainsQuery recount; its inputs are programs of a
+# kilobyte, so minimizing each new one is capped at 1 s instead of eating
+# the budget); 10 s each on the tokenizer's three differential oracles
+# (the ASCII split against the rune path, n-gram admissibility from
+# per-token flags and phrase merging through the first-word index against
+# their per-gram and every-length references — small alphabets, so they
+# saturate fast).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPrunedTopKMatchesReference -fuzztime 20s ./internal/search/
 	$(GO) test -run '^$$' -fuzz FuzzSearchPagesFrame -fuzztime 20s ./internal/webapi/
 	$(GO) test -run '^$$' -fuzz FuzzBitCoverMatchesContainment -fuzztime 20s -fuzzminimizetime 1s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzSplitWordsParity -fuzztime 10s ./internal/textproc/
+	$(GO) test -run '^$$' -fuzz FuzzNGramsMatchesReference -fuzztime 10s ./internal/textproc/
+	$(GO) test -run '^$$' -fuzz FuzzLexiconMergeMatchesReference -fuzztime 10s ./internal/textproc/
 
 # 30 s churn loops under the race detector: scheduler submit/cancel/
 # resume, and the live engine's concurrent ingest+search+compact.

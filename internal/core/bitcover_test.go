@@ -121,28 +121,26 @@ func runCoverProgram(t *testing.T, a coverAlphabet, program []byte) {
 	relevant := map[corpus.PageID]bool{}
 	y := func(p *corpus.Page) bool { return relevant[p.ID] }
 	s := NewSession(cfg, nil, &corpus.Entity{SeedQuery: "seed"}, "A", y, nil, nil, 1)
+	// The candidate table both forms mirror, filled by the program instead
+	// of by page enumeration: a registered candidate gets the next ordinal
+	// (once), a fired one is marked as the pool's sync would mark it.
+	pool := newCandidatePool(false, nil, 0)
 	forms := []struct {
 		name string
 		sg   *sessionGraph
 	}{
-		{"table-only", newSessionGraph(s, InferOptions{})},
-		{"graph-backed", newSessionGraph(s, InferOptions{Utilities: UtilPrecision})},
+		{"table-only", newSessionGraph(s, InferOptions{}, pool)},
+		{"graph-backed", newSessionGraph(s, InferOptions{Utilities: UtilPrecision}, pool)},
 	}
 	if forms[0].sg.b.g != nil || forms[1].sg.b.g == nil {
 		t.Fatal("forms are not what their requests ask for")
 	}
 
-	var registered, live []Query
+	var registered []Query
 	ingest := func() {
-		live = live[:0]
-		for _, q := range registered {
-			if _, fired := s.firedSet[q]; !fired {
-				live = append(live, q)
-			}
-		}
 		for _, f := range forms {
 			form, sg := f.name, f.sg
-			sg.ingest(s, live)
+			sg.ingest(s)
 			for ord := range sg.b.qs {
 				qv := &sg.b.qs[ord]
 				if qv.detached {
@@ -179,12 +177,17 @@ func runCoverProgram(t *testing.T, a coverAlphabet, program []byte) {
 					words[i] = a.vocab[ix]
 				}
 			}
-			registered = append(registered, Query(strings.Join(words, " ")))
+			q := Query(strings.Join(words, " "))
+			registered = append(registered, q)
+			if _, ok := pool.ords[q]; !ok {
+				pool.add(q, candPage)
+			}
 		case coverOpFire:
 			if len(registered) > 0 {
 				q := registered[next()%len(registered)]
 				s.fired = append(s.fired, q)
 				s.firedSet[q] = struct{}{}
+				pool.state[pool.ords[q]] = candFired
 			}
 		case coverOpIngest:
 			ingest()

@@ -23,10 +23,13 @@ type graphBuilder struct {
 
 	pages    []*corpus.Page
 	pageNode map[corpus.PageID]graph.NodeID
-	// queries maps a registered query to its index in qs; qs holds the
-	// query vertices in registration order. Everything a step loop needs
-	// per candidate lives in the queryVertex, so one map lookup per
-	// candidate (none when walking qs) replaces a lookup per fact.
+	// qs holds the query vertices in registration order. Everything a step
+	// loop needs per candidate lives in the queryVertex, so one lookup per
+	// candidate replaces a lookup per fact. queries maps a query to its
+	// index in qs where addQuery registers queries by string (the domain
+	// phase, the reference oracle); a session's table is its candidate
+	// pool's, registered by ordinal (sessionGraph.ingest), and leaves it
+	// nil.
 	queries   map[Query]int32
 	qs        []queryVertex
 	templates map[string]graph.NodeID
@@ -49,14 +52,15 @@ type queryVertex struct {
 	candidateFacts
 	// detached marks a query retired from the graph (a fired query in a
 	// persistent session graph): its vertex is isolated and must not
-	// receive new edges.
+	// receive new edges. A query already fired when its session table
+	// registers it is detached from the start and gets no vertex at all.
 	detached bool
 }
 
 // newGraphBuilder returns an empty builder, with a graph to fill or (the
 // session's table-only form) without one.
 func newGraphBuilder(cfg Config, rec types.Recognizer, withGraph bool) *graphBuilder {
-	b := &graphBuilder{cfg: cfg, rec: rec, queries: make(map[Query]int32)}
+	b := &graphBuilder{cfg: cfg, rec: rec}
 	if withGraph {
 		b.g = graph.New()
 		b.pageNode = make(map[corpus.PageID]graph.NodeID)
@@ -81,22 +85,15 @@ func (b *graphBuilder) addPage(p *corpus.Page) {
 // addQuery registers a query (idempotent) with its facts, its vertex, its
 // template vertices and query–template edges.
 func (b *graphBuilder) addQuery(q Query) {
-	if qv := b.enroll(q); qv != nil {
-		qv.candidateFacts = b.factsOf(q)
-		b.addQueryVertex(qv)
-	}
-}
-
-// enroll appends q to the candidate table and returns its entry, nil when
-// q is already there. The entry has neither facts nor vertex yet: addQuery
-// supplies both at once, a session's ingest a batch at a time.
-func (b *graphBuilder) enroll(q Query) *queryVertex {
 	if _, ok := b.queries[q]; ok {
-		return nil
+		return
+	}
+	if b.queries == nil {
+		b.queries = make(map[Query]int32)
 	}
 	b.queries[q] = int32(len(b.qs))
-	b.qs = append(b.qs, queryVertex{q: q})
-	return &b.qs[len(b.qs)-1]
+	b.qs = append(b.qs, queryVertex{q: q, candidateFacts: b.factsOf(q)})
+	b.addQueryVertex(&b.qs[len(b.qs)-1])
 }
 
 // addQueryVertex creates the vertex of an enrolled query whose facts are
@@ -113,29 +110,23 @@ func (b *graphBuilder) addQueryVertex(qv *queryVertex) {
 	}
 }
 
-// vertex returns the query vertex of a registered query.
-func (b *graphBuilder) vertex(q Query) *queryVertex {
-	return &b.qs[b.queries[q]]
-}
-
 // addPQEdge connects a page and a query ("q can retrieve p"). Containment
 // is binary (§III), so every edge weighs 1.
 func (b *graphBuilder) addPQEdge(p *corpus.Page, qv *queryVertex) {
 	b.g.AddEdgePQ(b.pageNode[p.ID], qv.node, 1)
 }
 
-// detachQuery retires a query from the graph (it was fired and left the
+// detach retires query ord from the graph (it was fired and left the
 // candidate pool): every incident edge is removed, leaving the vertex
 // isolated — which the fixpoint treats exactly as if it never existed.
-func (b *graphBuilder) detachQuery(q Query) {
-	i, ok := b.queries[q]
-	if !ok || b.qs[i].detached {
+func (b *graphBuilder) detach(ord int) {
+	if b.qs[ord].detached {
 		return
 	}
 	if b.g != nil {
-		b.g.DetachQuery(b.qs[i].node)
+		b.g.DetachQuery(b.qs[ord].node)
 	}
-	b.qs[i].detached = true
+	b.qs[ord].detached = true
 }
 
 // connect adds page–query edges for the entity phase's rebuild path: each

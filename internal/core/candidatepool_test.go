@@ -159,4 +159,128 @@ func TestCandidatePoolFiredNeverReappears(t *testing.T) {
 		}
 		mustFire(t, s, cands[len(cands)/2])
 	}
+
+	// A query Candidates emitted and IngestQuery fired before the next
+	// Infer has a pool ordinal the session state has not enrolled: the
+	// state enrolls it detached — no coverage, no token index — and no
+	// inference scores it, in either form.
+	for _, opts := range []InferOptions{NewL2QBAL().(utilitySelector).inferOptions(), allUtilities} {
+		s := f.sessionWith(f.diffConfig(), f.dm)
+		mustBoot(t, s)
+		if _, err := s.Infer(opts); err != nil {
+			t.Fatal(err)
+		}
+		enrolled := len(s.sg.b.qs)
+		var q Query
+		for i := 0; q == "" && i < 10; i++ {
+			mustFire(t, s, s.Candidates(true)[i]) // until new n-grams arrive
+			for _, c := range s.Candidates(true) {
+				if int(s.pool.ords[c]) >= enrolled {
+					q = c
+					break
+				}
+			}
+		}
+		if q == "" {
+			t.Fatal("ten fires brought no new candidate")
+		}
+		mustFire(t, s, q)
+		got, err := s.Infer(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ord := s.pool.ords[q]
+		if qv := s.sg.b.qs[ord]; qv.q != q || !qv.detached {
+			t.Fatalf("%q (ordinal %d) enrolled as %q, detached %v", q, ord, qv.q, qv.detached)
+		}
+		if s.sg.cover[ord] != (coverage{}) || s.sg.qtokAt[ord] != s.sg.qtokAt[ord+1] {
+			t.Fatalf("fired %q was connected: cover %+v", q, s.sg.cover[ord])
+		}
+		for _, c := range got.Queries {
+			if c == q {
+				t.Fatalf("fired %q scored", q)
+			}
+		}
+		want, err := s.InferReference(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareInference(t, 0, got, want, 1e-9)
+	}
+}
+
+// ordinalCheck wraps a selector and, after each of its selections, holds
+// the session's candidate table to the ordinal invariant: the pool
+// numbered its queries in first-emission order, every emitted candidate's
+// ordinal names it, and ordinal i of the pool is b.qs[i] of the session
+// state that mirrors it. Drift would score one query with another's
+// facts, coverage and vertex.
+type ordinalCheck struct {
+	Selector
+	t     *testing.T
+	step  int
+	seen  map[Query]bool
+	first []Query // every emitted query, in order of first emission
+}
+
+func (c *ordinalCheck) Select(s *Session) (Selection, bool) {
+	t := c.t
+	t.Helper()
+	choice, ok := c.Selector.Select(s)
+	c.step++
+	p := s.pool
+	if p == nil {
+		return choice, ok // P+q and R+q select without a pool
+	}
+	if len(s.ordBuf) != len(s.candBuf) {
+		t.Fatalf("step %d: %d ordinals for %d candidates", c.step, len(s.ordBuf), len(s.candBuf))
+	}
+	for i, q := range s.candBuf {
+		if o := s.ordBuf[i]; p.qs[o] != q || p.ords[q] != o || p.state[o] == candFired {
+			t.Fatalf("step %d: candidate %q has ordinal %d, which names %q in state %d", c.step, q, o, p.qs[o], p.state[o])
+		}
+		if !c.seen[q] {
+			c.seen[q] = true
+			c.first = append(c.first, q)
+		}
+	}
+	if !reflect.DeepEqual(c.first, p.qs) {
+		t.Fatalf("step %d: ordinals are not in first-emission order (%d emitted, %d numbered)", c.step, len(c.first), len(p.qs))
+	}
+	if sg := s.sg; sg != nil && sg.pool == p {
+		if len(sg.b.qs) != len(p.qs) {
+			t.Fatalf("step %d: session state enrolled %d of the pool's %d ordinals", c.step, len(sg.b.qs), len(p.qs))
+		}
+		for i := range sg.b.qs {
+			if sg.b.qs[i].q != p.qs[i] {
+				t.Fatalf("step %d: ordinal %d is %q in the pool, %q in the session state", c.step, i, p.qs[i], sg.b.qs[i].q)
+			}
+		}
+	}
+	for _, q := range s.fired {
+		if o, ok := p.ords[q]; !ok || p.state[o] != candFired {
+			t.Fatalf("step %d: fired %q not retired in the table", c.step, q)
+		}
+	}
+	return choice, ok
+}
+
+// TestCandidateTableOrdinals runs every stock strategy on both domains
+// through ordinalCheck, so the ordinal invariant is checked after every
+// step.
+func TestCandidateTableOrdinals(t *testing.T) {
+	selectors := []func() Selector{
+		NewRND, NewP, NewR, NewPQ, NewRQ, NewPT, NewRT, NewL2QP, NewL2QR, NewL2QBAL,
+	}
+	for domain, f := range diffDomains(t) {
+		for _, mk := range selectors {
+			sel := mk()
+			t.Run(domain+"/"+sel.Name(), func(t *testing.T) {
+				check := &ordinalCheck{Selector: sel, t: t, seen: map[Query]bool{}}
+				if fired := mustRun(t, f.sessionWith(f.diffConfig(), f.dm), check, 6); len(fired) != 6 {
+					t.Fatalf("fired %d of 6 queries", len(fired))
+				}
+			})
+		}
+	}
 }

@@ -255,8 +255,8 @@ func TestDomainCandidatesExtendPool(t *testing.T) {
 	f := newFixture(t)
 	s := f.session(f.dm)
 	mustBoot(t, s)
-	without := s.candidateQueries(false)
-	with := s.candidateQueries(true)
+	without, _ := s.candidateQueries(false)
+	with, _ := s.candidateQueries(true)
 	if len(with) <= len(without) {
 		t.Fatalf("domain candidates did not extend pool: %d vs %d", len(with), len(without))
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"l2q/internal/corpus"
 	"l2q/internal/graph"
@@ -75,6 +76,11 @@ type DomainModel struct {
 	// model asks for it.
 	sharedMu sync.Mutex
 	shared   *sharedCandidateFacts
+
+	// lastTableSize is the candidate-table size a session over this model
+	// last reached: the next session sizes its tables from it once
+	// instead of growing them from empty. Derived state, never serialised.
+	lastTableSize atomic.Int64
 }
 
 // LearnDomain runs the domain phase: build the domain reinforcement graph

@@ -115,8 +115,10 @@ func (s *Session) InferReference(opts InferOptions) (*Inference, error) {
 	for _, p := range s.pages {
 		b.addPage(p)
 	}
-	for _, q := range cands {
+	ords := make([]int32, len(cands))
+	for i, q := range cands {
 		b.addQuery(q)
+		ords[i] = b.queries[q]
 	}
 	// Entity graphs are small: conjunctive containment against every
 	// current page (domain candidates are not n-grams of P_E, so the
@@ -130,12 +132,12 @@ func (s *Session) InferReference(opts InferOptions) (*Inference, error) {
 		} else {
 			pageReg = b.pageRegularization(s.Y)
 		}
-		if _, _, err := s.solveIndividual(inf, b, opts, pageReg, nil, nil); err != nil {
+		if _, _, err := s.solveIndividual(inf, ords, b, opts, pageReg, nil, nil); err != nil {
 			return nil, err
 		}
 	}
 	if opts.Utilities&UtilCollective != 0 {
-		s.collective(inf, b)
+		s.collective(inf, ords, b)
 	}
 	return inf, nil
 }
@@ -160,10 +162,10 @@ func (s *Session) newEntityGraph(opts InferOptions, withGraph bool) *graphBuilde
 // solveIndividual runs one fixpoint per requested individual utility —
 // P_E with page + λ·P_D(t) regularization (Eq. 21), R_E with page +
 // λ·R_D(t) (Eq. 22) — and projects each node-indexed solution onto the
-// candidates. x0P and x0R are optional warm starts. The node-indexed
-// solutions are returned (nil when not requested) so Infer can keep them
-// as the next step's warm start.
-func (s *Session) solveIndividual(inf *Inference, b *graphBuilder, opts InferOptions,
+// candidates, whose indexes in b.qs are ords. x0P and x0R are optional
+// warm starts. The node-indexed solutions are returned (nil when not
+// requested) so Infer can keep them as the next step's warm start.
+func (s *Session) solveIndividual(inf *Inference, ords []int32, b *graphBuilder, opts InferOptions,
 	pageReg regPair, x0P, x0R []float64) (prec, rcl []float64, err error) {
 
 	var tmplP, tmplR map[string]float64
@@ -176,9 +178,9 @@ func (s *Session) solveIndividual(inf *Inference, b *graphBuilder, opts InferOpt
 		}
 	}
 	project := func(u []float64) []float64 {
-		out := make([]float64, len(inf.Queries))
-		for i, q := range inf.Queries {
-			out[i] = u[b.vertex(q).node]
+		out := make([]float64, len(ords))
+		for i, o := range ords {
+			out[i] = u[b.qs[o].node]
 		}
 		return out
 	}
@@ -220,14 +222,14 @@ func (s *Session) solveIndividual(inf *Inference, b *graphBuilder, opts InferOpt
 //
 // The Y* counterparts (for collective precision, Eq. 27) replace "relevant
 // pages" with "all pages" throughout.
-func (s *Session) collective(inf *Inference, b *graphBuilder) {
+func (s *Session) collective(inf *Inference, ords []int32, b *graphBuilder) {
 	nRel := 0
 	for _, p := range s.pages {
 		if s.Y(p) {
 			nRel++
 		}
 	}
-	s.collectiveCover(inf, b, nRel, nil)
+	s.collectiveCover(inf, ords, b, nRel, nil)
 }
 
 // coverage counts the gathered pages (all) and gathered relevant pages
@@ -237,17 +239,17 @@ type coverage struct{ all, rel int32 }
 // collectiveCover is collective with the relevant-page count precomputed
 // and an optional coverage source: cover, indexed like b.qs, holds the
 // counts the incremental path caches during delta connection; nil
-// recounts by scanning the pages (the reference behavior). The domain
-// priors come from the query vertex (computed once, at registration).
-func (s *Session) collectiveCover(inf *Inference, b *graphBuilder, nRel int, cover []coverage) {
+// recounts by scanning the pages (the reference behavior). ords are the
+// candidates' indexes in b.qs. The domain priors come from the query
+// vertex (computed once, at registration).
+func (s *Session) collectiveCover(inf *Inference, ords []int32, b *graphBuilder, nRel int, cover []coverage) {
 	nPages := len(s.pages)
 	m := s.Cfg.PriorStrength
 
-	inf.CollR = make([]float64, len(inf.Queries))
-	inf.CollRStar = make([]float64, len(inf.Queries))
-	inf.CollP = make([]float64, len(inf.Queries))
-	for i, q := range inf.Queries {
-		ord := b.queries[q]
+	inf.CollR = make([]float64, len(ords))
+	inf.CollRStar = make([]float64, len(ords))
+	inf.CollP = make([]float64, len(ords))
+	for i, ord := range ords {
 		qv := &b.qs[ord]
 
 		// Exact redundancy conditionals over the gathered pages.

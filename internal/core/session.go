@@ -79,17 +79,20 @@ type Session struct {
 	// and updated with deltas each step.
 	sg *sessionGraph
 
-	// pool is the persistent candidate pool Q_E: built lazily on the first
+	// pool is the persistent candidate pool Q_E and the session's candidate
+	// table, whose ordinals sg's table mirrors: built lazily on the first
 	// selection and synced with per-step deltas — only new pages are
 	// enumerated (first-appearance order preserved) and fired queries are
-	// removed — mirroring sg's lifecycle.
+	// retired.
 	pool *candidatePool
 
-	// candBuf is the session-owned scratch the internal candidateQueries
-	// emits Q_E into, reused across steps so steady-state selection does
-	// not allocate a fresh pool copy per step. Valid until the next
-	// candidateQueries call; the public Candidates returns a fresh slice.
+	// candBuf and ordBuf are the session-owned scratch the internal
+	// candidateQueries emits Q_E and its ordinals into, reused across steps
+	// so steady-state selection does not allocate a fresh pool copy per
+	// step. Valid until the next candidateQueries call; the public
+	// Candidates returns a fresh slice.
 	candBuf []Query
+	ordBuf  []int32
 
 	// resBuf is the session-owned result scratch FetchQueryCtx fetches
 	// into. Valid until the next fetch on this session — fetch and ingest
@@ -390,14 +393,26 @@ func (s *Session) Candidates(useDomain bool) []Query {
 // reusing dst across steps refreshes the pool without allocating (the
 // per-step delta work is itself allocation-free steady-state).
 func (s *Session) CandidatesAppend(dst []Query, useDomain bool) []Query {
+	return s.syncPool(useDomain).appendQueries(dst)
+}
+
+// syncPool returns the session's candidate pool for the useDomain
+// signature, synced with the session. A new pool's table is sized from
+// what the session's model saw last (DomainModel.lastTableSize).
+func (s *Session) syncPool(useDomain bool) *candidatePool {
 	dm := s.DM
 	if !useDomain {
 		dm = nil
 	}
 	if !s.pool.matches(useDomain, dm) {
-		s.pool = newCandidatePool(useDomain, dm)
+		size := 0
+		if s.DM != nil {
+			size = int(s.DM.lastTableSize.Load())
+		}
+		s.pool = newCandidatePool(useDomain, dm, size)
 	}
-	return s.pool.appendPool(dst, s)
+	s.pool.sync(s)
+	return s.pool
 }
 
 // candidateQueries produces the entity-phase candidate pool Q_E: n-grams
@@ -406,7 +421,9 @@ func (s *Session) CandidatesAppend(dst []Query, useDomain bool) []Query {
 // result is deterministic: page n-grams in first-appearance order, then
 // domain candidates.
 //
-// The returned slice is session-owned scratch, valid until the next
+// ords, parallel to the queries, are their ordinals in the pool's table.
+//
+// The returned slices are session-owned scratch, valid until the next
 // candidateQueries call on this session — internal per-step consumers
 // (selectors, inference) use each pool within their step, so reusing one
 // buffer removes the per-step copy. External callers go through
@@ -416,9 +433,11 @@ func (s *Session) CandidatesAppend(dst []Query, useDomain bool) []Query {
 // pages are enumerated and fired queries removed; CandidatesReference is
 // the retained rebuild-per-step oracle, and the two produce identical pools
 // (TestCandidatePoolMatchesReference).
-func (s *Session) candidateQueries(useDomain bool) []Query {
-	s.candBuf = s.CandidatesAppend(s.candBuf[:0], useDomain)
-	return s.candBuf
+func (s *Session) candidateQueries(useDomain bool) (qs []Query, ords []int32) {
+	p := s.syncPool(useDomain)
+	s.candBuf = p.appendQueries(s.candBuf[:0])
+	s.ordBuf = p.appendOrds(s.ordBuf[:0])
+	return s.candBuf, s.ordBuf
 }
 
 // CandidatesReference is the from-scratch candidate enumeration: it

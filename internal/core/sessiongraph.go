@@ -35,17 +35,26 @@ import (
 // coverage the population count of that intersection, and — graph-backed —
 // its new page–query edges the set bits, in page order.
 //
+// The candidate table is the candidate pool's: query ordinal i of the pool
+// is b.qs[i], enrolled in ordinal order as the pool grows, so a step
+// registers only the pool's new ordinals and reads everything per
+// candidate by ordinal — no string is hashed again. A state built after
+// its pool (a rebuild, see below) catches up over the whole table in
+// ordinal order; a query fired before its first enrollment is enrolled
+// detached, without a vertex.
+//
 // What is kept depends on the InferOptions signature (templates add
-// vertices and priors, domain candidates extend the pool) and on the form,
-// so a session keeps one sessionGraph per signature and rebuilds if a
-// selector switches options mid-session (which none of the stock
-// strategies do) or asks a table-only one for an individual utility. A
-// graph-backed one serves collective requests as it is: beyond the form,
-// the requested Utilities decide what is solved, not what is kept.
+// vertices and priors, domain candidates extend the pool), on the form and
+// on the pool mirrored, so a session keeps one sessionGraph per signature
+// and rebuilds if a selector switches options mid-session (which none of
+// the stock strategies do), asks a table-only one for an individual
+// utility, or switched the pool's signature in between. A graph-backed
+// one serves collective requests as it is: beyond the form, the requested
+// Utilities decide what is solved, not what is kept.
 type sessionGraph struct {
-	b           *graphBuilder
-	templates   bool // built with template keys and domain priors
-	domainCands bool // candidate pool includes domain candidates
+	b         *graphBuilder
+	pool      *candidatePool // the pool whose table b.qs mirrors
+	templates bool           // built with template keys and domain priors
 
 	nFiredSeen int // prefix of s.fired already detached
 
@@ -76,21 +85,27 @@ type sessionGraph struct {
 	prevPrec, prevRecall []float64
 }
 
-func newSessionGraph(s *Session, opts InferOptions) *sessionGraph {
+// newSessionGraph returns an empty state mirroring pool p, its candidate
+// table sized for the pool's.
+func newSessionGraph(s *Session, opts InferOptions, p *candidatePool) *sessionGraph {
+	b := s.newEntityGraph(opts, opts.individual())
+	b.qs = make([]queryVertex, 0, cap(p.qs))
+	qtokAt := make([]int32, 1, cap(p.qs)+1)
 	return &sessionGraph{
-		b:           s.newEntityGraph(opts, opts.individual()),
-		templates:   opts.UseTemplates,
-		domainCands: opts.UseDomainCandidates,
-		sets:        pageSets{id: make(map[textproc.Token]int32)},
-		qtokAt:      []int32{0},
+		b:         b,
+		pool:      p,
+		templates: opts.UseTemplates,
+		sets:      pageSets{id: make(map[textproc.Token]int32)},
+		qtokAt:    qtokAt,
+		cover:     make([]coverage, 0, cap(p.qs)),
 	}
 }
 
-// matches reports whether the state was built for opts' signature and in a
-// form that can answer opts; a mismatch means it is rebuilt.
-func (sg *sessionGraph) matches(opts InferOptions) bool {
-	return sg != nil && sg.templates == opts.UseTemplates &&
-		sg.domainCands == opts.UseDomainCandidates &&
+// matches reports whether the state was built for opts' signature, in a
+// form that can answer opts and over pool p — the pool of opts'
+// UseDomainCandidates signature; a mismatch means it is rebuilt.
+func (sg *sessionGraph) matches(opts InferOptions, p *candidatePool) bool {
+	return sg != nil && sg.pool == p && sg.templates == opts.UseTemplates &&
 		(sg.b.g != nil || !opts.individual())
 }
 
@@ -137,17 +152,21 @@ func (ps *pageSets) add(t int32, page int) {
 	ps.words[int(t)*ps.stride+page/64] |= 1 << (page % 64)
 }
 
-// ingest brings the persistent state up to date with the session: detach
-// newly fired queries, append new pages and new candidate queries, and
-// delta-connect — new queries against old pages, then every attached query
-// against new pages, the order the graph's edge lists and weight totals
-// have always been built in.
-func (sg *sessionGraph) ingest(s *Session, cands []Query) {
-	b := sg.b
+// ingest brings the persistent state up to date with the session and its
+// synced pool: detach newly fired queries, append new pages and the pool's
+// new ordinals, and delta-connect — new queries against old pages, then
+// every attached query against new pages, the order the graph's edge lists
+// and weight totals have always been built in.
+func (sg *sessionGraph) ingest(s *Session) {
+	b, p := sg.b, sg.pool
 
-	// Retire fired queries: they left the candidate pool for good.
+	// Retire fired queries: they left the candidate pool for good. The
+	// synced pool holds an ordinal for every fired query; one not enrolled
+	// yet is enrolled detached below.
 	for _, q := range s.fired[sg.nFiredSeen:] {
-		b.detachQuery(q)
+		if o, ok := p.ords[q]; ok && int(o) < len(b.qs) {
+			b.detach(int(o))
+		}
 	}
 	sg.nFiredSeen = len(s.fired)
 
@@ -168,28 +187,32 @@ func (sg *sessionGraph) ingest(s *Session, cands []Query) {
 		}
 	}
 
-	// Append new candidate queries: enroll skips the ones already there,
-	// the facts of the new ones arrive as one batch, and — graph-backed —
-	// each then gets its vertex and template vertices, in pool order.
+	// Append the pool's new ordinals: their facts arrive as one batch,
+	// and — graph-backed — each live one then gets its vertex and
+	// template vertices, in ordinal order.
 	firstNew := len(b.qs)
-	for _, q := range cands {
-		b.enroll(q)
+	for o := firstNew; o < len(p.qs); o++ {
+		b.qs = append(b.qs, queryVertex{q: p.qs[o], detached: p.state[o] == candFired})
 	}
 	fresh := b.qs[firstNew:]
 	b.fillFacts(fresh)
 	for i := range fresh {
-		if b.g != nil {
-			b.addQueryVertex(&fresh[i])
-		}
-		for _, tok := range fresh[i].toks {
-			sg.qtok = append(sg.qtok, sg.sets.intern(tok))
+		if qv := &fresh[i]; !qv.detached {
+			if b.g != nil {
+				b.addQueryVertex(qv)
+			}
+			for _, tok := range qv.toks {
+				sg.qtok = append(sg.qtok, sg.sets.intern(tok))
+			}
 		}
 		sg.qtokAt = append(sg.qtokAt, int32(len(sg.qtok)))
 	}
 	sg.cover = append(sg.cover, make([]coverage, len(fresh))...)
 
 	for ord := firstNew; ord < len(b.qs); ord++ {
-		sg.connect(ord, 0, oldPages)
+		if !b.qs[ord].detached {
+			sg.connect(ord, 0, oldPages)
+		}
 	}
 	if len(b.pages) > oldPages {
 		for ord := range b.qs {
@@ -275,21 +298,21 @@ func (sg *sessionGraph) pageReg(s *Session) regPair {
 // retained rebuild-per-step oracle; the two compute identical rankings
 // (TestIncrementalMatchesReference).
 func (s *Session) Infer(opts InferOptions) (*Inference, error) {
-	cands := s.candidateQueries(opts.UseDomainCandidates)
+	cands, ords := s.candidateQueries(opts.UseDomainCandidates)
 	inf := &Inference{Queries: cands}
 	if len(cands) == 0 {
 		return inf, nil
 	}
 
 	sg := s.sg
-	if !sg.matches(opts) {
-		sg = newSessionGraph(s, opts)
+	if !sg.matches(opts, s.pool) {
+		sg = newSessionGraph(s, opts, s.pool)
 		s.sg = sg
 	}
-	sg.ingest(s, cands)
+	sg.ingest(s)
 
 	if opts.individual() {
-		prec, rcl, err := s.solveIndividual(inf, sg.b, opts, sg.pageReg(s), sg.prevPrec, sg.prevRecall)
+		prec, rcl, err := s.solveIndividual(inf, ords, sg.b, opts, sg.pageReg(s), sg.prevPrec, sg.prevRecall)
 		if err != nil {
 			return nil, err
 		}
@@ -301,7 +324,7 @@ func (s *Session) Infer(opts InferOptions) (*Inference, error) {
 		}
 	}
 	if opts.Utilities&UtilCollective != 0 {
-		s.collectiveCover(inf, sg.b, s.relPages, sg.cover)
+		s.collectiveCover(inf, ords, sg.b, s.relPages, sg.cover)
 	}
 	return inf, nil
 }

@@ -20,7 +20,7 @@ type rndSelector struct{}
 func (rndSelector) Name() string { return "RND" }
 
 func (rndSelector) Select(s *Session) (Selection, bool) {
-	cands := s.candidateQueries(s.DM != nil)
+	cands, _ := s.candidateQueries(s.DM != nil)
 	if len(cands) == 0 {
 		return Selection{}, false
 	}

@@ -12,23 +12,30 @@ type Lexicon struct {
 	// occurrence (the map is probed by string(joinBuf), which Go
 	// compiles to an allocation-free lookup).
 	phrases map[string]Token
+	// longest maps each phrase's first word to the word count of the
+	// longest phrase it starts: a merge is tried only where a phrase can
+	// start, and never longer than the longest one starting there.
+	longest map[string]int
 	maxLen  int
 }
 
-// NewLexicon builds a Lexicon from phrase strings. Only entries with two or
-// more space-separated terms matter for merging; single terms are ignored.
+// NewLexicon builds a Lexicon from phrase strings, lowercased and with
+// every run of whitespace read as one space — merging joins tokens with a
+// single space, so "Data \t Mining" is the phrase "data mining". Only
+// entries of two or more words matter for merging; single words are
+// ignored.
 func NewLexicon(phrases []string) *Lexicon {
-	l := &Lexicon{phrases: make(map[string]Token, len(phrases))}
+	l := &Lexicon{phrases: make(map[string]Token, len(phrases)), longest: make(map[string]int)}
 	for _, p := range phrases {
-		p = strings.ToLower(strings.TrimSpace(p))
-		n := strings.Count(p, " ") + 1
+		words := strings.Fields(strings.ToLower(p))
+		n := len(words)
 		if n < 2 {
 			continue
 		}
+		p = strings.Join(words, " ")
 		l.phrases[p] = Token(p)
-		if n > l.maxLen {
-			l.maxLen = n
-		}
+		l.longest[words[0]] = max(l.longest[words[0]], n)
+		l.maxLen = max(l.maxLen, n)
 	}
 	return l
 }
@@ -57,36 +64,37 @@ func (l *Lexicon) MergePhrases(tokens []Token) []Token {
 }
 
 // appendMerged is the append-style core of MergePhrases: merged tokens go
-// into dst, and candidate phrases are probed against the lexicon through
-// the reusable join buffer (map lookups keyed by string(join) do not
-// allocate); a hit appends the lexicon's interned Token, so merging
-// allocates nothing. Returns dst and the (possibly grown) join buffer.
+// into dst. A position costs one probe of the first-word index; only where
+// a phrase can start are the candidate joins, longest first, probed
+// against the lexicon through the reusable join buffer (map lookups keyed
+// by string(join) do not allocate), and a hit appends the lexicon's
+// interned Token, so merging allocates nothing. Returns dst and the
+// (possibly grown) join buffer.
 func (l *Lexicon) appendMerged(dst []Token, tokens []Token, join []byte) ([]Token, []byte) {
 	for i := 0; i < len(tokens); {
-		merged := false
-		maxN := l.maxLen
-		if rem := len(tokens) - i; rem < maxN {
-			maxN = rem
-		}
-		for n := maxN; n >= 2; n-- {
-			join = join[:0]
-			for j, t := range tokens[i : i+n] {
-				if j > 0 {
-					join = append(join, ' ')
-				}
-				join = append(join, t...)
-			}
+		n := min(l.longest[firstWord(tokens[i])], len(tokens)-i)
+		for ; n >= 2; n-- {
+			join = appendJoined(join[:0], tokens[i:i+n])
 			if ph, ok := l.phrases[string(join)]; ok {
 				dst = append(dst, ph)
-				i += n
-				merged = true
 				break
 			}
 		}
-		if !merged {
+		if n < 2 {
 			dst = append(dst, tokens[i])
-			i++
+			n = 1
 		}
+		i += n
 	}
 	return dst, join
+}
+
+// firstWord is tok up to its first space: the first word of every join
+// that starts with tok (a token holds a space only when it is itself a
+// merged phrase).
+func firstWord(tok Token) string {
+	if j := strings.IndexByte(tok, ' '); j >= 0 {
+		return tok[:j]
+	}
+	return tok
 }

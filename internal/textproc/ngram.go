@@ -35,11 +35,13 @@ func NGrams(tokens []Token, cfg NGramConfig) []string {
 }
 
 // ngramScratch is the pooled working state of one AppendNGrams pass: the
-// dedup set (cleared, but kept at capacity, between uses) and the byte
-// buffer grams are joined into so the set probe never allocates.
+// dedup set (cleared, but kept at capacity, between uses), the byte buffer
+// grams are joined into so the set probe never allocates, and the
+// per-token admissibility flags.
 type ngramScratch struct {
-	seen map[string]struct{}
-	join []byte
+	seen  map[string]struct{}
+	join  []byte
+	flags []uint8
 }
 
 var ngramScratchPool = sync.Pool{New: func() any {
@@ -48,37 +50,32 @@ var ngramScratchPool = sync.Pool{New: func() any {
 
 // AppendNGrams is NGrams with a caller-provided buffer: distinct
 // admissible grams are appended to dst in first-appearance order. The
-// dedup set and the join buffer come from a pool and every dedup probe is
-// an allocation-free map lookup on the join buffer, so the only
-// allocations are the emitted multi-word gram strings themselves
-// (single-word grams reuse the token string) plus any dst growth.
+// dedup set, the join buffer and the token flags come from a pool and
+// every dedup probe is an allocation-free map lookup on the join buffer,
+// so the only allocations are the emitted multi-word gram strings
+// themselves (single-word grams reuse the token string) plus any dst
+// growth.
 func AppendNGrams(dst []string, tokens []Token, cfg NGramConfig) []string {
 	if cfg.MaxLen <= 0 {
 		cfg.MaxLen = 3
 	}
 	sc := ngramScratchPool.Get().(*ngramScratch)
 	seen, join := sc.seen, sc.join
+	flags := cfg.appendFlags(sc.flags[:0], tokens)
 	for l := 1; l <= cfg.MaxLen; l++ {
 		for i := 0; i+l <= len(tokens); i++ {
-			gram := tokens[i : i+l]
-			if !admissible(gram, cfg) {
+			if !admissibleAt(flags, i, l) {
 				continue
 			}
 			var q string
 			if l == 1 {
 				// A 1-gram IS its token; no join, no copy.
-				q = string(gram[0])
+				q = string(tokens[i])
 				if _, dup := seen[q]; dup {
 					continue
 				}
 			} else {
-				join = join[:0]
-				for j, t := range gram {
-					if j > 0 {
-						join = append(join, ' ')
-					}
-					join = append(join, t...)
-				}
+				join = appendJoined(join[:0], tokens[i:i+l])
 				if _, dup := seen[string(join)]; dup {
 					continue
 				}
@@ -89,7 +86,7 @@ func AppendNGrams(dst []string, tokens []Token, cfg NGramConfig) []string {
 		}
 	}
 	clear(sc.seen)
-	sc.join = join
+	sc.join, sc.flags = join, flags
 	ngramScratchPool.Put(sc)
 	return dst
 }
@@ -104,16 +101,66 @@ func CountNGrams(tokens []Token, cfg NGramConfig, counts map[string]int) map[str
 	if counts == nil {
 		counts = make(map[string]int)
 	}
+	flags := cfg.appendFlags(make([]uint8, 0, len(tokens)), tokens)
 	for l := 1; l <= cfg.MaxLen; l++ {
 		for i := 0; i+l <= len(tokens); i++ {
-			gram := tokens[i : i+l]
-			if !admissible(gram, cfg) {
-				continue
+			if admissibleAt(flags, i, l) {
+				counts[JoinQuery(tokens[i:i+l])]++
 			}
-			counts[JoinQuery(gram)]++
 		}
 	}
 	return counts
+}
+
+// Per-token admissibility flags: a gram is admissible iff none of its
+// tokens is excluded and neither of its end tokens is a stopword, so two
+// set probes per token decide every gram over it.
+const (
+	tokExcluded uint8 = 1 << iota // in NGramConfig.Exclude
+	tokStop                       // in NGramConfig.Stopwords
+)
+
+// appendFlags appends each token's admissibility flags to dst.
+func (cfg NGramConfig) appendFlags(dst []uint8, tokens []Token) []uint8 {
+	for _, t := range tokens {
+		var f uint8
+		if len(cfg.Exclude) > 0 {
+			if _, bad := cfg.Exclude[t]; bad {
+				f |= tokExcluded
+			}
+		}
+		if cfg.Stopwords.Contains(t) {
+			f |= tokStop
+		}
+		dst = append(dst, f)
+	}
+	return dst
+}
+
+// admissibleAt reports whether the gram of l ≥ 1 tokens starting at token
+// i is admissible, given the tokens' flags.
+func admissibleAt(flags []uint8, i, l int) bool {
+	if (flags[i]|flags[i+l-1])&tokStop != 0 {
+		return false
+	}
+	for _, f := range flags[i : i+l] {
+		if f&tokExcluded != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// appendJoined appends the tokens to dst separated by single spaces —
+// JoinQuery into a reusable buffer.
+func appendJoined(dst []byte, tokens []Token) []byte {
+	for j, t := range tokens {
+		if j > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = append(dst, t...)
+	}
+	return dst
 }
 
 // memoKey derives a stable identity for enumeration results produced
@@ -197,25 +244,6 @@ func (m *NGramMemo) NGrams(tokens []Token, cfg NGramConfig) []string {
 	}
 	m.mu.Unlock()
 	return out
-}
-
-func admissible(gram []Token, cfg NGramConfig) bool {
-	if len(gram) == 0 {
-		return false
-	}
-	if cfg.Exclude != nil {
-		for _, t := range gram {
-			if _, bad := cfg.Exclude[t]; bad {
-				return false
-			}
-		}
-	}
-	if sw := cfg.Stopwords; sw != nil {
-		if sw.Contains(gram[0]) || sw.Contains(gram[len(gram)-1]) {
-			return false
-		}
-	}
-	return true
 }
 
 // ContainsSubsequence reports whether the query tokens appear in the page

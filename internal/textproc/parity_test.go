@@ -103,11 +103,11 @@ func TestTokenizeParity(t *testing.T) {
 }
 
 // tokenizeReference reconstructs Tokenize from the reference split and
-// the allocating MergePhrases — the pre-refactor pipeline.
+// the reference phrase merge — the pre-refactor pipeline.
 func tokenizeReference(t *Tokenizer, text string) []Token {
 	toks := SplitWordsReference(text)
 	if t.Lexicon != nil {
-		toks = t.Lexicon.MergePhrases(toks)
+		toks = mergePhrasesReference(t.Lexicon, toks)
 	}
 	var out []Token
 	for _, tok := range toks {

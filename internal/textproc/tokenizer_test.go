@@ -104,6 +104,21 @@ func TestLexiconLongestMatchWins(t *testing.T) {
 	}
 }
 
+// TestLexiconNormalizesWhitespace: a phrase given with a tab or doubled
+// spaces is the single-spaced phrase merging produces, and counts its
+// words the same way.
+func TestLexiconNormalizesWhitespace(t *testing.T) {
+	lex := NewLexicon([]string{"Data \t Mining", "parallel  computing"})
+	if lex.MaxLen() != 2 {
+		t.Errorf("MaxLen() = %d, want 2", lex.MaxLen())
+	}
+	got := lex.MergePhrases(SplitWords("data mining and parallel computing"))
+	want := []Token{"data mining", "and", "parallel computing"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("MergePhrases = %q, want %q", got, want)
+	}
+}
+
 func TestNGramsBasic(t *testing.T) {
 	cfg := NGramConfig{MaxLen: 2}
 	got := NGrams([]Token{"x", "y", "z"}, cfg)

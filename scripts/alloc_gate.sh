@@ -39,9 +39,9 @@ ceiling() {
 	BenchmarkLiveSearchAllocs/nocache/append) echo 0 ;; # multi-segment miss: a pruned pass per segment and the merge, all over pooled scratch
 	BenchmarkSearchAppendConcurrent) echo 1 ;;        # contended pool refills round up
 	BenchmarkCandidateAllocs/steady/append) echo 0 ;; # pool re-emits cached segments
-	BenchmarkCandidateAllocs/steady) echo 3 ;;        # the fresh result slice (+ map growth slack)
+	BenchmarkCandidateAllocs/steady) echo 1 ;;        # the fresh result slice, sized once from the pool
 	BenchmarkSelectAllocs) echo 4 ;;                  # the Inference and its three Coll* vectors
-	BenchmarkHarvestJobAllocs) echo 1140 ;;           # a whole budget-5 L2QBAL job, memo warm: measured 1126–1127 (10431 before the table-only session state)
+	BenchmarkHarvestJobAllocs) echo 1080 ;;           # a whole budget-5 L2QBAL job, memo warm: measured 1065 with one ordinal candidate table sized from the last session (1126–1128 growing two string-keyed tables from empty; 10431 before the table-only session state)
 	BenchmarkScatterMergeAllocs) echo 0 ;;            # coordinator K-way merge over pooled heap scratch
 	BenchmarkCoordinatorFrontHitAllocs) echo 1 ;;     # a coordinator's front-cache hit: the copied hit list; the key lives on the stack, Query/Seed come with the entry
 	BenchmarkMarshalFrameAllocs/page) echo 1 ;;       # the frame itself; encoder, gzip writer and gzip buffer are pooled
