@@ -41,7 +41,9 @@ test-procs:
 # (the ASCII split against the rune path, n-gram admissibility from
 # per-token flags and phrase merging through the first-word index against
 # their per-gram and every-length references — small alphabets, so they
-# saturate fast).
+# saturate fast) and on the ingest route's body, JSON or frame (never a
+# panic; a 200 accounts for every decoded page, anything else changes
+# nothing; minimizing capped at 1 s like the bitsets).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPrunedTopKMatchesReference -fuzztime 20s ./internal/search/
 	$(GO) test -run '^$$' -fuzz FuzzSearchPagesFrame -fuzztime 20s ./internal/webapi/
@@ -49,6 +51,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSplitWordsParity -fuzztime 10s ./internal/textproc/
 	$(GO) test -run '^$$' -fuzz FuzzNGramsMatchesReference -fuzztime 10s ./internal/textproc/
 	$(GO) test -run '^$$' -fuzz FuzzLexiconMergeMatchesReference -fuzztime 10s ./internal/textproc/
+	$(GO) test -run '^$$' -fuzz FuzzIngestBody -fuzztime 10s -fuzzminimizetime 1s ./internal/webapi/
 
 # 30 s churn loops under the race detector: scheduler submit/cancel/
 # resume, and the live engine's concurrent ingest+search+compact.
@@ -89,15 +92,19 @@ cluster-smoke:
 wire-parity:
 	$(GO) test -race -count=1 -run 'TestDifferentialWireParity|TestNegotiationMatrix|TestMixedVersionFallback' ./internal/webapi/
 
-# The examples compile against the public surface only; building all nine
-# keeps an API change from silently orphaning them. Three run end to end
-# and exit non-zero on any break: httpharvest (fault-injected remote
+# The examples compile against the public surface only; building all seven
+# keeps an API change from silently orphaning them. Four run end to end
+# and exit non-zero on any break: quickstart, once per domain (domain
+# phase, an L2QBAL harvest step by step, then the paper's contrast
+# strategies on the same entity), httpharvest (fault-injected remote
 # harvest ≡ in-process on both wire codecs, then a server-side batch —
 # a job submitted, followed to its done line and deleted),
 # jobsapi (async job killed mid-harvest + resumed == uninterrupted) and
 # livecrawl (live index grown by a crawl ≡ frozen rebuild, bit for bit).
 examples:
 	$(GO) build ./examples/...
+	$(GO) run ./examples/quickstart -domain researchers
+	$(GO) run ./examples/quickstart -domain cars
 	$(GO) run ./examples/httpharvest
 	$(GO) run ./examples/jobsapi
 	$(GO) run ./examples/livecrawl

@@ -15,6 +15,7 @@ import (
 	"l2q/internal/eval"
 	"l2q/internal/html"
 	"l2q/internal/pipeline"
+	"l2q/internal/search"
 	"l2q/internal/store"
 	"l2q/internal/synth"
 	"l2q/internal/webapi"
@@ -122,7 +123,8 @@ func BenchmarkCRFvsNBAccuracy(b *testing.B) {
 // boundary (compare with BenchmarkSearchQuery for the in-process cost).
 func BenchmarkRemoteSearch(b *testing.B) {
 	env := researcherEnv(b)
-	srv := webapi.NewServer(env.G.Corpus, env.Engine)
+	live := search.NewLiveEngine(env.Engine.Index(), search.Options{}, search.LiveOptions{TopK: env.Engine.TopK()})
+	srv := webapi.NewServer(env.G.Corpus, live, nil)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)

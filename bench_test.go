@@ -240,7 +240,7 @@ func BenchmarkSearchQuery(b *testing.B) {
 	q := env.Cfg.Core.QueryTokens(core.Query(env.G.Corpus.Entities[0].SeedQuery))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env.Engine.Search(q)
+		env.Engine.SearchWithSeed(nil, q)
 	}
 }
 

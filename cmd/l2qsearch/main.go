@@ -51,7 +51,7 @@ func main() {
 			fmt.Print("> ")
 			continue
 		}
-		res := engine.Search(q)
+		res := engine.SearchWithSeed(nil, q)
 		if len(res) == 0 {
 			fmt.Println("no results")
 		}

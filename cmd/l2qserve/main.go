@@ -212,23 +212,26 @@ func main() {
 		what = fmt.Sprintf("serving %d pages of %q", st.NumPages, st.Domain)
 		detail = fmt.Sprintf("top-%d, partition μ = %.0f; node %d of %d, replicas %d, partitions %v",
 			st.TopK, st.Mu, ns.NodeID, ns.Nodes, ns.Replicas, srv.Node.Partitions())
-	case *live:
-		liveEng := search.NewLiveEngine(idx, sopts, search.LiveOptions{
+	default:
+		// One engine for both single-server modes; -live only decides
+		// whether the server is handed the tokenizer ingest needs.
+		eng := search.NewLiveEngine(idx, sopts, search.LiveOptions{
 			MemtableDocs:  *memtable,
 			CompactFanIn:  *fanIn,
 			IngestWorkers: *ingestW,
 			TopK:          *topK,
 		})
-		srv = webapi.NewLiveServer(c, liveEng, tok)
-		m := liveEng.Metrics()
+		var ingestTok *textproc.Tokenizer
+		if *live {
+			ingestTok = tok
+		}
+		srv = webapi.NewServer(c, eng, ingestTok)
 		what = fmt.Sprintf("serving %d pages of %q", c.NumPages(), c.Domain)
-		detail = fmt.Sprintf("top-%d, μ = %.0f, LIVE: %d segments, memtable %d docs",
-			liveEng.TopK(), liveEng.View().Mu(), m.Segments, m.MemtableDocs)
-	default:
-		engine := search.NewEngineOpts(idx, sopts).WithTopK(*topK)
-		srv = webapi.NewServer(c, engine)
-		what = fmt.Sprintf("serving %d pages of %q", c.NumPages(), c.Domain)
-		detail = fmt.Sprintf("top-%d, μ = %.0f", engine.TopK(), engine.Mu())
+		detail = fmt.Sprintf("top-%d, μ = %.0f", eng.TopK(), eng.View().Mu())
+		if *live {
+			m := eng.Metrics()
+			detail += fmt.Sprintf(", LIVE: %d segments, memtable %d docs", m.Segments, m.MemtableDocs)
+		}
 	}
 	srv.WireDisabled = !*wire
 	srv.CompressMin = *compress

@@ -87,7 +87,7 @@ func TestPageTokensAliasParagraphs(t *testing.T) {
 	// text is the one its corpus now ends with.
 	boot := corpus.New(c.Domain)
 	live := search.NewLiveEngine(nil, search.Options{}, search.LiveOptions{})
-	srv := httptest.NewServer(webapi.NewLiveServer(boot, live, g.Tokenizer).Handler())
+	srv := httptest.NewServer(webapi.NewServer(boot, live, g.Tokenizer).Handler())
 	defer srv.Close()
 	cli, err := webapi.DialContext(context.Background(), srv.URL, g.Tokenizer, webapi.ClientOptions{})
 	if err != nil {

@@ -22,7 +22,7 @@ func (e *Env) idealRun(entity *corpus.Entity, aspect corpus.Aspect, nQueries int
 
 	// Seed retrieval, identical to what every session's BootstrapCtx does.
 	seed := e.Cfg.Core.QueryTokens(toQuery(entity.SeedQuery))
-	res := e.Engine.Search(seed)
+	res := e.Engine.SearchWithSeed(seed, nil)
 	seen := make(map[corpus.PageID]struct{}, len(res))
 	total, hits := 0, 0
 	for _, r := range res {

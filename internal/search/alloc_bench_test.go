@@ -12,9 +12,10 @@ import (
 //	                 every other search method shares its path with) into
 //	                 a reused buffer on a warm cache — the session-step /
 //	                 selector steady state. Pinned at 0 allocs/op.
-//	cached           Search on a warm cache: the one allocation is the
-//	                 fresh result slice handed to the caller.
-//	nocache/append   the full pruned scoring pass with pooled scratch.
+//	cached           SearchWithSeed on a warm cache: the one allocation is
+//	                 the fresh result slice handed to the caller.
+//	nocache/append   SearchWithSeedAppend into a reused buffer: the full
+//	                 pruned scoring pass with pooled scratch.
 //
 // Renaming a benchmark breaks the gate — update the script in the same
 // change.
@@ -37,13 +38,13 @@ func BenchmarkSearchAllocs(b *testing.B) {
 	})
 	b.Run("cached", func(b *testing.B) {
 		e := NewEngineOpts(idxs[0], Options{})
-		if len(e.Search(q)) == 0 {
+		if len(e.SearchWithSeed(nil, q)) == 0 {
 			b.Fatal("no hits")
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.Search(q)
+			e.SearchWithSeed(nil, q)
 		}
 	})
 	b.Run("nocache/append", func(b *testing.B) {
@@ -51,7 +52,7 @@ func BenchmarkSearchAllocs(b *testing.B) {
 		var dst []Result
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			dst = e.SearchAppend(dst[:0], q)
+			dst = e.SearchWithSeedAppend(dst[:0], nil, q)
 		}
 		if len(dst) == 0 {
 			b.Fatal("no hits")
@@ -59,7 +60,7 @@ func BenchmarkSearchAllocs(b *testing.B) {
 	})
 }
 
-// BenchmarkSearchAppendConcurrent drives SearchAppend from many
+// BenchmarkSearchAppendConcurrent drives SearchWithSeedAppend from many
 // goroutines against one engine (each with its own destination buffer,
 // sharing the pooled scoring scratch) — the l2qserve steady state. Run
 // under -race by TestConcurrentSearchAppendRace; here it tracks the
@@ -68,7 +69,7 @@ func BenchmarkSearchAppendConcurrent(b *testing.B) {
 	idxs, qs := benchCorpus(b)
 	e := NewEngineOpts(idxs[0], Options{})
 	for _, q := range qs { // warm the cache so the steady state is measured
-		e.Search(q)
+		e.SearchWithSeed(nil, q)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -76,7 +77,7 @@ func BenchmarkSearchAppendConcurrent(b *testing.B) {
 		var dst []Result
 		i := 0
 		for pb.Next() {
-			dst = e.SearchAppend(dst[:0], qs[i%len(qs)])
+			dst = e.SearchWithSeedAppend(dst[:0], nil, qs[i%len(qs)])
 			i++
 		}
 	})

@@ -35,17 +35,17 @@ func appendTestEngine(t *testing.T, opts Options) (*Engine, [][]textproc.Token) 
 	return NewEngineOpts(BuildIndex(pages), opts), qs
 }
 
-// TestSearchAppendMatchesSearch pins the append variant to Search result
-// for result — cold, cached, and with a reused buffer — and verifies an
-// existing dst prefix survives.
+// TestSearchAppendMatchesSearch pins the append variant to SearchWithSeed
+// result for result on seedless queries — cold, cached, and with a reused
+// buffer — and verifies an existing dst prefix survives.
 func TestSearchAppendMatchesSearch(t *testing.T) {
 	for _, cache := range []int{0, -1} {
 		e, qs := appendTestEngine(t, Options{CacheSize: cache})
 		var dst []Result
 		for round := 0; round < 3; round++ { // round > 0 hits the cache when enabled
 			for _, q := range qs {
-				want := e.Search(q)
-				dst = e.SearchAppend(dst[:0], q)
+				want := e.SearchWithSeed(nil, q)
+				dst = e.SearchWithSeedAppend(dst[:0], nil, q)
 				if len(want) == 0 && len(dst) == 0 {
 					continue
 				}
@@ -55,15 +55,15 @@ func TestSearchAppendMatchesSearch(t *testing.T) {
 			}
 		}
 		prefix := Result{Score: -12345}
-		got := e.SearchAppend([]Result{prefix}, qs[0])
+		got := e.SearchWithSeedAppend([]Result{prefix}, nil, qs[0])
 		if len(got) == 0 || got[0] != prefix {
 			t.Fatalf("dst prefix not preserved: %v", got)
 		}
 	}
 }
 
-// TestSearchWithSeedAppendMatches does the same for the seed∥query
-// concatenation path sessions use per fetch.
+// TestSearchWithSeedAppendMatches does the same with a seed in front, the
+// shape sessions search in per fetch.
 func TestSearchWithSeedAppendMatches(t *testing.T) {
 	e, qs := appendTestEngine(t, Options{})
 	seed := qs[1]
@@ -80,7 +80,7 @@ func TestSearchWithSeedAppendMatches(t *testing.T) {
 	}
 }
 
-// TestConcurrentSearchAppendRace hammers SearchAppend from many
+// TestConcurrentSearchAppendRace hammers SearchWithSeedAppend from many
 // goroutines sharing one engine (and therefore the pooled scoring
 // scratch, the pooled cache-key buffers, and the cache itself), each
 // reusing its own destination buffer. Under -race (the CI default) this
@@ -90,7 +90,7 @@ func TestConcurrentSearchAppendRace(t *testing.T) {
 	e, qs := appendTestEngine(t, Options{})
 	want := make([][]Result, len(qs))
 	for i, q := range qs {
-		want[i] = e.Search(q)
+		want[i] = e.SearchWithSeed(nil, q)
 	}
 	const goroutines = 8
 	const rounds = 60
@@ -103,7 +103,7 @@ func TestConcurrentSearchAppendRace(t *testing.T) {
 			var dst []Result
 			for r := 0; r < rounds; r++ {
 				i := (g*13 + r*7) % len(qs)
-				dst = e.SearchAppend(dst[:0], qs[i])
+				dst = e.SearchWithSeedAppend(dst[:0], nil, qs[i])
 				if len(dst) == 0 && len(want[i]) == 0 {
 					continue
 				}

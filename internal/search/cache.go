@@ -16,7 +16,7 @@ import (
 // frozen cluster) or what carries its version in the key (the live engine's
 // view epoch). Values are shared, never copied: a caller must not mutate
 // what Get returns or what it has handed to Put — a cache of slices copies
-// on the way in and on the way out (see Engine.SearchTopKAppend). Keys are
+// on the way in and on the way out (see Engine.searchTopKAppend). Keys are
 // probed as []byte — Go's map lookup on string(bytes) does not allocate —
 // and materialized to a string only when an entry is actually inserted, so
 // a hit costs zero allocations.
@@ -148,7 +148,7 @@ func appendKeyTokens(dst []byte, toks []textproc.Token) []byte {
 	return dst
 }
 
-// cacheKeyBuf is the pooled key-assembly buffer of one Search call.
+// cacheKeyBuf is the pooled key-assembly buffer of one search.
 type cacheKeyBuf struct{ b []byte }
 
 var cacheKeyPool = sync.Pool{New: func() any { return new(cacheKeyBuf) }}

@@ -140,11 +140,11 @@ func TestPartitionedEnginesMatchSingleNode(t *testing.T) {
 			WithTopK(8).WithCollectionStats(global).WithMu(mu)
 	}
 	for qi, q := range queries {
-		want := full.Search(q)
+		want := full.SearchWithSeed(nil, q)
 		lists := make([][]RankedDoc, len(parts))
 		byDoc := make(map[int64]Result)
 		for p, e := range parts {
-			for _, res := range e.Search(q) {
+			for _, res := range e.SearchWithSeed(nil, q) {
 				rd := RankedDoc{Doc: int64(res.Page.ID), Score: res.Score}
 				lists[p] = append(lists[p], rd)
 				byDoc[rd.Doc] = res
@@ -207,11 +207,11 @@ func TestWithCollectionStatsNilRestores(t *testing.T) {
 	own := e.WithCollectionStats(StatsOf(idx))
 	cleared := own.WithCollectionStats(nil)
 	for _, q := range queries[:20] {
-		want := e.Search(q)
-		if !reflect.DeepEqual(own.Search(q), want) {
+		want := e.SearchWithSeed(nil, q)
+		if !reflect.DeepEqual(own.SearchWithSeed(nil, q), want) {
 			t.Fatal("engine with its own stats as override diverges")
 		}
-		if !reflect.DeepEqual(cleared.Search(q), want) {
+		if !reflect.DeepEqual(cleared.SearchWithSeed(nil, q), want) {
 			t.Fatal("cleared override diverges from index-local scoring")
 		}
 	}

@@ -163,7 +163,7 @@ func TestContenderTestDegrades(t *testing.T) {
 			e := tc.e.WithTopK(k)
 			v0, s0 := e.PassStats()
 			for qi, q := range tc.queries {
-				assertSameResults(t, fmt.Sprintf("%s k=%d query %d", tc.name, k, qi), e.SearchReference(q), e.Search(q))
+				assertSameResults(t, fmt.Sprintf("%s k=%d query %d", tc.name, k, qi), e.SearchReference(q), e.SearchWithSeed(nil, q))
 			}
 			visited, scored := e.PassStats()
 			visited, scored = visited-v0, scored-s0
@@ -184,7 +184,7 @@ func TestContenderTestCuts(t *testing.T) {
 	g := harvestCorpus(t)
 	e := NewEngineOpts(BuildIndex(g.Corpus.Pages), Options{CacheSize: -1})
 	for qi, q := range windowQueries(g, 200, 1) {
-		assertSameResults(t, fmt.Sprintf("query %d %q", qi, q), e.SearchReference(q), e.Search(q))
+		assertSameResults(t, fmt.Sprintf("query %d %q", qi, q), e.SearchReference(q), e.SearchWithSeed(nil, q))
 	}
 	visited, scored := e.PassStats()
 	t.Logf("200 queries: %d documents visited, %d scored", visited, scored)
@@ -205,7 +205,7 @@ func BenchmarkSearchMiss(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = e.SearchAppend(dst[:0], qs[i%len(qs)])
+		dst = e.SearchWithSeedAppend(dst[:0], nil, qs[i%len(qs)])
 	}
 	visited, scored := e.PassStats()
 	b.ReportMetric(float64(visited)/float64(b.N), "docs_visited/op")

@@ -80,7 +80,7 @@ func assertSameResults(t *testing.T, label string, want, got []Result) {
 }
 
 // TestEngineMatchesReference is the engine's differential guarantee: the
-// pruned, heap-ranked, cached Search returns identical rankings and scores
+// pruned, heap-ranked, cached search returns identical rankings and scores
 // to the retained score-everything reference, across topK values and
 // seeds.
 func TestEngineMatchesReference(t *testing.T) {
@@ -91,9 +91,9 @@ func TestEngineMatchesReference(t *testing.T) {
 			e := NewEngine(idx).WithTopK(topK)
 			for _, q := range queries {
 				want := e.SearchReference(q)
-				assertSameResults(t, "miss", want, e.Search(q))
+				assertSameResults(t, "miss", want, e.SearchWithSeed(nil, q))
 				// Second call exercises the cache hit path.
-				assertSameResults(t, "cached", want, e.Search(q))
+				assertSameResults(t, "cached", want, e.SearchWithSeed(nil, q))
 			}
 		}
 	}
@@ -116,7 +116,7 @@ func TestDumpRestoreAcrossShardCounts(t *testing.T) {
 	}
 	a, b := NewEngine(src), NewEngine(restored)
 	for _, q := range queries {
-		assertSameResults(t, "restored", a.Search(q), b.Search(q))
+		assertSameResults(t, "restored", a.SearchWithSeed(nil, q), b.SearchWithSeed(nil, q))
 	}
 }
 
@@ -154,11 +154,11 @@ func TestCacheHitsAndIsolation(t *testing.T) {
 	idx := BuildIndex(pages)
 	e := NewEngine(idx)
 	q := queries[0]
-	first := e.Search(q)
+	first := e.SearchWithSeed(nil, q)
 	if h, m := e.CacheStats(); h != 0 || m == 0 {
 		t.Fatalf("after first search: hits=%d misses=%d", h, m)
 	}
-	second := e.Search(q)
+	second := e.SearchWithSeed(nil, q)
 	if h, _ := e.CacheStats(); h == 0 {
 		t.Fatal("second identical search did not hit the cache")
 	}
@@ -166,18 +166,18 @@ func TestCacheHitsAndIsolation(t *testing.T) {
 	// Mutating a returned slice must not corrupt the cache.
 	if len(second) > 0 {
 		second[0] = Result{}
-		third := e.Search(q)
+		third := e.SearchWithSeed(nil, q)
 		assertSameResults(t, "cache-after-mutation", first, third)
 	}
 
 	// A re-tuned copy must not see the old cache's entries as its own.
 	sharp := e.WithMu(1)
 	want := sharp.SearchReference(q)
-	assertSameResults(t, "fresh-cache-after-WithMu", want, sharp.Search(q))
+	assertSameResults(t, "fresh-cache-after-WithMu", want, sharp.SearchWithSeed(nil, q))
 
 	// Disabled cache still returns correct results and reports no stats.
 	off := e.WithCache(-1)
-	assertSameResults(t, "cache-off", off.SearchReference(q), off.Search(q))
+	assertSameResults(t, "cache-off", off.SearchReference(q), off.SearchWithSeed(nil, q))
 	if h, m := off.CacheStats(); h != 0 || m != 0 {
 		t.Fatalf("disabled cache reported stats %d/%d", h, m)
 	}
@@ -192,7 +192,7 @@ func TestCacheEviction(t *testing.T) {
 	e := NewEngineOpts(idx, Options{CacheSize: 4})
 	for round := 0; round < 3; round++ {
 		for _, q := range queries {
-			assertSameResults(t, "eviction", e.SearchReference(q), e.Search(q))
+			assertSameResults(t, "eviction", e.SearchReference(q), e.SearchWithSeed(nil, q))
 		}
 	}
 }
@@ -216,7 +216,7 @@ func TestConcurrentSearchWithCache(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				qi := (i*7 + w) % len(queries)
-				got := e.Search(queries[qi])
+				got := e.SearchWithSeed(nil, queries[qi])
 				if len(got) != len(want[qi]) {
 					errCh <- "result count changed under concurrency"
 					return
@@ -291,16 +291,16 @@ func TestCacheKeyIsInjective(t *testing.T) {
 		split := []textproc.Token{"marc", "snir"}
 
 		e := NewEngine(smallIndex())
-		if got := e.Search(glued); len(got) != 0 {
+		if got := e.SearchWithSeed(nil, glued); len(got) != 0 {
 			t.Fatalf("sep %q: unseen token matched %d pages", sep, len(got))
 		}
-		assertSameResults(t, "frozen, after the glued token", e.SearchReference(split), e.Search(split))
+		assertSameResults(t, "frozen, after the glued token", e.SearchReference(split), e.SearchWithSeed(nil, split))
 
 		le := NewLiveEngine(smallIndex(), Options{}, LiveOptions{}).View()
-		if got := le.Search(glued); len(got) != 0 {
+		if got := le.SearchWithSeed(nil, glued); len(got) != 0 {
 			t.Fatalf("sep %q: live: unseen token matched %d pages", sep, len(got))
 		}
-		assertSameResults(t, "live, after the glued token", e.SearchReference(split), le.Search(split))
+		assertSameResults(t, "live, after the glued token", e.SearchReference(split), le.SearchWithSeed(nil, split))
 	}
 	wide, glued := epochBoundaryQueries()
 	// Same bytes, different splits, different k and different epochs — the

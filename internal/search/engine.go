@@ -244,30 +244,50 @@ func (e *Engine) collProb(t textproc.Token) float64 {
 	return CollectionProb(e.CollectionFreq(t), e.TotalTokens(), e.NumTerms())
 }
 
-// Search returns the top-k pages for the query tokens. Ties are broken by
-// document order for determinism. An empty query returns nil. Results are
-// identical to SearchReference; the cache, the pruning and the top-K heap
-// only change how fast they are produced.
-func (e *Engine) Search(query []textproc.Token) []Result {
-	return e.SearchAppend(nil, query)
+// SearchWithSeed returns the top-k pages for seed ∥ query. The paper
+// appends the seed query to every subsequent query "in order to focus on
+// the target entity" (§I "Input"); a nil seed searches query alone. Ties
+// are broken by document order for determinism, and an empty seed ∥ query
+// returns nil. Results are identical to SearchReference over seed ∥ query;
+// the cache, the pruning and the top-K heap only change how fast they are
+// produced.
+func (e *Engine) SearchWithSeed(seed, query []textproc.Token) []Result {
+	return e.SearchWithSeedAppend(nil, seed, query)
 }
 
-// SearchAppend is Search with a caller-provided result buffer: the top-k
-// hits are appended to dst and the grown slice returned. All scoring
-// state is pooled and the cache is probed with a pooled byte key, so with
-// a reused dst a cache hit costs zero allocations and a miss allocates
-// only the cache's canonical copy (plus any dst growth). Safe for
-// concurrent use — scratch is per-call, never shared.
-func (e *Engine) SearchAppend(dst []Result, query []textproc.Token) []Result {
-	return e.SearchTopKAppend(dst, 0, query)
+// SearchWithSeedAppend is SearchWithSeed with a caller-provided result
+// buffer: the top-k hits are appended to dst and the grown slice returned.
+// The seed ∥ query concatenation and all scoring state are pooled and the
+// cache is probed with a pooled byte key, so with a reused dst a cache hit
+// costs zero allocations and a miss allocates only the cache's canonical
+// copy (plus any dst growth). Safe for concurrent use — scratch is
+// per-call, never shared.
+func (e *Engine) SearchWithSeedAppend(dst []Result, seed, query []textproc.Token) []Result {
+	return e.SearchWithSeedTopKAppend(dst, 0, seed, query)
 }
 
-// SearchTopKAppend is SearchAppend with an explicit result-list size
-// (k ≤ 0 uses the configured TopK) — the per-request override the serving
-// layer passes through. It is the one cache probe in the package: the key
-// carries the view's epoch and k, so every k, and every view of a live
-// engine, share one cache.
-func (e *Engine) SearchTopKAppend(dst []Result, k int, query []textproc.Token) []Result {
+// seedQueryBuf is the pooled seed∥query concatenation buffer of one
+// search (token slices hold only string headers).
+type seedQueryBuf struct{ toks []textproc.Token }
+
+var seedQueryPool = sync.Pool{New: func() any { return new(seedQueryBuf) }}
+
+// SearchWithSeedTopKAppend is SearchWithSeedAppend with an explicit
+// result-list size (k ≤ 0 uses the configured TopK) — the per-request
+// override the serving layer passes through.
+func (e *Engine) SearchWithSeedTopKAppend(dst []Result, k int, seed, query []textproc.Token) []Result {
+	sb := seedQueryPool.Get().(*seedQueryBuf)
+	combined := append(append(sb.toks[:0], seed...), query...)
+	dst = e.searchTopKAppend(dst, k, combined)
+	sb.toks = combined
+	seedQueryPool.Put(sb)
+	return dst
+}
+
+// searchTopKAppend is the one cache probe in the package: the key carries
+// the view's epoch and k, so every k, and every view of a live engine,
+// share one cache.
+func (e *Engine) searchTopKAppend(dst []Result, k int, query []textproc.Token) []Result {
 	if len(query) == 0 {
 		return dst
 	}
@@ -281,7 +301,7 @@ func (e *Engine) SearchTopKAppend(dst []Result, k int, query []textproc.Token) [
 	key := appendCacheKey(kb.b[:0], e.epoch, k, query)
 	// The cache owns its result slices: a hit is copied into the caller's
 	// buffer and a miss stores a copy, so callers keep mutating the slices
-	// Search hands them (the pre-cache contract).
+	// a search hands them (the pre-cache contract).
 	res, hit := e.cache.Get(key)
 	out := append(dst, res...)
 	if !hit {
@@ -291,37 +311,6 @@ func (e *Engine) SearchTopKAppend(dst []Result, k int, query []textproc.Token) [
 	kb.b = key
 	cacheKeyPool.Put(kb)
 	return out
-}
-
-// SearchWithSeed runs Search on seed ∥ query. The paper appends the seed
-// query to every subsequent query "in order to focus on the target entity"
-// (§I "Input").
-func (e *Engine) SearchWithSeed(seed, query []textproc.Token) []Result {
-	return e.SearchWithSeedAppend(nil, seed, query)
-}
-
-// SearchWithSeedAppend is SearchWithSeed with a caller-provided result
-// buffer.
-func (e *Engine) SearchWithSeedAppend(dst []Result, seed, query []textproc.Token) []Result {
-	return e.SearchWithSeedTopKAppend(dst, 0, seed, query)
-}
-
-// seedQueryBuf is the pooled seed∥query concatenation buffer of one
-// seeded search (token slices hold only string headers).
-type seedQueryBuf struct{ toks []textproc.Token }
-
-var seedQueryPool = sync.Pool{New: func() any { return new(seedQueryBuf) }}
-
-// SearchWithSeedTopKAppend is SearchWithSeedAppend with an explicit
-// result-list size (k ≤ 0 uses the configured TopK); the seed∥query
-// concatenation lives in pooled scratch.
-func (e *Engine) SearchWithSeedTopKAppend(dst []Result, k int, seed, query []textproc.Token) []Result {
-	sb := seedQueryPool.Get().(*seedQueryBuf)
-	combined := append(append(sb.toks[:0], seed...), query...)
-	dst = e.SearchTopKAppend(dst, k, combined)
-	sb.toks = combined
-	seedQueryPool.Put(sb)
-	return dst
 }
 
 // Retrieve is the session retriever contract (core.Retriever): the top-k

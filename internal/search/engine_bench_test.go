@@ -61,13 +61,13 @@ func BenchmarkHotSingleQuery(b *testing.B) {
 	b.Run("engine-nocache", func(b *testing.B) {
 		e := NewEngineOpts(idxs[0], Options{CacheSize: -1})
 		for i := 0; i < b.N; i++ {
-			e.Search(q)
+			e.SearchWithSeed(nil, q)
 		}
 	})
 	b.Run("engine-cached", func(b *testing.B) {
 		e := NewEngineOpts(idxs[0], Options{})
 		for i := 0; i < b.N; i++ {
-			e.Search(q)
+			e.SearchWithSeed(nil, q)
 		}
 	})
 }
@@ -92,10 +92,10 @@ func BenchmarkConcurrentManyQueries(b *testing.B) {
 	})
 	b.Run("engine-nocache", func(b *testing.B) {
 		e := NewEngineOpts(idxs[0], Options{CacheSize: -1})
-		run(b, e.Search)
+		run(b, seedless(e))
 	})
 	b.Run("engine-cached", func(b *testing.B) {
 		e := NewEngineOpts(idxs[0], Options{})
-		run(b, e.Search)
+		run(b, seedless(e))
 	})
 }

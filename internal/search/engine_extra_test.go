@@ -43,7 +43,7 @@ func TestSearchConcurrent(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 200; i++ {
-				e.Search([]textproc.Token{"research", "parallel"})
+				e.SearchWithSeed(nil, []textproc.Token{"research", "parallel"})
 			}
 		}()
 	}

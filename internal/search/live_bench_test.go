@@ -51,7 +51,7 @@ func liveBenchCorpus(b *testing.B) (base, donors []*corpus.Page, qs [][]textproc
 //
 //	cached/append    Retrieve into a reused buffer on a warm
 //	                 epoch-keyed cache. Pinned at 0 allocs/op.
-//	cached           Search on a warm cache: the fresh result slice.
+//	cached           SearchWithSeed on a warm cache: the fresh result slice.
 //	nocache/append   a multi-segment miss into a reused buffer: one pruned
 //	                 pass per segment and the merge, all over pooled
 //	                 scratch. Pinned at 0 allocs/op.
@@ -88,13 +88,13 @@ func BenchmarkLiveSearchAllocs(b *testing.B) {
 	b.Run("cached", func(b *testing.B) {
 		le := mk(b)
 		v := le.View()
-		if len(v.Search(q)) == 0 {
+		if len(v.SearchWithSeed(nil, q)) == 0 {
 			b.Fatal("no hits")
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			v.Search(q)
+			v.SearchWithSeed(nil, q)
 		}
 	})
 	b.Run("nocache/append", func(b *testing.B) {
@@ -103,7 +103,7 @@ func BenchmarkLiveSearchAllocs(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			dst = v.SearchAppend(dst[:0], q)
+			dst = v.SearchWithSeedAppend(dst[:0], nil, q)
 		}
 		if len(dst) == 0 {
 			b.Fatal("no hits")
@@ -143,7 +143,7 @@ func BenchmarkLiveIngestSearch(b *testing.B) {
 	}
 	b.Run("frozen", func(b *testing.B) {
 		e := NewEngineOpts(BuildIndex(base), Options{CacheSize: -1})
-		search(b, e.SearchAppend)
+		search(b, func(dst []Result, q []textproc.Token) []Result { return e.SearchWithSeedAppend(dst, nil, q) })
 	})
 	b.Run("live-ingest", func(b *testing.B) {
 		le := NewLiveEngine(nil, Options{CacheSize: -1}, LiveOptions{})
@@ -173,7 +173,7 @@ func BenchmarkLiveIngestSearch(b *testing.B) {
 				}
 			}
 		}()
-		search(b, func(dst []Result, q []textproc.Token) []Result { return le.View().SearchAppend(dst, q) })
+		search(b, func(dst []Result, q []textproc.Token) []Result { return le.View().SearchWithSeedAppend(dst, nil, q) })
 		close(stop)
 		wg.Wait()
 	})

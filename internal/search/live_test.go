@@ -60,8 +60,8 @@ func requireParity(t *testing.T, ctx string, live *LiveEngine, pages []*corpus.P
 	}
 	var lres, fres []Result
 	for qi, q := range qs {
-		lres = le.SearchAppend(lres[:0], q)
-		fres = frozen.SearchAppend(fres[:0], q)
+		lres = le.SearchWithSeedAppend(lres[:0], nil, q)
+		fres = frozen.SearchWithSeedAppend(fres[:0], nil, q)
 		if len(lres) != len(fres) {
 			t.Fatalf("%s: query %d: live %d hits, frozen %d", ctx, qi, len(lres), len(fres))
 		}
@@ -121,7 +121,7 @@ func TestLiveParityGrownVsRebuilt(t *testing.T) {
 func requireOwnReference(t *testing.T, ctx string, v *Engine, qs [][]textproc.Token) {
 	t.Helper()
 	for qi, q := range qs {
-		assertSameResults(t, fmt.Sprintf("%s: query %d %q vs own reference", ctx, qi, q), v.SearchReference(q), v.Search(q))
+		assertSameResults(t, fmt.Sprintf("%s: query %d %q vs own reference", ctx, qi, q), v.SearchReference(q), v.SearchWithSeed(nil, q))
 	}
 }
 
@@ -192,8 +192,8 @@ func TestLiveTopKOverride(t *testing.T) {
 		fk := frozen.WithTopK(k)
 		var lres, fres []Result
 		for _, q := range qs[:10] {
-			lres = le.View().SearchTopKAppend(lres[:0], k, q)
-			fres = fk.SearchAppend(fres[:0], q)
+			lres = le.View().SearchWithSeedTopKAppend(lres[:0], k, nil, q)
+			fres = fk.SearchWithSeedAppend(fres[:0], nil, q)
 			if len(lres) != len(fres) {
 				t.Fatalf("k=%d: live %d hits, frozen %d", k, len(lres), len(fres))
 			}
@@ -215,9 +215,9 @@ func TestLiveCacheEpochInvalidation(t *testing.T) {
 	le.Add(pages[:20]...)
 	q := qs[0]
 
-	le.View().Search(q)
+	le.View().SearchWithSeed(nil, q)
 	_, m0 := le.View().CacheStats()
-	le.View().Search(q)
+	le.View().SearchWithSeed(nil, q)
 	h1, m1 := le.View().CacheStats()
 	if m1 != m0 || h1 == 0 {
 		t.Fatalf("same-epoch repeat did not hit cache: hits=%d misses %d→%d", h1, m0, m1)
@@ -228,13 +228,13 @@ func TestLiveCacheEpochInvalidation(t *testing.T) {
 	if le.View().Epoch() == epoch {
 		t.Fatal("Add did not bump epoch")
 	}
-	res := le.View().Search(q)
+	res := le.View().SearchWithSeed(nil, q)
 	_, m2 := le.View().CacheStats()
 	if m2 != m1+1 {
 		t.Fatalf("post-ingest query should miss the stale epoch: misses %d→%d", m1, m2)
 	}
 	frozen := NewEngineOpts(BuildIndex(pages[:40]), Options{CacheSize: -1})
-	fres := frozen.Search(q)
+	fres := frozen.SearchWithSeed(nil, q)
 	if len(res) != len(fres) {
 		t.Fatalf("post-ingest results stale: live %d hits, frozen %d", len(res), len(fres))
 	}
@@ -331,7 +331,7 @@ func TestLiveEngineSoak(t *testing.T) {
 			var dst []Result
 			for i := 0; time.Now().Before(deadline); i++ {
 				q := qs[(i*7+w)%len(qs)]
-				dst = le.View().SearchAppend(dst[:0], q)
+				dst = le.View().SearchWithSeedAppend(dst[:0], nil, q)
 				for _, r := range dst {
 					if r.Page == nil {
 						t.Error("nil page in live result")
@@ -388,14 +388,14 @@ func TestLiveCacheKeyEpochBoundary(t *testing.T) {
 		t.Fatalf("epoch %d after one Add, want 1", e)
 	}
 	for _, k := range []int{50, 48} {
-		if got := le.View().SearchTopKAppend(nil, k, wide); len(got) != 1 {
+		if got := le.View().SearchWithSeedTopKAppend(nil, k, nil, wide); len(got) != 1 {
 			t.Fatalf("epoch 1, k %d: %q matched %d pages, want the one holding aaaaa", k, wide, len(got))
 		}
 	}
 	for id := 1; le.View().Epoch() < 12; id++ {
 		add(id)
 		if v := le.View(); v.Epoch() == 10 || v.Epoch() == 12 {
-			if got := v.SearchTopKAppend(nil, 5, glued); len(got) != 0 {
+			if got := v.SearchWithSeedTopKAppend(nil, 5, nil, glued); len(got) != 0 {
 				t.Fatalf("epoch %d: the unseen token %q was answered with %d pages cached at epoch 1", v.Epoch(), glued, len(got))
 			}
 		}
@@ -431,9 +431,9 @@ func TestViewParityAcrossShapes(t *testing.T) {
 			requireOwnReference(t, fmt.Sprintf("%s k=%d", sh.name, k), sh.v.WithTopK(k), qs)
 		}
 		for qi, q := range qs {
-			want := shapes[0].v.SearchTopKAppend(nil, k, q)
+			want := shapes[0].v.SearchWithSeedTopKAppend(nil, k, nil, q)
 			for _, sh := range shapes[1:] {
-				got := sh.v.SearchTopKAppend(nil, k, q)
+				got := sh.v.SearchWithSeedTopKAppend(nil, k, nil, q)
 				if !slices.Equal(got, want) {
 					t.Fatalf("k=%d query %d %q: %s answers %v, frozen %v", k, qi, q, sh.name, got, want)
 				}

@@ -126,7 +126,7 @@ func FuzzPrunedTopKMatchesReference(f *testing.F) {
 			q = slices.Repeat(q, 1+int(stretch)%64)
 			label := fmt.Sprintf("seed %d docs %d k %d override %v mu %v query %d %q",
 				seed, len(pages), k, override, e.Mu(), qi, q)
-			assertSameResults(t, label, e.SearchReference(q), e.Search(q))
+			assertSameResults(t, label, e.SearchReference(q), e.SearchWithSeed(nil, q))
 		}
 		if visited, scored := e.PassStats(); scored > visited {
 			t.Fatalf("pass scored %d documents of %d visited", scored, visited)
@@ -143,6 +143,11 @@ type searchBackend struct {
 	search func(q []textproc.Token) []Result
 }
 
+// seedless is e's search of a query with no seed in front.
+func seedless(e *Engine) func(q []textproc.Token) []Result {
+	return func(q []textproc.Token) []Result { return e.SearchWithSeed(nil, q) }
+}
+
 // prunedBackends builds, over pages, the three places the one scoring pass
 // runs: a frozen engine, a 3-segment live view (two sealed segments and
 // the memtable) and a 3-partition cluster merge with global statistics.
@@ -151,7 +156,7 @@ func prunedBackends(t *testing.T, pages []*corpus.Page, k int) (ref *Engine, out
 	t.Helper()
 	fullIdx := BuildIndex(pages)
 	ref = NewEngineOpts(fullIdx, Options{CacheSize: -1}).WithTopK(k)
-	out = append(out, searchBackend{"frozen", ref.Search})
+	out = append(out, searchBackend{"frozen", seedless(ref)})
 
 	le := NewLiveEngine(nil, Options{CacheSize: -1}, LiveOptions{
 		TopK: k, MemtableDocs: len(pages) + 1, CompactFanIn: -1})
@@ -164,7 +169,7 @@ func prunedBackends(t *testing.T, pages []*corpus.Page, k int) (ref *Engine, out
 	if got := le.Metrics().Segments; got != 3 {
 		t.Fatalf("live view has %d segments, want 3", got)
 	}
-	out = append(out, searchBackend{"live3", le.View().Search})
+	out = append(out, searchBackend{"live3", seedless(le.View())})
 
 	global := StatsOf(fullIdx)
 	var parts []*Engine
@@ -179,7 +184,7 @@ func prunedBackends(t *testing.T, pages []*corpus.Page, k int) (ref *Engine, out
 	out = append(out, searchBackend{"cluster3", func(q []textproc.Token) []Result {
 		lists := make([][]RankedDoc, len(parts))
 		for p, e := range parts {
-			for _, r := range e.Search(q) {
+			for _, r := range e.SearchWithSeed(nil, q) {
 				lists[p] = append(lists[p], RankedDoc{Doc: int64(r.Page.ID), Score: r.Score})
 			}
 		}

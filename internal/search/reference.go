@@ -9,8 +9,9 @@ import (
 // SearchReference is the retained score-everything path: gather the
 // candidate union into hash maps, score every candidate, and fully sort.
 // It is deliberately kept verbatim as the ground truth the pruned, cached
-// Search is differentially tested against, and as the baseline the engine
-// benchmarks compare throughput with. It never consults the query cache.
+// SearchWithSeed is differentially tested against, and as the baseline the
+// engine benchmarks compare throughput with. It never consults the query
+// cache.
 // A view of several segments is walked segment by segment, each document
 // under its global ordinal, so it is its own reference — no merge, no
 // rebuilt twin.

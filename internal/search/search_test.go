@@ -47,7 +47,7 @@ func TestIndexStats(t *testing.T) {
 
 func TestSearchRanksContainingDocsFirst(t *testing.T) {
 	e := NewEngine(smallIndex())
-	res := e.Search([]textproc.Token{"parallel", "hpc"})
+	res := e.SearchWithSeed(nil, []textproc.Token{"parallel", "hpc"})
 	if len(res) == 0 {
 		t.Fatal("no results")
 	}
@@ -66,14 +66,14 @@ func TestSearchRanksContainingDocsFirst(t *testing.T) {
 
 func TestSearchTopKAndEmpty(t *testing.T) {
 	e := NewEngine(smallIndex()).WithTopK(2)
-	res := e.Search([]textproc.Token{"research"})
+	res := e.SearchWithSeed(nil, []textproc.Token{"research"})
 	if len(res) != 2 {
 		t.Fatalf("topk=2 returned %d", len(res))
 	}
-	if got := e.Search(nil); got != nil {
+	if got := e.SearchWithSeed(nil, nil); got != nil {
 		t.Fatalf("empty query returned %v", got)
 	}
-	if got := e.Search([]textproc.Token{"zzz-not-in-corpus"}); got != nil {
+	if got := e.SearchWithSeed(nil, []textproc.Token{"zzz-not-in-corpus"}); got != nil {
 		t.Fatalf("OOV-only query returned %v", got)
 	}
 }
@@ -95,8 +95,8 @@ func TestSearchWithSeedFocusesEntity(t *testing.T) {
 
 func TestSearchDeterministicTieBreak(t *testing.T) {
 	e := NewEngine(smallIndex())
-	a := e.Search([]textproc.Token{"illinois"})
-	b := e.Search([]textproc.Token{"illinois"})
+	a := e.SearchWithSeed(nil, []textproc.Token{"illinois"})
+	b := e.SearchWithSeed(nil, []textproc.Token{"illinois"})
 	if len(a) != len(b) {
 		t.Fatal("result sizes differ")
 	}
@@ -110,7 +110,7 @@ func TestSearchDeterministicTieBreak(t *testing.T) {
 func TestQueryLikelihoodMatchesSearchOrdering(t *testing.T) {
 	e := NewEngine(smallIndex())
 	q := []textproc.Token{"parallel", "hpc"}
-	res := e.Search(q)
+	res := e.SearchWithSeed(nil, q)
 	for _, r := range res {
 		ql := e.QueryLikelihood(r.Page, q)
 		if math.Abs(ql-r.Score) > 1e-9 {
@@ -127,8 +127,8 @@ func TestMuAffectsSmoothing(t *testing.T) {
 	sharp := NewEngine(idx).WithMu(1)
 	smooth := NewEngine(idx).WithMu(100000)
 	q := []textproc.Token{"illinois"}
-	rs := sharp.Search(q)
-	rm := smooth.Search(q)
+	rs := sharp.SearchWithSeed(nil, q)
+	rm := smooth.SearchWithSeed(nil, q)
 	if len(rs) == 0 || len(rm) == 0 {
 		t.Fatal("no results")
 	}
@@ -149,7 +149,7 @@ func TestSearchOnSyntheticCorpus(t *testing.T) {
 	e := NewEngine(idx)
 	ent := g.Corpus.Entities[0]
 	seed := g.Tokenizer.Tokenize(ent.SeedQuery)
-	res := e.Search(seed)
+	res := e.SearchWithSeed(nil, seed)
 	if len(res) != DefaultTopK {
 		t.Fatalf("seed search returned %d results", len(res))
 	}

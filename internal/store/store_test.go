@@ -104,8 +104,8 @@ func TestRestoredIndexSearchIdentical(t *testing.T) {
 		{"nonexistent-token-xyz"},
 	}
 	for _, q := range queries {
-		ro := orig.Search(q)
-		rr := restored.Search(q)
+		ro := orig.SearchWithSeed(nil, q)
+		rr := restored.SearchWithSeed(nil, q)
 		if len(ro) != len(rr) {
 			t.Fatalf("query %v: %d vs %d results", q, len(ro), len(rr))
 		}

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"l2q/internal/corpus"
-	"l2q/internal/search"
 	"l2q/internal/synth"
 )
 
@@ -24,7 +23,7 @@ func admissionFixture(t *testing.T, maxInFlight int) (*Server, *httptest.Server)
 	if err != nil {
 		t.Fatal(err)
 	}
-	server := NewServer(g.Corpus, search.NewEngine(search.BuildIndex(g.Corpus.Pages)))
+	server := NewServer(g.Corpus, bootLive(g.Corpus), nil)
 	server.MaxInFlight = maxInFlight
 	srv := httptest.NewServer(server.Handler())
 	t.Cleanup(srv.Close)
@@ -104,7 +103,7 @@ func TestMaxInFlightShedEnvelope(t *testing.T) {
 // waits on job events and the semaphore, never on a clock.
 func TestSaturationShedsWithoutLosingJobs(t *testing.T) {
 	f := newHarvestFixture(t)
-	server := NewServer(f.g.Corpus, f.engine)
+	server := NewServer(f.g.Corpus, bootLive(f.g.Corpus), nil)
 	server.Harvest = f.server.Harvest
 	server.MaxInFlight = 1
 	srv := httptest.NewServer(server.Handler())
@@ -252,7 +251,7 @@ func TestSaturationShedsWithoutLosingJobs(t *testing.T) {
 // running with nobody following it.
 func TestStreamOpenRetriesPastShed(t *testing.T) {
 	f := newHarvestFixture(t)
-	server := NewServer(f.g.Corpus, f.engine)
+	server := NewServer(f.g.Corpus, bootLive(f.g.Corpus), nil)
 	server.Harvest = f.server.Harvest
 	server.MaxInFlight = 1
 	handler := server.Handler()

@@ -2,13 +2,13 @@ package webapi
 
 // The one retrieval backend behind a Server. Handlers, the harvest job
 // builder and the metrics endpoint call it blind: whether pages come from
-// a frozen index, a live generational engine or a cluster of nodes is the
-// backend's business, decided once by the constructor that installed it
-// (NewServer, NewLiveServer, NewNodeServer, NewCoordinatorServer). Frozen
-// and live are one localBackend: both search a *search.Engine — the frozen
-// one, or the view the live engine has published last — and a live one can
-// also be written to; a cluster node's backend is its ClusterNode
-// (cluster.go), the coordinator's is clusterBackend (coordinator.go).
+// one process's index or a cluster of nodes is the backend's business,
+// decided once by the constructor that installed it (NewServer,
+// NewNodeServer, NewCoordinatorServer). A single-node server is a
+// localBackend over a live engine, searched through the view it has
+// published last, and written to only when NewServer was given the ingest
+// tokenizer; a cluster node's backend is its ClusterNode (cluster.go), the
+// coordinator's is clusterBackend (coordinator.go).
 
 import (
 	"context"
@@ -49,46 +49,31 @@ type backend interface {
 	ingest(req IngestRequest) (IngestResponse, error)
 }
 
-// errNoIngest is the ingest answer of every backend but the live one.
+// errNoIngest is the ingest answer of every backend but a writable one.
 var errNoIngest = httpErrorf(http.StatusNotImplemented, "ingest not supported: server is not live (start with -live)")
 
-// localBackend serves one in-process corpus. Frozen: corpus and engine are
-// immutable and live is nil. Live: ingest (ingest.go) grows corpus and
-// pages behind mu while searches run lock-free against the views the live
-// engine publishes.
+// localBackend serves one in-process corpus through a live engine. Every
+// request reads the engine's current view, asked for once, so what one
+// response reports comes from one epoch. Read-only (tok nil): nothing
+// publishes after boot. Writable: ingest (ingest.go) grows corpus and pages
+// behind mu while searches run lock-free against the views the engine
+// publishes.
 type localBackend struct {
 	mu     sync.RWMutex
 	corpus *corpus.Corpus
 	pages  map[corpus.PageID]*corpus.Page
-	frozen *search.Engine
 	live   *search.LiveEngine
-	// tok tokenizes ingested paragraph text server-side, so ingested
-	// pages carry exactly the tokens the corpus tokenizer would have
-	// produced (the parity contract through the API).
+	// tok, when non-nil, makes the backend writable: it tokenizes ingested
+	// paragraph text server-side, so ingested pages carry exactly the
+	// tokens the corpus tokenizer would have produced (the parity contract
+	// through the API).
 	tok *textproc.Tokenizer
-}
-
-func newLocalBackend(c *corpus.Corpus) *localBackend {
-	pages := make(map[corpus.PageID]*corpus.Page, c.NumPages())
-	for _, p := range c.Pages {
-		pages[p.ID] = p
-	}
-	return &localBackend{corpus: c, pages: pages}
-}
-
-// view is the engine a request reads: asked for once per request, so what
-// one response reports comes from one epoch.
-func (b *localBackend) view() *search.Engine {
-	if b.live != nil {
-		return b.live.View()
-	}
-	return b.frozen
 }
 
 func (b *localBackend) stats() Stats {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	v := b.view()
+	v := b.live.View()
 	return Stats{
 		Domain:      string(b.corpus.Domain),
 		NumEntities: b.corpus.NumEntities(),
@@ -101,7 +86,7 @@ func (b *localBackend) stats() Stats {
 }
 
 func (b *localBackend) search(_ context.Context, seed, query []textproc.Token, k int) (SearchResponse, error) {
-	return newSearchResponse(seed, query, b.view().SearchWithSeedTopKAppend(nil, k, seed, query)), nil
+	return newSearchResponse(seed, query, b.live.View().SearchWithSeedTopKAppend(nil, k, seed, query)), nil
 }
 
 func (b *localBackend) entities() []EntityInfo {
@@ -137,18 +122,14 @@ func (b *localBackend) page(_ context.Context, id corpus.PageID) (string, error)
 
 func (b *localBackend) pageWorkers() int { return 1 }
 
-func (b *localBackend) retriever() core.Retriever {
-	if b.live != nil {
-		return b.live // follows the epochs
-	}
-	return b.frozen
-}
+// retriever is the live engine itself, so a session follows the epochs.
+func (b *localBackend) retriever() core.Retriever { return b.live }
 
 func (b *localBackend) metrics(m *ServerMetrics) {
-	v := b.view()
+	v := b.live.View()
 	m.Search.CacheHits, m.Search.CacheMisses = v.CacheStats()
 	m.Search.DocsVisited, m.Search.DocsScored = v.PassStats()
-	if b.live != nil {
+	if b.tok != nil {
 		lm := b.live.Metrics()
 		m.Live = &lm
 	}

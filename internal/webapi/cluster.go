@@ -15,7 +15,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -221,9 +220,8 @@ func (s *Server) handleClusterStats(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotImplemented, "cluster stats push not supported: not a cluster node")
 			return
 		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxResponseBytes))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
+		body, ok := readBody(w, r, maxResponseBytes)
+		if !ok {
 			return
 		}
 		var g GlobalStatsPayload

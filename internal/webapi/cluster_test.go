@@ -486,10 +486,8 @@ func TestClusterEndpointGating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := search.NewEngine(search.BuildIndex(g.Corpus.Pages))
-
 	// Plain server: not a node, not a coordinator.
-	plain := httptest.NewServer(NewServer(g.Corpus, engine).Handler())
+	plain := httptest.NewServer(NewServer(g.Corpus, bootLive(g.Corpus), nil).Handler())
 	t.Cleanup(plain.Close)
 	for _, tc := range []struct {
 		method, path string

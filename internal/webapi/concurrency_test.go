@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"l2q/internal/search"
 	"l2q/internal/synth"
 )
 
@@ -20,8 +19,7 @@ func TestConcurrentClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := search.NewEngine(search.BuildIndex(g.Corpus.Pages))
-	srv := httptest.NewServer(NewServer(g.Corpus, engine).Handler())
+	srv := httptest.NewServer(NewServer(g.Corpus, bootLive(g.Corpus), nil).Handler())
 	defer srv.Close()
 
 	const clients = 4
@@ -66,7 +64,7 @@ func TestHandlerConcurrentInit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(g.Corpus, search.NewEngine(search.BuildIndex(g.Corpus.Pages)))
+	s := NewServer(g.Corpus, bootLive(g.Corpus), nil)
 
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -94,8 +92,7 @@ func TestServerConcurrencyLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := search.NewEngine(search.BuildIndex(g.Corpus.Pages))
-	s := NewServer(g.Corpus, engine)
+	s := NewServer(g.Corpus, bootLive(g.Corpus), nil)
 	s.MaxConcurrent = 1
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()

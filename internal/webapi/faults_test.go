@@ -17,7 +17,6 @@ import (
 	"l2q/internal/core"
 	"l2q/internal/corpus"
 	"l2q/internal/html"
-	"l2q/internal/search"
 	"l2q/internal/store"
 	"l2q/internal/synth"
 	"l2q/internal/types"
@@ -48,8 +47,9 @@ func newFaultyFixture(t *testing.T, inj *FaultInjector) (*fixture, *FaultInjecto
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := search.NewEngine(search.BuildIndex(g.Corpus.Pages))
-	inj.Next = NewServer(g.Corpus, engine).Handler()
+	live := bootLive(g.Corpus)
+	engine := live.View()
+	inj.Next = NewServer(g.Corpus, live, nil).Handler()
 	srv := httptest.NewServer(inj)
 	t.Cleanup(srv.Close)
 	client, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{Retry: fastRetry})
@@ -66,7 +66,7 @@ func TestRetryOn5xx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend := NewServer(g.Corpus, search.NewEngine(search.BuildIndex(g.Corpus.Pages))).Handler()
+	backend := NewServer(g.Corpus, bootLive(g.Corpus), nil).Handler()
 	var perPath sync.Map // path → *atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		v, _ := perPath.LoadOrStore(r.URL.RequestURI(), new(atomic.Int64))
@@ -149,7 +149,7 @@ func TestTruncatedBodyRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend := NewServer(g.Corpus, search.NewEngine(search.BuildIndex(g.Corpus.Pages))).Handler()
+	backend := NewServer(g.Corpus, bootLive(g.Corpus), nil).Handler()
 	trunc := &FaultInjector{Next: backend, TruncateRate: 1}
 	var failFirst sync.Map
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -192,7 +192,7 @@ func TestPerRequestTimeoutRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend := NewServer(g.Corpus, search.NewEngine(search.BuildIndex(g.Corpus.Pages))).Handler()
+	backend := NewServer(g.Corpus, bootLive(g.Corpus), nil).Handler()
 	var stallFirst sync.Map // URI → *atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		v, _ := stallFirst.LoadOrStore(r.URL.RequestURI(), new(atomic.Int64))
@@ -263,7 +263,7 @@ func TestPrefetchSingleflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend := NewServer(g.Corpus, search.NewEngine(search.BuildIndex(g.Corpus.Pages))).Handler()
+	backend := NewServer(g.Corpus, bootLive(g.Corpus), nil).Handler()
 	var pageHits atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, "/page/") {
@@ -318,7 +318,7 @@ func TestSingleflightLeaderCancelDoesNotPoisonFollowers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend := NewServer(g.Corpus, search.NewEngine(search.BuildIndex(g.Corpus.Pages))).Handler()
+	backend := NewServer(g.Corpus, bootLive(g.Corpus), nil).Handler()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, "/page/") {
 			time.Sleep(200 * time.Millisecond) // hold the flight open
@@ -392,7 +392,7 @@ func TestMalformedPageRejected(t *testing.T) {
 	for _, codec := range []Codec{CodecJSON, CodecAuto} {
 		for _, goodAfter := range []int64{1, 1 << 30} {
 			var searches atomic.Int64
-			real := NewServer(f.g.Corpus, f.engine).Handler()
+			real := NewServer(f.g.Corpus, bootLive(f.g.Corpus), nil).Handler()
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if r.URL.Path != apiRoot+"/search" || searches.Add(1) > goodAfter {
 					real.ServeHTTP(w, r)

@@ -40,7 +40,8 @@ func newHarvestFixture(t *testing.T) *harvestFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := search.NewEngine(search.BuildIndex(g.Corpus.Pages))
+	live := bootLive(g.Corpus)
+	engine := live.View()
 	aspect := synth.AspResearch
 	rec := types.Chain{g.KB, types.NewRegexRecognizer()}
 	y := func(p *corpus.Page) bool { return classify.GroundTruth(p, aspect) }
@@ -56,7 +57,7 @@ func newHarvestFixture(t *testing.T) *harvestFixture {
 		t.Fatal(err)
 	}
 
-	server := NewServer(g.Corpus, engine)
+	server := NewServer(g.Corpus, live, nil)
 	server.Harvest = &HarvestBackend{
 		Cfg:     cfg,
 		Aspects: []corpus.Aspect{aspect},
@@ -260,7 +261,7 @@ func TestHarvestValidation(t *testing.T) {
 	}
 
 	// A server without a backend answers 501.
-	plain := httptest.NewServer(NewServer(f.g.Corpus, f.engine).Handler())
+	plain := httptest.NewServer(NewServer(f.g.Corpus, bootLive(f.g.Corpus), nil).Handler())
 	defer plain.Close()
 	bare, err := DialContext(context.Background(), plain.URL, f.g.Tokenizer, ClientOptions{})
 	if err != nil {
@@ -371,7 +372,7 @@ func TestHarvestBatchIsAJob(t *testing.T) {
 				return f.y(p)
 			}
 		}}
-	server := NewServer(f.g.Corpus, f.engine)
+	server := NewServer(f.g.Corpus, bootLive(f.g.Corpus), nil)
 	server.Harvest = backend
 	srv := httptest.NewServer(server.Handler())
 	t.Cleanup(srv.Close)

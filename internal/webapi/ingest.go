@@ -1,6 +1,6 @@
 package webapi
 
-// POST /api/v1/ingest: the live backend's write path. A batch of pages is
+// POST /api/v1/ingest: a writable server's write path. A batch of pages is
 // validated as a whole, appended to the corpus, and absorbed by the
 // generational engine — all under one critical section of the backend's
 // lock, so the corpus page order IS the ingest order. That ordering is the parity
@@ -18,7 +18,6 @@ package webapi
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 
 	"l2q/internal/corpus"
@@ -70,9 +69,8 @@ type IngestResponse struct {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxResponseBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
+	body, ok := readBody(w, r, maxResponseBytes)
+	if !ok {
 		return
 	}
 	var req IngestRequest
@@ -98,11 +96,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // ingest validates and applies one batch under the corpus write lock.
-// An error means the batch was rejected whole, nothing applied; a backend
-// without a live engine rejects every batch.
+// An error means the batch was rejected whole, nothing applied; a
+// read-only backend (no ingest tokenizer) rejects every batch.
 func (b *localBackend) ingest(req IngestRequest) (IngestResponse, error) {
 	var resp IngestResponse
-	if b.live == nil {
+	if b.tok == nil {
 		return resp, errNoIngest
 	}
 	b.mu.Lock()

@@ -6,6 +6,7 @@ package webapi
 // codecs, and retried (duplicate) deliveries.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -53,7 +54,7 @@ func newLiveFixture(t *testing.T, bootFrac float64) *liveFixture {
 	// A small memtable forces several segment seals over the ingest feed,
 	// so parity is checked across real segment boundaries.
 	live := search.NewLiveEngine(search.BuildIndex(boot.Pages), search.Options{}, search.LiveOptions{MemtableDocs: 16})
-	srv := httptest.NewServer(NewLiveServer(boot, live, g.Tokenizer).Handler())
+	srv := httptest.NewServer(NewServer(boot, live, g.Tokenizer).Handler())
 	t.Cleanup(srv.Close)
 	return &liveFixture{g: g, boot: boot, live: live, srv: srv, rest: all[n:]}
 }
@@ -382,4 +383,93 @@ func TestIngestWireRoundTrip(t *testing.T) {
 func isStatus(err error, status int) bool {
 	var te *TransportError
 	return errors.As(err, &te) && te.Status == status
+}
+
+// FuzzIngestBody throws raw bytes — JSON, one wireIngest frame (gzipped
+// or not), or neither — at POST /api/v1/ingest on a writable server over
+// a tiny corpus, fresh per input. It must never panic; a 200 must account
+// for every page the body decodes to (Ingested + Duplicates) and grow the
+// view by exactly Ingested documents; any other answer rejects the whole
+// batch, leaving epoch and page count as they were.
+func FuzzIngestBody(f *testing.F) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		f.Fatal(err)
+	}
+	bootIDs := []corpus.EntityID{g.Corpus.Entities[0].ID, g.Corpus.Entities[1].ID}
+	feed := g.Corpus.PagesOf(g.Corpus.Entities[2].ID)
+	known := g.Corpus.PagesOf(bootIDs[0])[0]
+
+	// The bodies ingest_test.go posts, in both encodings.
+	batch := func(pages ...*corpus.Page) IngestRequest {
+		var req IngestRequest
+		for _, p := range pages {
+			req.Pages = append(req.Pages, ingestPage(g, p))
+		}
+		return req
+	}
+	for _, req := range []IngestRequest{
+		batch(feed[:3]...),
+		batch(known, feed[0], feed[0]), // a held page, then one twice
+		{Pages: []IngestPage{ingestPage(g, feed[0]), {ID: 999999, Entity: 999999, Paras: []IngestParagraph{{Text: "orphan text"}}}}},
+		{},
+		{Pages: []IngestPage{{ID: 999998, Entity: bootIDs[0]}}},
+		{Pages: []IngestPage{
+			{ID: 800001, Entity: 8001, EntityName: "Once Registered", SeedQuery: "once registered",
+				Paras: []IngestParagraph{{Text: "first page registers"}}},
+			{ID: 800002, Entity: 8001, Paras: []IngestParagraph{{Text: "second page references"}}},
+		}},
+	} {
+		js, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(js)
+		encode := func(e *store.Enc) { encodeIngestWire(e, req) }
+		plain := marshalFrame(wireIngest, 0, encode)
+		f.Add(plain)
+		f.Add(marshalFrame(wireIngest, 1, encode)) // gzip-flagged
+		f.Add(plain[:len(plain)-3])                // truncated
+		badCRC := bytes.Clone(plain)
+		badCRC[len(badCRC)-1] ^= 0xff
+		f.Add(badCRC)
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		c := g.Corpus.Subset(bootIDs)
+		live := search.NewLiveEngine(search.BuildIndex(c.Pages), search.Options{},
+			search.LiveOptions{CompactFanIn: -1, IngestWorkers: 1})
+		srv := NewServer(c, live, g.Tokenizer)
+		docs, epoch, pages := live.View().NumDocs(), live.View().Epoch(), c.NumPages()
+
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, apiRoot+"/ingest", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			if live.View().Epoch() != epoch || c.NumPages() != pages {
+				t.Fatalf("answered %d yet moved epoch %d → %d, pages %d → %d",
+					rec.Code, epoch, live.View().Epoch(), pages, c.NumPages())
+			}
+			return
+		}
+		var req IngestRequest
+		var err error
+		if isWireFrame(body) {
+			err = decodeFramePayload(body, wireIngest, func(d *store.Dec) { req = decodeIngestWire(d) })
+		} else {
+			err = json.Unmarshal(body, &req)
+		}
+		if err != nil {
+			t.Fatalf("answered 200 to a body that does not decode: %v", err)
+		}
+		var resp IngestResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Ingested+resp.Duplicates != len(req.Pages) {
+			t.Fatalf("%d pages decoded, %d ingested + %d duplicates", len(req.Pages), resp.Ingested, resp.Duplicates)
+		}
+		if got := live.View().NumDocs(); got != docs+resp.Ingested {
+			t.Fatalf("view holds %d docs after ingesting %d onto %d", got, resp.Ingested, docs)
+		}
+	})
 }

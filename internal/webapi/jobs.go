@@ -193,14 +193,22 @@ func (j *serverJob) waitEvents(ctx context.Context, from int) (evs []HarvestEven
 	}
 }
 
+// maxJobBody bounds a job submission: entity IDs and resume checkpoints,
+// never pages.
+const maxJobBody = 1 << 20
+
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	hb := s.Harvest
 	if hb == nil {
 		writeError(w, http.StatusNotImplemented, "harvesting not enabled on this server")
 		return
 	}
+	body, ok := readBody(w, r, maxJobBody)
+	if !ok {
+		return
+	}
 	var req HarvestRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}

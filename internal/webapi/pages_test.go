@@ -31,8 +31,9 @@ type servedShape struct {
 	url  string
 }
 
-// startEveryShape serves g frozen, live and through a 3-node coordinator;
-// wrapNodes, when non-nil, interposes on the coordinator's nodes.
+// startEveryShape serves g read-only ("frozen"), writable ("live") and
+// through a 3-node coordinator; wrapNodes, when non-nil, interposes on the
+// coordinator's nodes.
 func startEveryShape(t *testing.T, g *synth.Generated, wrapNodes func(int, http.Handler) http.Handler) []servedShape {
 	t.Helper()
 	serve := func(s *Server) string {
@@ -43,8 +44,8 @@ func startEveryShape(t *testing.T, g *synth.Generated, wrapNodes func(int, http.
 	live := search.NewLiveEngine(search.BuildIndex(g.Corpus.Pages), search.Options{}, search.LiveOptions{MemtableDocs: 16})
 	co := dialCluster(t, g, startClusterNodes(t, g, 3, 2, wrapNodes), 2, 0)
 	return []servedShape{
-		{"frozen", serve(NewServer(g.Corpus, search.NewEngine(search.BuildIndex(g.Corpus.Pages))))},
-		{"live", serve(NewLiveServer(g.Corpus, live, g.Tokenizer))},
+		{"frozen", serve(NewServer(g.Corpus, bootLive(g.Corpus), nil))},
+		{"live", serve(NewServer(g.Corpus, live, g.Tokenizer))},
 		{"coordinator", serve(NewCoordinatorServer(co))},
 	}
 }
@@ -277,12 +278,11 @@ func TestSearchPagesParamValidation(t *testing.T) {
 
 	// A hit whose page the backend cannot produce. Frozen: the index
 	// names a page the page table lost.
-	engine := search.NewEngine(search.BuildIndex(g.Corpus.Pages))
-	lb := newLocalBackend(g.Corpus)
-	lb.frozen = engine
-	hits := engine.SearchWithSeed(g.Corpus.Entities[0].SeedTokens(), []string{"research"})
-	delete(lb.pages, hits[1].Page.ID)
-	frozen := httptest.NewServer(newServer(lb).Handler())
+	live := bootLive(g.Corpus)
+	lost := NewServer(g.Corpus, live, nil)
+	hits := live.View().SearchWithSeed(g.Corpus.Entities[0].SeedTokens(), []string{"research"})
+	delete(lost.backend.(*localBackend).pages, hits[1].Page.ID)
+	frozen := httptest.NewServer(lost.Handler())
 	defer frozen.Close()
 	// Coordinator: every node refuses page requests.
 	noPages := startEveryShape(t, g, func(_ int, h http.Handler) http.Handler {

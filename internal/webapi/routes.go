@@ -17,6 +17,7 @@ package webapi
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
 	"strings"
@@ -160,6 +161,8 @@ func errorCode(status int) string {
 		return "bad_request"
 	case http.StatusNotFound:
 		return "not_found"
+	case http.StatusRequestEntityTooLarge:
+		return "too_large"
 	case http.StatusNotImplemented:
 		return "not_implemented"
 	case http.StatusServiceUnavailable:
@@ -193,4 +196,22 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 		Message:   msg,
 		Retryable: statusRetryable(status),
 	}})
+}
+
+// readBody reads a request body whole, refusing one past limit bytes with
+// 413 instead of cutting it into a parse error a client could not tell
+// from a malformed body, and answering a failed read 400. It writes the
+// error itself (ok false).
+func readBody(w http.ResponseWriter, r *http.Request, limit int) (body []byte, ok bool) {
+	body, err := readBounded(r.Body, r.ContentLength, limit)
+	if err != nil {
+		status := http.StatusBadRequest
+		var he *httpError
+		if errors.As(err, &he) {
+			status = he.status
+		}
+		writeError(w, status, "reading body: "+err.Error())
+		return nil, false
+	}
+	return body, true
 }

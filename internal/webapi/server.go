@@ -79,11 +79,10 @@ type EntityInfo struct {
 }
 
 // Server serves one retrieval backend over HTTP. Construct with NewServer
-// (frozen corpus), NewLiveServer (live generational index), NewNodeServer
-// (one node's partitions of a cluster) or NewCoordinatorServer
-// (scatter-gather over a cluster), then
-// Start/Shutdown (or mount Handler on your own server). Server is safe
-// for concurrent requests.
+// (one process's corpus, read-only or writable), NewNodeServer (one node's
+// partitions of a cluster) or NewCoordinatorServer (scatter-gather over a
+// cluster), then Start/Shutdown (or mount Handler on your own server).
+// Server is safe for concurrent requests.
 type Server struct {
 	// backend is what every handler serves from (see backend.go).
 	backend backend
@@ -182,27 +181,20 @@ func newServer(b backend) *Server {
 	return &Server{backend: b, MaxConcurrent: 64, ctx: ctx, cancel: cancel}
 }
 
-// NewServer wires a server over a frozen corpus and its engine.
-func NewServer(c *corpus.Corpus, engine *search.Engine) *Server {
-	b := newLocalBackend(c)
-	b.frozen = engine
-	return newServer(b)
-}
-
-// NewLiveServer wires a server over a live generational engine: the
-// corpus is the engine's bootstrap page set, POST /api/v1/ingest grows
-// both, and every retrieval endpoint serves from the engine's current
-// epoch view. tok must be the tokenizer that produced the corpus tokens —
-// ingested paragraph text is tokenized server-side with it, which is what
-// keeps a grown index byte-identical in rankings to a frozen rebuild (nil
-// falls back to plain word splitting).
-func NewLiveServer(c *corpus.Corpus, live *search.LiveEngine, tok *textproc.Tokenizer) *Server {
-	if tok == nil {
-		tok = &textproc.Tokenizer{}
+// NewServer wires a single-node server over a corpus and the live engine
+// that indexes it; every retrieval endpoint serves from the engine's
+// current epoch view. A nil tok makes the server read-only: POST
+// /api/v1/ingest answers 501 and /api/v1/metrics has no live section. A
+// non-nil tok makes it writable: ingest grows corpus and engine, and
+// ingested paragraph text is tokenized server-side with tok, which must be
+// the tokenizer that produced the corpus tokens — that is what keeps a
+// grown index byte-identical in rankings to a frozen rebuild.
+func NewServer(c *corpus.Corpus, eng *search.LiveEngine, tok *textproc.Tokenizer) *Server {
+	pages := make(map[corpus.PageID]*corpus.Page, c.NumPages())
+	for _, p := range c.Pages {
+		pages[p.ID] = p
 	}
-	b := newLocalBackend(c)
-	b.live, b.tok = live, tok
-	return newServer(b)
+	return newServer(&localBackend{corpus: c, pages: pages, live: eng, tok: tok})
 }
 
 // semaphore returns the in-flight request bound, sized once from
@@ -352,7 +344,7 @@ type ServerMetrics struct {
 	Cluster *ClusterMetrics `json:"cluster,omitempty"`
 	// Live reports the generational engine's ingest-side gauges (segment
 	// count, memtable size, epoch, compaction totals, cache epoch-
-	// invalidations); present only on live servers.
+	// invalidations); present only on writable single-node servers.
 	Live *search.LiveMetrics `json:"live,omitempty"`
 }
 
@@ -362,8 +354,8 @@ type SearchRouteMetrics struct {
 	PagesAttached    int64 `json:"pages_attached"`
 	PagesSkippedHave int64 `json:"pages_skipped_have"`
 	// CacheHits and CacheMisses count lookups in the cache that answers
-	// repeated searches: the engine's query cache on a frozen or live
-	// server, the front result cache on a coordinator (the same numbers as
+	// repeated searches: the engine's query cache on a single-node server,
+	// the front result cache on a coordinator (the same numbers as
 	// cluster.frontCache), zeroes on a node, whose engines run uncached.
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`

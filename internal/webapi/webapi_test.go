@@ -21,8 +21,15 @@ import (
 	"l2q/internal/types"
 )
 
-// fixture bundles a small corpus, its engine, an httptest server and a
-// dialed client.
+// bootLive is the engine a read-only test server serves c through: a live
+// engine booted from an index of c's pages, with the default cache and
+// top-k, so its view ranks exactly as a frozen engine over c would.
+func bootLive(c *corpus.Corpus) *search.LiveEngine {
+	return search.NewLiveEngine(search.BuildIndex(c.Pages), search.Options{}, search.LiveOptions{})
+}
+
+// fixture bundles a small corpus, the engine view its read-only server
+// searches, an httptest server and a dialed client.
 type fixture struct {
 	g      *synth.Generated
 	engine *search.Engine
@@ -36,8 +43,9 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := search.NewEngine(search.BuildIndex(g.Corpus.Pages))
-	srv := httptest.NewServer(NewServer(g.Corpus, engine).Handler())
+	live := bootLive(g.Corpus)
+	engine := live.View()
+	srv := httptest.NewServer(NewServer(g.Corpus, live, nil).Handler())
 	t.Cleanup(srv.Close)
 	client, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{})
 	if err != nil {
@@ -278,7 +286,7 @@ func TestStartShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(g.Corpus, search.NewEngine(search.BuildIndex(g.Corpus.Pages)))
+	srv := NewServer(g.Corpus, bootLive(g.Corpus), nil)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

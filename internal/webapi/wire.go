@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net/http"
 	"sort"
 	"sync"
 
@@ -237,7 +238,8 @@ func checkAndInflate(payload []byte, flags byte, wantCRC uint32) ([]byte, error)
 const maxDeflateRatio = 1032
 
 // readBounded reads r to EOF and fails — never truncates — when r holds
-// more than limit bytes. hint sizes the first allocation so a correct one
+// more than limit bytes, with the 413 a server answers such a request body
+// with (readBody). hint sizes the first allocation so a correct one
 // makes it the only one; it is a number from outside the program (a gzip
 // trailer, a Content-Length header), so it is clamped to [0, limit] and
 // nothing else depends on it: a wrong hint costs regrowth, as io.ReadAll
@@ -253,7 +255,7 @@ func readBounded(r io.Reader, hint int64, limit int) ([]byte, error) {
 		n, err := r.Read(buf[len(buf):min(cap(buf), limit+1)])
 		buf = buf[:len(buf)+n]
 		if len(buf) > limit {
-			return nil, fmt.Errorf("body exceeds %d bytes", limit)
+			return nil, httpErrorf(http.StatusRequestEntityTooLarge, "body exceeds %d bytes", limit)
 		}
 		if err == io.EOF {
 			return buf, nil

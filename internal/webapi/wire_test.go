@@ -19,7 +19,6 @@ import (
 	"l2q/internal/core"
 	"l2q/internal/corpus"
 	"l2q/internal/html"
-	"l2q/internal/search"
 	"l2q/internal/store"
 	"l2q/internal/synth"
 	"l2q/internal/types"
@@ -160,7 +159,7 @@ func TestNegotiationMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := search.NewEngine(search.BuildIndex(g.Corpus.Pages))
+	live := bootLive(g.Corpus)
 
 	get := func(t *testing.T, srvURL, path string, wantWire bool) (body []byte, ct string) {
 		t.Helper()
@@ -195,7 +194,7 @@ func TestNegotiationMatrix(t *testing.T) {
 		{"gzip-default", 0}, // DefaultCompressMin threshold
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srvObj := NewServer(g.Corpus, engine)
+			srvObj := NewServer(g.Corpus, live, nil)
 			srvObj.CompressMin = tc.compressMin
 			srv := httptest.NewServer(srvObj.Handler())
 			defer srv.Close()
@@ -253,7 +252,7 @@ func TestNegotiationMatrix(t *testing.T) {
 
 	// WireDisabled: Accept is ignored, everything is JSON.
 	t.Run("wire-disabled", func(t *testing.T) {
-		srvObj := NewServer(g.Corpus, engine)
+		srvObj := NewServer(g.Corpus, live, nil)
 		srvObj.WireDisabled = true
 		srv := httptest.NewServer(srvObj.Handler())
 		defer srv.Close()
@@ -278,7 +277,7 @@ func TestNegotiationMatrix(t *testing.T) {
 	// CodecJSON: the client never asks for binary even against a
 	// wire-capable server.
 	t.Run("codec-json", func(t *testing.T) {
-		srv := httptest.NewServer(NewServer(g.Corpus, engine).Handler())
+		srv := httptest.NewServer(NewServer(g.Corpus, live, nil).Handler())
 		defer srv.Close()
 		c, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{Codec: CodecJSON})
 		if err != nil {
@@ -302,8 +301,8 @@ func TestMixedVersionFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := search.NewEngine(search.BuildIndex(g.Corpus.Pages))
-	srvObj := NewServer(g.Corpus, engine)
+	live := bootLive(g.Corpus)
+	srvObj := NewServer(g.Corpus, live, nil)
 	srvObj.WireDisabled = true
 	srv := httptest.NewServer(srvObj.Handler())
 	defer srv.Close()
@@ -316,7 +315,7 @@ func TestMixedVersionFallback(t *testing.T) {
 		t.Error("negotiated wire against a JSON-only server")
 	}
 	ss := newSessionSetup(t, g)
-	localQ, localP, _ := ss.run(t, core.NewL2QBAL(), engine)
+	localQ, localP, _ := ss.run(t, core.NewL2QBAL(), live)
 	remoteQ, remoteP, _ := ss.run(t, core.NewL2QBAL(), c)
 	if len(localQ) == 0 || !reflect.DeepEqual(remoteQ, localQ) || !reflect.DeepEqual(remoteP, localP) {
 		t.Errorf("harvest over negotiated JSON diverges:\n local  %v %v\n remote %v %v", localQ, localP, remoteQ, remoteP)
@@ -334,7 +333,7 @@ func TestMixedVersionFallback(t *testing.T) {
 	// the bare hit list: the client downloads every hit's page itself and
 	// harvests the same, in either codec.
 	for _, codec := range []Codec{CodecAuto, CodecJSON} {
-		current := NewServer(g.Corpus, engine).Handler()
+		current := NewServer(g.Corpus, live, nil).Handler()
 		old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			q := r.URL.Query()
 			q.Del("with")
@@ -571,7 +570,7 @@ func TestDifferentialWireParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := search.NewEngine(search.BuildIndex(g.Corpus.Pages))
+	live := bootLive(g.Corpus)
 	rec := types.Chain{g.KB, types.NewRegexRecognizer()}
 	aspect := synth.AspResearch
 	y := func(p *corpus.Page) bool { return classify.GroundTruth(p, aspect) }
@@ -591,7 +590,7 @@ func TestDifferentialWireParity(t *testing.T) {
 	// same fault process.
 	dialFaulty := func(codec Codec) (*Client, *FaultInjector) {
 		inj := &FaultInjector{ErrorRate: 0.35, TruncateRate: 0.15, Seed: 202,
-			Next: NewServer(g.Corpus, engine).Handler()}
+			Next: NewServer(g.Corpus, live, nil).Handler()}
 		srv := httptest.NewServer(inj)
 		t.Cleanup(srv.Close)
 		c, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{Retry: fastRetry, Codec: codec})

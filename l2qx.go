@@ -17,6 +17,7 @@ import (
 	"l2q/internal/crf"
 	"l2q/internal/html"
 	"l2q/internal/pipeline"
+	"l2q/internal/search"
 	"l2q/internal/store"
 	"l2q/internal/textproc"
 	"l2q/internal/webapi"
@@ -169,13 +170,16 @@ func (s *System) ClassifierAccuracy(a Aspect, pages []*Page) float64 {
 	return s.cls.AccuracyOf(a, pages)
 }
 
-// NewSearchServer exposes the system's corpus and engine as an HTTP
-// search API (JSON search + rendered HTML pages), with the server-side
-// batch-harvest endpoint enabled over the system's classifiers and
-// lazily-learned domain models. Start it with (*SearchServer).Start and
-// point remote harvesters at it with DialRemoteContext.
+// NewSearchServer exposes the system's corpus as a read-only HTTP search
+// API (JSON search + rendered HTML pages), served by a live engine booted
+// over the system engine's index — so it ranks exactly as the system
+// engine does — with the server-side batch-harvest endpoint enabled over
+// the system's classifiers and lazily-learned domain models. Start it with
+// (*SearchServer).Start and point remote harvesters at it with
+// DialRemoteContext.
 func (s *System) NewSearchServer() *SearchServer {
-	srv := webapi.NewServer(s.corpus, s.engine)
+	live := search.NewLiveEngine(s.engine.Index(), s.cfg.SearchOptions(), search.LiveOptions{TopK: s.engine.TopK()})
+	srv := webapi.NewServer(s.corpus, live, nil)
 	srv.Harvest = s.HarvestBackend()
 	return srv
 }
