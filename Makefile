@@ -19,14 +19,16 @@ test:
 
 # The packages whose worker-pool defaults read GOMAXPROCS (ingest
 # pre-tokenization, domain learning, the scheduler's select and fetch
-# pools — under which sessions share a domain model's candidate-facts
-# memo — and, in webapi, the server's shared scheduler and the
-# coordinator's scatter and page fan-out), serial and oversubscribed:
-# every worker count must compute the same values, and no test may
-# depend on the box's core count.
+# pools — under which sessions of every aspect share a System's term
+# vocabulary and facts table — and, in webapi, the server's shared
+# scheduler and the coordinator's scatter and page fan-out), and the
+# shared state they lean on (the vocabulary, a page's term-id memo),
+# serial and oversubscribed: every worker count must compute the same
+# values, and no test may depend on the box's core count.
+TEST_PROCS_PKGS = ./internal/textproc/ ./internal/corpus/ ./internal/search/ ./internal/core/ ./internal/pipeline/ ./internal/webapi/
 test-procs:
-	GOMAXPROCS=1 $(GO) test -race -shuffle=on ./internal/search/ ./internal/core/ ./internal/pipeline/ ./internal/webapi/
-	GOMAXPROCS=8 $(GO) test -race -shuffle=on ./internal/search/ ./internal/core/ ./internal/pipeline/ ./internal/webapi/
+	GOMAXPROCS=1 $(GO) test -race -shuffle=on $(TEST_PROCS_PKGS)
+	GOMAXPROCS=8 $(GO) test -race -shuffle=on $(TEST_PROCS_PKGS)
 
 # Every fuzz target in the tree. 20 s of native fuzzing each on the
 # scorer's exactness gate (the pruned top-k pass, its contender test
@@ -39,11 +41,15 @@ test-procs:
 # kilobyte, so minimizing each new one is capped at 1 s instead of eating
 # the budget); 10 s each on the tokenizer's three differential oracles
 # (the ASCII split against the rune path, n-gram admissibility from
-# per-token flags and phrase merging through the first-word index against
-# their per-gram and every-length references — small alphabets, so they
-# saturate fast) and on the ingest route's body, JSON or frame (never a
-# panic; a 200 accounts for every decoded page, anything else changes
-# nothing; minimizing capped at 1 s like the bitsets).
+# per-token flags — and the session's term-id enumeration — and phrase
+# merging through the first-word index against their per-gram and
+# every-length references; small alphabets, so they saturate fast), on
+# the round trip the id path rests on (every n-gram a lexicon tokenizer
+# emits re-tokenizes to itself), on ingest-side HTML (ParsePage never
+# panics on any bytes or truncation and gives back a rendered page's ID,
+# entity and paragraph tokens) and on the ingest route's body, JSON or
+# frame (never a panic; a 200 accounts for every decoded page, anything
+# else changes nothing; minimizing capped at 1 s like the bitsets).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPrunedTopKMatchesReference -fuzztime 20s ./internal/search/
 	$(GO) test -run '^$$' -fuzz FuzzSearchPagesFrame -fuzztime 20s ./internal/webapi/
@@ -51,6 +57,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSplitWordsParity -fuzztime 10s ./internal/textproc/
 	$(GO) test -run '^$$' -fuzz FuzzNGramsMatchesReference -fuzztime 10s ./internal/textproc/
 	$(GO) test -run '^$$' -fuzz FuzzLexiconMergeMatchesReference -fuzztime 10s ./internal/textproc/
+	$(GO) test -run '^$$' -fuzz FuzzGramTokensRoundTrip -fuzztime 10s ./internal/textproc/
+	$(GO) test -run '^$$' -fuzz FuzzParsePage -fuzztime 10s ./internal/html/
 	$(GO) test -run '^$$' -fuzz FuzzIngestBody -fuzztime 10s -fuzzminimizetime 1s ./internal/webapi/
 
 # 30 s churn loops under the race detector: scheduler submit/cancel/

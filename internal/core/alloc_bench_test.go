@@ -80,15 +80,14 @@ func BenchmarkSelectAllocs(b *testing.B) {
 
 // BenchmarkHarvestJobAllocs is the whole-job allocation trajectory the CI
 // gate pins: what harvest_remote runs per operation minus the wire — a
-// fresh session over the shared learned model, L2QBAL at budget 5 on the
-// in-process engine — measured from the second job on, so the model's
-// candidate-facts memo and the engine's query cache are warm, as they are
-// once a job list has wrapped. What is left is the session's own state:
-// its page and candidate pools, the candidate table, the page bitsets, one
-// Inference per step — and the pages' n-gram enumerations, redone per job
-// here (every benchEnv session brings its own stopword list, which keys
-// the per-page memo) as they are in harvest_remote, where every job parses
-// its pages anew.
+// fresh session of the benchEnv's one System over the shared learned
+// model, L2QBAL at budget 5 on the in-process engine — measured from the
+// second job on, so the System's facts table and the engine's query cache
+// are warm, as they are once a job list has wrapped. What is left is the
+// session's own state: its page and candidate pools, the candidate table,
+// the page bitsets, one Inference per step. The pages' term ids are warm
+// too (the corpus pages are the same every job); in harvest_remote, where
+// every job parses its pages anew, each page adds its two.
 func BenchmarkHarvestJobAllocs(b *testing.B) {
 	env := benchEnvFor(b, benchDomains[0].domain, benchDomains[0].aspect)
 	sel := NewL2QBAL()

@@ -123,8 +123,8 @@ func runCoverProgram(t *testing.T, a coverAlphabet, program []byte) {
 	s := NewSession(cfg, nil, &corpus.Entity{SeedQuery: "seed"}, "A", y, nil, nil, 1)
 	// The candidate table both forms mirror, filled by the program instead
 	// of by page enumeration: a registered candidate gets the next ordinal
-	// (once), a fired one is marked as the pool's sync would mark it.
-	pool := newCandidatePool(false, nil, 0)
+	// (once), a fired one is retired as the pool's sync retires it.
+	pool := newCandidatePool(false, nil, nil, 0)
 	forms := []struct {
 		name string
 		sg   *sessionGraph
@@ -179,15 +179,13 @@ func runCoverProgram(t *testing.T, a coverAlphabet, program []byte) {
 			}
 			q := Query(strings.Join(words, " "))
 			registered = append(registered, q)
-			if _, ok := pool.ords[q]; !ok {
-				pool.add(q, candPage)
-			}
+			pool.observe(s, q, candPage)
 		case coverOpFire:
 			if len(registered) > 0 {
 				q := registered[next()%len(registered)]
 				s.fired = append(s.fired, q)
 				s.firedSet[q] = struct{}{}
-				pool.state[pool.ords[q]] = candFired
+				pool.syncFired(s)
 			}
 		case coverOpIngest:
 			ingest()

@@ -35,26 +35,38 @@ type graphBuilder struct {
 	templates map[string]graph.NodeID
 
 	// dm, when set, supplies the domain counting priors stored on each
-	// query vertex (entity phase with templates; nil otherwise), and shared
-	// the facts it has already computed for this tokenizer and recognizer.
-	dm     *DomainModel
-	shared *sharedCandidateFacts
+	// query vertex (entity phase with templates; nil otherwise). table is
+	// the session's gramTable, which fills a session builder's facts; the
+	// domain phase and the reference oracle have none and compute them.
+	dm    *DomainModel
+	table *gramTable
 }
 
 // queryVertex is one registered query: its vertex (table-only builders
-// leave node zero) plus the facts computed once at registration — tokens,
-// template keys and the domain counting priors of the collective
-// utilities (§V). None of them depends on the session's pages or context,
-// so a step never recomputes them.
+// leave node zero), its facts — tokens and template keys, shared with
+// every other session that met the query — and the domain counting priors
+// of the collective utilities (§V). None of them depends on the session's
+// pages or context, so a step never recomputes them.
 type queryVertex struct {
 	q    Query
 	node graph.NodeID
-	candidateFacts
+	*candidateFacts
+	priorR, priorRStar float64
 	// detached marks a query retired from the graph (a fired query in a
 	// persistent session graph): its vertex is isolated and must not
 	// receive new edges. A query already fired when its session table
 	// registers it is detached from the start and gets no vertex at all.
 	detached bool
+}
+
+// keysOf is qv's template keys as this builder sees them: none without a
+// recognizer, although a shared record may carry the keys another
+// session's recognizer read.
+func (b *graphBuilder) keysOf(qv *queryVertex) []string {
+	if b.rec == nil {
+		return nil
+	}
+	return qv.keys
 }
 
 // newGraphBuilder returns an empty builder, with a graph to fill or (the
@@ -92,7 +104,11 @@ func (b *graphBuilder) addQuery(q Query) {
 		b.queries = make(map[Query]int32)
 	}
 	b.queries[q] = int32(len(b.qs))
-	b.qs = append(b.qs, queryVertex{q: q, candidateFacts: b.factsOf(q)})
+	qv := queryVertex{q: q, candidateFacts: computeFacts(b.cfg, b.rec, q)}
+	if b.dm != nil {
+		qv.priorR, qv.priorRStar = b.dm.countingPrior(q, qv.keys)
+	}
+	b.qs = append(b.qs, qv)
 	b.addQueryVertex(&b.qs[len(b.qs)-1])
 }
 
@@ -100,7 +116,7 @@ func (b *graphBuilder) addQuery(q Query) {
 // set, along with its template vertices and query–template edges.
 func (b *graphBuilder) addQueryVertex(qv *queryVertex) {
 	qv.node = b.g.AddNode(graph.KindQuery)
-	for _, key := range qv.keys {
+	for _, key := range b.keysOf(qv) {
 		tid, ok := b.templates[key]
 		if !ok {
 			tid = b.g.AddNode(graph.KindTemplate)

@@ -175,7 +175,7 @@ func TestCandidatePoolFiredNeverReappears(t *testing.T) {
 		for i := 0; q == "" && i < 10; i++ {
 			mustFire(t, s, s.Candidates(true)[i]) // until new n-grams arrive
 			for _, c := range s.Candidates(true) {
-				if int(s.pool.ords[c]) >= enrolled {
+				if int(s.ordOf(c)) >= enrolled {
 					q = c
 					break
 				}
@@ -189,7 +189,7 @@ func TestCandidatePoolFiredNeverReappears(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ord := s.pool.ords[q]
+		ord := s.ordOf(q)
 		if qv := s.sg.b.qs[ord]; qv.q != q || !qv.detached {
 			t.Fatalf("%q (ordinal %d) enrolled as %q, detached %v", q, ord, qv.q, qv.detached)
 		}
@@ -236,7 +236,7 @@ func (c *ordinalCheck) Select(s *Session) (Selection, bool) {
 		t.Fatalf("step %d: %d ordinals for %d candidates", c.step, len(s.ordBuf), len(s.candBuf))
 	}
 	for i, q := range s.candBuf {
-		if o := s.ordBuf[i]; p.qs[o] != q || p.ords[q] != o || p.state[o] == candFired {
+		if o := s.ordBuf[i]; p.qs[o] != q || s.ordOf(q) != o || p.state[o] == candFired {
 			t.Fatalf("step %d: candidate %q has ordinal %d, which names %q in state %d", c.step, q, o, p.qs[o], p.state[o])
 		}
 		if !c.seen[q] {
@@ -258,7 +258,7 @@ func (c *ordinalCheck) Select(s *Session) (Selection, bool) {
 		}
 	}
 	for _, q := range s.fired {
-		if o, ok := p.ords[q]; !ok || p.state[o] != candFired {
+		if o := s.ordOf(q); o < 0 || p.state[o] != candFired {
 			t.Fatalf("step %d: fired %q not retired in the table", c.step, q)
 		}
 	}

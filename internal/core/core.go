@@ -17,6 +17,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 
 	"l2q/internal/search"
@@ -49,7 +50,8 @@ type Config struct {
 	// r0 makes R*_E(Φ) saturate and collapses collective precision into
 	// collective recall after a few iterations.
 	R0Star float64
-	// MaxQueryLen is the maximum query length L (paper: 3).
+	// MaxQueryLen is the maximum query length L (paper: 3), at most
+	// textproc.MaxGramLen — the width of the session's n-gram keys.
 	MaxQueryLen int
 	// MinQueryPageDF prunes domain-phase queries occurring in fewer
 	// pages (noise n-grams); 2 keeps anything that repeats at all.
@@ -93,11 +95,18 @@ type Config struct {
 	// round trip. Nil falls back to plain space splitting, which is only
 	// correct when the corpus has no phrase tokens.
 	Tokenizer *textproc.Tokenizer
+
+	// grams holds the term vocabulary and the n-gram facts table every
+	// session built from a copy of this Config shares (see gramTable).
+	// DefaultConfig makes one, so a System — whose sessions all start from
+	// its one Config — has one.
+	grams *gramTables
 }
 
 // DefaultConfig returns the paper's parameter settings.
 func DefaultConfig() Config {
 	return Config{
+		grams:               new(gramTables),
 		Alpha:               0.15,
 		Lambda:              10,
 		R0:                  0.3,
@@ -122,6 +131,15 @@ func (c Config) learnWorkers() int {
 		return 1
 	}
 	return c.LearnWorkers
+}
+
+// Validate reports a configuration no session can run: a MaxQueryLen wider
+// than the n-gram keys.
+func (c Config) Validate() error {
+	if c.MaxQueryLen > textproc.MaxGramLen {
+		return fmt.Errorf("core: MaxQueryLen %d exceeds the n-gram key width %d", c.MaxQueryLen, textproc.MaxGramLen)
+	}
+	return nil
 }
 
 // SearchOptions collects the retrieval-engine knobs for

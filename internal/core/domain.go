@@ -70,12 +70,12 @@ type DomainModel struct {
 	NumEntities int
 	NumPages    int
 
-	// shared is the lazily built table of session-independent facts about
-	// Candidates (see candidateFactsFor). It is derived state: never
+	// tail is Candidates as sessions enroll them — their facts and keys
+	// under one gramTable (see tailFor). It is derived state: never
 	// serialised, nil until the first domain-aware session over this
 	// model asks for it.
-	sharedMu sync.Mutex
-	shared   *sharedCandidateFacts
+	tailMu sync.Mutex
+	tail   *domainTail
 
 	// lastTableSize is the candidate-table size a session over this model
 	// last reached: the next session sizes its tables from it once

@@ -10,60 +10,46 @@ import (
 )
 
 // candidateFacts are the facts about a candidate query that no session
-// state can change: they follow from the query string, the tokenizer, the
-// recognizer and the domain model alone. They are stored on the query
-// vertex, so a session computes them at most once per candidate instead
-// of once per step — and sessions of one domain model share them
-// (DomainModel.candidateFactsFor): the model's own Candidates for its
-// lifetime, page n-grams for as long as its memo holds them.
+// state can change: they follow from the query string, the tokenizer and
+// the recognizer alone. A session's query vertex points at them instead of
+// copying them, and every session of one System shares them through its
+// gramTable — tokens and template keys once per System, not once per
+// aspect model. The domain counting priors also depend on the model, so a
+// vertex keeps its own pair and the record caches one pair per model.
 type candidateFacts struct {
+	q Query
 	// toks is Config.QueryTokens(q).
 	toks []textproc.Token
-	// keys are the query's template keys (template.EnumerateKeys); nil
-	// without a recognizer.
-	keys []string
-	// priorR and priorRStar are the domain counting priors of the
-	// collective utilities (DomainModel.countingPrior); zero without a
-	// domain model.
-	priorR, priorRStar float64
+	// ids are toks as the table's term ids (the containment test's
+	// input); nil on facts built outside a table.
+	ids []textproc.TermID
+	// key is the gram's key, and ids' storage when toks are the key's own
+	// terms.
+	key textproc.GramKey
+
+	// The rest is filled lazily, under the owning table's mu (facts built
+	// outside a table fill them at construction): keys are the template
+	// keys under the table's recognizer (nil without one), priors the
+	// counting priors of each model a session asked for.
+	keys    []string
+	keysSet bool
+	priors  []modelPrior
 }
 
-// computeFacts derives a query's candidateFacts from scratch. rec and dm
-// may each be nil.
-func computeFacts(cfg Config, rec types.Recognizer, dm *DomainModel, q Query) candidateFacts {
-	f := candidateFacts{toks: cfg.QueryTokens(q)}
+// modelPrior is one model's counting priors R_D(q) and R*_D(q).
+type modelPrior struct {
+	dm       *DomainModel
+	r, rStar float64
+}
+
+// computeFacts derives a query's facts from scratch, for the domain phase
+// and the *Reference oracles, which never touch a table. rec may be nil.
+func computeFacts(cfg Config, rec types.Recognizer, q Query) *candidateFacts {
+	f := &candidateFacts{q: q, toks: cfg.QueryTokens(q), keysSet: true}
 	if rec != nil {
 		f.keys = template.EnumerateKeys(f.toks, rec)
 	}
-	if dm != nil {
-		f.priorR, f.priorRStar = dm.countingPrior(q, f.keys)
-	}
 	return f
-}
-
-// factsOf returns q's candidateFacts for the domain phase and the
-// reference oracle: the domain model's read-only copy when q is one of its
-// Candidates, a fresh computation otherwise — never the memo.
-func (b *graphBuilder) factsOf(q Query) candidateFacts {
-	if b.shared != nil {
-		if f, ok := b.shared.byQuery[q]; ok {
-			return f
-		}
-	}
-	return computeFacts(b.cfg, b.rec, b.dm, q)
-}
-
-// fillFacts sets the facts of a batch of queries a session has just
-// enrolled: through the domain model's shared table, memo included, when
-// the session may use it, computed here otherwise.
-func (b *graphBuilder) fillFacts(qvs []queryVertex) {
-	if b.shared != nil {
-		b.shared.fill(b.cfg, b.dm, qvs)
-		return
-	}
-	for i := range qvs {
-		qvs[i].candidateFacts = computeFacts(b.cfg, b.rec, b.dm, qvs[i].q)
-	}
 }
 
 // countingPrior returns the probability-scale domain priors R_D(q) and
@@ -90,124 +76,276 @@ func (dm *DomainModel) countingPrior(q Query, keys []string) (priorR, priorRStar
 	return priorR, priorRStar
 }
 
-// sharedCandidateFacts is one DomainModel's table of candidateFacts, valid
-// for the tokenizer and recognizer it was built with and shared by every
-// session over the model. It has two parts. byQuery holds the model's own
-// Candidates (≤ Config.MaxDomainCandidates entries), lives as long as the
-// model and is read-only once built. The memo holds page n-grams: sessions
-// of one model harvest the same aspect of peer entities, so most of the
-// n-grams a session meets were met by an earlier one (DESIGN.md "Shared
-// candidate facts" has the hit rates). It is bounded by two generations of
-// at most capacity entries each: a lookup that finds its query only in the
-// previous generation promotes it, an insert into a full current
-// generation retires the previous one and starts a new current.
-type sharedCandidateFacts struct {
-	tok     *textproc.Tokenizer
-	rec     types.Recognizer
-	byQuery map[Query]candidateFacts
+// gramTables is a Config's registry of gramTables, one per (stopword list,
+// tokenizer, recognizer) its sessions were built with — one for a System.
+type gramTables struct {
+	mu     sync.Mutex
+	tables []*gramTable
+}
+
+// gramTable returns the table of cfg's stopwords and tokenizer and rec,
+// creating it on first use. A Config made without DefaultConfig has no
+// registry; each of its sessions gets a table of its own.
+func (c Config) gramTable(rec types.Recognizer) *gramTable {
+	r := c.grams
+	if r == nil {
+		return newGramTable(c, rec, factsMemoCap)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, t := range r.tables {
+		if t.vocab.Stopwords() == c.Stopwords && t.tok == c.Tokenizer && types.Same(t.rec, rec) {
+			return t
+		}
+	}
+	t := newGramTable(c, rec, factsMemoCap)
+	r.tables = append(r.tables, t)
+	return t
+}
+
+// gramTable is one System's term vocabulary and its table of n-gram facts,
+// keyed by gram key and shared by the sessions of every aspect model: a
+// page n-gram met by one aspect's session is never derived again by
+// another's (DESIGN.md "One vocabulary"). The table is bounded by two
+// generations of at most capacity entries each: a lookup that finds its
+// key only in the previous generation promotes it, an insert into a full
+// current generation retires the previous one and starts a new current.
+// Sessions keep pointers to the facts they hold, so retiring an entry
+// never changes a session.
+type gramTable struct {
+	tok   *textproc.Tokenizer
+	rec   types.Recognizer
+	vocab *textproc.Vocabulary
 
 	mu        sync.Mutex
 	capacity  int
-	cur, prev map[Query]memoEntry
+	cur, prev gramMap[*candidateFacts]
 }
 
-// memoEntry is one memoized page n-gram. key is the memo's own copy of
-// the query string — the map key of whichever generation holds the entry —
-// kept in the value so that promotion never re-keys by a caller's string.
-type memoEntry struct {
-	key Query
-	candidateFacts
-}
+// factsMemoCap is the capacity of one table generation. A pass over the
+// benchmark's job list meets ≈ 56.5 k distinct page n-grams across its
+// seven aspect models, so one generation holds a pass and the table at
+// most 2 × factsMemoCap entries (DESIGN.md states the bytes).
+const factsMemoCap = 65536
 
-// factsMemoCap is the capacity of one memo generation. A pass over the
-// benchmark's job list meets ≈ 24 k distinct page n-grams per model, so
-// one generation holds a pass and the memo at most 2 × factsMemoCap
-// entries per model (DESIGN.md states the bytes).
-const factsMemoCap = 32768
-
-func newSharedCandidateFacts(cfg Config, rec types.Recognizer, dm *DomainModel, capacity int) *sharedCandidateFacts {
-	byQuery := make(map[Query]candidateFacts, len(dm.Candidates))
-	for _, q := range dm.Candidates {
-		byQuery[q] = computeFacts(cfg, rec, dm, q)
-	}
-	return &sharedCandidateFacts{
-		tok: cfg.Tokenizer, rec: rec, byQuery: byQuery,
-		capacity: capacity, cur: make(map[Query]memoEntry),
+func newGramTable(cfg Config, rec types.Recognizer, capacity int) *gramTable {
+	return &gramTable{
+		tok: cfg.Tokenizer, rec: rec, vocab: textproc.NewVocabulary(cfg.Stopwords),
+		capacity: capacity,
 	}
 }
 
-// candidateFactsFor returns the shared candidateFacts of dm under cfg's
-// tokenizer and rec. The first caller builds the table; every later caller
-// with the same tokenizer and recognizer — every session of one System —
-// reuses it. A caller with a different pair gets nil and computes its
-// facts per session.
-func (dm *DomainModel) candidateFactsFor(cfg Config, rec types.Recognizer) *sharedCandidateFacts {
-	dm.sharedMu.Lock()
-	defer dm.sharedMu.Unlock()
-	if dm.shared == nil {
-		dm.shared = newSharedCandidateFacts(cfg, rec, dm, factsMemoCap)
-	}
-	if dm.shared.tok != cfg.Tokenizer || !types.Same(dm.shared.rec, rec) {
-		return nil
-	}
-	return dm.shared
+// gramReq asks for the facts of one page n-gram: its key and its tokens
+// in the page.
+type gramReq struct {
+	key  textproc.GramKey
+	toks []textproc.Token
 }
 
-// fill sets the candidateFacts of every vertex of one ingest batch, taking
-// the lock once for the lookups and once more for the batch's misses. A
-// miss is computed outside the lock (the recognizer is caller-supplied
-// code) from a private copy of the query string: a page n-gram may be a
-// substring of a parsed page body, and everything computeFacts derives
-// aliases at most its input, so the memo never pins page text.
-func (sh *sharedCandidateFacts) fill(cfg Config, dm *DomainModel, qvs []queryVertex) {
+// resolve sets out[i] to the facts of reqs[i], taking the lock once for
+// the lookups and once more for the misses, which are built outside it.
+// The grams come from pages a round-tripping tokenizer made (the
+// session's fast path), so a gram's tokens are its own page tokens and
+// its term ids its key: no re-tokenization. A miss copies the joined
+// string and slices the tokens out of the copy, so the table never pins
+// page text.
+func (t *gramTable) resolve(reqs []gramReq, out []*candidateFacts) {
 	var missed []int
-	sh.mu.Lock()
-	for i := range qvs {
-		f, ok := sh.byQuery[qvs[i].q]
-		if !ok {
-			f, ok = sh.lookup(qvs[i].q)
-		}
-		if !ok {
+	t.mu.Lock()
+	for i := range reqs {
+		if out[i] = t.lookup(reqs[i].key); out[i] == nil {
 			missed = append(missed, i)
-			continue
 		}
-		qvs[i].candidateFacts = f
 	}
-	sh.mu.Unlock()
+	t.mu.Unlock()
 	if len(missed) == 0 {
 		return
 	}
-	computed := make([]memoEntry, len(missed))
-	for j, i := range missed {
-		key := Query(strings.Clone(string(qvs[i].q)))
-		computed[j] = memoEntry{key: key, candidateFacts: computeFacts(cfg, sh.rec, dm, key)}
-		qvs[i].candidateFacts = computed[j].candidateFacts
+	for _, i := range missed {
+		out[i] = gramFacts(reqs[i].key, reqs[i].toks)
 	}
-	sh.mu.Lock()
-	for _, e := range computed {
-		sh.insert(e)
+	t.mu.Lock()
+	for _, i := range missed {
+		out[i] = t.insert(out[i])
 	}
-	sh.mu.Unlock()
+	t.mu.Unlock()
 }
 
-// lookup returns q's memoized facts, promoting a previous-generation hit.
+// gramFacts builds the facts of the canonical gram key whose tokens are
+// toks: one copied string and the tokens as its substrings.
+func gramFacts(key textproc.GramKey, toks []textproc.Token) *candidateFacts {
+	q := textproc.JoinQuery(toks)
+	if len(toks) == 1 {
+		q = strings.Clone(q) // JoinQuery returns a lone token itself
+	}
+	f := &candidateFacts{q: Query(q), key: key, toks: make([]textproc.Token, len(toks))}
+	off := 0
+	for j, tok := range toks {
+		f.toks[j] = q[off : off+len(tok)]
+		off += len(tok) + 1
+	}
+	f.ids = f.key[:len(toks)]
+	return f
+}
+
+// queryFacts returns the facts of query q — a domain candidate, a fired
+// query, a page n-gram of the session's string path — with canonical
+// reporting whether q is the join of its own tokens. Only a canonical
+// query has a key (the term ids of its tokens) and goes through the
+// table: every page n-gram with q's string and a key has that key. A
+// non-canonical one is a private record; the session's pool dedups it by
+// string.
+func (t *gramTable) queryFacts(cfg Config, q Query) (f *candidateFacts, canonical bool) {
+	toks := cfg.QueryTokens(q)
+	if len(toks) == 0 || len(toks) > textproc.MaxGramLen || textproc.JoinQuery(toks) != string(q) {
+		f = &candidateFacts{q: q, toks: toks}
+		f.ids = t.vocab.AppendIDs(nil, toks)
+		return f, false
+	}
+	var ids [textproc.MaxGramLen]textproc.TermID
+	key := textproc.GramOf(t.vocab.AppendIDs(ids[:0], toks))
+	t.mu.Lock()
+	f = t.lookup(key)
+	t.mu.Unlock()
+	if f != nil {
+		return f, true
+	}
+	f = &candidateFacts{q: q, toks: toks, key: key}
+	f.ids = f.key[:len(toks)]
+	t.mu.Lock()
+	f = t.insert(f)
+	t.mu.Unlock()
+	return f, true
+}
+
+// lookup returns key's facts, promoting a previous-generation hit, or nil.
 // The caller holds mu.
-func (sh *sharedCandidateFacts) lookup(q Query) (candidateFacts, bool) {
-	if e, ok := sh.cur[q]; ok {
-		return e.candidateFacts, true
+func (t *gramTable) lookup(key textproc.GramKey) *candidateFacts {
+	if f := t.cur.get(key); f != nil {
+		return f
 	}
-	e, ok := sh.prev[q]
-	if ok {
-		sh.insert(e)
+	f := t.prev.get(key)
+	if f != nil {
+		t.insert(f)
 	}
-	return e.candidateFacts, ok
+	return f
 }
 
-// insert stores e in the current generation, turning the generations over
-// first when it is full. The caller holds mu.
-func (sh *sharedCandidateFacts) insert(e memoEntry) {
-	if len(sh.cur) >= sh.capacity {
-		sh.prev, sh.cur = sh.cur, make(map[Query]memoEntry)
+// insert stores f unless another session stored its key first, and
+// returns the stored facts, turning the generations over first when the
+// current one is full. The caller holds mu.
+func (t *gramTable) insert(f *candidateFacts) *candidateFacts {
+	if g := t.cur.get(f.key); g != nil {
+		return g
 	}
-	sh.cur[e.key] = e
+	if t.cur.n >= t.capacity {
+		t.prev, t.cur = t.cur, gramMap[*candidateFacts]{}
+	}
+	t.cur.put(f.key, f)
+	return f
+}
+
+// fillModel completes the facts of a batch of newly enrolled vertices for
+// a builder that reads template keys and counting priors (rec and dm; a
+// builder without either has nothing to fill): the lock is taken once for
+// what earlier sessions filled in and once more for what this batch had to
+// compute outside it (the recognizer is caller-supplied code).
+func (t *gramTable) fillModel(rec types.Recognizer, dm *DomainModel, qvs []queryVertex) {
+	if rec == nil && dm == nil {
+		return
+	}
+	type miss struct {
+		i        int
+		keysSet  bool
+		keys     []string
+		r, rStar float64
+	}
+	var missed []miss
+	t.mu.Lock()
+	for i := range qvs {
+		if !t.fillVertex(dm, &qvs[i]) {
+			missed = append(missed, miss{i: i, keysSet: qvs[i].keysSet, keys: qvs[i].keys})
+		}
+	}
+	t.mu.Unlock()
+	if len(missed) == 0 {
+		return
+	}
+	for j := range missed {
+		m, f := &missed[j], qvs[missed[j].i].candidateFacts // q and toks are immutable
+		if !m.keysSet && t.rec != nil {
+			m.keys = template.EnumerateKeys(f.toks, t.rec)
+		}
+		if dm != nil {
+			m.r, m.rStar = dm.countingPrior(f.q, m.keys)
+		}
+	}
+	t.mu.Lock()
+	for _, m := range missed {
+		qv := &qvs[m.i]
+		if !qv.keysSet {
+			qv.keys, qv.keysSet = m.keys, true
+		}
+		if !t.fillVertex(dm, qv) {
+			qv.priors = append(qv.priors, modelPrior{dm: dm, r: m.r, rStar: m.rStar})
+			qv.priorR, qv.priorRStar = m.r, m.rStar
+		}
+	}
+	t.mu.Unlock()
+}
+
+// fillVertex copies dm's priors into qv when its facts already hold them
+// and reports whether they are complete. The caller holds mu.
+func (t *gramTable) fillVertex(dm *DomainModel, qv *queryVertex) bool {
+	if !qv.keysSet {
+		return false
+	}
+	if dm == nil {
+		return true
+	}
+	for _, p := range qv.priors {
+		if p.dm == dm {
+			qv.priorR, qv.priorRStar = p.r, p.rStar
+			return true
+		}
+	}
+	return false
+}
+
+// domainTail is a DomainModel's Candidates as a session's pool enrolls
+// them: each candidate's facts under one table and whether it is
+// canonical (see gramTable.queryFacts). It is derived once per model and
+// table — DomainModel.tailFor — and never serialised.
+type domainTail struct {
+	table     *gramTable
+	facts     []*candidateFacts
+	canonical []bool
+	// allCanonical: every candidate has a key, so a pool that has met no
+	// non-canonical query can stay on keys alone.
+	allCanonical bool
+}
+
+// tailFor returns dm's tail under t. The first session builds it and
+// every later one over the same table reuses it; a session over another
+// table (another System, or a test's own tokenizer) builds one of its own.
+func (dm *DomainModel) tailFor(cfg Config, t *gramTable) *domainTail {
+	dm.tailMu.Lock()
+	defer dm.tailMu.Unlock()
+	if dm.tail != nil && dm.tail.table == t {
+		return dm.tail
+	}
+	tail := &domainTail{
+		table:        t,
+		facts:        make([]*candidateFacts, len(dm.Candidates)),
+		canonical:    make([]bool, len(dm.Candidates)),
+		allCanonical: true,
+	}
+	for i, q := range dm.Candidates {
+		tail.facts[i], tail.canonical[i] = t.queryFacts(cfg, q)
+		tail.allCanonical = tail.allCanonical && tail.canonical[i]
+	}
+	if dm.tail == nil {
+		dm.tail = tail
+	}
+	return tail
 }

@@ -99,3 +99,69 @@ func TestSharedCandidateFactsMatchUncached(t *testing.T) {
 		t.Fatalf("other recognizer: shared=%d memo=%d err=%v (want unshared, exact)", shared, memo, err)
 	}
 }
+
+// TestSharedFactsAcrossAspects: a System's sessions of different aspects
+// share one vocabulary and one facts table. Sessions of three aspect models
+// of one Config run concurrently through a pipeline.Scheduler — under
+// -race, the test in which they grow the vocabulary and fill the table
+// from several goroutines at once, each model adding its own priors to
+// entries another model's sessions created. Afterwards every vertex of
+// every session holds exactly the uncached facts, the Config has one
+// table, and some entries carry the priors of more than one model.
+func TestSharedFactsAcrossAspects(t *testing.T) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := search.NewEngine(search.BuildIndex(g.Corpus.Pages))
+	rec := types.Chain{g.KB, types.NewRegexRecognizer()}
+	cfg := core.DefaultConfig()
+	cfg.Tokenizer = g.Tokenizer
+	n := g.Corpus.NumEntities()
+	var domain []corpus.EntityID
+	for i := 0; i < n/2; i++ {
+		domain = append(domain, g.Corpus.Entities[i].ID)
+	}
+	aspects := []corpus.Aspect{synth.AspResearch, synth.AspAward, synth.AspEducation}
+	models := make([]*core.DomainModel, len(aspects))
+	for i, a := range aspects {
+		y := func(p *corpus.Page) bool { return classify.GroundTruth(p, a) }
+		if models[i], err = core.LearnDomain(cfg, a, g.Corpus, domain, y, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var jobs []pipeline.Job
+	for i := 0; i < 4; i++ {
+		e := g.Corpus.Entities[n-1-i]
+		for k, a := range aspects {
+			y := func(p *corpus.Page) bool { return classify.GroundTruth(p, a) }
+			jobs = append(jobs, pipeline.Job{
+				Session:  core.NewSession(cfg, engine, e, a, y, models[k], rec, uint64(i)+1),
+				Selector: core.NewL2QBAL(),
+				NQueries: 3,
+			})
+		}
+	}
+	sched := pipeline.New(pipeline.Config{SelectWorkers: 4, FetchWorkers: 8})
+	defer sched.Close()
+	batch, err := sched.Submit(context.Background(), jobs, pipeline.BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range batch.Await(context.Background()) {
+		if res.Err != nil {
+			t.Fatalf("job %d: %v", i, res.Err)
+		}
+		if _, _, _, err := jobs[i].Session.VerifyCandidateFacts(); err != nil {
+			t.Fatalf("job %d (%s): %v", i, jobs[i].Session.Aspect, err)
+		}
+	}
+	tables, terms, entries, across := cfg.SharedFacts()
+	if tables != 1 || terms == 0 || entries == 0 {
+		t.Fatalf("%d tables, %d terms, %d entries: the sessions did not share one vocabulary and table", tables, terms, entries)
+	}
+	if across == 0 {
+		t.Fatalf("none of %d entries serves more than one aspect model", entries)
+	}
+}

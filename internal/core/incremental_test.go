@@ -267,7 +267,7 @@ func TestIncrementalGraphReuse(t *testing.T) {
 	if sg.b.g.NumNodes() < nodes {
 		t.Fatal("node count shrank")
 	}
-	qv := &sg.b.qs[s.pool.ords[pick]]
+	qv := &sg.b.qs[s.ordOf(pick)]
 	if !qv.detached {
 		t.Fatalf("fired query %q not detached", pick)
 	}

@@ -153,9 +153,7 @@ func (s *Session) newEntityGraph(opts InferOptions, withGraph bool) *graphBuilde
 		rec, dm = s.Rec, s.DM
 	}
 	b := newGraphBuilder(s.Cfg, rec, withGraph)
-	if dm != nil {
-		b.dm, b.shared = dm, dm.candidateFactsFor(s.Cfg, rec)
-	}
+	b.dm = dm
 	return b
 }
 

@@ -70,10 +70,18 @@ type Session struct {
 	pageRel  []bool
 	relPages int
 
-	// ngCfg is the candidate-enumeration config (seed-token exclusion),
-	// built once at session construction: the seed never changes, so
-	// rebuilding the stopword/exclude maps per step was pure churn.
+	// ngCfg is the candidate-enumeration config (seed-token exclusion) of
+	// the string path CandidatesReference takes, built once at session
+	// construction.
 	ngCfg textproc.NGramConfig
+
+	// gt is the System's gramTable for this session's configuration and
+	// recognizer, and gramCfg the id-path enumeration config over its
+	// vocabulary (the seed's term ids excluded). roundTrips caches
+	// Cfg.Tokenizer.RoundTrips (fastPage).
+	gt         *gramTable
+	gramCfg    textproc.IDGramConfig
+	roundTrips bool
 
 	// sg is the persistent entity graph: built lazily on the first Infer
 	// and updated with deltas each step.
@@ -123,11 +131,15 @@ type Session struct {
 }
 
 // NewSession creates a harvesting session. rngSeed drives only the RND
-// strategy; every other selector is deterministic.
+// strategy; every other selector is deterministic. It panics on a cfg
+// that fails Config.Validate.
 func NewSession(cfg Config, engine Retriever, entity *corpus.Entity,
 	aspect corpus.Aspect, y func(*corpus.Page) bool, dm *DomainModel,
 	rec types.Recognizer, rngSeed uint64) *Session {
 
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	s := &Session{
 		Cfg:      cfg,
 		Engine:   engine,
@@ -140,8 +152,11 @@ func NewSession(cfg Config, engine Retriever, entity *corpus.Entity,
 		firedSet: make(map[Query]struct{}),
 		pageSet:  make(map[corpus.PageID]struct{}),
 		rng:      rand.New(rand.NewPCG(rngSeed, rngSeed^0xa5a5a5a55a5a5a5a)),
+		gt:       cfg.gramTable(rec),
 	}
 	s.ngCfg = cfg.ngramConfig(s.seed)
+	s.gramCfg = textproc.IDGramConfig{MaxLen: cfg.MaxQueryLen, Exclude: s.gt.vocab.AppendIDs(nil, s.seed)}
+	s.roundTrips = cfg.Tokenizer.RoundTrips()
 	return s
 }
 
@@ -409,10 +424,22 @@ func (s *Session) syncPool(useDomain bool) *candidatePool {
 		if s.DM != nil {
 			size = int(s.DM.lastTableSize.Load())
 		}
-		s.pool = newCandidatePool(useDomain, dm, size)
+		var tail *domainTail
+		if dm != nil {
+			tail = dm.tailFor(s.Cfg, s.gt)
+		}
+		s.pool = newCandidatePool(useDomain, dm, tail, size)
 	}
 	s.pool.sync(s)
 	return s.pool
+}
+
+// fastPage reports whether the pool may key page's n-grams by term ids
+// alone: its tokens came from the session's own tokenizer, and that
+// tokenizer round-trips (textproc.Tokenizer.RoundTrips), so each n-gram's
+// tokens are the tokenization of its string.
+func (s *Session) fastPage(page *corpus.Page) bool {
+	return s.roundTrips && page.Tokenizer() == s.Cfg.Tokenizer
 }
 
 // candidateQueries produces the entity-phase candidate pool Q_E: n-grams

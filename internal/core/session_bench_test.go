@@ -17,6 +17,7 @@ import (
 // measures selection at the same session state — "per-step selection at
 // step ≥ 5", the acceptance scenario of the incremental refactor.
 type benchEnv struct {
+	cfg    Config // one System's: its sessions share a vocabulary and facts table
 	g      *synth.Generated
 	engine *search.Engine
 	rec    types.Recognizer
@@ -60,7 +61,7 @@ func benchEnvFor(b *testing.B, domain corpus.Domain, aspect corpus.Aspect) *benc
 		b.Fatal(err)
 	}
 	env := &benchEnv{
-		g: g, engine: engine, rec: rec, aspect: aspect, y: y, dm: dm,
+		cfg: ccfg, g: g, engine: engine, rec: rec, aspect: aspect, y: y, dm: dm,
 		target: g.Corpus.Entities[g.Corpus.NumEntities()-1],
 	}
 	// The shared 5-query prefix, chosen once so every variant below
@@ -77,9 +78,7 @@ func benchEnvFor(b *testing.B, domain corpus.Domain, aspect corpus.Aspect) *benc
 }
 
 func (e *benchEnv) session() *Session {
-	cfg := DefaultConfig()
-	cfg.Tokenizer = e.g.Tokenizer
-	return NewSession(cfg, e.engine, e.target, e.aspect, e.y, e.dm, e.rec, 42)
+	return NewSession(e.cfg, e.engine, e.target, e.aspect, e.y, e.dm, e.rec, 42)
 }
 
 // replay brings a fresh session to the post-prefix state. When warm is

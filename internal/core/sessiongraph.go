@@ -31,7 +31,7 @@ import (
 // (they leave the candidate pool; an isolated vertex is invisible to both
 // walks, so the graph stays exactly equivalent to a from-scratch build
 // over the current pool). Containment has one mechanism, pageSets: a
-// candidate's pages are the intersection of its tokens' page sets, its
+// candidate's pages are the intersection of its terms' page sets, its
 // coverage the population count of that intersection, and — graph-backed —
 // its new page–query edges the set bits, in page order.
 //
@@ -58,9 +58,9 @@ type sessionGraph struct {
 
 	nFiredSeen int // prefix of s.fired already detached
 
-	// sets indexes the gathered pages by token, rel is the set of relevant
+	// sets indexes the gathered pages by term, rel is the set of relevant
 	// ones (Session.pageRel as a bitset, sets.stride words), and query
-	// ord's interned tokens are qtok[qtokAt[ord]:qtokAt[ord+1]].
+	// ord's term sets are qtok[qtokAt[ord]:qtokAt[ord+1]].
 	sets   pageSets
 	rel    []uint64
 	qtok   []int32
@@ -89,13 +89,13 @@ type sessionGraph struct {
 // table sized for the pool's.
 func newSessionGraph(s *Session, opts InferOptions, p *candidatePool) *sessionGraph {
 	b := s.newEntityGraph(opts, opts.individual())
+	b.table = s.gt
 	b.qs = make([]queryVertex, 0, cap(p.qs))
 	qtokAt := make([]int32, 1, cap(p.qs)+1)
 	return &sessionGraph{
 		b:         b,
 		pool:      p,
 		templates: opts.UseTemplates,
-		sets:      pageSets{id: make(map[textproc.Token]int32)},
 		qtokAt:    qtokAt,
 		cover:     make([]coverage, 0, cap(p.qs)),
 	}
@@ -109,26 +109,33 @@ func (sg *sessionGraph) matches(opts InferOptions, p *candidatePool) bool {
 		(sg.b.g != nil || !opts.individual())
 }
 
-// pageSets is a session's containment index: for every token of a gathered
+// pageSets is a session's containment index: for every term of a gathered
 // page or a registered candidate, the set of gathered pages holding it, as
-// a bitset over graphBuilder.pages indexes. Tokens are interned to dense
-// ids and the sets share one backing array at a fixed stride, so a token
-// costs one map entry and no allocation of its own.
+// a bitset over graphBuilder.pages indexes. A term's set is numbered in
+// order of first use, found through a dense table indexed by the term's
+// vocabulary index — no probe of any map; it grows to the highest index
+// the session meets, 4 bytes a term — and the sets share one backing
+// array at a fixed stride, so a term costs no allocation of its own.
 type pageSets struct {
-	id     map[textproc.Token]int32
+	slot   []int32  // by TermID.Index: the term's set number + 1, 0 for none yet
+	n      int      // sets numbered
 	stride int      // words per set: 64·stride ≥ pages
-	words  []uint64 // token t's set is words[t*stride : (t+1)*stride]
+	words  []uint64 // set t is words[t*stride : (t+1)*stride]
 }
 
-// intern returns tok's id, giving a token not seen before an empty set.
-func (ps *pageSets) intern(tok textproc.Token) int32 {
-	t, ok := ps.id[tok]
-	if !ok {
-		t = int32(len(ps.id))
-		ps.id[tok] = t
+// set returns the number of id's set, giving a term not seen before an
+// empty one.
+func (ps *pageSets) set(id textproc.TermID) int32 {
+	i := id.Index()
+	if i >= len(ps.slot) {
+		ps.slot = append(ps.slot, make([]int32, i+1-len(ps.slot))...)
+	}
+	if ps.slot[i] == 0 {
+		ps.n++
+		ps.slot[i] = int32(ps.n)
 		ps.words = append(ps.words, make([]uint64, ps.stride)...)
 	}
-	return t
+	return ps.slot[i] - 1
 }
 
 // reserve widens every set to hold nPages pages. The stride at least
@@ -139,8 +146,8 @@ func (ps *pageSets) reserve(nPages int) {
 		return
 	}
 	stride := max(need, 2*ps.stride)
-	words := make([]uint64, len(ps.id)*stride)
-	for t := range len(ps.id) {
+	words := make([]uint64, ps.n*stride)
+	for t := range ps.n {
 		copy(words[t*stride:], ps.words[t*ps.stride:(t+1)*ps.stride])
 	}
 	ps.stride, ps.words = stride, words
@@ -163,46 +170,49 @@ func (sg *sessionGraph) ingest(s *Session) {
 	// Retire fired queries: they left the candidate pool for good. The
 	// synced pool holds an ordinal for every fired query; one not enrolled
 	// yet is enrolled detached below.
-	for _, q := range s.fired[sg.nFiredSeen:] {
-		if o, ok := p.ords[q]; ok && int(o) < len(b.qs) {
+	for _, o := range p.firedOrds[sg.nFiredSeen:] {
+		if int(o) < len(b.qs) {
 			b.detach(int(o))
 		}
 	}
 	sg.nFiredSeen = len(s.fired)
 
-	// Append new pages (b.pages mirrors s.pages in order) and index them.
+	// Append new pages (b.pages mirrors s.pages in order) and index them
+	// by the term ids the pool enumerated them by.
 	oldPages := len(b.pages)
 	sg.sets.reserve(len(s.pages))
 	for len(sg.rel) < sg.sets.stride {
 		sg.rel = append(sg.rel, 0)
 	}
+	vocab := b.table.vocab
 	for i, p := range s.pages[oldPages:] {
 		pi := oldPages + i
 		b.addPage(p)
-		for _, tok := range p.Tokens() {
-			sg.sets.add(sg.sets.intern(tok), pi)
+		for _, id := range p.TermIDs(vocab) {
+			sg.sets.add(sg.sets.set(id), pi)
 		}
 		if s.pageRel[pi] {
 			sg.rel[pi/64] |= 1 << (pi % 64)
 		}
 	}
 
-	// Append the pool's new ordinals: their facts arrive as one batch,
-	// and — graph-backed — each live one then gets its vertex and
-	// template vertices, in ordinal order.
+	// Append the pool's new ordinals with the facts the pool resolved:
+	// template keys and priors arrive as one batch, and — graph-backed —
+	// each live one then gets its vertex and template vertices, in ordinal
+	// order.
 	firstNew := len(b.qs)
 	for o := firstNew; o < len(p.qs); o++ {
-		b.qs = append(b.qs, queryVertex{q: p.qs[o], detached: p.state[o] == candFired})
+		b.qs = append(b.qs, queryVertex{q: p.qs[o], candidateFacts: p.facts[o], detached: p.state[o] == candFired})
 	}
 	fresh := b.qs[firstNew:]
-	b.fillFacts(fresh)
+	b.table.fillModel(b.rec, b.dm, fresh)
 	for i := range fresh {
 		if qv := &fresh[i]; !qv.detached {
 			if b.g != nil {
 				b.addQueryVertex(qv)
 			}
-			for _, tok := range qv.toks {
-				sg.qtok = append(sg.qtok, sg.sets.intern(tok))
+			for _, id := range qv.ids {
+				sg.qtok = append(sg.qtok, sg.sets.set(id))
 			}
 		}
 		sg.qtokAt = append(sg.qtokAt, int32(len(sg.qtok)))

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"l2q/internal/textproc"
 )
@@ -67,10 +68,23 @@ type Page struct {
 	tokens   []textproc.Token
 	setOnce  sync.Once
 	tokenSet map[textproc.Token]struct{}
-	// ngrams memoizes candidate-query enumerations per config: sessions,
-	// domain learning and §V coverage share one enumeration of the
-	// immutable page instead of re-sliding the window each time.
+	// ngrams memoizes candidate-query enumerations per config: domain
+	// learning, the HR baseline and the reference paths share one
+	// enumeration of the immutable page instead of re-sliding the window
+	// each time.
 	ngrams textproc.NGramMemo
+	// tok is the tokenizer SetParas tokenized the paragraphs with; nil when
+	// the tokens came ready-made.
+	tok *textproc.Tokenizer
+	// termIDs memoizes the token stream as one vocabulary's term ids; a
+	// page no session enumerates never computes it.
+	termIDs atomic.Pointer[pageTermIDs]
+}
+
+// pageTermIDs is a page's token stream under one vocabulary.
+type pageTermIDs struct {
+	v   *textproc.Vocabulary
+	ids []textproc.TermID
 }
 
 // parasScratch is the pooled buffer SetParas gathers a page's tokens in
@@ -121,7 +135,27 @@ func (p *Page) SetParas(paras []Paragraph, tok *textproc.Tokenizer) {
 
 	p.Paras = paras
 	p.tokens = all
+	p.tok = tok
 	p.tokOnce.Do(func() {}) // Tokens has nothing left to build
+}
+
+// Tokenizer is the tokenizer that produced the page's tokens (SetParas'
+// tok), nil when they came ready-made or the page is a literal.
+func (p *Page) Tokenizer() *textproc.Tokenizer { return p.tok }
+
+// TermIDs returns the page's token stream as v's term ids, computed on the
+// first call and kept for as long as v is the vocabulary asked for (a
+// process normally has one; asking for another recomputes and replaces
+// it). Safe for concurrent use; the returned slice is shared — callers
+// must not mutate it.
+func (p *Page) TermIDs(v *textproc.Vocabulary) []textproc.TermID {
+	if t := p.termIDs.Load(); t != nil && t.v == v {
+		return t.ids
+	}
+	toks := p.Tokens()
+	t := &pageTermIDs{v: v, ids: v.AppendIDs(make([]textproc.TermID, 0, len(toks)), toks)}
+	p.termIDs.Store(t)
+	return t.ids
 }
 
 // Tokens returns the page's full token stream (paragraphs concatenated).

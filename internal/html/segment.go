@@ -155,8 +155,43 @@ func dataAttrs(attrs []Attribute) map[string]string {
 	return m
 }
 
-// normalizeSpace collapses whitespace runs to single spaces and trims.
+// normalizeSpace collapses whitespace runs to single spaces and trims. One
+// byte pass answers the two common cases without building anything: text
+// that is all whitespace (most runs between block tags) is "", and ASCII
+// text that is already normalized is returned as it is. Anything else — a
+// byte ≥ 0x80 (which may start a no-break space) or a whitespace run to
+// collapse — takes the rune loop, normalizeSpaceReference.
 func normalizeSpace(s string) string {
+	blank, space := true, false // blank: only whitespace so far; space: the last byte was
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= 0x80:
+			return normalizeSpaceReference(s)
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f':
+			if !blank && (c != ' ' || space) {
+				return normalizeSpaceReference(s) // a run, or a separator other than one space
+			}
+			space = true
+		default:
+			if blank && i > 0 {
+				return normalizeSpaceReference(s) // leading whitespace
+			}
+			blank, space = false, false
+		}
+	}
+	if blank {
+		return ""
+	}
+	if space {
+		return normalizeSpaceReference(s) // trailing whitespace
+	}
+	return s
+}
+
+// normalizeSpaceReference is the rune-at-a-time normalization, the path
+// for everything normalizeSpace's byte pass does not answer and the oracle
+// its differential test holds it to.
+func normalizeSpaceReference(s string) string {
 	var b strings.Builder
 	b.Grow(len(s))
 	space := true // leading spaces dropped

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"l2q/internal/corpus"
 	"l2q/internal/textproc"
@@ -194,17 +195,144 @@ func TestRenderParseQuick(t *testing.T) {
 
 func TestNormalizeSpace(t *testing.T) {
 	cases := map[string]string{
-		"":               "",
-		"  a  b  ":       "a b",
-		"a\n\tb\r\nc":    "a b c",
-		"x":              "x",
-		" \t\n ":         "",
-		"a b":            "a b",
-		"one  two three": "one two three",
+		"":                   "",
+		"  a  b  ":           "a b",
+		"a\n\tb\r\nc":        "a b c",
+		"x":                  "x",
+		" \t\n ":             "",
+		"\f":                 "",
+		"a\u00a0 b":          "a b",
+		"one  two three":     "one two three",
+		" lead":              "lead",
+		"trail ":             "trail",
+		"tab\tsep":           "tab sep",
+		"a\u00a0b":           "a b",
+		"\u00a0 \u00a0":      "",
+		"café au lait":       "café au lait",
+		"naïve  \n text ":    "naïve text",
+		"x \u00a0 y\f":       "x y",
+		"already normalized": "already normalized",
 	}
 	for in, want := range cases {
 		if got := normalizeSpace(in); got != want {
 			t.Errorf("normalizeSpace(%q) = %q, want %q", in, got, want)
 		}
+		if got := normalizeSpaceReference(in); got != want {
+			t.Errorf("normalizeSpaceReference(%q) = %q, want %q", in, got, want)
+		}
 	}
+	// The byte pass's answers cost nothing: normalized ASCII is the input
+	// itself, whitespace alone the empty string.
+	for _, in := range []string{"already normalized text", "x", "\n\t  \r"} {
+		if n := testing.AllocsPerRun(10, func() { _ = normalizeSpace(in) }); n != 0 {
+			t.Errorf("normalizeSpace(%q) allocates %v times", in, n)
+		}
+	}
+	if in := "already normalized"; unsafe.StringData(normalizeSpace(in)) != unsafe.StringData(in) {
+		t.Error("normalized input was copied")
+	}
+}
+
+// TestNormalizeSpaceMatchesReference holds the byte pass to the rune loop
+// on random strings over every whitespace byte, the no-break space and
+// multi-byte letters.
+func TestNormalizeSpaceMatchesReference(t *testing.T) {
+	pieces := []string{"a", "Z", "0", ".", " ", " ", "  ", "\t", "\n", "\r", "\f", " ", "é", "–", "&", "<"}
+	rng := rand.New(rand.NewPCG(3, 4))
+	for i := 0; i < 20000; i++ {
+		var b strings.Builder
+		for n := rng.IntN(12); n > 0; n-- {
+			b.WriteString(pieces[rng.IntN(len(pieces))])
+		}
+		s := b.String()
+		if got, want := normalizeSpace(s), normalizeSpaceReference(s); got != want {
+			t.Fatalf("normalizeSpace(%q) = %q, reference %q", s, got, want)
+		}
+	}
+}
+
+// FuzzParsePage feeds ParsePage network bytes. Any input: ParsePage must
+// not panic, nor on any prefix of a rendered page (the truncations a
+// dropped connection leaves). A page built from the input: RenderPage then
+// ParsePage must give back its ID, entity, title, aspects, paragraph texts
+// and paragraph tokens.
+func FuzzParsePage(f *testing.F) {
+	tok := &textproc.Tokenizer{Lexicon: textproc.NewLexicon([]string{"data mining", "parallel computing"})}
+	f.Add([]byte(`<!DOCTYPE html><html><head><title>Marc Snir</title><meta name="author" content="gen"><style>p{color:red}</style></head><body><h1>Heading</h1><p>First paragraph.</p><div>Third in a div with <b>bold</b> text.</div></body></html>`))
+	f.Add([]byte(`<body><p>See <a href="/page/12.html">twelve</a> and <a href="http://other.example.com/">offsite</a>.</p></body>`))
+	f.Add([]byte(`<body><p data-aspect="RESEARCH" data-x="1">a</p><p>b</p><script>drop me</script></body>`))
+	for _, src := range []string{"", "<", "<<<>>>", "<p", "<title>no end", "</unopened></p>", "<a href=>x</a>", "&#x41;&bogus;&#0;&#xffffffff;"} {
+		f.Add([]byte(src))
+	}
+	rendered := RenderPage(&corpus.Page{ID: 42, Entity: 7, Title: "Marc Snir research", Links: []corpus.PageID{3, 99},
+		Paras: []corpus.Paragraph{{Text: "He works on data mining & parallel computing.", Aspect: "RESEARCH"}, {Text: "Siebel Center, U Illinois."}}})
+	for _, cut := range []int{len(rendered) / 3, len(rendered) / 2, len(rendered) - 20, len(rendered)} {
+		f.Add([]byte(rendered[:cut]))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		_ = ParsePage(string(raw), -1, tok)
+
+		orig := pageFrom(raw)
+		doc := RenderPage(orig)
+		if len(raw) > 0 {
+			_ = ParsePage(doc[:int(raw[0])*len(doc)/256], -1, tok)
+		}
+		got := ParsePage(doc, -1, tok)
+		if got.ID != orig.ID || got.Entity != orig.Entity || got.Title != orig.Title {
+			t.Fatalf("page %d/%d %q came back as %d/%d %q", orig.ID, orig.Entity, orig.Title, got.ID, got.Entity, got.Title)
+		}
+		if len(got.Paras) != len(orig.Paras) {
+			t.Fatalf("%d paragraphs came back as %d: %q", len(orig.Paras), len(got.Paras), doc)
+		}
+		for i := range orig.Paras {
+			o, g := &orig.Paras[i], &got.Paras[i]
+			if g.Text != o.Text || g.Aspect != o.Aspect {
+				t.Fatalf("paragraph %d %q/%q came back as %q/%q", i, o.Text, o.Aspect, g.Text, g.Aspect)
+			}
+			if want := tok.Tokenize(o.Text); len(g.Tokens)+len(want) > 0 && !reflect.DeepEqual(g.Tokens, want) {
+				t.Fatalf("paragraph %d tokens %q, want %q", i, g.Tokens, want)
+			}
+		}
+	})
+}
+
+// pageFrom builds a page from fuzz bytes: an ID, entity and title from the
+// first bytes, then paragraphs of text over an alphabet holding HTML's
+// significant characters, whitespace and multi-byte letters, each
+// normalized — what a parsed page's text always is — and dropped when
+// Parse would drop it (empty, or the nav block's prefix).
+func pageFrom(raw []byte) *corpus.Page {
+	const alphabet = "ab XY 09.&<>\"'=/;#-@"
+	extra := []string{"é", " ", "&amp;", "data mining", "related page ", "\t"}
+	text := func(bs []byte) string {
+		var b strings.Builder
+		for _, c := range bs {
+			if c >= 0xf0 {
+				b.WriteString(extra[int(c)%len(extra)])
+			} else {
+				b.WriteByte(alphabet[int(c)%len(alphabet)])
+			}
+		}
+		return normalizeSpaceReference(b.String())
+	}
+	p := &corpus.Page{}
+	if len(raw) >= 3 {
+		p.ID, p.Entity = corpus.PageID(int(raw[0])<<8|int(raw[1])), corpus.EntityID(raw[2])
+		p.Title = text(raw[2:min(len(raw), 6)])
+		raw = raw[3:]
+	}
+	for len(raw) > 0 {
+		n := min(1+int(raw[0])%24, len(raw))
+		t := text(raw[1:n])
+		raw = raw[n:]
+		if t == "" || strings.HasPrefix(t, "related page ") {
+			continue
+		}
+		var aspect corpus.Aspect
+		if n%3 == 0 {
+			aspect = "A"
+		}
+		p.Paras = append(p.Paras, corpus.Paragraph{Text: t, Aspect: aspect})
+	}
+	return p
 }

@@ -392,8 +392,10 @@ func TestSchedulerCloseAborts(t *testing.T) {
 // TestSchedulerSharedEnumerationRace drives concurrent scheduler batches
 // over the same entities WHILE the domain phase re-learns over the same
 // corpus: every one of those consumers enumerates the same immutable
-// pages through the per-page n-gram memo (corpus.Page.NGrams), so this is
-// the -race exercise for the shared-enumeration layer. Parity with the
+// pages — the sessions through the per-page term-id memo, one shared
+// vocabulary and one facts table (corpus.Page.TermIDs), the domain phase
+// through the per-page n-gram memo (corpus.Page.NGrams) — so this is the
+// -race exercise for the shared-enumeration layer. Parity with the
 // sequential reference must survive the contention.
 func TestSchedulerSharedEnumerationRace(t *testing.T) {
 	f := newFixture(t)
@@ -421,8 +423,8 @@ func TestSchedulerSharedEnumerationRace(t *testing.T) {
 				return
 			default:
 			}
-			// Same pages, exclusion-free enumeration config: shares the
-			// memo maps the harvesting sessions populate concurrently.
+			// Same pages, read while the harvesting sessions memoize
+			// their term ids on them concurrently.
 			if _, err := core.LearnDomainScored(learnCfg, synth.AspResearch,
 				f.g.Corpus, domainIDs, f.y, nil, f.rec); err != nil {
 				learnErr <- err

@@ -97,3 +97,24 @@ func BenchmarkNGramsAllocs(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkGramWindowsAllocs is the id path's enumeration — what a
+// harvesting session's pool runs per new page — over the same tokens as
+// term ids, the seed excluded, into a reused buffer: fixed-width keys, no
+// joined string, the flag scratch pooled. Pinned at 0 allocs/op.
+func BenchmarkGramWindowsAllocs(b *testing.B) {
+	tok := allocBenchTokenizer()
+	v := NewVocabulary(NewStopwords())
+	ids := v.AppendIDs(nil, tok.Tokenize(allocBenchMixed))
+	cfg := IDGramConfig{Exclude: v.AppendIDs(nil, []Token{"smith"})}
+	var dst []GramWindow
+	dst = AppendGramWindows(dst, ids, cfg)
+	if len(dst) == 0 {
+		b.Fatal("no windows")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = AppendGramWindows(dst[:0], ids, cfg)
+	}
+}

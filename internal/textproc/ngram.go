@@ -114,7 +114,8 @@ func CountNGrams(tokens []Token, cfg NGramConfig, counts map[string]int) map[str
 
 // Per-token admissibility flags: a gram is admissible iff none of its
 // tokens is excluded and neither of its end tokens is a stopword, so two
-// set probes per token decide every gram over it.
+// set probes per token (or, over term ids, a bit test and a few compares)
+// decide every gram over it.
 const (
 	tokExcluded uint8 = 1 << iota // in NGramConfig.Exclude
 	tokStop                       // in NGramConfig.Stopwords

@@ -1,7 +1,10 @@
 package textproc
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -119,13 +122,17 @@ func refTokens(stream []byte) []Token {
 
 // FuzzNGramsMatchesReference holds AppendNGrams and CountNGrams, which
 // decide admissibility from per-token flags, to the per-gram reference on
-// random streams over refAlphabet. The config byte picks MaxLen 0–4 (0 is
-// the default 3) and whether stopwords, an exclude set holding "seed" or
-// an empty exclude set apply.
+// random streams over refAlphabet — and the id path to AppendNGrams: the
+// first occurrences of AppendGramWindows' keys over the stream's term ids,
+// in window order, must be AppendNGrams' grams in its order. The config
+// byte picks MaxLen 0–4 (0 is the default 3; the id path stops at
+// MaxGramLen) and whether stopwords, an exclude set holding "seed" or an
+// empty exclude set apply.
 func FuzzNGramsMatchesReference(f *testing.F) {
 	f.Add(byte(3|8|16), []byte{4, 0, 1, 8, 9, 5, 0, 1, 2, 11, 14, 13})
 	f.Add(byte(4|8), []byte{6, 7, 5, 2, 9, 9, 0, 10, 0, 1})
 	f.Add(byte(1|32), []byte{0, 0, 1, 1, 11})
+	f.Add(byte(2|8|16), []byte{11, 0, 1, 9, 0, 1, 11, 8, 14, 0, 1, 14})
 	f.Fuzz(func(t *testing.T, cfgByte byte, stream []byte) {
 		cfg := NGramConfig{MaxLen: int(cfgByte % 5)}
 		if cfgByte&8 != 0 {
@@ -138,11 +145,102 @@ func FuzzNGramsMatchesReference(f *testing.F) {
 			cfg.Exclude = map[Token]struct{}{}
 		}
 		toks := refTokens(stream)
-		if got, want := NGrams(toks, cfg), ngramsReference(toks, cfg); !reflect.DeepEqual(got, want) {
+		want := ngramsReference(toks, cfg)
+		if got := NGrams(toks, cfg); !reflect.DeepEqual(got, want) {
 			t.Fatalf("NGrams(%q, %+v):\n  got  %q\n  want %q", toks, cfg, got, want)
 		}
 		if got, want := CountNGrams(toks, cfg, nil), countNGramsReference(toks, cfg); !reflect.DeepEqual(got, want) {
 			t.Fatalf("CountNGrams(%q, %+v):\n  got  %v\n  want %v", toks, cfg, got, want)
+		}
+		if cfg.MaxLen > MaxGramLen {
+			return
+		}
+		var exclude []Token
+		for ex := range cfg.Exclude {
+			exclude = append(exclude, ex)
+		}
+		byString, byKey := idGrams(toks, cfg.Stopwords, cfg.MaxLen, exclude)
+		if !sameTokens(byString, want) {
+			t.Fatalf("id grams of %q, %+v, first per string:\n  got  %q\n  want %q", toks, cfg, byString, want)
+		}
+		// Keys are strings only for a canonical stream; refAlphabet's one
+		// phrase token "data mining" joins like the words "data" "mining"
+		// (FuzzGramTokensRoundTrip covers streams a tokenizer made).
+		if !slices.ContainsFunc(toks, func(tok Token) bool { return strings.Contains(tok, " ") }) && !sameTokens(byKey, want) {
+			t.Fatalf("id grams of %q, %+v, first per key:\n  got  %q\n  want %q", toks, cfg, byKey, want)
+		}
+	})
+}
+
+// idGrams enumerates toks' grams through the id path — term ids of a
+// fresh vocabulary, AppendGramWindows — and renders the first window of
+// each string and, separately, the first window of each key, in window
+// order. It checks every window's key against the stream on the way.
+func idGrams(toks []Token, sw *Stopwords, maxLen int, exclude []Token) (byString, byKey []string) {
+	v := NewVocabulary(sw)
+	ids := v.AppendIDs(nil, toks)
+	cfg := IDGramConfig{MaxLen: maxLen, Exclude: v.AppendIDs(nil, exclude)}
+	seenString, seenKey := map[string]bool{}, map[GramKey]bool{}
+	for _, w := range AppendGramWindows(nil, ids, cfg) {
+		n := w.Key.Len()
+		if w.Key != GramOf(ids[w.Start:int(w.Start)+n]) {
+			panic(fmt.Sprintf("window at %d is not the stream's ids", w.Start))
+		}
+		q := JoinQuery(toks[w.Start : int(w.Start)+n])
+		if !seenString[q] {
+			seenString[q] = true
+			byString = append(byString, q)
+		}
+		if !seenKey[w.Key] {
+			seenKey[w.Key] = true
+			byKey = append(byKey, q)
+		}
+	}
+	return byString, byKey
+}
+
+// FuzzGramTokensRoundTrip proves the property the session's key path
+// rests on (Tokenizer.RoundTrips): for a tokenizer that only splits and
+// merges phrases, every n-gram of up to MaxGramLen tokens it emits
+// re-tokenizes, joined, to exactly its own tokens — so a gram's term ids
+// are the ids of its string's tokens and one string has one key: the id
+// path's first window per key is then AppendNGrams' output. Text is built
+// from refAlphabet words (upper case, stopwords and phrase words among
+// them) with the byte's high bits choosing the separator, under lexicons
+// of refPhrases subsets, several of which share first words.
+func FuzzGramTokensRoundTrip(f *testing.F) {
+	f.Add(byte(0xff), []byte{0, 1, 2, 3, 0, 1, 4, 5, 6, 7, 5, 9, 0, 3, 8, 14, 2})
+	f.Add(byte(0x07), []byte{0, 1, 1, 2, 0, 0x41, 1, 2, 12, 0x81, 1})
+	f.Add(byte(0xc8), []byte{9, 0, 3, 8, 12, 3, 13, 0, 14, 1, 10, 0x40, 0})
+	f.Fuzz(func(t *testing.T, mask byte, stream []byte) {
+		var phrases []string
+		for i, p := range refPhrases {
+			if mask&(1<<i) != 0 {
+				phrases = append(phrases, p)
+			}
+		}
+		tok := &Tokenizer{Lexicon: NewLexicon(phrases)}
+		if !tok.RoundTrips() {
+			t.Fatal("a lexicon-only tokenizer does not round-trip")
+		}
+		var b []byte
+		for _, c := range stream {
+			b = append(b, refAlphabet[int(c&0x3f)%len(refAlphabet)]...)
+			b = append(b, " \t.,-"[int(c>>6)%5])
+		}
+		toks := tok.Tokenize(string(b))
+		for l := 1; l <= MaxGramLen; l++ {
+			for i := 0; i+l <= len(toks); i++ {
+				gram := toks[i : i+l]
+				if again := tok.Tokenize(JoinQuery(gram)); !sameTokens(again, gram) {
+					t.Fatalf("gram %q of %q re-tokenizes to %q under %q", gram, b, again, phrases)
+				}
+			}
+		}
+		cfg := NGramConfig{MaxLen: MaxGramLen, Stopwords: NewStopwords(), Exclude: map[Token]struct{}{"seed": {}}}
+		want := NGrams(toks, cfg)
+		if _, byKey := idGrams(toks, cfg.Stopwords, cfg.MaxLen, []Token{"seed"}); !sameTokens(byKey, want) {
+			t.Fatalf("id grams of %q under %q, first per key:\n  got  %q\n  want %q", toks, phrases, byKey, want)
 		}
 	})
 }

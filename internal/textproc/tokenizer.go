@@ -48,6 +48,18 @@ type Tokenizer struct {
 	MinLen int
 }
 
+// RoundTrips reports whether every run of consecutive tokens t emitted
+// joins back to its own tokenization: t.Tokenize(JoinQuery(run)) == run.
+// That holds when t only splits and merges phrases — merging is greedy
+// from a token boundary, so a run re-merges exactly as it merged in its
+// text (FuzzGramTokensRoundTrip) — and fails once a filter can drop a
+// token between two words that then merge into a phrase. A harvesting
+// session keys the n-grams of a page t tokenized by their term ids only
+// when this holds; otherwise it dedups them by string.
+func (t *Tokenizer) RoundTrips() bool {
+	return t != nil && t.Stopwords == nil && !t.DropNumbers && t.MinLen <= 0
+}
+
 // tokenScratch is the pooled per-call working state of Tokenizer.AppendTokens:
 // the raw split buffer, the phrase-merge buffer, and the byte buffer the
 // lexicon probe joins candidate phrases into. The slices hold only string

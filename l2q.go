@@ -251,6 +251,9 @@ func NewSystem(c *Corpus, kb *Dictionary, aspects []Aspect,
 	if len(aspects) == 0 {
 		return nil, fmt.Errorf("l2q: no target aspects")
 	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg.Tokenizer = tok
 	cls := classify.TrainSet(aspects, c.Pages)
 	for _, a := range aspects {

@@ -18,7 +18,7 @@ trap 'rm -f "$RAW"' EXIT
 # -benchtime in iterations so allocs/op is a stable integer ratio, not a
 # wall-clock-dependent sample.
 go test -run '^$' \
-	-bench 'BenchmarkTokenizeAllocs|BenchmarkNGramsAllocs|BenchmarkSearchAllocs|BenchmarkLiveSearchAllocs|BenchmarkSearchAppendConcurrent|BenchmarkCandidateAllocs|BenchmarkSelectAllocs|BenchmarkHarvestJobAllocs|BenchmarkScatterMergeAllocs|BenchmarkCoordinatorFrontHitAllocs|BenchmarkMarshalFrameAllocs|BenchmarkOpenFrameAllocs|BenchmarkParsePageAllocs' \
+	-bench 'BenchmarkTokenizeAllocs|BenchmarkNGramsAllocs|BenchmarkGramWindowsAllocs|BenchmarkSearchAllocs|BenchmarkLiveSearchAllocs|BenchmarkSearchAppendConcurrent|BenchmarkCandidateAllocs|BenchmarkSelectAllocs|BenchmarkHarvestJobAllocs|BenchmarkScatterMergeAllocs|BenchmarkCoordinatorFrontHitAllocs|BenchmarkMarshalFrameAllocs|BenchmarkOpenFrameAllocs|BenchmarkParsePageAllocs' \
 	-benchmem -benchtime=500x \
 	./internal/textproc/ ./internal/search/ ./internal/core/ ./internal/webapi/ ./internal/html/ | tee "$RAW"
 
@@ -31,6 +31,7 @@ ceiling() {
 	BenchmarkTokenizeAllocs/reference) echo 45 ;;     # pre-LUT baseline, kept for the ratio
 	BenchmarkNGramsAllocs/append) echo 20 ;;          # only the multi-word gram strings emitted
 	BenchmarkNGramsAllocs/convenience) echo 28 ;;     # + result slice growth and the dedup map
+	BenchmarkGramWindowsAllocs) echo 0 ;;             # the id path's page enumeration: fixed-width keys into a reused buffer, flag scratch pooled
 	BenchmarkSearchAllocs/cached/append) echo 0 ;;    # cache hit into a reused buffer
 	BenchmarkSearchAllocs/cached) echo 1 ;;           # the fresh result slice
 	BenchmarkSearchAllocs/nocache/append) echo 0 ;;   # one pruned pass on the caller's goroutine over pooled scratch; a fan-out costs a closure per worker
@@ -41,13 +42,13 @@ ceiling() {
 	BenchmarkCandidateAllocs/steady/append) echo 0 ;; # pool re-emits cached segments
 	BenchmarkCandidateAllocs/steady) echo 1 ;;        # the fresh result slice, sized once from the pool
 	BenchmarkSelectAllocs) echo 4 ;;                  # the Inference and its three Coll* vectors
-	BenchmarkHarvestJobAllocs) echo 1080 ;;           # a whole budget-5 L2QBAL job, memo warm: measured 1065 with one ordinal candidate table sized from the last session (1126–1128 growing two string-keyed tables from empty; 10431 before the table-only session state)
+	BenchmarkHarvestJobAllocs) echo 143 ;;            # a whole budget-5 L2QBAL job of one System, facts table and page term ids warm: the session's tables, one Inference per step; 1065 keyed by strings, re-enumerating every page per job (1126–1128 growing two string-keyed tables from empty; 10431 before the table-only session state)
 	BenchmarkScatterMergeAllocs) echo 0 ;;            # coordinator K-way merge over pooled heap scratch
 	BenchmarkCoordinatorFrontHitAllocs) echo 1 ;;     # a coordinator's front-cache hit: the copied hit list; the key lives on the stack, Query/Seed come with the entry
 	BenchmarkMarshalFrameAllocs/page) echo 1 ;;       # the frame itself; encoder, gzip writer and gzip buffer are pooled
 	BenchmarkMarshalFrameAllocs/search5pages) echo 1 ;; # same for a search carrying its five pages: bodies go straight into the pooled encoder
 	BenchmarkOpenFrameAllocs/search5pages) echo 18 ;; # opening a gzipped five-page frame: the reader over the payload, the inflated payload sized once from the member's length trailer, and 16 Huffman link tables inside compress/flate; 23 when io.ReadAll grew the payload from 512 bytes
-	BenchmarkParsePageAllocs) echo 97 ;;              # a client's cost per downloaded page, Tokens() included: 137 when each paragraph had its own append-grown slice and Tokens() concatenated them, 97 with one exactly-sized array per page
+	BenchmarkParsePageAllocs) echo 74 ;;              # a client's cost per downloaded page, Tokens() included: 137 when each paragraph had its own append-grown slice and Tokens() concatenated them, 97 with one exactly-sized array per page, 74 once whitespace-only and normalized text runs stopped being rebuilt
 	*) echo "" ;;
 	esac
 }
