@@ -47,9 +47,13 @@ test-procs:
 # the round trip the id path rests on (every n-gram a lexicon tokenizer
 # emits re-tokenizes to itself), on ingest-side HTML (ParsePage never
 # panics on any bytes or truncation and gives back a rendered page's ID,
-# entity and paragraph tokens) and on the ingest route's body, JSON or
+# entity and paragraph tokens), on the ingest route's body, JSON or
 # frame (never a panic; a 200 accounts for every decoded page, anything
-# else changes nothing; minimizing capped at 1 s like the bitsets).
+# else changes nothing; minimizing capped at 1 s like the bitsets) and on
+# the other live frame decoders — stats, search, page, ingest ack (never
+# a panic, never past Dec.Count's guard, retired kinds 4–7 refused, what
+# decodes round-trips through a frame, gzipped and not; its inputs hold a
+# rendered page, so minimizing is capped at 1 s here too).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPrunedTopKMatchesReference -fuzztime 20s ./internal/search/
 	$(GO) test -run '^$$' -fuzz FuzzSearchPagesFrame -fuzztime 20s ./internal/webapi/
@@ -60,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGramTokensRoundTrip -fuzztime 10s ./internal/textproc/
 	$(GO) test -run '^$$' -fuzz FuzzParsePage -fuzztime 10s ./internal/html/
 	$(GO) test -run '^$$' -fuzz FuzzIngestBody -fuzztime 10s -fuzzminimizetime 1s ./internal/webapi/
+	$(GO) test -run '^$$' -fuzz FuzzFrameDecoders -fuzztime 10s -fuzzminimizetime 1s ./internal/webapi/
 
 # 30 s churn loops under the race detector: scheduler submit/cancel/
 # resume, and the live engine's concurrent ingest+search+compact.

@@ -56,7 +56,6 @@ func main() {
 		remote   = flag.String("remote", "", "harvest via this HTTP search API instead of in-process")
 		retries  = flag.Int("retries", 4, "remote transport: attempts per request (1 = no retries)")
 		rtimeout = flag.Duration("timeout", 30*time.Second, "remote transport: per-request HTTP timeout")
-		prefetch = flag.Int("prefetch", 8, "remote transport: concurrent /page downloads per query (only for hits whose page the search response did not carry)")
 		wireFlag = flag.String("wire", "auto", "remote transport: wire codec — auto (negotiate binary, fall back to JSON), json, or binary (require it)")
 		learnW   = flag.Int("learnworkers", 0, "domain-phase counting workers (0 = GOMAXPROCS)")
 		ckpt     = flag.String("checkpoint", "", "checkpoint file: resume from it if present, write it after every step")
@@ -157,10 +156,9 @@ func main() {
 			fail(err)
 		}
 		opts := l2q.RemoteOptions{
-			Retry:           l2q.RetryPolicy{MaxAttempts: *retries},
-			PrefetchWorkers: *prefetch,
-			Timeout:         *rtimeout,
-			Codec:           codec,
+			Retry:   l2q.RetryPolicy{MaxAttempts: *retries},
+			Timeout: *rtimeout,
+			Codec:   codec,
 		}
 		dctx, dcancel := context.WithTimeout(context.Background(), time.Minute)
 		re, err = sys.DialRemoteContext(dctx, *remote, opts)
@@ -244,8 +242,8 @@ func main() {
 	fmt.Printf("\nselection time: %v total\n", h.SelectionTime().Round(1000))
 	if re != nil {
 		m := re.Metrics()
-		fmt.Printf("HTTP requests issued: %d (%d retried, %d failed after retries); pages: %d inside search responses, %d downloaded, %d downloads shared in flight\n",
-			m.Requests, m.Retries, m.Errors, m.PagesAttached, m.PageFetches, m.PrefetchShared)
+		fmt.Printf("HTTP requests issued: %d (%d retried, %d failed after retries); pages: %d inside search responses, %d downloaded\n",
+			m.Requests, m.Retries, m.Errors, m.PagesAttached, m.PageFetches)
 	}
 
 	if *replay {

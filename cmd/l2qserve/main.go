@@ -24,9 +24,11 @@
 // it, indexes those partitions and nothing else, and answers
 // /api/v1/cluster/{search,stats}, /page/{id} for the pages it holds (404
 // otherwise) and /api/v1/{stats,entities,metrics}; whole-corpus
-// /api/v1/search and harvesting are the coordinator's. A coordinator
-// (-coordinator -nodes url,url,…) holds no pages at all — only the
-// tokenizer its corpus flags select.
+// /api/v1/search is the coordinator's. A coordinator (-coordinator -nodes
+// url,url,…) holds no pages and no tokenizer: it scatters searches and
+// passes page bytes on, and accepts the corpus flags without reading them.
+// Neither mounts the jobs API: a harvest through a cluster is a remote
+// session against the coordinator (l2qharvest -remote).
 //
 // Usage:
 //
@@ -84,7 +86,7 @@ func main() {
 		wire      = flag.Bool("wire", true, "offer the binary wire codec to clients that ask for it (Accept: "+webapi.WireContentType+"); JSON stays the default either way")
 		compress  = flag.Int("compress", 0, "gzip wire payloads at or above this many bytes (0 = default threshold, <0 = never compress); the deflate level is fixed at 1")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
-		coord     = flag.Bool("coordinator", false, "coordinator mode: scatter-gather over the node URLs in -nodes; the process holds no pages, and of the corpus flags reads only -domain (or -store) — it selects the phrase lexicon queries are tokenized with, which must be the nodes'")
+		coord     = flag.Bool("coordinator", false, "coordinator mode: scatter-gather over the node URLs in -nodes; the process holds no pages and no tokenizer (queries arrive as tokens), and accepts the corpus flags without reading them")
 		nodesFlag = flag.String("nodes", "", "cluster topology: in coordinator mode a comma-separated list of node base URLs; in node mode the cluster size (serve one partition set with -nodeid)")
 		nodeID    = flag.Int("nodeid", 0, "this node's ordinal in [0, nodes) (node mode)")
 		replicas  = flag.Int("replicas", 2, "partition replication factor, clamped to [1, nodes] the same way by nodes and coordinator")
@@ -114,7 +116,6 @@ func main() {
 		if len(nodeURLs) == 0 {
 			logger.Fatal("coordinator mode: -nodes must list the node base URLs (comma-separated)")
 		}
-		keep = func(corpus.PageID) bool { return false } // -store: read the dictionary, hold no page
 	case nodeMode:
 		n, err := strconv.Atoi(*nodesFlag)
 		if err != nil {
@@ -138,22 +139,17 @@ func main() {
 		rec types.Recognizer = types.NewRegexRecognizer()
 	)
 	switch {
+	case *coord:
+		// Nothing to load: a coordinator holds no corpus and no tokenizer.
 	case *storePath != "":
 		// Under a predicate the load validates every page but materializes
-		// only the kept ones (a coordinator: none — it is after the
-		// tokenizer, which the file's dictionary yields) and leaves the
-		// persisted whole-corpus index alone.
+		// only the kept ones and leaves the persisted whole-corpus index
+		// alone.
 		b, err := store.LoadFile(*storePath, keep)
 		if err != nil {
 			logger.Fatal(err)
 		}
 		c, idx, tok = b.Corpus, b.Index, b.Tokenizer
-	case *coord:
-		g, err := synth.Resources(corpus.Domain(*domain))
-		if err != nil {
-			logger.Fatal(err)
-		}
-		tok = g.Tokenizer
 	default:
 		cfg := synth.DefaultConfig(corpus.Domain(*domain))
 		cfg.NumEntities = *entities
@@ -188,7 +184,7 @@ func main() {
 			Replicas:     *replicas,
 			NodeDeadline: *nodeDl,
 			CacheSize:    *cacheSize,
-		}, tok)
+		})
 		cancel()
 		if err != nil {
 			logger.Fatal(err)
@@ -247,9 +243,9 @@ func main() {
 	// Harvest sessions train classifiers on, and search, the corpus the
 	// process holds: a coordinator holds none, a node a fraction.
 	switch {
-	case *harvest && nodeMode:
-		logger.Print("harvest: a cluster node holds only its partitions of the corpus; harvest endpoints are not mounted (harvest against a single server, or remotely through the coordinator)")
-	case *harvest && !*coord:
+	case *harvest && (nodeMode || *coord):
+		logger.Print("harvest: a cluster process holds no whole corpus; the jobs API answers 501 (harvest against a single server, or remotely through the coordinator)")
+	case *harvest:
 		var art *store.DomainArtifact
 		if *domains != "" {
 			var err error

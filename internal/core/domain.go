@@ -24,10 +24,6 @@ type DomainModel struct {
 	// (Eq. 21–22).
 	TemplateP map[string]float64
 	TemplateR map[string]float64
-	// TemplateRStar is template recall w.r.t. Y* (every page relevant),
-	// needed by collective precision (§V-B) so the Y*-recall inference
-	// is domain-regularized symmetrically to the Y-recall one.
-	TemplateRStar map[string]float64
 
 	// QueryRCount and QueryRStarCount are probability-scale counting
 	// estimates for *transferable* domain queries (those occurring with
@@ -84,8 +80,8 @@ type DomainModel struct {
 }
 
 // LearnDomain runs the domain phase: build the domain reinforcement graph
-// over the pages of the given domain entities, solve precision and recall
-// (plus Y*-recall), and package the template utilities.
+// over the pages of the given domain entities, solve precision and recall,
+// and package the template utilities.
 //
 // y materializes the aspect's relevance function (classifier output in the
 // experiments). rec is the type system used to enumerate templates.
@@ -334,7 +330,7 @@ func buildDomainGraph(cfg Config, rec types.Recognizer, pages []*corpus.Page,
 	return b
 }
 
-// packageDomainModel solves the three fixpoints over the assembled domain
+// packageDomainModel solves the two fixpoints over the assembled domain
 // graph and packages the DomainModel: template/query utilities, the
 // probability-scale counting statistics, and the §IV-C candidate pool.
 func packageDomainModel(cfg Config, aspect corpus.Aspect, b *graphBuilder,
@@ -355,11 +351,6 @@ func packageDomainModel(cfg Config, aspect corpus.Aspect, b *graphBuilder,
 	if err != nil {
 		return nil, err
 	}
-	yStarReg := b.pageRegularization(func(*corpus.Page) bool { return true })
-	recStar, err := b.solve(graph.Recall, yStarReg.recall)
-	if err != nil {
-		return nil, err
-	}
 
 	nRelPages := counts.nRelPages
 	relDF, pageDF, entityDF := counts.relDF, counts.pageDF, counts.entityDF
@@ -368,7 +359,6 @@ func packageDomainModel(cfg Config, aspect corpus.Aspect, b *graphBuilder,
 		Aspect:             aspect,
 		TemplateP:          make(map[string]float64, len(b.templates)),
 		TemplateR:          make(map[string]float64, len(b.templates)),
-		TemplateRStar:      make(map[string]float64, len(b.templates)),
 		TemplateRCount:     make(map[string]float64, len(b.templates)),
 		TemplateRStarCount: make(map[string]float64, len(b.templates)),
 		QueryRCount:        make(map[Query]float64),
@@ -382,7 +372,6 @@ func packageDomainModel(cfg Config, aspect corpus.Aspect, b *graphBuilder,
 	for key, id := range b.templates {
 		dm.TemplateP[key] = prec[id]
 		dm.TemplateR[key] = rec1[id]
-		dm.TemplateRStar[key] = recStar[id]
 	}
 	for i := range b.qs {
 		qv := &b.qs[i]

@@ -14,9 +14,9 @@ import (
 
 // Retriever is the search-engine surface a session needs — the paper's
 // black box: fire seed ∥ q, get the top-k pages back. *search.Engine and
-// *search.LiveEngine satisfy it in-process; internal/webapi's Client and
-// Coordinator satisfy it across an HTTP boundary (the paper's
-// commercial-search-API setting).
+// *search.LiveEngine satisfy it in-process; internal/webapi's Client
+// satisfies it across an HTTP boundary (the paper's commercial-search-API
+// setting), dialed to one server or to a cluster's coordinator.
 type Retriever interface {
 	// Retrieve runs seed ∥ query and appends the top-k results to dst,
 	// returning the grown slice. It returns either the complete ranked

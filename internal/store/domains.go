@@ -317,7 +317,7 @@ func encodeDomainModels(e *Enc, models []*core.DomainModel) {
 		e.Str(string(dm.Aspect))
 		encStrMap(e, dm.TemplateP)
 		encStrMap(e, dm.TemplateR)
-		encStrMap(e, dm.TemplateRStar)
+		encStrMap(e, nil) // the retired Y*-recall map's slot: the layout stays L2QDOM1
 		encStrMap(e, dm.TemplateRCount)
 		encStrMap(e, dm.TemplateRStarCount)
 		encQueryMap(e, dm.QueryRCount)
@@ -341,7 +341,7 @@ func decodeDomainModels(d *Dec) []*core.DomainModel {
 		dm := &core.DomainModel{Aspect: corpus.Aspect(d.Str())}
 		dm.TemplateP = decStrMap(d)
 		dm.TemplateR = decStrMap(d)
-		dm.TemplateRStar = decStrMap(d)
+		decStrMap(d) // the retired Y*-recall map: an older artifact's is read and dropped
 		dm.TemplateRCount = decStrMap(d)
 		dm.TemplateRStarCount = decStrMap(d)
 		dm.QueryRCount = decQueryMap(d)

@@ -105,18 +105,9 @@ func specFor(domain corpus.Domain) (*spec, error) {
 	}
 }
 
-// Resources returns a domain's linguistic resources without a corpus: the
-// knowledge base, the phrase lexicon derived from it and the tokenizer
-// wired to that lexicon — all a process that tokenizes queries but holds
-// no pages (a cluster coordinator) needs. They depend on the domain alone.
-func Resources(domain corpus.Domain) (*Generated, error) {
-	sp, err := specFor(domain)
-	if err != nil {
-		return nil, err
-	}
-	return sp.resources(), nil
-}
-
+// resources returns the domain's linguistic resources, which depend on the
+// domain alone: the knowledge base, the phrase lexicon derived from it and
+// the tokenizer wired to that lexicon.
 func (sp *spec) resources() *Generated {
 	kb := sp.kb()
 	lex := textproc.NewLexicon(kb.Phrases())

@@ -1,14 +1,15 @@
 package webapi
 
-// The one retrieval backend behind a Server. Handlers, the harvest job
-// builder and the metrics endpoint call it blind: whether pages come from
-// one process's index or a cluster of nodes is the backend's business,
-// decided once by the constructor that installed it (NewServer,
-// NewNodeServer, NewCoordinatorServer). A single-node server is a
-// localBackend over a live engine, searched through the view it has
-// published last, and written to only when NewServer was given the ingest
-// tokenizer; a cluster node's backend is its ClusterNode (cluster.go), the
-// coordinator's is clusterBackend (coordinator.go).
+// The one retrieval backend behind a Server. Handlers and the metrics
+// endpoint call it blind: whether pages come from one process's index or a
+// cluster of nodes is the backend's business, decided once by the
+// constructor that installed it (NewServer, NewNodeServer,
+// NewCoordinatorServer). A single-node server is a localBackend over a live
+// engine, searched through the view it has published last, and written to
+// only when NewServer was given the ingest tokenizer; a cluster node's
+// backend is its ClusterNode (cluster.go), the coordinator's is
+// clusterBackend (coordinator.go). The jobs API alone is not blind: its
+// sessions run beside a localBackend's index and nowhere else.
 
 import (
 	"context"
@@ -16,7 +17,6 @@ import (
 	"net/http"
 	"sync"
 
-	"l2q/internal/core"
 	"l2q/internal/corpus"
 	"l2q/internal/html"
 	"l2q/internal/search"
@@ -31,8 +31,6 @@ type backend interface {
 	// backend's configured top-k) without touching page bodies.
 	search(ctx context.Context, seed, query []textproc.Token, k int) (SearchResponse, error)
 	entities() []EntityInfo
-	// entity resolves a harvest target; nil when the ID is unknown.
-	entity(id corpus.EntityID) *corpus.Entity
 	// page returns the bytes /page/{id} serves for id — what a search asked
 	// with=pages attaches to a hit, byte for byte. Backends that hold the
 	// page render it; a coordinator passes on what the owning node rendered.
@@ -41,8 +39,6 @@ type backend interface {
 	// running at once: 1 when pages are in memory, the prefetch fan-out
 	// when a page may cost a round trip to its owning node.
 	pageWorkers() int
-	// retriever is what server-side harvest sessions search through.
-	retriever() core.Retriever
 	// metrics fills in the backend's section of the metrics payload.
 	metrics(m *ServerMetrics)
 	// ingest is optional: a backend that cannot grow answers 501.
@@ -104,6 +100,7 @@ func entityInfos(ents []*corpus.Entity) []EntityInfo {
 	return out
 }
 
+// entity resolves a harvest target; nil when the ID is unknown.
 func (b *localBackend) entity(id corpus.EntityID) *corpus.Entity {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -121,9 +118,6 @@ func (b *localBackend) page(_ context.Context, id corpus.PageID) (string, error)
 }
 
 func (b *localBackend) pageWorkers() int { return 1 }
-
-// retriever is the live engine itself, so a session follows the epochs.
-func (b *localBackend) retriever() core.Retriever { return b.live }
 
 func (b *localBackend) metrics(m *ServerMetrics) {
 	v := b.live.View()

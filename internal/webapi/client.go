@@ -21,31 +21,32 @@ import (
 )
 
 // Client is a remote search engine: it implements core.Retriever against
-// a webapi.Server, so a harvesting session runs unchanged across a real
-// HTTP boundary. A search asks for its hits' pages in the same response
-// (with=pages), so a harvest step is one round trip; the pages arrive as
-// HTML, are segmented with internal/html, re-tokenized, and cached. The
-// client scores nothing: ranks and scores are the server's.
+// a webapi.Server — one l2qserve, or a cluster's coordinator, which makes
+// it the one retriever through a cluster — so a harvesting session runs
+// unchanged across a real HTTP boundary. A search asks for its hits'
+// pages in the same response (with=pages), so a harvest step is one round
+// trip; the pages arrive as HTML, are segmented with internal/html,
+// re-tokenized, and cached. The client scores nothing: ranks and scores
+// are the server's.
 //
 // The transport is resilient by default: every API call is an idempotent
 // GET against an immutable corpus, so the client retries transient faults
-// (connection errors, timeouts, truncated bodies, 5xx) with exponential
-// backoff and jitter (RetryPolicy), downloads on its own (/page/{id},
-// concurrently, with singleflight dedup) only the pages a response did
-// not carry, and accounts every request, retry and terminal failure in
-// ClientMetrics. Faults that survive the retry budget surface as
-// *TransportError — never as a silently shortened result list, which
-// would corrupt the session's R_E(Φ) bookkeeping without a trace.
+// (connection errors, timeouts, truncated bodies, 5xx, a coordinator's
+// flagged partial ranking) with exponential backoff and jitter
+// (RetryPolicy), downloads on its own (/page/{id}, one at a time) only the
+// pages a response did not carry, and accounts every request, retry and
+// terminal failure in ClientMetrics. Faults that survive the retry budget
+// surface as *TransportError — never as a silently shortened result list,
+// which would corrupt the session's R_E(Φ) bookkeeping without a trace.
 //
 // Client is safe for concurrent use.
 type Client struct {
-	base            string
-	http            *http.Client
-	tok             *textproc.Tokenizer
-	stats           Stats
-	retry           RetryPolicy
-	prefetchWorkers int
-	codec           Codec
+	base  string
+	http  *http.Client
+	tok   *textproc.Tokenizer
+	stats Stats
+	retry RetryPolicy
+	codec Codec
 	// wire records whether the server answered the dial probe in the
 	// binary codec — the negotiated truth, fixed at dial time.
 	wire bool
@@ -57,9 +58,17 @@ type Client struct {
 	recent  [maxHave]corpus.PageID
 	recentN int
 
-	flight flightGroup[*corpus.Page]
-	met    metrics
+	met metrics
 }
+
+// ErrPartial is what Client.Retrieve's retry loop fails with on a search a
+// coordinator answered flagged Partial — some partition had no live owner —
+// and, once the retries are spent, what the *TransportError wraps:
+// core.Retriever promises the complete ranked list or an error, never a
+// silently shortened one. The coordinator never caches a partial, so a
+// retry scatters afresh. The HTTP surface itself still serves the flagged
+// partial (SearchResponse.Partial) to whoever asks for it.
+var ErrPartial = errors.New("cluster: partial result — one or more partitions had no live owner")
 
 // Codec is the client's wire-encoding preference, negotiated at dial.
 type Codec int
@@ -108,10 +117,10 @@ type ClientOptions struct {
 	// Retry is the per-request retry policy (zero value: 4 attempts,
 	// 50 ms base backoff, 2 s cap).
 	Retry RetryPolicy
-	// PrefetchWorkers bounds the concurrent /page downloads for one
-	// query's hit list (default 8; 1 fetches serially). Only hits whose
-	// page the search response did not carry are downloaded — against a
-	// current server, none.
+	// PrefetchWorkers is, on a coordinator's CoordinatorConfig.Client, how
+	// many owner downloads one hit list runs at once (default 8). A
+	// harvesting client reads none: it downloads the rare hit a response
+	// did not carry one at a time.
 	PrefetchWorkers int
 	// Timeout is the per-request HTTP timeout (default 30 s). The
 	// caller's context cancels earlier.
@@ -149,13 +158,12 @@ func DialContext(ctx context.Context, base string, tok *textproc.Tokenizer, opts
 	}
 	opts = opts.withDefaults()
 	c := &Client{
-		base:            strings.TrimRight(base, "/"),
-		http:            &http.Client{Timeout: opts.Timeout},
-		tok:             tok,
-		retry:           opts.Retry,
-		prefetchWorkers: opts.PrefetchWorkers,
-		codec:           opts.Codec,
-		pageCache:       make(map[corpus.PageID]*corpus.Page),
+		base:      strings.TrimRight(base, "/"),
+		http:      &http.Client{Timeout: opts.Timeout},
+		tok:       tok,
+		retry:     opts.Retry,
+		codec:     opts.Codec,
+		pageCache: make(map[corpus.PageID]*corpus.Page),
 	}
 	// The dial probe doubles as codec negotiation: ask for binary (per
 	// the codec preference) and record what came back.
@@ -304,24 +312,14 @@ func (c *Client) post(ctx context.Context, op, path string, body []byte, content
 	}, decode)
 }
 
+// getJSON issues GET path on a JSON-only route under the retry loop. It
+// never asks for the binary codec, so a server of any release answers JSON
+// — one that still frames the route (kinds 5 and 7 before they retired)
+// frames only what a request asks to have framed.
 func (c *Client) getJSON(ctx context.Context, op, path string, out any) error {
-	return c.get(ctx, op, path, func(b []byte) error { return json.Unmarshal(b, out) })
-}
-
-// getNegotiated fetches path and decodes the response by sniffing its
-// body: a wire frame (the magic bytes) decodes with fromWire, anything
-// else with fromJSON. Sniffing — rather than trusting headers — is what
-// makes mixed-version fallback automatic: a server (or intermediary)
-// that ignored the Accept header is simply decoded as JSON, and a
-// truncated frame fails its CRC/length checks inside the retry loop and
-// is retried like any other wire fault.
-func (c *Client) getNegotiated(ctx context.Context, op, path string, kind byte, fromWire func(*store.Dec), fromJSON func([]byte) error) error {
-	return c.get(ctx, op, path, func(b []byte) error {
-		if isWireFrame(b) {
-			return decodeFramePayload(b, kind, fromWire)
-		}
-		return fromJSON(b)
-	})
+	return c.doRetry(ctx, op, path, c.retry.MaxAttempts, func() ([]byte, error) {
+		return c.once(ctx, http.MethodGet, path, nil, "", false)
+	}, func(b []byte) error { return json.Unmarshal(b, out) })
 }
 
 // TopK implements core.Retriever.
@@ -333,8 +331,9 @@ func (c *Client) TopK() int { return c.stats.TopK }
 // the server intact; vals carries the route's other parameters. Page
 // bodies the response carries are checked and cached inside the retry
 // loop (acceptPages): one that fails the check fails the decode, and the
-// search is re-issued like any other corrupted response.
-func (c *Client) search(ctx context.Context, op, path string, vals url.Values, seed, query []textproc.Token) (SearchResponse, error) {
+// search is re-issued like any other corrupted response. complete does
+// the same to a response flagged Partial (ErrPartial).
+func (c *Client) search(ctx context.Context, op, path string, vals url.Values, seed, query []textproc.Token, complete bool) (SearchResponse, error) {
 	if len(seed) > 0 {
 		vals["seed"] = seed
 	}
@@ -347,15 +346,20 @@ func (c *Client) search(ctx context.Context, op, path string, vals url.Values, s
 		if resp, err = decodeSearchResponse(b); err != nil {
 			return err
 		}
+		if complete && resp.Partial {
+			return ErrPartial
+		}
 		return c.acceptPages(resp.Hits)
 	})
 	return resp, err
 }
 
-// decodeSearchResponse decodes a search response by sniffing its body (see
-// getNegotiated): a frame with the hits' pages attached, a plain search
-// frame — a server that ignored with=pages — or JSON, whose hits carry
-// their pages in the html field.
+// decodeSearchResponse decodes a search response by sniffing its body,
+// never trusting headers — which is what makes mixed-version fallback
+// automatic: a frame with the hits' pages attached, a plain search frame
+// (a server that ignored with=pages), or JSON (a server or intermediary
+// that ignored Accept), whose hits carry their pages in the html field. A
+// truncated frame fails its CRC or length check inside the retry loop.
 func decodeSearchResponse(b []byte) (resp SearchResponse, err error) {
 	switch frameKind(b) {
 	case 0:
@@ -395,22 +399,29 @@ func (c *Client) acceptPages(hits []SearchHit) error {
 
 // Retrieve implements core.Retriever in one round trip: the search asks
 // for its hits' pages (with=pages), naming the pages already cached
-// (have), and the ranked list is then resolved from the page cache. A hit
-// whose page did not come along and is not cached — the server is an
-// older one that ignores with — is downloaded through PageCtx,
-// concurrently and singleflight-deduped. Either the complete ranked result
-// list is appended to dst, or an error is returned — never a partial list
-// with failed downloads silently dropped.
+// (have), and the ranked list is then resolved from the page cache. A
+// response flagged Partial is refused (ErrPartial) and re-issued like a
+// corrupted one. A hit whose page did not come along and is not cached —
+// the server is an older one that ignores with — is downloaded through
+// PageCtx, one after another. Either the complete ranked result list is
+// appended to dst, or an error is returned — never a partial list.
 func (c *Client) Retrieve(ctx context.Context, dst []search.Result, seed, query []textproc.Token) ([]search.Result, error) {
 	vals := url.Values{"with": {"pages"}}
 	if have := c.haveList(); have != "" {
 		vals.Set("have", have)
 	}
-	resp, err := c.search(ctx, "search", "/search", vals, seed, query)
+	resp, err := c.search(ctx, "search", "/search", vals, seed, query, true)
 	if err != nil {
 		return nil, err
 	}
-	return fetchResults(ctx, dst, resp.Hits, c.prefetchWorkers, c.PageCtx)
+	for _, h := range resp.Hits {
+		p, err := c.PageCtx(ctx, h.PageID)
+		if err != nil {
+			return nil, err
+		}
+		dst = append(dst, search.Result{Page: p, Score: h.Score})
+	}
+	return dst, nil
 }
 
 // SearchWithSeedErr is Retrieve into a fresh result slice.
@@ -418,111 +429,23 @@ func (c *Client) SearchWithSeedErr(ctx context.Context, seed, query []textproc.T
 	return c.Retrieve(ctx, nil, seed, query)
 }
 
-// fetchResults resolves a hit list's pages through fetch with at most
-// workers calls in flight and appends the (page, score) results to dst in
-// rank order. The first failure fails the whole list (the complete-or-error
-// contract).
-func fetchResults(ctx context.Context, dst []search.Result, hits []SearchHit, workers int,
-	fetch func(context.Context, corpus.PageID) (*corpus.Page, error)) ([]search.Result, error) {
-
-	base := len(dst)
-	for _, h := range hits {
-		dst = append(dst, search.Result{Score: h.Score})
+// PageCtx returns the cached page with the given ID, or downloads it from
+// /page/{id}, parses and caches it (Retrieve's hits normally arrive with
+// their search response and are cached by then).
+func (c *Client) PageCtx(ctx context.Context, id corpus.PageID) (*corpus.Page, error) {
+	if p := c.cachedPage(id); p != nil {
+		return p, nil
 	}
-	out := dst[base:]
-	err := forEachHit(ctx, len(hits), workers, func(ctx context.Context, i int) (err error) {
-		out[i].Page, err = fetch(ctx, hits[i].PageID)
+	c.met.pageFetches.Add(1)
+	var p *corpus.Page
+	err := c.getPage(ctx, id, func(doc string) (err error) {
+		p, err = c.parsePage(id, doc)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return dst, nil
-}
-
-// forEachHit runs fn(i) for every i in [0, n) with at most workers calls in
-// flight — the page fan-out under a client's result list, a coordinator's,
-// and a server attaching bodies to a response. The first failure cancels
-// the remaining calls and is returned; so is the caller's own cancellation,
-// which would otherwise leave skipped slots looking like successes.
-func forEachHit(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(ctx, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if fctx.Err() != nil {
-					continue // another call failed; drain without calling
-				}
-				if err := fn(fctx, i); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					cancel()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		if fctx.Err() != nil {
-			break // one failure fails the whole list; stop dispatching
-		}
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	return firstErr
-}
-
-// PageCtx returns the cached page with the given ID, downloading it from
-// /page/{id} when the client does not hold it (Retrieve's hits normally
-// arrive with their search response and are cached by then). Concurrent
-// fetches of the same page (many sessions prefetching overlapping hit
-// lists) coalesce onto a single download (see flightGroup.do for what a
-// waiter inherits from its leader and what it does not).
-func (c *Client) PageCtx(ctx context.Context, id corpus.PageID) (*corpus.Page, error) {
-	if p := c.cachedPage(id); p != nil {
-		return p, nil
-	}
-	p, shared, err := c.flight.do(ctx, id, func() (*corpus.Page, error) {
-		if p := c.cachedPage(id); p != nil {
-			return p, nil // a flight that ended between the check above and this one
-		}
-		c.met.pageFetches.Add(1)
-		pp, err := c.fetchPage(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		return c.cachePage(pp), nil
-	})
-	if shared {
-		c.met.prefetchShared.Add(1)
-	}
-	return p, err
+	return c.cachePage(p), nil
 }
 
 // cachedPage returns the cached page with the given ID, nil when the
@@ -605,15 +528,6 @@ func (c *Client) getPage(ctx context.Context, id corpus.PageID, accept func(doc 
 	})
 }
 
-// fetchPage downloads and parses one page, retrying transport faults.
-func (c *Client) fetchPage(ctx context.Context, id corpus.PageID) (p *corpus.Page, err error) {
-	err = c.getPage(ctx, id, func(doc string) (err error) {
-		p, err = c.parsePage(id, doc)
-		return err
-	})
-	return p, err
-}
-
 // PageHTML downloads page id and returns the bytes /page/{id} served,
 // checked as parsePage checks them (a body announcing another ID is
 // retried, never returned) but neither tokenized nor cached: what a
@@ -631,80 +545,12 @@ func (c *Client) PageHTML(ctx context.Context, id corpus.PageID) (body string, e
 	return body, nil
 }
 
-// flightGroup is a minimal singleflight keyed by page ID: one in-flight
-// download per page, concurrent requesters share the result.
-type flightGroup[V any] struct {
-	mu sync.Mutex
-	m  map[corpus.PageID]*flightCall[V]
-}
-
-type flightCall[V any] struct {
-	done chan struct{}
-	v    V
-	err  error
-	// canceled records whether the leader's OWN context was done when the
-	// flight completed — the signal that lets a live-context waiter retry
-	// instead of inheriting a cancellation that was never its own.
-	canceled bool
-}
-
-// do runs fn once per concurrently-requested id: the first caller (the
-// leader) runs it under its own context, followers wait for its result
-// instead of re-paying the transfer; shared is true when this caller
-// waited. A follower whose own context is canceled while waiting returns
-// its context error; a leader failure is shared with the waiters and the
-// flight slot is released, so the next caller retries fresh.
-//
-// One failure is deliberately NOT shared: a leader that died of its own
-// context's cancellation. Without this carve-out one query's mid-prefetch
-// abort would poison every concurrent query waiting on a shared page with
-// a spurious context.Canceled. A live-context waiter goes round again
-// (typically becoming the next leader). The signal is the leader's
-// context state at completion — not the error's identity, which would
-// also match a terminal failure built from per-request HTTP timeouts and
-// make K waiters serially re-pay a dead server's full retry budget.
-func (g *flightGroup[V]) do(ctx context.Context, id corpus.PageID, fn func() (V, error)) (v V, shared bool, err error) {
-	for {
-		g.mu.Lock()
-		if g.m == nil {
-			g.m = make(map[corpus.PageID]*flightCall[V])
-		}
-		call, ok := g.m[id]
-		if !ok {
-			break // the leader: g.mu stays held until its call is registered below
-		}
-		g.mu.Unlock()
-		shared = true
-		select {
-		case <-call.done:
-			if call.err != nil && call.canceled && ctx.Err() == nil {
-				continue // the LEADER was canceled, not us — retry fresh
-			}
-			return call.v, true, call.err
-		case <-ctx.Done():
-			return v, true, ctx.Err()
-		}
-	}
-	call := &flightCall[V]{done: make(chan struct{})}
-	g.m[id] = call
-	g.mu.Unlock()
-	call.v, call.err = fn()
-	call.canceled = ctx.Err() != nil
-	g.mu.Lock()
-	delete(g.m, id)
-	g.mu.Unlock()
-	close(call.done)
-	return call.v, shared, call.err
-}
-
 // ClusterStats fetches a node's registration report: the collection
 // statistics of its primary partition plus its view of the cluster
 // geometry, which the coordinator cross-checks against its own.
 func (c *Client) ClusterStats(ctx context.Context) (NodeStatsPayload, error) {
 	var st NodeStatsPayload
-	err := c.getNegotiated(ctx, "cluster-stats", apiRoot+"/cluster/stats", wireNodeStats,
-		func(d *store.Dec) { st = decodeNodeStatsWire(d) },
-		func(b []byte) error { st = NodeStatsPayload{}; return json.Unmarshal(b, &st) })
+	err := c.getJSON(ctx, "cluster-stats", apiRoot+"/cluster/stats", &st)
 	return st, err
 }
 
@@ -739,7 +585,7 @@ func (c *Client) ClusterSearch(ctx context.Context, part int, seed, query []text
 	if k > 0 {
 		vals.Set("k", strconv.Itoa(k))
 	}
-	return c.search(ctx, "cluster-search", "/cluster/search", vals, seed, query)
+	return c.search(ctx, "cluster-search", "/cluster/search", vals, seed, query, false)
 }
 
 // Ingest posts a batch of pages to a live server's write path. Safe to
@@ -776,9 +622,7 @@ func (c *Client) Ingest(ctx context.Context, req IngestRequest) (IngestResponse,
 // bounds the (retried) request.
 func (c *Client) Entities(ctx context.Context) ([]EntityInfo, error) {
 	var out []EntityInfo
-	err := c.getNegotiated(ctx, "entities", apiRoot+"/entities", wireEntities,
-		func(d *store.Dec) { out = decodeEntitiesWire(d) },
-		func(b []byte) error { out = nil; return json.Unmarshal(b, &out) })
+	err := c.getJSON(ctx, "entities", apiRoot+"/entities", &out)
 	if err != nil {
 		return nil, err
 	}

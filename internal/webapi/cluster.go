@@ -20,7 +20,6 @@ import (
 	"strconv"
 	"sync"
 
-	"l2q/internal/core"
 	"l2q/internal/corpus"
 	"l2q/internal/html"
 	"l2q/internal/search"
@@ -240,8 +239,9 @@ func (s *Server) handleClusterStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, "cluster endpoints not enabled (start with a cluster spec)")
 		return
 	}
-	st := s.Node.LocalStats()
-	s.respond(w, r, wireNodeStats, func(e *store.Enc) { encodeNodeStatsWire(e, st) }, st)
+	// JSON whatever Accept says: once per node per coordinator boot, it
+	// is not worth a second codec (wire kind 7 is retired).
+	writeJSON(w, s.Node.LocalStats())
 }
 
 // handleClusterSearch serves one partition's local top-k — the node-local
@@ -322,15 +322,6 @@ func (n *ClusterNode) search(context.Context, []textproc.Token, []textproc.Token
 
 func (n *ClusterNode) entities() []EntityInfo { return entityInfos(n.ents) }
 
-func (n *ClusterNode) entity(id corpus.EntityID) *corpus.Entity {
-	for _, e := range n.ents {
-		if e.ID == id {
-			return e
-		}
-	}
-	return nil
-}
-
 func (n *ClusterNode) page(_ context.Context, id corpus.PageID) (string, error) {
 	p, ok := n.pages[id]
 	if !ok {
@@ -340,23 +331,6 @@ func (n *ClusterNode) page(_ context.Context, id corpus.PageID) (string, error) 
 }
 
 func (n *ClusterNode) pageWorkers() int { return 1 }
-
-func (n *ClusterNode) retriever() core.Retriever { return nodeRetriever{n} }
-
-// nodeRetriever is what a harvest backend mounted on a node server would
-// search through: it fails every retrieval as the search route does,
-// because the sessions would be ranking a fraction of the corpus.
-type nodeRetriever struct{ n *ClusterNode }
-
-func (r nodeRetriever) Retrieve(context.Context, []search.Result, []textproc.Token, []textproc.Token) ([]search.Result, error) {
-	return nil, errNodeSearch
-}
-
-func (r nodeRetriever) TopK() int {
-	r.n.mu.RLock()
-	defer r.n.mu.RUnlock()
-	return r.n.topK
-}
 
 func (n *ClusterNode) metrics(m *ServerMetrics) {
 	n.mu.RLock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"maps"
 	"net/http"
 	"net/http/httptest"
@@ -53,14 +54,14 @@ func startClusterNodes(t testing.TB, g *synth.Generated, nodes, replicas int, wr
 // dialCluster dials a coordinator over the node URLs with test-speed
 // retries, the given per-node deadline (0 = default) and the default front
 // cache.
-func dialCluster(t testing.TB, g *synth.Generated, urls []string, replicas int, deadline time.Duration) *Coordinator {
+func dialCluster(t testing.TB, urls []string, replicas int, deadline time.Duration) *Coordinator {
 	t.Helper()
-	return dialClusterCache(t, g, urls, replicas, deadline, 0)
+	return dialClusterCache(t, urls, replicas, deadline, 0)
 }
 
 // dialClusterCache is dialCluster with an explicit front-cache size
 // (CoordinatorConfig.CacheSize: 0 default, < 0 off — l2qserve -cachesize).
-func dialClusterCache(t testing.TB, g *synth.Generated, urls []string, replicas int, deadline time.Duration, cacheSize int) *Coordinator {
+func dialClusterCache(t testing.TB, urls []string, replicas int, deadline time.Duration, cacheSize int) *Coordinator {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -70,11 +71,40 @@ func dialClusterCache(t testing.TB, g *synth.Generated, urls []string, replicas 
 		NodeDeadline: deadline,
 		Client:       ClientOptions{Retry: fastRetry},
 		CacheSize:    cacheSize,
-	}, g.Tokenizer)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return co
+}
+
+// serveCoordinator mounts co behind NewCoordinatorServer and dials a Client
+// at it with test-speed retries — the one retriever through a cluster. It
+// returns the client and the server's base URL.
+func serveCoordinator(t testing.TB, g *synth.Generated, co *Coordinator) (*Client, string) {
+	t.Helper()
+	srv := httptest.NewServer(NewCoordinatorServer(co).Handler())
+	t.Cleanup(srv.Close)
+	c, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{Retry: fastRetry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, srv.URL
+}
+
+// requireRanking fails t unless got is want, page for page and score for
+// score (bit for bit): the cluster ≡ single node bar.
+func requireRanking(t testing.TB, what string, got, want []search.Result) {
+	t.Helper()
+	if len(got) != len(want) || len(want) == 0 {
+		t.Fatalf("%s: %d hits, single-node engine %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Page.ID != want[i].Page.ID || got[i].Score != want[i].Score {
+			t.Fatalf("%s rank %d: (doc %d, %v) vs single-node (doc %d, %v)",
+				what, i, got[i].Page.ID, got[i].Score, want[i].Page.ID, want[i].Score)
+		}
+	}
 }
 
 // frontCacheSizes are the two settings every cluster ≡ single node check
@@ -130,10 +160,9 @@ func (ss *sessionSetup) run(t testing.TB, sel core.Selector, ret core.Retriever)
 // harvesting sessions against a 3-node scatter-gather cluster fire the
 // identical query sequence, gather the identical page set, and download
 // byte-identical content vs the same session against the in-process
-// single-node engine — across selection strategies, both through the
-// in-process coordinator and through a client dialed at a coordinator
-// server (the whole serving surface, page proxying included), with the
-// front cache and without it.
+// single-node engine — across selection strategies, through a client
+// dialed at a coordinator server (the whole serving surface, page proxying
+// included), with the front cache and without it.
 func TestClusterSessionParity(t *testing.T) {
 	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
 	if err != nil {
@@ -143,8 +172,8 @@ func TestClusterSessionParity(t *testing.T) {
 	ss := newSessionSetup(t, g)
 
 	urls := startClusterNodes(t, g, 3, 2, nil)
-	co := dialCluster(t, g, urls, 2, 0)
-	coNoCache := dialClusterCache(t, g, urls, 2, 0, -1)
+	co := dialCluster(t, urls, 2, 0)
+	coNoCache := dialClusterCache(t, urls, 2, 0, -1)
 
 	// The aggregated serving stats must be field-for-field the single
 	// node's.
@@ -161,12 +190,8 @@ func TestClusterSessionParity(t *testing.T) {
 		t.Fatalf("coordinator stats %+v, want single-node %+v", co.Stats(), want)
 	}
 
-	coSrv := httptest.NewServer(NewCoordinatorServer(co).Handler())
-	t.Cleanup(coSrv.Close)
-	remote, err := DialContext(context.Background(), coSrv.URL, g.Tokenizer, ClientOptions{Retry: fastRetry})
-	if err != nil {
-		t.Fatal(err)
-	}
+	remote, _ := serveCoordinator(t, g, co)
+	remoteNoCache, _ := serveCoordinator(t, g, coNoCache)
 	if remote.Stats() != want {
 		t.Fatalf("coordinator server stats %+v, want %+v", remote.Stats(), want)
 	}
@@ -181,7 +206,7 @@ func TestClusterSessionParity(t *testing.T) {
 		if len(lq) == 0 || len(lp) == 0 {
 			t.Fatalf("%s: reference session gathered nothing", name)
 		}
-		for retName, ret := range map[string]core.Retriever{"coordinator": co, "coordinator/cachesize -1": coNoCache, "remote": remote} {
+		for retName, ret := range map[string]core.Retriever{"coordinator": remote, "coordinator/cachesize -1": remoteNoCache} {
 			cq, cp, cr := ss.run(t, sel(), ret)
 			if !reflect.DeepEqual(lq, cq) {
 				t.Errorf("%s/%s: fired queries differ:\n local %v\ncluster %v", name, retName, lq, cq)
@@ -201,8 +226,7 @@ func TestClusterSessionParity(t *testing.T) {
 			t.Errorf("healthy cluster metrics %+v: want scatters > 0 and no hedges/partials", m)
 		}
 	}
-	// Three strategies re-fire queries the in-process coordinator and the
-	// remote client's sessions both asked: with the cache those are hits.
+	// Three strategies re-fire the seed query: with the cache those are hits.
 	if m, um := co.Metrics(), coNoCache.Metrics(); m.FrontCache.Hits == 0 || um.FrontCache != (CacheMetrics{}) {
 		t.Errorf("front cache: %+v with it, %+v under -cachesize -1; want hits and all zeroes", m.FrontCache, um.FrontCache)
 	}
@@ -230,8 +254,8 @@ func TestClusterParityUnderFaults(t *testing.T) {
 		t.Fatal("session gathered nothing")
 	}
 	for _, cacheSize := range frontCacheSizes {
-		co := dialClusterCache(t, g, urls, 2, 0, cacheSize)
-		cq, cp, cr := ss.run(t, core.NewL2QBAL(), co)
+		remote, _ := serveCoordinator(t, g, dialClusterCache(t, urls, 2, 0, cacheSize))
+		cq, cp, cr := ss.run(t, core.NewL2QBAL(), remote)
 		if !reflect.DeepEqual(lq, cq) {
 			t.Errorf("cachesize %d: fired queries differ under faults:\n local %v\ncluster %v", cacheSize, lq, cq)
 		}
@@ -274,8 +298,8 @@ func (k *killSwitch) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // TestClusterNodeKillFailover kills one node outright: with replicas=2
 // every partition it owned has a live replica, so scatters stay complete
-// (no lost hits, rankings still identical to single-node) and the fan-out
-// gauges show the failovers.
+// (no lost hits, rankings through a client on the coordinator server still
+// identical to single-node) and the fan-out gauges show the failovers.
 func TestClusterNodeKillFailover(t *testing.T) {
 	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
 	if err != nil {
@@ -290,9 +314,18 @@ func TestClusterNodeKillFailover(t *testing.T) {
 	})
 	// Dialed while every node is up, searched (front cache on, then off)
 	// with node 1 down.
-	var cos []*Coordinator
+	var (
+		cos     []*Coordinator
+		remotes []*Client
+		coURL   string
+	)
 	for _, cacheSize := range frontCacheSizes {
-		cos = append(cos, dialClusterCache(t, g, urls, 2, 0, cacheSize))
+		co := dialClusterCache(t, urls, 2, 0, cacheSize)
+		remote, u := serveCoordinator(t, g, co)
+		if coURL == "" {
+			coURL = u
+		}
+		cos, remotes = append(cos, co), append(remotes, remote)
 	}
 	kills[1].down.Store(true)
 
@@ -304,19 +337,11 @@ func TestClusterNodeKillFailover(t *testing.T) {
 		for _, e := range g.Corpus.Entities[:6] {
 			seed := e.SeedTokens()
 			want := engine.SearchWithSeed(seed, nil)
-			got, err := co.Retrieve(ctx, nil, seed, nil)
+			got, err := remotes[ci].Retrieve(ctx, nil, seed, nil)
 			if err != nil {
 				t.Fatalf("cachesize %d, entity %q: scatter with node 1 down failed: %v", cacheSize, e.Name, err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("cachesize %d, entity %q: %d hits with node down, want %d — hits were lost", cacheSize, e.Name, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].Page.ID != want[i].Page.ID || got[i].Score != want[i].Score {
-					t.Fatalf("cachesize %d, entity %q rank %d: (doc %d, %v) vs single-node (doc %d, %v)",
-						cacheSize, e.Name, i, got[i].Page.ID, got[i].Score, want[i].Page.ID, want[i].Score)
-				}
-			}
+			requireRanking(t, fmt.Sprintf("cachesize %d, entity %q with node 1 down", cacheSize, e.Name), got, want)
 			checked += len(want)
 		}
 		if checked == 0 {
@@ -333,12 +358,8 @@ func TestClusterNodeKillFailover(t *testing.T) {
 			t.Errorf("cachesize %d, metrics %+v: no errors recorded against the killed node", cacheSize, m)
 		}
 	}
-	co := cos[0]
-
 	// The coordinator server surfaces the same gauges on /api/v1/metrics.
-	coSrv := httptest.NewServer(NewCoordinatorServer(co).Handler())
-	t.Cleanup(coSrv.Close)
-	resp, err := http.Get(coSrv.URL + "/api/v1/metrics")
+	resp, err := http.Get(coURL + "/api/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,24 +373,32 @@ func TestClusterNodeKillFailover(t *testing.T) {
 	}
 }
 
-// TestClusterSlowNodePartial: with no replicas to fail over to, a node
-// past the per-node deadline costs its partitions only — the scatter
-// returns promptly with the live partitions' ranking flagged Partial, and
-// the retriever surface converts the flag into ErrPartial rather than
-// passing off a shortened list as complete.
-func TestClusterSlowNodePartial(t *testing.T) {
-	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
-	if err != nil {
-		t.Fatal(err)
-	}
+// slowNodeCluster is three nodes at replicas 1 behind a coordinator with
+// a per-node deadline of deadline, node 2 then slowed far past it: every
+// scatter loses node 2's partition, with no replica to fail over to.
+func slowNodeCluster(t *testing.T, g *synth.Generated, deadline time.Duration) *Coordinator {
+	t.Helper()
 	injs := make([]*FaultInjector, 3)
 	urls := startClusterNodes(t, g, 3, 1, func(i int, h http.Handler) http.Handler {
 		injs[i] = &FaultInjector{Next: h}
 		return injs[i]
 	})
-	const deadline = 150 * time.Millisecond
-	co := dialCluster(t, g, urls, 1, deadline)
+	co := dialCluster(t, urls, 1, deadline)
 	injs[2].SetLatency(2 * time.Second)
+	return co
+}
+
+// TestClusterSlowNodePartial: with no replicas to fail over to, a node
+// past the per-node deadline costs its partitions only — the scatter
+// returns promptly with the live partitions' ranking flagged Partial
+// (TestClientRefusesPartialRanking holds what the retriever makes of it).
+func TestClusterSlowNodePartial(t *testing.T) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const deadline = 150 * time.Millisecond
+	co := slowNodeCluster(t, g, deadline)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -392,25 +421,48 @@ func TestClusterSlowNodePartial(t *testing.T) {
 	if m := co.Metrics(); m.Partials == 0 {
 		t.Errorf("metrics %+v: partial scatter not counted", m)
 	}
+}
 
-	if _, err := co.Retrieve(ctx, nil, seed, nil); !errors.Is(err, ErrPartial) {
-		t.Errorf("retriever surface returned %v for a partial scatter, want ErrPartial", err)
-	}
-
-	// The HTTP surface serves the flagged partial instead.
-	coSrv := httptest.NewServer(NewCoordinatorServer(co).Handler())
-	t.Cleanup(coSrv.Close)
-	hresp, err := http.Get(coSrv.URL + "/api/v1/search?" + url.Values{"seed": seed}.Encode())
+// TestClientRefusesPartialRanking: a Client dialed to a coordinator server
+// is the retriever through a cluster, and core.Retriever promises the
+// complete ranked list or an error. Asked while a partition has no live
+// owner, Retrieve re-issues the search (the coordinator never caches a
+// partial) and then fails with a *TransportError wrapping ErrPartial —
+// never the live partitions' shortened list — while the HTTP surface
+// itself still serves the flagged partial to whoever reads the flag.
+func TestClientRefusesPartialRanking(t *testing.T) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hresp.Body.Close()
-	var sr SearchResponse
-	if err := json.NewDecoder(hresp.Body).Decode(&sr); err != nil {
+	co := slowNodeCluster(t, g, 150*time.Millisecond)
+	srv := httptest.NewServer(NewCoordinatorServer(co).Handler())
+	t.Cleanup(srv.Close)
+	const attempts = 2
+	c, err := DialContext(context.Background(), srv.URL, g.Tokenizer,
+		ClientOptions{Retry: RetryPolicy{MaxAttempts: attempts, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !sr.Partial || len(sr.Hits) == 0 {
-		t.Errorf("HTTP surface served %+v: want a flagged, non-empty partial", sr)
+
+	seed := g.Corpus.Entities[0].SeedTokens()
+	scatters := co.Metrics().Scatters
+	res, err := c.Retrieve(context.Background(), nil, seed, nil)
+	var te *TransportError
+	if !errors.Is(err, ErrPartial) || !errors.As(err, &te) || res != nil {
+		t.Fatalf("Retrieve over a partial scatter = %d results, %v; want no list and a *TransportError wrapping ErrPartial", len(res), err)
+	}
+	if te.Attempts != attempts || co.Metrics().Scatters != scatters+attempts {
+		t.Errorf("%+v after %d scatters: want each of the %d attempts to scatter afresh", te, co.Metrics().Scatters-scatters, attempts)
+	}
+	if m := c.Metrics(); m.CachedPages != 0 {
+		t.Errorf("client metrics %+v: a refused response left pages behind", m)
+	}
+
+	status, body := rawGet(t, srv.URL+"/api/v1/search?"+url.Values{"seed": seed}.Encode(), false)
+	var sr SearchResponse
+	if err := json.Unmarshal(body, &sr); status != http.StatusOK || err != nil || !sr.Partial || len(sr.Hits) == 0 {
+		t.Errorf("HTTP surface served %d %+v (decode %v): want a flagged, non-empty partial", status, sr, err)
 	}
 }
 
@@ -426,7 +478,7 @@ func TestClusterScatterHonorsCallerCtx(t *testing.T) {
 		injs[i] = &FaultInjector{Next: h}
 		return injs[i]
 	})
-	co := dialCluster(t, g, urls, 2, 5*time.Second)
+	co := dialCluster(t, urls, 2, 5*time.Second)
 	for _, inj := range injs {
 		inj.SetLatency(2 * time.Second)
 	}
@@ -435,7 +487,7 @@ func TestClusterScatterHonorsCallerCtx(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = co.Retrieve(ctx, nil, seed, nil)
+	_, err = co.Scatter(ctx, seed, nil, 0)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("scatter under an expired caller ctx reported success")
@@ -451,7 +503,7 @@ func TestClusterScatterHonorsCallerCtx(t *testing.T) {
 	dead, cancelDead := context.WithCancel(context.Background())
 	cancelDead()
 	before := co.Metrics().Scatters
-	if _, err := co.Retrieve(dead, nil, seed, nil); err == nil {
+	if _, err := co.Scatter(dead, seed, nil, 0); err == nil {
 		t.Fatal("scatter under a canceled ctx reported success")
 	}
 	if co.Metrics().Scatters != before+1 {
@@ -461,26 +513,28 @@ func TestClusterScatterHonorsCallerCtx(t *testing.T) {
 
 // TestClusterWideOwnerChain: the page fetch sorts the whole owner chain
 // by load whatever its length — replicas 9 on 9 nodes used to index past
-// a fixed 8-slot scratch and panic the coordinator on the first page.
+// a fixed 8-slot scratch and panic the coordinator on the first page — and
+// passes on the owner's bytes.
 func TestClusterWideOwnerChain(t *testing.T) {
 	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := dialCluster(t, g, startClusterNodes(t, g, 9, 9, nil), 9, 0)
+	co := dialCluster(t, startClusterNodes(t, g, 9, 9, nil), 9, 0)
 	want := g.Corpus.Pages[0]
-	got, err := co.PageCtx(context.Background(), want.ID)
+	got, err := co.PageHTML(context.Background(), want.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != want.ID || html.RenderPage(got) != html.RenderPage(want) {
+	if got != html.RenderPage(want) {
 		t.Errorf("page %d fetched through a 9-owner chain differs from the corpus copy", want.ID)
 	}
 }
 
 // TestClusterEndpointGating: cluster endpoints 501 on a plain server, the
-// node-local search answers 503 (retryable) until the coordinator's stat
-// push lands, and an implausible push is rejected 400.
+// jobs routes 501 on a node, the node-local search answers 503 (retryable)
+// until the coordinator's stat push lands, and an implausible push is
+// rejected 400.
 func TestClusterEndpointGating(t *testing.T) {
 	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
 	if err != nil {
@@ -508,8 +562,25 @@ func TestClusterEndpointGating(t *testing.T) {
 		}
 	}
 
-	// Node before any stat push: cluster search is a retryable 503.
+	// Node: no jobs — its sessions would rank a fraction of the corpus.
 	urls := startClusterNodes(t, g, 2, 1, nil)
+	for _, tc := range []struct{ method, path string }{
+		{"POST", "/api/v1/jobs"}, {"GET", "/api/v1/jobs/j1"}, {"DELETE", "/api/v1/jobs/j1"},
+	} {
+		req, _ := http.NewRequest(tc.method, urls[0]+tc.path, strings.NewReader(`{"entities":[0],"aspect":"RESEARCH"}`))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env errorEnvelope
+		derr := json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotImplemented || derr != nil || env.Error.Code != "not_implemented" {
+			t.Errorf("%s %s on a node = %d %+v, want the 501 envelope", tc.method, tc.path, resp.StatusCode, env.Error)
+		}
+	}
+
+	// Node before any stat push: cluster search is a retryable 503.
 	resp, err := http.Get(urls[0] + "/api/v1/cluster/search?part=0&q=research")
 	if err != nil {
 		t.Fatal(err)
@@ -535,8 +606,7 @@ func TestClusterEndpointGating(t *testing.T) {
 	}
 
 	// An unowned partition is a caller error, not a silent empty result.
-	co := dialCluster(t, g, urls, 1, 0)
-	_ = co // the dial's push makes node 0 ready
+	_ = dialCluster(t, urls, 1, 0) // the dial's push makes node 0 ready
 	resp2, err := http.Get(urls[0] + "/api/v1/cluster/search?part=1&q=research")
 	if err != nil {
 		t.Fatal(err)
@@ -619,9 +689,9 @@ func TestNodeServesOnlyOwnedPages(t *testing.T) {
 // every process defaults to. The node used to reject replicas 2 of 1 node
 // (after building its corpus) while the coordinator clamped the same value
 // to 1; both now apply search.ClampReplicas and the cluster dials, ranks
-// like the single-node engine and proxies pages — held as bodies in the
-// coordinator's bounded cache, which its metrics show, not in its node
-// client. Front cache on and off.
+// like the single-node engine through a client on its server and proxies
+// pages — held as bodies in the coordinator's bounded cache, which its
+// metrics show, not in its node client. Front cache on and off.
 func TestClusterOneNode(t *testing.T) {
 	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
 	if err != nil {
@@ -630,30 +700,22 @@ func TestClusterOneNode(t *testing.T) {
 	engine := search.NewEngine(search.BuildIndex(g.Corpus.Pages))
 	urls := startClusterNodes(t, g, 1, 2, nil)
 	for _, cacheSize := range frontCacheSizes {
-		co := dialClusterCache(t, g, urls, 2, 0, cacheSize)
+		co := dialClusterCache(t, urls, 2, 0, cacheSize)
 		if m := co.Metrics(); m.Nodes != 1 || m.Replicas != 1 || m.BodyCache != (CacheMetrics{}) {
 			t.Fatalf("cachesize %d: 1-node cluster metrics %+v: want 1 node, replicas clamped to 1, an empty body cache", cacheSize, m)
 		}
+		remote, coURL := serveCoordinator(t, g, co)
 		seed := g.Corpus.Entities[0].SeedTokens()
 		want := engine.SearchWithSeed(seed, nil)
-		got, err := co.Retrieve(context.Background(), nil, seed, nil)
+		got, err := remote.Retrieve(context.Background(), nil, seed, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) || len(want) == 0 {
-			t.Fatalf("cachesize %d: %d hits, single-node engine %d", cacheSize, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Page.ID != want[i].Page.ID || got[i].Score != want[i].Score {
-				t.Fatalf("cachesize %d, rank %d: (doc %d, %v) vs single-node (doc %d, %v)", cacheSize, i, got[i].Page.ID, got[i].Score, want[i].Page.ID, want[i].Score)
-			}
-		}
+		requireRanking(t, fmt.Sprintf("cachesize %d", cacheSize), got, want)
 
 		// What a coordinator holds, where an operator can see it:
 		// /api/v1/metrics → cluster.{frontCache,bodyCache}.
-		coSrv := httptest.NewServer(NewCoordinatorServer(co).Handler())
-		t.Cleanup(coSrv.Close)
-		_, body := rawGet(t, coSrv.URL+"/api/v1/metrics", false)
+		_, body := rawGet(t, coURL+"/api/v1/metrics", false)
 		var sm ServerMetrics
 		if err := json.Unmarshal(body, &sm); err != nil {
 			t.Fatal(err)
@@ -764,7 +826,8 @@ func TestClusterStatsPushValidation(t *testing.T) {
 	// Ready nodes (the dial pushes what the coordinator aggregated — the
 	// same numbers) keep ranking like the single node across rejected
 	// pushes. No front cache: every Retrieve is scored by the nodes.
-	co := dialClusterCache(t, g, urls, 2, 0, -1)
+	co := dialClusterCache(t, urls, 2, 0, -1)
+	remote, _ := serveCoordinator(t, g, co)
 	if !reflect.DeepEqual(co.global, honest) {
 		t.Fatalf("coordinator aggregated %d terms / %d tokens / μ %v, single-node index %d / %d / %v",
 			co.global.NumTerms, co.global.TotalTokens, co.global.Mu, honest.NumTerms, honest.TotalTokens, honest.Mu)
@@ -774,19 +837,11 @@ func TestClusterStatsPushValidation(t *testing.T) {
 		for _, e := range g.Corpus.Entities[:6] {
 			seed := e.SeedTokens()
 			want := engine.SearchWithSeed(seed, []textproc.Token{"research"})
-			got, err := co.Retrieve(context.Background(), nil, seed, []textproc.Token{"research"})
+			got, err := remote.Retrieve(context.Background(), nil, seed, []textproc.Token{"research"})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) || len(want) == 0 {
-				t.Fatalf("%s: entity %d: %d hits, single-node engine %d", when, e.ID, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].Page.ID != want[i].Page.ID || got[i].Score != want[i].Score {
-					t.Fatalf("%s: entity %d rank %d: (doc %d, %v) vs single-node (doc %d, %v)",
-						when, e.ID, i, got[i].Page.ID, got[i].Score, want[i].Page.ID, want[i].Score)
-				}
-			}
+			requireRanking(t, fmt.Sprintf("%s: entity %d", when, e.ID), got, want)
 		}
 	}
 	requireSingleNodeRanking("after the dial")

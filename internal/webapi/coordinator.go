@@ -6,10 +6,11 @@ package webapi
 // over the negotiated wire codec, per-node deadlines bound the slowest
 // link, a failed or late owner fails over to its replica (a hedge), and
 // the per-partition top-K lists merge — partitions are disjoint, so no
-// dedup — into the global ranking. The coordinator implements
-// core.Retriever, so harvesting sessions are distribution-oblivious: the
-// same session code runs against an in-process engine, a single remote
-// server, or a cluster.
+// dedup — into the global ranking. The coordinator searches and proxies
+// page bytes; it parses no page and holds no tokenizer. What a harvesting
+// session retrieves through is a Client dialed to the coordinator's server
+// (NewCoordinatorServer), so the same session code runs against an
+// in-process engine, a single remote server, or a cluster.
 //
 // At dial time the coordinator aggregates every node's primary-partition
 // collection statistics into the global model, derives the global μ with
@@ -33,9 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"l2q/internal/core"
 	"l2q/internal/corpus"
-	"l2q/internal/html"
 	"l2q/internal/search"
 	"l2q/internal/textproc"
 )
@@ -44,13 +43,6 @@ import (
 // page transfers run under the caller's context, since a slow bulk link
 // is not a node failure).
 const DefaultNodeDeadline = 2 * time.Second
-
-// ErrPartial is returned by the coordinator's retriever surface when a
-// scatter lost partitions: core.Retriever promises a complete ranked
-// list or an error, never a silently shortened one. The HTTP serving
-// surface instead serves the flagged partial (SearchResponse.Partial),
-// where the client can see the flag and decide.
-var ErrPartial = errors.New("cluster: partial result — one or more partitions had no live owner")
 
 // CoordinatorConfig configures DialCoordinator.
 type CoordinatorConfig struct {
@@ -64,7 +56,8 @@ type CoordinatorConfig struct {
 	// over to the next replica (default DefaultNodeDeadline).
 	NodeDeadline time.Duration
 	// Client configures the per-node transports (retry policy, codec,
-	// timeout, prefetch workers).
+	// timeout) and, through PrefetchWorkers, how many owner downloads one
+	// hit list runs at once.
 	Client ClientOptions
 	// CacheSize is the capacity of the front result cache, with
 	// search.Options.CacheSize's meaning: 0 picks search.DefaultCacheSize,
@@ -101,8 +94,6 @@ type Coordinator struct {
 	stats    Stats
 	entities []EntityInfo
 	topK     int
-	// tok turns a cached body back into a page for the retriever surface.
-	tok *textproc.Tokenizer
 
 	// front caches complete responses by (k, seed, query) ahead of the
 	// fan-out — the one place in a cluster where a hit saves the round
@@ -132,8 +123,9 @@ type Coordinator struct {
 // DialCoordinator dials every node, verifies the shared cluster geometry,
 // aggregates the nodes' primary-partition statistics into the global
 // collection model, and pushes that model back to every node. The ctx
-// bounds the whole registration exchange.
-func DialCoordinator(ctx context.Context, cfg CoordinatorConfig, tok *textproc.Tokenizer) (*Coordinator, error) {
+// bounds the whole registration exchange. The node clients are dialed
+// without a tokenizer: the coordinator never parses a page.
+func DialCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, error) {
 	n := len(cfg.Nodes)
 	if n < 1 {
 		return nil, fmt.Errorf("cluster: need at least one node")
@@ -152,7 +144,6 @@ func DialCoordinator(ctx context.Context, cfg CoordinatorConfig, tok *textproc.T
 		peers:        make([]*nodePeer, n),
 		nodeDeadline: deadline,
 		prefetch:     cfg.Client.withDefaults().PrefetchWorkers,
-		tok:          tok,
 		front:        search.NewLRU[SearchResponse](search.Options{CacheSize: cfg.CacheSize}.Capacity()),
 		bodies:       search.NewLRU[string](maxBodies),
 	}
@@ -165,7 +156,7 @@ func DialCoordinator(ctx context.Context, cfg CoordinatorConfig, tok *textproc.T
 		wg.Add(1)
 		go func(i int, base string) {
 			defer wg.Done()
-			cli, err := DialContext(ctx, base, tok, cfg.Client)
+			cli, err := DialContext(ctx, base, nil, cfg.Client)
 			if err != nil {
 				errs[i] = err
 				return
@@ -258,9 +249,6 @@ func DialCoordinator(ctx context.Context, cfg CoordinatorConfig, tok *textproc.T
 // Stats returns the aggregated serving statistics — field-for-field what
 // a single-node server over the whole corpus reports.
 func (co *Coordinator) Stats() Stats { return co.stats }
-
-// TopK implements core.Retriever.
-func (co *Coordinator) TopK() int { return co.topK }
 
 // scatterScratch is the pooled fan-out state of one Scatter call: the
 // per-partition response slots, the miss mask, the owner-chain buffer,
@@ -438,35 +426,6 @@ func (co *Coordinator) searchPartition(ctx context.Context, part int, seed, quer
 	return nil, false
 }
 
-// Retrieve implements core.Retriever: scatter the search, then download
-// the global top-k pages from their owning nodes (replica failover per
-// page). Either the complete ranked list is returned or an error — a
-// flagged partial becomes ErrPartial here, because this surface has no
-// flag channel and must never silently shorten a result list.
-func (co *Coordinator) Retrieve(ctx context.Context, dst []search.Result, seed, query []textproc.Token) ([]search.Result, error) {
-	resp, err := co.Scatter(ctx, seed, query, co.topK)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Partial {
-		return nil, ErrPartial
-	}
-	return fetchResults(ctx, dst, resp.Hits, co.prefetch, co.PageCtx)
-}
-
-// PageCtx returns one page for the retriever surface, parsed on demand
-// from the body PageHTML holds or fetches; its URL names the partition's
-// primary owner.
-func (co *Coordinator) PageCtx(ctx context.Context, id corpus.PageID) (*corpus.Page, error) {
-	body, err := co.PageHTML(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	p := html.ParsePage(body, -1, co.tok)
-	p.URL = co.peers[co.ring.Partition(id)].base + html.PageHref(id)
-	return p, nil
-}
-
 // PageHTML returns the bytes the owning nodes serve at /page/{id}: from
 // the body cache, or downloaded from the partition's owner chain, failing
 // over on error, and cached. Owners replicate whole partitions, so every
@@ -484,7 +443,7 @@ func (co *Coordinator) PageHTML(ctx context.Context, id corpus.PageID) (string, 
 	if body, ok := co.bodies.Get(key); ok {
 		return body, nil
 	}
-	body, _, err := co.flight.do(ctx, id, func() (string, error) {
+	body, err := co.flight.do(ctx, id, func() (string, error) {
 		body, err := co.fetchBody(ctx, id)
 		if err != nil {
 			return "", err
@@ -538,6 +497,77 @@ func (co *Coordinator) fetchBody(ctx context.Context, id corpus.PageID) (string,
 		lastErr = err
 	}
 	return "", lastErr
+}
+
+// flightGroup is a minimal singleflight keyed by page ID: one in-flight
+// owner download per page, concurrent requesters (hit lists being attached
+// at once) share the result.
+type flightGroup[V any] struct {
+	mu sync.Mutex
+	m  map[corpus.PageID]*flightCall[V]
+}
+
+type flightCall[V any] struct {
+	done chan struct{}
+	v    V
+	err  error
+	// canceled records whether the leader's OWN context was done when the
+	// flight completed — the signal that lets a live-context waiter retry
+	// instead of inheriting a cancellation that was never its own.
+	canceled bool
+	// joins counts the followers that found this call in flight, under
+	// the group's mu: what a test waits on before it lets the leader end.
+	joins int
+}
+
+// do runs fn once per concurrently-requested id: the first caller (the
+// leader) runs it under its own context, followers wait for its result
+// instead of re-paying the transfer. A follower whose own context is
+// canceled while waiting returns
+// its context error; a leader failure is shared with the waiters and the
+// flight slot is released, so the next caller retries fresh.
+//
+// One failure is deliberately NOT shared: a leader that died of its own
+// context's cancellation. Without this carve-out one query's mid-prefetch
+// abort would poison every concurrent query waiting on a shared page with
+// a spurious context.Canceled. A live-context waiter goes round again
+// (typically becoming the next leader). The signal is the leader's
+// context state at completion — not the error's identity, which would
+// also match a terminal failure built from per-request HTTP timeouts and
+// make K waiters serially re-pay a dead server's full retry budget.
+func (g *flightGroup[V]) do(ctx context.Context, id corpus.PageID, fn func() (V, error)) (V, error) {
+	for {
+		g.mu.Lock()
+		if g.m == nil {
+			g.m = make(map[corpus.PageID]*flightCall[V])
+		}
+		call, ok := g.m[id]
+		if !ok {
+			break // the leader: g.mu stays held until its call is registered below
+		}
+		call.joins++
+		g.mu.Unlock()
+		select {
+		case <-call.done:
+			if call.err != nil && call.canceled && ctx.Err() == nil {
+				continue // the LEADER was canceled, not us — retry fresh
+			}
+			return call.v, call.err
+		case <-ctx.Done():
+			var zero V
+			return zero, ctx.Err()
+		}
+	}
+	call := &flightCall[V]{done: make(chan struct{})}
+	g.m[id] = call
+	g.mu.Unlock()
+	call.v, call.err = fn()
+	call.canceled = ctx.Err() != nil
+	g.mu.Lock()
+	delete(g.m, id)
+	g.mu.Unlock()
+	close(call.done)
+	return call.v, call.err
 }
 
 // ClusterNodeMetrics is one node's row in the fan-out gauges.
@@ -618,8 +648,8 @@ func (co *Coordinator) Metrics() ClusterMetrics {
 // surface: /api/v1/{stats,search,entities,metrics} and /page/{id}
 // answer from the cluster (searches scatter-gather, pages proxy to their
 // owning node), with the same admission control, codec negotiation and
-// error envelope as a single-node server. With a HarvestBackend attached,
-// server-side harvest sessions retrieve through the coordinator itself.
+// error envelope as a single-node server. The jobs API answers 501 here:
+// a harvest through a cluster is a Client session dialed to this server.
 func NewCoordinatorServer(co *Coordinator) *Server {
 	return newServer(clusterBackend{co})
 }
@@ -636,22 +666,11 @@ func (b clusterBackend) search(ctx context.Context, seed, query []textproc.Token
 
 func (b clusterBackend) entities() []EntityInfo { return b.co.entities }
 
-func (b clusterBackend) entity(id corpus.EntityID) *corpus.Entity {
-	for _, e := range b.co.entities {
-		if e.ID == id {
-			return &corpus.Entity{ID: e.ID, Domain: corpus.Domain(b.co.stats.Domain), Name: e.Name, SeedQuery: e.SeedQuery}
-		}
-	}
-	return nil
-}
-
 func (b clusterBackend) page(ctx context.Context, id corpus.PageID) (string, error) {
 	return b.co.PageHTML(ctx, id)
 }
 
 func (b clusterBackend) pageWorkers() int { return b.co.prefetch }
-
-func (b clusterBackend) retriever() core.Retriever { return b.co }
 
 func (b clusterBackend) metrics(m *ServerMetrics) {
 	cm := b.co.Metrics()

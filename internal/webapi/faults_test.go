@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,13 +30,12 @@ var fastRetry = RetryPolicy{MaxAttempts: 10, BaseDelay: time.Millisecond, MaxDel
 // dialed stats without re-dialing (the target may be deliberately broken).
 func derivedClient(f *fixture, base string, retry RetryPolicy) *Client {
 	return &Client{
-		base:            strings.TrimRight(base, "/"),
-		http:            &http.Client{Timeout: 30 * time.Second},
-		tok:             f.g.Tokenizer,
-		stats:           f.client.stats,
-		retry:           retry.withDefaults(),
-		prefetchWorkers: 4,
-		pageCache:       make(map[corpus.PageID]*corpus.Page),
+		base:      strings.TrimRight(base, "/"),
+		http:      &http.Client{Timeout: 30 * time.Second},
+		tok:       f.g.Tokenizer,
+		stats:     f.client.stats,
+		retry:     retry.withDefaults(),
+		pageCache: make(map[corpus.PageID]*corpus.Page),
 	}
 }
 
@@ -256,102 +256,114 @@ func TestContextCancelAborts(t *testing.T) {
 	}
 }
 
-// TestPrefetchSingleflight: concurrent fetches of the same page coalesce
-// onto one download.
-func TestPrefetchSingleflight(t *testing.T) {
-	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	backend := NewServer(g.Corpus, bootLive(g.Corpus), nil).Handler()
-	var pageHits atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/page/") {
-			pageHits.Add(1)
-			time.Sleep(300 * time.Millisecond) // hold the flight open
+// awaitJoins blocks until n followers have joined the flight of id —
+// counted under g.mu by do itself, so no clock decides when the leader may
+// end.
+func awaitJoins[V any](g *flightGroup[V], id corpus.PageID, n int) {
+	for {
+		g.mu.Lock()
+		joined := 0
+		if call := g.m[id]; call != nil {
+			joined = call.joins
 		}
-		backend.ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-	client, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
+		g.mu.Unlock()
+		if joined >= n {
+			return
+		}
+		runtime.Gosched()
 	}
+}
 
-	id := g.Corpus.Pages[5].ID
-	const callers = 8
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	errs := make(chan error, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
+// TestPrefetchSingleflight: concurrent downloads of one page — hit lists
+// the coordinator attaches at once — coalesce onto the leader's one call,
+// and every follower gets its result.
+func TestPrefetchSingleflight(t *testing.T) {
+	var g flightGroup[string]
+	const id, followers = corpus.PageID(5), 7
+	var calls atomic.Int64
+	entered, release := make(chan struct{}), make(chan struct{})
+	leader := make(chan string, 1)
+	go func() {
+		body, _ := g.do(context.Background(), id, func() (string, error) {
+			calls.Add(1)
+			close(entered)
+			<-release
+			return "page 5", nil
+		})
+		leader <- body
+	}()
+	<-entered // the leader holds the flight
+
+	type result struct {
+		body string
+		err  error
+	}
+	results := make(chan result, followers)
+	for i := 0; i < followers; i++ {
 		go func() {
-			defer wg.Done()
-			<-start
-			_, err := client.PageCtx(context.Background(), id)
-			errs <- err
+			body, err := g.do(context.Background(), id, func() (string, error) {
+				calls.Add(1)
+				return "a second download", nil
+			})
+			results <- result{body, err}
 		}()
 	}
-	close(start)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
+	awaitJoins(&g, id, followers)
+	close(release)
+
+	if body := <-leader; body != "page 5" {
+		t.Errorf("leader got %q", body)
+	}
+	for i := 0; i < followers; i++ {
+		if r := <-results; r.body != "page 5" || r.err != nil {
+			t.Errorf("follower got %+v, want the leader's body", r)
 		}
 	}
-	if n := pageHits.Load(); n != 1 {
-		t.Errorf("%d concurrent fetches hit the server %d times, want 1", callers, n)
-	}
-	if m := client.Metrics(); m.PrefetchShared == 0 {
-		t.Errorf("no fetch was coalesced, metrics %+v", m)
+	if n := calls.Load(); n != 1 {
+		t.Errorf("%d concurrent requests ran %d downloads, want 1", followers+1, n)
 	}
 }
 
 // TestSingleflightLeaderCancelDoesNotPoisonFollowers: a flight runs under
 // its leader's context, so a leader aborted by its OWN cancellation (one
-// query's prefetch bailing out) must not fail a follower whose context is
-// alive — the follower retries the fetch instead of inheriting the
+// hit list's attach bailing out) must not fail a follower whose context is
+// alive — the follower runs the download itself instead of inheriting the
 // spurious context.Canceled.
 func TestSingleflightLeaderCancelDoesNotPoisonFollowers(t *testing.T) {
-	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	backend := NewServer(g.Corpus, bootLive(g.Corpus), nil).Handler()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/page/") {
-			time.Sleep(200 * time.Millisecond) // hold the flight open
-		}
-		backend.ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-	client, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	id := g.Corpus.Pages[9].ID
+	var g flightGroup[string]
+	const id = corpus.PageID(9)
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	entered := make(chan struct{})
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, err := client.PageCtx(leaderCtx, id)
+		_, err := g.do(leaderCtx, id, func() (string, error) {
+			close(entered)
+			<-leaderCtx.Done() // a download its own caller abandons
+			return "", leaderCtx.Err()
+		})
 		leaderErr <- err
 	}()
-	time.Sleep(50 * time.Millisecond) // let the leader take the flight
-	followerErr := make(chan error, 1)
+	<-entered
+
+	type result struct {
+		body string
+		err  error
+	}
+	follower := make(chan result, 1)
 	go func() {
-		_, err := client.PageCtx(context.Background(), id)
-		followerErr <- err
+		body, err := g.do(context.Background(), id, func() (string, error) {
+			return "page 9", nil
+		})
+		follower <- result{body, err}
 	}()
-	time.Sleep(50 * time.Millisecond) // let the follower join it
+	awaitJoins(&g, id, 1)
 	cancelLeader()
 
 	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
 		t.Errorf("leader error %v, want its own cancellation", err)
 	}
-	if err := <-followerErr; err != nil {
-		t.Errorf("live-context follower inherited the leader's cancellation: %v", err)
+	if r := <-follower; r.err != nil || r.body != "page 9" {
+		t.Errorf("live-context follower got %+v: it inherited the leader's cancellation instead of downloading", r)
 	}
 }
 

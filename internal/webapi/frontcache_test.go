@@ -39,7 +39,7 @@ func TestFrontCacheNeverAliases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := dialCluster(t, g, startClusterNodes(t, g, 3, 2, nil), 2, 0)
+	co := dialCluster(t, startClusterNodes(t, g, 3, 2, nil), 2, 0)
 	srv := httptest.NewServer(NewCoordinatorServer(co).Handler())
 	t.Cleanup(srv.Close)
 
@@ -128,7 +128,7 @@ func TestFrontCacheStoresOnlyCompleteResults(t *testing.T) {
 		kills[i] = &killSwitch{next: h}
 		return kills[i]
 	})
-	co := dialCluster(t, g, urls, 2, 0)
+	co := dialCluster(t, urls, 2, 0)
 	owners := search.NewRing(3, 2, 0).Owners(0)
 	setDown := func(nodes []int, down bool) {
 		for _, n := range nodes {
@@ -201,8 +201,8 @@ func TestFrontCacheMatchesScatter(t *testing.T) {
 		t.Fatal(err)
 	}
 	urls := startClusterNodes(t, g, 3, 2, nil)
-	cached := dialClusterCache(t, g, urls, 2, 0, 64) // small: evictions and re-fills run too
-	uncached := dialClusterCache(t, g, urls, 2, 0, -1)
+	cached := dialClusterCache(t, urls, 2, 0, 64) // small: evictions and re-fills run too
+	uncached := dialClusterCache(t, urls, 2, 0, -1)
 
 	rng := rand.New(rand.NewPCG(23, 0))
 	pages := g.Corpus.Pages
@@ -335,7 +335,7 @@ func TestCoordinatorBodyCacheBounded(t *testing.T) {
 		tampers[i] = newPageTamper(h)
 		return tampers[i]
 	})
-	co := dialCluster(t, g, urls, 2, 0)
+	co := dialCluster(t, urls, 2, 0)
 	const bound = 32
 	co.bodies = search.NewLRU[string](bound) // maxBodies would hold this whole corpus
 	srv := httptest.NewServer(NewCoordinatorServer(co).Handler())
@@ -410,7 +410,7 @@ func BenchmarkCoordinatorFrontHitAllocs(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	co := dialCluster(b, g, startClusterNodes(b, g, 3, 2, nil), 2, 0)
+	co := dialCluster(b, startClusterNodes(b, g, 3, 2, nil), 2, 0)
 	ctx := context.Background()
 	seed, query := g.Corpus.Entities[3].SeedTokens(), []textproc.Token{"research", "data mining"}
 	resp, err := co.Scatter(ctx, seed, query, 0) // the miss that fills the cache

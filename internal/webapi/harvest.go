@@ -31,8 +31,8 @@ import (
 // HarvestBackend supplies everything a server-side harvest needs beyond
 // the server's retrieval backend: the L2Q configuration, the materialized
 // relevance functions, the type system, and (typically lazily learned and
-// cached) domain models. Assign it to Server.Harvest to enable the jobs
-// API; a nil backend leaves it disabled (501).
+// cached) domain models. Assign it to the Harvest field of a NewServer
+// server to enable the jobs API; a nil backend leaves it disabled (501).
 type HarvestBackend struct {
 	// Cfg is the L2Q model configuration; its Tokenizer must match the
 	// served corpus.
@@ -313,23 +313,22 @@ func (hb *HarvestBackend) plan(req HarvestRequest) (*harvestPlan, *httpError) {
 	return p, nil
 }
 
-// buildJobs constructs one pipeline job per known entity, resuming
-// checkpointed sessions under ctx (on a coordinator the replay retrieves
-// over the network, so it must end with the job that asked for it).
-// Unknown IDs and failed resumes fail individually (an explicit per-entity
-// error event), never the whole batch. The returned entity slice is
-// aligned with the jobs.
-func (hb *HarvestBackend) buildJobs(ctx context.Context, srv *Server, req HarvestRequest, p *harvestPlan,
+// buildJobs constructs one pipeline job per known entity of b, searching
+// b's live engine (so a session follows the epochs) and resuming
+// checkpointed sessions under ctx. Unknown IDs and failed resumes fail
+// individually (an explicit per-entity error event), never the whole
+// batch. The returned entity slice is aligned with the jobs.
+func (hb *HarvestBackend) buildJobs(ctx context.Context, b *localBackend, req HarvestRequest, p *harvestPlan,
 	emit func(HarvestEvent)) (jobs []pipeline.Job, jobEntities []*corpus.Entity, failed int) {
 
 	for _, id := range req.Entities {
-		e := srv.backend.entity(id)
+		e := b.entity(id)
 		if e == nil {
 			failed++
 			emit(HarvestEvent{Type: "error", Entity: id, Error: fmt.Sprintf("unknown entity id %d", id)})
 			continue
 		}
-		sess := core.NewSession(hb.Cfg, srv.backend.retriever(), e, p.aspect, p.y, p.dm, hb.Rec, uint64(e.ID)+1)
+		sess := core.NewSession(hb.Cfg, b.live, e, p.aspect, p.y, p.dm, hb.Rec, uint64(e.ID)+1)
 		nq := req.NQueries
 		if cp, ok := p.resume[e.ID]; ok {
 			if err := sess.Resume(ctx, cp); err != nil {

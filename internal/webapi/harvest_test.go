@@ -90,33 +90,39 @@ func newHarvestFixture(t *testing.T) *harvestFixture {
 // TestHarvestEndpointParity: the server-side batch harvest produces, for
 // every entity, exactly the fired queries and gathered pages of a local
 // session with the same seed — and streams per-iteration progress events
-// in order on the way. A coordinator server with the same HarvestBackend
-// attached is held to the same bar: its sessions retrieve by
-// scatter-gather over a 3-node cluster.
+// in order on the way. Through a 3-node cluster a harvest is a remote
+// session against the coordinator server, held to the same bar; the
+// coordinator's own jobs API answers 501, HarvestBackend attached or not.
 func TestHarvestEndpointParity(t *testing.T) {
 	f := newHarvestFixture(t)
-	coServer := NewCoordinatorServer(dialCluster(t, f.g, startClusterNodes(t, f.g, 3, 2, nil), 2, 0))
-	coServer.Harvest = f.server.Harvest
-	coSrv := httptest.NewServer(coServer.Handler())
-	t.Cleanup(coSrv.Close)
-	t.Cleanup(func() { coServer.Shutdown(context.Background()) })
-	coClient, err := DialContext(context.Background(), coSrv.URL, f.g.Tokenizer, ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Run("single-node", func(t *testing.T) { testHarvestEndpointParity(t, f, f.client) })
-	t.Run("coordinator", func(t *testing.T) { testHarvestEndpointParity(t, f, coClient) })
+	targets := jobTargets(f, 3)
+	const nQueries = 2
+	t.Run("single-node", func(t *testing.T) { testHarvestEndpointParity(t, f, f.client, targets, nQueries) })
+	t.Run("coordinator", func(t *testing.T) {
+		coServer := NewCoordinatorServer(dialCluster(t, startClusterNodes(t, f.g, 3, 2, nil), 2, 0))
+		coServer.Harvest = f.server.Harvest
+		coSrv := httptest.NewServer(coServer.Handler())
+		t.Cleanup(coSrv.Close)
+		coClient, err := DialContext(context.Background(), coSrv.URL, f.g.Tokenizer, ClientOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = coClient.HarvestBatch(context.Background(), HarvestRequest{Entities: targets, Aspect: string(f.aspect), NQueries: nQueries}, nil)
+		var te *TransportError
+		if !errors.As(err, &te) || te.Status != http.StatusNotImplemented {
+			t.Errorf("a job on the coordinator: %v, want 501", err)
+		}
+		for _, id := range targets {
+			wantFired, wantPages := f.localReference(t, id, nQueries)
+			gotFired, gotPages := f.harvestVia(t, coClient, id, nQueries)
+			if len(wantFired) == 0 || !reflect.DeepEqual(gotFired, wantFired) || !reflect.DeepEqual(gotPages, wantPages) {
+				t.Errorf("entity %d through the coordinator: fired %v pages %v, local %v %v", id, gotFired, gotPages, wantFired, wantPages)
+			}
+		}
+	})
 }
 
-func testHarvestEndpointParity(t *testing.T, f *harvestFixture, client *Client) {
-	n := f.g.Corpus.NumEntities()
-	targets := []corpus.EntityID{
-		f.g.Corpus.Entities[n-3].ID,
-		f.g.Corpus.Entities[n-2].ID,
-		f.g.Corpus.Entities[n-1].ID,
-	}
-	const nQueries = 2
-
+func testHarvestEndpointParity(t *testing.T, f *harvestFixture, client *Client, targets []corpus.EntityID, nQueries int) {
 	var mu sync.Mutex
 	progress := make(map[corpus.EntityID][]HarvestEvent)
 	finished := make(map[corpus.EntityID]HarvestEvent)
@@ -149,14 +155,7 @@ func testHarvestEndpointParity(t *testing.T, f *harvestFixture, client *Client) 
 	}
 
 	for _, id := range targets {
-		e := f.g.Corpus.Entity(id)
-		// Local reference with the server's seeding convention.
-		sess := core.NewSession(f.cfg, f.engine, e, f.aspect, f.y, f.dm, f.rec, uint64(id)+1)
-		wantFired := mustRun(t, sess, core.NewL2QBAL(), nQueries)
-		var wantPages []corpus.PageID
-		for _, p := range sess.Pages() {
-			wantPages = append(wantPages, p.ID)
-		}
+		wantFired, wantPages := f.localReference(t, id, nQueries)
 
 		got, ok := finished[id]
 		if !ok {

@@ -197,7 +197,24 @@ func (j *serverJob) waitEvents(ctx context.Context, from int) (evs []HarvestEven
 // never pages.
 const maxJobBody = 1 << 20
 
+// jobsBackend returns the single-node backend server-side sessions run
+// beside — its entity table, its live engine — or answers 501 itself (ok
+// false) on a node or coordinator server: a node holds a fraction of the
+// corpus, and a harvest through a cluster is a Client session dialed to
+// the coordinator.
+func (s *Server) jobsBackend(w http.ResponseWriter) (b *localBackend, ok bool) {
+	if b, ok = s.backend.(*localBackend); !ok {
+		writeError(w, http.StatusNotImplemented,
+			"no jobs on a cluster server: harvest through a cluster as a remote session against the coordinator")
+	}
+	return b, ok
+}
+
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
+	b, ok := s.jobsBackend(w)
+	if !ok {
+		return
+	}
 	hb := s.Harvest
 	if hb == nil {
 		writeError(w, http.StatusNotImplemented, "harvesting not enabled on this server")
@@ -237,7 +254,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		j.checkpoint(cp)
 	}
 
-	go s.runJob(jctx, j, req, p)
+	go s.runJob(jctx, j, b, req, p)
 
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
@@ -246,10 +263,10 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 
 // runJob executes one async job on the shared scheduler, feeding the
 // job's event log.
-func (s *Server) runJob(ctx context.Context, j *serverJob, req HarvestRequest, p *harvestPlan) {
+func (s *Server) runJob(ctx context.Context, j *serverJob, b *localBackend, req HarvestRequest, p *harvestPlan) {
 	defer j.cancel()
 	j.setState(JobRunning)
-	jobs, jobEntities, failed := s.Harvest.buildJobs(ctx, s, req, p, j.emit)
+	jobs, jobEntities, failed := s.Harvest.buildJobs(ctx, b, req, p, j.emit)
 
 	results := s.submitHarvest(ctx, jobs, pipeline.BatchOptions{
 		Budget: p.budget,
@@ -302,6 +319,9 @@ func (s *Server) lookupJob(id string) *serverJob {
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
+	if _, ok := s.jobsBackend(w); !ok {
+		return
+	}
 	j := s.lookupJob(r.PathValue("id"))
 	if j == nil {
 		writeError(w, http.StatusNotFound, "no such job")
@@ -358,6 +378,9 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
+	if _, ok := s.jobsBackend(w); !ok {
+		return
+	}
 	id := r.PathValue("id")
 	j := s.lookupJob(id)
 	if j == nil {

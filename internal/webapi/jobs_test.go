@@ -40,8 +40,14 @@ func waitFinal(ctx context.Context, t *testing.T, j *serverJob) JobStatus {
 // localReference harvests one entity in-process with the server's seeding
 // convention.
 func (f *harvestFixture) localReference(t testing.TB, id corpus.EntityID, nQueries int) ([]core.Query, []corpus.PageID) {
+	return f.harvestVia(t, f.engine, id, nQueries)
+}
+
+// harvestVia harvests one entity through ret with the server's seeding
+// convention.
+func (f *harvestFixture) harvestVia(t testing.TB, ret core.Retriever, id corpus.EntityID, nQueries int) ([]core.Query, []corpus.PageID) {
 	e := f.g.Corpus.Entity(id)
-	sess := core.NewSession(f.cfg, f.engine, e, f.aspect, f.y, f.dm, f.rec, uint64(id)+1)
+	sess := core.NewSession(f.cfg, ret, e, f.aspect, f.y, f.dm, f.rec, uint64(id)+1)
 	fired := mustRun(t, sess, core.NewL2QBAL(), nQueries)
 	var pages []corpus.PageID
 	for _, p := range sess.Pages() {

@@ -42,7 +42,7 @@ func startEveryShape(t *testing.T, g *synth.Generated, wrapNodes func(int, http.
 		return ts.URL
 	}
 	live := search.NewLiveEngine(search.BuildIndex(g.Corpus.Pages), search.Options{}, search.LiveOptions{MemtableDocs: 16})
-	co := dialCluster(t, g, startClusterNodes(t, g, 3, 2, wrapNodes), 2, 0)
+	co := dialCluster(t, startClusterNodes(t, g, 3, 2, wrapNodes), 2, 0)
 	return []servedShape{
 		{"frozen", serve(NewServer(g.Corpus, bootLive(g.Corpus), nil))},
 		{"live", serve(NewServer(g.Corpus, live, g.Tokenizer))},
@@ -162,13 +162,17 @@ func TestSearchWithPagesMatchesPageRoute(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				resp, err := twoPhase.search(ctx, "search", "/search", url.Values{}, seed, query)
+				resp, err := twoPhase.search(ctx, "search", "/search", url.Values{}, seed, query, true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := fetchResults(ctx, nil, resp.Hits, 1, twoPhase.PageCtx)
-				if err != nil {
-					t.Fatal(err)
+				var want []search.Result
+				for _, h := range resp.Hits {
+					p, err := twoPhase.PageCtx(ctx, h.PageID)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = append(want, search.Result{Page: p, Score: h.Score})
 				}
 				if m := twoPhase.Metrics(); int(m.PageFetches) != len(want) || m.PagesAttached != 0 {
 					t.Fatalf("two-phase reference metrics %+v: want %d page GETs", m, len(want))

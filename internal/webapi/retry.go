@@ -173,16 +173,13 @@ type ClientMetrics struct {
 	Retries int64
 	// Errors counts operations that failed even after retrying.
 	Errors int64
-	// PageFetches counts pages downloaded from /page/{id} (cache and
-	// singleflight hits excluded, and so are pages that arrived inside a
-	// search response — those are PagesAttached).
+	// PageFetches counts pages downloaded from /page/{id} (cache hits
+	// excluded, and so are pages that arrived inside a search response —
+	// those are PagesAttached).
 	PageFetches int64
 	// PagesAttached counts page bodies accepted from search responses:
 	// each one a page request the harvest did not have to make.
 	PagesAttached int64
-	// PrefetchShared counts page fetches coalesced onto another in-flight
-	// download of the same page (singleflight hits).
-	PrefetchShared int64
 	// CachedPages is how many parsed pages the client holds right now. The
 	// cache is unbounded — sized by one harvest, which is what a client
 	// lives for. A coordinator's per-node clients read 0 here: it fetches
@@ -192,21 +189,19 @@ type ClientMetrics struct {
 
 // metrics is the client's live counter set.
 type metrics struct {
-	requests       atomic.Int64
-	retries        atomic.Int64
-	errors         atomic.Int64
-	pageFetches    atomic.Int64
-	pagesAttached  atomic.Int64
-	prefetchShared atomic.Int64
+	requests      atomic.Int64
+	retries       atomic.Int64
+	errors        atomic.Int64
+	pageFetches   atomic.Int64
+	pagesAttached atomic.Int64
 }
 
 func (m *metrics) snapshot() ClientMetrics {
 	return ClientMetrics{
-		Requests:       m.requests.Load(),
-		Retries:        m.retries.Load(),
-		Errors:         m.errors.Load(),
-		PageFetches:    m.pageFetches.Load(),
-		PagesAttached:  m.pagesAttached.Load(),
-		PrefetchShared: m.prefetchShared.Load(),
+		Requests:      m.requests.Load(),
+		Retries:       m.retries.Load(),
+		Errors:        m.errors.Load(),
+		PageFetches:   m.pageFetches.Load(),
+		PagesAttached: m.pagesAttached.Load(),
 	}
 }

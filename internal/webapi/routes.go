@@ -49,10 +49,10 @@ func (s *Server) routes() []apiRoute {
 		{method: "GET", path: "/healthz", h: s.handleHealthz},
 		{method: "GET", path: "/api/v1/stats", wire: wireStats, h: s.handleStats},
 		{method: "GET", path: "/api/v1/search", wire: wireSearch, h: s.handleSearch},
-		{method: "GET", path: "/api/v1/entities", wire: wireEntities, h: s.handleEntities},
+		{method: "GET", path: "/api/v1/entities", h: s.handleEntities},
 		{method: "GET", path: "/api/v1/metrics", h: s.handleMetrics},
 		{method: "GET", path: "/api/v1/cluster/search", wire: wireSearch, h: s.handleClusterSearch},
-		{method: "GET", path: "/api/v1/cluster/stats", wire: wireNodeStats, h: s.handleClusterStats},
+		{method: "GET", path: "/api/v1/cluster/stats", h: s.handleClusterStats},
 		{method: "POST", path: "/api/v1/cluster/stats", h: s.handleClusterStats},
 		{method: "POST", path: "/api/v1/ingest", wire: wireIngest, h: s.handleIngest},
 		{method: "POST", path: "/api/v1/jobs", h: s.handleJobSubmit},

@@ -102,6 +102,8 @@ type Server struct {
 	MaxInFlight int
 	// Harvest, when non-nil, enables the jobs API (POST/GET/DELETE
 	// /api/v1/jobs): server-side pipelined sessions with streamed progress.
+	// Only a NewServer server runs them; a node or coordinator server
+	// answers the jobs routes 501 either way.
 	Harvest *HarvestBackend
 	// WireDisabled turns off binary-frame negotiation: the server
 	// answers every request in JSON regardless of Accept (the mixed-
@@ -507,8 +509,8 @@ func pagesParams(w http.ResponseWriter, qv url.Values) (withPages bool, have []c
 
 // handleSearch answers one seeded search. A coordinator's partial result
 // (some partitions had no live owner) is served flagged, not errored: the
-// client sees Partial and decides; only a total outage or a dead caller
-// errors. Asked with=pages, the response also carries the pages of its
+// flag is the reader's to act on (Client.Retrieve refuses it, ErrPartial);
+// only a total outage or a dead caller errors. Asked with=pages, the response also carries the pages of its
 // hits (attachPages), so a harvest step is one round trip.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	qv := r.URL.Query()
@@ -562,9 +564,67 @@ func (s *Server) attachPages(ctx context.Context, hits []SearchHit, have []corpu
 	return nil
 }
 
-func (s *Server) handleEntities(w http.ResponseWriter, r *http.Request) {
-	out := s.backend.entities()
-	s.respond(w, r, wireEntities, func(e *store.Enc) { encodeEntitiesWire(e, out) }, out)
+// forEachHit runs fn(i) for every i in [0, n) with at most workers calls in
+// flight — the page fan-out under a server attaching bodies to a response. The first failure cancels
+// the remaining calls and is returned; so is the caller's own cancellation,
+// which would otherwise leave skipped slots looking like successes.
+func forEachHit(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(ctx, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	fctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		wg       sync.WaitGroup
+		errMu    sync.Mutex
+		firstErr error
+	)
+	work := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				if fctx.Err() != nil {
+					continue // another call failed; drain without calling
+				}
+				if err := fn(fctx, i); err != nil {
+					errMu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					errMu.Unlock()
+					cancel()
+				}
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		if fctx.Err() != nil {
+			break // one failure fails the whole list; stop dispatching
+		}
+		work <- i
+	}
+	close(work)
+	wg.Wait()
+	if firstErr == nil {
+		firstErr = ctx.Err()
+	}
+	return firstErr
+}
+
+// handleEntities answers JSON whatever Accept says: the entity list is read
+// once per dial, not per step (wire kind 5 is retired).
+func (s *Server) handleEntities(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, s.backend.entities())
 }
 
 // handlePage serves one corpus page at /page/{id} where {id} is

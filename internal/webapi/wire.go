@@ -1,8 +1,8 @@
 package webapi
 
 // The binary wire protocol: a length-prefixed, CRC-framed encoding for
-// the serving boundary's hot payloads — search hits, page bodies, ingest
-// batches and the cluster's registration reports. It extends the
+// the serving boundary's hot payloads — search hits, page bodies and
+// ingest batches. It extends the
 // framed-CRC idiom of the durable store artifacts (L2QSTOR1, L2QCKPT1,
 // L2QDOM1) to the live wire, reusing the store package's exported payload
 // primitives (store.Enc/store.Dec).
@@ -36,7 +36,6 @@ import (
 	"hash/crc32"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 
 	"l2q/internal/corpus"
@@ -54,23 +53,20 @@ const wireContentType = "application/x-l2q-wire"
 // Exported for flag help text and for non-Go clients of the API.
 const WireContentType = wireContentType
 
-// Frame payload kinds. Two numbers are retired — no route negotiates them,
+// Frame payload kinds. Four numbers are retired — no route negotiates them,
 // every decoder rejects them, and no new kind may reuse them: 4 was the
-// collfreq batch of the deleted /api/v1/collfreq route, 6 (wireEvent) one
-// harvest event of a framed event stream, which is NDJSON only now (an
+// collfreq batch of the deleted /api/v1/collfreq route; 5 the entity list
+// and 7 a node's registration report, both JSON whatever Accept says now
+// (once-per-boot payloads, not worth a second codec; an older client that
+// asks for frames sniffs the JSON and decodes it as such); 6 (wireEvent)
+// one harvest event of a framed event stream, which is NDJSON only now (an
 // older client that still asks a job stream for frames is answered NDJSON
-// under its own Content-Type, which that client dispatches on). 7 kept its
-// number when its payload lost the document-frequency map after the
-// collection frequencies: a coordinator and a node from different sides of
-// that change fail at dial, before any ranking (trailing bytes for the
-// newer decoder, a short payload for the older).
+// under its own Content-Type, which that client dispatches on).
 const (
-	wireStats     byte = 1
-	wireSearch    byte = 2
-	wirePage      byte = 3
-	wireEntities  byte = 5
-	wireNodeStats byte = 7
-	wireIngest    byte = 8
+	wireStats  byte = 1
+	wireSearch byte = 2
+	wirePage   byte = 3
+	wireIngest byte = 8
 	// wireSearchPages is a search answered with=pages: the wireSearch
 	// payload followed by the page bodies of its hits (see
 	// encodeSearchPagesWire).
@@ -375,84 +371,6 @@ func decodeSearchPagesWire(d *store.Dec) SearchResponse {
 		next++
 	}
 	return resp
-}
-
-// encodeFreqMapWire writes a token→frequency map with sorted keys, so
-// identical maps produce identical bytes (the store codecs' determinism
-// rule).
-func encodeFreqMapWire(e *store.Enc, freqs map[string]int) {
-	keys := make([]string, 0, len(freqs))
-	for k := range freqs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		e.Str(k)
-		e.Varint(int64(freqs[k]))
-	}
-}
-
-func decodeFreqMapWire(d *store.Dec) map[string]int {
-	n := d.Count("frequency entries")
-	out := make(map[string]int, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		k := d.Str()
-		out[k] = int(d.Varint())
-	}
-	return out
-}
-
-// encodeNodeStatsWire frames a cluster node's primary-partition stat
-// report. The frequency map rides as a sorted (token, count) run — the
-// store codecs' determinism rule.
-func encodeNodeStatsWire(e *store.Enc, st NodeStatsPayload) {
-	e.Varint(int64(st.Node))
-	e.Varint(int64(st.Nodes))
-	e.Varint(int64(st.Replicas))
-	e.Varint(int64(st.Partition))
-	e.Varint(int64(st.NumDocs))
-	e.Varint(int64(st.TotalTokens))
-	e.Varint(int64(st.TopK))
-	encodeFreqMapWire(e, st.CollFreq)
-}
-
-func decodeNodeStatsWire(d *store.Dec) NodeStatsPayload {
-	return NodeStatsPayload{
-		Node:        int(d.Varint()),
-		Nodes:       int(d.Varint()),
-		Replicas:    int(d.Varint()),
-		Partition:   int(d.Varint()),
-		NumDocs:     int(d.Varint()),
-		TotalTokens: int(d.Varint()),
-		TopK:        int(d.Varint()),
-		CollFreq:    decodeFreqMapWire(d),
-	}
-}
-
-func encodeEntitiesWire(e *store.Enc, ents []EntityInfo) {
-	e.Uvarint(uint64(len(ents)))
-	for _, ent := range ents {
-		e.Varint(int64(ent.ID))
-		e.Str(ent.Name)
-		e.Str(ent.SeedQuery)
-	}
-}
-
-func decodeEntitiesWire(d *store.Dec) []EntityInfo {
-	n := d.Count("entities")
-	var out []EntityInfo
-	if n > 0 {
-		out = make([]EntityInfo, 0, n)
-	}
-	for i := 0; i < n && d.Err() == nil; i++ {
-		out = append(out, EntityInfo{
-			ID:        corpus.EntityID(d.Varint()),
-			Name:      d.Str(),
-			SeedQuery: d.Str(),
-		})
-	}
-	return out
 }
 
 // encodeIngestWire frames an ingest batch. Paragraph text rides as-is;

@@ -53,21 +53,6 @@ func TestWireFrameRoundTrips(t *testing.T) {
 	if got := decodeSearchWire(d); !reflect.DeepEqual(got, sr) || !d.Done() {
 		t.Errorf("search round trip: got %+v want %+v", got, sr)
 	}
-
-	ns := NodeStatsPayload{Node: 1, Nodes: 3, Replicas: 2, Partition: 1, NumDocs: 40, TotalTokens: 12345, TopK: 10,
-		CollFreq: map[string]int{"engine": 12, "safety": 3, "zzz": 0}}
-	payload = roundTripFrame(t, wireNodeStats, 0, func(e *store.Enc) { encodeNodeStatsWire(e, ns) })
-	d = store.NewDec(payload)
-	if got := decodeNodeStatsWire(d); !reflect.DeepEqual(got, ns) || !d.Done() {
-		t.Errorf("node stats round trip: got %+v want %+v", got, ns)
-	}
-
-	ents := []EntityInfo{{ID: 1, Name: "a", SeedQuery: "a q"}, {ID: 9, Name: "b", SeedQuery: "b q"}}
-	payload = roundTripFrame(t, wireEntities, 0, func(e *store.Enc) { encodeEntitiesWire(e, ents) })
-	d = store.NewDec(payload)
-	if got := decodeEntitiesWire(d); !reflect.DeepEqual(got, ents) || !d.Done() {
-		t.Errorf("entities round trip: got %v want %v", got, ents)
-	}
 }
 
 func TestWireFrameCompression(t *testing.T) {
@@ -117,38 +102,68 @@ func TestWireFrameCorruption(t *testing.T) {
 	if _, err := openFrame(frame, wireStats); err == nil {
 		t.Error("wrong kind accepted")
 	}
-	// Kinds 4 (collfreq batch) and 6 (harvest event) are retired: no decoder
-	// takes a frame that announces either.
-	for _, old := range []byte{4, 6} {
-		retired := marshalFrame(old, 0, func(e *store.Enc) { encodeFreqMapWire(e, map[string]int{"engine": 12}) })
-		for _, kind := range []byte{wireStats, wireSearch, wirePage, wireEntities, wireNodeStats, wireIngest, wireSearchPages} {
-			if err := decodeFramePayload(retired, kind, func(d *store.Dec) { decodeFreqMapWire(d) }); err == nil {
+	// Kinds 4–7 are retired (collfreq batch, entity list, harvest event,
+	// node stat report): no decoder takes a frame that announces one.
+	for _, old := range retiredKinds {
+		retired := marshalFrame(old, 0, func(e *store.Enc) { e.Str("engine"); e.Varint(12) })
+		for _, kind := range []byte{wireStats, wireSearch, wirePage, wireIngest, wireSearchPages} {
+			if err := decodeFramePayload(retired, kind, func(d *store.Dec) { d.Str(); d.Varint() }); err == nil {
 				t.Errorf("retired kind %d decoded as kind %d", old, kind)
 			}
 		}
-	}
-	// Kind 7 as it was framed while a document-frequency map followed the
-	// collection frequencies — what a node of that build answers a newer
-	// coordinator's dial with. The second map is trailing bytes: the dial
-	// fails, before anything is ranked on half the statistics.
-	ns := NodeStatsPayload{Node: 1, Nodes: 3, Replicas: 2, Partition: 1, NumDocs: 40, TotalTokens: 12345, TopK: 10,
-		CollFreq: map[string]int{"engine": 12, "safety": 3}}
-	current := marshalFrame(wireNodeStats, 0, func(e *store.Enc) { encodeNodeStatsWire(e, ns) })
-	var got NodeStatsPayload
-	if err := decodeFramePayload(current, wireNodeStats, func(d *store.Dec) { got = decodeNodeStatsWire(d) }); err != nil || !reflect.DeepEqual(got, ns) {
-		t.Errorf("kind 7 frame: got %+v, %v", got, err)
-	}
-	twoMaps := marshalFrame(wireNodeStats, 0, func(e *store.Enc) {
-		encodeNodeStatsWire(e, ns)
-		encodeFreqMapWire(e, map[string]int{"engine": 7, "safety": 3})
-	})
-	if err := decodeFramePayload(twoMaps, wireNodeStats, func(d *store.Dec) { decodeNodeStatsWire(d) }); err == nil || !strings.Contains(err.Error(), "trailing") {
-		t.Errorf("kind 7 frame in the two-map layout: %v, want a trailing-bytes error", err)
 	}
 	flipped := append([]byte{}, frame...)
 	flipped[len(flipped)-1] ^= 0x01
 	if _, err := openFrame(flipped, wireSearch); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Errorf("payload corruption not caught by CRC: %v", err)
+	}
+}
+
+// retiredKinds are the frame kinds no route negotiates any more (wire.go).
+var retiredKinds = []byte{4, 5, 6, 7}
+
+// TestRegistrationPayloadsAreJSON: the two once-per-boot payloads — the
+// entity list and a node's stat report — answer JSON whatever Accept says,
+// and say so in Content-Type, so a client of any release that asks for a
+// frame sniffs JSON and decodes it as such; a current client reads both.
+func TestRegistrationPayloadsAreJSON(t *testing.T) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := startClusterNodes(t, g, 2, 1, nil)[0]
+	for _, path := range []string{"/api/v1/entities", "/api/v1/cluster/stats"} {
+		var bodies [2][]byte
+		for i, wire := range []bool{false, true} {
+			req, _ := http.NewRequest(http.MethodGet, node+path, nil)
+			if wire {
+				req.Header.Set("Accept", wireContentType)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies[i], err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK || isWireFrame(bodies[i]) ||
+				!strings.HasPrefix(resp.Header.Get("Content-Type"), "application/json") {
+				t.Fatalf("GET %s (Accept wire=%v) = %d %q, framed %v: want JSON", path, wire, resp.StatusCode, resp.Header.Get("Content-Type"), isWireFrame(bodies[i]))
+			}
+		}
+		if !bytes.Equal(bodies[0], bodies[1]) {
+			t.Errorf("GET %s answers differently when asked for a frame", path)
+		}
+	}
+	c, err := DialContext(context.Background(), node, g.Tokenizer, ClientOptions{})
+	if err != nil || !c.WireNegotiated() {
+		t.Fatalf("dial: %v (wire %v)", err, c != nil && c.WireNegotiated())
+	}
+	ents, err := c.Entities(context.Background())
+	if err != nil || len(ents) != g.Corpus.NumEntities() {
+		t.Errorf("entities: %d, %v", len(ents), err)
+	}
+	if st, err := c.ClusterStats(context.Background()); err != nil || st.NumDocs == 0 || len(st.CollFreq) == 0 {
+		t.Errorf("cluster stats: %+v, %v", st, err)
 	}
 }
 
@@ -647,6 +662,124 @@ func TestDifferentialWireParity(t *testing.T) {
 	if m := wireClient.Metrics(); m.Retries == 0 || m.Errors != 0 {
 		t.Errorf("wire client metrics %+v: want retries absorbed, zero terminal errors", m)
 	}
+}
+
+// decodeFrame opens a frame of kind and decodes its payload with dec.
+func decodeFrame[T any](kind byte, dec func(*store.Dec) T) func(body []byte) (T, error) {
+	return func(body []byte) (v T, err error) {
+		err = decodeFramePayload(body, kind, func(d *store.Dec) { v = dec(d) })
+		return v, err
+	}
+}
+
+// openPage opens a /page frame: its payload is the document, raw.
+func openPage(body []byte) ([]byte, error) { return openFrame(body, wirePage) }
+
+// frameDecoder is one live frame kind as a client reads it: canon decodes a
+// body of the kind and returns the canonical payload of what it decoded,
+// with the number of elements a Dec.Count admitted.
+type frameDecoder struct {
+	kind  byte
+	canon func(body []byte) (payload []byte, n int, err error)
+}
+
+// payloadDecoder is the frameDecoder of a kind that decodes with open and
+// re-encodes with enc.
+func payloadDecoder[T any](kind byte, open func([]byte) (T, error), enc func(*store.Enc, T), count func(T) int) frameDecoder {
+	return frameDecoder{kind, func(body []byte) ([]byte, int, error) {
+		v, err := open(body)
+		if err != nil {
+			return nil, 0, err
+		}
+		var e store.Enc
+		enc(&e, v)
+		return e.Data(), count(v), nil
+	}}
+}
+
+func encodeRaw(e *store.Enc, b []byte) { e.Raw(b) }
+
+// liveDecoders are the frame kinds no other fuzz target covers: stats,
+// search, page and the ingest ack.
+var liveDecoders = []frameDecoder{
+	payloadDecoder(wireStats, decodeFrame(wireStats, decodeStatsWire), encodeStatsWire, func(Stats) int { return 0 }),
+	payloadDecoder(wireSearch, decodeFrame(wireSearch, decodeSearchWire), encodeSearchWire, func(r SearchResponse) int { return len(r.Hits) }),
+	payloadDecoder(wirePage, openPage, encodeRaw, func([]byte) int { return 0 }),
+	payloadDecoder(wireIngest, decodeFrame(wireIngest, decodeIngestAckWire), encodeIngestAckWire, func(IngestResponse) int { return 0 }),
+}
+
+// roundTripFixture holds a fixture to a DeepEqual round trip through
+// marshalFrame, gzip off and on, and seeds f with both frames and the first
+// half of each — what FaultInjector.truncate leaves of a response.
+func roundTripFixture[T any](f *testing.F, kind byte, v T, enc func(*store.Enc, T), open func([]byte) (T, error)) {
+	for _, compressMin := range []int{0, 1} {
+		frame := marshalFrame(kind, compressMin, func(e *store.Enc) { enc(e, v) })
+		if got, err := open(frame); err != nil || !reflect.DeepEqual(got, v) {
+			f.Fatalf("kind %d fixture (compressMin %d): got %+v, %v; want %+v", kind, compressMin, got, err, v)
+		}
+		f.Add(frame)
+		f.Add(frame[:len(frame)/2])
+	}
+}
+
+// FuzzFrameDecoders throws bytes at the live frame decoders that
+// FuzzSearchPagesFrame and FuzzIngestBody leave out — stats, search, page
+// and the ingest ack — both as a whole response body and, so the CRC does
+// not stop every mutation at the door, as the payload of a well-formed
+// frame of each kind, gzipped and not. Properties: no decoder panics; a
+// search never holds more hits than its payload has bytes (Dec.Count's
+// guard); a frame announcing a retired kind (4–7) is refused by every
+// decoder; and what decodes re-encodes to a canonical payload that
+// marshalFrame carries back unchanged, gzip off and on.
+func FuzzFrameDecoders(f *testing.F) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		f.Fatal(err)
+	}
+	roundTripFixture(f, wireStats, Stats{Domain: "researchers", NumEntities: 30, NumPages: 300, NumTerms: 4321,
+		TotalTokens: 98765, Mu: 1234.5, TopK: 5}, encodeStatsWire, decodeFrame(wireStats, decodeStatsWire))
+	for _, resp := range searchPagesSeeds(g) {
+		for i := range resp.Hits {
+			resp.Hits[i].HTML = "" // a plain search frame carries no bodies
+		}
+		roundTripFixture(f, wireSearch, resp, encodeSearchWire, decodeFrame(wireSearch, decodeSearchWire))
+	}
+	page := []byte(html.RenderPage(g.Corpus.Pages[0]))
+	roundTripFixture(f, wirePage, page, encodeRaw, openPage)
+	roundTripFixture(f, wireIngest, IngestResponse{Ingested: 3, Duplicates: 1, NumDocs: 303, Epoch: 7, Segments: 2},
+		encodeIngestAckWire, decodeFrame(wireIngest, decodeIngestAckWire))
+	f.Add(page)
+	f.Add(marshalFrame(wireSearchPages, 0, func(e *store.Enc) { encodeSearchPagesWire(e, searchPagesSeeds(g)[2]) }))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		raw := func(b []byte) func(*store.Enc) { return func(e *store.Enc) { e.Raw(b) } }
+		var retired [][]byte
+		for _, old := range retiredKinds {
+			retired = append(retired, marshalFrame(old, 0, raw(data)))
+		}
+		for _, dec := range liveDecoders {
+			for _, body := range [][]byte{data, marshalFrame(dec.kind, 0, raw(data)), marshalFrame(dec.kind, 1, raw(data))} {
+				canon, n, err := dec.canon(body)
+				if err != nil {
+					continue
+				}
+				if payload, err := openFrame(body, dec.kind); err != nil || n > len(payload) {
+					t.Fatalf("kind %d: %d elements decoded from a %d-byte payload (%v)", dec.kind, n, len(payload), err)
+				}
+				for _, compressMin := range []int{0, 1} {
+					again, _, err := dec.canon(marshalFrame(dec.kind, compressMin, raw(canon)))
+					if err != nil || !bytes.Equal(again, canon) {
+						t.Fatalf("kind %d (compressMin %d): the canonical payload does not round-trip: %v", dec.kind, compressMin, err)
+					}
+				}
+			}
+			for i, frame := range retired {
+				if _, _, err := dec.canon(frame); err == nil {
+					t.Fatalf("retired kind %d decoded as kind %d", retiredKinds[i], dec.kind)
+				}
+			}
+		}
+	})
 }
 
 var _ = fmt.Sprintf // keep fmt for debugging edits

@@ -35,7 +35,7 @@ type (
 	// Resume), so long-running harvests survive restarts by exact replay.
 	Checkpoint = core.Checkpoint
 	// RemoteOptions tunes a remote engine's transport (retry policy,
-	// prefetch concurrency, request timeout, wire codec).
+	// request timeout, wire codec).
 	RemoteOptions = webapi.ClientOptions
 	// Codec is the remote engine's wire-encoding preference
 	// (CodecAuto, CodecJSON or CodecBinary).
@@ -205,9 +205,10 @@ func (s *System) HarvestBackend() *HarvestBackend {
 // DialRemoteContext connects to a search API served by NewSearchServer
 // (possibly in another process) using this system's tokenizer, returning
 // an engine that harvesting sessions can use in place of the in-process
-// one. ctx bounds the dial probe; opts tunes the transport (retry policy,
-// prefetch concurrency, per-request timeout, wire codec), which retries
-// transient faults by default.
+// one — or a cluster's coordinator server, which makes the engine the
+// cluster's retriever. ctx bounds the dial probe; opts tunes the transport
+// (retry policy, per-request timeout, wire codec), which retries transient
+// faults by default.
 func (s *System) DialRemoteContext(ctx context.Context, base string, opts RemoteOptions) (*RemoteEngine, error) {
 	return webapi.DialContext(ctx, base, s.cfg.Tokenizer, opts)
 }

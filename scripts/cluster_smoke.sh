@@ -22,6 +22,8 @@
 #      lines), and a stat push without collFreq to a serving node is a 400
 #      that changes nothing — the node's partition search and the
 #      coordinator's pre-kill search answer the same bytes after it
+#   7. a coordinator needs no tokenizer: it boots with no corpus flags at
+#      all (the benchmark's fleet passes them, so both forms run somewhere)
 #
 # Usage: scripts/cluster_smoke.sh
 set -eu
@@ -90,8 +92,8 @@ echo "$NODE_STATS" | grep -q '"docFreq"' && {
 	exit 1
 }
 
-# shellcheck disable=SC2086
-start co -addr 127.0.0.1:0 -coordinator -nodes "$N0,$N1,$N2" -replicas 2 $CORPUS
+# No corpus flags: the coordinator holds no corpus and no tokenizer.
+start co -addr 127.0.0.1:0 -coordinator -nodes "$N0,$N1,$N2" -replicas 2 -quiet
 CO=$(url_of co)
 echo "cluster_smoke: coordinator $CO over $N0 $N1 $N2"
 
@@ -216,4 +218,4 @@ done
 echo "cluster_smoke: node0 registration report (JSON): $(printf %s "$NODE_STATS" | wc -c | tr -d ' ') B"
 echo "cluster_smoke: co $(echo "$METRICS2" | sed -n 's/.*\("frontCache":{[^}]*}\),\("bodyCache":{[^}]*}\).*/\1 \2/p')"
 
-echo "cluster_smoke: PASS (search + page proxy + metrics + front cache + node-kill failover + partition-scoped nodes + stat-push validation)"
+echo "cluster_smoke: PASS (search + page proxy + metrics + front cache + node-kill failover + partition-scoped nodes + stat-push validation + a coordinator without corpus flags)"
