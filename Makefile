@@ -17,8 +17,8 @@ test:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -shuffle=on -count=5 ./internal/webapi/
 
-# The packages whose worker-pool defaults read GOMAXPROCS (ingest
-# pre-tokenization, domain learning, the scheduler's select and fetch
+# The packages whose worker-pool defaults read GOMAXPROCS (domain
+# learning, the scheduler's select and fetch
 # pools — under which sessions of every aspect share a System's term
 # vocabulary and facts table — and, in webapi, the server's shared
 # scheduler and the coordinator's scatter and page fan-out), and the
@@ -53,7 +53,14 @@ test-procs:
 # the other live frame decoders — stats, search, page, ingest ack (never
 # a panic, never past Dec.Count's guard, retired kinds 4–7 refused, what
 # decodes round-trips through a frame, gzipped and not; its inputs hold a
-# rendered page, so minimizing is capped at 1 s here too).
+# rendered page, so minimizing is capped at 1 s here too); and 10 s each,
+# minimizing capped at 1 s (their inputs are whole files and stat pushes
+# of tens of kilobytes), on the three file readers (store with and without
+# a keep predicate, checkpoint, domain artifact: never a panic on any
+# bytes, checksums repaired or not; what loads saves, and saving is a
+# fixed point) and on the registration push (POST /api/v1/cluster/stats:
+# 200 exactly when ApplyGlobalStats' invariants hold, a refusal changes
+# nothing).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPrunedTopKMatchesReference -fuzztime 20s ./internal/search/
 	$(GO) test -run '^$$' -fuzz FuzzSearchPagesFrame -fuzztime 20s ./internal/webapi/
@@ -65,6 +72,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParsePage -fuzztime 10s ./internal/html/
 	$(GO) test -run '^$$' -fuzz FuzzIngestBody -fuzztime 10s -fuzzminimizetime 1s ./internal/webapi/
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecoders -fuzztime 10s -fuzzminimizetime 1s ./internal/webapi/
+	$(GO) test -run '^$$' -fuzz FuzzStoreReaders -fuzztime 10s -fuzzminimizetime 1s ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzClusterStatsPush -fuzztime 10s -fuzzminimizetime 1s ./internal/webapi/
 
 # 30 s churn loops under the race detector: scheduler submit/cancel/
 # resume, and the live engine's concurrent ingest+search+compact.

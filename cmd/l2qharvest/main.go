@@ -63,9 +63,10 @@ func main() {
 	)
 	flag.Parse()
 
+	cfg := l2q.DefaultConfig()
+	cfg.LearnWorkers = *learnW
 	sys, err := l2q.NewSyntheticSystem(corpus.Domain(*domain), l2q.SystemOptions{
-		NumEntities: *entities, PagesPerEntity: *pages, Seed: *seed,
-		LearnWorkers: *learnW,
+		NumEntities: *entities, PagesPerEntity: *pages, Seed: *seed, Config: &cfg,
 	})
 	if err != nil {
 		fail(err)

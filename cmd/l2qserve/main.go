@@ -82,7 +82,6 @@ func main() {
 		live      = flag.Bool("live", false, "serve a live generational index: POST /api/v1/ingest grows the corpus while searches keep serving")
 		memtable  = flag.Int("memtable", 0, "live mode: memtable seal threshold in documents (0 = default)")
 		fanIn     = flag.Int("compactfanin", 0, "live mode: background-compaction fan-in (0 = default, <0 = background compaction off)")
-		ingestW   = flag.Int("ingestworkers", 0, "live mode: ingest pre-tokenization workers (0 = GOMAXPROCS)")
 		wire      = flag.Bool("wire", true, "offer the binary wire codec to clients that ask for it (Accept: "+webapi.WireContentType+"); JSON stays the default either way")
 		compress  = flag.Int("compress", 0, "gzip wire payloads at or above this many bytes (0 = default threshold, <0 = never compress); the deflate level is fixed at 1")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
@@ -212,10 +211,9 @@ func main() {
 		// One engine for both single-server modes; -live only decides
 		// whether the server is handed the tokenizer ingest needs.
 		eng := search.NewLiveEngine(idx, sopts, search.LiveOptions{
-			MemtableDocs:  *memtable,
-			CompactFanIn:  *fanIn,
-			IngestWorkers: *ingestW,
-			TopK:          *topK,
+			MemtableDocs: *memtable,
+			CompactFanIn: *fanIn,
+			TopK:         *topK,
 		})
 		var ingestTok *textproc.Tokenizer
 		if *live {

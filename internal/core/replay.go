@@ -2,9 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"math"
 
 	"l2q/internal/corpus"
@@ -53,24 +50,6 @@ func (s *Session) Snapshot() Checkpoint {
 		cp.PageIDs = append(cp.PageIDs, p.ID)
 	}
 	return cp
-}
-
-// Encode serializes the checkpoint as JSON. internal/store provides the
-// compact framed binary codec for checkpoint files (store.SaveCheckpoints).
-func (cp Checkpoint) Encode(w io.Writer) error {
-	if err := json.NewEncoder(w).Encode(cp); err != nil {
-		return fmt.Errorf("core: write checkpoint: %w", err)
-	}
-	return nil
-}
-
-// ReadCheckpoint deserializes a checkpoint written by Encode.
-func ReadCheckpoint(r io.Reader) (Checkpoint, error) {
-	var cp Checkpoint
-	if err := json.NewDecoder(r).Decode(&cp); err != nil {
-		return cp, fmt.Errorf("core: read checkpoint: %w", err)
-	}
-	return cp, nil
 }
 
 // booted reports whether the checkpointed session had ingested its seed.

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
@@ -15,8 +15,8 @@ import (
 	"l2q/internal/textproc"
 )
 
-// TestCheckpointResume runs half a session, checkpoints it through the
-// JSON codec, resumes into a fresh session, finishes both, and demands
+// TestCheckpointResume runs half a session, checkpoints it through JSON
+// (how the jobs API carries checkpoints), resumes into a fresh session, finishes both, and demands
 // identical outcomes — the restart-safety property a long-running
 // harvester needs. One strategy per utility family: a resumed session
 // has no session graph and no warm start, so the family its strategy
@@ -37,12 +37,12 @@ func TestCheckpointResume(t *testing.T) {
 			// resume, 2 more queries.
 			first := f.session(f.dm)
 			mustRun(t, first, sel, 2)
-			var buf bytes.Buffer
-			if err := first.Snapshot().Encode(&buf); err != nil {
+			raw, err := json.Marshal(first.Snapshot())
+			if err != nil {
 				t.Fatal(err)
 			}
-			cp, err := ReadCheckpoint(&buf)
-			if err != nil {
+			var cp Checkpoint
+			if err := json.Unmarshal(raw, &cp); err != nil {
 				t.Fatal(err)
 			}
 
@@ -179,12 +179,6 @@ func TestResumeCancel(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Resume still replaying 10s after cancellation")
-	}
-}
-
-func TestReadCheckpointErrors(t *testing.T) {
-	if _, err := ReadCheckpoint(strings.NewReader("not json")); err == nil {
-		t.Error("garbage checkpoint accepted")
 	}
 }
 

@@ -2,7 +2,6 @@ package search
 
 import (
 	"context"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -66,10 +65,6 @@ type LiveOptions struct {
 	// |CompactFanIn| (-1 keeps the default fan-in) — the deterministic-
 	// schedule mode parity tests drive.
 	CompactFanIn int
-	// IngestWorkers bounds the goroutines that pre-tokenize incoming
-	// pages before the writer lock is taken. 0 picks GOMAXPROCS; 1
-	// tokenizes serially.
-	IngestWorkers int
 	// TopK is the result-list size per query. 0 picks DefaultTopK.
 	TopK int
 }
@@ -87,12 +82,6 @@ func (o LiveOptions) withDefaults() LiveOptions {
 	}
 	if o.CompactFanIn > 0 && o.CompactFanIn < 2 {
 		o.CompactFanIn = 2
-	}
-	if o.IngestWorkers == 0 {
-		o.IngestWorkers = runtime.GOMAXPROCS(0)
-	}
-	if o.IngestWorkers < 1 {
-		o.IngestWorkers = 1
 	}
 	if o.TopK == 0 {
 		o.TopK = DefaultTopK
@@ -231,7 +220,6 @@ func (le *LiveEngine) Add(pages ...*corpus.Page) {
 	if len(pages) == 0 {
 		return
 	}
-	le.pretokenize(pages)
 	le.wmu.Lock()
 	for _, p := range pages {
 		toks := p.Tokens()
@@ -279,38 +267,6 @@ func (le *LiveEngine) Seal() {
 	}
 	le.wmu.Unlock()
 	le.maybeCompact()
-}
-
-// pretokenize forces Page.Tokens on every incoming page outside the
-// writer lock, fanned over IngestWorkers, so the serial rebuild under the
-// lock only reads cached token slices.
-func (le *LiveEngine) pretokenize(pages []*corpus.Page) {
-	w := le.lo.IngestWorkers
-	if w > len(pages) {
-		w = len(pages)
-	}
-	if w <= 1 {
-		for _, p := range pages {
-			p.Tokens()
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				n := int(next.Add(1)) - 1
-				if n >= len(pages) {
-					return
-				}
-				pages[n].Tokens()
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // fanIn resolves the effective compaction fan-in: CompactFanIn's

@@ -96,7 +96,7 @@ func TestLiveParityGrownVsRebuilt(t *testing.T) {
 			{1000, 4, 1}, // everything stays in the memtable
 		} {
 			le := NewLiveEngine(nil, Options{}, LiveOptions{
-				MemtableDocs: tc.mem, CompactFanIn: tc.fan, IngestWorkers: 1,
+				MemtableDocs: tc.mem, CompactFanIn: tc.fan,
 			})
 			for i := 0; i < len(pages); i += tc.batch {
 				end := i + tc.batch
@@ -138,7 +138,7 @@ func TestLiveParityRandomSchedule(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		le := NewLiveEngine(nil, Options{}, LiveOptions{
-			MemtableDocs: 5, CompactFanIn: -2, IngestWorkers: 1,
+			MemtableDocs: 5, CompactFanIn: -2,
 		})
 		check := func(step string, next int) {
 			t.Helper()
@@ -252,7 +252,7 @@ func TestLiveCacheEpochInvalidation(t *testing.T) {
 // segment lifecycle.
 func TestLiveMetricsGauges(t *testing.T) {
 	pages, _ := liveTestCorpus(t, synth.DomainResearchers)
-	le := NewLiveEngine(nil, Options{}, LiveOptions{MemtableDocs: 4, CompactFanIn: -2, IngestWorkers: 1})
+	le := NewLiveEngine(nil, Options{}, LiveOptions{MemtableDocs: 4, CompactFanIn: -2})
 	le.Add(pages[:10]...)
 	m := le.Metrics()
 	if m.NumDocs != 10 || m.MemtableDocs != 2 || m.Segments != 3 {

@@ -154,31 +154,6 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointCorruption: a flipped payload byte is caught by the
-// section checksum, and a truncated file fails cleanly.
-func TestCheckpointCorruption(t *testing.T) {
-	f := newCkptFixture(t, synth.DomainResearchers, synth.AspResearch)
-	s := f.session()
-	mustRun(t, s, core.NewP(), 1)
-	var buf bytes.Buffer
-	if err := SaveCheckpoints(&buf, []core.Checkpoint{s.Snapshot()}); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-
-	flipped := append([]byte(nil), raw...)
-	flipped[len(flipped)/2] ^= 0xff
-	if _, err := LoadCheckpoints(bytes.NewReader(flipped)); err == nil {
-		t.Error("corrupted checkpoint file accepted")
-	}
-	if _, err := LoadCheckpoints(bytes.NewReader(raw[:len(raw)/2])); err == nil {
-		t.Error("truncated checkpoint file accepted")
-	}
-	if _, err := LoadCheckpoints(bytes.NewReader([]byte("L2QSTOR1"))); err == nil {
-		t.Error("store-file magic accepted as a checkpoint file")
-	}
-}
-
 // mustRun is RunCtx over an engine that cannot fail: any error fails the
 // test.
 func mustRun(t testing.TB, s *core.Session, sel core.Selector, n int) []core.Query {

@@ -5,18 +5,16 @@
 // makes the collection a durable artifact instead of an in-memory object
 // that must be regenerated per process.
 //
-// The format is a sequence of named sections, each independently
-// CRC32-checksummed, ending in a sentinel section:
-//
-//	magic "L2QSTOR1"
-//	section := nameLen uvarint | name | payloadLen uvarint | crc32 (4B LE) | payload
-//	...
-//	end     := section with name "END" and empty payload
+// Every file the package keeps — corpus stores (L2QSTOR1), domain
+// artifacts (L2QDOM1) and session checkpoints (L2QCKPT1) — is one
+// container (container.go): a magic, named CRC32-checksummed sections
+// that readers skip when they do not know them, and an END sentinel,
+// replaced on disk durably. A store file's sections are META, DICT, ENTS,
+// PAGE and optionally INDX.
 //
 // Payload encodings use varints throughout; token streams are dictionary-
 // coded against a front-coded sorted term dictionary, and posting lists are
-// delta-encoded. Sections unknown to a reader are skipped, so the format
-// can grow without breaking old readers.
+// delta-encoded.
 //
 // The payload primitives (Enc/Dec) are exported: the live wire protocol
 // (internal/webapi's L2QWIR1 frames) encodes its payloads with the exact

@@ -5,10 +5,7 @@ package store
 // server boots warm instead of re-learning every domain model on its
 // first harvest request (the paper's own efficiency note: the domain
 // phase "is only executed once", §VI-C — which is precisely why its
-// output should be a durable artifact). The format mirrors the store
-// file: a magic header, framed CRC32-checksummed sections, and an END
-// sentinel, with the same forward-compatibility rule (skip unknown
-// sections).
+// output should be a durable artifact). Three sections in the container:
 //
 //	magic "L2QDOM1"
 //	DMET section: corpus domain str | entities uvarint | pages uvarint
@@ -18,16 +15,15 @@ package store
 //	    deterministic byte-for-byte)
 //	CLSF section: count | per classifier: aspect str | logPrior f64×2 |
 //	    logUnk f64×2 | per class: vocab count | (token str, f64)...
-//	END sentinel
 //
 // Every float64 travels verbatim (IEEE bits), so a loaded model selects
 // byte-identically to the freshly learned one.
 
 import (
-	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"os"
+	"slices"
 	"sort"
 
 	"l2q/internal/classify"
@@ -190,125 +186,62 @@ func (l *DomainLearner) Artifact() (*DomainArtifact, error) {
 	return art, nil
 }
 
-// SaveDomains writes the domain artifact to w in the framed, checksummed
-// store format. Models and classifiers are sorted by aspect before
-// encoding, so equal artifacts produce identical bytes.
+// SaveDomains writes the domain artifact to w. Models and classifiers are
+// sorted by aspect before encoding, so equal artifacts produce identical
+// bytes.
 func SaveDomains(w io.Writer, a *DomainArtifact) error {
 	if a == nil || len(a.Models) == 0 {
 		return fmt.Errorf("store: no domain models to save")
 	}
-	models := append([]*core.DomainModel(nil), a.Models...)
-	sort.Slice(models, func(i, j int) bool { return models[i].Aspect < models[j].Aspect })
-	cls := append([]classify.Params(nil), a.Classifiers...)
-	sort.Slice(cls, func(i, j int) bool { return cls[i].Aspect < cls[j].Aspect })
-
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(domMagic); err != nil {
-		return fmt.Errorf("store: write domain magic: %w", err)
-	}
-	if err := writeSection(bw, secDomMeta, func(e *Enc) {
-		e.Str(string(a.CorpusDomain))
-		e.Uvarint(uint64(a.NumEntities))
-		e.Uvarint(uint64(a.NumPages))
-	}); err != nil {
-		return err
-	}
-	if err := writeSection(bw, secDomains, func(e *Enc) { encodeDomainModels(e, models) }); err != nil {
-		return err
+	models := slices.Clone(a.Models)
+	slices.SortStableFunc(models, func(x, y *core.DomainModel) int { return cmp.Compare(x.Aspect, y.Aspect) })
+	cls := slices.Clone(a.Classifiers)
+	slices.SortStableFunc(cls, func(x, y classify.Params) int { return cmp.Compare(x.Aspect, y.Aspect) })
+	sections := []section{
+		{secDomMeta, func(e *Enc) {
+			e.Str(string(a.CorpusDomain))
+			e.Uvarint(uint64(a.NumEntities))
+			e.Uvarint(uint64(a.NumPages))
+		}},
+		{secDomains, func(e *Enc) { encodeDomainModels(e, models) }},
 	}
 	if len(cls) > 0 {
-		if err := writeSection(bw, secClassifiers, func(e *Enc) { encodeClassifiers(e, cls) }); err != nil {
-			return err
-		}
+		sections = append(sections, section{secClassifiers, func(e *Enc) { encodeClassifiers(e, cls) }})
 	}
-	if err := writeSection(bw, secEnd, func(*Enc) {}); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("store: flush: %w", err)
-	}
-	return nil
+	return writeContainer(w, domMagic, sections)
 }
 
-// LoadDomains reads a domain-artifact file written by SaveDomains.
+// LoadDomains reads a domain-artifact file written by SaveDomains. Like
+// SaveDomains it refuses an artifact without models.
 func LoadDomains(r io.Reader) (*DomainArtifact, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head := make([]byte, len(domMagic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("store: read domain magic: %w", err)
-	}
-	if string(head) != domMagic {
-		return nil, fmt.Errorf("store: bad magic %q (not a domain-artifact file or wrong version)", head)
-	}
 	a := &DomainArtifact{}
-	seen := false
-	for {
-		name, payload, err := readSection(br)
-		if err != nil {
-			return nil, err
-		}
-		if name == secEnd {
-			break
-		}
-		d := NewDec(payload)
-		switch name {
-		case secDomMeta:
+	err := readContainer(r, domMagic, map[string]func(*Dec) error{
+		secDomMeta: func(d *Dec) error {
 			a.CorpusDomain = corpus.Domain(d.Str())
 			a.NumEntities = int(d.Uvarint())
 			a.NumPages = int(d.Uvarint())
-		case secDomains:
-			a.Models = decodeDomainModels(d)
-			seen = true
-		case secClassifiers:
-			a.Classifiers = decodeClassifiers(d)
-		default:
-			continue // forward compatibility: skip unknown sections
-		}
-		if d.Err() != nil {
-			return nil, fmt.Errorf("store: section %s: %w", name, d.Err())
-		}
-		if !d.Done() {
-			return nil, fmt.Errorf("store: section %s has %d trailing bytes", name, d.Remaining())
-		}
+			return nil
+		},
+		secDomains:     func(d *Dec) error { a.Models = decodeDomainModels(d); return nil },
+		secClassifiers: func(d *Dec) error { a.Classifiers = decodeClassifiers(d); return nil },
+	})
+	if err != nil {
+		return nil, err
 	}
-	if !seen {
-		return nil, fmt.Errorf("store: missing DOMS section")
+	if len(a.Models) == 0 {
+		return nil, fmt.Errorf("store: no DOMS section or no domain models")
 	}
 	return a, nil
 }
 
-// SaveDomainsFile writes the artifact to path atomically (temp file +
-// rename), so a crash mid-write never truncates a previous artifact.
+// SaveDomainsFile writes the artifact to path durably (see replaceFile).
 func SaveDomainsFile(path string, a *DomainArtifact) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := SaveDomains(f, a); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: close: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: rename: %w", err)
-	}
-	return nil
+	return replaceFile(path, func(w io.Writer) error { return SaveDomains(w, a) })
 }
 
 // LoadDomainsFile reads a domain-artifact file from path.
 func LoadDomainsFile(path string) (*DomainArtifact, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	return LoadDomains(f)
+	return loadFile(path, LoadDomains)
 }
 
 func encodeDomainModels(e *Enc, models []*core.DomainModel) {

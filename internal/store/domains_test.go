@@ -106,26 +106,6 @@ func TestDomainsDeterministicBytes(t *testing.T) {
 	}
 }
 
-// TestDomainsCorruption: a flipped payload byte fails the section CRC
-// instead of decoding garbage.
-func TestDomainsCorruption(t *testing.T) {
-	art, _, _ := learnArtifact(t)
-	var buf bytes.Buffer
-	if err := SaveDomains(&buf, art); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	corrupted := append([]byte(nil), raw...)
-	corrupted[len(corrupted)/2] ^= 0xff
-	if _, err := LoadDomains(bytes.NewReader(corrupted)); err == nil {
-		t.Fatal("corrupted artifact loaded without error")
-	}
-
-	if _, err := LoadDomains(bytes.NewReader([]byte("NOTADOM"))); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-}
-
 // TestDomainsFileRoundTrip covers the atomic file helpers.
 func TestDomainsFileRoundTrip(t *testing.T) {
 	art, _, _ := learnArtifact(t)

@@ -1,12 +1,8 @@
 package store
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"os"
 
 	"l2q/internal/corpus"
 	"l2q/internal/search"
@@ -16,19 +12,13 @@ import (
 // magic identifies the file format and its major version.
 const magic = "L2QSTOR1"
 
-// Section names. Readers skip sections they do not know.
 const (
 	secMeta     = "META"
 	secDict     = "DICT"
 	secEntities = "ENTS"
 	secPages    = "PAGE"
 	secIndex    = "INDX"
-	secEnd      = "END"
 )
-
-// maxSectionSize bounds one section payload (a corrupted length prefix must
-// not cause a multi-gigabyte allocation).
-const maxSectionSize = 1 << 31
 
 // Bundle is what a store file contains: the corpus, the tokenizer that
 // round-trips its phrase tokens, and — if the file was written with an
@@ -56,11 +46,8 @@ func Save(w io.Writer, c *corpus.Corpus, idx *search.Index) error {
 		return fmt.Errorf("store: index covers %d docs, corpus has %d pages",
 			idx.NumDocs(), c.NumPages())
 	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(magic); err != nil {
-		return fmt.Errorf("store: write magic: %w", err)
-	}
-
+	// The dictionary holds every term the file writes: the pages' tokens
+	// and, should a restored index name a term no page holds, that term.
 	dict := buildDictionary(func(emit func(textproc.Token)) {
 		for _, p := range c.Pages {
 			for i := range p.Paras {
@@ -69,34 +56,20 @@ func Save(w io.Writer, c *corpus.Corpus, idx *search.Index) error {
 				}
 			}
 		}
+		if idx != nil {
+			idx.DumpPostings(func(t textproc.Token, _ []search.RawPosting) { emit(t) })
+		}
 	})
-
-	sections := []struct {
-		name   string
-		encode func(*Enc)
-	}{
+	sections := []section{
 		{secMeta, func(e *Enc) { encodeMeta(e, c) }},
 		{secDict, dict.encode},
 		{secEntities, func(e *Enc) { encodeEntities(e, c) }},
 		{secPages, func(e *Enc) { encodePages(e, c, dict) }},
 	}
-	for _, s := range sections {
-		if err := writeSection(bw, s.name, s.encode); err != nil {
-			return err
-		}
-	}
 	if idx != nil {
-		if err := writeSection(bw, secIndex, func(e *Enc) { encodeIndex(e, idx, dict) }); err != nil {
-			return err
-		}
+		sections = append(sections, section{secIndex, func(e *Enc) { encodeIndex(e, idx, dict) }})
 	}
-	if err := writeSection(bw, secEnd, func(*Enc) {}); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("store: flush: %w", err)
-	}
-	return nil
+	return writeContainer(w, magic, sections)
 }
 
 // Load reads a store file. Unknown sections are skipped; checksum or
@@ -106,15 +79,6 @@ func Save(w io.Writer, c *corpus.Corpus, idx *search.Index) error {
 // materialized, the entity table stays complete, and the persisted
 // whole-corpus index is not restored.
 func Load(r io.Reader, keep func(corpus.PageID) bool) (*Bundle, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("store: read magic: %w", err)
-	}
-	if string(head) != magic {
-		return nil, fmt.Errorf("store: bad magic %q (not a store file or wrong version)", head)
-	}
-
 	var (
 		meta     *metaInfo
 		dict     *dictionary
@@ -122,44 +86,31 @@ func Load(r io.Reader, keep func(corpus.PageID) bool) (*Bundle, error) {
 		pages    []*corpus.Page
 		postings map[textproc.Token][]search.RawPosting
 	)
-	for {
-		name, payload, err := readSection(br)
-		if err != nil {
-			return nil, err
-		}
-		if name == secEnd {
-			break
-		}
-		d := NewDec(payload)
-		switch name {
-		case secMeta:
-			meta = decodeMeta(d)
-		case secDict:
-			dict = decodeDictionary(d)
-		case secEntities:
-			ents = decodeEntities(d)
-		case secPages:
+	decoders := map[string]func(*Dec) error{
+		secMeta:     func(d *Dec) error { meta = decodeMeta(d); return nil },
+		secDict:     func(d *Dec) error { dict = decodeDictionary(d); return nil },
+		secEntities: func(d *Dec) error { ents = decodeEntities(d); return nil },
+		secPages: func(d *Dec) error {
 			if dict == nil {
-				return nil, fmt.Errorf("store: PAGE section before DICT")
+				return fmt.Errorf("store: PAGE section before DICT")
 			}
 			pages = decodePages(d, dict, keep)
-		case secIndex:
-			if keep != nil {
-				continue // indexes pages this load does not hold
-			}
+			return nil
+		},
+	}
+	// Under keep the index covers pages this load does not hold: its
+	// section is checksummed like any other, then skipped.
+	if keep == nil {
+		decoders[secIndex] = func(d *Dec) error {
 			if dict == nil {
-				return nil, fmt.Errorf("store: INDX section before DICT")
+				return fmt.Errorf("store: INDX section before DICT")
 			}
 			postings = decodeIndex(d, dict)
-		default:
-			continue // forward compatibility: skip unknown sections
+			return nil
 		}
-		if d.Err() != nil {
-			return nil, fmt.Errorf("store: section %s: %w", name, d.Err())
-		}
-		if !d.Done() {
-			return nil, fmt.Errorf("store: section %s has %d trailing bytes", name, d.Remaining())
-		}
+	}
+	if err := readContainer(r, magic, decoders); err != nil {
+		return nil, err
 	}
 	if meta == nil || dict == nil {
 		return nil, fmt.Errorf("store: missing META or DICT section")
@@ -187,90 +138,14 @@ func Load(r io.Reader, keep func(corpus.PageID) bool) (*Bundle, error) {
 	return b, nil
 }
 
-// SaveFile writes the bundle to path atomically (temp file + rename).
+// SaveFile writes the bundle to path durably (see replaceFile).
 func SaveFile(path string, c *corpus.Corpus, idx *search.Index) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := Save(f, c, idx); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: close: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: rename: %w", err)
-	}
-	return nil
+	return replaceFile(path, func(w io.Writer) error { return Save(w, c, idx) })
 }
 
 // LoadFile reads a bundle from path (see Load for keep).
 func LoadFile(path string, keep func(corpus.PageID) bool) (*Bundle, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	return Load(f, keep)
-}
-
-// writeSection emits one framed, checksummed section.
-func writeSection(w *bufio.Writer, name string, encode func(*Enc)) error {
-	e := &Enc{}
-	encode(e)
-	var hdr []byte
-	hdr = binary.AppendUvarint(hdr, uint64(len(name)))
-	hdr = append(hdr, name...)
-	hdr = binary.AppendUvarint(hdr, uint64(e.Len()))
-	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(e.Data()))
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("store: write section %s header: %w", name, err)
-	}
-	if _, err := w.Write(e.Data()); err != nil {
-		return fmt.Errorf("store: write section %s: %w", name, err)
-	}
-	return nil
-}
-
-// readSection reads one framed section and verifies its checksum.
-func readSection(r *bufio.Reader) (string, []byte, error) {
-	nameLen, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", nil, fmt.Errorf("store: read section name length: %w", err)
-	}
-	if nameLen == 0 || nameLen > 64 {
-		return "", nil, fmt.Errorf("store: implausible section name length %d", nameLen)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(r, name); err != nil {
-		return "", nil, fmt.Errorf("store: read section name: %w", err)
-	}
-	size, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", nil, fmt.Errorf("store: section %s: read size: %w", name, err)
-	}
-	if size > maxSectionSize {
-		return "", nil, fmt.Errorf("store: section %s: implausible size %d", name, size)
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return "", nil, fmt.Errorf("store: section %s: read crc: %w", name, err)
-	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return "", nil, fmt.Errorf("store: section %s: read payload: %w", name, err)
-	}
-	want := binary.LittleEndian.Uint32(crcBuf[:])
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return "", nil, fmt.Errorf("store: section %s: checksum mismatch (got %08x, want %08x)", name, got, want)
-	}
-	return string(name), payload, nil
+	return loadFile(path, func(r io.Reader) (*Bundle, error) { return Load(r, keep) })
 }
 
 // metaInfo is the META section: format metadata.

@@ -851,6 +851,79 @@ func TestClusterStatsPushValidation(t *testing.T) {
 	requireSingleNodeRanking("after rejected pushes to ready nodes")
 }
 
+// FuzzClusterStatsPush throws any body at POST /api/v1/cluster/stats on a
+// fresh node of a tiny two-node cluster, unready or already primed with
+// the honest statistics. The node never panics; it answers 200 exactly
+// when the body decodes to statistics ApplyGlobalStats' invariants hold
+// for (five positive numbers, one positive count per term), and is then
+// ready on them; anything else leaves Ready() and Stats() as they were.
+func FuzzClusterStatsPush(f *testing.F) {
+	g, err := synth.Generate(synth.Config{Domain: synth.DomainResearchers, NumEntities: 6, PagesPerEntity: 4, Seed: 2016})
+	if err != nil {
+		f.Fatal(err)
+	}
+	fullIdx := search.BuildIndex(g.Corpus.Pages)
+	st := search.StatsOf(fullIdx)
+	honest := GlobalStatsPayload{NumDocs: st.NumDocs, TotalTokens: st.TotalTokens, NumTerms: st.NumTerms,
+		Mu: search.NewEngine(fullIdx).Mu(), TopK: search.DefaultTopK, CollFreq: st.CollFreq}
+	spec := search.ClusterSpec{Nodes: 2, Replicas: 1}
+
+	honestBody, err := json.Marshal(honest)
+	if err != nil {
+		f.Fatal(err)
+	}
+	oneTerm := honest
+	oneTerm.NumTerms, oneTerm.CollFreq = 1, map[string]int{"research": 3}
+	oneTermBody, _ := json.Marshal(oneTerm)
+	for _, body := range [][]byte{
+		honestBody, oneTermBody, honestBody[:len(honestBody)/2],
+		[]byte(`{"numDocs":1,"totalTokens":1,"numTerms":1,"mu":1,"topK":5}`),
+		[]byte(`{"numDocs":1,"totalTokens":1,"numTerms":1,"mu":1,"topK":5,"collFreq":{"a":0}}`),
+		[]byte(`{"numDocs":1,"totalTokens":1,"numTerms":1,"mu":-1,"topK":5,"collFreq":{"a":1},"docFreq":{"a":1}}`),
+		[]byte("null"), nil,
+	} {
+		f.Add(body, false)
+		f.Add(body, true)
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte, primed bool) {
+		srv, err := NewNodeServer(g.Corpus, spec, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node := srv.Node
+		if primed {
+			if err := node.ApplyGlobalStats(&honest); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ready, stats := node.Ready(), node.Stats()
+
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, apiRoot+"/cluster/stats", strings.NewReader(string(body))))
+
+		var p GlobalStatsPayload
+		valid := json.Unmarshal(body, &p) == nil &&
+			p.NumDocs > 0 && p.TotalTokens > 0 && p.NumTerms > 0 && p.Mu > 0 && p.TopK > 0 &&
+			len(p.CollFreq) == p.NumTerms
+		for _, cf := range p.CollFreq {
+			valid = valid && cf > 0
+		}
+		if (rec.Code == http.StatusOK) != valid {
+			t.Fatalf("answered %d to a body whose statistics are valid=%v: %s", rec.Code, valid, rec.Body.Bytes())
+		}
+		if !valid {
+			if node.Ready() != ready || node.Stats() != stats {
+				t.Fatalf("a refused push moved the node: ready %v → %v, stats %+v → %+v", ready, node.Ready(), stats, node.Stats())
+			}
+			return
+		}
+		if got := node.Stats(); !node.Ready() || got.Mu != p.Mu || got.TopK != p.TopK || got.TotalTokens != p.TotalTokens {
+			t.Fatalf("an accepted push left the node ready=%v on %+v, pushed %+v", node.Ready(), got, p)
+		}
+	})
+}
+
 // mustRun is RunCtx over an engine that cannot fail: any error fails the
 // test.
 func mustRun(t testing.TB, s *core.Session, sel core.Selector, n int) []core.Query {

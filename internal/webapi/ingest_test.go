@@ -438,7 +438,7 @@ func FuzzIngestBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		c := g.Corpus.Subset(bootIDs)
 		live := search.NewLiveEngine(search.BuildIndex(c.Pages), search.Options{},
-			search.LiveOptions{CompactFanIn: -1, IngestWorkers: 1})
+			search.LiveOptions{CompactFanIn: -1})
 		srv := NewServer(c, live, g.Tokenizer)
 		docs, epoch, pages := live.View().NumDocs(), live.View().Epoch(), c.NumPages()
 

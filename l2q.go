@@ -166,10 +166,9 @@ func Crawl(pageByID map[PageID]*Page, seeds []*Page, y func(*Page) bool, cfg Cra
 // CrawlPageIndex builds the crawler's fetch table for a corpus.
 func CrawlPageIndex(c *Corpus) map[PageID]*Page { return crawler.PageIndex(c) }
 
-// SystemOptions sizes a synthetic system: its corpus, and the cache and
-// worker pools around the model. Apart from the corpus fields and Config,
-// every field is value-neutral — rankings, utilities and models are
-// identical for every setting — and none selects an algorithm.
+// SystemOptions sizes a synthetic system's corpus and carries its L2Q
+// configuration (the query cache and the domain phase's worker pool are
+// Config.SearchCacheSize and Config.LearnWorkers).
 type SystemOptions struct {
 	// NumEntities and PagesPerEntity size the corpus (0 = paper scale:
 	// 996 researchers / 143 cars × 50 pages).
@@ -179,14 +178,6 @@ type SystemOptions struct {
 	Seed uint64
 	// Config overrides the L2Q parameters; zero value = DefaultConfig.
 	Config *Config
-	// CacheSize sizes the retrieval engine's query-result cache (see
-	// search.Options); a non-zero value overrides Config.SearchCacheSize.
-	// Rankings are identical for every setting — a pure performance knob.
-	CacheSize int
-	// LearnWorkers bounds the domain phase's sharded counting pass
-	// (LearnDomain); non-zero overrides Config.LearnWorkers. Models are
-	// identical for every worker count.
-	LearnWorkers int
 }
 
 // DefaultSystemOptions returns paper-scale options.
@@ -227,12 +218,6 @@ func NewSyntheticSystem(d Domain, opts SystemOptions) (*System, error) {
 	cfg := core.DefaultConfig()
 	if opts.Config != nil {
 		cfg = *opts.Config
-	}
-	if opts.CacheSize != 0 {
-		cfg.SearchCacheSize = opts.CacheSize
-	}
-	if opts.LearnWorkers != 0 {
-		cfg.LearnWorkers = opts.LearnWorkers
 	}
 	cfg.Tokenizer = g.Tokenizer
 	return NewSystem(g.Corpus, g.KB, g.Aspects, g.Tokenizer, cfg)

@@ -124,25 +124,27 @@ func (s *System) NewScheduler(cfg SchedulerConfig) *HarvestScheduler {
 
 // NewHarvestJobs builds one scheduler job per entity for an aspect,
 // mirroring HarvestPipelined's session conventions (deterministic
-// per-entity seeding). Unknown IDs are skipped; the returned slice holds
-// only buildable jobs.
+// per-entity seeding). jobs[i] harvests entities[i]: an unknown ID fails
+// the call with an error naming every unknown ID, and no jobs are built.
 func (s *System) NewHarvestJobs(entities []EntityID, a Aspect, dm *DomainModel,
-	sel Selector, nQueries int) []HarvestJob {
+	sel Selector, nQueries int) ([]HarvestJob, error) {
 
+	var unknown []EntityID
+	for _, id := range entities {
+		if s.corpus.Entity(id) == nil {
+			unknown = append(unknown, id)
+		}
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("l2q: unknown entity ids %v", unknown)
+	}
 	jobs := make([]HarvestJob, 0, len(entities))
 	for _, id := range entities {
-		e := s.corpus.Entity(id)
-		if e == nil {
-			continue
-		}
-		sess := core.NewSession(s.cfg, s.engine, e, a, s.cls.YFunc(a), dm, s.rec, uint64(id)+1)
+		sess := core.NewSession(s.cfg, s.engine, s.corpus.Entity(id), a, s.cls.YFunc(a), dm, s.rec, uint64(id)+1)
 		jobs = append(jobs, HarvestJob{Session: sess, Selector: sel, NQueries: nQueries})
 	}
-	return jobs
+	return jobs, nil
 }
-
-// ReadCheckpoint deserializes a checkpoint written by Checkpoint.Encode.
-var ReadCheckpoint = core.ReadCheckpoint
 
 // Tokenizer returns the tokenizer the system's corpus was built with.
 func (s *System) Tokenizer() *textproc.Tokenizer { return s.cfg.Tokenizer }
@@ -236,46 +238,17 @@ func LoadStore(path string) (*StoreBundle, error) { return store.LoadFile(path, 
 // DomainArtifact is a persisted bundle of trained domain models and
 // aspect classifiers — the domain phase's output as a durable file
 // (magic L2QDOM1), so servers boot warm instead of re-learning per
-// aspect on first request. Produce with LearnDomainArtifact or
-// `l2qstore domains`; consume with LoadDomainsFile, `l2qserve -domains`,
+// aspect on first request. Produce with `l2qstore domains`; consume with LoadDomainsFile, `l2qserve -domains`,
 // or HarvestBackend.Preload.
 type DomainArtifact = store.DomainArtifact
 
-// SaveDomainsFile writes a domain artifact atomically; LoadDomainsFile
+// SaveDomainsFile writes a domain artifact durably; LoadDomainsFile
 // reads one back. Float parameters round-trip exactly, so a restored
 // model selects byte-identically to the freshly learned one.
 var (
 	SaveDomainsFile = store.SaveDomainsFile
 	LoadDomainsFile = store.LoadDomainsFile
 )
-
-// LearnDomainArtifact learns a domain model for every system aspect over
-// the given peer entities (each learning run shards its counting pass
-// over Config.LearnWorkers) and packages them — together with the
-// system's Naive Bayes classifiers, when that family is active — into a
-// persistable DomainArtifact.
-func (s *System) LearnDomainArtifact(domainEntities []EntityID) (*DomainArtifact, error) {
-	art := &DomainArtifact{
-		CorpusDomain: s.corpus.Domain,
-		NumEntities:  s.corpus.NumEntities(),
-		NumPages:     s.corpus.NumPages(),
-	}
-	for _, a := range s.aspects {
-		dm, err := s.LearnDomain(a, domainEntities)
-		if err != nil {
-			return nil, err
-		}
-		art.Models = append(art.Models, dm)
-	}
-	if set, ok := s.cls.(*classify.Set); ok {
-		for _, a := range s.aspects {
-			if c, trained := set.ByAspect[a]; trained {
-				art.Classifiers = append(art.Classifiers, c.Params())
-			}
-		}
-	}
-	return art, nil
-}
 
 // PipelineResult is one entity's outcome from HarvestPipelined.
 type PipelineResult struct {

@@ -1,10 +1,11 @@
 package l2q
 
 import (
-	"bytes"
 	"context"
+	"encoding/json"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -214,8 +215,26 @@ func TestHarvestPipelinedReportsUnknownEntities(t *testing.T) {
 	}
 }
 
+// TestNewHarvestJobsRefusesUnknownEntities: jobs[i] must harvest
+// entities[i], so an unknown ID fails the call, naming every unknown ID,
+// instead of building a shorter slice that shifts each later job off its
+// entity.
+func TestNewHarvestJobsRefusesUnknownEntities(t *testing.T) {
+	sys := testSystem(t, Cars)
+	ids := sys.EntityIDs()
+	jobs, err := sys.NewHarvestJobs([]EntityID{ids[0], 99998, ids[1], 99999}, sys.Aspects()[0], nil, NewP(), 1)
+	if err == nil || jobs != nil {
+		t.Fatalf("unknown ids built %d jobs, err %v", len(jobs), err)
+	}
+	for _, id := range []string{"99998", "99999"} {
+		if !strings.Contains(err.Error(), id) {
+			t.Errorf("error %q does not name unknown id %s", err, id)
+		}
+	}
+}
+
 // TestCheckpointThroughFacade exercises the promoted Snapshot/Resume on the
-// public Harvester plus the package-level codec.
+// public Harvester, the checkpoint carried as JSON like the jobs API does.
 func TestCheckpointThroughFacade(t *testing.T) {
 	sys := testSystem(t, Researchers)
 	aspect := sys.Aspects()[0]
@@ -228,14 +247,7 @@ func TestCheckpointThroughFacade(t *testing.T) {
 
 	h := sys.NewHarvesterSeeded(e, aspect, dm, 1)
 	mustRun(t, h, NewL2QBAL(), 2)
-	var buf bytes.Buffer
-	if err := h.Snapshot().Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := ReadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := jsonCheckpoint(t, h.Snapshot())
 	h2 := sys.NewHarvesterSeeded(e, aspect, dm, 1)
 	if err := h2.Resume(context.Background(), cp); err != nil {
 		t.Fatal(err)
@@ -264,9 +276,9 @@ func TestSchedulerPublicSurface(t *testing.T) {
 
 	sched := sys.NewScheduler(SchedulerConfig{})
 	defer sched.Close()
-	jobs := sys.NewHarvestJobs(targets, aspect, dm, NewL2QBAL(), nQueries)
-	if len(jobs) != len(targets) {
-		t.Fatalf("built %d jobs for %d targets", len(jobs), len(targets))
+	jobs, err := sys.NewHarvestJobs(targets, aspect, dm, NewL2QBAL(), nQueries)
+	if err != nil || len(jobs) != len(targets) {
+		t.Fatalf("built %d jobs for %d targets: %v", len(jobs), len(targets), err)
 	}
 	b, err := sched.Submit(context.Background(), jobs, BatchOptions{})
 	if err != nil {
@@ -282,7 +294,10 @@ func TestSchedulerPublicSurface(t *testing.T) {
 	}
 
 	// Adaptive batch on the same scheduler: bounded by the pooled budget.
-	jobs2 := sys.NewHarvestJobs(targets, aspect, dm, NewL2QBAL(), nQueries)
+	jobs2, err := sys.NewHarvestJobs(targets, aspect, dm, NewL2QBAL(), nQueries)
+	if err != nil {
+		t.Fatal(err)
+	}
 	b2, err := sched.Submit(context.Background(), jobs2, BatchOptions{
 		Budget: BudgetPolicy{Mode: BudgetAdaptive},
 	})
@@ -317,14 +332,7 @@ func TestCheckpointPublicRoundTrip(t *testing.T) {
 
 	h := sys.NewHarvester(e, aspect, nil)
 	mustRun(t, h, NewL2QBAL(), 1)
-	var buf bytes.Buffer
-	if err := h.Snapshot().Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := ReadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := jsonCheckpoint(t, h.Snapshot())
 	resumed := sys.NewHarvester(e, aspect, nil)
 	if err := resumed.Resume(context.Background(), cp); err != nil {
 		t.Fatal(err)
@@ -333,6 +341,21 @@ func TestCheckpointPublicRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("resumed fired %v, uninterrupted %v", got, want)
 	}
+}
+
+// jsonCheckpoint carries a checkpoint through JSON, the form the jobs API
+// holds it in (HarvestRequest.Resume, JobStatus.Checkpoints).
+func jsonCheckpoint(t *testing.T, cp Checkpoint) Checkpoint {
+	t.Helper()
+	raw, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out Checkpoint
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // mustRun is RunCtx over an engine that cannot fail: any error fails the
