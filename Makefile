@@ -58,9 +58,13 @@ test-procs:
 # of tens of kilobytes), on the three file readers (store with and without
 # a keep predicate, checkpoint, domain artifact: never a panic on any
 # bytes, checksums repaired or not; what loads saves, and saving is a
-# fixed point) and on the registration push (POST /api/v1/cluster/stats:
+# fixed point), on the registration push (POST /api/v1/cluster/stats:
 # 200 exactly when ApplyGlobalStats' invariants hold, a refusal changes
-# nothing).
+# nothing), on a job's NDJSON stream as Client.StreamJob reads it (nil
+# exactly when every line decodes and the last is "done", every event
+# delivered in order) and on the search routes' raw query strings (200 or
+# the 400/501/503 envelope, have lists capped, each q and seed value one
+# token at the engine).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPrunedTopKMatchesReference -fuzztime 20s ./internal/search/
 	$(GO) test -run '^$$' -fuzz FuzzSearchPagesFrame -fuzztime 20s ./internal/webapi/
@@ -74,6 +78,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecoders -fuzztime 10s -fuzzminimizetime 1s ./internal/webapi/
 	$(GO) test -run '^$$' -fuzz FuzzStoreReaders -fuzztime 10s -fuzzminimizetime 1s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzClusterStatsPush -fuzztime 10s -fuzzminimizetime 1s ./internal/webapi/
+	$(GO) test -run '^$$' -fuzz FuzzJobStream -fuzztime 10s -fuzzminimizetime 1s ./internal/webapi/
+	$(GO) test -run '^$$' -fuzz FuzzSearchParams -fuzztime 10s -fuzzminimizetime 1s ./internal/webapi/
 
 # 30 s churn loops under the race detector: scheduler submit/cancel/
 # resume, and the live engine's concurrent ingest+search+compact.
@@ -161,6 +167,7 @@ fmt:
 	gofmt -w .
 
 # Non-test Go lines per package by `wc -l` (comments and blanks included,
-# bench/ excluded): the size figures ROADMAP and CHANGES quote.
+# bench/ excluded): the size figures ROADMAP and CHANGES quote; then the
+# flag definitions per command and the counters ROADMAP tracks.
 loc:
 	@./scripts/loc.sh

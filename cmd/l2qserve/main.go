@@ -9,8 +9,9 @@
 // DELETE to cancel — with per-entity checkpoints for resume. A caller that
 // wants the events of one harvest and nothing kept submits, follows and
 // DELETEs (webapi.Client.HarvestBatch does). Every job runs on ONE shared
-// scheduler (-selectworkers/-fetchworkers/-maxactive) with FIFO admission
-// and per-job fair share; a killed job's checkpoints can be re-submitted
+// scheduler with FIFO admission and per-job fair share (GOMAXPROCS select
+// workers, 4× as many fetch workers, at most -maxinflight active jobs when
+// that is set); a killed job's checkpoints can be re-submitted
 // via the request's "resume" field. Classifiers are trained on the served
 // corpus and domain models are learned lazily per aspect (over the
 // canonical first-half entity sample). GET /api/v1/metrics exposes the
@@ -74,16 +75,8 @@ func main() {
 		harvest   = flag.Bool("harvest", true, "enable the /api/v1/jobs API (server-side harvesting: submit, poll or stream, cancel)")
 		domains   = flag.String("domains", "", "domain-artifact file (l2qstore domains): boot the harvest backend warm instead of learning per aspect on first request")
 		learnW    = flag.Int("learnworkers", 0, "domain-phase counting workers for lazily learned models (0 = GOMAXPROCS)")
-		maxSess   = flag.Int("harvestsessions", 64, "max entities per harvest request")
-		selectW   = flag.Int("selectworkers", 0, "shared scheduler: select (CPU) workers (0 = GOMAXPROCS)")
-		fetchW    = flag.Int("fetchworkers", 0, "shared scheduler: fetch (I/O) workers (0 = 4×select)")
-		maxActive = flag.Int("maxactive", 0, "shared scheduler: admission bound on concurrently active jobs (0 = unlimited)")
-		maxInFl   = flag.Int("maxinflight", 0, "admission control: shed requests 429 past this many in flight, and default -maxactive to it (0 = off)")
+		maxInFl   = flag.Int("maxinflight", 0, "admission control: shed requests 429 past this many in flight, and run at most this many harvest jobs at once (0 = queue past 64 in flight, jobs unbounded)")
 		live      = flag.Bool("live", false, "serve a live generational index: POST /api/v1/ingest grows the corpus while searches keep serving")
-		memtable  = flag.Int("memtable", 0, "live mode: memtable seal threshold in documents (0 = default)")
-		fanIn     = flag.Int("compactfanin", 0, "live mode: background-compaction fan-in (0 = default, <0 = background compaction off)")
-		wire      = flag.Bool("wire", true, "offer the binary wire codec to clients that ask for it (Accept: "+webapi.WireContentType+"); JSON stays the default either way")
-		compress  = flag.Int("compress", 0, "gzip wire payloads at or above this many bytes (0 = default threshold, <0 = never compress); the deflate level is fixed at 1")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 		coord     = flag.Bool("coordinator", false, "coordinator mode: scatter-gather over the node URLs in -nodes; the process holds no pages and no tokenizer (queries arrive as tokens), and accepts the corpus flags without reading them")
 		nodesFlag = flag.String("nodes", "", "cluster topology: in coordinator mode a comma-separated list of node base URLs; in node mode the cluster size (serve one partition set with -nodeid)")
@@ -203,18 +196,15 @@ func main() {
 		if *cacheSize != 0 {
 			logger.Print("cachesize: a cluster node's partition engines run uncached — behind the coordinator's front cache they would see only its misses; pass -cachesize to the coordinator, where it sizes that cache")
 		}
-		st, ns := srv.Node.Stats(), srv.Node.Spec()
+		node := srv.Node()
+		st, ns := node.Stats(), node.Spec()
 		what = fmt.Sprintf("serving %d pages of %q", st.NumPages, st.Domain)
 		detail = fmt.Sprintf("top-%d, partition μ = %.0f; node %d of %d, replicas %d, partitions %v",
-			st.TopK, st.Mu, ns.NodeID, ns.Nodes, ns.Replicas, srv.Node.Partitions())
+			st.TopK, st.Mu, ns.NodeID, ns.Nodes, ns.Replicas, node.Partitions())
 	default:
 		// One engine for both single-server modes; -live only decides
 		// whether the server is handed the tokenizer ingest needs.
-		eng := search.NewLiveEngine(idx, sopts, search.LiveOptions{
-			MemtableDocs: *memtable,
-			CompactFanIn: *fanIn,
-			TopK:         *topK,
-		})
+		eng := search.NewLiveEngine(idx, sopts, search.LiveOptions{TopK: *topK})
 		var ingestTok *textproc.Tokenizer
 		if *live {
 			ingestTok = tok
@@ -227,14 +217,7 @@ func main() {
 			detail += fmt.Sprintf(", LIVE: %d segments, memtable %d docs", m.Segments, m.MemtableDocs)
 		}
 	}
-	srv.WireDisabled = !*wire
-	srv.CompressMin = *compress
 	srv.MaxInFlight = *maxInFl
-	if *maxInFl > 0 {
-		// Admission control shrinks the blocking concurrency gate too:
-		// shed fast at MaxInFlight, never convoy behind it.
-		srv.MaxConcurrent = *maxInFl
-	}
 	if !*quiet {
 		srv.Log = logger
 	}
@@ -259,10 +242,7 @@ func main() {
 					*domains, art.NumEntities, art.NumPages, c.NumEntities(), c.NumPages())
 			}
 		}
-		if hb := harvestBackend(c, tok, rec, *maxSess, *learnW, art, logger); hb != nil {
-			hb.SelectWorkers = *selectW
-			hb.FetchWorkers = *fetchW
-			hb.MaxActive = *maxActive
+		if hb := harvestBackend(c, tok, rec, *learnW, art, logger); hb != nil {
 			srv.Harvest = hb
 		}
 	}
@@ -289,9 +269,7 @@ func main() {
 		}
 		fmt.Println(endpoints)
 	}
-	if !srv.WireDisabled {
-		fmt.Println("wire: binary codec offered via Accept: " + webapi.WireContentType)
-	}
+	fmt.Println("wire: binary codec offered via Accept: " + webapi.WireContentType)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -312,7 +290,7 @@ func main() {
 // trained at boot, models learned on first request). Returns nil
 // (harvesting disabled) when the corpus carries no aspect labels.
 func harvestBackend(c *corpus.Corpus, tok *textproc.Tokenizer, rec types.Recognizer,
-	maxSessions, learnWorkers int, art *store.DomainArtifact, logger *log.Logger) *webapi.HarvestBackend {
+	learnWorkers int, art *store.DomainArtifact, logger *log.Logger) *webapi.HarvestBackend {
 
 	if len(c.Aspects()) == 0 {
 		logger.Print("harvest: corpus has no aspect labels; endpoint disabled")
@@ -328,11 +306,10 @@ func harvestBackend(c *corpus.Corpus, tok *textproc.Tokenizer, rec types.Recogni
 		return nil
 	}
 	hb := &webapi.HarvestBackend{
-		Cfg:         ln.Cfg,
-		Aspects:     ln.Aspects,
-		Y:           ln.Cls.YFunc,
-		Rec:         rec,
-		MaxSessions: maxSessions,
+		Cfg:     ln.Cfg,
+		Aspects: ln.Aspects,
+		Y:       ln.Cls.YFunc,
+		Rec:     rec,
 		// The backend memoizes per aspect, so learning from scratch here
 		// runs at most once per aspect (and never for preloaded aspects).
 		DomainModel: ln.Learn,

@@ -258,9 +258,18 @@ func TestPipelineCancellation(t *testing.T) {
 type slowRetriever struct {
 	core.Retriever
 	delay time.Duration
+	// entered, when non-nil, is signalled without blocking as each search
+	// begins: a test's event for "a slow fetch is in flight".
+	entered chan<- struct{}
 }
 
 func (r slowRetriever) Retrieve(ctx context.Context, dst []search.Result, seed, query []string) ([]search.Result, error) {
+	if r.entered != nil {
+		select {
+		case r.entered <- struct{}{}:
+		default:
+		}
+	}
 	t := time.NewTimer(r.delay)
 	defer t.Stop()
 	select {
@@ -287,17 +296,24 @@ func (r failingRetriever) Retrieve(context.Context, []search.Result, []string, [
 // wg.Wait() hostage until the transport's own timeout (up to 30 s for the
 // HTTP client). With ctx propagated into Session.FetchQueryCtx, Run must
 // return within milliseconds of cancellation even with 20-second fetches
-// in flight.
+// in flight; it is canceled once the first of them has begun.
 func TestPipelineCancellationLatency(t *testing.T) {
 	f := newFixture(t)
 	targets := f.targets(4)
+	entered := make(chan struct{}, 1)
 	jobs := make([]Job, len(targets))
 	for i, e := range targets {
-		jobs[i] = Job{Session: f.session(e, 20*time.Second), Selector: core.NewRT(), NQueries: 5}
+		sess := f.session(e, 0)
+		sess.Engine = slowRetriever{Retriever: f.engine, delay: 20 * time.Second, entered: entered}
+		jobs[i] = Job{Session: sess, Selector: core.NewRT(), NQueries: 5}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	go func() {
-		time.Sleep(50 * time.Millisecond)
+		select {
+		case <-entered:
+		case <-ctx.Done():
+		}
 		cancel()
 	}()
 	start := time.Now()
@@ -310,7 +326,7 @@ func TestPipelineCancellationLatency(t *testing.T) {
 	}
 	for i, r := range results {
 		if r.Err == nil {
-			t.Errorf("job %d finished despite 20s fetches inside a 50ms window", i)
+			t.Errorf("job %d finished despite its 20s fetches being canceled", i)
 		}
 	}
 }

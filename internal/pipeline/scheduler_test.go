@@ -212,10 +212,11 @@ func TestSchedulerCancelLatency(t *testing.T) {
 	s := New(Config{SelectWorkers: 2, FetchWorkers: 8})
 	defer s.Close()
 
+	entered := make(chan struct{}, 1)
 	slowJobs := make([]Job, 4)
 	for i, e := range targets[:4] {
 		sess := f.session(e, 0)
-		sess.Engine = slowRetriever{Retriever: f.engine, delay: 20 * time.Second}
+		sess.Engine = slowRetriever{Retriever: f.engine, delay: 20 * time.Second, entered: entered}
 		slowJobs[i] = Job{Session: sess, Selector: core.NewRT(), NQueries: 5}
 	}
 	doomed, err := s.Submit(context.Background(), slowJobs, BatchOptions{})
@@ -229,7 +230,7 @@ func TestSchedulerCancelLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	time.Sleep(50 * time.Millisecond)
+	<-entered // a 20 s fetch is in flight
 	start := time.Now()
 	doomed.Cancel()
 	results := doomed.Await(context.Background())
@@ -296,9 +297,12 @@ func TestSchedulerResumedSession(t *testing.T) {
 	s := New(Config{SelectWorkers: 2, FetchWorkers: 4})
 	defer s.Close()
 
-	// Phase 1: harvest with per-ingest checkpointing, cancel mid-run.
+	// Phase 1: harvest with per-ingest checkpointing, cancel mid-run: once
+	// a query past the seed has landed somewhere.
 	var cpMu sync.Mutex
 	latest := make(map[int]core.Checkpoint)
+	landed := make(chan struct{})
+	var once sync.Once
 	jobs := make([]Job, len(targets))
 	for i, e := range targets {
 		jobs[i] = Job{Session: f.session(e, 50*time.Millisecond), Selector: core.NewL2QBAL(), NQueries: nQueries}
@@ -308,12 +312,19 @@ func TestSchedulerResumedSession(t *testing.T) {
 			cpMu.Lock()
 			latest[job] = cp
 			cpMu.Unlock()
+			if len(cp.Fired) > 0 {
+				once.Do(func() { close(landed) })
+			}
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(60 * time.Millisecond) // let some queries land
+	select {
+	case <-landed:
+	case <-b.Done():
+		t.Fatal("the batch finished without a checkpoint past the seed")
+	}
 	b.Cancel()
 	b.Await(context.Background())
 
@@ -362,17 +373,18 @@ func TestSchedulerCloseAborts(t *testing.T) {
 	targets := f.targets(3)
 
 	s := New(Config{SelectWorkers: 2, FetchWorkers: 4})
+	entered := make(chan struct{}, 1)
 	jobs := make([]Job, len(targets))
 	for i, e := range targets {
 		sess := f.session(e, 0)
-		sess.Engine = slowRetriever{Retriever: f.engine, delay: 20 * time.Second}
+		sess.Engine = slowRetriever{Retriever: f.engine, delay: 20 * time.Second, entered: entered}
 		jobs[i] = Job{Session: sess, Selector: core.NewRT(), NQueries: 5}
 	}
 	b, err := s.Submit(context.Background(), jobs, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(30 * time.Millisecond)
+	<-entered // a 20 s fetch is in flight
 	start := time.Now()
 	s.Close()
 	if elapsed := time.Since(start); elapsed > 2*time.Second {

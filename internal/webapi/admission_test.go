@@ -293,15 +293,12 @@ func TestStreamOpenRetriesPastShed(t *testing.T) {
 	}
 }
 
-// TestMaxInFlightOffByDefault: with MaxInFlight unset there is no
-// admission semaphore and concurrent traffic is never shed.
+// TestMaxInFlightOffByDefault: with MaxInFlight unset the gate queues,
+// so concurrent traffic past its size is never shed.
 func TestMaxInFlightOffByDefault(t *testing.T) {
 	server, srv := admissionFixture(t, 0)
-	if server.inflightSem() != nil {
-		t.Fatal("inflight semaphore exists with MaxInFlight = 0")
-	}
 	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 2*defaultMaxInFlight; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -318,7 +315,7 @@ func TestMaxInFlightOffByDefault(t *testing.T) {
 	}
 	wg.Wait()
 	if server.Shed() != 0 {
-		t.Fatalf("Shed = %d with admission control off", server.Shed())
+		t.Fatalf("Shed = %d with MaxInFlight unset", server.Shed())
 	}
 }
 

@@ -8,8 +8,9 @@ package webapi
 // engine, searched through the view it has published last, and written to
 // only when NewServer was given the ingest tokenizer; a cluster node's
 // backend is its ClusterNode (cluster.go), the coordinator's is
-// clusterBackend (coordinator.go). The jobs API alone is not blind: its
-// sessions run beside a localBackend's index and nowhere else.
+// clusterBackend (coordinator.go). The jobs API and ingest alone are not
+// blind: sessions run beside a localBackend's index and nowhere else, and
+// only a writable localBackend grows.
 
 import (
 	"context"
@@ -41,12 +42,7 @@ type backend interface {
 	pageWorkers() int
 	// metrics fills in the backend's section of the metrics payload.
 	metrics(m *ServerMetrics)
-	// ingest is optional: a backend that cannot grow answers 501.
-	ingest(req IngestRequest) (IngestResponse, error)
 }
-
-// errNoIngest is the ingest answer of every backend but a writable one.
-var errNoIngest = httpErrorf(http.StatusNotImplemented, "ingest not supported: server is not live (start with -live)")
 
 // localBackend serves one in-process corpus through a live engine. Every
 // request reads the engine's current view, asked for once, so what one

@@ -599,7 +599,7 @@ func (c *Client) Ingest(ctx context.Context, req IngestRequest) (IngestResponse,
 	contentType := "application/json"
 	wire := c.wantWire() && c.wire
 	if wire {
-		body = marshalFrame(wireIngest, DefaultCompressMin, func(e *store.Enc) { encodeIngestWire(e, req) })
+		body = marshalFrame(wireIngest, func(e *store.Enc) { encodeIngestWire(e, req) })
 		contentType = wireContentType
 	} else {
 		var err error

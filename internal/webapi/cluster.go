@@ -127,9 +127,16 @@ func NewNodeServer(c *corpus.Corpus, spec search.ClusterSpec, topK int) (*Server
 			n.primary = idx
 		}
 	}
-	srv := newServer(n)
-	srv.Node = n
-	return srv, nil
+	return newServer(n), nil
+}
+
+// Node returns the cluster node a NewNodeServer server serves, and nil on
+// every other server: it marks the server as one node of a doc-partitioned
+// cluster and enables the /api/v1/cluster/* endpoints (partition-local
+// search, stat registration/push).
+func (s *Server) Node() *ClusterNode {
+	n, _ := s.backend.(*ClusterNode)
+	return n
 }
 
 // Spec returns the node's cluster geometry.
@@ -214,8 +221,9 @@ func (n *ClusterNode) searchPartition(part int, seed, query []textproc.Token, k 
 // handleClusterStats serves a node's local stats (GET) and accepts the
 // coordinator's global stats push (POST).
 func (s *Server) handleClusterStats(w http.ResponseWriter, r *http.Request) {
+	node := s.Node()
 	if r.Method == http.MethodPost {
-		if s.Node == nil {
+		if node == nil {
 			writeError(w, http.StatusNotImplemented, "cluster stats push not supported: not a cluster node")
 			return
 		}
@@ -228,20 +236,20 @@ func (s *Server) handleClusterStats(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bad global stats payload: "+err.Error())
 			return
 		}
-		if err := s.Node.ApplyGlobalStats(&g); err != nil {
+		if err := node.ApplyGlobalStats(&g); err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		writeJSON(w, map[string]bool{"ok": true})
 		return
 	}
-	if s.Node == nil {
+	if node == nil {
 		writeError(w, http.StatusNotImplemented, "cluster endpoints not enabled (start with a cluster spec)")
 		return
 	}
 	// JSON whatever Accept says: once per node per coordinator boot, it
 	// is not worth a second codec (wire kind 7 is retired).
-	writeJSON(w, s.Node.LocalStats())
+	writeJSON(w, node.LocalStats())
 }
 
 // handleClusterSearch serves one partition's local top-k — the node-local
@@ -249,7 +257,8 @@ func (s *Server) handleClusterStats(w http.ResponseWriter, r *http.Request) {
 // global stats are applied: scores computed before the push would not be
 // comparable across nodes.
 func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
-	if s.Node == nil {
+	node := s.Node()
+	if node == nil {
 		writeError(w, http.StatusNotImplemented, "cluster search not supported: not a cluster node")
 		return
 	}
@@ -263,7 +272,7 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad part parameter")
 		return
 	}
-	res, ready, err := s.Node.searchPartition(part, seed, query, k)
+	res, ready, err := node.searchPartition(part, seed, query, k)
 	if !ready {
 		writeError(w, http.StatusServiceUnavailable, "collection stats not yet distributed by the coordinator")
 		return
@@ -340,8 +349,4 @@ func (n *ClusterNode) metrics(m *ServerMetrics) {
 		m.Search.DocsVisited += visited
 		m.Search.DocsScored += scored
 	}
-}
-
-func (n *ClusterNode) ingest(IngestRequest) (IngestResponse, error) {
-	return IngestResponse{}, errNoIngest
 }

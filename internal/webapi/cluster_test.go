@@ -891,7 +891,7 @@ func FuzzClusterStatsPush(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		node := srv.Node
+		node := srv.Node()
 		if primed {
 			if err := node.ApplyGlobalStats(&honest); err != nil {
 				t.Fatal(err)

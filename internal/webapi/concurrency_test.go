@@ -2,7 +2,7 @@ package webapi
 
 import (
 	"context"
-	"fmt"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -55,10 +55,10 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 // TestHandlerConcurrentInit builds handlers from many goroutines at once
-// and serves through each: the semaphore used to be lazily initialized
-// with a non-atomic nil check, so under -race this test fails against the
-// old code (two Handler calls could each observe s.sem == nil and write
-// it) and pins the once-guarded initialization.
+// and serves through each: the admission gate used to be lazily
+// initialized with a non-atomic nil check, so under -race this test fails
+// against that code (two Handler calls could each observe a nil gate and
+// write it) and pins the once-guarded initialization.
 func TestHandlerConcurrentInit(t *testing.T) {
 	g, err := synth.Generate(synth.TestConfig(synth.DomainCars))
 	if err != nil {
@@ -84,29 +84,53 @@ func TestHandlerConcurrentInit(t *testing.T) {
 	wg.Wait()
 }
 
-// TestServerConcurrencyLimit verifies the in-flight request bound: with
-// MaxConcurrent=1 and a held request slot, a second request still
-// completes once the first finishes (the semaphore drains, no deadlock).
+// TestServerConcurrencyLimit pins the default admission gate: with
+// MaxInFlight unset and every slot held (in-package, so the test is a
+// schedule, not a race), a request waits instead of being shed, and
+// finishes once a slot frees; a waiter whose caller leaves gets the 503
+// envelope; /healthz passes a full gate.
 func TestServerConcurrencyLimit(t *testing.T) {
 	g, err := synth.Generate(synth.TestConfig(synth.DomainCars))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := NewServer(g.Corpus, bootLive(g.Corpus), nil)
-	s.MaxConcurrent = 1
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := http.Get(fmt.Sprintf("%s/healthz", srv.URL))
-			if err == nil {
-				resp.Body.Close()
-			}
-		}()
+	h := s.Handler()
+	gate := s.inflightSem()
+	if cap(gate) != defaultMaxInFlight {
+		t.Fatalf("default gate holds %d, want %d", cap(gate), defaultMaxInFlight)
 	}
-	wg.Wait() // must terminate: the semaphore serializes but never wedges
+	for i := 0; i < cap(gate); i++ {
+		gate <- struct{}{}
+	}
+
+	serve := func(ctx context.Context, path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequestWithContext(ctx, http.MethodGet, path, nil))
+		return rec
+	}
+	if rec := serve(context.Background(), "/healthz"); rec.Code != http.StatusOK {
+		t.Fatalf("/healthz at a full gate = %d, want 200", rec.Code)
+	}
+
+	// A waiter whose caller leaves: the request is already queued when its
+	// ctx ends, because the gate is full and nothing frees it.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := serve(ctx, "/api/v1/stats")
+	var env errorEnvelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); rec.Code != http.StatusServiceUnavailable || err != nil || env.Error.Code != "unavailable" {
+		t.Fatalf("canceled waiter = %d %s, want the 503 envelope", rec.Code, rec.Body.Bytes())
+	}
+
+	// A waiter that stays: it is served once one slot frees, never shed.
+	done := make(chan *httptest.ResponseRecorder)
+	go func() { done <- serve(context.Background(), "/api/v1/stats") }()
+	<-gate
+	if rec := <-done; rec.Code != http.StatusOK {
+		t.Fatalf("queued request = %d %s, want 200 once a slot freed", rec.Code, rec.Body.Bytes())
+	}
+	if s.Shed() != 0 {
+		t.Errorf("Shed = %d with MaxInFlight unset", s.Shed())
+	}
 }

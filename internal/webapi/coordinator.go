@@ -677,7 +677,3 @@ func (b clusterBackend) metrics(m *ServerMetrics) {
 	m.Cluster = &cm
 	m.Search.CacheHits, m.Search.CacheMisses = cm.FrontCache.Hits, cm.FrontCache.Misses
 }
-
-func (b clusterBackend) ingest(IngestRequest) (IngestResponse, error) {
-	return IngestResponse{}, errNoIngest
-}

@@ -411,7 +411,7 @@ func TestMalformedPageRejected(t *testing.T) {
 					return
 				}
 				if strings.Contains(r.Header.Get("Accept"), wireContentType) {
-					w.Write(marshalFrame(wireSearchPages, DefaultCompressMin, func(e *store.Enc) { encodeSearchPagesWire(e, mislabeled) }))
+					w.Write(marshalFrame(wireSearchPages, func(e *store.Enc) { encodeSearchPagesWire(e, mislabeled) }))
 					return
 				}
 				json.NewEncoder(w).Encode(mislabeled)

@@ -306,7 +306,7 @@ func (p *pageTamper) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		body := strings.Replace(rec.Body.String(), `<meta name="l2q-page-id" content="`, `<meta name="l2q-page-id" content="9`, 1)
 		if strings.Contains(r.Header.Get("Accept"), wireContentType) {
 			w.Header().Set("Content-Type", wireContentType)
-			_, _ = w.Write(marshalFrame(wirePage, DefaultCompressMin, func(e *store.Enc) { e.Raw([]byte(body)) }))
+			_, _ = w.Write(marshalFrame(wirePage, func(e *store.Enc) { e.Raw([]byte(body)) }))
 			return
 		}
 		_, _ = w.Write([]byte(body))

@@ -11,9 +11,9 @@ package webapi
 // followed and stopped through is the jobs API (jobs.go).
 //
 // Every harvest runs on the server's ONE shared pipeline.Scheduler instead
-// of per-request worker pools: concurrent jobs queue FIFO behind
-// HarvestBackend.MaxActive admission control and share the pools fairly
-// instead of oversubscribing GOMAXPROCS² goroutines.
+// of per-request worker pools: concurrent jobs queue FIFO (behind
+// Server.MaxInFlight when that is set) and share the pools fairly instead
+// of oversubscribing GOMAXPROCS² goroutines.
 
 import (
 	"context"
@@ -52,29 +52,16 @@ type HarvestBackend struct {
 
 	dmMu    sync.Mutex
 	dmCache map[corpus.Aspect]*core.DomainModel
-	// MaxSessions bounds the entities of one request (default 64).
-	MaxSessions int
-	// SelectWorkers and FetchWorkers size the server's shared scheduler;
-	// zero values pick pipeline.Config's defaults. MaxActive bounds the
-	// jobs admitted concurrently across all requests (admission control;
-	// 0 = unlimited). All three are read once, when the server starts
-	// its scheduler.
-	SelectWorkers, FetchWorkers int
-	MaxActive                   int
 }
 
-func (hb *HarvestBackend) maxSessions() int {
-	if hb.MaxSessions > 0 {
-		return hb.MaxSessions
-	}
-	return 64
-}
-
-// maxHarvestQueries bounds a request's per-entity query budget. A
-// constant, not an option, for maxHave's reason: it bounds the work one
-// request can ask for (MaxSessions × 50 searches), and no server, example
-// or test ever ran with another value.
-const maxHarvestQueries = 50
+// maxHarvestEntities bounds a request's entities and maxHarvestQueries its
+// per-entity query budget. Constants, not options, for maxHave's reason:
+// together they bound the work one request can ask for (64 × 50
+// searches), and no server, example or test ever ran with other values.
+const (
+	maxHarvestEntities = 64
+	maxHarvestQueries  = 50
+)
 
 // Preload seeds the per-aspect domain-model cache with already-trained
 // models (typically restored from a store.DomainArtifact), so the server
@@ -171,8 +158,8 @@ func (bs *BudgetSpec) policy() (pipeline.BudgetPolicy, error) {
 
 // HarvestRequest is the POST /api/v1/jobs body.
 type HarvestRequest struct {
-	// Entities are the harvest targets; unknown IDs produce per-entity
-	// error events, not a failed request.
+	// Entities are the harvest targets, each at most once; unknown IDs
+	// produce per-entity error events, not a failed request.
 	Entities []corpus.EntityID `json:"entities"`
 	// Aspect is the target aspect (must be one of the backend's Aspects).
 	Aspect string `json:"aspect"`
@@ -188,8 +175,9 @@ type HarvestRequest struct {
 	Budget *BudgetSpec `json:"budget,omitempty"`
 	// Resume replays checkpointed sessions before harvesting: an entity
 	// with a matching checkpoint starts from its recorded context Φ and
-	// fires only its remaining budget (NQueries − |Fired|). A checkpoint
-	// that fails replay verification yields a per-entity error event.
+	// fires only its remaining budget (NQueries − |Fired|). At most one
+	// checkpoint per entity, and only for entities in Entities; one that
+	// fails replay verification yields a per-entity error event.
 	Resume []core.Checkpoint `json:"resume,omitempty"`
 }
 
@@ -260,8 +248,17 @@ func (hb *HarvestBackend) plan(req HarvestRequest) (*harvestPlan, *httpError) {
 	if len(req.Entities) == 0 {
 		return nil, httpErrorf(http.StatusBadRequest, "no entities requested")
 	}
-	if len(req.Entities) > hb.maxSessions() {
-		return nil, httpErrorf(http.StatusBadRequest, "too many entities: %d > %d", len(req.Entities), hb.maxSessions())
+	if len(req.Entities) > maxHarvestEntities {
+		return nil, httpErrorf(http.StatusBadRequest, "too many entities: %d > %d", len(req.Entities), maxHarvestEntities)
+	}
+	// An entity is one session with one resume state: a repeat would run
+	// twice and overwrite its own checkpoints.
+	requested := make(map[corpus.EntityID]bool, len(req.Entities))
+	for _, id := range req.Entities {
+		if requested[id] {
+			return nil, httpErrorf(http.StatusBadRequest, "entity %d requested twice", id)
+		}
+		requested[id] = true
 	}
 	if req.NQueries < 0 || req.NQueries > maxHarvestQueries {
 		return nil, httpErrorf(http.StatusBadRequest, "nQueries out of range [0, %d]", maxHarvestQueries)
@@ -296,8 +293,13 @@ func (hb *HarvestBackend) plan(req HarvestRequest) (*harvestPlan, *httpError) {
 	if len(req.Resume) > 0 {
 		p.resume = make(map[corpus.EntityID]core.Checkpoint, len(req.Resume))
 		for _, cp := range req.Resume {
-			if cp.Aspect != aspect {
+			switch _, dup := p.resume[cp.Entity]; {
+			case cp.Aspect != aspect:
 				return nil, httpErrorf(http.StatusBadRequest, "resume checkpoint for entity %d is for aspect %q, not %q", cp.Entity, cp.Aspect, aspect)
+			case !requested[cp.Entity]:
+				return nil, httpErrorf(http.StatusBadRequest, "resume checkpoint for entity %d, which the request does not harvest", cp.Entity)
+			case dup:
+				return nil, httpErrorf(http.StatusBadRequest, "two resume checkpoints for entity %d", cp.Entity)
 			}
 			p.resume[cp.Entity] = cp
 		}

@@ -14,6 +14,7 @@ import (
 	"l2q/internal/classify"
 	"l2q/internal/core"
 	"l2q/internal/corpus"
+	"l2q/internal/pipeline"
 	"l2q/internal/search"
 	"l2q/internal/synth"
 	"l2q/internal/types"
@@ -34,7 +35,7 @@ type harvestFixture struct {
 	aspect corpus.Aspect
 }
 
-func newHarvestFixture(t *testing.T) *harvestFixture {
+func newHarvestFixture(t testing.TB) *harvestFixture {
 	t.Helper()
 	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
 	if err != nil {
@@ -236,6 +237,17 @@ func TestHarvestValidation(t *testing.T) {
 	withBudget := func(b BudgetSpec) HarvestRequest {
 		return HarvestRequest{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), NQueries: 1, Budget: &b}
 	}
+	resuming := func(entities []corpus.EntityID, resume ...corpus.EntityID) HarvestRequest {
+		req := HarvestRequest{Entities: entities, Aspect: string(f.aspect), NQueries: 1}
+		for _, id := range resume {
+			req.Resume = append(req.Resume, core.Checkpoint{Entity: id, Aspect: f.aspect})
+		}
+		return req
+	}
+	tooMany := make([]corpus.EntityID, maxHarvestEntities+1)
+	for i := range tooMany {
+		tooMany[i] = corpus.EntityID(i)
+	}
 	cases := []struct {
 		name string
 		req  HarvestRequest
@@ -250,6 +262,11 @@ func TestHarvestValidation(t *testing.T) {
 		{"negative patience", withBudget(BudgetSpec{Mode: "adaptive", Patience: -1}), http.StatusBadRequest},
 		{"negative maxPerEntity", withBudget(BudgetSpec{Mode: "adaptive", MaxPerEntity: -1}), http.StatusBadRequest},
 		{"negative minGain", withBudget(BudgetSpec{Mode: "adaptive", MinGain: -0.5}), http.StatusBadRequest},
+		{"too many entities", HarvestRequest{Entities: tooMany, Aspect: string(f.aspect), NQueries: 1}, http.StatusBadRequest},
+		// One session per entity: a repeat would overwrite its own resume state.
+		{"repeated entity", resuming([]corpus.EntityID{22, 23, 22}), http.StatusBadRequest},
+		{"resume for an entity not requested", resuming([]corpus.EntityID{22}, 23), http.StatusBadRequest},
+		{"resume twice for one entity", resuming([]corpus.EntityID{22, 23}, 22, 22), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		err := f.client.HarvestBatch(context.Background(), tc.req, nil)
@@ -356,9 +373,6 @@ func TestHarvestBatchIsAJob(t *testing.T) {
 
 	hb := f.server.Harvest
 	backend := &HarvestBackend{Cfg: hb.Cfg, Aspects: hb.Aspects, Rec: hb.Rec, DomainModel: hb.DomainModel,
-		// Two workers per pool whatever GOMAXPROCS says: the held entity
-		// occupies one, the others must keep harvesting.
-		SelectWorkers: 2, FetchWorkers: 2,
 		Y: func(corpus.Aspect) func(*corpus.Page) bool {
 			return func(p *corpus.Page) bool {
 				if ch := hold.Load(); ch != nil && p.Entity == held {
@@ -373,6 +387,9 @@ func TestHarvestBatchIsAJob(t *testing.T) {
 		}}
 	server := NewServer(f.g.Corpus, bootLive(f.g.Corpus), nil)
 	server.Harvest = backend
+	// Two workers per pool whatever GOMAXPROCS says: the held entity
+	// occupies one, the others must keep harvesting.
+	server.sched = pipeline.New(pipeline.Config{SelectWorkers: 2, FetchWorkers: 2})
 	srv := httptest.NewServer(server.Handler())
 	t.Cleanup(srv.Close)
 	t.Cleanup(func() { server.Shutdown(context.Background()) })

@@ -122,7 +122,7 @@ func BenchmarkOpenFrameAllocs(b *testing.B) {
 	}
 	resp := searchPagesSeeds(g)[2] // five hits, five bodies
 	b.Run("search5pages", func(b *testing.B) {
-		frame := marshalFrame(wireSearchPages, DefaultCompressMin, func(e *store.Enc) { encodeSearchPagesWire(e, resp) })
+		frame := marshalFrame(wireSearchPages, func(e *store.Enc) { encodeSearchPagesWire(e, resp) })
 		if frame[len(wireMagic)+1]&wireFlagGzip == 0 {
 			b.Fatal("frame was not compressed")
 		}

@@ -68,7 +68,14 @@ type IngestResponse struct {
 	Segments int    `json:"segments"`
 }
 
+// handleIngest answers 501 on every server but a writable single-node one
+// (NewServer given the ingest tokenizer).
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	b, ok := s.backend.(*localBackend)
+	if !ok || b.tok == nil {
+		writeError(w, http.StatusNotImplemented, "ingest not supported: server is not live (start with -live)")
+		return
+	}
 	body, ok := readBody(w, r, maxResponseBytes)
 	if !ok {
 		return
@@ -87,7 +94,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty ingest batch")
 		return
 	}
-	resp, err := s.backend.ingest(req)
+	resp, err := b.ingest(req)
 	if err != nil {
 		writeError(w, errorStatus(err), err.Error())
 		return
@@ -95,14 +102,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.respond(w, r, wireIngest, func(e *store.Enc) { encodeIngestAckWire(e, resp) }, resp)
 }
 
-// ingest validates and applies one batch under the corpus write lock.
-// An error means the batch was rejected whole, nothing applied; a
-// read-only backend (no ingest tokenizer) rejects every batch.
+// ingest validates and applies one batch under the corpus write lock of a
+// writable backend. An error means the batch was rejected whole, nothing
+// applied.
 func (b *localBackend) ingest(req IngestRequest) (IngestResponse, error) {
 	var resp IngestResponse
-	if b.tok == nil {
-		return resp, errNoIngest
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 

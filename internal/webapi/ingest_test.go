@@ -358,7 +358,7 @@ func TestIngestWireRoundTrip(t *testing.T) {
 		},
 		{ID: 8, Entity: 3, Paras: []IngestParagraph{{Text: strings.Repeat("long text ", 400)}}},
 	}}
-	frame := marshalFrame(wireIngest, DefaultCompressMin, func(e *store.Enc) { encodeIngestWire(e, req) })
+	frame := marshalFrame(wireIngest, func(e *store.Enc) { encodeIngestWire(e, req) })
 	var got IngestRequest
 	if err := decodeFramePayload(frame, wireIngest, func(d *store.Dec) { got = decodeIngestWire(d) }); err != nil {
 		t.Fatal(err)
@@ -368,7 +368,7 @@ func TestIngestWireRoundTrip(t *testing.T) {
 	}
 
 	ack := IngestResponse{Ingested: 2, Duplicates: 1, NumDocs: 42, Epoch: 9, Segments: 3}
-	aframe := marshalFrame(wireIngest, 0, func(e *store.Enc) { encodeIngestAckWire(e, ack) })
+	aframe := frameOf(wireIngest, false, func(e *store.Enc) { encodeIngestAckWire(e, ack) })
 	var gotAck IngestResponse
 	if err := decodeFramePayload(aframe, wireIngest, func(d *store.Dec) { gotAck = decodeIngestAckWire(d) }); err != nil {
 		t.Fatal(err)
@@ -426,10 +426,10 @@ func FuzzIngestBody(f *testing.F) {
 		}
 		f.Add(js)
 		encode := func(e *store.Enc) { encodeIngestWire(e, req) }
-		plain := marshalFrame(wireIngest, 0, encode)
+		plain := frameOf(wireIngest, false, encode)
 		f.Add(plain)
-		f.Add(marshalFrame(wireIngest, 1, encode)) // gzip-flagged
-		f.Add(plain[:len(plain)-3])                // truncated
+		f.Add(frameOf(wireIngest, true, encode)) // gzip-flagged
+		f.Add(plain[:len(plain)-3])              // truncated
 		badCRC := bytes.Clone(plain)
 		badCRC[len(badCRC)-1] ^= 0xff
 		f.Add(badCRC)

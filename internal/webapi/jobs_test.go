@@ -1,12 +1,18 @@
 package webapi
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"l2q/internal/core"
@@ -410,4 +416,89 @@ func TestMetricsEndpoint(t *testing.T) {
 	if m.Jobs[JobDone] != 1 {
 		t.Errorf("jobs map %v, want one done job", m.Jobs)
 	}
+}
+
+// FuzzJobStream serves any body as a job's ?stream=1 response and reads it
+// with Client.StreamJob. The reader never panics; it hands onEvent every
+// event in order up to the first line that does not decode; and it returns
+// nil exactly when every non-blank line decodes and the last one is a
+// "done" event — a stream cut before its done line, or one that runs on
+// past it, is a *TransportError, and so is a malformed line. Seeded with a
+// real stream, its truncation at every line, the stream without its done
+// line, and done followed by one more event.
+func FuzzJobStream(f *testing.F) {
+	hf := newHarvestFixture(f)
+	id, err := hf.client.SubmitJob(context.Background(), HarvestRequest{Entities: jobTargets(hf, 2), Aspect: string(hf.aspect), NQueries: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	resp, err := http.Get(hf.srv.URL + apiRoot + "/jobs/" + id + "?stream=1")
+	if err != nil {
+		f.Fatal(err)
+	}
+	stream, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || !bytes.HasSuffix(stream, []byte("\n")) {
+		f.Fatalf("reading a real stream: %v (%q)", err, stream)
+	}
+	lines := bytes.SplitAfter(stream, []byte("\n"))
+	lines = lines[:len(lines)-1] // SplitAfter's empty tail
+	for i := range lines {
+		f.Add(bytes.Join(lines[:i], nil))
+	}
+	f.Add(stream)
+	f.Add(append(bytes.Clone(stream), lines[0]...))
+
+	// Every request but the stream goes to the real server, which the
+	// client dials; the stream answers with the body filed under its job ID.
+	var bodies sync.Map
+	real := hf.server.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("stream") == "" {
+			real.ServeHTTP(w, r)
+			return
+		}
+		body, _ := bodies.Load(strings.TrimPrefix(r.URL.Path, apiRoot+"/jobs/"))
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.Write(body.([]byte))
+	}))
+	f.Cleanup(srv.Close)
+	client, err := DialContext(context.Background(), srv.URL, hf.g.Tokenizer, ClientOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var seq atomic.Int64
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var want []HarvestEvent
+		complete := false
+		for _, line := range bytes.Split(body, []byte("\n")) {
+			if line = bytes.TrimSpace(line); len(line) == 0 {
+				continue
+			}
+			var ev HarvestEvent
+			if json.Unmarshal(line, &ev) != nil {
+				complete = false
+				break
+			}
+			want = append(want, ev)
+			complete = ev.Type == "done"
+		}
+
+		id := strconv.FormatInt(seq.Add(1), 10)
+		bodies.Store(id, body)
+		defer bodies.Delete(id)
+		var got []HarvestEvent
+		err := client.StreamJob(context.Background(), id, func(ev HarvestEvent) error {
+			got = append(got, ev)
+			return nil
+		})
+		var te *TransportError
+		if complete && err != nil || !complete && !errors.As(err, &te) {
+			t.Fatalf("StreamJob = %v on a stream whose lines decode to a done-terminated log = %v", err, complete)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("onEvent saw %+v, want %+v", got, want)
+		}
+	})
 }

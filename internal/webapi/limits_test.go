@@ -80,7 +80,7 @@ func TestRequestBodyLimits(t *testing.T) {
 	if len(writable.jobs) != 0 {
 		t.Errorf("refused job bodies registered %d job(s)", len(writable.jobs))
 	}
-	if node.Node.Ready() {
+	if node.Node().Ready() {
 		t.Error("a refused stats push made the node ready")
 	}
 }

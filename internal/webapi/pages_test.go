@@ -428,11 +428,11 @@ func TestSearchPagesWireRoundTrip(t *testing.T) {
 	}
 	seeds := searchPagesSeeds(g)
 	for i, resp := range seeds {
-		for _, compressMin := range []int{0, 1} {
-			frame := marshalFrame(wireSearchPages, compressMin, func(e *store.Enc) { encodeSearchPagesWire(e, resp) })
+		for _, zip := range []bool{false, true} {
+			frame := frameOf(wireSearchPages, zip, func(e *store.Enc) { encodeSearchPagesWire(e, resp) })
 			got, err := decodeSearchResponse(frame)
 			if err != nil || !reflect.DeepEqual(got, resp) {
-				t.Errorf("seed %d (compressMin %d): round trip differs (err %v)", i, compressMin, err)
+				t.Errorf("seed %d (gzip %v): round trip differs (err %v)", i, zip, err)
 			}
 		}
 		raw, err := json.Marshal(resp)
@@ -454,7 +454,7 @@ func TestSearchPagesWireRoundTrip(t *testing.T) {
 			e.Uvarint(1 << 40)
 		},
 	} {
-		frame := marshalFrame(wireSearchPages, 0, func(e *store.Enc) {
+		frame := frameOf(wireSearchPages, false, func(e *store.Enc) {
 			encodeSearchWire(e, bare)
 			attach(e)
 		})
@@ -482,9 +482,9 @@ func FuzzSearchPagesFrame(f *testing.F) {
 	seeds := searchPagesSeeds(g)
 	for _, resp := range seeds {
 		encode := func(e *store.Enc) { encodeSearchPagesWire(e, resp) }
-		plain := marshalFrame(wireSearchPages, 0, encode)
+		plain := frameOf(wireSearchPages, false, encode)
 		f.Add(plain)
-		f.Add(marshalFrame(wireSearchPages, 1, encode)) // gzip-flagged
+		f.Add(frameOf(wireSearchPages, true, encode)) // gzip-flagged
 		// What FaultInjector.truncate leaves of a response: its first half.
 		f.Add(plain[:len(plain)/2])
 		payload, err := openFrame(plain, wireSearchPages)
@@ -497,14 +497,14 @@ func FuzzSearchPagesFrame(f *testing.F) {
 			swapped := resp
 			swapped.Hits = append([]SearchHit(nil), resp.Hits...)
 			swapped.Hits[0].HTML, swapped.Hits[n-1].HTML = resp.Hits[n-1].HTML, resp.Hits[0].HTML
-			f.Add(marshalFrame(wireSearchPages, 0, func(e *store.Enc) { encodeSearchPagesWire(e, swapped) }))
+			f.Add(frameOf(wireSearchPages, false, func(e *store.Enc) { encodeSearchPagesWire(e, swapped) }))
 		}
 	}
-	f.Add(marshalFrame(wireSearch, 0, func(e *store.Enc) { encodeSearchWire(e, seeds[0]) }))
+	f.Add(frameOf(wireSearch, false, func(e *store.Enc) { encodeSearchWire(e, seeds[0]) }))
 	// Gzip members whose length trailer — the inflate buffer's size hint —
 	// is wrong: lying (4 GiB, 0), and honestly 0 because an empty second
 	// member follows the first.
-	full, err := openFrame(marshalFrame(wireSearchPages, 0, func(e *store.Enc) { encodeSearchPagesWire(e, seeds[2]) }), wireSearchPages)
+	full, err := openFrame(frameOf(wireSearchPages, false, func(e *store.Enc) { encodeSearchPagesWire(e, seeds[2]) }), wireSearchPages)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -566,8 +566,8 @@ func FuzzSearchPagesFrame(f *testing.F) {
 			}
 		}
 		check(data)
-		for _, compressMin := range []int{0, 1} {
-			check(marshalFrame(wireSearchPages, compressMin, func(e *store.Enc) { e.Raw(data) }))
+		for _, zip := range []bool{false, true} {
+			check(frameOf(wireSearchPages, zip, func(e *store.Enc) { e.Raw(data) }))
 		}
 	})
 }

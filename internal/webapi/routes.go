@@ -65,7 +65,6 @@ func (s *Server) routes() []apiRoute {
 // Handler returns the routed http.Handler (useful for httptest or custom
 // servers). Safe to call from concurrent goroutines.
 func (s *Server) Handler() http.Handler {
-	s.semaphore()
 	mux := http.NewServeMux()
 	for _, rt := range s.routes() {
 		mux.Handle(rt.method+" "+rt.path, s.instrument(rt))
@@ -79,7 +78,7 @@ func (s *Server) Handler() http.Handler {
 
 // instrument wraps one route's handler with its registry-declared
 // behavior: the static write deadline on non-streaming requests (a
-// slow-reading client must not pin a handler and its semaphore slot
+// slow-reading client must not pin a handler and its admission slot
 // forever; streams roll their own deadline per event) and a Vary header
 // on codec-negotiated routes (two representations of one resource —
 // caches must key on the negotiation header). Deadline errors are
@@ -103,34 +102,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // wantsWire reports whether the request negotiated the binary codec.
-func (s *Server) wantsWire(r *http.Request) bool {
-	if s.WireDisabled {
-		return false
-	}
+func wantsWire(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), wireContentType)
-}
-
-// compressMin resolves the server's gzip threshold: CompressMin bytes,
-// DefaultCompressMin when unset, never when negative.
-func (s *Server) compressMin() int {
-	switch {
-	case s.CompressMin < 0:
-		return 0
-	case s.CompressMin == 0:
-		return DefaultCompressMin
-	default:
-		return s.CompressMin
-	}
 }
 
 // respond writes one payload in the negotiated codec: a single wire
 // frame of the given kind, or jsonV as JSON (the default).
 func (s *Server) respond(w http.ResponseWriter, r *http.Request, kind byte, encode func(*store.Enc), jsonV any) {
-	if !s.wantsWire(r) {
+	if !wantsWire(r) {
 		writeJSON(w, jsonV)
 		return
 	}
-	frame := marshalFrame(kind, s.compressMin(), encode)
+	frame := marshalFrame(kind, encode)
 	w.Header().Set("Content-Type", wireContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
 	_, _ = w.Write(frame)

@@ -89,49 +89,31 @@ type Server struct {
 
 	// Log receives one line per request when non-nil.
 	Log *log.Logger
-	// MaxConcurrent bounds in-flight requests (default 64). Set it before
-	// the first request; later changes are ignored.
-	MaxConcurrent int
-	// MaxInFlight, when > 0, is the admission-control bound: a request
-	// arriving while MaxInFlight others are in flight is shed immediately
-	// with 429 and the retryable error envelope instead of queueing
-	// (/healthz is exempt so probes see an overloaded server as alive).
-	// It also becomes the default MaxActive of the shared harvest
-	// scheduler, so admission and job concurrency degrade together. Set
-	// it before the first request; later changes are ignored.
+	// MaxInFlight sizes the one admission gate every request but /healthz
+	// passes (probes must see an overloaded server as alive). Unset (0), the
+	// gate holds 64 requests and a request past them waits for a slot (503
+	// if its caller leaves first). Set to N, a request past N is shed at
+	// once with 429 and the retryable error envelope instead of queueing,
+	// and N also bounds the jobs the shared harvest scheduler runs at once,
+	// so admission and job concurrency degrade together. Set it before the
+	// first request; later changes are ignored.
 	MaxInFlight int
 	// Harvest, when non-nil, enables the jobs API (POST/GET/DELETE
 	// /api/v1/jobs): server-side pipelined sessions with streamed progress.
 	// Only a NewServer server runs them; a node or coordinator server
 	// answers the jobs routes 501 either way.
 	Harvest *HarvestBackend
-	// WireDisabled turns off binary-frame negotiation: the server
-	// answers every request in JSON regardless of Accept (the mixed-
-	// version/debug posture).
-	WireDisabled bool
-	// CompressMin is the gzip threshold for wire-frame payloads: frames
-	// at least this large are compressed. 0 picks DefaultCompressMin;
-	// negative disables compression entirely.
-	CompressMin int
-	// Node is set by NewNodeServer and nil on every other server: it marks
-	// this server as one node of a doc-partitioned cluster, is the backend
-	// the regular endpoints serve from, and enables the /api/v1/cluster/*
-	// endpoints (partition-local search, stat registration/push).
-	Node *ClusterNode
 
-	semOnce sync.Once
-	sem     chan struct{}
-
-	// inflight is the MaxInFlight try-acquire semaphore (nil when
-	// admission control is off); shed counts requests rejected at it.
+	// inflight is the admission gate, sized once from MaxInFlight; shed
+	// counts requests rejected at it.
 	inflightOnce sync.Once
 	inflight     chan struct{}
 	shed         atomic.Int64
 
 	http *http.Server
 
-	// sched is the ONE shared pipeline scheduler every job runs on, created lazily from the backend's worker knobs and
-	// closed by Shutdown.
+	// sched is the ONE shared pipeline scheduler every job runs on, created
+	// on first use and closed by Shutdown.
 	schedMu sync.Mutex
 	sched   *pipeline.Scheduler
 
@@ -155,23 +137,15 @@ type Server struct {
 }
 
 // scheduler returns the server's shared pipeline scheduler, starting it
-// on first use from the harvest backend's worker configuration.
+// on first use with pipeline.Config's worker defaults and, when
+// MaxInFlight is set, that many active jobs at most.
 func (s *Server) scheduler() *pipeline.Scheduler {
 	s.schedMu.Lock()
 	defer s.schedMu.Unlock()
 	if s.sched == nil {
-		cfg := pipeline.Config{}
-		if s.Harvest != nil {
-			cfg.SelectWorkers = s.Harvest.SelectWorkers
-			cfg.FetchWorkers = s.Harvest.FetchWorkers
-			cfg.MaxActive = s.Harvest.MaxActive
-		}
-		if cfg.MaxActive == 0 && s.MaxInFlight > 0 {
-			// Admission control extends to job concurrency: excess jobs
-			// wait in the scheduler's FIFO instead of thrashing workers.
-			cfg.MaxActive = s.MaxInFlight
-		}
-		s.sched = pipeline.New(cfg)
+		// Excess jobs wait in the scheduler's FIFO instead of thrashing
+		// workers.
+		s.sched = pipeline.New(pipeline.Config{MaxActive: s.MaxInFlight})
 	}
 	return s.sched
 }
@@ -180,7 +154,7 @@ func (s *Server) scheduler() *pipeline.Scheduler {
 func newServer(b backend) *Server {
 	//l2qvet:ignore ctxbg server-lifetime root: this ctx outlives every request and is canceled by Shutdown's drain
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{backend: b, MaxConcurrent: 64, ctx: ctx, cancel: cancel}
+	return &Server{backend: b, ctx: ctx, cancel: cancel}
 }
 
 // NewServer wires a single-node server over a corpus and the live engine
@@ -199,20 +173,6 @@ func NewServer(c *corpus.Corpus, eng *search.LiveEngine, tok *textproc.Tokenizer
 	return newServer(&localBackend{corpus: c, pages: pages, live: eng, tok: tok})
 }
 
-// semaphore returns the in-flight request bound, sized once from
-// MaxConcurrent on first use. The once-guard (instead of the former lazy
-// nil-check) makes concurrent Handler() calls race-free.
-func (s *Server) semaphore() chan struct{} {
-	s.semOnce.Do(func() {
-		n := s.MaxConcurrent
-		if n <= 0 {
-			n = 64
-		}
-		s.sem = make(chan struct{}, n)
-	})
-	return s.sem
-}
-
 // writeTimeout bounds response writes. It is applied per request (and, on
 // the event streams, rolled forward per event) instead of as a
 // server-wide WriteTimeout, which would sever streams that outlive one
@@ -220,13 +180,19 @@ func (s *Server) semaphore() chan struct{} {
 // else bounded) lives in the route registry — see routes.go.
 const writeTimeout = 30 * time.Second
 
-// inflightSem returns the admission-control semaphore, sized once from
-// MaxInFlight on first use; nil when admission control is off.
+// defaultMaxInFlight is the admission gate's size when MaxInFlight is
+// unset.
+const defaultMaxInFlight = 64
+
+// inflightSem returns the admission gate, sized once from MaxInFlight on
+// first use; the once-guard makes concurrent Handler() calls race-free.
 func (s *Server) inflightSem() chan struct{} {
 	s.inflightOnce.Do(func() {
-		if s.MaxInFlight > 0 {
-			s.inflight = make(chan struct{}, s.MaxInFlight)
+		n := s.MaxInFlight
+		if n <= 0 {
+			n = defaultMaxInFlight
 		}
+		s.inflight = make(chan struct{}, n)
 	})
 	return s.inflight
 }
@@ -234,31 +200,17 @@ func (s *Server) inflightSem() chan struct{} {
 // Shed reports how many requests admission control has rejected with 429.
 func (s *Server) Shed() int64 { return s.shed.Load() }
 
-// limit applies admission control (fast 429 shed past MaxInFlight), the
-// concurrency bound, and request logging. Per-route write deadlines are
-// applied by instrument() from the route registry.
+// limit passes every request but /healthz through the admission gate and
+// logs it. Per-route write deadlines are applied by instrument() from the
+// route registry.
 func (s *Server) limit(next http.Handler) http.Handler {
-	sem := s.semaphore()
-	inflight := s.inflightSem()
+	gate, shedding := s.inflightSem(), s.MaxInFlight > 0
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if inflight != nil && r.URL.Path != "/healthz" {
-			select {
-			case inflight <- struct{}{}:
-				defer func() { <-inflight }()
-			default:
-				// Shed instead of queueing: the client's retry (the
-				// envelope is retryable) is cheaper than a convoy here.
-				s.shed.Add(1)
-				writeError(w, http.StatusTooManyRequests, "server at max in-flight requests")
+		if r.URL.Path != "/healthz" {
+			if !s.admit(w, r, gate, shedding) {
 				return
 			}
-		}
-		select {
-		case sem <- struct{}{}:
-			defer func() { <-sem }()
-		case <-r.Context().Done():
-			writeError(w, http.StatusServiceUnavailable, "canceled while waiting for a concurrency slot")
-			return
+			defer func() { <-gate }()
 		}
 		s.requests.Add(1)
 		start := time.Now()
@@ -267,6 +219,30 @@ func (s *Server) limit(next http.Handler) http.Handler {
 			s.Log.Printf("%s %s %s", r.Method, r.URL.RequestURI(), time.Since(start))
 		}
 	})
+}
+
+// admit takes a gate slot for r, or answers r itself and reports false:
+// shedding (MaxInFlight set), a full gate sheds at once — the client's
+// retry, the envelope being retryable, is cheaper than a convoy here;
+// otherwise r waits for a slot for as long as its caller does.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, gate chan struct{}, shedding bool) bool {
+	if shedding {
+		select {
+		case gate <- struct{}{}:
+			return true
+		default:
+			s.shed.Add(1)
+			writeError(w, http.StatusTooManyRequests, "server at max in-flight requests")
+			return false
+		}
+	}
+	select {
+	case gate <- struct{}{}:
+		return true
+	case <-r.Context().Done():
+		writeError(w, http.StatusServiceUnavailable, "canceled while waiting for a concurrency slot")
+		return false
+	}
 }
 
 // Start begins listening on addr (e.g. "127.0.0.1:8080"; ":0" picks a free
@@ -318,11 +294,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 type ServerMetrics struct {
 	// Requests counts every HTTP request served since start.
 	Requests int64 `json:"requests"`
-	// InFlight is the number of requests currently holding a concurrency
-	// slot (the MaxConcurrent semaphore).
+	// InFlight is the number of requests currently holding an admission
+	// gate slot.
 	InFlight int `json:"inFlight"`
 	// Shed counts requests rejected 429 by admission control (MaxInFlight);
-	// MaxInFlight echoes the configured bound (0 = admission control off).
+	// MaxInFlight echoes the configured bound (0 = unset: requests queue).
 	Shed        int64 `json:"shed"`
 	MaxInFlight int   `json:"maxInFlight,omitempty"`
 	// Search reports what the search route saved its clients — pages sent
@@ -375,7 +351,7 @@ type SearchRouteMetrics struct {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	m := ServerMetrics{
 		Requests:    s.requests.Load(),
-		InFlight:    len(s.semaphore()),
+		InFlight:    len(s.inflightSem()),
 		Shed:        s.shed.Load(),
 		MaxInFlight: s.MaxInFlight,
 		Search: SearchRouteMetrics{
@@ -630,12 +606,12 @@ func (s *Server) handleEntities(w http.ResponseWriter, _ *http.Request) {
 // handlePage serves one corpus page at /page/{id} where {id} is
 // "<n>.html" (the canonical html.PageHref form) or a bare numeric ID —
 // as raw HTML by default, or as a wire frame carrying the identical
-// bytes (gzipped past the threshold) when negotiated. This is the route a
+// bytes (gzipped from compressMin up) when negotiated. This is the route a
 // crawler, a browser or a client of an older release downloads pages
 // from; a harvesting Client gets the same bytes inside its search
 // responses (attachPages) and comes here only for a page one of those did
 // not carry. Page bodies are the serving boundary's dominant transfer
-// cost either way, which is why they are the payload the compress
+// cost either way, which is why they are the payload the compression
 // threshold is aimed at.
 func (s *Server) handlePage(w http.ResponseWriter, r *http.Request) {
 	raw := r.PathValue("id")
@@ -650,8 +626,8 @@ func (s *Server) handlePage(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errorStatus(err), err.Error())
 		return
 	}
-	if s.wantsWire(r) {
-		frame := marshalFrame(wirePage, s.compressMin(), func(e *store.Enc) { e.Raw([]byte(body)) })
+	if wantsWire(r) {
+		frame := marshalFrame(wirePage, func(e *store.Enc) { e.Raw([]byte(body)) })
 		w.Header().Set("Content-Type", wireContentType)
 		w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
 		_, _ = w.Write(frame)

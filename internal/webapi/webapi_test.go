@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -367,4 +369,128 @@ func TestSearchCacheKeyNotFooledBySeparatorBytes(t *testing.T) {
 				i, got[i].PageID, got[i].Score, want[i].Page.ID, want[i].Score)
 		}
 	}
+}
+
+// tokensSeen is a backend that records the tokens its last search was
+// handed.
+type tokensSeen struct {
+	backend
+	seed, query []textproc.Token
+}
+
+func (b *tokensSeen) search(ctx context.Context, seed, query []textproc.Token, k int) (SearchResponse, error) {
+	b.seed, b.query = seed, query
+	return b.backend.search(ctx, seed, query, k)
+}
+
+// FuzzSearchParams sends any raw query string to /api/v1/search on a
+// single server and to /api/v1/cluster/search on a primed one-node
+// cluster. Neither route panics; each answers 200, or the error envelope
+// with 400, 501 or 503; a 200 names q or seed, and holds a have list of at
+// most maxHave IDs when it was asked one; and it ranks exactly what the
+// engine ranks for the request's own non-empty q and seed values. On the
+// single server those values are what the engine was handed, one token
+// per value: a space inside a value is a phrase, never a split.
+func FuzzSearchParams(f *testing.F) {
+	g, err := synth.Generate(synth.Config{Domain: synth.DomainResearchers, NumEntities: 6, PagesPerEntity: 4, Seed: 2016})
+	if err != nil {
+		f.Fatal(err)
+	}
+	live := bootLive(g.Corpus)
+	singleSrv := NewServer(g.Corpus, live, nil)
+	seen := &tokensSeen{backend: singleSrv.backend}
+	singleSrv.backend = seen
+	single := singleSrv.Handler()
+	nodeSrv, err := NewNodeServer(g.Corpus, search.ClusterSpec{Nodes: 1, Replicas: 1}, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	node := nodeSrv.Node()
+	// One node holds the whole corpus, so its statistics are the global ones.
+	st := search.StatsOf(search.BuildIndex(g.Corpus.Pages))
+	if err := node.ApplyGlobalStats(&GlobalStatsPayload{NumDocs: st.NumDocs, TotalTokens: st.TotalTokens, NumTerms: st.NumTerms,
+		Mu: live.View().Mu(), TopK: search.DefaultTopK, CollFreq: st.CollFreq}); err != nil {
+		f.Fatal(err)
+	}
+	clustered := nodeSrv.Handler()
+
+	seed := url.Values{"seed": g.Corpus.Entities[1].SeedTokens(), "q": {"research"}}.Encode()
+	have := make([]string, maxHave+1)
+	for i := range have {
+		have[i] = strconv.Itoa(i)
+	}
+	for _, raw := range []string{
+		seed, seed + "&part=0", seed + "&part=0&k=3", seed + "&k=0", seed + "&k=101", seed + "&part=7",
+		"q=data+mining&seed=a+b&part=0", "q=research&q=&seed=&part=0",
+		seed + "&with=pages&have=" + strings.Join(have[:maxHave], ","),
+		seed + "&with=pages&have=" + strings.Join(have, ","),
+		seed + "&have=1", seed + "&with=pages&with=pages", seed + "&with=html",
+		"", "q=&seed=", "q=%zz&seed=x", "part=0", "k=2",
+	} {
+		f.Add(raw)
+	}
+
+	f.Fuzz(func(t *testing.T, raw string) {
+		qv, _ := url.ParseQuery(raw) // what the server reads: undecodable pairs dropped
+		var seed, query []textproc.Token
+		for _, v := range qv["seed"] {
+			if v != "" {
+				seed = append(seed, v)
+			}
+		}
+		for _, v := range qv["q"] {
+			if v != "" {
+				query = append(query, v)
+			}
+		}
+		k, _ := strconv.Atoi(qv.Get("k"))
+		for _, route := range []struct {
+			path string
+			h    http.Handler
+			seen *tokensSeen // nil: the route's tokens are not recorded
+			rank func() []search.Result
+		}{
+			{apiRoot + "/search", single, seen, func() []search.Result {
+				return live.View().SearchWithSeedTopKAppend(nil, k, seed, query)
+			}},
+			{apiRoot + "/cluster/search", clustered, nil, func() []search.Result {
+				res, _, _ := node.searchPartition(0, seed, query, k)
+				return res
+			}},
+		} {
+			req := httptest.NewRequest(http.MethodGet, route.path, nil)
+			req.URL.RawQuery = raw
+			rec := httptest.NewRecorder()
+			route.h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				var env errorEnvelope
+				if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != errorCode(rec.Code) ||
+					rec.Code != http.StatusBadRequest && rec.Code != http.StatusNotImplemented && rec.Code != http.StatusServiceUnavailable {
+					t.Fatalf("%s?%s = %d %q, want 200 or the 400/501/503 envelope", route.path, raw, rec.Code, rec.Body.Bytes())
+				}
+				continue
+			}
+			if len(seed)+len(query) == 0 {
+				t.Fatalf("%s?%s = 200 naming neither q nor seed", route.path, raw)
+			}
+			if lists, ok := qv["have"]; ok && strings.Count(lists[0], ",") >= maxHave {
+				t.Fatalf("%s?%s = 200 on a have list past %d IDs", route.path, raw, maxHave)
+			}
+			var resp SearchResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			if rs := route.seen; rs != nil && (!slices.Equal(rs.seed, seed) || !slices.Equal(rs.query, query)) {
+				t.Fatalf("%s?%s handed the engine seed %q query %q, want %q %q", route.path, raw, rs.seed, rs.query, seed, query)
+			}
+			want := route.rank()
+			same := len(resp.Hits) == len(want)
+			for i := 0; same && i < len(want); i++ {
+				same = resp.Hits[i].PageID == want[i].Page.ID && resp.Hits[i].Score == want[i].Score
+			}
+			if !same {
+				t.Fatalf("%s?%s ranked %+v, the engine ranks seed %q query %q as %v", route.path, raw, resp, seed, query, want)
+			}
+		}
+	})
 }

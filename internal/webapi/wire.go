@@ -50,7 +50,7 @@ const wireContentType = "application/x-l2q-wire"
 
 // WireContentType is the media type a client sends in Accept (and a
 // server answers in Content-Type) to negotiate the binary wire codec.
-// Exported for flag help text and for non-Go clients of the API.
+// Exported for l2qserve's banner and for non-Go clients of the API.
 const WireContentType = wireContentType
 
 // Frame payload kinds. Four numbers are retired — no route negotiates them,
@@ -76,10 +76,11 @@ const (
 // Frame flags.
 const wireFlagGzip byte = 1
 
-// DefaultCompressMin is the default gzip threshold: page payloads at
-// least this large are compressed inside their frame. Small payloads
-// skip compression — the gzip header plus CPU costs more than it saves.
-const DefaultCompressMin = 1 << 10
+// compressMin is the gzip threshold: payloads at least this large are
+// compressed inside their frame. Small payloads skip compression — the
+// gzip header plus CPU costs more than it saves. A constant, like
+// frameGzipLevel: a rendered page is past it and a stats frame is not.
+const compressMin = 1 << 10
 
 // encPool recycles payload encoders across requests.
 var encPool = sync.Pool{New: func() any { return new(store.Enc) }}
@@ -105,17 +106,23 @@ var gzipBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 var gzipRPool sync.Pool
 
 // marshalFrame encodes one payload with encode and wraps it in a wire
-// frame. compressMin > 0 gzips payloads at least that large (and keeps
-// the compressed form only when it is actually smaller).
-func marshalFrame(kind byte, compressMin int, encode func(*store.Enc)) []byte {
+// frame, gzipped from compressMin bytes up.
+func marshalFrame(kind byte, encode func(*store.Enc)) []byte {
 	e := encPool.Get().(*store.Enc)
 	e.Reset()
 	encode(e)
-	payload := e.Data()
+	out := wrapFrame(kind, e.Data(), e.Len() >= compressMin)
+	encPool.Put(e)
+	return out
+}
+
+// wrapFrame wraps payload in a wire frame of its own, gzipped when zip is
+// set and the compressed form is actually smaller.
+func wrapFrame(kind byte, payload []byte, zip bool) []byte {
 	flags := byte(0)
-	var zbuf *bytes.Buffer
-	if compressMin > 0 && len(payload) >= compressMin {
-		zbuf = gzipBufPool.Get().(*bytes.Buffer)
+	if zip {
+		zbuf := gzipBufPool.Get().(*bytes.Buffer)
+		defer gzipBufPool.Put(zbuf) // the frame below copies what it keeps
 		zbuf.Reset()
 		zw := gzipWPool.Get().(*gzip.Writer)
 		zw.Reset(zbuf)
@@ -132,13 +139,7 @@ func marshalFrame(kind byte, compressMin int, encode func(*store.Enc)) []byte {
 	out = append(out, kind, flags)
 	out = binary.AppendUvarint(out, uint64(len(payload)))
 	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	out = append(out, payload...)
-	// The frame holds its own copy of the payload; both buffers go back.
-	if zbuf != nil {
-		gzipBufPool.Put(zbuf)
-	}
-	encPool.Put(e)
-	return out
+	return append(out, payload...)
 }
 
 // isWireFrame sniffs a response body for the frame magic — how a client

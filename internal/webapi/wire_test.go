@@ -24,11 +24,18 @@ import (
 	"l2q/internal/types"
 )
 
+// frameOf frames what encode writes, gzipped (when that is smaller) or not,
+// whatever its size: both encodings a decoder must take.
+func frameOf(kind byte, zip bool, encode func(*store.Enc)) []byte {
+	var e store.Enc
+	encode(&e)
+	return wrapFrame(kind, e.Data(), zip)
+}
+
 // roundTripFrame encodes one payload into a frame and opens it again.
-func roundTripFrame(t *testing.T, kind byte, compressMin int, encode func(*store.Enc)) []byte {
+func roundTripFrame(t *testing.T, kind byte, encode func(*store.Enc)) []byte {
 	t.Helper()
-	frame := marshalFrame(kind, compressMin, encode)
-	payload, err := openFrame(frame, kind)
+	payload, err := openFrame(marshalFrame(kind, encode), kind)
 	if err != nil {
 		t.Fatalf("openFrame: %v", err)
 	}
@@ -38,7 +45,7 @@ func roundTripFrame(t *testing.T, kind byte, compressMin int, encode func(*store
 func TestWireFrameRoundTrips(t *testing.T) {
 	st := Stats{Domain: "cars", NumEntities: 3, NumPages: 40, NumTerms: 900,
 		TotalTokens: 12345, Mu: 2000.5, TopK: 10}
-	payload := roundTripFrame(t, wireStats, 0, func(e *store.Enc) { encodeStatsWire(e, st) })
+	payload := roundTripFrame(t, wireStats, func(e *store.Enc) { encodeStatsWire(e, st) })
 	d := store.NewDec(payload)
 	if got := decodeStatsWire(d); got != st || d.Err() != nil || !d.Done() {
 		t.Errorf("stats round trip: got %+v want %+v (err %v)", got, st, d.Err())
@@ -48,7 +55,7 @@ func TestWireFrameRoundTrips(t *testing.T) {
 		{PageID: 7, URL: "/page/7.html", Title: "t7", Score: -3.25},
 		{PageID: 0, URL: "/page/0.html", Title: "", Score: 0},
 	}}
-	payload = roundTripFrame(t, wireSearch, 0, func(e *store.Enc) { encodeSearchWire(e, sr) })
+	payload = roundTripFrame(t, wireSearch, func(e *store.Enc) { encodeSearchWire(e, sr) })
 	d = store.NewDec(payload)
 	if got := decodeSearchWire(d); !reflect.DeepEqual(got, sr) || !d.Done() {
 		t.Errorf("search round trip: got %+v want %+v", got, sr)
@@ -57,7 +64,7 @@ func TestWireFrameRoundTrips(t *testing.T) {
 
 func TestWireFrameCompression(t *testing.T) {
 	big := bytes.Repeat([]byte("the same paragraph over and over "), 200)
-	framed := marshalFrame(wirePage, 1024, func(e *store.Enc) { e.Raw(big) })
+	framed := marshalFrame(wirePage, func(e *store.Enc) { e.Raw(big) })
 	if framed[len(wireMagic)+1]&wireFlagGzip == 0 {
 		t.Fatal("large compressible payload not gzipped")
 	}
@@ -74,19 +81,14 @@ func TestWireFrameCompression(t *testing.T) {
 
 	// Below the threshold: no compression flag, payload verbatim.
 	small := []byte("tiny")
-	framed = marshalFrame(wirePage, 1024, func(e *store.Enc) { e.Raw(small) })
+	framed = marshalFrame(wirePage, func(e *store.Enc) { e.Raw(small) })
 	if framed[len(wireMagic)+1]&wireFlagGzip != 0 {
 		t.Error("sub-threshold payload was gzipped")
-	}
-	// Threshold 0: compression disabled outright.
-	framed = marshalFrame(wirePage, 0, func(e *store.Enc) { e.Raw(big) })
-	if framed[len(wireMagic)+1]&wireFlagGzip != 0 {
-		t.Error("compressMin=0 still gzipped")
 	}
 }
 
 func TestWireFrameCorruption(t *testing.T) {
-	frame := marshalFrame(wireSearch, 0, func(e *store.Enc) {
+	frame := frameOf(wireSearch, false, func(e *store.Enc) {
 		encodeSearchWire(e, SearchResponse{Query: "q", Hits: []SearchHit{{PageID: 3, URL: "u", Title: "t", Score: 1}}})
 	})
 
@@ -105,7 +107,7 @@ func TestWireFrameCorruption(t *testing.T) {
 	// Kinds 4–7 are retired (collfreq batch, entity list, harvest event,
 	// node stat report): no decoder takes a frame that announces one.
 	for _, old := range retiredKinds {
-		retired := marshalFrame(old, 0, func(e *store.Enc) { e.Str("engine"); e.Varint(12) })
+		retired := frameOf(old, false, func(e *store.Enc) { e.Str("engine"); e.Varint(12) })
 		for _, kind := range []byte{wireStats, wireSearch, wirePage, wireIngest, wireSearchPages} {
 			if err := decodeFramePayload(retired, kind, func(d *store.Dec) { d.Str(); d.Varint() }); err == nil {
 				t.Errorf("retired kind %d decoded as kind %d", old, kind)
@@ -168,7 +170,8 @@ func TestRegistrationPayloadsAreJSON(t *testing.T) {
 }
 
 // TestNegotiationMatrix drives every cell of the codec matrix over real
-// HTTP: Accept binary vs JSON × gzip on/off × versioned vs legacy paths.
+// HTTP: Accept binary vs JSON against a server, against a JSON-only peer
+// and from a JSON-pinned client, with the fixed gzip threshold.
 func TestNegotiationMatrix(t *testing.T) {
 	g, err := synth.Generate(synth.TestConfig(synth.DomainCars))
 	if err != nil {
@@ -200,80 +203,74 @@ func TestNegotiationMatrix(t *testing.T) {
 		return b, resp.Header.Get("Content-Type")
 	}
 
-	for _, tc := range []struct {
-		name        string
-		compressMin int
-	}{
-		{"gzip-on", 1},      // every compressible frame compresses
-		{"gzip-off", -1},    // compression disabled
-		{"gzip-default", 0}, // DefaultCompressMin threshold
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			srvObj := NewServer(g.Corpus, live, nil)
-			srvObj.CompressMin = tc.compressMin
-			srv := httptest.NewServer(srvObj.Handler())
-			defer srv.Close()
+	srv := httptest.NewServer(NewServer(g.Corpus, live, nil).Handler())
+	defer srv.Close()
+	const statsPath = "/api/v1/stats"
+	pageID := g.Corpus.Pages[2].ID
+	rawPage := html.RenderPage(g.Corpus.Pages[2])
+	gzipped := func(frame []byte) bool { return frame[len(wireMagic)+1]&wireFlagGzip != 0 }
 
-			pageID := g.Corpus.Pages[2].ID
-			rawPage := html.RenderPage(g.Corpus.Pages[2])
-			const path = "/api/v1/stats"
-			// Binary negotiated: one stats frame.
-			body, ct := get(t, srv.URL, path, true)
-			if ct != wireContentType || !isWireFrame(body) {
-				t.Fatalf("%s with Accept: got content-type %q, frame=%v", path, ct, isWireFrame(body))
-			}
-			var st Stats
-			if err := decodeFramePayload(body, wireStats, func(d *store.Dec) { st = decodeStatsWire(d) }); err != nil {
-				t.Fatal(err)
-			}
-			if st.NumPages != g.Corpus.NumPages() {
-				t.Errorf("%s wire stats %+v", path, st)
-			}
-			// JSON default: same values, no frame.
-			body, ct = get(t, srv.URL, path, false)
-			if isWireFrame(body) || !strings.HasPrefix(ct, "application/json") {
-				t.Fatalf("%s without Accept negotiated binary (ct %q)", path, ct)
-			}
-			var jst Stats
-			if err := json.Unmarshal(body, &jst); err != nil {
-				t.Fatal(err)
-			}
-			if jst != st {
-				t.Errorf("%s: JSON stats %+v != wire stats %+v", path, jst, st)
-			}
+	// Both codecs carry the same values, and page bytes are identical
+	// through both — the byte-level parity bar.
+	t.Run("gzip-default", func(t *testing.T) {
+		body, ct := get(t, srv.URL, statsPath, true)
+		if ct != wireContentType || !isWireFrame(body) {
+			t.Fatalf("%s with Accept: got content-type %q, frame=%v", statsPath, ct, isWireFrame(body))
+		}
+		var st Stats
+		if err := decodeFramePayload(body, wireStats, func(d *store.Dec) { st = decodeStatsWire(d) }); err != nil {
+			t.Fatal(err)
+		}
+		if st.NumPages != g.Corpus.NumPages() {
+			t.Errorf("%s wire stats %+v", statsPath, st)
+		}
+		// JSON default: same values, no frame.
+		body, ct = get(t, srv.URL, statsPath, false)
+		if isWireFrame(body) || !strings.HasPrefix(ct, "application/json") {
+			t.Fatalf("%s without Accept negotiated binary (ct %q)", statsPath, ct)
+		}
+		var jst Stats
+		if err := json.Unmarshal(body, &jst); err != nil {
+			t.Fatal(err)
+		}
+		if jst != st {
+			t.Errorf("%s: JSON stats %+v != wire stats %+v", statsPath, jst, st)
+		}
 
-			// Page bytes are identical through both codecs — the byte-level
-			// parity bar — and the gzip flag obeys the threshold.
-			frame, _ := get(t, srv.URL, html.PageHref(pageID), true)
-			if !isWireFrame(frame) {
-				t.Fatal("page with Accept did not frame")
-			}
-			gz := frame[len(wireMagic)+1]&wireFlagGzip != 0
-			wantGz := tc.compressMin >= 0 && len(rawPage) >= srvObj.compressMin()
-			if gz != wantGz {
-				t.Errorf("page frame gzip=%v, want %v (compressMin %d, page %d bytes)",
-					gz, wantGz, tc.compressMin, len(rawPage))
-			}
-			payload, err := openFrame(frame, wirePage)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plain, _ := get(t, srv.URL, html.PageHref(pageID), false)
-			if !bytes.Equal(payload, plain) || !bytes.Equal(payload, []byte(rawPage)) {
-				t.Error("page bytes differ across codecs")
-			}
-		})
-	}
+		frame, _ := get(t, srv.URL, html.PageHref(pageID), true)
+		payload, err := openFrame(frame, wirePage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, _ := get(t, srv.URL, html.PageHref(pageID), false)
+		if !bytes.Equal(payload, plain) || !bytes.Equal(payload, []byte(rawPage)) {
+			t.Error("page bytes differ across codecs")
+		}
+	})
+	// The one threshold, compressMin: a rendered page is past it and its
+	// frame is gzipped...
+	t.Run("gzip-on", func(t *testing.T) {
+		if len(rawPage) < compressMin {
+			t.Fatalf("page is %d bytes, under the %d-byte threshold", len(rawPage), compressMin)
+		}
+		if frame, _ := get(t, srv.URL, html.PageHref(pageID), true); !isWireFrame(frame) || !gzipped(frame) {
+			t.Errorf("page frame (%d-byte page) not a gzipped frame", len(rawPage))
+		}
+	})
+	// ...and a stats frame is under it and is not.
+	t.Run("gzip-off", func(t *testing.T) {
+		if body, _ := get(t, srv.URL, statsPath, true); !isWireFrame(body) || gzipped(body) {
+			t.Errorf("stats frame (%d bytes) not a plain frame under the %d-byte threshold", len(body), compressMin)
+		}
+	})
 
-	// WireDisabled: Accept is ignored, everything is JSON.
+	// A JSON-only peer: Accept is stripped on the way, everything is JSON.
 	t.Run("wire-disabled", func(t *testing.T) {
-		srvObj := NewServer(g.Corpus, live, nil)
-		srvObj.WireDisabled = true
-		srv := httptest.NewServer(srvObj.Handler())
+		srv := httptest.NewServer(stripAccept(NewServer(g.Corpus, live, nil).Handler()))
 		defer srv.Close()
 		body, _ := get(t, srv.URL, "/api/v1/stats", true)
 		if isWireFrame(body) {
-			t.Error("WireDisabled server framed a response")
+			t.Error("JSON-only peer framed a response")
 		}
 		// A binary-preferring client degrades transparently...
 		c, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{})
@@ -292,8 +289,6 @@ func TestNegotiationMatrix(t *testing.T) {
 	// CodecJSON: the client never asks for binary even against a
 	// wire-capable server.
 	t.Run("codec-json", func(t *testing.T) {
-		srv := httptest.NewServer(NewServer(g.Corpus, live, nil).Handler())
-		defer srv.Close()
 		c, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{Codec: CodecJSON})
 		if err != nil {
 			t.Fatal(err)
@@ -307,19 +302,27 @@ func TestNegotiationMatrix(t *testing.T) {
 	})
 }
 
-// TestMixedVersionFallback: a JSON-only server (WireDisabled) and a
-// binary-preferring client negotiate JSON at the dial probe and harvest
-// exactly as the in-process engine does; a client that requires binary
-// fails the dial instead of degrading.
+// stripAccept is an intermediary that drops every request's Accept header
+// on its way to h: behind it a current server is a JSON-only peer, the
+// case the client's frame sniffing exists for.
+func stripAccept(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Header.Del("Accept")
+		h.ServeHTTP(w, r)
+	})
+}
+
+// TestMixedVersionFallback: a JSON-only peer (an intermediary strips
+// Accept) and a binary-preferring client negotiate JSON at the dial probe
+// and harvest exactly as the in-process engine does; a client that
+// requires binary fails the dial instead of degrading.
 func TestMixedVersionFallback(t *testing.T) {
 	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
 	if err != nil {
 		t.Fatal(err)
 	}
 	live := bootLive(g.Corpus)
-	srvObj := NewServer(g.Corpus, live, nil)
-	srvObj.WireDisabled = true
-	srv := httptest.NewServer(srvObj.Handler())
+	srv := httptest.NewServer(stripAccept(NewServer(g.Corpus, live, nil).Handler()))
 	defer srv.Close()
 
 	c, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{Codec: CodecAuto})
@@ -708,14 +711,14 @@ var liveDecoders = []frameDecoder{
 	payloadDecoder(wireIngest, decodeFrame(wireIngest, decodeIngestAckWire), encodeIngestAckWire, func(IngestResponse) int { return 0 }),
 }
 
-// roundTripFixture holds a fixture to a DeepEqual round trip through
-// marshalFrame, gzip off and on, and seeds f with both frames and the first
+// roundTripFixture holds a fixture to a DeepEqual round trip through a
+// frame, gzip off and on, and seeds f with both frames and the first
 // half of each — what FaultInjector.truncate leaves of a response.
 func roundTripFixture[T any](f *testing.F, kind byte, v T, enc func(*store.Enc, T), open func([]byte) (T, error)) {
-	for _, compressMin := range []int{0, 1} {
-		frame := marshalFrame(kind, compressMin, func(e *store.Enc) { enc(e, v) })
+	for _, zip := range []bool{false, true} {
+		frame := frameOf(kind, zip, func(e *store.Enc) { enc(e, v) })
 		if got, err := open(frame); err != nil || !reflect.DeepEqual(got, v) {
-			f.Fatalf("kind %d fixture (compressMin %d): got %+v, %v; want %+v", kind, compressMin, got, err, v)
+			f.Fatalf("kind %d fixture (gzip %v): got %+v, %v; want %+v", kind, zip, got, err, v)
 		}
 		f.Add(frame)
 		f.Add(frame[:len(frame)/2])
@@ -730,7 +733,7 @@ func roundTripFixture[T any](f *testing.F, kind byte, v T, enc func(*store.Enc, 
 // search never holds more hits than its payload has bytes (Dec.Count's
 // guard); a frame announcing a retired kind (4–7) is refused by every
 // decoder; and what decodes re-encodes to a canonical payload that
-// marshalFrame carries back unchanged, gzip off and on.
+// a frame carries back unchanged, gzip off and on.
 func FuzzFrameDecoders(f *testing.F) {
 	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
 	if err != nil {
@@ -749,16 +752,15 @@ func FuzzFrameDecoders(f *testing.F) {
 	roundTripFixture(f, wireIngest, IngestResponse{Ingested: 3, Duplicates: 1, NumDocs: 303, Epoch: 7, Segments: 2},
 		encodeIngestAckWire, decodeFrame(wireIngest, decodeIngestAckWire))
 	f.Add(page)
-	f.Add(marshalFrame(wireSearchPages, 0, func(e *store.Enc) { encodeSearchPagesWire(e, searchPagesSeeds(g)[2]) }))
+	f.Add(frameOf(wireSearchPages, false, func(e *store.Enc) { encodeSearchPagesWire(e, searchPagesSeeds(g)[2]) }))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		raw := func(b []byte) func(*store.Enc) { return func(e *store.Enc) { e.Raw(b) } }
 		var retired [][]byte
 		for _, old := range retiredKinds {
-			retired = append(retired, marshalFrame(old, 0, raw(data)))
+			retired = append(retired, wrapFrame(old, data, false))
 		}
 		for _, dec := range liveDecoders {
-			for _, body := range [][]byte{data, marshalFrame(dec.kind, 0, raw(data)), marshalFrame(dec.kind, 1, raw(data))} {
+			for _, body := range [][]byte{data, wrapFrame(dec.kind, data, false), wrapFrame(dec.kind, data, true)} {
 				canon, n, err := dec.canon(body)
 				if err != nil {
 					continue
@@ -766,10 +768,10 @@ func FuzzFrameDecoders(f *testing.F) {
 				if payload, err := openFrame(body, dec.kind); err != nil || n > len(payload) {
 					t.Fatalf("kind %d: %d elements decoded from a %d-byte payload (%v)", dec.kind, n, len(payload), err)
 				}
-				for _, compressMin := range []int{0, 1} {
-					again, _, err := dec.canon(marshalFrame(dec.kind, compressMin, raw(canon)))
+				for _, zip := range []bool{false, true} {
+					again, _, err := dec.canon(wrapFrame(dec.kind, canon, zip))
 					if err != nil || !bytes.Equal(again, canon) {
-						t.Fatalf("kind %d (compressMin %d): the canonical payload does not round-trip: %v", dec.kind, compressMin, err)
+						t.Fatalf("kind %d (gzip %v): the canonical payload does not round-trip: %v", dec.kind, zip, err)
 					}
 				}
 			}
@@ -797,7 +799,7 @@ func BenchmarkMarshalFrameAllocs(b *testing.B) {
 		b.Fatal(err)
 	}
 	body := []byte(html.RenderPage(g.Corpus.Pages[0]))
-	if len(body) < DefaultCompressMin {
+	if len(body) < compressMin {
 		b.Fatalf("page body is %d bytes, under the compress threshold", len(body))
 	}
 	resp := searchPagesSeeds(g)[2] // five hits, five bodies
@@ -810,14 +812,14 @@ func BenchmarkMarshalFrameAllocs(b *testing.B) {
 		{"search5pages", wireSearchPages, func(e *store.Enc) { encodeSearchPagesWire(e, resp) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			frame := marshalFrame(bc.kind, DefaultCompressMin, bc.encode) // warm the pools
+			frame := marshalFrame(bc.kind, bc.encode) // warm the pools
 			if frame[len(wireMagic)+1]&wireFlagGzip == 0 {
 				b.Fatal("frame was not compressed")
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				frame = marshalFrame(bc.kind, DefaultCompressMin, bc.encode)
+				frame = marshalFrame(bc.kind, bc.encode)
 			}
 			b.ReportMetric(float64(len(frame)), "frame_bytes")
 		})

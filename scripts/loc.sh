@@ -11,7 +11,9 @@
 #   scripts/loc.sh            # every package, the total, then the counters
 #   scripts/loc.sh internal/webapi
 #
-# The whole-tree run also prints the three counters ROADMAP tracks:
+# The whole-tree run also prints the flag definitions of each command —
+# flag.X( calls and the .X( calls of a flag.NewFlagSet, the form l2qstore's
+# subcommands use — and the three counters ROADMAP tracks:
 # //l2qvet:ignore directives outside internal/lint and testdata,
 # time.Sleep( calls in internal/**/*_test.go, and the fuzz targets beside
 # how many of them `make fuzz-smoke` runs.
@@ -38,6 +40,18 @@ done
 printf '%-28s %9d %9d\n' total "$total" "$total_test"
 
 [ $# -eq 0 ] || exit 0
+flags() { # flags <file...>: flag definitions, on the flag package and on every FlagSet the files make
+	local recv
+	recv=$( { echo flag; grep -hoE '\b[A-Za-z_][A-Za-z0-9_]* :?= flag\.NewFlagSet' "$@" | cut -d' ' -f1; } | sort -u | paste -sd'|')
+	grep -hoE "\b($recv)\.((Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(Var)?|BoolFunc|Func|TextVar|Var)\(" "$@" | wc -l
+}
+echo
+printf '%-28s %9s\n' command flags
+for d in cmd/*/; do
+	d=${d%/}
+	mapfile -t files < <(find "$d" -maxdepth 1 -name '*.go' -not -name '*_test.go')
+	printf '%-28s %9d\n' "$d" "$(flags "${files[@]}")"
+done
 gofiles() { # gofiles <find predicate...>: the tree's Go files, bench/ excluded
 	find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*' "$@"
 }
