@@ -47,7 +47,10 @@ test-procs:
 # the round trip the id path rests on (every n-gram a lexicon tokenizer
 # emits re-tokenizes to itself), on ingest-side HTML (ParsePage never
 # panics on any bytes or truncation and gives back a rendered page's ID,
-# entity and paragraph tokens), on the ingest route's body, JSON or
+# entity and paragraph tokens; RenderPage writes the fmt reference's
+# bytes), on the segmenter against its retained reference (any bytes:
+# the same title, meta, paragraphs, attributes and links), on the ingest
+# route's body, JSON or
 # frame (never a panic; a 200 accounts for every decoded page, anything
 # else changes nothing; minimizing capped at 1 s like the bitsets) and on
 # the other live frame decoders — stats, search, page, ingest ack (never
@@ -74,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLexiconMergeMatchesReference -fuzztime 10s ./internal/textproc/
 	$(GO) test -run '^$$' -fuzz FuzzGramTokensRoundTrip -fuzztime 10s ./internal/textproc/
 	$(GO) test -run '^$$' -fuzz FuzzParsePage -fuzztime 10s ./internal/html/
+	$(GO) test -run '^$$' -fuzz FuzzParseMatchesReference -fuzztime 10s ./internal/html/
 	$(GO) test -run '^$$' -fuzz FuzzIngestBody -fuzztime 10s -fuzzminimizetime 1s ./internal/webapi/
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecoders -fuzztime 10s -fuzzminimizetime 1s ./internal/webapi/
 	$(GO) test -run '^$$' -fuzz FuzzStoreReaders -fuzztime 10s -fuzzminimizetime 1s ./internal/store/

@@ -25,3 +25,20 @@ func BenchmarkParsePageAllocs(b *testing.B) {
 		benchTokens = ParsePage(doc, -1, g.Tokenizer).Tokens()
 	}
 }
+
+// BenchmarkRenderPageAllocs is a server's per-served-page cost: one
+// researchers page rendered by AppendPage into a reused buffer.
+// scripts/alloc_gate.sh pins it at 0 allocs/op.
+func BenchmarkRenderPageAllocs(b *testing.B) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := g.Corpus.Pages[0]
+	buf := AppendPage(nil, p)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = AppendPage(buf[:0], p)
+	}
+}

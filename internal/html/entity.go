@@ -103,46 +103,54 @@ func decodeOneEntity(s string) (rune, int) {
 
 // EscapeText escapes character data for inclusion in an HTML text node.
 func EscapeText(s string) string {
-	if !strings.ContainsAny(s, "&<>") {
+	if !needsEscape(s, false) {
 		return s
 	}
-	var b strings.Builder
-	b.Grow(len(s) + 8)
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '&':
-			b.WriteString("&amp;")
-		case '<':
-			b.WriteString("&lt;")
-		case '>':
-			b.WriteString("&gt;")
-		default:
-			b.WriteByte(s[i])
-		}
-	}
-	return b.String()
+	return string(appendEscaped(make([]byte, 0, len(s)+8), s, false))
 }
 
 // EscapeAttr escapes a string for inclusion in a double-quoted attribute.
 func EscapeAttr(s string) string {
-	if !strings.ContainsAny(s, "&<>\"") {
+	if !needsEscape(s, true) {
 		return s
 	}
-	var b strings.Builder
-	b.Grow(len(s) + 8)
+	return string(appendEscaped(make([]byte, 0, len(s)+8), s, true))
+}
+
+// needsEscape reports whether appendEscaped would rewrite a byte of s. One
+// vectorized IndexByte per character is far cheaper than a byte loop over
+// text that almost never holds any of them.
+func needsEscape(s string, attr bool) bool {
+	return strings.IndexByte(s, '&') >= 0 || strings.IndexByte(s, '<') >= 0 ||
+		strings.IndexByte(s, '>') >= 0 || attr && strings.IndexByte(s, '"') >= 0
+}
+
+// appendEscaped appends s to dst with &, < and > escaped, and " too when
+// attr is set (the value goes inside a double-quoted attribute).
+func appendEscaped(dst []byte, s string, attr bool) []byte {
+	if !needsEscape(s, attr) {
+		return append(dst, s...)
+	}
+	last := 0
 	for i := 0; i < len(s); i++ {
+		var esc string
 		switch s[i] {
 		case '&':
-			b.WriteString("&amp;")
+			esc = "&amp;"
 		case '<':
-			b.WriteString("&lt;")
+			esc = "&lt;"
 		case '>':
-			b.WriteString("&gt;")
+			esc = "&gt;"
 		case '"':
-			b.WriteString("&quot;")
+			if !attr {
+				continue
+			}
+			esc = "&quot;"
 		default:
-			b.WriteByte(s[i])
+			continue
 		}
+		dst = append(append(dst, s[last:i]...), esc...)
+		last = i + 1
 	}
-	return b.String()
+	return append(dst, s[last:]...)
 }

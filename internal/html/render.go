@@ -1,8 +1,9 @@
 package html
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 
 	"l2q/internal/corpus"
 	"l2q/internal/textproc"
@@ -17,40 +18,68 @@ import (
 // classifiers — but our synthetic corpus is also the supervision source
 // for those classifiers, so the rendered site must preserve them for the
 // ingestion round trip (ParsePage) to rebuild an equivalent corpus.
+//
+// RenderPage is AppendPage into a pooled buffer: the returned string is
+// its one allocation.
 func RenderPage(p *corpus.Page) string {
-	var b strings.Builder
-	b.Grow(1024)
-	b.WriteString("<!DOCTYPE html>\n<html>\n<head>\n")
-	fmt.Fprintf(&b, "<title>%s</title>\n", EscapeText(p.Title))
-	fmt.Fprintf(&b, "<meta name=\"l2q-page-id\" content=\"%d\"/>\n", p.ID)
-	fmt.Fprintf(&b, "<meta name=\"l2q-entity-id\" content=\"%d\"/>\n", p.Entity)
-	b.WriteString("<style>body{font-family:serif}</style>\n")
-	b.WriteString("</head>\n<body>\n")
-	fmt.Fprintf(&b, "<h1>%s</h1>\n", EscapeText(p.Title))
+	bp := renderBufs.Get().(*[]byte)
+	*bp = AppendPage((*bp)[:0], p)
+	s := string(*bp)
+	renderBufs.Put(bp)
+	return s
+}
+
+var renderBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+
+// AppendPage appends RenderPage's document for p to dst and returns the
+// extended buffer.
+func AppendPage(dst []byte, p *corpus.Page) []byte {
+	dst = append(dst, "<!DOCTYPE html>\n<html>\n<head>\n<title>"...)
+	dst = appendEscaped(dst, p.Title, false)
+	dst = append(dst, "</title>\n<meta name=\"l2q-page-id\" content=\""...)
+	dst = strconv.AppendInt(dst, int64(p.ID), 10)
+	dst = append(dst, "\"/>\n<meta name=\"l2q-entity-id\" content=\""...)
+	dst = strconv.AppendInt(dst, int64(p.Entity), 10)
+	dst = append(dst, "\"/>\n<style>body{font-family:serif}</style>\n</head>\n<body>\n<h1>"...)
+	dst = appendEscaped(dst, p.Title, false)
+	dst = append(dst, "</h1>\n"...)
 	for i := range p.Paras {
 		para := &p.Paras[i]
 		if para.Aspect != "" {
-			fmt.Fprintf(&b, "<p data-aspect=\"%s\">%s</p>\n",
-				EscapeAttr(string(para.Aspect)), EscapeText(para.Text))
+			dst = append(dst, "<p data-aspect=\""...)
+			dst = appendEscaped(dst, string(para.Aspect), true)
+			dst = append(dst, "\">"...)
 		} else {
-			fmt.Fprintf(&b, "<p>%s</p>\n", EscapeText(para.Text))
+			dst = append(dst, "<p>"...)
 		}
+		dst = appendEscaped(dst, para.Text, false)
+		dst = append(dst, "</p>\n"...)
 	}
 	if len(p.Links) > 0 {
-		b.WriteString("<nav>\n")
+		dst = append(dst, "<nav>\n"...)
 		for _, l := range p.Links {
-			fmt.Fprintf(&b, "<a href=\"%s\">related page %d</a>\n", PageHref(l), l)
+			dst = append(dst, "<a href=\""...)
+			dst = appendPageHref(dst, l)
+			dst = append(dst, "\">related page "...)
+			dst = strconv.AppendInt(dst, int64(l), 10)
+			dst = append(dst, "</a>\n"...)
 		}
-		b.WriteString("</nav>\n")
+		dst = append(dst, "</nav>\n"...)
 	}
-	b.WriteString("</body>\n</html>\n")
-	return b.String()
+	return append(dst, "</body>\n</html>\n"...)
 }
 
 // PageHref is the canonical relative URL of a corpus page in the rendered
 // site; ParseHref inverts it.
 func PageHref(id corpus.PageID) string {
-	return fmt.Sprintf("/page/%d.html", id)
+	var buf [32]byte
+	return string(appendPageHref(buf[:0], id))
+}
+
+func appendPageHref(dst []byte, id corpus.PageID) []byte {
+	dst = append(dst, "/page/"...)
+	dst = strconv.AppendInt(dst, int64(id), 10)
+	return append(dst, ".html"...)
 }
 
 // ParseHref extracts the page ID from a canonical href; ok is false for

@@ -22,74 +22,104 @@ type Document struct {
 	Links []string
 }
 
-// blockElements end the current paragraph on open and on close — the same
-// block-level segmentation jsoup-based pipelines use.
-var blockElements = map[string]bool{
-	"address": true, "article": true, "aside": true, "blockquote": true,
-	"body": true, "caption": true, "dd": true, "div": true, "dl": true,
-	"dt": true, "fieldset": true, "figcaption": true, "figure": true,
-	"footer": true, "form": true, "h1": true, "h2": true, "h3": true,
-	"h4": true, "h5": true, "h6": true, "header": true, "hr": true,
-	"html": true, "li": true, "main": true, "nav": true, "ol": true,
-	"p": true, "pre": true, "section": true, "table": true, "tbody": true,
-	"td": true, "tfoot": true, "th": true, "thead": true, "tr": true,
-	"ul": true,
+// isBlockElement reports whether the element ends the current paragraph on
+// open and on close — the same block-level segmentation jsoup-based
+// pipelines use.
+func isBlockElement(name string) bool {
+	switch name {
+	case "address", "article", "aside", "blockquote", "body", "caption",
+		"dd", "div", "dl", "dt", "fieldset", "figcaption", "figure",
+		"footer", "form", "h1", "h2", "h3", "h4", "h5", "h6", "header",
+		"hr", "html", "li", "main", "nav", "ol", "p", "pre", "section",
+		"table", "tbody", "td", "tfoot", "th", "thead", "tr", "ul":
+		return true
+	}
+	return false
 }
 
-// skipElements have their entire content discarded.
-var skipElements = map[string]bool{
-	"script": true, "style": true, "noscript": true,
-	"textarea": true, "svg": true, "iframe": true,
+// isSkipElement reports whether the element's entire content is discarded.
+func isSkipElement(name string) bool {
+	switch name {
+	case "script", "style", "noscript", "textarea", "svg", "iframe":
+		return true
+	}
+	return false
+}
+
+// textRun accumulates the text of one paragraph, or of the title. A run of
+// one piece — most paragraphs are a single text token between two block
+// tags — is that piece, a substring of the source; a second piece starts a
+// copy into a buffer the next runs reuse.
+type textRun struct {
+	one  string
+	buf  []byte
+	many bool
+}
+
+func (r *textRun) add(s string) {
+	switch {
+	case s == "":
+	case r.many:
+		r.buf = append(r.buf, s...)
+	case r.one == "":
+		r.one = s
+	default:
+		r.buf = append(append(r.buf[:0], r.one...), s...)
+		r.many = true
+	}
+}
+
+// take returns the run's text, whitespace-normalized, and empties the run.
+func (r *textRun) take() string {
+	s := r.one
+	if r.many {
+		s = string(r.buf)
+	}
+	r.one, r.many = "", false
+	return normalizeSpace(s)
 }
 
 // Parse tokenizes and segments an HTML document. It never fails; the
 // worst malformed input yields an empty Document.
 func Parse(src string) *Document {
 	d := &Document{Meta: make(map[string]string)}
-	lx := NewLexer(src)
+	lx := Lexer{src: src}
 
-	var text strings.Builder // accumulating paragraph text
+	var text, title textRun
+	var attrs []Attribute // the lexer's attribute buffer, reused tag to tag
 	var curAttrs map[string]string
 	skipDepth := 0 // inside script/style/svg/iframe
 	inTitle := false
-	var title strings.Builder
 
 	flush := func() {
-		para := normalizeSpace(text.String())
-		text.Reset()
-		if para == "" {
-			curAttrs = nil
-			return
+		if para := text.take(); para != "" {
+			d.Paragraphs = append(d.Paragraphs, para)
+			d.ParaAttrs = append(d.ParaAttrs, curAttrs)
 		}
-		d.Paragraphs = append(d.Paragraphs, para)
-		d.ParaAttrs = append(d.ParaAttrs, curAttrs)
 		curAttrs = nil
 	}
 
 	for {
-		tok, ok := lx.Next()
+		tok, ok := lx.next(attrs)
 		if !ok {
 			break
 		}
 		switch tok.Type {
 		case TextToken:
-			if skipDepth > 0 {
-				continue
+			switch {
+			case skipDepth > 0:
+			case inTitle:
+				title.add(tok.Data)
+			default:
+				text.add(tok.Data)
 			}
-			if inTitle {
-				title.WriteString(tok.Data)
-				continue
-			}
-			text.WriteString(tok.Data)
 		case StartTagToken, SelfClosingTagToken:
-			name := tok.Data
-			if skipElements[name] {
+			attrs = tok.Attrs
+			switch name := tok.Data; {
+			case isSkipElement(name):
 				if tok.Type == StartTagToken {
 					skipDepth++
 				}
-				continue
-			}
-			switch {
 			case name == "title":
 				if tok.Type == StartTagToken {
 					inTitle = true
@@ -104,40 +134,36 @@ func Parse(src string) *Document {
 				if href, ok := tok.Attr("href"); ok && href != "" {
 					d.Links = append(d.Links, href)
 				}
-				text.WriteByte(' ') // anchors separate words
+				text.add(" ") // anchors separate words
 			case name == "br":
-				text.WriteByte('\n')
-			case blockElements[name]:
+				text.add("\n")
+			case isBlockElement(name):
 				flush()
 				curAttrs = dataAttrs(tok.Attrs)
 			default:
 				// Inline element: word boundary, no paragraph break.
-				text.WriteByte(' ')
+				text.add(" ")
 			}
 		case EndTagToken:
-			name := tok.Data
-			if skipElements[name] {
+			switch name := tok.Data; {
+			case isSkipElement(name):
 				if skipDepth > 0 {
 					skipDepth--
 				}
-				continue
-			}
-			switch {
 			case name == "title":
 				inTitle = false
-			case name == "a":
-				text.WriteByte(' ')
-			case blockElements[name]:
+			case isBlockElement(name):
 				flush()
 			default:
-				text.WriteByte(' ')
+				// An inline element's end, </a> included: a word boundary.
+				text.add(" ")
 			}
 		case CommentToken, DoctypeToken:
 			// Ignored.
 		}
 	}
 	flush()
-	d.Title = normalizeSpace(title.String())
+	d.Title = title.take()
 	return d
 }
 
@@ -156,34 +182,24 @@ func dataAttrs(attrs []Attribute) map[string]string {
 }
 
 // normalizeSpace collapses whitespace runs to single spaces and trims. One
-// byte pass answers the two common cases without building anything: text
-// that is all whitespace (most runs between block tags) is "", and ASCII
-// text that is already normalized is returned as it is. Anything else — a
-// byte ≥ 0x80 (which may start a no-break space) or a whitespace run to
-// collapse — takes the rune loop, normalizeSpaceReference.
+// byte pass answers the two common cases without building anything: ASCII
+// text that is already normalized is returned as it is, and text that is
+// all whitespace (most runs between block tags) is "". Anything else — a
+// byte ≥ 0x80 (which may start a no-break space), a control byte or a
+// whitespace run to collapse — takes the rune loop,
+// normalizeSpaceReference.
 func normalizeSpace(s string) string {
-	blank, space := true, false // blank: only whitespace so far; space: the last byte was
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c >= 0x80:
-			return normalizeSpaceReference(s)
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f':
-			if !blank && (c != ' ' || space) {
-				return normalizeSpaceReference(s) // a run, or a separator other than one space
-			}
-			space = true
-		default:
-			if blank && i > 0 {
-				return normalizeSpaceReference(s) // leading whitespace
-			}
-			blank, space = false, false
+		if c := s[i]; c > ' ' && c < 0x80 {
+			continue // printable ASCII, the common byte
 		}
-	}
-	if blank {
-		return ""
-	}
-	if space {
-		return normalizeSpaceReference(s) // trailing whitespace
+		if s[i] == ' ' && i > 0 && i+1 < len(s) && s[i-1] != ' ' {
+			continue // one space between two printable bytes
+		}
+		if strings.TrimLeft(s, " \t\n\r\f") == "" {
+			return ""
+		}
+		return normalizeSpaceReference(s)
 	}
 	return s
 }

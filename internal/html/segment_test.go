@@ -1,6 +1,8 @@
 package html
 
 import (
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"strings"
@@ -103,8 +105,53 @@ func TestParseMalformedNeverPanics(t *testing.T) {
 	}
 }
 
+// TestParseRawTextEndTag: a raw-text element ends at the first "</" + its
+// name matched ASCII case-insensitively in the source itself. Runes whose
+// lower case has another UTF-8 length inside the element must neither
+// shift where it ends nor panic, and a non-ASCII rune that lower-cases to
+// a letter of the name does not spell it.
+func TestParseRawTextEndTag(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		want []string
+	}{
+		{"<p>a</p><script>ȺȺȺ</script><p>b</p>", []string{"a", "b"}},
+		{"<p>a</p><script>" + strings.Repeat("Ⱥ", 20) + "</script><p>b</p>", []string{"a", "b"}},
+		{"<p>a</p><script>x</SCRIPT><p>b</p>", []string{"a", "b"}},
+		{"<p>a</p><style>x</Style ><p>b</p>", []string{"a", "b"}},
+		{"<p>a</p><textarea>KȾ</TextArea><p>b</p>", []string{"a", "b"}},
+		{"<p>a</p><script>x</scrİpt><p>b</p>", []string{"a"}},
+	} {
+		if got := Parse(c.src).Paragraphs; !reflect.DeepEqual(got, c.want) {
+			t.Errorf("Parse(%q) paragraphs = %q, want %q", c.src, got, c.want)
+		}
+	}
+}
+
+// TestParseLinearInRawTextElements: finding each raw-text element's end
+// must not copy the rest of the document, so a page of thousands of
+// scripts parses in one pass and allocates less than its own size.
+func TestParseLinearInRawTextElements(t *testing.T) {
+	src := strings.Repeat("<script>x</script>", 4000) + "<p>Hello World</p>"
+	if got := Parse(src).Paragraphs; !reflect.DeepEqual(got, []string{"Hello World"}) {
+		t.Fatalf("paragraphs = %q", got)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = Parse(src)
+		}
+	})
+	if per := res.AllocedBytesPerOp(); per > int64(len(src)) {
+		t.Fatalf("Parse allocates %d B on a %d B document", per, len(src))
+	}
+}
+
 func TestPageHrefRoundTrip(t *testing.T) {
-	for _, id := range []corpus.PageID{0, 1, 12345} {
+	for _, id := range []corpus.PageID{0, 1, 12345, math.MaxInt} {
+		if got, want := PageHref(id), fmt.Sprintf("/page/%d.html", id); got != want {
+			t.Errorf("PageHref(%d) = %q, want %q", id, got, want)
+		}
 		got, ok := ParseHref(PageHref(id))
 		if !ok || got != id {
 			t.Errorf("round trip %d -> %d, %v", id, got, ok)
@@ -253,15 +300,17 @@ func TestNormalizeSpaceMatchesReference(t *testing.T) {
 
 // FuzzParsePage feeds ParsePage network bytes. Any input: ParsePage must
 // not panic, nor on any prefix of a rendered page (the truncations a
-// dropped connection leaves). A page built from the input: RenderPage then
-// ParsePage must give back its ID, entity, title, aspects, paragraph texts
-// and paragraph tokens.
+// dropped connection leaves). A page built from the input: RenderPage must
+// write the reference renderer's bytes, and ParsePage must give back its
+// ID, entity, title, aspects, paragraph texts and paragraph tokens.
 func FuzzParsePage(f *testing.F) {
 	tok := &textproc.Tokenizer{Lexicon: textproc.NewLexicon([]string{"data mining", "parallel computing"})}
 	f.Add([]byte(`<!DOCTYPE html><html><head><title>Marc Snir</title><meta name="author" content="gen"><style>p{color:red}</style></head><body><h1>Heading</h1><p>First paragraph.</p><div>Third in a div with <b>bold</b> text.</div></body></html>`))
 	f.Add([]byte(`<body><p>See <a href="/page/12.html">twelve</a> and <a href="http://other.example.com/">offsite</a>.</p></body>`))
 	f.Add([]byte(`<body><p data-aspect="RESEARCH" data-x="1">a</p><p>b</p><script>drop me</script></body>`))
-	for _, src := range []string{"", "<", "<<<>>>", "<p", "<title>no end", "</unopened></p>", "<a href=>x</a>", "&#x41;&bogus;&#0;&#xffffffff;"} {
+	for _, src := range []string{"", "<", "<<<>>>", "<p", "<title>no end", "</unopened></p>", "<a href=>x</a>", "&#x41;&bogus;&#0;&#xffffffff;",
+		"<p>a</p><script>ȺȺȺ</script><p>b</p>", "<script>" + strings.Repeat("Ⱥ", 20) + "</script><p>b</p>",
+		"<style>Ⱦ</STYLE><p>İ K</p><script>x</scrİpt>", "<noscript>K</noscript><textarea>ȺȾ</textarea>"} {
 		f.Add([]byte(src))
 	}
 	rendered := RenderPage(&corpus.Page{ID: 42, Entity: 7, Title: "Marc Snir research", Links: []corpus.PageID{3, 99},
@@ -274,6 +323,9 @@ func FuzzParsePage(f *testing.F) {
 
 		orig := pageFrom(raw)
 		doc := RenderPage(orig)
+		if want := renderPageReference(orig); doc != want {
+			t.Fatalf("RenderPage\n%q\nreference\n%q", doc, want)
+		}
 		if len(raw) > 0 {
 			_ = ParsePage(doc[:int(raw[0])*len(doc)/256], -1, tok)
 		}

@@ -81,14 +81,15 @@ func (t *Token) Attr(key string) (string, bool) {
 	return "", false
 }
 
-// rawTextElements are elements whose content is not markup: everything up
-// to the matching end tag is a single text token that the segmenter will
-// then discard.
-var rawTextElements = map[string]bool{
-	"script":   true,
-	"style":    true,
-	"noscript": true,
-	"textarea": true,
+// isRawTextElement reports whether the element's content is not markup:
+// everything up to the matching end tag is a single text token that the
+// segmenter will then discard.
+func isRawTextElement(name string) bool {
+	switch name {
+	case "script", "style", "noscript", "textarea":
+		return true
+	}
+	return false
 }
 
 // Lexer tokenizes an HTML document. It never returns errors: malformed
@@ -106,7 +107,13 @@ type Lexer struct {
 func NewLexer(src string) *Lexer { return &Lexer{src: src} }
 
 // Next returns the next token. The second result is false at end of input.
-func (l *Lexer) Next() (Token, bool) {
+// The token's Attrs slice is the caller's: no later call writes to it.
+func (l *Lexer) Next() (Token, bool) { return l.next(nil) }
+
+// next is Next appending a start tag's attributes to attrs[:0]. A caller
+// that passes back the previous token's Attrs reuses one buffer for the
+// whole document, and so must be done with that token's attributes.
+func (l *Lexer) next(attrs []Attribute) (Token, bool) {
 	if l.pendingRaw != "" {
 		tag := l.pendingRaw
 		l.pendingRaw = ""
@@ -135,7 +142,7 @@ func (l *Lexer) Next() (Token, bool) {
 	case c == '/':
 		return l.endTag(), true
 	case isTagNameStart(c):
-		return l.startTag(), true
+		return l.startTag(attrs[:0]), true
 	default:
 		l.pos++
 		return Token{Type: TextToken, Data: "<"}, true
@@ -163,21 +170,42 @@ func (l *Lexer) text() Token {
 	return Token{Type: TextToken, Data: DecodeEntities(l.src[start:l.pos])}
 }
 
-// rawText consumes everything up to </tag (case-insensitive) and returns
-// it verbatim, leaving the end tag for the next call. Returns ok=false if
-// the content is empty.
+// rawText consumes everything up to the next "</" + tag and returns it
+// verbatim, leaving the end tag for the next call. Returns ok=false if the
+// content is empty.
 func (l *Lexer) rawText(tag string) (string, bool) {
-	lower := strings.ToLower(l.src[l.pos:])
-	idx := strings.Index(lower, "</"+tag)
-	var content string
+	rest := l.src[l.pos:]
+	idx := indexEndTag(rest, tag)
 	if idx < 0 {
-		content = l.src[l.pos:]
-		l.pos = len(l.src)
-	} else {
-		content = l.src[l.pos : l.pos+idx]
-		l.pos += idx
+		idx = len(rest)
 	}
-	return content, content != ""
+	l.pos += idx
+	return rest[:idx], idx > 0
+}
+
+// indexEndTag is the offset of the first "</" + tag in s, the tag matched
+// ASCII case-insensitively in place (as the HTML spec matches end tags:
+// "</SCRIPT" ends a script, "</scrİpt" does not), or -1. tag is lower-case
+// letters, so OR-ing 0x20 into a byte folds exactly its upper-case twin.
+func indexEndTag(s, tag string) int {
+	for i := 0; ; i += 2 {
+		j := strings.Index(s[i:], "</")
+		if j < 0 {
+			return -1
+		}
+		i += j
+		rest := s[i+2:]
+		if len(rest) < len(tag) {
+			return -1
+		}
+		k := 0
+		for k < len(tag) && rest[k]|0x20 == tag[k] {
+			k++
+		}
+		if k == len(tag) {
+			return i
+		}
+	}
 }
 
 // declaration consumes <!...> constructs: comments and doctypes.
@@ -236,16 +264,17 @@ func (l *Lexer) endTag() Token {
 	return Token{Type: EndTagToken, Data: strings.ToLower(name)}
 }
 
-// startTag consumes <name attrs...> including self-closing forms, and arms
-// raw-text mode for script/style/noscript/textarea.
-func (l *Lexer) startTag() Token {
+// startTag consumes <name attrs...> including self-closing forms, appending
+// the attributes to attrs, and arms raw-text mode for
+// script/style/noscript/textarea.
+func (l *Lexer) startTag(attrs []Attribute) Token {
 	start := l.pos + 1
 	i := start
 	for i < len(l.src) && isTagNameChar(l.src[i]) {
 		i++
 	}
 	name := strings.ToLower(l.src[start:i])
-	tok := Token{Type: StartTagToken, Data: name}
+	tok := Token{Type: StartTagToken, Data: name, Attrs: attrs}
 
 	for {
 		for i < len(l.src) && isSpace(l.src[i]) {
@@ -279,7 +308,7 @@ func (l *Lexer) startTag() Token {
 		}
 	}
 	l.pos = i
-	if tok.Type == StartTagToken && rawTextElements[name] {
+	if tok.Type == StartTagToken && isRawTextElement(name) {
 		l.pendingRaw = name
 	}
 	return tok

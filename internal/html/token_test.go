@@ -51,6 +51,27 @@ func TestLexerAttributes(t *testing.T) {
 	}
 }
 
+// TestLexerAttrsOwned: Next hands out attribute slices the caller owns. A
+// token kept while the lexer moves on still holds its own attributes, though
+// Parse reuses one buffer for them.
+func TestLexerAttrsOwned(t *testing.T) {
+	toks := lexAll(t, `<p data-aspect="A" id=1>x</p><p data-aspect="B">y</p><a href="/page/3.html" rel=n>z</a>`)
+	want := [][]Attribute{
+		{{Key: "data-aspect", Val: "A"}, {Key: "id", Val: "1"}},
+		{{Key: "data-aspect", Val: "B"}},
+		{{Key: "href", Val: "/page/3.html"}, {Key: "rel", Val: "n"}},
+	}
+	var got [][]Attribute
+	for _, tok := range toks {
+		if tok.Type == StartTagToken {
+			got = append(got, tok.Attrs)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("kept attrs %+v, want %+v", got, want)
+	}
+}
+
 func TestLexerAttrLookup(t *testing.T) {
 	toks := lexAll(t, `<meta name="k" content="v">`)
 	if v, ok := toks[0].Attr("content"); !ok || v != "v" {

@@ -18,7 +18,7 @@ trap 'rm -f "$RAW"' EXIT
 # -benchtime in iterations so allocs/op is a stable integer ratio, not a
 # wall-clock-dependent sample.
 go test -run '^$' \
-	-bench 'BenchmarkTokenizeAllocs|BenchmarkNGramsAllocs|BenchmarkGramWindowsAllocs|BenchmarkSearchAllocs|BenchmarkLiveSearchAllocs|BenchmarkSearchAppendConcurrent|BenchmarkCandidateAllocs|BenchmarkSelectAllocs|BenchmarkHarvestJobAllocs|BenchmarkScatterMergeAllocs|BenchmarkCoordinatorFrontHitAllocs|BenchmarkMarshalFrameAllocs|BenchmarkOpenFrameAllocs|BenchmarkParsePageAllocs' \
+	-bench 'BenchmarkTokenizeAllocs|BenchmarkNGramsAllocs|BenchmarkGramWindowsAllocs|BenchmarkSearchAllocs|BenchmarkLiveSearchAllocs|BenchmarkSearchAppendConcurrent|BenchmarkCandidateAllocs|BenchmarkSelectAllocs|BenchmarkHarvestJobAllocs|BenchmarkScatterMergeAllocs|BenchmarkCoordinatorFrontHitAllocs|BenchmarkMarshalFrameAllocs|BenchmarkOpenFrameAllocs|BenchmarkParsePageAllocs|BenchmarkRenderPageAllocs' \
 	-benchmem -benchtime=500x \
 	./internal/textproc/ ./internal/search/ ./internal/core/ ./internal/webapi/ ./internal/html/ | tee "$RAW"
 
@@ -48,7 +48,8 @@ ceiling() {
 	BenchmarkMarshalFrameAllocs/page) echo 1 ;;       # the frame itself; encoder, gzip writer and gzip buffer are pooled
 	BenchmarkMarshalFrameAllocs/search5pages) echo 1 ;; # same for a search carrying its five pages: bodies go straight into the pooled encoder
 	BenchmarkOpenFrameAllocs/search5pages) echo 18 ;; # opening a gzipped five-page frame: the reader over the payload, the inflated payload sized once from the member's length trailer, and 16 Huffman link tables inside compress/flate; 23 when io.ReadAll grew the payload from 512 bytes
-	BenchmarkParsePageAllocs) echo 74 ;;              # a client's cost per downloaded page, Tokens() included: 137 when each paragraph had its own append-grown slice and Tokens() concatenated them, 97 with one exactly-sized array per page, 74 once whitespace-only and normalized text runs stopped being rebuilt
+	BenchmarkParsePageAllocs) echo 41 ;;              # a client's cost per downloaded page, Tokens() included: 137 when each paragraph had its own append-grown slice and Tokens() concatenated them, 97 with one exactly-sized array per page, 74 once whitespace-only and normalized text runs stopped being rebuilt, 41 with raw-text ends found in place, one reused attribute buffer and one-run paragraphs kept as substrings of the page
+	BenchmarkRenderPageAllocs) echo 0 ;;              # a server's cost per served page: AppendPage into a reused buffer (RenderPage adds only its string; 24 allocs when it went through fmt)
 	*) echo "" ;;
 	esac
 }
