@@ -17,15 +17,17 @@ test:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -shuffle=on -count=5 ./internal/webapi/
 
-# The packages whose worker-pool defaults read GOMAXPROCS (domain
-# learning, the scheduler's select and fetch
-# pools — under which sessions of every aspect share a System's term
+# The packages whose fan-outs size themselves by GOMAXPROCS (par.For over
+# aspects in classifier training, store's domain learner and eval's
+# warm-up; over splits and entities in eval; the scheduler's select and
+# fetch pools — under which sessions of every aspect share a System's term
 # vocabulary and facts table — and, in webapi, the server's shared
 # scheduler and the coordinator's scatter and page fan-out), and the
-# shared state they lean on (the vocabulary, a page's term-id memo),
-# serial and oversubscribed: every worker count must compute the same
-# values, and no test may depend on the box's core count.
-TEST_PROCS_PKGS = ./internal/textproc/ ./internal/corpus/ ./internal/search/ ./internal/core/ ./internal/pipeline/ ./internal/webapi/
+# shared state they lean on (the vocabulary, a page's term-id and n-gram
+# memos), serial and oversubscribed: there is no worker count to set, so
+# these two runs are how every fan-out is held to the serial values, and
+# no test may depend on the box's core count.
+TEST_PROCS_PKGS = ./internal/textproc/ ./internal/corpus/ ./internal/search/ ./internal/core/ ./internal/pipeline/ ./internal/webapi/ ./internal/classify/ ./internal/baselines/ ./internal/store/ ./internal/eval/
 test-procs:
 	GOMAXPROCS=1 $(GO) test -race -shuffle=on $(TEST_PROCS_PKGS)
 	GOMAXPROCS=8 $(GO) test -race -shuffle=on $(TEST_PROCS_PKGS)

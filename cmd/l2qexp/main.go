@@ -7,8 +7,7 @@
 //
 //	l2qexp [-domain researchers|cars|both] [-fig all|9|10|11|12|13|14|crawl|budget]
 //	       [-entities N] [-pages N] [-domainsample N] [-test N] [-val N]
-//	       [-seed N] [-cv] [-quick] [-json] [-cachesize N]
-//	       [-learnworkers N]
+//	       [-seed N] [-cv] [-r0star X] [-quick] [-splits N] [-json]
 //
 // Beyond the paper's figures, -fig crawl runs the extension experiment
 // comparing query-driven harvesting against a link-following focused
@@ -73,8 +72,6 @@ func main() {
 		r0star       = flag.Float64("r0star", 0, "set the seed-recall anchor directly (skips -cv; 0 = config default)")
 		quick        = flag.Bool("quick", false, "small fast configuration (smoke test)")
 		splits       = flag.Int("splits", 1, "random entity splits to average (paper: 10)")
-		cacheSize    = flag.Int("cachesize", 0, "query cache capacity (0 = default, <0 = off)")
-		learnWorkers = flag.Int("learnworkers", 0, "domain-phase counting workers (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 	jsonOut = *jsonFlag
@@ -126,8 +123,6 @@ func main() {
 		if *r0star > 0 {
 			cfg.Core.R0Star = *r0star
 		}
-		cfg.Core.SearchCacheSize = *cacheSize
-		cfg.Core.LearnWorkers = *learnWorkers
 		if err := runDomain(ctx, cfg, *fig, *cv, *splits); err != nil {
 			fmt.Fprintf(os.Stderr, "l2qexp: %v\n", err)
 			os.Exit(1)

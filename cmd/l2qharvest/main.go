@@ -57,16 +57,13 @@ func main() {
 		retries  = flag.Int("retries", 4, "remote transport: attempts per request (1 = no retries)")
 		rtimeout = flag.Duration("timeout", 30*time.Second, "remote transport: per-request HTTP timeout")
 		wireFlag = flag.String("wire", "auto", "remote transport: wire codec — auto (negotiate binary, fall back to JSON), json, or binary (require it)")
-		learnW   = flag.Int("learnworkers", 0, "domain-phase counting workers (0 = GOMAXPROCS)")
 		ckpt     = flag.String("checkpoint", "", "checkpoint file: resume from it if present, write it after every step")
 		replay   = flag.Bool("replaycheck", false, "after finishing, verify the fired sequence against an uninterrupted run")
 	)
 	flag.Parse()
 
-	cfg := l2q.DefaultConfig()
-	cfg.LearnWorkers = *learnW
 	sys, err := l2q.NewSyntheticSystem(corpus.Domain(*domain), l2q.SystemOptions{
-		NumEntities: *entities, PagesPerEntity: *pages, Seed: *seed, Config: &cfg,
+		NumEntities: *entities, PagesPerEntity: *pages, Seed: *seed,
 	})
 	if err != nil {
 		fail(err)

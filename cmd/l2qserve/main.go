@@ -74,7 +74,6 @@ func main() {
 		cacheSize = flag.Int("cachesize", 0, "query-result cache capacity in entries (0 = default 4096, <0 = off): the engine's cache on a single server (frozen or -live), the front cache of complete results ahead of the scatter on a coordinator; a cluster node runs uncached and ignores it")
 		harvest   = flag.Bool("harvest", true, "enable the /api/v1/jobs API (server-side harvesting: submit, poll or stream, cancel)")
 		domains   = flag.String("domains", "", "domain-artifact file (l2qstore domains): boot the harvest backend warm instead of learning per aspect on first request")
-		learnW    = flag.Int("learnworkers", 0, "domain-phase counting workers for lazily learned models (0 = GOMAXPROCS)")
 		maxInFl   = flag.Int("maxinflight", 0, "admission control: shed requests 429 past this many in flight, and run at most this many harvest jobs at once (0 = queue past 64 in flight, jobs unbounded)")
 		live      = flag.Bool("live", false, "serve a live generational index: POST /api/v1/ingest grows the corpus while searches keep serving")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
@@ -242,7 +241,7 @@ func main() {
 					*domains, art.NumEntities, art.NumPages, c.NumEntities(), c.NumPages())
 			}
 		}
-		if hb := harvestBackend(c, tok, rec, *learnW, art, logger); hb != nil {
+		if hb := harvestBackend(c, tok, rec, art, logger); hb != nil {
 			srv.Harvest = hb
 		}
 	}
@@ -290,7 +289,7 @@ func main() {
 // trained at boot, models learned on first request). Returns nil
 // (harvesting disabled) when the corpus carries no aspect labels.
 func harvestBackend(c *corpus.Corpus, tok *textproc.Tokenizer, rec types.Recognizer,
-	learnWorkers int, art *store.DomainArtifact, logger *log.Logger) *webapi.HarvestBackend {
+	art *store.DomainArtifact, logger *log.Logger) *webapi.HarvestBackend {
 
 	if len(c.Aspects()) == 0 {
 		logger.Print("harvest: corpus has no aspect labels; endpoint disabled")
@@ -300,7 +299,7 @@ func harvestBackend(c *corpus.Corpus, tok *textproc.Tokenizer, rec types.Recogni
 	if art != nil {
 		preTrained = art.ClassifierSet()
 	}
-	ln := store.NewDomainLearner(c, tok, rec, learnWorkers, preTrained)
+	ln := store.NewDomainLearner(c, tok, rec, preTrained)
 	if len(ln.Aspects) == 0 {
 		logger.Print("harvest: no aspect has training signal; endpoint disabled")
 		return nil

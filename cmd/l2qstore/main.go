@@ -131,7 +131,6 @@ func runDomains(args []string) error {
 	fs := flag.NewFlagSet("domains", flag.ExitOnError)
 	in := fs.String("in", "corpus.l2q", "store file to learn from")
 	out := fs.String("out", "corpus.domains", "output domain-artifact file")
-	learnW := fs.Int("learnworkers", 0, "domain-phase counting workers (0 = GOMAXPROCS)")
 	fs.Parse(args)
 
 	b, err := store.LoadFile(*in, nil)
@@ -146,8 +145,7 @@ func runDomains(args []string) error {
 	// so the precomputed artifact is byte-identical to what a cold boot
 	// would learn.
 	start := time.Now()
-	ln := store.NewDomainLearner(c, b.Tokenizer,
-		types.NewRegexRecognizer(), *learnW, nil)
+	ln := store.NewDomainLearner(c, b.Tokenizer, types.NewRegexRecognizer(), nil)
 	art, err := ln.Artifact()
 	if err != nil {
 		return fmt.Errorf("%s: %w", *in, err)

@@ -2,12 +2,10 @@ package baselines
 
 import (
 	"fmt"
-	"sort"
 
 	"l2q/internal/core"
 	"l2q/internal/corpus"
 	"l2q/internal/template"
-	"l2q/internal/textproc"
 	"l2q/internal/types"
 )
 
@@ -20,8 +18,9 @@ type HRModel struct {
 	// TemplateHR maps template key → relevant-page fraction among the
 	// domain pages containing any query the template abstracts.
 	TemplateHR map[string]float64
-	// Candidates are entity-frequent domain queries (same admission rule
-	// as the L2Q domain model) so HR can propose unseen queries too.
+	// Candidates are entity-frequent domain queries (the L2Q domain
+	// model's, core.DomainCounts.Candidates) so HR can propose unseen
+	// queries too.
 	Candidates []core.Query
 }
 
@@ -31,42 +30,17 @@ type HRModel struct {
 func TrainHR(cfg core.Config, c *corpus.Corpus, domainEntities []corpus.EntityID,
 	y func(*corpus.Page) bool, rec types.Recognizer) (*HRModel, error) {
 
-	var pages []*corpus.Page
-	for _, id := range domainEntities {
-		pages = append(pages, c.PagesOf(id)...)
-	}
-	if len(pages) == 0 {
-		return nil, fmt.Errorf("baselines: HR training has no pages")
-	}
-	ngCfg := textproc.NGramConfig{MaxLen: cfg.MaxQueryLen, Stopwords: cfg.Stopwords}
-
-	// Per-query page and relevant-page document frequencies, plus
-	// entity frequencies for the candidate pool.
-	pageDF := make(map[string]int)
-	relDF := make(map[string]int)
-	entityDF := make(map[string]int)
-	lastEntity := make(map[string]corpus.EntityID)
-	for _, p := range pages {
-		rel := y(p)
-		// The per-page memo (exclusion-free config) is shared with the
-		// domain phase, which enumerates the same split's pages.
-		for _, q := range p.NGrams(ngCfg) {
-			pageDF[q]++
-			if rel {
-				relDF[q]++
-			}
-			if le, seen := lastEntity[q]; !seen || le != p.Entity {
-				entityDF[q]++
-				lastEntity[q] = p.Entity
-			}
-		}
+	// The domain phase's own counting pass over the same pages.
+	counts, err := core.CountDomain(cfg, c, domainEntities, y)
+	if err != nil {
+		return nil, fmt.Errorf("baselines: HR training: %w", err)
 	}
 
 	// Micro-averaged harvest rate per template: Σ rel / Σ total over the
 	// queries the template abstracts.
 	type acc struct{ rel, tot int }
 	tacc := make(map[string]*acc)
-	for q, tot := range pageDF {
+	for q, tot := range counts.PageDF {
 		if tot < cfg.MinQueryPageDF {
 			continue
 		}
@@ -77,48 +51,15 @@ func TrainHR(cfg core.Config, c *corpus.Corpus, domainEntities []corpus.EntityID
 				a = &acc{}
 				tacc[key] = a
 			}
-			a.rel += relDF[q]
+			a.rel += counts.RelDF[q]
 			a.tot += tot
 		}
 	}
-	m := &HRModel{TemplateHR: make(map[string]float64, len(tacc))}
+	m := &HRModel{TemplateHR: make(map[string]float64, len(tacc)), Candidates: counts.Candidates(cfg)}
 	for key, a := range tacc {
 		if a.tot > 0 {
 			m.TemplateHR[key] = float64(a.rel) / float64(a.tot)
 		}
-	}
-
-	// Candidate pool (same admission rule as core.LearnDomain).
-	minEnt := int(cfg.MinDomainEntityFrac * float64(len(domainEntities)))
-	if minEnt < 2 {
-		minEnt = 2
-	}
-	type qc struct {
-		q core.Query
-		n int
-	}
-	var cands []qc
-	for q, n := range entityDF {
-		if n >= minEnt && pageDF[q] >= cfg.MinQueryPageDF {
-			cands = append(cands, qc{q: core.Query(q), n: n})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].n != cands[j].n {
-			return cands[i].n > cands[j].n
-		}
-		return cands[i].q < cands[j].q
-	})
-	maxC := cfg.MaxDomainCandidates
-	if maxC <= 0 {
-		maxC = 300
-	}
-	if len(cands) > maxC {
-		cands = cands[:maxC]
-	}
-	m.Candidates = make([]core.Query, len(cands))
-	for i, c := range cands {
-		m.Candidates[i] = c.q
 	}
 	return m, nil
 }

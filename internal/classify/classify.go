@@ -189,19 +189,11 @@ type cacheKey struct {
 
 // TrainSet trains a classifier for every aspect on the given pages.
 // Aspects whose training data is degenerate are silently skipped (callers
-// can check membership). Per-aspect training runs on a bounded worker
-// pool (GOMAXPROCS); aspects are independent, so the result is identical
-// to serial training. Use TrainSetWorkers for an explicit bound.
+// can check membership). Aspects are independent and train in parallel
+// (par.For), so the result is identical to serial training.
 func TrainSet(aspects []corpus.Aspect, pages []*corpus.Page) *Set {
-	return TrainSetWorkers(aspects, pages, 0)
-}
-
-// TrainSetWorkers is TrainSet with an explicit worker bound: 0 picks
-// GOMAXPROCS, 1 trains serially. Value-neutral — every worker count
-// trains identical classifiers.
-func TrainSetWorkers(aspects []corpus.Aspect, pages []*corpus.Page, workers int) *Set {
 	cs := make([]*Classifier, len(aspects))
-	par.For(len(aspects), workers, func(i int) {
+	par.For(len(aspects), func(i int) {
 		cs[i] = Train(aspects[i], pages)
 	})
 	s := &Set{

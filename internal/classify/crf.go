@@ -195,19 +195,13 @@ type CRFSet struct {
 }
 
 // TrainCRFSet trains a CRF per aspect. Aspects with degenerate training
-// data are skipped, exactly like TrainSet. Per-aspect training runs on a
-// bounded worker pool (GOMAXPROCS) — CRF training is seconds-scale per
-// aspect, so a server paying it at boot gets the full core count.
+// data are skipped, exactly like TrainSet. Aspects train in parallel
+// (par.For) — CRF training is seconds-scale per aspect, so a server paying
+// it at boot gets the full core count — and each TrainCRF seeds its own
+// RNG, so the result is identical to serial training.
 func TrainCRFSet(aspects []corpus.Aspect, pages []*corpus.Page, cfg crf.TrainConfig) *CRFSet {
-	return TrainCRFSetWorkers(aspects, pages, cfg, 0)
-}
-
-// TrainCRFSetWorkers is TrainCRFSet with an explicit worker bound: 0
-// picks GOMAXPROCS, 1 trains serially. Value-neutral — aspects train
-// independently, so every worker count yields identical classifiers.
-func TrainCRFSetWorkers(aspects []corpus.Aspect, pages []*corpus.Page, cfg crf.TrainConfig, workers int) *CRFSet {
 	cs := make([]*CRFClassifier, len(aspects))
-	par.For(len(aspects), workers, func(i int) {
+	par.For(len(aspects), func(i int) {
 		cs[i] = TrainCRF(aspects[i], pages, cfg)
 	})
 	s := &CRFSet{

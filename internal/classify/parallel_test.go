@@ -18,33 +18,41 @@ func trainPages(t testing.TB) ([]corpus.Aspect, []*corpus.Page) {
 	return g.Aspects, g.Corpus.Pages
 }
 
-// TestTrainSetWorkerInvariance: parallel per-aspect training is a pure
-// wall-clock optimization — every worker count trains identical
-// classifiers (training is deterministic and aspects are independent).
+// TestTrainSetWorkerInvariance: TrainSet's fan-out over aspects is a
+// pure wall-clock optimization — it trains exactly the classifiers a
+// serial per-aspect Train loop does (training is deterministic and aspects
+// are independent). make test-procs runs it at GOMAXPROCS 1 and 8.
 func TestTrainSetWorkerInvariance(t *testing.T) {
 	aspects, pages := trainPages(t)
-	serial := TrainSetWorkers(aspects, pages, 1)
-	for _, w := range []int{0, 2, 8} {
-		par := TrainSetWorkers(aspects, pages, w)
-		if !reflect.DeepEqual(serial.ByAspect, par.ByAspect) {
-			t.Fatalf("workers=%d trained different classifiers than serial", w)
+	want := map[corpus.Aspect]*Classifier{}
+	for _, a := range aspects {
+		if c := Train(a, pages); c != nil {
+			want[a] = c
 		}
 	}
-	if len(serial.ByAspect) == 0 {
+	if len(want) == 0 {
 		t.Fatal("no classifiers trained")
+	}
+	if got := TrainSet(aspects, pages).ByAspect; !reflect.DeepEqual(got, want) {
+		t.Fatal("TrainSet trained different classifiers than a serial Train loop")
 	}
 }
 
-// TestTrainCRFSetWorkerInvariance mirrors the invariance check for the
-// CRF family (each TrainCRF seeds its own RNG, so concurrency cannot
-// perturb it).
+// TestTrainCRFSetWorkerInvariance mirrors the check for the CRF family:
+// TrainCRFSet ≡ a serial per-aspect TrainCRF loop (each TrainCRF seeds its
+// own RNG, so concurrency cannot perturb it).
 func TestTrainCRFSetWorkerInvariance(t *testing.T) {
 	aspects, pages := trainPages(t)
 	pages = pages[:len(pages)/4] // CRF training is the slow family
-	serial := TrainCRFSetWorkers(aspects, pages, crf.DefaultTrainConfig(), 1)
-	par := TrainCRFSetWorkers(aspects, pages, crf.DefaultTrainConfig(), 4)
-	if !reflect.DeepEqual(serial.ByAspect, par.ByAspect) {
-		t.Fatal("parallel CRF training diverged from serial")
+	cfg := crf.DefaultTrainConfig()
+	want := map[corpus.Aspect]*CRFClassifier{}
+	for _, a := range aspects {
+		if c := TrainCRF(a, pages, cfg); c != nil {
+			want[a] = c
+		}
+	}
+	if got := TrainCRFSet(aspects, pages, cfg).ByAspect; !reflect.DeepEqual(got, want) {
+		t.Fatal("TrainCRFSet trained different classifiers than a serial TrainCRF loop")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"l2q/internal/synth"
+	"l2q/internal/textproc"
 )
 
 // TestCandidatePoolMatchesReference drives incremental sessions through
@@ -130,7 +131,7 @@ func TestCandidatePoolFiredNeverReappears(t *testing.T) {
 	var domainQ Query
 	pageSet := make(map[Query]struct{})
 	for _, p := range s.Pages() {
-		for _, qs := range p.NGrams(s.ngCfg) {
+		for _, qs := range textproc.NGrams(p.Tokens(), s.ngCfg) {
 			pageSet[Query(qs)] = struct{}{}
 		}
 	}

@@ -18,9 +18,7 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
-	"l2q/internal/search"
 	"l2q/internal/textproc"
 )
 
@@ -77,17 +75,6 @@ type Config struct {
 	// SolverTol and SolverMaxIter control the fixpoint solver.
 	SolverTol     float64
 	SolverMaxIter int
-	// LearnWorkers bounds the worker pool inside the domain phase
-	// (LearnDomainScored): the DF/entity-DF counting pass is sharded
-	// over entity groups with a deterministic merge. 0 picks GOMAXPROCS;
-	// 1 is serial. Value-neutral: every worker count learns an
-	// identical DomainModel (LearnDomainReference is the retained
-	// serial rebuild path the differential tests compare against).
-	LearnWorkers int
-	// SearchCacheSize is the capacity of the retrieval engine's LRU
-	// query-result cache (see search.Options). Ranking-neutral; zero
-	// picks the engine default (cache on), < 0 disables caching.
-	SearchCacheSize int
 	// Stopwords filters candidate n-grams; nil disables filtering.
 	Stopwords *textproc.Stopwords
 	// Tokenizer re-tokenizes query strings (and the seed query) with the
@@ -122,17 +109,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// learnWorkers resolves the LearnWorkers knob to a concrete pool size.
-func (c Config) learnWorkers() int {
-	if c.LearnWorkers == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if c.LearnWorkers < 1 {
-		return 1
-	}
-	return c.LearnWorkers
-}
-
 // Validate reports a configuration no session can run: a MaxQueryLen wider
 // than the n-gram keys.
 func (c Config) Validate() error {
@@ -140,12 +116,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: MaxQueryLen %d exceeds the n-gram key width %d", c.MaxQueryLen, textproc.MaxGramLen)
 	}
 	return nil
-}
-
-// SearchOptions collects the retrieval-engine knobs for
-// search.NewEngineOpts.
-func (c Config) SearchOptions() search.Options {
-	return search.Options{CacheSize: c.SearchCacheSize}
 }
 
 // QueryTokens converts a canonical query string to its token sequence,

@@ -8,7 +8,6 @@ import (
 
 	"l2q/internal/corpus"
 	"l2q/internal/graph"
-	"l2q/internal/par"
 	"l2q/internal/textproc"
 	"l2q/internal/types"
 )
@@ -99,33 +98,30 @@ func LearnDomain(cfg Config, aspect corpus.Aspect, c *corpus.Corpus,
 // document frequencies, RelFraction) — those are set-cardinality notions.
 // A {0,1}-valued score reproduces LearnDomain exactly.
 //
-// The DF/entity-DF counting pass is sharded over a bounded worker pool
-// (Config.LearnWorkers) with a deterministic merge, and the per-page
-// enumerations it produces are reused for edge building instead of
-// re-sliding the n-gram window over every page a second time.
-// LearnDomainReference retains the serial single-pass implementation;
-// every worker count learns a model identical to it
+// The counting pass (CountDomain) and edge building both read each page's
+// memoized enumeration (corpus.Page.NGrams), so the n-gram window slides
+// over a page once per process, not once per pass and aspect.
+// LearnDomainReference re-enumerates instead and learns an identical model
 // (TestLearnDomainMatchesReference).
 func LearnDomainScored(cfg Config, aspect corpus.Aspect, c *corpus.Corpus,
 	domainEntities []corpus.EntityID, y func(*corpus.Page) bool,
 	score func(*corpus.Page) float64, rec types.Recognizer) (*DomainModel, error) {
 
-	pages := domainPages(c, domainEntities)
-	if len(pages) == 0 {
-		return nil, fmt.Errorf("core: domain phase has no pages (%d entities)", len(domainEntities))
+	counts, err := CountDomain(cfg, c, domainEntities, y)
+	if err != nil {
+		return nil, err
 	}
-	counts := countDomainParallel(cfg, pages, y)
-	queries := surviveQueries(cfg, counts.pageDF)
-	b := buildDomainGraph(cfg, rec, pages, queries, func(i int, _ *corpus.Page) []string {
-		return counts.perPage[i]
+	queries := surviveQueries(cfg, counts.PageDF)
+	b := buildDomainGraph(cfg, rec, counts.Pages, queries, func(p *corpus.Page) []string {
+		return p.NGrams(cfg.MaxQueryLen, cfg.Stopwords)
 	})
-	return packageDomainModel(cfg, aspect, b, counts, pages, domainEntities, y, score)
+	return packageDomainModel(cfg, aspect, b, counts, y, score)
 }
 
 // LearnDomainReference is the retained from-scratch domain phase: one
-// serial counting pass followed by a full re-enumeration pass for edge
-// building — the pre-parallel behavior, kept as the differential-testing
-// ground truth (mirroring Session.CandidatesReference / InferReference).
+// counting pass followed by a full re-enumeration pass for edge building,
+// neither through the page memo — the differential-testing ground truth
+// (mirroring Session.CandidatesReference / InferReference).
 func LearnDomainReference(cfg Config, aspect corpus.Aspect, c *corpus.Corpus,
 	domainEntities []corpus.EntityID, y func(*corpus.Page) bool,
 	score func(*corpus.Page) float64, rec types.Recognizer) (*DomainModel, error) {
@@ -137,32 +133,32 @@ func LearnDomainReference(cfg Config, aspect corpus.Aspect, c *corpus.Corpus,
 
 	// Pass 1: count page-DF, relevant-page-DF and entity-DF per n-gram.
 	ngCfg := cfg.ngramConfig(nil)
-	counts := newDomainCounts()
+	counts := newDomainCounts(pages, len(domainEntities))
 	lastEntity := make(map[string]corpus.EntityID)
 	for _, p := range pages {
 		rel := y(p)
 		if rel {
-			counts.nRelPages++
+			counts.NumRelPages++
 		}
 		for _, q := range textproc.NGrams(p.Tokens(), ngCfg) {
-			counts.pageDF[q]++
+			counts.PageDF[q]++
 			if rel {
-				counts.relDF[q]++
+				counts.RelDF[q]++
 			}
 			if le, seen := lastEntity[q]; !seen || le != p.Entity {
-				counts.entityDF[q]++
+				counts.EntityDF[q]++
 				lastEntity[q] = p.Entity
 			}
 		}
 	}
 
-	queries := surviveQueries(cfg, counts.pageDF)
+	queries := surviveQueries(cfg, counts.PageDF)
 	// Edges come from a second enumeration pass: page p connects to query
 	// q iff q is one of p's own n-grams.
-	b := buildDomainGraph(cfg, rec, pages, queries, func(_ int, p *corpus.Page) []string {
+	b := buildDomainGraph(cfg, rec, pages, queries, func(p *corpus.Page) []string {
 		return textproc.NGrams(p.Tokens(), ngCfg)
 	})
-	return packageDomainModel(cfg, aspect, b, counts, pages, domainEntities, y, score)
+	return packageDomainModel(cfg, aspect, b, counts, y, score)
 }
 
 // domainPages gathers the domain split's pages in entity order.
@@ -174,116 +170,103 @@ func domainPages(c *corpus.Corpus, domainEntities []corpus.EntityID) []*corpus.P
 	return pages
 }
 
-// domainCounts is the output of the domain phase's counting pass.
-type domainCounts struct {
-	pageDF    map[string]int
-	relDF     map[string]int
-	entityDF  map[string]int
-	nRelPages int
-	// perPage holds each page's enumeration, index-aligned with the page
-	// stream, so edge building reuses pass 1's work instead of
-	// re-enumerating. Nil on the reference path.
-	perPage [][]string
+// DomainCounts is the domain phase's counting pass (§IV-B): over the pages
+// of a domain sample, how many pages, relevant pages and entities contain
+// each candidate n-gram. The domain graph, its counting priors and the
+// §IV-C candidate pool are built from it, and so are the HR baseline's
+// [2] harvest rates, which count the same pages the same way.
+type DomainCounts struct {
+	// Pages are the sample's pages in entity order; NumEntities is the
+	// sample's size, a repeated ID counted each time.
+	Pages       []*corpus.Page
+	NumEntities int
+	// PageDF, RelDF and EntityDF map an n-gram to the number of pages,
+	// relevant pages and entities it occurs in; an entity counts again
+	// when another's page with the n-gram comes between two of its own
+	// (only an ID repeated in the sample can make that happen).
+	// NumRelPages counts the relevant pages.
+	PageDF, RelDF, EntityDF map[string]int
+	NumRelPages             int
 }
 
-func newDomainCounts() *domainCounts {
-	return &domainCounts{
-		pageDF:   make(map[string]int),
-		relDF:    make(map[string]int),
-		entityDF: make(map[string]int),
+func newDomainCounts(pages []*corpus.Page, numEntities int) *DomainCounts {
+	return &DomainCounts{
+		Pages:       pages,
+		NumEntities: numEntities,
+		PageDF:      make(map[string]int),
+		RelDF:       make(map[string]int),
+		EntityDF:    make(map[string]int),
 	}
 }
 
-// countDomainParallel shards the counting pass over entity runs: each
-// worker counts a contiguous range of entity-page runs into local maps
-// (the entity-DF "last entity" logic needs an entity's pages to stay
-// whole, which runs guarantee), the merge sums integer counts — so the
-// result is identical for every worker count. Page enumerations go
-// through the per-page memo (corpus.Page.NGrams) and are retained for
-// edge building.
-func countDomainParallel(cfg Config, pages []*corpus.Page, y func(*corpus.Page) bool) *domainCounts {
-	ngCfg := cfg.ngramConfig(nil)
+// CountDomain runs the counting pass over the pages of domainEntities,
+// with y materializing relevance: one serial sweep over each page's
+// memoized n-grams (corpus.Page.NGrams under cfg's MaxQueryLen and
+// stopwords). It fails when the entities have no pages.
+func CountDomain(cfg Config, c *corpus.Corpus, domainEntities []corpus.EntityID,
+	y func(*corpus.Page) bool) (*DomainCounts, error) {
 
-	// Maximal runs of consecutive pages with the same entity. The page
-	// stream is grouped per entity by construction, so runs ≈ entities.
-	// Run-aligned shards keep the per-shard "last entity" logic exact —
-	// an entity's pages never straddle a shard.
-	var runStart []int
-	runEntities := make(map[corpus.EntityID]struct{})
-	duplicated := false
-	for i, p := range pages {
-		if i == 0 || p.Entity != pages[i-1].Entity {
-			runStart = append(runStart, i)
-			if _, dup := runEntities[p.Entity]; dup {
-				duplicated = true
-			}
-			runEntities[p.Entity] = struct{}{}
+	pages := domainPages(c, domainEntities)
+	if len(pages) == 0 {
+		return nil, fmt.Errorf("core: domain phase has no pages (%d entities)", len(domainEntities))
+	}
+	counts := newDomainCounts(pages, len(domainEntities))
+	lastEntity := make(map[string]corpus.EntityID)
+	for _, p := range pages {
+		rel := y(p)
+		if rel {
+			counts.NumRelPages++
 		}
-	}
-	runStart = append(runStart, len(pages))
-	nRuns := len(runStart) - 1
-
-	workers := cfg.learnWorkers()
-	if workers > nRuns {
-		workers = nRuns
-	}
-	if workers < 1 || duplicated {
-		// An entity appearing in more than one run (duplicate IDs in the
-		// domain sample) makes the serial entity-DF count depend on
-		// cross-run adjacency of each query's page subsequence — a global
-		// property shards cannot reproduce. Count serially (enumeration
-		// reuse still applies) so the result stays exactly the
-		// reference's on every input.
-		workers = 1
-	}
-
-	perPage := make([][]string, len(pages))
-	locals := make([]*domainCounts, workers)
-	par.For(workers, workers, func(w int) {
-		local := newDomainCounts()
-		lastEntity := make(map[string]corpus.EntityID)
-		lo, hi := runStart[w*nRuns/workers], runStart[(w+1)*nRuns/workers]
-		for i := lo; i < hi; i++ {
-			p := pages[i]
-			rel := y(p)
+		for _, q := range p.NGrams(cfg.MaxQueryLen, cfg.Stopwords) {
+			counts.PageDF[q]++
 			if rel {
-				local.nRelPages++
+				counts.RelDF[q]++
 			}
-			grams := p.NGrams(ngCfg)
-			perPage[i] = grams // each index belongs to exactly one worker
-			for _, q := range grams {
-				local.pageDF[q]++
-				if rel {
-					local.relDF[q]++
-				}
-				if le, seen := lastEntity[q]; !seen || le != p.Entity {
-					local.entityDF[q]++
-					lastEntity[q] = p.Entity
-				}
+			if le, seen := lastEntity[q]; !seen || le != p.Entity {
+				counts.EntityDF[q]++
+				lastEntity[q] = p.Entity
 			}
 		}
-		locals[w] = local
-	})
+	}
+	return counts, nil
+}
 
-	if workers == 1 {
-		locals[0].perPage = perPage
-		return locals[0]
+// Candidates is the §IV-C candidate pool: the n-grams that survive the
+// page-DF pruning (MinQueryPageDF) and occur with at least
+// MinDomainEntityFrac of the domain entities ("we restrict to queries that
+// occur with at least 50 domain entities"), most frequent first, at most
+// MaxDomainCandidates of them.
+func (dc *DomainCounts) Candidates(cfg Config) []Query {
+	minEnt := max(2, int(cfg.MinDomainEntityFrac*float64(dc.NumEntities)))
+	minDF := max(1, cfg.MinQueryPageDF)
+	type qc struct {
+		q Query
+		n int
 	}
-	merged := newDomainCounts()
-	merged.perPage = perPage
-	for _, local := range locals {
-		merged.nRelPages += local.nRelPages
-		for q, n := range local.pageDF {
-			merged.pageDF[q] += n
-		}
-		for q, n := range local.relDF {
-			merged.relDF[q] += n
-		}
-		for q, n := range local.entityDF {
-			merged.entityDF[q] += n
+	var cands []qc
+	for q, n := range dc.EntityDF {
+		if n >= minEnt && dc.PageDF[q] >= minDF {
+			cands = append(cands, qc{q: Query(q), n: n})
 		}
 	}
-	return merged
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].n != cands[j].n {
+			return cands[i].n > cands[j].n
+		}
+		return cands[i].q < cands[j].q
+	})
+	maxC := cfg.MaxDomainCandidates
+	if maxC <= 0 {
+		maxC = 300
+	}
+	if len(cands) > maxC {
+		cands = cands[:maxC]
+	}
+	out := make([]Query, len(cands))
+	for i, c := range cands {
+		out[i] = c.q
+	}
+	return out
 }
 
 // surviveQueries keeps the n-grams repeating across pages, in sorted
@@ -309,9 +292,9 @@ func surviveQueries(cfg Config, pageDF map[string]int) []string {
 // candidate pool includes domain queries that are not n-grams of the
 // current pages; here queries are generated from the pages, exactly as
 // §III describes — "Q can be generated from P, such as by taking all
-// n-grams in P as queries"). enum supplies page i's n-grams.
+// n-grams in P as queries"). enum supplies a page's n-grams.
 func buildDomainGraph(cfg Config, rec types.Recognizer, pages []*corpus.Page,
-	queries []string, enum func(i int, p *corpus.Page) []string) *graphBuilder {
+	queries []string, enum func(p *corpus.Page) []string) *graphBuilder {
 
 	b := newGraphBuilder(cfg, rec, true)
 	for _, p := range pages {
@@ -320,8 +303,8 @@ func buildDomainGraph(cfg Config, rec types.Recognizer, pages []*corpus.Page,
 	for _, q := range queries {
 		b.addQuery(Query(q))
 	}
-	for i, p := range pages {
-		for _, qs := range enum(i, p) {
+	for _, p := range pages {
+		for _, qs := range enum(p) {
 			if ord, ok := b.queries[Query(qs)]; ok {
 				b.addPQEdge(p, &b.qs[ord])
 			}
@@ -332,10 +315,10 @@ func buildDomainGraph(cfg Config, rec types.Recognizer, pages []*corpus.Page,
 
 // packageDomainModel solves the two fixpoints over the assembled domain
 // graph and packages the DomainModel: template/query utilities, the
-// probability-scale counting statistics, and the §IV-C candidate pool.
+// probability-scale counting statistics, and the §IV-C candidate pool
+// (DomainCounts.Candidates).
 func packageDomainModel(cfg Config, aspect corpus.Aspect, b *graphBuilder,
-	counts *domainCounts, pages []*corpus.Page, domainEntities []corpus.EntityID,
-	y func(*corpus.Page) bool, score func(*corpus.Page) float64) (*DomainModel, error) {
+	counts *DomainCounts, y func(*corpus.Page) bool, score func(*corpus.Page) float64) (*DomainModel, error) {
 
 	var yReg regPair
 	if score != nil {
@@ -352,8 +335,8 @@ func packageDomainModel(cfg Config, aspect corpus.Aspect, b *graphBuilder,
 		return nil, err
 	}
 
-	nRelPages := counts.nRelPages
-	relDF, pageDF, entityDF := counts.relDF, counts.pageDF, counts.entityDF
+	nRelPages, nPages := counts.NumRelPages, len(counts.Pages)
+	relDF, pageDF, entityDF := counts.RelDF, counts.PageDF, counts.EntityDF
 
 	dm := &DomainModel{
 		Aspect:             aspect,
@@ -365,10 +348,11 @@ func packageDomainModel(cfg Config, aspect corpus.Aspect, b *graphBuilder,
 		QueryRStarCount:    make(map[Query]float64),
 		QueryP:             make(map[Query]float64, len(b.queries)),
 		QueryR:             make(map[Query]float64, len(b.queries)),
-		NumEntities:        len(domainEntities),
-		NumPages:           len(pages),
+		NumEntities:        counts.NumEntities,
+		NumPages:           nPages,
+		Candidates:         counts.Candidates(cfg),
 	}
-	dm.RelFraction = float64(nRelPages) / float64(len(pages))
+	dm.RelFraction = float64(nRelPages) / float64(nPages)
 	for key, id := range b.templates {
 		dm.TemplateP[key] = prec[id]
 		dm.TemplateR[key] = rec1[id]
@@ -401,7 +385,7 @@ func packageDomainModel(cfg Config, aspect corpus.Aspect, b *graphBuilder,
 			if nRelPages > 0 {
 				a.sumRel += float64(relDF[string(q)]) / float64(nRelPages)
 			}
-			a.sumAll += float64(pageDF[string(q)]) / float64(len(pages))
+			a.sumAll += float64(pageDF[string(q)]) / float64(nPages)
 			a.n++
 		}
 	}
@@ -419,44 +403,9 @@ func packageDomainModel(cfg Config, aspect corpus.Aspect, b *graphBuilder,
 		if nRelPages > 0 {
 			dm.QueryRCount[q] = float64(relDF[string(q)]) / float64(nRelPages)
 		}
-		dm.QueryRStarCount[q] = float64(pageDF[string(q)]) / float64(len(pages))
+		dm.QueryRStarCount[q] = float64(pageDF[string(q)]) / float64(nPages)
 	}
 
-	// Candidate pool: domain queries frequent across entities (§IV-C:
-	// "we restrict to queries that occur with at least 50 domain
-	// entities"), most frequent first, capped.
-	minEnt := int(cfg.MinDomainEntityFrac * float64(len(domainEntities)))
-	if minEnt < 2 {
-		minEnt = 2
-	}
-	type qc struct {
-		q Query
-		n int
-	}
-	var cands []qc
-	for i := range b.qs {
-		q := b.qs[i].q
-		if n := entityDF[string(q)]; n >= minEnt {
-			cands = append(cands, qc{q: q, n: n})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].n != cands[j].n {
-			return cands[i].n > cands[j].n
-		}
-		return cands[i].q < cands[j].q
-	})
-	maxC := cfg.MaxDomainCandidates
-	if maxC <= 0 {
-		maxC = 300
-	}
-	if len(cands) > maxC {
-		cands = cands[:maxC]
-	}
-	dm.Candidates = make([]Query, len(cands))
-	for i, c := range cands {
-		dm.Candidates[i] = c.q
-	}
 	return dm, nil
 }
 

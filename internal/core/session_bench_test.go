@@ -229,11 +229,9 @@ func BenchmarkCandidateStep(b *testing.B) {
 }
 
 // BenchmarkLearnDomain measures the domain phase end to end on both
-// domains: "reference" is the retained serial two-pass implementation
-// (count, then re-enumerate for edges); "serial" is the refactored pass
-// at one worker (enumeration reuse + per-page memo, no parallelism);
-// "parallel" adds the sharded counting pass at GOMAXPROCS. On the CI's
-// multi-core runners the parallel gain lands on top of the reuse gain.
+// domains: "reference" is the retained two-pass implementation (count,
+// then re-enumerate for edges); "memo" is LearnDomainScored, whose count
+// and edges both read each page's memoized enumeration.
 func BenchmarkLearnDomain(b *testing.B) {
 	for _, d := range benchDomains {
 		env := benchEnvFor(b, d.domain, d.aspect)
@@ -250,12 +248,7 @@ func BenchmarkLearnDomain(b *testing.B) {
 			{"reference", func() (*DomainModel, error) {
 				return LearnDomainReference(cfg, env.aspect, env.g.Corpus, domainIDs, env.y, nil, env.rec)
 			}},
-			{"serial", func() (*DomainModel, error) {
-				c := cfg
-				c.LearnWorkers = 1
-				return LearnDomainScored(c, env.aspect, env.g.Corpus, domainIDs, env.y, nil, env.rec)
-			}},
-			{"parallel", func() (*DomainModel, error) {
+			{"memo", func() (*DomainModel, error) {
 				return LearnDomainScored(cfg, env.aspect, env.g.Corpus, domainIDs, env.y, nil, env.rec)
 			}},
 		}

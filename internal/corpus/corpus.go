@@ -68,11 +68,10 @@ type Page struct {
 	tokens   []textproc.Token
 	setOnce  sync.Once
 	tokenSet map[textproc.Token]struct{}
-	// ngrams memoizes candidate-query enumerations per config: domain
-	// learning, the HR baseline and the reference paths share one
-	// enumeration of the immutable page instead of re-sliding the window
-	// each time.
-	ngrams textproc.NGramMemo
+	// ngrams memoizes the page's exclusion-free n-gram enumeration: domain
+	// learning and the HR baseline share one instead of re-sliding the
+	// window for every pass and aspect.
+	ngrams atomic.Pointer[pageNGrams]
 	// tok is the tokenizer SetParas tokenized the paragraphs with; nil when
 	// the tokens came ready-made.
 	tok *textproc.Tokenizer
@@ -85,6 +84,14 @@ type Page struct {
 type pageTermIDs struct {
 	v   *textproc.Vocabulary
 	ids []textproc.TermID
+}
+
+// pageNGrams is a page's n-gram enumeration under one MaxLen and stopword
+// list.
+type pageNGrams struct {
+	maxLen int
+	sw     *textproc.Stopwords
+	grams  []string
 }
 
 // parasScratch is the pooled buffer SetParas gathers a page's tokens in
@@ -176,12 +183,21 @@ func (p *Page) Tokens() []textproc.Token {
 	return p.tokens
 }
 
-// NGrams returns the page's deduplicated candidate n-grams under cfg in
-// first-appearance order (textproc.NGrams over Tokens), computing each
-// distinct config's enumeration at most once for the page's lifetime.
-// The returned slice is shared — callers must not mutate it.
-func (p *Page) NGrams(cfg textproc.NGramConfig) []string {
-	return p.ngrams.NGrams(p.Tokens(), cfg)
+// NGrams returns the page's distinct n-grams of up to maxLen tokens under
+// the stopword list sw, in first-appearance order (textproc.NGrams over
+// Tokens, nothing excluded), computed on the first call and kept for as
+// long as maxLen and sw are the ones asked for (a process normally asks
+// under one; asking under another recomputes and replaces it). Safe for
+// concurrent use; the returned slice is shared — callers must not mutate
+// it.
+func (p *Page) NGrams(maxLen int, sw *textproc.Stopwords) []string {
+	if g := p.ngrams.Load(); g != nil && g.maxLen == maxLen && g.sw == sw {
+		return g.grams
+	}
+	g := &pageNGrams{maxLen: maxLen, sw: sw,
+		grams: textproc.NGrams(p.Tokens(), textproc.NGramConfig{MaxLen: maxLen, Stopwords: sw})}
+	p.ngrams.Store(g)
+	return g.grams
 }
 
 // HasToken reports whether the page contains the token anywhere; the set is

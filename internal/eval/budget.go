@@ -61,7 +61,7 @@ func (e *Env) budgetHarvest(ctx context.Context, aspect corpus.Aspect, dm *core.
 		jobs = append(jobs, pipeline.Job{Session: s, Selector: core.NewL2QBAL(), NQueries: nQueries})
 		sessions = append(sessions, s)
 	}
-	sched := pipeline.New(pipeline.Config{SelectWorkers: e.parallelism()})
+	sched := pipeline.New(pipeline.Config{})
 	defer sched.Close()
 	b, serr := sched.Submit(ctx, jobs, pipeline.BatchOptions{Budget: policy})
 	if serr != nil {

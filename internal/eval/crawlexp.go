@@ -47,7 +47,7 @@ func (e *Env) CompareCrawler(ctx context.Context) (CrawlResult, error) {
 			return out, err
 		}
 		pairs := make([]pair, len(e.TestIDs))
-		par.For(len(e.TestIDs), e.parallelism(), func(i int) {
+		par.For(len(e.TestIDs), func(i int) {
 			id := e.TestIDs[i]
 			entity := e.G.Corpus.Entity(id)
 			relevant := e.relevantUniverse(entity, aspect)

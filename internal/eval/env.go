@@ -42,8 +42,6 @@ type Config struct {
 	NumValidation int
 	// NumQueries is the maximum harvesting iterations (paper: 2–5).
 	NumQueries int
-	// Parallelism bounds concurrent sessions (0 = GOMAXPROCS-ish 8).
-	Parallelism int
 
 	Core core.Config
 }
@@ -129,13 +127,6 @@ func (e *Env) domainSampleIDs(k int) []corpus.EntityID {
 // for an aspect using `sample` domain entities; sample ≤ 0 uses the
 // configured default.
 func (e *Env) DomainModel(aspect corpus.Aspect, sample int) (*core.DomainModel, error) {
-	return e.domainModel(aspect, sample, e.Cfg.Core)
-}
-
-// domainModel is DomainModel with an explicit learning config, so the
-// parallel pretrainer can serialize the inner counting pass without
-// changing what gets cached (worker counts are value-neutral).
-func (e *Env) domainModel(aspect corpus.Aspect, sample int, cfg core.Config) (*core.DomainModel, error) {
 	if sample <= 0 {
 		sample = e.Cfg.DomainSample
 	}
@@ -146,7 +137,7 @@ func (e *Env) domainModel(aspect corpus.Aspect, sample int, cfg core.Config) (*c
 	if ok {
 		return dm, nil
 	}
-	dm, err := core.LearnDomain(cfg, aspect, e.G.Corpus,
+	dm, err := core.LearnDomain(e.Cfg.Core, aspect, e.G.Corpus,
 		e.domainSampleIDs(sample), e.Cls.YFunc(aspect), e.Rec)
 	if err != nil {
 		return nil, err
@@ -158,25 +149,16 @@ func (e *Env) domainModel(aspect corpus.Aspect, sample int, cfg core.Config) (*c
 }
 
 // PretrainDomainModels learns (and caches) the domain model of every
-// target aspect up front, aspects in parallel under the environment's
-// worker bound — the eval-side mirror of the server's warm boot, so an
+// target aspect up front, aspects in parallel — the eval-side mirror of
+// the server's warm boot (store.DomainLearner.Artifact), so an
 // all-aspects experiment pays the domain phase concurrently instead of
 // serially on each aspect's first session. Value-neutral: each model is
-// byte-identical to the one lazy learning would build (the per-model
-// counting pass itself is additionally sharded over Core.LearnWorkers).
+// byte-identical to the one lazy learning would build.
 func (e *Env) PretrainDomainModels(sample int) error {
 	aspects := e.G.Aspects
 	errs := make([]error, len(aspects))
-	inner := e.Cfg.Core
-	if e.parallelism() > 1 && len(aspects) > 1 && inner.LearnWorkers == 0 {
-		// Same oversubscription rule as the pipeline scheduler: aspect-
-		// level parallelism already saturates the CPU, so each model's
-		// counting pass runs serial — unless the caller set an explicit
-		// worker count, which is honored verbatim. Value-neutral.
-		inner.LearnWorkers = -1
-	}
-	par.For(len(aspects), e.parallelism(), func(i int) {
-		_, errs[i] = e.domainModel(aspects[i], sample, inner)
+	par.For(len(aspects), func(i int) {
+		_, errs[i] = e.DomainModel(aspects[i], sample)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -213,12 +195,4 @@ func (e *Env) NewSession(entity *corpus.Entity, aspect corpus.Aspect,
 
 	return core.NewSession(e.Cfg.Core, e.Engine, entity, aspect,
 		e.Cls.YFunc(aspect), dm, e.Rec, rngSeed)
-}
-
-// parallelism resolves the worker count.
-func (e *Env) parallelism() int {
-	if e.Cfg.Parallelism > 0 {
-		return e.Cfg.Parallelism
-	}
-	return 8
 }

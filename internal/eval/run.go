@@ -143,7 +143,7 @@ func (e *Env) RunMethod(ctx context.Context, m Method, aspect corpus.Aspect, ent
 	}
 	results := make([]perEntity, len(entityIDs))
 
-	par.For(len(entityIDs), e.parallelism(), func(i int) {
+	par.For(len(entityIDs), func(i int) {
 		id := entityIDs[i]
 		entity := e.G.Corpus.Entity(id)
 		relevant := e.relevantUniverse(entity, aspect)

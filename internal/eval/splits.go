@@ -35,23 +35,16 @@ func NewEnvs(cfg Config, n int) ([]*Env, error) {
 		return nil, err
 	}
 	cfg.Core.Tokenizer = g.Tokenizer
-	engine := search.NewEngineOpts(search.BuildIndex(g.Corpus.Pages), cfg.Core.SearchOptions())
+	engine := search.NewEngine(search.BuildIndex(g.Corpus.Pages))
 
 	// Splits are independent (each trains its own classifiers over its
 	// own domain half) and each split's state is fully determined by its
 	// seed, so building them concurrently is value-neutral; classifier
-	// training inside one split additionally parallelizes over aspects.
+	// training inside one split additionally fans out over aspects.
 	envs := make([]*Env, n)
 	errs := make([]error, n)
-	trainWorkers := cfg.Core.LearnWorkers
-	if n > 1 && trainWorkers == 0 {
-		// Oversubscription rule: split-level parallelism already fills
-		// the CPU, so per-split classifier training runs serial unless
-		// an explicit worker count was requested. Value-neutral.
-		trainWorkers = -1
-	}
-	par.For(n, 0, func(i int) {
-		envs[i], errs[i] = newEnvFrom(cfg, g, engine, cfg.Seed+uint64(i)*7919, trainWorkers)
+	par.For(n, func(i int) {
+		envs[i], errs[i] = newEnvFrom(cfg, g, engine, cfg.Seed+uint64(i)*7919)
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -62,9 +55,7 @@ func NewEnvs(cfg Config, n int) ([]*Env, error) {
 }
 
 // newEnvFrom wires an Env over shared corpus/engine with one split.
-// trainWorkers bounds this split's classifier training only (the caller
-// serializes it when building splits in parallel).
-func newEnvFrom(cfg Config, g *synth.Generated, engine *search.Engine, splitSeed uint64, trainWorkers int) (*Env, error) {
+func newEnvFrom(cfg Config, g *synth.Generated, engine *search.Engine, splitSeed uint64) (*Env, error) {
 	if cfg.NumQueries <= 0 {
 		cfg.NumQueries = 3
 	}
@@ -103,7 +94,7 @@ func newEnvFrom(cfg Config, g *synth.Generated, engine *search.Engine, splitSeed
 	for _, id := range env.DomainIDs {
 		trainPages = append(trainPages, g.Corpus.PagesOf(id)...)
 	}
-	env.Cls = classify.TrainSetWorkers(g.Aspects, trainPages, trainWorkers)
+	env.Cls = classify.TrainSet(g.Aspects, trainPages)
 	for _, a := range g.Aspects {
 		if _, ok := env.Cls.ByAspect[a]; !ok {
 			return nil, fmt.Errorf("eval: no classifier trained for aspect %s", a)

@@ -1,10 +1,11 @@
-// Package par provides the one bounded parallel-for shared by the
-// CPU-bound fan-outs of the reproduction — the domain phase's sharded
-// counting pass (core), per-aspect classifier training (classify), the
-// eval environment's warm-ups and its per-entity harvests — so the
-// worker-pool idiom lives in exactly one place. One inference step is not
-// among them: its passes are tens of microseconds, less than starting the
-// goroutines costs.
+// Package par provides the one parallel-for shared by the CPU-bound
+// fan-outs of the reproduction — per-aspect domain learning (store) and
+// classifier training (classify), the eval environment's splits, warm-ups
+// and per-entity harvests — so the worker-pool idiom lives in exactly one
+// place. Only independent units fan out: the domain phase's counting pass
+// inside one aspect is serial, and one inference step is not among them
+// either (its passes are tens of microseconds, less than starting the
+// goroutines costs).
 package par
 
 import (
@@ -13,19 +14,13 @@ import (
 	"sync/atomic"
 )
 
-// For runs fn(0..n-1) over a bounded worker pool, following the repo's
-// worker-knob convention (core.Config.LearnWorkers): 0
-// picks GOMAXPROCS, negative means serial. The pool never exceeds n; a
+// For runs fn(0..n-1) over GOMAXPROCS workers, never more than n; a
 // single worker runs inline. Iterations must be independent; each index
-// is executed exactly once. A panicking fn crashes the process (as an
-// inline loop would) — do not use For for work that recovers.
-func For(n, workers int, fn func(int)) {
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+// is executed exactly once. Nested calls are fine: Go multiplexes every
+// worker onto GOMAXPROCS threads. A panicking fn crashes the process (as
+// an inline loop would) — do not use For for work that recovers.
+func For(n int, fn func(int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)

@@ -422,8 +422,6 @@ func TestSchedulerSharedEnumerationRace(t *testing.T) {
 	for i := 0; i < f.g.Corpus.NumEntities()/2; i++ {
 		domainIDs = append(domainIDs, f.g.Corpus.Entities[i].ID)
 	}
-	learnCfg := f.cfg
-	learnCfg.LearnWorkers = 4
 
 	stop := make(chan struct{})
 	learnErr := make(chan error, 1)
@@ -437,7 +435,7 @@ func TestSchedulerSharedEnumerationRace(t *testing.T) {
 			}
 			// Same pages, read while the harvesting sessions memoize
 			// their term ids on them concurrently.
-			if _, err := core.LearnDomainScored(learnCfg, synth.AspResearch,
+			if _, err := core.LearnDomainScored(f.cfg, synth.AspResearch,
 				f.g.Corpus, domainIDs, f.y, nil, f.rec); err != nil {
 				learnErr <- err
 				return

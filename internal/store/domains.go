@@ -29,6 +29,7 @@ import (
 	"l2q/internal/classify"
 	"l2q/internal/core"
 	"l2q/internal/corpus"
+	"l2q/internal/par"
 	"l2q/internal/textproc"
 	"l2q/internal/types"
 )
@@ -102,7 +103,7 @@ func (a *DomainArtifact) ClassifierSet() *classify.Set {
 // cold-booted server.
 type DomainLearner struct {
 	// Corpus, Cfg and Rec are the learning inputs (Cfg carries the
-	// tokenizer and LearnWorkers).
+	// tokenizer).
 	Corpus *corpus.Corpus
 	Cfg    core.Config
 	Rec    types.Recognizer
@@ -115,19 +116,18 @@ type DomainLearner struct {
 }
 
 // NewDomainLearner wires the protocol for a corpus. tok is the (possibly
-// reconstructed) tokenizer; learnWorkers bounds both classifier training
-// and each model's counting pass. preTrained, when non-nil (classifiers
+// reconstructed) tokenizer. preTrained, when non-nil (classifiers
 // restored from an artifact), is used as-is — aspects it does not cover
 // are trained here and merged, so an artifact built before a corpus
 // gained an aspect degrades to lazy training instead of silently
 // disabling the aspect.
 func NewDomainLearner(c *corpus.Corpus, tok *textproc.Tokenizer,
-	rec types.Recognizer, learnWorkers int, preTrained *classify.Set) *DomainLearner {
+	rec types.Recognizer, preTrained *classify.Set) *DomainLearner {
 
 	aspects := c.Aspects()
 	cls := preTrained
 	if cls == nil {
-		cls = classify.TrainSetWorkers(aspects, c.Pages, learnWorkers)
+		cls = classify.TrainSet(aspects, c.Pages)
 	} else {
 		var missing []corpus.Aspect
 		for _, a := range aspects {
@@ -136,7 +136,7 @@ func NewDomainLearner(c *corpus.Corpus, tok *textproc.Tokenizer,
 			}
 		}
 		if len(missing) > 0 {
-			fresh := classify.TrainSetWorkers(missing, c.Pages, learnWorkers)
+			fresh := classify.TrainSet(missing, c.Pages)
 			for a, cl := range fresh.ByAspect {
 				cls.ByAspect[a] = cl
 			}
@@ -150,7 +150,6 @@ func NewDomainLearner(c *corpus.Corpus, tok *textproc.Tokenizer,
 	}
 	cfg := core.DefaultConfig()
 	cfg.Tokenizer = tok
-	cfg.LearnWorkers = learnWorkers
 	ids := make([]corpus.EntityID, 0, c.NumEntities()/2)
 	for _, e := range c.Entities[:c.NumEntities()/2] {
 		ids = append(ids, e.ID)
@@ -164,20 +163,24 @@ func (l *DomainLearner) Learn(a corpus.Aspect) (*core.DomainModel, error) {
 	return core.LearnDomain(l.Cfg, a, l.Corpus, l.DomainIDs, l.Cls.YFunc(a), l.Rec)
 }
 
-// Artifact learns every servable aspect and packages the persistable
-// DomainArtifact (models + classifier parameters).
+// Artifact learns every servable aspect, aspects in parallel, and
+// packages the persistable DomainArtifact (models + classifier
+// parameters) in aspect order.
 func (l *DomainLearner) Artifact() (*DomainArtifact, error) {
 	art := &DomainArtifact{
 		CorpusDomain: l.Corpus.Domain,
 		NumEntities:  l.Corpus.NumEntities(),
 		NumPages:     l.Corpus.NumPages(),
+		Models:       make([]*core.DomainModel, len(l.Aspects)),
 	}
-	for _, a := range l.Aspects {
-		dm, err := l.Learn(a)
-		if err != nil {
-			return nil, fmt.Errorf("store: aspect %s: %w", a, err)
+	errs := make([]error, len(l.Aspects))
+	par.For(len(l.Aspects), func(i int) {
+		art.Models[i], errs[i] = l.Learn(l.Aspects[i])
+	})
+	for i, a := range l.Aspects {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("store: aspect %s: %w", a, errs[i])
 		}
-		art.Models = append(art.Models, dm)
 		art.Classifiers = append(art.Classifiers, l.Cls.ByAspect[a].Params())
 	}
 	if len(art.Models) == 0 {

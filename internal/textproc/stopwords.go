@@ -51,13 +51,3 @@ func (s *Stopwords) Contains(w string) bool {
 
 // Len reports the number of stopwords in the set.
 func (s *Stopwords) Len() int { return len(s.set) }
-
-// AllStopwords reports whether every token in the slice is a stopword.
-func (s *Stopwords) AllStopwords(tokens []Token) bool {
-	for _, t := range tokens {
-		if !s.Contains(t) {
-			return false
-		}
-	}
-	return len(tokens) > 0
-}

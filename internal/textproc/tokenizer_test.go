@@ -159,38 +159,6 @@ func TestNGramsDedup(t *testing.T) {
 	}
 }
 
-func TestCountNGrams(t *testing.T) {
-	cfg := NGramConfig{MaxLen: 2}
-	counts := CountNGrams([]Token{"a1", "b1", "a1", "b1"}, cfg, nil)
-	if counts["a1"] != 2 || counts["b1"] != 2 {
-		t.Errorf("unigram counts wrong: %v", counts)
-	}
-	if counts["a1 b1"] != 2 || counts["b1 a1"] != 1 {
-		t.Errorf("bigram counts wrong: %v", counts)
-	}
-}
-
-func TestContainsSubsequence(t *testing.T) {
-	page := []Token{"he", "studies", "parallel", "computing", "at", "uiuc"}
-	tests := []struct {
-		q    []Token
-		want bool
-	}{
-		{[]Token{"parallel"}, true},
-		{[]Token{"parallel", "computing"}, true},
-		{[]Token{"studies", "parallel", "computing"}, true},
-		{[]Token{"parallel", "uiuc"}, false},
-		{[]Token{"uiuc"}, true},
-		{[]Token{}, false},
-		{[]Token{"he", "studies", "parallel", "computing", "at", "uiuc", "x"}, false},
-	}
-	for _, tc := range tests {
-		if got := ContainsSubsequence(page, tc.q); got != tc.want {
-			t.Errorf("ContainsSubsequence(page, %v) = %v, want %v", tc.q, got, tc.want)
-		}
-	}
-}
-
 func TestJoinSplitQueryRoundTrip(t *testing.T) {
 	f := func(parts []string) bool {
 		// Build tokens without spaces to make round-trip well-defined.
@@ -218,17 +186,9 @@ func TestJoinSplitQueryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStopwordsAllStopwords(t *testing.T) {
-	sw := NewStopwords()
-	if !sw.AllStopwords([]Token{"the", "of"}) {
-		t.Error("expected all-stopword detection")
-	}
-	if sw.AllStopwords([]Token{"the", "award"}) {
-		t.Error("award is not a stopword")
-	}
-	if sw.AllStopwords(nil) {
-		t.Error("empty slice must not count as all-stopwords")
-	}
+// TestStopwordsNilSetIsEmpty: a nil list (NGramConfig's "no filtering")
+// contains nothing.
+func TestStopwordsNilSetIsEmpty(t *testing.T) {
 	var nilSW *Stopwords
 	if nilSW.Contains("the") {
 		t.Error("nil stopwords must contain nothing")

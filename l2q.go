@@ -167,8 +167,7 @@ func Crawl(pageByID map[PageID]*Page, seeds []*Page, y func(*Page) bool, cfg Cra
 func CrawlPageIndex(c *Corpus) map[PageID]*Page { return crawler.PageIndex(c) }
 
 // SystemOptions sizes a synthetic system's corpus and carries its L2Q
-// configuration (the query cache and the domain phase's worker pool are
-// Config.SearchCacheSize and Config.LearnWorkers).
+// configuration.
 type SystemOptions struct {
 	// NumEntities and PagesPerEntity size the corpus (0 = paper scale:
 	// 996 researchers / 143 cars × 50 pages).
@@ -253,7 +252,7 @@ func NewSystem(c *Corpus, kb *Dictionary, aspects []Aspect,
 	return &System{
 		cfg:     cfg,
 		corpus:  c,
-		engine:  search.NewEngineOpts(search.BuildIndex(c.Pages), cfg.SearchOptions()),
+		engine:  search.NewEngine(search.BuildIndex(c.Pages)),
 		cls:     cls,
 		rec:     rec,
 		aspects: aspects,

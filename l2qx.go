@@ -180,7 +180,7 @@ func (s *System) ClassifierAccuracy(a Aspect, pages []*Page) float64 {
 // (*SearchServer).Start and point remote harvesters at it with
 // DialRemoteContext.
 func (s *System) NewSearchServer() *SearchServer {
-	live := search.NewLiveEngine(s.engine.Index(), s.cfg.SearchOptions(), search.LiveOptions{TopK: s.engine.TopK()})
+	live := search.NewLiveEngine(s.engine.Index(), search.Options{}, search.LiveOptions{TopK: s.engine.TopK()})
 	srv := webapi.NewServer(s.corpus, live, nil)
 	srv.Harvest = s.HarvestBackend()
 	return srv
