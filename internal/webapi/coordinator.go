@@ -585,10 +585,12 @@ type ClusterNodeMetrics struct {
 	Client ClientMetrics `json:"client"`
 }
 
-// CacheMetrics is one coordinator cache in ClusterMetrics: lifetime hits
-// and misses and the entries held now, read together under the cache's own
-// lock. Bytes, on the body cache only, is the total size of the bodies held
-// (a counter kept beside the cache, so it may trail Entries by a fetch).
+// CacheMetrics is one bounded cache in the metrics payload — a
+// coordinator's two caches in ClusterMetrics, every server's frame memo in
+// ServerMetrics.Frames: lifetime hits and misses and the entries held now,
+// read together under the cache's own lock. Bytes, on the body cache and
+// the frame memo, is the total size of the values held (a counter kept
+// beside the cache, so it may trail Entries by an insert).
 type CacheMetrics struct {
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`

@@ -101,9 +101,37 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Write([]byte("ok\n"))
 }
 
-// wantsWire reports whether the request negotiated the binary codec.
+// wantsWire reports whether the request negotiated the binary codec: one
+// of its Accept media ranges names the wire type (no wildcard does; JSON
+// stays the default) with a weight above zero — q=0 means "not
+// acceptable" (RFC 9110 §12.4.2).
 func wantsWire(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), wireContentType)
+	for _, accept := range r.Header.Values("Accept") {
+		for more := true; more; {
+			var rng string
+			rng, accept, more = strings.Cut(accept, ",")
+			typ, params, _ := strings.Cut(rng, ";")
+			if strings.EqualFold(strings.TrimSpace(typ), wireContentType) && acceptable(params) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// acceptable reports whether a media range's parameters leave it acceptable:
+// no q parameter, or one that is not a number at or below zero.
+func acceptable(params string) bool {
+	for more := params != ""; more; {
+		var p string
+		p, params, more = strings.Cut(params, ";")
+		name, value, _ := strings.Cut(p, "=")
+		if strings.EqualFold(strings.TrimSpace(name), "q") {
+			q, err := strconv.ParseFloat(strings.TrimSpace(value), 64)
+			return err != nil || q > 0
+		}
+	}
+	return true
 }
 
 // respond writes one payload in the negotiated codec: a single wire
@@ -113,7 +141,23 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, kind byte, enco
 		writeJSON(w, jsonV)
 		return
 	}
-	frame := marshalFrame(kind, encode)
+	writeFrame(w, s.frame(kind, encode))
+}
+
+// frame encodes one response payload with encode and frames it as
+// marshalFrame does, through the server's frame memo: a payload this
+// server has framed before is not deflated again.
+func (s *Server) frame(kind byte, encode func(*store.Enc)) []byte {
+	e := encPool.Get().(*store.Enc)
+	e.Reset()
+	encode(e)
+	out := s.frames.wrap(kind, e.Data())
+	encPool.Put(e)
+	return out
+}
+
+// writeFrame writes one frame as the whole response body.
+func writeFrame(w http.ResponseWriter, frame []byte) {
 	w.Header().Set("Content-Type", wireContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
 	_, _ = w.Write(frame)

@@ -122,6 +122,10 @@ type Server struct {
 	jobsSeq int
 	jobs    map[string]*serverJob
 
+	// frames is the memo of compressed response frames behind respond and
+	// handlePage (wire.go).
+	frames *frameMemo
+
 	// requests counts every request served (the /api/v1/metrics counter).
 	requests atomic.Int64
 	// pagesAttached and pagesSkippedHave count, over searches asked
@@ -154,7 +158,7 @@ func (s *Server) scheduler() *pipeline.Scheduler {
 func newServer(b backend) *Server {
 	//l2qvet:ignore ctxbg server-lifetime root: this ctx outlives every request and is canceled by Shutdown's drain
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{backend: b, ctx: ctx, cancel: cancel}
+	return &Server{backend: b, frames: newFrameMemo(), ctx: ctx, cancel: cancel}
 }
 
 // NewServer wires a single-node server over a corpus and the live engine
@@ -320,6 +324,11 @@ type ServerMetrics struct {
 	// Cluster reports the coordinator's fan-out gauges (per-node in-flight,
 	// hedges fired, partials served); present only on coordinator servers.
 	Cluster *ClusterMetrics `json:"cluster,omitempty"`
+	// Frames reports the memo of compressed response frames: a hit is a
+	// framed response served without deflating it again, a miss one
+	// deflated (from compressMin bytes up; smaller frames bypass it), and
+	// Entries and Bytes what the memo holds now (≤ 4 096 frames of ≤ 4 KiB).
+	Frames CacheMetrics `json:"frames"`
 	// Live reports the generational engine's ingest-side gauges (segment
 	// count, memtable size, epoch, compaction totals, cache epoch-
 	// invalidations); present only on writable single-node servers.
@@ -358,6 +367,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			PagesAttached:    s.pagesAttached.Load(),
 			PagesSkippedHave: s.pagesSkippedHave.Load(),
 		},
+		Frames:  s.frames.metrics(),
 		Runtime: readRuntimeMetrics(),
 	}
 	s.jobsMu.Lock()
@@ -627,10 +637,7 @@ func (s *Server) handlePage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if wantsWire(r) {
-		frame := marshalFrame(wirePage, func(e *store.Enc) { e.Raw([]byte(body)) })
-		w.Header().Set("Content-Type", wireContentType)
-		w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
-		_, _ = w.Write(frame)
+		writeFrame(w, s.frame(wirePage, func(e *store.Enc) { e.Raw([]byte(body)) }))
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")

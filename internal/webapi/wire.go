@@ -26,19 +26,24 @@ package webapi
 // the clean mixed-version fallback.
 //
 // Encode buffers and gzip coders are pooled: a busy server frames every
-// hot response without per-request allocations beyond the frame itself.
+// hot response without per-request allocations beyond the frame itself,
+// and deflates each distinct response once — a frame it has built before
+// comes out of its frame memo (frameMemo) without any allocation.
 
 import (
 	"bytes"
 	"compress/gzip"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 
 	"l2q/internal/corpus"
+	"l2q/internal/search"
 	"l2q/internal/store"
 )
 
@@ -99,14 +104,16 @@ var gzipWPool = sync.Pool{New: func() any {
 	return zw
 }}
 
-// gzipBufPool recycles the buffers marshalFrame compresses into.
+// gzipBufPool recycles the buffers wrapFrame compresses into.
 var gzipBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // gzipRPool recycles gzip readers.
 var gzipRPool sync.Pool
 
 // marshalFrame encodes one payload with encode and wraps it in a wire
-// frame, gzipped from compressMin bytes up.
+// frame, gzipped from compressMin bytes up — deflating every time: what a
+// client frames its ingest requests with. A server frames its responses
+// through its frame memo instead (Server.frame).
 func marshalFrame(kind byte, encode func(*store.Enc)) []byte {
 	e := encPool.Get().(*store.Enc)
 	e.Reset()
@@ -140,6 +147,61 @@ func wrapFrame(kind byte, payload []byte, zip bool) []byte {
 	out = binary.AppendUvarint(out, uint64(len(payload)))
 	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
 	return append(out, payload...)
+}
+
+// maxMemoFrame is the largest frame a frameMemo keeps. A constant, like
+// the capacity beside it (search.DefaultCacheSize): together they bound a
+// server's memo at 16 MiB, and a five-page search frame (≈ 1.7 kB) is far
+// under it — a larger one is served and forgotten.
+const maxMemoFrame = 4 << 10
+
+// frameMemo holds the compressed frames a server has built, keyed by
+// content: kind ‖ SHA-256(payload). Level-1 deflate is a function of its
+// input, so a frame built again from the same payload is the same bytes;
+// the memo only saves deflating them twice. Stored frames are shared
+// across requests and never written after they are built. Only payloads
+// at or above compressMin go through it — a smaller frame is not deflated,
+// so there is nothing to save.
+type frameMemo struct {
+	lru *search.LRU[[]byte]
+	// bytes is the total size of the frames held (a counter kept beside
+	// the cache, so it may trail its entries by an insert).
+	bytes atomic.Int64
+}
+
+func newFrameMemo() *frameMemo {
+	return &frameMemo{lru: search.NewLRU[[]byte](search.DefaultCacheSize)}
+}
+
+// wrap is wrapFrame(kind, payload, len(payload) >= compressMin), taken
+// from the memo when this payload was framed before.
+func (m *frameMemo) wrap(kind byte, payload []byte) []byte {
+	if len(payload) < compressMin {
+		return wrapFrame(kind, payload, false)
+	}
+	var key [1 + sha256.Size]byte
+	key[0] = kind
+	sum := sha256.Sum256(payload)
+	copy(key[1:], sum[:])
+	if frame, ok := m.lru.Get(key[:]); ok {
+		return frame
+	}
+	frame := wrapFrame(kind, payload, true)
+	if len(frame) <= maxMemoFrame {
+		if old, ok := m.lru.Put(key[:], frame); ok {
+			m.bytes.Add(-int64(len(old)))
+		}
+		m.bytes.Add(int64(len(frame)))
+	}
+	return frame
+}
+
+// metrics reads the memo for /api/v1/metrics.
+func (m *frameMemo) metrics() CacheMetrics {
+	var c CacheMetrics
+	c.Hits, c.Misses, c.Entries = m.lru.Stats()
+	c.Bytes = m.bytes.Load()
+	return c
 }
 
 // isWireFrame sniffs a response body for the frame magic — how a client

@@ -264,6 +264,43 @@ func TestNegotiationMatrix(t *testing.T) {
 		}
 	})
 
+	// A weight of zero refuses the wire type (RFC 9110 §12.4.2); any other
+	// weight asks for it, whatever else the header lists.
+	t.Run("q-values", func(t *testing.T) {
+		for _, row := range []struct {
+			accept string
+			wire   bool
+		}{
+			{wireContentType + ";q=0", false},
+			{wireContentType + "; Q=0.000", false},
+			{"application/json, " + wireContentType + ";q=0", false},
+			{wireContentType + ";q=0.5", true},
+			{"application/json;q=0.9, " + wireContentType + ";q=0.5", true},
+			{"APPLICATION/X-L2Q-WIRE", true},
+			{"*/*", false},
+		} {
+			for _, path := range []string{statsPath, html.PageHref(pageID)} {
+				req, err := http.NewRequest(http.MethodGet, srv.URL+path, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Header.Set("Accept", row.accept)
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Fatalf("GET %s (Accept %q) = %d, %v", path, row.accept, resp.StatusCode, err)
+				}
+				if framed := isWireFrame(body) && resp.Header.Get("Content-Type") == wireContentType; framed != row.wire {
+					t.Errorf("GET %s (Accept %q): framed %v, want %v", path, row.accept, framed, row.wire)
+				}
+			}
+		}
+	})
+
 	// A JSON-only peer: Accept is stripped on the way, everything is JSON.
 	t.Run("wire-disabled", func(t *testing.T) {
 		srv := httptest.NewServer(stripAccept(NewServer(g.Corpus, live, nil).Handler()))
@@ -732,8 +769,9 @@ func roundTripFixture[T any](f *testing.F, kind byte, v T, enc func(*store.Enc, 
 // frame of each kind, gzipped and not. Properties: no decoder panics; a
 // search never holds more hits than its payload has bytes (Dec.Count's
 // guard); a frame announcing a retired kind (4–7) is refused by every
-// decoder; and what decodes re-encodes to a canonical payload that
-// a frame carries back unchanged, gzip off and on.
+// decoder; what decodes re-encodes to a canonical payload that a frame
+// carries back unchanged, gzip off and on; and a frame out of a server's
+// frame memo, built or found there, opens to the payload it was built from.
 func FuzzFrameDecoders(f *testing.F) {
 	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
 	if err != nil {
@@ -754,12 +792,18 @@ func FuzzFrameDecoders(f *testing.F) {
 	f.Add(page)
 	f.Add(frameOf(wireSearchPages, false, func(e *store.Enc) { encodeSearchPagesWire(e, searchPagesSeeds(g)[2]) }))
 
+	memo := newFrameMemo()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var retired [][]byte
 		for _, old := range retiredKinds {
 			retired = append(retired, wrapFrame(old, data, false))
 		}
 		for _, dec := range liveDecoders {
+			for range 2 { // built, then (from compressMin up) found
+				if payload, err := openFrame(memo.wrap(dec.kind, data), dec.kind); err != nil || !bytes.Equal(payload, data) {
+					t.Fatalf("kind %d: a memoized frame opens to %d bytes (%v), not the %d it was built from", dec.kind, len(payload), err, len(data))
+				}
+			}
 			for _, body := range [][]byte{data, wrapFrame(dec.kind, data, false), wrapFrame(dec.kind, data, true)} {
 				canon, n, err := dec.canon(body)
 				if err != nil {
@@ -786,13 +830,16 @@ func FuzzFrameDecoders(f *testing.F) {
 
 var _ = fmt.Sprintf // keep fmt for debugging edits
 
-// BenchmarkMarshalFrameAllocs pins what framing a compressed response
-// allocates — one page, and a search carrying the pages of its five hits:
-// the frame itself and nothing else. Encoder, gzip writer and gzip output
-// buffer are all pooled, and the attached bodies are appended straight
-// into the pooled encoder. Gated at 1 alloc/op by scripts/alloc_gate.sh —
-// renaming this benchmark or a sub-benchmark breaks the gate; update the
-// script in the same change.
+// BenchmarkMarshalFrameAllocs pins what a server's framing of a
+// compressed response allocates — one page, and a search carrying the
+// pages of its five hits — through the server's frame memo. Repeating one
+// payload, every frame after the first is a memo hit: the stored frame,
+// nothing allocated (encoder and key are pooled or on the stack). Under
+// distinct/ every iteration frames a payload the memo has not seen, so
+// each one deflates and inserts: the frame itself, its key string and the
+// cache's entry. Gated by scripts/alloc_gate.sh — renaming this benchmark
+// or a sub-benchmark breaks the gate; update the script in the same
+// change.
 func BenchmarkMarshalFrameAllocs(b *testing.B) {
 	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
 	if err != nil {
@@ -811,18 +858,26 @@ func BenchmarkMarshalFrameAllocs(b *testing.B) {
 		{"page", wirePage, func(e *store.Enc) { e.Raw(body) }},
 		{"search5pages", wireSearchPages, func(e *store.Enc) { encodeSearchPagesWire(e, resp) }},
 	} {
-		b.Run(bc.name, func(b *testing.B) {
-			frame := marshalFrame(bc.kind, bc.encode) // warm the pools
-			if frame[len(wireMagic)+1]&wireFlagGzip == 0 {
-				b.Fatal("frame was not compressed")
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				frame = marshalFrame(bc.kind, bc.encode)
-			}
-			b.ReportMetric(float64(len(frame)), "frame_bytes")
-		})
+		var n uint64
+		distinct := func(e *store.Enc) { n++; e.Uvarint(n); bc.encode(e) }
+		for _, run := range []struct {
+			name   string
+			encode func(*store.Enc)
+		}{{bc.name, bc.encode}, {"distinct/" + bc.name, distinct}} {
+			b.Run(run.name, func(b *testing.B) {
+				s := &Server{frames: newFrameMemo()}
+				frame := s.frame(bc.kind, run.encode) // warm the pools
+				if frame[len(wireMagic)+1]&wireFlagGzip == 0 {
+					b.Fatal("frame was not compressed")
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					frame = s.frame(bc.kind, run.encode)
+				}
+				b.ReportMetric(float64(len(frame)), "frame_bytes")
+			})
+		}
 	}
 }
 

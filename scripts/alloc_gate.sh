@@ -45,8 +45,10 @@ ceiling() {
 	BenchmarkHarvestJobAllocs) echo 143 ;;            # a whole budget-5 L2QBAL job of one System, facts table and page term ids warm: the session's tables, one Inference per step; 1065 keyed by strings, re-enumerating every page per job (1126–1128 growing two string-keyed tables from empty; 10431 before the table-only session state)
 	BenchmarkScatterMergeAllocs) echo 0 ;;            # coordinator K-way merge over pooled heap scratch
 	BenchmarkCoordinatorFrontHitAllocs) echo 1 ;;     # a coordinator's front-cache hit: the copied hit list; the key lives on the stack, Query/Seed come with the entry
-	BenchmarkMarshalFrameAllocs/page) echo 1 ;;       # the frame itself; encoder, gzip writer and gzip buffer are pooled
-	BenchmarkMarshalFrameAllocs/search5pages) echo 1 ;; # same for a search carrying its five pages: bodies go straight into the pooled encoder
+	BenchmarkMarshalFrameAllocs/page) echo 0 ;;       # a frame-memo hit: the stored frame, keyed on the stack; 1 (the frame itself) when every response was deflated again
+	BenchmarkMarshalFrameAllocs/search5pages) echo 0 ;; # same for a search carrying its five pages: bodies go straight into the pooled encoder
+	BenchmarkMarshalFrameAllocs/distinct/page) echo 4 ;; # a memo miss: the frame, its key string and the LRU's list element and entry; encoder, gzip writer and gzip buffer are pooled
+	BenchmarkMarshalFrameAllocs/distinct/search5pages) echo 4 ;; # same for a five-page search
 	BenchmarkOpenFrameAllocs/search5pages) echo 18 ;; # opening a gzipped five-page frame: the reader over the payload, the inflated payload sized once from the member's length trailer, and 16 Huffman link tables inside compress/flate; 23 when io.ReadAll grew the payload from 512 bytes
 	BenchmarkParsePageAllocs) echo 41 ;;              # a client's cost per downloaded page, Tokens() included: 137 when each paragraph had its own append-grown slice and Tokens() concatenated them, 97 with one exactly-sized array per page, 74 once whitespace-only and normalized text runs stopped being rebuilt, 41 with raw-text ends found in place, one reused attribute buffer and one-run paragraphs kept as substrings of the page
 	BenchmarkRenderPageAllocs) echo 0 ;;              # a server's cost per served page: AppendPage into a reused buffer (RenderPage adds only its string; 24 allocs when it went through fmt)
