@@ -67,9 +67,11 @@ test-procs:
 # 200 exactly when ApplyGlobalStats' invariants hold, a refusal changes
 # nothing), on a job's NDJSON stream as Client.StreamJob reads it (nil
 # exactly when every line decodes and the last is "done", every event
-# delivered in order) and on the search routes' raw query strings (200 or
+# delivered in order), on the search routes' raw query strings (200 or
 # the 400/501/503 envelope, have lists capped, each q and seed value one
-# token at the engine).
+# token at the engine); and 10 s on classifier training (TrainSet's one
+# counting pass ≡ the per-aspect trainReference loop bit for bit on tiny
+# corpora over small label and token alphabets).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPrunedTopKMatchesReference -fuzztime 20s ./internal/search/
 	$(GO) test -run '^$$' -fuzz FuzzSearchPagesFrame -fuzztime 20s ./internal/webapi/
@@ -86,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzClusterStatsPush -fuzztime 10s -fuzzminimizetime 1s ./internal/webapi/
 	$(GO) test -run '^$$' -fuzz FuzzJobStream -fuzztime 10s -fuzzminimizetime 1s ./internal/webapi/
 	$(GO) test -run '^$$' -fuzz FuzzSearchParams -fuzztime 10s -fuzzminimizetime 1s ./internal/webapi/
+	$(GO) test -run '^$$' -fuzz FuzzTrainSetMatchesReference -fuzztime 10s ./internal/classify/
 
 # 30 s churn loops under the race detector: scheduler submit/cancel/
 # resume, and the live engine's concurrent ingest+search+compact.

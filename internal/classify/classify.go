@@ -46,43 +46,110 @@ type Classifier struct {
 // Train fits a classifier for aspect a from the paragraphs of the given
 // pages, using generator labels as supervision (a paragraph is a positive
 // example iff its label equals a). Returns nil if either class is empty.
+// It is TrainSet for one aspect: the same counting pass, one derivation.
 func Train(a corpus.Aspect, pages []*corpus.Page) *Classifier {
-	counts := [2]map[textproc.Token]int{make(map[textproc.Token]int), make(map[textproc.Token]int)}
-	totals := [2]int{}
-	nDocs := [2]int{}
-	vocab := make(map[textproc.Token]struct{})
+	return countLabels(pages).classifier(a)
+}
 
+// labelCounts is what every aspect's classifier is derived from: one walk
+// over the corpus tallies each token under its paragraph's label (the
+// filler label "" included) in dense per-label rows, indexed through one
+// token→index map. An aspect's positive class is its label's row; its
+// negative class is the corpus totals minus that row. The integers are the
+// ones a per-aspect count would reach, so the derived floats are too.
+type labelCounts struct {
+	vocab  []textproc.Token      // token index → token
+	rows   map[corpus.Aspect]int // paragraph label → row
+	counts [][]int               // [row][token index] occurrences
+	all    []int                 // [token index] occurrences under any label
+	docs   []int                 // [row] paragraphs
+	tokens []int                 // [row] token occurrences
+
+	allDocs, allTokens int
+}
+
+// countLabels makes the one counting pass over the pages' paragraphs.
+func countLabels(pages []*corpus.Page) *labelCounts {
+	lc := &labelCounts{rows: make(map[corpus.Aspect]int)}
+	index := make(map[textproc.Token]int)
 	for _, p := range pages {
 		for i := range p.Paras {
 			para := &p.Paras[i]
-			cls := 0
-			if para.Aspect == a {
-				cls = 1
+			row, ok := lc.rows[para.Aspect]
+			if !ok {
+				row = len(lc.counts)
+				lc.rows[para.Aspect] = row
+				lc.counts = append(lc.counts, nil)
+				lc.docs = append(lc.docs, 0)
+				lc.tokens = append(lc.tokens, 0)
 			}
-			nDocs[cls]++
+			lc.docs[row]++
+			lc.tokens[row] += len(para.Tokens)
+			counts := lc.counts[row]
 			for _, t := range para.Tokens {
-				counts[cls][t]++
-				totals[cls]++
-				vocab[t] = struct{}{}
+				j, ok := index[t]
+				if !ok {
+					j = len(lc.vocab)
+					index[t] = j
+					lc.vocab = append(lc.vocab, t)
+				}
+				for len(counts) <= j {
+					counts = append(counts, 0)
+				}
+				counts[j]++
 			}
+			lc.counts[row] = counts
 		}
 	}
-	if nDocs[0] == 0 || nDocs[1] == 0 {
+	lc.all = make([]int, len(lc.vocab))
+	for row, counts := range lc.counts {
+		lc.counts[row] = append(counts, make([]int, len(lc.vocab)-len(counts))...)
+		for j, n := range counts {
+			lc.all[j] += n
+		}
+		lc.allDocs += lc.docs[row]
+		lc.allTokens += lc.tokens[row]
+	}
+	return lc
+}
+
+// classifier derives aspect a's classifier from the counts: nil when no
+// paragraph carries a, or every paragraph does.
+func (lc *labelCounts) classifier(a corpus.Aspect) *Classifier {
+	row, ok := lc.rows[a]
+	if !ok || lc.docs[row] == lc.allDocs {
 		return nil
+	}
+	pos := lc.counts[row]
+	nDocs := [2]int{lc.allDocs - lc.docs[row], lc.docs[row]}
+	totals := [2]int{lc.allTokens - lc.tokens[row], lc.tokens[row]}
+	seen := [2]int{}
+	for j, n := range pos {
+		if n > 0 {
+			seen[1]++
+		}
+		if lc.all[j] > n {
+			seen[0]++
+		}
 	}
 
 	c := &Classifier{Aspect: a}
-	v := float64(len(vocab))
-	total := float64(nDocs[0] + nDocs[1])
+	v := float64(len(lc.vocab))
+	total := float64(lc.allDocs)
+	var denom [2]float64
 	for cls := 0; cls < 2; cls++ {
 		c.logPrior[cls] = math.Log(float64(nDocs[cls]) / total)
-		denom := float64(totals[cls]) + v + 1
-		c.logUnk[cls] = math.Log(1 / denom)
-		lik := make(map[textproc.Token]float64, len(counts[cls]))
-		for t, n := range counts[cls] {
-			lik[t] = math.Log((float64(n) + 1) / denom)
+		denom[cls] = float64(totals[cls]) + v + 1
+		c.logUnk[cls] = math.Log(1 / denom[cls])
+		c.logLik[cls] = make(map[textproc.Token]float64, seen[cls])
+	}
+	for j, t := range lc.vocab {
+		if n := lc.all[j] - pos[j]; n > 0 {
+			c.logLik[0][t] = math.Log((float64(n) + 1) / denom[0])
 		}
-		c.logLik[cls] = lik
+		if n := pos[j]; n > 0 {
+			c.logLik[1][t] = math.Log((float64(n) + 1) / denom[1])
+		}
 	}
 	return c
 }
@@ -189,23 +256,17 @@ type cacheKey struct {
 
 // TrainSet trains a classifier for every aspect on the given pages.
 // Aspects whose training data is degenerate are silently skipped (callers
-// can check membership). Aspects are independent and train in parallel
-// (par.For), so the result is identical to serial training.
+// can check membership). The corpus is counted once for all aspects
+// (countLabels); each aspect's classifier is then derived from the counts,
+// in parallel (par.For), so the result is identical to a serial Train per
+// aspect.
 func TrainSet(aspects []corpus.Aspect, pages []*corpus.Page) *Set {
+	lc := countLabels(pages)
 	cs := make([]*Classifier, len(aspects))
 	par.For(len(aspects), func(i int) {
-		cs[i] = Train(aspects[i], pages)
+		cs[i] = lc.classifier(aspects[i])
 	})
-	s := &Set{
-		ByAspect: make(map[corpus.Aspect]*Classifier, len(aspects)),
-		cache:    make(map[cacheKey]bool),
-	}
-	for i, a := range aspects {
-		if cs[i] != nil {
-			s.ByAspect[a] = cs[i]
-		}
-	}
-	return s
+	return NewSet(cs)
 }
 
 // NewSet wraps already-trained classifiers (e.g. restored from a

@@ -7,7 +7,7 @@ import (
 	"l2q/internal/synth"
 )
 
-func generated(t *testing.T, d corpus.Domain) *synth.Generated {
+func generated(t testing.TB, d corpus.Domain) *synth.Generated {
 	t.Helper()
 	g, err := synth.Generate(synth.TestConfig(d))
 	if err != nil {

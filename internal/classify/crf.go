@@ -77,37 +77,64 @@ func (s *CRFSet) AccuracyOf(a corpus.Aspect, pages []*corpus.Page) float64 {
 // TrainCRF fits a CRF for aspect a on the given pages (one training
 // sequence per page, a paragraph is positive iff its generator label
 // equals a). cfg zero value uses crf.DefaultTrainConfig. Returns nil if
-// either class is absent from the training data.
+// either class is absent from the training data. It is TrainCRFSet for one
+// aspect: the same feature extraction, one training run.
 func TrainCRF(a corpus.Aspect, pages []*corpus.Page, cfg crf.TrainConfig) *CRFClassifier {
-	fm := crf.NewFeatureMap()
-	var examples []crf.Example
-	seen := [2]bool{}
+	return extractCRF(pages).train(a, cfg)
+}
+
+// crfData is what every aspect's CRF trains on: the pages with
+// paragraphs, one feature row per paragraph and the frozen feature map
+// the rows index. Features do not depend on the aspect, so one extraction
+// serves them all; training only reads it, and a frozen FeatureMap's ID
+// only reads too, so trained classifiers share the map.
+type crfData struct {
+	fm    *crf.FeatureMap
+	pages []*corpus.Page // the pages with paragraphs, in order
+	feats [][][]int      // [page][paragraph] features
+}
+
+// extractCRF extracts every paragraph's features once.
+func extractCRF(pages []*corpus.Page) *crfData {
+	d := &crfData{fm: crf.NewFeatureMap()}
 	for _, p := range pages {
 		if len(p.Paras) == 0 {
 			continue
 		}
-		ex := crf.Example{
-			Feats:  make([][]int, len(p.Paras)),
-			Labels: make([]crf.Label, len(p.Paras)),
-		}
+		rows := make([][]int, len(p.Paras))
 		for i := range p.Paras {
-			ex.Feats[i] = paraFeatures(fm, &p.Paras[i])
-			if p.Paras[i].Aspect == a {
-				ex.Labels[i] = 1
-			}
-			seen[ex.Labels[i]] = true
+			rows[i] = paraFeatures(d.fm, &p.Paras[i])
 		}
-		examples = append(examples, ex)
+		d.pages = append(d.pages, p)
+		d.feats = append(d.feats, rows)
 	}
-	if !seen[0] || !seen[1] || fm.Len() == 0 {
+	d.fm.Freeze()
+	return d
+}
+
+// train fits aspect a's CRF on the shared features, building only its
+// label vectors.
+func (d *crfData) train(a corpus.Aspect, cfg crf.TrainConfig) *CRFClassifier {
+	examples := make([]crf.Example, len(d.pages))
+	seen := [2]bool{}
+	for k, p := range d.pages {
+		labels := make([]crf.Label, len(p.Paras))
+		for i := range p.Paras {
+			if p.Paras[i].Aspect == a {
+				labels[i] = 1
+			}
+			seen[labels[i]] = true
+		}
+		examples[k] = crf.Example{Feats: d.feats[k], Labels: labels}
+	}
+	if !seen[0] || !seen[1] || d.fm.Len() == 0 {
 		return nil
 	}
-	fm.Freeze()
-	model, err := crf.Train(examples, fm.Len(), cfg)
+	model, err := crf.Train(examples, d.fm.Len(), cfg)
 	if err != nil {
 		return nil
 	}
-	return &CRFClassifier{Aspect: a, model: model, feats: fm}
+	return &CRFClassifier{Aspect: a, model: model, feats: d.fm}
 }
 
 // paraFeatures extracts the sparse features of one paragraph: its
@@ -195,14 +222,16 @@ type CRFSet struct {
 }
 
 // TrainCRFSet trains a CRF per aspect. Aspects with degenerate training
-// data are skipped, exactly like TrainSet. Aspects train in parallel
-// (par.For) — CRF training is seconds-scale per aspect, so a server paying
-// it at boot gets the full core count — and each TrainCRF seeds its own
-// RNG, so the result is identical to serial training.
+// data are skipped, exactly like TrainSet. Paragraph features are
+// extracted once for all aspects (extractCRF); aspects then train in
+// parallel (par.For) — CRF training is seconds-scale per aspect, so a
+// server paying it at boot gets the full core count — and each training
+// run seeds its own RNG, so the result is identical to serial training.
 func TrainCRFSet(aspects []corpus.Aspect, pages []*corpus.Page, cfg crf.TrainConfig) *CRFSet {
+	d := extractCRF(pages)
 	cs := make([]*CRFClassifier, len(aspects))
 	par.For(len(aspects), func(i int) {
-		cs[i] = TrainCRF(aspects[i], pages, cfg)
+		cs[i] = d.train(aspects[i], cfg)
 	})
 	s := &CRFSet{
 		ByAspect: make(map[corpus.Aspect]*CRFClassifier, len(aspects)),

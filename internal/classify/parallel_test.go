@@ -20,36 +20,75 @@ func trainPages(t testing.TB) ([]corpus.Aspect, []*corpus.Page) {
 
 // TestTrainSetWorkerInvariance: TrainSet's fan-out over aspects is a
 // pure wall-clock optimization — it trains exactly the classifiers a
-// serial per-aspect Train loop does (training is deterministic and aspects
-// are independent). make test-procs runs it at GOMAXPROCS 1 and 8.
+// serial loop of the per-aspect reference does (training is deterministic
+// and aspects are independent). The oracle is trainReference, not Train:
+// Train is TrainSet's own path for one aspect. make test-procs runs it at
+// GOMAXPROCS 1 and 8.
 func TestTrainSetWorkerInvariance(t *testing.T) {
 	aspects, pages := trainPages(t)
-	want := map[corpus.Aspect]*Classifier{}
-	for _, a := range aspects {
-		if c := Train(a, pages); c != nil {
-			want[a] = c
-		}
-	}
+	want := referenceSet(aspects, pages)
 	if len(want) == 0 {
 		t.Fatal("no classifiers trained")
 	}
 	if got := TrainSet(aspects, pages).ByAspect; !reflect.DeepEqual(got, want) {
-		t.Fatal("TrainSet trained different classifiers than a serial Train loop")
+		t.Fatal("TrainSet trained different classifiers than a serial trainReference loop")
 	}
 }
 
+// trainCRFReference is TrainCRF before feature extraction was shared
+// across aspects: every call builds its own feature map and feature rows.
+func trainCRFReference(a corpus.Aspect, pages []*corpus.Page, cfg crf.TrainConfig) *CRFClassifier {
+	fm := crf.NewFeatureMap()
+	var examples []crf.Example
+	seen := [2]bool{}
+	for _, p := range pages {
+		if len(p.Paras) == 0 {
+			continue
+		}
+		ex := crf.Example{
+			Feats:  make([][]int, len(p.Paras)),
+			Labels: make([]crf.Label, len(p.Paras)),
+		}
+		for i := range p.Paras {
+			ex.Feats[i] = paraFeatures(fm, &p.Paras[i])
+			if p.Paras[i].Aspect == a {
+				ex.Labels[i] = 1
+			}
+			seen[ex.Labels[i]] = true
+		}
+		examples = append(examples, ex)
+	}
+	if !seen[0] || !seen[1] || fm.Len() == 0 {
+		return nil
+	}
+	fm.Freeze()
+	model, err := crf.Train(examples, fm.Len(), cfg)
+	if err != nil {
+		return nil
+	}
+	return &CRFClassifier{Aspect: a, model: model, feats: fm}
+}
+
 // TestTrainCRFSetWorkerInvariance mirrors the check for the CRF family:
-// TrainCRFSet ≡ a serial per-aspect TrainCRF loop (each TrainCRF seeds its
-// own RNG, so concurrency cannot perturb it).
+// TrainCRFSet, whose aspects share one feature extraction, ≡ a serial
+// per-aspect TrainCRF loop ≡ a serial trainCRFReference loop (each
+// training run seeds its own RNG, so concurrency cannot perturb it).
 func TestTrainCRFSetWorkerInvariance(t *testing.T) {
 	aspects, pages := trainPages(t)
 	pages = pages[:len(pages)/4] // CRF training is the slow family
 	cfg := crf.DefaultTrainConfig()
 	want := map[corpus.Aspect]*CRFClassifier{}
 	for _, a := range aspects {
-		if c := TrainCRF(a, pages, cfg); c != nil {
+		c := trainCRFReference(a, pages, cfg)
+		if c != nil {
 			want[a] = c
 		}
+		if !reflect.DeepEqual(TrainCRF(a, pages, cfg), c) {
+			t.Fatalf("TrainCRF(%q) differs from trainCRFReference", a)
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("no CRFs trained")
 	}
 	if got := TrainCRFSet(aspects, pages, cfg).ByAspect; !reflect.DeepEqual(got, want) {
 		t.Fatal("TrainCRFSet trained different classifiers than a serial TrainCRF loop")

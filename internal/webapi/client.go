@@ -328,20 +328,27 @@ func (c *Client) TopK() int { return c.stats.TopK }
 // search issues one seeded search on path and decodes the hit list. seed
 // and query travel token-exact — each token its own repeated parameter
 // value — so phrase tokens ("data mining" is one vocabulary term) reach
-// the server intact; vals carries the route's other parameters. Page
-// bodies the response carries are checked and cached inside the retry
-// loop (acceptPages): one that fails the check fails the decode, and the
-// search is re-issued like any other corrupted response. complete does
-// the same to a response flagged Partial (ErrPartial).
-func (c *Client) search(ctx context.Context, op, path string, vals url.Values, seed, query []textproc.Token, complete bool) (SearchResponse, error) {
+// the server intact; vals carries the route's other parameters, and a
+// non-empty have goes on as the have list with its commas literal —
+// digits and commas need no escaping in a query, and Encode would turn
+// every comma into %2C. Page bodies the response carries are checked and
+// cached inside the retry loop (acceptPages): one that fails the check
+// fails the decode, and the search is re-issued like any other corrupted
+// response. complete does the same to a response flagged Partial
+// (ErrPartial).
+func (c *Client) search(ctx context.Context, op, path string, vals url.Values, have string, seed, query []textproc.Token, complete bool) (SearchResponse, error) {
 	if len(seed) > 0 {
 		vals["seed"] = seed
 	}
 	if len(query) > 0 {
 		vals["q"] = query
 	}
+	rawQuery := vals.Encode()
+	if have != "" {
+		rawQuery += "&have=" + have
+	}
 	var resp SearchResponse
-	err := c.get(ctx, op, apiRoot+path+"?"+vals.Encode(), func(b []byte) error {
+	err := c.get(ctx, op, apiRoot+path+"?"+rawQuery, func(b []byte) error {
 		var err error
 		if resp, err = decodeSearchResponse(b); err != nil {
 			return err
@@ -407,10 +414,7 @@ func (c *Client) acceptPages(hits []SearchHit) error {
 // appended to dst, or an error is returned — never a partial list.
 func (c *Client) Retrieve(ctx context.Context, dst []search.Result, seed, query []textproc.Token) ([]search.Result, error) {
 	vals := url.Values{"with": {"pages"}}
-	if have := c.haveList(); have != "" {
-		vals.Set("have", have)
-	}
-	resp, err := c.search(ctx, "search", "/search", vals, seed, query, true)
+	resp, err := c.search(ctx, "search", "/search", vals, c.haveList(), seed, query, true)
 	if err != nil {
 		return nil, err
 	}
@@ -585,7 +589,7 @@ func (c *Client) ClusterSearch(ctx context.Context, part int, seed, query []text
 	if k > 0 {
 		vals.Set("k", strconv.Itoa(k))
 	}
-	return c.search(ctx, "cluster-search", "/cluster/search", vals, seed, query, false)
+	return c.search(ctx, "cluster-search", "/cluster/search", vals, "", seed, query, false)
 }
 
 // Ingest posts a batch of pages to a live server's write path. Safe to

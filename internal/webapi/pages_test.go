@@ -16,6 +16,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"l2q/internal/corpus"
@@ -162,7 +163,7 @@ func TestSearchWithPagesMatchesPageRoute(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				resp, err := twoPhase.search(ctx, "search", "/search", url.Values{}, seed, query, true)
+				resp, err := twoPhase.search(ctx, "search", "/search", url.Values{}, "", seed, query, true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -202,6 +203,81 @@ func TestSearchWithPagesMatchesPageRoute(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestHaveListTravelsLiteral: Retrieve sends its have list with literal
+// commas — the raw query the server reads holds the client's list byte for
+// byte, no %2C — and the server decodes exactly the IDs the client holds,
+// up to the maxHave cap.
+func TestHaveListTravelsLiteral(t *testing.T) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type served struct {
+		raw  string
+		have []corpus.PageID
+	}
+	var (
+		mu  sync.Mutex
+		got []served
+	)
+	h := NewServer(g.Corpus, bootLive(g.Corpus), nil).Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == apiRoot+"/search" {
+			_, have, ok := pagesParams(httptest.NewRecorder(), r.URL.Query())
+			if !ok {
+				t.Errorf("server refused %q", r.URL.RawQuery)
+			}
+			mu.Lock()
+			got = append(got, served{r.URL.RawQuery, have})
+			mu.Unlock()
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	ctx := context.Background()
+	c, err := DialContext(ctx, ts.URL, g.Tokenizer, ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	capped := false
+	for _, e := range g.Corpus.Entities {
+		if capped {
+			break
+		}
+		want := c.haveList()
+		if _, err := c.Retrieve(ctx, nil, e.SeedTokens(), []string{"research"}); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		s := got[len(got)-1]
+		mu.Unlock()
+		if strings.Contains(s.raw, "%2C") || strings.Contains(s.raw, "%2c") {
+			t.Fatalf("have list escaped on the wire: %q", s.raw)
+		}
+		if want == "" {
+			if strings.Contains(s.raw, "have=") || s.have != nil {
+				t.Fatalf("empty have list sent: %q", s.raw)
+			}
+			continue
+		}
+		if !strings.Contains("&"+s.raw+"&", "&have="+want+"&") {
+			t.Fatalf("raw query %q does not carry have=%s literally", s.raw, want)
+		}
+		ids := make([]string, len(s.have))
+		for i, id := range s.have {
+			ids[i] = strconv.Itoa(int(id))
+		}
+		if strings.Join(ids, ",") != want {
+			t.Fatalf("server decoded have %v, client sent %s", s.have, want)
+		}
+		capped = len(s.have) == maxHave
+	}
+	if !capped {
+		t.Fatalf("no search carried a full have list of %d IDs", maxHave)
 	}
 }
 
