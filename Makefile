@@ -129,7 +129,7 @@ cluster-smoke:
 wire-parity:
 	$(GO) test -race -count=1 -run 'TestDifferentialWireParity|TestNegotiationMatrix|TestMixedVersionFallback' ./internal/webapi/
 
-# The examples compile against the public surface only; building all seven
+# The examples compile against the public surface only; building all five
 # keeps an API change from silently orphaning them. Four run end to end
 # and exit non-zero on any break: quickstart, once per domain (domain
 # phase, an L2QBAL harvest step by step, then the paper's contrast

@@ -207,21 +207,6 @@ func BenchmarkAblationWalkRecallReg(b *testing.B) {
 	b.ReportMetric(walk, "normF-walk")
 }
 
-// BenchmarkAblationLambda sweeps the domain-adaptation parameter λ
-// (paper §VI-A fixes λ=10).
-func BenchmarkAblationLambda(b *testing.B) {
-	lambdas := []float64{1, 10, 100}
-	out := make([]float64, len(lambdas))
-	for i := 0; i < b.N; i++ {
-		for li, l := range lambdas {
-			out[li] = benchQuality(b, eval.MethodL2QBAL, func(c *core.Config) { c.Lambda = l })
-		}
-	}
-	b.ReportMetric(out[0], "normF-lambda1")
-	b.ReportMetric(out[1], "normF-lambda10")
-	b.ReportMetric(out[2], "normF-lambda100")
-}
-
 // ---------------------------------------------------------------------------
 // Substrate micro-benchmarks.
 // ---------------------------------------------------------------------------

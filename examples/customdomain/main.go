@@ -39,7 +39,7 @@ func main() {
 	c := buildCorpus(tok)
 
 	// 4. Wire the system and harvest.
-	sys, err := l2q.NewSystem(c, kb, []l2q.Aspect{"MENU", "LOCATION"}, tok, l2q.DefaultConfig())
+	sys, err := l2q.NewSystem(c, kb, []l2q.Aspect{"MENU", "LOCATION"}, tok)
 	if err != nil {
 		log.Fatal(err)
 	}

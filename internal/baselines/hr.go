@@ -31,7 +31,7 @@ func TrainHR(cfg core.Config, c *corpus.Corpus, domainEntities []corpus.EntityID
 	y func(*corpus.Page) bool, rec types.Recognizer) (*HRModel, error) {
 
 	// The domain phase's own counting pass over the same pages.
-	counts, err := core.CountDomain(cfg, c, domainEntities, y)
+	counts, err := core.CountDomain(c, domainEntities, y)
 	if err != nil {
 		return nil, fmt.Errorf("baselines: HR training: %w", err)
 	}
@@ -41,7 +41,7 @@ func TrainHR(cfg core.Config, c *corpus.Corpus, domainEntities []corpus.EntityID
 	type acc struct{ rel, tot int }
 	tacc := make(map[string]*acc)
 	for q, tot := range counts.PageDF {
-		if tot < cfg.MinQueryPageDF {
+		if tot < core.MinQueryPageDF {
 			continue
 		}
 		toks := cfg.QueryTokens(core.Query(q))
@@ -55,7 +55,7 @@ func TrainHR(cfg core.Config, c *corpus.Corpus, domainEntities []corpus.EntityID
 			a.tot += tot
 		}
 	}
-	m := &HRModel{TemplateHR: make(map[string]float64, len(tacc)), Candidates: counts.Candidates(cfg)}
+	m := &HRModel{TemplateHR: make(map[string]float64, len(tacc)), Candidates: counts.Candidates()}
 	for key, a := range tacc {
 		if a.tot > 0 {
 			m.TemplateHR[key] = float64(a.rel) / float64(a.tot)

@@ -28,7 +28,7 @@ func trainHRReference(cfg core.Config, c *corpus.Corpus, domainEntities []corpus
 	if len(pages) == 0 {
 		return nil, fmt.Errorf("baselines: HR training has no pages")
 	}
-	ngCfg := textproc.NGramConfig{MaxLen: cfg.MaxQueryLen, Stopwords: cfg.Stopwords}
+	ngCfg := textproc.NGramConfig{MaxLen: core.MaxQueryLen, Stopwords: core.Stopwords}
 
 	pageDF := make(map[string]int)
 	relDF := make(map[string]int)
@@ -51,7 +51,7 @@ func trainHRReference(cfg core.Config, c *corpus.Corpus, domainEntities []corpus
 	type acc struct{ rel, tot int }
 	tacc := make(map[string]*acc)
 	for q, tot := range pageDF {
-		if tot < cfg.MinQueryPageDF {
+		if tot < core.MinQueryPageDF {
 			continue
 		}
 		toks := cfg.QueryTokens(core.Query(q))
@@ -72,7 +72,7 @@ func trainHRReference(cfg core.Config, c *corpus.Corpus, domainEntities []corpus
 		}
 	}
 
-	minEnt := int(cfg.MinDomainEntityFrac * float64(len(domainEntities)))
+	minEnt := int(core.MinDomainEntityFrac * float64(len(domainEntities)))
 	if minEnt < 2 {
 		minEnt = 2
 	}
@@ -82,7 +82,7 @@ func trainHRReference(cfg core.Config, c *corpus.Corpus, domainEntities []corpus
 	}
 	var cands []qc
 	for q, n := range entityDF {
-		if n >= minEnt && pageDF[q] >= cfg.MinQueryPageDF {
+		if n >= minEnt && pageDF[q] >= core.MinQueryPageDF {
 			cands = append(cands, qc{q: core.Query(q), n: n})
 		}
 	}
@@ -92,12 +92,8 @@ func trainHRReference(cfg core.Config, c *corpus.Corpus, domainEntities []corpus
 		}
 		return cands[i].q < cands[j].q
 	})
-	maxC := cfg.MaxDomainCandidates
-	if maxC <= 0 {
-		maxC = 300
-	}
-	if len(cands) > maxC {
-		cands = cands[:maxC]
+	if len(cands) > core.MaxDomainCandidates {
+		cands = cands[:core.MaxDomainCandidates]
 	}
 	m.Candidates = make([]core.Query, len(cands))
 	for i, c := range cands {

@@ -226,10 +226,10 @@ func (b *graphBuilder) solveWarm(mode graph.Mode, reg, x0 []float64) ([]float64,
 	res, err := graph.Solve(graph.Problem{
 		G:       b.g,
 		Mode:    mode,
-		Alpha:   b.cfg.Alpha,
+		Alpha:   Alpha,
 		Reg:     reg,
 		Tol:     b.cfg.SolverTol,
-		MaxIter: b.cfg.SolverMaxIter,
+		MaxIter: SolverMaxIter,
 		X0:      x0,
 	})
 	if err != nil {

@@ -17,8 +17,7 @@
 package core
 
 import (
-	"fmt"
-
+	"l2q/internal/graph"
 	"l2q/internal/textproc"
 )
 
@@ -29,58 +28,77 @@ import (
 // splitting would shatter phrase tokens.
 type Query string
 
-// Config carries every tunable of the L2Q model. DefaultConfig returns the
-// paper's settings (§VI-A "Settings").
-type Config struct {
+// The paper's settings (§VI-A "Settings"). They are fixed: every session,
+// domain phase and baseline reads these, and no Config overrides them.
+const (
 	// Alpha is the regularization / restart parameter α of Eq. 13
-	// (paper: 0.15).
-	Alpha float64
+	// (paper: 0.15), the graph solver's own default.
+	Alpha = graph.DefaultAlpha
 	// Lambda is the domain-adaptation parameter λ of Eq. 21–22
 	// (paper: 10).
-	Lambda float64
-	// R0 is the seed-query recall parameter r0 ∈ (0,1) (§V-A), chosen by
-	// cross-validation in the paper; 0.3 is our validated default.
-	R0 float64
+	Lambda float64 = 10
+	// R0 is the seed-query recall parameter r0 ∈ (0,1) of §V-A: the
+	// seed's g₀ relevant pages are taken as recall r0, which sizes the
+	// relevant universe of a session without a domain model. The paper
+	// chooses r0 by cross-validation; here it is fixed, and
+	// eval.CrossValidateR0 tunes Config.R0Star, the anchor that binds
+	// when a domain model is present.
+	R0 float64 = 0.3
+	// MaxQueryLen is the maximum query length L (paper: 3): the width of
+	// the session's n-gram keys.
+	MaxQueryLen = textproc.MaxGramLen
+	// MinQueryPageDF prunes domain-phase queries occurring in fewer
+	// pages (noise n-grams); 2 keeps anything that repeats at all.
+	MinQueryPageDF = 2
+	// MinDomainEntityFrac keeps a domain query as an entity-phase
+	// candidate only if it occurs with at least this fraction of domain
+	// entities (paper: ≥50 of ~500, i.e. 0.1).
+	MinDomainEntityFrac float64 = 0.1
+	// MaxDomainCandidates caps the domain-derived candidate pool,
+	// keeping the most entity-frequent queries.
+	MaxDomainCandidates = 300
+	// PriorStrength is the pseudo-count weight m of the domain template
+	// prior inside the probability-scale collective-recall estimate
+	// R_E(q) ≈ (n·count + m·prior)/(n + m); see §V notes in DESIGN.md.
+	PriorStrength float64 = 3
+	// SolverMaxIter bounds the fixpoint solver's iterations, the graph
+	// solver's own default (the paper observes convergence in ~50).
+	SolverMaxIter = graph.DefaultMaxIter
+)
+
+// Stopwords filters candidate n-grams: the one stopword set every session,
+// domain phase and baseline enumerates under, so a page's memoized
+// enumeration (corpus.Page.NGrams) serves them all.
+var Stopwords = textproc.NewStopwords()
+
+// Config carries the settings that stay settable; the paper's fixed
+// settings are the constants above. DefaultConfig returns the defaults.
+type Config struct {
 	// R0Star is the seed query's recall w.r.t. Y* (all pages), the base
 	// case of the collective precision denominator (§V-B). The relevant
 	// subset is much smaller than the page universe, so the seed covers
 	// a smaller fraction of Y* than of Y; anchoring both with the same
 	// r0 makes R*_E(Φ) saturate and collapses collective precision into
-	// collective recall after a few iterations.
+	// collective recall after a few iterations. Settable because it is
+	// the cross-validated anchor: `l2qexp -r0star` and `-cv` set it.
 	R0Star float64
-	// MaxQueryLen is the maximum query length L (paper: 3), at most
-	// textproc.MaxGramLen — the width of the session's n-gram keys.
-	MaxQueryLen int
-	// MinQueryPageDF prunes domain-phase queries occurring in fewer
-	// pages (noise n-grams); 2 keeps anything that repeats at all.
-	MinQueryPageDF int
-	// MinDomainEntityFrac keeps a domain query as an entity-phase
-	// candidate only if it occurs with at least this fraction of domain
-	// entities (paper: ≥50 of ~500, i.e. 0.1).
-	MinDomainEntityFrac float64
-	// MaxDomainCandidates caps the domain-derived candidate pool,
-	// keeping the most entity-frequent queries.
-	MaxDomainCandidates int
-	// PriorStrength is the pseudo-count weight m of the domain template
-	// prior inside the probability-scale collective-recall estimate
-	// R_E(q) ≈ (n·count + m·prior)/(n + m); see §V notes in DESIGN.md.
-	PriorStrength float64
 	// UseWalkRecallReg switches the entity phase's template recall
 	// regularization (Eq. 22) from the probability-scale counting
 	// estimate back to the raw forward-walk masses R_D(t). The walk
 	// masses are diluted by the domain graph's size and barely move the
-	// entity fixpoint at λ=10, so counting is the default; the flag
-	// exists for the ablation benchmark.
+	// entity fixpoint at λ=10, so counting is the default. Settable for
+	// BenchmarkAblationWalkRecallReg, which tells the two apart, until
+	// the ablation decides which one stays.
 	UseWalkRecallReg bool
-	// SolverTol and SolverMaxIter control the fixpoint solver.
-	SolverTol     float64
-	SolverMaxIter int
-	// Stopwords filters candidate n-grams; nil disables filtering.
-	Stopwords *textproc.Stopwords
+	// SolverTol is the fixpoint solver's L∞ convergence tolerance.
+	// Settable so the differential tests can tighten it (to 1e-12) and
+	// compare incremental and from-scratch solutions closely.
+	SolverTol float64
 	// Tokenizer re-tokenizes query strings (and the seed query) with the
 	// domain's phrase lexicon so multi-word phrase tokens survive the
 	// round trip. Nil falls back to plain space splitting, which is only
-	// correct when the corpus has no phrase tokens.
+	// correct when the corpus has no phrase tokens. Settable because the
+	// lexicon belongs to the corpus: each System sets its own.
 	Tokenizer *textproc.Tokenizer
 
 	// grams holds the term vocabulary and the n-gram facts table every
@@ -90,32 +108,13 @@ type Config struct {
 	grams *gramTables
 }
 
-// DefaultConfig returns the paper's parameter settings.
+// DefaultConfig returns the default settings.
 func DefaultConfig() Config {
 	return Config{
-		grams:               new(gramTables),
-		Alpha:               0.15,
-		Lambda:              10,
-		R0:                  0.3,
-		R0Star:              0.1,
-		MaxQueryLen:         3,
-		MinQueryPageDF:      2,
-		MinDomainEntityFrac: 0.1,
-		MaxDomainCandidates: 300,
-		PriorStrength:       3,
-		SolverTol:           1e-9,
-		SolverMaxIter:       200,
-		Stopwords:           textproc.NewStopwords(),
+		grams:     new(gramTables),
+		R0Star:    0.1,
+		SolverTol: 1e-9,
 	}
-}
-
-// Validate reports a configuration no session can run: a MaxQueryLen wider
-// than the n-gram keys.
-func (c Config) Validate() error {
-	if c.MaxQueryLen > textproc.MaxGramLen {
-		return fmt.Errorf("core: MaxQueryLen %d exceeds the n-gram key width %d", c.MaxQueryLen, textproc.MaxGramLen)
-	}
-	return nil
 }
 
 // QueryTokens converts a canonical query string to its token sequence,
@@ -127,9 +126,9 @@ func (c Config) QueryTokens(q Query) []textproc.Token {
 	return textproc.SplitQuery(string(q))
 }
 
-// ngramConfig builds the textproc enumeration config for this Config,
-// excluding the given tokens (the seed query's tokens in the entity phase).
-func (c Config) ngramConfig(exclude []textproc.Token) textproc.NGramConfig {
+// ngramConfig builds the textproc enumeration config, excluding the given
+// tokens (the seed query's tokens in the entity phase).
+func ngramConfig(exclude []textproc.Token) textproc.NGramConfig {
 	var ex map[textproc.Token]struct{}
 	if len(exclude) > 0 {
 		ex = make(map[textproc.Token]struct{}, len(exclude))
@@ -137,5 +136,5 @@ func (c Config) ngramConfig(exclude []textproc.Token) textproc.NGramConfig {
 			ex[t] = struct{}{}
 		}
 	}
-	return textproc.NGramConfig{MaxLen: c.MaxQueryLen, Stopwords: c.Stopwords, Exclude: ex}
+	return textproc.NGramConfig{MaxLen: MaxQueryLen, Stopwords: Stopwords, Exclude: ex}
 }

@@ -107,15 +107,15 @@ func LearnDomainScored(cfg Config, aspect corpus.Aspect, c *corpus.Corpus,
 	domainEntities []corpus.EntityID, y func(*corpus.Page) bool,
 	score func(*corpus.Page) float64, rec types.Recognizer) (*DomainModel, error) {
 
-	counts, err := CountDomain(cfg, c, domainEntities, y)
+	counts, err := CountDomain(c, domainEntities, y)
 	if err != nil {
 		return nil, err
 	}
-	queries := surviveQueries(cfg, counts.PageDF)
+	queries := surviveQueries(counts.PageDF)
 	b := buildDomainGraph(cfg, rec, counts.Pages, queries, func(p *corpus.Page) []string {
-		return p.NGrams(cfg.MaxQueryLen, cfg.Stopwords)
+		return p.NGrams(MaxQueryLen, Stopwords)
 	})
-	return packageDomainModel(cfg, aspect, b, counts, y, score)
+	return packageDomainModel(aspect, b, counts, y, score)
 }
 
 // LearnDomainReference is the retained from-scratch domain phase: one
@@ -132,7 +132,7 @@ func LearnDomainReference(cfg Config, aspect corpus.Aspect, c *corpus.Corpus,
 	}
 
 	// Pass 1: count page-DF, relevant-page-DF and entity-DF per n-gram.
-	ngCfg := cfg.ngramConfig(nil)
+	ngCfg := ngramConfig(nil)
 	counts := newDomainCounts(pages, len(domainEntities))
 	lastEntity := make(map[string]corpus.EntityID)
 	for _, p := range pages {
@@ -152,13 +152,13 @@ func LearnDomainReference(cfg Config, aspect corpus.Aspect, c *corpus.Corpus,
 		}
 	}
 
-	queries := surviveQueries(cfg, counts.PageDF)
+	queries := surviveQueries(counts.PageDF)
 	// Edges come from a second enumeration pass: page p connects to query
 	// q iff q is one of p's own n-grams.
 	b := buildDomainGraph(cfg, rec, pages, queries, func(p *corpus.Page) []string {
 		return textproc.NGrams(p.Tokens(), ngCfg)
 	})
-	return packageDomainModel(cfg, aspect, b, counts, y, score)
+	return packageDomainModel(aspect, b, counts, y, score)
 }
 
 // domainPages gathers the domain split's pages in entity order.
@@ -201,9 +201,9 @@ func newDomainCounts(pages []*corpus.Page, numEntities int) *DomainCounts {
 
 // CountDomain runs the counting pass over the pages of domainEntities,
 // with y materializing relevance: one serial sweep over each page's
-// memoized n-grams (corpus.Page.NGrams under cfg's MaxQueryLen and
-// stopwords). It fails when the entities have no pages.
-func CountDomain(cfg Config, c *corpus.Corpus, domainEntities []corpus.EntityID,
+// memoized n-grams (corpus.Page.NGrams under MaxQueryLen and Stopwords).
+// It fails when the entities have no pages.
+func CountDomain(c *corpus.Corpus, domainEntities []corpus.EntityID,
 	y func(*corpus.Page) bool) (*DomainCounts, error) {
 
 	pages := domainPages(c, domainEntities)
@@ -217,7 +217,7 @@ func CountDomain(cfg Config, c *corpus.Corpus, domainEntities []corpus.EntityID,
 		if rel {
 			counts.NumRelPages++
 		}
-		for _, q := range p.NGrams(cfg.MaxQueryLen, cfg.Stopwords) {
+		for _, q := range p.NGrams(MaxQueryLen, Stopwords) {
 			counts.PageDF[q]++
 			if rel {
 				counts.RelDF[q]++
@@ -236,16 +236,15 @@ func CountDomain(cfg Config, c *corpus.Corpus, domainEntities []corpus.EntityID,
 // MinDomainEntityFrac of the domain entities ("we restrict to queries that
 // occur with at least 50 domain entities"), most frequent first, at most
 // MaxDomainCandidates of them.
-func (dc *DomainCounts) Candidates(cfg Config) []Query {
-	minEnt := max(2, int(cfg.MinDomainEntityFrac*float64(dc.NumEntities)))
-	minDF := max(1, cfg.MinQueryPageDF)
+func (dc *DomainCounts) Candidates() []Query {
+	minEnt := max(2, int(MinDomainEntityFrac*float64(dc.NumEntities)))
 	type qc struct {
 		q Query
 		n int
 	}
 	var cands []qc
 	for q, n := range dc.EntityDF {
-		if n >= minEnt && dc.PageDF[q] >= minDF {
+		if n >= minEnt && dc.PageDF[q] >= MinQueryPageDF {
 			cands = append(cands, qc{q: Query(q), n: n})
 		}
 	}
@@ -255,12 +254,8 @@ func (dc *DomainCounts) Candidates(cfg Config) []Query {
 		}
 		return cands[i].q < cands[j].q
 	})
-	maxC := cfg.MaxDomainCandidates
-	if maxC <= 0 {
-		maxC = 300
-	}
-	if len(cands) > maxC {
-		cands = cands[:maxC]
+	if len(cands) > MaxDomainCandidates {
+		cands = cands[:MaxDomainCandidates]
 	}
 	out := make([]Query, len(cands))
 	for i, c := range cands {
@@ -271,14 +266,10 @@ func (dc *DomainCounts) Candidates(cfg Config) []Query {
 
 // surviveQueries keeps the n-grams repeating across pages, in sorted
 // (deterministic node) order.
-func surviveQueries(cfg Config, pageDF map[string]int) []string {
-	minDF := cfg.MinQueryPageDF
-	if minDF < 1 {
-		minDF = 1
-	}
+func surviveQueries(pageDF map[string]int) []string {
 	queries := make([]string, 0, len(pageDF))
 	for q, df := range pageDF {
-		if df >= minDF {
+		if df >= MinQueryPageDF {
 			queries = append(queries, q)
 		}
 	}
@@ -317,7 +308,7 @@ func buildDomainGraph(cfg Config, rec types.Recognizer, pages []*corpus.Page,
 // graph and packages the DomainModel: template/query utilities, the
 // probability-scale counting statistics, and the §IV-C candidate pool
 // (DomainCounts.Candidates).
-func packageDomainModel(cfg Config, aspect corpus.Aspect, b *graphBuilder,
+func packageDomainModel(aspect corpus.Aspect, b *graphBuilder,
 	counts *DomainCounts, y func(*corpus.Page) bool, score func(*corpus.Page) float64) (*DomainModel, error) {
 
 	var yReg regPair
@@ -350,7 +341,7 @@ func packageDomainModel(cfg Config, aspect corpus.Aspect, b *graphBuilder,
 		QueryR:             make(map[Query]float64, len(b.queries)),
 		NumEntities:        counts.NumEntities,
 		NumPages:           nPages,
-		Candidates:         counts.Candidates(cfg),
+		Candidates:         counts.Candidates(),
 	}
 	dm.RelFraction = float64(nRelPages) / float64(nPages)
 	for key, id := range b.templates {

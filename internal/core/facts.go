@@ -76,14 +76,14 @@ func (dm *DomainModel) countingPrior(q Query, keys []string) (priorR, priorRStar
 	return priorR, priorRStar
 }
 
-// gramTables is a Config's registry of gramTables, one per (stopword list,
-// tokenizer, recognizer) its sessions were built with — one for a System.
+// gramTables is a Config's registry of gramTables, one per (tokenizer,
+// recognizer) its sessions were built with — one for a System.
 type gramTables struct {
 	mu     sync.Mutex
 	tables []*gramTable
 }
 
-// gramTable returns the table of cfg's stopwords and tokenizer and rec,
+// gramTable returns the table of cfg's tokenizer and rec,
 // creating it on first use. A Config made without DefaultConfig has no
 // registry; each of its sessions gets a table of its own.
 func (c Config) gramTable(rec types.Recognizer) *gramTable {
@@ -94,7 +94,7 @@ func (c Config) gramTable(rec types.Recognizer) *gramTable {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, t := range r.tables {
-		if t.vocab.Stopwords() == c.Stopwords && t.tok == c.Tokenizer && types.Same(t.rec, rec) {
+		if t.tok == c.Tokenizer && types.Same(t.rec, rec) {
 			return t
 		}
 	}
@@ -130,7 +130,7 @@ const factsMemoCap = 65536
 
 func newGramTable(cfg Config, rec types.Recognizer, capacity int) *gramTable {
 	return &gramTable{
-		tok: cfg.Tokenizer, rec: rec, vocab: textproc.NewVocabulary(cfg.Stopwords),
+		tok: cfg.Tokenizer, rec: rec, vocab: textproc.NewVocabulary(Stopwords),
 		capacity: capacity,
 	}
 }

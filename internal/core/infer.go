@@ -183,14 +183,14 @@ func (s *Session) solveIndividual(inf *Inference, ords []int32, b *graphBuilder,
 		return out
 	}
 	if opts.Utilities&UtilPrecision != 0 {
-		reg := b.addTemplateReg(pageReg.precision, tmplP, s.Cfg.Lambda)
+		reg := b.addTemplateReg(pageReg.precision, tmplP, Lambda)
 		if prec, err = b.solveWarm(graph.Precision, reg, x0P); err != nil {
 			return nil, nil, err
 		}
 		inf.P = project(prec)
 	}
 	if opts.Utilities&UtilRecall != 0 {
-		reg := b.addTemplateReg(pageReg.recall, tmplR, s.Cfg.Lambda)
+		reg := b.addTemplateReg(pageReg.recall, tmplR, Lambda)
 		if rcl, err = b.solveWarm(graph.Recall, reg, x0R); err != nil {
 			return nil, nil, err
 		}
@@ -216,7 +216,7 @@ func (s *Session) solveIndividual(inf *Inference, ords []int32, b *graphBuilder,
 //     pages. The gathered relevant pages are our sample of that universe,
 //     and the domain model's template counting statistics are the prior
 //     for what we have not seen; we blend them with pseudo-count m
-//     (Config.PriorStrength):  (n·count + m·prior)/(n + m).
+//     (PriorStrength):  (n·count + m·prior)/(n + m).
 //
 // The Y* counterparts (for collective precision, Eq. 27) replace "relevant
 // pages" with "all pages" throughout.
@@ -242,7 +242,7 @@ type coverage struct{ all, rel int32 }
 // vertex (computed once, at registration).
 func (s *Session) collectiveCover(inf *Inference, ords []int32, b *graphBuilder, nRel int, cover []coverage) {
 	nPages := len(s.pages)
-	m := s.Cfg.PriorStrength
+	m := PriorStrength
 
 	inf.CollR = make([]float64, len(ords))
 	inf.CollRStar = make([]float64, len(ords))

@@ -131,15 +131,11 @@ type Session struct {
 }
 
 // NewSession creates a harvesting session. rngSeed drives only the RND
-// strategy; every other selector is deterministic. It panics on a cfg
-// that fails Config.Validate.
+// strategy; every other selector is deterministic.
 func NewSession(cfg Config, engine Retriever, entity *corpus.Entity,
 	aspect corpus.Aspect, y func(*corpus.Page) bool, dm *DomainModel,
 	rec types.Recognizer, rngSeed uint64) *Session {
 
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
 	s := &Session{
 		Cfg:      cfg,
 		Engine:   engine,
@@ -154,8 +150,8 @@ func NewSession(cfg Config, engine Retriever, entity *corpus.Entity,
 		rng:      rand.New(rand.NewPCG(rngSeed, rngSeed^0xa5a5a5a55a5a5a5a)),
 		gt:       cfg.gramTable(rec),
 	}
-	s.ngCfg = cfg.ngramConfig(s.seed)
-	s.gramCfg = textproc.IDGramConfig{MaxLen: cfg.MaxQueryLen, Exclude: s.gt.vocab.AppendIDs(nil, s.seed)}
+	s.ngCfg = ngramConfig(s.seed)
+	s.gramCfg = textproc.IDGramConfig{MaxLen: MaxQueryLen, Exclude: s.gt.vocab.AppendIDs(nil, s.seed)}
 	s.roundTrips = cfg.Tokenizer.RoundTrips()
 	return s
 }
@@ -264,9 +260,9 @@ func (s *Session) updateContext() {
 	if p0 < 1 {
 		p0 = 1
 	}
-	r0Star := s.Cfg.R0Star
+	r0, r0Star := R0, s.Cfg.R0Star
 	if r0Star == 0 {
-		r0Star = s.Cfg.R0 / 3
+		r0Star = r0 / 3 // in float64 at run time, not exactly at compile time
 	}
 	s.nStarHat = float64(p0) / r0Star
 	s.rStarPhi = clamp01(float64(len(s.pages)) / s.nStarHat)
@@ -279,7 +275,7 @@ func (s *Session) updateContext() {
 		if g0 < 1 {
 			g0 = 1
 		}
-		nHat = float64(g0) / s.Cfg.R0
+		nHat = float64(g0) / r0
 	}
 	if nHat < 1 {
 		nHat = 1

@@ -39,9 +39,6 @@ type Model struct {
 	numFeats int
 }
 
-// NumFeatures returns the size of the model's sparse feature space.
-func (m *Model) NumFeatures() int { return m.numFeats }
-
 // emission returns the unnormalized log-score of label l at a position
 // with the given active features. Features out of range (unseen at
 // training time) contribute nothing.

@@ -92,6 +92,14 @@ type Env struct {
 	ValIDs    []corpus.EntityID
 	TestIDs   []corpus.EntityID
 
+	// models memoizes the learned models. It sits behind a pointer so a
+	// copy of the Env with other session settings (CrossValidateR0's)
+	// shares it: neither model reads those settings.
+	models *modelMemo
+}
+
+// modelMemo holds an Env's learned domain and HR models.
+type modelMemo struct {
 	mu  sync.Mutex
 	dms map[dmKey]*core.DomainModel
 	hrs map[corpus.Aspect]*baselines.HRModel
@@ -131,9 +139,9 @@ func (e *Env) DomainModel(aspect corpus.Aspect, sample int) (*core.DomainModel, 
 		sample = e.Cfg.DomainSample
 	}
 	key := dmKey{aspect: aspect, sample: sample}
-	e.mu.Lock()
-	dm, ok := e.dms[key]
-	e.mu.Unlock()
+	e.models.mu.Lock()
+	dm, ok := e.models.dms[key]
+	e.models.mu.Unlock()
 	if ok {
 		return dm, nil
 	}
@@ -142,9 +150,9 @@ func (e *Env) DomainModel(aspect corpus.Aspect, sample int) (*core.DomainModel, 
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	e.dms[key] = dm
-	e.mu.Unlock()
+	e.models.mu.Lock()
+	e.models.dms[key] = dm
+	e.models.mu.Unlock()
 	return dm, nil
 }
 
@@ -171,9 +179,9 @@ func (e *Env) PretrainDomainModels(sample int) error {
 // HRModel returns (building and caching on first use) the harvest-rate
 // baseline's domain statistics for an aspect.
 func (e *Env) HRModel(aspect corpus.Aspect) (*baselines.HRModel, error) {
-	e.mu.Lock()
-	m, ok := e.hrs[aspect]
-	e.mu.Unlock()
+	e.models.mu.Lock()
+	m, ok := e.models.hrs[aspect]
+	e.models.mu.Unlock()
 	if ok {
 		return m, nil
 	}
@@ -182,9 +190,9 @@ func (e *Env) HRModel(aspect corpus.Aspect) (*baselines.HRModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	e.hrs[aspect] = m
-	e.mu.Unlock()
+	e.models.mu.Lock()
+	e.models.hrs[aspect] = m
+	e.models.mu.Unlock()
 	return m, nil
 }
 

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"l2q/internal/corpus"
@@ -229,5 +230,37 @@ func TestCrossValidateR0(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("chosen r0 %f not on the grid", r0)
+	}
+}
+
+// TestCrossValidateR0Concurrent: cross-validation leaves the Env's settings
+// alone, so a run beside it on the same Env (safe for concurrent use) sees
+// the configured r0* throughout — same scores as a run on its own, and no
+// data race under -race.
+func TestCrossValidateR0Concurrent(t *testing.T) {
+	env := testEnv(t)
+	ctx := context.Background()
+	want, err := env.RunMethodAllAspects(ctx, MethodL2QBAL, env.TestIDs, 3, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0Star := env.Cfg.Core.R0Star
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := env.CrossValidateR0(ctx)
+		done <- err
+	}()
+	got, err := env.RunMethodAllAspects(ctx, MethodL2QBAL, env.TestIDs, 3, -1)
+	if cvErr := <-done; cvErr != nil {
+		t.Fatal(cvErr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.PerIteration, want.PerIteration) {
+		t.Errorf("run beside CrossValidateR0 = %+v, alone %+v", got.PerIteration, want.PerIteration)
+	}
+	if env.Cfg.Core.R0Star != r0Star {
+		t.Errorf("R0Star = %v after CrossValidateR0, want %v", env.Cfg.Core.R0Star, r0Star)
 	}
 }

@@ -64,8 +64,10 @@ func newEnvFrom(cfg Config, g *synth.Generated, engine *search.Engine, splitSeed
 		G:      g,
 		Engine: engine,
 		Rec:    types.Chain{g.KB, types.NewRegexRecognizer()},
-		dms:    make(map[dmKey]*core.DomainModel),
-		hrs:    make(map[corpus.Aspect]*baselines.HRModel),
+		models: &modelMemo{
+			dms: make(map[dmKey]*core.DomainModel),
+			hrs: make(map[corpus.Aspect]*baselines.HRModel),
+		},
 	}
 	n := g.Corpus.NumEntities()
 	perm := rand.New(rand.NewPCG(splitSeed, splitSeed^0xdeadbeef)).Perm(n)

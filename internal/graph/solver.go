@@ -27,6 +27,10 @@ func (m Mode) String() string {
 // most graphs" (§VI-A "Settings").
 const DefaultAlpha = 0.15
 
+// DefaultMaxIter bounds the fixpoint iterations when a Problem sets no
+// MaxIter (the paper observes convergence in ~50).
+const DefaultMaxIter = 200
+
 // Problem describes one utility-inference fixpoint.
 type Problem struct {
 	G *Graph
@@ -39,8 +43,7 @@ type Problem struct {
 	Reg []float64
 	// Tol is the L∞ convergence tolerance (default 1e-10).
 	Tol float64
-	// MaxIter bounds the iterations (default 200; the paper observes
-	// convergence in ~50).
+	// MaxIter bounds the iterations; DefaultMaxIter if zero.
 	MaxIter int
 	// X0, when non-nil, is the warm-start iterate: the iteration begins
 	// at X0 instead of at Reg. The fixpoint is unique and the map is a
@@ -86,7 +89,7 @@ func Solve(p Problem) (Result, error) {
 	}
 	maxIter := p.MaxIter
 	if maxIter == 0 {
-		maxIter = 200
+		maxIter = DefaultMaxIter
 	}
 
 	x := make([]float64, n)

@@ -70,16 +70,6 @@ func (a *DomainArtifact) ModelMap() map[corpus.Aspect]*core.DomainModel {
 	return m
 }
 
-// ModelByAspect returns the artifact's domain model for an aspect, or nil.
-func (a *DomainArtifact) ModelByAspect(asp corpus.Aspect) *core.DomainModel {
-	for _, dm := range a.Models {
-		if dm.Aspect == asp {
-			return dm
-		}
-	}
-	return nil
-}
-
 // ClassifierSet reconstructs a classify.Set from the persisted
 // classifier parameters (nil when the artifact carries none).
 func (a *DomainArtifact) ClassifierSet() *classify.Set {

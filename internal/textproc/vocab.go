@@ -43,9 +43,6 @@ func NewVocabulary(stop *Stopwords) *Vocabulary {
 	return v
 }
 
-// Stopwords is the list the vocabulary's stopword bits were computed from.
-func (v *Vocabulary) Stopwords() *Stopwords { return v.stop }
-
 // Len reports the number of distinct terms interned so far.
 func (v *Vocabulary) Len() int {
 	v.mu.Lock()

@@ -12,7 +12,7 @@
 //
 // # Quick start
 //
-//	sys, err := l2q.NewSyntheticSystem(l2q.Researchers, l2q.DefaultSystemOptions())
+//	sys, err := l2q.NewSyntheticSystem(l2q.Researchers, l2q.SystemOptions{})
 //	if err != nil { ... }
 //	entity := sys.Corpus().Entities[0]
 //	dm, err := sys.LearnDomain("RESEARCH", sys.EntityIDs()[10:60])
@@ -59,8 +59,6 @@ type (
 	PageID = corpus.PageID
 	// Query is a candidate query in canonical form.
 	Query = core.Query
-	// Config carries the L2Q model parameters (§III–§V).
-	Config = core.Config
 	// Session is one harvesting run for an (entity, aspect) pair.
 	Session = core.Session
 	// Selector chooses the next query for a session.
@@ -93,10 +91,6 @@ const (
 	Researchers = synth.DomainResearchers
 	Cars        = synth.DomainCars
 )
-
-// DefaultConfig returns the paper's parameter settings (α=0.15, λ=10,
-// L=3, r0 validated).
-func DefaultConfig() Config { return core.DefaultConfig() }
 
 // Strategy constructors (§VI-B ablations and the full approaches).
 var (
@@ -166,8 +160,8 @@ func Crawl(pageByID map[PageID]*Page, seeds []*Page, y func(*Page) bool, cfg Cra
 // CrawlPageIndex builds the crawler's fetch table for a corpus.
 func CrawlPageIndex(c *Corpus) map[PageID]*Page { return crawler.PageIndex(c) }
 
-// SystemOptions sizes a synthetic system's corpus and carries its L2Q
-// configuration.
+// SystemOptions sizes a synthetic system's corpus; the zero value is
+// paper scale.
 type SystemOptions struct {
 	// NumEntities and PagesPerEntity size the corpus (0 = paper scale:
 	// 996 researchers / 143 cars × 50 pages).
@@ -175,19 +169,15 @@ type SystemOptions struct {
 	PagesPerEntity int
 	// Seed drives deterministic generation.
 	Seed uint64
-	// Config overrides the L2Q parameters; zero value = DefaultConfig.
-	Config *Config
 }
 
-// DefaultSystemOptions returns paper-scale options.
-func DefaultSystemOptions() SystemOptions { return SystemOptions{} }
-
 // System bundles a corpus with every substrate wired together: retrieval
-// engine, aspect classifiers, type recognizer and the L2Q configuration.
+// engine, aspect classifiers, type recognizer and the L2Q configuration
+// (core.DefaultConfig: the paper's settings, §VI-A).
 // Construct with NewSyntheticSystem or NewSystem; a System is safe for
 // concurrent harvesting sessions.
 type System struct {
-	cfg     Config
+	cfg     core.Config
 	corpus  *Corpus
 	engine  *Engine
 	cls     classify.YProvider
@@ -214,12 +204,7 @@ func NewSyntheticSystem(d Domain, opts SystemOptions) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.DefaultConfig()
-	if opts.Config != nil {
-		cfg = *opts.Config
-	}
-	cfg.Tokenizer = g.Tokenizer
-	return NewSystem(g.Corpus, g.KB, g.Aspects, g.Tokenizer, cfg)
+	return NewSystem(g.Corpus, g.KB, g.Aspects, g.Tokenizer)
 }
 
 // NewSystem wires a System from explicit parts: a corpus (pages carry
@@ -227,7 +212,7 @@ func NewSyntheticSystem(d Domain, opts SystemOptions) (*System, error) {
 // dictionary for templates, the target aspects, and the tokenizer that
 // produced the corpus tokens. Use this for custom domains.
 func NewSystem(c *Corpus, kb *Dictionary, aspects []Aspect,
-	tok *textproc.Tokenizer, cfg Config) (*System, error) {
+	tok *textproc.Tokenizer) (*System, error) {
 
 	if c == nil || c.NumPages() == 0 {
 		return nil, fmt.Errorf("l2q: empty corpus")
@@ -235,9 +220,7 @@ func NewSystem(c *Corpus, kb *Dictionary, aspects []Aspect,
 	if len(aspects) == 0 {
 		return nil, fmt.Errorf("l2q: no target aspects")
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+	cfg := core.DefaultConfig()
 	cfg.Tokenizer = tok
 	cls := classify.TrainSet(aspects, c.Pages)
 	for _, a := range aspects {
@@ -264,9 +247,6 @@ func (s *System) Corpus() *Corpus { return s.corpus }
 
 // Engine returns the retrieval engine.
 func (s *System) Engine() *Engine { return s.engine }
-
-// Config returns the active L2Q configuration.
-func (s *System) Config() Config { return s.cfg }
 
 // Aspects returns the target aspects.
 func (s *System) Aspects() []Aspect { return append([]Aspect(nil), s.aspects...) }

@@ -82,17 +82,17 @@ func TestBaselinesThroughFacade(t *testing.T) {
 }
 
 func TestNewSystemValidation(t *testing.T) {
-	if _, err := l2q.NewSystem(nil, nil, nil, nil, l2q.DefaultConfig()); err == nil {
+	if _, err := l2q.NewSystem(nil, nil, nil, nil); err == nil {
 		t.Fatal("nil corpus accepted")
 	}
 	sys, err := l2q.NewSyntheticSystem(l2q.Researchers, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l2q.NewSystem(sys.Corpus(), nil, nil, nil, l2q.DefaultConfig()); err == nil {
+	if _, err := l2q.NewSystem(sys.Corpus(), nil, nil, nil); err == nil {
 		t.Fatal("no aspects accepted")
 	}
-	if _, err := l2q.NewSystem(sys.Corpus(), nil, []l2q.Aspect{"NOSUCH"}, nil, l2q.DefaultConfig()); err == nil {
+	if _, err := l2q.NewSystem(sys.Corpus(), nil, []l2q.Aspect{"NOSUCH"}, nil); err == nil {
 		t.Fatal("untrainable aspect accepted")
 	}
 }

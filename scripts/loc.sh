@@ -13,8 +13,8 @@
 #
 # The whole-tree run also prints the flag definitions of each command —
 # flag.X( calls and the .X( calls of a flag.NewFlagSet, the form l2qstore's
-# subcommands use — beside them the exported fields of core.Config (the
-# library's settable knobs), and the three counters ROADMAP tracks:
+# subcommands use — beside them the exported fields of core.Config and
+# l2q.SystemOptions (the library's settable knobs), and the three counters ROADMAP tracks:
 # //l2qvet:ignore directives outside internal/lint and testdata,
 # time.Sleep( calls in internal/**/*_test.go, and the fuzz targets beside
 # how many of them `make fuzz-smoke` runs.
@@ -53,10 +53,13 @@ for d in cmd/*/; do
 	mapfile -t files < <(find "$d" -maxdepth 1 -name '*.go' -not -name '*_test.go')
 	printf '%-28s %9d\n' "$d" "$(flags "${files[@]}")"
 done
-fields=$(awk '/^type Config struct \{/ { body = 1; next } body && /^\}/ { exit }
-	body && match($0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)*/) { n += split(substr($0, 2, RLENGTH - 1), names, ",") }
-	END { print n + 0 }' internal/core/core.go)
-printf '%-28s %9d\n' 'core.Config (fields)' "$fields"
+fields() { # fields <file> <type>: the exported fields of a struct type
+	awk -v open="type $2 struct {" '$0 == open { body = 1; next } body && /^\}/ { exit }
+		body && match($0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)*/) { n += split(substr($0, 2, RLENGTH - 1), names, ",") }
+		END { print n + 0 }' "$1"
+}
+printf '%-28s %9d\n' 'core.Config (fields)' "$(fields internal/core/core.go Config)"
+printf '%-28s %9d\n' 'l2q.SystemOptions (fields)' "$(fields l2q.go SystemOptions)"
 gofiles() { # gofiles <find predicate...>: the tree's Go files, bench/ excluded
 	find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*' "$@"
 }
