@@ -130,10 +130,12 @@ wire-parity:
 	$(GO) test -race -count=1 -run 'TestDifferentialWireParity|TestNegotiationMatrix|TestMixedVersionFallback' ./internal/webapi/
 
 # The examples compile against the public surface only; building all five
-# keeps an API change from silently orphaning them. Four run end to end
-# and exit non-zero on any break: quickstart, once per domain (domain
+# keeps an API change from silently orphaning them. All five run end to
+# end and exit non-zero on any break: quickstart, once per domain (domain
 # phase, an L2QBAL harvest step by step, then the paper's contrast
-# strategies on the same entity), httpharvest (fault-injected remote
+# strategies on the same entity), customdomain (a hand-built restaurant
+# corpus: its five most precise templates, then a short harvest),
+# httpharvest (fault-injected remote
 # harvest ≡ in-process on both wire codecs, then a server-side batch —
 # a job submitted, followed to its done line and deleted),
 # jobsapi (async job killed mid-harvest + resumed == uninterrupted) and
@@ -142,6 +144,7 @@ examples:
 	$(GO) build ./examples/...
 	$(GO) run ./examples/quickstart -domain researchers
 	$(GO) run ./examples/quickstart -domain cars
+	$(GO) run ./examples/customdomain
 	$(GO) run ./examples/httpharvest
 	$(GO) run ./examples/jobsapi
 	$(GO) run ./examples/livecrawl

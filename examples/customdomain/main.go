@@ -6,10 +6,13 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log"
+	"maps"
 	"math/rand/v2"
+	"slices"
 
 	"l2q"
 	"l2q/internal/corpus"
@@ -47,13 +50,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("learned %d templates from the restaurant domain, e.g.:\n", len(dm.TemplateP))
-	shown := 0
-	for k := range dm.TemplateP {
-		fmt.Printf("  %s\n", k)
-		if shown++; shown == 5 {
-			break
+	// The five templates with the highest domain precision P_D(t), ties
+	// by key: reading TemplateP solves the domain fixpoints.
+	tp := dm.TemplateP()
+	keys := slices.Collect(maps.Keys(tp))
+	slices.SortFunc(keys, func(a, b string) int {
+		if c := cmp.Compare(tp[b], tp[a]); c != 0 {
+			return c
 		}
+		return cmp.Compare(a, b)
+	})
+	fmt.Printf("learned %d templates from the restaurant domain; the most precise:\n", len(keys))
+	for _, k := range keys[:min(5, len(keys))] {
+		fmt.Printf("  %.4f  %s\n", tp[k], k)
 	}
 
 	target := sys.Corpus().Entity(11)

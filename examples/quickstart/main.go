@@ -53,7 +53,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("domain phase: %d templates, %d candidate queries from %d pages\n",
-		len(dm.TemplateP), len(dm.Candidates), dm.NumPages)
+		len(dm.TemplateRCount), len(dm.Candidates), dm.NumPages)
 
 	// Entity phase: harvest the last entity's pages for the aspect.
 	target := sys.Corpus().Entity(ids[len(ids)-1])

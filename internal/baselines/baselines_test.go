@@ -101,10 +101,7 @@ func TestAQRunsFullHarvest(t *testing.T) {
 
 func TestHRTrainAndSelect(t *testing.T) {
 	f := newFixture(t)
-	model, err := TrainHR(f.cfg, f.g.Corpus, f.domain, f.y, f.rec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	model := f.trainHR(t)
 	if len(model.TemplateHR) == 0 {
 		t.Fatal("HR learned no template statistics")
 	}
@@ -122,9 +119,21 @@ func TestHRTrainAndSelect(t *testing.T) {
 	}
 }
 
+// trainHR trains HR over the fixture's domain entities.
+func (f *fixture) trainHR(t *testing.T) *HRModel {
+	t.Helper()
+	s, err := core.NewDomainSample(f.cfg, f.g.Corpus, f.domain, f.rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return TrainHR(s, f.y)
+}
+
+// TestHRTrainEmptyDomain: HR has nothing to train over without domain
+// entities — there is no sample of them.
 func TestHRTrainEmptyDomain(t *testing.T) {
 	f := newFixture(t)
-	if _, err := TrainHR(f.cfg, f.g.Corpus, nil, f.y, f.rec); err == nil {
+	if _, err := core.NewDomainSample(f.cfg, f.g.Corpus, nil, f.rec); err == nil {
 		t.Fatal("empty domain accepted")
 	}
 }
@@ -172,10 +181,7 @@ func TestManualQueriesCoverage(t *testing.T) {
 
 func TestBaselineNames(t *testing.T) {
 	f := newFixture(t)
-	model, err := TrainHR(f.cfg, f.g.Corpus, f.domain, f.y, f.rec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	model := f.trainHR(t)
 	names := map[string]core.Selector{
 		"LM": NewLM(),
 		"AQ": NewAQ(),

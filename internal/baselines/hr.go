@@ -1,12 +1,9 @@
 package baselines
 
 import (
-	"fmt"
-
 	"l2q/internal/core"
 	"l2q/internal/corpus"
 	"l2q/internal/template"
-	"l2q/internal/types"
 )
 
 // HRModel carries the domain statistics of the harvest-rate baseline [2]:
@@ -19,49 +16,39 @@ type HRModel struct {
 	// domain pages containing any query the template abstracts.
 	TemplateHR map[string]float64
 	// Candidates are entity-frequent domain queries (the L2Q domain
-	// model's, core.DomainCounts.Candidates) so HR can propose unseen
+	// model's, core.DomainSample.Candidates) so HR can propose unseen
 	// queries too.
 	Candidates []core.Query
 }
 
-// TrainHR computes harvest-rate statistics over the domain entities'
-// pages. y materializes relevance (classifier output), rec supplies types
-// for template enumeration.
-func TrainHR(cfg core.Config, c *corpus.Corpus, domainEntities []corpus.EntityID,
-	y func(*corpus.Page) bool, rec types.Recognizer) (*HRModel, error) {
-
-	// The domain phase's own counting pass over the same pages.
-	counts, err := core.CountDomain(c, domainEntities, y)
-	if err != nil {
-		return nil, fmt.Errorf("baselines: HR training: %w", err)
-	}
-
+// TrainHR computes harvest-rate statistics over a domain sample — the
+// domain phase's own count of the same pages — with y materializing
+// relevance (classifier output). The sample's recognizer supplies the
+// templates.
+func TrainHR(s *core.DomainSample, y func(*corpus.Page) bool) *HRModel {
 	// Micro-averaged harvest rate per template: Σ rel / Σ total over the
 	// queries the template abstracts.
 	type acc struct{ rel, tot int }
 	tacc := make(map[string]*acc)
-	for q, tot := range counts.PageDF {
-		if tot < core.MinQueryPageDF {
-			continue
-		}
-		toks := cfg.QueryTokens(core.Query(q))
-		for _, key := range template.EnumerateKeys(toks, rec) {
+	relDF, _ := s.RelDF(y)
+	for i, dq := range s.Queries() {
+		for _, key := range dq.Keys {
 			a := tacc[key]
 			if a == nil {
 				a = &acc{}
 				tacc[key] = a
 			}
-			a.rel += counts.RelDF[q]
-			a.tot += tot
+			a.rel += relDF[i]
+			a.tot += dq.PageDF
 		}
 	}
-	m := &HRModel{TemplateHR: make(map[string]float64, len(tacc)), Candidates: counts.Candidates()}
+	m := &HRModel{TemplateHR: make(map[string]float64, len(tacc)), Candidates: s.Candidates()}
 	for key, a := range tacc {
 		if a.tot > 0 {
 			m.TemplateHR[key] = float64(a.rel) / float64(a.tot)
 		}
 	}
-	return m, nil
+	return m
 }
 
 // hrSelector blends the current results' harvest rate with the domain

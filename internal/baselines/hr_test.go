@@ -16,7 +16,7 @@ import (
 )
 
 // trainHRReference is HR training with its own counting loop and its own
-// copy of the candidate rule, sharing nothing with core.CountDomain: the
+// copy of the candidate rule, sharing nothing with core.DomainSample: the
 // ground truth TrainHR is held to.
 func trainHRReference(cfg core.Config, c *corpus.Corpus, domainEntities []corpus.EntityID,
 	y func(*corpus.Page) bool, rec types.Recognizer) (*HRModel, error) {
@@ -104,7 +104,7 @@ func trainHRReference(cfg core.Config, c *corpus.Corpus, domainEntities []corpus
 
 // TestTrainHRMatchesReference: HR trained over the domain phase's shared
 // count and candidate rule equals the retained stand-alone training loop,
-// for every aspect of both domains.
+// for every aspect of both domains, all aspects folding one sample.
 func TestTrainHRMatchesReference(t *testing.T) {
 	for _, domain := range []corpus.Domain{synth.DomainResearchers, synth.DomainCars} {
 		g, err := synth.Generate(synth.TestConfig(domain))
@@ -118,13 +118,14 @@ func TestTrainHRMatchesReference(t *testing.T) {
 		for _, e := range g.Corpus.Entities[:g.Corpus.NumEntities()/2] {
 			ids = append(ids, e.ID)
 		}
+		sample, err := core.NewDomainSample(cfg, g.Corpus, ids, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, aspect := range g.Aspects {
 			t.Run(string(domain)+"/"+string(aspect), func(t *testing.T) {
 				y := func(p *corpus.Page) bool { return classify.GroundTruth(p, aspect) }
-				got, err := TrainHR(cfg, g.Corpus, ids, y, rec)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := TrainHR(sample, y)
 				want, err := trainHRReference(cfg, g.Corpus, ids, y, rec)
 				if err != nil {
 					t.Fatal(err)

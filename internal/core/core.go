@@ -7,7 +7,8 @@
 // The package provides:
 //
 //   - The domain phase (§IV-B): one-off learning of template utilities from
-//     peer entities in the same domain (LearnDomain → DomainModel).
+//     peer entities in the same domain (DomainSample.Learn or LearnDomain →
+//     DomainModel).
 //   - The entity phase (§IV-C): per-iteration construction of the entity
 //     reinforcement graph and utility inference for candidate queries.
 //   - Context awareness (§V): collective precision/recall of the candidate

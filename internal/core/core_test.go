@@ -124,7 +124,7 @@ func TestQueryTokensRoundTripsPhrases(t *testing.T) {
 
 func TestLearnDomainProducesTemplates(t *testing.T) {
 	f := newFixture(t)
-	if len(f.dm.TemplateP) == 0 {
+	if len(f.dm.TemplateP()) == 0 {
 		t.Fatal("no template utilities learned")
 	}
 	if len(f.dm.Candidates) == 0 {
@@ -137,7 +137,7 @@ func TestLearnDomainProducesTemplates(t *testing.T) {
 	// at least one template containing 〈topic〉 must carry positive
 	// precision utility.
 	found := false
-	for key, p := range f.dm.TemplateP {
+	for key, p := range f.dm.TemplateP() {
 		if p > 0 && containsTopic(key) {
 			found = true
 			break
@@ -147,8 +147,8 @@ func TestLearnDomainProducesTemplates(t *testing.T) {
 		t.Fatal("no 〈topic〉 template with positive precision")
 	}
 	// Every template must have both utilities populated.
-	for key := range f.dm.TemplateP {
-		if _, ok := f.dm.TemplateR[key]; !ok {
+	for key := range f.dm.TemplateP() {
+		if _, ok := f.dm.TemplateR()[key]; !ok {
 			t.Fatalf("template %q missing recall", key)
 		}
 	}
@@ -340,7 +340,7 @@ func TestStepSkipsExhaustedSelector(t *testing.T) {
 	s := f.session(f.dm)
 	mustBoot(t, s)
 	// Exhaust P+q by marking every ranked domain query as fired.
-	for _, q := range f.dm.TopQueriesByP(len(f.dm.QueryP)) {
+	for _, q := range f.dm.TopQueriesByP(len(f.dm.QueryP())) {
 		s.firedSet[q] = struct{}{}
 	}
 	if _, ok := mustStep(t, s, NewPQ()); ok {
@@ -372,7 +372,7 @@ func TestTopQueriesOrdering(t *testing.T) {
 		t.Fatal("no top queries")
 	}
 	for i := 1; i < len(top); i++ {
-		if f.dm.QueryP[top[i-1]] < f.dm.QueryP[top[i]] {
+		if f.dm.QueryP()[top[i-1]] < f.dm.QueryP()[top[i]] {
 			t.Fatal("TopQueriesByP not sorted")
 		}
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -15,14 +17,14 @@ import (
 // DomainModel is the output of the domain phase (§IV-B) for one aspect:
 // template utilities learned once from peer entities, plus the auxiliary
 // data the entity phase and the +q baselines need.
+//
+// The counting statistics and Candidates are set when the model is
+// learned. The random-walk utilities (TemplateP, TemplateR, QueryP,
+// QueryR) are the two fixpoints' solutions, solved on first read: L2Q*
+// reads only the counting statistics, so a model that only harvests with
+// it never solves. A solved model equals one solved eagerly.
 type DomainModel struct {
 	Aspect corpus.Aspect
-
-	// TemplateP and TemplateR are P_D(t) and R_D(t), keyed by canonical
-	// template key. They become entity-phase regularization via λ
-	// (Eq. 21–22).
-	TemplateP map[string]float64
-	TemplateR map[string]float64
 
 	// QueryRCount and QueryRStarCount are probability-scale counting
 	// estimates for *transferable* domain queries (those occurring with
@@ -37,18 +39,12 @@ type DomainModel struct {
 	// counting estimates used by the collective utilities (§V):
 	// the fraction of relevant (resp. all) domain pages containing at
 	// least one query the template abstracts. Unlike the random-walk
-	// masses above — which are diluted by mass-splitting across the
-	// whole candidate set — these are direct estimates of
+	// masses of TemplateR — which are diluted by mass-splitting across
+	// the whole candidate set — these are direct estimates of
 	// P(ω ∈ Ω(t) | ω ∈ Ω(Y)) and P(ω ∈ Ω(t)), so they can be combined
 	// with R_E(Φ) in Eq. 26 without scale mismatch (see DESIGN.md).
 	TemplateRCount     map[string]float64
 	TemplateRStarCount map[string]float64
-
-	// QueryP and QueryR are the domain queries' own utilities; the P+q /
-	// R+q strategies consume them directly (and fail on entity
-	// variation, which is the point of Fig. 10).
-	QueryP map[Query]float64
-	QueryR map[Query]float64
 
 	// Candidates are domain queries occurring with at least
 	// MinDomainEntityFrac of the domain entities, most frequent first;
@@ -65,6 +61,13 @@ type DomainModel struct {
 	NumEntities int
 	NumPages    int
 
+	// util holds the fixpoints' solutions once solveOnce has run
+	// solveFn (a learned model) or SetUtilities (a loaded one).
+	solveOnce sync.Once
+	solveFn   func() (*domainUtilities, error)
+	util      *domainUtilities
+	solveErr  error
+
 	// tail is Candidates as sessions enroll them — their facts and keys
 	// under one gramTable (see tailFor). It is derived state: never
 	// serialised, nil until the first domain-aware session over this
@@ -78,12 +81,342 @@ type DomainModel struct {
 	lastTableSize atomic.Int64
 }
 
-// LearnDomain runs the domain phase: build the domain reinforcement graph
-// over the pages of the given domain entities, solve precision and recall,
-// and package the template utilities.
+// domainUtilities are the domain fixpoints' solutions: P_D and R_D per
+// template key (they become entity-phase regularization via λ, Eq. 21–22)
+// and per domain query (the P+q / R+q strategies consume them directly,
+// and fail on entity variation, which is the point of Fig. 10). The query
+// rankings those strategies fire in are sorted once, on first use.
+type domainUtilities struct {
+	templateP, templateR map[string]float64
+	queryP, queryR       map[Query]float64
+
+	rankOnce sync.Once
+	byP, byR []Query
+}
+
+// Solve runs the model's two fixpoints unless they have run: every later
+// read of the utilities is a lookup. It returns the solver's error, which
+// only a malformed graph can cause.
+func (dm *DomainModel) Solve() error {
+	dm.solveOnce.Do(func() {
+		if dm.solveFn == nil {
+			dm.util = &domainUtilities{}
+			return
+		}
+		dm.util, dm.solveErr = dm.solveFn()
+		dm.solveFn = nil
+	})
+	return dm.solveErr
+}
+
+// utilities solves on first use; a solver error is a broken invariant.
+func (dm *DomainModel) utilities() *domainUtilities {
+	if err := dm.Solve(); err != nil {
+		panic(fmt.Sprintf("core: domain fixpoints of %s: %v", dm.Aspect, err))
+	}
+	return dm.util
+}
+
+// SetUtilities gives a model its solved utilities, as read back from a
+// domain artifact. It panics when the model's utilities were already
+// solved or set.
+func (dm *DomainModel) SetUtilities(templateP, templateR map[string]float64, queryP, queryR map[Query]float64) {
+	set := false
+	dm.solveOnce.Do(func() {
+		dm.util, set = &domainUtilities{templateP: templateP, templateR: templateR, queryP: queryP, queryR: queryR}, true
+	})
+	if !set {
+		panic("core: SetUtilities on a model whose utilities are set")
+	}
+}
+
+// TemplateP is P_D(t), keyed by canonical template key (Eq. 21's
+// regularization). TemplateP, TemplateR, QueryP and QueryR solve on first
+// read; the maps are shared and must not be modified.
+func (dm *DomainModel) TemplateP() map[string]float64 { return dm.utilities().templateP }
+
+// TemplateR is R_D(t), keyed by canonical template key.
+func (dm *DomainModel) TemplateR() map[string]float64 { return dm.utilities().templateR }
+
+// QueryP is P_D(q) of every domain query.
+func (dm *DomainModel) QueryP() map[Query]float64 { return dm.utilities().queryP }
+
+// QueryR is R_D(q) of every domain query.
+func (dm *DomainModel) QueryR() map[Query]float64 { return dm.utilities().queryR }
+
+// TopQueriesByP returns the n domain queries with the highest precision
+// utility (for the P+q strategy), most useful first. The slice is shared
+// and must not be modified.
+func (dm *DomainModel) TopQueriesByP(n int) []Query {
+	byP, _ := dm.utilities().rankings()
+	return byP[:min(n, len(byP)):min(n, len(byP))]
+}
+
+// TopQueriesByR returns the n domain queries with the highest recall
+// utility (for the R+q strategy), most useful first. The slice is shared
+// and must not be modified.
+func (dm *DomainModel) TopQueriesByR(n int) []Query {
+	_, byR := dm.utilities().rankings()
+	return byR[:min(n, len(byR)):min(n, len(byR))]
+}
+
+func (u *domainUtilities) rankings() (byP, byR []Query) {
+	u.rankOnce.Do(func() { u.byP, u.byR = rankQueries(u.queryP), rankQueries(u.queryR) })
+	return u.byP, u.byR
+}
+
+// rankQueries orders m's queries by utility, highest first, ties by query.
+func rankQueries(m map[Query]float64) []Query {
+	qs := make([]Query, 0, len(m))
+	for q := range m {
+		qs = append(qs, q)
+	}
+	sort.Slice(qs, func(i, j int) bool {
+		if m[qs[i]] != m[qs[j]] {
+			return m[qs[i]] > m[qs[j]]
+		}
+		return qs[i] < qs[j]
+	})
+	return qs
+}
+
+// DomainSample is the aspect-independent half of the domain phase: over
+// the pages of one list of domain entities, the n-grams that survive the
+// page-DF pruning with their page and entity counts and template keys,
+// the §IV-C candidate pool, and the page–query–template reinforcement
+// graph. Learn adds an aspect's relevance and packages a DomainModel, so
+// every aspect of a domain shares one count and one graph — the shape of
+// several per-aspect models fitted over one shared representation. The
+// count runs on the first Learn, the graph on the first solve; a sample
+// is safe for concurrent use.
+type DomainSample struct {
+	cfg         Config
+	rec         types.Recognizer
+	pages       []*corpus.Page
+	numEntities int
+
+	countOnce sync.Once
+	queries   []DomainQuery
+	// page i contains the queries edges[offs[i]:offs[i+1]] (indexes into
+	// queries), in the order of its enumeration.
+	edges      []int32
+	offs       []int
+	candidates []Query
+
+	graphOnce sync.Once
+	graph     *graphBuilder
+}
+
+// DomainQuery is one query of a DomainSample: an n-gram repeating across
+// the sample's pages, with its template keys under the sample's
+// recognizer, the number of pages it occurs in and the number of entities
+// (an entity counts again when another's page with the n-gram comes
+// between two of its own, which only an ID repeated in the sample can
+// make happen).
+type DomainQuery struct {
+	Query    Query
+	Keys     []string
+	PageDF   int
+	EntityDF int
+}
+
+// NewDomainSample gathers the pages of domainEntities (in entity order, a
+// repeated ID counted each time) for the domain phase. Templates are
+// enumerated under rec. It fails when the entities have no pages.
+func NewDomainSample(cfg Config, c *corpus.Corpus, domainEntities []corpus.EntityID,
+	rec types.Recognizer) (*DomainSample, error) {
+
+	pages := domainPages(c, domainEntities)
+	if len(pages) == 0 {
+		return nil, fmt.Errorf("core: domain phase has no pages (%d entities)", len(domainEntities))
+	}
+	return &DomainSample{cfg: cfg, rec: rec, pages: pages, numEntities: len(domainEntities)}, nil
+}
+
+// domainPages gathers the domain split's pages in entity order.
+func domainPages(c *corpus.Corpus, domainEntities []corpus.EntityID) []*corpus.Page {
+	var pages []*corpus.Page
+	for _, id := range domainEntities {
+		pages = append(pages, c.PagesOf(id)...)
+	}
+	return pages
+}
+
+// count is the counting pass (§IV-B): one serial sweep over each page's
+// memoized n-grams (corpus.Page.NGrams under MaxQueryLen and Stopwords),
+// which keeps the n-grams of two or more pages in sorted order and
+// records which of them each page contains.
+func (s *DomainSample) count() {
+	s.countOnce.Do(func() {
+		type gram struct {
+			q                string
+			pageDF, entityDF int
+			last             corpus.EntityID
+		}
+		index := make(map[string]int32)
+		var grams []gram
+		var occ []int32 // every page's n-grams as indexes into grams
+		offs := make([]int, len(s.pages)+1)
+		for i, p := range s.pages {
+			for _, q := range p.NGrams(MaxQueryLen, Stopwords) {
+				gi, ok := index[q]
+				if !ok {
+					gi = int32(len(grams))
+					index[q] = gi
+					grams = append(grams, gram{q: q, entityDF: 1, last: p.Entity})
+				} else if grams[gi].last != p.Entity {
+					grams[gi].entityDF++
+					grams[gi].last = p.Entity
+				}
+				grams[gi].pageDF++
+				occ = append(occ, gi)
+			}
+			offs[i+1] = len(occ)
+		}
+
+		var kept []int32
+		for gi := range grams {
+			if grams[gi].pageDF >= MinQueryPageDF {
+				kept = append(kept, int32(gi))
+			}
+		}
+		slices.SortFunc(kept, func(a, b int32) int { return strings.Compare(grams[a].q, grams[b].q) })
+		rank := make([]int32, len(grams))
+		for gi := range rank {
+			rank[gi] = -1
+		}
+		s.queries = make([]DomainQuery, len(kept))
+		for r, gi := range kept {
+			rank[gi] = int32(r)
+			g := &grams[gi]
+			s.queries[r] = DomainQuery{Query: Query(g.q), Keys: computeFacts(s.cfg, s.rec, Query(g.q)).keys,
+				PageDF: g.pageDF, EntityDF: g.entityDF}
+		}
+
+		// Keep each page's surviving n-grams, renumbered, in place.
+		w, from := 0, 0
+		for i := range s.pages {
+			for _, gi := range occ[from:offs[i+1]] {
+				if r := rank[gi]; r >= 0 {
+					occ[w] = r
+					w++
+				}
+			}
+			from, offs[i+1] = offs[i+1], w
+		}
+		s.edges, s.offs = slices.Clone(occ[:w]), offs
+		s.candidates = domainCandidates(s.queries, s.numEntities)
+	})
+}
+
+// domainCandidates is the §IV-C candidate pool: the surviving queries
+// that occur with at least MinDomainEntityFrac of the domain entities
+// ("we restrict to queries that occur with at least 50 domain entities"),
+// most frequent first, at most MaxDomainCandidates of them.
+func domainCandidates(queries []DomainQuery, numEntities int) []Query {
+	minEnt := max(2, int(MinDomainEntityFrac*float64(numEntities)))
+	var cands []DomainQuery
+	for _, dq := range queries {
+		if dq.EntityDF >= minEnt {
+			cands = append(cands, dq)
+		}
+	}
+	slices.SortFunc(cands, func(a, b DomainQuery) int {
+		if a.EntityDF != b.EntityDF {
+			return b.EntityDF - a.EntityDF
+		}
+		return strings.Compare(string(a.Query), string(b.Query))
+	})
+	out := make([]Query, min(len(cands), MaxDomainCandidates))
+	for i := range out {
+		out[i] = cands[i].Query
+	}
+	return out
+}
+
+// Queries returns the sample's surviving queries in sorted order. The
+// slice is shared and must not be modified.
+func (s *DomainSample) Queries() []DomainQuery {
+	s.count()
+	return s.queries
+}
+
+// Candidates returns the sample's §IV-C candidate pool. The slice is
+// shared and must not be modified.
+func (s *DomainSample) Candidates() []Query {
+	s.count()
+	return s.candidates
+}
+
+// RelDF counts, for each of Queries, the pages relevant under y that
+// contain it, and the relevant pages.
+func (s *DomainSample) RelDF(y func(*corpus.Page) bool) (relDF []int, numRel int) {
+	s.count()
+	relDF = make([]int, len(s.queries))
+	for i, p := range s.pages {
+		if !y(p) {
+			continue
+		}
+		numRel++
+		for _, r := range s.edges[s.offs[i]:s.offs[i+1]] {
+			relDF[r]++
+		}
+	}
+	return relDF, numRel
+}
+
+// Learn runs the aspect's half of the domain phase over the sample: y
+// materializes relevance for the counting statistics, and score, when
+// non-nil, replaces it in the fixpoints' regularization (see
+// LearnDomainScored). The fixpoints run when the model's utilities are
+// first read.
+func (s *DomainSample) Learn(aspect corpus.Aspect, y func(*corpus.Page) bool,
+	score func(*corpus.Page) float64) *DomainModel {
+
+	relDF, numRel := s.RelDF(y)
+	dm := newDomainModel(aspect, s.queries, relDF, numRel, len(s.pages), s.numEntities, slices.Clip(s.candidates))
+	dm.solveFn = func() (*domainUtilities, error) { return solveDomain(s.domainGraph(), y, score) }
+	return dm
+}
+
+// domainGraph builds the domain reinforcement graph on first use: page
+// and query vertices, then page–query edges from each page's own
+// enumeration (the entity phase uses conjunctive containment instead,
+// because its candidate pool includes domain queries that are not n-grams
+// of the current pages; here queries are generated from the pages,
+// exactly as §III describes — "Q can be generated from P, such as by
+// taking all n-grams in P as queries"). Solving only reads it, so every
+// aspect's fixpoints run over the one graph.
+func (s *DomainSample) domainGraph() *graphBuilder {
+	s.graphOnce.Do(func() {
+		s.count()
+		b := newGraphBuilder(s.cfg, s.rec, true)
+		for _, p := range s.pages {
+			b.addPage(p)
+		}
+		b.qs = make([]queryVertex, len(s.queries))
+		for i, dq := range s.queries {
+			b.qs[i] = queryVertex{q: dq.Query, candidateFacts: &candidateFacts{q: dq.Query, keys: dq.Keys, keysSet: true}}
+			b.addQueryVertex(&b.qs[i])
+		}
+		for i, p := range s.pages {
+			for _, r := range s.edges[s.offs[i]:s.offs[i+1]] {
+				b.addPQEdge(p, &b.qs[r])
+			}
+		}
+		s.graph = b
+	})
+	return s.graph
+}
+
+// LearnDomain runs the domain phase over the pages of the given domain
+// entities and packages the aspect's model; its fixpoints are solved on
+// first read.
 //
 // y materializes the aspect's relevance function (classifier output in the
 // experiments). rec is the type system used to enumerate templates.
+// Learning several aspects over one list of entities is cheaper through
+// one DomainSample.
 func LearnDomain(cfg Config, aspect corpus.Aspect, c *corpus.Corpus,
 	domainEntities []corpus.EntityID, y func(*corpus.Page) bool,
 	rec types.Recognizer) (*DomainModel, error) {
@@ -98,30 +431,24 @@ func LearnDomain(cfg Config, aspect corpus.Aspect, c *corpus.Corpus,
 // document frequencies, RelFraction) — those are set-cardinality notions.
 // A {0,1}-valued score reproduces LearnDomain exactly.
 //
-// The counting pass (CountDomain) and edge building both read each page's
-// memoized enumeration (corpus.Page.NGrams), so the n-gram window slides
-// over a page once per process, not once per pass and aspect.
-// LearnDomainReference re-enumerates instead and learns an identical model
-// (TestLearnDomainMatchesReference).
+// LearnDomainReference learns an identical model by re-enumerating every
+// page and solving eagerly (TestLearnDomainMatchesReference).
 func LearnDomainScored(cfg Config, aspect corpus.Aspect, c *corpus.Corpus,
 	domainEntities []corpus.EntityID, y func(*corpus.Page) bool,
 	score func(*corpus.Page) float64, rec types.Recognizer) (*DomainModel, error) {
 
-	counts, err := CountDomain(c, domainEntities, y)
+	s, err := NewDomainSample(cfg, c, domainEntities, rec)
 	if err != nil {
 		return nil, err
 	}
-	queries := surviveQueries(counts.PageDF)
-	b := buildDomainGraph(cfg, rec, counts.Pages, queries, func(p *corpus.Page) []string {
-		return p.NGrams(MaxQueryLen, Stopwords)
-	})
-	return packageDomainModel(aspect, b, counts, y, score)
+	return s.Learn(aspect, y, score), nil
 }
 
 // LearnDomainReference is the retained from-scratch domain phase: one
-// counting pass followed by a full re-enumeration pass for edge building,
-// neither through the page memo — the differential-testing ground truth
-// (mirroring Session.CandidatesReference / InferReference).
+// counting pass into maps followed by a full re-enumeration pass for edge
+// building, neither through the page memo, and both fixpoints solved
+// before it returns — the differential-testing ground truth (mirroring
+// Session.CandidatesReference / InferReference).
 func LearnDomainReference(cfg Config, aspect corpus.Aspect, c *corpus.Corpus,
 	domainEntities []corpus.EntityID, y func(*corpus.Page) bool,
 	score func(*corpus.Page) float64, rec types.Recognizer) (*DomainModel, error) {
@@ -133,225 +460,82 @@ func LearnDomainReference(cfg Config, aspect corpus.Aspect, c *corpus.Corpus,
 
 	// Pass 1: count page-DF, relevant-page-DF and entity-DF per n-gram.
 	ngCfg := ngramConfig(nil)
-	counts := newDomainCounts(pages, len(domainEntities))
+	pageDF, relDF, entityDF := make(map[string]int), make(map[string]int), make(map[string]int)
+	numRel := 0
 	lastEntity := make(map[string]corpus.EntityID)
 	for _, p := range pages {
 		rel := y(p)
 		if rel {
-			counts.NumRelPages++
+			numRel++
 		}
 		for _, q := range textproc.NGrams(p.Tokens(), ngCfg) {
-			counts.PageDF[q]++
+			pageDF[q]++
 			if rel {
-				counts.RelDF[q]++
+				relDF[q]++
 			}
 			if le, seen := lastEntity[q]; !seen || le != p.Entity {
-				counts.EntityDF[q]++
+				entityDF[q]++
 				lastEntity[q] = p.Entity
 			}
 		}
 	}
 
-	queries := surviveQueries(counts.PageDF)
-	// Edges come from a second enumeration pass: page p connects to query
-	// q iff q is one of p's own n-grams.
-	b := buildDomainGraph(cfg, rec, pages, queries, func(p *corpus.Page) []string {
-		return textproc.NGrams(p.Tokens(), ngCfg)
-	})
-	return packageDomainModel(aspect, b, counts, y, score)
-}
-
-// domainPages gathers the domain split's pages in entity order.
-func domainPages(c *corpus.Corpus, domainEntities []corpus.EntityID) []*corpus.Page {
-	var pages []*corpus.Page
-	for _, id := range domainEntities {
-		pages = append(pages, c.PagesOf(id)...)
-	}
-	return pages
-}
-
-// DomainCounts is the domain phase's counting pass (§IV-B): over the pages
-// of a domain sample, how many pages, relevant pages and entities contain
-// each candidate n-gram. The domain graph, its counting priors and the
-// §IV-C candidate pool are built from it, and so are the HR baseline's
-// [2] harvest rates, which count the same pages the same way.
-type DomainCounts struct {
-	// Pages are the sample's pages in entity order; NumEntities is the
-	// sample's size, a repeated ID counted each time.
-	Pages       []*corpus.Page
-	NumEntities int
-	// PageDF, RelDF and EntityDF map an n-gram to the number of pages,
-	// relevant pages and entities it occurs in; an entity counts again
-	// when another's page with the n-gram comes between two of its own
-	// (only an ID repeated in the sample can make that happen).
-	// NumRelPages counts the relevant pages.
-	PageDF, RelDF, EntityDF map[string]int
-	NumRelPages             int
-}
-
-func newDomainCounts(pages []*corpus.Page, numEntities int) *DomainCounts {
-	return &DomainCounts{
-		Pages:       pages,
-		NumEntities: numEntities,
-		PageDF:      make(map[string]int),
-		RelDF:       make(map[string]int),
-		EntityDF:    make(map[string]int),
-	}
-}
-
-// CountDomain runs the counting pass over the pages of domainEntities,
-// with y materializing relevance: one serial sweep over each page's
-// memoized n-grams (corpus.Page.NGrams under MaxQueryLen and Stopwords).
-// It fails when the entities have no pages.
-func CountDomain(c *corpus.Corpus, domainEntities []corpus.EntityID,
-	y func(*corpus.Page) bool) (*DomainCounts, error) {
-
-	pages := domainPages(c, domainEntities)
-	if len(pages) == 0 {
-		return nil, fmt.Errorf("core: domain phase has no pages (%d entities)", len(domainEntities))
-	}
-	counts := newDomainCounts(pages, len(domainEntities))
-	lastEntity := make(map[string]corpus.EntityID)
-	for _, p := range pages {
-		rel := y(p)
-		if rel {
-			counts.NumRelPages++
-		}
-		for _, q := range p.NGrams(MaxQueryLen, Stopwords) {
-			counts.PageDF[q]++
-			if rel {
-				counts.RelDF[q]++
-			}
-			if le, seen := lastEntity[q]; !seen || le != p.Entity {
-				counts.EntityDF[q]++
-				lastEntity[q] = p.Entity
-			}
-		}
-	}
-	return counts, nil
-}
-
-// Candidates is the §IV-C candidate pool: the n-grams that survive the
-// page-DF pruning (MinQueryPageDF) and occur with at least
-// MinDomainEntityFrac of the domain entities ("we restrict to queries that
-// occur with at least 50 domain entities"), most frequent first, at most
-// MaxDomainCandidates of them.
-func (dc *DomainCounts) Candidates() []Query {
-	minEnt := max(2, int(MinDomainEntityFrac*float64(dc.NumEntities)))
-	type qc struct {
-		q Query
-		n int
-	}
-	var cands []qc
-	for q, n := range dc.EntityDF {
-		if n >= minEnt && dc.PageDF[q] >= MinQueryPageDF {
-			cands = append(cands, qc{q: Query(q), n: n})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].n != cands[j].n {
-			return cands[i].n > cands[j].n
-		}
-		return cands[i].q < cands[j].q
-	})
-	if len(cands) > MaxDomainCandidates {
-		cands = cands[:MaxDomainCandidates]
-	}
-	out := make([]Query, len(cands))
-	for i, c := range cands {
-		out[i] = c.q
-	}
-	return out
-}
-
-// surviveQueries keeps the n-grams repeating across pages, in sorted
-// (deterministic node) order.
-func surviveQueries(pageDF map[string]int) []string {
-	queries := make([]string, 0, len(pageDF))
+	// The n-grams repeating across pages, in sorted (node) order.
+	var queries []string
 	for q, df := range pageDF {
 		if df >= MinQueryPageDF {
 			queries = append(queries, q)
 		}
 	}
 	sort.Strings(queries)
-	return queries
-}
-
-// buildDomainGraph assembles the domain reinforcement graph: page and
-// query vertices, then page–query edges from each page's own enumeration
-// (the entity phase uses conjunctive containment instead, because its
-// candidate pool includes domain queries that are not n-grams of the
-// current pages; here queries are generated from the pages, exactly as
-// §III describes — "Q can be generated from P, such as by taking all
-// n-grams in P as queries"). enum supplies a page's n-grams.
-func buildDomainGraph(cfg Config, rec types.Recognizer, pages []*corpus.Page,
-	queries []string, enum func(p *corpus.Page) []string) *graphBuilder {
 
 	b := newGraphBuilder(cfg, rec, true)
 	for _, p := range pages {
 		b.addPage(p)
 	}
-	for _, q := range queries {
+	dqs := make([]DomainQuery, len(queries))
+	rel := make([]int, len(queries))
+	for i, q := range queries {
 		b.addQuery(Query(q))
+		dqs[i] = DomainQuery{Query: Query(q), Keys: b.qs[i].keys, PageDF: pageDF[q], EntityDF: entityDF[q]}
+		rel[i] = relDF[q]
 	}
+	// Pass 2: page p connects to query q iff q is one of p's own n-grams.
 	for _, p := range pages {
-		for _, qs := range enum(p) {
+		for _, qs := range textproc.NGrams(p.Tokens(), ngCfg) {
 			if ord, ok := b.queries[Query(qs)]; ok {
 				b.addPQEdge(p, &b.qs[ord])
 			}
 		}
 	}
-	return b
+
+	dm := newDomainModel(aspect, dqs, rel, numRel, len(pages), len(domainEntities),
+		domainCandidates(dqs, len(domainEntities)))
+	u, err := solveDomain(b, y, score)
+	if err != nil {
+		return nil, err
+	}
+	dm.SetUtilities(u.templateP, u.templateR, u.queryP, u.queryR)
+	return dm, nil
 }
 
-// packageDomainModel solves the two fixpoints over the assembled domain
-// graph and packages the DomainModel: template/query utilities, the
-// probability-scale counting statistics, and the §IV-C candidate pool
-// (DomainCounts.Candidates).
-func packageDomainModel(aspect corpus.Aspect, b *graphBuilder,
-	counts *DomainCounts, y func(*corpus.Page) bool, score func(*corpus.Page) float64) (*DomainModel, error) {
-
-	var yReg regPair
-	if score != nil {
-		yReg = b.pageRegularizationScored(score)
-	} else {
-		yReg = b.pageRegularization(y)
-	}
-	prec, err := b.solve(graph.Precision, yReg.precision)
-	if err != nil {
-		return nil, err
-	}
-	rec1, err := b.solve(graph.Recall, yReg.recall)
-	if err != nil {
-		return nil, err
-	}
-
-	nRelPages, nPages := counts.NumRelPages, len(counts.Pages)
-	relDF, pageDF, entityDF := counts.RelDF, counts.PageDF, counts.EntityDF
+// newDomainModel packages the counting statistics of one aspect: queries
+// are the surviving domain queries in sorted order, relDF their
+// relevant-page counts, numRel and numPages the sample's relevant and
+// total pages.
+func newDomainModel(aspect corpus.Aspect, queries []DomainQuery, relDF []int,
+	numRel, numPages, numEntities int, candidates []Query) *DomainModel {
 
 	dm := &DomainModel{
 		Aspect:             aspect,
-		TemplateP:          make(map[string]float64, len(b.templates)),
-		TemplateR:          make(map[string]float64, len(b.templates)),
-		TemplateRCount:     make(map[string]float64, len(b.templates)),
-		TemplateRStarCount: make(map[string]float64, len(b.templates)),
+		TemplateRCount:     make(map[string]float64),
+		TemplateRStarCount: make(map[string]float64),
 		QueryRCount:        make(map[Query]float64),
 		QueryRStarCount:    make(map[Query]float64),
-		QueryP:             make(map[Query]float64, len(b.queries)),
-		QueryR:             make(map[Query]float64, len(b.queries)),
-		NumEntities:        counts.NumEntities,
-		NumPages:           nPages,
-		Candidates:         counts.Candidates(),
-	}
-	dm.RelFraction = float64(nRelPages) / float64(nPages)
-	for key, id := range b.templates {
-		dm.TemplateP[key] = prec[id]
-		dm.TemplateR[key] = rec1[id]
-	}
-	for i := range b.qs {
-		qv := &b.qs[i]
-		dm.QueryP[qv.q] = prec[qv.node]
-		dm.QueryR[qv.q] = rec1[qv.node]
+		Candidates:         candidates,
+		RelFraction:        float64(numRel) / float64(numPages),
+		NumEntities:        numEntities,
+		NumPages:           numPages,
 	}
 
 	// Probability-scale counting statistics per template: the *mean
@@ -364,19 +548,18 @@ func packageDomainModel(aspect corpus.Aspect, b *graphBuilder,
 		sumRel, sumAll float64
 		n              int
 	}
-	tacc := make(map[string]*tAcc, len(b.templates))
-	for i := range b.qs {
-		q := b.qs[i].q
-		for _, key := range b.qs[i].keys {
+	tacc := make(map[string]*tAcc)
+	for i, dq := range queries {
+		for _, key := range dq.Keys {
 			a := tacc[key]
 			if a == nil {
 				a = &tAcc{}
 				tacc[key] = a
 			}
-			if nRelPages > 0 {
-				a.sumRel += float64(relDF[string(q)]) / float64(nRelPages)
+			if numRel > 0 {
+				a.sumRel += float64(relDF[i]) / float64(numRel)
 			}
-			a.sumAll += float64(pageDF[string(q)]) / float64(nPages)
+			a.sumAll += float64(dq.PageDF) / float64(numPages)
 			a.n++
 		}
 	}
@@ -386,41 +569,52 @@ func packageDomainModel(aspect corpus.Aspect, b *graphBuilder,
 	}
 
 	// Query-level counting priors for transferable queries.
-	for i := range b.qs {
-		q := b.qs[i].q
-		if entityDF[string(q)] < 2 {
+	for i, dq := range queries {
+		if dq.EntityDF < 2 {
 			continue
 		}
-		if nRelPages > 0 {
-			dm.QueryRCount[q] = float64(relDF[string(q)]) / float64(nRelPages)
+		if numRel > 0 {
+			dm.QueryRCount[dq.Query] = float64(relDF[i]) / float64(numRel)
 		}
-		dm.QueryRStarCount[q] = float64(pageDF[string(q)]) / float64(nPages)
+		dm.QueryRStarCount[dq.Query] = float64(dq.PageDF) / float64(numPages)
 	}
-
-	return dm, nil
+	return dm
 }
 
-// TopQueriesByP returns the n domain queries with the highest precision
-// utility (for the P+q strategy), most useful first.
-func (dm *DomainModel) TopQueriesByP(n int) []Query { return topQueries(dm.QueryP, n) }
+// solveDomain solves the precision and recall fixpoints over a domain
+// graph, regularized by score when it is non-nil and by y otherwise, and
+// reads the utilities off its template and query vertices.
+func solveDomain(b *graphBuilder, y func(*corpus.Page) bool,
+	score func(*corpus.Page) float64) (*domainUtilities, error) {
 
-// TopQueriesByR returns the n domain queries with the highest recall
-// utility (for the R+q strategy), most useful first.
-func (dm *DomainModel) TopQueriesByR(n int) []Query { return topQueries(dm.QueryR, n) }
-
-func topQueries(m map[Query]float64, n int) []Query {
-	qs := make([]Query, 0, len(m))
-	for q := range m {
-		qs = append(qs, q)
+	var yReg regPair
+	if score != nil {
+		yReg = b.pageRegularizationScored(score)
+	} else {
+		yReg = b.pageRegularization(y)
 	}
-	sort.Slice(qs, func(i, j int) bool {
-		if m[qs[i]] != m[qs[j]] {
-			return m[qs[i]] > m[qs[j]]
-		}
-		return qs[i] < qs[j]
-	})
-	if n < len(qs) {
-		qs = qs[:n]
+	prec, err := b.solve(graph.Precision, yReg.precision)
+	if err != nil {
+		return nil, err
 	}
-	return qs
+	rcl, err := b.solve(graph.Recall, yReg.recall)
+	if err != nil {
+		return nil, err
+	}
+	u := &domainUtilities{
+		templateP: make(map[string]float64, len(b.templates)),
+		templateR: make(map[string]float64, len(b.templates)),
+		queryP:    make(map[Query]float64, len(b.qs)),
+		queryR:    make(map[Query]float64, len(b.qs)),
+	}
+	for key, id := range b.templates {
+		u.templateP[key] = prec[id]
+		u.templateR[key] = rcl[id]
+	}
+	for i := range b.qs {
+		qv := &b.qs[i]
+		u.queryP[qv.q] = prec[qv.node]
+		u.queryR[qv.q] = rcl[qv.node]
+	}
+	return u, nil
 }

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"maps"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"l2q/internal/classify"
 	"l2q/internal/corpus"
+	"l2q/internal/par"
 	"l2q/internal/synth"
 	"l2q/internal/types"
 )
@@ -35,10 +38,9 @@ func newDomainLearnFixture(t testing.TB, domain corpus.Domain, aspect corpus.Asp
 	for i := 0; i < g.Corpus.NumEntities()/2; i++ {
 		ids = append(ids, g.Corpus.Entities[i].ID)
 	}
-	y := func(p *corpus.Page) bool { return classify.GroundTruth(p, aspect) }
 	score := func(p *corpus.Page) float64 { return p.AspectFraction(aspect) }
 	return &domainLearnFixture{
-		cfg: cfg, aspect: aspect, c: g.Corpus, ids: ids, y: y, score: score,
+		cfg: cfg, aspect: aspect, c: g.Corpus, ids: ids, y: groundTruthY(aspect), score: score,
 		rec: types.Chain{g.KB, types.NewRegexRecognizer()},
 	}
 }
@@ -51,12 +53,49 @@ func domainLearnFixtures(t *testing.T) map[string]*domainLearnFixture {
 	}
 }
 
-// TestLearnDomainMatchesReference: the domain phase over the shared count
-// (CountDomain) and the page memo learns a DomainModel exactly equal to
-// the retained re-enumerating reference — binary and real-valued
-// relevance, both domains, and a sample whose entity IDs repeat
-// non-adjacently (e0, e1, …, e0 again: entity-DF then counts by runs of
-// each n-gram's pages, as the reference does).
+// diffDomainModels names the first part of the learned state in which
+// two models differ, solving both ("" when they are equal): every
+// exported field, then the four utility maps and the two rankings the
+// fixpoints produce. A model holds sync state and its solver, so
+// reflect.DeepEqual on the struct cannot compare two models.
+func diffDomainModels(got, want *DomainModel) string {
+	if err := got.Solve(); err != nil {
+		return err.Error()
+	}
+	if err := want.Solve(); err != nil {
+		return err.Error()
+	}
+	gv, wv := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
+	for i := 0; i < gv.NumField(); i++ {
+		if f := gv.Type().Field(i); f.IsExported() && !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
+			return f.Name
+		}
+	}
+	for _, u := range []struct {
+		name      string
+		got, want any
+	}{
+		{"TemplateP", got.TemplateP(), want.TemplateP()},
+		{"TemplateR", got.TemplateR(), want.TemplateR()},
+		{"QueryP", got.QueryP(), want.QueryP()},
+		{"QueryR", got.QueryR(), want.QueryR()},
+		{"TopQueriesByP", got.TopQueriesByP(len(got.QueryP())), want.TopQueriesByP(len(want.QueryP()))},
+		{"TopQueriesByR", got.TopQueriesByR(len(got.QueryR())), want.TopQueriesByR(len(want.QueryR()))},
+	} {
+		if !reflect.DeepEqual(u.got, u.want) {
+			return u.name
+		}
+	}
+	return ""
+}
+
+// TestLearnDomainMatchesReference: the domain phase over a DomainSample
+// (one count through the page memo, lazy fixpoints) learns a DomainModel
+// exactly equal to the retained re-enumerating, eagerly solving
+// reference — binary and real-valued relevance, both domains, a sample
+// whose entity IDs repeat non-adjacently (e0, e1, …, e0 again: entity-DF
+// then counts by runs of each n-gram's pages, as the reference does), and
+// every aspect learned and solved from one shared sample under par.For.
 func TestLearnDomainMatchesReference(t *testing.T) {
 	type input struct {
 		name  string
@@ -84,13 +123,86 @@ func TestLearnDomainMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatal("domain model differs from the reference")
+			if field := diffDomainModels(got, want); field != "" {
+				t.Fatalf("domain model differs from the reference in %s", field)
 			}
-			if len(got.Candidates) == 0 || len(got.QueryP) == 0 {
+			if len(got.Candidates) == 0 || len(got.QueryP()) == 0 {
 				t.Fatal("degenerate domain model (no candidates or query utilities)")
 			}
 		})
+	}
+	for domain, f := range domainLearnFixtures(t) {
+		t.Run(domain+"/sample", func(t *testing.T) {
+			sample, err := NewDomainSample(f.cfg, f.c, f.ids, f.rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			aspects := f.c.Aspects()
+			models := make([]*DomainModel, len(aspects))
+			par.For(len(aspects), func(i int) {
+				models[i] = sample.Learn(aspects[i], groundTruthY(aspects[i]), nil)
+				if err := models[i].Solve(); err != nil {
+					t.Error(err)
+				}
+			})
+			for i, a := range aspects {
+				want, err := LearnDomainReference(f.cfg, a, f.c, f.ids, groundTruthY(a), nil, f.rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if field := diffDomainModels(models[i], want); field != "" {
+					t.Errorf("aspect %s: model from the shared sample differs from the reference in %s", a, field)
+				}
+			}
+		})
+	}
+}
+
+// groundTruthY is the labelled relevance of an aspect.
+func groundTruthY(a corpus.Aspect) func(*corpus.Page) bool {
+	return func(p *corpus.Page) bool { return classify.GroundTruth(p, a) }
+}
+
+// TestDomainModelConcurrentReads: eight goroutines make the first reads of
+// two aspects' models over one sample at once — the graph is built once,
+// each model's fixpoints solve once over it — and every read sees the
+// utilities an eagerly solved reference has.
+func TestDomainModelConcurrentReads(t *testing.T) {
+	f := newDomainLearnFixture(t, synth.DomainResearchers, synth.AspResearch)
+	sample, err := NewDomainSample(f.cfg, f.c, f.ids, f.rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aspects := []corpus.Aspect{synth.AspResearch, synth.AspAward}
+	var models, refs []*DomainModel
+	for _, a := range aspects {
+		models = append(models, sample.Learn(a, groundTruthY(a), nil))
+		ref, err := LearnDomainReference(f.cfg, a, f.c, f.ids, groundTruthY(a), nil, f.rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs = append(refs, ref)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dm, ref := models[g%2], refs[g%2]
+			if !maps.Equal(dm.TemplateP(), ref.TemplateP()) || !maps.Equal(dm.TemplateR(), ref.TemplateR()) ||
+				!maps.Equal(dm.QueryP(), ref.QueryP()) || !maps.Equal(dm.QueryR(), ref.QueryR()) {
+				t.Errorf("goroutine %d: %s utilities differ from the reference", g, dm.Aspect)
+			}
+			if !slices.Equal(dm.TopQueriesByP(20), ref.TopQueriesByP(20)) || !slices.Equal(dm.TopQueriesByR(20), ref.TopQueriesByR(20)) {
+				t.Errorf("goroutine %d: %s rankings differ from the reference", g, dm.Aspect)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range models {
+		if field := diffDomainModels(models[i], refs[i]); field != "" {
+			t.Errorf("%s differs from the reference in %s", aspects[i], field)
+		}
 	}
 }
 

@@ -31,8 +31,8 @@ func TestGradedYBinaryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for key, want := range dmBinary.TemplateP {
-		if got := dmScored.TemplateP[key]; got != want {
+	for key, want := range dmBinary.TemplateP() {
+		if got := dmScored.TemplateP()[key]; got != want {
 			t.Fatalf("template %q precision %v vs %v", key, got, want)
 		}
 	}
@@ -129,7 +129,7 @@ func TestScoredRegularizationClamping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for key, v := range dm.TemplateP {
+	for key, v := range dm.TemplateP() {
 		if v < 0 || v > 1 {
 			t.Fatalf("template %q precision %v outside [0,1]", key, v)
 		}

@@ -166,15 +166,6 @@ func (s *Session) newEntityGraph(opts InferOptions, withGraph bool) *graphBuilde
 func (s *Session) solveIndividual(inf *Inference, ords []int32, b *graphBuilder, opts InferOptions,
 	pageReg regPair, x0P, x0R []float64) (prec, rcl []float64, err error) {
 
-	var tmplP, tmplR map[string]float64
-	if b.dm != nil {
-		tmplP = b.dm.TemplateP
-		if s.Cfg.UseWalkRecallReg {
-			tmplR = b.dm.TemplateR
-		} else {
-			tmplR = b.dm.TemplateRCount
-		}
-	}
 	project := func(u []float64) []float64 {
 		out := make([]float64, len(ords))
 		for i, o := range ords {
@@ -182,7 +173,14 @@ func (s *Session) solveIndividual(inf *Inference, ords []int32, b *graphBuilder,
 		}
 		return out
 	}
+	// The domain's random-walk utilities are read only by the
+	// regularization that needs them, so a recall-only request with the
+	// counting estimate solves no domain fixpoint.
 	if opts.Utilities&UtilPrecision != 0 {
+		var tmplP map[string]float64
+		if b.dm != nil {
+			tmplP = b.dm.TemplateP()
+		}
 		reg := b.addTemplateReg(pageReg.precision, tmplP, Lambda)
 		if prec, err = b.solveWarm(graph.Precision, reg, x0P); err != nil {
 			return nil, nil, err
@@ -190,6 +188,14 @@ func (s *Session) solveIndividual(inf *Inference, ords []int32, b *graphBuilder,
 		inf.P = project(prec)
 	}
 	if opts.Utilities&UtilRecall != 0 {
+		var tmplR map[string]float64
+		switch {
+		case b.dm == nil:
+		case s.Cfg.UseWalkRecallReg:
+			tmplR = b.dm.TemplateR()
+		default:
+			tmplR = b.dm.TemplateRCount
+		}
 		reg := b.addTemplateReg(pageReg.recall, tmplR, Lambda)
 		if rcl, err = b.solveWarm(graph.Recall, reg, x0R); err != nil {
 			return nil, nil, err

@@ -229,9 +229,11 @@ func BenchmarkCandidateStep(b *testing.B) {
 }
 
 // BenchmarkLearnDomain measures the domain phase end to end on both
-// domains: "reference" is the retained two-pass implementation (count,
-// then re-enumerate for edges); "memo" is LearnDomainScored, whose count
-// and edges both read each page's memoized enumeration.
+// domains. Per aspect: "reference" is the retained two-pass
+// implementation (count, then re-enumerate for edges, solved eagerly);
+// "memo" is LearnDomainScored over a fresh sample, solved. Per domain,
+// every aspect from one fresh sample: "system/lazy" learns them and reads
+// no fixpoint (what L2Q* needs), "system/solved" also solves each one.
 func BenchmarkLearnDomain(b *testing.B) {
 	for _, d := range benchDomains {
 		env := benchEnvFor(b, d.domain, d.aspect)
@@ -241,21 +243,44 @@ func BenchmarkLearnDomain(b *testing.B) {
 		}
 		cfg := DefaultConfig()
 		cfg.Tokenizer = env.g.Tokenizer
+		system := func(solve bool) error {
+			s, err := NewDomainSample(cfg, env.g.Corpus, domainIDs, env.rec)
+			if err != nil {
+				return err
+			}
+			for _, a := range env.g.Aspects {
+				dm := s.Learn(a, groundTruthY(a), nil)
+				if solve {
+					if err := dm.Solve(); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		}
 		variants := []struct {
 			name  string
-			learn func() (*DomainModel, error)
+			learn func() error
 		}{
-			{"reference", func() (*DomainModel, error) {
-				return LearnDomainReference(cfg, env.aspect, env.g.Corpus, domainIDs, env.y, nil, env.rec)
+			{"reference", func() error {
+				_, err := LearnDomainReference(cfg, env.aspect, env.g.Corpus, domainIDs, env.y, nil, env.rec)
+				return err
 			}},
-			{"memo", func() (*DomainModel, error) {
-				return LearnDomainScored(cfg, env.aspect, env.g.Corpus, domainIDs, env.y, nil, env.rec)
+			{"memo", func() error {
+				dm, err := LearnDomainScored(cfg, env.aspect, env.g.Corpus, domainIDs, env.y, nil, env.rec)
+				if err != nil {
+					return err
+				}
+				return dm.Solve()
 			}},
+			{"system/lazy", func() error { return system(false) }},
+			{"system/solved", func() error { return system(true) }},
 		}
 		for _, v := range variants {
 			b.Run(d.name+"/"+v.name, func(b *testing.B) {
+				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := v.learn(); err != nil {
+					if err := v.learn(); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -147,9 +147,9 @@ func (d domainQuerySelector) Select(s *Session) (Selection, bool) {
 	}
 	var ranked []Query
 	if d.byR {
-		ranked = s.DM.TopQueriesByR(len(s.DM.QueryR))
+		ranked = s.DM.TopQueriesByR(len(s.DM.QueryR()))
 	} else {
-		ranked = s.DM.TopQueriesByP(len(s.DM.QueryP))
+		ranked = s.DM.TopQueriesByP(len(s.DM.QueryP()))
 	}
 	for _, q := range ranked {
 		if _, fired := s.firedSet[q]; !fired {

@@ -98,11 +98,13 @@ type Env struct {
 	models *modelMemo
 }
 
-// modelMemo holds an Env's learned domain and HR models.
+// modelMemo holds an Env's learned domain and HR models, and the domain
+// sample of each sample size they are learned over.
 type modelMemo struct {
-	mu  sync.Mutex
-	dms map[dmKey]*core.DomainModel
-	hrs map[corpus.Aspect]*baselines.HRModel
+	mu      sync.Mutex
+	samples map[int]*core.DomainSample
+	dms     map[dmKey]*core.DomainModel
+	hrs     map[corpus.Aspect]*baselines.HRModel
 }
 
 type dmKey struct {
@@ -123,12 +125,21 @@ func NewEnv(cfg Config) (*Env, error) {
 	return envs[0], nil
 }
 
-// domainSampleIDs returns the first k domain entities (deterministic).
-func (e *Env) domainSampleIDs(k int) []corpus.EntityID {
-	if k > len(e.DomainIDs) {
-		k = len(e.DomainIDs)
+// domainSample returns (building and caching on first use) the sample of
+// the first k domain entities, which every aspect's domain and HR models
+// over k entities share.
+func (e *Env) domainSample(k int) (*core.DomainSample, error) {
+	e.models.mu.Lock()
+	defer e.models.mu.Unlock()
+	if s, ok := e.models.samples[k]; ok {
+		return s, nil
 	}
-	return e.DomainIDs[:k]
+	s, err := core.NewDomainSample(e.Cfg.Core, e.G.Corpus, e.DomainIDs[:min(k, len(e.DomainIDs))], e.Rec)
+	if err != nil {
+		return nil, err
+	}
+	e.models.samples[k] = s
+	return s, nil
 }
 
 // DomainModel returns (building and caching on first use) the domain model
@@ -145,11 +156,11 @@ func (e *Env) DomainModel(aspect corpus.Aspect, sample int) (*core.DomainModel, 
 	if ok {
 		return dm, nil
 	}
-	dm, err := core.LearnDomain(e.Cfg.Core, aspect, e.G.Corpus,
-		e.domainSampleIDs(sample), e.Cls.YFunc(aspect), e.Rec)
+	s, err := e.domainSample(sample)
 	if err != nil {
 		return nil, err
 	}
+	dm = s.Learn(aspect, e.Cls.YFunc(aspect), nil)
 	e.models.mu.Lock()
 	e.models.dms[key] = dm
 	e.models.mu.Unlock()
@@ -157,16 +168,21 @@ func (e *Env) DomainModel(aspect corpus.Aspect, sample int) (*core.DomainModel, 
 }
 
 // PretrainDomainModels learns (and caches) the domain model of every
-// target aspect up front, aspects in parallel — the eval-side mirror of
-// the server's warm boot (store.DomainLearner.Artifact), so an
-// all-aspects experiment pays the domain phase concurrently instead of
-// serially on each aspect's first session. Value-neutral: each model is
-// byte-identical to the one lazy learning would build.
-func (e *Env) PretrainDomainModels(sample int) error {
+// target aspect up front, aspects in parallel, and with solve also runs
+// each model's fixpoints — the eval-side mirror of the server's warm boot
+// (store.DomainLearner.Artifact), so an all-aspects experiment pays the
+// domain phase concurrently instead of serially on each aspect's first
+// session. Value-neutral: each model equals the one lazy learning would
+// build.
+func (e *Env) PretrainDomainModels(sample int, solve bool) error {
 	aspects := e.G.Aspects
 	errs := make([]error, len(aspects))
 	par.For(len(aspects), func(i int) {
-		_, errs[i] = e.DomainModel(aspects[i], sample)
+		dm, err := e.DomainModel(aspects[i], sample)
+		if err == nil && solve {
+			err = dm.Solve()
+		}
+		errs[i] = err
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -185,11 +201,11 @@ func (e *Env) HRModel(aspect corpus.Aspect) (*baselines.HRModel, error) {
 	if ok {
 		return m, nil
 	}
-	m, err := baselines.TrainHR(e.Cfg.Core, e.G.Corpus,
-		e.domainSampleIDs(e.Cfg.DomainSample), e.Cls.YFunc(aspect), e.Rec)
+	s, err := e.domainSample(e.Cfg.DomainSample)
 	if err != nil {
 		return nil, err
 	}
+	m = baselines.TrainHR(s, e.Cls.YFunc(aspect))
 	e.models.mu.Lock()
 	e.models.hrs[aspect] = m
 	e.models.mu.Unlock()

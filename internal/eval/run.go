@@ -41,6 +41,18 @@ func (m Method) needsDomainModel() bool {
 	return false
 }
 
+// readsDomainUtilities reports whether the method may read the domain
+// fixpoints' utilities, which a DomainModel solves on first read: the +q
+// strategies rank by them, P+t regularizes by them, and R+t does under
+// core.Config.UseWalkRecallReg.
+func (m Method) readsDomainUtilities() bool {
+	switch m {
+	case MethodPQ, MethodRQ, MethodPT, MethodRT:
+		return true
+	}
+	return false
+}
+
 // RunResult aggregates one method's evaluation for one aspect.
 type RunResult struct {
 	Method Method
@@ -120,6 +132,9 @@ func (e *Env) RunMethod(ctx context.Context, m Method, aspect corpus.Aspect, ent
 	// (the Fig. 11 zero point), >0 explicit sample size.
 	if m.needsDomainModel() && domainSample != 0 {
 		dm, err = e.DomainModel(aspect, domainSample)
+		if err == nil && m.readsDomainUtilities() {
+			err = dm.Solve() // before any selection is timed
+		}
 		if err != nil {
 			return RunResult{}, err
 		}
@@ -218,10 +233,11 @@ func (e *Env) RunMethodAllAspects(ctx context.Context, m Method, entityIDs []cor
 	if nQueries <= 0 {
 		nQueries = e.Cfg.NumQueries
 	}
-	// Warm the per-aspect domain-model cache concurrently before the
-	// serial aspect loop pays each one on first use.
+	// Warm the per-aspect domain-model cache (and solve the models, for a
+	// method that reads the fixpoints) concurrently before the serial
+	// aspect loop pays each one on first use.
 	if m.needsDomainModel() && domainSample != 0 {
-		if err := e.PretrainDomainModels(domainSample); err != nil {
+		if err := e.PretrainDomainModels(domainSample, m.readsDomainUtilities()); err != nil {
 			return RunResult{Method: m}, err
 		}
 	}

@@ -65,8 +65,9 @@ func newEnvFrom(cfg Config, g *synth.Generated, engine *search.Engine, splitSeed
 		Engine: engine,
 		Rec:    types.Chain{g.KB, types.NewRegexRecognizer()},
 		models: &modelMemo{
-			dms: make(map[dmKey]*core.DomainModel),
-			hrs: make(map[corpus.Aspect]*baselines.HRModel),
+			samples: make(map[int]*core.DomainSample),
+			dms:     make(map[dmKey]*core.DomainModel),
+			hrs:     make(map[corpus.Aspect]*baselines.HRModel),
 		},
 	}
 	n := g.Corpus.NumEntities()

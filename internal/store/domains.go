@@ -103,6 +103,12 @@ type DomainLearner struct {
 	Cls       *classify.Set
 	Aspects   []corpus.Aspect
 	DomainIDs []corpus.EntityID
+
+	// sample is the domain sample every aspect learns over (sampleErr
+	// when DomainIDs have no pages): counted on the first Learn, its
+	// graph built on the first solve.
+	sample    *core.DomainSample
+	sampleErr error
 }
 
 // NewDomainLearner wires the protocol for a corpus. tok is the (possibly
@@ -144,17 +150,23 @@ func NewDomainLearner(c *corpus.Corpus, tok *textproc.Tokenizer,
 	for _, e := range c.Entities[:c.NumEntities()/2] {
 		ids = append(ids, e.ID)
 	}
-	return &DomainLearner{Corpus: c, Cfg: cfg, Rec: rec, Cls: cls, Aspects: usable, DomainIDs: ids}
+	l := &DomainLearner{Corpus: c, Cfg: cfg, Rec: rec, Cls: cls, Aspects: usable, DomainIDs: ids}
+	l.sample, l.sampleErr = core.NewDomainSample(cfg, c, ids, rec)
+	return l
 }
 
 // Learn learns one aspect's domain model under the protocol — the shape
-// webapi.HarvestBackend.DomainModel consumes.
+// webapi.HarvestBackend.DomainModel consumes. Its fixpoints are solved on
+// first read, which a harvest with L2Q* never makes.
 func (l *DomainLearner) Learn(a corpus.Aspect) (*core.DomainModel, error) {
-	return core.LearnDomain(l.Cfg, a, l.Corpus, l.DomainIDs, l.Cls.YFunc(a), l.Rec)
+	if l.sampleErr != nil {
+		return nil, l.sampleErr
+	}
+	return l.sample.Learn(a, l.Cls.YFunc(a), nil), nil
 }
 
-// Artifact learns every servable aspect, aspects in parallel, and
-// packages the persistable DomainArtifact (models + classifier
+// Artifact learns and solves every servable aspect, aspects in parallel,
+// and packages the persistable DomainArtifact (models + classifier
 // parameters) in aspect order.
 func (l *DomainLearner) Artifact() (*DomainArtifact, error) {
 	art := &DomainArtifact{
@@ -165,7 +177,11 @@ func (l *DomainLearner) Artifact() (*DomainArtifact, error) {
 	}
 	errs := make([]error, len(l.Aspects))
 	par.For(len(l.Aspects), func(i int) {
-		art.Models[i], errs[i] = l.Learn(l.Aspects[i])
+		dm, err := l.Learn(l.Aspects[i])
+		if err == nil {
+			err = dm.Solve()
+		}
+		art.Models[i], errs[i] = dm, err
 	})
 	for i, a := range l.Aspects {
 		if errs[i] != nil {
@@ -241,15 +257,15 @@ func encodeDomainModels(e *Enc, models []*core.DomainModel) {
 	e.Uvarint(uint64(len(models)))
 	for _, dm := range models {
 		e.Str(string(dm.Aspect))
-		encStrMap(e, dm.TemplateP)
-		encStrMap(e, dm.TemplateR)
+		encStrMap(e, dm.TemplateP())
+		encStrMap(e, dm.TemplateR())
 		encStrMap(e, nil) // the retired Y*-recall map's slot: the layout stays L2QDOM1
 		encStrMap(e, dm.TemplateRCount)
 		encStrMap(e, dm.TemplateRStarCount)
 		encQueryMap(e, dm.QueryRCount)
 		encQueryMap(e, dm.QueryRStarCount)
-		encQueryMap(e, dm.QueryP)
-		encQueryMap(e, dm.QueryR)
+		encQueryMap(e, dm.QueryP())
+		encQueryMap(e, dm.QueryR())
 		e.Uvarint(uint64(len(dm.Candidates)))
 		for _, q := range dm.Candidates {
 			e.Str(string(q))
@@ -265,15 +281,14 @@ func decodeDomainModels(d *Dec) []*core.DomainModel {
 	out := make([]*core.DomainModel, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		dm := &core.DomainModel{Aspect: corpus.Aspect(d.Str())}
-		dm.TemplateP = decStrMap(d)
-		dm.TemplateR = decStrMap(d)
+		templateP, templateR := decStrMap(d), decStrMap(d)
 		decStrMap(d) // the retired Y*-recall map: an older artifact's is read and dropped
 		dm.TemplateRCount = decStrMap(d)
 		dm.TemplateRStarCount = decStrMap(d)
 		dm.QueryRCount = decQueryMap(d)
 		dm.QueryRStarCount = decQueryMap(d)
-		dm.QueryP = decQueryMap(d)
-		dm.QueryR = decQueryMap(d)
+		queryP, queryR := decQueryMap(d), decQueryMap(d)
+		dm.SetUtilities(templateP, templateR, queryP, queryR)
 		nc := d.Count("domain candidates")
 		dm.Candidates = make([]core.Query, 0, nc)
 		for j := 0; j < nc && d.Err() == nil; j++ {

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"l2q/internal/classify"
@@ -70,7 +69,7 @@ func TestDomainsRoundTrip(t *testing.T) {
 		t.Fatalf("loaded %d models, saved %d", len(loaded.Models), len(art.Models))
 	}
 	for i, dm := range art.Models {
-		if !reflect.DeepEqual(loaded.Models[i], dm) {
+		if !bytes.Equal(modelBytes(loaded.Models[i]), modelBytes(dm)) {
 			t.Errorf("model %s did not round-trip exactly", dm.Aspect)
 		}
 	}
@@ -119,7 +118,51 @@ func TestDomainsFileRoundTrip(t *testing.T) {
 	}
 	// learnArtifact builds models in sorted-aspect order, which is also
 	// the codec's canonical order, so a direct compare is exact.
-	if !reflect.DeepEqual(loaded.Models, art.Models) {
+	if !bytes.Equal(modelBytes(loaded.Models...), modelBytes(art.Models...)) {
 		t.Fatal("file round trip lost model state")
+	}
+}
+
+// modelBytes is the DOMS encoding of models: every persisted field, the
+// solved utilities included, so equal bytes are equal models (a model
+// holds sync state and its solver, which reflect.DeepEqual cannot
+// compare).
+func modelBytes(models ...*core.DomainModel) []byte {
+	var e Enc
+	encodeDomainModels(&e, models)
+	return e.Data()
+}
+
+// TestDomainsUnsolvedEncodesSolved: a model whose fixpoints nothing read
+// before it was saved encodes to the same bytes as one solved first, and
+// as the learner's artifact, which solves each aspect in its fan-out.
+func TestDomainsUnsolvedEncodesSolved(t *testing.T) {
+	unsolved, _, _ := learnArtifact(t)
+	solved, _, _ := learnArtifact(t)
+	for _, dm := range solved.Models {
+		if err := dm.Solve(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	learned, err := NewDomainLearner(g.Corpus, g.Tokenizer, types.NewRegexRecognizer(), nil).Artifact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := SaveDomains(&want, unsolved); err != nil {
+		t.Fatal(err)
+	}
+	for name, art := range map[string]*DomainArtifact{"solved first": solved, "learner": learned} {
+		var got bytes.Buffer
+		if err := SaveDomains(&got, art); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: the artifact encodes differently from the unsolved one", name)
+		}
 	}
 }

@@ -65,8 +65,8 @@ const (
 
 // Preload seeds the per-aspect domain-model cache with already-trained
 // models (typically restored from a store.DomainArtifact), so the server
-// serves its first harvest warm instead of paying a from-scratch
-// LearnDomainScored per aspect. Preloaded aspects never invoke the
+// serves its first harvest warm instead of learning each aspect's
+// domain model from scratch. Preloaded aspects never invoke the
 // DomainModel func; aspects absent from models still learn lazily.
 func (hb *HarvestBackend) Preload(models map[corpus.Aspect]*core.DomainModel) {
 	hb.dmMu.Lock()

@@ -26,6 +26,8 @@ package l2q
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"l2q/internal/baselines"
 	"l2q/internal/classify"
@@ -183,6 +185,13 @@ type System struct {
 	cls     classify.YProvider
 	rec     Recognizer
 	aspects []Aspect
+
+	// domain is the sample of the last domain-entity list LearnDomain or
+	// TrainHR was given (domainIDs): every aspect learned over the same
+	// list shares its count and graph.
+	domainMu  sync.Mutex
+	domainIDs []EntityID
+	domain    *core.DomainSample
 }
 
 // NewSyntheticSystem generates a synthetic web corpus for one of the
@@ -264,14 +273,40 @@ func (s *System) EntityIDs() []EntityID {
 func (s *System) Relevant(a Aspect, p *Page) bool { return s.cls.Relevant(a, p) }
 
 // LearnDomain runs the domain phase (§IV-B) over the given peer entities
-// and returns the learned domain model for the aspect.
+// and returns the learned domain model for the aspect. Aspects learned
+// over the same entities in a row count the sample's pages once, and a
+// model solves its fixpoints only when something reads them (L2Q* does
+// not).
 func (s *System) LearnDomain(a Aspect, domainEntities []EntityID) (*DomainModel, error) {
-	return core.LearnDomain(s.cfg, a, s.corpus, domainEntities, s.cls.YFunc(a), s.rec)
+	ds, err := s.domainSample(domainEntities)
+	if err != nil {
+		return nil, err
+	}
+	return ds.Learn(a, s.cls.YFunc(a), nil), nil
 }
 
 // TrainHR fits the harvest-rate baseline's domain statistics (§VI-C).
 func (s *System) TrainHR(a Aspect, domainEntities []EntityID) (*HRModel, error) {
-	return baselines.TrainHR(s.cfg, s.corpus, domainEntities, s.cls.YFunc(a), s.rec)
+	ds, err := s.domainSample(domainEntities)
+	if err != nil {
+		return nil, err
+	}
+	return baselines.TrainHR(ds, s.cls.YFunc(a)), nil
+}
+
+// domainSample returns the sample of domainEntities, reusing the last one
+// when the list is the same.
+func (s *System) domainSample(domainEntities []EntityID) (*core.DomainSample, error) {
+	s.domainMu.Lock()
+	defer s.domainMu.Unlock()
+	if s.domain == nil || !slices.Equal(s.domainIDs, domainEntities) {
+		ds, err := core.NewDomainSample(s.cfg, s.corpus, domainEntities, s.rec)
+		if err != nil {
+			return nil, err
+		}
+		s.domain, s.domainIDs = ds, slices.Clone(domainEntities)
+	}
+	return s.domain, nil
 }
 
 // Harvester is the session that runs the iterative loop of Fig. 1 for one
