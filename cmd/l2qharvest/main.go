@@ -240,8 +240,8 @@ func main() {
 	fmt.Printf("\nselection time: %v total\n", h.SelectionTime().Round(1000))
 	if re != nil {
 		m := re.Metrics()
-		fmt.Printf("HTTP requests issued: %d (%d retried, %d failed after retries); pages: %d inside search responses, %d downloaded\n",
-			m.Requests, m.Retries, m.Errors, m.PagesAttached, m.PageFetches)
+		fmt.Printf("HTTP requests issued: %d (%d retried, %d failed after retries); pages: %d inside search responses, %d downloaded; %d responses from the decode memo\n",
+			m.Requests, m.Retries, m.Errors, m.PagesAttached, m.PageFetches, m.DecodedFromMemo)
 	}
 
 	if *replay {

@@ -92,14 +92,17 @@ func TestSchedulerSoak(t *testing.T) {
 				}
 				switch rng.IntN(4) {
 				case 0:
-					// Cancel mid-flight after a beat.
+					// Cancel mid-flight after a beat. The sleep is seeded
+					// jitter, not a wait for an event: it spreads the cancel
+					// over the job's lifetime.
 					time.Sleep(time.Duration(rng.IntN(5)) * time.Millisecond)
 					b.Cancel()
 					b.Await(context.Background())
 				case 1:
 					// Abandon via ctx. The delay is drawn here: rng belongs
 					// to this goroutine, and the next round may already be
-					// drawing from it when the one below wakes.
+					// drawing from it when the one below wakes. The sleep is
+					// seeded jitter, like the one above.
 					delay := time.Duration(rng.IntN(5)) * time.Millisecond
 					go func() {
 						time.Sleep(delay)

@@ -309,21 +309,30 @@ func TestLiveEngineSoak(t *testing.T) {
 		return batch
 	}
 
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ { // ingesters
-		wg.Add(1)
+	// Ingesters run until every page is claimed (or the deadline); each
+	// batch asks the churn goroutine for one seal or compaction, coalesced.
+	added := make(chan struct{}, 1)
+	ingestDone := make(chan struct{})
+	var ingesters sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		ingesters.Add(1)
 		go func(w int) {
-			defer wg.Done()
+			defer ingesters.Done()
 			for time.Now().Before(deadline) {
 				batch := claim(1 + w)
 				if batch == nil {
-					time.Sleep(time.Millisecond)
-					continue
+					return
 				}
 				le.Add(batch...)
+				select {
+				case added <- struct{}{}:
+				default:
+				}
 			}
 		}(w)
 	}
+	go func() { ingesters.Wait(); close(ingestDone) }()
+	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ { // searchers
 		wg.Add(1)
 		go func(w int) {
@@ -342,16 +351,20 @@ func TestLiveEngineSoak(t *testing.T) {
 		}(w)
 	}
 	wg.Add(1)
-	go func() { // churn: explicit seals and compactions race the background compactor
+	go func() { // churn: explicit seals and compactions, one per ingest, race the background compactor
 		defer wg.Done()
-		for i := 0; time.Now().Before(deadline); i++ {
+		for i := 0; ; i++ {
+			select {
+			case <-added:
+			case <-ingestDone:
+				return
+			}
 			if i%2 == 0 {
 				le.Seal()
 			} else {
 				le.Compact()
 			}
 			le.Metrics()
-			time.Sleep(2 * time.Millisecond)
 		}
 	}()
 	wg.Wait()

@@ -3,11 +3,13 @@ package webapi
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -50,6 +52,10 @@ type Client struct {
 	// wire records whether the server answered the dial probe in the
 	// binary codec — the negotiated truth, fixed at dial time.
 	wire bool
+	// memo is the process-wide decode memo (decodeMemo; nil: every
+	// response is decoded afresh) and scope this client's part of its key.
+	memo  *sizedLRU[decodedSearch]
+	scope string
 
 	mu        sync.RWMutex
 	pageCache map[corpus.PageID]*corpus.Page
@@ -164,7 +170,9 @@ func DialContext(ctx context.Context, base string, tok *textproc.Tokenizer, opts
 		retry:     opts.Retry,
 		codec:     opts.Codec,
 		pageCache: make(map[corpus.PageID]*corpus.Page),
+		memo:      decodeMemo,
 	}
+	c.scope = memoScope(c.base, tok)
 	// The dial probe doubles as codec negotiation: ask for binary (per
 	// the codec preference) and record what came back.
 	if err := c.fetchStats(ctx); err != nil {
@@ -206,13 +214,16 @@ func (c *Client) Stats() Stats { return c.stats }
 // included (the "cost" the paper motivates minimizing).
 func (c *Client) Requests() int { return int(c.met.requests.Load()) }
 
-// Metrics returns a snapshot of the client's request/retry/error counters
-// and the size of its page cache.
+// Metrics returns a snapshot of the client's request/retry/error counters,
+// the size of its page cache and the process-wide decode memo's.
 func (c *Client) Metrics() ClientMetrics {
 	m := c.met.snapshot()
 	c.mu.RLock()
 	m.CachedPages = len(c.pageCache)
 	c.mu.RUnlock()
+	if c.memo != nil {
+		m.DecodeMemo = c.memo.metrics()
+	}
 	return m
 }
 
@@ -332,9 +343,9 @@ func (c *Client) TopK() int { return c.stats.TopK }
 // non-empty have goes on as the have list with its commas literal —
 // digits and commas need no escaping in a query, and Encode would turn
 // every comma into %2C. Page bodies the response carries are checked and
-// cached inside the retry loop (acceptPages): one that fails the check
-// fails the decode, and the search is re-issued like any other corrupted
-// response. complete does the same to a response flagged Partial
+// cached inside the retry loop (decodeSearch, adopt): one that fails the
+// check fails the decode, and the search is re-issued like any other
+// corrupted response. complete does the same to a response flagged Partial
 // (ErrPartial).
 func (c *Client) search(ctx context.Context, op, path string, vals url.Values, have string, seed, query []textproc.Token, complete bool) (SearchResponse, error) {
 	if len(seed) > 0 {
@@ -349,14 +360,16 @@ func (c *Client) search(ctx context.Context, op, path string, vals url.Values, h
 	}
 	var resp SearchResponse
 	err := c.get(ctx, op, apiRoot+path+"?"+rawQuery, func(b []byte) error {
-		var err error
-		if resp, err = decodeSearchResponse(b); err != nil {
+		d, err := c.decodeSearch(b)
+		if err != nil {
 			return err
 		}
-		if complete && resp.Partial {
+		if complete && d.resp.Partial {
 			return ErrPartial
 		}
-		return c.acceptPages(resp.Hits)
+		resp = d.resp
+		c.adopt(d.pages)
+		return nil
 	})
 	return resp, err
 }
@@ -379,29 +392,115 @@ func decodeSearchResponse(b []byte) (resp SearchResponse, err error) {
 	return resp, err
 }
 
-// acceptPages takes the page bodies off a decoded hit list: each one the
-// client does not hold yet goes through the check a /page download goes
-// through (parsePage) and into the page cache; one it already holds — it
-// fell off the capped have list — is dropped unparsed.
-func (c *Client) acceptPages(hits []SearchHit) error {
-	for i := range hits {
-		h := &hits[i]
+// decodedSearch is a search response as a client decodes it: the hit list
+// without bodies, and the parsed page of every body the response carried,
+// in rank order, each one ID-checked (parsePage) — a function of the
+// response bytes, the client's base URL (parsePage writes it into
+// Page.URL) and its tokenizer, and of nothing else.
+type decodedSearch struct {
+	resp  SearchResponse
+	pages []*corpus.Page
+	tok   *textproc.Tokenizer
+	// size is the length of the bodies the pages were parsed from, which
+	// they hold substrings of: what an entry of the decode memo keeps.
+	size int
+}
+
+// decodeMemo is the process-wide memo of decoded search-with-pages frames:
+// a search a client of the same scope received byte for byte before is not
+// inflated, parsed or tokenized again (DESIGN.md "Decode once per distinct
+// frame"). Keyed by kind ‖ SHA-256(frame) ‖ scope (Client.memoKey); only
+// frames of at most maxMemoFrame bytes that decoded, passed every check and
+// carried a page go in (one without leaves nothing to save but the hash),
+// at most search.DefaultCacheSize of them.
+var decodeMemo = newDecodeMemo()
+
+func newDecodeMemo() *sizedLRU[decodedSearch] {
+	return newSizedLRU(search.DefaultCacheSize, func(d decodedSearch) int { return d.size })
+}
+
+// decodeSearch decodes a search response (decodeSearchFresh) — through the
+// client's decode memo when it is a search-with-pages frame. Entries are
+// shared, so what comes out of the memo carries a copy of the hit list;
+// the pages are the entry's own, immutable once parsed.
+func (c *Client) decodeSearch(b []byte) (decodedSearch, error) {
+	if c.memo == nil || frameKind(b) != wireSearchPages || len(b) > maxMemoFrame {
+		return c.decodeSearchFresh(b)
+	}
+	var buf [1 + sha256.Size + 64]byte
+	key := c.memoKey(buf[:0], b)
+	d, ok := c.memo.get(key)
+	if ok {
+		c.met.decodedFromMemo.Add(1)
+	} else {
+		var err error
+		if d, err = c.decodeSearchFresh(b); err != nil {
+			return decodedSearch{}, err
+		}
+		if len(d.pages) > 0 {
+			c.memo.put(key, d)
+		}
+	}
+	d.resp.Hits = slices.Clone(d.resp.Hits)
+	return d, nil
+}
+
+// memoKey appends the decode-memo key of frame to dst: kind ‖
+// SHA-256(frame) ‖ the client's scope.
+func (c *Client) memoKey(dst, frame []byte) []byte {
+	sum := sha256.Sum256(frame)
+	dst = append(dst, wireSearchPages)
+	dst = append(dst, sum[:]...)
+	return append(dst, c.scope...)
+}
+
+// memoScope is what a client's decodes depend on besides the frame: its
+// base URL and its tokenizer, named by address. Every entry holds the
+// tokenizer it was decoded with (decodedSearch.tok), so while an entry
+// lives no other tokenizer can have that address.
+func memoScope(base string, tok *textproc.Tokenizer) string {
+	return fmt.Sprintf("%s %p", base, tok)
+}
+
+// decodeSearchFresh decodes a search response (decodeSearchResponse) and
+// takes the page bodies off its hits, each through the check a /page
+// download goes through (parsePage): a body that fails it fails the
+// response.
+func (c *Client) decodeSearchFresh(b []byte) (decodedSearch, error) {
+	resp, err := decodeSearchResponse(b)
+	if err != nil {
+		return decodedSearch{}, err
+	}
+	d := decodedSearch{resp: resp, tok: c.tok}
+	for i := range resp.Hits {
+		h := &resp.Hits[i]
 		if h.HTML == "" {
 			continue
 		}
-		body := h.HTML
-		h.HTML = ""
-		if c.cachedPage(h.PageID) != nil {
-			continue
+		if d.pages == nil {
+			d.pages = make([]*corpus.Page, 0, len(resp.Hits)-i)
 		}
-		p, err := c.parsePage(h.PageID, body)
+		p, err := c.parsePage(h.PageID, h.HTML)
 		if err != nil {
-			return err
+			return decodedSearch{}, err
 		}
-		c.cachePage(p)
-		c.met.pagesAttached.Add(1)
+		d.pages = append(d.pages, p)
+		d.size += len(h.HTML)
+		h.HTML = ""
 	}
-	return nil
+	return d, nil
+}
+
+// adopt caches the pages a search response carried: each one the client
+// does not hold yet is cached and counted as attached; one it already
+// holds — it fell off the capped have list — is dropped.
+func (c *Client) adopt(pages []*corpus.Page) {
+	for _, p := range pages {
+		if c.cachedPage(p.ID) == nil {
+			c.cachePage(p)
+			c.met.pagesAttached.Add(1)
+		}
+	}
 }
 
 // Retrieve implements core.Retriever in one round trip: the search asks

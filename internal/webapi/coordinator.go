@@ -109,11 +109,10 @@ type Coordinator struct {
 	front *search.LRU[SearchResponse]
 	// bodies holds the last maxBodies page bodies fetched from the nodes,
 	// by page ID, as the bytes the owner served — checked once, at the
-	// fetch; bodyBytes is their total size. flight coalesces concurrent
-	// fetches of one page onto one download.
-	bodies    *search.LRU[string]
-	bodyBytes atomic.Int64
-	flight    flightGroup[string]
+	// fetch, and their total size. flight coalesces concurrent fetches of
+	// one page onto one download.
+	bodies *sizedLRU[string]
+	flight flightGroup[string]
 
 	scatters atomic.Int64
 	hedges   atomic.Int64
@@ -145,7 +144,7 @@ func DialCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, 
 		nodeDeadline: deadline,
 		prefetch:     cfg.Client.withDefaults().PrefetchWorkers,
 		front:        search.NewLRU[SearchResponse](search.Options{CacheSize: cfg.CacheSize}.Capacity()),
-		bodies:       search.NewLRU[string](maxBodies),
+		bodies:       newSizedLRU(maxBodies, func(body string) int { return len(body) }),
 	}
 
 	// Dial and collect each node's registration report in parallel.
@@ -440,7 +439,7 @@ func (co *Coordinator) searchPartition(ctx context.Context, part int, seed, quer
 func (co *Coordinator) PageHTML(ctx context.Context, id corpus.PageID) (string, error) {
 	var kb [binary.MaxVarintLen64]byte
 	key := binary.AppendUvarint(kb[:0], uint64(id))
-	if body, ok := co.bodies.Get(key); ok {
+	if body, ok := co.bodies.get(key); ok {
 		return body, nil
 	}
 	body, err := co.flight.do(ctx, id, func() (string, error) {
@@ -448,10 +447,7 @@ func (co *Coordinator) PageHTML(ctx context.Context, id corpus.PageID) (string, 
 		if err != nil {
 			return "", err
 		}
-		if old, ok := co.bodies.Put(key, body); ok {
-			co.bodyBytes.Add(-int64(len(old)))
-		}
-		co.bodyBytes.Add(int64(len(body)))
+		co.bodies.put(key, body)
 		return body, nil
 	})
 	return body, err
@@ -587,10 +583,11 @@ type ClusterNodeMetrics struct {
 
 // CacheMetrics is one bounded cache in the metrics payload — a
 // coordinator's two caches in ClusterMetrics, every server's frame memo in
-// ServerMetrics.Frames: lifetime hits and misses and the entries held now,
-// read together under the cache's own lock. Bytes, on the body cache and
-// the frame memo, is the total size of the values held (a counter kept
-// beside the cache, so it may trail Entries by an insert).
+// ServerMetrics.Frames, a client process's decode memo in
+// ClientMetrics.DecodeMemo: lifetime hits and misses and the entries held
+// now, read together under the cache's own lock. Bytes, on all but the
+// front cache, is the total size of the values held (a counter kept beside
+// the cache, so it may trail Entries by an insert).
 type CacheMetrics struct {
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`
@@ -632,8 +629,7 @@ func (co *Coordinator) Metrics() ClusterMetrics {
 		PerNode:  make([]ClusterNodeMetrics, len(co.peers)),
 	}
 	m.FrontCache.Hits, m.FrontCache.Misses, m.FrontCache.Entries = co.front.Stats()
-	m.BodyCache.Hits, m.BodyCache.Misses, m.BodyCache.Entries = co.bodies.Stats()
-	m.BodyCache.Bytes = co.bodyBytes.Load()
+	m.BodyCache = co.bodies.metrics()
 	for i, peer := range co.peers {
 		m.PerNode[i] = ClusterNodeMetrics{
 			Node:     peer.base,

@@ -337,7 +337,7 @@ func TestCoordinatorBodyCacheBounded(t *testing.T) {
 	})
 	co := dialCluster(t, urls, 2, 0)
 	const bound = 32
-	co.bodies = search.NewLRU[string](bound) // maxBodies would hold this whole corpus
+	co.bodies = newSizedLRU(bound, func(body string) int { return len(body) }) // maxBodies would hold this whole corpus
 	srv := httptest.NewServer(NewCoordinatorServer(co).Handler())
 	t.Cleanup(srv.Close)
 
@@ -390,7 +390,7 @@ func TestCoordinatorBodyCacheBounded(t *testing.T) {
 	held := 0
 	for id, body := range want {
 		var kb [binary.MaxVarintLen64]byte
-		if got, ok := co.bodies.Get(binary.AppendUvarint(kb[:0], uint64(id))); ok {
+		if got, ok := co.bodies.get(binary.AppendUvarint(kb[:0], uint64(id))); ok {
 			held++
 			if got != body {
 				t.Errorf("body cached under page %d is not that page's", id)

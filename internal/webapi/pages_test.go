@@ -548,8 +548,9 @@ func TestSearchPagesWireRoundTrip(t *testing.T) {
 // or bodies than the input has bytes (Dec.Count's guard); a payload that
 // decodes re-encodes to a canonical form that decodes to the same thing
 // and re-encodes to itself (byte-for-byte identity with the input holds
-// only up to varint padding, which Dec tolerates); and a body reaches the
-// page cache only under the ID its own l2q-page-id names.
+// only up to varint padding, which Dec tolerates); a body reaches the
+// page cache only under the ID its own l2q-page-id names; and the decode
+// memo changes no outcome (checkMemoDecode).
 func FuzzSearchPagesFrame(f *testing.F) {
 	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
 	if err != nil {
@@ -594,6 +595,7 @@ func FuzzSearchPagesFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(body []byte) {
+			checkMemoDecode(t, g.Tokenizer, body)
 			resp, err := decodeSearchResponse(body)
 			if err != nil {
 				return
@@ -620,14 +622,17 @@ func FuzzSearchPagesFrame(f *testing.F) {
 				t.Fatal("re-encoding is not a fixpoint")
 			}
 
-			c := &Client{tok: g.Tokenizer, pageCache: make(map[corpus.PageID]*corpus.Page)}
+			c := testClient(testBase, g.Tokenizer, nil)
 			announced := make(map[corpus.PageID]string)
 			for _, h := range resp.Hits {
 				if announced[h.PageID] == "" {
 					announced[h.PageID] = h.HTML // the first body is the one accepted
 				}
 			}
-			err = c.acceptPages(resp.Hits)
+			decoded, err := c.decodeSearch(body)
+			if err == nil {
+				c.adopt(decoded.pages)
+			}
 			for id, p := range c.pageCache {
 				if p.ID != id || html.ParsePage(announced[id], -1, g.Tokenizer).ID != id {
 					t.Fatalf("page cached under %d carries l2q-page-id %d", id, p.ID)

@@ -180,11 +180,21 @@ type ClientMetrics struct {
 	// PagesAttached counts page bodies accepted from search responses:
 	// each one a page request the harvest did not have to make.
 	PagesAttached int64
+	// DecodedFromMemo counts search responses taken from the process-wide
+	// decode memo: frames this client received byte for byte as a client
+	// of its scope (base URL and tokenizer) had decoded before, so they
+	// were neither inflated nor parsed again.
+	DecodedFromMemo int64
 	// CachedPages is how many parsed pages the client holds right now. The
 	// cache is unbounded — sized by one harvest, which is what a client
-	// lives for. A coordinator's per-node clients read 0 here: it fetches
+	// lives for; the work of decoding pages outlives it in the decode
+	// memo. A coordinator's per-node clients read 0 here: it fetches
 	// bodies with PageHTML and keeps them in its own bounded cache.
 	CachedPages int
+	// DecodeMemo is the decode memo itself, process-wide: every client's
+	// hits and misses, and the decoded frames and body bytes it holds now
+	// (≤ 4 096 frames of ≤ 4 KiB). All zero for a client outside it.
+	DecodeMemo CacheMetrics
 }
 
 // metrics is the client's live counter set.
@@ -194,14 +204,17 @@ type metrics struct {
 	errors        atomic.Int64
 	pageFetches   atomic.Int64
 	pagesAttached atomic.Int64
+	// decodedFromMemo counts responses the decode memo answered.
+	decodedFromMemo atomic.Int64
 }
 
 func (m *metrics) snapshot() ClientMetrics {
 	return ClientMetrics{
-		Requests:      m.requests.Load(),
-		Retries:       m.retries.Load(),
-		Errors:        m.errors.Load(),
-		PageFetches:   m.pageFetches.Load(),
-		PagesAttached: m.pagesAttached.Load(),
+		Requests:        m.requests.Load(),
+		Retries:         m.retries.Load(),
+		Errors:          m.errors.Load(),
+		PageFetches:     m.pageFetches.Load(),
+		PagesAttached:   m.pagesAttached.Load(),
+		DecodedFromMemo: m.decodedFromMemo.Load(),
 	}
 }

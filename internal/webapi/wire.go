@@ -149,11 +149,45 @@ func wrapFrame(kind byte, payload []byte, zip bool) []byte {
 	return append(out, payload...)
 }
 
-// maxMemoFrame is the largest frame a frameMemo keeps. A constant, like
-// the capacity beside it (search.DefaultCacheSize): together they bound a
-// server's memo at 16 MiB, and a five-page search frame (≈ 1.7 kB) is far
-// under it — a larger one is served and forgotten.
+// maxMemoFrame is the largest frame a frameMemo, or the client's decode
+// memo, keeps. A constant, like the capacity beside it
+// (search.DefaultCacheSize): together they bound a server's memo at 16 MiB,
+// and a five-page search frame (≈ 1.7 kB) is far under it — a larger one is
+// served, or decoded, and forgotten.
 const maxMemoFrame = 4 << 10
+
+// sizedLRU is a search.LRU that also keeps the total size of the values it
+// holds: a server's frame memo, a coordinator's body cache and the
+// process-wide decode memo, each reported as one CacheMetrics.
+type sizedLRU[V any] struct {
+	lru  *search.LRU[V]
+	size func(V) int
+	// bytes is the total size of the values held (a counter kept beside
+	// the cache, so it may trail its entries by an insert).
+	bytes atomic.Int64
+}
+
+func newSizedLRU[V any](capacity int, size func(V) int) *sizedLRU[V] {
+	return &sizedLRU[V]{lru: search.NewLRU[V](capacity), size: size}
+}
+
+func (c *sizedLRU[V]) get(key []byte) (V, bool) { return c.lru.Get(key) }
+
+// put stores v under key, accounting for the value the insert displaced.
+func (c *sizedLRU[V]) put(key []byte, v V) {
+	if old, ok := c.lru.Put(key, v); ok {
+		c.bytes.Add(-int64(c.size(old)))
+	}
+	c.bytes.Add(int64(c.size(v)))
+}
+
+// metrics reads the cache for /api/v1/metrics and ClientMetrics.
+func (c *sizedLRU[V]) metrics() CacheMetrics {
+	var m CacheMetrics
+	m.Hits, m.Misses, m.Entries = c.lru.Stats()
+	m.Bytes = c.bytes.Load()
+	return m
+}
 
 // frameMemo holds the compressed frames a server has built, keyed by
 // content: kind ‖ SHA-256(payload). Level-1 deflate is a function of its
@@ -162,15 +196,10 @@ const maxMemoFrame = 4 << 10
 // across requests and never written after they are built. Only payloads
 // at or above compressMin go through it — a smaller frame is not deflated,
 // so there is nothing to save.
-type frameMemo struct {
-	lru *search.LRU[[]byte]
-	// bytes is the total size of the frames held (a counter kept beside
-	// the cache, so it may trail its entries by an insert).
-	bytes atomic.Int64
-}
+type frameMemo struct{ *sizedLRU[[]byte] }
 
 func newFrameMemo() *frameMemo {
-	return &frameMemo{lru: search.NewLRU[[]byte](search.DefaultCacheSize)}
+	return &frameMemo{newSizedLRU(search.DefaultCacheSize, func(b []byte) int { return len(b) })}
 }
 
 // wrap is wrapFrame(kind, payload, len(payload) >= compressMin), taken
@@ -183,25 +212,14 @@ func (m *frameMemo) wrap(kind byte, payload []byte) []byte {
 	key[0] = kind
 	sum := sha256.Sum256(payload)
 	copy(key[1:], sum[:])
-	if frame, ok := m.lru.Get(key[:]); ok {
+	if frame, ok := m.get(key[:]); ok {
 		return frame
 	}
 	frame := wrapFrame(kind, payload, true)
 	if len(frame) <= maxMemoFrame {
-		if old, ok := m.lru.Put(key[:], frame); ok {
-			m.bytes.Add(-int64(len(old)))
-		}
-		m.bytes.Add(int64(len(frame)))
+		m.put(key[:], frame)
 	}
 	return frame
-}
-
-// metrics reads the memo for /api/v1/metrics.
-func (m *frameMemo) metrics() CacheMetrics {
-	var c CacheMetrics
-	c.Hits, c.Misses, c.Entries = m.lru.Stats()
-	c.Bytes = m.bytes.Load()
-	return c
 }
 
 // isWireFrame sniffs a response body for the frame magic — how a client

@@ -18,7 +18,7 @@ trap 'rm -f "$RAW"' EXIT
 # -benchtime in iterations so allocs/op is a stable integer ratio, not a
 # wall-clock-dependent sample.
 go test -run '^$' \
-	-bench 'BenchmarkTokenizeAllocs|BenchmarkNGramsAllocs|BenchmarkGramWindowsAllocs|BenchmarkSearchAllocs|BenchmarkLiveSearchAllocs|BenchmarkSearchAppendConcurrent|BenchmarkCandidateAllocs|BenchmarkSelectAllocs|BenchmarkHarvestJobAllocs|BenchmarkScatterMergeAllocs|BenchmarkCoordinatorFrontHitAllocs|BenchmarkMarshalFrameAllocs|BenchmarkOpenFrameAllocs|BenchmarkParsePageAllocs|BenchmarkRenderPageAllocs' \
+	-bench 'BenchmarkTokenizeAllocs|BenchmarkNGramsAllocs|BenchmarkGramWindowsAllocs|BenchmarkSearchAllocs|BenchmarkLiveSearchAllocs|BenchmarkSearchAppendConcurrent|BenchmarkCandidateAllocs|BenchmarkSelectAllocs|BenchmarkHarvestJobAllocs|BenchmarkScatterMergeAllocs|BenchmarkCoordinatorFrontHitAllocs|BenchmarkMarshalFrameAllocs|BenchmarkOpenFrameAllocs|BenchmarkDecodeSearchPagesAllocs|BenchmarkParsePageAllocs|BenchmarkRenderPageAllocs' \
 	-benchmem -benchtime=500x \
 	./internal/textproc/ ./internal/search/ ./internal/core/ ./internal/webapi/ ./internal/html/ | tee "$RAW"
 
@@ -50,6 +50,8 @@ ceiling() {
 	BenchmarkMarshalFrameAllocs/distinct/page) echo 4 ;; # a memo miss: the frame, its key string and the LRU's list element and entry; encoder, gzip writer and gzip buffer are pooled
 	BenchmarkMarshalFrameAllocs/distinct/search5pages) echo 4 ;; # same for a five-page search
 	BenchmarkOpenFrameAllocs/search5pages) echo 18 ;; # opening a gzipped five-page frame: the reader over the payload, the inflated payload sized once from the member's length trailer, and 16 Huffman link tables inside compress/flate; 23 when io.ReadAll grew the payload from 512 bytes
+	BenchmarkDecodeSearchPagesAllocs/hit) echo 1 ;;   # a client's decode of a five-page search frame it has decoded before in its scope: the copied hit list; the memo key lives on the stack (239 when every frame was inflated and parsed again)
+	BenchmarkDecodeSearchPagesAllocs/miss) echo 239 ;; # the decode the memo saves: the opened frame (18), the hit list and its strings, five parsed pages at ParsePage's 41 and their URLs, the pages slice sized once, and the insert's key string, list element and entry
 	BenchmarkParsePageAllocs) echo 41 ;;              # a client's cost per downloaded page, Tokens() included: 137 when each paragraph had its own append-grown slice and Tokens() concatenated them, 97 with one exactly-sized array per page, 74 once whitespace-only and normalized text runs stopped being rebuilt, 41 with raw-text ends found in place, one reused attribute buffer and one-run paragraphs kept as substrings of the page
 	BenchmarkRenderPageAllocs) echo 0 ;;              # a server's cost per served page: AppendPage into a reused buffer (RenderPage adds only its string; 24 allocs when it went through fmt)
 	*) echo "" ;;
