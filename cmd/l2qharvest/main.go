@@ -33,10 +33,12 @@ import (
 	"os"
 	"os/signal"
 	"reflect"
+	"strings"
 	"syscall"
 	"time"
 
 	"l2q"
+	"l2q/internal/baselines"
 	"l2q/internal/core"
 	"l2q/internal/corpus"
 	"l2q/internal/store"
@@ -46,7 +48,7 @@ func main() {
 	var (
 		domain   = flag.String("domain", "researchers", "researchers or cars")
 		aspect   = flag.String("aspect", "RESEARCH", "target aspect (see Fig. 9)")
-		strategy = flag.String("strategy", "L2QBAL", "RND|P|R|P+q|R+q|P+t|R+t|L2QP|L2QR|L2QBAL|LM|AQ|HR|MQ")
+		strategy = flag.String("strategy", "L2QBAL", methodNames())
 		entityIx = flag.Int("entity", -1, "entity index (-1 = last entity)")
 		queries  = flag.Int("queries", 3, "number of selected queries")
 		entities = flag.Int("entities", 120, "corpus entities")
@@ -89,42 +91,16 @@ func main() {
 		}
 	}
 
-	var sel l2q.Selector
-	switch *strategy {
-	case "RND":
-		sel = l2q.NewRND()
-	case "P":
-		sel = l2q.NewP()
-	case "R":
-		sel = l2q.NewR()
-	case "P+q":
-		sel = l2q.NewPQ()
-	case "R+q":
-		sel = l2q.NewRQ()
-	case "P+t":
-		sel = l2q.NewPT()
-	case "R+t":
-		sel = l2q.NewRT()
-	case "L2QP":
-		sel = l2q.NewL2QP()
-	case "L2QR":
-		sel = l2q.NewL2QR()
-	case "L2QBAL":
-		sel = l2q.NewL2QBAL()
-	case "LM":
-		sel = l2q.NewLM()
-	case "AQ":
-		sel = l2q.NewAQ()
-	case "HR":
+	method, ok := baselines.LookupMethod(*strategy)
+	if !ok {
+		fail(fmt.Errorf("unknown strategy %q", *strategy))
+	}
+	if method.NeedsHR {
 		if hr, err = sys.TrainHR(a, ids[:min(*dsample, len(ids)/2)]); err != nil {
 			fail(err)
 		}
-		sel = l2q.NewHR(hr)
-	case "MQ":
-		sel = l2q.NewMQFor(corpus.Domain(*domain), a)
-	default:
-		fail(fmt.Errorf("unknown strategy %q", *strategy))
 	}
+	sel := method.New(corpus.Domain(*domain), a, hr)
 
 	ix := *entityIx
 	if ix < 0 || ix >= len(ids) {
@@ -281,4 +257,14 @@ func report(h *l2q.Harvester, sys *l2q.System, e *l2q.Entity, a l2q.Aspect, relU
 func fail(err error) {
 	fmt.Fprintf(os.Stderr, "l2qharvest: %v\n", err)
 	os.Exit(1)
+}
+
+// methodNames lists the -strategy values, case-insensitive: every method
+// of the paper's evaluation.
+func methodNames() string {
+	var names []string
+	for _, m := range baselines.Methods() {
+		names = append(names, m.Name)
+	}
+	return strings.Join(names, "|") + " (any case)"
 }

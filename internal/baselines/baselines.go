@@ -13,7 +13,9 @@
 //     standing in for the paper's nine-graduate-student user study.
 //
 // All four implement core.Selector, so they plug into the same harvesting
-// session as the L2Q strategies.
+// session as the L2Q strategies. Methods (methods.go) names them and the
+// ten L2Q strategies in one table, the one place a method's name becomes a
+// selector.
 package baselines
 
 import (

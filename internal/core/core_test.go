@@ -259,45 +259,6 @@ func TestDomainCandidatesExtendPool(t *testing.T) {
 	}
 }
 
-func TestAllStrategiesRun(t *testing.T) {
-	f := newFixture(t)
-	sels := []Selector{
-		NewRND(), NewP(), NewR(), NewPQ(), NewRQ(),
-		NewPT(), NewRT(), NewL2QP(), NewL2QR(), NewL2QBAL(),
-	}
-	for _, sel := range sels {
-		s := f.session(f.dm)
-		fired := mustRun(t, s, sel, 3)
-		if len(fired) != 3 {
-			t.Errorf("%s fired %d queries, want 3", sel.Name(), len(fired))
-			continue
-		}
-		seen := map[Query]struct{}{}
-		for _, q := range fired {
-			if _, dup := seen[q]; dup {
-				t.Errorf("%s fired duplicate query %q", sel.Name(), q)
-			}
-			seen[q] = struct{}{}
-		}
-		if len(s.Pages()) == 0 {
-			t.Errorf("%s gathered no pages", sel.Name())
-		}
-	}
-}
-
-func TestStrategyNames(t *testing.T) {
-	want := map[string]Selector{
-		"RND": NewRND(), "P": NewP(), "R": NewR(), "P+q": NewPQ(), "R+q": NewRQ(),
-		"P+t": NewPT(), "R+t": NewRT(), "L2QP": NewL2QP(), "L2QR": NewL2QR(),
-		"L2QBAL": NewL2QBAL(),
-	}
-	for name, sel := range want {
-		if sel.Name() != name {
-			t.Errorf("Name() = %q, want %q", sel.Name(), name)
-		}
-	}
-}
-
 func TestDomainQueryStrategyNeedsDomain(t *testing.T) {
 	f := newFixture(t)
 	s := f.session(nil)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"testing"
 
 	"l2q/internal/template"
 )
@@ -163,4 +164,12 @@ func (s *Session) ordOf(q Query) int32 {
 		return -1
 	}
 	return o
+}
+
+// NewFixtureSession builds the in-package fixture once and returns a
+// constructor of fresh sessions over its target entity and domain model,
+// for the external tests that need a package importing core.
+func NewFixtureSession(t *testing.T) func() *Session {
+	f := newFixture(t)
+	return func() *Session { return f.session(f.dm) }
 }

@@ -77,11 +77,9 @@ type Session struct {
 
 	// gt is the System's gramTable for this session's configuration and
 	// recognizer, and gramCfg the id-path enumeration config over its
-	// vocabulary (the seed's term ids excluded). roundTrips caches
-	// Cfg.Tokenizer.RoundTrips (fastPage).
-	gt         *gramTable
-	gramCfg    textproc.IDGramConfig
-	roundTrips bool
+	// vocabulary (the seed's term ids excluded).
+	gt      *gramTable
+	gramCfg textproc.IDGramConfig
 
 	// sg is the persistent entity graph: built lazily on the first Infer
 	// and updated with deltas each step.
@@ -152,7 +150,6 @@ func NewSession(cfg Config, engine Retriever, entity *corpus.Entity,
 	}
 	s.ngCfg = ngramConfig(s.seed)
 	s.gramCfg = textproc.IDGramConfig{MaxLen: MaxQueryLen, Exclude: s.gt.vocab.AppendIDs(nil, s.seed)}
-	s.roundTrips = cfg.Tokenizer.RoundTrips()
 	return s
 }
 
@@ -435,7 +432,7 @@ func (s *Session) syncPool(useDomain bool) *candidatePool {
 // tokenizer round-trips (textproc.Tokenizer.RoundTrips), so each n-gram's
 // tokens are the tokenization of its string.
 func (s *Session) fastPage(page *corpus.Page) bool {
-	return s.roundTrips && page.Tokenizer() == s.Cfg.Tokenizer
+	return s.Cfg.Tokenizer.RoundTrips() && page.Tokenizer() == s.Cfg.Tokenizer
 }
 
 // candidateQueries produces the entity-phase candidate pool Q_E: n-grams

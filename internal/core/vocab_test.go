@@ -17,11 +17,11 @@ import (
 // to the rebuild path on the four ways a session meets grams that are not
 // keyed by their string alone: every page tokenized by another tokenizer
 // (the same lexicon in another Tokenizer, so the string path must land on
-// the key path's very table), a tokenizer whose stopword filter makes one
-// string two token sequences ("data mining" merged on one page, "data" and
-// "mining" adjacent once "of" is dropped on another), fired queries whose
-// tokens are a candidate's but whose string is not, and a key-path session
-// that meets a ready-made page mid-run.
+// the key path's very table), pages from two tokenizers that make one
+// string two token sequences ("data mining" merged on one page, two tokens
+// on another tokenized without a lexicon), fired queries whose tokens are
+// a candidate's but whose string is not, and a key-path session that meets
+// a ready-made page mid-run.
 func TestCandidatePoolStringModeMatchesReference(t *testing.T) {
 	const steps = 5
 	check := func(t *testing.T, s *Session, step int) []Query {
@@ -64,10 +64,10 @@ func TestCandidatePoolStringModeMatchesReference(t *testing.T) {
 	})
 
 	t.Run("one string, two token sequences", func(t *testing.T) {
-		tok := &textproc.Tokenizer{
-			Lexicon:   textproc.NewLexicon([]string{"data mining", "mining systems"}),
-			Stopwords: textproc.NewStopwordsFrom([]string{"of", "the"}),
-		}
+		// The session's tokenizer merges "data mining" into one token on
+		// the even pages; a lexicon-less one leaves it two on the odd.
+		tok := &textproc.Tokenizer{Lexicon: textproc.NewLexicon([]string{"data mining", "mining systems"})}
+		toks := []*textproc.Tokenizer{tok, {}}
 		texts := []string{
 			"acme data mining systems for the data of mining",
 			"acme builds data of mining tools and data mining systems",
@@ -77,7 +77,7 @@ func TestCandidatePoolStringModeMatchesReference(t *testing.T) {
 		var pages []*corpus.Page
 		for i, text := range texts {
 			p := &corpus.Page{ID: corpus.PageID(i), Entity: 1}
-			p.SetParas([]corpus.Paragraph{{Text: text}}, tok)
+			p.SetParas([]corpus.Paragraph{{Text: text}}, toks[i%2])
 			pages = append(pages, p)
 		}
 		cfg := DefaultConfig()
@@ -87,7 +87,7 @@ func TestCandidatePoolStringModeMatchesReference(t *testing.T) {
 		mustBoot(t, s)
 		cands := check(t, s, 0)
 		if s.pool.byQuery == nil {
-			t.Fatal("a filtering tokenizer's pages left the pool on the key path")
+			t.Fatal("a lexicon-less tokenizer's pages left the pool on the key path")
 		}
 		n := 0
 		for _, q := range cands {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"l2q/internal/baselines"
 	"l2q/internal/synth"
 )
 
@@ -129,10 +130,24 @@ func TestHRModelCaching(t *testing.T) {
 	}
 }
 
+// TestSelectorForHRWithoutModel: HR's selector reads a trained model, so
+// its row in the method table needs one and RunMethod trains it (and caches
+// it) before the selector is built.
 func TestSelectorForHRWithoutModel(t *testing.T) {
 	env := tinyEnv(t)
-	if _, err := env.selectorFor(MethodHR, env.G.Aspects[0], nil); err == nil {
-		t.Fatal("HR without model accepted")
+	m, ok := baselines.LookupMethod(string(MethodHR))
+	if !ok || !m.NeedsHR {
+		t.Fatalf("HR row %+v does not need a model", m)
+	}
+	a := env.G.Aspects[0]
+	if _, err := env.RunMethod(context.Background(), MethodHR, a, env.TestIDs, 1, -1); err != nil {
+		t.Fatal(err)
+	}
+	env.models.mu.Lock()
+	hr := env.models.hrs[a]
+	env.models.mu.Unlock()
+	if hr == nil {
+		t.Fatal("HR ran without a trained model")
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // Method identifies a query-selection method under evaluation.
 type Method string
 
-// The methods of §VI-B (ablations) and §VI-C (baselines).
+// The methods of §VI-B (ablations) and §VI-C (baselines), by the names of
+// their rows in baselines.Methods, which RunMethod resolves them through.
 const (
 	MethodRND    Method = "RND"
 	MethodP      Method = "P"
@@ -31,27 +32,6 @@ const (
 	MethodHR     Method = "HR"
 	MethodMQ     Method = "MQ"
 )
-
-// needsDomainModel reports whether the method consumes the L2Q domain model.
-func (m Method) needsDomainModel() bool {
-	switch m {
-	case MethodPQ, MethodRQ, MethodPT, MethodRT, MethodL2QP, MethodL2QR, MethodL2QBAL, MethodRND:
-		return true
-	}
-	return false
-}
-
-// readsDomainUtilities reports whether the method may read the domain
-// fixpoints' utilities, which a DomainModel solves on first read: the +q
-// strategies rank by them, P+t regularizes by them, and R+t does under
-// core.Config.UseWalkRecallReg.
-func (m Method) readsDomainUtilities() bool {
-	switch m {
-	case MethodPQ, MethodRQ, MethodPT, MethodRT:
-		return true
-	}
-	return false
-}
 
 // RunResult aggregates one method's evaluation for one aspect.
 type RunResult struct {
@@ -73,47 +53,6 @@ type RunResult struct {
 // toQuery converts a seed string to a core.Query.
 func toQuery(s string) core.Query { return core.Query(s) }
 
-// selectorFor builds the Selector for a method. dm and hr may be nil when
-// the method does not need them.
-func (e *Env) selectorFor(m Method, aspect corpus.Aspect,
-	hr *baselines.HRModel) (core.Selector, error) {
-	switch m {
-	case MethodRND:
-		return core.NewRND(), nil
-	case MethodP:
-		return core.NewP(), nil
-	case MethodR:
-		return core.NewR(), nil
-	case MethodPQ:
-		return core.NewPQ(), nil
-	case MethodRQ:
-		return core.NewRQ(), nil
-	case MethodPT:
-		return core.NewPT(), nil
-	case MethodRT:
-		return core.NewRT(), nil
-	case MethodL2QP:
-		return core.NewL2QP(), nil
-	case MethodL2QR:
-		return core.NewL2QR(), nil
-	case MethodL2QBAL:
-		return core.NewL2QBAL(), nil
-	case MethodLM:
-		return baselines.NewLM(), nil
-	case MethodAQ:
-		return baselines.NewAQ(), nil
-	case MethodHR:
-		if hr == nil {
-			return nil, fmt.Errorf("eval: HR needs a trained model")
-		}
-		return baselines.NewHR(hr), nil
-	case MethodMQ:
-		return baselines.NewMQFor(e.Cfg.Domain, aspect), nil
-	default:
-		return nil, fmt.Errorf("eval: unknown method %q", m)
-	}
-}
-
 // RunMethod evaluates one method on one aspect over the given entities.
 // domainSample controls the domain model size (≤0 default, and for
 // methods that need a domain model a sample of 0 entities means "no domain
@@ -122,6 +61,11 @@ func (e *Env) selectorFor(m Method, aspect corpus.Aspect,
 func (e *Env) RunMethod(ctx context.Context, m Method, aspect corpus.Aspect, entityIDs []corpus.EntityID,
 	nQueries, domainSample int) (RunResult, error) {
 
+	method, ok := baselines.LookupMethod(string(m))
+	if !ok {
+		return RunResult{}, fmt.Errorf("eval: unknown method %q", m)
+	}
+	m = Method(method.Name)
 	if nQueries <= 0 {
 		nQueries = e.Cfg.NumQueries
 	}
@@ -130,25 +74,22 @@ func (e *Env) RunMethod(ctx context.Context, m Method, aspect corpus.Aspect, ent
 	var err error
 	// domainSample semantics: <0 default sample, 0 no domain model at all
 	// (the Fig. 11 zero point), >0 explicit sample size.
-	if m.needsDomainModel() && domainSample != 0 {
+	if method.DomainModel && domainSample != 0 {
 		dm, err = e.DomainModel(aspect, domainSample)
-		if err == nil && m.readsDomainUtilities() {
+		if err == nil && method.ReadsUtilities {
 			err = dm.Solve() // before any selection is timed
 		}
 		if err != nil {
 			return RunResult{}, err
 		}
 	}
-	if m == MethodHR {
+	if method.NeedsHR {
 		hr, err = e.HRModel(aspect)
 		if err != nil {
 			return RunResult{}, err
 		}
 	}
-	sel, err := e.selectorFor(m, aspect, hr)
-	if err != nil {
-		return RunResult{}, err
-	}
+	sel := method.New(e.Cfg.Domain, aspect, hr)
 
 	type perEntity struct {
 		prf    []PRF
@@ -236,8 +177,8 @@ func (e *Env) RunMethodAllAspects(ctx context.Context, m Method, entityIDs []cor
 	// Warm the per-aspect domain-model cache (and solve the models, for a
 	// method that reads the fixpoints) concurrently before the serial
 	// aspect loop pays each one on first use.
-	if m.needsDomainModel() && domainSample != 0 {
-		if err := e.PretrainDomainModels(domainSample, m.readsDomainUtilities()); err != nil {
+	if method, ok := baselines.LookupMethod(string(m)); ok && method.DomainModel && domainSample != 0 {
+		if err := e.PretrainDomainModels(domainSample, method.ReadsUtilities); err != nil {
 			return RunResult{Method: m}, err
 		}
 	}

@@ -83,13 +83,9 @@ func FuzzSplitWordsParity(f *testing.F) {
 }
 
 // TestTokenizeParity holds the full configured pipeline (LUT split +
-// interned phrase merge + filters) to the reference pipeline's output.
+// interned phrase merge) to the reference pipeline's output.
 func TestTokenizeParity(t *testing.T) {
-	tok := &Tokenizer{
-		Lexicon:   NewLexicon([]string{"data mining", "parallel computing", "naïve bayes"}),
-		Stopwords: NewStopwords(),
-		MinLen:    2,
-	}
+	tok := &Tokenizer{Lexicon: NewLexicon([]string{"data mining", "parallel computing", "naïve bayes"})}
 	for _, text := range append(parityCases,
 		"He studies Data Mining and Parallel Computing",
 		"Öztürk applies Naïve Bayes to data mining",
@@ -109,20 +105,7 @@ func tokenizeReference(t *Tokenizer, text string) []Token {
 	if t.Lexicon != nil {
 		toks = mergePhrasesReference(t.Lexicon, toks)
 	}
-	var out []Token
-	for _, tok := range toks {
-		if t.MinLen > 0 && len([]rune(tok)) < t.MinLen && !isNumeric(tok) {
-			continue
-		}
-		if t.DropNumbers && isNumeric(tok) {
-			continue
-		}
-		if t.Stopwords != nil && t.Stopwords.Contains(tok) {
-			continue
-		}
-		out = append(out, tok)
-	}
-	return out
+	return toks
 }
 
 // TestAppendTokensReuse verifies the buffer-reuse contract: appending

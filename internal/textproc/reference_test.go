@@ -181,9 +181,8 @@ func idGrams(toks []Token, sw *Stopwords, maxLen int, exclude []Token) (byString
 }
 
 // FuzzGramTokensRoundTrip proves the property the session's key path
-// rests on (Tokenizer.RoundTrips): for a tokenizer that only splits and
-// merges phrases, every n-gram of up to MaxGramLen tokens it emits
-// re-tokenizes, joined, to exactly its own tokens — so a gram's term ids
+// rests on (Tokenizer.RoundTrips): every n-gram of up to MaxGramLen tokens
+// a tokenizer emits re-tokenizes, joined, to exactly its own tokens — so a gram's term ids
 // are the ids of its string's tokens and one string has one key: the id
 // path's first window per key is then AppendNGrams' output. Text is built
 // from refAlphabet words (upper case, stopwords and phrase words among
@@ -202,7 +201,7 @@ func FuzzGramTokensRoundTrip(f *testing.F) {
 		}
 		tok := &Tokenizer{Lexicon: NewLexicon(phrases)}
 		if !tok.RoundTrips() {
-			t.Fatal("a lexicon-only tokenizer does not round-trip")
+			t.Fatal("a tokenizer does not round-trip")
 		}
 		var b []byte
 		for _, c := range stream {

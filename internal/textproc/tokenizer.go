@@ -33,32 +33,22 @@ type Token = string
 
 // Tokenizer splits raw text into normalized tokens. The zero value is ready
 // to use and performs lowercase ASCII-folding word splitting with no phrase
-// merging and no stopword removal.
+// merging. Stopwords are not dropped here: they filter candidate n-grams
+// (NGramConfig.Stopwords), never a page's token sequence.
 type Tokenizer struct {
 	// Lexicon, when non-nil, merges adjacent terms into known phrases
 	// (longest match wins, up to Lexicon.MaxLen terms).
 	Lexicon *Lexicon
-	// Stopwords, when non-nil, drops stopword tokens after phrase merging.
-	Stopwords *Stopwords
-	// KeepNumbers retains pure-numeric tokens (years, prices). Default
-	// (false) keeps them too unless DropNumbers is set; see DropNumbers.
-	DropNumbers bool
-	// MinLen drops tokens shorter than MinLen runes (after merging).
-	// Zero means keep all.
-	MinLen int
 }
 
 // RoundTrips reports whether every run of consecutive tokens t emitted
 // joins back to its own tokenization: t.Tokenize(JoinQuery(run)) == run.
-// That holds when t only splits and merges phrases — merging is greedy
-// from a token boundary, so a run re-merges exactly as it merged in its
-// text (FuzzGramTokensRoundTrip) — and fails once a filter can drop a
-// token between two words that then merge into a phrase. A harvesting
-// session keys the n-grams of a page t tokenized by their term ids only
-// when this holds; otherwise it dedups them by string.
-func (t *Tokenizer) RoundTrips() bool {
-	return t != nil && t.Stopwords == nil && !t.DropNumbers && t.MinLen <= 0
-}
+// It holds for every tokenizer: t only splits and merges phrases, and
+// merging is greedy from a token boundary, so a run re-merges exactly as
+// it merged in its text (FuzzGramTokensRoundTrip). A harvesting session
+// keys the n-grams of a page t tokenized by their term ids only when this
+// holds; otherwise it dedups them by string.
+func (t *Tokenizer) RoundTrips() bool { return t != nil }
 
 // tokenScratch is the pooled per-call working state of Tokenizer.AppendTokens:
 // the raw split buffer, the phrase-merge buffer, and the byte buffer the
@@ -72,8 +62,8 @@ type tokenScratch struct {
 
 var tokenScratchPool = sync.Pool{New: func() any { return new(tokenScratch) }}
 
-// Tokenize splits text into normalized tokens, applying phrase merging and
-// stopword removal according to the Tokenizer configuration.
+// Tokenize splits text into normalized tokens, merging phrases when the
+// Tokenizer has a Lexicon.
 func (t *Tokenizer) Tokenize(text string) []Token {
 	return t.AppendTokens(nil, text)
 }
@@ -92,18 +82,7 @@ func (t *Tokenizer) AppendTokens(dst []Token, text string) []Token {
 		sc.merged, sc.join = t.Lexicon.appendMerged(sc.merged[:0], raw, sc.join)
 		toks = sc.merged
 	}
-	for _, tok := range toks {
-		if t.MinLen > 0 && utf8.RuneCountInString(tok) < t.MinLen && !isNumeric(tok) {
-			continue
-		}
-		if t.DropNumbers && isNumeric(tok) {
-			continue
-		}
-		if t.Stopwords != nil && t.Stopwords.Contains(tok) {
-			continue
-		}
-		dst = append(dst, tok)
-	}
+	dst = append(dst, toks...)
 	sc.raw = raw
 	tokenScratchPool.Put(sc)
 	return dst
@@ -225,18 +204,6 @@ func appendTokensUnicode(dst []Token, text string) []Token {
 	}
 	flush()
 	return dst
-}
-
-func isNumeric(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, r := range s {
-		if !unicode.IsDigit(r) {
-			return false
-		}
-	}
-	return true
 }
 
 // JoinQuery renders a token sequence as the canonical query string: tokens

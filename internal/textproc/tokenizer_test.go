@@ -34,29 +34,16 @@ func TestSplitWords(t *testing.T) {
 	}
 }
 
+// TestTokenizerStopwordsAndNumbers: a tokenizer drops no token —
+// stopwords, numbers and single letters stay, so every run of its tokens
+// re-tokenizes to itself (RoundTrips); stopwords filter candidate n-grams
+// instead (NGramConfig.Stopwords).
 func TestTokenizerStopwordsAndNumbers(t *testing.T) {
-	tok := &Tokenizer{Stopwords: NewStopwords()}
-	got := tok.Tokenize("He conducts research on parallel and hpc systems")
-	want := []Token{"conducts", "research", "parallel", "hpc", "systems"}
+	tok := &Tokenizer{Lexicon: NewLexicon([]string{"data mining"})}
+	got := tok.Tokenize("He won a data mining award in 2009 and the next")
+	want := []Token{"he", "won", "a", "data mining", "award", "in", "2009", "and", "the", "next"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Tokenize = %v, want %v", got, want)
-	}
-
-	tok2 := &Tokenizer{DropNumbers: true}
-	got2 := tok2.Tokenize("won award in 2009")
-	want2 := []Token{"won", "award", "in"}
-	if !reflect.DeepEqual(got2, want2) {
-		t.Errorf("Tokenize (DropNumbers) = %v, want %v", got2, want2)
-	}
-}
-
-func TestTokenizerMinLen(t *testing.T) {
-	tok := &Tokenizer{MinLen: 2}
-	got := tok.Tokenize("a b cd 7 efg")
-	// Single-letter tokens dropped; pure numbers exempt from MinLen.
-	want := []Token{"cd", "7", "efg"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Tokenize (MinLen) = %v, want %v", got, want)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"strings"
 	"sync"
 
+	"l2q/internal/baselines"
 	"l2q/internal/core"
 	"l2q/internal/corpus"
 	"l2q/internal/pipeline"
@@ -163,8 +164,8 @@ type HarvestRequest struct {
 	Entities []corpus.EntityID `json:"entities"`
 	// Aspect is the target aspect (must be one of the backend's Aspects).
 	Aspect string `json:"aspect"`
-	// Strategy names the selection strategy (default L2QBAL); see
-	// SelectorByName.
+	// Strategy names the selection strategy (default L2QBAL): one of the
+	// ten L2Q strategies of baselines.Methods, case-insensitive.
 	Strategy string `json:"strategy,omitempty"`
 	// NQueries is the per-entity query budget after the seed.
 	NQueries int `json:"nQueries"`
@@ -203,32 +204,6 @@ type HarvestEvent struct {
 	Failed   int `json:"failed,omitempty"`
 	// Error carries the failure of an "error" event.
 	Error string `json:"error,omitempty"`
-}
-
-// selectorCtors are the stateless core strategies a server-side harvest can
-// run (baselines needing trained side models are client-side concerns).
-var selectorCtors = map[string]func() core.Selector{
-	"RND":    core.NewRND,
-	"P":      core.NewP,
-	"R":      core.NewR,
-	"P+Q":    core.NewPQ,
-	"R+Q":    core.NewRQ,
-	"P+T":    core.NewPT,
-	"R+T":    core.NewRT,
-	"L2QP":   core.NewL2QP,
-	"L2QR":   core.NewL2QR,
-	"L2QBAL": core.NewL2QBAL,
-}
-
-// SelectorByName resolves a strategy name (case-insensitive; the §VI-B
-// names: RND, P, R, P+q, R+q, P+t, R+t, L2QP, L2QR, L2QBAL) to a fresh
-// stateless selector.
-func SelectorByName(name string) (core.Selector, bool) {
-	ctor, ok := selectorCtors[strings.ToUpper(name)]
-	if !ok {
-		return nil, false
-	}
-	return ctor(), true
 }
 
 // harvestPlan is a validated harvest request: everything resolved except
@@ -271,10 +246,13 @@ func (hb *HarvestBackend) plan(req HarvestRequest) (*harvestPlan, *httpError) {
 	if strategy == "" {
 		strategy = "L2QBAL"
 	}
-	sel, ok := SelectorByName(strategy)
-	if !ok {
+	// A job runs the L2Q strategies only; the §VI-C baselines are
+	// client-side concerns (HR needs a trained model no backend keeps).
+	method, ok := baselines.LookupMethod(strategy)
+	if !ok || method.Baseline {
 		return nil, httpErrorf(http.StatusBadRequest, "unknown strategy %q", req.Strategy)
 	}
+	sel := method.New("", aspect, nil)
 	budget, err := req.Budget.policy()
 	if err != nil {
 		return nil, httpErrorf(http.StatusBadRequest, "%s", err.Error())

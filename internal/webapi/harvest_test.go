@@ -256,6 +256,11 @@ func TestHarvestValidation(t *testing.T) {
 		{"no entities", HarvestRequest{Aspect: string(f.aspect)}, http.StatusBadRequest},
 		{"unknown aspect", HarvestRequest{Entities: []corpus.EntityID{0}, Aspect: "NOPE"}, http.StatusBadRequest},
 		{"unknown strategy", HarvestRequest{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), Strategy: "HODL"}, http.StatusBadRequest},
+		// The §VI-C baselines are named methods, but not server-side ones.
+		{"baseline LM", HarvestRequest{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), Strategy: "LM"}, http.StatusBadRequest},
+		{"baseline AQ", HarvestRequest{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), Strategy: "AQ"}, http.StatusBadRequest},
+		{"baseline HR", HarvestRequest{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), Strategy: "HR"}, http.StatusBadRequest},
+		{"baseline MQ", HarvestRequest{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), Strategy: "MQ"}, http.StatusBadRequest},
 		{"negative budget", HarvestRequest{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), NQueries: -1}, http.StatusBadRequest},
 		{"budget over cap", HarvestRequest{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), NQueries: 10000}, http.StatusBadRequest},
 		{"negative pool", withBudget(BudgetSpec{Mode: "adaptive", TotalQueries: -5}), http.StatusBadRequest},
@@ -274,6 +279,12 @@ func TestHarvestValidation(t *testing.T) {
 		if !errors.As(err, &te) || te.Status != tc.want {
 			t.Errorf("%s: error %v, want status %d", tc.name, err, tc.want)
 		}
+	}
+
+	// Strategy names are case-insensitive.
+	lower := HarvestRequest{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), Strategy: "l2qbal", NQueries: 1}
+	if err := f.client.HarvestBatch(context.Background(), lower, nil); err != nil {
+		t.Errorf("strategy l2qbal: %v", err)
 	}
 
 	// A server without a backend answers 501.

@@ -122,10 +122,10 @@ func (s *System) NewScheduler(cfg SchedulerConfig) *HarvestScheduler {
 	return pipeline.New(cfg)
 }
 
-// NewHarvestJobs builds one scheduler job per entity for an aspect,
-// mirroring HarvestPipelined's session conventions (deterministic
-// per-entity seeding). jobs[i] harvests entities[i]: an unknown ID fails
-// the call with an error naming every unknown ID, and no jobs are built.
+// NewHarvestJobs builds one scheduler job per entity for an aspect, each
+// session seeded with its entity id + 1 (NewHarvesterSeeded with that seed
+// reproduces it). jobs[i] harvests entities[i]: an unknown ID fails the
+// call with an error naming every unknown ID, and no jobs are built.
 func (s *System) NewHarvestJobs(entities []EntityID, a Aspect, dm *DomainModel,
 	sel Selector, nQueries int) ([]HarvestJob, error) {
 
@@ -251,55 +251,6 @@ var (
 	SaveDomainsFile = store.SaveDomainsFile
 	LoadDomainsFile = store.LoadDomainsFile
 )
-
-// PipelineResult is one entity's outcome from HarvestPipelined.
-type PipelineResult struct {
-	Entity *Entity
-	Fired  []Query
-	Pages  []*Page
-	// Err is non-nil when the entity could not be harvested: an unknown
-	// entity ID (Entity is nil), context cancellation, or a transport
-	// failure the session's retriever could not retry away.
-	Err error
-}
-
-// HarvestPipelined harvests one aspect for many entities with the
-// interleaved scheduler of §VI-C's efficiency note: selections run on a
-// bounded CPU pool while page fetches overlap on a wider I/O pool. The
-// fetch stage costs what the system's engine costs — nothing over the
-// in-memory corpus; a remote harvest (NewRemoteHarvester) is where it is
-// a network round trip. The result slice is aligned with entities: one
-// PipelineResult per requested ID, unknown IDs reported with a per-entity
-// Err instead of being silently dropped (which used to shift every later
-// result off its entity).
-func (s *System) HarvestPipelined(ctx context.Context, entities []EntityID, a Aspect,
-	dm *DomainModel, sel Selector, nQueries int) []PipelineResult {
-
-	out := make([]PipelineResult, len(entities))
-	jobs := make([]pipeline.Job, 0, len(entities))
-	sessions := make([]*Session, 0, len(entities))
-	jobIdx := make([]int, 0, len(entities)) // job position → entities position
-	for i, id := range entities {
-		e := s.corpus.Entity(id)
-		if e == nil {
-			out[i] = PipelineResult{Err: fmt.Errorf("l2q: unknown entity id %d", id)}
-			continue
-		}
-		sess := core.NewSession(s.cfg, s.engine, e, a, s.cls.YFunc(a), dm, s.rec, uint64(id)+1)
-		jobs = append(jobs, pipeline.Job{Session: sess, Selector: sel, NQueries: nQueries})
-		sessions = append(sessions, sess)
-		jobIdx = append(jobIdx, i)
-		out[i].Entity = e
-	}
-	results := pipeline.Run(ctx, pipeline.Config{}, jobs)
-	for j, r := range results {
-		i := jobIdx[j]
-		out[i].Fired = r.Fired
-		out[i].Pages = sessions[j].Pages()
-		out[i].Err = r.Err
-	}
-	return out
-}
 
 // Crawl runs the link-following focused-crawler baseline for an entity
 // aspect: seeds from the entity's seed query, best-first frontier ordered

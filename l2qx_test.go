@@ -1,12 +1,15 @@
 package l2q
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"l2q/internal/store"
 )
 
 func testSystem(t *testing.T, d Domain) *System {
@@ -58,10 +61,10 @@ func TestSaveLoadStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHarvestPipelinedMatchesHarvestMany: harvesting many entities through
-// the interleaved scheduler fires, for every entity, exactly the queries
-// and gathers exactly the pages of one sequential Run of a harvester with
-// the same per-entity seed (id+1, HarvestPipelined's convention).
+// TestHarvestPipelinedMatchesHarvestMany: harvesting many entities as one
+// batch on the interleaved scheduler (NewHarvestJobs + NewScheduler) fires,
+// for every entity, exactly the queries and gathers exactly the pages of
+// one sequential Run of a harvester with the same per-entity seed (id+1).
 func TestHarvestPipelinedMatchesHarvestMany(t *testing.T) {
 	sys := testSystem(t, Researchers)
 	aspect := sys.Aspects()[0]
@@ -72,27 +75,29 @@ func TestHarvestPipelinedMatchesHarvestMany(t *testing.T) {
 	}
 	targets := ids[15:]
 
-	pipe := sys.HarvestPipelined(context.Background(), targets, aspect, dm, NewL2QBAL(), 2)
-	if len(pipe) != len(targets) {
-		t.Fatalf("%d results for %d targets", len(pipe), len(targets))
+	jobs, err := sys.NewHarvestJobs(targets, aspect, dm, NewL2QBAL(), 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, id := range targets {
-		if pipe[i].Err != nil {
-			t.Fatalf("pipeline job %d: %v", i, pipe[i].Err)
+	sched := sys.NewScheduler(SchedulerConfig{})
+	defer sched.Close()
+	batch, err := sched.Submit(context.Background(), jobs, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := batch.Await(context.Background())
+	for i, h := range sequentialHarvest(t, sys, targets, aspect, dm, 2) {
+		if results[i].Err != nil {
+			t.Fatalf("pipeline job %d: %v", i, results[i].Err)
 		}
-		h := sys.NewHarvesterSeeded(sys.Corpus().Entity(id), aspect, dm, uint64(id)+1)
-		fired := mustRun(t, h, NewL2QBAL(), 2)
-		if len(fired) == 0 || len(h.Pages()) == 0 {
-			t.Fatalf("entity %d: sequential run fired %v and gathered %d pages", i, fired, len(h.Pages()))
-		}
-		if !reflect.DeepEqual(fired, pipe[i].Fired) {
-			t.Errorf("entity %d fired %v vs %v", i, fired, pipe[i].Fired)
+		if !reflect.DeepEqual(h.Fired(), results[i].Fired) {
+			t.Errorf("entity %d fired %v vs %v", i, h.Fired(), results[i].Fired)
 		}
 		var a, b []PageID
 		for _, p := range h.Pages() {
 			a = append(a, p.ID)
 		}
-		for _, p := range pipe[i].Pages {
+		for _, p := range jobs[i].Session.Pages() {
 			b = append(b, p.ID)
 		}
 		if !reflect.DeepEqual(a, b) {
@@ -101,34 +106,21 @@ func TestHarvestPipelinedMatchesHarvestMany(t *testing.T) {
 	}
 }
 
-// TestHarvestPipelinedUnknownEntity: the pipelined variant keeps one
-// result per requested ID (unknown IDs no longer shift every later result
-// off its entity) and reports the failure per entity.
-func TestHarvestPipelinedUnknownEntity(t *testing.T) {
-	sys := testSystem(t, Researchers)
-	aspect := sys.Aspects()[0]
-	ids := sys.EntityIDs()
-	const bogus = EntityID(99999)
-	targets := []EntityID{ids[len(ids)-1], bogus, ids[len(ids)-2]}
+// sequentialHarvest runs one harvester per target, one after another,
+// each seeded as NewHarvestJobs seeds its job (id+1): the reference a
+// scheduled batch must match.
+func sequentialHarvest(t *testing.T, sys *System, targets []EntityID, a Aspect,
+	dm *DomainModel, nQueries int) []*Harvester {
 
-	results := sys.HarvestPipelined(context.Background(), targets, aspect, nil, NewP(), 1)
-	if len(results) != len(targets) {
-		t.Fatalf("%d results for %d targets (alignment lost)", len(results), len(targets))
-	}
-	if results[1].Err == nil || results[1].Entity != nil {
-		t.Fatalf("unknown entity slot = %+v, want explicit error with nil Entity", results[1])
-	}
-	for _, i := range []int{0, 2} {
-		if results[i].Err != nil {
-			t.Errorf("valid entity %d errored: %v", i, results[i].Err)
-		}
-		if results[i].Entity == nil || results[i].Entity.ID != targets[i] {
-			t.Errorf("result %d not aligned with its target", i)
-		}
-		if len(results[i].Pages) == 0 {
-			t.Errorf("valid entity %d gathered nothing", i)
+	t.Helper()
+	hs := make([]*Harvester, len(targets))
+	for i, id := range targets {
+		hs[i] = sys.NewHarvesterSeeded(sys.Corpus().Entity(id), a, dm, uint64(id)+1)
+		if fired := mustRun(t, hs[i], NewL2QBAL(), nQueries); len(fired) == 0 || len(hs[i].Pages()) == 0 {
+			t.Fatalf("entity %d: sequential run fired %v and gathered %d pages", id, fired, len(hs[i].Pages()))
 		}
 	}
+	return hs
 }
 
 func TestSystemCrawl(t *testing.T) {
@@ -199,20 +191,41 @@ func TestLoadStoreMissingFile(t *testing.T) {
 	}
 }
 
-func TestHarvestPipelinedReportsUnknownEntities(t *testing.T) {
-	sys := testSystem(t, Cars)
-	aspect := sys.Aspects()[0]
-	out := sys.HarvestPipelined(context.Background(), []EntityID{99999}, aspect,
-		nil, NewP(), 1)
-	// One aligned result per requested ID, carrying an explicit error —
-	// dropping the slot (the old behavior) shifted every later result off
-	// its entity.
-	if len(out) != 1 {
-		t.Fatalf("unknown entity produced %d results, want 1", len(out))
+// TestHarvestBackendLearnsTheServingProtocol: System.HarvestBackend writes
+// the serving protocol out by hand (the first half of the entities, the
+// system's classifiers), and store.DomainLearner is the protocol l2qserve
+// and l2qstore share. For every aspect the two must learn models with the
+// same DOMS bytes, or a server booted from a System would select
+// differently from one booted from a domain artifact.
+func TestHarvestBackendLearnsTheServingProtocol(t *testing.T) {
+	for _, d := range []Domain{Researchers, Cars} {
+		sys := testSystem(t, d)
+		backend := sys.HarvestBackend()
+		learner := store.NewDomainLearner(sys.Corpus(), sys.Tokenizer(), sys.rec, nil)
+		for _, a := range sys.Aspects() {
+			got, err := backend.DomainModel(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := learner.Learn(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(domainBytes(t, got), domainBytes(t, want)) {
+				t.Errorf("%s/%s: the backend's model differs from the DomainLearner's", d, a)
+			}
+		}
 	}
-	if out[0].Err == nil || out[0].Entity != nil {
-		t.Errorf("unknown entity slot = %+v, want explicit error with nil Entity", out[0])
+}
+
+// domainBytes is dm encoded as the one model of a domain artifact.
+func domainBytes(t *testing.T, dm *DomainModel) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := store.SaveDomains(&buf, &DomainArtifact{Models: []*DomainModel{dm}}); err != nil {
+		t.Fatal(err)
 	}
+	return buf.Bytes()
 }
 
 // TestNewHarvestJobsRefusesUnknownEntities: jobs[i] must harvest
@@ -259,8 +272,8 @@ func TestCheckpointThroughFacade(t *testing.T) {
 
 // TestSchedulerPublicSurface drives the long-lived scheduler through the
 // public API: NewScheduler + NewHarvestJobs, a fixed batch matching
-// HarvestPipelined, and an adaptive-budget batch respecting the pooled
-// spend.
+// sequential harvesters, and an adaptive-budget batch respecting the
+// pooled spend.
 func TestSchedulerPublicSurface(t *testing.T) {
 	sys := testSystem(t, Researchers)
 	aspect := sys.Aspects()[0]
@@ -272,7 +285,7 @@ func TestSchedulerPublicSurface(t *testing.T) {
 	}
 	const nQueries = 2
 
-	want := sys.HarvestPipelined(context.Background(), targets, aspect, dm, NewL2QBAL(), nQueries)
+	want := sequentialHarvest(t, sys, targets, aspect, dm, nQueries)
 
 	sched := sys.NewScheduler(SchedulerConfig{})
 	defer sched.Close()
@@ -288,8 +301,8 @@ func TestSchedulerPublicSurface(t *testing.T) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
-		if !reflect.DeepEqual(r.Fired, want[i].Fired) {
-			t.Errorf("job %d fired %v, HarvestPipelined fired %v", i, r.Fired, want[i].Fired)
+		if !reflect.DeepEqual(r.Fired, want[i].Fired()) {
+			t.Errorf("job %d fired %v, its sequential harvester fired %v", i, r.Fired, want[i].Fired())
 		}
 	}
 
