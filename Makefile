@@ -55,8 +55,9 @@ test-procs:
 # route's body, JSON or
 # frame (never a panic; a 200 accounts for every decoded page, anything
 # else changes nothing; minimizing capped at 1 s like the bitsets) and on
-# the other live frame decoders — stats, search, page, ingest ack (never
-# a panic, never past Dec.Count's guard, retired kinds 4–7 refused, what
+# the other live frame decoders — stats, search, page, ingest ack, a
+# node's batch of pages (never a panic, never past Dec.Count's guard,
+# retired kinds 4–7 refused, what
 # decodes round-trips through a frame, gzipped and not; its inputs hold a
 # rendered page, so minimizing is capped at 1 s here too); and 10 s each,
 # minimizing capped at 1 s (their inputs are whole files and stat pushes

@@ -1,6 +1,7 @@
 // Command l2qharvest runs one harvesting session end to end: generate the
-// corpus, learn the domain model, then harvest one entity's aspect with the
-// chosen strategy, printing each iteration's query and cumulative quality.
+// corpus, learn the domain model (for the methods that run with one), then
+// harvest one entity's aspect with the chosen strategy, printing each
+// iteration's query and cumulative quality.
 //
 // Usage:
 //
@@ -83,17 +84,18 @@ func main() {
 		fail(fmt.Errorf("unknown aspect %q; choose one of %v", a, sys.Aspects()))
 	}
 
-	var dm *l2q.DomainModel
-	var hr *l2q.HRModel
-	if *dsample > 0 {
-		if dm, err = sys.LearnDomain(a, ids[:min(*dsample, len(ids)/2)]); err != nil {
-			fail(err)
-		}
-	}
-
 	method, ok := baselines.LookupMethod(*strategy)
 	if !ok {
 		fail(fmt.Errorf("unknown strategy %q", *strategy))
+	}
+	// Only a method that runs with the domain model pays for learning it:
+	// the others fire the same queries without it.
+	var dm *l2q.DomainModel
+	var hr *l2q.HRModel
+	if *dsample > 0 && method.DomainModel {
+		if dm, err = sys.LearnDomain(a, ids[:min(*dsample, len(ids)/2)]); err != nil {
+			fail(err)
+		}
 	}
 	if method.NeedsHR {
 		if hr, err = sys.TrainHR(a, ids[:min(*dsample, len(ids)/2)]); err != nil {

@@ -32,14 +32,11 @@ type backend interface {
 	// backend's configured top-k) without touching page bodies.
 	search(ctx context.Context, seed, query []textproc.Token, k int) (SearchResponse, error)
 	entities() []EntityInfo
-	// page returns the bytes /page/{id} serves for id — what a search asked
-	// with=pages attaches to a hit, byte for byte. Backends that hold the
-	// page render it; a coordinator passes on what the owning node rendered.
-	page(ctx context.Context, id corpus.PageID) (string, error)
-	// pageWorkers is how many page calls for one hit list are worth
-	// running at once: 1 when pages are in memory, the prefetch fan-out
-	// when a page may cost a round trip to its owning node.
-	pageWorkers() int
+	// pages sets dst[i] to the bytes /page/{id} serves for ids[i] — what a
+	// search asked with=pages attaches to a hit, byte for byte — or fails
+	// whole. Backends that hold the pages render them; a coordinator passes
+	// on what the owning nodes rendered.
+	pages(ctx context.Context, ids []corpus.PageID, dst []string) error
 	// metrics fills in the backend's section of the metrics payload.
 	metrics(m *ServerMetrics)
 }
@@ -53,7 +50,7 @@ type backend interface {
 type localBackend struct {
 	mu     sync.RWMutex
 	corpus *corpus.Corpus
-	pages  map[corpus.PageID]*corpus.Page
+	byID   map[corpus.PageID]*corpus.Page
 	live   *search.LiveEngine
 	// tok, when non-nil, makes the backend writable: it tokenizes ingested
 	// paragraph text server-side, so ingested pages carry exactly the
@@ -103,17 +100,18 @@ func (b *localBackend) entity(id corpus.EntityID) *corpus.Entity {
 	return b.corpus.Entity(id)
 }
 
-func (b *localBackend) page(_ context.Context, id corpus.PageID) (string, error) {
-	b.mu.RLock()
-	p, ok := b.pages[id]
-	b.mu.RUnlock()
-	if !ok {
-		return "", httpErrorf(http.StatusNotFound, "no such page")
+func (b *localBackend) pages(_ context.Context, ids []corpus.PageID, dst []string) error {
+	for i, id := range ids {
+		b.mu.RLock()
+		p, ok := b.byID[id]
+		b.mu.RUnlock()
+		if !ok {
+			return httpErrorf(http.StatusNotFound, "no such page %d", id)
+		}
+		dst[i] = html.RenderPage(p)
 	}
-	return html.RenderPage(p), nil
+	return nil
 }
-
-func (b *localBackend) pageWorkers() int { return 1 }
 
 func (b *localBackend) metrics(m *ServerMetrics) {
 	v := b.live.View()

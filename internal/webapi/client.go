@@ -123,10 +123,9 @@ type ClientOptions struct {
 	// Retry is the per-request retry policy (zero value: 4 attempts,
 	// 50 ms base backoff, 2 s cap).
 	Retry RetryPolicy
-	// PrefetchWorkers is, on a coordinator's CoordinatorConfig.Client, how
-	// many owner downloads one hit list runs at once (default 8). A
-	// harvesting client reads none: it downloads the rare hit a response
-	// did not carry one at a time.
+	// PrefetchWorkers has no effect: a coordinator sends one request per
+	// owner node for a hit list's missing bodies. It stays for source
+	// compatibility until ROADMAP items 2(f) and 8(d) remove it.
 	PrefetchWorkers int
 	// Timeout is the per-request HTTP timeout (default 30 s). The
 	// caller's context cancels earlier.
@@ -137,9 +136,6 @@ type ClientOptions struct {
 
 // withDefaults fills the zero fields with the documented defaults.
 func (o ClientOptions) withDefaults() ClientOptions {
-	if o.PrefetchWorkers <= 0 {
-		o.PrefetchWorkers = 8
-	}
 	if o.Timeout <= 0 {
 		o.Timeout = 30 * time.Second
 	}
@@ -534,15 +530,22 @@ func (c *Client) SearchWithSeedErr(ctx context.Context, seed, query []textproc.T
 
 // PageCtx returns the cached page with the given ID, or downloads it from
 // /page/{id}, parses and caches it (Retrieve's hits normally arrive with
-// their search response and are cached by then).
+// their search response and are cached by then). A page frame carries the
+// bytes the JSON (debug) path serves raw; a body parsePage rejects is
+// downloaded again.
 func (c *Client) PageCtx(ctx context.Context, id corpus.PageID) (*corpus.Page, error) {
 	if p := c.cachedPage(id); p != nil {
 		return p, nil
 	}
 	c.met.pageFetches.Add(1)
 	var p *corpus.Page
-	err := c.getPage(ctx, id, func(doc string) (err error) {
-		p, err = c.parsePage(id, doc)
+	err := c.get(ctx, "page", html.PageHref(id), func(b []byte) (err error) {
+		if isWireFrame(b) {
+			if b, err = openFrame(b, wirePage); err != nil {
+				return err
+			}
+		}
+		p, err = c.parsePage(id, string(b))
 		return err
 	})
 	if err != nil {
@@ -613,39 +616,44 @@ func checkPageID(got, want corpus.PageID) error {
 	return nil
 }
 
-// getPage downloads /page/{id} and hands the HTML to accept inside the
-// retry loop, so a body accept rejects is downloaded again. A page frame
-// carries the identical HTML bytes the JSON (debug) path serves raw, so
-// what accept sees is codec-independent — the byte-level parity the wire
-// is held to.
-func (c *Client) getPage(ctx context.Context, id corpus.PageID, accept func(doc string) error) error {
-	return c.get(ctx, "page", html.PageHref(id), func(b []byte) error {
+// PagesHTML downloads the bodies of ids from a node in one request
+// (/api/v1/cluster/pages), in the order asked, each announced under the ID
+// asked for, non-empty and announcing that ID itself (checkPageID), but
+// neither tokenized nor cached: what a coordinator asks of a node. A
+// response that fails a check is retried whole and never returned.
+func (c *Client) PagesHTML(ctx context.Context, ids []corpus.PageID) ([]PageBody, error) {
+	var list []byte
+	for _, id := range ids {
+		list = append(strconv.AppendInt(list, int64(id), 10), ',')
+	}
+	c.met.pageFetches.Add(int64(len(ids)))
+	var bodies []PageBody
+	err := c.get(ctx, "pages", apiRoot+"/cluster/pages?ids="+strings.TrimSuffix(string(list), ","), func(b []byte) error {
+		var pages []PageBody
+		var err error
 		if isWireFrame(b) {
-			payload, err := openFrame(b, wirePage)
-			if err != nil {
+			err = decodeFramePayload(b, wirePages, func(d *store.Dec) { pages = decodePagesWire(d) })
+		} else {
+			err = json.Unmarshal(b, &pages)
+		}
+		if err != nil {
+			return err
+		}
+		if len(pages) != len(ids) {
+			return fmt.Errorf("asked for %d pages, got %d", len(ids), len(pages))
+		}
+		for i, p := range pages {
+			if p.PageID != ids[i] || p.HTML == "" {
+				return fmt.Errorf("asked for page %d, got page %d with %d bytes", ids[i], p.PageID, len(p.HTML))
+			}
+			if err := checkPageID(html.Parse(p.HTML).PageID(), ids[i]); err != nil {
 				return err
 			}
-			b = payload
 		}
-		return accept(string(b))
+		bodies = pages
+		return nil
 	})
-}
-
-// PageHTML downloads page id and returns the bytes /page/{id} served,
-// checked as parsePage checks them (a body announcing another ID is
-// retried, never returned) but neither tokenized nor cached: what a
-// coordinator, which passes bodies through and keeps them in its own
-// bounded cache, asks of a node.
-func (c *Client) PageHTML(ctx context.Context, id corpus.PageID) (body string, err error) {
-	c.met.pageFetches.Add(1)
-	err = c.getPage(ctx, id, func(doc string) error {
-		body = doc
-		return checkPageID(html.Parse(doc).PageID(), id)
-	})
-	if err != nil {
-		return "", err
-	}
-	return body, nil
+	return bodies, err
 }
 
 // ClusterStats fetches a node's registration report: the collection

@@ -70,9 +70,9 @@ type ClusterNode struct {
 	// partitioned, and the coordinator reads the table from any node.
 	domain corpus.Domain
 	ents   []*corpus.Entity
-	// pages are the pages of the owned partitions — everything /page/{id}
-	// can answer here.
-	pages map[corpus.PageID]*corpus.Page
+	// byID holds the pages of the owned partitions — everything /page/{id}
+	// and /api/v1/cluster/pages can answer here.
+	byID map[corpus.PageID]*corpus.Page
 
 	// primary is the primary partition's index — the node's contribution
 	// to the coordinator's stat aggregation.
@@ -88,8 +88,8 @@ type ClusterNode struct {
 // node (c may already be filtered to them — generate or load it under
 // the ring's Holds predicate and the rest never exists in this process),
 // builds one index + engine per owned partition, and answers
-// /api/v1/cluster/{search,stats}, /page/{id} for the pages it holds (404
-// otherwise), /api/v1/{stats,entities,metrics} and /healthz. Whole-corpus
+// /api/v1/cluster/{search,stats,pages}, /page/{id} for the pages it holds
+// (404 otherwise), /api/v1/{stats,entities,metrics} and /healthz. Whole-corpus
 // /api/v1/search is refused: a node could only rank its own partitions,
 // and passing that off as the corpus ranking would be silently wrong.
 // spec.Replicas is clamped to [1, Nodes]; topK ≤ 0 picks
@@ -113,13 +113,13 @@ func NewNodeServer(c *corpus.Corpus, spec search.ClusterSpec, topK int) (*Server
 		topK:    topK,
 		domain:  c.Domain,
 		ents:    c.Entities,
-		pages:   make(map[corpus.PageID]*corpus.Page, len(c.Pages)), // exact for a corpus already filtered
+		byID:    make(map[corpus.PageID]*corpus.Page, len(c.Pages)), // exact for a corpus already filtered
 		engines: make(map[int]*search.Engine, spec.Replicas),
 	}
 	groups := ring.PartitionPages(c.Pages)
 	for _, part := range ring.OwnedBy(spec.NodeID) {
 		for _, p := range groups[part] {
-			n.pages[p.ID] = p
+			n.byID[p.ID] = p
 		}
 		idx := search.BuildIndex(groups[part])
 		n.engines[part] = search.NewEngineOpts(idx, search.Options{CacheSize: -1}).WithTopK(topK)
@@ -285,6 +285,41 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 	s.respond(w, r, wireSearch, func(e *store.Enc) { encodeSearchWire(e, resp) }, resp)
 }
 
+// PageBody is one page of a /api/v1/cluster/pages response.
+type PageBody struct {
+	PageID corpus.PageID `json:"pageId"`
+	HTML   string        `json:"html"`
+}
+
+// handleClusterPages serves the pages ids names, in order, or a 404 when
+// the node lacks one: a coordinator's one request per owner per hit list.
+func (s *Server) handleClusterPages(w http.ResponseWriter, r *http.Request) {
+	node := s.Node()
+	if node == nil {
+		writeError(w, http.StatusNotImplemented, "cluster pages not supported: not a cluster node")
+		return
+	}
+	lists := r.URL.Query()["ids"]
+	if len(lists) != 1 || lists[0] == "" {
+		writeError(w, http.StatusBadRequest, "bad ids parameter: want one non-empty list")
+		return
+	}
+	ids, ok := idList(w, "ids", lists[0])
+	if !ok {
+		return
+	}
+	bodies := make([]string, len(ids))
+	if err := node.pages(r.Context(), ids, bodies); err != nil {
+		writeError(w, errorStatus(err), err.Error())
+		return
+	}
+	resp := make([]PageBody, len(ids))
+	for i, id := range ids {
+		resp[i] = PageBody{PageID: id, HTML: bodies[i]}
+	}
+	s.respond(w, r, wirePages, func(e *store.Enc) { encodePagesWire(e, resp) }, resp)
+}
+
 // Partitions returns the partitions this node serves (primary plus
 // replicated), in ascending order.
 func (n *ClusterNode) Partitions() []int {
@@ -313,7 +348,7 @@ func (n *ClusterNode) Stats() Stats {
 	return Stats{
 		Domain:      string(n.domain),
 		NumEntities: len(n.ents),
-		NumPages:    len(n.pages),
+		NumPages:    len(n.byID),
 		NumTerms:    e.NumTerms(),
 		TotalTokens: e.TotalTokens(),
 		Mu:          e.Mu(),
@@ -331,15 +366,16 @@ func (n *ClusterNode) search(context.Context, []textproc.Token, []textproc.Token
 
 func (n *ClusterNode) entities() []EntityInfo { return entityInfos(n.ents) }
 
-func (n *ClusterNode) page(_ context.Context, id corpus.PageID) (string, error) {
-	p, ok := n.pages[id]
-	if !ok {
-		return "", httpErrorf(http.StatusNotFound, "no such page on node %d", n.spec.NodeID)
+func (n *ClusterNode) pages(_ context.Context, ids []corpus.PageID, dst []string) error {
+	for i, id := range ids {
+		p, ok := n.byID[id]
+		if !ok {
+			return httpErrorf(http.StatusNotFound, "no such page %d on node %d", id, n.spec.NodeID)
+		}
+		dst[i] = html.RenderPage(p)
 	}
-	return html.RenderPage(p), nil
+	return nil
 }
-
-func (n *ClusterNode) pageWorkers() int { return 1 }
 
 func (n *ClusterNode) metrics(m *ServerMetrics) {
 	n.mu.RLock()

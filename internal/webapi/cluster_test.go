@@ -1,6 +1,7 @@
 package webapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -522,12 +523,118 @@ func TestClusterWideOwnerChain(t *testing.T) {
 	}
 	co := dialCluster(t, startClusterNodes(t, g, 9, 9, nil), 9, 0)
 	want := g.Corpus.Pages[0]
-	got, err := co.PageHTML(context.Background(), want.ID)
+	got := make([]string, 1)
+	err = co.PagesHTML(context.Background(), []corpus.PageID{want.ID}, got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != html.RenderPage(want) {
+	if got[0] != html.RenderPage(want) {
 		t.Errorf("page %d fetched through a 9-owner chain differs from the corpus copy", want.ID)
+	}
+}
+
+// TestClusterPagesMatchSingleNode: a with=pages search through a
+// coordinator answers the bytes a single-node server answers, in both
+// codecs, whether the bodies it must fetch live on one, two or three owner
+// nodes — and it fetches them in one batch per owner. Replicas 1, so every
+// partition has one owner and the have list decides how many are asked.
+func TestClusterPagesMatchSingleNode(t *testing.T) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := httptest.NewServer(NewServer(g.Corpus, bootLive(g.Corpus), nil).Handler())
+	t.Cleanup(single.Close)
+	co := dialCluster(t, startClusterNodes(t, g, 3, 1, nil), 1, 0)
+	coSrv := httptest.NewServer(NewCoordinatorServer(co).Handler())
+	t.Cleanup(coSrv.Close)
+	engine := search.NewEngine(search.BuildIndex(g.Corpus.Pages))
+
+	// A search whose hits live in all three partitions, in rank order.
+	var seed []textproc.Token
+	var hits []search.Result
+	var parts []int
+	for _, e := range g.Corpus.Entities {
+		seed, hits, parts = e.SeedTokens(), engine.SearchWithSeed(e.SeedTokens(), []string{"research"}), nil
+		for _, h := range hits {
+			if p := co.ring.Partition(h.Page.ID); !slices.Contains(parts, p) {
+				parts = append(parts, p)
+			}
+		}
+		if len(parts) == 3 {
+			break
+		}
+	}
+	if len(parts) != 3 {
+		t.Fatal("no search in the corpus has hits on all three nodes")
+	}
+	q := url.Values{"seed": seed, "q": {"research"}, "with": {"pages"}}.Encode()
+	for owners := 1; owners <= 3; owners++ {
+		var have []string
+		for _, h := range hits {
+			if !slices.Contains(parts[:owners], co.ring.Partition(h.Page.ID)) {
+				have = append(have, fmt.Sprint(h.Page.ID))
+			}
+		}
+		path := apiRoot + "/search?" + q + "&have=" + strings.Join(have, ",")
+		for _, wire := range []bool{false, true} {
+			co.bodies = newSizedLRU(maxBodies, func(body string) int { return len(body) })
+			before := co.Metrics().BodyFetches
+			status, got := rawGet(t, coSrv.URL+path, wire)
+			_, want := rawGet(t, single.URL+path, wire)
+			if status != http.StatusOK || !bytes.Equal(got, want) {
+				t.Errorf("%d owners (wire=%v): coordinator answered %d, %d bytes unlike the single node's %d", owners, wire, status, len(got), len(want))
+			}
+			if n := co.Metrics().BodyFetches - before; n != int64(owners) {
+				t.Errorf("%d owners (wire=%v): %d batched page requests, want one per owner", owners, wire, n)
+			}
+		}
+	}
+	if m := co.Metrics(); m.Hedges != 0 || m.BodyCache.Misses == 0 {
+		t.Errorf("healthy cluster metrics %+v: want body-cache misses and no hedges", m)
+	}
+}
+
+// TestClusterPagesPastTheBatchCap: a with=pages search at the largest k
+// asks for more bodies than one batch route takes (maxHave), on one owner
+// too. The coordinator splits them into batches of at most maxHave, so a
+// healthy cluster answers the single node's bytes with no hedge and no
+// node error: on one node, and on three nodes with two replicas, where
+// the first owner picked also owns most of the other partitions' pages.
+func TestClusterPagesPastTheBatchCap(t *testing.T) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := httptest.NewServer(NewServer(g.Corpus, bootLive(g.Corpus), nil).Handler())
+	t.Cleanup(single.Close)
+	query := []textproc.Token{"research"}
+	hits := search.NewEngine(search.BuildIndex(g.Corpus.Pages)).SearchWithSeedTopKAppend(nil, 100, nil, query)
+	if len(hits) <= maxHave {
+		t.Fatalf("the search has %d hits, not more than one batch of %d", len(hits), maxHave)
+	}
+	path := apiRoot + "/search?" + url.Values{"q": query, "k": {"100"}, "with": {"pages"}}.Encode()
+	for _, layout := range []struct{ nodes, replicas int }{{1, 1}, {3, 2}} {
+		co := dialClusterCache(t, startClusterNodes(t, g, layout.nodes, layout.replicas, nil), layout.replicas, 0, -1)
+		coSrv := httptest.NewServer(NewCoordinatorServer(co).Handler())
+		t.Cleanup(coSrv.Close)
+		for _, wire := range []bool{false, true} {
+			co.bodies = newSizedLRU(maxBodies, func(body string) int { return len(body) })
+			status, got := rawGet(t, coSrv.URL+path, wire)
+			_, want := rawGet(t, single.URL+path, wire)
+			if status != http.StatusOK || !bytes.Equal(got, want) {
+				t.Errorf("%+v (wire=%v): coordinator answered %d, %d bytes unlike the single node's %d", layout, wire, status, len(got), len(want))
+			}
+		}
+		m := co.Metrics()
+		if m.Hedges != 0 || m.BodyFetches < 2*int64((len(hits)+maxHave-1)/maxHave) {
+			t.Errorf("%+v: metrics %+v: want no hedge and at least %d batches a search", layout, m, (len(hits)+maxHave-1)/maxHave)
+		}
+		for _, node := range m.PerNode {
+			if node.Errors != 0 {
+				t.Errorf("%+v: node %s counted %d errors on a healthy cluster", layout, node.Node, node.Errors)
+			}
+		}
 	}
 }
 

@@ -56,8 +56,7 @@ type CoordinatorConfig struct {
 	// over to the next replica (default DefaultNodeDeadline).
 	NodeDeadline time.Duration
 	// Client configures the per-node transports (retry policy, codec,
-	// timeout) and, through PrefetchWorkers, how many owner downloads one
-	// hit list runs at once.
+	// timeout).
 	Client ClientOptions
 	// CacheSize is the capacity of the front result cache, with
 	// search.Options.CacheSize's meaning: 0 picks search.DefaultCacheSize,
@@ -88,7 +87,6 @@ type Coordinator struct {
 	ring         *search.Ring
 	peers        []*nodePeer
 	nodeDeadline time.Duration
-	prefetch     int
 
 	global   GlobalStatsPayload
 	stats    Stats
@@ -110,13 +108,14 @@ type Coordinator struct {
 	// bodies holds the last maxBodies page bodies fetched from the nodes,
 	// by page ID, as the bytes the owner served — checked once, at the
 	// fetch, and their total size. flight coalesces concurrent fetches of
-	// one page onto one download.
+	// one page onto one download (one batch's).
 	bodies *sizedLRU[string]
 	flight flightGroup[string]
 
-	scatters atomic.Int64
-	hedges   atomic.Int64
-	partials atomic.Int64
+	scatters    atomic.Int64
+	hedges      atomic.Int64
+	partials    atomic.Int64
+	bodyFetches atomic.Int64
 }
 
 // DialCoordinator dials every node, verifies the shared cluster geometry,
@@ -142,7 +141,6 @@ func DialCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, 
 		ring:         search.NewRing(n, replicas, 0),
 		peers:        make([]*nodePeer, n),
 		nodeDeadline: deadline,
-		prefetch:     cfg.Client.withDefaults().PrefetchWorkers,
 		front:        search.NewLRU[SearchResponse](search.Options{CacheSize: cfg.CacheSize}.Capacity()),
 		bodies:       newSizedLRU(maxBodies, func(body string) int { return len(body) }),
 	}
@@ -425,79 +423,117 @@ func (co *Coordinator) searchPartition(ctx context.Context, part int, seed, quer
 	return nil, false
 }
 
-// PageHTML returns the bytes the owning nodes serve at /page/{id}: from
-// the body cache, or downloaded from the partition's owner chain, failing
-// over on error, and cached. Owners replicate whole partitions, so every
-// owner serves an identical copy and reads balance freely: the chain is
-// attempted in ascending in-flight order (least-loaded first, chain order
-// breaking ties), which spreads a bulk prefetch across the replica set
-// instead of hammering each partition's primary while its replicas idle.
-// Runs under the caller's ctx, not the scatter deadline — a slow bulk
-// transfer is not a node failure. A body is checked against the ID it was
-// asked for once, when it arrives (Client.PageHTML); one that fails is
-// retried and never cached.
-func (co *Coordinator) PageHTML(ctx context.Context, id corpus.PageID) (string, error) {
+// PagesHTML sets dst[i] to the bytes the owners of ids[i] serve at
+// /page/{id}: from the body cache, else waited for when another call is
+// downloading it, else downloaded (fetch) and cached. Runs under the
+// caller's ctx, not the scatter deadline: a slow bulk transfer is not a
+// node failure. Bodies are checked on arrival (Client.PagesHTML).
+func (co *Coordinator) PagesHTML(ctx context.Context, ids []corpus.PageID, dst []string) error {
+	calls := make([]*flightCall[string], len(ids)) // per page not in the body cache: its flight
+	var led []int
 	var kb [binary.MaxVarintLen64]byte
-	key := binary.AppendUvarint(kb[:0], uint64(id))
-	if body, ok := co.bodies.get(key); ok {
-		return body, nil
+	for i, id := range ids {
+		if body, ok := co.bodies.get(binary.AppendUvarint(kb[:0], uint64(id))); ok {
+			dst[i] = body
+			continue
+		}
+		var lead bool
+		if calls[i], lead = co.flight.join(id); lead {
+			led = append(led, i)
+		}
 	}
-	body, err := co.flight.do(ctx, id, func() (string, error) {
-		body, err := co.fetchBody(ctx, id)
+	co.fetch(ctx, ids, led, dst, calls, nil, nil)
+	for i, call := range calls {
+		if call == nil {
+			continue
+		}
+		var again bool
+		var err error
+		if dst[i], again, err = call.wait(ctx); again {
+			err = co.PagesHTML(ctx, ids[i:i+1], dst[i:i+1])
+		}
 		if err != nil {
-			return "", err
+			return err
 		}
-		co.bodies.put(key, body)
-		return body, nil
-	})
-	return body, err
+	}
+	return nil
 }
 
-// fetchBody walks one page's owner chain, least-loaded owner first.
-func (co *Coordinator) fetchBody(ctx context.Context, id corpus.PageID) (string, error) {
+// fetch downloads the pages at positions led of ids into dst, one batch per
+// owner node, caches each body and ends each led flight. Owners replicate
+// whole partitions, so a page joins a batch already opened at an owner in
+// its chain, else opens one at its least-in-flight owner (chain order
+// breaking ties); owners in skip are passed over and a batch holds at most
+// maxHave pages, what the route takes. A failed batch goes through fetch
+// again with its owner skipped, and a success there is a hedge; a page left
+// with no owner, or whose caller is gone, ends its flight with err.
+func (co *Coordinator) fetch(ctx context.Context, ids []corpus.PageID, led []int, dst []string, calls []*flightCall[string], skip []int, err error) {
+	type batch struct {
+		owner int
+		at    []int // positions in ids
+		ids   []corpus.PageID
+	}
+	var batches []batch
 	var chainBuf [8]int
-	chain := co.ring.AppendOwners(chainBuf[:0], co.ring.Partition(id))
-	var loadBuf [8]int64
-	loads := loadBuf[:0] // grows with the chain: Replicas is not bounded by 8
-	for _, owner := range chain {
-		loads = append(loads, co.peers[owner].inFlight.Load())
-	}
-	for i := 1; i < len(chain); i++ {
-		for j := i; j > 0 && loads[j] < loads[j-1]; j-- {
-			loads[j], loads[j-1] = loads[j-1], loads[j]
-			chain[j], chain[j-1] = chain[j-1], chain[j]
-		}
-	}
-	var lastErr error
-	for oi, owner := range chain {
-		if err := ctx.Err(); err != nil {
-			if lastErr == nil {
-				lastErr = err
+	for _, i := range led {
+		b, owner := -1, -1
+		for _, o := range co.ring.AppendOwners(chainBuf[:0], co.ring.Partition(ids[i])) {
+			if slices.Contains(skip, o) {
+				continue
 			}
-			break
+			if b = slices.IndexFunc(batches, func(b batch) bool { return b.owner == o && len(b.ids) < maxHave }); b >= 0 {
+				break
+			}
+			if owner < 0 || co.peers[o].inFlight.Load() < co.peers[owner].inFlight.Load() {
+				owner = o
+			}
 		}
-		peer := co.peers[owner]
+		if b < 0 && (owner < 0 || err != nil && ctx.Err() != nil) {
+			co.flight.finish(ids[i], calls[i], "", err, ctx.Err() != nil)
+			continue
+		}
+		if b < 0 {
+			b, batches = len(batches), append(batches, batch{owner: owner})
+		}
+		batches[b].at, batches[b].ids = append(batches[b].at, i), append(batches[b].ids, ids[i])
+	}
+	run := func(b batch) {
+		peer := co.peers[b.owner]
+		co.bodyFetches.Add(1)
 		peer.inFlight.Add(1)
-		body, err := peer.cli.PageHTML(ctx, id)
+		bodies, err := peer.cli.PagesHTML(ctx, b.ids)
 		peer.inFlight.Add(-1)
-		if err == nil {
-			// oi > 0 means a preceding owner actually failed — a balanced
-			// first-attempt read from a replica is not a hedge.
-			if oi > 0 {
-				co.hedges.Add(1)
-				peer.hedges.Add(1)
-			}
-			return body, nil
+		if err != nil {
+			peer.errors.Add(1)
+			co.fetch(ctx, ids, b.at, dst, calls, append(skip[:len(skip):len(skip)], b.owner), err)
+			return
 		}
-		peer.errors.Add(1)
-		lastErr = err
+		if len(skip) > 0 {
+			co.hedges.Add(1)
+			peer.hedges.Add(1)
+		}
+		for j, i := range b.at {
+			dst[i] = bodies[j].HTML
+			co.bodies.put(binary.AppendUvarint(nil, uint64(ids[i])), dst[i])
+			co.flight.finish(ids[i], calls[i], dst[i], nil, false)
+		}
 	}
-	return "", lastErr
+	var wg sync.WaitGroup
+	for _, b := range batches[min(1, len(batches)):] {
+		wg.Add(1)
+		go func(b batch) {
+			defer wg.Done()
+			run(b)
+		}(b)
+	}
+	if len(batches) > 0 {
+		run(batches[0]) // inline: a lone batch starts no goroutine
+	}
+	wg.Wait()
 }
 
-// flightGroup is a minimal singleflight keyed by page ID: one in-flight
-// owner download per page, concurrent requesters (hit lists being attached
-// at once) share the result.
+// flightGroup is a minimal singleflight keyed by page ID: one owner
+// download per page at a time, shared by every hit list asking meanwhile.
 type flightGroup[V any] struct {
 	mu sync.Mutex
 	m  map[corpus.PageID]*flightCall[V]
@@ -508,62 +544,55 @@ type flightCall[V any] struct {
 	v    V
 	err  error
 	// canceled records whether the leader's OWN context was done when the
-	// flight completed — the signal that lets a live-context waiter retry
-	// instead of inheriting a cancellation that was never its own.
+	// flight completed (see wait).
 	canceled bool
 	// joins counts the followers that found this call in flight, under
 	// the group's mu: what a test waits on before it lets the leader end.
 	joins int
 }
 
-// do runs fn once per concurrently-requested id: the first caller (the
-// leader) runs it under its own context, followers wait for its result
-// instead of re-paying the transfer. A follower whose own context is
-// canceled while waiting returns
-// its context error; a leader failure is shared with the waiters and the
-// flight slot is released, so the next caller retries fresh.
-//
-// One failure is deliberately NOT shared: a leader that died of its own
-// context's cancellation. Without this carve-out one query's mid-prefetch
-// abort would poison every concurrent query waiting on a shared page with
-// a spurious context.Canceled. A live-context waiter goes round again
-// (typically becoming the next leader). The signal is the leader's
-// context state at completion — not the error's identity, which would
-// also match a terminal failure built from per-request HTTP timeouts and
-// make K waiters serially re-pay a dead server's full retry budget.
-func (g *flightGroup[V]) do(ctx context.Context, id corpus.PageID, fn func() (V, error)) (V, error) {
-	for {
-		g.mu.Lock()
-		if g.m == nil {
-			g.m = make(map[corpus.PageID]*flightCall[V])
-		}
-		call, ok := g.m[id]
-		if !ok {
-			break // the leader: g.mu stays held until its call is registered below
-		}
+// join returns the flight of id: the one in flight, joined, or a new one
+// the caller leads (lead) and must end with finish.
+func (g *flightGroup[V]) join(id corpus.PageID) (call *flightCall[V], lead bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if call, ok := g.m[id]; ok {
 		call.joins++
-		g.mu.Unlock()
-		select {
-		case <-call.done:
-			if call.err != nil && call.canceled && ctx.Err() == nil {
-				continue // the LEADER was canceled, not us — retry fresh
-			}
-			return call.v, call.err
-		case <-ctx.Done():
-			var zero V
-			return zero, ctx.Err()
-		}
+		return call, false
 	}
-	call := &flightCall[V]{done: make(chan struct{})}
+	if g.m == nil {
+		g.m = make(map[corpus.PageID]*flightCall[V])
+	}
+	call = &flightCall[V]{done: make(chan struct{})}
 	g.m[id] = call
-	g.mu.Unlock()
-	call.v, call.err = fn()
-	call.canceled = ctx.Err() != nil
+	return call, true
+}
+
+// finish ends a led flight and frees id's slot for the next caller.
+func (g *flightGroup[V]) finish(id corpus.PageID, call *flightCall[V], v V, err error, canceled bool) {
+	call.v, call.err, call.canceled = v, err, canceled
 	g.mu.Lock()
 	delete(g.m, id)
 	g.mu.Unlock()
 	close(call.done)
-	return call.v, call.err
+}
+
+// wait returns the flight's result, or ctx's error if ctx ends first. A
+// leader's death by its own cancellation is not shared — it would poison
+// every query waiting on the page — but tells a live waiter to go again.
+// The signal is the leader's context state, not the error's identity, which
+// per-request HTTP timeouts also produce (K waiters re-paying a dead
+// server's retry budget).
+func (call *flightCall[V]) wait(ctx context.Context) (v V, again bool, err error) {
+	select {
+	case <-call.done:
+		if call.err != nil && call.canceled && ctx.Err() == nil {
+			return v, true, nil
+		}
+		return call.v, false, call.err
+	case <-ctx.Done():
+		return v, false, ctx.Err()
+	}
 }
 
 // ClusterNodeMetrics is one node's row in the fan-out gauges.
@@ -604,9 +633,12 @@ type ClusterMetrics struct {
 	// Scatters counts real fan-outs: a search the front cache answered is
 	// a FrontCache hit and no scatter.
 	Scatters int64 `json:"scatters"`
-	// Hedges counts scatter/page attempts that succeeded on a replica
-	// after the primary failed or timed out.
+	// Hedges counts scatter attempts and page batches that succeeded on a
+	// replica after the primary failed or timed out.
 	Hedges int64 `json:"hedges"`
+	// BodyFetches counts the batched page requests sent to owner nodes,
+	// failover batches included: the round trips BodyCache.Misses cost.
+	BodyFetches int64 `json:"bodyFetches"`
 	// Partials counts scatters served with one or more partitions missing.
 	Partials int64 `json:"partials"`
 	// FrontCache is the complete-result cache ahead of the fan-out (all
@@ -621,12 +653,13 @@ type ClusterMetrics struct {
 // Metrics snapshots the fan-out gauges.
 func (co *Coordinator) Metrics() ClusterMetrics {
 	m := ClusterMetrics{
-		Nodes:    co.ring.Nodes(),
-		Replicas: co.ring.Replicas(),
-		Scatters: co.scatters.Load(),
-		Hedges:   co.hedges.Load(),
-		Partials: co.partials.Load(),
-		PerNode:  make([]ClusterNodeMetrics, len(co.peers)),
+		Nodes:       co.ring.Nodes(),
+		Replicas:    co.ring.Replicas(),
+		Scatters:    co.scatters.Load(),
+		Hedges:      co.hedges.Load(),
+		BodyFetches: co.bodyFetches.Load(),
+		Partials:    co.partials.Load(),
+		PerNode:     make([]ClusterNodeMetrics, len(co.peers)),
 	}
 	m.FrontCache.Hits, m.FrontCache.Misses, m.FrontCache.Entries = co.front.Stats()
 	m.BodyCache = co.bodies.metrics()
@@ -664,11 +697,9 @@ func (b clusterBackend) search(ctx context.Context, seed, query []textproc.Token
 
 func (b clusterBackend) entities() []EntityInfo { return b.co.entities }
 
-func (b clusterBackend) page(ctx context.Context, id corpus.PageID) (string, error) {
-	return b.co.PageHTML(ctx, id)
+func (b clusterBackend) pages(ctx context.Context, ids []corpus.PageID, dst []string) error {
+	return b.co.PagesHTML(ctx, ids, dst)
 }
-
-func (b clusterBackend) pageWorkers() int { return b.co.prefetch }
 
 func (b clusterBackend) metrics(m *ServerMetrics) {
 	cm := b.co.Metrics()

@@ -2,6 +2,7 @@ package webapi
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -18,6 +19,7 @@ import (
 	"l2q/internal/core"
 	"l2q/internal/corpus"
 	"l2q/internal/html"
+	"l2q/internal/search"
 	"l2q/internal/store"
 	"l2q/internal/synth"
 	"l2q/internal/types"
@@ -257,8 +259,8 @@ func TestContextCancelAborts(t *testing.T) {
 }
 
 // awaitJoins blocks until n followers have joined the flight of id —
-// counted under g.mu by do itself, so no clock decides when the leader may
-// end.
+// counted under g.mu by join itself, so no clock decides when the leader
+// may end.
 func awaitJoins[V any](g *flightGroup[V], id corpus.PageID, n int) {
 	for {
 		g.mu.Lock()
@@ -274,76 +276,84 @@ func awaitJoins[V any](g *flightGroup[V], id corpus.PageID, n int) {
 	}
 }
 
-// TestPrefetchSingleflight: concurrent downloads of one page — hit lists
-// the coordinator attaches at once — coalesce onto the leader's one call,
-// and every follower gets its result.
-func TestPrefetchSingleflight(t *testing.T) {
-	var g flightGroup[string]
-	const id, followers = corpus.PageID(5), 7
-	var calls atomic.Int64
-	entered, release := make(chan struct{}), make(chan struct{})
-	leader := make(chan string, 1)
-	go func() {
-		body, _ := g.do(context.Background(), id, func() (string, error) {
-			calls.Add(1)
-			close(entered)
-			<-release
-			return "page 5", nil
+// heldPages wraps every node handler so that its first batch of pages
+// (/api/v1/cluster/pages) is held until hold returns; later batches pass
+// straight through. batches counts the batches the node was asked for.
+func heldPages(batches *atomic.Int64, entered chan<- struct{}, hold func(*http.Request)) func(int, http.Handler) http.Handler {
+	return func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == apiRoot+"/cluster/pages" && batches.Add(1) == 1 {
+				close(entered)
+				hold(r)
+			}
+			h.ServeHTTP(w, r)
 		})
-		leader <- body
-	}()
+	}
+}
+
+// TestPrefetchSingleflight: concurrent Coordinator.PagesHTML calls for one
+// page — hit lists the coordinator attaches at once — coalesce onto the
+// leader's one batch, and every follower gets its body.
+func TestPrefetchSingleflight(t *testing.T) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := g.Corpus.Pages[5]
+	var batches atomic.Int64
+	entered, release := make(chan struct{}), make(chan struct{})
+	co := dialCluster(t, startClusterNodes(t, g, 1, 1, heldPages(&batches, entered, func(*http.Request) { <-release })), 1, 0)
+
+	const followers = 7
+	results := make(chan error, followers+1)
+	fetch := func() {
+		got := make([]string, 1)
+		err := co.PagesHTML(context.Background(), []corpus.PageID{page.ID}, got)
+		if err == nil && got[0] != html.RenderPage(page) {
+			err = errors.New("a caller got another body than the page's")
+		}
+		results <- err
+	}
+	go fetch()
 	<-entered // the leader holds the flight
-
-	type result struct {
-		body string
-		err  error
-	}
-	results := make(chan result, followers)
 	for i := 0; i < followers; i++ {
-		go func() {
-			body, err := g.do(context.Background(), id, func() (string, error) {
-				calls.Add(1)
-				return "a second download", nil
-			})
-			results <- result{body, err}
-		}()
+		go fetch()
 	}
-	awaitJoins(&g, id, followers)
+	awaitJoins(&co.flight, page.ID, followers)
 	close(release)
-
-	if body := <-leader; body != "page 5" {
-		t.Errorf("leader got %q", body)
-	}
-	for i := 0; i < followers; i++ {
-		if r := <-results; r.body != "page 5" || r.err != nil {
-			t.Errorf("follower got %+v, want the leader's body", r)
+	for i := 0; i <= followers; i++ {
+		if err := <-results; err != nil {
+			t.Error(err)
 		}
 	}
-	if n := calls.Load(); n != 1 {
-		t.Errorf("%d concurrent requests ran %d downloads, want 1", followers+1, n)
+	if n := batches.Load(); n != 1 {
+		t.Errorf("%d concurrent calls sent %d batches, want 1", followers+1, n)
+	}
+	if _, lead := co.flight.join(page.ID); !lead {
+		t.Error("a finished flight still holds its page's slot")
 	}
 }
 
 // TestSingleflightLeaderCancelDoesNotPoisonFollowers: a flight runs under
 // its leader's context, so a leader aborted by its OWN cancellation (one
-// hit list's attach bailing out) must not fail a follower whose context is
-// alive — the follower runs the download itself instead of inheriting the
-// spurious context.Canceled.
+// hit list's attach bailing out) fails with that cancellation, but a
+// follower whose context is alive must not inherit it: the follower
+// downloads the page itself, a second batch.
 func TestSingleflightLeaderCancelDoesNotPoisonFollowers(t *testing.T) {
-	var g flightGroup[string]
-	const id = corpus.PageID(9)
-	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := g.Corpus.Pages[9]
+	ids := []corpus.PageID{page.ID}
+	var batches atomic.Int64
 	entered := make(chan struct{})
+	co := dialCluster(t, startClusterNodes(t, g, 1, 1, heldPages(&batches, entered, func(r *http.Request) { <-r.Context().Done() })), 1, 0)
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)
-	go func() {
-		_, err := g.do(leaderCtx, id, func() (string, error) {
-			close(entered)
-			<-leaderCtx.Done() // a download its own caller abandons
-			return "", leaderCtx.Err()
-		})
-		leaderErr <- err
-	}()
-	<-entered
+	go func() { leaderErr <- co.PagesHTML(leaderCtx, ids, make([]string, 1)) }()
+	<-entered // the leader's batch is held at the node
 
 	type result struct {
 		body string
@@ -351,19 +361,116 @@ func TestSingleflightLeaderCancelDoesNotPoisonFollowers(t *testing.T) {
 	}
 	follower := make(chan result, 1)
 	go func() {
-		body, err := g.do(context.Background(), id, func() (string, error) {
-			return "page 9", nil
-		})
-		follower <- result{body, err}
+		got := make([]string, 1)
+		err := co.PagesHTML(context.Background(), ids, got)
+		follower <- result{got[0], err}
 	}()
-	awaitJoins(&g, id, 1)
-	cancelLeader()
+	awaitJoins(&co.flight, page.ID, 1)
+	cancelLeader() // a download its own caller abandons
 
 	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
 		t.Errorf("leader error %v, want its own cancellation", err)
 	}
-	if r := <-follower; r.err != nil || r.body != "page 9" {
-		t.Errorf("live-context follower got %+v: it inherited the leader's cancellation instead of downloading", r)
+	if r := <-follower; r.err != nil || r.body != html.RenderPage(page) {
+		t.Errorf("live-context follower got %d bytes, error %v: it inherited the leader's cancellation instead of downloading", len(r.body), r.err)
+	}
+	if n := batches.Load(); n != 2 {
+		t.Errorf("page asked for in %d batches, want 2: the leader's, abandoned, and the follower's own", n)
+	}
+}
+
+// batchFault spoils every batch of page bodies a node answers
+// (/api/v1/cluster/pages) the way its mode says: "503" answers the
+// retryable error envelope, "truncated" cuts the body mid-transfer
+// (FaultInjector's truncation), "wrong id" serves the batch with another
+// page's ID in its first body's meta. An empty mode spoils nothing.
+type batchFault struct {
+	mode     atomic.Value // string
+	next     http.Handler
+	truncate FaultInjector
+}
+
+func (b *batchFault) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	mode, _ := b.mode.Load().(string)
+	if r.URL.Path != apiRoot+"/cluster/pages" || mode == "" {
+		b.next.ServeHTTP(w, r)
+		return
+	}
+	switch mode {
+	case "503":
+		writeError(w, http.StatusServiceUnavailable, "batch refused")
+	case "truncated":
+		b.truncate.ServeHTTP(w, r)
+	case "wrong id":
+		rec := httptest.NewRecorder()
+		b.next.ServeHTTP(rec, r)
+		var pages []PageBody
+		if err := decodeFramePayload(rec.Body.Bytes(), wirePages, func(d *store.Dec) { pages = decodePagesWire(d) }); err != nil {
+			writeError(w, http.StatusInternalServerError, err.Error()) // the coordinator asks for frames
+			return
+		}
+		pages[0].HTML = strings.Replace(pages[0].HTML, `<meta name="l2q-page-id" content="`, `<meta name="l2q-page-id" content="9`, 1)
+		w.Write(marshalFrame(wirePages, func(e *store.Enc) { encodePagesWire(e, pages) }))
+	}
+}
+
+// TestClusterBatchFailureFallsBack: when one owner's batch fails — a 503,
+// a truncated body, a body announcing the wrong page — past its retries,
+// its pages come from their replica instead, in one batch again, which
+// counts as a hedge; what the failed batch carried is never cached. With
+// every owner failing, the call fails and caches nothing at all.
+func TestClusterBatchFailureFallsBack(t *testing.T) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := make([]*batchFault, 3)
+	urls := startClusterNodes(t, g, 3, 2, func(i int, h http.Handler) http.Handler {
+		faults[i] = &batchFault{next: h, truncate: FaultInjector{TruncateRate: 1, Next: h}}
+		return faults[i]
+	})
+	// Pages of partition 0, owned by nodes 0 and 1: an idle coordinator
+	// sends their one batch to node 0, the partition's primary.
+	ring := search.NewRing(3, 2, 0)
+	var ids []corpus.PageID
+	var want []string
+	for _, p := range g.Corpus.Pages {
+		if ring.Partition(p.ID) == 0 && len(ids) < 4 {
+			ids, want = append(ids, p.ID), append(want, html.RenderPage(p))
+		}
+	}
+	ctx := context.Background()
+	for _, mode := range []string{"503", "truncated", "wrong id"} {
+		co := dialCluster(t, urls, 2, 0)
+		faults[0].mode.Store(mode)
+		got := make([]string, len(ids))
+		if err := co.PagesHTML(ctx, ids, got); err != nil {
+			t.Fatalf("%s: node 0's batch failed and its replica did not stand in: %v", mode, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: bodies from the replica differ from the pages", mode)
+		}
+		m := co.Metrics()
+		if m.Hedges != 1 || m.PerNode[1].Hedges != 1 || m.PerNode[0].Errors != 1 || m.BodyFetches != 2 {
+			t.Errorf("%s: metrics %+v: want one failed batch at node 0, then one hedged batch of %d pages at node 1", mode, m, len(ids))
+		}
+		for i, id := range ids {
+			var kb [binary.MaxVarintLen64]byte
+			if body, ok := co.bodies.get(binary.AppendUvarint(kb[:0], uint64(id))); !ok || body != want[i] {
+				t.Errorf("%s: page %d cached=%v, and not as its replica served it", mode, id, ok)
+			}
+		}
+
+		faults[1].mode.Store(mode)
+		co = dialCluster(t, urls, 2, 0)
+		if err := co.PagesHTML(ctx, ids, make([]string, len(ids))); err == nil {
+			t.Errorf("%s: every owner failing, the batch still succeeded", mode)
+		}
+		if m := co.Metrics(); m.BodyCache.Entries != 0 || m.Hedges != 0 {
+			t.Errorf("%s: every owner failing: metrics %+v, want nothing cached and no hedge", mode, m)
+		}
+		faults[0].mode.Store("")
+		faults[1].mode.Store("")
 	}
 }
 

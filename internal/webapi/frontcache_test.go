@@ -266,9 +266,10 @@ func TestFrontCacheMatchesScatter(t *testing.T) {
 }
 
 // pageTamper stands between a node and the coordinator and spoils the first
-// two answers to every /page/{id}: the first carries another page's ID in
-// its meta (a misrouted body — well-formed, wrong page), the second dies
-// mid-transfer (FaultInjector's truncation). The third is the node's own.
+// two answers to every batch of page bodies (/api/v1/cluster/pages): the
+// first carries another page's ID in its first body's meta (a misrouted
+// body — well-formed, wrong page), the second dies mid-transfer
+// (FaultInjector's truncation). The third is the node's own.
 type pageTamper struct {
 	next     http.Handler
 	truncate FaultInjector
@@ -284,13 +285,13 @@ func newPageTamper(next http.Handler) *pageTamper {
 }
 
 func (p *pageTamper) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if !strings.HasPrefix(r.URL.Path, "/page/") {
+	if r.URL.Path != apiRoot+"/cluster/pages" {
 		p.next.ServeHTTP(w, r)
 		return
 	}
 	p.mu.Lock()
-	n := p.seen[r.URL.Path]
-	p.seen[r.URL.Path]++
+	n := p.seen[r.URL.RawQuery]
+	p.seen[r.URL.RawQuery]++
 	p.mu.Unlock()
 	switch n {
 	case 0:
@@ -298,18 +299,19 @@ func (p *pageTamper) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		raw.Header.Del("Accept")
 		rec := httptest.NewRecorder()
 		p.next.ServeHTTP(rec, raw)
-		if rec.Code != http.StatusOK {
+		var pages []PageBody
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &pages) != nil {
 			p.next.ServeHTTP(w, r) // a 404 needs no help being wrong
 			return
 		}
 		p.swapped.Add(1)
-		body := strings.Replace(rec.Body.String(), `<meta name="l2q-page-id" content="`, `<meta name="l2q-page-id" content="9`, 1)
+		pages[0].HTML = strings.Replace(pages[0].HTML, `<meta name="l2q-page-id" content="`, `<meta name="l2q-page-id" content="9`, 1)
 		if strings.Contains(r.Header.Get("Accept"), wireContentType) {
 			w.Header().Set("Content-Type", wireContentType)
-			_, _ = w.Write(marshalFrame(wirePage, func(e *store.Enc) { e.Raw([]byte(body)) }))
+			_, _ = w.Write(marshalFrame(wirePages, func(e *store.Enc) { encodePagesWire(e, pages) }))
 			return
 		}
-		_, _ = w.Write([]byte(body))
+		_ = json.NewEncoder(w).Encode(pages)
 	case 1:
 		p.truncated.Add(1)
 		p.truncate.ServeHTTP(w, r)
@@ -321,7 +323,8 @@ func (p *pageTamper) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // TestCoordinatorBodyCacheBounded: a coordinator passes page bodies on as
 // the bytes their owner served and keeps a bounded number of them. Every
 // page of the corpus is downloaded through it, twice, in both codecs, with
-// every node spoiling its first two answers per page: each body equals the
+// every node spoiling its first two answers to each batch (here one page
+// each, what /page/{id} on a coordinator asks its owner): each body equals the
 // owner's own /page/{id}, a spoiled one is retried and neither served nor
 // kept, the cache never holds more than its bound, and the node clients
 // hold no page at all.

@@ -119,7 +119,7 @@ func (b *localBackend) ingest(req IngestRequest) (IngestResponse, error) {
 	reg := make(map[corpus.EntityID]bool)
 	for i := range req.Pages {
 		p := &req.Pages[i]
-		if _, dup := b.pages[p.ID]; dup || seen[p.ID] {
+		if _, dup := b.byID[p.ID]; dup || seen[p.ID] {
 			continue // skipped later; nothing else to validate
 		}
 		seen[p.ID] = true
@@ -139,7 +139,7 @@ func (b *localBackend) ingest(req IngestRequest) (IngestResponse, error) {
 	added := make([]*corpus.Page, 0, len(req.Pages))
 	for i := range req.Pages {
 		ip := &req.Pages[i]
-		if _, dup := b.pages[ip.ID]; dup {
+		if _, dup := b.byID[ip.ID]; dup {
 			resp.Duplicates++
 			continue
 		}
@@ -169,7 +169,7 @@ func (b *localBackend) ingest(req IngestRequest) (IngestResponse, error) {
 		if err := b.corpus.AddPage(p); err != nil {
 			return resp, httpErrorf(http.StatusBadRequest, "%v", err)
 		}
-		b.pages[p.ID] = p
+		b.byID[p.ID] = p
 		added = append(added, p)
 	}
 	// Absorb inside the lock: concurrent batches must reach the engine in

@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -361,13 +362,13 @@ func TestSearchPagesParamValidation(t *testing.T) {
 	live := bootLive(g.Corpus)
 	lost := NewServer(g.Corpus, live, nil)
 	hits := live.View().SearchWithSeed(g.Corpus.Entities[0].SeedTokens(), []string{"research"})
-	delete(lost.backend.(*localBackend).pages, hits[1].Page.ID)
+	delete(lost.backend.(*localBackend).byID, hits[1].Page.ID)
 	frozen := httptest.NewServer(lost.Handler())
 	defer frozen.Close()
-	// Coordinator: every node refuses page requests.
+	// Coordinator: every node refuses page requests, single and batched.
 	noPages := startEveryShape(t, g, func(_ int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.HasPrefix(r.URL.Path, "/page/") {
+			if strings.HasPrefix(r.URL.Path, "/page/") || r.URL.Path == apiRoot+"/cluster/pages" {
 				writeError(w, http.StatusNotFound, "no such page")
 				return
 			}
@@ -386,6 +387,73 @@ func TestSearchPagesParamValidation(t *testing.T) {
 				t.Errorf("%s: plain search = %d", tc.name, status)
 			}
 		}
+	}
+}
+
+// TestConcurrentHitListsShareDownloads: hit lists attached at once that
+// share a page download it once. The batch carrying the shared page is held
+// at its node until every other list has joined that page's flight, so the
+// lists overlap in time whatever the scheduler does; each list's own page
+// travels in its own batch meanwhile.
+func TestConcurrentHitListsShareDownloads(t *testing.T) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := g.Corpus.Pages[0].ID
+	var (
+		mu        sync.Mutex
+		requested = map[corpus.PageID]int{}
+	)
+	release := make(chan struct{})
+	urls := startClusterNodes(t, g, 3, 2, func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == apiRoot+"/cluster/pages" {
+				holdsShared := false
+				for _, field := range strings.Split(r.URL.Query().Get("ids"), ",") {
+					id, _ := strconv.Atoi(field)
+					mu.Lock()
+					requested[corpus.PageID(id)]++
+					mu.Unlock()
+					holdsShared = holdsShared || corpus.PageID(id) == shared
+				}
+				if holdsShared {
+					<-release
+				}
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	co := dialCluster(t, urls, 2, 0)
+
+	const lists = 6
+	errs := make(chan error, lists)
+	for i := 1; i <= lists; i++ {
+		ids := []corpus.PageID{g.Corpus.Pages[i].ID, shared}
+		want := []string{html.RenderPage(g.Corpus.Pages[i]), html.RenderPage(g.Corpus.Pages[0])}
+		go func() {
+			got := make([]string, len(ids))
+			err := co.PagesHTML(context.Background(), ids, got)
+			if err == nil && !reflect.DeepEqual(got, want) {
+				err = fmt.Errorf("list %v: bodies differ from the pages", ids)
+			}
+			errs <- err
+		}()
+	}
+	awaitJoins(&co.flight, shared, lists-1)
+	close(release)
+	for i := 0; i < lists; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	for id, n := range requested {
+		if n != 1 {
+			t.Errorf("page %d requested from the nodes %d times, want once", id, n)
+		}
+	}
+	if len(requested) != lists+1 {
+		t.Errorf("%d distinct pages requested, want %d", len(requested), lists+1)
 	}
 }
 

@@ -54,6 +54,7 @@ func (s *Server) routes() []apiRoute {
 		{method: "GET", path: "/api/v1/cluster/search", wire: wireSearch, h: s.handleClusterSearch},
 		{method: "GET", path: "/api/v1/cluster/stats", h: s.handleClusterStats},
 		{method: "POST", path: "/api/v1/cluster/stats", h: s.handleClusterStats},
+		{method: "GET", path: "/api/v1/cluster/pages", wire: wirePages, h: s.handleClusterPages},
 		{method: "POST", path: "/api/v1/ingest", wire: wireIngest, h: s.handleIngest},
 		{method: "POST", path: "/api/v1/jobs", h: s.handleJobSubmit},
 		{method: "GET", path: "/api/v1/jobs/{id}", stream: streamParam, h: s.handleJobGet},

@@ -174,7 +174,7 @@ func NewServer(c *corpus.Corpus, eng *search.LiveEngine, tok *textproc.Tokenizer
 	for _, p := range c.Pages {
 		pages[p.ID] = p
 	}
-	return newServer(&localBackend{corpus: c, pages: pages, live: eng, tok: tok})
+	return newServer(&localBackend{corpus: c, byID: pages, live: eng, tok: tok})
 }
 
 // writeTimeout bounds response writes. It is applied per request (and, on
@@ -475,22 +475,30 @@ func pagesParams(w http.ResponseWriter, qv url.Values) (withPages bool, have []c
 		writeError(w, http.StatusBadRequest, "bad have parameter: one list, and only on a with=pages search")
 		return false, nil, false
 	}
-	rest := lists[0]
-	for more := rest != ""; more; {
+	have, ok = idList(w, "have", lists[0])
+	return true, have, ok
+}
+
+// idList decodes one comma-separated list of at most maxHave decimal page
+// IDs — a search's have, or the ids of a node's batch of pages (the
+// coordinator splits a longer hit list) — answering 400 itself (ok false)
+// otherwise.
+func idList(w http.ResponseWriter, param, list string) (ids []corpus.PageID, ok bool) {
+	for more := list != ""; more; {
 		var field string
-		field, rest, more = strings.Cut(rest, ",")
+		field, list, more = strings.Cut(list, ",")
 		id, err := strconv.ParseUint(field, 10, strconv.IntSize-1)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad have parameter: want comma-separated page IDs")
-			return false, nil, false
+			writeError(w, http.StatusBadRequest, "bad "+param+" parameter: want comma-separated page IDs")
+			return nil, false
 		}
-		if len(have) == maxHave {
-			writeError(w, http.StatusBadRequest, "bad have parameter: more than "+strconv.Itoa(maxHave)+" page IDs")
-			return false, nil, false
+		if len(ids) == maxHave {
+			writeError(w, http.StatusBadRequest, "bad "+param+" parameter: more than "+strconv.Itoa(maxHave)+" page IDs")
+			return nil, false
 		}
-		have = append(have, corpus.PageID(id))
+		ids = append(ids, corpus.PageID(id))
 	}
-	return true, have, true
+	return ids, true
 }
 
 // handleSearch answers one seeded search. A coordinator's partial result
@@ -526,85 +534,29 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 // attachPages hangs on every hit not named in have the bytes /page/{id}
 // would serve for it — the one attach step behind both encodings and every
-// backend. A page the backend cannot produce fails the whole request with
-// that error: a hit silently left without its body would be
+// backend, in one call. A page the backend cannot produce fails the whole
+// request with that error: a hit silently left without its body would be
 // indistinguishable from one the client asked to skip.
 func (s *Server) attachPages(ctx context.Context, hits []SearchHit, have []corpus.PageID) error {
-	err := forEachHit(ctx, len(hits), s.backend.pageWorkers(), func(ctx context.Context, i int) (err error) {
-		if !slices.Contains(have, hits[i].PageID) {
-			hits[i].HTML, err = s.backend.page(ctx, hits[i].PageID)
-		}
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	attached := 0
-	for i := range hits {
-		if hits[i].HTML != "" {
-			attached++
+	ids := make([]corpus.PageID, 0, len(hits))
+	for _, h := range hits {
+		if !slices.Contains(have, h.PageID) {
+			ids = append(ids, h.PageID)
 		}
 	}
-	s.pagesAttached.Add(int64(attached))
-	s.pagesSkippedHave.Add(int64(len(hits) - attached))
+	bodies := make([]string, len(ids))
+	if err := s.backend.pages(ctx, ids, bodies); err != nil {
+		return err
+	}
+	for i, j := 0, 0; j < len(ids); i++ { // ids is hits minus have, in order
+		if hits[i].PageID == ids[j] {
+			hits[i].HTML = bodies[j]
+			j++
+		}
+	}
+	s.pagesAttached.Add(int64(len(ids)))
+	s.pagesSkippedHave.Add(int64(len(hits) - len(ids)))
 	return nil
-}
-
-// forEachHit runs fn(i) for every i in [0, n) with at most workers calls in
-// flight — the page fan-out under a server attaching bodies to a response. The first failure cancels
-// the remaining calls and is returned; so is the caller's own cancellation,
-// which would otherwise leave skipped slots looking like successes.
-func forEachHit(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(ctx, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if fctx.Err() != nil {
-					continue // another call failed; drain without calling
-				}
-				if err := fn(fctx, i); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					cancel()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		if fctx.Err() != nil {
-			break // one failure fails the whole list; stop dispatching
-		}
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	return firstErr
 }
 
 // handleEntities answers JSON whatever Accept says: the entity list is read
@@ -631,17 +583,17 @@ func (s *Server) handlePage(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad page id")
 		return
 	}
-	body, err := s.backend.page(r.Context(), corpus.PageID(id))
-	if err != nil {
+	var body [1]string
+	if err := s.backend.pages(r.Context(), []corpus.PageID{corpus.PageID(id)}, body[:]); err != nil {
 		writeError(w, errorStatus(err), err.Error())
 		return
 	}
 	if wantsWire(r) {
-		writeFrame(w, s.frame(wirePage, func(e *store.Enc) { e.Raw([]byte(body)) }))
+		writeFrame(w, s.frame(wirePage, func(e *store.Enc) { e.Raw([]byte(body[0])) }))
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprint(w, body)
+	fmt.Fprint(w, body[0])
 }
 
 // errorStatus maps a backend failure to its serving-surface status: an

@@ -76,6 +76,8 @@ const (
 	// payload followed by the page bodies of its hits (see
 	// encodeSearchPagesWire).
 	wireSearchPages byte = 9
+	// wirePages is a node's batch of page bodies (encodePagesWire).
+	wirePages byte = 10
 )
 
 // Frame flags.
@@ -452,6 +454,24 @@ func decodeSearchPagesWire(d *store.Dec) SearchResponse {
 		next++
 	}
 	return resp
+}
+
+// encodePagesWire writes a batch of page bodies: count × (page id, body).
+func encodePagesWire(e *store.Enc, pages []PageBody) {
+	e.Uvarint(uint64(len(pages)))
+	for _, p := range pages {
+		e.Varint(int64(p.PageID))
+		e.Str(p.HTML)
+	}
+}
+
+func decodePagesWire(d *store.Dec) []PageBody {
+	n := d.Count("pages")
+	pages := make([]PageBody, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		pages = append(pages, PageBody{PageID: corpus.PageID(d.Varint()), HTML: d.Str()})
+	}
+	return pages
 }
 
 // encodeIngestWire frames an ingest batch. Paragraph text rides as-is;

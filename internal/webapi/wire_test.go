@@ -740,12 +740,13 @@ func payloadDecoder[T any](kind byte, open func([]byte) (T, error), enc func(*st
 func encodeRaw(e *store.Enc, b []byte) { e.Raw(b) }
 
 // liveDecoders are the frame kinds no other fuzz target covers: stats,
-// search, page and the ingest ack.
+// search, page, the ingest ack and a node's batch of pages.
 var liveDecoders = []frameDecoder{
 	payloadDecoder(wireStats, decodeFrame(wireStats, decodeStatsWire), encodeStatsWire, func(Stats) int { return 0 }),
 	payloadDecoder(wireSearch, decodeFrame(wireSearch, decodeSearchWire), encodeSearchWire, func(r SearchResponse) int { return len(r.Hits) }),
 	payloadDecoder(wirePage, openPage, encodeRaw, func([]byte) int { return 0 }),
 	payloadDecoder(wireIngest, decodeFrame(wireIngest, decodeIngestAckWire), encodeIngestAckWire, func(IngestResponse) int { return 0 }),
+	payloadDecoder(wirePages, decodeFrame(wirePages, decodePagesWire), encodePagesWire, func(p []PageBody) int { return len(p) }),
 }
 
 // roundTripFixture holds a fixture to a DeepEqual round trip through a
@@ -763,12 +764,12 @@ func roundTripFixture[T any](f *testing.F, kind byte, v T, enc func(*store.Enc, 
 }
 
 // FuzzFrameDecoders throws bytes at the live frame decoders that
-// FuzzSearchPagesFrame and FuzzIngestBody leave out — stats, search, page
-// and the ingest ack — both as a whole response body and, so the CRC does
-// not stop every mutation at the door, as the payload of a well-formed
-// frame of each kind, gzipped and not. Properties: no decoder panics; a
-// search never holds more hits than its payload has bytes (Dec.Count's
-// guard); a frame announcing a retired kind (4–7) is refused by every
+// FuzzSearchPagesFrame and FuzzIngestBody leave out — stats, search, page,
+// the ingest ack and a node's batch of pages — both as a whole response
+// body and, so the CRC does not stop every mutation at the door, as the
+// payload of a well-formed frame of each kind, gzipped and not.
+// Properties: no decoder panics; a search never holds more hits, nor a
+// batch more pages, than its payload has bytes (Dec.Count's guard); a frame announcing a retired kind (4–7) is refused by every
 // decoder; what decodes re-encodes to a canonical payload that a frame
 // carries back unchanged, gzip off and on; and a frame out of a server's
 // frame memo, built or found there, opens to the payload it was built from.
@@ -789,6 +790,8 @@ func FuzzFrameDecoders(f *testing.F) {
 	roundTripFixture(f, wirePage, page, encodeRaw, openPage)
 	roundTripFixture(f, wireIngest, IngestResponse{Ingested: 3, Duplicates: 1, NumDocs: 303, Epoch: 7, Segments: 2},
 		encodeIngestAckWire, decodeFrame(wireIngest, decodeIngestAckWire))
+	batch := []PageBody{{PageID: g.Corpus.Pages[0].ID, HTML: string(page)}, {PageID: g.Corpus.Pages[7].ID, HTML: html.RenderPage(g.Corpus.Pages[7])}}
+	roundTripFixture(f, wirePages, batch, encodePagesWire, decodeFrame(wirePages, decodePagesWire))
 	f.Add(page)
 	f.Add(frameOf(wireSearchPages, false, func(e *store.Enc) { encodeSearchPagesWire(e, searchPagesSeeds(g)[2]) }))
 

@@ -5,7 +5,11 @@
 #
 #   1. a seeded search through the coordinator returns hits
 #   2. a page downloads through the coordinator's owner-chain proxy
-#   3. /api/v1/metrics exposes the cluster fan-out gauges
+#   3. /api/v1/metrics exposes the cluster fan-out gauges; a node's batch
+#      route (/api/v1/cluster/pages) answers two pages it owns and 404s a
+#      batch naming one it does not; a with=pages search through the
+#      coordinator carries every hit's body, fetched in no more batched
+#      owner requests (bodyFetches) than bodies it missed
 #   4. killing one node loses nothing: the search made before the kill is
 #      answered again from the coordinator's front cache — complete, and
 #      without a scatter — and a fresh one fails over: with replicas=2
@@ -146,6 +150,56 @@ METRICS=$(curl -s "$CO/api/v1/metrics")
 echo "$METRICS" | grep -q '"cluster"' || { echo "cluster_smoke: metrics missing cluster section: $METRICS" >&2; exit 1; }
 echo "$METRICS" | grep -q '"scatters":[1-9]' || { echo "cluster_smoke: no scatters recorded: $METRICS" >&2; exit 1; }
 
+# A node answers a batch of pages it owns, and refuses a batch naming one
+# it does not hold whole, with the 404 envelope.
+OWNED=""
+NOT_OWNED=""
+id=0
+while { [ "$(echo "$OWNED" | wc -w)" -lt 2 ] || [ -z "$NOT_OWNED" ]; } && [ $id -lt $CORPUS_PAGES ]; do
+	case $(status_of "$N0/page/$id.html") in
+	200) OWNED="$OWNED $id" ;;
+	404) NOT_OWNED=$id ;;
+	esac
+	id=$((id + 1))
+done
+# shellcheck disable=SC2086 # OWNED is an ID list, splitting intended
+set -- $OWNED
+BATCH=$(curl -s -w ' %{http_code}' "$N0/api/v1/cluster/pages?ids=$1,$2")
+case $BATCH in
+*'"pageId":'"$1"','*'"pageId":'"$2"','*' 200') ;;
+*)
+	echo "cluster_smoke: node 0's batch of its pages $1,$2 answered: $(echo "$BATCH" | head -c 300)" >&2
+	exit 1
+	;;
+esac
+BATCH=$(curl -s -w ' %{http_code}' "$N0/api/v1/cluster/pages?ids=$1,$NOT_OWNED")
+case $BATCH in
+*'"code":"not_found"'*' 404') ;;
+*)
+	echo "cluster_smoke: a batch naming page $NOT_OWNED, which node 0 does not hold, answered: $BATCH" >&2
+	exit 1
+	;;
+esac
+
+# A with=pages search through the coordinator carries every hit's body,
+# and its bodies cost at most one batched owner request per body missed.
+# shellcheck disable=SC2086
+WITH=$(curl -s -G "$CO/api/v1/search" $SEED --data-urlencode with=pages)
+NHITS=$(echo "$WITH" | grep -o '"pageId"' | wc -l)
+NBODIES=$(echo "$WITH" | grep -o '"html":"[^"]' | wc -l)
+[ "$NHITS" -gt 0 ] && [ "$NBODIES" = "$NHITS" ] || {
+	echo "cluster_smoke: a with=pages search through the coordinator carried $NBODIES bodies for $NHITS hits" >&2
+	exit 1
+}
+METRICS=$(curl -s "$CO/api/v1/metrics")
+FETCHES=$(echo "$METRICS" | sed -n 's/.*"bodyFetches":\([0-9]*\).*/\1/p')
+MISSES=$(echo "$METRICS" | sed -n 's/.*"bodyCache":{"hits":[0-9]*,"misses":\([0-9]*\).*/\1/p')
+[ -n "$FETCHES" ] && [ -n "$MISSES" ] && [ "$FETCHES" -gt 0 ] && [ "$FETCHES" -le "$MISSES" ] || {
+	echo "cluster_smoke: bodyFetches \"$FETCHES\" against bodyCache.misses \"$MISSES\"; want 0 < fetches <= misses: $METRICS" >&2
+	exit 1
+}
+echo "cluster_smoke: $NBODIES bodies attached; coordinator body cache $MISSES misses in $FETCHES owner requests"
+
 # A stat push without the frequency map, to a node that is serving: 400,
 # and its partition search answers the same bytes as before.
 # shellcheck disable=SC2086
@@ -218,4 +272,4 @@ done
 echo "cluster_smoke: node0 registration report (JSON): $(printf %s "$NODE_STATS" | wc -c | tr -d ' ') B"
 echo "cluster_smoke: co $(echo "$METRICS2" | sed -n 's/.*\("frontCache":{[^}]*}\),\("bodyCache":{[^}]*}\).*/\1 \2/p')"
 
-echo "cluster_smoke: PASS (search + page proxy + metrics + front cache + node-kill failover + partition-scoped nodes + stat-push validation + a coordinator without corpus flags)"
+echo "cluster_smoke: PASS (search + page proxy + batched owner pages + metrics + front cache + node-kill failover + partition-scoped nodes + stat-push validation + a coordinator without corpus flags)"
