@@ -21,13 +21,15 @@ test:
 # aspects in classifier training, store's domain learner and eval's
 # warm-up; over splits and entities in eval; the scheduler's select and
 # fetch pools — under which sessions of every aspect share a System's term
-# vocabulary and facts table — and, in webapi, the server's shared
-# scheduler and the coordinator's scatter and page fan-out), and the
+# vocabulary and facts table — and harvest's runs of a plan on them, which
+# every job and eval's budget experiment fan out on; in webapi, the jobs
+# routes over harvest's shared scheduler and the coordinator's scatter and
+# page fan-out), and the
 # shared state they lean on (the vocabulary, a page's term-id and n-gram
 # memos), serial and oversubscribed: there is no worker count to set, so
 # these two runs are how every fan-out is held to the serial values, and
 # no test may depend on the box's core count.
-TEST_PROCS_PKGS = ./internal/textproc/ ./internal/corpus/ ./internal/search/ ./internal/core/ ./internal/pipeline/ ./internal/webapi/ ./internal/classify/ ./internal/baselines/ ./internal/store/ ./internal/eval/
+TEST_PROCS_PKGS = ./internal/textproc/ ./internal/corpus/ ./internal/search/ ./internal/core/ ./internal/pipeline/ ./internal/harvest/ ./internal/webapi/ ./internal/classify/ ./internal/baselines/ ./internal/store/ ./internal/eval/
 test-procs:
 	GOMAXPROCS=1 $(GO) test -race -shuffle=on $(TEST_PROCS_PKGS)
 	GOMAXPROCS=8 $(GO) test -race -shuffle=on $(TEST_PROCS_PKGS)

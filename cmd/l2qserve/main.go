@@ -53,6 +53,7 @@ import (
 
 	"l2q/internal/classify"
 	"l2q/internal/corpus"
+	"l2q/internal/harvest"
 	"l2q/internal/search"
 	"l2q/internal/store"
 	"l2q/internal/synth"
@@ -289,7 +290,7 @@ func main() {
 // trained at boot, models learned on first request). Returns nil
 // (harvesting disabled) when the corpus carries no aspect labels.
 func harvestBackend(c *corpus.Corpus, tok *textproc.Tokenizer, rec types.Recognizer,
-	art *store.DomainArtifact, logger *log.Logger) *webapi.HarvestBackend {
+	art *store.DomainArtifact, logger *log.Logger) *harvest.Backend {
 
 	if len(c.Aspects()) == 0 {
 		logger.Print("harvest: corpus has no aspect labels; endpoint disabled")
@@ -304,7 +305,7 @@ func harvestBackend(c *corpus.Corpus, tok *textproc.Tokenizer, rec types.Recogni
 		logger.Print("harvest: no aspect has training signal; endpoint disabled")
 		return nil
 	}
-	hb := &webapi.HarvestBackend{
+	hb := &harvest.Backend{
 		Cfg:     ln.Cfg,
 		Aspects: ln.Aspects,
 		Y:       ln.Cls.YFunc,

@@ -16,6 +16,7 @@ import (
 
 	"l2q/internal/core"
 	"l2q/internal/corpus"
+	"l2q/internal/harvest"
 	"l2q/internal/pipeline"
 )
 
@@ -47,36 +48,29 @@ type BudgetResult struct {
 }
 
 // budgetHarvest runs one allocation mode over the test entities of one
-// aspect and tallies the outcome. ctx bounds the scheduled harvests:
-// cancellation aborts the batch and surfaces as the per-job error.
+// aspect, as the jobs API runs a job (harvest.Plan.Run: one L2QBAL session
+// per entity, seeded with its id + 1), and tallies the outcome. ctx bounds
+// the scheduled harvests: cancellation aborts the batch and surfaces as the
+// per-job error.
 func (e *Env) budgetHarvest(ctx context.Context, aspect corpus.Aspect, dm *core.DomainModel,
 	nQueries int, policy pipeline.BudgetPolicy) (queries, relPages int, sumRPhi float64, err error) {
 
 	y := e.Cls.YFunc(aspect)
-	jobs := make([]pipeline.Job, 0, len(e.TestIDs))
-	sessions := make([]*core.Session, 0, len(e.TestIDs))
-	for _, id := range e.TestIDs {
-		entity := e.G.Corpus.Entity(id)
-		s := e.NewSession(entity, aspect, dm, uint64(id)+1)
-		jobs = append(jobs, pipeline.Job{Session: s, Selector: core.NewL2QBAL(), NQueries: nQueries})
-		sessions = append(sessions, s)
-	}
+	p := harvest.Plan{Cfg: e.Cfg.Core, Rec: e.Rec, Aspect: aspect, Selector: core.NewL2QBAL(), DM: dm, Y: y,
+		Entities: e.TestIDs, NQueries: nQueries, Budget: policy}
 	sched := pipeline.New(pipeline.Config{})
 	defer sched.Close()
-	b, serr := sched.Submit(ctx, jobs, pipeline.BatchOptions{Budget: policy})
-	if serr != nil {
-		return 0, 0, 0, serr
-	}
-	for _, r := range b.Await(ctx) {
+	// Every test entity is in the corpus and none resumes, so every entity
+	// runs a job, and a job's failure is its result's.
+	results := p.Run(ctx, sched, e.Engine, e.G.Corpus.Entity, func(harvest.Event) {}, nil)
+	for _, r := range results {
 		if r.Err != nil {
 			return 0, 0, 0, r.Err
 		}
 		queries += len(r.Fired)
-	}
-	for _, s := range sessions {
-		sumRPhi += s.RPhi()
-		for _, p := range s.Pages() {
-			if y(p) {
+		sumRPhi += r.Job.Session.RPhi()
+		for _, pg := range r.Job.Session.Pages() {
+			if y(pg) {
 				relPages++
 			}
 		}

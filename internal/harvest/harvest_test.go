@@ -1,0 +1,213 @@
+package harvest
+
+import (
+	"context"
+	"errors"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"l2q/internal/core"
+	"l2q/internal/corpus"
+	"l2q/internal/pipeline"
+	"l2q/internal/search"
+	"l2q/internal/synth"
+	"l2q/internal/textproc"
+)
+
+// TestDomainModelLearnsPerAspect: a learned aspect never waits on another
+// aspect's learning, two cold aspects learn at the same time, each aspect
+// learns at most once however many requests want it, and a failed learn is
+// not cached. Aspect A's learner blocks on a channel the test holds, so
+// each claim is a fact while it is checked, not a race.
+func TestDomainModelLearnsPerAspect(t *testing.T) {
+	const a, b, c = corpus.Aspect("A"), corpus.Aspect("B"), corpus.Aspect("C")
+	warm := &core.DomainModel{Aspect: b}
+	release, entered := make(chan struct{}), make(chan struct{})
+	var learnsA atomic.Int64
+	failC := true
+	be := &Backend{
+		Aspects: []corpus.Aspect{a, b, c},
+		Y:       func(corpus.Aspect) func(*corpus.Page) bool { return func(*corpus.Page) bool { return false } },
+		DomainModel: func(x corpus.Aspect) (*core.DomainModel, error) {
+			switch x {
+			case a:
+				if learnsA.Add(1) == 1 {
+					close(entered)
+				}
+				<-release
+			case c:
+				if failC { // only the test goroutine asks for C
+					failC = false
+					return nil, errors.New("learner failed")
+				}
+			default:
+				t.Errorf("aspect %s learned; it was preloaded", x)
+			}
+			return &core.DomainModel{Aspect: x}, nil
+		},
+	}
+	be.Preload(map[corpus.Aspect]*core.DomainModel{b: warm})
+	plan := func(x corpus.Aspect) (*Plan, error) {
+		return be.Plan(Request{Entities: []corpus.EntityID{1}, Aspect: string(x), NQueries: 1})
+	}
+
+	// Three requests for A: one learns, the other two wait for it.
+	var wg sync.WaitGroup
+	plansA := make([]*Plan, 3)
+	for i := range plansA {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := plan(a)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			plansA[i] = p
+		}()
+	}
+	<-entered
+
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { defer close(done); f() }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s waited on aspect A's learning", what)
+		}
+	}
+	within("a plan for preloaded aspect B", func() {
+		if p, err := plan(b); err != nil || p.DM != warm {
+			t.Errorf("aspect B: plan %v, %v; want the preloaded model", p, err)
+		}
+	})
+	within("a plan for cold aspect C", func() {
+		if _, err := plan(c); err == nil || errors.As(err, new(*RequestError)) {
+			t.Errorf("aspect C's failed learn: %v, want a backend error, not a request error", err)
+		}
+		if p, err := plan(c); err != nil || p.DM == nil || p.DM.Aspect != c {
+			t.Errorf("aspect C after a failed learn: %v, %v; want it learned again", p, err)
+		}
+	})
+
+	close(release)
+	wg.Wait()
+	if n := learnsA.Load(); n != 1 {
+		t.Errorf("aspect A learned %d times for three concurrent requests, want once", n)
+	}
+	for i, p := range plansA {
+		if p == nil || p.DM != plansA[0].DM {
+			t.Errorf("request %d for A got model %v, want the one learned model", i, p)
+		}
+	}
+}
+
+// stalledRetriever answers no search until its caller gives up, and
+// signals entered, without blocking, as each search begins.
+type stalledRetriever struct {
+	core.Retriever
+	entered chan<- struct{}
+}
+
+func (r stalledRetriever) Retrieve(ctx context.Context, _ []search.Result, _, _ []textproc.Token) ([]search.Result, error) {
+	select {
+	case r.entered <- struct{}{}:
+	default:
+	}
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestCloseWaitsForJobs: once Close returns, every job has reached its
+// final state with its outcome logged — nothing of a job runs on past a
+// server's Shutdown. Every search stalls until the registry's context is
+// canceled, so both jobs are certainly mid-harvest when it is.
+func TestCloseWaitsForJobs(t *testing.T) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Tokenizer = g.Tokenizer
+	ents := g.Corpus.Entities
+	p := &Plan{Cfg: cfg, Aspect: synth.AspResearch, Selector: core.NewL2QBAL(),
+		Y:        func(*corpus.Page) bool { return false },
+		Entities: []corpus.EntityID{ents[len(ents)-2].ID, ents[len(ents)-1].ID}, NQueries: 5}
+	entered := make(chan struct{}, 1)
+	ret := stalledRetriever{Retriever: search.NewEngine(search.BuildIndex(g.Corpus.Pages)), entered: entered}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	r := NewJobs(ctx, pipeline.Config{})
+	jobs := []*Job{r.Submit(p, ret, g.Corpus.Entity), r.Submit(p, ret, g.Corpus.Entity)}
+	<-entered
+	cancel()
+	r.Close()
+	for _, j := range jobs {
+		st := j.Status(false)
+		var last Event
+		if st.Events > 0 {
+			evs, _, _ := j.Events(context.Background(), st.Events-1)
+			last = evs[0]
+		}
+		if st.State != JobCanceled || st.Failed != len(p.Entities) || last.Type != "done" {
+			t.Errorf("job %s after Close: %+v, last event %+v; want canceled, every entity failed, done logged", j.ID(), st, last)
+		}
+	}
+}
+
+// TestNoTransport: the harvest service is transport-free. Neither this
+// package nor any package of the module it imports, directly or through
+// others, may import net/http or internal/webapi — webapi is the
+// transport that calls in here, never the other way round.
+func TestNoTransport(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const module = "l2q/"
+	seen := map[string]bool{}
+	var visit func(pkg, from string)
+	visit = func(pkg, from string) {
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		dir := filepath.Join(root, strings.TrimPrefix(pkg, module))
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("package %s (imported by %s): no Go files in %s", pkg, from, dir)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				path, _ := strconv.Unquote(imp.Path.Value)
+				switch {
+				case path == "net/http" || path == module+"internal/webapi":
+					t.Errorf("%s imports %s (reached from %s)", file, path, from)
+				case strings.HasPrefix(path, module):
+					visit(path, pkg)
+				}
+			}
+		}
+	}
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Fatal(err)
+	}
+	visit(module+"internal/harvest", "the test")
+}

@@ -13,7 +13,7 @@
 // worker holds the job, and jobs move between stages under one scheduler
 // lock.
 //
-// The pools are long-lived: a Scheduler (see New/Submit/Drain) serves many
+// The pools are long-lived: a Scheduler (see New/Submit/Close) serves many
 // concurrent submitters over its lifetime with FIFO admission, per-batch
 // fair share, and optional adaptive cross-entity budget allocation
 // (BudgetPolicy); Run is the retained one-shot wrapper.

@@ -9,7 +9,7 @@ package pipeline
 // concurrent callers Submit job batches; jobs are admitted FIFO
 // (Config.MaxActive is the admission bound) and, once admitted, served
 // round-robin across batches so one large submission cannot starve a
-// small one; Drain and Close manage shutdown. Run survives as a thin
+// small one; Close shuts it down. Run survives as a thin
 // submit-all-and-await wrapper over a private scheduler — the retained
 // reference the parity tests hold the scheduler to.
 
@@ -62,7 +62,7 @@ type jobState struct {
 
 // Scheduler runs harvesting jobs on shared select (CPU) and fetch (I/O)
 // worker pools for its whole lifetime. Construct with New, submit batches
-// with Submit, and stop with Drain/Close. Safe for concurrent use.
+// with Submit, and stop with Close. Safe for concurrent use.
 type Scheduler struct {
 	cfg Config
 
@@ -83,9 +83,10 @@ type Scheduler struct {
 	finished int64 // jobs finished over the scheduler lifetime
 	fired    int64 // queries fired over the scheduler lifetime
 
-	draining bool
-	closed   bool
-	wg       sync.WaitGroup
+	// closing refuses new batches while Close cancels the ones in flight.
+	closing bool
+	closed  bool
+	wg      sync.WaitGroup
 }
 
 // Stats is a point-in-time snapshot of scheduler load, the server-side
@@ -126,7 +127,6 @@ func New(cfg Config) *Scheduler {
 // the batch-scoped budget pool. Await/Cancel/Done manage its lifecycle.
 type Batch struct {
 	s    *Scheduler
-	jobs []Job
 	opts BatchOptions
 	pool *budgetPool
 
@@ -153,12 +153,11 @@ type Batch struct {
 // must not be shared between jobs; a session that has already fired
 // queries (a checkpoint resume) is picked up where it left off, with
 // Job.NQueries counting only the queries fired under this scheduler.
-// Submit fails once the scheduler is draining or closed.
+// Submit fails once the scheduler is closing or closed.
 func (s *Scheduler) Submit(ctx context.Context, jobs []Job, opts BatchOptions) (*Batch, error) {
 	bctx, cancel := context.WithCancel(ctx)
 	b := &Batch{
 		s:       s,
-		jobs:    jobs,
 		opts:    opts,
 		pool:    newBudgetPool(opts.Budget, jobs),
 		ctx:     bctx,
@@ -169,7 +168,7 @@ func (s *Scheduler) Submit(ctx context.Context, jobs []Job, opts BatchOptions) (
 	}
 
 	s.mu.Lock()
-	if s.closed || s.draining {
+	if s.closed || s.closing {
 		s.mu.Unlock()
 		cancel()
 		return nil, fmt.Errorf("pipeline: scheduler is shut down")
@@ -243,38 +242,6 @@ func (b *Batch) Cancel() {
 	}
 }
 
-// Checkpoints snapshots the durable state of every job session; call it
-// only after Done (sessions are owned by workers while the batch runs —
-// use BatchOptions.Checkpoint for in-flight persistence). Jobs that never
-// produced a session state (invalid submissions) yield zero checkpoints.
-func (b *Batch) Checkpoints() []core.Checkpoint {
-	out := make([]core.Checkpoint, len(b.jobs))
-	for i := range b.jobs {
-		if b.jobs[i].Session != nil {
-			out[i] = b.jobs[i].Session.Snapshot()
-		}
-	}
-	return out
-}
-
-// Drain stops admission of new batches and waits for every submitted job
-// to finish (or ctx to expire). After Drain the scheduler only accepts
-// Close; it is the graceful half of shutdown.
-func (s *Scheduler) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	s.draining = true
-	batches := append([]*Batch(nil), s.batches...)
-	s.mu.Unlock()
-	for _, b := range batches {
-		select {
-		case <-b.done:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	return nil
-}
-
 // Close cancels every unfinished batch and stops the worker pools. It is
 // idempotent and safe to call concurrently with Submit/Await.
 func (s *Scheduler) Close() {
@@ -283,7 +250,7 @@ func (s *Scheduler) Close() {
 		s.mu.Unlock()
 		return
 	}
-	s.draining = true
+	s.closing = true
 	batches := append([]*Batch(nil), s.batches...)
 	s.mu.Unlock()
 	for _, b := range batches {

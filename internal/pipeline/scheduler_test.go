@@ -249,41 +249,6 @@ func TestSchedulerCancelLatency(t *testing.T) {
 	}
 }
 
-// TestSchedulerDrain: Drain waits for submitted work and refuses new
-// submissions afterwards.
-func TestSchedulerDrain(t *testing.T) {
-	f := newFixture(t)
-	targets := f.targets(3)
-
-	s := New(Config{SelectWorkers: 2, FetchWorkers: 4})
-	defer s.Close()
-
-	jobs := make([]Job, len(targets))
-	for i, e := range targets {
-		jobs[i] = Job{Session: f.session(e, 0), Selector: core.NewP(), NQueries: 2}
-	}
-	b, err := s.Submit(context.Background(), jobs, BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-b.Done():
-	default:
-		t.Fatal("Drain returned with the batch unfinished")
-	}
-	for _, r := range b.Results() {
-		if r.Err != nil {
-			t.Error(r.Err)
-		}
-	}
-	if _, err := s.Submit(context.Background(), jobs, BatchOptions{}); err == nil {
-		t.Error("Submit accepted after Drain")
-	}
-}
-
 // TestSchedulerResumedSession: a batch killed mid-harvest and resumed
 // from its checkpoints finishes with the same fired-query sequence as an
 // uninterrupted run — the tentpole's checkpoint/resume acceptance
@@ -367,7 +332,8 @@ func TestSchedulerResumedSession(t *testing.T) {
 }
 
 // TestSchedulerCloseAborts: Close cancels in-flight batches and makes
-// Await return promptly with errors.
+// Await return promptly with errors, and a closed scheduler refuses new
+// batches.
 func TestSchedulerCloseAborts(t *testing.T) {
 	f := newFixture(t)
 	targets := f.targets(3)
@@ -398,6 +364,9 @@ func TestSchedulerCloseAborts(t *testing.T) {
 	}
 	if canceled == 0 {
 		t.Error("Close finished no jobs with errors despite 20s fetches in flight")
+	}
+	if _, err := s.Submit(context.Background(), jobs, BatchOptions{}); err == nil {
+		t.Error("Submit accepted after Close")
 	}
 }
 

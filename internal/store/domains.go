@@ -61,7 +61,7 @@ type DomainArtifact struct {
 }
 
 // ModelMap returns the artifact's models keyed by aspect — the shape
-// webapi.HarvestBackend.Preload consumes.
+// harvest.Backend.Preload consumes.
 func (a *DomainArtifact) ModelMap() map[corpus.Aspect]*core.DomainModel {
 	m := make(map[corpus.Aspect]*core.DomainModel, len(a.Models))
 	for _, dm := range a.Models {
@@ -156,7 +156,7 @@ func NewDomainLearner(c *corpus.Corpus, tok *textproc.Tokenizer,
 }
 
 // Learn learns one aspect's domain model under the protocol — the shape
-// webapi.HarvestBackend.DomainModel consumes. Its fixpoints are solved on
+// harvest.Backend.DomainModel consumes. Its fixpoints are solved on
 // first read, which a harvest with L2Q* never makes.
 func (l *DomainLearner) Learn(a corpus.Aspect) (*core.DomainModel, error) {
 	if l.sampleErr != nil {

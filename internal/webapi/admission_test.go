@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"l2q/internal/corpus"
+	"l2q/internal/harvest"
 	"l2q/internal/synth"
 )
 
@@ -112,7 +113,7 @@ func TestSaturationShedsWithoutLosingJobs(t *testing.T) {
 
 	target := f.g.Corpus.Entities[f.g.Corpus.NumEntities()-1]
 	search := "/api/v1/search?" + url.Values{"seed": target.SeedTokens(), "q": {"research"}}.Encode()
-	job, err := json.Marshal(HarvestRequest{Entities: []corpus.EntityID{target.ID}, Aspect: string(f.aspect), NQueries: 1})
+	job, err := json.Marshal(harvest.Request{Entities: []corpus.EntityID{target.ID}, Aspect: string(f.aspect), NQueries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,18 +219,15 @@ func TestSaturationShedsWithoutLosingJobs(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	for _, id := range total.jobs {
-		j := server.lookupJob(id)
+		j := server.harvestJobs().Get(id)
 		if j == nil {
 			t.Fatalf("job %s was accepted with 202 and is not in the registry", id)
 		}
-		if st := waitFinal(ctx, t, j); st.State != JobDone || st.Finished != 1 || st.Failed != 0 {
+		if st := waitFinal(ctx, t, j); st.State != harvest.JobDone || st.Finished != 1 || st.Failed != 0 {
 			t.Errorf("job %s ended as %+v, want done with its one entity finished", id, st)
 		}
 	}
-	server.jobsMu.Lock()
-	registered := len(server.jobs)
-	server.jobsMu.Unlock()
-	if registered != len(total.jobs) {
+	if registered := registeredJobs(server); registered != len(total.jobs) {
 		t.Errorf("%d jobs registered, %d submits were answered 202", registered, len(total.jobs))
 	}
 
@@ -270,7 +268,7 @@ func TestStreamOpenRetriesPastShed(t *testing.T) {
 	}
 
 	targets := jobTargets(f, 2)
-	id, err := client.SubmitJob(context.Background(), HarvestRequest{Entities: targets, Aspect: string(f.aspect), NQueries: 1})
+	id, err := client.SubmitJob(context.Background(), harvest.Request{Entities: targets, Aspect: string(f.aspect), NQueries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,8 +278,8 @@ func TestStreamOpenRetriesPastShed(t *testing.T) {
 		<-answered // the first open came back, and the slot was held: shed
 		<-sem
 	}()
-	var evs []HarvestEvent
-	if err := client.StreamJob(context.Background(), id, func(ev HarvestEvent) error {
+	var evs []harvest.Event
+	if err := client.StreamJob(context.Background(), id, func(ev harvest.Event) error {
 		evs = append(evs, ev)
 		return nil
 	}); err != nil {

@@ -14,6 +14,7 @@ import (
 	"l2q/internal/classify"
 	"l2q/internal/core"
 	"l2q/internal/corpus"
+	"l2q/internal/harvest"
 	"l2q/internal/pipeline"
 	"l2q/internal/search"
 	"l2q/internal/synth"
@@ -59,7 +60,7 @@ func newHarvestFixture(t testing.TB) *harvestFixture {
 	}
 
 	server := NewServer(g.Corpus, live, nil)
-	server.Harvest = &HarvestBackend{
+	server.Harvest = &harvest.Backend{
 		Cfg:     cfg,
 		Aspects: []corpus.Aspect{aspect},
 		Y:       func(corpus.Aspect) func(*corpus.Page) bool { return y },
@@ -70,16 +71,9 @@ func newHarvestFixture(t testing.TB) *harvestFixture {
 	}
 	srv := httptest.NewServer(server.Handler())
 	t.Cleanup(srv.Close)
-	t.Cleanup(func() {
-		// Reap the shared scheduler's worker pools (httptest never calls
-		// Server.Shutdown, which otherwise owns this).
-		server.schedMu.Lock()
-		sched := server.sched
-		server.schedMu.Unlock()
-		if sched != nil {
-			sched.Close()
-		}
-	})
+	// Reap the shared scheduler's worker pools (httptest never calls
+	// Server.Shutdown, which otherwise owns this).
+	t.Cleanup(func() { server.harvestJobs().Close() })
 	client, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +87,7 @@ func newHarvestFixture(t testing.TB) *harvestFixture {
 // session with the same seed — and streams per-iteration progress events
 // in order on the way. Through a 3-node cluster a harvest is a remote
 // session against the coordinator server, held to the same bar; the
-// coordinator's own jobs API answers 501, HarvestBackend attached or not.
+// coordinator's own jobs API answers 501, harvest.Backend attached or not.
 func TestHarvestEndpointParity(t *testing.T) {
 	f := newHarvestFixture(t)
 	targets := jobTargets(f, 3)
@@ -108,7 +102,7 @@ func TestHarvestEndpointParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = coClient.HarvestBatch(context.Background(), HarvestRequest{Entities: targets, Aspect: string(f.aspect), NQueries: nQueries}, nil)
+		err = coClient.HarvestBatch(context.Background(), harvest.Request{Entities: targets, Aspect: string(f.aspect), NQueries: nQueries}, nil)
 		var te *TransportError
 		if !errors.As(err, &te) || te.Status != http.StatusNotImplemented {
 			t.Errorf("a job on the coordinator: %v, want 501", err)
@@ -125,15 +119,15 @@ func TestHarvestEndpointParity(t *testing.T) {
 
 func testHarvestEndpointParity(t *testing.T, f *harvestFixture, client *Client, targets []corpus.EntityID, nQueries int) {
 	var mu sync.Mutex
-	progress := make(map[corpus.EntityID][]HarvestEvent)
-	finished := make(map[corpus.EntityID]HarvestEvent)
-	var done *HarvestEvent
-	err := client.HarvestBatch(context.Background(), HarvestRequest{
+	progress := make(map[corpus.EntityID][]harvest.Event)
+	finished := make(map[corpus.EntityID]harvest.Event)
+	var done *harvest.Event
+	err := client.HarvestBatch(context.Background(), harvest.Request{
 		Entities: targets,
 		Aspect:   string(f.aspect),
 		Strategy: "L2QBAL",
 		NQueries: nQueries,
-	}, func(ev HarvestEvent) error {
+	}, func(ev harvest.Event) error {
 		mu.Lock()
 		defer mu.Unlock()
 		switch ev.Type {
@@ -198,12 +192,12 @@ func TestHarvestUnknownEntity(t *testing.T) {
 	const bogus = corpus.EntityID(99999)
 
 	var errEvents, entityEvents int
-	var done HarvestEvent
-	err := f.client.HarvestBatch(context.Background(), HarvestRequest{
+	var done harvest.Event
+	err := f.client.HarvestBatch(context.Background(), harvest.Request{
 		Entities: []corpus.EntityID{bogus, good},
 		Aspect:   string(f.aspect),
 		NQueries: 1,
-	}, func(ev HarvestEvent) error {
+	}, func(ev harvest.Event) error {
 		switch ev.Type {
 		case "error":
 			errEvents++
@@ -234,40 +228,40 @@ func TestHarvestUnknownEntity(t *testing.T) {
 // TestHarvestValidation covers the request-level rejections.
 func TestHarvestValidation(t *testing.T) {
 	f := newHarvestFixture(t)
-	withBudget := func(b BudgetSpec) HarvestRequest {
-		return HarvestRequest{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), NQueries: 1, Budget: &b}
+	withBudget := func(b harvest.BudgetSpec) harvest.Request {
+		return harvest.Request{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), NQueries: 1, Budget: &b}
 	}
-	resuming := func(entities []corpus.EntityID, resume ...corpus.EntityID) HarvestRequest {
-		req := HarvestRequest{Entities: entities, Aspect: string(f.aspect), NQueries: 1}
+	resuming := func(entities []corpus.EntityID, resume ...corpus.EntityID) harvest.Request {
+		req := harvest.Request{Entities: entities, Aspect: string(f.aspect), NQueries: 1}
 		for _, id := range resume {
 			req.Resume = append(req.Resume, core.Checkpoint{Entity: id, Aspect: f.aspect})
 		}
 		return req
 	}
-	tooMany := make([]corpus.EntityID, maxHarvestEntities+1)
+	tooMany := make([]corpus.EntityID, 64+1) // one past the jobs API's bound
 	for i := range tooMany {
 		tooMany[i] = corpus.EntityID(i)
 	}
 	cases := []struct {
 		name string
-		req  HarvestRequest
+		req  harvest.Request
 		want int
 	}{
-		{"no entities", HarvestRequest{Aspect: string(f.aspect)}, http.StatusBadRequest},
-		{"unknown aspect", HarvestRequest{Entities: []corpus.EntityID{0}, Aspect: "NOPE"}, http.StatusBadRequest},
-		{"unknown strategy", HarvestRequest{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), Strategy: "HODL"}, http.StatusBadRequest},
+		{"no entities", harvest.Request{Aspect: string(f.aspect)}, http.StatusBadRequest},
+		{"unknown aspect", harvest.Request{Entities: []corpus.EntityID{0}, Aspect: "NOPE"}, http.StatusBadRequest},
+		{"unknown strategy", harvest.Request{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), Strategy: "HODL"}, http.StatusBadRequest},
 		// The §VI-C baselines are named methods, but not server-side ones.
-		{"baseline LM", HarvestRequest{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), Strategy: "LM"}, http.StatusBadRequest},
-		{"baseline AQ", HarvestRequest{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), Strategy: "AQ"}, http.StatusBadRequest},
-		{"baseline HR", HarvestRequest{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), Strategy: "HR"}, http.StatusBadRequest},
-		{"baseline MQ", HarvestRequest{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), Strategy: "MQ"}, http.StatusBadRequest},
-		{"negative budget", HarvestRequest{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), NQueries: -1}, http.StatusBadRequest},
-		{"budget over cap", HarvestRequest{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), NQueries: 10000}, http.StatusBadRequest},
-		{"negative pool", withBudget(BudgetSpec{Mode: "adaptive", TotalQueries: -5}), http.StatusBadRequest},
-		{"negative patience", withBudget(BudgetSpec{Mode: "adaptive", Patience: -1}), http.StatusBadRequest},
-		{"negative maxPerEntity", withBudget(BudgetSpec{Mode: "adaptive", MaxPerEntity: -1}), http.StatusBadRequest},
-		{"negative minGain", withBudget(BudgetSpec{Mode: "adaptive", MinGain: -0.5}), http.StatusBadRequest},
-		{"too many entities", HarvestRequest{Entities: tooMany, Aspect: string(f.aspect), NQueries: 1}, http.StatusBadRequest},
+		{"baseline LM", harvest.Request{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), Strategy: "LM"}, http.StatusBadRequest},
+		{"baseline AQ", harvest.Request{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), Strategy: "AQ"}, http.StatusBadRequest},
+		{"baseline HR", harvest.Request{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), Strategy: "HR"}, http.StatusBadRequest},
+		{"baseline MQ", harvest.Request{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), Strategy: "MQ"}, http.StatusBadRequest},
+		{"negative budget", harvest.Request{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), NQueries: -1}, http.StatusBadRequest},
+		{"budget over cap", harvest.Request{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), NQueries: 10000}, http.StatusBadRequest},
+		{"negative pool", withBudget(harvest.BudgetSpec{Mode: "adaptive", TotalQueries: -5}), http.StatusBadRequest},
+		{"negative patience", withBudget(harvest.BudgetSpec{Mode: "adaptive", Patience: -1}), http.StatusBadRequest},
+		{"negative maxPerEntity", withBudget(harvest.BudgetSpec{Mode: "adaptive", MaxPerEntity: -1}), http.StatusBadRequest},
+		{"negative minGain", withBudget(harvest.BudgetSpec{Mode: "adaptive", MinGain: -0.5}), http.StatusBadRequest},
+		{"too many entities", harvest.Request{Entities: tooMany, Aspect: string(f.aspect), NQueries: 1}, http.StatusBadRequest},
 		// One session per entity: a repeat would overwrite its own resume state.
 		{"repeated entity", resuming([]corpus.EntityID{22, 23, 22}), http.StatusBadRequest},
 		{"resume for an entity not requested", resuming([]corpus.EntityID{22}, 23), http.StatusBadRequest},
@@ -282,7 +276,7 @@ func TestHarvestValidation(t *testing.T) {
 	}
 
 	// Strategy names are case-insensitive.
-	lower := HarvestRequest{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), Strategy: "l2qbal", NQueries: 1}
+	lower := harvest.Request{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), Strategy: "l2qbal", NQueries: 1}
 	if err := f.client.HarvestBatch(context.Background(), lower, nil); err != nil {
 		t.Errorf("strategy l2qbal: %v", err)
 	}
@@ -294,7 +288,7 @@ func TestHarvestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = bare.HarvestBatch(context.Background(), HarvestRequest{
+	err = bare.HarvestBatch(context.Background(), harvest.Request{
 		Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), NQueries: 1}, nil)
 	var te *TransportError
 	if !errors.As(err, &te) || te.Status != http.StatusNotImplemented {
@@ -345,11 +339,11 @@ func TestHarvestShutdownGraceful(t *testing.T) {
 	sawDone := false
 	// A big budget: without cancellation this would run much longer than
 	// the shutdown window.
-	err = client.HarvestBatch(context.Background(), HarvestRequest{
+	err = client.HarvestBatch(context.Background(), harvest.Request{
 		Entities: targets,
 		Aspect:   string(f.aspect),
 		NQueries: 40,
-	}, func(ev HarvestEvent) error {
+	}, func(ev harvest.Event) error {
 		if ev.Type == "progress" {
 			once.Do(func() { close(inFlight) })
 		}
@@ -383,7 +377,7 @@ func TestHarvestBatchIsAJob(t *testing.T) {
 	entered := make(chan struct{}, 1)
 
 	hb := f.server.Harvest
-	backend := &HarvestBackend{Cfg: hb.Cfg, Aspects: hb.Aspects, Rec: hb.Rec, DomainModel: hb.DomainModel,
+	backend := &harvest.Backend{Cfg: hb.Cfg, Aspects: hb.Aspects, Rec: hb.Rec, DomainModel: hb.DomainModel,
 		Y: func(corpus.Aspect) func(*corpus.Page) bool {
 			return func(p *corpus.Page) bool {
 				if ch := hold.Load(); ch != nil && p.Entity == held {
@@ -400,7 +394,9 @@ func TestHarvestBatchIsAJob(t *testing.T) {
 	server.Harvest = backend
 	// Two workers per pool whatever GOMAXPROCS says: the held entity
 	// occupies one, the others must keep harvesting.
-	server.sched = pipeline.New(pipeline.Config{SelectWorkers: 2, FetchWorkers: 2})
+	server.jobsOnce.Do(func() {
+		server.jobs = harvest.NewJobs(server.ctx, pipeline.Config{SelectWorkers: 2, FetchWorkers: 2})
+	})
 	srv := httptest.NewServer(server.Handler())
 	t.Cleanup(srv.Close)
 	t.Cleanup(func() { server.Shutdown(context.Background()) })
@@ -408,12 +404,8 @@ func TestHarvestBatchIsAJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registered := func() int {
-		server.jobsMu.Lock()
-		defer server.jobsMu.Unlock()
-		return len(server.jobs)
-	}
-	req := HarvestRequest{Entities: targets, Aspect: string(f.aspect), NQueries: 2}
+	registered := func() int { return registeredJobs(server) }
+	req := harvest.Request{Entities: targets, Aspect: string(f.aspect), NQueries: 2}
 
 	// A batch that stays to the end.
 	release := make(chan struct{})
@@ -421,7 +413,7 @@ func TestHarvestBatchIsAJob(t *testing.T) {
 	result := make(chan error, 1)
 	sawDone := false
 	go func() {
-		result <- client.HarvestBatch(context.Background(), req, func(ev HarvestEvent) error {
+		result <- client.HarvestBatch(context.Background(), req, func(ev harvest.Event) error {
 			sawDone = sawDone || ev.Type == "done"
 			return nil
 		})
@@ -431,7 +423,7 @@ func TestHarvestBatchIsAJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Jobs[JobQueued]+m.Jobs[JobRunning] != 1 || registered() != 1 {
+	if m.Jobs[harvest.JobQueued]+m.Jobs[harvest.JobRunning] != 1 || registered() != 1 {
 		t.Errorf("while HarvestBatch streams: jobs %v, %d registered; want its one job, queued or running", m.Jobs, registered())
 	}
 	close(release)
@@ -447,7 +439,7 @@ func TestHarvestBatchIsAJob(t *testing.T) {
 	release = make(chan struct{})
 	hold.Store(&release)
 	errLeft := errors.New("caller left")
-	err = client.HarvestBatch(context.Background(), req, func(ev HarvestEvent) error {
+	err = client.HarvestBatch(context.Background(), req, func(ev harvest.Event) error {
 		if ev.Type == "progress" {
 			return errLeft
 		}
@@ -457,13 +449,13 @@ func TestHarvestBatchIsAJob(t *testing.T) {
 	if err != errLeft {
 		t.Fatalf("HarvestBatch returned %v, want onEvent's error verbatim", err)
 	}
-	j := server.lookupJob("j2") // the second job this server accepted
+	j := server.harvestJobs().Get("j2") // the second job this server accepted
 	if j == nil {
 		t.Fatal("the job of a caller that left early is gone; it should be canceled and kept for its checkpoints")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	if st := waitFinal(ctx, t, j); st.State != JobCanceled {
+	if st := waitFinal(ctx, t, j); st.State != harvest.JobCanceled {
 		t.Errorf("job ended as %+v, want canceled", st)
 	}
 }

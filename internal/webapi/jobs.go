@@ -3,19 +3,17 @@ package webapi
 // The jobs API: the one surface a server-side harvest is submitted,
 // followed and stopped through.
 //
-//	POST   /api/v1/jobs          → {"id": "..."} (request body = HarvestRequest)
-//	GET    /api/v1/jobs/{id}     → JobStatus (add ?checkpoints=1 for resume state)
+//	POST   /api/v1/jobs          → {"id": "..."} (request body = harvest.Request)
+//	GET    /api/v1/jobs/{id}     → harvest.JobStatus (add ?checkpoints=1 for resume state)
 //	GET    /api/v1/jobs/{id}?stream=1 → NDJSON replay-then-follow of all events
 //	DELETE /api/v1/jobs/{id}     → cancel a running job / forget a finished one
 //
-// Jobs run on the server's shared scheduler under the server's lifecycle
-// (not the submitting request's): the POST returns immediately, events
-// accumulate in a per-job log that any number of readers can stream from
-// the beginning, and the latest per-entity checkpoints are kept so a
-// canceled (or crashed-client) harvest can be resumed by re-submitting
-// with HarvestRequest.Resume. A submitter that wants a harvest scoped to
-// its own call — stay for the events, stop the work by leaving — composes
-// that from the same three requests: Client.HarvestBatch.
+// What a job is — its plan, its run on the shared scheduler, its event log
+// and checkpoints, the registry that keeps it — is internal/harvest's; the
+// handlers here decode a request, call the registry and encode its answer.
+// A submitter that wants a harvest scoped to its own call — stay for the
+// events, stop the work by leaving — composes that from the same three
+// requests: Client.HarvestBatch.
 //
 // Event streams are NDJSON and nothing else. A budget-5 entity's whole
 // stream is under a kilobyte beside the tens of kilobytes of pages the same
@@ -30,168 +28,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
-	"sync"
 	"time"
 
-	"l2q/internal/core"
-	"l2q/internal/corpus"
+	"l2q/internal/harvest"
 	"l2q/internal/pipeline"
 )
-
-// Job states reported by JobStatus.State.
-const (
-	JobQueued   = "queued"
-	JobRunning  = "running"
-	JobDone     = "done"
-	JobCanceled = "canceled"
-)
-
-// JobStatus is the GET /api/v1/jobs/{id} payload.
-type JobStatus struct {
-	ID    string `json:"id"`
-	State string `json:"state"`
-	// Entities is the number requested; Finished and Failed count
-	// per-entity outcomes so far.
-	Entities int `json:"entities"`
-	Finished int `json:"finished"`
-	Failed   int `json:"failed"`
-	// Events is the event-log length (the ?stream=1 replay size).
-	Events int `json:"events"`
-	// Checkpoints (with ?checkpoints=1) is the latest durable state per
-	// entity — the Resume payload for a follow-up submission.
-	Checkpoints []core.Checkpoint `json:"checkpoints,omitempty"`
-}
-
-// serverJob is one async job's record: an append-only event log with a
-// broadcast channel for followers, per-entity checkpoints, and outcome
-// counters.
-type serverJob struct {
-	id     string
-	seq    int // registry eviction order (submission sequence)
-	cancel context.CancelFunc
-
-	mu       sync.Mutex
-	changed  chan struct{}
-	events   []HarvestEvent
-	state    string
-	entities int
-	finished int
-	failed   int
-	cps      map[corpus.EntityID]core.Checkpoint
-}
-
-func newServerJob(id string, seq, entities int, cancel context.CancelFunc) *serverJob {
-	return &serverJob{
-		id:       id,
-		seq:      seq,
-		cancel:   cancel,
-		changed:  make(chan struct{}),
-		state:    JobQueued,
-		entities: entities,
-		cps:      make(map[corpus.EntityID]core.Checkpoint),
-	}
-}
-
-// signalLocked wakes every waiter (stream followers, state pollers).
-func (j *serverJob) signalLocked() {
-	close(j.changed)
-	j.changed = make(chan struct{})
-}
-
-func (j *serverJob) setState(state string) {
-	j.mu.Lock()
-	j.state = state
-	j.signalLocked()
-	j.mu.Unlock()
-}
-
-func (j *serverJob) stateName() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
-// emit appends one event to the log, folding per-entity outcomes into the
-// counters.
-func (j *serverJob) emit(ev HarvestEvent) {
-	j.mu.Lock()
-	j.events = append(j.events, ev)
-	switch ev.Type {
-	case "entity":
-		j.finished++
-	case "error":
-		j.failed++
-	}
-	j.signalLocked()
-	j.mu.Unlock()
-}
-
-// checkpoint records the latest durable state for one entity.
-func (j *serverJob) checkpoint(cp core.Checkpoint) {
-	j.mu.Lock()
-	j.cps[cp.Entity] = cp
-	j.mu.Unlock()
-}
-
-func (j *serverJob) finalState() bool {
-	return j.state == JobDone || j.state == JobCanceled
-}
-
-func (j *serverJob) status(withCps bool) JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := JobStatus{
-		ID:       j.id,
-		State:    j.state,
-		Entities: j.entities,
-		Finished: j.finished,
-		Failed:   j.failed,
-		Events:   len(j.events),
-	}
-	if withCps {
-		ids := make([]corpus.EntityID, 0, len(j.cps))
-		for id := range j.cps {
-			ids = append(ids, id)
-		}
-		// Deterministic order: ascending entity ID.
-		slices.Sort(ids)
-		for _, id := range ids {
-			st.Checkpoints = append(st.Checkpoints, j.cps[id])
-		}
-	}
-	return st
-}
-
-// waitEvents returns the events from index `from` on, blocking until new
-// ones arrive, the job reaches a final state, or ctx is done. final
-// reports whether no further events will ever arrive past the returned
-// slice.
-func (j *serverJob) waitEvents(ctx context.Context, from int) (evs []HarvestEvent, final bool, err error) {
-	for {
-		j.mu.Lock()
-		if from < len(j.events) {
-			evs = append(evs, j.events[from:]...)
-			final = j.finalState()
-			j.mu.Unlock()
-			return evs, final, nil
-		}
-		if j.finalState() {
-			j.mu.Unlock()
-			return nil, true, nil
-		}
-		ch := j.changed
-		j.mu.Unlock()
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
-	}
-}
 
 // maxJobBody bounds a job submission: entity IDs and resume checkpoints,
 // never pages.
@@ -210,6 +55,16 @@ func (s *Server) jobsBackend(w http.ResponseWriter) (b *localBackend, ok bool) {
 	return b, ok
 }
 
+// harvestJobs returns the server's job registry, made on first use with
+// MaxInFlight, when set, as its bound on running jobs: excess jobs wait in
+// the shared scheduler's FIFO instead of thrashing workers.
+func (s *Server) harvestJobs() *harvest.Jobs {
+	s.jobsOnce.Do(func() {
+		s.jobs = harvest.NewJobs(s.ctx, pipeline.Config{MaxActive: s.MaxInFlight})
+	})
+	return s.jobs
+}
+
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	b, ok := s.jobsBackend(w)
 	if !ok {
@@ -224,111 +79,39 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req HarvestRequest
+	var req harvest.Request
 	if err := json.Unmarshal(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	p, perr := hb.plan(req)
-	if perr != nil {
-		writeError(w, perr.status, perr.msg)
+	p, err := hb.Plan(req)
+	if err != nil {
+		status := http.StatusInternalServerError
+		if errors.As(err, new(*harvest.RequestError)) {
+			status = http.StatusBadRequest
+		}
+		writeError(w, status, err.Error())
 		return
 	}
-
 	// The job belongs to the server lifecycle, not the submitting
 	// request: the POST returns as soon as the job is registered.
-	jctx, cancel := context.WithCancel(s.ctx)
-	s.jobsMu.Lock()
-	s.jobsSeq++
-	id := fmt.Sprintf("j%d", s.jobsSeq)
-	j := newServerJob(id, s.jobsSeq, len(req.Entities), cancel)
-	if s.jobs == nil {
-		s.jobs = make(map[string]*serverJob)
-	}
-	s.jobs[id] = j
-	s.evictFinishedLocked()
-	s.jobsMu.Unlock()
-	// Resume checkpoints count as known state from the start, so a
-	// status poll sees the full picture before the first ingest.
-	for _, cp := range p.resume {
-		j.checkpoint(cp)
-	}
-
-	go s.runJob(jctx, j, b, req, p)
-
+	j := s.harvestJobs().Submit(p, b.live, b.entity)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
-	_ = json.NewEncoder(w).Encode(map[string]string{"id": id, "state": j.stateName()})
-}
-
-// runJob executes one async job on the shared scheduler, feeding the
-// job's event log.
-func (s *Server) runJob(ctx context.Context, j *serverJob, b *localBackend, req HarvestRequest, p *harvestPlan) {
-	defer j.cancel()
-	j.setState(JobRunning)
-	jobs, jobEntities, failed := s.Harvest.buildJobs(ctx, b, req, p, j.emit)
-
-	results := s.submitHarvest(ctx, jobs, pipeline.BatchOptions{
-		Budget: p.budget,
-		Checkpoint: func(job int, cp core.Checkpoint) {
-			j.checkpoint(cp)
-		},
-	})
-
-	// An entity that failed under a canceled ctx — in its replay or on the
-	// scheduler — was cut short, not broken.
-	state := JobDone
-	if cut := ctx.Err() != nil; emitOutcomes(j.emit, results, jobEntities, len(req.Entities), failed) > 0 && cut {
-		state = JobCanceled
-	}
-	j.setState(state)
-}
-
-// maxRetainedJobs bounds the registry: beyond it, the oldest FINISHED
-// jobs (and their event logs/checkpoints) are evicted at submit time.
-// Running jobs are never evicted, so the registry can exceed the cap only
-// by the number of concurrently running jobs. Without the bound, a
-// long-lived server leaks one event log per job forever — clients rarely
-// DELETE what they are done with.
-const maxRetainedJobs = 256
-
-// evictFinishedLocked drops the oldest finished jobs past the retention
-// cap. Caller holds jobsMu.
-func (s *Server) evictFinishedLocked() {
-	for len(s.jobs) > maxRetainedJobs {
-		var victim *serverJob
-		for _, j := range s.jobs {
-			j.mu.Lock()
-			final := j.finalState()
-			j.mu.Unlock()
-			if final && (victim == nil || j.seq < victim.seq) {
-				victim = j
-			}
-		}
-		if victim == nil {
-			return // everything over the cap is still running
-		}
-		delete(s.jobs, victim.id)
-	}
-}
-
-func (s *Server) lookupJob(id string) *serverJob {
-	s.jobsMu.Lock()
-	defer s.jobsMu.Unlock()
-	return s.jobs[id]
+	_ = json.NewEncoder(w).Encode(map[string]string{"id": j.ID(), "state": j.State()})
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	if _, ok := s.jobsBackend(w); !ok {
 		return
 	}
-	j := s.lookupJob(r.PathValue("id"))
+	j := s.harvestJobs().Get(r.PathValue("id"))
 	if j == nil {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	if r.URL.Query().Get("stream") == "" {
-		writeJSON(w, j.status(r.URL.Query().Get("checkpoints") != ""))
+		writeJSON(w, j.Status(r.URL.Query().Get("checkpoints") != ""))
 		return
 	}
 
@@ -350,7 +133,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	from := 0
 	for {
-		evs, final, err := j.waitEvents(ctx, from)
+		evs, final, err := j.Events(ctx, from)
 		if err != nil {
 			return // reader is gone or server is draining
 		}
@@ -382,22 +165,12 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	j := s.lookupJob(id)
-	if j == nil {
+	state, ok := s.harvestJobs().Delete(id)
+	if !ok {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	if j.stateName() == JobQueued || j.stateName() == JobRunning {
-		// Cancel; the record stays until a second DELETE so the caller
-		// can read the final state and checkpoints to resume from.
-		j.cancel()
-		writeJSON(w, map[string]string{"id": id, "state": "canceling"})
-		return
-	}
-	s.jobsMu.Lock()
-	delete(s.jobs, id)
-	s.jobsMu.Unlock()
-	writeJSON(w, map[string]string{"id": id, "state": "deleted"})
+	writeJSON(w, map[string]string{"id": id, "state": state})
 }
 
 // call makes one request of the jobs API — the three that get and post
@@ -450,7 +223,7 @@ func (c *Client) call(ctx context.Context, op, method, path string, jsonBody []b
 // SubmitJob submits a server-side harvest and returns its job ID as soon as
 // the server accepts it; progress is consumed via JobStatus/StreamJob. Sent
 // once: every accepted submit is a new job.
-func (c *Client) SubmitJob(ctx context.Context, req HarvestRequest) (string, error) {
+func (c *Client) SubmitJob(ctx context.Context, req harvest.Request) (string, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return "", fmt.Errorf("webapi: jobs: encode request: %w", err)
@@ -469,12 +242,12 @@ func (c *Client) SubmitJob(ctx context.Context, req HarvestRequest) (string, err
 
 // JobStatus fetches a job's status; withCheckpoints includes the latest
 // per-entity checkpoints (the Resume payload).
-func (c *Client) JobStatus(ctx context.Context, id string, withCheckpoints bool) (JobStatus, error) {
+func (c *Client) JobStatus(ctx context.Context, id string, withCheckpoints bool) (harvest.JobStatus, error) {
 	path := apiRoot + "/jobs/" + id
 	if withCheckpoints {
 		path += "?checkpoints=1"
 	}
-	var st JobStatus
+	var st harvest.JobStatus
 	if err := c.getJSON(ctx, "jobstatus", path, &st); err != nil {
 		return st, err
 	}
@@ -490,7 +263,7 @@ func (c *Client) JobStatus(ctx context.Context, id string, withCheckpoints bool)
 // draining server stops following at whatever event it is at, and a severed
 // connection looks no different — is a *TransportError wrapping
 // io.ErrUnexpectedEOF, never a finished harvest.
-func (c *Client) StreamJob(ctx context.Context, id string, onEvent func(HarvestEvent) error) error {
+func (c *Client) StreamJob(ctx context.Context, id string, onEvent func(harvest.Event) error) error {
 	path := apiRoot + "/jobs/" + id + "?stream=1"
 	body, err := c.call(ctx, "jobstream", http.MethodGet, path, nil, true, nil)
 	if err != nil {
@@ -509,7 +282,7 @@ func (c *Client) StreamJob(ctx context.Context, id string, onEvent func(HarvestE
 		if len(line) == 0 {
 			continue
 		}
-		var ev HarvestEvent
+		var ev harvest.Event
 		if err := json.Unmarshal(line, &ev); err != nil {
 			return fail(fmt.Errorf("malformed event %q: %w", line, err))
 		}
@@ -550,9 +323,9 @@ const leaveTimeout = 5 * time.Second
 // early — ctx done, onEvent failed, stream cut — and forgets one that
 // finished, so the work stops when the caller leaves and the server
 // retains nothing. The DELETE is best-effort: a client that dies before
-// sending it leaves a job that runs to its bounded end (maxHarvestQueries)
-// and is evicted past maxRetainedJobs.
-func (c *Client) HarvestBatch(ctx context.Context, req HarvestRequest, onEvent func(HarvestEvent) error) error {
+// sending it leaves a job that runs to its bounded end (50 queries an
+// entity) and is evicted once the server retains 256 newer finished jobs.
+func (c *Client) HarvestBatch(ctx context.Context, req harvest.Request, onEvent func(harvest.Event) error) error {
 	id, err := c.SubmitJob(ctx, req)
 	if err != nil {
 		return err

@@ -17,6 +17,7 @@ import (
 
 	"l2q/internal/core"
 	"l2q/internal/corpus"
+	"l2q/internal/harvest"
 )
 
 // jobTargets picks the last n entities of the fixture corpus.
@@ -31,16 +32,25 @@ func jobTargets(f *harvestFixture, n int) []corpus.EntityID {
 
 // waitFinal follows j's event log in-package until the job has reached a
 // final state — no polling, no clock but ctx's — and returns its status.
-func waitFinal(ctx context.Context, t *testing.T, j *serverJob) JobStatus {
+func waitFinal(ctx context.Context, t *testing.T, j *harvest.Job) harvest.JobStatus {
 	t.Helper()
 	for from, final := 0, false; !final; {
-		evs, fin, err := j.waitEvents(ctx, from)
+		evs, fin, err := j.Events(ctx, from)
 		if err != nil {
-			t.Fatalf("job %s never reached a final state: %v (status %+v)", j.id, err, j.status(false))
+			t.Fatalf("job %s never reached a final state: %v (status %+v)", j.ID(), err, j.Status(false))
 		}
 		from, final = from+len(evs), fin
 	}
-	return j.status(false)
+	return j.Status(false)
+}
+
+// registeredJobs counts the jobs in s's registry, in every state.
+func registeredJobs(s *Server) int {
+	n := 0
+	for _, c := range s.harvestJobs().Counts() {
+		n += c
+	}
+	return n
 }
 
 // localReference harvests one entity in-process with the server's seeding
@@ -70,7 +80,7 @@ func TestJobsLifecycle(t *testing.T) {
 	targets := jobTargets(f, 3)
 	const nQueries = 2
 
-	id, err := f.client.SubmitJob(context.Background(), HarvestRequest{
+	id, err := f.client.SubmitJob(context.Background(), harvest.Request{
 		Entities: targets,
 		Aspect:   string(f.aspect),
 		NQueries: nQueries,
@@ -79,10 +89,10 @@ func TestJobsLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	finished := make(map[corpus.EntityID]HarvestEvent)
-	var done *HarvestEvent
+	finished := make(map[corpus.EntityID]harvest.Event)
+	var done *harvest.Event
 	progress := 0
-	err = f.client.StreamJob(context.Background(), id, func(ev HarvestEvent) error {
+	err = f.client.StreamJob(context.Background(), id, func(ev harvest.Event) error {
 		switch ev.Type {
 		case "progress":
 			progress++
@@ -127,7 +137,7 @@ func TestJobsLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != JobDone || st.Finished != len(targets) || st.Failed != 0 {
+	if st.State != harvest.JobDone || st.Finished != len(targets) || st.Failed != 0 {
 		t.Errorf("status %+v, want done/%d/0", st, len(targets))
 	}
 	if len(st.Checkpoints) != len(targets) {
@@ -141,7 +151,7 @@ func TestJobsLifecycle(t *testing.T) {
 
 	// A second stream replays the full event log identically.
 	replayed := 0
-	if err := f.client.StreamJob(context.Background(), id, func(HarvestEvent) error {
+	if err := f.client.StreamJob(context.Background(), id, func(harvest.Event) error {
 		replayed++
 		return nil
 	}); err != nil {
@@ -181,7 +191,7 @@ func TestJobsCancelResume(t *testing.T) {
 		wantFired[id] = fired
 	}
 
-	id, err := f.client.SubmitJob(context.Background(), HarvestRequest{
+	id, err := f.client.SubmitJob(context.Background(), harvest.Request{
 		Entities: targets,
 		Aspect:   string(f.aspect),
 		NQueries: nQueries,
@@ -193,7 +203,7 @@ func TestJobsCancelResume(t *testing.T) {
 	// at its third event — and keep reading: the stream ends when the job
 	// has reached its final state, so the status read after it is final too.
 	events := 0
-	if err := f.client.StreamJob(context.Background(), id, func(HarvestEvent) error {
+	if err := f.client.StreamJob(context.Background(), id, func(harvest.Event) error {
 		if events++; events == 3 {
 			return f.client.CancelJob(context.Background(), id)
 		}
@@ -211,12 +221,12 @@ func TestJobsCancelResume(t *testing.T) {
 		// the job completed before the DELETE landed. No checkpoints
 		// survive; resume degenerates to a from-scratch run, which the
 		// parity assertion below still covers.
-		st = JobStatus{State: JobDone}
+		st = harvest.JobStatus{State: harvest.JobDone}
 	}
-	if st.State != JobCanceled && st.State != JobDone {
+	if st.State != harvest.JobCanceled && st.State != harvest.JobDone {
 		t.Fatalf("job in state %q after its stream ended, want a final state", st.State)
 	}
-	if st.State == JobDone {
+	if st.State == harvest.JobDone {
 		t.Log("job finished before cancellation; resume degenerates to a replay")
 	}
 
@@ -226,7 +236,7 @@ func TestJobsCancelResume(t *testing.T) {
 	for _, cp := range st.Checkpoints {
 		prior[cp.Entity] = cp.Fired
 	}
-	id2, err := f.client.SubmitJob(context.Background(), HarvestRequest{
+	id2, err := f.client.SubmitJob(context.Background(), harvest.Request{
 		Entities: targets,
 		Aspect:   string(f.aspect),
 		NQueries: nQueries,
@@ -235,8 +245,8 @@ func TestJobsCancelResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	finished := make(map[corpus.EntityID]HarvestEvent)
-	if err := f.client.StreamJob(context.Background(), id2, func(ev HarvestEvent) error {
+	finished := make(map[corpus.EntityID]harvest.Event)
+	if err := f.client.StreamJob(context.Background(), id2, func(ev harvest.Event) error {
 		if ev.Type == "entity" {
 			finished[ev.Entity] = ev
 		}
@@ -281,7 +291,7 @@ func TestEventStreamNeedsDone(t *testing.T) {
 		}))
 		c := derivedClient(f, stub.URL, fastRetry)
 		delivered := 0
-		err := c.StreamJob(context.Background(), "j1", func(HarvestEvent) error { delivered++; return nil })
+		err := c.StreamJob(context.Background(), "j1", func(harvest.Event) error { delivered++; return nil })
 		stub.Close()
 		var te *TransportError
 		switch {
@@ -303,17 +313,17 @@ func TestJobsAdaptiveBudget(t *testing.T) {
 	const nQueries = 3
 	budget := nQueries * len(targets)
 
-	id, err := f.client.SubmitJob(context.Background(), HarvestRequest{
+	id, err := f.client.SubmitJob(context.Background(), harvest.Request{
 		Entities: targets,
 		Aspect:   string(f.aspect),
 		NQueries: nQueries,
-		Budget:   &BudgetSpec{Mode: "adaptive", Patience: 1000},
+		Budget:   &harvest.BudgetSpec{Mode: "adaptive", Patience: 1000},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := 0
-	if err := f.client.StreamJob(context.Background(), id, func(ev HarvestEvent) error {
+	if err := f.client.StreamJob(context.Background(), id, func(ev harvest.Event) error {
 		if ev.Type == "entity" {
 			total += len(ev.Fired)
 		}
@@ -336,18 +346,18 @@ func TestJobsAdaptiveBudget(t *testing.T) {
 func TestJobsValidation(t *testing.T) {
 	f := newHarvestFixture(t)
 
-	if _, err := f.client.SubmitJob(context.Background(), HarvestRequest{Aspect: string(f.aspect)}); err == nil {
+	if _, err := f.client.SubmitJob(context.Background(), harvest.Request{Aspect: string(f.aspect)}); err == nil {
 		t.Error("empty entity list accepted")
 	}
-	_, err := f.client.SubmitJob(context.Background(), HarvestRequest{
+	_, err := f.client.SubmitJob(context.Background(), harvest.Request{
 		Entities: jobTargets(f, 1), Aspect: string(f.aspect), NQueries: 1,
-		Budget: &BudgetSpec{Mode: "yolo"},
+		Budget: &harvest.BudgetSpec{Mode: "yolo"},
 	})
 	var te *TransportError
 	if !errors.As(err, &te) || te.Status != http.StatusBadRequest {
 		t.Errorf("bad budget mode: %v, want 400", err)
 	}
-	_, err = f.client.SubmitJob(context.Background(), HarvestRequest{
+	_, err = f.client.SubmitJob(context.Background(), harvest.Request{
 		Entities: jobTargets(f, 1), Aspect: string(f.aspect), NQueries: 1,
 		Resume: []core.Checkpoint{{Entity: 0, Aspect: "WRONG"}},
 	})
@@ -380,7 +390,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// One sync harvest spins up the shared scheduler.
 	targets := jobTargets(f, 2)
-	if err := f.client.HarvestBatch(context.Background(), HarvestRequest{
+	if err := f.client.HarvestBatch(context.Background(), harvest.Request{
 		Entities: targets, Aspect: string(f.aspect), NQueries: 1,
 	}, nil); err != nil {
 		t.Fatal(err)
@@ -400,7 +410,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	// An async job shows up in the jobs map.
-	id, err := f.client.SubmitJob(context.Background(), HarvestRequest{
+	id, err := f.client.SubmitJob(context.Background(), harvest.Request{
 		Entities: targets, Aspect: string(f.aspect), NQueries: 1,
 	})
 	if err != nil {
@@ -413,7 +423,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Jobs[JobDone] != 1 {
+	if m.Jobs[harvest.JobDone] != 1 {
 		t.Errorf("jobs map %v, want one done job", m.Jobs)
 	}
 }
@@ -428,7 +438,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // line, and done followed by one more event.
 func FuzzJobStream(f *testing.F) {
 	hf := newHarvestFixture(f)
-	id, err := hf.client.SubmitJob(context.Background(), HarvestRequest{Entities: jobTargets(hf, 2), Aspect: string(hf.aspect), NQueries: 1})
+	id, err := hf.client.SubmitJob(context.Background(), harvest.Request{Entities: jobTargets(hf, 2), Aspect: string(hf.aspect), NQueries: 1})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -470,13 +480,13 @@ func FuzzJobStream(f *testing.F) {
 	var seq atomic.Int64
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var want []HarvestEvent
+		var want []harvest.Event
 		complete := false
 		for _, line := range bytes.Split(body, []byte("\n")) {
 			if line = bytes.TrimSpace(line); len(line) == 0 {
 				continue
 			}
-			var ev HarvestEvent
+			var ev harvest.Event
 			if json.Unmarshal(line, &ev) != nil {
 				complete = false
 				break
@@ -488,8 +498,8 @@ func FuzzJobStream(f *testing.F) {
 		id := strconv.FormatInt(seq.Add(1), 10)
 		bodies.Store(id, body)
 		defer bodies.Delete(id)
-		var got []HarvestEvent
-		err := client.StreamJob(context.Background(), id, func(ev HarvestEvent) error {
+		var got []harvest.Event
+		err := client.StreamJob(context.Background(), id, func(ev harvest.Event) error {
 			got = append(got, ev)
 			return nil
 		})

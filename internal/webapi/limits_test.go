@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"l2q/internal/harvest"
 	"l2q/internal/search"
 	"l2q/internal/synth"
 )
@@ -25,7 +26,7 @@ func TestRequestBodyLimits(t *testing.T) {
 	}
 	live := bootLive(g.Corpus)
 	writable := NewServer(g.Corpus, live, g.Tokenizer)
-	writable.Harvest = &HarvestBackend{}
+	writable.Harvest = &harvest.Backend{}
 	node, err := NewNodeServer(g.Corpus, search.ClusterSpec{Nodes: 1, Replicas: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -77,8 +78,8 @@ func TestRequestBodyLimits(t *testing.T) {
 		t.Errorf("refused bodies moved the corpus (%d → %d pages) or the epoch (%d → %d)",
 			pagesBefore, g.Corpus.NumPages(), epochBefore, live.View().Epoch())
 	}
-	if len(writable.jobs) != 0 {
-		t.Errorf("refused job bodies registered %d job(s)", len(writable.jobs))
+	if n := registeredJobs(writable); n != 0 {
+		t.Errorf("refused job bodies registered %d job(s)", n)
 	}
 	if node.Node().Ready() {
 		t.Error("a refused stats push made the node ready")

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"l2q/internal/corpus"
+	"l2q/internal/harvest"
 	"l2q/internal/pipeline"
 	"l2q/internal/search"
 	"l2q/internal/store"
@@ -102,7 +103,7 @@ type Server struct {
 	// /api/v1/jobs): server-side pipelined sessions with streamed progress.
 	// Only a NewServer server runs them; a node or coordinator server
 	// answers the jobs routes 501 either way.
-	Harvest *HarvestBackend
+	Harvest *harvest.Backend
 
 	// inflight is the admission gate, sized once from MaxInFlight; shed
 	// counts requests rejected at it.
@@ -112,15 +113,10 @@ type Server struct {
 
 	http *http.Server
 
-	// sched is the ONE shared pipeline scheduler every job runs on, created
-	// on first use and closed by Shutdown.
-	schedMu sync.Mutex
-	sched   *pipeline.Scheduler
-
-	// jobs is the async jobs registry (see jobs.go).
-	jobsMu  sync.Mutex
-	jobsSeq int
-	jobs    map[string]*serverJob
+	// jobs is the registry of harvest jobs and of the one scheduler they
+	// share, made on first use (harvestJobs) and closed by Shutdown.
+	jobsOnce sync.Once
+	jobs     *harvest.Jobs
 
 	// frames is the memo of compressed response frames behind respond and
 	// handlePage (wire.go).
@@ -138,20 +134,6 @@ type Server struct {
 	// streaming their events terminate and let the graceful drain finish.
 	ctx    context.Context
 	cancel context.CancelFunc
-}
-
-// scheduler returns the server's shared pipeline scheduler, starting it
-// on first use with pipeline.Config's worker defaults and, when
-// MaxInFlight is set, that many active jobs at most.
-func (s *Server) scheduler() *pipeline.Scheduler {
-	s.schedMu.Lock()
-	defer s.schedMu.Unlock()
-	if s.sched == nil {
-		// Excess jobs wait in the scheduler's FIFO instead of thrashing
-		// workers.
-		s.sched = pipeline.New(pipeline.Config{MaxActive: s.MaxInFlight})
-	}
-	return s.sched
 }
 
 // newServer wires a server over the backend a constructor chose.
@@ -274,22 +256,17 @@ func (s *Server) Start(addr string) (string, error) {
 }
 
 // Shutdown cancels the running jobs and the handlers streaming their
-// events, drains the rest, stops the shared harvest scheduler, and stops
-// the server.
+// events, drains the rest, stops the server, and returns once the shared
+// harvest scheduler has stopped and every job has ended.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.cancel()
 	var err error
 	if s.http != nil {
 		err = s.http.Shutdown(ctx)
 	}
-	s.schedMu.Lock()
-	sched := s.sched
-	s.schedMu.Unlock()
-	if sched != nil {
-		// Every batch context descends from s.ctx, so the jobs are
-		// already aborting; Close reaps the worker pools.
-		sched.Close()
-	}
+	// Every job's context descends from s.ctx, so the jobs are already
+	// aborting.
+	s.harvestJobs().Close()
 	return err
 }
 
@@ -370,21 +347,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		Frames:  s.frames.metrics(),
 		Runtime: readRuntimeMetrics(),
 	}
-	s.jobsMu.Lock()
-	if len(s.jobs) > 0 {
-		m.Jobs = make(map[string]int, 4)
-		for _, j := range s.jobs {
-			m.Jobs[j.stateName()]++
-		}
-	}
-	s.jobsMu.Unlock()
-	s.schedMu.Lock()
-	sched := s.sched
-	s.schedMu.Unlock()
-	if sched != nil {
-		st := sched.Stats()
-		m.Scheduler = &st
-	}
+	m.Jobs = s.harvestJobs().Counts()
+	m.Scheduler = s.harvestJobs().SchedulerStats()
 	s.backend.metrics(&m)
 	writeJSON(w, m)
 }

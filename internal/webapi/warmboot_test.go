@@ -9,6 +9,7 @@ import (
 
 	"l2q/internal/core"
 	"l2q/internal/corpus"
+	"l2q/internal/harvest"
 	"l2q/internal/store"
 )
 
@@ -28,11 +29,11 @@ func TestHarvestWarmBoot(t *testing.T) {
 	harvest := func(f *harvestFixture) map[corpus.EntityID][]string {
 		t.Helper()
 		fired := make(map[corpus.EntityID][]string)
-		err := f.client.HarvestBatch(context.Background(), HarvestRequest{
+		err := f.client.HarvestBatch(context.Background(), harvest.Request{
 			Entities: targets,
 			Aspect:   string(f.aspect),
 			NQueries: nQueries,
-		}, func(ev HarvestEvent) error {
+		}, func(ev harvest.Event) error {
 			if ev.Type == "error" {
 				t.Errorf("error event: %+v", ev)
 			}

@@ -18,6 +18,7 @@ import (
 	"l2q/internal/classify"
 	"l2q/internal/core"
 	"l2q/internal/corpus"
+	"l2q/internal/harvest"
 	"l2q/internal/html"
 	"l2q/internal/store"
 	"l2q/internal/synth"
@@ -520,11 +521,11 @@ func TestJobStreamMatchesBatchStream(t *testing.T) {
 	if !c.WireNegotiated() {
 		t.Fatal("wire not negotiated")
 	}
-	req := HarvestRequest{Entities: jobTargets(f, 2), Aspect: string(f.aspect), NQueries: 2}
+	req := harvest.Request{Entities: jobTargets(f, 2), Aspect: string(f.aspect), NQueries: 2}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	var batchEvs, jobEvs []HarvestEvent
-	if err := c.HarvestBatch(ctx, req, func(ev HarvestEvent) error {
+	var batchEvs, jobEvs []harvest.Event
+	if err := c.HarvestBatch(ctx, req, func(ev harvest.Event) error {
 		batchEvs = append(batchEvs, ev)
 		return nil
 	}); err != nil {
@@ -534,7 +535,7 @@ func TestJobStreamMatchesBatchStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.StreamJob(ctx, id, func(ev HarvestEvent) error {
+	if err := c.StreamJob(ctx, id, func(ev harvest.Event) error {
 		jobEvs = append(jobEvs, ev)
 		return nil
 	}); err != nil {
@@ -564,7 +565,7 @@ func TestJobStreamMatchesBatchStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
-	var last HarvestEvent
+	var last harvest.Event
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" || isWireFrame(body) ||
 		len(lines) != len(jobEvs) || json.Unmarshal(lines[len(lines)-1], &last) != nil || last.Type != "done" {
 		t.Errorf("stream asked with Accept: %s: content-type %q, %d lines (want %d NDJSON events ending in done): %.80q",
@@ -577,12 +578,12 @@ func TestJobStreamMatchesBatchStream(t *testing.T) {
 // the server does guarantee: an entity's progress events all precede its
 // one closing entity/error event, and done comes last with matching
 // counts.
-func streamByEntity(t *testing.T, evs []HarvestEvent, entities int) map[corpus.EntityID][]HarvestEvent {
+func streamByEntity(t *testing.T, evs []harvest.Event, entities int) map[corpus.EntityID][]harvest.Event {
 	t.Helper()
 	if len(evs) == 0 || evs[len(evs)-1].Type != "done" {
 		t.Fatalf("stream did not finish with done: %+v", evs)
 	}
-	by := make(map[corpus.EntityID][]HarvestEvent)
+	by := make(map[corpus.EntityID][]harvest.Event)
 	closed := make(map[corpus.EntityID]bool)
 	failed := 0
 	for i, ev := range evs[:len(evs)-1] {
@@ -610,7 +611,7 @@ func streamByEntity(t *testing.T, evs []HarvestEvent, entities int) map[corpus.E
 			t.Fatalf("entity %d never closed", id)
 		}
 	}
-	by[-1] = []HarvestEvent{done}
+	by[-1] = []harvest.Event{done}
 	return by
 }
 

@@ -2,9 +2,10 @@ package l2q
 
 // This file is the public surface of the reproduction's extension systems:
 // the CRF classifier family (the paper's actual classifiers), the HTTP
-// search-API boundary, persistent corpus stores, the interleaved
-// selection/fetch pipeline (§VI-C's efficiency suggestion), and the
-// link-following focused-crawler baseline (§II's contrast).
+// search-API boundary with its server-side harvest jobs (run on the
+// interleaved selection/fetch pipeline, §VI-C's efficiency suggestion),
+// persistent corpus stores, and the link-following focused-crawler
+// baseline (§II's contrast).
 
 import (
 	"context"
@@ -15,8 +16,8 @@ import (
 	"l2q/internal/corpus"
 	"l2q/internal/crawler"
 	"l2q/internal/crf"
+	"l2q/internal/harvest"
 	"l2q/internal/html"
-	"l2q/internal/pipeline"
 	"l2q/internal/search"
 	"l2q/internal/store"
 	"l2q/internal/textproc"
@@ -53,53 +54,26 @@ type (
 	FaultInjector = webapi.FaultInjector
 	// HarvestBackend enables a SearchServer's jobs API (/api/v1/jobs), the
 	// surface of server-side harvesting.
-	HarvestBackend = webapi.HarvestBackend
+	HarvestBackend = harvest.Backend
 	// HarvestRequest is the body a job is submitted with.
-	HarvestRequest = webapi.HarvestRequest
+	HarvestRequest = harvest.Request
 	// HarvestEvent is one entry of a job's event log, one NDJSON line of
 	// its stream.
-	HarvestEvent = webapi.HarvestEvent
+	HarvestEvent = harvest.Event
 	// BudgetSpec is the wire form of the budget policy in a HarvestRequest.
-	BudgetSpec = webapi.BudgetSpec
+	BudgetSpec = harvest.BudgetSpec
 	// JobStatus is the jobs API's status payload.
-	JobStatus = webapi.JobStatus
+	JobStatus = harvest.JobStatus
 	// ServerMetrics is the GET /api/v1/metrics payload.
 	ServerMetrics = webapi.ServerMetrics
-
-	// HarvestScheduler is the long-lived pipeline scheduler: shared
-	// select/fetch worker pools serving many concurrent Submit calls with
-	// FIFO admission and per-batch fair share.
-	HarvestScheduler = pipeline.Scheduler
-	// HarvestBatch is one Submit call's unit of work on a scheduler.
-	HarvestBatch = pipeline.Batch
-	// HarvestJob is one entity-aspect harvest on the scheduler.
-	HarvestJob = pipeline.Job
-	// HarvestJobResult is one finished scheduler job.
-	HarvestJobResult = pipeline.Result
-	// SchedulerConfig sizes a scheduler's pools and admission bound.
-	SchedulerConfig = pipeline.Config
-	// SchedulerStats snapshots scheduler load.
-	SchedulerStats = pipeline.Stats
-	// BatchOptions tunes one Submit call (budget policy, checkpointing).
-	BatchOptions = pipeline.BatchOptions
-	// BudgetPolicy allocates a batch's query budget across entities.
-	BudgetPolicy = pipeline.BudgetPolicy
-	// BudgetMode selects fixed-equal or adaptive allocation.
-	BudgetMode = pipeline.BudgetMode
-)
-
-// Budget allocation modes (see BudgetPolicy).
-const (
-	BudgetFixed    = pipeline.BudgetFixed
-	BudgetAdaptive = pipeline.BudgetAdaptive
 )
 
 // Async job states (JobStatus.State).
 const (
-	JobQueued   = webapi.JobQueued
-	JobRunning  = webapi.JobRunning
-	JobDone     = webapi.JobDone
-	JobCanceled = webapi.JobCanceled
+	JobQueued   = harvest.JobQueued
+	JobRunning  = harvest.JobRunning
+	JobDone     = harvest.JobDone
+	JobCanceled = harvest.JobCanceled
 )
 
 // Wire codec preferences (RemoteOptions.Codec).
@@ -111,40 +85,6 @@ const (
 
 // ParseCodec maps a flag value ("auto", "json", "binary") to a Codec.
 func ParseCodec(s string) (Codec, error) { return webapi.ParseCodec(s) }
-
-// NewScheduler starts a long-lived harvest scheduler over this system's
-// engine. Build jobs with NewHarvestJobs (or by hand from Harvester
-// sessions), Submit batches from any number of goroutines, and Close when
-// done. The adaptive budget mode (BatchOptions.Budget) reallocates a
-// pooled query budget toward the entities with the highest marginal
-// ΔR_E(Φ) gain each round.
-func (s *System) NewScheduler(cfg SchedulerConfig) *HarvestScheduler {
-	return pipeline.New(cfg)
-}
-
-// NewHarvestJobs builds one scheduler job per entity for an aspect, each
-// session seeded with its entity id + 1 (NewHarvesterSeeded with that seed
-// reproduces it). jobs[i] harvests entities[i]: an unknown ID fails the
-// call with an error naming every unknown ID, and no jobs are built.
-func (s *System) NewHarvestJobs(entities []EntityID, a Aspect, dm *DomainModel,
-	sel Selector, nQueries int) ([]HarvestJob, error) {
-
-	var unknown []EntityID
-	for _, id := range entities {
-		if s.corpus.Entity(id) == nil {
-			unknown = append(unknown, id)
-		}
-	}
-	if len(unknown) > 0 {
-		return nil, fmt.Errorf("l2q: unknown entity ids %v", unknown)
-	}
-	jobs := make([]HarvestJob, 0, len(entities))
-	for _, id := range entities {
-		sess := core.NewSession(s.cfg, s.engine, s.corpus.Entity(id), a, s.cls.YFunc(a), dm, s.rec, uint64(id)+1)
-		jobs = append(jobs, HarvestJob{Session: sess, Selector: sel, NQueries: nQueries})
-	}
-	return jobs, nil
-}
 
 // Tokenizer returns the tokenizer the system's corpus was built with.
 func (s *System) Tokenizer() *textproc.Tokenizer { return s.cfg.Tokenizer }
@@ -188,7 +128,7 @@ func (s *System) NewSearchServer() *SearchServer {
 	return srv
 }
 
-// HarvestBackend wires the system into a webapi.HarvestBackend: aspect
+// HarvestBackend wires the system into a harvest.Backend: aspect
 // classifiers materialize Y, and domain models are learned on first use
 // over the canonical first-half domain sample (the protocol
 // cmd/l2qharvest and the tests use); the backend memoizes them per

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"l2q/internal/store"
@@ -59,68 +58,6 @@ func TestSaveLoadStoreRoundTrip(t *testing.T) {
 	if b.Index == nil || b.Index.NumDocs() != sys.Corpus().NumPages() {
 		t.Error("index missing or wrong size")
 	}
-}
-
-// TestHarvestPipelinedMatchesHarvestMany: harvesting many entities as one
-// batch on the interleaved scheduler (NewHarvestJobs + NewScheduler) fires,
-// for every entity, exactly the queries and gathers exactly the pages of
-// one sequential Run of a harvester with the same per-entity seed (id+1).
-func TestHarvestPipelinedMatchesHarvestMany(t *testing.T) {
-	sys := testSystem(t, Researchers)
-	aspect := sys.Aspects()[0]
-	ids := sys.EntityIDs()
-	dm, err := sys.LearnDomain(aspect, ids[:10])
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets := ids[15:]
-
-	jobs, err := sys.NewHarvestJobs(targets, aspect, dm, NewL2QBAL(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := sys.NewScheduler(SchedulerConfig{})
-	defer sched.Close()
-	batch, err := sched.Submit(context.Background(), jobs, BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := batch.Await(context.Background())
-	for i, h := range sequentialHarvest(t, sys, targets, aspect, dm, 2) {
-		if results[i].Err != nil {
-			t.Fatalf("pipeline job %d: %v", i, results[i].Err)
-		}
-		if !reflect.DeepEqual(h.Fired(), results[i].Fired) {
-			t.Errorf("entity %d fired %v vs %v", i, h.Fired(), results[i].Fired)
-		}
-		var a, b []PageID
-		for _, p := range h.Pages() {
-			a = append(a, p.ID)
-		}
-		for _, p := range jobs[i].Session.Pages() {
-			b = append(b, p.ID)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("entity %d pages %v vs %v", i, a, b)
-		}
-	}
-}
-
-// sequentialHarvest runs one harvester per target, one after another,
-// each seeded as NewHarvestJobs seeds its job (id+1): the reference a
-// scheduled batch must match.
-func sequentialHarvest(t *testing.T, sys *System, targets []EntityID, a Aspect,
-	dm *DomainModel, nQueries int) []*Harvester {
-
-	t.Helper()
-	hs := make([]*Harvester, len(targets))
-	for i, id := range targets {
-		hs[i] = sys.NewHarvesterSeeded(sys.Corpus().Entity(id), a, dm, uint64(id)+1)
-		if fired := mustRun(t, hs[i], NewL2QBAL(), nQueries); len(fired) == 0 || len(hs[i].Pages()) == 0 {
-			t.Fatalf("entity %d: sequential run fired %v and gathered %d pages", id, fired, len(hs[i].Pages()))
-		}
-	}
-	return hs
 }
 
 func TestSystemCrawl(t *testing.T) {
@@ -228,24 +165,6 @@ func domainBytes(t *testing.T, dm *DomainModel) []byte {
 	return buf.Bytes()
 }
 
-// TestNewHarvestJobsRefusesUnknownEntities: jobs[i] must harvest
-// entities[i], so an unknown ID fails the call, naming every unknown ID,
-// instead of building a shorter slice that shifts each later job off its
-// entity.
-func TestNewHarvestJobsRefusesUnknownEntities(t *testing.T) {
-	sys := testSystem(t, Cars)
-	ids := sys.EntityIDs()
-	jobs, err := sys.NewHarvestJobs([]EntityID{ids[0], 99998, ids[1], 99999}, sys.Aspects()[0], nil, NewP(), 1)
-	if err == nil || jobs != nil {
-		t.Fatalf("unknown ids built %d jobs, err %v", len(jobs), err)
-	}
-	for _, id := range []string{"99998", "99999"} {
-		if !strings.Contains(err.Error(), id) {
-			t.Errorf("error %q does not name unknown id %s", err, id)
-		}
-	}
-}
-
 // TestCheckpointThroughFacade exercises the promoted Snapshot/Resume on the
 // public Harvester, the checkpoint carried as JSON like the jobs API does.
 func TestCheckpointThroughFacade(t *testing.T) {
@@ -267,69 +186,6 @@ func TestCheckpointThroughFacade(t *testing.T) {
 	}
 	if len(h2.Pages()) != len(h.Pages()) {
 		t.Errorf("resumed pages %d, want %d", len(h2.Pages()), len(h.Pages()))
-	}
-}
-
-// TestSchedulerPublicSurface drives the long-lived scheduler through the
-// public API: NewScheduler + NewHarvestJobs, a fixed batch matching
-// sequential harvesters, and an adaptive-budget batch respecting the
-// pooled spend.
-func TestSchedulerPublicSurface(t *testing.T) {
-	sys := testSystem(t, Researchers)
-	aspect := sys.Aspects()[0]
-	ids := sys.EntityIDs()
-	targets := ids[len(ids)-3:]
-	dm, err := sys.LearnDomain(aspect, ids[:8])
-	if err != nil {
-		t.Fatal(err)
-	}
-	const nQueries = 2
-
-	want := sequentialHarvest(t, sys, targets, aspect, dm, nQueries)
-
-	sched := sys.NewScheduler(SchedulerConfig{})
-	defer sched.Close()
-	jobs, err := sys.NewHarvestJobs(targets, aspect, dm, NewL2QBAL(), nQueries)
-	if err != nil || len(jobs) != len(targets) {
-		t.Fatalf("built %d jobs for %d targets: %v", len(jobs), len(targets), err)
-	}
-	b, err := sched.Submit(context.Background(), jobs, BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range b.Await(context.Background()) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		if !reflect.DeepEqual(r.Fired, want[i].Fired()) {
-			t.Errorf("job %d fired %v, its sequential harvester fired %v", i, r.Fired, want[i].Fired())
-		}
-	}
-
-	// Adaptive batch on the same scheduler: bounded by the pooled budget.
-	jobs2, err := sys.NewHarvestJobs(targets, aspect, dm, NewL2QBAL(), nQueries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := sched.Submit(context.Background(), jobs2, BatchOptions{
-		Budget: BudgetPolicy{Mode: BudgetAdaptive},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, r := range b2.Await(context.Background()) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		total += len(r.Fired)
-	}
-	if total > nQueries*len(targets) {
-		t.Errorf("adaptive batch fired %d > pooled budget %d", total, nQueries*len(targets))
-	}
-
-	if st := sched.Stats(); st.FinishedJobs != int64(2*len(targets)) {
-		t.Errorf("FinishedJobs = %d, want %d", st.FinishedJobs, 2*len(targets))
 	}
 }
 
