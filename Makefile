@@ -74,7 +74,10 @@ test-procs:
 # the 400/501/503 envelope, have lists capped, each q and seed value one
 # token at the engine); and 10 s on classifier training (TrainSet's one
 # counting pass ≡ the per-aspect trainReference loop bit for bit on tiny
-# corpora over small label and token alphabets).
+# corpora over small label and token alphabets); and 10 s on the one
+# eviction policy (search.Cache against a map model: Put/Get programs over
+# eight keys at capacities 1–8 — a hit returns the key's last Put, entries
+# stay within capacity, hits + misses count the Gets).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPrunedTopKMatchesReference -fuzztime 20s ./internal/search/
 	$(GO) test -run '^$$' -fuzz FuzzSearchPagesFrame -fuzztime 20s ./internal/webapi/
@@ -92,6 +95,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzJobStream -fuzztime 10s -fuzzminimizetime 1s ./internal/webapi/
 	$(GO) test -run '^$$' -fuzz FuzzSearchParams -fuzztime 10s -fuzzminimizetime 1s ./internal/webapi/
 	$(GO) test -run '^$$' -fuzz FuzzTrainSetMatchesReference -fuzztime 10s ./internal/classify/
+	$(GO) test -run '^$$' -fuzz FuzzCacheModel -fuzztime 10s ./internal/search/
 
 # 30 s churn loops under the race detector: scheduler submit/cancel/
 # resume, and the live engine's concurrent ingest+search+compact.

@@ -15,6 +15,7 @@ package harvest
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -196,6 +197,10 @@ type Request struct {
 // entity), "entity" (one entity finished, with its fired queries and
 // gathered pages), "error" (one entity failed), and "done" (the batch
 // summary, always the last line — a stream that ends without it was cut).
+//
+// Every event but "done" carries its "entity", entity 0 included; the
+// "done" line carries none, since it is about the batch, not one entity
+// (MarshalJSON).
 type Event struct {
 	Type string `json:"type"`
 	// Entity is set on progress/entity/error events.
@@ -213,6 +218,21 @@ type Event struct {
 	Failed   int `json:"failed,omitempty"`
 	// Error carries the failure of an "error" event.
 	Error string `json:"error,omitempty"`
+}
+
+// MarshalJSON writes the event's JSON line: its fields in declaration
+// order, with the entity key left out of the "done" summary. Entity is a
+// plain value (0 is a real entity), so omitempty could not tell the two
+// apart.
+func (ev Event) MarshalJSON() ([]byte, error) {
+	type fields Event // the same fields without this method
+	if ev.Type != "done" {
+		return json.Marshal(fields(ev))
+	}
+	return json.Marshal(struct {
+		fields
+		Entity *corpus.EntityID `json:"entity,omitempty"` // shadows fields.Entity; nil
+	}{fields: fields(ev)})
 }
 
 // RequestError is a request Plan refuses: the caller's fault, which a

@@ -2,11 +2,13 @@ package harvest
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -210,4 +212,34 @@ func TestNoTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	visit(module+"internal/harvest", "the test")
+}
+
+// TestEventJSON pins an event's line: entity 0 is a real entity, so every
+// per-entity event carries "entity":0 for it, and the batch summary
+// carries no entity at all.
+func TestEventJSON(t *testing.T) {
+	for _, tc := range []struct {
+		ev   Event
+		want string
+	}{
+		{Event{Type: "progress", Entity: 0, Iteration: 1, Query: "q", NewPages: 2, TotalPages: 2},
+			`{"type":"progress","entity":0,"iteration":1,"query":"q","newPages":2,"totalPages":2}`},
+		{Event{Type: "entity", Entity: 0, Fired: []string{"q"}, Pages: []corpus.PageID{4}},
+			`{"type":"entity","entity":0,"fired":["q"],"pages":[4]}`},
+		{Event{Type: "error", Entity: 0, Error: "boom"}, `{"type":"error","entity":0,"error":"boom"}`},
+		{Event{Type: "error", Entity: 7, Error: "boom"}, `{"type":"error","entity":7,"error":"boom"}`},
+		{Event{Type: "done", Entities: 2, Failed: 1}, `{"type":"done","entities":2,"failed":1}`},
+	} {
+		got, err := json.Marshal(tc.ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("%s event: %s, want %s", tc.ev.Type, got, tc.want)
+		}
+		var back Event
+		if err := json.Unmarshal(got, &back); err != nil || !reflect.DeepEqual(back, tc.ev) {
+			t.Errorf("%s event: %s decodes to %+v (%v)", tc.ev.Type, got, back, err)
+		}
+	}
 }

@@ -387,7 +387,7 @@ func TestPipelineZeroQueryBudget(t *testing.T) {
 // TestPipelineRaceTraceSharedEngine is the concurrency proof for the
 // incremental-inference refactor: a full pipeline run where every session
 // keeps a persistent session graph, all sessions share ONE cached engine
-// (shared LRU query cache under concurrent searches), and every session has
+// (shared query cache under concurrent searches), and every session has
 // a Trace callback appending into shared test state. Run under -race (CI
 // always does), any unsynchronized access in the session graph, the
 // shared cache, or trace delivery fails the suite.

@@ -1,107 +1,242 @@
 package search
 
 import (
-	"container/list"
 	"encoding/binary"
 	"sync"
 
 	"l2q/internal/textproc"
 )
 
-// LRU is a thread-safe least-recently-used cache from byte-string keys to
-// values — the one eviction policy in the tree: the engines' query-result
-// caches here, and a cluster coordinator's front result cache and page-body
-// cache in internal/webapi. Eviction is purely capacity-driven; there is no
-// invalidation, so it fits only what cannot go stale (an immutable index, a
-// frozen cluster) or what carries its version in the key (the live engine's
-// view epoch). Values are shared, never copied: a caller must not mutate
-// what Get returns or what it has handed to Put — a cache of slices copies
-// on the way in and on the way out (see Engine.searchTopKAppend). Keys are
-// probed as []byte — Go's map lookup on string(bytes) does not allocate —
-// and materialized to a string only when an entry is actually inserted, so
-// a hit costs zero allocations.
-type LRU[V any] struct {
+// Cache is a thread-safe S3-FIFO cache ("FIFO queues are all you need for
+// cache eviction", Yang et al., SOSP 2023) from byte-string keys to values —
+// the one eviction policy in the tree: the engines' query-result caches
+// here, and in internal/webapi a cluster coordinator's front result cache
+// and page-body cache, a server's frame memo and a client's decode memo.
+// Eviction is purely capacity-driven; there is no invalidation, so it fits
+// only what cannot go stale (an immutable index, a frozen cluster) or what
+// carries its version in the key (the live engine's view epoch). Values
+// are shared, never copied: a caller must not mutate what Get returns or
+// what it has handed to Put — a cache of slices copies on the way in and
+// on the way out (see Engine.searchTopKAppend). Keys are probed as []byte
+// — Go's map lookup on string(bytes) does not allocate — and materialized
+// to a string only when an entry is actually inserted, so a hit costs zero
+// allocations.
+//
+// Three FIFO queues instead of a recency list. A new key enters the small
+// queue (a tenth of the capacity); a key hit while there moves to the main
+// queue when it reaches the small queue's end, and one never hit leaves
+// the cache, its key remembered in the ghost queue. The main queue evicts
+// CLOCK-style: a key at its end with a nonzero counter (bumped by each hit,
+// saturating at 3) goes round again one count lower. A key Put while the
+// ghost remembers it was evicted too soon and enters the main queue
+// directly. So a key used once passes through a tenth of the cache, and a
+// loop over a few more keys than the capacity — which an LRU misses
+// completely, evicting every key just before it comes round — keeps most
+// of its keys in the main queue from one pass to the next. A hit is one
+// map probe and a counter bump: nothing is relinked, and nothing runs in
+// the background.
+type Cache[V any] struct {
 	capacity int
+	smallCap int // the small queue's share: while it holds this many it evicts, below it the main queue does
+	ghostCap int // how many evicted keys the ghost remembers: the main queue's share
 
-	mu     sync.Mutex
-	ll     *list.List // front = most recently used
-	byKey  map[string]*list.Element
+	mu    sync.Mutex
+	slots []cacheSlot[V] // entry storage, len ≤ capacity; byKey and the queues hold indices into it
+	byKey map[string]int32
+	small slotRing
+	main  slotRing
+	// ghost maps each remembered key to the sequence number it was
+	// remembered at; ghostKeys[seq % ghostCap] is that key until a later
+	// one overwrites it, which forgets the key unless it was remembered
+	// again since.
+	ghost     map[string]uint64
+	ghostKeys []string
+	ghostSeq  uint64
+
 	hits   uint64
 	misses uint64
 }
 
-type lruEntry[V any] struct {
-	key string
-	val V
+type cacheSlot[V any] struct {
+	key  string
+	val  V
+	freq uint8 // hits since admission or since the last CLOCK pass, ≤ maxFreq
 }
 
-// NewLRU returns a cache holding at most capacity entries; capacity ≤ 0
+// maxFreq is where a slot's hit counter saturates: a key in the main queue
+// survives at most this many CLOCK passes without a hit.
+const maxFreq = 3
+
+// slotRing is a fixed-size FIFO of slot indices.
+type slotRing struct {
+	buf     []int32
+	head, n int
+}
+
+func (r *slotRing) push(i int32) {
+	r.buf[(r.head+r.n)%len(r.buf)] = i
+	r.n++
+}
+
+func (r *slotRing) pop() int32 {
+	i := r.buf[r.head]
+	r.head = (r.head + 1) % len(r.buf)
+	r.n--
+	return i
+}
+
+// NewCache returns a cache holding at most capacity entries; capacity ≤ 0
 // returns nil, which callers treat as "caching off".
-func NewLRU[V any](capacity int) *LRU[V] {
+func NewCache[V any](capacity int) *Cache[V] {
 	if capacity <= 0 {
 		return nil
 	}
-	return &LRU[V]{capacity: capacity}
+	small := max(capacity/10, 1)
+	return &Cache[V]{capacity: capacity, smallCap: small, ghostCap: capacity - small}
 }
 
 // fresh returns an empty cache with the receiver's capacity (nil-safe).
 // Engine copies that change scoring parameters use it so a stale cache is
 // never shared across differently-configured engines.
-func (c *LRU[V]) fresh() *LRU[V] {
+func (c *Cache[V]) fresh() *Cache[V] {
 	if c == nil {
 		return nil
 	}
-	return NewLRU[V](c.capacity)
+	return NewCache[V](c.capacity)
 }
 
-// Get returns the value stored under key and marks it most recently used.
-// The bool reports whether the key was present.
-func (c *LRU[V]) Get(key []byte) (V, bool) {
+// Get returns the value stored under key and counts the hit toward the
+// key's staying. The bool reports whether the key was present.
+func (c *Cache[V]) Get(key []byte) (V, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[string(key)] // no-alloc lookup
+	i, ok := c.byKey[string(key)] // no-alloc lookup
 	if !ok {
 		c.misses++
+		c.mu.Unlock()
 		var zero V
 		return zero, false
 	}
 	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry[V]).val, true
+	s := &c.slots[i]
+	if s.freq < maxFreq {
+		s.freq++
+	}
+	v := s.val
+	c.mu.Unlock()
+	return v, true
 }
 
 // Put stores v under key. It returns the value that left the cache to make
-// room — the key's previous value, or the least recently used entry when
-// the insert ran over capacity — so a caller that accounts for what its
-// values hold (the coordinator's body bytes) can subtract it. The key
-// string is materialized only when a new entry is inserted.
-func (c *LRU[V]) Put(key []byte, v V) (displaced V, ok bool) {
+// room — the key's previous value, or the entry evicted when the cache was
+// full — so a caller that accounts for what its values hold (the
+// coordinator's body bytes) can subtract it. The key string is
+// materialized only when a new entry is inserted.
+func (c *Cache[V]) Put(key []byte, v V) (displaced V, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.byKey == nil {
-		c.byKey = make(map[string]*list.Element, c.capacity)
-		c.ll = list.New()
+		c.slots = make([]cacheSlot[V], 0, c.capacity)
+		c.byKey = make(map[string]int32, c.capacity)
+		c.small.buf = make([]int32, c.capacity)
+		c.main.buf = make([]int32, c.capacity)
+		c.ghost = make(map[string]uint64, c.ghostCap)
+		c.ghostKeys = make([]string, c.ghostCap)
 	}
-	if el, ok := c.byKey[string(key)]; ok {
-		c.ll.MoveToFront(el)
-		e := el.Value.(*lruEntry[V])
-		displaced, e.val = e.val, v
+	if i, ok := c.byKey[string(key)]; ok {
+		s := &c.slots[i]
+		displaced, s.val = s.val, v
 		return displaced, true
 	}
-	k := string(key)
-	c.byKey[k] = c.ll.PushFront(&lruEntry[V]{key: k, val: v})
-	if c.ll.Len() <= c.capacity {
-		return displaced, false
+	k, returning := c.forget(key)
+	if !returning {
+		k = string(key)
 	}
-	back := c.ll.Remove(c.ll.Back()).(*lruEntry[V])
-	delete(c.byKey, back.key)
-	return back.val, true
+	var i int32
+	if len(c.slots) < c.capacity {
+		i = int32(len(c.slots))
+		c.slots = append(c.slots, cacheSlot[V]{})
+	} else {
+		i = c.evict()
+		displaced, ok = c.slots[i].val, true
+	}
+	c.slots[i] = cacheSlot[V]{key: k, val: v}
+	c.byKey[k] = i
+	if returning {
+		c.main.push(i)
+	} else {
+		c.small.push(i)
+	}
+	return displaced, ok
+}
+
+// evict removes one entry from a full cache and returns its slot. The
+// small queue gives up its oldest key while it holds its share (or the
+// main queue is empty): to the main queue if it was hit, out of the cache
+// into the ghost if not. Otherwise the main queue's oldest key leaves
+// unless its counter says it was hit since it last came round. Every pass
+// either empties the small queue by one or lowers a counter, so the loop
+// ends.
+func (c *Cache[V]) evict() int32 {
+	for {
+		if c.small.n >= c.smallCap || c.main.n == 0 {
+			i := c.small.pop()
+			s := &c.slots[i]
+			if s.freq > 0 {
+				s.freq = 0
+				c.main.push(i)
+				continue
+			}
+			c.remember(s.key)
+			delete(c.byKey, s.key)
+			return i
+		}
+		i := c.main.pop()
+		s := &c.slots[i]
+		if s.freq > 0 {
+			s.freq--
+			c.main.push(i)
+			continue
+		}
+		delete(c.byKey, s.key)
+		return i
+	}
+}
+
+// remember puts a key evicted from the small queue into the ghost,
+// forgetting the oldest remembered key when the ghost is full.
+func (c *Cache[V]) remember(key string) {
+	if c.ghostCap == 0 {
+		return
+	}
+	slot := c.ghostSeq % uint64(c.ghostCap)
+	if c.ghostSeq >= uint64(c.ghostCap) {
+		old := c.ghostKeys[slot]
+		if seq, ok := c.ghost[old]; ok && seq == c.ghostSeq-uint64(c.ghostCap) {
+			delete(c.ghost, old)
+		}
+	}
+	c.ghostKeys[slot] = key
+	c.ghost[key] = c.ghostSeq
+	c.ghostSeq++
+}
+
+// forget takes key out of the ghost. When the ghost remembered it, it
+// returns the key's string (so the insert need not build it again) and
+// true.
+func (c *Cache[V]) forget(key []byte) (string, bool) {
+	seq, ok := c.ghost[string(key)]
+	if !ok {
+		return "", false
+	}
+	k := c.ghostKeys[seq%uint64(c.ghostCap)]
+	delete(c.ghost, k)
+	return k, true
 }
 
 // Stats reports the lifetime hit and miss counts and the number of entries
 // held now, read together under the cache's lock (all zero for a nil cache:
 // caching off).
-func (c *LRU[V]) Stats() (hits, misses uint64, entries int) {
+func (c *Cache[V]) Stats() (hits, misses uint64, entries int) {
 	if c == nil {
 		return 0, 0, 0
 	}

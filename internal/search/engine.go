@@ -48,9 +48,10 @@ func (s segment) end() int64 { return s.base + int64(s.idx.NumDocs()) }
 //
 // Documents containing none of the query terms are not returned. One
 // exact max-score pass scores only the documents that can still enter the
-// fixed-size top-K heap (scorer.go); an LRU cache short-circuits repeated
-// queries (selector candidate evaluation re-fires the same queries
-// constantly). Both are ranking-neutral — see SearchReference.
+// fixed-size top-K heap (scorer.go); a query cache (cache.go, S3-FIFO)
+// short-circuits repeated queries (selector candidate evaluation and
+// re-harvests fire the same queries again and again). Both are
+// ranking-neutral — see SearchReference.
 //
 // An Engine is one immutable, searchable view of a collection: segments,
 // the statistics they are scored under, μ, top-k and an epoch. NewEngine
@@ -72,10 +73,10 @@ type Engine struct {
 
 	// epoch leads every cache key. The views a LiveEngine publishes share
 	// one cache, so a publish invalidates by bumping an integer: stale
-	// entries stop matching and age out of the LRU. A frozen engine stays
-	// at 0 and its entries never go stale.
+	// entries stop matching and are evicted as new ones arrive. A frozen
+	// engine stays at 0 and its entries never go stale.
 	epoch uint64
-	cache *LRU[[]Result]
+	cache *Cache[[]Result]
 
 	// pass counts the scoring passes' work (PassStats). Copies share it,
 	// and so do the views of one LiveEngine.
@@ -94,7 +95,7 @@ func NewEngineOpts(idx *Index, opts Options) *Engine {
 		segs:  []segment{{idx: idx}},
 		mu:    AutoMu(idx.NumDocs(), idx.TotalTokens()),
 		topK:  DefaultTopK,
-		cache: NewLRU[[]Result](opts.Capacity()),
+		cache: NewCache[[]Result](opts.Capacity()),
 		pass:  new(passCounters),
 	}
 }
@@ -137,11 +138,11 @@ func (e *Engine) WithTopK(k int) *Engine {
 	return &cp
 }
 
-// WithCache returns a copy of the engine with a fresh LRU query cache of
+// WithCache returns a copy of the engine with a fresh query cache of
 // the given capacity; size ≤ 0 disables caching.
 func (e *Engine) WithCache(size int) *Engine {
 	cp := *e
-	cp.cache = NewLRU[[]Result](size)
+	cp.cache = NewCache[[]Result](size)
 	return &cp
 }
 

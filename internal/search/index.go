@@ -7,7 +7,7 @@
 // The index is one term dictionary over one array of posting lists; the
 // engine scores a query with one exact max-score pass (scorer.go: only
 // documents that can still enter the fixed-size top-K heap are scored) and
-// fronts it with an LRU query-result cache. All of this is ranking-neutral:
+// fronts it with an S3-FIFO query-result cache (cache.go). All of this is ranking-neutral:
 // every cache state returns the same results, bit for bit, as the retained
 // score-everything reference path (Engine.SearchReference), which
 // differential tests and a fuzz target enforce. Query likelihood is the

@@ -29,8 +29,10 @@ import (
 // an atomic pointer; a query pins the view it loaded for its whole
 // lifetime, so compaction can retire segments while searches still read
 // them. Cache entries are keyed by the view epoch, making invalidation a
-// free integer bump: stale entries simply stop matching and age out of the
-// LRU.
+// free integer bump: stale entries simply stop matching and leave the
+// cache as new ones push them out — a retired view's entries are never hit
+// again, so they drain out of the small queue, or out of the main queue as
+// their counters run down.
 //
 // Differential parity is the contract: a live engine grown doc-by-doc —
 // across any seal/compact schedule — ranks byte-identically to a frozen
@@ -122,8 +124,8 @@ type LiveEngine struct {
 	lo LiveOptions // generational lifecycle
 
 	view  atomic.Pointer[Engine]
-	cache *LRU[[]Result] // shared by every view, keyed by epoch
-	pass  passCounters   // every view counts into it
+	cache *Cache[[]Result] // shared by every view, keyed by epoch
+	pass  passCounters     // every view counts into it
 
 	// Writer state, all guarded by wmu; readers never touch it.
 	wmu       sync.Mutex
@@ -148,7 +150,7 @@ type LiveEngine struct {
 func NewLiveEngine(boot *Index, opts Options, lo LiveOptions) *LiveEngine {
 	le := &LiveEngine{
 		lo:       lo.withDefaults(),
-		cache:    NewLRU[[]Result](opts.Capacity()),
+		cache:    NewCache[[]Result](opts.Capacity()),
 		termSeen: make(map[textproc.Token]struct{}),
 	}
 	if boot != nil && boot.NumDocs() > 0 {

@@ -54,7 +54,7 @@ type Client struct {
 	wire bool
 	// memo is the process-wide decode memo (decodeMemo; nil: every
 	// response is decoded afresh) and scope this client's part of its key.
-	memo  *sizedLRU[decodedSearch]
+	memo  *sizedCache[decodedSearch]
 	scope string
 
 	mu        sync.RWMutex
@@ -411,8 +411,8 @@ type decodedSearch struct {
 // at most search.DefaultCacheSize of them.
 var decodeMemo = newDecodeMemo()
 
-func newDecodeMemo() *sizedLRU[decodedSearch] {
-	return newSizedLRU(search.DefaultCacheSize, func(d decodedSearch) int { return d.size })
+func newDecodeMemo() *sizedCache[decodedSearch] {
+	return newSizedCache(search.DefaultCacheSize, func(d decodedSearch) int { return d.size })
 }
 
 // decodeSearch decodes a search response (decodeSearchFresh) — through the

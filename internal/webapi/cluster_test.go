@@ -578,7 +578,7 @@ func TestClusterPagesMatchSingleNode(t *testing.T) {
 		}
 		path := apiRoot + "/search?" + q + "&have=" + strings.Join(have, ",")
 		for _, wire := range []bool{false, true} {
-			co.bodies = newSizedLRU(maxBodies, func(body string) int { return len(body) })
+			co.bodies = newSizedCache(maxBodies, func(body string) int { return len(body) })
 			before := co.Metrics().BodyFetches
 			status, got := rawGet(t, coSrv.URL+path, wire)
 			_, want := rawGet(t, single.URL+path, wire)
@@ -619,7 +619,7 @@ func TestClusterPagesPastTheBatchCap(t *testing.T) {
 		coSrv := httptest.NewServer(NewCoordinatorServer(co).Handler())
 		t.Cleanup(coSrv.Close)
 		for _, wire := range []bool{false, true} {
-			co.bodies = newSizedLRU(maxBodies, func(body string) int { return len(body) })
+			co.bodies = newSizedCache(maxBodies, func(body string) int { return len(body) })
 			status, got := rawGet(t, coSrv.URL+path, wire)
 			_, want := rawGet(t, single.URL+path, wire)
 			if status != http.StatusOK || !bytes.Equal(got, want) {

@@ -104,12 +104,12 @@ type Coordinator struct {
 	// cluster epoch. The cache owns its hit lists: Scatter stores and
 	// returns copies, because the serving layer writes page bodies into
 	// the list it is handed.
-	front *search.LRU[SearchResponse]
-	// bodies holds the last maxBodies page bodies fetched from the nodes,
+	front *search.Cache[SearchResponse]
+	// bodies holds up to maxBodies page bodies fetched from the nodes,
 	// by page ID, as the bytes the owner served — checked once, at the
 	// fetch, and their total size. flight coalesces concurrent fetches of
 	// one page onto one download (one batch's).
-	bodies *sizedLRU[string]
+	bodies *sizedCache[string]
 	flight flightGroup[string]
 
 	scatters    atomic.Int64
@@ -141,8 +141,8 @@ func DialCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, 
 		ring:         search.NewRing(n, replicas, 0),
 		peers:        make([]*nodePeer, n),
 		nodeDeadline: deadline,
-		front:        search.NewLRU[SearchResponse](search.Options{CacheSize: cfg.CacheSize}.Capacity()),
-		bodies:       newSizedLRU(maxBodies, func(body string) int { return len(body) }),
+		front:        search.NewCache[SearchResponse](search.Options{CacheSize: cfg.CacheSize}.Capacity()),
+		bodies:       newSizedCache(maxBodies, func(body string) int { return len(body) }),
 	}
 
 	// Dial and collect each node's registration report in parallel.

@@ -26,7 +26,7 @@ const testBase = "http://decode.test"
 // testClient is a client of base and tok that was never dialed: one try
 // per request, and memo as its decode memo (nil: every response is decoded
 // afresh, the reference the memo is held to).
-func testClient(base string, tok *textproc.Tokenizer, memo *sizedLRU[decodedSearch]) *Client {
+func testClient(base string, tok *textproc.Tokenizer, memo *sizedCache[decodedSearch]) *Client {
 	return &Client{
 		base:      base,
 		http:      &http.Client{Timeout: 10 * time.Second},
@@ -382,11 +382,11 @@ func BenchmarkDecodeSearchPagesAllocs(b *testing.B) {
 	}
 	for _, bc := range []struct {
 		name  string
-		memo  *sizedLRU[decodedSearch]
+		memo  *sizedCache[decodedSearch]
 		cycle int
 	}{
 		{"hit", newDecodeMemo(), 1},
-		{"miss", newSizedLRU(1, func(d decodedSearch) int { return d.size }), 2},
+		{"miss", newSizedCache(1, func(d decodedSearch) int { return d.size }), 2},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			c := testClient(testBase, g.Tokenizer, bc.memo)

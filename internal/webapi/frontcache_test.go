@@ -340,7 +340,7 @@ func TestCoordinatorBodyCacheBounded(t *testing.T) {
 	})
 	co := dialCluster(t, urls, 2, 0)
 	const bound = 32
-	co.bodies = newSizedLRU(bound, func(body string) int { return len(body) }) // maxBodies would hold this whole corpus
+	co.bodies = newSizedCache(bound, func(body string) int { return len(body) }) // maxBodies would hold this whole corpus
 	srv := httptest.NewServer(NewCoordinatorServer(co).Handler())
 	t.Cleanup(srv.Close)
 

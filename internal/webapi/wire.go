@@ -158,35 +158,35 @@ func wrapFrame(kind byte, payload []byte, zip bool) []byte {
 // served, or decoded, and forgotten.
 const maxMemoFrame = 4 << 10
 
-// sizedLRU is a search.LRU that also keeps the total size of the values it
-// holds: a server's frame memo, a coordinator's body cache and the
+// sizedCache is a search.Cache that also keeps the total size of the values
+// it holds: a server's frame memo, a coordinator's body cache and the
 // process-wide decode memo, each reported as one CacheMetrics.
-type sizedLRU[V any] struct {
-	lru  *search.LRU[V]
-	size func(V) int
+type sizedCache[V any] struct {
+	cache *search.Cache[V]
+	size  func(V) int
 	// bytes is the total size of the values held (a counter kept beside
 	// the cache, so it may trail its entries by an insert).
 	bytes atomic.Int64
 }
 
-func newSizedLRU[V any](capacity int, size func(V) int) *sizedLRU[V] {
-	return &sizedLRU[V]{lru: search.NewLRU[V](capacity), size: size}
+func newSizedCache[V any](capacity int, size func(V) int) *sizedCache[V] {
+	return &sizedCache[V]{cache: search.NewCache[V](capacity), size: size}
 }
 
-func (c *sizedLRU[V]) get(key []byte) (V, bool) { return c.lru.Get(key) }
+func (c *sizedCache[V]) get(key []byte) (V, bool) { return c.cache.Get(key) }
 
 // put stores v under key, accounting for the value the insert displaced.
-func (c *sizedLRU[V]) put(key []byte, v V) {
-	if old, ok := c.lru.Put(key, v); ok {
+func (c *sizedCache[V]) put(key []byte, v V) {
+	if old, ok := c.cache.Put(key, v); ok {
 		c.bytes.Add(-int64(c.size(old)))
 	}
 	c.bytes.Add(int64(c.size(v)))
 }
 
 // metrics reads the cache for /api/v1/metrics and ClientMetrics.
-func (c *sizedLRU[V]) metrics() CacheMetrics {
+func (c *sizedCache[V]) metrics() CacheMetrics {
 	var m CacheMetrics
-	m.Hits, m.Misses, m.Entries = c.lru.Stats()
+	m.Hits, m.Misses, m.Entries = c.cache.Stats()
 	m.Bytes = c.bytes.Load()
 	return m
 }
@@ -198,10 +198,10 @@ func (c *sizedLRU[V]) metrics() CacheMetrics {
 // across requests and never written after they are built. Only payloads
 // at or above compressMin go through it — a smaller frame is not deflated,
 // so there is nothing to save.
-type frameMemo struct{ *sizedLRU[[]byte] }
+type frameMemo struct{ *sizedCache[[]byte] }
 
 func newFrameMemo() *frameMemo {
-	return &frameMemo{newSizedLRU(search.DefaultCacheSize, func(b []byte) int { return len(b) })}
+	return &frameMemo{newSizedCache(search.DefaultCacheSize, func(b []byte) int { return len(b) })}
 }
 
 // wrap is wrapFrame(kind, payload, len(payload) >= compressMin), taken

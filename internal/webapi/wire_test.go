@@ -840,8 +840,8 @@ var _ = fmt.Sprintf // keep fmt for debugging edits
 // payload, every frame after the first is a memo hit: the stored frame,
 // nothing allocated (encoder and key are pooled or on the stack). Under
 // distinct/ every iteration frames a payload the memo has not seen, so
-// each one deflates and inserts: the frame itself, its key string and the
-// cache's entry. Gated by scripts/alloc_gate.sh — renaming this benchmark
+// each one deflates and inserts: the frame itself and its key string (the
+// cache's slots are allocated once). Gated by scripts/alloc_gate.sh — renaming this benchmark
 // or a sub-benchmark breaks the gate; update the script in the same
 // change.
 func BenchmarkMarshalFrameAllocs(b *testing.B) {

@@ -47,11 +47,11 @@ ceiling() {
 	BenchmarkCoordinatorFrontHitAllocs) echo 1 ;;     # a coordinator's front-cache hit: the copied hit list; the key lives on the stack, Query/Seed come with the entry
 	BenchmarkMarshalFrameAllocs/page) echo 0 ;;       # a frame-memo hit: the stored frame, keyed on the stack; 1 (the frame itself) when every response was deflated again
 	BenchmarkMarshalFrameAllocs/search5pages) echo 0 ;; # same for a search carrying its five pages: bodies go straight into the pooled encoder
-	BenchmarkMarshalFrameAllocs/distinct/page) echo 4 ;; # a memo miss: the frame, its key string and the LRU's list element and entry; encoder, gzip writer and gzip buffer are pooled
-	BenchmarkMarshalFrameAllocs/distinct/search5pages) echo 4 ;; # same for a five-page search
+	BenchmarkMarshalFrameAllocs/distinct/page) echo 2 ;; # a memo miss: the frame and its key string (the cache's slots and queues are allocated once; 4 with an LRU's list element and entry per insert); encoder, gzip writer and gzip buffer are pooled
+	BenchmarkMarshalFrameAllocs/distinct/search5pages) echo 2 ;; # same for a five-page search
 	BenchmarkOpenFrameAllocs/search5pages) echo 18 ;; # opening a gzipped five-page frame: the reader over the payload, the inflated payload sized once from the member's length trailer, and 16 Huffman link tables inside compress/flate; 23 when io.ReadAll grew the payload from 512 bytes
-	BenchmarkDecodeSearchPagesAllocs/hit) echo 1 ;;   # a client's decode of a five-page search frame it has decoded before in its scope: the copied hit list; the memo key lives on the stack (239 when every frame was inflated and parsed again)
-	BenchmarkDecodeSearchPagesAllocs/miss) echo 239 ;; # the decode the memo saves: the opened frame (18), the hit list and its strings, five parsed pages at ParsePage's 41 and their URLs, the pages slice sized once, and the insert's key string, list element and entry
+	BenchmarkDecodeSearchPagesAllocs/hit) echo 1 ;;   # a client's decode of a five-page search frame it has decoded before in its scope: the copied hit list; the memo key lives on the stack (237 when every frame was inflated and parsed again)
+	BenchmarkDecodeSearchPagesAllocs/miss) echo 237 ;; # the decode the memo saves: the opened frame (18), the hit list and its strings, five parsed pages at ParsePage's 41 and their URLs, the pages slice sized once, and the insert's key string (239 with an LRU's list element and entry per insert)
 	BenchmarkParsePageAllocs) echo 41 ;;              # a client's cost per downloaded page, Tokens() included: 137 when each paragraph had its own append-grown slice and Tokens() concatenated them, 97 with one exactly-sized array per page, 74 once whitespace-only and normalized text runs stopped being rebuilt, 41 with raw-text ends found in place, one reused attribute buffer and one-run paragraphs kept as substrings of the page
 	BenchmarkRenderPageAllocs) echo 0 ;;              # a server's cost per served page: AppendPage into a reused buffer (RenderPage adds only its string; 24 allocs when it went through fmt)
 	*) echo "" ;;
