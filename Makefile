@@ -19,55 +19,51 @@ test:
 
 # The packages whose fan-outs size themselves by GOMAXPROCS (par.For over
 # aspects in classifier training, store's domain learner and eval's
-# warm-up; over splits and entities in eval; the scheduler's select and
-# fetch pools — under which sessions of every aspect share a System's term
-# vocabulary and facts table — and harvest's runs of a plan on them, which
-# every job and eval's budget experiment fan out on; in webapi, the jobs
-# routes over harvest's shared scheduler and the coordinator's scatter and
-# page fan-out), and the
-# shared state they lean on (the vocabulary, a page's term-id and n-gram
-# memos), serial and oversubscribed: there is no worker count to set, so
-# these two runs are how every fan-out is held to the serial values, and
-# no test may depend on the box's core count.
+# warm-up; over splits and entities in eval; the scheduler's select gate,
+# behind which one goroutine per job runs and sessions of every aspect
+# share a System's term vocabulary and facts table, and harvest's runs of
+# a plan on it, which every job and eval's budget experiment fan out on;
+# in webapi, the jobs routes over harvest's shared scheduler and the
+# coordinator's scatter and page fan-out), and the shared state they lean
+# on (the vocabulary, a page's term-id and n-gram memos), serial and
+# oversubscribed: there is no worker count to set, so these two runs are
+# how every fan-out is held to the serial values, and no test may depend
+# on the box's core count.
 TEST_PROCS_PKGS = ./internal/textproc/ ./internal/corpus/ ./internal/search/ ./internal/core/ ./internal/pipeline/ ./internal/harvest/ ./internal/webapi/ ./internal/classify/ ./internal/baselines/ ./internal/store/ ./internal/eval/
 test-procs:
 	GOMAXPROCS=1 $(GO) test -race -shuffle=on $(TEST_PROCS_PKGS)
 	GOMAXPROCS=8 $(GO) test -race -shuffle=on $(TEST_PROCS_PKGS)
 
-# Every fuzz target in the tree. 20 s of native fuzzing each on the
-# scorer's exactness gate (the pruned top-k pass, its contender test
+# Every fuzz target in the tree, each with minimizing a new input capped
+# at 1 s: under Go's 60 s default one minimization froze a target's exec
+# count for seconds of its 10–20 s budget. 20 s of native fuzzing each on
+# the scorer's exactness gate (the pruned top-k pass, its contender test
 # included, must equal SearchReference — Dirichlet query likelihood, the
 # one ranking function — bit for bit on random tiny corpora, queries
 # stretched up to 64-fold, μ from 10⁻³ to 10⁹), on the search-with-pages
 # decoder (frame, payload and page check between a response body and the
 # client's page cache) and on the session's page bitsets (coverage must
-# equal a Page.ContainsQuery recount; its inputs are programs of a
-# kilobyte, so minimizing each new one is capped at 1 s instead of eating
-# the budget); 10 s each on the tokenizer's three differential oracles
-# (the ASCII split against the rune path, n-gram admissibility from
-# per-token flags — and the session's term-id enumeration — and phrase
-# merging through the first-word index against their per-gram and
-# every-length references; small alphabets, so they saturate fast), on
-# the round trip the id path rests on (every n-gram a lexicon tokenizer
-# emits re-tokenizes to itself), on ingest-side HTML (ParsePage never
-# panics on any bytes or truncation and gives back a rendered page's ID,
-# entity and paragraph tokens; RenderPage writes the fmt reference's
-# bytes), on the segmenter against its retained reference (any bytes:
-# the same title, meta, paragraphs, attributes and links), on the ingest
-# route's body, JSON or
-# frame (never a panic; a 200 accounts for every decoded page, anything
-# else changes nothing; minimizing capped at 1 s like the bitsets) and on
-# the other live frame decoders — stats, search, page, ingest ack, a
-# node's batch of pages (never a panic, never past Dec.Count's guard,
-# retired kinds 4–7 refused, what
-# decodes round-trips through a frame, gzipped and not; its inputs hold a
-# rendered page, so minimizing is capped at 1 s here too); and 10 s each,
-# minimizing capped at 1 s (their inputs are whole files and stat pushes
-# of tens of kilobytes), on the three file readers (store with and without
-# a keep predicate, checkpoint, domain artifact: never a panic on any
-# bytes, checksums repaired or not; what loads saves, and saving is a
-# fixed point), on the registration push (POST /api/v1/cluster/stats:
-# 200 exactly when ApplyGlobalStats' invariants hold, a refusal changes
+# equal a Page.ContainsQuery recount); 10 s each on the tokenizer's three
+# differential oracles (the ASCII split against the rune path, n-gram
+# admissibility from per-token flags — and the session's term-id
+# enumeration — and phrase merging through the first-word index against
+# their per-gram and every-length references; small alphabets, so they
+# saturate fast), on the round trip the id path rests on (every n-gram a
+# lexicon tokenizer emits re-tokenizes to itself), on ingest-side HTML
+# (ParsePage never panics on any bytes or truncation and gives back a
+# rendered page's ID, entity and paragraph tokens; RenderPage writes the
+# fmt reference's bytes), on the segmenter against its retained reference
+# (any bytes: the same title, meta, paragraphs, attributes and links), on
+# the ingest route's body, JSON or frame (never a panic; a 200 accounts
+# for every decoded page, anything else changes nothing) and on the other
+# live frame decoders — stats, search, page, ingest ack, a node's batch of
+# pages (never a panic, never past Dec.Count's guard, retired kinds 4–7
+# refused, what decodes round-trips through a frame, gzipped and not); and
+# 10 s each on the three file readers (store with and without a keep
+# predicate, checkpoint, domain artifact: never a panic on any bytes,
+# checksums repaired or not; what loads saves, and saving is a fixed
+# point), on the registration push (POST /api/v1/cluster/stats: 200
+# exactly when ApplyGlobalStats' invariants hold, a refusal changes
 # nothing), on a job's NDJSON stream as Client.StreamJob reads it (nil
 # exactly when every line decodes and the last is "done", every event
 # delivered in order), on the search routes' raw query strings (200 or
@@ -79,23 +75,23 @@ test-procs:
 # eight keys at capacities 1–8 — a hit returns the key's last Put, entries
 # stay within capacity, hits + misses count the Gets).
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzPrunedTopKMatchesReference -fuzztime 20s ./internal/search/
-	$(GO) test -run '^$$' -fuzz FuzzSearchPagesFrame -fuzztime 20s ./internal/webapi/
+	$(GO) test -run '^$$' -fuzz FuzzPrunedTopKMatchesReference -fuzztime 20s -fuzzminimizetime 1s ./internal/search/
+	$(GO) test -run '^$$' -fuzz FuzzSearchPagesFrame -fuzztime 20s -fuzzminimizetime 1s ./internal/webapi/
 	$(GO) test -run '^$$' -fuzz FuzzBitCoverMatchesContainment -fuzztime 20s -fuzzminimizetime 1s ./internal/core/
-	$(GO) test -run '^$$' -fuzz FuzzSplitWordsParity -fuzztime 10s ./internal/textproc/
-	$(GO) test -run '^$$' -fuzz FuzzNGramsMatchesReference -fuzztime 10s ./internal/textproc/
-	$(GO) test -run '^$$' -fuzz FuzzLexiconMergeMatchesReference -fuzztime 10s ./internal/textproc/
-	$(GO) test -run '^$$' -fuzz FuzzGramTokensRoundTrip -fuzztime 10s ./internal/textproc/
-	$(GO) test -run '^$$' -fuzz FuzzParsePage -fuzztime 10s ./internal/html/
-	$(GO) test -run '^$$' -fuzz FuzzParseMatchesReference -fuzztime 10s ./internal/html/
+	$(GO) test -run '^$$' -fuzz FuzzSplitWordsParity -fuzztime 10s -fuzzminimizetime 1s ./internal/textproc/
+	$(GO) test -run '^$$' -fuzz FuzzNGramsMatchesReference -fuzztime 10s -fuzzminimizetime 1s ./internal/textproc/
+	$(GO) test -run '^$$' -fuzz FuzzLexiconMergeMatchesReference -fuzztime 10s -fuzzminimizetime 1s ./internal/textproc/
+	$(GO) test -run '^$$' -fuzz FuzzGramTokensRoundTrip -fuzztime 10s -fuzzminimizetime 1s ./internal/textproc/
+	$(GO) test -run '^$$' -fuzz FuzzParsePage -fuzztime 10s -fuzzminimizetime 1s ./internal/html/
+	$(GO) test -run '^$$' -fuzz FuzzParseMatchesReference -fuzztime 10s -fuzzminimizetime 1s ./internal/html/
 	$(GO) test -run '^$$' -fuzz FuzzIngestBody -fuzztime 10s -fuzzminimizetime 1s ./internal/webapi/
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecoders -fuzztime 10s -fuzzminimizetime 1s ./internal/webapi/
 	$(GO) test -run '^$$' -fuzz FuzzStoreReaders -fuzztime 10s -fuzzminimizetime 1s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzClusterStatsPush -fuzztime 10s -fuzzminimizetime 1s ./internal/webapi/
 	$(GO) test -run '^$$' -fuzz FuzzJobStream -fuzztime 10s -fuzzminimizetime 1s ./internal/webapi/
 	$(GO) test -run '^$$' -fuzz FuzzSearchParams -fuzztime 10s -fuzzminimizetime 1s ./internal/webapi/
-	$(GO) test -run '^$$' -fuzz FuzzTrainSetMatchesReference -fuzztime 10s ./internal/classify/
-	$(GO) test -run '^$$' -fuzz FuzzCacheModel -fuzztime 10s ./internal/search/
+	$(GO) test -run '^$$' -fuzz FuzzTrainSetMatchesReference -fuzztime 10s -fuzzminimizetime 1s ./internal/classify/
+	$(GO) test -run '^$$' -fuzz FuzzCacheModel -fuzztime 10s -fuzzminimizetime 1s ./internal/search/
 
 # 30 s churn loops under the race detector: scheduler submit/cancel/
 # resume, and the live engine's concurrent ingest+search+compact.

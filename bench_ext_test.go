@@ -137,7 +137,7 @@ func BenchmarkRemoteSearch(b *testing.B) {
 	seed := env.G.Corpus.Entities[0].SeedTokens()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res, err := client.SearchWithSeedErr(context.Background(), seed, nil); err != nil || len(res) == 0 {
+		if res, err := client.Retrieve(context.Background(), nil, seed, nil); err != nil || len(res) == 0 {
 			b.Fatalf("no results: %v", err)
 		}
 	}

@@ -9,12 +9,12 @@
 // DELETE to cancel — with per-entity checkpoints for resume. A caller that
 // wants the events of one harvest and nothing kept submits, follows and
 // DELETEs (webapi.Client.HarvestBatch does). Every job runs on ONE shared
-// scheduler with FIFO admission and per-job fair share (GOMAXPROCS select
-// workers, 4× as many fetch workers, at most -maxinflight active jobs when
-// that is set); a killed job's checkpoints can be re-submitted
-// via the request's "resume" field. Classifiers are trained on the served
-// corpus and domain models are learned lazily per aspect (over the
-// canonical first-half entity sample). GET /api/v1/metrics exposes the
+// scheduler with FIFO admission and per-job fair share (a goroutine per
+// entity; GOMAXPROCS select and 4× as many fetch at once; at most
+// -maxinflight active entities when set); a killed job's checkpoints can be
+// re-submitted via the request's "resume" field. Classifiers are trained on
+// the served corpus and domain models are learned lazily per aspect (over
+// the canonical first-half entity sample). GET /api/v1/metrics exposes the
 // server-side counters (requests, scheduler queue depth, budget state).
 //
 // The corpus is either loaded from a store file written by l2qgen/l2qstore

@@ -188,8 +188,8 @@ func (s *Session) BootstrapCtx(ctx context.Context) (int, error) {
 
 // FetchQueryCtx runs the retrieval for q without touching session state;
 // the empty query fetches the seed alone. It is the I/O half of a step,
-// safe to run on a fetch worker while another entity's selection occupies
-// the CPU (the pipeline scheduler's split), and the only way a session
+// safe to run under the pipeline scheduler's fetch gate while another
+// entity's selection occupies the CPU, and the only way a session
 // fetches. Whatever a fetch costs — a remote search, page downloads — is
 // the Retriever's: cancellation aborts its in-flight work, and a
 // retrieval failure surfaces as an error instead of masquerading as an

@@ -7,13 +7,15 @@
 // Jobs.Submit, and encodes what comes back; internal/eval runs its budget
 // experiment through the same Plan.Run.
 //
-// Every job of a server runs on ONE shared scheduler instead of
-// per-request worker pools: concurrent jobs queue FIFO (behind the
-// scheduler's MaxActive when that is set) and share the pools fairly
-// instead of oversubscribing GOMAXPROCS² goroutines.
+// Every job of a server runs on ONE shared scheduler: each entity of a job
+// is one goroutine, admitted FIFO (behind the scheduler's MaxActive when
+// that is set), and the goroutines of all jobs share the scheduler's
+// select and fetch gates fairly, so concurrent jobs never select on more
+// than GOMAXPROCS cores between them.
 package harvest
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -126,44 +128,38 @@ func (b *Backend) domainModel(a corpus.Aspect) (*core.DomainModel, error) {
 type BudgetSpec struct {
 	// Mode is "fixed" (default: every entity fires exactly NQueries) or
 	// "adaptive" (the batch pools NQueries×entities and reallocates each
-	// round toward the highest marginal ΔR_E(Φ); saturated entities
-	// donate their remainder).
+	// round toward the highest marginal ΔR_E(Φ); an entity whose R_E(Φ)
+	// reaches 1 or whose candidates run out donates its remainder, and
+	// none fires more than the per-entity bound of 50).
 	Mode string `json:"mode,omitempty"`
-	// TotalQueries overrides the adaptive mode's pooled budget
-	// (default: NQueries × entities).
-	TotalQueries int `json:"totalQueries,omitempty"`
-	// MinGain and Patience tune the saturation rule; MaxPerEntity caps
-	// one entity's adaptive spend. Zero values pick the pipeline
-	// defaults.
-	MinGain      float64 `json:"minGain,omitempty"`
-	Patience     int     `json:"patience,omitempty"`
-	MaxPerEntity int     `json:"maxPerEntity,omitempty"`
+}
+
+// UnmarshalJSON decodes the budget object strictly: a key it does not
+// know is refused by name, so a client that sets a knob this server does
+// not have learns so instead of having it silently ignored.
+func (bs *BudgetSpec) UnmarshalJSON(data []byte) error {
+	type spec BudgetSpec // the same fields without this method
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode((*spec)(bs)); err != nil {
+		return fmt.Errorf("budget: %s", strings.TrimPrefix(err.Error(), "json: "))
+	}
+	return nil
 }
 
 func (bs *BudgetSpec) policy() (pipeline.BudgetPolicy, error) {
 	if bs == nil {
 		return pipeline.BudgetPolicy{}, nil
 	}
-	// The pipeline reads ≤ 0 as "unset"; a negative value on the wire is a
-	// malformed request, not a request for the default.
-	if bs.TotalQueries < 0 || bs.MinGain < 0 || bs.Patience < 0 || bs.MaxPerEntity < 0 {
-		return pipeline.BudgetPolicy{}, invalid("budget.totalQueries, minGain, patience and maxPerEntity must not be negative")
-	}
-	p := pipeline.BudgetPolicy{
-		TotalQueries: bs.TotalQueries,
-		MinGain:      bs.MinGain,
-		Patience:     bs.Patience,
-		MaxPerEntity: bs.MaxPerEntity,
-	}
 	switch strings.ToLower(bs.Mode) {
 	case "", "fixed":
-		p.Mode = pipeline.BudgetFixed
+		return pipeline.BudgetPolicy{Mode: pipeline.BudgetFixed}, nil
 	case "adaptive":
-		p.Mode = pipeline.BudgetAdaptive
-	default:
-		return p, invalid("unknown budget mode %q (fixed or adaptive)", bs.Mode)
+		// maxQueries is the per-entity bound; donation must not let one
+		// entity absorb the whole pool past it.
+		return pipeline.BudgetPolicy{Mode: pipeline.BudgetAdaptive, MaxPerEntity: maxQueries}, nil
 	}
-	return p, nil
+	return pipeline.BudgetPolicy{}, invalid("unknown budget mode %q (fixed or adaptive)", bs.Mode)
 }
 
 // Request is a harvest as a client asks for it: the POST /api/v1/jobs
@@ -302,16 +298,6 @@ func (b *Backend) Plan(req Request) (*Plan, error) {
 	budget, err := req.Budget.policy()
 	if err != nil {
 		return nil, err
-	}
-	if max := maxQueries * len(req.Entities); budget.TotalQueries > max {
-		return nil, invalid("budget.totalQueries out of range [0, %d]", max)
-	}
-	if budget.Mode == pipeline.BudgetAdaptive {
-		// maxQueries is the per-entity bound; donation must not let one
-		// entity absorb the whole pool past it.
-		if budget.MaxPerEntity <= 0 || budget.MaxPerEntity > maxQueries {
-			budget.MaxPerEntity = maxQueries
-		}
 	}
 	p := &Plan{Cfg: b.Cfg, Rec: b.Rec, Aspect: aspect, Selector: method.New("", aspect, nil),
 		Entities: req.Entities, NQueries: req.NQueries, Budget: budget}

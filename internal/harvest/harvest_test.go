@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -242,4 +243,52 @@ func TestEventJSON(t *testing.T) {
 			t.Errorf("%s event: %s decodes to %+v (%v)", tc.ev.Type, got, back, err)
 		}
 	}
+}
+
+// TestBudgetDecodesStrictly: the budget object takes its one key and
+// refuses any other by name — a client still sending a removed tuning
+// knob learns so instead of having it ignored — while the rest of a
+// request decodes as leniently as before.
+func TestBudgetDecodesStrictly(t *testing.T) {
+	for _, tc := range []struct {
+		body, wantErr string
+		want          pipeline.BudgetPolicy
+	}{
+		{`{"budget":{"mode":"adaptive"},"unknownTopLevel":1}`, "",
+			pipeline.BudgetPolicy{Mode: pipeline.BudgetAdaptive, MaxPerEntity: maxQueries}},
+		{`{"budget":{"mode":"fixed"}}`, "", pipeline.BudgetPolicy{}},
+		{`{"budget":null}`, "", pipeline.BudgetPolicy{}},
+		{`{"budget":{"mode":"adaptive","patience":2}}`, `budget: unknown field "patience"`, pipeline.BudgetPolicy{}},
+		{`{"budget":{"totalQueries":5}}`, `budget: unknown field "totalQueries"`, pipeline.BudgetPolicy{}},
+	} {
+		var req Request
+		err := json.Unmarshal([]byte(tc.body), &req)
+		if tc.wantErr != "" {
+			if err == nil || err.Error() != tc.wantErr {
+				t.Errorf("%s: error %v, want %q", tc.body, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.body, err)
+			continue
+		}
+		if got, err := req.Budget.policy(); err != nil || got != tc.want {
+			t.Errorf("%s: policy %+v (%v), want %+v", tc.body, got, err, tc.want)
+		}
+	}
+}
+
+// TestNewJobsStartsNothing: a registry starts no goroutine (and no
+// scheduler) before its first job.
+func TestNewJobsStartsNothing(t *testing.T) {
+	before := runtime.NumGoroutine()
+	r := NewJobs(context.Background(), pipeline.Config{})
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("NewJobs started %d goroutines", n-before)
+	}
+	if st := r.SchedulerStats(); st != nil {
+		t.Errorf("scheduler started before any job: %+v", st)
+	}
+	r.Close()
 }

@@ -314,9 +314,9 @@ func (r *Jobs) SchedulerStats() *pipeline.Stats {
 }
 
 // Close stops the shared scheduler, failing whatever it still runs, and
-// returns once its workers have exited and every job it holds has reached
-// a final state, its outcome events logged. Cancel the registry's context
-// first, so the jobs are already aborting.
+// returns once its job goroutines have exited and every job it holds has
+// reached a final state, its outcome events logged. Cancel the registry's
+// context first, so the jobs are already aborting.
 func (r *Jobs) Close() {
 	r.schedMu.Lock()
 	sched := r.scheduler

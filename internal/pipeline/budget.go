@@ -9,17 +9,24 @@ package pipeline
 // is starved. BudgetPolicy pools the batch's queries instead: the batch
 // proceeds in rounds; each round, every still-hungry entity asks for one
 // query, the pool ranks requests by the marginal ΔR_E(Φ) of each entity's
-// last query, and grants while budget remains. Saturated entities
-// (collective recall complete — or, with Patience set, too many
-// consecutive queries under MinGain) and entities whose candidate pool
-// ran dry stop early: their unspent share stays in the pool and flows to
-// the highest-gain requesters of later rounds.
+// last query, and grants while budget remains. The pool is ΣNQueries, the
+// fixed mode's spend. An entity stops only when its collective recall
+// R_E(Φ) reaches 1, its candidate pool runs dry, or it hits
+// MaxPerEntity: its unspent share stays in the pool and flows to the
+// highest-gain requesters of later rounds. R_E(Φ) is monotone, so a
+// donated query can only add — adaptive is never worse than fixed-equal
+// at the same spend by the model's own objective.
 //
 // The fixed-equal mode (the zero value) is the differential-parity
 // reference: each job fires exactly Job.NQueries queries with no
 // coordination, byte-identical to the one-shot Run path.
 
-import "l2q/internal/core"
+import (
+	"cmp"
+	"slices"
+
+	"l2q/internal/core"
+)
 
 // BudgetMode selects how a batch's query budget is allocated.
 type BudgetMode int
@@ -37,26 +44,8 @@ const (
 // fixed-equal allocation.
 type BudgetPolicy struct {
 	Mode BudgetMode
-	// TotalQueries is the adaptive mode's global budget; 0 defaults to
-	// the sum of the batch's Job.NQueries (the same spend as fixed mode,
-	// which is what makes the two comparable).
-	TotalQueries int
-	// MinGain is the low-gain threshold on a query's marginal ΔR_E(Φ)
-	// used by the Patience rule and the round ranking; 0 defaults to
-	// 1e-6, i.e. "the query gathered no relevant page".
-	MinGain float64
-	// Patience enables the aggressive early-stop: an entity that fires
-	// this many consecutive below-MinGain queries is declared saturated
-	// and donates its remaining share. 0 (the default) disables it —
-	// then an entity stops only when its collective recall R_E(Φ) is
-	// complete (no possible gain left) or its candidates run out, which
-	// makes adaptive allocation provably no worse than fixed-equal at
-	// the same budget (R_E(Φ) is monotone, so every donated query can
-	// only add). Positive Patience trades that guarantee for bigger
-	// savings on long-tailed batches.
-	Patience int
 	// MaxPerEntity caps one entity's total queries in adaptive mode
-	// (0 = unlimited); a fairness stop against one entity absorbing the
+	// (0 = unlimited): a fairness stop against one entity absorbing the
 	// whole donated pool.
 	MaxPerEntity int
 }
@@ -77,28 +66,15 @@ type BatchOptions struct {
 // scheduler mutex).
 type budgetPool struct {
 	mode      BudgetMode
-	remaining int // adaptive: unspent global budget
-	minGain   float64
-	patience  int
+	remaining int // adaptive: unspent ΣNQueries
 	maxPer    int
 }
 
 func newBudgetPool(p BudgetPolicy, jobs []Job) *budgetPool {
-	bp := &budgetPool{
-		mode:     p.Mode,
-		minGain:  p.MinGain,
-		patience: p.Patience,
-		maxPer:   p.MaxPerEntity,
-	}
-	if bp.minGain <= 0 {
-		bp.minGain = 1e-6
-	}
+	bp := &budgetPool{mode: p.Mode, maxPer: p.MaxPerEntity}
 	if bp.mode == BudgetAdaptive {
-		bp.remaining = p.TotalQueries
-		if bp.remaining <= 0 {
-			for i := range jobs {
-				bp.remaining += jobs[i].NQueries
-			}
+		for i := range jobs {
+			bp.remaining += jobs[i].NQueries
 		}
 	}
 	return bp
@@ -107,98 +83,75 @@ func newBudgetPool(p BudgetPolicy, jobs []Job) *budgetPool {
 // Decisions of decideLocked.
 const (
 	decideGrant  = iota // run the selector and fire the next query
-	decidePark          // wait for the round barrier's budget grant
-	decideFinish        // job is done (budget spent, saturated, or complete)
+	decidePark          // wait for the round barrier's verdict
+	decideFinish        // job is done (budget spent, saturated, or capped)
 )
 
-// decideLocked chooses a job's next move after an ingest (or on re-entry
-// with a granted token).
-func (b *Batch) decideLocked(i int) int {
-	st := b.states[i]
+// decideLocked chooses a job's next move after an ingest.
+func (b *Batch) decideLocked(st *jobState) int {
+	n := len(st.fired)
 	if b.pool.mode != BudgetAdaptive {
-		if len(st.fired) >= st.job.NQueries {
+		if n >= st.job.NQueries {
 			return decideFinish
 		}
 		return decideGrant
 	}
-	if st.granted {
-		// Re-entry after a round grant: the token is already paid for.
-		return decideGrant
-	}
-	if b.pool.remaining <= 0 {
-		return decideFinish
-	}
-	if st.lastRPhi >= 1 {
-		// Collective recall complete — the §V estimate has saturated, so
-		// every further query would gain exactly zero. Donate the rest.
-		return decideFinish
-	}
-	if b.pool.patience > 0 && st.lowStreak >= b.pool.patience {
-		return decideFinish // aggressive early-stop (opt-in): donate
-	}
-	if b.pool.maxPer > 0 && len(st.fired) >= b.pool.maxPer {
+	// Collective recall complete — the §V estimate has saturated, so every
+	// further query would gain exactly zero — or the entity's cap reached:
+	// donate the rest.
+	if st.lastRPhi >= 1 || (b.pool.maxPer > 0 && n >= b.pool.maxPer) {
 		return decideFinish
 	}
 	return decidePark
 }
 
-// refundLocked returns an unspent grant to the pool (the selector found
-// no candidate, so no search was attempted).
-func (b *Batch) refundLocked(i int) {
-	st := b.states[i]
-	if st.granted {
-		st.granted = false
-		b.pool.remaining++
+// park waits, holding no slot, for the round barrier's verdict on st's
+// request for one more query: false when the pool is spent.
+func (b *Batch) park(st *jobState) (bool, error) {
+	b.s.mu.Lock()
+	st.stage = stageParked
+	b.parked = append(b.parked, st)
+	b.maybeReleaseLocked()
+	b.s.mu.Unlock()
+	select {
+	case <-st.wake:
+		return st.granted, nil
+	case <-b.ctx.Done():
+		return false, b.ctx.Err()
 	}
 }
 
 // maybeReleaseLocked runs the round barrier: once every live job of an
 // adaptive batch is parked, rank the requests by marginal ΔR_E(Φ) (ties
-// by job index, so rounds are deterministic) and grant one query each
-// while budget remains; requests beyond the budget finish. Fixed-mode
-// batches never park, so this is a no-op for them.
+// by job index, so rounds are deterministic), grant one query each while
+// budget remains, and wake them all; a job woken without a grant
+// finishes. Fixed-mode batches never park, so this is a no-op for them.
 func (b *Batch) maybeReleaseLocked() {
 	if b.pool.mode != BudgetAdaptive || b.live == 0 {
 		return
 	}
-	ready := b.parked[:0:0]
-	for _, i := range b.parked {
-		if b.states[i].stage == stageParked {
-			ready = append(ready, i)
+	var ready []*jobState
+	for _, st := range b.parked {
+		if st.stage == stageParked {
+			ready = append(ready, st)
 		}
 	}
 	if len(ready) < b.live {
 		return // some live job is still mid-cycle; the round is not over
 	}
 	b.parked = nil
-	// Insertion sort by (gain desc, index asc): rounds are small and the
-	// determinism matters more than asymptotics.
-	for x := 1; x < len(ready); x++ {
-		for y := x; y > 0; y-- {
-			gy, gp := b.states[ready[y]].lastGain, b.states[ready[y-1]].lastGain
-			if gy > gp || (gy == gp && ready[y] < ready[y-1]) {
-				ready[y], ready[y-1] = ready[y-1], ready[y]
-			} else {
-				break
-			}
+	slices.SortFunc(ready, func(x, y *jobState) int {
+		if c := cmp.Compare(y.lastGain, x.lastGain); c != 0 {
+			return c
 		}
-	}
-	grants := len(ready)
-	if b.pool.remaining < grants {
-		grants = b.pool.remaining
-	}
-	for k, i := range ready {
-		st := b.states[i]
-		if k < grants {
-			b.pool.remaining--
+		return cmp.Compare(x.index, y.index)
+	})
+	for k, st := range ready {
+		st.stage = stageRunning
+		if k < b.pool.remaining {
 			st.granted = true
-			st.stage = stageSelectQueued
-			b.selectQ = append(b.selectQ, i)
-		} else {
-			b.finishLocked(i, nil) // budget exhausted
 		}
+		st.wake <- struct{}{}
 	}
-	if grants > 0 {
-		b.s.selCond.Broadcast()
-	}
+	b.pool.remaining -= min(len(ready), b.pool.remaining)
 }

@@ -5,17 +5,16 @@
 // is dominated by the fetch (8–18 s against remote servers, vs 1–2 s of
 // selection) and suggests the improvement implemented here: "parallelizing
 // over entities, and interleaving the selection (CPU) and fetch (I/O)
-// operations between different entities." Each session alternates
-// select → fetch → ingest; the scheduler runs selections on a bounded CPU
-// pool and fetches on a wider I/O pool, so while entity A's download is in
-// flight, entity B's selection runs. Sessions themselves are never touched
-// concurrently — all state mutation for one session happens in whichever
-// worker holds the job, and jobs move between stages under one scheduler
-// lock.
+// operations between different entities." Each job is one goroutine that
+// runs its session's select → fetch → ingest loop from top to bottom; a
+// select gate bounds how many selections run at once and a wider fetch
+// gate bounds the downloads, so while entity A's download is in flight,
+// entity B's selection runs. A session is only ever touched by its own
+// job's goroutine.
 //
-// The pools are long-lived: a Scheduler (see New/Submit/Close) serves many
-// concurrent submitters over its lifetime with FIFO admission, per-batch
-// fair share, and optional adaptive cross-entity budget allocation
+// A Scheduler (see New/Submit/Close) serves many concurrent submitters
+// over its lifetime with FIFO admission, per-batch fair share at both
+// gates, and optional adaptive cross-entity budget allocation
 // (BudgetPolicy); Run is the retained one-shot wrapper.
 package pipeline
 
@@ -50,11 +49,12 @@ type Result struct {
 
 // Config tunes the scheduler. Zero values choose sensible defaults.
 type Config struct {
-	// SelectWorkers bounds concurrent query selections (CPU-bound;
-	// default GOMAXPROCS).
+	// SelectWorkers is the select gate's slot count: how many jobs may
+	// ingest and select at once (CPU-bound; default GOMAXPROCS).
 	SelectWorkers int
-	// FetchWorkers bounds concurrent fetches (I/O-bound; default
-	// 4×SelectWorkers — fetches park on the network, not the CPU).
+	// FetchWorkers is the fetch gate's slot count: how many jobs may
+	// fetch at once (I/O-bound; default 4×SelectWorkers — fetches park on
+	// the network, not the CPU).
 	FetchWorkers int
 	// MaxActive bounds the jobs admitted across all batches (admission
 	// control for a shared server-side scheduler); 0 is unlimited. Jobs

@@ -114,8 +114,8 @@ func TestPipelineMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestStepCtxMatchesScheduler: the scheduler's split (FetchQueryCtx on a
-// fetch worker, IngestSeed/IngestQuery on a select worker) and the
+// TestStepCtxMatchesScheduler: the scheduler's split (FetchQueryCtx under
+// the fetch gate, IngestSeed/IngestQuery under the select gate) and the
 // synchronous BootstrapCtx + StepCtx share every line that mutates a
 // session, so the same jobs driven both ways agree after every step on
 // the fired queries, the gathered pages, R_E(Φ), R*_E(Φ) and the trace

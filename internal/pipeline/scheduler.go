@@ -1,21 +1,22 @@
 package pipeline
 
-// The long-lived scheduler. pipeline.Run used to build fresh worker pools
-// per invocation, which was fine for a one-batch CLI run but wrong for a
-// server: every harvest request got its own GOMAXPROCS-sized select
-// pool with no admission control, and nothing could be shared, queued,
-// fairly interleaved, checkpointed, or drained. Scheduler inverts that:
-// New(cfg) owns the select/fetch pools for its lifetime; any number of
-// concurrent callers Submit job batches; jobs are admitted FIFO
-// (Config.MaxActive is the admission bound) and, once admitted, served
-// round-robin across batches so one large submission cannot starve a
-// small one; Close shuts it down. Run survives as a thin
-// submit-all-and-await wrapper over a private scheduler — the retained
-// reference the parity tests hold the scheduler to.
+// The long-lived scheduler. Every admitted job is one goroutine that runs
+// Fig. 1's loop from top to bottom — fetch, then ingest → budget decision
+// → select — and two gates bound how many jobs run each half at once: the
+// select gate (Config.SelectWorkers slots) around the CPU half and the
+// fetch gate (Config.FetchWorkers slots) around the download. The Go
+// runtime runs other goroutines while one waits on I/O, so entity A's
+// selection runs while entity B's download is in flight. Jobs are
+// admitted strictly FIFO under Config.MaxActive; each gate hands a freed
+// slot to the next batch round-robin and to that batch's jobs in FIFO
+// order, so one large submission cannot starve a small one. Run survives
+// as a thin submit-all-and-await wrapper over a private scheduler — the
+// retained reference the parity tests hold the scheduler to.
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"l2q/internal/core"
@@ -26,56 +27,57 @@ import (
 type jobStage int
 
 const (
-	stagePending      jobStage = iota // submitted, awaiting admission
-	stageFetchQueued                  // ready for a fetch worker
-	stageFetching                     // owned by a fetch worker
-	stageSelectQueued                 // ready for a select worker
-	stageSelecting                    // owned by a select worker
-	stageParked                       // waiting for a budget grant (adaptive)
+	stagePending jobStage = iota // submitted, awaiting admission
+	stageRunning                 // admitted: its goroutine runs the loop
+	stageParked                  // waiting for a budget grant (adaptive)
 	stageDone
 )
 
-// jobState is the scheduler-side state of one job. A job is owned by at
-// most one worker at a time; every field is otherwise guarded by the
+// jobState is the scheduler-side state of one job. Its goroutine alone
+// touches the session and appends to fired; the rest is guarded by the
 // scheduler mutex.
 type jobState struct {
 	job   *Job
+	index int // in its batch
 	stage jobStage
 	fired []core.Query
-	// pending is the query whose results the fetch stage is producing;
-	// empty string while bootstrapping (the seed fetch).
-	pending core.Query
-	booted  bool
-	// needsIngest marks results awaiting ingestion; a budget grant
-	// re-queues a job to the select stage with needsIngest=false (it
-	// already ingested before parking).
-	needsIngest bool
-	results     []search.Result
+	// wake hands the job a gate slot, or the round barrier's verdict
+	// (granted) while it is parked. The job waits for one thing at a time,
+	// so one buffered signal suffices.
+	wake chan struct{}
 
-	// Budget-allocation signals (maintained by the owning select worker
-	// at ingest time, read under the scheduler mutex at grant time).
-	lastRPhi  float64 // R_E(Φ) after the last ingest
-	lastGain  float64 // marginal ΔR_E(Φ) of the last fired query
-	lowStreak int     // consecutive queries with ΔR_E(Φ) < MinGain
-	granted   bool    // holds an unspent adaptive budget token
+	// Budget-allocation signals, refreshed after every ingest and read by
+	// the round barrier.
+	lastRPhi float64 // R_E(Φ) after the last ingest
+	lastGain float64 // marginal ΔR_E(Φ) of the last ingest
+	granted  bool    // holds an unspent adaptive budget token
 }
 
-// Scheduler runs harvesting jobs on shared select (CPU) and fetch (I/O)
-// worker pools for its whole lifetime. Construct with New, submit batches
-// with Submit, and stop with Close. Safe for concurrent use.
+// The two gates: indexes into Scheduler.gates and Batch.waiting.
+const (
+	selectGate = iota
+	fetchGate
+)
+
+// gate counts the free slots of one half of the loop; rr is its
+// round-robin cursor over Scheduler.batches.
+type gate struct{ free, rr int }
+
+// Scheduler runs harvesting jobs, one goroutine each, behind shared select
+// (CPU) and fetch (I/O) gates for its whole lifetime. Construct with New,
+// submit batches with Submit, and stop with Close. Safe for concurrent
+// use.
 type Scheduler struct {
 	cfg Config
 
-	mu      sync.Mutex
-	selCond *sync.Cond
-	ftCond  *sync.Cond
+	mu    sync.Mutex
+	gates [2]gate
 
 	// batches holds every batch with unfinished jobs, in submission
-	// (admission FIFO) order. Worker pick is round-robin over this slice
-	// (per-submitter fair share); admission walks it front to back.
+	// (admission FIFO) order. The gates hand slots out round-robin over
+	// this slice (per-submitter fair share); admission walks it front to
+	// back.
 	batches []*Batch
-	rrSel   int
-	rrFt    int
 
 	active int // admitted, unfinished jobs
 	queued int // jobs awaiting admission
@@ -83,10 +85,8 @@ type Scheduler struct {
 	finished int64 // jobs finished over the scheduler lifetime
 	fired    int64 // queries fired over the scheduler lifetime
 
-	// closing refuses new batches while Close cancels the ones in flight.
-	closing bool
-	closed  bool
-	wg      sync.WaitGroup
+	closed bool           // refuses new batches
+	wg     sync.WaitGroup // one per job goroutine
 }
 
 // Stats is a point-in-time snapshot of scheduler load, the server-side
@@ -105,21 +105,13 @@ type Stats struct {
 	BudgetRemaining int `json:"budgetRemaining"`
 }
 
-// New starts a scheduler: its worker pools spin up immediately and live
-// until Close.
+// New makes a scheduler. It starts no goroutine: each job gets its own
+// when it is admitted.
 func New(cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
 	s := &Scheduler{cfg: cfg}
-	s.selCond = sync.NewCond(&s.mu)
-	s.ftCond = sync.NewCond(&s.mu)
-	for w := 0; w < cfg.FetchWorkers; w++ {
-		s.wg.Add(1)
-		go s.fetchWorker()
-	}
-	for w := 0; w < cfg.SelectWorkers; w++ {
-		s.wg.Add(1)
-		go s.selectWorker()
-	}
+	s.gates[selectGate].free = cfg.SelectWorkers
+	s.gates[fetchGate].free = cfg.FetchWorkers
 	return s
 }
 
@@ -137,18 +129,18 @@ type Batch struct {
 	// All below guarded by s.mu.
 	states     []*jobState
 	results    []Result
-	nextAdmit  int   // states index of the next job to admit
-	live       int   // admitted, unfinished jobs
-	unfinished int   // all unfinished jobs (admitted or not)
-	fetchQ     []int // job indices ready for fetch
-	selectQ    []int // job indices ready for select/ingest
-	parked     []int // job indices awaiting a budget grant
+	nextAdmit  int // states index of the next job to admit
+	live       int // admitted, unfinished jobs
+	unfinished int // all unfinished jobs (admitted or not)
+	// waiting holds, per gate, the jobs waiting for one of its slots.
+	waiting [2][]*jobState
+	parked  []*jobState // jobs awaiting a budget grant
 
 	done chan struct{}
 }
 
 // Submit enqueues a batch of jobs. Jobs are admitted FIFO relative to
-// every other submission and run on the scheduler's shared pools; ctx
+// every other submission and share the scheduler's gates; ctx
 // cancellation (or Cancel) aborts the batch's unfinished jobs. Sessions
 // must not be shared between jobs; a session that has already fired
 // queries (a checkpoint resume) is picked up where it left off, with
@@ -168,7 +160,7 @@ func (s *Scheduler) Submit(ctx context.Context, jobs []Job, opts BatchOptions) (
 	}
 
 	s.mu.Lock()
-	if s.closed || s.closing {
+	if s.closed {
 		s.mu.Unlock()
 		cancel()
 		return nil, fmt.Errorf("pipeline: scheduler is shut down")
@@ -178,7 +170,7 @@ func (s *Scheduler) Submit(ctx context.Context, jobs []Job, opts BatchOptions) (
 			b.results[i] = Result{Job: &jobs[i], Err: fmt.Errorf("pipeline: job %d missing session or selector", i)}
 			continue
 		}
-		b.states[i] = &jobState{job: &jobs[i], stage: stagePending}
+		b.states[i] = &jobState{job: &jobs[i], index: i, wake: make(chan struct{}, 1)}
 		b.unfinished++
 		s.queued++
 	}
@@ -216,52 +208,34 @@ func (b *Batch) Await(ctx context.Context) []Result {
 // Done is closed when every job in the batch has finished.
 func (b *Batch) Done() <-chan struct{} { return b.done }
 
-// Results returns the batch results; valid once Done is closed.
-func (b *Batch) Results() []Result { return b.results }
-
-// Cancel aborts the batch's unfinished jobs: queued and parked jobs
-// finish immediately with the cancellation error, in-flight fetches are
-// aborted through the job context, and jobs owned by a worker finish as
-// soon as the worker observes the canceled context.
+// Cancel aborts the batch's unfinished jobs: jobs not yet admitted finish
+// at once with the cancellation error; admitted ones — waiting for a slot
+// or a grant, or fetching under the batch context — finish as soon as
+// their goroutine observes the canceled context.
 func (b *Batch) Cancel() {
 	b.cancel()
 	s := b.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err := b.ctx.Err()
-	for i, st := range b.states {
-		if st == nil || st.stage == stageDone {
-			continue
-		}
-		switch st.stage {
-		case stageFetching, stageSelecting:
-			// Owned by a worker; it observes b.ctx and finishes the job.
-		default:
-			b.finishLocked(i, err)
+	for _, st := range b.states {
+		if st != nil && st.stage == stagePending {
+			b.finishLocked(st, b.ctx.Err())
 		}
 	}
 }
 
-// Close cancels every unfinished batch and stops the worker pools. It is
-// idempotent and safe to call concurrently with Submit/Await.
+// Close refuses new batches, cancels every unfinished one, and returns
+// once every job goroutine has exited. It is idempotent and safe to call
+// concurrently with Submit/Await.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closing = true
-	batches := append([]*Batch(nil), s.batches...)
+	s.closed = true
+	batches := slices.Clone(s.batches)
 	s.mu.Unlock()
 	for _, b := range batches {
 		b.Cancel()
 		<-b.done
 	}
-	s.mu.Lock()
-	s.closed = true
-	s.selCond.Broadcast()
-	s.ftCond.Broadcast()
-	s.mu.Unlock()
 	s.wg.Wait()
 }
 
@@ -279,8 +253,8 @@ func (s *Scheduler) Stats() Stats {
 		FiredQueries:  s.fired,
 	}
 	for _, b := range s.batches {
-		for _, i := range b.parked {
-			if b.states[i].stage == stageParked {
+		for _, js := range b.parked {
+			if js.stage == stageParked {
 				st.ParkedJobs++
 			}
 		}
@@ -292,213 +266,199 @@ func (s *Scheduler) Stats() Stats {
 }
 
 // admitLocked admits pending jobs strictly FIFO (batch submission order,
-// job order within a batch) while Config.MaxActive allows. A pre-booted
-// session (checkpoint resume) skips the seed fetch and enters at the
-// select stage.
+// job order within a batch) while Config.MaxActive allows, starting each
+// one's goroutine.
 func (s *Scheduler) admitLocked() {
 	for _, b := range s.batches {
 		for b.nextAdmit < len(b.states) {
 			if s.cfg.MaxActive > 0 && s.active >= s.cfg.MaxActive {
 				return
 			}
-			i := b.nextAdmit
+			st := b.states[b.nextAdmit]
 			b.nextAdmit++
-			st := b.states[i]
 			if st == nil || st.stage != stagePending {
 				continue
 			}
 			s.queued--
 			s.active++
 			b.live++
-			if st.job.Session.Booted() {
-				st.booted = true
-				st.lastRPhi = st.job.Session.RPhi()
-				st.stage = stageSelectQueued
-				b.selectQ = append(b.selectQ, i)
-				s.selCond.Signal()
-			} else {
-				st.stage = stageFetchQueued
-				b.fetchQ = append(b.fetchQ, i)
-				s.ftCond.Signal()
-			}
+			st.stage = stageRunning
+			s.wg.Add(1)
+			go b.run(st)
 		}
 	}
 }
 
-// nextLocked pops the next ready job for one stage, round-robin across
-// batches (fair share between submitters). Entries whose job has moved on
-// (canceled mid-queue) are discarded.
-func (s *Scheduler) nextLocked(queue func(*Batch) *[]int, rr *int, want jobStage) (*Batch, int, bool) {
-	n := len(s.batches)
-	for k := 1; k <= n; k++ {
-		b := s.batches[(*rr+k)%n]
-		q := queue(b)
-		for len(*q) > 0 {
-			i := (*q)[0]
-			*q = (*q)[1:]
-			if b.states[i].stage == want {
-				*rr = (*rr + k) % n
-				return b, i, true
-			}
-		}
-	}
-	return nil, 0, false
+// run is one admitted job's goroutine.
+func (b *Batch) run(st *jobState) {
+	defer b.s.wg.Done()
+	err := b.harvest(st)
+	b.s.mu.Lock()
+	b.finishLocked(st, err)
+	b.s.mu.Unlock()
 }
 
-func fetchQueue(b *Batch) *[]int  { return &b.fetchQ }
-func selectQueue(b *Batch) *[]int { return &b.selectQ }
-
-// fetchWorker runs the I/O half: fetch the pending query's results (the
-// seed fetch for fresh jobs), then hand the job to the select stage. The
-// fetch is context-aware: batch cancellation aborts an in-flight remote
-// download immediately, and a transport failure that survived the
-// retriever's retry budget finishes the job with a typed error rather
-// than ingesting an empty result set as if the query had been
-// unproductive.
-func (s *Scheduler) fetchWorker() {
-	defer s.wg.Done()
-	s.mu.Lock()
+// harvest runs one job's loop until it is done (nil) or cut short (the
+// error): fetch under a fetch slot — the seed first, unless a resumed
+// session has already booted — then ingest, budget decision and Select
+// under a select slot. The fetch is context-aware: batch cancellation
+// aborts an in-flight remote download immediately, and a transport
+// failure that survived the retriever's retry budget ends the job with a
+// typed error rather than ingesting an empty result set as if the query
+// had been unproductive.
+func (b *Batch) harvest(st *jobState) error {
+	s := b.s
+	sess := st.job.Session
+	var q core.Query // "" fetches the seed
+	fetch := !sess.Booted()
+	if !fetch {
+		st.lastRPhi = sess.RPhi()
+	}
 	for {
-		if s.closed {
-			s.mu.Unlock()
-			return
+		var res []search.Result
+		if fetch {
+			if err := b.acquire(st, fetchGate); err != nil {
+				return err
+			}
+			var err error
+			res, err = sess.FetchQueryCtx(b.ctx, q)
+			s.release(fetchGate)
+			if err != nil {
+				return err
+			}
 		}
-		b, i, ok := s.nextLocked(fetchQueue, &s.rrFt, stageFetchQueued)
-		if !ok {
-			s.ftCond.Wait()
-			continue
+		if err := b.acquire(st, selectGate); err != nil {
+			return err
 		}
-		st := b.states[i]
-		if err := b.ctx.Err(); err != nil {
-			b.finishLocked(i, err)
-			continue
+		if fetch {
+			b.ingest(st, q, res)
 		}
-		st.stage = stageFetching
-		s.mu.Unlock()
-
-		res, err := st.job.Session.FetchQueryCtx(b.ctx, st.pending)
-
 		s.mu.Lock()
-		if err != nil {
-			b.finishLocked(i, err)
-			continue
-		}
-		st.results = res
-		st.needsIngest = true
-		st.stage = stageSelectQueued
-		b.selectQ = append(b.selectQ, i)
-		s.selCond.Signal()
-	}
-}
-
-// selectWorker runs the CPU half: ingest fetched results into the session
-// (updating R_E(Φ) and delivering Trace records), consult the budget
-// pool, and either select the next query (handing the job back to fetch),
-// park for a budget grant, or finish the job.
-func (s *Scheduler) selectWorker() {
-	defer s.wg.Done()
-	s.mu.Lock()
-	for {
-		if s.closed {
-			s.mu.Unlock()
-			return
-		}
-		b, i, ok := s.nextLocked(selectQueue, &s.rrSel, stageSelectQueued)
-		if !ok {
-			s.selCond.Wait()
-			continue
-		}
-		st := b.states[i]
-		if err := b.ctx.Err(); err != nil {
-			b.finishLocked(i, err)
-			continue
-		}
-		st.stage = stageSelecting
+		err := b.ctx.Err()
+		d := b.decideLocked(st)
 		s.mu.Unlock()
-
-		sess := st.job.Session
-		firedNow := false
-		if st.needsIngest {
-			if !st.booted {
-				st.booted = true
-				sess.IngestSeed(st.results)
-			} else {
-				sess.IngestQuery(st.pending, st.results)
-				st.fired = append(st.fired, st.pending)
-				firedNow = true
+		if err != nil || d == decideFinish {
+			s.release(selectGate)
+			return err
+		}
+		if d == decidePark {
+			s.release(selectGate)
+			if granted, err := b.park(st); err != nil || !granted {
+				return err
 			}
-			st.results = nil
-			st.needsIngest = false
-			r := sess.RPhi()
-			st.lastGain = r - st.lastRPhi
-			st.lastRPhi = r
-			if firedNow {
-				if st.lastGain < b.pool.minGain {
-					st.lowStreak++
-				} else {
-					st.lowStreak = 0
-				}
-			}
-			if b.opts.Checkpoint != nil {
-				b.opts.Checkpoint(i, sess.Snapshot())
+			if err := b.acquire(st, selectGate); err != nil {
+				return err
 			}
 		}
-
-		s.mu.Lock()
-		if firedNow {
-			s.fired++
-		}
-		if err := b.ctx.Err(); err != nil {
-			b.finishLocked(i, err)
-			continue
-		}
-		switch b.decideLocked(i) {
-		case decideFinish:
-			b.finishLocked(i, nil)
-			continue
-		case decidePark:
-			st.stage = stageParked
-			b.parked = append(b.parked, i)
-			b.maybeReleaseLocked()
-			continue
-		case decideGrant:
-		}
-		s.mu.Unlock()
-
 		choice, found := st.job.Selector.Select(sess)
+		s.release(selectGate)
 
 		s.mu.Lock()
-		if err := b.ctx.Err(); err != nil {
-			b.finishLocked(i, err)
-			continue
-		}
-		if !found {
-			// Out of candidates: the granted token was never spent on a
-			// search, so it flows back to the pool for redistribution.
-			b.refundLocked(i)
-			b.finishLocked(i, nil)
-			continue
+		err = b.ctx.Err()
+		if err == nil && !found && st.granted {
+			// The token was never spent on a search: it flows back to
+			// the pool for the next round.
+			b.pool.remaining++
 		}
 		st.granted = false
-		st.pending = choice.Query
-		st.stage = stageFetchQueued
-		b.fetchQ = append(b.fetchQ, i)
-		s.ftCond.Signal()
+		s.mu.Unlock()
+		if err != nil || !found {
+			return err
+		}
+		q, fetch = choice.Query, true
 	}
+}
+
+// ingest takes a fetch's results into the session — the seed's, if the
+// session has not booted — refreshes the budget signals, and hands the
+// checkpoint hook the new state (from this goroutine, so one job's calls
+// are serialized).
+func (b *Batch) ingest(st *jobState, q core.Query, res []search.Result) {
+	sess := st.job.Session
+	fired := sess.Booted()
+	if fired {
+		sess.IngestQuery(q, res)
+		st.fired = append(st.fired, q)
+	} else {
+		sess.IngestSeed(res)
+	}
+	b.s.mu.Lock()
+	r := sess.RPhi()
+	st.lastGain, st.lastRPhi = r-st.lastRPhi, r
+	if fired {
+		b.s.fired++
+	}
+	b.s.mu.Unlock()
+	if b.opts.Checkpoint != nil {
+		b.opts.Checkpoint(st.index, sess.Snapshot())
+	}
+}
+
+// acquire takes a slot of gate g for st, waiting in st's batch's queue
+// for one to be handed over. Once the batch's context is done it fails
+// and holds nothing.
+func (b *Batch) acquire(st *jobState, g int) error {
+	s := b.s
+	s.mu.Lock()
+	if err := b.ctx.Err(); err != nil {
+		s.mu.Unlock()
+		return err
+	}
+	if s.gates[g].free > 0 {
+		s.gates[g].free--
+		s.mu.Unlock()
+		return nil
+	}
+	b.waiting[g] = append(b.waiting[g], st)
+	s.mu.Unlock()
+	select {
+	case <-st.wake:
+		return nil
+	case <-b.ctx.Done():
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if k := slices.Index(b.waiting[g], st); k >= 0 {
+		b.waiting[g] = slices.Delete(b.waiting[g], k, k+1)
+	} else {
+		s.releaseLocked(g) // handed a slot as the context fired: pass it on
+	}
+	return b.ctx.Err()
+}
+
+func (s *Scheduler) release(g int) {
+	s.mu.Lock()
+	s.releaseLocked(g)
+	s.mu.Unlock()
+}
+
+// releaseLocked hands a freed slot of gate g to the next batch, in
+// round-robin order, that has a job waiting for one, and there to the job
+// that has waited longest. With nobody waiting the slot goes free.
+func (s *Scheduler) releaseLocked(g int) {
+	gt := &s.gates[g]
+	for k := 1; k <= len(s.batches); k++ {
+		i := (gt.rr + k) % len(s.batches)
+		b := s.batches[i]
+		if len(b.waiting[g]) > 0 {
+			st := b.waiting[g][0]
+			b.waiting[g] = b.waiting[g][1:]
+			gt.rr = i
+			st.wake <- struct{}{}
+			return
+		}
+	}
+	gt.free++
 }
 
 // finishLocked records one job's result and unwinds the batch/scheduler
 // accounting: admission of the next pending job, the budget round barrier
 // (a finishing job may have been the last non-parked one), and batch
 // completion.
-func (b *Batch) finishLocked(i int, err error) {
-	st := b.states[i]
-	if st == nil || st.stage == stageDone {
-		return
-	}
+func (b *Batch) finishLocked(st *jobState, err error) {
 	wasPending := st.stage == stagePending
 	st.stage = stageDone
-	b.results[i] = Result{Job: st.job, Fired: st.fired, Err: err}
+	b.results[st.index] = Result{Job: st.job, Fired: st.fired, Err: err}
 	b.unfinished--
 	if wasPending {
 		b.s.queued--
@@ -521,11 +481,8 @@ func (b *Batch) finishLocked(i int, err error) {
 
 // removeBatchLocked drops a fully finished batch from the admission list.
 func (s *Scheduler) removeBatchLocked(b *Batch) {
-	for k, other := range s.batches {
-		if other == b {
-			s.batches = append(s.batches[:k], s.batches[k+1:]...)
-			return
-		}
+	if k := slices.Index(s.batches, b); k >= 0 {
+		s.batches = slices.Delete(s.batches, k, k+1)
 	}
 }
 

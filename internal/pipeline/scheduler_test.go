@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -357,7 +358,7 @@ func TestSchedulerCloseAborts(t *testing.T) {
 		t.Fatalf("Close took %v", elapsed)
 	}
 	canceled := 0
-	for _, r := range b.Results() {
+	for _, r := range b.Await(context.Background()) {
 		if r.Err != nil {
 			canceled++
 		}
@@ -446,5 +447,92 @@ func TestSchedulerSharedEnumerationRace(t *testing.T) {
 	close(stop)
 	if err := <-learnErr; err != nil {
 		t.Fatalf("concurrent domain learning failed: %v", err)
+	}
+}
+
+// blockingSelector signals entered, without blocking, as each selection
+// begins, then waits for release before delegating: a selection in
+// flight for as long as a test needs one.
+type blockingSelector struct {
+	core.Selector
+	entered chan<- struct{}
+	release <-chan struct{}
+}
+
+func (s blockingSelector) Select(sess *core.Session) (core.Selection, bool) {
+	select {
+	case s.entered <- struct{}{}:
+	default:
+	}
+	<-s.release
+	return s.Selector.Select(sess)
+}
+
+// TestSchedulerLeavesNothingRunning pins the job goroutines' lifetime: New
+// starts none, and after Close returns the goroutine count falls back to
+// where it was before New — though Close ran with a job in each state:
+// queued behind MaxActive, fetching (a 20 s slowRetriever), selecting (a
+// selector held until Close has begun), and parked in an adaptive round.
+func TestSchedulerLeavesNothingRunning(t *testing.T) {
+	f := newFixture(t)
+	targets := f.targets(4)
+	baseline := runtime.NumGoroutine()
+
+	s := New(Config{SelectWorkers: 2, FetchWorkers: 2, MaxActive: 3})
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("New started %d goroutines before any job", n-baseline)
+	}
+
+	// Adaptive batch: job 0 boots and parks for a grant while job 1 is
+	// still fetching its seed through a 20 s retriever.
+	fetching := make(chan struct{}, 1)
+	slow := f.session(targets[1], 0)
+	slow.Engine = slowRetriever{Retriever: f.engine, delay: 20 * time.Second, entered: fetching}
+	if _, err := s.Submit(context.Background(), []Job{
+		{Session: f.session(targets[0], 0), Selector: core.NewRT(), NQueries: 3},
+		{Session: slow, Selector: core.NewRT(), NQueries: 3},
+	}, BatchOptions{Budget: BudgetPolicy{Mode: BudgetAdaptive}}); err != nil {
+		t.Fatal(err)
+	}
+	selecting, release := make(chan struct{}, 1), make(chan struct{})
+	if _, err := s.Submit(context.Background(), []Job{
+		{Session: f.session(targets[2], 0), Selector: blockingSelector{Selector: core.NewRT(), entered: selecting, release: release}, NQueries: 3},
+	}, BatchOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	// MaxActive is spent on the three above: this one stays queued.
+	if _, err := s.Submit(context.Background(), []Job{
+		{Session: f.session(targets[3], 0), Selector: core.NewRT(), NQueries: 3},
+	}, BatchOptions{}); err != nil {
+		t.Fatal(err)
+	}
+
+	<-fetching
+	<-selecting
+	deadline := time.Now().Add(10 * time.Second)
+	for st := s.Stats(); st.ParkedJobs != 1 || st.QueuedJobs != 1; st = s.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("want one parked and one queued job before Close, have %+v", st)
+		}
+		runtime.Gosched()
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	close(release)
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return")
+	}
+	deadline = time.Now().Add(10 * time.Second)
+	for n := runtime.NumGoroutine(); n > baseline; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left running after Close (baseline %d)", n, baseline)
+		}
+		runtime.Gosched()
 	}
 }

@@ -81,7 +81,7 @@ func TestSchedulerSoak(t *testing.T) {
 					},
 				}
 				if rng.IntN(3) == 0 {
-					opts.Budget = BudgetPolicy{Mode: BudgetAdaptive, Patience: 1 + rng.IntN(3)}
+					opts.Budget = BudgetPolicy{Mode: BudgetAdaptive}
 				}
 				ctx, cancel := context.WithCancel(context.Background())
 				b, err := s.Submit(ctx, jobs, opts)

@@ -151,15 +151,11 @@ func (r *Ring) AppendOwners(dst []int, part int) []int {
 	return dst
 }
 
-// Owners returns AppendOwners into a fresh slice.
-func (r *Ring) Owners(part int) []int {
-	return r.AppendOwners(make([]int, 0, r.replicas), part)
-}
-
 // AppendOwnedBy appends the partitions node serves, primary first:
 // partition node itself, then the partitions for which the node is a
 // replica (the previous Replicas-1 partitions counterclockwise). It is
-// the exact inverse of AppendOwners: part ∈ OwnedBy(n) ⇔ n ∈ Owners(part).
+// the exact inverse of AppendOwners: part ∈ OwnedBy(n) ⇔ n is one of
+// part's owners.
 func (r *Ring) AppendOwnedBy(dst []int, node int) []int {
 	for i := 0; i < r.replicas; i++ {
 		dst = append(dst, ((node-i)%r.nodes+r.nodes)%r.nodes)
@@ -290,11 +286,6 @@ type mergeScratch struct {
 }
 
 var mergeScratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
-
-// MergeTopK returns MergeTopKAppend into a fresh slice.
-func MergeTopK(k int, lists [][]RankedDoc) []RankedDoc {
-	return MergeTopKAppend(nil, k, lists)
-}
 
 // MergeTopKAppend merges per-partition ranked lists into the global top-k,
 // appended to dst. It reuses the engine's top-K heap (the PR 1 merge

@@ -34,7 +34,7 @@ func TestRingDeterministicAcrossBuilds(t *testing.T) {
 func TestRingOwnersAndCover(t *testing.T) {
 	r := NewRing(5, 3, 0)
 	for part := 0; part < 5; part++ {
-		owners := r.Owners(part)
+		owners := r.AppendOwners(nil, part)
 		if len(owners) != 3 {
 			t.Fatalf("partition %d: %d owners, want 3", part, len(owners))
 		}
@@ -101,7 +101,7 @@ func TestMergeTopKMatchesSort(t *testing.T) {
 		if k > len(want) {
 			k = len(want)
 		}
-		got := MergeTopK(k, lists)
+		got := MergeTopKAppend(nil, k, lists)
 		if !reflect.DeepEqual(got, want[:k]) {
 			t.Fatalf("trial %d: merge diverges from sort:\n got %v\nwant %v", trial, got, want[:k])
 		}
@@ -150,7 +150,7 @@ func TestPartitionedEnginesMatchSingleNode(t *testing.T) {
 				byDoc[rd.Doc] = res
 			}
 		}
-		mergedTop := MergeTopK(8, lists)
+		mergedTop := MergeTopKAppend(nil, 8, lists)
 		if len(mergedTop) != len(want) {
 			t.Fatalf("query %d: merged %d hits, single-node %d", qi, len(mergedTop), len(want))
 		}
@@ -246,7 +246,7 @@ func TestClusterGeometryClamp(t *testing.T) {
 			held := 0
 			for doc := corpus.PageID(0); doc < 500; doc++ {
 				owner := false
-				for _, o := range coord.Owners(coord.Partition(doc)) {
+				for _, o := range coord.AppendOwners(nil, coord.Partition(doc)) {
 					owner = owner || o == id
 				}
 				if ring.Holds(id, doc) != owner {

@@ -189,7 +189,7 @@ func prunedBackends(t *testing.T, pages []*corpus.Page, k int) (ref *Engine, out
 			}
 		}
 		var res []Result
-		for _, rd := range MergeTopK(k, lists) {
+		for _, rd := range MergeTopKAppend(nil, k, lists) {
 			res = append(res, Result{Page: byID[corpus.PageID(rd.Doc)], Score: rd.Score})
 		}
 		return res

@@ -523,7 +523,8 @@ func (c *Client) Retrieve(ctx context.Context, dst []search.Result, seed, query 
 	return dst, nil
 }
 
-// SearchWithSeedErr is Retrieve into a fresh result slice.
+// SearchWithSeedErr is Retrieve into a fresh result slice, kept for
+// bench/sut.go; everything else calls Retrieve.
 func (c *Client) SearchWithSeedErr(ctx context.Context, seed, query []textproc.Token) ([]search.Result, error) {
 	return c.Retrieve(ctx, nil, seed, query)
 }

@@ -740,7 +740,7 @@ func TestNodeServesOnlyOwnedPages(t *testing.T) {
 	ring := search.NewRing(nodes, replicas, 0)
 
 	for _, p := range g.Corpus.Pages {
-		owners := ring.Owners(ring.Partition(p.ID))
+		owners := ring.AppendOwners(nil, ring.Partition(p.ID))
 		served := 0
 		for i, base := range urls {
 			for _, wire := range []bool{false, true} {

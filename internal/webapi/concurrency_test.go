@@ -37,7 +37,7 @@ func TestConcurrentClients(t *testing.T) {
 			}
 			for i := 0; i < opsPerClient; i++ {
 				e := g.Corpus.Entities[(c*opsPerClient+i)%g.Corpus.NumEntities()]
-				if _, err := client.SearchWithSeedErr(context.Background(), e.SeedTokens(), []string{"safety"}); err != nil {
+				if _, err := client.Retrieve(context.Background(), nil, e.SeedTokens(), []string{"safety"}); err != nil {
 					errs <- err
 					return
 				}

@@ -85,7 +85,7 @@ func TestRetryOn5xx(t *testing.T) {
 		t.Fatalf("dial through double-500s: %v", err)
 	}
 	e := g.Corpus.Entities[0]
-	res, err := client.SearchWithSeedErr(context.Background(), e.SeedTokens(), []string{"safety"})
+	res, err := client.Retrieve(context.Background(), nil, e.SeedTokens(), []string{"safety"})
 	if err != nil {
 		t.Fatalf("search through double-500s: %v", err)
 	}
@@ -111,7 +111,7 @@ func TestRetryExhaustion(t *testing.T) {
 	client := derivedClient(f, down.URL,
 		RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond})
 
-	_, err := client.SearchWithSeedErr(context.Background(), []string{"x"}, nil)
+	_, err := client.Retrieve(context.Background(), nil, []string{"x"}, nil)
 	var te *TransportError
 	if !errors.As(err, &te) {
 		t.Fatalf("error %v (%T), want *TransportError", err, err)
@@ -168,7 +168,7 @@ func TestTruncatedBodyRetried(t *testing.T) {
 		t.Fatalf("dial through truncation: %v", err)
 	}
 	e := g.Corpus.Entities[1]
-	res, err := client.SearchWithSeedErr(context.Background(), e.SeedTokens(), []string{"engine"})
+	res, err := client.Retrieve(context.Background(), nil, e.SeedTokens(), []string{"engine"})
 	if err != nil {
 		t.Fatalf("search through truncation: %v", err)
 	}
@@ -217,7 +217,7 @@ func TestPerRequestTimeoutRetried(t *testing.T) {
 		t.Fatalf("dial through stalls: %v", err)
 	}
 	e := g.Corpus.Entities[2]
-	res, err := client.SearchWithSeedErr(context.Background(), e.SeedTokens(), []string{"engine"})
+	res, err := client.Retrieve(context.Background(), nil, e.SeedTokens(), []string{"engine"})
 	if err != nil {
 		t.Fatalf("search through stalls: %v", err)
 	}
@@ -245,7 +245,7 @@ func TestContextCancelAborts(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := client.SearchWithSeedErr(ctx, []string{"x"}, nil)
+	_, err := client.Retrieve(ctx, nil, []string{"x"}, nil)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("stalled search succeeded?")

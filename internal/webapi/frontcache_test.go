@@ -129,7 +129,7 @@ func TestFrontCacheStoresOnlyCompleteResults(t *testing.T) {
 		return kills[i]
 	})
 	co := dialCluster(t, urls, 2, 0)
-	owners := search.NewRing(3, 2, 0).Owners(0)
+	owners := search.NewRing(3, 2, 0).AppendOwners(nil, 0)
 	setDown := func(nodes []int, down bool) {
 		for _, n := range nodes {
 			kills[n].down.Store(down)

@@ -71,7 +71,7 @@ func newHarvestFixture(t testing.TB) *harvestFixture {
 	}
 	srv := httptest.NewServer(server.Handler())
 	t.Cleanup(srv.Close)
-	// Reap the shared scheduler's worker pools (httptest never calls
+	// Reap the shared scheduler's job goroutines (httptest never calls
 	// Server.Shutdown, which otherwise owns this).
 	t.Cleanup(func() { server.harvestJobs().Close() })
 	client, err := DialContext(context.Background(), srv.URL, g.Tokenizer, ClientOptions{})
@@ -228,9 +228,6 @@ func TestHarvestUnknownEntity(t *testing.T) {
 // TestHarvestValidation covers the request-level rejections.
 func TestHarvestValidation(t *testing.T) {
 	f := newHarvestFixture(t)
-	withBudget := func(b harvest.BudgetSpec) harvest.Request {
-		return harvest.Request{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), NQueries: 1, Budget: &b}
-	}
 	resuming := func(entities []corpus.EntityID, resume ...corpus.EntityID) harvest.Request {
 		req := harvest.Request{Entities: entities, Aspect: string(f.aspect), NQueries: 1}
 		for _, id := range resume {
@@ -257,10 +254,6 @@ func TestHarvestValidation(t *testing.T) {
 		{"baseline MQ", harvest.Request{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), Strategy: "MQ"}, http.StatusBadRequest},
 		{"negative budget", harvest.Request{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), NQueries: -1}, http.StatusBadRequest},
 		{"budget over cap", harvest.Request{Entities: []corpus.EntityID{0}, Aspect: string(f.aspect), NQueries: 10000}, http.StatusBadRequest},
-		{"negative pool", withBudget(harvest.BudgetSpec{Mode: "adaptive", TotalQueries: -5}), http.StatusBadRequest},
-		{"negative patience", withBudget(harvest.BudgetSpec{Mode: "adaptive", Patience: -1}), http.StatusBadRequest},
-		{"negative maxPerEntity", withBudget(harvest.BudgetSpec{Mode: "adaptive", MaxPerEntity: -1}), http.StatusBadRequest},
-		{"negative minGain", withBudget(harvest.BudgetSpec{Mode: "adaptive", MinGain: -0.5}), http.StatusBadRequest},
 		{"too many entities", harvest.Request{Entities: tooMany, Aspect: string(f.aspect), NQueries: 1}, http.StatusBadRequest},
 		// One session per entity: a repeat would overwrite its own resume state.
 		{"repeated entity", resuming([]corpus.EntityID{22, 23, 22}), http.StatusBadRequest},

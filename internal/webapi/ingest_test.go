@@ -124,7 +124,7 @@ func TestIngestGrownMatchesRebuilt(t *testing.T) {
 				seed := e.SeedTokens()
 				for _, q := range [][]string{{"research"}, {"research", "award"}, nil} {
 					want := frozen.SearchWithSeed(seed, q)
-					got, err := c.SearchWithSeedErr(ctx, seed, q)
+					got, err := c.Retrieve(ctx, nil, seed, q)
 					if err != nil {
 						t.Fatal(err)
 					}

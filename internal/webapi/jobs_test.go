@@ -317,7 +317,7 @@ func TestJobsAdaptiveBudget(t *testing.T) {
 		Entities: targets,
 		Aspect:   string(f.aspect),
 		NQueries: nQueries,
-		Budget:   &harvest.BudgetSpec{Mode: "adaptive", Patience: 1000},
+		Budget:   &harvest.BudgetSpec{Mode: "adaptive"},
 	})
 	if err != nil {
 		t.Fatal(err)

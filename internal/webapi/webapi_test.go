@@ -74,7 +74,7 @@ func TestSearchEndpointMatchesEngine(t *testing.T) {
 	query := []string{"research"}
 
 	local := f.engine.SearchWithSeed(seed, query)
-	remote, err := f.client.SearchWithSeedErr(context.Background(), seed, query)
+	remote, err := f.client.Retrieve(context.Background(), nil, seed, query)
 	if err != nil {
 		t.Fatal(err)
 	}

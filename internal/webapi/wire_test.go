@@ -485,7 +485,7 @@ func TestErrorEnvelope(t *testing.T) {
 	}))
 	defer stubborn.Close()
 	c := derivedClient(f, stubborn.URL, fastRetry)
-	_, err = c.SearchWithSeedErr(context.Background(), []string{"x"}, nil)
+	_, err = c.Retrieve(context.Background(), nil, []string{"x"}, nil)
 	if !errorsAs(err, &te) || te.Code != "internal" {
 		t.Fatalf("error %v, want internal TransportError", err)
 	}
