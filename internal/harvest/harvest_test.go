@@ -279,16 +279,13 @@ func TestBudgetDecodesStrictly(t *testing.T) {
 	}
 }
 
-// TestNewJobsStartsNothing: a registry starts no goroutine (and no
-// scheduler) before its first job.
+// TestNewJobsStartsNothing: a registry starts no goroutine before its
+// first job.
 func TestNewJobsStartsNothing(t *testing.T) {
 	before := runtime.NumGoroutine()
 	r := NewJobs(context.Background(), pipeline.Config{})
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("NewJobs started %d goroutines", n-before)
-	}
-	if st := r.SchedulerStats(); st != nil {
-		t.Errorf("scheduler started before any job: %+v", st)
 	}
 	r.Close()
 }

@@ -172,13 +172,10 @@ func (j *Job) Events(ctx context.Context, from int) (evs []Event, final bool, er
 // delete what they are done with.
 const maxRetainedJobs = 256
 
-// Jobs is a registry of jobs and the one scheduler they all run on,
-// started by the first job and stopped by Close. Safe for concurrent use.
+// Jobs is a registry of jobs and the one scheduler they all run on, made
+// with the registry and stopped by Close. Safe for concurrent use.
 type Jobs struct {
-	ctx   context.Context // every job's context descends from it
-	sched pipeline.Config
-
-	schedMu   sync.Mutex
+	ctx       context.Context // every job's context descends from it
 	scheduler *pipeline.Scheduler
 
 	mu   sync.Mutex
@@ -187,18 +184,10 @@ type Jobs struct {
 }
 
 // NewJobs makes an empty registry whose jobs run under ctx — canceling it
-// cancels every job — on a scheduler configured by sched.
+// cancels every job — on a scheduler configured by sched. It starts no
+// goroutine: each job starts its own.
 func NewJobs(ctx context.Context, sched pipeline.Config) *Jobs {
-	return &Jobs{ctx: ctx, sched: sched, jobs: make(map[string]*Job)}
-}
-
-func (r *Jobs) startScheduler() *pipeline.Scheduler {
-	r.schedMu.Lock()
-	defer r.schedMu.Unlock()
-	if r.scheduler == nil {
-		r.scheduler = pipeline.New(r.sched)
-	}
-	return r.scheduler
+	return &Jobs{ctx: ctx, scheduler: pipeline.New(sched), jobs: make(map[string]*Job)}
 }
 
 // Submit registers p as a new job and starts it; the job harvests through
@@ -226,11 +215,10 @@ func (r *Jobs) Submit(p *Plan, ret core.Retriever, entity func(corpus.EntityID) 
 		j.checkpoint(cp)
 	}
 
-	sched := r.startScheduler()
 	go func() {
 		defer cancel()
 		j.setState(JobRunning)
-		p.Run(ctx, sched, ret, entity, j.emit, j.checkpoint)
+		p.Run(ctx, r.scheduler, ret, entity, j.emit, j.checkpoint)
 		// An entity that failed under a canceled ctx — in its replay or on
 		// the scheduler — was cut short, not broken.
 		state := JobDone
@@ -300,16 +288,9 @@ func (r *Jobs) Counts() map[string]int {
 	return m
 }
 
-// SchedulerStats snapshots the shared scheduler; nil until the first job
-// started it.
+// SchedulerStats snapshots the shared scheduler.
 func (r *Jobs) SchedulerStats() *pipeline.Stats {
-	r.schedMu.Lock()
-	sched := r.scheduler
-	r.schedMu.Unlock()
-	if sched == nil {
-		return nil
-	}
-	st := sched.Stats()
+	st := r.scheduler.Stats()
 	return &st
 }
 
@@ -318,12 +299,7 @@ func (r *Jobs) SchedulerStats() *pipeline.Stats {
 // reached a final state, its outcome events logged. Cancel the registry's
 // context first, so the jobs are already aborting.
 func (r *Jobs) Close() {
-	r.schedMu.Lock()
-	sched := r.scheduler
-	r.schedMu.Unlock()
-	if sched != nil {
-		sched.Close()
-	}
+	r.scheduler.Close()
 	r.mu.Lock()
 	jobs := make([]*Job, 0, len(r.jobs))
 	for _, j := range r.jobs {

@@ -67,7 +67,7 @@ func TestMaxInFlightShedEnvelope(t *testing.T) {
 	if env.Error.Code != "throttled" || !env.Error.Retryable || env.Error.Message == "" {
 		t.Fatalf("shed envelope = %+v, want retryable code throttled", env.Error)
 	}
-	if server.Shed() == 0 {
+	if server.shed.Load() == 0 {
 		t.Fatal("Shed counter did not advance")
 	}
 
@@ -211,8 +211,8 @@ func TestSaturationShedsWithoutLosingJobs(t *testing.T) {
 	if total.served == 0 {
 		t.Error("nothing was served once the slot was released")
 	}
-	if got := server.Shed(); got != int64(total.shed) {
-		t.Errorf("Server.Shed() = %d, callers counted %d responses with status 429", got, total.shed)
+	if got := server.shed.Load(); got != int64(total.shed) {
+		t.Errorf("shed = %d, callers counted %d responses with status 429", got, total.shed)
 	}
 
 	// Every accepted job finishes; a shed submit created none.
@@ -286,8 +286,8 @@ func TestStreamOpenRetriesPastShed(t *testing.T) {
 		t.Fatalf("stream open was shed and not retried: %v", err)
 	}
 	streamByEntity(t, evs, len(targets)) // complete: every entity closed, done last
-	if m := client.Metrics(); m.Retries == 0 || m.Errors != 0 || server.Shed() == 0 {
-		t.Errorf("client %+v, server shed %d; want the shed open absorbed by a retry", m, server.Shed())
+	if m := client.Metrics(); m.Retries == 0 || m.Errors != 0 || server.shed.Load() == 0 {
+		t.Errorf("client %+v, server shed %d; want the shed open absorbed by a retry", m, server.shed.Load())
 	}
 }
 
@@ -312,8 +312,8 @@ func TestMaxInFlightOffByDefault(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if server.Shed() != 0 {
-		t.Fatalf("Shed = %d with MaxInFlight unset", server.Shed())
+	if server.shed.Load() != 0 {
+		t.Fatalf("Shed = %d with MaxInFlight unset", server.shed.Load())
 	}
 }
 

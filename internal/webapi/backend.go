@@ -7,8 +7,8 @@ package webapi
 // NewCoordinatorServer). A single-node server is a localBackend over a live
 // engine, searched through the view it has published last, and written to
 // only when NewServer was given the ingest tokenizer; a cluster node's
-// backend is its ClusterNode (cluster.go), the coordinator's is
-// clusterBackend (coordinator.go). The jobs API and ingest alone are not
+// backend is its ClusterNode (cluster.go), the coordinator's its
+// Coordinator (coordinator.go). The jobs API and ingest alone are not
 // blind: sessions run beside a localBackend's index and nowhere else, and
 // only a writable localBackend grows.
 
@@ -27,7 +27,7 @@ import (
 // backend is everything a Server needs from what it serves. Failures
 // carry their HTTP status (see errorStatus).
 type backend interface {
-	stats() Stats
+	Stats() Stats
 	// search ranks seed ∥ query and returns the top k hits (k ≤ 0: the
 	// backend's configured top-k) without touching page bodies.
 	search(ctx context.Context, seed, query []textproc.Token, k int) (SearchResponse, error)
@@ -59,7 +59,7 @@ type localBackend struct {
 	tok *textproc.Tokenizer
 }
 
-func (b *localBackend) stats() Stats {
+func (b *localBackend) Stats() Stats {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	v := b.live.View()

@@ -31,13 +31,14 @@ import (
 // re-tokenized, and cached. The client scores nothing: ranks and scores
 // are the server's.
 //
-// The transport is resilient by default: every API call is an idempotent
-// GET against an immutable corpus, so the client retries transient faults
-// (connection errors, timeouts, truncated bodies, 5xx, a coordinator's
-// flagged partial ranking) with exponential backoff and jitter
-// (RetryPolicy), downloads on its own (/page/{id}, one at a time) only the
-// pages a response did not carry, and accounts every request, retry and
-// terminal failure in ClientMetrics. Faults that survive the retry budget
+// The transport is resilient by default: every request but a job's submit
+// and cancel, which go out once, is idempotent — GETs, ingest batches and
+// stats pushes — and retried on transient faults (connection errors,
+// timeouts, truncated bodies, 5xx, a coordinator's flagged partial ranking)
+// with exponential backoff and jitter (RetryPolicy). The client downloads
+// on its own (/page/{id}, one at a time) only the pages a response did not
+// carry, and accounts every request, retry and terminal failure in
+// ClientMetrics. Faults that survive the retry budget
 // surface as *TransportError — never as a silently shortened result list,
 // which would corrupt the session's R_E(Φ) bookkeeping without a trace.
 //
@@ -206,10 +207,6 @@ func (c *Client) fetchStats(ctx context.Context) error {
 // Stats returns the server's collection statistics.
 func (c *Client) Stats() Stats { return c.stats }
 
-// Requests returns the number of HTTP requests issued so far, retries
-// included (the "cost" the paper motivates minimizing).
-func (c *Client) Requests() int { return int(c.met.requests.Load()) }
-
 // Metrics returns a snapshot of the client's request/retry/error counters,
 // the size of its page cache and the process-wide decode memo's.
 func (c *Client) Metrics() ClientMetrics {
@@ -272,61 +269,74 @@ func (c *Client) doRetry(ctx context.Context, op, path string, maxAttempts int, 
 	return te
 }
 
-// once issues a single request — body through a fresh reader, since
-// retries must never replay a half-consumed one — and reads the full
-// response. acceptWire asks the server to answer in the binary codec;
-// callers sniff the response body for the frame magic.
-func (c *Client) once(ctx context.Context, method, path string, body []byte, contentType string, acceptWire bool) ([]byte, error) {
+// request is one API call: method ("" is GET, as in net/http), path, body
+// and its content type; wire asks for the binary codec (callers sniff the
+// body for the frame magic), and once sends it at most once, whatever the
+// retry policy.
+type request struct {
+	method, path, contentType string
+	body                      []byte
+	wire, once                bool
+}
+
+// send issues r through hc — the one place a request is built and counted,
+// its body through a fresh reader, since a retry must never replay a
+// half-consumed one — and returns the response of a 200 or 202 for the
+// caller to read and close; any other status is a *statusError.
+func (c *Client) send(ctx context.Context, hc *http.Client, r request) (*http.Response, error) {
 	c.met.requests.Add(1)
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, r.method, c.base+r.path, bytes.NewReader(r.body))
 	if err != nil {
 		return nil, err
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
+	if r.contentType != "" {
+		req.Header.Set("Content-Type", r.contentType)
 	}
-	if acceptWire {
+	if r.wire {
 		req.Header.Set("Accept", wireContentType)
 	}
-	resp, err := c.http.Do(req)
+	resp, err := hc.Do(req)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+		defer resp.Body.Close()
 		return nil, readError(resp)
 	}
-	// A read error is a truncated body (the server died mid-response); a
-	// body past the cap is rejected here, not cut for a decoder to trip on.
-	return readBounded(resp.Body, resp.ContentLength, maxResponseBytes)
+	return resp, nil
 }
 
-// get issues GET path (asking for the binary codec per the client's
-// preference) under the retry loop.
+// do sends r through c.http under the retry loop and hands the response
+// body to decode. A read error is a truncated body (the server died
+// mid-response); a body past maxResponseBytes is rejected here, not cut for
+// a decoder to trip on.
+func (c *Client) do(ctx context.Context, op string, r request, decode func([]byte) error) error {
+	attempts := c.retry.MaxAttempts
+	if r.once {
+		attempts = 1
+	}
+	return c.doRetry(ctx, op, r.path, attempts, func() ([]byte, error) {
+		resp, err := c.send(ctx, c.http, r)
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		return readBounded(resp.Body, resp.ContentLength, maxResponseBytes)
+	}, decode)
+}
+
+// get issues GET path, asking for the binary codec per the client's
+// preference.
 func (c *Client) get(ctx context.Context, op, path string, decode func([]byte) error) error {
-	return c.doRetry(ctx, op, path, c.retry.MaxAttempts, func() ([]byte, error) {
-		return c.once(ctx, http.MethodGet, path, nil, "", c.wantWire())
-	}, decode)
+	return c.do(ctx, op, request{path: path, wire: c.wantWire()}, decode)
 }
 
-// post issues POST path with body under the retry loop. Only safe for
-// idempotent operations — every caller must be able to tolerate a
-// duplicate delivery, since a response lost on the wire retries a request
-// the server already applied.
-func (c *Client) post(ctx context.Context, op, path string, body []byte, contentType string, acceptWire bool, decode func([]byte) error) error {
-	return c.doRetry(ctx, op, path, c.retry.MaxAttempts, func() ([]byte, error) {
-		return c.once(ctx, http.MethodPost, path, body, contentType, acceptWire)
-	}, decode)
-}
-
-// getJSON issues GET path on a JSON-only route under the retry loop. It
-// never asks for the binary codec, so a server of any release answers JSON
-// — one that still frames the route (kinds 5 and 7 before they retired)
-// frames only what a request asks to have framed.
+// getJSON issues GET path on a JSON-only route. It never asks for the
+// binary codec, so a server of any release answers JSON — one that still
+// frames the route (kinds 5 and 7 before they retired) frames only what a
+// request asks to have framed.
 func (c *Client) getJSON(ctx context.Context, op, path string, out any) error {
-	return c.doRetry(ctx, op, path, c.retry.MaxAttempts, func() ([]byte, error) {
-		return c.once(ctx, http.MethodGet, path, nil, "", false)
-	}, func(b []byte) error { return json.Unmarshal(b, out) })
+	return c.do(ctx, op, request{path: path}, func(b []byte) error { return json.Unmarshal(b, out) })
 }
 
 // TopK implements core.Retriever.
@@ -674,7 +684,8 @@ func (c *Client) PushClusterStats(ctx context.Context, g GlobalStatsPayload) err
 	if err != nil {
 		return err
 	}
-	return c.post(ctx, "cluster-stats-push", apiRoot+"/cluster/stats", body, "application/json", false, func(b []byte) error {
+	push := request{method: http.MethodPost, path: apiRoot + "/cluster/stats", body: body, contentType: "application/json"}
+	return c.do(ctx, "cluster-stats-push", push, func(b []byte) error {
 		var resp struct {
 			OK bool `json:"ok"`
 		}
@@ -707,20 +718,18 @@ func (c *Client) ClusterSearch(ctx context.Context, part int, seed, query []text
 // wireIngest frame when the dial probe negotiated the binary codec, as
 // JSON otherwise; the ack is sniffed per the mixed-version rule.
 func (c *Client) Ingest(ctx context.Context, req IngestRequest) (IngestResponse, error) {
-	var body []byte
-	contentType := "application/json"
-	wire := c.wantWire() && c.wire
-	if wire {
-		body = marshalFrame(wireIngest, func(e *store.Enc) { encodeIngestWire(e, req) })
-		contentType = wireContentType
+	post := request{method: http.MethodPost, path: apiRoot + "/ingest", contentType: "application/json", wire: c.wantWire() && c.wire}
+	if post.wire {
+		post.body = marshalFrame(wireIngest, func(e *store.Enc) { encodeIngestWire(e, req) })
+		post.contentType = wireContentType
 	} else {
 		var err error
-		if body, err = json.Marshal(req); err != nil {
+		if post.body, err = json.Marshal(req); err != nil {
 			return IngestResponse{}, err
 		}
 	}
 	var out IngestResponse
-	err := c.post(ctx, "ingest", apiRoot+"/ingest", body, contentType, wire, func(b []byte) error {
+	err := c.do(ctx, "ingest", post, func(b []byte) error {
 		if isWireFrame(b) {
 			return decodeFramePayload(b, wireIngest, func(d *store.Dec) { out = decodeIngestAckWire(d) })
 		}

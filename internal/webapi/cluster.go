@@ -142,13 +142,6 @@ func (s *Server) Node() *ClusterNode {
 // Spec returns the node's cluster geometry.
 func (n *ClusterNode) Spec() search.ClusterSpec { return n.spec }
 
-// Ready reports whether the coordinator's global stats have been applied.
-func (n *ClusterNode) Ready() bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.ready
-}
-
 // LocalStats builds the node's registration report from its primary
 // partition (see NodeStatsPayload for why replicas are excluded).
 func (n *ClusterNode) LocalStats() NodeStatsPayload {
@@ -357,8 +350,6 @@ func (n *ClusterNode) Stats() Stats {
 }
 
 // The backend a node server serves from (see backend.go).
-
-func (n *ClusterNode) stats() Stats { return n.Stats() }
 
 func (n *ClusterNode) search(context.Context, []textproc.Token, []textproc.Token, int) (SearchResponse, error) {
 	return SearchResponse{}, errNodeSearch

@@ -405,7 +405,7 @@ func TestClusterSlowNodePartial(t *testing.T) {
 	defer cancel()
 	seed := g.Corpus.Entities[0].SeedTokens()
 	start := time.Now()
-	resp, err := co.Scatter(ctx, seed, nil, 0)
+	resp, err := co.search(ctx, seed, nil, 0)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("scatter with one slow node errored: %v", err)
@@ -488,7 +488,7 @@ func TestClusterScatterHonorsCallerCtx(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = co.Scatter(ctx, seed, nil, 0)
+	_, err = co.search(ctx, seed, nil, 0)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("scatter under an expired caller ctx reported success")
@@ -504,7 +504,7 @@ func TestClusterScatterHonorsCallerCtx(t *testing.T) {
 	dead, cancelDead := context.WithCancel(context.Background())
 	cancelDead()
 	before := co.Metrics().Scatters
-	if _, err := co.Scatter(dead, seed, nil, 0); err == nil {
+	if _, err := co.search(dead, seed, nil, 0); err == nil {
 		t.Fatal("scatter under a canceled ctx reported success")
 	}
 	if co.Metrics().Scatters != before+1 {
@@ -524,7 +524,7 @@ func TestClusterWideOwnerChain(t *testing.T) {
 	co := dialCluster(t, startClusterNodes(t, g, 9, 9, nil), 9, 0)
 	want := g.Corpus.Pages[0]
 	got := make([]string, 1)
-	err = co.PagesHTML(context.Background(), []corpus.PageID{want.ID}, got)
+	err = co.pages(context.Background(), []corpus.PageID{want.ID}, got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1004,7 +1004,7 @@ func FuzzClusterStatsPush(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		ready, stats := node.Ready(), node.Stats()
+		ready, stats := node.ready, node.Stats()
 
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, apiRoot+"/cluster/stats", strings.NewReader(string(body))))
@@ -1020,13 +1020,13 @@ func FuzzClusterStatsPush(f *testing.F) {
 			t.Fatalf("answered %d to a body whose statistics are valid=%v: %s", rec.Code, valid, rec.Body.Bytes())
 		}
 		if !valid {
-			if node.Ready() != ready || node.Stats() != stats {
-				t.Fatalf("a refused push moved the node: ready %v → %v, stats %+v → %+v", ready, node.Ready(), stats, node.Stats())
+			if node.ready != ready || node.Stats() != stats {
+				t.Fatalf("a refused push moved the node: ready %v → %v, stats %+v → %+v", ready, node.ready, stats, node.Stats())
 			}
 			return
 		}
-		if got := node.Stats(); !node.Ready() || got.Mu != p.Mu || got.TopK != p.TopK || got.TotalTokens != p.TotalTokens {
-			t.Fatalf("an accepted push left the node ready=%v on %+v, pushed %+v", node.Ready(), got, p)
+		if got := node.Stats(); !node.ready || got.Mu != p.Mu || got.TopK != p.TopK || got.TotalTokens != p.TotalTokens {
+			t.Fatalf("an accepted push left the node ready=%v on %+v, pushed %+v", node.ready, got, p)
 		}
 	})
 }

@@ -130,7 +130,7 @@ func TestServerConcurrencyLimit(t *testing.T) {
 	if rec := <-done; rec.Code != http.StatusOK {
 		t.Fatalf("queued request = %d %s, want 200 once a slot freed", rec.Code, rec.Body.Bytes())
 	}
-	if s.Shed() != 0 {
-		t.Errorf("Shed = %d with MaxInFlight unset", s.Shed())
+	if s.shed.Load() != 0 {
+		t.Errorf("Shed = %d with MaxInFlight unset", s.shed.Load())
 	}
 }

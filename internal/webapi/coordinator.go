@@ -88,10 +88,9 @@ type Coordinator struct {
 	peers        []*nodePeer
 	nodeDeadline time.Duration
 
-	global   GlobalStatsPayload
-	stats    Stats
-	entities []EntityInfo
-	topK     int
+	global GlobalStatsPayload
+	stats  Stats
+	ents   []EntityInfo
 
 	// front caches complete responses by (k, seed, query) ahead of the
 	// fan-out — the one place in a cluster where a hit saves the round
@@ -101,7 +100,7 @@ type Coordinator struct {
 	// -live with -nodes) and the global model is computed and pushed once,
 	// in DialCoordinator. Cluster-wide ingest, or a re-push of the global
 	// model, would have to drop this cache (and bodies) or key it by a
-	// cluster epoch. The cache owns its hit lists: Scatter stores and
+	// cluster epoch. The cache owns its hit lists: search stores and
 	// returns copies, because the serving layer writes page bodies into
 	// the list it is handed.
 	front *search.Cache[SearchResponse]
@@ -193,7 +192,6 @@ func DialCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, 
 		})
 	}
 	mu := search.AutoMu(global.NumDocs, global.TotalTokens)
-	co.topK = topK
 	co.global = GlobalStatsPayload{
 		NumDocs:     global.NumDocs,
 		TotalTokens: global.TotalTokens,
@@ -223,7 +221,7 @@ func DialCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, 
 	// partitioned, entities are not).
 	var entErr error
 	for _, peer := range co.peers {
-		co.entities, entErr = peer.cli.Entities(ctx)
+		co.ents, entErr = peer.cli.Entities(ctx)
 		if entErr == nil {
 			break
 		}
@@ -233,7 +231,7 @@ func DialCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, 
 	}
 	co.stats = Stats{
 		Domain:      co.peers[0].cli.Stats().Domain,
-		NumEntities: len(co.entities),
+		NumEntities: len(co.ents),
 		NumPages:    global.NumDocs,
 		NumTerms:    global.NumTerms,
 		TotalTokens: global.TotalTokens,
@@ -243,11 +241,22 @@ func DialCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, 
 	return co, nil
 }
 
+// The coordinator is the backend of its server (see backend.go): every
+// answer comes from the aggregated global model or a scatter over the nodes.
+
 // Stats returns the aggregated serving statistics — field-for-field what
 // a single-node server over the whole corpus reports.
 func (co *Coordinator) Stats() Stats { return co.stats }
 
-// scatterScratch is the pooled fan-out state of one Scatter call: the
+func (co *Coordinator) entities() []EntityInfo { return co.ents }
+
+func (co *Coordinator) metrics(m *ServerMetrics) {
+	cm := co.Metrics()
+	m.Cluster = &cm
+	m.Search.CacheHits, m.Search.CacheMisses = cm.FrontCache.Hits, cm.FrontCache.Misses
+}
+
+// scatterScratch is the pooled fan-out state of one scatter call: the
 // per-partition response slots, the miss mask, the owner-chain buffer,
 // the RankedDoc conversion arena with its per-partition list headers, the
 // merge output, and the doc→hit materialization map.
@@ -276,16 +285,16 @@ func releaseScatterScratch(sc *scatterScratch) {
 	scatterScratchPool.Put(sc)
 }
 
-// Scatter answers one seeded search: from the front cache when it holds the
+// search answers one seeded search: from the front cache when it holds the
 // complete result, otherwise by fanning out to every partition's owner
 // chain and merging the per-partition top-k into the global ranking. A
 // partition whose owners all fail (or time out past the per-node deadline)
 // is dropped and the response is flagged Partial; the error is non-nil only
 // when the caller's ctx ended or no partition answered at all. Neither is
 // ever cached. The hit list is the caller's to write into.
-func (co *Coordinator) Scatter(ctx context.Context, seed, query []textproc.Token, k int) (SearchResponse, error) {
+func (co *Coordinator) search(ctx context.Context, seed, query []textproc.Token, k int) (SearchResponse, error) {
 	if k <= 0 {
-		k = co.topK
+		k = co.stats.TopK
 	}
 	if co.front == nil {
 		return co.scatter(ctx, seed, query, k)
@@ -305,7 +314,7 @@ func (co *Coordinator) Scatter(ctx context.Context, seed, query []textproc.Token
 	return resp, err
 }
 
-// scatter is the fan-out under Scatter; every call is one count in
+// scatter is the fan-out under search; every call is one count in
 // ClusterMetrics.Scatters.
 func (co *Coordinator) scatter(ctx context.Context, seed, query []textproc.Token, k int) (SearchResponse, error) {
 	n := co.ring.Nodes()
@@ -423,12 +432,12 @@ func (co *Coordinator) searchPartition(ctx context.Context, part int, seed, quer
 	return nil, false
 }
 
-// PagesHTML sets dst[i] to the bytes the owners of ids[i] serve at
+// pages sets dst[i] to the bytes the owners of ids[i] serve at
 // /page/{id}: from the body cache, else waited for when another call is
 // downloading it, else downloaded (fetch) and cached. Runs under the
 // caller's ctx, not the scatter deadline: a slow bulk transfer is not a
 // node failure. Bodies are checked on arrival (Client.PagesHTML).
-func (co *Coordinator) PagesHTML(ctx context.Context, ids []corpus.PageID, dst []string) error {
+func (co *Coordinator) pages(ctx context.Context, ids []corpus.PageID, dst []string) error {
 	calls := make([]*flightCall[string], len(ids)) // per page not in the body cache: its flight
 	var led []int
 	var kb [binary.MaxVarintLen64]byte
@@ -450,7 +459,7 @@ func (co *Coordinator) PagesHTML(ctx context.Context, ids []corpus.PageID, dst [
 		var again bool
 		var err error
 		if dst[i], again, err = call.wait(ctx); again {
-			err = co.PagesHTML(ctx, ids[i:i+1], dst[i:i+1])
+			err = co.pages(ctx, ids[i:i+1], dst[i:i+1])
 		}
 		if err != nil {
 			return err
@@ -682,27 +691,5 @@ func (co *Coordinator) Metrics() ClusterMetrics {
 // error envelope as a single-node server. The jobs API answers 501 here:
 // a harvest through a cluster is a Client session dialed to this server.
 func NewCoordinatorServer(co *Coordinator) *Server {
-	return newServer(clusterBackend{co})
-}
-
-// clusterBackend is the Server backend of a coordinator: every answer
-// comes from the aggregated global model or a scatter over the nodes.
-type clusterBackend struct{ co *Coordinator }
-
-func (b clusterBackend) stats() Stats { return b.co.stats }
-
-func (b clusterBackend) search(ctx context.Context, seed, query []textproc.Token, k int) (SearchResponse, error) {
-	return b.co.Scatter(ctx, seed, query, k)
-}
-
-func (b clusterBackend) entities() []EntityInfo { return b.co.entities }
-
-func (b clusterBackend) pages(ctx context.Context, ids []corpus.PageID, dst []string) error {
-	return b.co.PagesHTML(ctx, ids, dst)
-}
-
-func (b clusterBackend) metrics(m *ServerMetrics) {
-	cm := b.co.Metrics()
-	m.Cluster = &cm
-	m.Search.CacheHits, m.Search.CacheMisses = cm.FrontCache.Hits, cm.FrontCache.Misses
+	return newServer(co)
 }

@@ -308,7 +308,7 @@ func TestPrefetchSingleflight(t *testing.T) {
 	results := make(chan error, followers+1)
 	fetch := func() {
 		got := make([]string, 1)
-		err := co.PagesHTML(context.Background(), []corpus.PageID{page.ID}, got)
+		err := co.pages(context.Background(), []corpus.PageID{page.ID}, got)
 		if err == nil && got[0] != html.RenderPage(page) {
 			err = errors.New("a caller got another body than the page's")
 		}
@@ -352,7 +352,7 @@ func TestSingleflightLeaderCancelDoesNotPoisonFollowers(t *testing.T) {
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)
-	go func() { leaderErr <- co.PagesHTML(leaderCtx, ids, make([]string, 1)) }()
+	go func() { leaderErr <- co.pages(leaderCtx, ids, make([]string, 1)) }()
 	<-entered // the leader's batch is held at the node
 
 	type result struct {
@@ -362,7 +362,7 @@ func TestSingleflightLeaderCancelDoesNotPoisonFollowers(t *testing.T) {
 	follower := make(chan result, 1)
 	go func() {
 		got := make([]string, 1)
-		err := co.PagesHTML(context.Background(), ids, got)
+		err := co.pages(context.Background(), ids, got)
 		follower <- result{got[0], err}
 	}()
 	awaitJoins(&co.flight, page.ID, 1)
@@ -444,7 +444,7 @@ func TestClusterBatchFailureFallsBack(t *testing.T) {
 		co := dialCluster(t, urls, 2, 0)
 		faults[0].mode.Store(mode)
 		got := make([]string, len(ids))
-		if err := co.PagesHTML(ctx, ids, got); err != nil {
+		if err := co.pages(ctx, ids, got); err != nil {
 			t.Fatalf("%s: node 0's batch failed and its replica did not stand in: %v", mode, err)
 		}
 		if !reflect.DeepEqual(got, want) {
@@ -463,7 +463,7 @@ func TestClusterBatchFailureFallsBack(t *testing.T) {
 
 		faults[1].mode.Store(mode)
 		co = dialCluster(t, urls, 2, 0)
-		if err := co.PagesHTML(ctx, ids, make([]string, len(ids))); err == nil {
+		if err := co.pages(ctx, ids, make([]string, len(ids))); err == nil {
 			t.Errorf("%s: every owner failing, the batch still succeeded", mode)
 		}
 		if m := co.Metrics(); m.BodyCache.Entries != 0 || m.Hedges != 0 {

@@ -141,13 +141,13 @@ func TestFrontCacheStoresOnlyCompleteResults(t *testing.T) {
 	scatters := func() int64 { return co.Metrics().Scatters }
 
 	setDown(owners, true)
-	resp, err := co.Scatter(ctx, seed, query, 0)
+	resp, err := co.search(ctx, seed, query, 0)
 	if err != nil || !resp.Partial {
 		t.Fatalf("partition 0 without owners: partial=%v err=%v, want a flagged partial", resp.Partial, err)
 	}
 	setDown(owners, false)
 	before := scatters()
-	complete, err := co.Scatter(ctx, seed, query, 0)
+	complete, err := co.search(ctx, seed, query, 0)
 	if err != nil || complete.Partial || len(complete.Hits) == 0 {
 		t.Fatalf("owners restored: %+v, %v; want a complete result", complete, err)
 	}
@@ -157,35 +157,35 @@ func TestFrontCacheStoresOnlyCompleteResults(t *testing.T) {
 
 	setDown(owners, true)
 	before = scatters()
-	again, err := co.Scatter(ctx, seed, query, 0)
+	again, err := co.search(ctx, seed, query, 0)
 	if err != nil || !reflect.DeepEqual(again, complete) {
 		t.Errorf("cached complete result with owners down: %+v, %v; want %+v", again, err, complete)
 	}
 	if scatters() != before {
 		t.Errorf("a cached complete result still fanned out (scatters %d → %d)", before, scatters())
 	}
-	if fresh, err := co.Scatter(ctx, seed, []textproc.Token{"teaching"}, 0); err != nil || !fresh.Partial {
+	if fresh, err := co.search(ctx, seed, []textproc.Token{"teaching"}, 0); err != nil || !fresh.Partial {
 		t.Errorf("never-seen query with owners down: partial=%v err=%v, want a flagged partial", fresh.Partial, err)
 	}
 
 	// A total outage errors and leaves nothing behind either.
 	setDown([]int{0, 1, 2}, true)
 	outage := []textproc.Token{"award"}
-	if _, err := co.Scatter(ctx, seed, outage, 0); err == nil {
+	if _, err := co.search(ctx, seed, outage, 0); err == nil {
 		t.Fatal("scatter with every node down reported success")
 	}
 	setDown([]int{0, 1, 2}, false)
-	if resp, err := co.Scatter(ctx, seed, outage, 0); err != nil || resp.Partial {
+	if resp, err := co.search(ctx, seed, outage, 0); err != nil || resp.Partial {
 		t.Errorf("after the outage: partial=%v err=%v, want a complete result", resp.Partial, err)
 	}
 	// So does a scatter its caller abandoned.
 	dead, cancel := context.WithCancel(ctx)
 	cancel()
 	abandoned := []textproc.Token{"students"}
-	if _, err := co.Scatter(dead, seed, abandoned, 0); err == nil {
+	if _, err := co.search(dead, seed, abandoned, 0); err == nil {
 		t.Fatal("scatter under a canceled ctx reported success")
 	}
-	if resp, err := co.Scatter(ctx, seed, abandoned, 0); err != nil || resp.Partial {
+	if resp, err := co.search(ctx, seed, abandoned, 0); err != nil || resp.Partial {
 		t.Errorf("after the canceled scatter: partial=%v err=%v, want a complete result", resp.Partial, err)
 	}
 }
@@ -238,11 +238,11 @@ func TestFrontCacheMatchesScatter(t *testing.T) {
 	ctx := context.Background()
 	for round := 0; round < 2; round++ {
 		for i, tr := range triples {
-			want, err := uncached.Scatter(ctx, tr.seed, tr.query, tr.k)
+			want, err := uncached.search(ctx, tr.seed, tr.query, tr.k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := cached.Scatter(ctx, tr.seed, tr.query, tr.k)
+			got, err := cached.search(ctx, tr.seed, tr.query, tr.k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -416,14 +416,14 @@ func BenchmarkCoordinatorFrontHitAllocs(b *testing.B) {
 	co := dialCluster(b, startClusterNodes(b, g, 3, 2, nil), 2, 0)
 	ctx := context.Background()
 	seed, query := g.Corpus.Entities[3].SeedTokens(), []textproc.Token{"research", "data mining"}
-	resp, err := co.Scatter(ctx, seed, query, 0) // the miss that fills the cache
+	resp, err := co.search(ctx, seed, query, 0) // the miss that fills the cache
 	if err != nil || len(resp.Hits) != 5 {
 		b.Fatalf("%d hits, err %v", len(resp.Hits), err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if resp, err = co.Scatter(ctx, seed, query, 0); err != nil {
+		if resp, err = co.search(ctx, seed, query, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -59,12 +59,14 @@ func TestInflateCapRejects(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := &Client{base: srv.URL, http: srv.Client()}
+	var got []byte
+	keep := func(b []byte) error { got = b; return nil }
 	body = atCap
-	if got, err := c.once(context.Background(), http.MethodGet, "/", nil, "", false); err != nil || len(got) != maxResponseBytes {
+	if err := c.do(context.Background(), "get", request{path: "/", once: true}, keep); err != nil || len(got) != maxResponseBytes {
 		t.Fatalf("response body at the cap: %d bytes, %v", len(got), err)
 	}
 	body = over
-	if _, err := c.once(context.Background(), http.MethodGet, "/", nil, "", false); err == nil || !strings.Contains(err.Error(), "exceeds") {
+	if err := c.do(context.Background(), "get", request{path: "/", once: true}, keep); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Errorf("response body of cap+1 bytes: %v, want an exceeds error", err)
 	}
 }

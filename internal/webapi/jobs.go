@@ -173,53 +173,6 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]string{"id": id, "state": state})
 }
 
-// call makes one request of the jobs API — the three that get and post
-// cannot make, because a submit and a cancel must never be re-sent and a
-// stream is read as it arrives, not after it ended — and is the one place
-// such a request is built, counted, status-checked and its failure shaped
-// into a *TransportError (by doRetry, like every other request's).
-//
-// Without follow the request is issued exactly once, through c.http, and
-// decode (nil: nothing to learn from it) is handed the small response body.
-// With follow the request opens a stream: it is retried under the client's
-// RetryPolicy up to the response header — GET …?stream=1 replays from event
-// 0, so until its first body byte it is idempotent, and a 429 shed, a
-// refused connection or a 5xx there must not orphan the job it was about to
-// follow — and goes through a client without c.http's per-request Timeout,
-// which would sever the stream mid-job. The caller reads and closes the
-// body returned; nothing it reads is retried.
-func (c *Client) call(ctx context.Context, op, method, path string, jsonBody []byte, follow bool, decode func([]byte) error) (stream io.ReadCloser, err error) {
-	hc, attempts := c.http, 1
-	if follow {
-		hc, attempts = &http.Client{}, c.retry.MaxAttempts
-	}
-	err = c.doRetry(ctx, op, path, attempts, func() ([]byte, error) {
-		c.met.requests.Add(1)
-		req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(jsonBody))
-		if err != nil {
-			return nil, err
-		}
-		if jsonBody != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := hc.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-			defer resp.Body.Close()
-			return nil, readError(resp)
-		}
-		if follow {
-			stream = resp.Body
-			return nil, nil
-		}
-		defer resp.Body.Close()
-		return io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	}, decode)
-	return stream, err
-}
-
 // SubmitJob submits a server-side harvest and returns its job ID as soon as
 // the server accepts it; progress is consumed via JobStatus/StreamJob. Sent
 // once: every accepted submit is a new job.
@@ -231,7 +184,8 @@ func (c *Client) SubmitJob(ctx context.Context, req harvest.Request) (string, er
 	var out struct {
 		ID string `json:"id"`
 	}
-	_, err = c.call(ctx, "jobs", http.MethodPost, apiRoot+"/jobs", body, false, func(b []byte) error {
+	submit := request{method: http.MethodPost, path: apiRoot + "/jobs", body: body, contentType: "application/json", once: true}
+	err = c.do(ctx, "jobs", submit, func(b []byte) error {
 		if err := json.Unmarshal(b, &out); err != nil || out.ID == "" {
 			return fmt.Errorf("malformed job response: %v", err)
 		}
@@ -248,24 +202,33 @@ func (c *Client) JobStatus(ctx context.Context, id string, withCheckpoints bool)
 		path += "?checkpoints=1"
 	}
 	var st harvest.JobStatus
-	if err := c.getJSON(ctx, "jobstatus", path, &st); err != nil {
-		return st, err
-	}
-	return st, nil
+	err := c.getJSON(ctx, "jobstatus", path, &st)
+	return st, err
 }
 
 // StreamJob follows a job's NDJSON event stream from the beginning,
 // delivering every event to onEvent in order. A non-nil onEvent error
 // aborts the stream and is returned verbatim. The stream is unbounded in
-// time, so patience comes from ctx, not the client's per-request timeout;
-// opening it is retried (see call), reading it is not. It is complete when
-// its last line is the "done" summary: a body that ends any earlier — a
-// draining server stops following at whatever event it is at, and a severed
-// connection looks no different — is a *TransportError wrapping
-// io.ErrUnexpectedEOF, never a finished harvest.
+// time, so it is read through a client without c.http's per-request
+// Timeout, which would sever it mid-job: patience comes from ctx. Opening
+// it is retried under the client's RetryPolicy up to the response header —
+// GET …?stream=1 replays from event 0, so until its first body byte it is
+// idempotent, and a 429 shed, a refused connection or a 5xx there must not
+// orphan the job it was about to follow; reading it is not retried. It is
+// complete when its last line is the "done" summary: a body that ends any
+// earlier — a draining server stops following at whatever event it is at,
+// and a severed connection looks no different — is a *TransportError
+// wrapping io.ErrUnexpectedEOF, never a finished harvest.
 func (c *Client) StreamJob(ctx context.Context, id string, onEvent func(harvest.Event) error) error {
 	path := apiRoot + "/jobs/" + id + "?stream=1"
-	body, err := c.call(ctx, "jobstream", http.MethodGet, path, nil, true, nil)
+	var body io.ReadCloser
+	err := c.doRetry(ctx, "jobstream", path, c.retry.MaxAttempts, func() ([]byte, error) {
+		resp, err := c.send(ctx, &http.Client{Transport: c.http.Transport}, request{path: path})
+		if err == nil {
+			body = resp.Body
+		}
+		return nil, err
+	}, nil)
 	if err != nil {
 		return err
 	}
@@ -308,8 +271,7 @@ func (c *Client) StreamJob(ctx context.Context, id string, onEvent func(harvest.
 // the job it had just canceled finished, and forget it — checkpoints and
 // all.
 func (c *Client) CancelJob(ctx context.Context, id string) error {
-	_, err := c.call(ctx, "jobcancel", http.MethodDelete, apiRoot+"/jobs/"+id, nil, false, nil)
-	return err
+	return c.do(ctx, "jobcancel", request{method: http.MethodDelete, path: apiRoot + "/jobs/" + id, once: true}, nil)
 }
 
 // leaveTimeout bounds the DELETE HarvestBatch sends on its way out.
@@ -341,8 +303,6 @@ func (c *Client) HarvestBatch(ctx context.Context, req harvest.Request, onEvent 
 // ServerMetrics fetches the server-side counters (GET /api/v1/metrics).
 func (c *Client) ServerMetrics(ctx context.Context) (ServerMetrics, error) {
 	var m ServerMetrics
-	if err := c.getJSON(ctx, "metrics", apiRoot+"/metrics", &m); err != nil {
-		return m, err
-	}
-	return m, nil
+	err := c.getJSON(ctx, "metrics", apiRoot+"/metrics", &m)
+	return m, err
 }

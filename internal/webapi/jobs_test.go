@@ -14,10 +14,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"l2q/internal/core"
 	"l2q/internal/corpus"
 	"l2q/internal/harvest"
+	"l2q/internal/pipeline"
 )
 
 // jobTargets picks the last n entities of the fixture corpus.
@@ -384,11 +386,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	if m.Requests == 0 {
 		t.Error("requests counter stuck at zero (Dial already issued requests)")
 	}
-	if m.Scheduler != nil {
-		t.Error("scheduler stats present before any harvest")
+	if st := m.Scheduler; st == nil || *st != (pipeline.Stats{SelectWorkers: st.SelectWorkers, FetchWorkers: st.FetchWorkers}) {
+		t.Errorf("scheduler stats before any harvest: %+v, want the section with every counter zero", st)
 	}
 
-	// One sync harvest spins up the shared scheduler.
+	// One sync harvest runs on the shared scheduler.
 	targets := jobTargets(f, 2)
 	if err := f.client.HarvestBatch(context.Background(), harvest.Request{
 		Entities: targets, Aspect: string(f.aspect), NQueries: 1,
@@ -511,4 +513,66 @@ func FuzzJobStream(f *testing.F) {
 			t.Fatalf("onEvent saw %+v, want %+v", got, want)
 		}
 	})
+}
+
+// TestJobCallsOnceAndStreamUntimed holds the client's two rules for the jobs
+// API that a retry policy and a timeout must not bend: a submit and a cancel
+// reach the server exactly once — a second delivery would start a second job
+// or forget the one just canceled — even when the answer is a retryable 503,
+// and a job's event stream is read without the per-request Timeout, which
+// would cut a long job off mid-stream.
+func TestJobCallsOnceAndStreamUntimed(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	var submits, cancels atomic.Int64
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == apiRoot+"/stats":
+			writeJSON(w, Stats{Mu: 100, TopK: 10})
+		case r.Method == http.MethodPost:
+			submits.Add(1)
+			writeError(w, http.StatusServiceUnavailable, "overloaded")
+		case r.Method == http.MethodDelete:
+			cancels.Add(1)
+			writeError(w, http.StatusServiceUnavailable, "overloaded")
+		default: // the stream: one event now, "done" once released
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			_ = json.NewEncoder(w).Encode(harvest.Event{Type: "progress"})
+			w.(http.Flusher).Flush()
+			select {
+			case <-release:
+				_ = json.NewEncoder(w).Encode(harvest.Event{Type: "done"})
+			case <-r.Context().Done():
+			}
+		}
+	}))
+	defer srv.Close()
+	ctx := context.Background()
+	c, err := DialContext(ctx, srv.URL, nil, ClientOptions{Retry: RetryPolicy{MaxAttempts: 4}, Timeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, submitErr := c.SubmitJob(ctx, harvest.Request{Entities: []corpus.EntityID{0}, Aspect: "RESEARCH", NQueries: 1})
+	cancelErr := c.CancelJob(ctx, "j1")
+	for _, call := range []struct {
+		name string
+		err  error
+		sent int64
+	}{{"submit", submitErr, submits.Load()}, {"cancel", cancelErr, cancels.Load()}} {
+		var te *TransportError
+		if !errors.As(call.err, &te) || te.Attempts != 1 || te.Status != http.StatusServiceUnavailable || call.sent != 1 {
+			t.Errorf("%s against a 503: %v, sent %d times; want one attempt and a *TransportError", call.name, call.err, call.sent)
+		}
+	}
+
+	time.AfterFunc(4*timeout, func() { close(release) })
+	var got []string
+	err = c.StreamJob(ctx, "j1", func(ev harvest.Event) error {
+		got = append(got, ev.Type)
+		return nil
+	})
+	if err != nil || !reflect.DeepEqual(got, []string{"progress", "done"}) {
+		t.Errorf("a stream open past the %v Timeout: events %v, %v; want progress and done", timeout, got, err)
+	}
 }

@@ -81,7 +81,10 @@ func TestRequestBodyLimits(t *testing.T) {
 	if n := registeredJobs(writable); n != 0 {
 		t.Errorf("refused job bodies registered %d job(s)", n)
 	}
-	if node.Node().Ready() {
+	n := node.Node()
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	if n.ready {
 		t.Error("a refused stats push made the node ready")
 	}
 }

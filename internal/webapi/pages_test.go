@@ -433,7 +433,7 @@ func TestConcurrentHitListsShareDownloads(t *testing.T) {
 		want := []string{html.RenderPage(g.Corpus.Pages[i]), html.RenderPage(g.Corpus.Pages[0])}
 		go func() {
 			got := make([]string, len(ids))
-			err := co.PagesHTML(context.Background(), ids, got)
+			err := co.pages(context.Background(), ids, got)
 			if err == nil && !reflect.DeepEqual(got, want) {
 				err = fmt.Errorf("list %v: bodies differ from the pages", ids)
 			}

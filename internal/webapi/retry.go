@@ -13,11 +13,11 @@ import (
 	"time"
 )
 
-// RetryPolicy controls how the client retries idempotent GET requests.
-// Every request the client issues is a GET against an immutable corpus, so
-// retrying is always safe; what the policy tunes is how hard the client
-// fights before a fault surfaces as an error. The zero value picks the
-// defaults below.
+// RetryPolicy controls how the client retries its idempotent requests —
+// every GET, and the POSTs of ingest batches and stats pushes, whose
+// re-delivery changes nothing; a job's submit and cancel are sent once under
+// any policy. It tunes how hard the client fights before a fault surfaces
+// as an error. The zero value picks the defaults below.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries per request, including the
 	// first (default 4; 1 disables retrying).
@@ -175,7 +175,8 @@ type ClientMetrics struct {
 	Errors int64
 	// PageFetches counts pages downloaded from /page/{id} (cache hits
 	// excluded, and so are pages that arrived inside a search response —
-	// those are PagesAttached).
+	// those are PagesAttached) and every page ID a PagesHTML batch asked
+	// /api/v1/cluster/pages for.
 	PageFetches int64
 	// PagesAttached counts page bodies accepted from search responses:
 	// each one a page request the harvest did not have to make.
@@ -189,7 +190,7 @@ type ClientMetrics struct {
 	// cache is unbounded — sized by one harvest, which is what a client
 	// lives for; the work of decoding pages outlives it in the decode
 	// memo. A coordinator's per-node clients read 0 here: it fetches
-	// bodies with PageHTML and keeps them in its own bounded cache.
+	// bodies with PagesHTML and keeps them in its own bounded cache.
 	CachedPages int
 	// DecodeMemo is the decode memo itself, process-wide: every client's
 	// hits and misses, and the decoded frames and body bytes it holds now

@@ -183,9 +183,6 @@ func (s *Server) inflightSem() chan struct{} {
 	return s.inflight
 }
 
-// Shed reports how many requests admission control has rejected with 429.
-func (s *Server) Shed() int64 { return s.shed.Load() }
-
 // limit passes every request but /healthz through the admission gate and
 // logs it. Per-route write deadlines are applied by instrument() from the
 // route registry.
@@ -295,8 +292,8 @@ type ServerMetrics struct {
 	// Jobs counts the async jobs registry by state.
 	Jobs map[string]int `json:"jobs,omitempty"`
 	// Scheduler snapshots the shared harvest scheduler (queue depth,
-	// active/parked jobs, unspent adaptive budget); absent until the
-	// first harvest request starts it.
+	// active/parked jobs, unspent adaptive budget), its counters all zero
+	// before the first job.
 	Scheduler *pipeline.Stats `json:"scheduler,omitempty"`
 	// Cluster reports the coordinator's fan-out gauges (per-node in-flight,
 	// hedges fired, partials served); present only on coordinator servers.
@@ -362,7 +359,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.backend.stats()
+	st := s.backend.Stats()
 	s.respond(w, r, wireStats, func(e *store.Enc) { encodeStatsWire(e, st) }, st)
 }
 

@@ -120,13 +120,13 @@ func TestClientPageCacheAndRequestCount(t *testing.T) {
 	if _, err := f.client.PageCtx(context.Background(), id); err != nil {
 		t.Fatal(err)
 	}
-	before := f.client.Requests()
+	before := f.client.Metrics().Requests
 	for i := 0; i < 5; i++ {
 		if _, err := f.client.PageCtx(context.Background(), id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if after := f.client.Requests(); after != before {
+	if after := f.client.Metrics().Requests; after != before {
 		t.Errorf("cached fetches issued %d extra requests", after-before)
 	}
 }
@@ -179,7 +179,7 @@ func TestRemoteSessionParity(t *testing.T) {
 	// One round trip per search, and nothing else: the dial probe plus one
 	// request per search the session issued; every page came inside a
 	// search response.
-	if got, want := f.client.Requests(), 1+counted.searches; counted.searches < len(remoteQ) || got != want {
+	if got, want := f.client.Metrics().Requests, int64(1+counted.searches); counted.searches < len(remoteQ) || got != want {
 		t.Errorf("session issued %d requests for %d searches, want %d (dial + one per search)", got, counted.searches, want)
 	}
 	if m := f.client.Metrics(); m.PageFetches != 0 || int(m.PagesAttached) != len(remoteP) {

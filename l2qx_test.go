@@ -102,7 +102,7 @@ func TestRemoteHarvestParity(t *testing.T) {
 	if !reflect.DeepEqual(localFired, remoteFired) {
 		t.Errorf("fired %v locally, %v remotely", localFired, remoteFired)
 	}
-	if re.Requests() == 0 {
+	if re.Metrics().Requests == 0 {
 		t.Error("remote harvest issued no HTTP requests")
 	}
 }
