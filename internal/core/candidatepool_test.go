@@ -161,7 +161,7 @@ func TestCandidatePoolFiredNeverReappears(t *testing.T) {
 		mustFire(t, s, cands[len(cands)/2])
 	}
 
-	// A query Candidates emitted and IngestQuery fired before the next
+	// A query Candidates emitted and Ingest fired before the next
 	// Infer has a pool ordinal the session state has not enrolled: the
 	// state enrolls it detached — no coverage, no token index — and no
 	// inference scores it, in either form.

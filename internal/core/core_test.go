@@ -104,7 +104,7 @@ func mustFire(t testing.TB, s *Session, q Query) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s.IngestQuery(q, res)
+	return s.Ingest(q, res)
 }
 
 func TestQueryTokensRoundTripsPhrases(t *testing.T) {

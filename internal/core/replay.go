@@ -65,7 +65,8 @@ func (cp Checkpoint) booted() bool {
 const anchorTol = 1e-9
 
 // Resume replays a checkpoint into a fresh session: it bootstraps, fires
-// the checkpointed queries in order, and verifies the gathered pages and
+// the checkpointed queries in order through Ingest (a Trace installed
+// before Resume gets their records), and verifies the gathered pages and
 // the R_E(Φ)/R*_E(Φ) anchors match the recorded values (a mismatch means
 // the corpus, engine or configuration changed under the checkpoint, which
 // would silently corrupt the context model — better to fail loudly). The
@@ -97,7 +98,7 @@ func (s *Session) Resume(ctx context.Context, cp Checkpoint) error {
 		if err != nil {
 			return s.errorf("replay query %d %q: %w", i+1, q, err)
 		}
-		s.ingest(q, res)
+		s.Ingest(q, res)
 	}
 	if len(s.pages) != len(cp.PageIDs) {
 		return s.errorf("replay gathered %d pages, checkpoint has %d (corpus changed?)",

@@ -54,8 +54,9 @@ type Session struct {
 	DM *DomainModel
 	// Rec is the type system for templates; nil disables templates.
 	Rec types.Recognizer
-	// Trace, when set, receives one record after every step — handy for
-	// analyzing why a strategy chose what it chose.
+	// Trace, when set, receives one record per query that enters Φ,
+	// replayed ones included (Ingest) — handy for analyzing why a strategy
+	// chose what it chose.
 	Trace func(TraceRecord)
 
 	seed     []textproc.Token
@@ -123,8 +124,11 @@ type Session struct {
 	rng *rand.Rand
 
 	// selectTime accumulates the CPU time spent choosing queries
-	// (the "Selection" column of Fig. 14).
+	// (the "Selection" column of Fig. 14); chosen and chosenTime are the
+	// last Select's query and its time, until Ingest takes the query in.
 	selectTime time.Duration
+	chosen     Query
+	chosenTime time.Duration
 	bootOnce   bool
 }
 
@@ -183,7 +187,7 @@ func (s *Session) BootstrapCtx(ctx context.Context) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return s.IngestSeed(res), nil
+	return s.Ingest("", res), nil
 }
 
 // FetchQueryCtx runs the retrieval for q without touching session state;
@@ -208,38 +212,48 @@ func (s *Session) FetchQueryCtx(ctx context.Context, q Query) ([]search.Result, 
 	return res, nil
 }
 
-// IngestSeed initializes the session from pre-fetched seed results — the
-// state half of BootstrapCtx. Idempotent; returns the number of new pages.
-func (s *Session) IngestSeed(res []search.Result) int {
-	if s.bootOnce {
-		return 0
+// Select runs sel on the session and times it: the one way a driver
+// chooses the next query. The time is added to SelectionTime and carried
+// by the TraceRecord of the query when Ingest takes it in. It reports
+// false when sel found no candidate; the empty query, which Ingest takes
+// for the seed, counts as none.
+func (s *Session) Select(sel Selector) (Query, bool) {
+	start := time.Now()
+	choice, ok := sel.Select(s)
+	s.chosen, s.chosenTime = choice.Query, time.Since(start)
+	s.selectTime += s.chosenTime
+	return choice.Query, ok && choice.Query != ""
+}
+
+// Ingest takes q's fetched results in — the one way results enter the
+// session. The empty q is the seed: it boots the session and is a no-op
+// once booted. Any other q enters Φ: its pages are merged into P_E,
+// R_E(Φ) is refreshed, and Trace, when set, gets the step's record, whose
+// SelectionTime is that of the Select that chose q (0 for a query no
+// Select chose, as a replayed one). Returns the number of new pages.
+func (s *Session) Ingest(q Query, res []search.Result) int {
+	if q == "" {
+		if s.bootOnce {
+			return 0
+		}
+		s.bootOnce = true
+		n := s.merge(res)
+		s.seedPages, s.seedRel = len(s.pages), s.relPages
+		s.updateContext()
+		return n
 	}
-	s.bootOnce = true
-	n := s.merge(res)
-	s.seedPages, s.seedRel = len(s.pages), s.relPages
-	s.updateContext()
-	return n
-}
-
-// IngestQuery records q in the context Φ and merges its pre-fetched
-// results — the state half of StepCtx. Returns the number of new pages.
-// Like StepCtx, it delivers a TraceRecord when a Trace callback is
-// installed (SelectionTime is zero here: in the split select/fetch
-// scheduler the selection happened on another worker's clock).
-func (s *Session) IngestQuery(q Query, res []search.Result) int {
-	n := s.ingest(q, res)
-	s.trace(q, n, 0)
-	return n
-}
-
-// ingest is the one way a fired query's results enter the session:
-// record q in Φ, merge its pages into P_E and refresh R_E(Φ). IngestQuery,
-// StepCtx and Resume all go through it.
-func (s *Session) ingest(q Query, res []search.Result) int {
+	var selDur time.Duration
+	if q == s.chosen {
+		selDur, s.chosen = s.chosenTime, ""
+	}
 	s.fired = append(s.fired, q)
 	s.firedSet[q] = struct{}{}
 	n := s.merge(res)
 	s.updateContext()
+	if s.Trace != nil {
+		s.Trace(TraceRecord{Iteration: len(s.fired), Query: q, NewPages: n, TotalPages: len(s.pages),
+			RPhi: s.rPhi, RStarPhi: s.rStarPhi, SelectionTime: selDur})
+	}
 	return n
 }
 
@@ -318,53 +332,32 @@ type TraceRecord struct {
 }
 
 // Selector chooses the next query for a session. Implementations must not
-// fire queries themselves; Session.StepCtx does that.
+// fire queries themselves; drivers run them through Session.Select.
 type Selector interface {
 	Name() string
 	Select(s *Session) (Selection, bool)
 }
 
-// StepCtx runs one iteration of Fig. 1: select the best query, fire it,
-// and update the collective context. It reports the query fired and false
-// when the selector found no candidate. The fetch half runs through
-// FetchQueryCtx, so a canceled context aborts an in-flight remote
-// download and a transport failure that survived the retriever's retry
-// budget surfaces as an error — the query is NOT recorded in Φ (no search
-// result was paid for), so a resumed session can retry it.
+// StepCtx runs one iteration of Fig. 1 — Select, FetchQueryCtx, Ingest —
+// and reports the query fired and false when the selector found no
+// candidate. A canceled context aborts an in-flight remote download, and
+// a transport failure that survived the retriever's retry budget surfaces
+// as an error; the query is NOT recorded in Φ (no search result was paid
+// for), so a resumed session can retry it.
 func (s *Session) StepCtx(ctx context.Context, sel Selector) (Query, bool, error) {
 	if _, err := s.BootstrapCtx(ctx); err != nil {
 		return "", false, err
 	}
-	start := time.Now()
-	choice, ok := sel.Select(s)
-	selDur := time.Since(start)
-	s.selectTime += selDur
+	q, ok := s.Select(sel)
 	if !ok {
 		return "", false, nil
 	}
-	res, err := s.FetchQueryCtx(ctx, choice.Query)
+	res, err := s.FetchQueryCtx(ctx, q)
 	if err != nil {
 		return "", false, err
 	}
-	added := s.ingest(choice.Query, res)
-	s.trace(choice.Query, added, selDur)
-	return choice.Query, true, nil
-}
-
-// trace delivers one iteration's TraceRecord when a callback is set.
-func (s *Session) trace(q Query, added int, selDur time.Duration) {
-	if s.Trace == nil {
-		return
-	}
-	s.Trace(TraceRecord{
-		Iteration:     len(s.fired),
-		Query:         q,
-		NewPages:      added,
-		TotalPages:    len(s.pages),
-		RPhi:          s.rPhi,
-		RStarPhi:      s.rStarPhi,
-		SelectionTime: selDur,
-	})
+	s.Ingest(q, res)
+	return q, true, nil
 }
 
 // RunCtx bootstraps and performs n selection iterations, returning the

@@ -143,7 +143,7 @@ func TestCandidatePoolStringModeMatchesReference(t *testing.T) {
 			toks = append(toks, textproc.SplitQuery(string(q))...)
 		}
 		odd := &corpus.Page{ID: 1 << 30, Entity: s.Entity.ID, Paras: []corpus.Paragraph{{Tokens: toks}}}
-		s.IngestQuery(cands[1], []search.Result{{Page: odd}})
+		s.Ingest(cands[1], []search.Result{{Page: odd}})
 		cands = check(t, s, 2)
 		if s.pool.byQuery == nil {
 			t.Fatal("a page without a tokenizer left the pool on the key path")

@@ -289,10 +289,7 @@ func (r *Jobs) Counts() map[string]int {
 }
 
 // SchedulerStats snapshots the shared scheduler.
-func (r *Jobs) SchedulerStats() *pipeline.Stats {
-	st := r.scheduler.Stats()
-	return &st
-}
+func (r *Jobs) SchedulerStats() pipeline.Stats { return r.scheduler.Stats() }
 
 // Close stops the shared scheduler, failing whatever it still runs, and
 // returns once its job goroutines have exited and every job it holds has

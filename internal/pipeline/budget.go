@@ -88,8 +88,10 @@ const (
 )
 
 // decideLocked chooses a job's next move after an ingest.
+// It reads the session, so only st's own goroutine calls it.
 func (b *Batch) decideLocked(st *jobState) int {
-	n := len(st.fired)
+	sess := st.job.Session
+	n := len(sess.Fired()) - st.base
 	if b.pool.mode != BudgetAdaptive {
 		if n >= st.job.NQueries {
 			return decideFinish
@@ -99,7 +101,7 @@ func (b *Batch) decideLocked(st *jobState) int {
 	// Collective recall complete — the §V estimate has saturated, so every
 	// further query would gain exactly zero — or the entity's cap reached:
 	// donate the rest.
-	if st.lastRPhi >= 1 || (b.pool.maxPer > 0 && n >= b.pool.maxPer) {
+	if sess.RPhi() >= 1 || (b.pool.maxPer > 0 && n >= b.pool.maxPer) {
 		return decideFinish
 	}
 	return decidePark

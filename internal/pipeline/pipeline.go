@@ -6,7 +6,8 @@
 // selection) and suggests the improvement implemented here: "parallelizing
 // over entities, and interleaving the selection (CPU) and fetch (I/O)
 // operations between different entities." Each job is one goroutine that
-// runs its session's select → fetch → ingest loop from top to bottom; a
+// takes its session's steps from top to bottom through the same three
+// calls StepCtx makes — Session.Select, FetchQueryCtx, Session.Ingest; a
 // select gate bounds how many selections run at once and a wider fetch
 // gate bounds the downloads, so while entity A's download is in flight,
 // entity B's selection runs. A session is only ever touched by its own
@@ -15,7 +16,9 @@
 // A Scheduler (see New/Submit/Close) serves many concurrent submitters
 // over its lifetime with FIFO admission, per-batch fair share at both
 // gates, and optional adaptive cross-entity budget allocation
-// (BudgetPolicy); Run is the retained one-shot wrapper.
+// (BudgetPolicy); Run is a one-shot submit-and-await wrapper over a
+// private Scheduler. The parity tests hold both to the sequential StepCtx
+// run.
 package pipeline
 
 import (
@@ -38,7 +41,8 @@ type Job struct {
 // Result is one finished (or aborted) job.
 type Result struct {
 	Job *Job
-	// Fired lists the selected queries, in order.
+	// Fired is the suffix of the session's Φ fired under this scheduler,
+	// in order; a job that never ran has none.
 	Fired []core.Query
 	// Err is non-nil when the job was cut short: context cancellation, or
 	// a transport failure the session's retriever could not retry away

@@ -114,12 +114,13 @@ func TestPipelineMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestStepCtxMatchesScheduler: the scheduler's split (FetchQueryCtx under
-// the fetch gate, IngestSeed/IngestQuery under the select gate) and the
-// synchronous BootstrapCtx + StepCtx share every line that mutates a
-// session, so the same jobs driven both ways agree after every step on
-// the fired queries, the gathered pages, R_E(Φ), R*_E(Φ) and the trace
-// record — all but SelectionTime, which only StepCtx measures.
+// TestStepCtxMatchesScheduler: the scheduler (FetchQueryCtx under the
+// fetch gate, Select and Ingest under the select gate) and the synchronous
+// BootstrapCtx + StepCtx take each step through the same three Session
+// calls, so the same jobs driven both ways agree after every step on the
+// fired queries, the gathered pages, R_E(Φ), R*_E(Φ) and the trace record.
+// SelectionTime is a clock reading, so the records are compared without
+// it; both drivers must report a non-zero sum of it.
 func TestStepCtxMatchesScheduler(t *testing.T) {
 	f := newFixture(t)
 	ctx := context.Background()
@@ -132,7 +133,6 @@ func TestStepCtxMatchesScheduler(t *testing.T) {
 	record := func(s *core.Session) *[]stepState {
 		states := new([]stepState)
 		s.Trace = func(tr core.TraceRecord) {
-			tr.SelectionTime = 0
 			st := stepState{rec: tr, fired: append([]core.Query(nil), s.Fired()...)}
 			for _, p := range s.Pages() {
 				st.pages = append(st.pages, p.ID)
@@ -166,6 +166,7 @@ func TestStepCtxMatchesScheduler(t *testing.T) {
 			jobs = append(jobs, Job{Session: js, Selector: newSel(), NQueries: nQueries})
 		}
 	}
+	var steppedSel, scheduledSel time.Duration
 	for i, r := range Run(ctx, Config{SelectWorkers: 2, FetchWorkers: 4}, jobs) {
 		if r.Err != nil {
 			t.Fatalf("job %d: %v", i, r.Err)
@@ -175,10 +176,16 @@ func TestStepCtxMatchesScheduler(t *testing.T) {
 			t.Fatalf("job %d (%s): %d scheduled steps, %d StepCtx steps", i, jobs[i].Selector.Name(), len(got), len(want))
 		}
 		for k := range want {
+			steppedSel += want[k].rec.SelectionTime
+			scheduledSel += got[k].rec.SelectionTime
+			want[k].rec.SelectionTime, got[k].rec.SelectionTime = 0, 0
 			if !reflect.DeepEqual(got[k], want[k]) {
 				t.Errorf("job %d (%s) step %d:\n scheduled %+v\n StepCtx   %+v", i, jobs[i].Selector.Name(), k+1, got[k], want[k])
 			}
 		}
+	}
+	if steppedSel <= 0 || scheduledSel <= 0 {
+		t.Errorf("summed selection time: StepCtx %v, scheduler %v; want both > 0", steppedSel, scheduledSel)
 	}
 }
 

@@ -1,17 +1,18 @@
 package pipeline
 
 // The long-lived scheduler. Every admitted job is one goroutine that runs
-// Fig. 1's loop from top to bottom — fetch, then ingest → budget decision
-// → select — and two gates bound how many jobs run each half at once: the
-// select gate (Config.SelectWorkers slots) around the CPU half and the
-// fetch gate (Config.FetchWorkers slots) around the download. The Go
-// runtime runs other goroutines while one waits on I/O, so entity A's
-// selection runs while entity B's download is in flight. Jobs are
-// admitted strictly FIFO under Config.MaxActive; each gate hands a freed
-// slot to the next batch round-robin and to that batch's jobs in FIFO
-// order, so one large submission cannot starve a small one. Run survives
-// as a thin submit-all-and-await wrapper over a private scheduler — the
-// retained reference the parity tests hold the scheduler to.
+// Fig. 1's loop from top to bottom — FetchQueryCtx, then Session.Ingest →
+// budget decision → Session.Select — and two gates bound how many jobs
+// run each half at once: the select gate (Config.SelectWorkers slots)
+// around the CPU half and the fetch gate (Config.FetchWorkers slots)
+// around the download. The Go runtime runs other goroutines while one
+// waits on I/O, so entity A's selection runs while entity B's download is
+// in flight. Jobs are admitted strictly FIFO under Config.MaxActive; each
+// gate hands a freed slot to the next batch round-robin and to that
+// batch's jobs in FIFO order, so one large submission cannot starve a
+// small one. Run is a thin submit-all-and-await wrapper over a private
+// scheduler; the parity tests hold both to the sequential StepCtx run
+// (sequentialReference).
 
 import (
 	"context"
@@ -34,13 +35,13 @@ const (
 )
 
 // jobState is the scheduler-side state of one job. Its goroutine alone
-// touches the session and appends to fired; the rest is guarded by the
+// touches the session and sets base; the rest is guarded by the
 // scheduler mutex.
 type jobState struct {
 	job   *Job
 	index int // in its batch
 	stage jobStage
-	fired []core.Query
+	base  int // len(Session.Fired()) when the job started
 	// wake hands the job a gate slot, or the round barrier's verdict
 	// (granted) while it is parked. The job waits for one thing at a time,
 	// so one buffered signal suffices.
@@ -48,7 +49,6 @@ type jobState struct {
 
 	// Budget-allocation signals, refreshed after every ingest and read by
 	// the round barrier.
-	lastRPhi float64 // R_E(Φ) after the last ingest
 	lastGain float64 // marginal ΔR_E(Φ) of the last ingest
 	granted  bool    // holds an unspent adaptive budget token
 }
@@ -299,21 +299,21 @@ func (b *Batch) run(st *jobState) {
 }
 
 // harvest runs one job's loop until it is done (nil) or cut short (the
-// error): fetch under a fetch slot — the seed first, unless a resumed
-// session has already booted — then ingest, budget decision and Select
-// under a select slot. The fetch is context-aware: batch cancellation
-// aborts an in-flight remote download immediately, and a transport
-// failure that survived the retriever's retry budget ends the job with a
-// typed error rather than ingesting an empty result set as if the query
-// had been unproductive.
+// error): FetchQueryCtx under a fetch slot — the seed first, unless a
+// resumed session has already booted — then Ingest (recording the gain
+// in R_E(Φ) for the budget pool and calling the checkpoint hook, from
+// this goroutine, so one job's calls are serialized), budget decision and
+// Select under a select slot. The fetch is context-aware: batch
+// cancellation aborts an in-flight remote download immediately, and a
+// transport failure that survived the retriever's retry budget ends the
+// job with a typed error rather than ingesting an empty result set as if
+// the query had been unproductive.
 func (b *Batch) harvest(st *jobState) error {
 	s := b.s
 	sess := st.job.Session
+	st.base = len(sess.Fired())
 	var q core.Query // "" fetches the seed
 	fetch := !sess.Booted()
-	if !fetch {
-		st.lastRPhi = sess.RPhi()
-	}
 	for {
 		var res []search.Result
 		if fetch {
@@ -331,7 +331,17 @@ func (b *Batch) harvest(st *jobState) error {
 			return err
 		}
 		if fetch {
-			b.ingest(st, q, res)
+			before := sess.RPhi()
+			sess.Ingest(q, res)
+			s.mu.Lock()
+			st.lastGain = sess.RPhi() - before
+			if q != "" {
+				s.fired++
+			}
+			s.mu.Unlock()
+			if b.opts.Checkpoint != nil {
+				b.opts.Checkpoint(st.index, sess.Snapshot())
+			}
 		}
 		s.mu.Lock()
 		err := b.ctx.Err()
@@ -350,7 +360,7 @@ func (b *Batch) harvest(st *jobState) error {
 				return err
 			}
 		}
-		choice, found := st.job.Selector.Select(sess)
+		next, found := sess.Select(st.job.Selector)
 		s.release(selectGate)
 
 		s.mu.Lock()
@@ -365,32 +375,7 @@ func (b *Batch) harvest(st *jobState) error {
 		if err != nil || !found {
 			return err
 		}
-		q, fetch = choice.Query, true
-	}
-}
-
-// ingest takes a fetch's results into the session — the seed's, if the
-// session has not booted — refreshes the budget signals, and hands the
-// checkpoint hook the new state (from this goroutine, so one job's calls
-// are serialized).
-func (b *Batch) ingest(st *jobState, q core.Query, res []search.Result) {
-	sess := st.job.Session
-	fired := sess.Booted()
-	if fired {
-		sess.IngestQuery(q, res)
-		st.fired = append(st.fired, q)
-	} else {
-		sess.IngestSeed(res)
-	}
-	b.s.mu.Lock()
-	r := sess.RPhi()
-	st.lastGain, st.lastRPhi = r-st.lastRPhi, r
-	if fired {
-		b.s.fired++
-	}
-	b.s.mu.Unlock()
-	if b.opts.Checkpoint != nil {
-		b.opts.Checkpoint(st.index, sess.Snapshot())
+		q, fetch = next, true
 	}
 }
 
@@ -458,7 +443,11 @@ func (s *Scheduler) releaseLocked(g int) {
 func (b *Batch) finishLocked(st *jobState, err error) {
 	wasPending := st.stage == stagePending
 	st.stage = stageDone
-	b.results[st.index] = Result{Job: st.job, Fired: st.fired, Err: err}
+	var fired []core.Query
+	if !wasPending {
+		fired = slices.Clip(st.job.Session.Fired()[st.base:])
+	}
+	b.results[st.index] = Result{Job: st.job, Fired: fired, Err: err}
 	b.unfinished--
 	if wasPending {
 		b.s.queued--
@@ -489,8 +478,7 @@ func (s *Scheduler) removeBatchLocked(b *Batch) {
 // Run executes all jobs to completion (or ctx cancellation) and returns
 // one Result per job, in input order. Sessions must be freshly created
 // and must not be shared between jobs. It is the one-shot wrapper over a
-// private Scheduler: submit everything, await, close — and the reference
-// the fixed-budget parity tests compare the long-lived scheduler against.
+// private Scheduler: submit everything, await, close.
 func Run(ctx context.Context, cfg Config, jobs []Job) []Result {
 	s := New(cfg)
 	defer s.Close()

@@ -109,6 +109,45 @@ func TestSchedulerMatchesRun(t *testing.T) {
 	}
 }
 
+// TestSchedulerTimesSelection: a job's selections go through
+// Session.Select, so a scheduled L2QBAL session accounts its selection
+// time like a StepCtx one, and every trace record carries the time of the
+// selection that chose its query.
+func TestSchedulerTimesSelection(t *testing.T) {
+	f := newFixture(t)
+	targets := f.targets(4)
+	const nQueries = 2
+	jobs := make([]Job, len(targets))
+	records := make([][]core.TraceRecord, len(targets))
+	for i, e := range targets {
+		sess := f.session(e, 0)
+		sess.Trace = func(tr core.TraceRecord) { records[i] = append(records[i], tr) }
+		jobs[i] = Job{Session: sess, Selector: core.NewL2QBAL(), NQueries: nQueries}
+	}
+	s := New(Config{SelectWorkers: 2, FetchWorkers: 4})
+	defer s.Close()
+	b, err := s.Submit(context.Background(), jobs, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range b.Await(context.Background()) {
+		if r.Err != nil {
+			t.Fatalf("job %d: %v", i, r.Err)
+		}
+		if d := r.Job.Session.SelectionTime(); d <= 0 {
+			t.Errorf("job %d: SelectionTime %v, want > 0", i, d)
+		}
+		if len(records[i]) != nQueries {
+			t.Fatalf("job %d: %d trace records, want %d", i, len(records[i]), nQueries)
+		}
+		for _, tr := range records[i] {
+			if tr.SelectionTime <= 0 {
+				t.Errorf("job %d step %d (%q): SelectionTime %v, want > 0", i, tr.Iteration, tr.Query, tr.SelectionTime)
+			}
+		}
+	}
+}
+
 // TestSchedulerAdmissionFIFO: with MaxActive=1, jobs run strictly one at
 // a time in submission order, across batches.
 func TestSchedulerAdmissionFIFO(t *testing.T) {

@@ -1,15 +1,13 @@
 // Package stats provides the small statistical toolkit behind the
-// evaluation's "significantly outperforms" claims: summary statistics,
-// bootstrap confidence intervals, and paired significance tests
-// (exact sign test and paired bootstrap). Everything is deterministic
-// given a seed and uses no distribution tables — resampling and exact
-// binomial tails only.
+// evaluation's "significantly outperforms" claims: the mean and two
+// paired significance tests (exact sign test and paired bootstrap).
+// Everything is deterministic given a seed and uses no distribution
+// tables — resampling and exact binomial tails only.
 package stats
 
 import (
 	"math"
 	"math/rand/v2"
-	"sort"
 )
 
 // Mean returns the arithmetic mean (0 for empty input).
@@ -22,84 +20,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Variance returns the unbiased sample variance (0 for n < 2).
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) by linear interpolation on
-// the sorted copy of xs. Empty input returns 0.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[len(sorted)-1]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// CI is a confidence interval around a point estimate.
-type CI struct {
-	Mean float64
-	Lo   float64
-	Hi   float64
-}
-
-// BootstrapCI returns the percentile-bootstrap confidence interval of the
-// mean at the given confidence level (e.g. 0.95), using iters resamples
-// (default 2000 when ≤ 0). Deterministic for a fixed seed.
-func BootstrapCI(xs []float64, conf float64, iters int, seed uint64) CI {
-	out := CI{Mean: Mean(xs)}
-	if len(xs) < 2 {
-		out.Lo, out.Hi = out.Mean, out.Mean
-		return out
-	}
-	if iters <= 0 {
-		iters = 2000
-	}
-	if conf <= 0 || conf >= 1 {
-		conf = 0.95
-	}
-	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
-	means := make([]float64, iters)
-	for i := 0; i < iters; i++ {
-		s := 0.0
-		for j := 0; j < len(xs); j++ {
-			s += xs[rng.IntN(len(xs))]
-		}
-		means[i] = s / float64(len(xs))
-	}
-	alpha := (1 - conf) / 2
-	out.Lo = Quantile(means, alpha)
-	out.Hi = Quantile(means, 1-alpha)
-	return out
 }
 
 // SignTestResult reports a two-sided exact sign test over paired samples.

@@ -80,7 +80,9 @@ func sameErr(a, b error) bool {
 func checkMemoDecode(t *testing.T, tok *textproc.Tokenizer, body []byte) {
 	t.Helper()
 	want, wantErr := testClient(testBase, tok, nil).decodeSearch(body)
-	memo := newDecodeMemo()
+	// Two entries leave room to catch a second insert; the production
+	// memo's 4 096 slots would be allocated and cleared on every call.
+	memo := newSizedCache(2, func(d decodedSearch) int { return d.size })
 	first, second := testClient(testBase, tok, memo), testClient(testBase, tok, memo)
 	var got [2]decodedSearch
 	for i, c := range []*Client{first, second} {

@@ -386,7 +386,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if m.Requests == 0 {
 		t.Error("requests counter stuck at zero (Dial already issued requests)")
 	}
-	if st := m.Scheduler; st == nil || *st != (pipeline.Stats{SelectWorkers: st.SelectWorkers, FetchWorkers: st.FetchWorkers}) {
+	if st := m.Scheduler; st != (pipeline.Stats{SelectWorkers: st.SelectWorkers, FetchWorkers: st.FetchWorkers}) {
 		t.Errorf("scheduler stats before any harvest: %+v, want the section with every counter zero", st)
 	}
 
@@ -400,9 +400,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	m, err = f.client.ServerMetrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if m.Scheduler == nil {
-		t.Fatal("scheduler stats absent after a harvest")
 	}
 	if m.Scheduler.FinishedJobs != int64(len(targets)) {
 		t.Errorf("FinishedJobs = %d, want %d", m.Scheduler.FinishedJobs, len(targets))

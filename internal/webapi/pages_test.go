@@ -546,7 +546,7 @@ func TestServerMetricsReportEngineWork(t *testing.T) {
 }
 
 // searchPagesSeeds are the valid payloads the codec tests and the fuzz
-// target start from: 0, 1 and 5 attached bodies.
+// target start from: 0, 1 and 5 attached bodies, and no hits.
 func searchPagesSeeds(g *synth.Generated) []SearchResponse {
 	resp := SearchResponse{Query: "research", Seed: "marc snir"}
 	for _, p := range g.Corpus.Pages[:5] {
@@ -624,7 +624,20 @@ func FuzzSearchPagesFrame(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// Every body is cut to its page's first paragraph: a large seed makes
+	// each input mutated from it slow to run and to minimize.
+	short := make(map[corpus.PageID]string)
+	for _, p := range g.Corpus.Pages[:5] {
+		short[p.ID] = html.RenderPage(&corpus.Page{ID: p.ID, Entity: p.Entity, URL: p.URL, Title: p.Title, Paras: p.Paras[:1]})
+	}
 	seeds := searchPagesSeeds(g)
+	for _, resp := range seeds {
+		for i, h := range resp.Hits {
+			if h.HTML != "" {
+				resp.Hits[i].HTML = short[h.PageID]
+			}
+		}
+	}
 	for _, resp := range seeds {
 		encode := func(e *store.Enc) { encodeSearchPagesWire(e, resp) }
 		plain := frameOf(wireSearchPages, false, encode)

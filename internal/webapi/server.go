@@ -294,7 +294,7 @@ type ServerMetrics struct {
 	// Scheduler snapshots the shared harvest scheduler (queue depth,
 	// active/parked jobs, unspent adaptive budget), its counters all zero
 	// before the first job.
-	Scheduler *pipeline.Stats `json:"scheduler,omitempty"`
+	Scheduler pipeline.Stats `json:"scheduler"`
 	// Cluster reports the coordinator's fan-out gauges (per-node in-flight,
 	// hedges fired, partials served); present only on coordinator servers.
 	Cluster *ClusterMetrics `json:"cluster,omitempty"`
