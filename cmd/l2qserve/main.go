@@ -51,7 +51,6 @@ import (
 	"syscall"
 	"time"
 
-	"l2q/internal/classify"
 	"l2q/internal/corpus"
 	"l2q/internal/harvest"
 	"l2q/internal/search"
@@ -286,9 +285,8 @@ func main() {
 // learning protocol (store.DomainLearner — the same one `l2qstore
 // domains` precomputes with). With a domain artifact, its classifiers
 // and models are used as-is and the server's first harvest runs warm;
-// aspects the artifact does not cover keep the lazy path (classifiers
-// trained at boot, models learned on first request). Returns nil
-// (harvesting disabled) when the corpus carries no aspect labels.
+// aspects the artifact does not cover learn on first request. Returns
+// nil (harvesting disabled) when the corpus carries no aspect labels.
 func harvestBackend(c *corpus.Corpus, tok *textproc.Tokenizer, rec types.Recognizer,
 	art *store.DomainArtifact, logger *log.Logger) *harvest.Backend {
 
@@ -296,41 +294,14 @@ func harvestBackend(c *corpus.Corpus, tok *textproc.Tokenizer, rec types.Recogni
 		logger.Print("harvest: corpus has no aspect labels; endpoint disabled")
 		return nil
 	}
-	var preTrained *classify.Set
-	if art != nil {
-		preTrained = art.ClassifierSet()
-	}
-	ln := store.NewDomainLearner(c, tok, rec, preTrained)
+	ln := store.NewDomainLearner(c, tok, rec, art)
 	if len(ln.Aspects) == 0 {
 		logger.Print("harvest: no aspect has training signal; endpoint disabled")
 		return nil
 	}
-	hb := &harvest.Backend{
-		Cfg:     ln.Cfg,
-		Aspects: ln.Aspects,
-		Y:       ln.Cls.YFunc,
-		Rec:     rec,
-		// The backend memoizes per aspect, so learning from scratch here
-		// runs at most once per aspect (and never for preloaded aspects).
-		DomainModel: ln.Learn,
-	}
 	if art != nil {
-		hb.Preload(art.ModelMap())
-		covered := make(map[corpus.Aspect]bool, len(art.Models))
-		for _, dm := range art.Models {
-			covered[dm.Aspect] = true
-		}
-		var lazy []corpus.Aspect
-		for _, a := range ln.Aspects {
-			if !covered[a] {
-				lazy = append(lazy, a)
-			}
-		}
-		logger.Printf("harvest: booted warm with %d persisted domain models (%d classifiers)",
+		logger.Printf("harvest: booted warm with %d persisted domain models (%d classifiers); other aspects learn on first request",
 			len(art.Models), len(art.Classifiers))
-		if len(lazy) > 0 {
-			logger.Printf("harvest: aspects %v not in the artifact; they learn lazily on first request", lazy)
-		}
 	}
-	return hb
+	return &harvest.Backend{Cfg: ln.Cfg, Aspects: ln.Aspects, Y: ln.Cls.YFunc, Rec: rec, DomainModel: ln.Learn}
 }

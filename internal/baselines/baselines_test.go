@@ -122,7 +122,7 @@ func TestHRTrainAndSelect(t *testing.T) {
 // trainHR trains HR over the fixture's domain entities.
 func (f *fixture) trainHR(t *testing.T) *HRModel {
 	t.Helper()
-	s, err := core.NewDomainSample(f.cfg, f.g.Corpus, f.domain, f.rec)
+	s, err := core.NewDomainSample(f.cfg, f.g.Corpus, f.domain, nil, f.rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func (f *fixture) trainHR(t *testing.T) *HRModel {
 // entities — there is no sample of them.
 func TestHRTrainEmptyDomain(t *testing.T) {
 	f := newFixture(t)
-	if _, err := core.NewDomainSample(f.cfg, f.g.Corpus, nil, f.rec); err == nil {
+	if _, err := core.NewDomainSample(f.cfg, f.g.Corpus, nil, nil, f.rec); err == nil {
 		t.Fatal("empty domain accepted")
 	}
 }

@@ -118,7 +118,7 @@ func TestTrainHRMatchesReference(t *testing.T) {
 		for _, e := range g.Corpus.Entities[:g.Corpus.NumEntities()/2] {
 			ids = append(ids, e.ID)
 		}
-		sample, err := core.NewDomainSample(cfg, g.Corpus, ids, rec)
+		sample, err := core.NewDomainSample(cfg, g.Corpus, ids, nil, rec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 
 	"l2q/internal/corpus"
 	"l2q/internal/graph"
+	"l2q/internal/par"
 	"l2q/internal/textproc"
 	"l2q/internal/types"
 )
@@ -184,16 +185,24 @@ func rankQueries(m map[Query]float64) []Query {
 // the pages of one list of domain entities, the n-grams that survive the
 // page-DF pruning with their page and entity counts and template keys,
 // the §IV-C candidate pool, and the page–query–template reinforcement
-// graph. Learn adds an aspect's relevance and packages a DomainModel, so
-// every aspect of a domain shares one count and one graph — the shape of
-// several per-aspect models fitted over one shared representation. The
-// count runs on the first Learn, the graph on the first solve; a sample
-// is safe for concurrent use.
+// graph. Model adds an aspect's relevance and packages its DomainModel,
+// so every aspect of a domain shares one count and one graph — the shape
+// of several per-aspect models fitted over one shared representation —
+// and the sample is the one memo of its aspects' models. The count runs
+// on the first model learned, the graph on the first solve; a sample is
+// safe for concurrent use.
 type DomainSample struct {
 	cfg         Config
 	rec         types.Recognizer
 	pages       []*corpus.Page
 	numEntities int
+
+	// y is the aspect → relevance provider Model learns under; models
+	// memoizes Model per aspect, each entry learning once under its own
+	// wait. mu guards the map only.
+	y      func(corpus.Aspect) func(*corpus.Page) bool
+	mu     sync.Mutex
+	models map[corpus.Aspect]func() *DomainModel
 
 	countOnce sync.Once
 	queries   []DomainQuery
@@ -221,16 +230,19 @@ type DomainQuery struct {
 }
 
 // NewDomainSample gathers the pages of domainEntities (in entity order, a
-// repeated ID counted each time) for the domain phase. Templates are
-// enumerated under rec. It fails when the entities have no pages.
+// repeated ID counted each time) for the domain phase. y materializes
+// each aspect's relevance for Model (nil when only Learn is used), and
+// templates are enumerated under rec. It fails when the entities have no
+// pages.
 func NewDomainSample(cfg Config, c *corpus.Corpus, domainEntities []corpus.EntityID,
-	rec types.Recognizer) (*DomainSample, error) {
+	y func(corpus.Aspect) func(*corpus.Page) bool, rec types.Recognizer) (*DomainSample, error) {
 
 	pages := domainPages(c, domainEntities)
 	if len(pages) == 0 {
 		return nil, fmt.Errorf("core: domain phase has no pages (%d entities)", len(domainEntities))
 	}
-	return &DomainSample{cfg: cfg, rec: rec, pages: pages, numEntities: len(domainEntities)}, nil
+	return &DomainSample{cfg: cfg, rec: rec, pages: pages, numEntities: len(domainEntities),
+		y: y, models: make(map[corpus.Aspect]func() *DomainModel)}, nil
 }
 
 // domainPages gathers the domain split's pages in entity order.
@@ -365,11 +377,51 @@ func (s *DomainSample) RelDF(y func(*corpus.Page) bool) (relDF []int, numRel int
 	return relDF, numRel
 }
 
-// Learn runs the aspect's half of the domain phase over the sample: y
-// materializes relevance for the counting statistics, and score, when
-// non-nil, replaces it in the fixpoints' regularization (see
-// LearnDomainScored). The fixpoints run when the model's utilities are
-// first read.
+// Model returns the aspect's model over the sample, learned under the
+// sample's relevance provider on the first call and shared by every later
+// one. Each aspect learns once: a learned aspect never waits on another's
+// learning, and cold aspects learn at the same time.
+func (s *DomainSample) Model(aspect corpus.Aspect) *DomainModel {
+	s.mu.Lock()
+	learn, ok := s.models[aspect]
+	if !ok {
+		learn = sync.OnceValue(func() *DomainModel { return s.Learn(aspect, s.y(aspect), nil) })
+		s.models[aspect] = learn
+	}
+	s.mu.Unlock()
+	return learn()
+}
+
+// LearnAspects returns learn's model of every aspect, aspects in
+// parallel, each model's fixpoints solved when solve is set: the warm-up
+// of a domain artifact (store.DomainLearner.Artifact) and of an
+// all-aspects experiment (eval.Env.PretrainDomainModels). The error is the
+// first failure in aspect order.
+func LearnAspects(aspects []corpus.Aspect, solve bool,
+	learn func(corpus.Aspect) (*DomainModel, error)) ([]*DomainModel, error) {
+
+	models := make([]*DomainModel, len(aspects))
+	errs := make([]error, len(aspects))
+	par.For(len(aspects), func(i int) {
+		dm, err := learn(aspects[i])
+		if err == nil && solve {
+			err = dm.Solve()
+		}
+		models[i], errs[i] = dm, err
+	})
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("aspect %s: %w", aspects[i], err)
+		}
+	}
+	return models, nil
+}
+
+// Learn runs the aspect's half of the domain phase over the sample, with
+// no memo (Model is the memoized form): y materializes relevance for the
+// counting statistics, and score, when non-nil, replaces it in the
+// fixpoints' regularization (see LearnDomainScored). The fixpoints run
+// when the model's utilities are first read.
 func (s *DomainSample) Learn(aspect corpus.Aspect, y func(*corpus.Page) bool,
 	score func(*corpus.Page) float64) *DomainModel {
 
@@ -437,7 +489,7 @@ func LearnDomainScored(cfg Config, aspect corpus.Aspect, c *corpus.Corpus,
 	domainEntities []corpus.EntityID, y func(*corpus.Page) bool,
 	score func(*corpus.Page) float64, rec types.Recognizer) (*DomainModel, error) {
 
-	s, err := NewDomainSample(cfg, c, domainEntities, rec)
+	s, err := NewDomainSample(cfg, c, domainEntities, nil, rec)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"l2q/internal/classify"
 	"l2q/internal/corpus"
@@ -95,7 +97,8 @@ func diffDomainModels(got, want *DomainModel) string {
 // reference — binary and real-valued relevance, both domains, a sample
 // whose entity IDs repeat non-adjacently (e0, e1, …, e0 again: entity-DF
 // then counts by runs of each n-gram's pages, as the reference does), and
-// every aspect learned and solved from one shared sample under par.For.
+// every aspect learned (DomainSample.Model) and solved from one shared
+// sample under par.For.
 func TestLearnDomainMatchesReference(t *testing.T) {
 	type input struct {
 		name  string
@@ -133,14 +136,14 @@ func TestLearnDomainMatchesReference(t *testing.T) {
 	}
 	for domain, f := range domainLearnFixtures(t) {
 		t.Run(domain+"/sample", func(t *testing.T) {
-			sample, err := NewDomainSample(f.cfg, f.c, f.ids, f.rec)
+			sample, err := NewDomainSample(f.cfg, f.c, f.ids, groundTruthY, f.rec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			aspects := f.c.Aspects()
 			models := make([]*DomainModel, len(aspects))
 			par.For(len(aspects), func(i int) {
-				models[i] = sample.Learn(aspects[i], groundTruthY(aspects[i]), nil)
+				models[i] = sample.Model(aspects[i])
 				if err := models[i].Solve(); err != nil {
 					t.Error(err)
 				}
@@ -169,14 +172,14 @@ func groundTruthY(a corpus.Aspect) func(*corpus.Page) bool {
 // utilities an eagerly solved reference has.
 func TestDomainModelConcurrentReads(t *testing.T) {
 	f := newDomainLearnFixture(t, synth.DomainResearchers, synth.AspResearch)
-	sample, err := NewDomainSample(f.cfg, f.c, f.ids, f.rec)
+	sample, err := NewDomainSample(f.cfg, f.c, f.ids, groundTruthY, f.rec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	aspects := []corpus.Aspect{synth.AspResearch, synth.AspAward}
 	var models, refs []*DomainModel
 	for _, a := range aspects {
-		models = append(models, sample.Learn(a, groundTruthY(a), nil))
+		models = append(models, sample.Model(a))
 		ref, err := LearnDomainReference(f.cfg, a, f.c, f.ids, groundTruthY(a), nil, f.rec)
 		if err != nil {
 			t.Fatal(err)
@@ -202,6 +205,76 @@ func TestDomainModelConcurrentReads(t *testing.T) {
 	for i := range models {
 		if field := diffDomainModels(models[i], refs[i]); field != "" {
 			t.Errorf("%s differs from the reference in %s", aspects[i], field)
+		}
+	}
+}
+
+// TestDomainModelLearnsPerAspect: a sample learns each aspect at most
+// once however many callers want it, and they share the one model; a
+// learned aspect never waits on another aspect's learning, and two cold
+// aspects learn at the same time. Aspect A's relevance provider blocks on
+// a channel the test holds, so each claim is a fact while it is checked,
+// not a race.
+func TestDomainModelLearnsPerAspect(t *testing.T) {
+	f := newDomainLearnFixture(t, synth.DomainResearchers, synth.AspResearch)
+	a, b, c := synth.AspResearch, synth.AspAward, synth.AspContact
+	release, entered := make(chan struct{}), make(chan struct{})
+	learns := map[corpus.Aspect]*atomic.Int64{a: {}, b: {}, c: {}}
+	sample, err := NewDomainSample(f.cfg, f.c, f.ids, func(x corpus.Aspect) func(*corpus.Page) bool {
+		if learns[x].Add(1) == 1 && x == a {
+			close(entered)
+			<-release
+		}
+		return groundTruthY(x)
+	}, f.rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := sample.Model(b)
+
+	// Three callers for A: one learns, the other two wait for it.
+	var wg sync.WaitGroup
+	modelsA := make([]*DomainModel, 3)
+	for i := range modelsA {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			modelsA[i] = sample.Model(a)
+		}()
+	}
+	<-entered
+
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { defer close(done); f() }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s waited on aspect A's learning", what)
+		}
+	}
+	within("learned aspect B", func() {
+		if dm := sample.Model(b); dm != warm {
+			t.Errorf("aspect B: model %p, want the one learned before, %p", dm, warm)
+		}
+	})
+	within("cold aspect C", func() {
+		if dm := sample.Model(c); dm == nil || dm.Aspect != c {
+			t.Errorf("aspect C: model %v, want C's", dm)
+		}
+	})
+
+	close(release)
+	wg.Wait()
+	for x, n := range learns {
+		if n.Load() != 1 {
+			t.Errorf("aspect %s learned %d times, want once", x, n.Load())
+		}
+	}
+	for i, dm := range modelsA {
+		if dm == nil || dm != modelsA[0] || dm.Aspect != a {
+			t.Errorf("caller %d for A got model %p, want the one learned model %p", i, dm, modelsA[0])
 		}
 	}
 }

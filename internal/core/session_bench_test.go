@@ -244,12 +244,12 @@ func BenchmarkLearnDomain(b *testing.B) {
 		cfg := DefaultConfig()
 		cfg.Tokenizer = env.g.Tokenizer
 		system := func(solve bool) error {
-			s, err := NewDomainSample(cfg, env.g.Corpus, domainIDs, env.rec)
+			s, err := NewDomainSample(cfg, env.g.Corpus, domainIDs, groundTruthY, env.rec)
 			if err != nil {
 				return err
 			}
 			for _, a := range env.g.Aspects {
-				dm := s.Learn(a, groundTruthY(a), nil)
+				dm := s.Model(a)
 				if solve {
 					if err := dm.Solve(); err != nil {
 						return err

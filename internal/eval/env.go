@@ -18,7 +18,6 @@ import (
 	"l2q/internal/classify"
 	"l2q/internal/core"
 	"l2q/internal/corpus"
-	"l2q/internal/par"
 	"l2q/internal/search"
 	"l2q/internal/synth"
 	"l2q/internal/types"
@@ -98,18 +97,13 @@ type Env struct {
 	models *modelMemo
 }
 
-// modelMemo holds an Env's learned domain and HR models, and the domain
-// sample of each sample size they are learned over.
+// modelMemo holds an Env's domain sample of each sample size, which
+// memoizes every aspect's domain model over it, and the learned HR
+// models.
 type modelMemo struct {
 	mu      sync.Mutex
 	samples map[int]*core.DomainSample
-	dms     map[dmKey]*core.DomainModel
 	hrs     map[corpus.Aspect]*baselines.HRModel
-}
-
-type dmKey struct {
-	aspect corpus.Aspect
-	sample int // domain entities used (for the Fig. 11 sweep)
 }
 
 // NewEnv generates the corpus, builds the index, trains the classifiers on
@@ -134,7 +128,7 @@ func (e *Env) domainSample(k int) (*core.DomainSample, error) {
 	if s, ok := e.models.samples[k]; ok {
 		return s, nil
 	}
-	s, err := core.NewDomainSample(e.Cfg.Core, e.G.Corpus, e.DomainIDs[:min(k, len(e.DomainIDs))], e.Rec)
+	s, err := core.NewDomainSample(e.Cfg.Core, e.G.Corpus, e.DomainIDs[:min(k, len(e.DomainIDs))], e.Cls.YFunc, e.Rec)
 	if err != nil {
 		return nil, err
 	}
@@ -142,54 +136,31 @@ func (e *Env) domainSample(k int) (*core.DomainSample, error) {
 	return s, nil
 }
 
-// DomainModel returns (building and caching on first use) the domain model
-// for an aspect using `sample` domain entities; sample ≤ 0 uses the
-// configured default.
+// DomainModel returns the domain model for an aspect using `sample`
+// domain entities (sample ≤ 0 uses the configured default), learned once
+// by that sample.
 func (e *Env) DomainModel(aspect corpus.Aspect, sample int) (*core.DomainModel, error) {
 	if sample <= 0 {
 		sample = e.Cfg.DomainSample
-	}
-	key := dmKey{aspect: aspect, sample: sample}
-	e.models.mu.Lock()
-	dm, ok := e.models.dms[key]
-	e.models.mu.Unlock()
-	if ok {
-		return dm, nil
 	}
 	s, err := e.domainSample(sample)
 	if err != nil {
 		return nil, err
 	}
-	dm = s.Learn(aspect, e.Cls.YFunc(aspect), nil)
-	e.models.mu.Lock()
-	e.models.dms[key] = dm
-	e.models.mu.Unlock()
-	return dm, nil
+	return s.Model(aspect), nil
 }
 
-// PretrainDomainModels learns (and caches) the domain model of every
-// target aspect up front, aspects in parallel, and with solve also runs
-// each model's fixpoints — the eval-side mirror of the server's warm boot
+// PretrainDomainModels learns the domain model of every target aspect up
+// front, aspects in parallel, and with solve also runs each model's
+// fixpoints — the eval-side mirror of the server's warm boot
 // (store.DomainLearner.Artifact), so an all-aspects experiment pays the
 // domain phase concurrently instead of serially on each aspect's first
-// session. Value-neutral: each model equals the one lazy learning would
-// build.
+// session. Value-neutral: each model is the one lazy learning returns.
 func (e *Env) PretrainDomainModels(sample int, solve bool) error {
-	aspects := e.G.Aspects
-	errs := make([]error, len(aspects))
-	par.For(len(aspects), func(i int) {
-		dm, err := e.DomainModel(aspects[i], sample)
-		if err == nil && solve {
-			err = dm.Solve()
-		}
-		errs[i] = err
+	_, err := core.LearnAspects(e.G.Aspects, solve, func(a corpus.Aspect) (*core.DomainModel, error) {
+		return e.DomainModel(a, sample)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // HRModel returns (building and caching on first use) the harvest-rate

@@ -66,7 +66,6 @@ func newEnvFrom(cfg Config, g *synth.Generated, engine *search.Engine, splitSeed
 		Rec:    types.Chain{g.KB, types.NewRegexRecognizer()},
 		models: &modelMemo{
 			samples: make(map[int]*core.DomainSample),
-			dms:     make(map[dmKey]*core.DomainModel),
 			hrs:     make(map[corpus.Aspect]*baselines.HRModel),
 		},
 	}

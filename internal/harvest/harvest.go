@@ -19,8 +19,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
-	"sync"
 
 	"l2q/internal/baselines"
 	"l2q/internal/core"
@@ -31,7 +31,8 @@ import (
 
 // Backend supplies everything a harvest needs beyond the retriever: the
 // L2Q configuration, the materialized relevance functions, the type
-// system, and (typically lazily learned and cached) domain models.
+// system, and the domain models. It holds no state of its own, so a copy
+// is a backend too.
 type Backend struct {
 	// Cfg is the L2Q model configuration; its Tokenizer must match the
 	// served corpus.
@@ -43,26 +44,12 @@ type Backend struct {
 	// Rec is the type system for templates; nil disables templates.
 	Rec types.Recognizer
 	// DomainModel returns the domain model for an aspect; a nil func (or
-	// nil model) harvests without domain awareness. Successful results
-	// are memoized per aspect inside the backend, so the func may learn
-	// from scratch on every call — it runs at most once per aspect at a
-	// time, and never again once it succeeded (errors are not cached; the
-	// next request retries). Aspects learn concurrently, and a learned
-	// aspect never waits on another's learning.
+	// nil model) harvests without domain awareness. Plan calls it for
+	// every request, so it hands out a memoized model:
+	// store.DomainLearner.Learn and System.HarvestBackend's learner go
+	// through core.DomainSample.Model, which learns each aspect once. Its
+	// error fails the request as the backend's.
 	DomainModel func(corpus.Aspect) (*core.DomainModel, error)
-
-	dmMu sync.Mutex
-	dms  map[corpus.Aspect]*learned
-}
-
-// learned is one aspect's domain model: preloaded, learned, or being
-// learned by one DomainModel call that every request for the aspect waits
-// on until done is closed. A failed call's entry is dropped before done
-// closes, so only its waiters see the error.
-type learned struct {
-	done chan struct{}
-	dm   *core.DomainModel
-	err  error
 }
 
 // maxEntities bounds a request's entities and maxQueries its per-entity
@@ -73,55 +60,6 @@ const (
 	maxEntities = 64
 	maxQueries  = 50
 )
-
-// Preload seeds the per-aspect domain-model cache with already-trained
-// models (typically restored from a store.DomainArtifact), so a server
-// serves its first harvest warm instead of learning each aspect's
-// domain model from scratch. Preloaded aspects never invoke the
-// DomainModel func; aspects absent from models still learn lazily.
-func (b *Backend) Preload(models map[corpus.Aspect]*core.DomainModel) {
-	b.dmMu.Lock()
-	defer b.dmMu.Unlock()
-	for a, dm := range models {
-		if dm != nil {
-			l := &learned{done: make(chan struct{}), dm: dm}
-			close(l.done)
-			b.setLocked(a, l)
-		}
-	}
-}
-
-func (b *Backend) setLocked(a corpus.Aspect, l *learned) {
-	if b.dms == nil {
-		b.dms = make(map[corpus.Aspect]*learned)
-	}
-	b.dms[a] = l
-}
-
-// domainModel memoizes DomainModel per aspect (see the field doc). The
-// lock guards the map only; the learning runs outside it.
-func (b *Backend) domainModel(a corpus.Aspect) (*core.DomainModel, error) {
-	b.dmMu.Lock()
-	l, ok := b.dms[a]
-	if !ok && b.DomainModel != nil {
-		l = &learned{done: make(chan struct{})}
-		b.setLocked(a, l)
-		b.dmMu.Unlock()
-		if l.dm, l.err = b.DomainModel(a); l.err != nil {
-			b.dmMu.Lock()
-			delete(b.dms, a)
-			b.dmMu.Unlock()
-		}
-		close(l.done)
-		return l.dm, l.err
-	}
-	b.dmMu.Unlock()
-	if !ok {
-		return nil, nil
-	}
-	<-l.done
-	return l.dm, l.err
-}
 
 // BudgetSpec is the wire form of pipeline.BudgetPolicy: how a request's
 // query budget is allocated across its entities.
@@ -282,7 +220,7 @@ func (b *Backend) Plan(req Request) (*Plan, error) {
 		return nil, invalid("nQueries out of range [0, %d]", maxQueries)
 	}
 	aspect := corpus.Aspect(req.Aspect)
-	if !b.hasAspect(aspect) {
+	if !slices.Contains(b.Aspects, aspect) {
 		return nil, invalid("unknown aspect %q (serving %v)", req.Aspect, b.Aspects)
 	}
 	strategy := req.Strategy
@@ -315,22 +253,13 @@ func (b *Backend) Plan(req Request) (*Plan, error) {
 			p.Resume[cp.Entity] = cp
 		}
 	}
-	if !req.NoDomain {
-		if p.DM, err = b.domainModel(aspect); err != nil {
+	if !req.NoDomain && b.DomainModel != nil {
+		if p.DM, err = b.DomainModel(aspect); err != nil {
 			return nil, fmt.Errorf("domain model: %w", err)
 		}
 	}
 	p.Y = b.Y(aspect)
 	return p, nil
-}
-
-func (b *Backend) hasAspect(a corpus.Aspect) bool {
-	for _, known := range b.Aspects {
-		if known == a {
-			return true
-		}
-	}
-	return false
 }
 
 // Run harvests p's entities through ret on sched and narrates the harvest

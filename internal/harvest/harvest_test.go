@@ -12,10 +12,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"l2q/internal/core"
 	"l2q/internal/corpus"
@@ -25,93 +22,28 @@ import (
 	"l2q/internal/textproc"
 )
 
-// TestDomainModelLearnsPerAspect: a learned aspect never waits on another
-// aspect's learning, two cold aspects learn at the same time, each aspect
-// learns at most once however many requests want it, and a failed learn is
-// not cached. Aspect A's learner blocks on a channel the test holds, so
-// each claim is a fact while it is checked, not a race.
-func TestDomainModelLearnsPerAspect(t *testing.T) {
-	const a, b, c = corpus.Aspect("A"), corpus.Aspect("B"), corpus.Aspect("C")
-	warm := &core.DomainModel{Aspect: b}
-	release, entered := make(chan struct{}), make(chan struct{})
-	var learnsA atomic.Int64
-	failC := true
-	be := &Backend{
-		Aspects: []corpus.Aspect{a, b, c},
+// TestPlanDomainModelError: a domain model that fails to learn fails the
+// request as the backend's error, not as a refused request, and the next
+// request asks the backend again — Plan keeps no model of its own.
+func TestPlanDomainModelError(t *testing.T) {
+	const a = corpus.Aspect("A")
+	calls := 0
+	be := Backend{
+		Aspects: []corpus.Aspect{a},
 		Y:       func(corpus.Aspect) func(*corpus.Page) bool { return func(*corpus.Page) bool { return false } },
 		DomainModel: func(x corpus.Aspect) (*core.DomainModel, error) {
-			switch x {
-			case a:
-				if learnsA.Add(1) == 1 {
-					close(entered)
-				}
-				<-release
-			case c:
-				if failC { // only the test goroutine asks for C
-					failC = false
-					return nil, errors.New("learner failed")
-				}
-			default:
-				t.Errorf("aspect %s learned; it was preloaded", x)
+			if calls++; calls == 1 {
+				return nil, errors.New("learner failed")
 			}
 			return &core.DomainModel{Aspect: x}, nil
 		},
 	}
-	be.Preload(map[corpus.Aspect]*core.DomainModel{b: warm})
-	plan := func(x corpus.Aspect) (*Plan, error) {
-		return be.Plan(Request{Entities: []corpus.EntityID{1}, Aspect: string(x), NQueries: 1})
+	req := Request{Entities: []corpus.EntityID{1}, Aspect: string(a), NQueries: 1}
+	if _, err := be.Plan(req); err == nil || errors.As(err, new(*RequestError)) {
+		t.Errorf("failed learn: %v, want a backend error, not a request error", err)
 	}
-
-	// Three requests for A: one learns, the other two wait for it.
-	var wg sync.WaitGroup
-	plansA := make([]*Plan, 3)
-	for i := range plansA {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p, err := plan(a)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			plansA[i] = p
-		}()
-	}
-	<-entered
-
-	within := func(what string, f func()) {
-		t.Helper()
-		done := make(chan struct{})
-		go func() { defer close(done); f() }()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s waited on aspect A's learning", what)
-		}
-	}
-	within("a plan for preloaded aspect B", func() {
-		if p, err := plan(b); err != nil || p.DM != warm {
-			t.Errorf("aspect B: plan %v, %v; want the preloaded model", p, err)
-		}
-	})
-	within("a plan for cold aspect C", func() {
-		if _, err := plan(c); err == nil || errors.As(err, new(*RequestError)) {
-			t.Errorf("aspect C's failed learn: %v, want a backend error, not a request error", err)
-		}
-		if p, err := plan(c); err != nil || p.DM == nil || p.DM.Aspect != c {
-			t.Errorf("aspect C after a failed learn: %v, %v; want it learned again", p, err)
-		}
-	})
-
-	close(release)
-	wg.Wait()
-	if n := learnsA.Load(); n != 1 {
-		t.Errorf("aspect A learned %d times for three concurrent requests, want once", n)
-	}
-	for i, p := range plansA {
-		if p == nil || p.DM != plansA[0].DM {
-			t.Errorf("request %d for A got model %v, want the one learned model", i, p)
-		}
+	if p, err := be.Plan(req); err != nil || p.DM == nil || p.DM.Aspect != a {
+		t.Errorf("after a failed learn: %v, %v; want the model learned again", p, err)
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package par provides the one parallel-for shared by the CPU-bound
-// fan-outs of the reproduction — per-aspect domain learning (store) and
-// classifier training (classify), the eval environment's splits, warm-ups
-// and per-entity harvests — so the worker-pool idiom lives in exactly one
-// place. Only independent units fan out: the domain phase's counting pass
-// inside one aspect is serial, and one inference step is not among them
-// either (its passes are tens of microseconds, less than starting the
-// goroutines costs).
+// fan-outs of the reproduction — per-aspect domain learning
+// (core.LearnAspects) and classifier training (classify), the eval
+// environment's splits and per-entity harvests — so the worker-pool idiom
+// lives in exactly one place. Only independent units fan out: the domain
+// phase's counting pass inside one aspect is serial, and one inference
+// step is not among them either (its passes are tens of microseconds, less
+// than starting the goroutines costs).
 package par
 
 import (

@@ -29,7 +29,6 @@ import (
 	"l2q/internal/classify"
 	"l2q/internal/core"
 	"l2q/internal/corpus"
-	"l2q/internal/par"
 	"l2q/internal/textproc"
 	"l2q/internal/types"
 )
@@ -60,16 +59,6 @@ type DomainArtifact struct {
 	Classifiers []classify.Params
 }
 
-// ModelMap returns the artifact's models keyed by aspect — the shape
-// harvest.Backend.Preload consumes.
-func (a *DomainArtifact) ModelMap() map[corpus.Aspect]*core.DomainModel {
-	m := make(map[corpus.Aspect]*core.DomainModel, len(a.Models))
-	for _, dm := range a.Models {
-		m[dm.Aspect] = dm
-	}
-	return m
-}
-
 // ClassifierSet reconstructs a classify.Set from the persisted
 // classifier parameters (nil when the artifact carries none).
 func (a *DomainArtifact) ClassifierSet() *classify.Set {
@@ -85,12 +74,11 @@ func (a *DomainArtifact) ClassifierSet() *classify.Set {
 
 // DomainLearner is the canonical warm-boot learning protocol, shared by
 // cmd/l2qstore's `domains` subcommand (precompute an artifact) and
-// cmd/l2qserve's harvest backend (lazy fallback): aspect classifiers
-// trained on the WHOLE served corpus, domain models learned over the
-// first half of the corpus entities under one config. Keeping the
-// protocol in one place — not mirrored by hand across the two commands —
-// is what makes a precomputed artifact select byte-identically to a
-// cold-booted server.
+// cmd/l2qserve's harvest backend: aspect classifiers trained on the WHOLE
+// served corpus, domain models learned over the first half of the corpus
+// entities under one config. Keeping the protocol in one place — not
+// mirrored by hand across the two commands — is what makes a precomputed
+// artifact select byte-identically to a cold-booted server.
 type DomainLearner struct {
 	// Corpus, Cfg and Rec are the learning inputs (Cfg carries the
 	// tokenizer).
@@ -104,24 +92,30 @@ type DomainLearner struct {
 	Aspects   []corpus.Aspect
 	DomainIDs []corpus.EntityID
 
-	// sample is the domain sample every aspect learns over (sampleErr
-	// when DomainIDs have no pages): counted on the first Learn, its
-	// graph built on the first solve.
+	// loaded are the artifact's models, which Learn hands out for the
+	// aspects they cover. sample learns every other aspect once, under
+	// Cls (sampleErr when DomainIDs have no pages).
+	loaded    []*core.DomainModel
 	sample    *core.DomainSample
 	sampleErr error
 }
 
 // NewDomainLearner wires the protocol for a corpus. tok is the (possibly
-// reconstructed) tokenizer. preTrained, when non-nil (classifiers
-// restored from an artifact), is used as-is — aspects it does not cover
-// are trained here and merged, so an artifact built before a corpus
-// gained an aspect degrades to lazy training instead of silently
+// reconstructed) tokenizer. art, when non-nil, is a loaded domain
+// artifact: its classifiers are used as-is and its models are the ones
+// Learn returns. Aspects it does not cover get classifiers trained here
+// and models learned on first use, so an artifact built before a corpus
+// gained an aspect degrades to lazy learning instead of silently
 // disabling the aspect.
 func NewDomainLearner(c *corpus.Corpus, tok *textproc.Tokenizer,
-	rec types.Recognizer, preTrained *classify.Set) *DomainLearner {
+	rec types.Recognizer, art *DomainArtifact) *DomainLearner {
 
 	aspects := c.Aspects()
-	cls := preTrained
+	var cls *classify.Set
+	var loaded []*core.DomainModel
+	if art != nil {
+		cls, loaded = art.ClassifierSet(), art.Models
+	}
 	if cls == nil {
 		cls = classify.TrainSet(aspects, c.Pages)
 	} else {
@@ -150,47 +144,47 @@ func NewDomainLearner(c *corpus.Corpus, tok *textproc.Tokenizer,
 	for _, e := range c.Entities[:c.NumEntities()/2] {
 		ids = append(ids, e.ID)
 	}
-	l := &DomainLearner{Corpus: c, Cfg: cfg, Rec: rec, Cls: cls, Aspects: usable, DomainIDs: ids}
-	l.sample, l.sampleErr = core.NewDomainSample(cfg, c, ids, rec)
+	l := &DomainLearner{Corpus: c, Cfg: cfg, Rec: rec, Cls: cls, Aspects: usable, DomainIDs: ids, loaded: loaded}
+	l.sample, l.sampleErr = core.NewDomainSample(cfg, c, ids, cls.YFunc, rec)
 	return l
 }
 
-// Learn learns one aspect's domain model under the protocol — the shape
-// harvest.Backend.DomainModel consumes. Its fixpoints are solved on
-// first read, which a harvest with L2Q* never makes.
+// Learn returns one aspect's domain model under the protocol — the shape
+// harvest.Backend.DomainModel consumes: the artifact's model when it
+// covers the aspect, else the sample's, learned on the first call. A
+// learned model solves its fixpoints on first read, which a harvest with
+// L2Q* never makes.
 func (l *DomainLearner) Learn(a corpus.Aspect) (*core.DomainModel, error) {
+	for _, dm := range l.loaded {
+		if dm.Aspect == a {
+			return dm, nil
+		}
+	}
 	if l.sampleErr != nil {
 		return nil, l.sampleErr
 	}
-	return l.sample.Learn(a, l.Cls.YFunc(a), nil), nil
+	return l.sample.Model(a), nil
 }
 
 // Artifact learns and solves every servable aspect, aspects in parallel,
 // and packages the persistable DomainArtifact (models + classifier
 // parameters) in aspect order.
 func (l *DomainLearner) Artifact() (*DomainArtifact, error) {
+	if len(l.Aspects) == 0 {
+		return nil, fmt.Errorf("store: no aspect has training signal")
+	}
+	models, err := core.LearnAspects(l.Aspects, true, l.Learn)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
 	art := &DomainArtifact{
 		CorpusDomain: l.Corpus.Domain,
 		NumEntities:  l.Corpus.NumEntities(),
 		NumPages:     l.Corpus.NumPages(),
-		Models:       make([]*core.DomainModel, len(l.Aspects)),
+		Models:       models,
 	}
-	errs := make([]error, len(l.Aspects))
-	par.For(len(l.Aspects), func(i int) {
-		dm, err := l.Learn(l.Aspects[i])
-		if err == nil {
-			err = dm.Solve()
-		}
-		art.Models[i], errs[i] = dm, err
-	})
-	for i, a := range l.Aspects {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("store: aspect %s: %w", a, errs[i])
-		}
+	for _, a := range l.Aspects {
 		art.Classifiers = append(art.Classifiers, l.Cls.ByAspect[a].Params())
-	}
-	if len(art.Models) == 0 {
-		return nil, fmt.Errorf("store: no aspect has training signal")
 	}
 	return art, nil
 }

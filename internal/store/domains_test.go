@@ -166,3 +166,38 @@ func TestDomainsUnsolvedEncodesSolved(t *testing.T) {
 		}
 	}
 }
+
+// TestDomainLearnerServesTheArtifact: a learner built from an artifact
+// hands out the artifact's own model for every aspect it covers — never a
+// learned one — and learns an aspect it does not cover once, to the bytes
+// a learner without the artifact learns.
+func TestDomainLearnerServesTheArtifact(t *testing.T) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := types.NewRegexRecognizer()
+	full, err := NewDomainLearner(g.Corpus, g.Tokenizer, rec, nil).Artifact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(full.Models) - 1
+	partial := &DomainArtifact{Models: full.Models[:last], Classifiers: full.Classifiers}
+	ln := NewDomainLearner(g.Corpus, g.Tokenizer, rec, partial)
+	for _, dm := range partial.Models {
+		if got, err := ln.Learn(dm.Aspect); err != nil || got != dm {
+			t.Errorf("aspect %s: Learn returned %p, %v; want the artifact's model %p", dm.Aspect, got, err, dm)
+		}
+	}
+	lazy := full.Models[last]
+	got, err := ln.Learn(lazy.Aspect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := ln.Learn(lazy.Aspect); err != nil || again != got {
+		t.Errorf("aspect %s: a second Learn returned %p, %v; want the model learned first, %p", lazy.Aspect, again, err, got)
+	}
+	if !bytes.Equal(modelBytes(got), modelBytes(lazy)) {
+		t.Errorf("aspect %s: the model learned beside the artifact differs from a fresh learner's", lazy.Aspect)
+	}
+}

@@ -369,22 +369,21 @@ func TestHarvestBatchIsAJob(t *testing.T) {
 	var hold atomic.Pointer[chan struct{}] // non-nil: pages of held wait for it to close
 	entered := make(chan struct{}, 1)
 
-	hb := f.server.Harvest
-	backend := &harvest.Backend{Cfg: hb.Cfg, Aspects: hb.Aspects, Rec: hb.Rec, DomainModel: hb.DomainModel,
-		Y: func(corpus.Aspect) func(*corpus.Page) bool {
-			return func(p *corpus.Page) bool {
-				if ch := hold.Load(); ch != nil && p.Entity == held {
-					select {
-					case entered <- struct{}{}:
-					default:
-					}
-					<-*ch
+	backend := *f.server.Harvest
+	backend.Y = func(corpus.Aspect) func(*corpus.Page) bool {
+		return func(p *corpus.Page) bool {
+			if ch := hold.Load(); ch != nil && p.Entity == held {
+				select {
+				case entered <- struct{}{}:
+				default:
 				}
-				return f.y(p)
+				<-*ch
 			}
-		}}
+			return f.y(p)
+		}
+	}
 	server := NewServer(f.g.Corpus, bootLive(f.g.Corpus), nil)
-	server.Harvest = backend
+	server.Harvest = &backend
 	// Two workers per pool whatever GOMAXPROCS says: the held entity
 	// occupies one, the others must keep harvesting.
 	server.jobsOnce.Do(func() {

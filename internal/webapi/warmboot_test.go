@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"l2q/internal/core"
@@ -14,9 +13,9 @@ import (
 )
 
 // TestHarvestWarmBoot is the acceptance flow for persisted domain models:
-// a backend preloaded from a domain artifact serves its first harvest
-// without invoking the domain learner at all, and fires exactly the
-// queries of a backend that learned the model lazily from scratch.
+// a backend whose learner was built from a domain artifact plans every
+// harvest with the artifact's model itself, never a learned one, and fires
+// exactly the queries of a backend that learned the model from scratch.
 func TestHarvestWarmBoot(t *testing.T) {
 	f := newHarvestFixture(t)
 	n := f.g.Corpus.NumEntities()
@@ -24,16 +23,12 @@ func TestHarvestWarmBoot(t *testing.T) {
 		f.g.Corpus.Entities[n-2].ID,
 		f.g.Corpus.Entities[n-1].ID,
 	}
-	const nQueries = 3
+	req := harvest.Request{Entities: targets, Aspect: string(f.aspect), NQueries: 3}
 
 	harvest := func(f *harvestFixture) map[corpus.EntityID][]string {
 		t.Helper()
 		fired := make(map[corpus.EntityID][]string)
-		err := f.client.HarvestBatch(context.Background(), harvest.Request{
-			Entities: targets,
-			Aspect:   string(f.aspect),
-			NQueries: nQueries,
-		}, func(ev harvest.Event) error {
+		err := f.client.HarvestBatch(context.Background(), req, func(ev harvest.Event) error {
 			if ev.Type == "error" {
 				t.Errorf("error event: %+v", ev)
 			}
@@ -52,7 +47,7 @@ func TestHarvestWarmBoot(t *testing.T) {
 	want := harvest(f)
 
 	// Persist the learned model through the real codec and boot a second
-	// backend warm from it, with a learner that counts invocations.
+	// backend warm from it, through the learner l2qserve boots with.
 	var buf bytes.Buffer
 	art := &store.DomainArtifact{
 		CorpusDomain: f.g.Corpus.Domain,
@@ -68,18 +63,18 @@ func TestHarvestWarmBoot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var learns atomic.Int64
 	warm := newHarvestFixture(t)
-	warm.server.Harvest.DomainModel = func(corpus.Aspect) (*core.DomainModel, error) {
-		learns.Add(1)
-		return warm.dm, nil
+	hb := warm.server.Harvest
+	hb.DomainModel = store.NewDomainLearner(warm.g.Corpus, warm.g.Tokenizer, warm.rec, loaded).Learn
+	p, err := hb.Plan(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	warm.server.Harvest.Preload(loaded.ModelMap())
+	if p.DM != loaded.Models[0] {
+		t.Fatalf("warm-booted backend plans with model %p, want the artifact's %p", p.DM, loaded.Models[0])
+	}
 
 	got := harvest(warm)
-	if learns.Load() != 0 {
-		t.Fatalf("warm-booted backend invoked the domain learner %d times", learns.Load())
-	}
 	if len(got) != len(targets) {
 		t.Fatalf("warm harvest finished %d of %d entities", len(got), len(targets))
 	}

@@ -188,7 +188,8 @@ type System struct {
 
 	// domain is the sample of the last domain-entity list LearnDomain or
 	// TrainHR was given (domainIDs): every aspect learned over the same
-	// list shares its count and graph.
+	// list shares its count and graph, and learns once. It learns under
+	// the classifiers it was made with, so UseCRFClassifiers drops it.
 	domainMu  sync.Mutex
 	domainIDs []EntityID
 	domain    *core.DomainSample
@@ -274,15 +275,15 @@ func (s *System) Relevant(a Aspect, p *Page) bool { return s.cls.Relevant(a, p) 
 
 // LearnDomain runs the domain phase (§IV-B) over the given peer entities
 // and returns the learned domain model for the aspect. Aspects learned
-// over the same entities in a row count the sample's pages once, and a
-// model solves its fixpoints only when something reads them (L2Q* does
-// not).
+// over the same entities in a row count the sample's pages once, a
+// repeated call returns the model already learned, and a model solves its
+// fixpoints only when something reads them (L2Q* does not).
 func (s *System) LearnDomain(a Aspect, domainEntities []EntityID) (*DomainModel, error) {
 	ds, err := s.domainSample(domainEntities)
 	if err != nil {
 		return nil, err
 	}
-	return ds.Learn(a, s.cls.YFunc(a), nil), nil
+	return ds.Model(a), nil
 }
 
 // TrainHR fits the harvest-rate baseline's domain statistics (§VI-C).
@@ -300,7 +301,7 @@ func (s *System) domainSample(domainEntities []EntityID) (*core.DomainSample, er
 	s.domainMu.Lock()
 	defer s.domainMu.Unlock()
 	if s.domain == nil || !slices.Equal(s.domainIDs, domainEntities) {
-		ds, err := core.NewDomainSample(s.cfg, s.corpus, domainEntities, s.rec)
+		ds, err := core.NewDomainSample(s.cfg, s.corpus, domainEntities, s.cls.YFunc, s.rec)
 		if err != nil {
 			return nil, err
 		}

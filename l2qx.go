@@ -91,7 +91,8 @@ func (s *System) Tokenizer() *textproc.Tokenizer { return s.cfg.Tokenizer }
 
 // UseCRFClassifiers retrains every aspect classifier as a binary linear-
 // chain CRF over paragraph sequences — the classifier family the paper
-// actually uses (§VI-A) — and swaps it in as the materialized Y. Training
+// actually uses (§VI-A) — and swaps it in as the materialized Y; domain
+// models learned under the old classifiers are dropped. Training
 // is seconds-scale per aspect on paper-sized corpora; the default Naive
 // Bayes family trains every aspect from one counting pass over the corpus
 // (≈ 0.3 s for 996 × 50 pages on a 2-core machine), which is why it is the
@@ -103,7 +104,9 @@ func (s *System) UseCRFClassifiers() error {
 			return fmt.Errorf("l2q: aspect %s has no CRF training signal", a)
 		}
 	}
-	s.cls = set
+	s.domainMu.Lock()
+	s.cls, s.domain = set, nil
+	s.domainMu.Unlock()
 	return nil
 }
 
@@ -129,19 +132,23 @@ func (s *System) NewSearchServer() *SearchServer {
 }
 
 // HarvestBackend wires the system into a harvest.Backend: aspect
-// classifiers materialize Y, and domain models are learned on first use
-// over the canonical first-half domain sample (the protocol
-// cmd/l2qharvest and the tests use); the backend memoizes them per
-// aspect.
+// classifiers materialize Y, and each aspect's domain model is learned on
+// first use over a first-half domain sample the backend owns (the
+// protocol of store.DomainLearner and cmd/l2qharvest), apart from
+// LearnDomain's.
 func (s *System) HarvestBackend() *HarvestBackend {
+	ids := s.EntityIDs()
+	ds, err := core.NewDomainSample(s.cfg, s.corpus, ids[:len(ids)/2], s.cls.YFunc, s.rec)
 	return &HarvestBackend{
 		Cfg:     s.cfg,
 		Aspects: s.Aspects(),
 		Y:       s.cls.YFunc,
 		Rec:     s.rec,
 		DomainModel: func(a Aspect) (*DomainModel, error) {
-			ids := s.EntityIDs()
-			return s.LearnDomain(a, ids[:len(ids)/2])
+			if err != nil {
+				return nil, err
+			}
+			return ds.Model(a), nil
 		},
 	}
 }
@@ -180,8 +187,8 @@ func LoadStore(path string) (*StoreBundle, error) { return store.LoadFile(path, 
 // DomainArtifact is a persisted bundle of trained domain models and
 // aspect classifiers — the domain phase's output as a durable file
 // (magic L2QDOM1), so servers boot warm instead of re-learning per
-// aspect on first request. Produce with `l2qstore domains`; consume with LoadDomainsFile, `l2qserve -domains`,
-// or HarvestBackend.Preload.
+// aspect on first request. Produce with `l2qstore domains`; consume
+// with LoadDomainsFile or `l2qserve -domains`.
 type DomainArtifact = store.DomainArtifact
 
 // SaveDomainsFile writes a domain artifact durably; LoadDomainsFile

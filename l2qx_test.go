@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"l2q/internal/core"
 	"l2q/internal/store"
 )
 
@@ -20,15 +21,41 @@ func testSystem(t *testing.T, d Domain) *System {
 	return sys
 }
 
+// TestUseCRFClassifiers: the CRF family classifies well and harvests, and
+// a domain model learned before the swap is not handed out after it: both
+// LearnDomain and the harvest backend learn afresh under the CRF's Y.
 func TestUseCRFClassifiers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CRF training is seconds-scale")
 	}
 	sys := testSystem(t, Cars)
 	aspect := sys.Aspects()[0]
+	ids := sys.EntityIDs()[:10]
 	nbAcc := sys.ClassifierAccuracy(aspect, sys.Corpus().Pages)
+	nbModel, err := sys.LearnDomain(aspect, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nbServed, err := sys.HarvestBackend().DomainModel(aspect)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := sys.UseCRFClassifiers(); err != nil {
 		t.Fatal(err)
+	}
+	crfModel, err := sys.LearnDomain(aspect, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.LearnDomain(sys.cfg, aspect, sys.Corpus(), ids, sys.cls.YFunc(aspect), sys.rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if crfModel == nbModel || !bytes.Equal(domainBytes(t, crfModel), domainBytes(t, want)) {
+		t.Error("LearnDomain after the swap did not learn under the CRF classifiers")
+	}
+	if crfServed, err := sys.HarvestBackend().DomainModel(aspect); err != nil || crfServed == nbServed {
+		t.Errorf("the harvest backend after the swap serves %p, %v; want a model learned afresh, not %p", crfServed, err, nbServed)
 	}
 	crfAcc := sys.ClassifierAccuracy(aspect, sys.Corpus().Pages)
 	if crfAcc < 0.9 {

@@ -15,7 +15,7 @@
 #      without a scatter — and a fresh one fails over: with replicas=2
 #      every partition still has a live owner, so it returns hits, the
 #      failover shows up in the error counters, and no response is flagged
-#      partial
+#      partial; the ms from the kill to that first full answer are printed
 #   5. a process holds what it serves: every node's banner reports fewer
 #      pages than the corpus, a hit page is 200 on its two owners and 404
 #      on the third node, and a page the killed node owned still downloads
@@ -226,6 +226,8 @@ PART_AFTER=$(curl -s -G "$N0/api/v1/cluster/search?part=0" $SEED)
 # not seen fans out, and replicas keep every partition covered, so it
 # answers fully (failover, not partial results).
 scatters_of() { echo "$1" | sed -n 's/.*"scatters":\([0-9]*\).*/\1/p'; }
+now_ms() { date +%s%3N; }
+KILLED_AT=$(now_ms)
 kill "$(cat "$WORK/node1.pid")"
 # shellcheck disable=SC2086
 AGAIN=$(curl -s -G "$CO/api/v1/search" $SEED)
@@ -238,8 +240,10 @@ METRICS_AGAIN=$(curl -s "$CO/api/v1/metrics")
 	echo "cluster_smoke: a repeated search scattered (scatters $(scatters_of "$METRICS") -> $(scatters_of "$METRICS_AGAIN")): $METRICS_AGAIN" >&2
 	exit 1
 }
+SENT_AT=$(now_ms)
 # shellcheck disable=SC2086
 HITS2=$(curl -s -G "$CO/api/v1/search" $SEED --data-urlencode q=research)
+ANSWERED_AT=$(now_ms)
 echo "$HITS2" | grep -q '"pageId"' || {
 	echo "cluster_smoke: search lost hits after killing node 1: $HITS2" >&2
 	exit 1
@@ -248,6 +252,10 @@ echo "$HITS2" | grep -q '"partial":true' && {
 	echo "cluster_smoke: response flagged partial despite a live replica for every partition: $HITS2" >&2
 	exit 1
 }
+# The node-kill window, reported and not gated: from the kill to the first
+# fresh search that answers with full hits (the cached re-search and one
+# metrics read come between), and that search's own latency.
+echo "cluster_smoke: node-kill window $((ANSWERED_AT - KILLED_AT)) ms to the first full fresh search ($((ANSWERED_AT - SENT_AT)) ms of it the search)"
 for id in "$PID" "$FAILOVER"; do
 	[ "$(status_of "$CO/page/$id.html")" = 200 ] || {
 		echo "cluster_smoke: page $id did not download through the coordinator after killing node 1" >&2

@@ -16,8 +16,8 @@
 # subcommands use — beside them the exported fields of core.Config and
 # l2q.SystemOptions (the library's settable knobs), and the three counters ROADMAP tracks:
 # //l2qvet:ignore directives outside internal/lint and testdata,
-# time.Sleep( calls in internal/**/*_test.go, and the fuzz targets beside
-# how many of them `make fuzz-smoke` runs.
+# time.Sleep( calls in internal/**/*_test.go, the fuzz targets beside
+# how many of them `make fuzz-smoke` runs, and DESIGN.md's line count.
 set -euo pipefail
 
 count() { # count <dir> <find predicate...>: summed lines of the matching files directly in dir
@@ -71,3 +71,4 @@ echo
 printf '%-44s %5d\n' 'l2qvet:ignore lines (outside internal/lint)' "$ignores"
 printf '%-44s %5d\n' 'time.Sleep( calls in internal/*_test.go' "$sleeps"
 printf '%-44s %5d (%d in make fuzz-smoke)\n' 'fuzz targets' "$fuzz" "$smoke"
+printf '%-44s %5d\n' 'DESIGN.md lines' "$(wc -l <DESIGN.md)"
