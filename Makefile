@@ -12,10 +12,16 @@ build:
 	$(GO) build ./...
 
 # The webapi suite runs five shuffled passes: it is where order-dependent
-# and interleaving-dependent tests have hidden before.
+# and interleaving-dependent tests have hidden before. The lazily set
+# shared state — a page's token stream, built on its first read by
+# whichever goroutine gets there, and eval's per-aspect HR memo — runs
+# twenty passes of its concurrent first-use tests: a missed happens-before
+# there shows only on repetition.
 test:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -shuffle=on -count=5 ./internal/webapi/
+	$(GO) test -race -count=20 -run 'Concurrent' ./internal/corpus/
+	$(GO) test -race -count=20 -run 'TestHRModelTrainsOnce' ./internal/eval/
 
 # The packages whose fan-outs size themselves by GOMAXPROCS (par.For over
 # aspects in classifier training, store's domain learner and eval's

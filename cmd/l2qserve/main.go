@@ -51,6 +51,7 @@ import (
 	"syscall"
 	"time"
 
+	"l2q/internal/classify"
 	"l2q/internal/corpus"
 	"l2q/internal/harvest"
 	"l2q/internal/search"
@@ -157,8 +158,17 @@ func main() {
 
 	// A single server, frozen or live, serves one index over the whole
 	// corpus: the one the store file carried, or one built here, once.
+	// Harvest jobs classify with classifiers counted over the corpus;
+	// without an artifact to take them from, the pass that builds the
+	// index counts them too, so boot tokenizes each page once.
+	var counts *classify.LabelCounts
 	if idx == nil && !*coord && !nodeMode {
-		idx = search.BuildIndex(c.Pages)
+		var also []corpus.ParaVisitor
+		if *harvest && *domains == "" {
+			counts = classify.NewLabelCounts()
+			also = append(also, counts.Add)
+		}
+		idx = search.BuildIndex(c.Pages, also...)
 	}
 
 	var (
@@ -241,7 +251,7 @@ func main() {
 					*domains, art.NumEntities, art.NumPages, c.NumEntities(), c.NumPages())
 			}
 		}
-		if hb := harvestBackend(c, tok, rec, art, logger); hb != nil {
+		if hb := harvestBackend(c, tok, rec, art, counts, logger); hb != nil {
 			srv.Harvest = hb
 		}
 	}
@@ -285,16 +295,18 @@ func main() {
 // learning protocol (store.DomainLearner — the same one `l2qstore
 // domains` precomputes with). With a domain artifact, its classifiers
 // and models are used as-is and the server's first harvest runs warm;
-// aspects the artifact does not cover learn on first request. Returns
-// nil (harvesting disabled) when the corpus carries no aspect labels.
+// aspects the artifact does not cover learn on first request. counts are
+// the corpus' label counts when the index build took them (nil: the
+// learner counts if it must). Returns nil (harvesting disabled) when the
+// corpus carries no aspect labels.
 func harvestBackend(c *corpus.Corpus, tok *textproc.Tokenizer, rec types.Recognizer,
-	art *store.DomainArtifact, logger *log.Logger) *harvest.Backend {
+	art *store.DomainArtifact, counts *classify.LabelCounts, logger *log.Logger) *harvest.Backend {
 
 	if len(c.Aspects()) == 0 {
 		logger.Print("harvest: corpus has no aspect labels; endpoint disabled")
 		return nil
 	}
-	ln := store.NewDomainLearner(c, tok, rec, art)
+	ln := store.NewDomainLearner(c, tok, rec, art, counts)
 	if len(ln.Aspects) == 0 {
 		logger.Print("harvest: no aspect has training signal; endpoint disabled")
 		return nil

@@ -76,6 +76,12 @@ func runBuild(args []string) error {
 	if err != nil {
 		return err
 	}
+	// The index and the store's dictionary and page sections each read
+	// every page: tokenized once here and kept, a page serves all three
+	// instead of being tokenized by each.
+	for _, p := range g.Corpus.Pages {
+		p.Tokens()
+	}
 	var idx *search.Index
 	if !*noIndex {
 		idx = search.BuildIndex(g.Corpus.Pages)
@@ -145,7 +151,7 @@ func runDomains(args []string) error {
 	// so the precomputed artifact is byte-identical to what a cold boot
 	// would learn.
 	start := time.Now()
-	ln := store.NewDomainLearner(c, b.Tokenizer, types.NewRegexRecognizer(), nil)
+	ln := store.NewDomainLearner(c, b.Tokenizer, types.NewRegexRecognizer(), nil, nil)
 	art, err := ln.Artifact()
 	if err != nil {
 		return fmt.Errorf("%s: %w", *in, err)

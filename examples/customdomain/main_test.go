@@ -21,7 +21,7 @@ func TestPageTokensAliasParagraphs(t *testing.T) {
 	for _, p := range c.Pages {
 		all, off := p.Tokens(), 0
 		for i := range p.Paras {
-			pt := p.Paras[i].Tokens
+			pt := p.ParaTokens(i)
 			if len(pt) == 0 || &all[off] != &pt[0] || cap(pt) != len(pt) {
 				t.Fatalf("page %d paragraph %d (%d tokens, cap %d) is not its own range of Tokens()", p.ID, i, len(pt), cap(pt))
 			}

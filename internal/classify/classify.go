@@ -48,60 +48,78 @@ type Classifier struct {
 // example iff its label equals a). Returns nil if either class is empty.
 // It is TrainSet for one aspect: the same counting pass, one derivation.
 func Train(a corpus.Aspect, pages []*corpus.Page) *Classifier {
-	return countLabels(pages).classifier(a)
+	return CountLabels(pages).TrainSet([]corpus.Aspect{a}).ByAspect[a]
 }
 
-// labelCounts is what every aspect's classifier is derived from: one walk
+// LabelCounts is what every aspect's classifier is derived from: one walk
 // over the corpus tallies each token under its paragraph's label (the
 // filler label "" included) in dense per-label rows, indexed through one
 // token→index map. An aspect's positive class is its label's row; its
 // negative class is the corpus totals minus that row. The integers are the
 // ones a per-aspect count would reach, so the derived floats are too.
-type labelCounts struct {
-	vocab  []textproc.Token      // token index → token
-	rows   map[corpus.Aspect]int // paragraph label → row
-	counts [][]int               // [row][token index] occurrences
-	all    []int                 // [token index] occurrences under any label
-	docs   []int                 // [row] paragraphs
-	tokens []int                 // [row] token occurrences
+type LabelCounts struct {
+	index  map[textproc.Token]int // token → index
+	vocab  []textproc.Token       // token index → token
+	rows   map[corpus.Aspect]int  // paragraph label → row
+	counts [][]int                // [row][token index] occurrences
+	all    []int                  // [token index] occurrences under any label
+	docs   []int                  // [row] paragraphs
+	tokens []int                  // [row] token occurrences
 
 	allDocs, allTokens int
 }
 
-// countLabels makes the one counting pass over the pages' paragraphs.
-func countLabels(pages []*corpus.Page) *labelCounts {
-	lc := &labelCounts{rows: make(map[corpus.Aspect]int)}
-	index := make(map[textproc.Token]int)
-	for _, p := range pages {
-		for i := range p.Paras {
-			para := &p.Paras[i]
-			row, ok := lc.rows[para.Aspect]
-			if !ok {
-				row = len(lc.counts)
-				lc.rows[para.Aspect] = row
-				lc.counts = append(lc.counts, nil)
-				lc.docs = append(lc.docs, 0)
-				lc.tokens = append(lc.tokens, 0)
-			}
-			lc.docs[row]++
-			lc.tokens[row] += len(para.Tokens)
-			counts := lc.counts[row]
-			for _, t := range para.Tokens {
-				j, ok := index[t]
-				if !ok {
-					j = len(lc.vocab)
-					index[t] = j
-					lc.vocab = append(lc.vocab, t)
-				}
-				for len(counts) <= j {
-					counts = append(counts, 0)
-				}
-				counts[j]++
-			}
-			lc.counts[row] = counts
-		}
+// NewLabelCounts returns empty counts for Add to fill.
+func NewLabelCounts() *LabelCounts {
+	return &LabelCounts{index: make(map[textproc.Token]int), rows: make(map[corpus.Aspect]int)}
+}
+
+// CountLabels makes the one counting pass over the pages' paragraphs
+// (corpus.Scan: each page read once, none left tokenized).
+func CountLabels(pages []*corpus.Page) *LabelCounts {
+	lc := NewLabelCounts()
+	corpus.Scan(pages, lc.Add)
+	return lc
+}
+
+// Add counts paragraph i of page p, whose tokens are toks, under its
+// label. It is a corpus.ParaVisitor, so the counting pass can ride another
+// whole-corpus pass (search.BuildIndex's) instead of tokenizing the pages
+// again.
+func (lc *LabelCounts) Add(_ int, p *corpus.Page, i int, toks []textproc.Token) {
+	label := p.Paras[i].Aspect
+	row, ok := lc.rows[label]
+	if !ok {
+		row = len(lc.counts)
+		lc.rows[label] = row
+		lc.counts = append(lc.counts, nil)
+		lc.docs = append(lc.docs, 0)
+		lc.tokens = append(lc.tokens, 0)
 	}
+	lc.docs[row]++
+	lc.tokens[row] += len(toks)
+	counts := lc.counts[row]
+	for _, t := range toks {
+		j, ok := lc.index[t]
+		if !ok {
+			j = len(lc.vocab)
+			lc.index[t] = j
+			lc.vocab = append(lc.vocab, t)
+		}
+		for len(counts) <= j {
+			counts = append(counts, 0)
+		}
+		counts[j]++
+	}
+	lc.counts[row] = counts
+}
+
+// totals pads every row to the vocabulary and sums the rows into the
+// corpus totals; what the derivation reads, recomputed from the rows so
+// it can run again after more Adds.
+func (lc *LabelCounts) totals() {
 	lc.all = make([]int, len(lc.vocab))
+	lc.allDocs, lc.allTokens = 0, 0
 	for row, counts := range lc.counts {
 		lc.counts[row] = append(counts, make([]int, len(lc.vocab)-len(counts))...)
 		for j, n := range counts {
@@ -110,12 +128,12 @@ func countLabels(pages []*corpus.Page) *labelCounts {
 		lc.allDocs += lc.docs[row]
 		lc.allTokens += lc.tokens[row]
 	}
-	return lc
 }
 
 // classifier derives aspect a's classifier from the counts: nil when no
-// paragraph carries a, or every paragraph does.
-func (lc *labelCounts) classifier(a corpus.Aspect) *Classifier {
+// paragraph carries a, or every paragraph does. The totals must be
+// current.
+func (lc *LabelCounts) classifier(a corpus.Aspect) *Classifier {
 	row, ok := lc.rows[a]
 	if !ok || lc.docs[row] == lc.allDocs {
 		return nil
@@ -204,7 +222,7 @@ func (c *Classifier) PageScore(p *corpus.Page) float64 {
 	}
 	n := 0
 	for i := range p.Paras {
-		if c.PredictPara(p.Paras[i].Tokens) {
+		if c.PredictPara(p.ParaTokens(i)) {
 			n++
 		}
 	}
@@ -221,11 +239,11 @@ func (c *Classifier) PageRelevant(p *corpus.Page) bool {
 // the number Fig. 9 reports per aspect.
 func (c *Classifier) Accuracy(pages []*corpus.Page) float64 {
 	correct, total := 0, 0
+	var buf []textproc.Token
 	for _, p := range pages {
 		for i := range p.Paras {
-			para := &p.Paras[i]
-			want := para.Aspect == c.Aspect
-			got := c.PredictPara(para.Tokens)
+			want := p.Paras[i].Aspect == c.Aspect
+			got := c.PredictPara(p.ScanParaTokens(i, &buf))
 			if got == want {
 				correct++
 			}
@@ -257,11 +275,17 @@ type cacheKey struct {
 // TrainSet trains a classifier for every aspect on the given pages.
 // Aspects whose training data is degenerate are silently skipped (callers
 // can check membership). The corpus is counted once for all aspects
-// (countLabels); each aspect's classifier is then derived from the counts,
+// (CountLabels); each aspect's classifier is then derived from the counts,
 // in parallel (par.For), so the result is identical to a serial Train per
 // aspect.
 func TrainSet(aspects []corpus.Aspect, pages []*corpus.Page) *Set {
-	lc := countLabels(pages)
+	return CountLabels(pages).TrainSet(aspects)
+}
+
+// TrainSet derives a classifier for every aspect from the counts taken so
+// far, as the package-level TrainSet does from its own pass.
+func (lc *LabelCounts) TrainSet(aspects []corpus.Aspect) *Set {
+	lc.totals()
 	cs := make([]*Classifier, len(aspects))
 	par.For(len(aspects), func(i int) {
 		cs[i] = lc.classifier(aspects[i])

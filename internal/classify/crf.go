@@ -7,6 +7,7 @@ import (
 	"l2q/internal/corpus"
 	"l2q/internal/crf"
 	"l2q/internal/par"
+	"l2q/internal/textproc"
 )
 
 // CRFClassifier is the paper-faithful alternative to the Naive Bayes
@@ -97,13 +98,14 @@ type crfData struct {
 // extractCRF extracts every paragraph's features once.
 func extractCRF(pages []*corpus.Page) *crfData {
 	d := &crfData{fm: crf.NewFeatureMap()}
+	var buf []textproc.Token
 	for _, p := range pages {
 		if len(p.Paras) == 0 {
 			continue
 		}
 		rows := make([][]int, len(p.Paras))
 		for i := range p.Paras {
-			rows[i] = paraFeatures(d.fm, &p.Paras[i])
+			rows[i] = paraFeatures(d.fm, p.ScanParaTokens(i, &buf))
 		}
 		d.pages = append(d.pages, p)
 		d.feats = append(d.feats, rows)
@@ -137,12 +139,12 @@ func (d *crfData) train(a corpus.Aspect, cfg crf.TrainConfig) *CRFClassifier {
 	return &CRFClassifier{Aspect: a, model: model, feats: d.fm}
 }
 
-// paraFeatures extracts the sparse features of one paragraph: its
-// deduplicated tokens (sorted for determinism). Unknown tokens map to -1
-// after freezing and are dropped.
-func paraFeatures(fm *crf.FeatureMap, para *corpus.Paragraph) []int {
-	set := make(map[string]struct{}, len(para.Tokens))
-	for _, t := range para.Tokens {
+// paraFeatures extracts the sparse features of one paragraph from its
+// tokens: the deduplicated tokens (sorted for determinism). Unknown tokens
+// map to -1 after freezing and are dropped.
+func paraFeatures(fm *crf.FeatureMap, tokens []textproc.Token) []int {
+	set := make(map[string]struct{}, len(tokens))
+	for _, t := range tokens {
 		set[t] = struct{}{}
 	}
 	toks := make([]string, 0, len(set))
@@ -163,7 +165,7 @@ func paraFeatures(fm *crf.FeatureMap, para *corpus.Paragraph) []int {
 func (c *CRFClassifier) predictPage(p *corpus.Page) []crf.Label {
 	seq := make([][]int, len(p.Paras))
 	for i := range p.Paras {
-		seq[i] = paraFeatures(c.feats, &p.Paras[i])
+		seq[i] = paraFeatures(c.feats, p.ParaTokens(i))
 	}
 	return c.model.Decode(seq)
 }

@@ -50,7 +50,7 @@ func trainCRFReference(a corpus.Aspect, pages []*corpus.Page, cfg crf.TrainConfi
 			Labels: make([]crf.Label, len(p.Paras)),
 		}
 		for i := range p.Paras {
-			ex.Feats[i] = paraFeatures(fm, &p.Paras[i])
+			ex.Feats[i] = paraFeatures(fm, p.ParaTokens(i))
 			if p.Paras[i].Aspect == a {
 				ex.Labels[i] = 1
 			}

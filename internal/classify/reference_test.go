@@ -27,7 +27,7 @@ func trainReference(a corpus.Aspect, pages []*corpus.Page) *Classifier {
 				cls = 1
 			}
 			nDocs[cls]++
-			for _, t := range para.Tokens {
+			for _, t := range p.ParaTokens(i) {
 				counts[cls][t]++
 				totals[cls]++
 				vocab[t] = struct{}{}

@@ -16,11 +16,11 @@ import (
 	"l2q/internal/webapi"
 )
 
-// requireOneTokenArray fails unless the page holds its tokens once: every
-// paragraph's Tokens is the next range of the array Tokens returns (same
-// memory, not an equal copy), capacity-capped so an append to one
-// paragraph reallocates instead of overwriting its neighbour, and Tokens
-// itself allocates nothing.
+// requireOneTokenArray fails unless the page, once read, holds its tokens
+// once: every paragraph's ParaTokens is the next range of the array Tokens
+// returns (same memory, not an equal copy), capacity-capped so an append
+// to one paragraph reallocates instead of overwriting its neighbour, and
+// Tokens itself allocates nothing.
 func requireOneTokenArray(t *testing.T, from string, p *corpus.Page) {
 	t.Helper()
 	all := p.Tokens()
@@ -29,7 +29,7 @@ func requireOneTokenArray(t *testing.T, from string, p *corpus.Page) {
 	}
 	off := 0
 	for i := range p.Paras {
-		pt := p.Paras[i].Tokens
+		pt := p.ParaTokens(i)
 		if len(pt) == 0 {
 			continue
 		}

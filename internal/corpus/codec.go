@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"l2q/internal/textproc"
 )
@@ -49,12 +50,15 @@ func (c *Corpus) toWire() wireCorpus {
 			SeedQuery: e.SeedQuery, Attrs: e.Attrs,
 		})
 	}
+	var buf []textproc.Token
 	for _, p := range c.Pages {
 		wp := wirePage{ID: p.ID, Entity: p.Entity, URL: p.URL, Title: p.Title, Links: p.Links}
 		for i := range p.Paras {
-			wp.Paras = append(wp.Paras, wirePara{
-				Text: p.Paras[i].Text, Tokens: p.Paras[i].Tokens, Aspect: p.Paras[i].Aspect,
-			})
+			wpara := wirePara{Text: p.Paras[i].Text, Aspect: p.Paras[i].Aspect}
+			if toks := p.ScanParaTokens(i, &buf); len(toks) > 0 {
+				wpara.Tokens = slices.Clone(toks) // the dump leaves the page untokenized
+			}
+			wp.Paras = append(wp.Paras, wpara)
 		}
 		w.Pages = append(w.Pages, wp)
 	}

@@ -36,19 +36,25 @@ type PageID int
 // a single dominant aspect label assigned by the generator (the analogue of
 // the paper's jsoup paragraph segmentation + CRF labels).
 type Paragraph struct {
-	Text   string
+	Text string
+	// Tokens are ready-made tokens a page is built from: SetParas with a
+	// nil tokenizer, or a page assembled as a struct literal. A page keeps
+	// its paragraphs' tokens itself, so read them through Page.ParaTokens,
+	// never here (l2qvet's paratokens analyzer holds library code to it).
 	Tokens []textproc.Token
 	// Aspect is the generator's ground-truth label; empty for filler.
 	Aspect Aspect
 }
 
 // Page is one web page: an ordered list of paragraphs about one entity.
-// A page built through SetParas — every constructor in this repository —
-// holds its tokens once: the paragraphs' Tokens are consecutive ranges of
-// the array Tokens returns. A page assembled as a struct literal (tests)
-// gets its token stream lazily under sync.Once instead. Either way pages
-// are safe to share across concurrent harvesting sessions (which never
-// mutate Paras).
+// A page is its text. Its tokens are derived state: a page built by
+// SetParas with a tokenizer holds no tokens until they are first read
+// (Tokens, ParaTokens, TermIDs, NGrams, HasToken), tokenizes once then,
+// and keeps them as one array, each paragraph's tokens a range of it. A
+// pass over the whole corpus that reads each page once (index building,
+// classifier counting) goes through Scan instead and leaves the page as it
+// found it. Pages are safe to share across concurrent harvesting
+// sessions (which never mutate Paras).
 type Page struct {
 	ID     PageID
 	Entity EntityID
@@ -61,23 +67,46 @@ type Page struct {
 	// graph to walk, and so the HTML rendering is a faithful page.
 	Links []PageID
 
-	// tokens is the page's token stream: the one array SetParas sliced the
-	// paragraphs out of, or — on a literal-built page — the concatenation
-	// Tokens caches under tokOnce, which exists for that fallback alone.
+	// tokens is the page's token stream once it has one: built under
+	// tokOnce on first read, or by SetParas from ready-made tokens. The
+	// pointer lets a scan ask whether the page holds its tokens without
+	// making it tokenize.
 	tokOnce  sync.Once
-	tokens   []textproc.Token
+	tokens   atomic.Pointer[pageTokens]
 	setOnce  sync.Once
 	tokenSet map[textproc.Token]struct{}
 	// ngrams memoizes the page's exclusion-free n-gram enumeration: domain
 	// learning and the HR baseline share one instead of re-sliding the
 	// window for every pass and aspect.
 	ngrams atomic.Pointer[pageNGrams]
-	// tok is the tokenizer SetParas tokenized the paragraphs with; nil when
-	// the tokens came ready-made.
+	// tok is the tokenizer the page's text is tokenized with; nil when the
+	// tokens came ready-made or the page is a literal.
 	tok *textproc.Tokenizer
 	// termIDs memoizes the token stream as one vocabulary's term ids; a
 	// page no session enumerates never computes it.
 	termIDs atomic.Pointer[pageTermIDs]
+}
+
+// pageTokens is a page's token stream: one exactly-sized array, and where
+// each paragraph's range of it ends.
+type pageTokens struct {
+	all  []textproc.Token
+	ends []int32
+}
+
+// para returns paragraph i's range of the stream, capacity-capped so an
+// append to it cannot reach paragraph i+1; nil when it has no tokens, as
+// Tokenize answers for text without any.
+func (t *pageTokens) para(i int) []textproc.Token {
+	start := int32(0)
+	if i > 0 {
+		start = t.ends[i-1]
+	}
+	end := t.ends[i]
+	if start == end {
+		return nil
+	}
+	return t.all[start:end:end]
 }
 
 // pageTermIDs is a page's token stream under one vocabulary.
@@ -94,60 +123,68 @@ type pageNGrams struct {
 	grams  []string
 }
 
-// parasScratch is the pooled buffer SetParas gathers a page's tokens in
-// before their count is known.
+// parasScratch is the pooled buffer a page's tokens are gathered in before
+// their count is known.
 type parasScratch struct {
 	toks []textproc.Token
 }
 
 var parasScratchPool = sync.Pool{New: func() any { return new(parasScratch) }}
 
-// SetParas makes paras the page's paragraphs over one exactly-sized token
-// array: paragraph i's Tokens becomes a capacity-capped range of it (an
-// append to one paragraph cannot reach its neighbour), the ranges are
-// consecutive, and Tokens returns the array itself. With a tokenizer, a
-// paragraph's tokens are tok's tokens of its Text and whatever Tokens held
-// is ignored; with a nil tokenizer the given Tokens are copied. The page
+// SetParas makes paras the page's paragraphs. With a tokenizer the page
+// keeps their text only: whatever Tokens held is dropped, and tok tokenizes
+// each paragraph on the page's first read of its tokens. With a nil
+// tokenizer the given Tokens are the page's: they are copied into one
+// exactly-sized array now, and the paragraphs' own slices dropped. The page
 // takes ownership of paras.
 //
 // Call it while the page is still private to its constructor, never on a
 // page other goroutines can see: readers of Paras take no lock.
 func (p *Page) SetParas(paras []Paragraph, tok *textproc.Tokenizer) {
+	p.Paras = paras
+	p.tok = tok
+	if tok == nil {
+		p.loadTokens()
+	}
+	for i := range paras {
+		paras[i].Tokens = nil
+	}
+}
+
+// loadTokens returns the page's token stream, building it on the first
+// call.
+func (p *Page) loadTokens() *pageTokens {
+	if t := p.tokens.Load(); t != nil {
+		return t
+	}
+	p.tokOnce.Do(func() { p.tokens.Store(p.buildTokens()) })
+	return p.tokens.Load()
+}
+
+// buildTokens gathers the page's token stream: each paragraph's text under
+// the page's tokenizer or, without one, its ready-made Tokens.
+func (p *Page) buildTokens() *pageTokens {
 	sc := parasScratchPool.Get().(*parasScratch)
 	toks := sc.toks[:0]
-	for i := range paras {
-		start := len(toks)
-		if tok != nil {
-			toks = tok.AppendTokens(toks, paras[i].Text)
+	ends := make([]int32, len(p.Paras))
+	for i := range p.Paras {
+		if p.tok != nil {
+			toks = p.tok.AppendTokens(toks, p.Paras[i].Text)
 		} else {
-			toks = append(toks, paras[i].Tokens...)
+			toks = append(toks, p.Paras[i].Tokens...)
 		}
-		paras[i].Tokens = toks[start:] // its length is all that is read below
+		ends[i] = int32(len(toks))
 	}
-	all := make([]textproc.Token, len(toks))
-	copy(all, toks)
-	off := 0
-	for i := range paras {
-		end := off + len(paras[i].Tokens)
-		if end == off {
-			paras[i].Tokens = nil // as Tokenize answers for text without tokens
-		} else {
-			paras[i].Tokens = all[off:end:end]
-		}
-		off = end
-	}
+	t := &pageTokens{all: make([]textproc.Token, len(toks)), ends: ends}
+	copy(t.all, toks)
 	clear(toks) // tokens are substrings of the page's text; the pool must not pin it
 	sc.toks = toks
 	parasScratchPool.Put(sc)
-
-	p.Paras = paras
-	p.tokens = all
-	p.tok = tok
-	p.tokOnce.Do(func() {}) // Tokens has nothing left to build
+	return t
 }
 
-// Tokenizer is the tokenizer that produced the page's tokens (SetParas'
-// tok), nil when they came ready-made or the page is a literal.
+// Tokenizer is the tokenizer the page's text is tokenized with (SetParas'
+// tok), nil when its tokens came ready-made or the page is a literal.
 func (p *Page) Tokenizer() *textproc.Tokenizer { return p.tok }
 
 // TermIDs returns the page's token stream as v's term ids, computed on the
@@ -165,22 +202,55 @@ func (p *Page) TermIDs(v *textproc.Vocabulary) []textproc.TermID {
 	return t.ids
 }
 
-// Tokens returns the page's full token stream (paragraphs concatenated).
-// On a page built by SetParas that is the array the paragraphs alias, and
-// the call allocates nothing; on a literal-built page the concatenation is
-// computed and cached on first use.
-func (p *Page) Tokens() []textproc.Token {
-	p.tokOnce.Do(func() {
-		n := 0
+// Tokens returns the page's full token stream (paragraphs concatenated),
+// tokenizing the page on the first read and keeping the result: one
+// exactly-sized array that every paragraph's ParaTokens is a range of.
+// Later calls allocate nothing. Safe for concurrent use; the returned
+// slice is shared — callers must not mutate it.
+func (p *Page) Tokens() []textproc.Token { return p.loadTokens().all }
+
+// ParaTokens returns paragraph i's tokens: a capacity-capped range of
+// Tokens (nil for a paragraph without tokens), so reading it tokenizes the
+// page on the first read as Tokens does.
+func (p *Page) ParaTokens(i int) []textproc.Token { return p.loadTokens().para(i) }
+
+// ScanParaTokens returns paragraph i's tokens for a pass that reads the
+// page once and keeps nothing of it: the page's own range when it holds
+// its tokens, otherwise the paragraph's text tokenized into (*buf)[:0] —
+// *buf grows as needed and the page caches nothing, so a whole-corpus pass
+// over untokenized pages leaves them untokenized. The result is valid
+// until *buf is next used; callers must not mutate it.
+func (p *Page) ScanParaTokens(i int, buf *[]textproc.Token) []textproc.Token {
+	if t := p.tokens.Load(); t != nil {
+		return t.para(i)
+	}
+	if p.tok == nil {
+		return p.Paras[i].Tokens
+	}
+	*buf = p.tok.AppendTokens((*buf)[:0], p.Paras[i].Text)
+	return *buf
+}
+
+// ParaVisitor is handed one paragraph's tokens by Scan: doc is the page's
+// ordinal in the scanned slice and i the paragraph's index on the page.
+// toks is valid only for the call; visitors must not mutate it.
+type ParaVisitor func(doc int, p *Page, i int, toks []textproc.Token)
+
+// Scan is the whole-corpus pass: it visits every paragraph of every page
+// in order and hands its tokens to each visitor in turn. A paragraph is
+// tokenized once for all of them (ScanParaTokens) and nothing is kept, so
+// passes that run together — a server's index and its classifiers' counts
+// — tokenize each page once between them and leave it untokenized.
+func Scan(pages []*Page, visitors ...ParaVisitor) {
+	var buf []textproc.Token
+	for doc, p := range pages {
 		for i := range p.Paras {
-			n += len(p.Paras[i].Tokens)
+			toks := p.ScanParaTokens(i, &buf)
+			for _, visit := range visitors {
+				visit(doc, p, i, toks)
+			}
 		}
-		p.tokens = make([]textproc.Token, 0, n)
-		for i := range p.Paras {
-			p.tokens = append(p.tokens, p.Paras[i].Tokens...)
-		}
-	})
-	return p.tokens
+	}
 }
 
 // NGrams returns the page's distinct n-grams of up to maxLen tokens under
@@ -344,7 +414,8 @@ type Stats struct {
 	ParasByAspect map[Aspect]int
 }
 
-// ComputeStats walks the corpus once and tallies the summary.
+// ComputeStats walks the corpus once and tallies the summary; it leaves
+// untokenized pages untokenized (ScanParaTokens).
 func (c *Corpus) ComputeStats() Stats {
 	s := Stats{
 		Domain:        c.Domain,
@@ -352,10 +423,11 @@ func (c *Corpus) ComputeStats() Stats {
 		Pages:         len(c.Pages),
 		ParasByAspect: make(map[Aspect]int),
 	}
+	var buf []textproc.Token
 	for _, p := range c.Pages {
 		s.Paragraphs += len(p.Paras)
 		for i := range p.Paras {
-			s.Tokens += len(p.Paras[i].Tokens)
+			s.Tokens += len(p.ScanParaTokens(i, &buf))
 			if a := p.Paras[i].Aspect; a != "" {
 				s.ParasByAspect[a]++
 			}

@@ -154,7 +154,7 @@ func TestJSONRoundTrip(t *testing.T) {
 		}
 		for j := range p.Paras {
 			if p.Paras[j].Aspect != bp.Paras[j].Aspect || p.Paras[j].Text != bp.Paras[j].Text ||
-				!reflect.DeepEqual(p.Paras[j].Tokens, bp.Paras[j].Tokens) {
+				!reflect.DeepEqual(p.ParaTokens(j), bp.Paras[j].Tokens) {
 				t.Fatalf("page %d para %d mismatch", i, j)
 			}
 		}

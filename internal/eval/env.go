@@ -98,12 +98,14 @@ type Env struct {
 }
 
 // modelMemo holds an Env's domain sample of each sample size, which
-// memoizes every aspect's domain model over it, and the learned HR
-// models.
+// memoizes every aspect's domain model over it, and each aspect's HR
+// model, trained once. The lock guards the maps only: an HR model trains
+// inside its aspect's sync.OnceValues, so a trained aspect never waits on
+// another's training.
 type modelMemo struct {
 	mu      sync.Mutex
 	samples map[int]*core.DomainSample
-	hrs     map[corpus.Aspect]*baselines.HRModel
+	hrs     map[corpus.Aspect]func() (*baselines.HRModel, error)
 }
 
 // NewEnv generates the corpus, builds the index, trains the classifiers on
@@ -163,24 +165,24 @@ func (e *Env) PretrainDomainModels(sample int, solve bool) error {
 	return err
 }
 
-// HRModel returns (building and caching on first use) the harvest-rate
-// baseline's domain statistics for an aspect.
+// HRModel returns the harvest-rate baseline's domain statistics for an
+// aspect, trained on the first call for that aspect and memoized: callers
+// that arrive while it trains wait for it and get the same model.
 func (e *Env) HRModel(aspect corpus.Aspect) (*baselines.HRModel, error) {
 	e.models.mu.Lock()
-	m, ok := e.models.hrs[aspect]
-	e.models.mu.Unlock()
-	if ok {
-		return m, nil
+	train, ok := e.models.hrs[aspect]
+	if !ok {
+		train = sync.OnceValues(func() (*baselines.HRModel, error) {
+			s, err := e.domainSample(e.Cfg.DomainSample)
+			if err != nil {
+				return nil, err
+			}
+			return baselines.TrainHR(s, e.Cls.YFunc(aspect)), nil
+		})
+		e.models.hrs[aspect] = train
 	}
-	s, err := e.domainSample(e.Cfg.DomainSample)
-	if err != nil {
-		return nil, err
-	}
-	m = baselines.TrainHR(s, e.Cls.YFunc(aspect))
-	e.models.mu.Lock()
-	e.models.hrs[aspect] = m
 	e.models.mu.Unlock()
-	return m, nil
+	return train()
 }
 
 // NewSession builds a harvesting session for one (entity, aspect) pair

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 
 	"l2q/internal/baselines"
@@ -144,10 +145,40 @@ func TestSelectorForHRWithoutModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.models.mu.Lock()
-	hr := env.models.hrs[a]
+	train := env.models.hrs[a]
 	env.models.mu.Unlock()
-	if hr == nil {
+	if train == nil {
 		t.Fatal("HR ran without a trained model")
+	}
+}
+
+// TestHRModelTrainsOnce holds Env.HRModel to one training per aspect:
+// eight goroutines asking a fresh Env at once all get the same model.
+func TestHRModelTrainsOnce(t *testing.T) {
+	env := tinyEnv(t)
+	a := env.G.Aspects[0]
+	const n = 8
+	got := make([]*baselines.HRModel, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			m, err := env.HRModel(a)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = m
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, m := range got {
+		if m == nil || m != got[0] {
+			t.Fatalf("goroutine %d got HR model %p, goroutine 0 got %p: trained more than once", i, m, got[0])
+		}
 	}
 }
 

@@ -66,7 +66,7 @@ func newEnvFrom(cfg Config, g *synth.Generated, engine *search.Engine, splitSeed
 		Rec:    types.Chain{g.KB, types.NewRegexRecognizer()},
 		models: &modelMemo{
 			samples: make(map[int]*core.DomainSample),
-			hrs:     make(map[corpus.Aspect]*baselines.HRModel),
+			hrs:     make(map[corpus.Aspect]func() (*baselines.HRModel, error)),
 		},
 	}
 	n := g.Corpus.NumEntities()

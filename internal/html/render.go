@@ -106,7 +106,8 @@ func ParseHref(href string) (corpus.PageID, bool) {
 
 // ParsePage ingests a rendered HTML document back into a corpus page: it
 // segments paragraphs, recovers aspect labels from data-aspect attributes,
-// tokenizes with the given tokenizer, and resolves canonical links. The
+// and resolves canonical links. It does not tokenize: the page keeps tok
+// and tokenizes its text on the first read of its tokens (corpus.Page). The
 // entity assignment comes from the l2q-entity-id meta (fallback: the
 // provided default). The <h1> heading duplicates the title and is dropped.
 func ParsePage(src string, defaultEntity corpus.EntityID, tok *textproc.Tokenizer) *corpus.Page {
@@ -135,6 +136,9 @@ func ParsePage(src string, defaultEntity corpus.EntityID, tok *textproc.Tokenize
 		paras = append(paras, corpus.Paragraph{Text: text, Aspect: aspect})
 	}
 	p.SetParas(paras, tok)
+	if len(d.Links) > 0 {
+		p.Links = make([]corpus.PageID, 0, len(d.Links))
+	}
 	for _, href := range d.Links {
 		if id, ok := ParseHref(href); ok {
 			p.Links = append(p.Links, id)

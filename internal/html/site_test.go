@@ -73,9 +73,9 @@ func TestSiteRoundTrip(t *testing.T) {
 				t.Errorf("page %d para %d aspect = %q, want %q",
 					op.ID, i, gp.Paras[i].Aspect, op.Paras[i].Aspect)
 			}
-			if !reflect.DeepEqual(gp.Paras[i].Tokens, op.Paras[i].Tokens) {
+			if !reflect.DeepEqual(gp.ParaTokens(i), op.ParaTokens(i)) {
 				t.Errorf("page %d para %d tokens differ:\n got %v\nwant %v",
-					op.ID, i, gp.Paras[i].Tokens, op.Paras[i].Tokens)
+					op.ID, i, gp.ParaTokens(i), op.ParaTokens(i))
 			}
 		}
 	}

@@ -90,6 +90,14 @@ func TestMapDeterminismScope(t *testing.T) { testAnalyzer(t, MapDeterminism, "ma
 
 func TestErrEnvelope(t *testing.T) { testAnalyzer(t, ErrEnvelope, "errenvelope/webapi") }
 
+// TestParaTokens holds the rule and its scope: reads of the field outside
+// the corpus package are findings, construction and the corpus package's
+// own reads are not.
+func TestParaTokens(t *testing.T) {
+	testAnalyzer(t, ParaTokens, "paratokens/reader")
+	testAnalyzer(t, ParaTokens, "paratokens/corpus")
+}
+
 // TestMalformedIgnore: a directive without an analyzer and reason is
 // itself a finding of the pseudo-analyzer "l2qvet".
 func TestMalformedIgnore(t *testing.T) {

@@ -21,6 +21,9 @@
 //   - errenvelope: internal/webapi handlers fail through writeError's
 //     unified retryable-error envelope, never http.Error or a hand-rolled
 //     4xx/5xx (PR 6).
+//   - paratokens: nothing outside internal/corpus reads
+//     corpus.Paragraph.Tokens; a paragraph's tokens are read through its
+//     page, which tokenizes once on first read.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) so the analyzers port mechanically if that
@@ -99,7 +102,7 @@ func (d Diagnostic) String() string {
 
 // Analyzers returns the full l2qvet suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{PoolPut, CtxBG, MapDeterminism, AppendTwin, ErrEnvelope}
+	return []*Analyzer{PoolPut, CtxBG, MapDeterminism, AppendTwin, ErrEnvelope, ParaTokens}
 }
 
 // ByName resolves a comma-separated analyzer list ("" = the whole suite).

@@ -90,38 +90,45 @@ func (idx *Index) listFor(t textproc.Token) postingList {
 // ranking are broken by that order, keeping results deterministic. It is
 // the only function that counts terms: every index over pages, from a live
 // engine's memtable to the whole served corpus, comes from this one serial
-// loop, so an index's layout depends on its pages alone — lists are
-// numbered in order of first occurrence. Documents arrive in ascending
-// order, so a token's open posting is always its list's last: counting
-// needs one dictionary probe per occurrence and no per-document histogram.
-// A parallel count, if one is ever wanted, is chosen in here from
-// len(pages) and justified on the benchmark's setup_s, never by an option
-// (DESIGN.md "One layout, one builder" has the measurement that removed
-// the last one).
-func BuildIndex(pages []*corpus.Page) *Index {
+// pass, so an index's layout depends on its pages alone — lists are
+// numbered in order of first occurrence. The pass is corpus.Scan: it reads
+// each page's tokens once and keeps none of them, so indexing a page that
+// has not been tokenized leaves it untokenized and the index holds
+// postings only. also are further visitors that ride the same pass and see
+// the same tokens (a boot that trains classifiers as it indexes, so no
+// page is tokenized twice). A parallel count, if one is ever wanted, is
+// chosen in here from len(pages) and justified on the benchmark's setup_s,
+// never by an option (DESIGN.md "One layout, one builder" has the
+// measurement that removed the last one).
+func BuildIndex(pages []*corpus.Page, also ...corpus.ParaVisitor) *Index {
 	idx := newIndex(pages, 0)
-	for di, p := range pages {
-		toks := p.Tokens()
-		idx.docLen[di] = len(toks)
-		for _, t := range toks {
-			i, ok := idx.terms[t]
-			if !ok {
-				i = int32(len(idx.lists))
-				idx.terms[t] = i
-				idx.lists = append(idx.lists, postingList{})
-			}
-			pl := &idx.lists[i]
-			if n := len(pl.posts); n == 0 || pl.posts[n-1].doc != int32(di) {
-				pl.posts = append(pl.posts, posting{doc: int32(di)})
-			}
-			last := &pl.posts[len(pl.posts)-1]
-			last.tf++
-			pl.maxTf = max(pl.maxTf, last.tf)
-			pl.collFreq++
-		}
-	}
+	corpus.Scan(pages, append([]corpus.ParaVisitor{idx.count}, also...)...)
 	idx.sumDocLens()
 	return idx
+}
+
+// count adds one paragraph of document doc to the postings. Documents
+// arrive in ascending order, so a token's open posting is always its
+// list's last: counting needs one dictionary probe per occurrence and no
+// per-document histogram.
+func (idx *Index) count(doc int, _ *corpus.Page, _ int, toks []textproc.Token) {
+	idx.docLen[doc] += len(toks)
+	for _, t := range toks {
+		i, ok := idx.terms[t]
+		if !ok {
+			i = int32(len(idx.lists))
+			idx.terms[t] = i
+			idx.lists = append(idx.lists, postingList{})
+		}
+		pl := &idx.lists[i]
+		if n := len(pl.posts); n == 0 || pl.posts[n-1].doc != int32(doc) {
+			pl.posts = append(pl.posts, posting{doc: int32(doc)})
+		}
+		last := &pl.posts[len(pl.posts)-1]
+		last.tf++
+		pl.maxTf = max(pl.maxTf, last.tf)
+		pl.collFreq++
+	}
 }
 
 // NumDocs returns the number of indexed pages.

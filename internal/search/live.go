@@ -217,7 +217,10 @@ func (le *LiveEngine) publishLocked() {
 // rebuilt once per call (batching amortizes the serial rebuild), seals
 // automatically at MemtableDocs, and the background compactor is kicked
 // when a merge candidate appears. Concurrent Add calls serialize; their
-// relative order is the ingest order parity is defined over.
+// relative order is the ingest order parity is defined over. Add reads
+// each page's tokens through Page.Tokens, so an added page keeps them for
+// the memtable rebuilds that follow; a caller that wants the tokenizing
+// done outside the writer lock calls Tokens on its pages first.
 func (le *LiveEngine) Add(pages ...*corpus.Page) {
 	if len(pages) == 0 {
 		return

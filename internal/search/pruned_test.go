@@ -32,7 +32,7 @@ func tinyCorpus(rng *rand.Rand, n int, firstID corpus.PageID) []*corpus.Page {
 		id := firstID + corpus.PageID(len(pages))
 		if len(pages) > 0 && rng.IntN(3) == 0 {
 			src := pages[rng.IntN(len(pages))]
-			pages = append(pages, page(id, 0, src.Paras[0].Tokens...))
+			pages = append(pages, page(id, 0, src.ParaTokens(0)...))
 			continue
 		}
 		var words []string

@@ -32,7 +32,7 @@ var pinnedFiles = sync.OnceValues(func() (map[string][]byte, error) {
 		return nil, err
 	}
 	c := g.Corpus
-	art, err := NewDomainLearner(c, g.Tokenizer, types.NewRegexRecognizer(), nil).Artifact()
+	art, err := NewDomainLearner(c, g.Tokenizer, types.NewRegexRecognizer(), nil, nil).Artifact()
 	if err != nil {
 		return nil, err
 	}

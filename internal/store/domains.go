@@ -106,30 +106,34 @@ type DomainLearner struct {
 // Learn returns. Aspects it does not cover get classifiers trained here
 // and models learned on first use, so an artifact built before a corpus
 // gained an aspect degrades to lazy learning instead of silently
-// disabling the aspect.
+// disabling the aspect. counts, when non-nil, are c's label counts taken
+// in a pass that already read the pages (a boot's index build,
+// search.BuildIndex's also), which the classifiers are derived from; nil
+// counts the corpus here if a classifier has to be trained.
 func NewDomainLearner(c *corpus.Corpus, tok *textproc.Tokenizer,
-	rec types.Recognizer, art *DomainArtifact) *DomainLearner {
+	rec types.Recognizer, art *DomainArtifact, counts *classify.LabelCounts) *DomainLearner {
 
 	aspects := c.Aspects()
-	var cls *classify.Set
+	cls := classify.NewSet(nil)
 	var loaded []*core.DomainModel
 	if art != nil {
-		cls, loaded = art.ClassifierSet(), art.Models
-	}
-	if cls == nil {
-		cls = classify.TrainSet(aspects, c.Pages)
-	} else {
-		var missing []corpus.Aspect
-		for _, a := range aspects {
-			if !cls.Has(a) {
-				missing = append(missing, a)
-			}
+		if s := art.ClassifierSet(); s != nil {
+			cls = s
 		}
-		if len(missing) > 0 {
-			fresh := classify.TrainSet(missing, c.Pages)
-			for a, cl := range fresh.ByAspect {
-				cls.ByAspect[a] = cl
-			}
+		loaded = art.Models
+	}
+	var missing []corpus.Aspect
+	for _, a := range aspects {
+		if !cls.Has(a) {
+			missing = append(missing, a)
+		}
+	}
+	if len(missing) > 0 {
+		if counts == nil {
+			counts = classify.CountLabels(c.Pages)
+		}
+		for a, cl := range counts.TrainSet(missing).ByAspect {
+			cls.ByAspect[a] = cl
 		}
 	}
 	var usable []corpus.Aspect

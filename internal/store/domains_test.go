@@ -148,7 +148,7 @@ func TestDomainsUnsolvedEncodesSolved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	learned, err := NewDomainLearner(g.Corpus, g.Tokenizer, types.NewRegexRecognizer(), nil).Artifact()
+	learned, err := NewDomainLearner(g.Corpus, g.Tokenizer, types.NewRegexRecognizer(), nil, nil).Artifact()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,13 +177,13 @@ func TestDomainLearnerServesTheArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := types.NewRegexRecognizer()
-	full, err := NewDomainLearner(g.Corpus, g.Tokenizer, rec, nil).Artifact()
+	full, err := NewDomainLearner(g.Corpus, g.Tokenizer, rec, nil, nil).Artifact()
 	if err != nil {
 		t.Fatal(err)
 	}
 	last := len(full.Models) - 1
 	partial := &DomainArtifact{Models: full.Models[:last], Classifiers: full.Classifiers}
-	ln := NewDomainLearner(g.Corpus, g.Tokenizer, rec, partial)
+	ln := NewDomainLearner(g.Corpus, g.Tokenizer, rec, partial, nil)
 	for _, dm := range partial.Models {
 		if got, err := ln.Learn(dm.Aspect); err != nil || got != dm {
 			t.Errorf("aspect %s: Learn returned %p, %v; want the artifact's model %p", dm.Aspect, got, err, dm)

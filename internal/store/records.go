@@ -76,6 +76,7 @@ func encodePages(e *Enc, c *corpus.Corpus, dict *dictionary) {
 	}
 
 	e.Uvarint(uint64(len(c.Pages)))
+	var buf []textproc.Token
 	for _, p := range c.Pages {
 		e.Varint(int64(p.ID))
 		e.Varint(int64(p.Entity))
@@ -86,8 +87,9 @@ func encodePages(e *Enc, c *corpus.Corpus, dict *dictionary) {
 			para := &p.Paras[i]
 			e.Uvarint(aspectID[para.Aspect])
 			e.Str(para.Text)
-			e.Uvarint(uint64(len(para.Tokens)))
-			for _, t := range para.Tokens {
+			toks := p.ScanParaTokens(i, &buf)
+			e.Uvarint(uint64(len(toks)))
+			for _, t := range toks {
 				e.Uvarint(dict.id(t))
 			}
 		}

@@ -49,9 +49,10 @@ func Save(w io.Writer, c *corpus.Corpus, idx *search.Index) error {
 	// The dictionary holds every term the file writes: the pages' tokens
 	// and, should a restored index name a term no page holds, that term.
 	dict := buildDictionary(func(emit func(textproc.Token)) {
+		var buf []textproc.Token
 		for _, p := range c.Pages {
 			for i := range p.Paras {
-				for _, t := range p.Paras[i].Tokens {
+				for _, t := range p.ScanParaTokens(i, &buf) {
 					emit(t)
 				}
 			}

@@ -195,7 +195,7 @@ func assertCorpusEqual(t *testing.T, want, got *corpus.Corpus) {
 		}
 		for j := range wp.Paras {
 			w, g := &wp.Paras[j], &gp.Paras[j]
-			if w.Text != g.Text || w.Aspect != g.Aspect || !reflect.DeepEqual(w.Tokens, g.Tokens) {
+			if w.Text != g.Text || w.Aspect != g.Aspect || !reflect.DeepEqual(wp.ParaTokens(j), gp.ParaTokens(j)) {
 				t.Fatalf("page %d para %d differs", i, j)
 			}
 		}
@@ -297,8 +297,8 @@ func TestLoadKeepPredicate(t *testing.T) {
 	// The dictionary's tokenizer re-tokenizes page text to the stored tokens.
 	for _, p := range b.Corpus.Pages[:10] {
 		for i := range p.Paras {
-			if got := b.Tokenizer.Tokenize(p.Paras[i].Text); !reflect.DeepEqual(got, p.Paras[i].Tokens) {
-				t.Fatalf("page %d para %d: store tokenizer gives %v, stored %v", p.ID, i, got, p.Paras[i].Tokens)
+			if got := b.Tokenizer.Tokenize(p.Paras[i].Text); !reflect.DeepEqual(got, p.ParaTokens(i)) {
+				t.Fatalf("page %d para %d: store tokenizer gives %v, stored %v", p.ID, i, got, p.ParaTokens(i))
 			}
 		}
 	}

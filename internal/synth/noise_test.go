@@ -52,7 +52,7 @@ func TestIndicatorBleed(t *testing.T) {
 			if p.Paras[i].Aspect != AspTeaching {
 				continue
 			}
-			for _, tok := range p.Paras[i].Tokens {
+			for _, tok := range p.ParaTokens(i) {
 				if tok == "research" {
 					bleed++
 				}
@@ -78,7 +78,7 @@ func TestSynonymSplit(t *testing.T) {
 				continue
 			}
 			total++
-			for _, tok := range p.Paras[i].Tokens {
+			for _, tok := range p.ParaTokens(i) {
 				if tok == "research" {
 					with++
 					break

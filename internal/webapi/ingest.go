@@ -166,6 +166,7 @@ func (b *localBackend) ingest(req IngestRequest) (IngestResponse, error) {
 			paras[j] = corpus.Paragraph{Text: para.Text, Aspect: corpus.Aspect(para.Aspect)}
 		}
 		p.SetParas(paras, b.tok)
+		p.Tokens() // tokenized here, once, not under the engine's writer lock
 		if err := b.corpus.AddPage(p); err != nil {
 			return resp, httpErrorf(http.StatusBadRequest, "%v", err)
 		}

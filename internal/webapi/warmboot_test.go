@@ -65,7 +65,7 @@ func TestHarvestWarmBoot(t *testing.T) {
 
 	warm := newHarvestFixture(t)
 	hb := warm.server.Harvest
-	hb.DomainModel = store.NewDomainLearner(warm.g.Corpus, warm.g.Tokenizer, warm.rec, loaded).Learn
+	hb.DomainModel = store.NewDomainLearner(warm.g.Corpus, warm.g.Tokenizer, warm.rec, loaded, nil).Learn
 	p, err := hb.Plan(req)
 	if err != nil {
 		t.Fatal(err)

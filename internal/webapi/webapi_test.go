@@ -108,7 +108,7 @@ func TestRemotePageFidelity(t *testing.T) {
 		if got.Paras[i].Aspect != orig.Paras[i].Aspect {
 			t.Errorf("para %d aspect %q, want %q", i, got.Paras[i].Aspect, orig.Paras[i].Aspect)
 		}
-		if !reflect.DeepEqual(got.Paras[i].Tokens, orig.Paras[i].Tokens) {
+		if !reflect.DeepEqual(got.ParaTokens(i), orig.ParaTokens(i)) {
 			t.Errorf("para %d tokens differ", i)
 		}
 	}

@@ -232,7 +232,11 @@ func NewSystem(c *Corpus, kb *Dictionary, aspects []Aspect,
 	}
 	cfg := core.DefaultConfig()
 	cfg.Tokenizer = tok
-	cls := classify.TrainSet(aspects, c.Pages)
+	// One pass over the corpus builds the index and counts the
+	// classifiers' labels: each page is tokenized once and left untokenized.
+	counts := classify.NewLabelCounts()
+	engine := search.NewEngine(search.BuildIndex(c.Pages, counts.Add))
+	cls := counts.TrainSet(aspects)
 	for _, a := range aspects {
 		if !cls.Has(a) {
 			return nil, fmt.Errorf("l2q: aspect %s has no training signal in the corpus", a)
@@ -245,7 +249,7 @@ func NewSystem(c *Corpus, kb *Dictionary, aspects []Aspect,
 	return &System{
 		cfg:     cfg,
 		corpus:  c,
-		engine:  search.NewEngine(search.BuildIndex(c.Pages)),
+		engine:  engine,
 		cls:     cls,
 		rec:     rec,
 		aspects: aspects,

@@ -165,7 +165,7 @@ func TestHarvestBackendLearnsTheServingProtocol(t *testing.T) {
 	for _, d := range []Domain{Researchers, Cars} {
 		sys := testSystem(t, d)
 		backend := sys.HarvestBackend()
-		learner := store.NewDomainLearner(sys.Corpus(), sys.Tokenizer(), sys.rec, nil)
+		learner := store.NewDomainLearner(sys.Corpus(), sys.Tokenizer(), sys.rec, nil, nil)
 		for _, a := range sys.Aspects() {
 			got, err := backend.DomainModel(a)
 			if err != nil {

@@ -51,8 +51,8 @@ ceiling() {
 	BenchmarkMarshalFrameAllocs/distinct/search5pages) echo 2 ;; # same for a five-page search
 	BenchmarkOpenFrameAllocs/search5pages) echo 18 ;; # opening a gzipped five-page frame: the reader over the payload, the inflated payload sized once from the member's length trailer, and 16 Huffman link tables inside compress/flate; 23 when io.ReadAll grew the payload from 512 bytes
 	BenchmarkDecodeSearchPagesAllocs/hit) echo 1 ;;   # a client's decode of a five-page search frame it has decoded before in its scope: the copied hit list; the memo key lives on the stack (237 when every frame was inflated and parsed again)
-	BenchmarkDecodeSearchPagesAllocs/miss) echo 237 ;; # the decode the memo saves: the opened frame (18), the hit list and its strings, five parsed pages at ParsePage's 41 and their URLs, the pages slice sized once, and the insert's key string (239 with an LRU's list element and entry per insert)
-	BenchmarkParsePageAllocs) echo 41 ;;              # a client's cost per downloaded page, Tokens() included: 137 when each paragraph had its own append-grown slice and Tokens() concatenated them, 97 with one exactly-sized array per page, 74 once whitespace-only and normalized text runs stopped being rebuilt, 41 with raw-text ends found in place, one reused attribute buffer and one-run paragraphs kept as substrings of the page
+	BenchmarkDecodeSearchPagesAllocs/miss) echo 222 ;; # the decode the memo saves: the opened frame (18), the hit list and its strings, five parsed pages at ParsePage's 38 (not tokenized: a page tokenizes on its first read) and their URLs, the pages slice sized once, and the insert's key string (237 when ParsePage tokenized and grew each page's links; 239 with an LRU's list element and entry per insert)
+	BenchmarkParsePageAllocs) echo 41 ;;              # a client's cost per downloaded page, Tokens() included: ParsePage's 38 (it keeps text only; the links slice sized once) and the first read's token array, paragraph ends and their holder. 137 when each paragraph had its own append-grown slice and Tokens() concatenated them, 97 with one exactly-sized array per page, 74 once whitespace-only and normalized text runs stopped being rebuilt, 41 with raw-text ends found in place, one reused attribute buffer and one-run paragraphs kept as substrings of the page
 	BenchmarkRenderPageAllocs) echo 0 ;;              # a server's cost per served page: AppendPage into a reused buffer (RenderPage adds only its string; 24 allocs when it went through fmt)
 	*) echo "" ;;
 	esac
