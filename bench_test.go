@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"l2q"
 	"l2q/internal/classify"
 	"l2q/internal/core"
 	"l2q/internal/eval"
@@ -298,6 +299,60 @@ func BenchmarkTokenize(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			dst = tok.AppendTokens(dst[:0], text)
+		}
+	})
+}
+
+// BenchmarkColdStart is the set-up layer table of a harvesting client at
+// paper scale (996 researchers × 50 pages, seed 2016), in the order a
+// client pays for it:
+//
+//	generate  synth.Generate: entities, page text and links
+//	scan      the one pass over the corpus that builds the index and
+//	          counts the classifiers' labels, then trains the classifiers
+//	learn     the domain phase of all seven aspects over the first 24
+//	          entities (System.LearnDomain, fixpoints left unsolved), on a
+//	          fresh System whose pages hold no tokens, as a client's are
+//
+// Run it with -benchtime=Nx: learn builds its System outside the timer.
+func BenchmarkColdStart(b *testing.B) {
+	cfg := synth.DefaultConfig(synth.DomainResearchers)
+	b.Run("generate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := synth.Generate(cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("scan", func(b *testing.B) {
+		g, err := synth.Generate(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			counts := classify.NewLabelCounts()
+			search.NewEngine(search.BuildIndex(g.Corpus.Pages, counts.Add))
+			counts.TrainSet(g.Aspects)
+		}
+	})
+	b.Run("learn", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			sys, err := l2q.NewSyntheticSystem(l2q.Researchers, l2q.SystemOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ids := sys.EntityIDs()[:24]
+			b.StartTimer()
+			for _, a := range sys.Aspects() {
+				if _, err := sys.LearnDomain(a, ids); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 	})
 }

@@ -1,6 +1,12 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"l2q/internal/corpus"
+	"l2q/internal/synth"
+	"l2q/internal/types"
+)
 
 // BenchmarkCandidateAllocs is the candidate-pool allocation trajectory
 // the CI gate (scripts/alloc_gate.sh) pins. It measures CandidatesAppend
@@ -101,5 +107,38 @@ func BenchmarkHarvestJobAllocs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		job()
+	}
+}
+
+// BenchmarkDomainCountAllocs is the domain phase's counting pass the CI
+// gate pins: a fresh DomainSample over the first half of a TestConfig
+// researcher collection, counted (Queries) and nothing else. The pages
+// hold no tokens, as a server's do after boot.
+func BenchmarkDomainCountAllocs(b *testing.B) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Tokenizer = g.Tokenizer
+	rec := types.Chain{g.KB, types.NewRegexRecognizer()}
+	var ids []corpus.EntityID
+	for _, e := range g.Corpus.Entities[:g.Corpus.NumEntities()/2] {
+		ids = append(ids, e.ID)
+	}
+	count := func() {
+		s, err := NewDomainSample(cfg, g.Corpus, ids, nil, rec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(s.Queries()) == 0 {
+			b.Fatal("no domain queries")
+		}
+	}
+	count()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		count()
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"l2q/internal/corpus"
 	"l2q/internal/graph"
 	"l2q/internal/par"
+	"l2q/internal/template"
 	"l2q/internal/textproc"
 	"l2q/internal/types"
 )
@@ -254,37 +255,17 @@ func domainPages(c *corpus.Corpus, domainEntities []corpus.EntityID) []*corpus.P
 	return pages
 }
 
-// count is the counting pass (§IV-B): one serial sweep over each page's
-// memoized n-grams (corpus.Page.NGrams under MaxQueryLen and Stopwords),
-// which keeps the n-grams of two or more pages in sorted order and
-// records which of them each page contains.
+// count is the counting pass (§IV-B): one serial scan over the sample's
+// pages (countGrams), which keeps the n-grams of two or more pages in
+// sorted order and records which of them each page contains. Only the
+// kept n-grams are spelled out as strings.
 func (s *DomainSample) count() {
 	s.countOnce.Do(func() {
-		type gram struct {
-			q                string
-			pageDF, entityDF int
-			last             corpus.EntityID
+		c, ok := s.countGrams(false)
+		if !ok {
+			c, _ = s.countGrams(true)
 		}
-		index := make(map[string]int32)
-		var grams []gram
-		var occ []int32 // every page's n-grams as indexes into grams
-		offs := make([]int, len(s.pages)+1)
-		for i, p := range s.pages {
-			for _, q := range p.NGrams(MaxQueryLen, Stopwords) {
-				gi, ok := index[q]
-				if !ok {
-					gi = int32(len(grams))
-					index[q] = gi
-					grams = append(grams, gram{q: q, entityDF: 1, last: p.Entity})
-				} else if grams[gi].last != p.Entity {
-					grams[gi].entityDF++
-					grams[gi].last = p.Entity
-				}
-				grams[gi].pageDF++
-				occ = append(occ, gi)
-			}
-			offs[i+1] = len(occ)
-		}
+		grams, occ, offs := c.grams, c.occ, c.offs
 
 		var kept []int32
 		for gi := range grams {
@@ -292,17 +273,30 @@ func (s *DomainSample) count() {
 				kept = append(kept, int32(gi))
 			}
 		}
+		for _, gi := range kept {
+			c.spell(gi)
+		}
 		slices.SortFunc(kept, func(a, b int32) int { return strings.Compare(grams[a].q, grams[b].q) })
 		rank := make([]int32, len(grams))
 		for gi := range rank {
 			rank[gi] = -1
 		}
 		s.queries = make([]DomainQuery, len(kept))
+		var toks [textproc.MaxGramLen]textproc.Token
 		for r, gi := range kept {
 			rank[gi] = int32(r)
 			g := &grams[gi]
-			s.queries[r] = DomainQuery{Query: Query(g.q), Keys: computeFacts(s.cfg, s.rec, Query(g.q)).keys,
-				PageDF: g.pageDF, EntityDF: g.entityDF}
+			dq := DomainQuery{Query: Query(g.q), PageDF: g.pageDF, EntityDF: g.entityDF}
+			if s.rec != nil {
+				// A keyed gram's tokens are its query's tokens under the
+				// pages' tokenizer; under another they are tokenized again.
+				qt := c.tokens(gi, &toks)
+				if !c.keyed || c.tok != s.cfg.Tokenizer {
+					qt = s.cfg.QueryTokens(dq.Query)
+				}
+				dq.Keys = template.EnumerateKeys(qt, s.rec)
+			}
+			s.queries[r] = dq
 		}
 
 		// Keep each page's surviving n-grams, renumbered, in place.
@@ -319,6 +313,164 @@ func (s *DomainSample) count() {
 		s.edges, s.offs = slices.Clone(occ[:w]), offs
 		s.candidates = domainCandidates(s.queries, s.numEntities)
 	})
+}
+
+// gramCount is a sample's counting pass: the distinct n-grams, every
+// page's n-grams as indexes into them (page i's are occ[offs[i]:offs[i+1]])
+// and a token of each term of the count's vocabulary, by term index.
+// keyed says the grams were told apart by key alone, all from pages of
+// the one tokenizer tok.
+type gramCount struct {
+	grams []sampleGram
+	occ   []int32
+	offs  []int
+	terms []textproc.Token
+	keyed bool
+	tok   *textproc.Tokenizer
+}
+
+// sampleGram is one distinct n-gram of a count: its term ids, its string
+// once it has one, its page and entity counts, the entity of its last
+// page and the last page that counted it.
+type sampleGram struct {
+	key              textproc.GramKey
+	q                string
+	pageDF, entityDF int
+	last             corpus.EntityID
+	page             int
+}
+
+// tokens returns gram gi's tokens, in buf.
+func (c *gramCount) tokens(gi int32, buf *[textproc.MaxGramLen]textproc.Token) []textproc.Token {
+	key := c.grams[gi].key
+	n := key.Len()
+	for i, id := range key[:n] {
+		buf[i] = c.terms[id.Index()]
+	}
+	return buf[:n]
+}
+
+// spell sets gram gi's string from its tokens: one fresh string, never a
+// piece of a page.
+func (c *gramCount) spell(gi int32) {
+	if c.grams[gi].q != "" {
+		return
+	}
+	var buf [textproc.MaxGramLen]textproc.Token
+	toks := c.tokens(gi, &buf)
+	if len(toks) == 1 {
+		c.grams[gi].q = strings.Clone(toks[0])
+		return
+	}
+	c.grams[gi].q = textproc.JoinQuery(toks)
+}
+
+// countGrams enumerates each sample page's n-grams as term ids: the page's
+// whole token stream (paragraphs read through ScanParaTokens, so a page
+// that holds no tokens is tokenized into scratch and left as it was), its
+// ids under a vocabulary of the count's own, and every admissible window
+// (textproc.AppendGramWindows under MaxQueryLen and Stopwords) probed in a
+// gram-key table. A page counts each n-gram once, in first-appearance
+// order, as Page.NGrams lists them.
+//
+// A key stands for one string when every gram is canonical: its tokens
+// are the tokenization of its own string. Grams inside one paragraph of
+// pages a round-tripping tokenizer made are; a gram across a paragraph
+// boundary is checked when it is first met. byString keys the count by
+// string instead — each new key is spelled and looked up by its string,
+// and a second key with a known string is an alias of its gram — as it
+// must be when the pages do not share one round-tripping tokenizer. ok is
+// false when the key count met a gram that is not canonical; the count
+// then has to run again by string.
+func (s *DomainSample) countGrams(byString bool) (c *gramCount, ok bool) {
+	tok := s.pages[0].Tokenizer()
+	for _, p := range s.pages {
+		byString = byString || p.Tokenizer() != tok || !tok.RoundTrips()
+	}
+	vocab := textproc.NewVocabulary(Stopwords)
+	var (
+		index  gramMap[int32] // key → gram index + 1
+		strs   map[string]int32
+		toks   []textproc.Token
+		ends   []int
+		ids    []textproc.TermID
+		wins   []textproc.GramWindow
+		paraSc []textproc.Token
+		retok  []textproc.Token
+	)
+	if byString {
+		strs = make(map[string]int32)
+	}
+	gramCfg := textproc.IDGramConfig{MaxLen: MaxQueryLen}
+	c = &gramCount{offs: make([]int, len(s.pages)+1), keyed: !byString, tok: tok}
+	for i, p := range s.pages {
+		toks, ends = toks[:0], ends[:0]
+		for j := range p.Paras {
+			toks = append(toks, p.ScanParaTokens(j, &paraSc)...)
+			ends = append(ends, len(toks))
+		}
+		ids = vocab.AppendIDs(ids[:0], toks)
+		for j, id := range ids {
+			// The count's own vocabulary numbers terms densely in the
+			// order it first meets them.
+			if id.Index() == len(c.terms) {
+				c.terms = append(c.terms, toks[j])
+			}
+		}
+		wins = textproc.AppendGramWindows(wins[:0], ids, gramCfg)
+		for _, w := range wins {
+			gi := index.get(w.Key) - 1
+			if gi < 0 {
+				gram := toks[w.Start : int(w.Start)+w.Key.Len()]
+				var q string
+				if byString {
+					q = textproc.JoinQuery(gram)
+					if known, dup := strs[q]; dup {
+						gi = known
+					} else if len(gram) == 1 {
+						q = strings.Clone(q)
+					}
+				} else if crossesPara(ends, int(w.Start), len(gram)) {
+					retok = tok.AppendTokens(retok[:0], textproc.JoinQuery(gram))
+					if !slices.Equal(retok, gram) {
+						return nil, false
+					}
+				}
+				if gi < 0 {
+					gi = int32(len(c.grams))
+					if byString {
+						strs[q] = gi
+					}
+					c.grams = append(c.grams, sampleGram{key: w.Key, q: q, entityDF: 1, last: p.Entity, page: -1})
+				}
+				index.put(w.Key, gi+1)
+			}
+			g := &c.grams[gi]
+			if g.page == i {
+				continue
+			}
+			if g.last != p.Entity {
+				g.last = p.Entity
+				g.entityDF++
+			}
+			g.page = i
+			g.pageDF++
+			c.occ = append(c.occ, gi)
+		}
+		c.offs[i+1] = len(c.occ)
+	}
+	return c, true
+}
+
+// crossesPara reports whether the n tokens from start run across one of
+// the paragraph ends.
+func crossesPara(ends []int, start, n int) bool {
+	for _, e := range ends {
+		if start < e && e < start+n {
+			return true
+		}
+	}
+	return false
 }
 
 // domainCandidates is the §IV-C candidate pool: the surviving queries

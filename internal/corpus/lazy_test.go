@@ -6,6 +6,7 @@ import (
 
 	"l2q"
 	"l2q/internal/classify"
+	"l2q/internal/core"
 	"l2q/internal/corpus"
 	"l2q/internal/search"
 	"l2q/internal/store"
@@ -100,4 +101,35 @@ func TestBootLeavesPagesUntokenized(t *testing.T) {
 		t.Fatal(err)
 	}
 	untokenized("l2q.NewSystem", sys.Corpus().Pages)
+}
+
+// TestDomainCountLeavesPagesUntokenized: the domain phase's counting pass
+// reads every sample page once and keeps neither its tokens nor its
+// n-grams, so a server's first job on a new aspect does not leave the
+// sample's token arrays behind.
+func TestDomainCountLeavesPagesUntokenized(t *testing.T) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Tokenizer = g.Tokenizer
+	var ids []corpus.EntityID
+	for _, e := range g.Corpus.Entities[:12] {
+		ids = append(ids, e.ID)
+	}
+	s, err := core.NewDomainSample(cfg, g.Corpus, ids, nil, types.Chain{g.KB, types.NewRegexRecognizer()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Queries()) == 0 || len(s.Candidates()) == 0 {
+		t.Fatalf("count kept %d queries, %d candidates", len(s.Queries()), len(s.Candidates()))
+	}
+	for _, id := range ids {
+		for _, p := range g.Corpus.PagesOf(id) {
+			if p.HoldsTokens() || p.HoldsNGrams() {
+				t.Fatalf("page %d keeps its tokens (%v) or n-grams (%v) after the count", p.ID, p.HoldsTokens(), p.HoldsNGrams())
+			}
+		}
+	}
 }

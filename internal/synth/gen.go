@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
-	"sort"
+	"strconv"
 	"strings"
 
 	"l2q/internal/corpus"
@@ -132,49 +132,41 @@ func Generate(cfg Config) (*Generated, error) {
 
 	g := sp.resources()
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15))
+	gen, err := newGenerator(sp, rng)
+	if err != nil {
+		return nil, err
+	}
 
 	c := corpus.New(cfg.Domain)
 	nextPage := corpus.PageID(0)
-
-	// Sorted aspect list for deterministic weighted sampling.
-	allAspects := make([]corpus.Aspect, 0, len(sp.weights))
-	for a := range sp.weights {
-		allAspects = append(allAspects, a)
-	}
-	sort.Slice(allAspects, func(i, j int) bool { return allAspects[i] < allAspects[j] })
-	weightsVec := make([]float64, len(allAspects))
-	for i, a := range allAspects {
-		weightsVec[i] = sp.weights[a]
-	}
-
-	global := map[string][]string{"filler": sp.fillerPool}
-
 	for id := corpus.EntityID(0); int(id) < cfg.NumEntities; id++ {
 		prof := sp.newProfile(id, rng)
 		if err := c.AddEntity(prof.Entity); err != nil {
 			return nil, err
 		}
-		fill := newSlotFiller(prof, rng, global)
+		gen.f.setProfile(prof, &gen.names, gen.global)
 
 		for pi := 0; pi < cfg.PagesPerEntity; pi++ {
 			// The first len(aspects) pages cycle through the target
 			// aspects so every (entity, aspect) pair has at least one
 			// relevant page; the rest follow the skewed distribution.
-			var primary corpus.Aspect
-			if pi < len(sp.aspects) {
-				primary = sp.aspects[pi]
+			var primary int
+			if pi < len(gen.targets) {
+				primary = gen.targets[pi]
 			} else {
-				primary = allAspects[weightedIndex(rng, weightsVec)]
+				primary = weightedIndex(rng, gen.weights)
 			}
-			paras := genParas(primary, sp, fill, rng)
-			if cfg.Keep == nil || cfg.Keep(nextPage) {
+			keep := cfg.Keep == nil || cfg.Keep(nextPage)
+			gen.f.build = keep
+			gen.page(primary)
+			if keep {
 				page := &corpus.Page{
 					ID:     nextPage,
 					Entity: prof.Entity.ID,
-					URL:    fmt.Sprintf("http://www.site%03d.example.com/p%d", int(nextPage)%257, nextPage),
-					Title:  prof.Entity.Name + " " + strings.ToLower(string(primary)),
+					URL:    pageURL(nextPage),
+					Title:  prof.Entity.Name + gen.titles[primary],
 				}
-				page.SetParas(paras, g.Tokenizer)
+				page.SetParas(gen.paras(), g.Tokenizer)
 				if err := c.AddPage(page); err != nil {
 					return nil, err
 				}
@@ -187,6 +179,150 @@ func Generate(cfg Config) (*Generated, error) {
 
 	g.Corpus = c
 	return g, nil
+}
+
+// pageURL is a page's address: "http://www.site%03d.example.com/p%d" of
+// its ID modulo 257 and its ID.
+func pageURL(id corpus.PageID) string {
+	var arr [48]byte
+	b := append(arr[:0], "http://www.site"...)
+	b = appendPad3(b, int(id)%257)
+	b = append(b, ".example.com/p"...)
+	b = strconv.AppendInt(b, int64(id), 10)
+	return string(b)
+}
+
+// generator is one Generate call's text machinery: the spec's templates,
+// each parsed once, its aspects by index, and the filler that draws slot
+// values and writes the current page's text into one reused buffer.
+type generator struct {
+	aspects []corpus.Aspect // every weighted aspect, sorted: the order of the weighted draw
+	weights []float64
+	titles  []string     // aspect index → " " + the aspect in lower case, a title's suffix
+	targets []int        // the spec's target aspects as indexes
+	minors  [][]int      // aspect index → every other aspect's index, in order
+	grammar [][]template // by aspect index
+	filler  []template
+	anchor  template
+	names   slotNames
+	global  map[string][]string // pools for slots not bound per entity
+
+	f      filler
+	ends   []int // the current page's paragraph ends in f.buf
+	labels []corpus.Aspect
+}
+
+func newGenerator(sp *spec, rng *rand.Rand) (*generator, error) {
+	gen := &generator{
+		names:  slotNames{ids: make(map[string]int)},
+		global: map[string][]string{"filler": sp.fillerPool},
+		f:      filler{rng: rng},
+	}
+	for a := range sp.weights {
+		gen.aspects = append(gen.aspects, a)
+	}
+	slices.Sort(gen.aspects)
+	index := make(map[corpus.Aspect]int, len(gen.aspects))
+	for i, a := range gen.aspects {
+		index[a] = i
+		gen.weights = append(gen.weights, sp.weights[a])
+		gen.titles = append(gen.titles, " "+strings.ToLower(string(a)))
+		gen.grammar = append(gen.grammar, gen.names.parseAll(sp.grammar[a]))
+	}
+	for i := range gen.aspects {
+		others := make([]int, 0, len(gen.aspects)-1)
+		for j := range gen.aspects {
+			if j != i {
+				others = append(others, j)
+			}
+		}
+		gen.minors = append(gen.minors, others)
+	}
+	for _, a := range sp.aspects {
+		i, ok := index[a]
+		if !ok {
+			return nil, fmt.Errorf("synth: target aspect %s has no weight", a)
+		}
+		gen.targets = append(gen.targets, i)
+	}
+	gen.filler = gen.names.parseAll(sp.filler)
+	gen.anchor = gen.names.parse(sp.anchorTmpl)
+	return gen, nil
+}
+
+// page draws one page's paragraphs: an anchor paragraph carrying the seed
+// tokens, a majority of primary-aspect paragraphs, minor-aspect
+// paragraphs of other aspects, and one generic filler paragraph. With
+// f.build set it writes their text into f.buf, one after another, and
+// records where each ends; without it it makes the same draws and writes
+// nothing.
+func (gen *generator) page(primary int) {
+	f, rng := &gen.f, gen.f.rng
+	f.buf, gen.ends, gen.labels = f.buf[:0], gen.ends[:0], gen.labels[:0]
+	nBody := 4 + rng.IntN(4)          // 4..7 body paragraphs
+	nPrimary := max((nBody*3+4)/5, 2) // ~60%, at least 3 of 4
+
+	// Anchor paragraph: guarantees the seed query matches every page of
+	// its entity (real pages about an entity mention the entity).
+	f.sentence(&gen.anchor)
+	gen.endPara("")
+
+	for i := 0; i < nPrimary; i++ {
+		gen.paragraph(gen.grammar[primary])
+		gen.endPara(gen.aspects[primary])
+	}
+
+	minors := gen.minors[primary]
+	for i := nPrimary; i < nBody-1; i++ {
+		minor := minors[rng.IntN(len(minors))]
+		gen.paragraph(gen.grammar[minor])
+		gen.endPara(gen.aspects[minor])
+	}
+
+	f.sentence(&gen.filler[rng.IntN(len(gen.filler))])
+	gen.endPara("")
+}
+
+// paragraph draws 2–3 sentences of one aspect, occasionally followed by a
+// filler sentence so aspects are not trivially separable, joined by ". "
+// and closed by ".".
+func (gen *generator) paragraph(templates []template) {
+	f, rng := &gen.f, gen.f.rng
+	n := 2 + rng.IntN(2)
+	for i := 0; i < n; i++ {
+		if i > 0 && f.build {
+			f.buf = append(f.buf, ". "...)
+		}
+		f.sentence(&templates[rng.IntN(len(templates))])
+	}
+	if rng.Float64() < 0.25 {
+		if f.build {
+			f.buf = append(f.buf, ". "...)
+		}
+		f.sentence(&gen.filler[rng.IntN(len(gen.filler))])
+	}
+	if f.build {
+		f.buf = append(f.buf, '.')
+	}
+}
+
+func (gen *generator) endPara(label corpus.Aspect) {
+	gen.ends = append(gen.ends, len(gen.f.buf))
+	gen.labels = append(gen.labels, label)
+}
+
+// paras copies the built page's text out of the buffer into one string
+// of exactly its length, and returns its paragraphs as substrings of it:
+// the buffer's spare capacity never stays reachable from a page.
+func (gen *generator) paras() []corpus.Paragraph {
+	text := string(gen.f.buf)
+	paras := make([]corpus.Paragraph, len(gen.ends))
+	start := 0
+	for i, end := range gen.ends {
+		paras[i] = corpus.Paragraph{Text: text[start:end], Aspect: gen.labels[i]}
+		start = end
+	}
+	return paras
 }
 
 // linkPages wires a hyperlink graph over the corpus, giving the link-based
@@ -233,65 +369,6 @@ func linkPages(c *corpus.Corpus, cfg Config, rng *rand.Rand) {
 			kept = kept[1:]
 		}
 	}
-}
-
-// genParas draws one page's paragraphs (text and label, no tokens): an
-// anchor paragraph carrying the seed tokens, a majority of primary-aspect
-// paragraphs, one minor-aspect paragraph, and one generic filler paragraph.
-func genParas(primary corpus.Aspect, sp *spec, fill *slotFiller, rng *rand.Rand) []corpus.Paragraph {
-	nBody := 4 + rng.IntN(4)      // 4..7 body paragraphs
-	nPrimary := (nBody*3 + 4) / 5 // ~60%, at least 3 of 4
-	if nPrimary < 2 {
-		nPrimary = 2
-	}
-
-	paras := make([]corpus.Paragraph, 0, nBody+1)
-	addPara := func(aspect corpus.Aspect, text string) {
-		paras = append(paras, corpus.Paragraph{Text: text, Aspect: aspect})
-	}
-
-	// Anchor paragraph: guarantees the seed query matches every page of
-	// its entity (real pages about an entity mention the entity).
-	fill.reset()
-	addPara("", expand(sp.anchorTmpl, fill.fill))
-
-	for i := 0; i < nPrimary; i++ {
-		addPara(primary, genParagraph(sp.grammar[primary], sp.filler, fill, rng))
-	}
-
-	// One minor-aspect paragraph (a different aspect), one filler.
-	minorPool := make([]corpus.Aspect, 0, len(sp.weights))
-	for a := range sp.weights {
-		if a != primary {
-			minorPool = append(minorPool, a)
-		}
-	}
-	sort.Slice(minorPool, func(i, j int) bool { return minorPool[i] < minorPool[j] })
-	for i := nPrimary; i < nBody-1; i++ {
-		minor := minorPool[rng.IntN(len(minorPool))]
-		addPara(minor, genParagraph(sp.grammar[minor], sp.filler, fill, rng))
-	}
-
-	fill.reset()
-	addPara("", expand(pick(rng, sp.filler), fill.fill))
-
-	return paras
-}
-
-// genParagraph produces 2–3 sentences of one aspect, occasionally followed
-// by a filler sentence so aspects are not trivially separable.
-func genParagraph(templates, filler []string, fill *slotFiller, rng *rand.Rand) string {
-	n := 2 + rng.IntN(2)
-	sents := make([]string, 0, n+1)
-	for i := 0; i < n; i++ {
-		fill.reset()
-		sents = append(sents, expand(pick(rng, templates), fill.fill))
-	}
-	if rng.Float64() < 0.25 {
-		fill.reset()
-		sents = append(sents, expand(pick(rng, filler), fill.fill))
-	}
-	return strings.Join(sents, ". ") + "."
 }
 
 // TargetAspects returns the evaluated aspects of a domain (Fig. 9).

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"l2q/internal/corpus"
 	"l2q/internal/search"
@@ -170,8 +171,11 @@ func TestExpandUnknownSlotPanics(t *testing.T) {
 	}()
 	rng := rand.New(rand.NewPCG(1, 1))
 	prof := newResearcherProfile(0, rng)
-	f := newSlotFiller(prof, rng, nil)
-	expand("{nosuchslot}", f.fill)
+	names := slotNames{ids: make(map[string]int)}
+	tmpl := names.parse("{nosuchslot}")
+	f := filler{rng: rng, build: true}
+	f.setProfile(prof, &names, nil)
+	f.sentence(&tmpl)
 }
 
 func TestGenerateRejectsBadConfig(t *testing.T) {
@@ -254,6 +258,37 @@ func TestGenerateKeepMatchesFull(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.KB, full.KB) || !reflect.DeepEqual(got.Lexicon, full.Lexicon) {
 				t.Errorf("%s/%s: KB or lexicon differs", domain, name)
+			}
+		}
+	}
+}
+
+// BenchmarkGenerateAllocs is the generator's allocation count the CI gate
+// (scripts/alloc_gate.sh) pins: one TestConfig researcher collection,
+// entities, pages, text and links, nothing tokenized.
+func BenchmarkGenerateAllocs(b *testing.B) {
+	cfg := TestConfig(DomainResearchers)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestPageTextOneString: a generated page's paragraphs are consecutive
+// pieces of one string, copied out of the generator's buffer at its
+// length, so no buffer capacity stays reachable from a page.
+func TestPageTextOneString(t *testing.T) {
+	g, err := Generate(TestConfig(DomainCars))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range g.Corpus.Pages {
+		for i := 1; i < len(p.Paras); i++ {
+			prev, cur := p.Paras[i-1].Text, p.Paras[i].Text
+			if unsafe.Pointer(unsafe.StringData(cur)) != unsafe.Add(unsafe.Pointer(unsafe.StringData(prev)), len(prev)) {
+				t.Fatalf("page %d: paragraph %d does not follow paragraph %d in one string", p.ID, i, i-1)
 			}
 		}
 	}

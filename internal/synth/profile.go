@@ -3,6 +3,7 @@ package synth
 import (
 	"fmt"
 	"math/rand/v2"
+	"strconv"
 	"strings"
 
 	"l2q/internal/corpus"
@@ -18,99 +19,214 @@ type Profile struct {
 	Fields map[string][]string
 }
 
-// fieldValues returns the values of a slot, or nil.
-func (p *Profile) fieldValues(name string) []string { return p.Fields[name] }
+// slotKind is how a {placeholder} draws its value: from a pool of strings
+// (an entity's profile field, else a domain-wide pool) or as a number.
+type slotKind uint8
 
-// slotFiller resolves {placeholder} keys during sentence expansion.
-// Placeholders ending in a digit ("topic2") request a value distinct from
-// the base placeholder's last pick within the same sentence when possible.
-type slotFiller struct {
-	profile *Profile
-	rng     *rand.Rand
-	global  map[string][]string // pools for slots not bound per entity
-	last    map[string]string   // base slot → last value used in sentence
+const (
+	slotPool slotKind = iota
+	slotYear
+	slotUniqueID
+	slotRating
+	slotMoney
+	slotNumber
+)
+
+// slot is one parsed {placeholder}. A key ending in a digit ("topic2")
+// names its base slot ("topic") and asks for a value distinct from the
+// base slot's last pick within the same sentence when possible.
+type slot struct {
+	kind     slotKind
+	id       int // slotPool: the base slot's id
+	distinct bool
+	key      string // as written, for the unknown-slot panic
 }
 
-func newSlotFiller(p *Profile, rng *rand.Rand, global map[string][]string) *slotFiller {
-	return &slotFiller{profile: p, rng: rng, global: global, last: make(map[string]string)}
+// segment is a template's literal text up to a placeholder, and the
+// placeholder.
+type segment struct {
+	lit  string
+	slot slot
 }
 
-// reset clears per-sentence distinctness state.
-func (f *slotFiller) reset() {
-	for k := range f.last {
-		delete(f.last, k)
+// template is a sentence template parsed once: its segments, then the
+// literal text after the last placeholder. A brace without its closing
+// partner is literal text.
+type template struct {
+	segs []segment
+	tail string
+}
+
+// slotNames gives every pool slot a templates reference an id, in order
+// of first reference.
+type slotNames struct {
+	ids   map[string]int
+	names []string
+}
+
+// parse splits tmpl into literal and slot segments.
+func (sn *slotNames) parse(tmpl string) template {
+	var t template
+	i := 0
+	for {
+		open := strings.IndexByte(tmpl[i:], '{')
+		if open < 0 {
+			break
+		}
+		end := strings.IndexByte(tmpl[i+open:], '}')
+		if end < 0 {
+			break
+		}
+		key := tmpl[i+open+1 : i+open+end]
+		t.segs = append(t.segs, segment{lit: tmpl[i : i+open], slot: sn.slot(key)})
+		i += open + end + 1
 	}
+	t.tail = tmpl[i:]
+	return t
 }
 
-// fill resolves a placeholder key to a concrete string. Unknown keys panic:
-// a grammar referencing a missing slot is a programmer error that tests
-// should catch immediately.
-func (f *slotFiller) fill(key string) string {
+func (sn *slotNames) parseAll(tmpls []string) []template {
+	out := make([]template, len(tmpls))
+	for i, s := range tmpls {
+		out[i] = sn.parse(s)
+	}
+	return out
+}
+
+// slot resolves a placeholder key.
+func (sn *slotNames) slot(key string) slot {
+	s := slot{key: key}
 	base := key
-	wantDistinct := false
 	if n := len(key); n > 0 && key[n-1] >= '2' && key[n-1] <= '9' {
-		base = key[:n-1]
-		wantDistinct = true
+		base, s.distinct = key[:n-1], true
 	}
-
 	switch base {
 	case "year":
-		v := fmt.Sprintf("%d", 1980+f.rng.IntN(36))
-		f.last[base] = v
-		return v
+		s.kind = slotYear
 	case "uniqueid":
+		s.kind = slotUniqueID
+	case "rating":
+		s.kind = slotRating
+	case "money":
+		s.kind = slotMoney
+	case "number":
+		s.kind = slotNumber
+	default:
+		id, ok := sn.ids[base]
+		if !ok {
+			id = len(sn.names)
+			sn.ids[base] = id
+			sn.names = append(sn.names, base)
+		}
+		s.id = id
+	}
+	return s
+}
+
+// filler draws slot values. It holds the current entity's pools by slot
+// id and the per-sentence distinctness state; with build set it appends
+// each value to buf, without it it only makes the draws — the same draws,
+// distinctness comparisons included.
+type filler struct {
+	rng   *rand.Rand
+	pools [][]string // slot id → the entity's field, else the global pool
+	last  []string   // slot id → last value drawn in the sentence
+	buf   []byte
+	build bool
+}
+
+// setProfile binds the pools of the entity whose pages come next.
+func (f *filler) setProfile(p *Profile, sn *slotNames, global map[string][]string) {
+	f.pools = f.pools[:0]
+	for _, name := range sn.names {
+		pool := p.Fields[name]
+		if pool == nil {
+			pool = global[name]
+		}
+		f.pools = append(f.pools, pool)
+	}
+	if len(f.last) < len(sn.names) {
+		f.last = make([]string, len(sn.names))
+	}
+}
+
+// sentence expands one template, starting a new sentence's distinctness
+// state.
+func (f *filler) sentence(t *template) {
+	clear(f.last)
+	for i := range t.segs {
+		if f.build {
+			f.buf = append(f.buf, t.segs[i].lit...)
+		}
+		f.fill(&t.segs[i].slot)
+	}
+	if f.build {
+		f.buf = append(f.buf, t.tail...)
+	}
+}
+
+// fill draws one slot's value. An unknown pool slot panics: a grammar
+// referencing a missing slot is a programmer error that tests should
+// catch immediately.
+func (f *filler) fill(s *slot) {
+	switch s.kind {
+	case slotYear:
+		v := 1980 + f.rng.IntN(36)
+		if f.build {
+			f.buf = strconv.AppendInt(f.buf, int64(v), 10)
+		}
+	case slotUniqueID:
 		// A page-local junk token (document ids, cache-buster strings).
 		// On the real web such tokens occur on a single page only, so a
 		// query containing one retrieves nothing new; they exist to
 		// make unguided query selection (RND) pay a realistic price.
-		return fmt.Sprintf("x%06x", f.rng.IntN(1<<24))
-	case "rating":
-		return fmt.Sprintf("%d", 6+f.rng.IntN(4))
-	case "money":
-		return fmt.Sprintf("$%d,%03d", 18+f.rng.IntN(60), f.rng.IntN(10)*100)
-	case "number":
-		return fmt.Sprintf("%d", 1+f.rng.IntN(500))
-	}
-
-	pool := f.profile.fieldValues(base)
-	if pool == nil {
-		pool = f.global[base]
-	}
-	if len(pool) == 0 {
-		panic(fmt.Sprintf("synth: grammar references unknown slot %q", key))
-	}
-	v := pool[f.rng.IntN(len(pool))]
-	if wantDistinct && len(pool) > 1 {
-		for tries := 0; tries < 4 && v == f.last[base]; tries++ {
-			v = pool[f.rng.IntN(len(pool))]
+		v := f.rng.IntN(1 << 24)
+		if f.build {
+			f.buf = append(f.buf, 'x')
+			for shift := 20; shift >= 0; shift -= 4 {
+				f.buf = append(f.buf, "0123456789abcdef"[v>>shift&0xf])
+			}
+		}
+	case slotRating:
+		v := 6 + f.rng.IntN(4)
+		if f.build {
+			f.buf = strconv.AppendInt(f.buf, int64(v), 10)
+		}
+	case slotMoney:
+		dollars := 18 + f.rng.IntN(60)
+		cents := f.rng.IntN(10) * 100
+		if f.build {
+			f.buf = append(f.buf, '$')
+			f.buf = strconv.AppendInt(f.buf, int64(dollars), 10)
+			f.buf = append(f.buf, ',')
+			f.buf = appendPad3(f.buf, cents)
+		}
+	case slotNumber:
+		v := 1 + f.rng.IntN(500)
+		if f.build {
+			f.buf = strconv.AppendInt(f.buf, int64(v), 10)
+		}
+	default:
+		pool := f.pools[s.id]
+		if len(pool) == 0 {
+			panic(fmt.Sprintf("synth: grammar references unknown slot %q", s.key))
+		}
+		v := pool[f.rng.IntN(len(pool))]
+		if s.distinct && len(pool) > 1 {
+			for tries := 0; tries < 4 && v == f.last[s.id]; tries++ {
+				v = pool[f.rng.IntN(len(pool))]
+			}
+		}
+		f.last[s.id] = v
+		if f.build {
+			f.buf = append(f.buf, v...)
 		}
 	}
-	f.last[base] = v
-	return v
 }
 
-// expand substitutes every {placeholder} in tmpl using fill.
-func expand(tmpl string, fill func(string) string) string {
-	var b strings.Builder
-	b.Grow(len(tmpl) + 32)
-	for i := 0; i < len(tmpl); {
-		open := strings.IndexByte(tmpl[i:], '{')
-		if open < 0 {
-			b.WriteString(tmpl[i:])
-			break
-		}
-		b.WriteString(tmpl[i : i+open])
-		i += open
-		close := strings.IndexByte(tmpl[i:], '}')
-		if close < 0 { // unbalanced brace: emit literally
-			b.WriteString(tmpl[i:])
-			break
-		}
-		key := tmpl[i+1 : i+close]
-		b.WriteString(fill(key))
-		i += close + 1
-	}
-	return b.String()
+// appendPad3 appends 0 ≤ v < 1000 as three digits ("%03d").
+func appendPad3(dst []byte, v int) []byte {
+	return append(dst, byte('0'+v/100), byte('0'+v/10%10), byte('0'+v%10))
 }
 
 // pick returns a uniformly random element.
