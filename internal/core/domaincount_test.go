@@ -10,8 +10,8 @@ import (
 )
 
 // countReference is the counting pass by string: every sample page's
-// Page.NGrams, page and entity counts per string, the n-grams of two or
-// more pages in sorted order.
+// distinct n-grams (textproc.NGrams over its tokens), page and entity
+// counts per string, the n-grams of two or more pages in sorted order.
 func countReference(pages []*corpus.Page) []DomainQuery {
 	type stat struct {
 		pageDF, entityDF int
@@ -19,7 +19,7 @@ func countReference(pages []*corpus.Page) []DomainQuery {
 	}
 	stats := make(map[string]*stat)
 	for _, p := range pages {
-		for _, q := range p.NGrams(MaxQueryLen, Stopwords) {
+		for _, q := range textproc.NGrams(p.Tokens(), ngramConfig(nil)) {
 			st, ok := stats[q]
 			if !ok {
 				st = &stat{entityDF: 1, last: p.Entity}

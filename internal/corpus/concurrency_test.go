@@ -43,7 +43,7 @@ func TestPageConcurrentTokenCaches(t *testing.T) {
 
 // TestPageConcurrentFirstReads races the first read of a page built from
 // text: goroutines ask at once for its Tokens, a paragraph's ParaTokens,
-// its TermIDs and its NGrams, each the trigger of the page's one
+// its TermIDs and HasToken, each the trigger of the page's one
 // tokenization. Every reader must see the whole stream and every range in
 // it (run with -race; make test repeats it, since a missed happens-before
 // on a lazily set field shows only now and then).
@@ -56,7 +56,6 @@ func TestPageConcurrentFirstReads(t *testing.T) {
 	for _, text := range texts {
 		want = append(want, tok.Tokenize(text)...)
 	}
-	wantGrams := textproc.NGrams(want, textproc.NGramConfig{MaxLen: 3, Stopwords: sw})
 	for round := 0; round < 50; round++ {
 		paras := make([]Paragraph, len(texts))
 		for i, text := range texts {
@@ -85,8 +84,8 @@ func TestPageConcurrentFirstReads(t *testing.T) {
 						t.Errorf("TermIDs has %d ids for %d tokens", len(got), len(want))
 					}
 				case 3:
-					if got := p.NGrams(3, sw); !slices.Equal(got, wantGrams) {
-						t.Errorf("NGrams = %q, want %q", got, wantGrams)
+					if !p.HasToken("zeta") || p.HasToken("eta") {
+						t.Error("HasToken answers against the token stream")
 					}
 				}
 			}()

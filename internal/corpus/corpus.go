@@ -49,7 +49,7 @@ type Paragraph struct {
 // Page is one web page: an ordered list of paragraphs about one entity.
 // A page is its text. Its tokens are derived state: a page built by
 // SetParas with a tokenizer holds no tokens until they are first read
-// (Tokens, ParaTokens, TermIDs, NGrams, HasToken), tokenizes once then,
+// (Tokens, ParaTokens, TermIDs, HasToken), tokenizes once then,
 // and keeps them as one array, each paragraph's tokens a range of it. A
 // pass over the whole corpus that reads each page once (index building,
 // classifier counting) goes through Scan instead and leaves the page as it
@@ -75,10 +75,6 @@ type Page struct {
 	tokens   atomic.Pointer[pageTokens]
 	setOnce  sync.Once
 	tokenSet map[textproc.Token]struct{}
-	// ngrams memoizes the page's exclusion-free n-gram enumeration: domain
-	// learning and the HR baseline share one instead of re-sliding the
-	// window for every pass and aspect.
-	ngrams atomic.Pointer[pageNGrams]
 	// tok is the tokenizer the page's text is tokenized with; nil when the
 	// tokens came ready-made or the page is a literal.
 	tok *textproc.Tokenizer
@@ -113,14 +109,6 @@ func (t *pageTokens) para(i int) []textproc.Token {
 type pageTermIDs struct {
 	v   *textproc.Vocabulary
 	ids []textproc.TermID
-}
-
-// pageNGrams is a page's n-gram enumeration under one MaxLen and stopword
-// list.
-type pageNGrams struct {
-	maxLen int
-	sw     *textproc.Stopwords
-	grams  []string
 }
 
 // parasScratch is the pooled buffer a page's tokens are gathered in before
@@ -251,23 +239,6 @@ func Scan(pages []*Page, visitors ...ParaVisitor) {
 			}
 		}
 	}
-}
-
-// NGrams returns the page's distinct n-grams of up to maxLen tokens under
-// the stopword list sw, in first-appearance order (textproc.NGrams over
-// Tokens, nothing excluded), computed on the first call and kept for as
-// long as maxLen and sw are the ones asked for (a process normally asks
-// under one; asking under another recomputes and replaces it). Safe for
-// concurrent use; the returned slice is shared — callers must not mutate
-// it.
-func (p *Page) NGrams(maxLen int, sw *textproc.Stopwords) []string {
-	if g := p.ngrams.Load(); g != nil && g.maxLen == maxLen && g.sw == sw {
-		return g.grams
-	}
-	g := &pageNGrams{maxLen: maxLen, sw: sw,
-		grams: textproc.NGrams(p.Tokens(), textproc.NGramConfig{MaxLen: maxLen, Stopwords: sw})}
-	p.ngrams.Store(g)
-	return g.grams
 }
 
 // HasToken reports whether the page contains the token anywhere; the set is

@@ -3,7 +3,3 @@ package corpus
 // HoldsTokens reports whether the page keeps a token stream: read once
 // through Tokens or ParaTokens, or built from ready-made tokens.
 func (p *Page) HoldsTokens() bool { return p.tokens.Load() != nil }
-
-// HoldsNGrams reports whether the page keeps an n-gram enumeration: read
-// once through NGrams.
-func (p *Page) HoldsNGrams() bool { return p.ngrams.Load() != nil }

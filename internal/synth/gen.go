@@ -222,9 +222,7 @@ func newGenerator(sp *spec, rng *rand.Rand) (*generator, error) {
 		gen.aspects = append(gen.aspects, a)
 	}
 	slices.Sort(gen.aspects)
-	index := make(map[corpus.Aspect]int, len(gen.aspects))
-	for i, a := range gen.aspects {
-		index[a] = i
+	for _, a := range gen.aspects {
 		gen.weights = append(gen.weights, sp.weights[a])
 		gen.titles = append(gen.titles, " "+strings.ToLower(string(a)))
 		gen.grammar = append(gen.grammar, gen.names.parseAll(sp.grammar[a]))
@@ -239,8 +237,8 @@ func newGenerator(sp *spec, rng *rand.Rand) (*generator, error) {
 		gen.minors = append(gen.minors, others)
 	}
 	for _, a := range sp.aspects {
-		i, ok := index[a]
-		if !ok {
+		i := slices.Index(gen.aspects, a)
+		if i < 0 {
 			return nil, fmt.Errorf("synth: target aspect %s has no weight", a)
 		}
 		gen.targets = append(gen.targets, i)

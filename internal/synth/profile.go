@@ -25,11 +25,9 @@ type slotKind uint8
 
 const (
 	slotPool slotKind = iota
-	slotYear
+	slotInt           // lo + a draw below n
 	slotUniqueID
-	slotRating
 	slotMoney
-	slotNumber
 )
 
 // slot is one parsed {placeholder}. A key ending in a digit ("topic2")
@@ -38,6 +36,7 @@ const (
 type slot struct {
 	kind     slotKind
 	id       int // slotPool: the base slot's id
+	lo, n    int // slotInt
 	distinct bool
 	key      string // as written, for the unknown-slot panic
 }
@@ -102,15 +101,15 @@ func (sn *slotNames) slot(key string) slot {
 	}
 	switch base {
 	case "year":
-		s.kind = slotYear
+		s.kind, s.lo, s.n = slotInt, 1980, 36
+	case "rating":
+		s.kind, s.lo, s.n = slotInt, 6, 4
+	case "number":
+		s.kind, s.lo, s.n = slotInt, 1, 500
 	case "uniqueid":
 		s.kind = slotUniqueID
-	case "rating":
-		s.kind = slotRating
 	case "money":
 		s.kind = slotMoney
-	case "number":
-		s.kind = slotNumber
 	default:
 		id, ok := sn.ids[base]
 		if !ok {
@@ -170,8 +169,8 @@ func (f *filler) sentence(t *template) {
 // catch immediately.
 func (f *filler) fill(s *slot) {
 	switch s.kind {
-	case slotYear:
-		v := 1980 + f.rng.IntN(36)
+	case slotInt:
+		v := s.lo + f.rng.IntN(s.n)
 		if f.build {
 			f.buf = strconv.AppendInt(f.buf, int64(v), 10)
 		}
@@ -187,11 +186,6 @@ func (f *filler) fill(s *slot) {
 				f.buf = append(f.buf, "0123456789abcdef"[v>>shift&0xf])
 			}
 		}
-	case slotRating:
-		v := 6 + f.rng.IntN(4)
-		if f.build {
-			f.buf = strconv.AppendInt(f.buf, int64(v), 10)
-		}
 	case slotMoney:
 		dollars := 18 + f.rng.IntN(60)
 		cents := f.rng.IntN(10) * 100
@@ -200,11 +194,6 @@ func (f *filler) fill(s *slot) {
 			f.buf = strconv.AppendInt(f.buf, int64(dollars), 10)
 			f.buf = append(f.buf, ',')
 			f.buf = appendPad3(f.buf, cents)
-		}
-	case slotNumber:
-		v := 1 + f.rng.IntN(500)
-		if f.build {
-			f.buf = strconv.AppendInt(f.buf, int64(v), 10)
 		}
 	default:
 		pool := f.pools[s.id]
@@ -228,9 +217,6 @@ func (f *filler) fill(s *slot) {
 func appendPad3(dst []byte, v int) []byte {
 	return append(dst, byte('0'+v/100), byte('0'+v/10%10), byte('0'+v%10))
 }
-
-// pick returns a uniformly random element.
-func pick[T any](rng *rand.Rand, xs []T) T { return xs[rng.IntN(len(xs))] }
 
 // sampleDistinct draws k distinct elements (or all if k ≥ len).
 func sampleDistinct[T any](rng *rand.Rand, xs []T, k int) []T {
