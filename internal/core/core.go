@@ -68,8 +68,7 @@ const (
 )
 
 // Stopwords filters candidate n-grams: the one stopword set every session,
-// domain phase and baseline enumerates under, so a page's memoized
-// enumeration (corpus.Page.NGrams) serves them all.
+// domain phase and baseline enumerates under.
 var Stopwords = textproc.NewStopwords()
 
 // Config carries the settings that stay settable; the paper's fixed

@@ -371,7 +371,7 @@ func (c *gramCount) spell(gi int32) {
 // ids under a vocabulary of the count's own, and every admissible window
 // (textproc.AppendGramWindows under MaxQueryLen and Stopwords) probed in a
 // gram-key table. A page counts each n-gram once, in first-appearance
-// order, as Page.NGrams lists them.
+// order, as textproc.NGrams lists them.
 //
 // A key stands for one string when every gram is canonical: its tokens
 // are the tokenization of its own string. Grams inside one paragraph of
@@ -650,7 +650,7 @@ func LearnDomainScored(cfg Config, aspect corpus.Aspect, c *corpus.Corpus,
 
 // LearnDomainReference is the retained from-scratch domain phase: one
 // counting pass into maps followed by a full re-enumeration pass for edge
-// building, neither through the page memo, and both fixpoints solved
+// building, both by string, and both fixpoints solved
 // before it returns — the differential-testing ground truth (mirroring
 // Session.CandidatesReference / InferReference).
 func LearnDomainReference(cfg Config, aspect corpus.Aspect, c *corpus.Corpus,

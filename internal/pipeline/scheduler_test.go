@@ -415,9 +415,9 @@ func TestSchedulerCloseAborts(t *testing.T) {
 // corpus: every one of those consumers enumerates the same immutable
 // pages — the sessions through the per-page term-id memo, one shared
 // vocabulary and one facts table (corpus.Page.TermIDs), the domain phase
-// through the per-page n-gram memo (corpus.Page.NGrams) — so this is the
-// -race exercise for the shared-enumeration layer. Parity with the
-// sequential reference must survive the contention.
+// through a scan of each page's tokens (corpus.Page.ScanParaTokens) — so
+// this is the -race exercise for the shared-enumeration layer. Parity with
+// the sequential reference must survive the contention.
 func TestSchedulerSharedEnumerationRace(t *testing.T) {
 	f := newFixture(t)
 	targets := f.targets(4)
