@@ -288,10 +288,10 @@ func (s *DomainSample) count() {
 			g := &grams[gi]
 			dq := DomainQuery{Query: Query(g.q), PageDF: g.pageDF, EntityDF: g.entityDF}
 			if s.rec != nil {
-				// A keyed gram's tokens are its query's tokens under the
-				// pages' tokenizer; under another they are tokenized again.
-				qt := c.tokens(gi, &toks)
-				if !c.keyed || c.tok != s.cfg.Tokenizer {
+				var qt []textproc.Token
+				if c.ownTokens {
+					qt = c.tokens(gi, &toks)
+				} else {
 					qt = s.cfg.QueryTokens(dq.Query)
 				}
 				dq.Keys = template.EnumerateKeys(qt, s.rec)
@@ -318,15 +318,15 @@ func (s *DomainSample) count() {
 // gramCount is a sample's counting pass: the distinct n-grams, every
 // page's n-grams as indexes into them (page i's are occ[offs[i]:offs[i+1]])
 // and a token of each term of the count's vocabulary, by term index.
-// keyed says the grams were told apart by key alone, all from pages of
-// the one tokenizer tok.
+// ownTokens says a gram's tokens are its query's tokens under
+// cfg.Tokenizer: the grams were told apart by key alone, all from pages
+// of that one tokenizer.
 type gramCount struct {
-	grams []sampleGram
-	occ   []int32
-	offs  []int
-	terms []textproc.Token
-	keyed bool
-	tok   *textproc.Tokenizer
+	grams     []sampleGram
+	occ       []int32
+	offs      []int
+	terms     []textproc.Token
+	ownTokens bool
 }
 
 // sampleGram is one distinct n-gram of a count: its term ids, its string
@@ -402,7 +402,7 @@ func (s *DomainSample) countGrams(byString bool) (c *gramCount, ok bool) {
 		strs = make(map[string]int32)
 	}
 	gramCfg := textproc.IDGramConfig{MaxLen: MaxQueryLen}
-	c = &gramCount{offs: make([]int, len(s.pages)+1), keyed: !byString, tok: tok}
+	c = &gramCount{offs: make([]int, len(s.pages)+1), ownTokens: !byString && tok == s.cfg.Tokenizer}
 	for i, p := range s.pages {
 		toks, ends = toks[:0], ends[:0]
 		for j := range p.Paras {

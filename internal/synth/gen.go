@@ -30,10 +30,11 @@ type Config struct {
 	// Seed makes generation deterministic.
 	Seed uint64
 	// Keep, when non-nil, selects the pages the corpus retains (a cluster
-	// node keeps the partitions it serves). An unkept page still draws its
-	// text and links from the one RNG stream, so every kept page, link list
-	// and entity is bit-identical to the unfiltered run's; it is neither
-	// tokenized nor held. The entity table is always complete.
+	// node keeps the partitions it serves). An unkept page makes the same
+	// draws for its text and links from the one RNG stream, so every kept
+	// page, link list and entity is bit-identical to the unfiltered run's;
+	// its text is never built, and it is neither tokenized nor held. The
+	// entity table is always complete.
 	Keep func(corpus.PageID) bool
 }
 
@@ -200,7 +201,6 @@ type generator struct {
 	weights []float64
 	titles  []string     // aspect index → " " + the aspect in lower case, a title's suffix
 	targets []int        // the spec's target aspects as indexes
-	minors  [][]int      // aspect index → every other aspect's index, in order
 	grammar [][]template // by aspect index
 	filler  []template
 	anchor  template
@@ -226,15 +226,6 @@ func newGenerator(sp *spec, rng *rand.Rand) (*generator, error) {
 		gen.weights = append(gen.weights, sp.weights[a])
 		gen.titles = append(gen.titles, " "+strings.ToLower(string(a)))
 		gen.grammar = append(gen.grammar, gen.names.parseAll(sp.grammar[a]))
-	}
-	for i := range gen.aspects {
-		others := make([]int, 0, len(gen.aspects)-1)
-		for j := range gen.aspects {
-			if j != i {
-				others = append(others, j)
-			}
-		}
-		gen.minors = append(gen.minors, others)
 	}
 	for _, a := range sp.aspects {
 		i := slices.Index(gen.aspects, a)
@@ -270,9 +261,13 @@ func (gen *generator) page(primary int) {
 		gen.endPara(gen.aspects[primary])
 	}
 
-	minors := gen.minors[primary]
+	// A minor aspect is drawn from the other aspects in order: index k
+	// of that pool is aspect k, or k+1 from the primary on.
 	for i := nPrimary; i < nBody-1; i++ {
-		minor := minors[rng.IntN(len(minors))]
+		minor := rng.IntN(len(gen.aspects) - 1)
+		if minor >= primary {
+			minor++
+		}
 		gen.paragraph(gen.grammar[minor])
 		gen.endPara(gen.aspects[minor])
 	}
