@@ -1,59 +1,19 @@
 package core
 
 import (
-	"reflect"
-	"slices"
 	"testing"
 
 	"l2q/internal/corpus"
 	"l2q/internal/textproc"
+	"l2q/internal/types"
 )
-
-// countReference is the counting pass by string: every sample page's
-// distinct n-grams (textproc.NGrams over its tokens), page and entity
-// counts per string, the n-grams of two or more pages in sorted order.
-func countReference(pages []*corpus.Page) []DomainQuery {
-	type stat struct {
-		pageDF, entityDF int
-		last             corpus.EntityID
-	}
-	stats := make(map[string]*stat)
-	for _, p := range pages {
-		for _, q := range textproc.NGrams(p.Tokens(), ngramConfig(nil)) {
-			st, ok := stats[q]
-			if !ok {
-				st = &stat{entityDF: 1, last: p.Entity}
-				stats[q] = st
-			} else if st.last != p.Entity {
-				st.entityDF++
-				st.last = p.Entity
-			}
-			st.pageDF++
-		}
-	}
-	var out []DomainQuery
-	for q, st := range stats {
-		if st.pageDF >= MinQueryPageDF {
-			out = append(out, DomainQuery{Query: Query(q), PageDF: st.pageDF, EntityDF: st.entityDF})
-		}
-	}
-	slices.SortFunc(out, func(a, b DomainQuery) int {
-		if a.Query < b.Query {
-			return -1
-		}
-		if a.Query > b.Query {
-			return 1
-		}
-		return 0
-	})
-	return out
-}
 
 // TestDomainCountWhenKeysAlias: the count keys n-grams by term ids, which
 // stand for one string only while every gram is canonical. Where two
 // different token runs spell one string — a run across a paragraph
 // boundary that the lexicon would merge, pages of two tokenizers, pages
-// of ready-made tokens — the count must still equal the count by string.
+// of ready-made tokens — the model must still equal the by-string
+// LearnDomainReference's.
 func TestDomainCountWhenKeysAlias(t *testing.T) {
 	phrases := &textproc.Tokenizer{Lexicon: textproc.NewLexicon([]string{"data mining"})}
 	plain := &textproc.Tokenizer{}
@@ -105,16 +65,18 @@ func TestDomainCountWhenKeysAlias(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			s, err := NewDomainSample(DefaultConfig(), c, ids, nil, nil)
+			y := func(p *corpus.Page) bool { return p.ID != 1 }
+			rec := types.NewRegexRecognizer()
+			got, err := LearnDomain(DefaultConfig(), "X", c, ids, y, rec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := slices.Clone(s.Queries())
-			for i := range got {
-				got[i].Keys = nil
+			want, err := LearnDomainReference(DefaultConfig(), "X", c, ids, y, nil, rec)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if want := countReference(s.pages); !reflect.DeepEqual(got, want) {
-				t.Fatalf("count\n got %+v\nwant %+v", got, want)
+			if field := diffDomainModels(got, want); field != "" {
+				t.Fatalf("domain model differs from the reference in %s", field)
 			}
 		})
 	}
