@@ -32,12 +32,14 @@ import (
 //
 // A key identifies a string only when the gram is canonical — its tokens
 // are the tokenization of its own string — because then two grams with
-// one string have one key. Grams of pages a round-tripping tokenizer made
-// are (Session.fastPage), and so is any query whose tokens join back to
-// it. The first non-canonical page or query puts the pool in string mode
-// for good: from then on every new key is also looked up by its string
-// (byQuery), and a second key with a known string becomes an alias of its
-// ordinal. Key-path and string-mode pools hold identical tables
+// one string have one key. A keyCheck under the session's tokenizer
+// decides it for a page's grams (a page that tokenizer made, whose grams
+// across its paragraph ends the tokenizer makes of their strings), and a
+// query is canonical when its tokens join back to it. The first page or
+// query that is not puts the pool in string mode for good: from then on
+// every new key is also looked up by its string (byQuery), and a second
+// key with a known string becomes an alias of its ordinal. Key-path and
+// string-mode pools hold identical tables
 // (TestCandidatePoolStringModeMatchesReference).
 //
 // Ordinals are assigned in first-emission order: the seed pages' n-grams,
@@ -199,11 +201,12 @@ func (p *candidatePool) sync(s *Session) {
 	p.syncFired(s)
 
 	migrated := false
+	check := keyCheck{tok: s.Cfg.Tokenizer}
 	for _, page := range s.pages[p.nPages:] {
-		if !s.fastPage(page) {
+		toks := page.Tokens()
+		if p.byQuery == nil && !(check.keyed(page) && check.seams(toks, page.ParaEnds())) {
 			p.toStrings(t)
 		}
-		toks := page.Tokens()
 		p.wins = textproc.AppendGramWindows(p.wins[:0], page.TermIDs(t.vocab), s.gramCfg)
 		for _, w := range p.wins {
 			o := p.index.get(w.Key) - 1

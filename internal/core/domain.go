@@ -282,19 +282,12 @@ func (s *DomainSample) count() {
 			rank[gi] = -1
 		}
 		s.queries = make([]DomainQuery, len(kept))
-		var toks [textproc.MaxGramLen]textproc.Token
 		for r, gi := range kept {
 			rank[gi] = int32(r)
 			g := &grams[gi]
 			dq := DomainQuery{Query: Query(g.q), PageDF: g.pageDF, EntityDF: g.entityDF}
 			if s.rec != nil {
-				var qt []textproc.Token
-				if c.ownTokens {
-					qt = c.tokens(gi, &toks)
-				} else {
-					qt = s.cfg.QueryTokens(dq.Query)
-				}
-				dq.Keys = template.EnumerateKeys(qt, s.rec)
+				dq.Keys = template.EnumerateKeys(s.cfg.QueryTokens(dq.Query), s.rec)
 			}
 			s.queries[r] = dq
 		}
@@ -318,15 +311,11 @@ func (s *DomainSample) count() {
 // gramCount is a sample's counting pass: the distinct n-grams, every
 // page's n-grams as indexes into them (page i's are occ[offs[i]:offs[i+1]])
 // and a token of each term of the count's vocabulary, by term index.
-// ownTokens says a gram's tokens are its query's tokens under
-// cfg.Tokenizer: the grams were told apart by key alone, all from pages
-// of that one tokenizer.
 type gramCount struct {
-	grams     []sampleGram
-	occ       []int32
-	offs      []int
-	terms     []textproc.Token
-	ownTokens bool
+	grams []sampleGram
+	occ   []int32
+	offs  []int
+	terms []textproc.Token
 }
 
 // sampleGram is one distinct n-gram of a count: its term ids, its string
@@ -373,41 +362,43 @@ func (c *gramCount) spell(gi int32) {
 // gram-key table. A page counts each n-gram once, in first-appearance
 // order, as textproc.NGrams lists them.
 //
-// A key stands for one string when every gram is canonical: its tokens
-// are the tokenization of its own string. Grams inside one paragraph of
-// pages a round-tripping tokenizer made are; a gram across a paragraph
-// boundary is checked when it is first met. byString keys the count by
-// string instead — each new key is spelled and looked up by its string,
-// and a second key with a known string is an alias of its gram — as it
-// must be when the pages do not share one round-tripping tokenizer. ok is
-// false when the key count met a gram that is not canonical; the count
-// then has to run again by string.
+// A key stands for one string only when every gram is canonical, as a
+// keyCheck under the first page's tokenizer decides: each page must be
+// keyed, and the grams across its paragraph ends are checked when its
+// tokens are read. byString keys the count by string instead — each new
+// key is spelled and looked up by its string, and a second key with a
+// known string is an alias of its gram — as it must be when some page is
+// not keyed. ok is false when the key count met a page with a gram across
+// a paragraph end that is not canonical; the count then has to run again
+// by string.
 func (s *DomainSample) countGrams(byString bool) (c *gramCount, ok bool) {
-	tok := s.pages[0].Tokenizer()
+	check := keyCheck{tok: s.pages[0].Tokenizer()}
 	for _, p := range s.pages {
-		byString = byString || p.Tokenizer() != tok || !tok.RoundTrips()
+		byString = byString || !check.keyed(p)
 	}
 	vocab := textproc.NewVocabulary(Stopwords)
 	var (
 		index  gramMap[int32] // key → gram index + 1
 		strs   map[string]int32
 		toks   []textproc.Token
-		ends   []int
+		ends   []int32
 		ids    []textproc.TermID
 		wins   []textproc.GramWindow
 		paraSc []textproc.Token
-		retok  []textproc.Token
 	)
 	if byString {
 		strs = make(map[string]int32)
 	}
 	gramCfg := textproc.IDGramConfig{MaxLen: MaxQueryLen}
-	c = &gramCount{offs: make([]int, len(s.pages)+1), ownTokens: !byString && tok == s.cfg.Tokenizer}
+	c = &gramCount{offs: make([]int, len(s.pages)+1)}
 	for i, p := range s.pages {
 		toks, ends = toks[:0], ends[:0]
 		for j := range p.Paras {
 			toks = append(toks, p.ScanParaTokens(j, &paraSc)...)
-			ends = append(ends, len(toks))
+			ends = append(ends, int32(len(toks)))
+		}
+		if !byString && !check.seams(toks, ends) {
+			return nil, false
 		}
 		ids = vocab.AppendIDs(ids[:0], toks)
 		for j, id := range ids {
@@ -429,11 +420,6 @@ func (s *DomainSample) countGrams(byString bool) (c *gramCount, ok bool) {
 						gi = known
 					} else if len(gram) == 1 {
 						q = strings.Clone(q)
-					}
-				} else if crossesPara(ends, int(w.Start), len(gram)) {
-					retok = tok.AppendTokens(retok[:0], textproc.JoinQuery(gram))
-					if !slices.Equal(retok, gram) {
-						return nil, false
 					}
 				}
 				if gi < 0 {
@@ -460,17 +446,6 @@ func (s *DomainSample) countGrams(byString bool) (c *gramCount, ok bool) {
 		c.offs[i+1] = len(c.occ)
 	}
 	return c, true
-}
-
-// crossesPara reports whether the n tokens from start run across one of
-// the paragraph ends.
-func crossesPara(ends []int, start, n int) bool {
-	for _, e := range ends {
-		if start < e && e < start+n {
-			return true
-		}
-	}
-	return false
 }
 
 // domainCandidates is the §IV-C candidate pool: the surviving queries

@@ -11,11 +11,13 @@ import (
 // TestDomainCountWhenKeysAlias: the count keys n-grams by term ids, which
 // stand for one string only while every gram is canonical. Where two
 // different token runs spell one string — a run across a paragraph
-// boundary that the lexicon would merge, pages of two tokenizers, pages
-// of ready-made tokens — the model must still equal the by-string
-// LearnDomainReference's.
+// boundary that the lexicon would merge (a phrase of two words, and one
+// of three that ends two tokens past the boundary), pages of two
+// tokenizers, pages of ready-made tokens — the model must still equal the
+// by-string LearnDomainReference's.
 func TestDomainCountWhenKeysAlias(t *testing.T) {
 	phrases := &textproc.Tokenizer{Lexicon: textproc.NewLexicon([]string{"data mining"})}
+	phrases3 := &textproc.Tokenizer{Lexicon: textproc.NewLexicon([]string{"data mining systems"})}
 	plain := &textproc.Tokenizer{}
 	page := func(id int, e corpus.EntityID, tok *textproc.Tokenizer, texts ...string) *corpus.Page {
 		p := &corpus.Page{ID: corpus.PageID(id), Entity: e}
@@ -34,6 +36,11 @@ func TestDomainCountWhenKeysAlias(t *testing.T) {
 			page(0, 0, phrases, "we study data", "mining is fun"),
 			page(1, 1, phrases, "data mining rocks"),
 			page(2, 2, phrases, "more data mining"),
+		},
+		"a three-word phrase across a paragraph end": {
+			page(0, 0, phrases3, "we study data", "mining systems rock"),
+			page(1, 1, phrases3, "data mining systems rock"),
+			page(2, 2, phrases3, "new data mining systems"),
 		},
 		"two tokenizers": {
 			page(0, 0, phrases, "data mining rocks"),

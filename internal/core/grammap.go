@@ -1,6 +1,9 @@
 package core
 
-import "l2q/internal/textproc"
+import (
+	"l2q/internal/corpus"
+	"l2q/internal/textproc"
+)
 
 // gramMap maps gram keys to values: open addressing with linear probing
 // over a power-of-two table kept at most half full, the key compared in
@@ -77,4 +80,42 @@ func (m *gramMap[V]) place(s gramSlot[V]) {
 		i = (i + 1) & mask
 	}
 	m.slots[i] = s
+}
+
+// keyCheck decides when a page's gram keys may stand for strings: when
+// every gram of the page is canonical — its tokens are tok's tokenization
+// of its own string — since then two grams of one string have one key.
+// The domain count and a session's candidate pool both ask it of each
+// page before they tell the page's grams apart by key alone; a page it
+// refuses has its grams looked up by their strings.
+type keyCheck struct {
+	tok *textproc.Tokenizer
+}
+
+// keyed reports whether tok made p's tokens and round-trips
+// (textproc.Tokenizer.RoundTrips), so every gram within one of p's
+// paragraphs is canonical.
+func (k keyCheck) keyed(p *corpus.Page) bool {
+	return k.tok.RoundTrips() && p.Tokenizer() == k.tok
+}
+
+// seams reports whether every gram across a paragraph end of a keyed page
+// is canonical, toks being the page's token stream and ends where its
+// paragraphs end in it. A gram across an end joins the tokens of two
+// texts, which tok need not have made of their join, so tok is asked
+// (Tokenizer.Canonical) of the widest run a gram can take across each
+// end, MaxGramLen−1 tokens either side. That answers for every gram
+// inside the run: the phrase merge is greedy, so a run that merges back
+// to itself chose each of its tokens as the longest phrase its words
+// allowed, and a shorter run, from one of its tokens to another, allows
+// no longer one (FuzzGramTokensRoundTrip).
+func (k keyCheck) seams(toks []textproc.Token, ends []int32) bool {
+	for _, e := range ends {
+		e := int(e)
+		if 0 < e && e < len(toks) &&
+			!k.tok.Canonical(toks[max(0, e-textproc.MaxGramLen+1):min(len(toks), e+textproc.MaxGramLen-1)]) {
+			return false
+		}
+	}
+	return true
 }

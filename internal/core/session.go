@@ -420,14 +420,6 @@ func (s *Session) syncPool(useDomain bool) *candidatePool {
 	return s.pool
 }
 
-// fastPage reports whether the pool may key page's n-grams by term ids
-// alone: its tokens came from the session's own tokenizer, and that
-// tokenizer round-trips (textproc.Tokenizer.RoundTrips), so each n-gram's
-// tokens are the tokenization of its string.
-func (s *Session) fastPage(page *corpus.Page) bool {
-	return s.Cfg.Tokenizer.RoundTrips() && page.Tokenizer() == s.Cfg.Tokenizer
-}
-
 // candidateQueries produces the entity-phase candidate pool Q_E: n-grams
 // of the current result pages (excluding seed tokens), optionally extended
 // with the domain candidates (§IV-C), minus already-fired queries. The

@@ -14,13 +14,14 @@ import (
 )
 
 // TestCandidatePoolStringModeMatchesReference holds the pool's string mode
-// to the rebuild path on the four ways a session meets grams that are not
+// to the rebuild path on the five ways a session meets grams that are not
 // keyed by their string alone: every page tokenized by another tokenizer
 // (the same lexicon in another Tokenizer, so the string path must land on
 // the key path's very table), pages from two tokenizers that make one
 // string two token sequences ("data mining" merged on one page, two tokens
-// on another tokenized without a lexicon), fired queries whose tokens are
-// a candidate's but whose string is not, and a key-path session that meets
+// on another tokenized without a lexicon), a gram across a paragraph end
+// that the lexicon would merge, fired queries whose tokens are a
+// candidate's but whose string is not, and a key-path session that meets
 // a ready-made page mid-run.
 func TestCandidatePoolStringModeMatchesReference(t *testing.T) {
 	const steps = 5
@@ -101,6 +102,42 @@ func TestCandidatePoolStringModeMatchesReference(t *testing.T) {
 		for step := 1; step <= 3 && len(cands) > 0; step++ {
 			mustFire(t, s, cands[len(cands)/2])
 			cands = check(t, s, step)
+		}
+	})
+
+	t.Run("across a paragraph end", func(t *testing.T) {
+		// "data" ends a paragraph and "mining" opens the next: two tokens
+		// the session's tokenizer merges into one wherever they share a
+		// paragraph, as on the second page.
+		tok := &textproc.Tokenizer{Lexicon: textproc.NewLexicon([]string{"data mining"})}
+		paras := [][]string{
+			{"acme studies data", "mining at acme is fun"},
+			{"acme data mining rocks"},
+		}
+		var pages []*corpus.Page
+		for i, texts := range paras {
+			p := &corpus.Page{ID: corpus.PageID(i), Entity: 1}
+			ps := make([]corpus.Paragraph, len(texts))
+			for j, text := range texts {
+				ps[j].Text = text
+			}
+			p.SetParas(ps, tok)
+			pages = append(pages, p)
+		}
+		cfg := DefaultConfig()
+		cfg.Tokenizer = tok
+		s := NewSession(cfg, search.NewEngine(search.BuildIndex(pages)), &corpus.Entity{ID: 1, SeedQuery: "acme"},
+			"A", func(*corpus.Page) bool { return true }, nil, nil, 1)
+		mustBoot(t, s)
+		if len(s.pages) != len(pages) {
+			t.Fatalf("the seed query found %d of the %d pages", len(s.pages), len(pages))
+		}
+		cands := check(t, s, 0)
+		if s.pool.byQuery == nil {
+			t.Fatal("a gram across a paragraph end that is not canonical left the pool on the key path")
+		}
+		if n := slices.Index(cands, "data mining"); n < 0 || slices.Contains(cands[n+1:], "data mining") {
+			t.Fatalf("%q is not one candidate in %q", "data mining", cands)
 		}
 	})
 

@@ -202,6 +202,11 @@ func (p *Page) Tokens() []textproc.Token { return p.loadTokens().all }
 // page on the first read as Tokens does.
 func (p *Page) ParaTokens(i int) []textproc.Token { return p.loadTokens().para(i) }
 
+// ParaEnds returns where each paragraph's tokens end in Tokens, tokenizing
+// the page on the first read as Tokens does. The slice is shared — callers
+// must not mutate it.
+func (p *Page) ParaEnds() []int32 { return p.loadTokens().ends }
+
 // ScanParaTokens returns paragraph i's tokens for a pass that reads the
 // page once and keeps nothing of it: the page's own range when it holds
 // its tokens, otherwise the paragraph's text tokenized into (*buf)[:0] —

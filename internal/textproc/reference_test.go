@@ -184,10 +184,16 @@ func idGrams(toks []Token, sw *Stopwords, maxLen int, exclude []Token) (byString
 // rests on (Tokenizer.RoundTrips): every n-gram of up to MaxGramLen tokens
 // a tokenizer emits re-tokenizes, joined, to exactly its own tokens — so a gram's term ids
 // are the ids of its string's tokens and one string has one key: the id
-// path's first window per key is then AppendNGrams' output. Text is built
-// from refAlphabet words (upper case, stopwords and phrase words among
-// them) with the byte's high bits choosing the separator, under lexicons
-// of refPhrases subsets, several of which share first words.
+// path's first window per key is then AppendNGrams' output. A gram across
+// two texts, tokenized apart as a page's paragraphs are, need not
+// round-trip, and Tokenizer.Canonical must say which: the stream is also
+// tokenized as two texts split at its middle word, and every gram of the
+// two is held to its re-tokenization. When the widest run a gram can take
+// across the seam is canonical, every gram is (the rule a page's seams
+// are checked by). Text is built from refAlphabet words (upper case,
+// stopwords and phrase words among them) with the byte's high bits
+// choosing the separator, under lexicons of refPhrases subsets, several
+// of which share first words.
 func FuzzGramTokensRoundTrip(f *testing.F) {
 	f.Add(byte(0xff), []byte{0, 1, 2, 3, 0, 1, 4, 5, 6, 7, 5, 9, 0, 3, 8, 14, 2})
 	f.Add(byte(0x07), []byte{0, 1, 1, 2, 0, 0x41, 1, 2, 12, 0x81, 1})
@@ -204,7 +210,11 @@ func FuzzGramTokensRoundTrip(f *testing.F) {
 			t.Fatal("a tokenizer does not round-trip")
 		}
 		var b []byte
-		for _, c := range stream {
+		mid := 0
+		for i, c := range stream {
+			if i == len(stream)/2 {
+				mid = len(b)
+			}
 			b = append(b, refAlphabet[int(c&0x3f)%len(refAlphabet)]...)
 			b = append(b, " \t.,-"[int(c>>6)%5])
 		}
@@ -214,6 +224,28 @@ func FuzzGramTokensRoundTrip(f *testing.F) {
 				gram := toks[i : i+l]
 				if again := tok.Tokenize(JoinQuery(gram)); !sameTokens(again, gram) {
 					t.Fatalf("gram %q of %q re-tokenizes to %q under %q", gram, b, again, phrases)
+				}
+				if !tok.Canonical(gram) {
+					t.Fatalf("gram %q of %q is not canonical under %q", gram, b, phrases)
+				}
+			}
+		}
+		two := tok.Tokenize(string(b[:mid]))
+		seam := len(two)
+		two = tok.AppendTokens(two, string(b[mid:]))
+		wide := two[max(0, seam-MaxGramLen+1):min(len(two), seam+MaxGramLen-1)]
+		for l := 1; l <= MaxGramLen; l++ {
+			for i := 0; i+l <= len(two); i++ {
+				gram := two[i : i+l]
+				again := tok.Tokenize(JoinQuery(gram))
+				got, want := tok.Canonical(gram), sameTokens(again, gram)
+				if got != want {
+					t.Fatalf("gram %q of %q | %q: Canonical %v, but it re-tokenizes to %q under %q",
+						gram, b[:mid], b[mid:], got, again, phrases)
+				}
+				if !want && tok.Canonical(wide) {
+					t.Fatalf("gram %q of %q | %q re-tokenizes to %q under %q, but the widest run %q across the seam is canonical",
+						gram, b[:mid], b[mid:], again, phrases, wide)
 				}
 			}
 		}

@@ -20,6 +20,7 @@
 package textproc
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"unicode"
@@ -42,18 +43,56 @@ type Tokenizer struct {
 }
 
 // RoundTrips reports whether every run of consecutive tokens t emitted
-// joins back to its own tokenization: t.Tokenize(JoinQuery(run)) == run.
-// It holds for every tokenizer: t only splits and merges phrases, and
-// merging is greedy from a token boundary, so a run re-merges exactly as
-// it merged in its text (FuzzGramTokensRoundTrip). A harvesting session
-// keys the n-grams of a page t tokenized by their term ids only when this
-// holds; otherwise it dedups them by string.
+// from one text joins back to its own tokenization:
+// t.Tokenize(JoinQuery(run)) == run. It holds for every tokenizer: t only
+// splits and merges phrases, and merging is greedy from a token boundary,
+// so a run re-merges exactly as it merged in its text
+// (FuzzGramTokensRoundTrip). A run across two texts — a page's paragraph
+// end — need not: "data" ending one paragraph and "mining" opening the
+// next join to a phrase the lexicon merges. The domain count and a
+// harvesting session key the n-grams of a page t tokenized by their term
+// ids only when this holds, and ask Canonical of a run across a paragraph
+// end; otherwise they dedup n-grams by string.
 func (t *Tokenizer) RoundTrips() bool { return t != nil }
 
-// tokenScratch is the pooled per-call working state of Tokenizer.AppendTokens:
-// the raw split buffer, the phrase-merge buffer, and the byte buffer the
-// lexicon probe joins candidate phrases into. The slices hold only string
-// headers, so pooling them never retains page text.
+// Canonical reports whether run, consecutive tokens t emitted from one
+// text or from several, is t's tokenization of its own join:
+// t.Tokenize(JoinQuery(run)) == run. Each token's words split to
+// themselves (RoundTrips), so only the phrase merge can differ: the run's
+// words are merged again in pooled scratch, and no string is made.
+func (t *Tokenizer) Canonical(run []Token) bool {
+	if t.Lexicon == nil || t.Lexicon.MaxLen() < 2 {
+		return true
+	}
+	sc := tokenScratchPool.Get().(*tokenScratch)
+	words := sc.raw[:0]
+	for _, tok := range run {
+		for {
+			i := strings.IndexByte(tok, ' ')
+			if i < 0 {
+				break
+			}
+			words = append(words, tok[:i])
+			tok = tok[i+1:]
+		}
+		words = append(words, tok)
+	}
+	merged := words
+	if len(words) >= 2 {
+		sc.merged, sc.join = t.Lexicon.appendMerged(sc.merged[:0], words, sc.join)
+		merged = sc.merged
+	}
+	ok := slices.Equal(merged, run)
+	sc.raw = words
+	tokenScratchPool.Put(sc)
+	return ok
+}
+
+// tokenScratch is the pooled per-call working state of
+// Tokenizer.AppendTokens and Tokenizer.Canonical: the raw split buffer,
+// the phrase-merge buffer, and the byte buffer the lexicon probe joins
+// candidate phrases into. The slices hold only string headers, so pooling
+// them never retains page text.
 type tokenScratch struct {
 	raw    []Token
 	merged []Token
