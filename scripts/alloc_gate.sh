@@ -54,8 +54,8 @@ ceiling() {
 	BenchmarkDecodeSearchPagesAllocs/miss) echo 222 ;; # the decode the memo saves: the opened frame (18), the hit list and its strings, five parsed pages at ParsePage's 38 (not tokenized: a page tokenizes on its first read) and their URLs, the pages slice sized once, and the insert's key string (237 when ParsePage tokenized and grew each page's links; 239 with an LRU's list element and entry per insert)
 	BenchmarkParsePageAllocs) echo 41 ;;              # a client's cost per downloaded page, Tokens() included: ParsePage's 38 (it keeps text only; the links slice sized once) and the first read's token array, paragraph ends and their holder. 137 when each paragraph had its own append-grown slice and Tokens() concatenated them, 97 with one exactly-sized array per page, 74 once whitespace-only and normalized text runs stopped being rebuilt, 41 with raw-text ends found in place, one reused attribute buffer and one-run paragraphs kept as substrings of the page
 	BenchmarkRenderPageAllocs) echo 0 ;;              # a server's cost per served page: AppendPage into a reused buffer (RenderPage adds only its string; 24 allocs when it went through fmt)
-	BenchmarkGenerateAllocs) echo 4186 ;;             # a TestConfig researcher collection (24 × 16 pages): per page its struct, one exactly-sized text string its paragraphs are substrings of, the paragraph slice, URL, title and links; per entity its profile. 17944 when every sentence was its own string, joined per paragraph, and slots went through fmt
-	BenchmarkDomainCountAllocs) echo 27750 ;;         # the domain count over 12 × 16 untokenized pages (measured 27748–27749; a pool refill can add one): the kept queries' strings and template keys, the count's own vocabulary, the tables; pages keep nothing. 28531 when the count read each page's memoized n-gram strings, already warm — the first count had tokenized every page and kept its tokens and n-grams
+	BenchmarkGenerateAllocs) echo 4187 ;;             # a TestConfig researcher collection (24 × 16 pages): per page its struct, one exactly-sized text string its paragraphs are substrings of, the paragraph slice, URL, title and links; per entity its profile. Measured 4186 at GOMAXPROCS 1–2 and 4187 at 4 and 8 (the runtime's per-P state adds a fraction per op). 17944 when every sentence was its own string, joined per paragraph, and slots went through fmt
+	BenchmarkDomainCountAllocs) echo 29200 ;;         # the domain count over 12 × 16 untokenized pages: the kept queries' strings, tokens and template keys, the count's own vocabulary, the tables; pages keep nothing. It grows with GOMAXPROCS, most likely through the tokenizer's per-P pooled scratch: measured 29087–29088 at 1, 29090–29118 at 2 (29090 inside this gate's run), 29146–29150 at 4 and 29151–29157 at 8 (29 runs on 2 cores), so the ceiling sits a little above the many-P plateau. 28531 when the count read each page's memoized n-gram strings, already warm — the first count had tokenized every page and kept its tokens and n-grams
 	*) echo "" ;;
 	esac
 }
