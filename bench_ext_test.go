@@ -11,7 +11,6 @@ import (
 
 	"l2q/internal/classify"
 	"l2q/internal/core"
-	"l2q/internal/crf"
 	"l2q/internal/eval"
 	"l2q/internal/html"
 	"l2q/internal/pipeline"
@@ -108,7 +107,7 @@ func BenchmarkCRFvsNBAccuracy(b *testing.B) {
 	var accNB, accCRF float64
 	for i := 0; i < b.N; i++ {
 		nb := classify.Train(synth.AspResearch, train)
-		cr := classify.TrainCRF(synth.AspResearch, train, crf.TrainConfig{})
+		cr := classify.TrainCRF(synth.AspResearch, train)
 		if nb == nil || cr == nil {
 			b.Fatal("training failed")
 		}

@@ -77,11 +77,11 @@ func (s *CRFSet) AccuracyOf(a corpus.Aspect, pages []*corpus.Page) float64 {
 
 // TrainCRF fits a CRF for aspect a on the given pages (one training
 // sequence per page, a paragraph is positive iff its generator label
-// equals a). cfg zero value uses crf.DefaultTrainConfig. Returns nil if
-// either class is absent from the training data. It is TrainCRFSet for one
+// equals a). Returns nil if either class is absent from the training
+// data. It is TrainCRFSet for one
 // aspect: the same feature extraction, one training run.
-func TrainCRF(a corpus.Aspect, pages []*corpus.Page, cfg crf.TrainConfig) *CRFClassifier {
-	return extractCRF(pages).train(a, cfg)
+func TrainCRF(a corpus.Aspect, pages []*corpus.Page) *CRFClassifier {
+	return extractCRF(pages).train(a)
 }
 
 // crfData is what every aspect's CRF trains on: the pages with
@@ -116,7 +116,7 @@ func extractCRF(pages []*corpus.Page) *crfData {
 
 // train fits aspect a's CRF on the shared features, building only its
 // label vectors.
-func (d *crfData) train(a corpus.Aspect, cfg crf.TrainConfig) *CRFClassifier {
+func (d *crfData) train(a corpus.Aspect) *CRFClassifier {
 	examples := make([]crf.Example, len(d.pages))
 	seen := [2]bool{}
 	for k, p := range d.pages {
@@ -132,7 +132,7 @@ func (d *crfData) train(a corpus.Aspect, cfg crf.TrainConfig) *CRFClassifier {
 	if !seen[0] || !seen[1] || d.fm.Len() == 0 {
 		return nil
 	}
-	model, err := crf.Train(examples, d.fm.Len(), cfg)
+	model, err := crf.Train(examples, d.fm.Len())
 	if err != nil {
 		return nil
 	}
@@ -229,11 +229,11 @@ type CRFSet struct {
 // parallel (par.For) — CRF training is seconds-scale per aspect, so a
 // server paying it at boot gets the full core count — and each training
 // run seeds its own RNG, so the result is identical to serial training.
-func TrainCRFSet(aspects []corpus.Aspect, pages []*corpus.Page, cfg crf.TrainConfig) *CRFSet {
+func TrainCRFSet(aspects []corpus.Aspect, pages []*corpus.Page) *CRFSet {
 	d := extractCRF(pages)
 	cs := make([]*CRFClassifier, len(aspects))
 	par.For(len(aspects), func(i int) {
-		cs[i] = d.train(aspects[i], cfg)
+		cs[i] = d.train(aspects[i])
 	})
 	s := &CRFSet{
 		ByAspect: make(map[corpus.Aspect]*CRFClassifier, len(aspects)),

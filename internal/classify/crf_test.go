@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"l2q/internal/corpus"
-	"l2q/internal/crf"
 	"l2q/internal/synth"
 )
 
@@ -31,7 +30,7 @@ func TestCRFAccuracyOnSynthetic(t *testing.T) {
 	}
 	g, train, test := trainTestSplit(t, synth.DomainResearchers)
 	aspect := g.Aspects[0]
-	c := TrainCRF(aspect, train, crf.TrainConfig{})
+	c := TrainCRF(aspect, train)
 	if c == nil {
 		t.Fatal("no CRF trained")
 	}
@@ -50,7 +49,7 @@ func TestCRFvsNBAgreeOnY(t *testing.T) {
 	g, train, test := trainTestSplit(t, synth.DomainCars)
 	aspect := g.Aspects[0]
 	nb := Train(aspect, train)
-	cr := TrainCRF(aspect, train, crf.TrainConfig{})
+	cr := TrainCRF(aspect, train)
 	if nb == nil || cr == nil {
 		t.Fatal("training failed")
 	}
@@ -71,18 +70,18 @@ func TestTrainCRFDegenerate(t *testing.T) {
 	page := &corpus.Page{ID: 1, Paras: []corpus.Paragraph{
 		{Text: "a", Tokens: []string{"a"}, Aspect: "OTHER"},
 	}}
-	if c := TrainCRF("MISSING", []*corpus.Page{page}, crf.TrainConfig{}); c != nil {
+	if c := TrainCRF("MISSING", []*corpus.Page{page}); c != nil {
 		t.Error("expected nil classifier for aspect with no positives")
 	}
 	// No pages at all.
-	if c := TrainCRF("X", nil, crf.TrainConfig{}); c != nil {
+	if c := TrainCRF("X", nil); c != nil {
 		t.Error("expected nil classifier for empty corpus")
 	}
 }
 
 func TestCRFSetCachesAndPanics(t *testing.T) {
 	g, train, test := trainTestSplit(t, synth.DomainCars)
-	set := TrainCRFSet(g.Aspects[:1], train, crf.TrainConfig{Epochs: 2, LearnRate: 0.2, Decay: 1e-4, L2: 0.1, Seed: 1})
+	set := TrainCRFSet(g.Aspects[:1], train)
 	a := g.Aspects[0]
 	if _, ok := set.ByAspect[a]; !ok {
 		t.Fatalf("aspect %s not trained", a)
@@ -106,7 +105,7 @@ func TestCRFSetCachesAndPanics(t *testing.T) {
 
 func TestCRFPageScoreEmptyPage(t *testing.T) {
 	g, train, _ := trainTestSplit(t, synth.DomainCars)
-	c := TrainCRF(g.Aspects[0], train, crf.TrainConfig{Epochs: 1, LearnRate: 0.2, Decay: 0, L2: 0, Seed: 1})
+	c := TrainCRF(g.Aspects[0], train)
 	if c == nil {
 		t.Fatal("training failed")
 	}

@@ -37,7 +37,7 @@ func TestTrainSetWorkerInvariance(t *testing.T) {
 
 // trainCRFReference is TrainCRF before feature extraction was shared
 // across aspects: every call builds its own feature map and feature rows.
-func trainCRFReference(a corpus.Aspect, pages []*corpus.Page, cfg crf.TrainConfig) *CRFClassifier {
+func trainCRFReference(a corpus.Aspect, pages []*corpus.Page) *CRFClassifier {
 	fm := crf.NewFeatureMap()
 	var examples []crf.Example
 	seen := [2]bool{}
@@ -62,7 +62,7 @@ func trainCRFReference(a corpus.Aspect, pages []*corpus.Page, cfg crf.TrainConfi
 		return nil
 	}
 	fm.Freeze()
-	model, err := crf.Train(examples, fm.Len(), cfg)
+	model, err := crf.Train(examples, fm.Len())
 	if err != nil {
 		return nil
 	}
@@ -76,21 +76,20 @@ func trainCRFReference(a corpus.Aspect, pages []*corpus.Page, cfg crf.TrainConfi
 func TestTrainCRFSetWorkerInvariance(t *testing.T) {
 	aspects, pages := trainPages(t)
 	pages = pages[:len(pages)/4] // CRF training is the slow family
-	cfg := crf.DefaultTrainConfig()
 	want := map[corpus.Aspect]*CRFClassifier{}
 	for _, a := range aspects {
-		c := trainCRFReference(a, pages, cfg)
+		c := trainCRFReference(a, pages)
 		if c != nil {
 			want[a] = c
 		}
-		if !reflect.DeepEqual(TrainCRF(a, pages, cfg), c) {
+		if !reflect.DeepEqual(TrainCRF(a, pages), c) {
 			t.Fatalf("TrainCRF(%q) differs from trainCRFReference", a)
 		}
 	}
 	if len(want) == 0 {
 		t.Fatal("no CRFs trained")
 	}
-	if got := TrainCRFSet(aspects, pages, cfg).ByAspect; !reflect.DeepEqual(got, want) {
+	if got := TrainCRFSet(aspects, pages).ByAspect; !reflect.DeepEqual(got, want) {
 		t.Fatal("TrainCRFSet trained different classifiers than a serial TrainCRF loop")
 	}
 }

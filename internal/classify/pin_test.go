@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"l2q/internal/corpus"
-	"l2q/internal/crf"
 	"l2q/internal/synth"
 )
 
@@ -89,7 +88,7 @@ func TestYPinned(t *testing.T) {
 			if got := yDigest(t, g.Aspects, nb.ByAspect, nb.Relevant, test); got != tc.nb {
 				t.Errorf("naive Bayes Y digest = %s, want %s", got, tc.nb)
 			}
-			chain := TrainCRFSet(g.Aspects, train, crf.DefaultTrainConfig())
+			chain := TrainCRFSet(g.Aspects, train)
 			if got := yDigest(t, g.Aspects, chain.ByAspect, chain.Relevant, test); got != tc.chain {
 				t.Errorf("CRF Y digest = %s, want %s", got, tc.chain)
 			}

@@ -210,7 +210,7 @@ func TestTrainSeparableData(t *testing.T) {
 		}
 		examples = append(examples, ex)
 	}
-	m, err := Train(examples, 2, DefaultTrainConfig())
+	m, err := Train(examples, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestTrainLearnsTransitions(t *testing.T) {
 		}
 		examples = append(examples, ex)
 	}
-	m, err := Train(examples, 1, DefaultTrainConfig())
+	m, err := Train(examples, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,12 +278,11 @@ func TestTrainImprovesObjective(t *testing.T) {
 	for l := 0; l < NumLabels; l++ {
 		zero.state[l] = make([]float64, 6)
 	}
-	trained, err := Train(examples, 6, DefaultTrainConfig())
+	trained, err := Train(examples, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const l2 = 0.1
-	if trained.RegularizedLogLikelihood(examples, l2) <= zero.RegularizedLogLikelihood(examples, l2) {
+	if trained.RegularizedLogLikelihood(examples, trainL2) <= zero.RegularizedLogLikelihood(examples, trainL2) {
 		t.Fatal("training did not improve the objective")
 	}
 }
@@ -303,7 +302,7 @@ func TestTrainValidation(t *testing.T) {
 		{"bad label", []Example{{Feats: [][]int{{0}}, Labels: []Label{7}}}, 1},
 	}
 	for _, tc := range cases {
-		if _, err := Train(tc.examples, tc.numFeats, DefaultTrainConfig()); err == nil {
+		if _, err := Train(tc.examples, tc.numFeats); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
 	}

@@ -13,32 +13,21 @@ type Example struct {
 	Labels []Label
 }
 
-// TrainConfig controls SGD training. The zero value is replaced by
-// DefaultTrainConfig.
-type TrainConfig struct {
-	// Epochs is the number of passes over the training set.
-	Epochs int
-	// LearnRate is the initial step size; it decays as 1/(1+t·Decay).
-	LearnRate float64
-	// Decay is the learning-rate decay per processed sequence.
-	Decay float64
-	// L2 is the regularization strength (per-dataset, not per-example).
-	L2 float64
-	// Seed drives the shuffling order.
-	Seed uint64
-}
-
-// DefaultTrainConfig returns settings that converge on paragraph-labeling
+// The SGD settings Train uses; they converge on paragraph-labeling
 // workloads within a few passes.
-func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{Epochs: 8, LearnRate: 0.2, Decay: 1e-4, L2: 0.1, Seed: 1}
-}
+const (
+	trainEpochs = 8    // passes over the training set
+	trainRate   = 0.2  // initial step size; it decays as 1/(1+t·trainDecay)
+	trainDecay  = 1e-4 // learning-rate decay per processed sequence
+	trainL2     = 0.1  // regularization strength (per dataset, not per example)
+	trainSeed   = 1    // drives the shuffling order
+)
 
 // Train fits a linear-chain CRF by stochastic gradient ascent on the
 // L2-regularized conditional log-likelihood. numFeats is the size of the
 // sparse feature space; every feature id in the examples must be in
 // [0, numFeats). It returns an error on malformed input.
-func Train(examples []Example, numFeats int, cfg TrainConfig) (*Model, error) {
+func Train(examples []Example, numFeats int) (*Model, error) {
 	if len(examples) == 0 {
 		return nil, fmt.Errorf("crf: no training sequences")
 	}
@@ -63,10 +52,6 @@ func Train(examples []Example, numFeats int, cfg TrainConfig) (*Model, error) {
 			}
 		}
 	}
-	if cfg.Epochs <= 0 {
-		cfg = DefaultTrainConfig()
-	}
-
 	m := &Model{numFeats: numFeats}
 	for l := 0; l < NumLabels; l++ {
 		m.state[l] = make([]float64, numFeats)
@@ -76,14 +61,14 @@ func Train(examples []Example, numFeats int, cfg TrainConfig) (*Model, error) {
 	for i := range order {
 		order[i] = i
 	}
-	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xda3e39cb94b95bdb))
-	l2PerStep := cfg.L2 / float64(len(examples))
+	rng := rand.New(rand.NewPCG(trainSeed, trainSeed^0xda3e39cb94b95bdb))
+	l2PerStep := trainL2 / float64(len(examples))
 
 	t := 0
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < trainEpochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, ei := range order {
-			eta := cfg.LearnRate / (1 + cfg.Decay*float64(t))
+			eta := trainRate / (1 + trainDecay*float64(t))
 			m.sgdStep(&examples[ei], eta, l2PerStep)
 			t++
 		}

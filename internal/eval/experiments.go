@@ -6,7 +6,6 @@ import (
 
 	"l2q/internal/classify"
 	"l2q/internal/corpus"
-	"l2q/internal/crf"
 	"l2q/internal/synth"
 )
 
@@ -61,7 +60,7 @@ func (e *Env) Fig9CRF() []Fig9CRFRow {
 	for _, id := range e.TestIDs {
 		testPages = append(testPages, e.G.Corpus.PagesOf(id)...)
 	}
-	crfs := classify.TrainCRFSet(e.G.Aspects, domainPages, crf.DefaultTrainConfig())
+	crfs := classify.TrainCRFSet(e.G.Aspects, domainPages)
 	rows := make([]Fig9CRFRow, 0, len(e.G.Aspects))
 	for _, a := range e.G.Aspects {
 		rows = append(rows, Fig9CRFRow{

@@ -15,7 +15,6 @@ import (
 	"l2q/internal/core"
 	"l2q/internal/corpus"
 	"l2q/internal/crawler"
-	"l2q/internal/crf"
 	"l2q/internal/harvest"
 	"l2q/internal/html"
 	"l2q/internal/search"
@@ -98,7 +97,7 @@ func (s *System) Tokenizer() *textproc.Tokenizer { return s.cfg.Tokenizer }
 // (≈ 0.3 s for 996 × 50 pages on a 2-core machine), which is why it is the
 // default.
 func (s *System) UseCRFClassifiers() error {
-	set := classify.TrainCRFSet(s.aspects, s.corpus.Pages, crf.DefaultTrainConfig())
+	set := classify.TrainCRFSet(s.aspects, s.corpus.Pages)
 	for _, a := range s.aspects {
 		if !set.Has(a) {
 			return fmt.Errorf("l2q: aspect %s has no CRF training signal", a)
