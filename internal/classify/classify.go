@@ -4,9 +4,10 @@
 // The paper trains one CRF per aspect to classify paragraphs as relevant or
 // not, reports their accuracy (Fig. 9, 0.85–0.99), and then *takes the
 // classifier output as ground truth* for the harvesting experiments. We
-// mirror that protocol with a multinomial Naive Bayes classifier per aspect:
-// train on the domain split's generator-labeled paragraphs, report accuracy
-// against generator labels, and use predictions as Y during harvesting.
+// mirror that protocol with one classifier per aspect — multinomial Naive
+// Bayes by default, the paper's linear-chain CRF on request: train on the
+// domain split's generator-labeled paragraphs, report accuracy against
+// generator labels, and use predictions as Y during harvesting.
 package classify
 
 import (
@@ -14,6 +15,7 @@ import (
 	"sync"
 
 	"l2q/internal/corpus"
+	"l2q/internal/crf"
 	"l2q/internal/par"
 	"l2q/internal/textproc"
 )
@@ -32,15 +34,24 @@ func GroundTruth(p *corpus.Page, a corpus.Aspect) bool {
 	return p.AspectFraction(a) >= RelevanceThreshold
 }
 
-// Classifier is a binary multinomial Naive Bayes paragraph classifier for
-// one aspect, with add-one smoothing. Build with Train; the zero value is
-// not usable.
+// Classifier is one aspect's paragraph classifier: a binary multinomial
+// Naive Bayes model with add-one smoothing (Train, TrainSet), or a binary
+// linear-chain CRF over the page's paragraph sequence (TrainCRF,
+// TrainCRFSet). The two models differ only in how they label a page's
+// paragraphs (labels); Y's page rule and the accuracy are written once
+// over that. The zero value is not usable.
 type Classifier struct {
 	Aspect corpus.Aspect
 
+	// The Naive Bayes parameters, unused when chain is set.
 	logPrior [2]float64 // class log-priors: index 1 = relevant
 	logLik   [2]map[textproc.Token]float64
 	logUnk   [2]float64 // unseen-token log-likelihood per class
+
+	// chain is the CRF and feats its frozen feature map; nil for Naive
+	// Bayes.
+	chain *crf.Model
+	feats *crf.FeatureMap
 }
 
 // Train fits a classifier for aspect a from the paragraphs of the given
@@ -172,7 +183,7 @@ func (lc *LabelCounts) classifier(a corpus.Aspect) *Classifier {
 	return c
 }
 
-// Params is the trained state of a Classifier, exported so a persistence
+// Params is the trained state of a Naive Bayes Classifier, exported so a persistence
 // layer (internal/store's domain artifact) can round-trip classifiers
 // exactly: the float64 parameters are carried verbatim, so a restored
 // classifier predicts byte-identically to the trained one.
@@ -183,10 +194,14 @@ type Params struct {
 	LogLik   [2]map[textproc.Token]float64
 }
 
-// Params exposes the classifier's trained parameters. The maps are the
+// Params exposes a Naive Bayes classifier's trained parameters; ok is
+// false for a CRF, which Params cannot carry. The maps are the
 // classifier's own — callers must not mutate them.
-func (c *Classifier) Params() Params {
-	return Params{Aspect: c.Aspect, LogPrior: c.logPrior, LogUnk: c.logUnk, LogLik: c.logLik}
+func (c *Classifier) Params() (p Params, ok bool) {
+	if c.chain != nil {
+		return Params{}, false
+	}
+	return Params{Aspect: c.Aspect, LogPrior: c.logPrior, LogUnk: c.logUnk, LogLik: c.logLik}, true
 }
 
 // FromParams reconstructs a Classifier from persisted parameters.
@@ -208,9 +223,25 @@ func (c *Classifier) scoreClass(tokens []textproc.Token, cls int) float64 {
 	return s
 }
 
-// PredictPara reports whether a paragraph (token slice) is relevant.
-func (c *Classifier) PredictPara(tokens []textproc.Token) bool {
-	return c.scoreClass(tokens, 1) > c.scoreClass(tokens, 0)
+// labels hands yield every paragraph of the page with its predicted
+// label, reading paragraph i's tokens through tokens: Naive Bayes labels
+// each paragraph on its own, the CRF decodes the page's paragraph
+// sequence.
+func (c *Classifier) labels(p *corpus.Page, tokens func(i int) []textproc.Token, yield func(i int, relevant bool)) {
+	if c.chain == nil {
+		for i := range p.Paras {
+			toks := tokens(i)
+			yield(i, c.scoreClass(toks, 1) > c.scoreClass(toks, 0))
+		}
+		return
+	}
+	seq := make([][]int, len(p.Paras))
+	for i := range p.Paras {
+		seq[i] = paraFeatures(c.feats, tokens(i))
+	}
+	for i, l := range c.chain.Decode(seq) {
+		yield(i, l == 1)
+	}
 }
 
 // PageScore returns the fraction of the page's paragraphs predicted
@@ -221,11 +252,11 @@ func (c *Classifier) PageScore(p *corpus.Page) float64 {
 		return 0
 	}
 	n := 0
-	for i := range p.Paras {
-		if c.PredictPara(p.ParaTokens(i)) {
+	c.labels(p, p.ParaTokens, func(_ int, relevant bool) {
+		if relevant {
 			n++
 		}
-	}
+	})
 	return float64(n) / float64(len(p.Paras))
 }
 
@@ -241,14 +272,13 @@ func (c *Classifier) Accuracy(pages []*corpus.Page) float64 {
 	correct, total := 0, 0
 	var buf []textproc.Token
 	for _, p := range pages {
-		for i := range p.Paras {
-			want := p.Paras[i].Aspect == c.Aspect
-			got := c.PredictPara(p.ScanParaTokens(i, &buf))
-			if got == want {
+		scan := func(i int) []textproc.Token { return p.ScanParaTokens(i, &buf) }
+		c.labels(p, scan, func(i int, relevant bool) {
+			if relevant == (p.Paras[i].Aspect == c.Aspect) {
 				correct++
 			}
 			total++
-		}
+		})
 	}
 	if total == 0 {
 		return 0
@@ -295,7 +325,7 @@ func (lc *LabelCounts) TrainSet(aspects []corpus.Aspect) *Set {
 
 // NewSet wraps already-trained classifiers (e.g. restored from a
 // persisted domain artifact, store.LoadDomains) into a Set with a fresh
-// prediction cache. Nil entries are skipped.
+// prediction cache, keyed by their aspects. Nil entries are skipped.
 func NewSet(cs []*Classifier) *Set {
 	s := &Set{
 		ByAspect: make(map[corpus.Aspect]*Classifier, len(cs)),

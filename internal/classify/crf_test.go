@@ -83,8 +83,12 @@ func TestCRFSetCachesAndPanics(t *testing.T) {
 	g, train, test := trainTestSplit(t, synth.DomainCars)
 	set := TrainCRFSet(g.Aspects[:1], train)
 	a := g.Aspects[0]
-	if _, ok := set.ByAspect[a]; !ok {
+	c, ok := set.ByAspect[a]
+	if !ok {
 		t.Fatalf("aspect %s not trained", a)
+	}
+	if _, ok := c.Params(); ok {
+		t.Error("a CRF handed out Naive Bayes parameters")
 	}
 	p := test[0]
 	first := set.Relevant(a, p)

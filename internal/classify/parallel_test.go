@@ -37,7 +37,7 @@ func TestTrainSetWorkerInvariance(t *testing.T) {
 
 // trainCRFReference is TrainCRF before feature extraction was shared
 // across aspects: every call builds its own feature map and feature rows.
-func trainCRFReference(a corpus.Aspect, pages []*corpus.Page) *CRFClassifier {
+func trainCRFReference(a corpus.Aspect, pages []*corpus.Page) *Classifier {
 	fm := crf.NewFeatureMap()
 	var examples []crf.Example
 	seen := [2]bool{}
@@ -66,7 +66,7 @@ func trainCRFReference(a corpus.Aspect, pages []*corpus.Page) *CRFClassifier {
 	if err != nil {
 		return nil
 	}
-	return &CRFClassifier{Aspect: a, model: model, feats: fm}
+	return &Classifier{Aspect: a, chain: model, feats: fm}
 }
 
 // TestTrainCRFSetWorkerInvariance mirrors the check for the CRF family:
@@ -76,7 +76,7 @@ func trainCRFReference(a corpus.Aspect, pages []*corpus.Page) *CRFClassifier {
 func TestTrainCRFSetWorkerInvariance(t *testing.T) {
 	aspects, pages := trainPages(t)
 	pages = pages[:len(pages)/4] // CRF training is the slow family
-	want := map[corpus.Aspect]*CRFClassifier{}
+	want := map[corpus.Aspect]*Classifier{}
 	for _, a := range aspects {
 		c := trainCRFReference(a, pages)
 		if c != nil {
@@ -94,13 +94,23 @@ func TestTrainCRFSetWorkerInvariance(t *testing.T) {
 	}
 }
 
+// restore rebuilds a Naive Bayes classifier from its exported parameters.
+func restore(t *testing.T, c *Classifier) *Classifier {
+	t.Helper()
+	p, ok := c.Params()
+	if !ok {
+		t.Fatalf("aspect %s: a Naive Bayes classifier has no parameters", c.Aspect)
+	}
+	return FromParams(p)
+}
+
 // TestParamsRoundTrip: a classifier rebuilt from its exported parameters
 // predicts identically on every page and paragraph.
 func TestParamsRoundTrip(t *testing.T) {
 	aspects, pages := trainPages(t)
 	set := TrainSet(aspects, pages)
 	for a, c := range set.ByAspect {
-		restored := FromParams(c.Params())
+		restored := restore(t, c)
 		if restored.Aspect != a {
 			t.Fatalf("aspect lost: %s → %s", a, restored.Aspect)
 		}
@@ -117,7 +127,7 @@ func TestParamsRoundTrip(t *testing.T) {
 	// NewSet wraps restored classifiers with a working cache.
 	var cs []*Classifier
 	for _, c := range set.ByAspect {
-		cs = append(cs, FromParams(c.Params()))
+		cs = append(cs, restore(t, c))
 	}
 	ns := NewSet(cs)
 	for a := range set.ByAspect {

@@ -172,25 +172,31 @@ func (l *DomainLearner) Learn(a corpus.Aspect) (*core.DomainModel, error) {
 
 // Artifact learns and solves every servable aspect, aspects in parallel,
 // and packages the persistable DomainArtifact (models + classifier
-// parameters) in aspect order.
+// parameters) in aspect order. The artifact carries Naive Bayes
+// parameters only, so a CRF classifier is an error, not a silent gap.
 func (l *DomainLearner) Artifact() (*DomainArtifact, error) {
 	if len(l.Aspects) == 0 {
 		return nil, fmt.Errorf("store: no aspect has training signal")
+	}
+	params := make([]classify.Params, 0, len(l.Aspects))
+	for _, a := range l.Aspects {
+		p, ok := l.Cls.ByAspect[a].Params()
+		if !ok {
+			return nil, fmt.Errorf("store: aspect %s: a domain artifact carries only Naive Bayes classifiers", a)
+		}
+		params = append(params, p)
 	}
 	models, err := core.LearnAspects(l.Aspects, true, l.Learn)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	art := &DomainArtifact{
+	return &DomainArtifact{
 		CorpusDomain: l.Corpus.Domain,
 		NumEntities:  l.Corpus.NumEntities(),
 		NumPages:     l.Corpus.NumPages(),
 		Models:       models,
-	}
-	for _, a := range l.Aspects {
-		art.Classifiers = append(art.Classifiers, l.Cls.ByAspect[a].Params())
-	}
-	return art, nil
+		Classifiers:  params,
+	}, nil
 }
 
 // SaveDomains writes the domain artifact to w. Models and classifiers are

@@ -39,7 +39,8 @@ func learnArtifact(t testing.TB) (*DomainArtifact, *corpus.Corpus, *classify.Set
 			t.Fatal(err)
 		}
 		art.Models = append(art.Models, dm)
-		art.Classifiers = append(art.Classifiers, cls.ByAspect[a].Params())
+		p, _ := cls.ByAspect[a].Params()
+		art.Classifiers = append(art.Classifiers, p)
 	}
 	if len(art.Models) == 0 {
 		t.Fatal("no models learned")
@@ -199,5 +200,21 @@ func TestDomainLearnerServesTheArtifact(t *testing.T) {
 	}
 	if !bytes.Equal(modelBytes(got), modelBytes(lazy)) {
 		t.Errorf("aspect %s: the model learned beside the artifact differs from a fresh learner's", lazy.Aspect)
+	}
+}
+
+// TestArtifactRefusesCRFClassifiers: the artifact carries Naive Bayes
+// parameters only, so a learner holding a CRF refuses to package one
+// instead of writing an artifact that silently lacks that classifier.
+func TestArtifactRefusesCRFClassifiers(t *testing.T) {
+	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := NewDomainLearner(g.Corpus, g.Tokenizer, types.NewRegexRecognizer(), nil, nil)
+	a := ln.Aspects[0]
+	ln.Cls.ByAspect[a] = classify.TrainCRF(a, g.Corpus.Pages)
+	if art, err := ln.Artifact(); err == nil {
+		t.Fatalf("Artifact packaged %d classifiers with aspect %s's CRF among them", len(art.Classifiers), a)
 	}
 }

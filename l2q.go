@@ -182,7 +182,7 @@ type System struct {
 	cfg     core.Config
 	corpus  *Corpus
 	engine  *Engine
-	cls     classify.YProvider
+	cls     *classify.Set
 	rec     Recognizer
 	aspects []Aspect
 

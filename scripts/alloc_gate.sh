@@ -18,9 +18,9 @@ trap 'rm -f "$RAW"' EXIT
 # -benchtime in iterations so allocs/op is a stable integer ratio, not a
 # wall-clock-dependent sample.
 go test -run '^$' \
-	-bench 'BenchmarkTokenizeAllocs|BenchmarkNGramsAllocs|BenchmarkGramWindowsAllocs|BenchmarkSearchAllocs|BenchmarkLiveSearchAllocs|BenchmarkSearchAppendConcurrent|BenchmarkCandidateAllocs|BenchmarkSelectAllocs|BenchmarkHarvestJobAllocs|BenchmarkScatterMergeAllocs|BenchmarkCoordinatorFrontHitAllocs|BenchmarkMarshalFrameAllocs|BenchmarkOpenFrameAllocs|BenchmarkDecodeSearchPagesAllocs|BenchmarkParsePageAllocs|BenchmarkRenderPageAllocs|BenchmarkGenerateAllocs|BenchmarkDomainCountAllocs' \
+	-bench 'BenchmarkTokenizeAllocs|BenchmarkNGramsAllocs|BenchmarkGramWindowsAllocs|BenchmarkSearchAllocs|BenchmarkLiveSearchAllocs|BenchmarkSearchAppendConcurrent|BenchmarkCandidateAllocs|BenchmarkSelectAllocs|BenchmarkHarvestJobAllocs|BenchmarkScatterMergeAllocs|BenchmarkCoordinatorFrontHitAllocs|BenchmarkMarshalFrameAllocs|BenchmarkOpenFrameAllocs|BenchmarkDecodeSearchPagesAllocs|BenchmarkParsePageAllocs|BenchmarkRenderPageAllocs|BenchmarkGenerateAllocs|BenchmarkDomainCountAllocs|BenchmarkRelevantAllocs' \
 	-benchmem -benchtime=500x \
-	./internal/textproc/ ./internal/search/ ./internal/core/ ./internal/webapi/ ./internal/html/ ./internal/synth/ | tee "$RAW"
+	./internal/textproc/ ./internal/search/ ./internal/core/ ./internal/webapi/ ./internal/html/ ./internal/synth/ ./internal/classify/ | tee "$RAW"
 
 # bench-name (CPU suffix stripped) → max allocs/op.
 ceiling() {
@@ -56,6 +56,8 @@ ceiling() {
 	BenchmarkRenderPageAllocs) echo 0 ;;              # a server's cost per served page: AppendPage into a reused buffer (RenderPage adds only its string; 24 allocs when it went through fmt)
 	BenchmarkGenerateAllocs) echo 4187 ;;             # a TestConfig researcher collection (24 × 16 pages): per page its struct, one exactly-sized text string its paragraphs are substrings of, the paragraph slice, URL, title and links; per entity its profile. Measured 4186 at GOMAXPROCS 1–2 and 4187 at 4 and 8 (the runtime's per-P state adds a fraction per op). 17944 when every sentence was its own string, joined per paragraph, and slots went through fmt
 	BenchmarkDomainCountAllocs) echo 29200 ;;         # the domain count over 12 × 16 untokenized pages: the kept queries' strings, tokens and template keys, the count's own vocabulary, the tables; pages keep nothing. It grows with GOMAXPROCS, most likely through the tokenizer's per-P pooled scratch: measured 29087–29088 at 1, 29090–29118 at 2 (29090 inside this gate's run), 29146–29150 at 4 and 29151–29157 at 8 (29 runs on 2 cores), so the ceiling sits a little above the many-P plateau. 28531 when the count read each page's memoized n-gram strings, already warm — the first count had tokenized every page and kept its tokens and n-grams
+	BenchmarkRelevantAllocs/hit) echo 0 ;;            # a cached Y: one read-locked map lookup keyed on the stack
+	BenchmarkRelevantAllocs/miss) echo 0 ;;           # the Naive Bayes page rule on a tokenized page: the paragraph walk's two closures live on the stack
 	*) echo "" ;;
 	esac
 }
