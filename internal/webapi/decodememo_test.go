@@ -76,8 +76,9 @@ func sameErr(a, b error) bool {
 // unless all three outcomes agree — the same hits and pages, or the same
 // error — and the memo holds an entry exactly when it may: body decoded
 // cleanly as a search-with-pages frame of at most maxMemoFrame bytes that
-// carried a page. Then the second client's pages are the first's.
-func checkMemoDecode(t *testing.T, tok *textproc.Tokenizer, body []byte) {
+// carried a page. Then the second client's pages are the first's. It
+// returns the fresh decode.
+func checkMemoDecode(t *testing.T, tok *textproc.Tokenizer, body []byte) (decodedSearch, error) {
 	t.Helper()
 	want, wantErr := testClient(testBase, tok, nil).decodeSearch(body)
 	// Two entries leave room to catch a second insert; the production
@@ -111,6 +112,7 @@ func checkMemoDecode(t *testing.T, tok *textproc.Tokenizer, body []byte) {
 			}
 		}
 	}
+	return want, wantErr
 }
 
 // serveBody starts a server answering every request with body as a wire

@@ -618,7 +618,10 @@ func TestSearchPagesWireRoundTrip(t *testing.T) {
 // and re-encodes to itself (byte-for-byte identity with the input holds
 // only up to varint padding, which Dec tolerates); a body reaches the
 // page cache only under the ID its own l2q-page-id names; and the decode
-// memo changes no outcome (checkMemoDecode).
+// memo changes no outcome (checkMemoDecode). The gzip-flagged wrap of a
+// payload inflates to the plain wrap's, so it must decode to the same
+// thing; only the memo, which keys on the frame's bytes, is checked on it
+// again.
 func FuzzSearchPagesFrame(f *testing.F) {
 	g, err := synth.Generate(synth.TestConfig(synth.DomainResearchers))
 	if err != nil {
@@ -675,11 +678,13 @@ func FuzzSearchPagesFrame(f *testing.F) {
 	f.Add(gzipFrame(wireSearchPages, append(append([]byte(nil), member...), gzipMember(f, nil)...)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		check := func(body []byte) {
-			checkMemoDecode(t, g.Tokenizer, body)
-			resp, err := decodeSearchResponse(body)
-			if err != nil {
-				return
+		// check runs every property on body and returns its two decodes:
+		// the SearchResponse and the client's fresh one.
+		check := func(body []byte) (resp SearchResponse, decoded decodedSearch, respErr, decodeErr error) {
+			decoded, decodeErr = checkMemoDecode(t, g.Tokenizer, body)
+			resp, respErr = decodeSearchResponse(body)
+			if respErr != nil {
+				return resp, decoded, respErr, decodeErr
 			}
 			size := len(body)
 			if payload, err := openFrame(body, frameKind(body)); err == nil {
@@ -710,8 +715,7 @@ func FuzzSearchPagesFrame(f *testing.F) {
 					announced[h.PageID] = h.HTML // the first body is the one accepted
 				}
 			}
-			decoded, err := c.decodeSearch(body)
-			if err == nil {
+			if decodeErr == nil {
 				c.adopt(decoded.pages)
 			}
 			for id, p := range c.pageCache {
@@ -719,17 +723,30 @@ func FuzzSearchPagesFrame(f *testing.F) {
 					t.Fatalf("page cached under %d carries l2q-page-id %d", id, p.ID)
 				}
 			}
-			if err == nil {
+			if decodeErr == nil {
 				for id, body := range announced {
 					if body != "" && c.pageCache[id] == nil {
 						t.Fatalf("body announced as page %d accepted but not cached", id)
 					}
 				}
 			}
+			return resp, decoded, respErr, decodeErr
 		}
 		check(data)
-		for _, zip := range []bool{false, true} {
-			check(frameOf(wireSearchPages, zip, func(e *store.Enc) { e.Raw(data) }))
+		wrap := func(zip bool) []byte { return frameOf(wireSearchPages, zip, func(e *store.Enc) { e.Raw(data) }) }
+		zipped := wrap(true)
+		wantResp, want, wantRespErr, wantErr := check(wrap(false))
+		got, err := checkMemoDecode(t, g.Tokenizer, zipped)
+		if !sameErr(err, wantErr) {
+			t.Fatalf("gzip-flagged frame: decode error %v, plain frame's %v", err, wantErr)
+		}
+		if err == nil {
+			if diff := sameDecode(got, want); diff != "" {
+				t.Fatalf("gzip-flagged frame: %s from the plain frame's decode", diff)
+			}
+		}
+		if resp, err := decodeSearchResponse(zipped); !sameErr(err, wantRespErr) || !reflect.DeepEqual(resp, wantResp) {
+			t.Fatalf("gzip-flagged frame: SearchResponse (error %v) differs from the plain frame's (error %v)", err, wantRespErr)
 		}
 	})
 }
