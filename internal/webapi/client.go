@@ -126,7 +126,7 @@ type ClientOptions struct {
 	Retry RetryPolicy
 	// PrefetchWorkers has no effect: a coordinator sends one request per
 	// owner node for a hit list's missing bodies. It stays for source
-	// compatibility until ROADMAP items 2(f) and 8(d) remove it.
+	// compatibility until ROADMAP items 2(f) and 8(c) remove it.
 	PrefetchWorkers int
 	// Timeout is the per-request HTTP timeout (default 30 s). The
 	// caller's context cancels earlier.
