@@ -183,10 +183,10 @@ func (lc *LabelCounts) classifier(a corpus.Aspect) *Classifier {
 	return c
 }
 
-// Params is the trained state of a Naive Bayes Classifier, exported so a persistence
-// layer (internal/store's domain artifact) can round-trip classifiers
-// exactly: the float64 parameters are carried verbatim, so a restored
-// classifier predicts byte-identically to the trained one.
+// Params is the trained state of a Naive Bayes Classifier, exported so a
+// persistence layer (internal/store's domain artifact) can round-trip
+// classifiers exactly: the float64 parameters are carried verbatim, so a
+// restored classifier predicts byte-identically to the trained one.
 type Params struct {
 	Aspect   corpus.Aspect
 	LogPrior [2]float64
